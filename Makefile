@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race alloc staticcheck bench perf bench-train bench-serve perf-serve bench-quant perf-quant bench-tail perf-tail bench-router perf-router bench-compress perf-compress bench-latency perf-latency bench-fuse perf-fuse
+.PHONY: check vet build test race alloc staticcheck bench perf bench-train bench-serve perf-serve bench-quant perf-quant bench-router perf-router bench-compress perf-compress bench-latency perf-latency bench-fuse perf-fuse
 
 # The full gate: what CI (and any PR) must keep green.
 check: vet staticcheck build test race alloc
@@ -18,15 +18,14 @@ staticcheck:
 	fi
 
 # Allocation-regression gate: the serving engine must stay heap-free in
-# steady state (AllocsPerRun == 0 for both classifier kernels and for every
-# tail strategy — fused, remat, folded and staged; see
-# TestEngineZeroAlloc / TestEngineZeroAllocTailModes — and for the compressed
-# int4/ternary predict path, TestEngineZeroAllocCompressed, plus the batch-1
-# latency shape across every tail mode × kernel and the implicit-GEMM conv
-# path, TestEngineZeroAllocBatch1*; all ride the
-# same -run prefix), and so must the
-# router's fan-out hot path (frame encode, partial decode, score merge; see
-# TestRouterZeroAlloc).
+# steady state (AllocsPerRun == 0) at chunk size and at batch 1, for both
+# classifier kernels and every tail case — prepacked, rematerialized and
+# planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
+# the compressed int4/ternary predict path (TestEngineZeroAllocCompressed),
+# the implicit-GEMM conv path, and the fused float and int8 extraction blocks
+# (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused);
+# all ride the same -run prefix. So must the router's fan-out hot path
+# (frame encode, partial decode, score merge; see TestRouterZeroAlloc).
 alloc:
 	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
 	$(GO) test -run TestRouterZeroAlloc -count 1 ./internal/serve/
@@ -79,16 +78,6 @@ bench-quant:
 perf-quant:
 	$(GO) run ./cmd/nshd-bench -perf-quant BENCH_PR5.json
 
-# Re-run the staged-vs-fused serving-tail benchmarks (end-to-end and
-# tail-only timings, remat footprints) and diff against the committed
-# BENCH_PR6.json baseline.
-bench-tail:
-	$(GO) run ./cmd/nshd-bench -perf-tail /tmp/nshd_bench_tail.json -perf-tail-baseline BENCH_PR6.json
-
-# Regenerate the committed fused-tail baseline.
-perf-tail:
-	$(GO) run ./cmd/nshd-bench -perf-tail BENCH_PR6.json
-
 # Re-run the dimension-sharded router scaling benchmarks (S shard worker
 # processes behind serve.Router, each duty-cycle-capped to emulate a
 # fixed-capacity host) and diff against the committed BENCH_PR7.json
@@ -112,8 +101,8 @@ perf-compress:
 	$(GO) run ./cmd/nshd-bench -perf-compress BENCH_PR8.json
 
 # Re-run the batch-1 serving-latency benchmarks (implicit-GEMM conv,
-# prepacked projection strips, vectorized popcount scoring; p50/p99 per tail
-# mode × classifier kernel plus per-stage rows) and diff against the
+# prepacked projection strips, vectorized popcount scoring; p50/p99 for the
+# prepacked and rematerialized tails × classifier kernel plus per-stage rows) and diff against the
 # committed BENCH_PR9.json baseline.
 bench-latency:
 	$(GO) run ./cmd/nshd-bench -perf-latency /tmp/nshd_bench_latency.json -perf-latency-baseline BENCH_PR9.json

@@ -48,8 +48,6 @@ func main() {
 		serveBase = flag.String("perf-serve-baseline", "", "with -perf-serve: print deltas against this committed baseline JSON")
 		perfQuant = flag.String("perf-quant", "", "run the int8-vs-float engine benchmarks, write JSON to this file, and exit")
 		quantBase = flag.String("perf-quant-baseline", "", "with -perf-quant: print deltas against this committed baseline JSON")
-		perfTail  = flag.String("perf-tail", "", "run the staged-vs-fused serving-tail benchmarks, write JSON to this file, and exit")
-		tailBase  = flag.String("perf-tail-baseline", "", "with -perf-tail: print deltas against this committed baseline JSON")
 		perfCmp   = flag.String("perf-compress", "", "run the post-training compression tradeoff benchmarks, write JSON to this file, and exit")
 		cmpBase   = flag.String("perf-compress-baseline", "", "with -perf-compress: print deltas against this committed baseline JSON")
 		perfLat   = flag.String("perf-latency", "", "run the batch-1 serving-latency benchmarks, write JSON to this file, and exit")
@@ -121,13 +119,6 @@ func main() {
 	}
 	if *perfFuse != "" {
 		if err := runPerfFuse(*perfFuse, *fuseBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfTail != "" {
-		if err := runPerfTail(*perfTail, *tailBase); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

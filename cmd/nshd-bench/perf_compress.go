@@ -25,7 +25,7 @@ type compressEntry struct {
 	Bytes       int64   `json:"model_bytes,omitempty"`
 	TailUs      float64 `json:"tail_us,omitempty"`
 	AccPct      float64 `json:"acc_pct,omitempty"`
-	DropPt      float64 `json:"drop_pt,omitempty"`  // test-accuracy points lost vs the float fused source
+	DropPt      float64 `json:"drop_pt,omitempty"` // test-accuracy points lost vs the float fused source
 	AgreePct    float64 `json:"agree_pct,omitempty"`
 	SizeRatio   float64 `json:"size_ratio,omitempty"`   // source bytes / this config's bytes
 	TailSpeedup float64 `json:"tail_speedup,omitempty"` // source tail µs / this config's tail µs
@@ -186,9 +186,9 @@ func runPerfCompress(path, baselinePath string) error {
 }
 
 // tailOnlyUs times the engine's stages and returns the serving tail's (final
-// fused stage's) best-of-reps microseconds.
+// stage's) best-of-11 microseconds.
 func tailOnlyUs(e *engine.Engine, imgs *tensor.Tensor) (float64, error) {
-	rows, err := e.TimeStages(imgs, tailReps)
+	rows, err := e.TimeStages(imgs, 11)
 	if err != nil {
 		return 0, err
 	}

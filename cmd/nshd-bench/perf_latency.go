@@ -36,10 +36,11 @@ const (
 
 // runPerfLatency measures single-request (batch-1) Engine.Predict latency on
 // the committed serving config (the BENCH_PR6 shapes: vgg16 cut 8, D=3000),
-// float and packed kernels, across the fused / staged / remat tail modes,
-// plus each mode's per-stage split. This is the p50/p99 a single user sees
-// ahead of any micro-batching; the Batcher and Router amortize throughput,
-// but nothing amortizes the first request's unfused extract path.
+// float and packed kernels, for the prepacked tail (the "fused" rows, the
+// name BENCH_PR9.json keys on) and the rematerialized one, plus each mode's
+// per-stage split. This is the p50/p99 a single user sees ahead of any
+// micro-batching; the Batcher and Router amortize throughput, but nothing
+// amortizes the first request's unfused extract path.
 func runPerfLatency(path, baselinePath string) error {
 	configs := []struct {
 		model  string
@@ -87,7 +88,6 @@ func perfLatencyEngine(model string, cut int, packed bool, train, test *dataset.
 		opts []engine.Option
 	}{
 		{"fused", nil},
-		{"staged", []engine.Option{engine.WithStagedTail()}},
 		{"remat", []engine.Option{engine.WithRemat()}},
 	}
 	kernel := "float"

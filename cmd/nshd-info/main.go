@@ -22,7 +22,7 @@ func main() {
 	packed := flag.Bool("packed", true, "with -pipeline: compile the packed popcount classifier")
 	precision := flag.String("precision", "float32", "with -pipeline: engine precision mode (float32 or int8)")
 	remat := flag.Bool("remat", false, "with -pipeline: rematerialize the projection from its seed (O(1) encoder bytes)")
-	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion mode (auto, on, off)")
+	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion: auto (fuse runs that clear the size gate) or off (layer-by-layer)")
 	compress := flag.Float64("compress", 0, "with -pipeline: run the post-training compression search with this max accuracy drop (points) and report the chosen plan")
 	calib := flag.Int("calib", 128, "with -compress: synthetic calibration sample count")
 	flag.Parse()
@@ -78,12 +78,10 @@ func servingFacts(path string, packed bool, precision string, remat bool, fuse s
 	}
 	switch fuse {
 	case "auto":
-	case "on":
-		opts = append(opts, nshd.WithFusedExtract())
 	case "off":
 		opts = append(opts, nshd.WithUnfusedExtract())
 	default:
-		return fmt.Errorf("unknown fuse mode %q (have: auto, on, off)", fuse)
+		return fmt.Errorf("unknown fuse mode %q (have: auto, off)", fuse)
 	}
 	eng, err := nshd.Compile(p, opts...)
 	if err != nil {

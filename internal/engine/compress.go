@@ -22,8 +22,8 @@ import (
 //     runs unchanged on the smaller D'.
 //  2. Low-rank manifold fold. The manifold FC is factorized by truncated SVD
 //     (manifold.Factorize) when the energy/cost gate says the pair is
-//     smaller than the dense FC; the fused tail then folds the small up
-//     factor into the projection and serves pool → V → one [rank, D'] GEMM.
+//     smaller than the dense FC; the tail then folds the small up factor
+//     into the projection and serves pool → V → one [rank, D'] GEMM.
 //  3. Sub-byte scoring. The folded class matrix is re-quantized per row to
 //     int4 or ternary (hdlearn.SubByteScorer) and scored with exact integer
 //     kernels against the sign-packed queries the tail already produces.
@@ -233,14 +233,6 @@ func (pl *CompressPlan) apply(p *core.Pipeline) (*core.Pipeline, error) {
 		Proj:      proj,
 		HD:        hd,
 	}, nil
-}
-
-// WithCompression compiles the pipeline under a compression plan. Identity
-// plans compile to the exact source engine; any other plan requires the full
-// [0, D) range (CompileShard returns ErrCompressedTiling — a pruned dimension
-// set cannot tile with other shards' columns).
-func WithCompression(plan *CompressPlan) Option {
-	return optionFunc(func(o *compileOptions) { o.plan = plan })
 }
 
 // Plan returns the compression plan this engine was compiled under, nil for

@@ -48,26 +48,18 @@ func allBlocks(d int) []int {
 
 // TestCompressIdentityBitExact: a keep-everything plan at the source
 // precision must compile to the exact source engine — identical predictions
-// AND query hypervectors — across all four tail modes and both kernels.
+// AND query hypervectors — for every tail case and both kernels.
 func TestCompressIdentityBitExact(t *testing.T) {
-	modes := []struct {
-		name string
-		opts []engine.Option
-	}{
-		{"fused", nil},
-		{"staged", []engine.Option{engine.WithStagedTail()}},
-		{"remat", []engine.Option{engine.WithRemat()}},
-		{"folded", []engine.Option{engine.WithFoldedTail()}},
-	}
+	plan := engine.NewCompressPlan(1000, allBlocks(1000), engine.PrecisionKeep, 0)
 	for _, kernel := range []string{"float", "packed"} {
-		p, test := buildBigPipeline(t, func(c *core.Config) { c.PackedInference = kernel == "packed" })
-		plan := engine.NewCompressPlan(1000, allBlocks(1000), engine.PrecisionKeep, 0)
-		for _, m := range modes {
+		for _, m := range tailCases() {
+			p, test := buildBigPipeline(t, m.mut(func(c *core.Config) { c.PackedInference = kernel == "packed" }))
 			t.Run(m.name+"-"+kernel, func(t *testing.T) {
 				src, err := engine.Compile(p, m.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				m.checkStages(t, src)
 				cmp, err := engine.Compile(p, append(append([]engine.Option(nil), m.opts...), engine.WithCompression(plan))...)
 				if err != nil {
 					t.Fatal(err)
@@ -298,9 +290,9 @@ func TestCompressSearch(t *testing.T) {
 }
 
 // TestCompressLowRankFold: a rank-bearing plan factorizes the manifold and
-// folds the small up factor into the projection — the fused engine must agree
-// with the staged build of the same plan (the fold's argmax contract) and
-// come out smaller than the dense-FC plan.
+// folds the small up factor into the projection — the engine must agree with
+// the pipeline reference run over the same factorized manifold, unfolded
+// (the fold's argmax contract), and come out smaller than the dense-FC plan.
 func TestCompressLowRankFold(t *testing.T) {
 	p, test := buildBigPipeline(t, func(c *core.Config) {})
 	keep := allBlocks(1000)
@@ -320,21 +312,18 @@ func TestCompressLowRankFold(t *testing.T) {
 	if !foldName {
 		t.Fatalf("rank-8 plan did not fold the factorized manifold: stages %v", fused.Stages())
 	}
-	staged, err := engine.Compile(p, engine.WithStagedTail(), engine.WithCompression(ranked))
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, err := fused.Predict(test.Images)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := staged.Predict(test.Images)
-	if err != nil {
+	ref := *p
+	if ref.Manifold, err = p.Manifold.Factorize(8); err != nil {
 		t.Fatal(err)
 	}
+	b := ref.PredictDirect(test.Images)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("sample %d: folded factorized pred %d, staged %d", i, a[i], b[i])
+			t.Fatalf("sample %d: folded factorized pred %d, pipeline reference %d", i, a[i], b[i])
 		}
 	}
 

@@ -24,7 +24,6 @@ import (
 
 	"nshd/internal/core"
 	"nshd/internal/hdc"
-	"nshd/internal/hdlearn"
 	"nshd/internal/manifold"
 	"nshd/internal/nn"
 	"nshd/internal/parallel"
@@ -56,15 +55,15 @@ type Stage interface {
 // snapshot behind — recompile after training. core.Pipeline does this
 // automatically, keyed on the HD model's version counter.
 type Engine struct {
-	inShape   [3]int // per-sample image shape [C, H, W]
-	sampleLen int    // C·H·W
-	d         int    // hypervector dimensions THIS engine scores (slice width)
-	lo        int    // first hypervector column of the engine's D-slice
-	fullD     int    // full model dimension (== d for an unsharded engine)
-	version   uint64 // model content hash (see ModelVersion)
-	chunk     int    // max samples per worker chunk
+	inShape   [3]int  // per-sample image shape [C, H, W]
+	sampleLen int     // C·H·W
+	d         int     // hypervector dimensions THIS engine scores (slice width)
+	lo        int     // first hypervector column of the engine's D-slice
+	fullD     int     // full model dimension (== d for an unsharded engine)
+	version   uint64  // model content hash (see ModelVersion)
+	chunk     int     // max samples per worker chunk
 	stages    []Stage // feature stages; the tail finishes the chain
-	tail      tailRunner
+	tail      *tail
 	bytes     []StageBytes // resident serving weights, per Stages() entry
 
 	// Arena freelist: proto is the frozen warmup arena; clones are created
@@ -112,23 +111,20 @@ func (flattenStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return ar.Wrap(x.Data, n, x.Len()/n)
 }
 
-// projectStage runs a binary random projection (the LSH reduction or Φ_P),
+// lshStage runs BaselineHD's LSH reduction (a binary random projection),
 // keeping only the signed output. The operand is frozen at Compile, so it is
 // prepacked once into GEMM panel form: per-call products skip the panel
 // packing pass entirely (at batch 1 that pass dominates the projection GEMM)
 // and need no panel scratch.
-type projectStage struct {
-	name   string
+type lshStage struct {
 	pr     *hdc.Projection
 	panels *tensor.ProjPanels
 }
 
-func newProjectStage(name string, pr *hdc.Projection) projectStage {
-	return projectStage{name, pr, pr.PrepackedPanels()}
-}
+func newLSHStage(pr *hdc.Projection) lshStage { return lshStage{pr, pr.PrepackedPanels()} }
 
-func (s projectStage) Name() string { return s.name }
-func (s projectStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+func (s lshStage) Name() string { return "lsh" }
+func (s lshStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	out := ar.Alloc(x.Shape[0], s.pr.D)
 	s.pr.EncodeBatchPanelsInto(x, out, out, s.panels)
 	return out
@@ -141,13 +137,11 @@ func (s projectStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 // Predictions agree with the pipeline's direct path per-sample, bit-for-bit:
 // every stage reuses the training kernels' exact accumulation order.
 //
-// Options select the numeric mode and the tail strategy: Compile(p,
+// Options select the numeric mode and the projection backing: Compile(p,
 // engine.Int8, engine.WithCalibration(imgs)) rebuilds the extractor/manifold
-// stages in quantized int8 arithmetic (see Precision); with no options the
-// engine is the exact Float32 build with the fused linear tail (see
-// fused.go). WithStagedTail restores the legacy separate project/classify
-// stages; WithRemat and WithFoldedTail select the tail's rematerialized and
-// algebraically folded variants.
+// stages in quantized int8 arithmetic (see Precision); WithRemat keeps only
+// the projection's seed resident. With no options the engine is the exact
+// Float32 build with prepacked projection panels (see tail.go).
 // Compile is the single-shard special case of CompileShard: the engine
 // scores the full dimension range [0, D).
 func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
@@ -158,10 +152,10 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 }
 
 // compile builds the engine for hypervector columns [lo, hi) — the whole
-// model when lo==0 && hi==D. Every tail mode slices the same way: the
-// projection operand keeps columns [lo, hi), the class model keeps the same
-// columns (full-row norm fold for the float scorer), and the folded bias
-// keeps its slice. lo is PanelBlockCols-aligned by ShardBounds, preserving
+// model when lo==0 && hi==D. Every projection backing slices the same way:
+// the projection operand keeps columns [lo, hi), the class model keeps the
+// same columns (full-row norm fold for the float scorer), and the folded
+// bias keeps its slice. lo is PanelBlockCols-aligned by ShardBounds, preserving
 // the 256-column block grid.
 func compile(p *core.Pipeline, lo, hi int, opts []Option) (*Engine, error) {
 	var o compileOptions
@@ -201,37 +195,17 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		return nil, fmt.Errorf("engine: zoo input shape %v, want [C H W]", in)
 	}
 
-	// Resolve the tail strategy before laying out stages: a folded tail
-	// absorbs the manifold, so it must not also compile as a stage.
-	fold := false
-	if o.foldTail {
-		switch {
-		case o.stagedTail:
-			return nil, fmt.Errorf("engine: WithFoldedTail conflicts with WithStagedTail")
-		case o.remat:
-			return nil, fmt.Errorf("engine: WithFoldedTail conflicts with WithRemat (the folded matrix G is dense, not seed-defined)")
-		case o.precision == Int8:
-			return nil, fmt.Errorf("engine: WithFoldedTail requires the float32 manifold (int8 quantizes the FC the fold consumes)")
-		case p.Manifold == nil:
-			return nil, fmt.Errorf("engine: WithFoldedTail requires a manifold pipeline")
-		}
-		fold = true
-	} else if o.precision == Float32 && !o.stagedTail && !o.remat && p.Manifold != nil {
-		if p.Manifold.Down() != nil {
-			// A factorized manifold always folds: the up factor is [F̂, rank],
-			// so G = up^T·P is only [rank, D] and rank·D < rank·F̂ + F̂·D for
-			// every rank ≤ F̂ — the fold that loses on the dense FC wins here.
-			fold = true
-		} else {
-			fold = foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D)
-		}
-	}
-	if o.remat && o.stagedTail {
-		return nil, fmt.Errorf("engine: WithRemat requires the fused tail")
-	}
 	if o.precision == Int8 && p.Manifold != nil && p.Manifold.Down() != nil {
 		return nil, fmt.Errorf("engine: int8 precision cannot serve a factorized manifold (the quantizer rebuilds only the dense FC)")
 	}
+	// Plan the manifold fold before laying out stages: a folded tail absorbs
+	// the manifold, so it must not also compile as a stage. The fold needs
+	// the float32 FC and a dense projection operand (the folded matrix G is
+	// not seed-defined). A factorized manifold always folds: the up factor is
+	// [F̂, rank], so G = up^T·P is only [rank, D] and rank·D < rank·F̂ + F̂·D
+	// for every rank ≤ F̂ — the fold that loses on the dense FC wins there.
+	fold := o.precision == Float32 && !o.remat && p.Manifold != nil &&
+		(p.Manifold.Down() != nil || foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D))
 
 	if lo < 0 || hi > p.Cfg.D || lo >= hi {
 		return nil, fmt.Errorf("engine: D-slice [%d, %d) out of [0, %d)", lo, hi, p.Cfg.D)
@@ -256,11 +230,11 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		}
 	} else {
 		ex := p.Extractor
-		if o.fuse != fuseOff {
+		if !o.unfused {
 			// Rewrite fusible conv→BN→ReLU→pool runs into tiled fused blocks
 			// (bit-identical; see nn.FuseInference). Layers are shared, so
 			// weight accounting and later training are unaffected.
-			ex = nn.FuseInference(ex, in[0], in[1], in[2], o.fuse == fuseForce)
+			ex = nn.FuseInference(ex, in[0], in[1], in[2])
 		}
 		e.stages = append(e.stages, extractStage{ex})
 		switch {
@@ -270,33 +244,20 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		case p.Manifold != nil:
 			e.stages = append(e.stages, manifoldStage{p.Manifold})
 		case p.LSH != nil:
-			e.stages = append(e.stages, flattenStage{}, newProjectStage("lsh", p.LSH))
+			e.stages = append(e.stages, flattenStage{}, newLSHStage(p.LSH))
 		default:
 			e.stages = append(e.stages, flattenStage{})
 		}
 	}
-	if o.stagedTail {
-		e.stages = append(e.stages, newProjectStage("project", p.Proj.Slice(lo, hi)))
-		t := &stagedTail{d: hi - lo, lo: lo, fullD: p.Cfg.D}
-		if sub := subScorer(p, &o); sub != nil {
-			t.sub = sub
-		} else if p.Cfg.PackedInference {
-			t.packed = hdlearn.PackModel(p.HD).SliceColumns(lo, hi)
-		} else {
-			t.scorer = hdlearn.NewFoldedScorer(p.HD).Slice(lo, hi)
-		}
-		e.tail = t
-	} else {
-		t, err := buildFusedTail(p, &o, fold, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		e.tail = t
+	t, err := buildTail(p, &o, fold, lo, hi)
+	if err != nil {
+		return nil, err
 	}
+	e.tail = t
 	for _, st := range e.stages {
 		e.bytes = append(e.bytes, StageBytes{st.Name(), stageWeightBytes(st)})
 	}
-	e.bytes = append(e.bytes, e.tail.breakdown()...)
+	e.bytes = append(e.bytes, t.bytes...)
 
 	// Size the chunk: start from the training batch size, shrink until the
 	// measured arena fits the budget.
@@ -363,7 +324,10 @@ func (e *Engine) warmup(ar *tensor.Arena, chunk int) (err error) {
 
 // getArena takes a worker arena from the freelist, cloning a new one only
 // while the fleet is still below maxArenas (startup); afterwards this is a
-// single allocation-free channel receive.
+// single allocation-free channel receive. It may wait for an arena to be
+// returned, so nothing that runs while an arena is held may depend on a
+// queued chunk task making progress — which is why the fused blocks' tile
+// fan-out (parallel.Call) never runs foreign pool tasks while it waits.
 func (e *Engine) getArena() *tensor.Arena {
 	select {
 	case ar := <-e.arenas:
@@ -434,26 +398,29 @@ func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 	}
 	if n <= e.chunk {
 		ar := e.getArena()
-		x := e.runChunk(ar, images.Data, n)
-		e.tail.run(x, preds, ar)
+		e.tail.run(e.runChunk(ar, images.Data, n), preds, ar)
 		e.putArena(ar)
 		return nil
 	}
-	nChunks := (n + e.chunk - 1) / e.chunk
-	parallel.For(nChunks, func(lo, hi int) {
+	parallel.For(e.numChunks(n), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			start := ci * e.chunk
-			end := start + e.chunk
-			if end > n {
-				end = n
-			}
+			seg, start, end := e.chunkOf(images, ci)
 			ar := e.getArena()
-			x := e.runChunk(ar, images.Data[start*e.sampleLen:end*e.sampleLen], end-start)
-			e.tail.run(x, preds[start:end], ar)
+			e.tail.run(e.runChunk(ar, seg, end-start), preds[start:end], ar)
 			e.putArena(ar)
 		}
 	})
 	return nil
+}
+
+// numChunks is the number of worker chunks an n-sample batch splits into.
+func (e *Engine) numChunks(n int) int { return (n + e.chunk - 1) / e.chunk }
+
+// chunkOf returns chunk ci of a batch: its pixels and its sample range.
+func (e *Engine) chunkOf(images *tensor.Tensor, ci int) (seg []float32, start, end int) {
+	start = ci * e.chunk
+	end = min(start+e.chunk, images.Shape[0])
+	return images.Data[start*e.sampleLen : end*e.sampleLen], start, end
 }
 
 // QueryHVs returns the signed query hypervectors ([N, D]) of a batch — the
@@ -465,28 +432,14 @@ func (e *Engine) QueryHVs(images *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	n := images.Shape[0]
 	out := tensor.New(n, e.d)
-	if n == 0 {
-		return out, nil
-	}
-	nChunks := (n + e.chunk - 1) / e.chunk
-	run := func(lo, hi int) {
+	parallel.For(e.numChunks(n), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			start := ci * e.chunk
-			end := start + e.chunk
-			if end > n {
-				end = n
-			}
+			seg, start, end := e.chunkOf(images, ci)
 			ar := e.getArena()
-			x := e.runChunk(ar, images.Data[start*e.sampleLen:end*e.sampleLen], end-start)
-			e.tail.runHVs(x, out.Data[start*e.d:end*e.d], ar)
+			e.tail.runHVs(e.runChunk(ar, seg, end-start), out.Data[start*e.d:end*e.d], ar)
 			e.putArena(ar)
 		}
-	}
-	if nChunks == 1 {
-		run(0, 1)
-	} else {
-		parallel.For(nChunks, run)
-	}
+	})
 	return out, nil
 }
 
@@ -592,7 +545,7 @@ func (e *Engine) SampleLen() int { return e.sampleLen }
 func (e *Engine) Dim() int { return e.d }
 
 // Classes reports the number of classes the compiled classifier scores.
-func (e *Engine) Classes() int { return e.tail.classes() }
+func (e *Engine) Classes() int { return e.tail.k }
 
 // ModelBytes reports the engine's TRUE serving footprint: every weight the
 // compiled plan keeps resident, summed over BytesBreakdown — extractor and
@@ -620,7 +573,7 @@ func (e *Engine) Stages() []string {
 	for _, s := range e.stages {
 		names = append(names, s.Name())
 	}
-	return append(names, e.tail.names()...)
+	return append(names, e.tail.name)
 }
 
 // stageWeightBytes sums the resident weights of one feature stage.
@@ -630,7 +583,7 @@ func stageWeightBytes(st Stage) int64 {
 		return paramBytes(s.ex.Params())
 	case manifoldStage:
 		return paramBytes(s.ml.Params())
-	case projectStage:
+	case lshStage:
 		// The engine-resident operand is the prepacked panel copy, not the
 		// pipeline's dense matrix.
 		return s.panels.MemoryBytes()

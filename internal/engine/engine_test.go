@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -27,31 +26,11 @@ func tinyZoo(seed int64, classes int) *cnn.Model {
 	return m.Finish()
 }
 
-// variant describes one pipeline topology/kernel combination the engine must
-// reproduce bit-for-bit.
-type variant struct {
-	name string
-	mut  func(*core.Config)
-}
-
-// D = 70 everywhere: not divisible by 64, so the packed classifier's
-// tail-word masking is always on the line.
-func variants() []variant {
-	return []variant{
-		{"manifold-float", func(c *core.Config) {}},
-		{"manifold-packed", func(c *core.Config) { c.PackedInference = true }},
-		{"lsh-float", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
-		{"direct-packed", func(c *core.Config) {
-			c.UseManifold = false
-			c.LSHDim = 0
-			c.PackedInference = true
-		}},
-	}
-}
-
 // buildPipeline assembles a pipeline with bundled (nontrivial) class
 // hypervectors plus train/test splits. Bundling alone gives every class a
-// distinct hypervector without paying for the full retraining loop.
+// distinct hypervector without paying for the full retraining loop. D = 70
+// unless mut changes it: not divisible by 64, so the packed classifier's
+// tail-word masking is always on the line.
 func buildPipeline(t *testing.T, mut func(*core.Config)) (*core.Pipeline, *dataset.Dataset) {
 	t.Helper()
 	cfgD := dataset.SynthConfig{Classes: 4, Train: 40, Test: 21, Size: 16, Noise: 0.2, Seed: 61}
@@ -70,101 +49,6 @@ func buildPipeline(t *testing.T, mut func(*core.Config)) (*core.Pipeline, *datas
 	_, _, signed := p.Symbolize(feats, false)
 	p.HD.InitBundle(signed, train.Labels)
 	return p, test
-}
-
-// TestEnginePredictMatchesPipelineDirect is the central property: per-sample
-// agreement with the training-side reference path, across every topology and
-// both classifier kernels, on a batch that spans multiple chunks including a
-// partial tail (21 samples, chunk 8).
-func TestEnginePredictMatchesPipelineDirect(t *testing.T) {
-	for _, v := range variants() {
-		t.Run(v.name, func(t *testing.T) {
-			p, test := buildPipeline(t, v.mut)
-			e, err := engine.Compile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := p.PredictDirect(test.Images)
-			got, err := e.Predict(test.Images)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("engine returned %d predictions, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sample %d: engine=%d direct=%d", i, got[i], want[i])
-				}
-			}
-			// Sanity: predictions span more than one class, otherwise the
-			// agreement above is vacuous.
-			seen := map[int]bool{}
-			for _, pr := range want {
-				seen[pr] = true
-			}
-			if len(seen) < 2 {
-				t.Fatal("degenerate test model: all predictions identical")
-			}
-		})
-	}
-}
-
-func TestEngineQueryHVsMatchesPipeline(t *testing.T) {
-	p, test := buildPipeline(t, func(c *core.Config) {})
-	e, err := engine.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats := p.ExtractFeatures(test.Images)
-	_, _, want := p.Symbolize(feats, false)
-	got, err := e.QueryHVs(test.Images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shape[0] != want.Shape[0] || got.Shape[1] != want.Shape[1] {
-		t.Fatalf("QueryHVs shape %v, want %v", got.Shape, want.Shape)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatal("engine query hypervectors differ from the direct path")
-		}
-	}
-}
-
-// TestEngineZeroAlloc is the acceptance gate: a chunk-sized batch through
-// PredictInto must not touch the heap in steady state, on both classifier
-// kernels.
-func TestEngineZeroAlloc(t *testing.T) {
-	for _, v := range []variant{
-		{"float", func(c *core.Config) {}},
-		{"packed", func(c *core.Config) { c.PackedInference = true }},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			p, test := buildPipeline(t, v.mut)
-			e, err := engine.Compile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := e.ChunkSize()
-			if n > test.Len() {
-				n = test.Len()
-			}
-			sample := test.Images.Len() / test.Len()
-			imgs := tensor.FromSlice(test.Images.Data[:n*sample], n, 3, 16, 16)
-			preds := make([]int, n)
-			if err := e.PredictInto(imgs, preds); err != nil {
-				t.Fatal(err)
-			}
-			if a := testing.AllocsPerRun(100, func() {
-				if err := e.PredictInto(imgs, preds); err != nil {
-					t.Fatal(err)
-				}
-			}); a != 0 {
-				t.Fatalf("PredictInto allocated %.1f times per run in steady state", a)
-			}
-		})
-	}
 }
 
 func TestEngineEmptyAndInvalidInput(t *testing.T) {
@@ -362,16 +246,5 @@ func TestEngineStagesReported(t *testing.T) {
 	}
 	if e.ChunkSize() < 1 || e.ArenaBytes() <= 0 {
 		t.Fatalf("chunk=%d arenaBytes=%d", e.ChunkSize(), e.ArenaBytes())
-	}
-
-	// The staged build reports the legacy chain.
-	es, err := engine.Compile(p, engine.WithStagedTail())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sNames := es.Stages()
-	sWant := []string{"extract", "manifold", "project", "classify-float"}
-	if fmt.Sprint(sNames) != fmt.Sprint(sWant) {
-		t.Fatalf("staged stages %v, want %v", sNames, sWant)
 	}
 }

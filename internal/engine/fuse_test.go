@@ -3,113 +3,132 @@ package engine_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nshd/internal/core"
 	"nshd/internal/engine"
+	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
 
-// tailModes enumerates the four serving-tail strategies the fused extractor
-// must compose with.
-func tailModes() []struct {
-	name string
-	opts []engine.Option
-} {
-	return []struct {
-		name string
-		opts []engine.Option
-	}{
-		{"fused", nil},
-		{"remat", []engine.Option{engine.WithRemat()}},
-		{"folded", []engine.Option{engine.WithFoldedTail()}},
-		{"staged", []engine.Option{engine.WithStagedTail()}},
+// fuseSmall lowers nn.FuseMinMACs for the test's duration so the tiny
+// fixture's extractor clears the fusion gate (what the var is documented
+// for); the default gate would leave it layer-by-layer.
+func fuseSmall(t *testing.T) {
+	saved := nn.FuseMinMACs
+	nn.FuseMinMACs = 0
+	t.Cleanup(func() { nn.FuseMinMACs = saved })
+}
+
+// requireFusedExtract fails unless the engine's extract stage reports a fused
+// block among its timed sub-steps.
+func requireFusedExtract(t *testing.T, e *engine.Engine) {
+	t.Helper()
+	in := e.InShape()
+	times, err := e.TimeStages(tensor.New(1, in[0], in[1], in[2]), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range times[0].Sub {
+		if strings.HasPrefix(sub.Name, "fused{") || strings.HasPrefix(sub.Name, "Int8Fused{") {
+			return
+		}
+	}
+	t.Fatalf("extract stage did not fuse: %+v", times[0])
+}
+
+// samePartials fails on the first differing raw score.
+func samePartials(t *testing.T, got, want *engine.PartialScores) {
+	t.Helper()
+	if len(got.Ints) != len(want.Ints) || len(got.Floats) != len(want.Floats) {
+		t.Fatalf("partial shapes differ: ints %d/%d floats %d/%d",
+			len(got.Ints), len(want.Ints), len(got.Floats), len(want.Floats))
+	}
+	for i := range want.Ints {
+		if got.Ints[i] != want.Ints[i] {
+			t.Fatalf("raw int score %d differs: %d vs %d", i, got.Ints[i], want.Ints[i])
+		}
+	}
+	for i := range want.Floats {
+		if got.Floats[i] != want.Floats[i] {
+			t.Fatalf("raw float score %d differs: %g vs %g", i, got.Floats[i], want.Floats[i])
+		}
 	}
 }
 
+// sameOutputs requires two engines to agree bit for bit on predictions,
+// query hypervectors AND raw partial scores over a batch.
+func sameOutputs(t *testing.T, got, want *engine.Engine, images *tensor.Tensor) {
+	t.Helper()
+	wp, err := want.Predict(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := got.Predict(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wp {
+		if gp[i] != wp[i] {
+			t.Fatalf("sample %d: pred %d vs %d", i, gp[i], wp[i])
+		}
+	}
+	wh, err := want.QueryHVs(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gh, err := got.QueryHVs(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wh.Data {
+		if gh.Data[i] != wh.Data[i] {
+			t.Fatalf("query hypervector element %d differs: %g vs %g", i, gh.Data[i], wh.Data[i])
+		}
+	}
+	ws, gs := want.NewPartials(0), got.NewPartials(0)
+	if err := want.PartialInto(images, ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.PartialInto(images, gs); err != nil {
+		t.Fatal(err)
+	}
+	samePartials(t, gs, ws)
+}
+
 // TestEngineFusedExtractBitExact is the engine-level acceptance property for
-// the cache-resident extraction blocks: with the fused extractor forced on,
-// predictions, query hypervectors, AND raw partial scores must be
-// bit-identical to the unfused engine across every tail mode and both
+// the cache-resident extraction blocks: predictions, query hypervectors, AND
+// raw partial scores of the fused engine must be bit-identical to the
+// layer-by-layer (WithUnfusedExtract) engine across every tail case and both
 // classifier kernels. The extractor's tiling must be invisible end to end.
 func TestEngineFusedExtractBitExact(t *testing.T) {
-	for _, kern := range []struct {
-		name   string
-		packed bool
-	}{{"float", false}, {"packed", true}} {
-		p, test := buildPipeline(t, func(c *core.Config) { c.PackedInference = kern.packed })
-		for _, mode := range tailModes() {
-			t.Run(kern.name+"/"+mode.name, func(t *testing.T) {
-				base, err := engine.Compile(p, append([]engine.Option{engine.WithUnfusedExtract()}, mode.opts...)...)
+	fuseSmall(t)
+	for _, packed := range []bool{false, true} {
+		for _, tc := range tailCases() {
+			t.Run(kernelName(packed)+"/"+tc.name, func(t *testing.T) {
+				p, test := buildPipeline(t, tc.mut(func(c *core.Config) { c.PackedInference = packed }))
+				base, err := engine.Compile(p, append([]engine.Option{engine.WithUnfusedExtract()}, tc.opts...)...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz, err := engine.Compile(p, append([]engine.Option{engine.WithFusedExtract()}, mode.opts...)...)
+				fz, err := engine.Compile(p, tc.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				want, err := base.Predict(test.Images)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := fz.Predict(test.Images)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("sample %d: fused pred %d, unfused %d", i, got[i], want[i])
-					}
-				}
-
-				hw, err := base.QueryHVs(test.Images)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hg, err := fz.QueryHVs(test.Images)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range hw.Data {
-					if hg.Data[i] != hw.Data[i] {
-						t.Fatalf("query hypervector element %d differs: fused %g, unfused %g",
-							i, hg.Data[i], hw.Data[i])
-					}
-				}
-
-				pw := base.NewPartials(test.Len())
-				if err := base.PartialInto(test.Images, pw); err != nil {
-					t.Fatal(err)
-				}
-				pg := fz.NewPartials(test.Len())
-				if err := fz.PartialInto(test.Images, pg); err != nil {
-					t.Fatal(err)
-				}
-				if len(pg.Ints) != len(pw.Ints) || len(pg.Floats) != len(pw.Floats) {
-					t.Fatalf("partial shapes differ: ints %d/%d floats %d/%d",
-						len(pg.Ints), len(pw.Ints), len(pg.Floats), len(pw.Floats))
-				}
-				for i := range pw.Ints {
-					if pg.Ints[i] != pw.Ints[i] {
-						t.Fatalf("raw int score %d differs: fused %d, unfused %d", i, pg.Ints[i], pw.Ints[i])
-					}
-				}
-				for i := range pw.Floats {
-					if pg.Floats[i] != pw.Floats[i] {
-						t.Fatalf("raw float score %d differs: fused %g, unfused %g", i, pg.Floats[i], pw.Floats[i])
-					}
-				}
+				requireFusedExtract(t, fz)
+				sameOutputs(t, fz, base, test.Images)
 			})
 		}
 	}
 }
 
 // TestEngineFusedExtractTimeStages pins the per-step timing breakdown: the
-// forced-fused engine reports fused blocks as sub-stage rows under extract,
-// and the sub rows always accompany the extract stage entry.
+// fused engine reports fused blocks as sub-stage rows under extract, and the
+// sub rows always accompany the extract stage entry.
 func TestEngineFusedExtractTimeStages(t *testing.T) {
+	fuseSmall(t)
 	p, test := buildPipeline(t, func(c *core.Config) {})
-	e, err := engine.Compile(p, engine.WithFusedExtract())
+	e, err := engine.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +142,12 @@ func TestEngineFusedExtractTimeStages(t *testing.T) {
 	if times[0].Name != "extract" || len(times[0].Sub) == 0 {
 		t.Fatalf("extract stage has no sub-step rows: %+v", times[0])
 	}
-	sawFused := false
 	for _, sub := range times[0].Sub {
-		if strings.HasPrefix(sub.Name, "fused{") {
-			sawFused = true
-		}
 		if sub.Seconds < 0 {
 			t.Fatalf("negative sub-step time: %+v", sub)
 		}
 	}
-	if !sawFused {
-		t.Fatalf("no fused block in extract sub-steps: %+v", times[0].Sub)
-	}
+	requireFusedExtract(t, e)
 }
 
 // TestEngineInt8FusedExtractBitExact mirrors the float property on the
@@ -142,130 +155,183 @@ func TestEngineFusedExtractTimeStages(t *testing.T) {
 // layer-by-layer int8 engine exactly — same predictions, same signed query
 // hypervectors, same raw scores — on both classifier kernels.
 func TestEngineInt8FusedExtractBitExact(t *testing.T) {
-	for _, kern := range []struct {
-		name   string
-		packed bool
-	}{{"float", false}, {"packed", true}} {
-		t.Run(kern.name, func(t *testing.T) {
-			p, train, test := buildInt8Pipeline(t, func(c *core.Config) { c.PackedInference = kern.packed })
-			base, err := engine.Compile(p, engine.Int8,
-				engine.WithCalibration(train.Images), engine.WithUnfusedExtract())
+	fuseSmall(t)
+	for _, packed := range []bool{false, true} {
+		t.Run(kernelName(packed), func(t *testing.T) {
+			p, train, test := buildInt8Pipeline(t, func(c *core.Config) { c.PackedInference = packed })
+			calib := engine.WithCalibration(train.Images)
+			base, err := engine.Compile(p, engine.Int8, calib, engine.WithUnfusedExtract())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fz, err := engine.Compile(p, engine.Int8,
-				engine.WithCalibration(train.Images), engine.WithFusedExtract())
+			fz, err := engine.Compile(p, engine.Int8, calib)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			want, err := base.Predict(test.Images)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fz.Predict(test.Images)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sample %d: fused int8 pred %d, unfused %d", i, got[i], want[i])
-				}
-			}
-
-			hw, err := base.QueryHVs(test.Images)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hg, err := fz.QueryHVs(test.Images)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range hw.Data {
-				if hg.Data[i] != hw.Data[i] {
-					t.Fatalf("int8 query hypervector element %d differs", i)
-				}
-			}
-
-			pw := base.NewPartials(test.Len())
-			if err := base.PartialInto(test.Images, pw); err != nil {
-				t.Fatal(err)
-			}
-			pg := fz.NewPartials(test.Len())
-			if err := fz.PartialInto(test.Images, pg); err != nil {
-				t.Fatal(err)
-			}
-			for i := range pw.Ints {
-				if pg.Ints[i] != pw.Ints[i] {
-					t.Fatalf("raw int8 int score %d differs", i)
-				}
-			}
-			for i := range pw.Floats {
-				if pg.Floats[i] != pw.Floats[i] {
-					t.Fatalf("raw int8 float score %d differs", i)
-				}
-			}
+			requireFusedExtract(t, fz)
+			sameOutputs(t, fz, base, test.Images)
 		})
 	}
 }
 
-// TestEngineZeroAllocBatch1FusedExtract extends the batch-1 allocation gate
-// (name prefix keeps it inside `make alloc`) to the fused extractor: a forced
-// fused compile must stay heap-free in steady state across every tail mode
-// and both classifier kernels, exercising the tile-buffer freelist reuse.
-func TestEngineZeroAllocBatch1FusedExtract(t *testing.T) {
-	for _, kern := range []struct {
-		name   string
-		packed bool
-	}{{"float", false}, {"packed", true}} {
-		for _, mode := range tailModes() {
-			t.Run(kern.name+"/"+mode.name, func(t *testing.T) {
-				p, test := buildPipeline(t, func(c *core.Config) { c.PackedInference = kern.packed })
-				e, err := engine.Compile(p, append([]engine.Option{engine.WithFusedExtract()}, mode.opts...)...)
+// TestEngineMultiChunkFusedExtract is the regression test for the hang PR 11
+// found: PredictInto with N > chunk on an engine whose fused extract block
+// has ≥ 2 tiles. The block's tile fan-out (parallel.Call.Run) used to help
+// drain the shared pool queue while it waited, so with its chunk's arena
+// held it could start ANOTHER queued chunk task on the same stack, which
+// then blocked forever in getArena on the arenas held beneath it. The budget
+// of one byte plans single-row tiles (4 per sample here), BatchSize 2 makes
+// 11 chunks of the 21 test samples, and the watchdog turns a hang into a
+// failure instead of wedging the suite. Results must equal the single-chunk
+// path's, sample by sample.
+func TestEngineMultiChunkFusedExtract(t *testing.T) {
+	fuseSmall(t)
+	saved := nn.FuseTileBudgetBytes
+	nn.FuseTileBudgetBytes = 1
+	t.Cleanup(func() { nn.FuseTileBudgetBytes = saved })
+
+	for _, packed := range []bool{false, true} {
+		p, test := buildPipeline(t, func(c *core.Config) {
+			c.BatchSize = 2
+			c.PackedInference = packed
+		})
+		e, err := engine.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireFusedExtract(t, e)
+		if n, c := test.Len(), e.ChunkSize(); n < 4*c {
+			t.Fatalf("fixture has %d samples for chunk %d; the regression needs >= 4 chunks", n, c)
+		}
+
+		type result struct {
+			preds []int
+			hvs   *tensor.Tensor
+			ps    *engine.PartialScores
+			err   error
+		}
+		done := make(chan result, 1) // the goroutine's one send never blocks
+		go func() {
+			var r result
+			r.preds, r.err = e.Predict(test.Images)
+			if r.err == nil {
+				r.hvs, r.err = e.QueryHVs(test.Images)
+			}
+			if r.err == nil {
+				r.ps = e.NewPartials(0)
+				r.err = e.PartialInto(test.Images, r.ps)
+			}
+			done <- r
+		}()
+		var multi result
+		select {
+		case multi = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("multi-chunk PredictInto over a multi-tile fused block deadlocked")
+		}
+		if multi.err != nil {
+			t.Fatal(multi.err)
+		}
+
+		// Concurrent callers, multi-chunk and single-sample mixed: no stack
+		// may end up waiting on arenas that only it can free.
+		mixed := make(chan error, 4) // one send per goroutine below
+		for g := 0; g < 4; g++ {
+			imgs := test.Images
+			if g%2 == 1 {
+				imgs = imagesAt(test.Images, g, g+1)
+			}
+			go func() {
+				for it := 0; it < 5; it++ {
+					if _, err := e.Predict(imgs); err != nil {
+						mixed <- err
+						return
+					}
+				}
+				mixed <- nil
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			select {
+			case err := <-mixed:
 				if err != nil {
 					t.Fatal(err)
 				}
-				sample := test.Images.Len() / test.Len()
-				img := tensor.FromSlice(test.Images.Data[:sample], 1,
-					test.Images.Shape[1], test.Images.Shape[2], test.Images.Shape[3])
-				preds := make([]int, 1)
-				if err := e.PredictInto(img, preds); err != nil {
+			case <-time.After(30 * time.Second):
+				t.Fatal("concurrent multi-chunk and single-chunk callers deadlocked")
+			}
+		}
+
+		// Single-chunk reference: the same engine, one sample at a time.
+		n, k, d := test.Len(), e.Classes(), e.Dim()
+		one := e.NewPartials(0)
+		for i := 0; i < n; i++ {
+			img := imagesAt(test.Images, i, i+1)
+			pr, err := e.Predict(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr[0] != multi.preds[i] {
+				t.Fatalf("sample %d: multi-chunk pred %d, single-chunk %d", i, multi.preds[i], pr[0])
+			}
+			hv, err := e.QueryHVs(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range hv.Data {
+				if multi.hvs.Data[i*d+j] != v {
+					t.Fatalf("sample %d: multi-chunk query hypervector differs at %d", i, j)
+				}
+			}
+			if err := e.PartialInto(img, one); err != nil {
+				t.Fatal(err)
+			}
+			for c, v := range one.Ints {
+				if multi.ps.Ints[i*k+c] != v {
+					t.Fatalf("sample %d class %d: multi-chunk int score differs", i, c)
+				}
+			}
+			for b := 0; !one.Packed && b < one.Blocks(); b++ {
+				for c := 0; c < k; c++ {
+					if multi.ps.Floats[(b*n+i)*k+c] != one.Floats[b*k+c] {
+						t.Fatalf("sample %d block %d class %d: multi-chunk float score differs", i, b, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEngineZeroAllocBatch1FusedExtract extends the batch-1 allocation gate
+// (name prefix keeps it inside `make alloc`) to the fused extractor: it must
+// stay heap-free in steady state across every tail case and both classifier
+// kernels, exercising the tile-buffer freelist reuse.
+func TestEngineZeroAllocBatch1FusedExtract(t *testing.T) {
+	fuseSmall(t)
+	for _, packed := range []bool{false, true} {
+		for _, tc := range tailCases() {
+			t.Run(kernelName(packed)+"/"+tc.name, func(t *testing.T) {
+				p, test := buildPipeline(t, tc.mut(func(c *core.Config) { c.PackedInference = packed }))
+				e, err := engine.Compile(p, tc.opts...)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if a := testing.AllocsPerRun(100, func() {
-					if err := e.PredictInto(img, preds); err != nil {
-						t.Fatal(err)
-					}
-				}); a != 0 {
-					t.Fatalf("%s/%s fused batch-1 PredictInto allocated %.1f times per run",
-						kern.name, mode.name, a)
-				}
+				requireFusedExtract(t, e)
+				requireZeroAlloc(t, e, firstImages(test.Images, 1))
 			})
 		}
 	}
 }
 
 // TestEngineZeroAllocBatch1Int8Fused is the quantized twin: batch-1 inference
-// through forced int8 fused blocks must not touch the heap in steady state.
+// through int8 fused blocks must not touch the heap in steady state.
 func TestEngineZeroAllocBatch1Int8Fused(t *testing.T) {
+	fuseSmall(t)
 	p, train, test := buildInt8Pipeline(t, func(c *core.Config) {})
-	e, err := engine.Compile(p, engine.Int8,
-		engine.WithCalibration(train.Images), engine.WithFusedExtract())
+	e, err := engine.Compile(p, engine.Int8, engine.WithCalibration(train.Images))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := test.Images.Len() / test.Len()
-	img := tensor.FromSlice(test.Images.Data[:sample], 1,
-		test.Images.Shape[1], test.Images.Shape[2], test.Images.Shape[3])
-	preds := make([]int, 1)
-	if err := e.PredictInto(img, preds); err != nil {
-		t.Fatal(err)
-	}
-	if a := testing.AllocsPerRun(100, func() {
-		if err := e.PredictInto(img, preds); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Fatalf("int8 fused batch-1 PredictInto allocated %.1f times per run", a)
-	}
+	requireFusedExtract(t, e)
+	requireZeroAlloc(t, e, firstImages(test.Images, 1))
 }

@@ -3,103 +3,12 @@ package engine
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"nshd/internal/core"
 	"nshd/internal/nn"
 	"nshd/internal/quant"
 	"nshd/internal/tensor"
 )
-
-// Precision selects the numeric format of the compiled feature stages.
-//
-// Float32 is the default: every stage runs the exact training kernels and
-// predictions match the pipeline's direct path bit-for-bit. Int8 rebuilds
-// the extractor and manifold in quantized arithmetic — u8 activations, i8
-// weights, int32 accumulation (tensor.MatMulInt8Into's datapath) — which
-// roughly halves activation bandwidth and runs the VNNI GEMM where the CPU
-// has it. Layers with no quantized implementation fall back to float
-// per-layer, so any servable pipeline compiles in either mode; the
-// LSH/projection/classifier tail always runs its existing 1-bit/float path,
-// which is already integer-dominated.
-//
-// Int8 predictions are approximate. Calibration chooses activation ranges
-// from sample images (WithCalibration); without them a synthetic batch is
-// used and accuracy on real data is at risk — always calibrate with
-// in-distribution images for deployment.
-type Precision int
-
-const (
-	// Float32 serves with the exact training kernels.
-	Float32 Precision = iota
-	// Int8 serves the extractor/manifold in quantized int8 arithmetic.
-	Int8
-)
-
-// String names the precision for logs and tooling.
-func (p Precision) String() string {
-	if p == Int8 {
-		return "int8"
-	}
-	return "float32"
-}
-
-// Option configures Compile. Precision values are options themselves, so
-// callers write Compile(p, engine.Int8, engine.WithCalibration(imgs)).
-type Option interface{ applyOption(*compileOptions) }
-
-// fuseMode selects how Compile treats fusible extractor runs (see
-// nn.FuseInference): the default auto mode fuses when the block clears the
-// size gate, WithFusedExtract forces fusion, WithUnfusedExtract disables it.
-type fuseMode int
-
-const (
-	fuseAuto fuseMode = iota
-	fuseForce
-	fuseOff
-)
-
-type compileOptions struct {
-	precision  Precision
-	calib      *tensor.Tensor
-	stagedTail bool
-	remat      bool
-	foldTail   bool
-	fuse       fuseMode
-	// plan compresses the pipeline before compiling (see compress.go): nil,
-	// or a dimension-pruning + low-rank + sub-byte-precision plan produced by
-	// Engine.Compress or NewCompressPlan.
-	plan *CompressPlan
-}
-
-func (p Precision) applyOption(o *compileOptions) { o.precision = p }
-
-type optionFunc func(*compileOptions)
-
-func (f optionFunc) applyOption(o *compileOptions) { f(o) }
-
-// WithCalibration provides images ([N, C, H, W], matching the pipeline
-// input shape) whose activation statistics set the int8 quantization ranges.
-// Ignored under Float32. A few dozen in-distribution samples suffice; the
-// observers are deterministic, so the same images always produce the same
-// engine.
-func WithCalibration(images *tensor.Tensor) Option {
-	return optionFunc(func(o *compileOptions) { o.calib = images })
-}
-
-// WithFusedExtract forces the extractor's fusible conv→BN→ReLU→pool runs
-// into tiled fused blocks regardless of the size gate. The default (no
-// option) fuses automatically when the run is large enough to pay; results
-// are bit-identical either way.
-func WithFusedExtract() Option {
-	return optionFunc(func(o *compileOptions) { o.fuse = fuseForce })
-}
-
-// WithUnfusedExtract keeps the extractor layer-by-layer — the testing
-// reference path and an escape hatch.
-func WithUnfusedExtract() Option {
-	return optionFunc(func(o *compileOptions) { o.fuse = fuseOff })
-}
 
 // ---------------------------------------------------------------------------
 // Unit grouping: the quantization pass works on fusion units, not raw layers.
@@ -480,15 +389,15 @@ func (e *Engine) buildInt8Stages(p *core.Pipeline, o *compileOptions) error {
 		st.total += len(u.leaves)
 	}
 	segs := buildSegments(units[:ne], qp[:ne+1], &st)
-	if o.fuse != fuseOff {
-		fuseInt8Segments(segs, e.inShape, o.fuse == fuseForce)
+	if !o.unfused {
+		fuseInt8Segments(segs, e.inShape)
 	}
 	e.stages = append(e.stages, int8Stage{name: "extract", segs: segs})
 	switch {
 	case p.Manifold != nil:
 		e.stages = append(e.stages, int8Stage{name: "manifold", segs: buildSegments(units[ne:], qp[ne:], &st)})
 	case p.LSH != nil:
-		e.stages = append(e.stages, flattenStage{}, newProjectStage("lsh", p.LSH))
+		e.stages = append(e.stages, flattenStage{}, newLSHStage(p.LSH))
 	default:
 		e.stages = append(e.stages, flattenStage{})
 	}
@@ -501,7 +410,7 @@ func (e *Engine) buildInt8Stages(p *core.Pipeline, o *compileOptions) error {
 // the per-sample shape across segments. Tracking stops — leaving later
 // segments unfused — once the shape leaves [C, H, W] territory, where no
 // further convs can appear anyway.
-func fuseInt8Segments(segs []segRunner, inShape [3]int, force bool) {
+func fuseInt8Segments(segs []segRunner, inShape [3]int) {
 	shape := []int{inShape[0], inShape[1], inShape[2]}
 	for i := range segs {
 		if len(shape) != 3 {
@@ -511,7 +420,7 @@ func fuseInt8Segments(segs []segRunner, inShape [3]int, force bool) {
 		case floatSeg:
 			shape = v.s.OutShape(shape)
 		case int8Seg:
-			v.layers = nn.FuseInt8(v.layers, shape[0], shape[1], shape[2], force)
+			v.layers = nn.FuseInt8(v.layers, shape[0], shape[1], shape[2])
 			segs[i] = v
 			shape = nn.Int8ChainShape(v.layers, shape)
 		default:
@@ -521,7 +430,7 @@ func fuseInt8Segments(segs []segRunner, inShape [3]int, force bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Introspection and timing.
+// Introspection.
 
 // Precision reports the numeric mode the engine was compiled with.
 func (e *Engine) Precision() Precision { return e.precision }
@@ -532,105 +441,3 @@ func (e *Engine) Int8Coverage() (covered, total int) { return e.int8Covered, e.i
 
 // Int8Layers describes the quantized layers, in execution order.
 func (e *Engine) Int8Layers() []string { return append([]string(nil), e.int8Names...) }
-
-// StageTime is one stage's measured wall time for a chunk. Stages that can
-// attribute time internally (the extractor's layers and fused blocks, a
-// quantized stage's segments) report the split in Sub.
-type StageTime struct {
-	Name    string
-	Seconds float64
-	Sub     []StageTime `json:",omitempty"`
-}
-
-// timedStage is implemented by stages that can break their Run time into
-// sub-steps. runTimed must execute the exact Run schedule.
-type timedStage interface {
-	runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageTime) *tensor.Tensor
-}
-
-func (s extractStage) runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageTime) *tensor.Tensor {
-	return s.ex.ForwardInferTimed(x, ar, func(name string, seconds float64) {
-		*sub = append(*sub, StageTime{Name: name, Seconds: seconds})
-	})
-}
-
-func (s int8Stage) runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageTime) *tensor.Tensor {
-	for _, sg := range s.segs {
-		t0 := time.Now()
-		x = sg.run(x, ar)
-		d := time.Since(t0).Seconds()
-		name := "float"
-		if i8, ok := sg.(int8Seg); ok {
-			name = "int8"
-			if len(i8.layers) == 1 {
-				name = fmt.Sprint(i8.layers[0])
-			}
-		}
-		*sub = append(*sub, StageTime{Name: name, Seconds: d})
-	}
-	return x
-}
-
-// mergeMinSub folds one rep's sub-step times into the accumulated minimum,
-// index-aligned (every rep runs the identical schedule).
-func mergeMinSub(dst *[]StageTime, sub []StageTime, first bool) {
-	if first || len(*dst) != len(sub) {
-		*dst = sub
-		return
-	}
-	for i := range sub {
-		if sub[i].Seconds < (*dst)[i].Seconds {
-			(*dst)[i].Seconds = sub[i].Seconds
-		}
-	}
-}
-
-// TimeStages runs up to one chunk of images through the stage chain reps
-// times and reports each stage's minimum wall time, with the classifier as
-// the final row — the per-stage probe the bench harness uses to compare
-// precision modes.
-func (e *Engine) TimeStages(images *tensor.Tensor, reps int) ([]StageTime, error) {
-	if err := e.checkImages(images); err != nil {
-		return nil, err
-	}
-	n := images.Shape[0]
-	if n == 0 {
-		return nil, fmt.Errorf("engine: TimeStages needs at least one image")
-	}
-	if n > e.chunk {
-		n = e.chunk
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	out := make([]StageTime, len(e.stages)+1)
-	preds := make([]int, n)
-	ar := e.getArena()
-	defer e.putArena(ar)
-	for r := 0; r < reps; r++ {
-		ar.Reset()
-		x := ar.Alloc(n, e.inShape[0], e.inShape[1], e.inShape[2])
-		copy(x.Data, images.Data[:n*e.sampleLen])
-		for i, stg := range e.stages {
-			var sub []StageTime
-			t0 := time.Now()
-			if ts, ok := stg.(timedStage); ok {
-				x = ts.runTimed(x, ar, &sub)
-			} else {
-				x = stg.Run(x, ar)
-			}
-			d := time.Since(t0).Seconds()
-			if r == 0 || d < out[i].Seconds {
-				out[i].Name, out[i].Seconds = stg.Name(), d
-			}
-			mergeMinSub(&out[i].Sub, sub, r == 0)
-		}
-		t0 := time.Now()
-		e.tail.run(x, preds, ar)
-		last := len(e.stages)
-		if d := time.Since(t0).Seconds(); r == 0 || d < out[last].Seconds {
-			out[last] = StageTime{Name: e.tail.timeName(), Seconds: d}
-		}
-	}
-	return out, nil
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"nshd/internal/core"
+	"nshd/internal/hdlearn"
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
@@ -69,10 +70,11 @@ func ShardBounds(d, of int) ([][2]int, error) {
 // CompileShard freezes shard `shard` of `of` dimension shards: an Engine
 // identical to Compile's except that its tail holds only hypervector columns
 // [lo, hi) of the projection and class model (per ShardBounds) and scores
-// only those. All tail modes (fused, staged, remat, folded) and both
-// kernels shard; WithRemat shards regenerate exactly their own columns from
-// the shared 8-byte projection seed. Compile(p) is the of=1 special case —
-// the single-engine path and the sharded path are the same code.
+// only those. Every projection backing (prepacked, rematerialized, folded)
+// and both kernels shard; WithRemat shards regenerate exactly their own
+// columns from the shared 8-byte projection seed. Compile(p) is the of=1
+// special case — the single-engine path and the sharded path are the same
+// code.
 //
 // A shard's own Predict/PredictInto return the argmax of its PARTIAL scores
 // (meaningful only for of=1); sharded serving uses PartialInto + MergeScores.
@@ -102,13 +104,13 @@ func (e *Engine) FullDim() int { return e.fullD }
 
 // PackedKernel reports whether the engine scores with the packed (popcount)
 // classifier — its partial scores are int32 dots — or the float kernel.
-func (e *Engine) PackedKernel() bool { return e.tail.packedKernel() }
+func (e *Engine) PackedKernel() bool { return e.tail.words != nil }
 
 // ModelVersion is a content hash identifying the compiled model: the HD
 // class matrix, the projection (its seed, or its dense matrix when
 // unseeded), and the shape facts (D, K). Every shard of one trained model
-// reports the same version regardless of slice or tail mode; retraining
-// changes it. A COMPRESSED engine mixes its plan into the hash (see
+// reports the same version regardless of slice or projection backing;
+// retraining changes it. A COMPRESSED engine mixes its plan into the hash (see
 // CompressPlan.mixVersion) — it serves different predictions, so it must
 // never be mistaken for the source model. The serving tier uses the version
 // to gate rollout: a router only switches traffic to a new version once every
@@ -193,9 +195,9 @@ func (e *Engine) NewPartials(n int) *PartialScores {
 // reusing the backing arrays when capacity allows — the pooling hook for
 // allocation-free serving.
 func (e *Engine) ResizePartials(ps *PartialScores, n int) {
-	ps.N, ps.K = n, e.tail.classes()
+	ps.N, ps.K = n, e.tail.k
 	ps.Lo, ps.Hi, ps.FullD = e.lo, e.lo+e.d, e.fullD
-	ps.Packed = e.tail.packedKernel()
+	ps.Packed = e.tail.words != nil
 	ps.Scales = e.tail.scales()
 	if ps.Packed {
 		ps.Floats = ps.Floats[:0]
@@ -229,22 +231,15 @@ func (e *Engine) PartialInto(images *tensor.Tensor, ps *PartialScores) error {
 	}
 	if n <= e.chunk {
 		ar := e.getArena()
-		x := e.runChunk(ar, images.Data, n)
-		e.tail.runPartial(x, ps, 0, ar)
+		e.tail.runPartial(e.runChunk(ar, images.Data, n), ps, 0, ar)
 		e.putArena(ar)
 		return nil
 	}
-	nChunks := (n + e.chunk - 1) / e.chunk
-	parallel.For(nChunks, func(lo, hi int) {
+	parallel.For(e.numChunks(n), func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			start := ci * e.chunk
-			end := start + e.chunk
-			if end > n {
-				end = n
-			}
+			seg, start, end := e.chunkOf(images, ci)
 			ar := e.getArena()
-			x := e.runChunk(ar, images.Data[start*e.sampleLen:end*e.sampleLen], end-start)
-			e.tail.runPartial(x, ps, start, ar)
+			e.tail.runPartial(e.runChunk(ar, seg, end-start), ps, start, ar)
 			e.putArena(ar)
 		}
 	})
@@ -348,7 +343,7 @@ func MergeScores(preds []int, scores []float64, parts []*PartialScores) error {
 	if p0.Scales != nil {
 		// Sub-byte kernel: dequantize the (exactly-summed) integer dots. The
 		// int32 dots convert to float64 exactly, so float64(scale)·float64(dot)
-		// is bit-identical to the engine's own ArgmaxScaledInto scoring.
+		// is bit-identical to the tail's own ArgmaxScaledInto scoring.
 		for i := 0; i < n; i++ {
 			row := scores[i*k : (i+1)*k]
 			for c := 0; c < k; c++ {
@@ -357,16 +352,7 @@ func MergeScores(preds []int, scores []float64, parts []*PartialScores) error {
 		}
 	}
 	if preds != nil {
-		for i := 0; i < n; i++ {
-			row := scores[i*k : (i+1)*k]
-			best, at := row[0], 0
-			for c := 1; c < k; c++ {
-				if row[c] > best {
-					best, at = row[c], c
-				}
-			}
-			preds[i] = at
-		}
+		hdlearn.ArgmaxInto(preds, scores, n, k)
 	}
 	return nil
 }

@@ -51,22 +51,13 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-// TestShardedScoresBitExact is the tentpole property: for every tail mode
-// (fused/staged/folded/remat) × kernel (packed/float) × shard count
+// TestShardedScoresBitExact is the sharding property: for every tail case
+// (prepacked/remat/planner-folded) × kernel (packed/float) × shard count
 // S ∈ {1, 2, 3, 8}, the merged shard partials reproduce the unsharded
 // engine bit-for-bit — argmax AND scores — with the single-engine path
 // (S=1) running through the very same partial-scorer code, and the shards'
 // QueryHVs concatenating to the full engine's hypervectors.
 func TestShardedScoresBitExact(t *testing.T) {
-	modes := []struct {
-		name string
-		opts []engine.Option
-	}{
-		{"fused", nil},
-		{"staged", []engine.Option{engine.WithStagedTail()}},
-		{"folded", []engine.Option{engine.WithFoldedTail()}},
-		{"remat", []engine.Option{engine.WithRemat()}},
-	}
 	kernels := []struct {
 		name   string
 		packed bool
@@ -75,17 +66,18 @@ func TestShardedScoresBitExact(t *testing.T) {
 		{"float", false},
 	}
 	for _, kn := range kernels {
-		p, test := buildPipeline(t, func(c *core.Config) {
-			c.D = shardD
-			c.PackedInference = kn.packed
-		})
-		n := test.Images.Shape[0]
-		for _, mode := range modes {
+		for _, mode := range tailCases() {
+			p, test := buildPipeline(t, mode.mut(func(c *core.Config) {
+				c.D = shardD
+				c.PackedInference = kn.packed
+			}))
+			n := test.Images.Shape[0]
 			t.Run(mode.name+"/"+kn.name, func(t *testing.T) {
 				full, err := engine.Compile(p, mode.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				mode.checkStages(t, full)
 				wantPreds, err := full.Predict(test.Images)
 				if err != nil {
 					t.Fatal(err)
@@ -228,7 +220,7 @@ func TestMergeScoresValidation(t *testing.T) {
 }
 
 // TestModelVersionTracksContent: shards agree on the version; retraining
-// changes it; tail mode does not.
+// changes it; the projection backing does not.
 func TestModelVersionTracksContent(t *testing.T) {
 	p, _ := buildPipeline(t, func(c *core.Config) { c.D = shardD })
 	a, err := engine.Compile(p)
@@ -240,7 +232,7 @@ func TestModelVersionTracksContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.ModelVersion() != b.ModelVersion() {
-		t.Fatal("tail mode must not change the model version")
+		t.Fatal("the projection backing must not change the model version")
 	}
 	if a.ModelVersion() == 0 {
 		t.Fatal("version should be a content hash, got 0")
@@ -275,5 +267,126 @@ func TestCompileShardValidation(t *testing.T) {
 	}
 	if lo, hi := e.Shard(); lo != 0 || hi != 70 || e.FullDim() != 70 || e.Dim() != 70 {
 		t.Fatalf("S=1 shard [%d,%d) fullD=%d d=%d", lo, hi, e.FullDim(), e.Dim())
+	}
+}
+
+// TestArgmaxTieLowestIndex pins the one tie rule — on equal scores the
+// lowest class index wins — for every scorer, unsharded and merged from
+// S = 3 shards. The tie is exact by construction: the row of the class most
+// samples choose is copied over class 0 and over the last class, so for
+// those samples three classes score identically in every kernel (identical
+// rows fold, pack and quantize identically) and class 0 must win; the last
+// class must never be predicted at all.
+func TestArgmaxTieLowestIndex(t *testing.T) {
+	for _, sc := range []struct {
+		name   string
+		packed bool
+		prec   engine.ScorerPrecision
+	}{
+		{"float", false, engine.PrecisionKeep},
+		{"packed", true, engine.PrecisionKeep},
+		{"int4", false, engine.PrecisionInt4},
+		{"ternary", false, engine.PrecisionTernary},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			p, test := buildBigPipeline(t, func(c *core.Config) { c.PackedInference = sc.packed })
+			n, k, d := test.Len(), p.HD.K, p.Cfg.D
+
+			var opts []engine.Option
+			if sc.prec != engine.PrecisionKeep {
+				opts = append(opts, engine.WithCompression(engine.NewCompressPlan(d, allBlocks(d), sc.prec, 0)))
+			}
+			// Duplicate the class a that the same scorer chooses most often
+			// over classes 0 and k−1; every other class row, hence every
+			// other score, is untouched.
+			before, err := engine.Compile(p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig, err := before.Predict(test.Images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			votes := make([]int, k)
+			for _, c := range orig {
+				votes[c]++
+			}
+			a := 0
+			for c := range votes {
+				if votes[c] > votes[a] {
+					a = c
+				}
+			}
+			copy(p.HD.M.Row(0), p.HD.M.Row(a))
+			copy(p.HD.M.Row(k-1), p.HD.M.Row(a))
+			p.HD.Invalidate()
+			e, err := engine.Compile(p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(how string, preds []int) {
+				t.Helper()
+				for i, c := range preds {
+					if c == k-1 {
+						t.Fatalf("%s sample %d: predicted class %d, a duplicate of class 0", how, i, c)
+					}
+					if orig[i] == a && c != 0 {
+						t.Fatalf("%s sample %d: classes 0, %d and %d tie; predicted %d, want 0", how, i, a, k-1, c)
+					}
+				}
+			}
+			preds, err := e.Predict(test.Images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("unsharded", preds)
+
+			// Three shards. A sub-byte engine is full-range by construction,
+			// so its one partial is split into three whose integer dots sum
+			// to the original — all MergeScores needs of a shard.
+			bounds, err := engine.ShardBounds(d, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := make([]*engine.PartialScores, 3)
+			if sc.prec == engine.PrecisionKeep {
+				for s := range parts {
+					sh, err := engine.CompileShard(p, s, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts[s] = sh.NewPartials(0)
+					if err := sh.PartialInto(test.Images, parts[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				full := e.NewPartials(0)
+				if err := e.PartialInto(test.Images, full); err != nil {
+					t.Fatal(err)
+				}
+				for s := range parts {
+					ps := *full
+					ps.Lo, ps.Hi = bounds[s][0], bounds[s][1]
+					ps.Ints = make([]int32, len(full.Ints))
+					for i, v := range full.Ints {
+						if ps.Ints[i] = v / 3; s == 0 {
+							ps.Ints[i] = v - 2*(v/3)
+						}
+					}
+					parts[s] = &ps
+				}
+			}
+			merged := make([]int, n)
+			if err := engine.MergeScores(merged, make([]float64, n*k), parts); err != nil {
+				t.Fatal(err)
+			}
+			check("merged S=3", merged)
+			for i := range preds {
+				if merged[i] != preds[i] {
+					t.Fatalf("sample %d: merged pred %d, unsharded %d", i, merged[i], preds[i])
+				}
+			}
+		})
 	}
 }

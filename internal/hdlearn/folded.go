@@ -70,75 +70,22 @@ func (s *FoldedScorer) Slice(lo, hi int) *FoldedScorer {
 
 // BlockScores writes each query row's raw float32 partial score against
 // columns [c0, c0+w) of the folded class matrix: dst[i*K + k] =
-// ⟨blk_i[:w], M̂_k[c0:c0+w]⟩, where row i of the query tile starts at
-// blk[i*ldb]. These are the exact per-block float32 values AccumBlock folds
-// into float64 — emitting them instead is what lets a dimension shard ship
-// partial scores over the wire and a reducer replay the identical float64
-// accumulation order, bit-exact against the unsharded engine.
-func (s *FoldedScorer) BlockScores(dst []float32, blk []float32, ldb, n, w, c0 int) {
+// ⟨blk_i, M̂_k[c0:c0+w]⟩ for the n rows of blk (a compact [n, w] tile of
+// signed query columns). The engine's tail folds these per-block float32
+// values into float64 in block order; emitting them raw is what lets a
+// dimension shard ship partial scores over the wire and a reducer replay the
+// identical float64 accumulation order, bit-exact against the unsharded
+// engine.
+func (s *FoldedScorer) BlockScores(dst []float32, blk []float32, n, w, c0 int) {
 	if c0 < 0 || c0+w > s.D {
 		panic(fmt.Sprintf("hdlearn: BlockScores columns [%d,%d) outside D=%d", c0, c0+w, s.D))
 	}
 	for i := 0; i < n; i++ {
-		row := blk[i*ldb : i*ldb+w]
+		row := blk[i*w : (i+1)*w]
 		out := dst[i*s.K : (i+1)*s.K]
 		for k := 0; k < s.K; k++ {
 			out[k] = tensor.DotFast(row, s.mhat.Row(k)[c0:c0+w])
 		}
-	}
-}
-
-// AccumBlock accumulates each query row's partial score against columns
-// [c0, c0+w) of the folded class matrix: acc[i*K + k] += ⟨blk_i, M̂_k[c0:c0+w]⟩
-// for the n rows of blk (a compact [n, w] tile of signed query columns).
-// Callers zero acc before the first block.
-func (s *FoldedScorer) AccumBlock(acc []float64, blk []float32, n, w, c0 int) {
-	if c0 < 0 || c0+w > s.D {
-		panic(fmt.Sprintf("hdlearn: AccumBlock columns [%d,%d) outside D=%d", c0, c0+w, s.D))
-	}
-	for i := 0; i < n; i++ {
-		row := blk[i*w : (i+1)*w]
-		out := acc[i*s.K : (i+1)*s.K]
-		for k := 0; k < s.K; k++ {
-			out[k] += float64(tensor.DotFast(row, s.mhat.Row(k)[c0:c0+w]))
-		}
-	}
-}
-
-// ArgmaxInto converts accumulated scores to predictions: first-wins
-// strict-> argmax per row, the same tie rule as FloatScorer.
-func (s *FoldedScorer) ArgmaxInto(preds []int, acc []float64, n int) {
-	for i := 0; i < n; i++ {
-		row := acc[i*s.K : (i+1)*s.K]
-		best, at := row[0], 0
-		for k := 1; k < s.K; k++ {
-			if row[k] > best {
-				best, at = row[k], k
-			}
-		}
-		preds[i] = at
-	}
-}
-
-// PredictInto classifies signed query rows ([N, D]) in one full-width pass —
-// the single-block case of AccumBlock + ArgmaxInto.
-func (s *FoldedScorer) PredictInto(hvs *tensor.Tensor, preds []int) {
-	if hvs.Rank() != 2 || hvs.Shape[1] != s.D {
-		panic(fmt.Sprintf("hdlearn: FoldedScorer expects [N %d], got %v", s.D, hvs.Shape))
-	}
-	n := hvs.Shape[0]
-	if len(preds) != n {
-		panic(fmt.Sprintf("hdlearn: FoldedScorer preds length %d, want %d", len(preds), n))
-	}
-	for i := 0; i < n; i++ {
-		h := hvs.Row(i)
-		best, at := math.Inf(-1), 0
-		for k := 0; k < s.K; k++ {
-			if sc := float64(tensor.DotFast(h, s.mhat.Row(k))); sc > best {
-				best, at = sc, k
-			}
-		}
-		preds[i] = at
 	}
 }
 

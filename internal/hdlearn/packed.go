@@ -90,7 +90,9 @@ func (pm *PackedModel) SliceColumns(lo, hi int) *PackedModel {
 // DotsInto writes every class's popcount dot product with one packed query
 // row (length ≥ WordsPerRow(), tail bits zero): out[k] = D − 2·ham(q, M_k).
 // These int32 partials are exactly additive across dimension shards, which
-// is what the sharded serving tier's add-reduce relies on.
+// is what the sharded serving tier's add-reduce relies on. The engine's tail
+// packs sign bits block by block into such rows and scores them here without
+// ever holding a dense hypervector.
 func (pm *PackedModel) DotsInto(out []int32, q []uint64) {
 	if len(out) < pm.K {
 		panic(fmt.Sprintf("hdlearn: DotsInto out length %d < K=%d", len(out), pm.K))
@@ -101,12 +103,6 @@ func (pm *PackedModel) DotsInto(out []int32, q []uint64) {
 		out[k] = int32(pm.D - 2*ham)
 	}
 }
-
-// PredictPacked classifies one already-packed query row (length
-// WordsPerRow(), tail bits zero) — the engine's fused tail packs sign bits
-// block by block into such rows and scores them here without ever holding a
-// dense hypervector.
-func (pm *PackedModel) PredictPacked(q []uint64) int { return pm.predictWords(q) }
 
 // PredictHV classifies an already-packed query hypervector.
 func (pm *PackedModel) PredictHV(q *hdc.PackedHV) int {
@@ -164,6 +160,13 @@ func (pm *PackedModel) Class(k int) *hdc.PackedHV {
 	copy(p.Words, pm.words[k*pm.wpr:(k+1)*pm.wpr])
 	return p
 }
+
+// Name and Scales complete the engine's word-scorer contract (shared with
+// SubByteScorer): the 1-bit kernel is "packed", and its popcount dots compare
+// directly — every sign-quantized class row has norm √D — so it has no
+// per-class scales.
+func (pm *PackedModel) Name() string      { return "packed" }
+func (pm *PackedModel) Scales() []float32 { return nil }
 
 // MemoryBytes is the packed storage footprint: K rows of ⌈D/64⌉ words.
 func (pm *PackedModel) MemoryBytes() int64 {

@@ -9,8 +9,8 @@ import (
 
 // TestFoldedScorerSliceAdditive: per-shard partial scores (full-row norm
 // fold, sliced columns) sum to exactly the full folded score when the fold
-// order is replayed block by block, and BlockScores emits the exact float32
-// values AccumBlock folds.
+// order is replayed block by block — every per-block float32 value a slice
+// emits is bit-identical to the unsliced scorer's value for that block.
 func TestFoldedScorerSliceAdditive(t *testing.T) {
 	const k, d, n = 5, 533, 9
 	m := NewModel(k, d)
@@ -19,64 +19,32 @@ func TestFoldedScorerSliceAdditive(t *testing.T) {
 	s := NewFoldedScorer(m)
 	queries := signedQueries(11, n, d)
 
-	// Reference: full-width blockwise accumulation in global block order.
+	// fold replays one scorer's blocks over query columns [lo, lo+sc.D) into
+	// acc, in block order.
 	const bc = 256
-	want := make([]float64, n*k)
-	blk := make([]float32, n*bc)
-	for c0 := 0; c0 < d; c0 += bc {
-		w := bc
-		if c0+w > d {
-			w = d - c0
-		}
-		for i := 0; i < n; i++ {
-			copy(blk[i*w:(i+1)*w], queries.Row(i)[c0:c0+w])
-		}
-		s.AccumBlock(want, blk[:n*w], n, w, c0)
-	}
-
-	// Sharded: slice at the 256-block boundaries, emit BlockScores per local
-	// block, fold in global block order.
-	got := make([]float64, n*k)
 	bs := make([]float32, n*k)
-	for _, rng := range [][2]int{{0, 256}, {256, 512}, {512, 533}} {
-		lo, hi := rng[0], rng[1]
-		ss := s.Slice(lo, hi)
-		for c0 := 0; c0 < hi-lo; c0 += bc {
-			w := bc
-			if c0+w > hi-lo {
-				w = hi - lo - c0
-			}
+	fold := func(acc []float64, sc *FoldedScorer, lo int) {
+		for c0 := 0; c0 < sc.D; c0 += bc {
+			w := min(bc, sc.D-c0)
 			tile := make([]float32, n*w)
 			for i := 0; i < n; i++ {
 				copy(tile[i*w:(i+1)*w], queries.Row(i)[lo+c0:lo+c0+w])
 			}
-			ss.BlockScores(bs, tile, w, n, w, c0)
-			for i := 0; i < n*k; i++ {
-				got[i] += float64(bs[i])
+			sc.BlockScores(bs, tile, n, w, c0)
+			for i, v := range bs {
+				acc[i] += float64(v)
 			}
 		}
+	}
+	want := make([]float64, n*k)
+	fold(want, s, 0)
+	got := make([]float64, n*k)
+	for _, rng := range [][2]int{{0, 256}, {256, 512}, {512, 533}} {
+		fold(got, s.Slice(rng[0], rng[1]), rng[0])
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sharded folded score differs at %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-
-	// BlockScores with a wider leading dimension reads the right columns.
-	ss := s.Slice(256, 512)
-	full := make([]float32, n*256)
-	for i := 0; i < n; i++ {
-		copy(full[i*256:(i+1)*256], queries.Row(i)[256:512])
-	}
-	a := make([]float32, n*k)
-	b := make([]float32, n*k)
-	ss.BlockScores(a, full, 256, n, 256, 0)
-	// Same columns via an ldb > w view: rows embedded in the query tensor.
-	ss2 := s
-	ss2.BlockScores(b, queries.Data[256:], d, n, 256, 256)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ldb path differs at %d", i)
 		}
 	}
 }
@@ -119,15 +87,11 @@ func TestPackedModelSliceDotsAdditive(t *testing.T) {
 				t.Fatalf("query %d class %d: shard dot sum %d != full %d", i, j, sum[j], fullDots[j])
 			}
 		}
-		// Argmax over dots (first-wins) matches the packed predictor.
-		best, at := int32(-1<<31), 0
-		for j, v := range sum {
-			if v > best {
-				best, at = v, j
-			}
-		}
-		if at != pm.PredictPacked(q) {
-			t.Fatalf("query %d: reduced argmax %d != packed predict %d", i, at, pm.PredictPacked(q))
+		// The serving argmax over the summed dots matches the packed predictor.
+		var at [1]int
+		ArgmaxScaledInto(at[:], sum, pm.Scales(), 1, k)
+		if want := pm.predictWords(q); at[0] != want {
+			t.Fatalf("query %d: reduced argmax %d != packed predict %d", i, at[0], want)
 		}
 	}
 }

@@ -145,20 +145,3 @@ func (s *SubByteScorer) MemoryBytes() int64 {
 	b += int64(len(s.rowSum)+len(s.nnz))*4 + int64(len(s.scales))*4
 	return b
 }
-
-// ArgmaxScaledInto converts integer dots to predictions: per row, argmax of
-// float64(scales[k])·float64(dots[k]) with the first-wins strict-> tie rule
-// every scorer in this package uses. Shared by the engine's run path and
-// MergeScores so single-engine and merged predictions agree bit-for-bit.
-func ArgmaxScaledInto(preds []int, dots []int32, scales []float32, n, k int) {
-	for i := 0; i < n; i++ {
-		row := dots[i*k : (i+1)*k]
-		best, at := float64(scales[0])*float64(row[0]), 0
-		for c := 1; c < k; c++ {
-			if sc := float64(scales[c]) * float64(row[c]); sc > best {
-				best, at = sc, c
-			}
-		}
-		preds[i] = at
-	}
-}

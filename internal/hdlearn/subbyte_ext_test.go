@@ -100,7 +100,6 @@ func TestSubByteScorerRanking(t *testing.T) {
 		}
 	}
 	model := &hdlearn.Model{K: k, D: d, M: m}
-	folded := hdlearn.NewFoldedScorer(model)
 	i4 := hdlearn.NewInt4Scorer(model, quant.QuantizeInt4Row)
 	tern := hdlearn.NewTernaryScorer(model, quant.QuantizeTernaryRow)
 
@@ -121,7 +120,7 @@ func TestSubByteScorerRanking(t *testing.T) {
 			row[j] = s
 		}
 	}
-	folded.PredictInto(hvs, want)
+	hdlearn.NewFloatScorer(model).PredictInto(hvs, want)
 
 	q := make([]uint64, (d+63)/64)
 	dots := make([]int32, k)

@@ -46,12 +46,12 @@ var FuseTileBudgetBytes = 3 << 19
 // FuseMinMACs gates fusion by block size: below it the per-tile bookkeeping
 // costs more than the DRAM traffic it saves, so tiny extractors stay on the
 // layer-by-layer path (which also remains the testing reference). Var so
-// tests can force either side.
+// tests can lower it to fuse small fixtures.
 var FuseMinMACs int64 = 1 << 21
 
-// fuseForceTileRows, when positive, overrides the planner's tile height so
-// tests can force ragged multi-tile schedules on small fixtures.
-var fuseForceTileRows = 0
+// fuseTileRowsOverride, when positive, replaces the planner's tile height so
+// tests can run ragged multi-tile schedules on small fixtures.
+var fuseTileRowsOverride = 0
 
 // fusedUnit is one conv-rooted stage of a FusedBlock: a convolution plus the
 // optional BN, activation and 2-D max pool that follow it, with its geometry
@@ -135,10 +135,10 @@ type fuseRun struct {
 // FuseInference returns s with every fusible run of inference layers replaced
 // by a FusedBlock planned for per-sample input [c, h, w]. Layers are shared,
 // never copied; if nothing fuses, s itself is returned. A run is fused when
-// force is set, or when it exceeds FuseMinMACs and has more than one unit (or
-// a pool) — single pool-less convs gain nothing from tiling. Runs that stay
-// unfused keep their original layers.
-func FuseInference(s *Sequential, c, h, w int, force bool) *Sequential {
+// it reaches FuseMinMACs and has more than one unit (or a pool) — single
+// pool-less convs gain nothing from tiling. Runs that stay unfused keep their
+// original layers.
+func FuseInference(s *Sequential, c, h, w int) *Sequential {
 	leaves := flattenLayers(s)
 	shape := []int{c, h, w}
 	out := make([]Layer, 0, len(leaves))
@@ -158,7 +158,7 @@ func FuseInference(s *Sequential, c, h, w int, force bool) *Sequential {
 			i++
 			continue
 		}
-		if shouldFuse(units, force) {
+		if shouldFuse(units) {
 			out = append(out, newFusedBlock(units, runLeaves, shape[0], shape[1], shape[2], flatten))
 			changed = true
 		} else {
@@ -252,10 +252,7 @@ func scanFuseRun(ls []Layer, i int, shape []int) (units []fusedUnit, leaves []La
 }
 
 // shouldFuse applies the size gate (see FuseMinMACs).
-func shouldFuse(units []fusedUnit, force bool) bool {
-	if force {
-		return true
-	}
+func shouldFuse(units []fusedUnit) bool {
 	var macs int64
 	pooled := false
 	for _, u := range units {
@@ -289,8 +286,8 @@ func newFusedBlock(units []fusedUnit, leaves []Layer, inC, inH, inW int, flatten
 		}
 	}
 	T := b.outH
-	if fuseForceTileRows > 0 {
-		T = min(fuseForceTileRows, b.outH)
+	if fuseTileRowsOverride > 0 {
+		T = min(fuseTileRowsOverride, b.outH)
 	} else {
 		for T > 1 && b.workingSetBytes(T) > FuseTileBudgetBytes {
 			T--

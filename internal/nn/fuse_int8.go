@@ -75,11 +75,11 @@ type int8FuseRun struct {
 
 // FuseInt8 returns ls with every fusible run of int8 layers replaced by an
 // Int8FusedBlock planned for per-sample input [c, h, w]. If nothing fuses,
-// ls itself is returned. The gate matches FuseInference: force, or
-// FuseMinMACs with more than one unit or a pool. A conv whose input
+// ls itself is returned. The gate matches FuseInference: FuseMinMACs with
+// more than one unit or a pool. A conv whose input
 // quantization does not chain from the previous unit's output ends the run —
 // that wiring needs the per-layer runtime check.
-func FuseInt8(ls []Int8Layer, c, h, w int, force bool) []Int8Layer {
+func FuseInt8(ls []Int8Layer, c, h, w int) []Int8Layer {
 	shape := []int{c, h, w}
 	out := make([]Int8Layer, 0, len(ls))
 	changed := false
@@ -98,7 +98,7 @@ func FuseInt8(ls []Int8Layer, c, h, w int, force bool) []Int8Layer {
 			i++
 			continue
 		}
-		if shouldFuseInt8(units, force) {
+		if shouldFuseInt8(units) {
 			out = append(out, newInt8FusedBlock(units, shape[0], shape[1], shape[2], flatten))
 			changed = true
 		} else {
@@ -218,10 +218,7 @@ func scanInt8FuseRun(ls []Int8Layer, i int, shape []int) (units []int8FusedUnit,
 }
 
 // shouldFuseInt8 applies the same size gate as shouldFuse.
-func shouldFuseInt8(units []int8FusedUnit, force bool) bool {
-	if force {
-		return true
-	}
+func shouldFuseInt8(units []int8FusedUnit) bool {
 	var macs int64
 	pooled := false
 	for _, u := range units {
@@ -247,8 +244,8 @@ func newInt8FusedBlock(units []int8FusedUnit, inC, inH, inW int, flatten bool) *
 	b.sampleIn = inC * inH * inW
 	b.sampleOut = b.outC * b.outH * b.outW
 	T := b.outH
-	if fuseForceTileRows > 0 {
-		T = min(fuseForceTileRows, b.outH)
+	if fuseTileRowsOverride > 0 {
+		T = min(fuseTileRowsOverride, b.outH)
 	} else {
 		for T > 1 && b.workingSetBytes(T) > FuseTileBudgetBytes {
 			T--

@@ -71,16 +71,32 @@ func runInt8Chain(ls []Int8Layer, x *tensor.QTensor, ar *tensor.Arena) *tensor.Q
 }
 
 // TestInt8FusedBlockMatchesUnfused pins the tiled int8 executor bit-identical
-// to the layer-by-layer int8 pass across randomized chains and forced tiny
-// tile heights.
+// to the layer-by-layer int8 pass across randomized chains and overridden
+// tiny tile heights.
 func TestInt8FusedBlockMatchesUnfused(t *testing.T) {
+	lowerFuseGate(t)
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 40; trial++ {
+	fusedTrials := 0
+	for trial := 0; trial < 48; trial++ {
 		layers, in, scale, zero := randomInt8FuseChain(rng)
-		fused := FuseInt8(layers, in[0], in[1], in[2], true)
-		if len(fused) == len(layers) && len(layers) > 1 {
-			t.Fatalf("trial %d: force-fuse did not rewrite the chain", trial)
+		fused := FuseInt8(layers, in[0], in[1], in[2])
+		convs, pools := 0, 0
+		for _, l := range layers {
+			switch l.(type) {
+			case *Int8Conv2D:
+				convs++
+			case *Int8MaxPool2D:
+				pools++
+			}
 		}
+		if convs == 1 && pools == 0 {
+			// The one shape the planner leaves unfused at any size.
+			if len(fused) != len(layers) {
+				t.Fatalf("trial %d: a single pool-less int8 conv must stay unfused", trial)
+			}
+			continue
+		}
+		fusedTrials++
 		hasBlock := false
 		for _, l := range fused {
 			if _, ok := l.(*Int8FusedBlock); ok {
@@ -91,10 +107,10 @@ func TestInt8FusedBlockMatchesUnfused(t *testing.T) {
 			t.Fatalf("trial %d: no Int8FusedBlock in fused chain", trial)
 		}
 
-		saved := fuseForceTileRows
-		fuseForceTileRows = 1 + rng.Intn(3)
-		tiny := FuseInt8(layers, in[0], in[1], in[2], true)
-		fuseForceTileRows = saved
+		saved := fuseTileRowsOverride
+		fuseTileRowsOverride = 1 + rng.Intn(3)
+		tiny := FuseInt8(layers, in[0], in[1], in[2])
+		fuseTileRowsOverride = saved
 
 		n := 1 + rng.Intn(2)
 		x := make([]uint8, n*in[0]*in[1]*in[2])
@@ -119,6 +135,9 @@ func TestInt8FusedBlockMatchesUnfused(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fusedTrials < 30 {
+		t.Fatalf("only %d of 48 random int8 chains fused; the property is under-sampled", fusedTrials)
 	}
 }
 

@@ -3,6 +3,7 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCallRunsAllTasks checks a Call executes every task exactly once per
@@ -53,4 +54,44 @@ func TestCallNested(t *testing.T) {
 	if got := total.Load(); got != int64(len(inner)*4) {
 		t.Fatalf("nested Calls ran %d tasks, want %d", got, len(inner)*4)
 	}
+}
+
+// TestCallWaiterRunsOnlyItsOwnTasks pins the property the serving engine
+// relies on: while Run waits it must not start foreign queued tasks, because
+// the caller may hold a resource those tasks block on. The queue is seeded
+// with more blocking tasks than the pool has workers, each waiting on a gate
+// only the test opens after Run returns; a help-draining waiter (what Run did
+// before, and what ForGrain's waiter still does) picks one up and never comes
+// back.
+func TestCallWaiterRunsOnlyItsOwnTasks(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: Run is inline")
+	}
+	gate := make(chan struct{})
+	var blocked callState
+	blocked.finished = make(chan struct{}, 1)
+	nBlock := Workers() + 2
+	blocked.remaining.Store(int64(nBlock))
+	for i := 0; i < nBlock; i++ {
+		tasks <- task{kernel: func(int, int) { <-gate }, call: &blocked}
+	}
+
+	var ran atomic.Int64
+	c := NewCall(4, func(lo, hi int) { ran.Add(1) })
+	done := make(chan struct{})
+	go func() {
+		c.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(gate)
+		t.Fatal("Call.Run ran a foreign queued task while waiting and blocked on it")
+	}
+	if got := ran.Load(); got != 4 {
+		t.Fatalf("Call ran %d of its 4 tasks", got)
+	}
+	close(gate)
+	<-blocked.finished // drain the seeded tasks so later tests see a clean pool
 }

@@ -8,7 +8,10 @@
 // For/ForGrain (e.g. conv2d parallelizes over samples and each sample's
 // matmul parallelizes over tiles). Deadlock is impossible by construction
 // because every goroutine that waits for a call to finish also *drains* the
-// task queue while waiting — a blocked waiter is always also a consumer.
+// task queue while waiting — a blocked waiter is always also a consumer. The
+// flip side: a For waiter may run ANY queued task on top of its own stack, so
+// a kernel that holds a resource queued tasks can block on must fan out with
+// a Call instead, whose waiter runs only its own tasks.
 package parallel
 
 import (
@@ -25,8 +28,7 @@ type task struct {
 }
 
 // callState tracks completion of one For call's tasks. finished is a
-// capacity-1 channel that receives one token when the last task completes —
-// a token, not a close, so a Call can reuse the same state across runs.
+// capacity-1 channel that receives one token when the last task completes.
 type callState struct {
 	remaining atomic.Int64
 	finished  chan struct{}
@@ -56,9 +58,11 @@ func ensurePool() {
 	})
 }
 
+// runTask runs one task and reports it to its call; a Call's help tokens
+// carry no callState (they account for their own completion, see Call.work).
 func runTask(t task) {
 	t.kernel(t.lo, t.hi)
-	if t.call.remaining.Add(-1) == 0 {
+	if t.call != nil && t.call.remaining.Add(-1) == 0 {
 		t.call.finished <- struct{}{}
 	}
 }

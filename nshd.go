@@ -98,7 +98,8 @@ const (
 	Int8    = engine.Int8
 )
 
-// Option is a Compile option (a Precision, or WithCalibration).
+// Option is a Compile option: a Precision, WithCalibration, WithRemat,
+// WithUnfusedExtract or WithCompression.
 type Option = engine.Option
 
 // WithCalibration supplies images whose activation ranges calibrate the
@@ -106,29 +107,17 @@ type Option = engine.Option
 // without it a synthetic N(0,1) batch stands in, with real accuracy risk.
 func WithCalibration(images *Tensor) Option { return engine.WithCalibration(images) }
 
-// WithStagedTail compiles the legacy separate project/classify stages
-// instead of the default fused linear tail — the reference path the fused
-// tail is benchmarked against.
-func WithStagedTail() Option { return engine.WithStagedTail() }
-
 // WithRemat rematerializes the projection matrix from its 8-byte seed
-// inside the fused tail's GEMM, collapsing the encoder's serving bytes from
+// inside the serving tail's GEMM, collapsing the encoder's serving bytes from
 // O(F̂·D) to the seed with bit-identical output.
 func WithRemat() Option { return engine.WithRemat() }
 
-// WithFoldedTail forces the algebraic manifold-FC→projection fold (one GEMM
-// against G = Wᵀ·P); predictions are argmax-identical to staged.
-func WithFoldedTail() Option { return engine.WithFoldedTail() }
-
-// WithFusedExtract forces the cache-resident fused extraction blocks on:
-// conv→BN→activation→pool chains execute per output tile so inter-layer
-// feature maps stay in cache, bit-identical to the layer-by-layer extractor.
-// The default (no option) fuses automatically when a chain is large enough
-// to pay for the tiling bookkeeping.
-func WithFusedExtract() Option { return engine.WithFusedExtract() }
-
 // WithUnfusedExtract disables extractor fusion, keeping the layer-by-layer
-// reference path — the baseline fused engines are benchmarked against.
+// reference path — the baseline the fused extraction blocks (conv→BN→
+// activation→pool chains executed per output tile so inter-layer feature maps
+// stay in cache, chosen automatically when a chain is large enough to pay
+// for the tiling bookkeeping, bit-identical either way) are benchmarked
+// against.
 func WithUnfusedExtract() Option { return engine.WithUnfusedExtract() }
 
 // StageBytes is one itemized component of an engine's resident serving
