@@ -44,9 +44,10 @@ test:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
-# Kernel microbenchmarks (tensor package) with allocation counts.
+# Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward) with
+# allocation counts.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/
+	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/
 
 # Regenerate the machine-readable perf report (end-to-end serving + kernels
 # + training path).

@@ -33,14 +33,26 @@ func pairedMin(a, b func(), reps int) (aNs, bNs int64) {
 	return aNs, bNs
 }
 
-// perfTraining benchmarks the training path: the GEMM-ified Conv2D backward
-// against the seed scalar kernel (kept as BackwardReference for exactly this
-// same-run comparison), a full CNN training step, and a MASS retraining epoch
-// per-sample vs batched.
+// minNs returns the minimum duration of op over reps runs.
+func minNs(op func(), reps int) int64 {
+	best := int64(1) << 62
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		op()
+		if d := time.Since(t0).Nanoseconds(); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// perfTraining benchmarks the training path: the stacked-GEMM Conv2D
+// backward, a full CNN training step, and a MASS retraining epoch per-sample
+// vs batched.
 func perfTraining(addRes func(name string, flops, bytes int64, res testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(31)
 
-	// Conv2D backward: seed per-element Dot loops vs GEMM-ified rewrite.
+	// Conv2D backward (per-shape rows: BenchmarkConv2DBackward in internal/nn).
 	{
 		const n, inC, outC, k, hw = 32, 16, 32, 3, 16
 		conv := nn.NewConv2D(rng, inC, outC, k, 1, 1, true)
@@ -49,24 +61,16 @@ func perfTraining(addRes func(name string, flops, bytes int64, res testing.Bench
 		y := conv.Forward(x, true)
 		grad := tensor.New(y.Shape...)
 		rng.FillNormal(grad, 0, 1)
-		seedOp := func() {
-			conv.Weight.ZeroGrad()
-			conv.Bias.ZeroGrad()
-			conv.BackwardReference(grad)
-		}
 		gemmOp := func() {
 			conv.Weight.ZeroGrad()
 			conv.Bias.ZeroGrad()
 			conv.Backward(grad)
 		}
-		seedNs, gemmNs := pairedMin(seedOp, gemmOp, 12)
-		// Two GEMM-shaped products per sample: dW += g@colsᵀ and dcols = Wᵀ@g.
+		best := minNs(gemmOp, 12)
+		// Two GEMM-shaped products per chunk: dWᵀ += cols·Gᵀ and dcols = Wᵀ·G.
 		outHW := y.Shape[2] * y.Shape[3]
 		flops := int64(4 * n * outC * inC * k * k * outHW)
-		addRes("train/conv_backward/seed", flops, 0, benchResult(seedNs, countAllocs(seedOp)))
-		addRes("train/conv_backward/gemm", flops, 0, benchResult(gemmNs, countAllocs(gemmOp)))
-		fmt.Fprintf(os.Stderr, "%-40s %12.2fx\n", "train/conv_backward/speedup",
-			float64(seedNs)/float64(gemmNs))
+		addRes("train/conv_backward/gemm", flops, 0, benchResult(best, countAllocs(gemmOp)))
 	}
 
 	// Full CNN training step (forward + loss + backward + SGD) on a small
@@ -99,14 +103,7 @@ func perfTraining(addRes func(name string, flops, bytes int64, res testing.Bench
 			model.Backward(g)
 			opt.Step(model.Params())
 		}
-		best := int64(1) << 62
-		for r := 0; r < 8; r++ {
-			t0 := time.Now()
-			stepOp()
-			if d := time.Since(t0).Nanoseconds(); d < best {
-				best = d
-			}
-		}
+		best := minNs(stepOp, 8)
 		addRes("train/cnn_step/b32_cifar_shape", 0, int64(x.Len()*4), benchResult(best, countAllocs(stepOp)))
 	}
 

@@ -111,25 +111,38 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // convBackChunk is the fixed number of samples per gradient-accumulator
-// chunk in Conv2D.Backward. It depends on nothing — in particular not on the
-// worker count — so the chunk list, each chunk's internal accumulation order,
-// and the final in-order merge are identical no matter how chunks are
+// chunk in DepthwiseConv2D.Backward. It depends on nothing — in particular not
+// on the worker count — so the chunk list, each chunk's internal accumulation
+// order, and the final in-order merge are identical no matter how chunks are
 // scheduled across workers: serial and parallel backward passes produce
 // bit-identical gradients.
 const convBackChunk = 4
 
+// convStackChunk is the number of samples Conv2D.Backward stacks into one
+// pair of GEMMs, and so into one private gradient accumulator, for a layer
+// with hw output positions per sample: enough that the stacked dimension
+// chunk·hw reaches one K block of the GEMM driver (256) where a small feature
+// map allows it, within [4, 16] — a batch of 32 still makes two chunks. Like
+// convBackChunk it is a function of the layer alone, never of the worker
+// count, so the same determinism contract holds.
+func convStackChunk(hw int) int {
+	return min(max(256/hw, 4), 16)
+}
+
 // convAcc is one chunk's private gradient accumulator, merged deterministically
 // after the parallel loop.
 type convAcc struct {
-	dw *tensor.Tensor
-	db []float32
+	dwT *tensor.Tensor // [kdim, OutC]
+	db  []float32
 }
 
-// Backward accumulates weight/bias gradients and returns dx. The hot loops
-// are GEMM calls: dW accumulates as g @ colsᵀ through the vectorized
-// MatMulT-family dot kernel, and dcols = Wᵀ @ g runs on the blocked GEMM —
-// replacing the seed's per-element scalar Dot loops (kept as
-// BackwardReference for gradient tests and before/after benchmarks).
+// Backward accumulates weight/bias gradients and returns dx. Each chunk of B
+// samples is stacked into the GEMM operands — its output gradients as
+// G [OutC, B·HW], its im2col as cols [kdim, B·HW] — so that the per-sample
+// output size HW, which shrinks to 4 or 1 in the deep layers, is never a
+// matrix dimension on its own: the weight gradient dWᵀ += cols·Gᵀ reduces
+// over B·HW (taken transposed so that the small operand G is the packed one)
+// and dcols = Wᵀ·G has B·HW columns, both on the blocked GEMM driver.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward(train=true)")
@@ -138,141 +151,73 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	h, w := x.Shape[2], x.Shape[3]
 	g := c.geom(h, w)
-	outH, outW := g.OutH(), g.OutW()
+	hw := g.OutH() * g.OutW()
 	sampleIn := c.InC * h * w
-	sampleOut := c.OutC * outH * outW
 	kdim := c.InC * c.KH * c.KW
 
 	dx := tensor.New(n, c.InC, h, w)
-	wmat := c.Weight.W.Reshape(c.OutC, kdim)
-	wmatT := tensor.Transpose(wmat) // [kdim, OutC]
+	if n == 0 {
+		return dx
+	}
+	wtBuf := tensor.GetFloats(kdim * c.OutC)
+	wmatT := tensor.FromSlice(wtBuf, kdim, c.OutC)
+	tensor.TransposeInto(wmatT, c.Weight.W.Reshape(c.OutC, kdim))
 
-	numChunks := (n + convBackChunk - 1) / convBackChunk
+	chunk := convStackChunk(hw)
+	numChunks := (n + chunk - 1) / chunk
 	accs := make([]convAcc, numChunks)
 	parallelFor(numChunks, func(clo, chi int) {
-		colsBuf := tensor.GetFloats(kdim * outH * outW)
-		dcolsBuf := tensor.GetFloats(kdim * outH * outW)
+		// One workspace per task, carved into G, cols and dcols.
+		buf := tensor.GetFloats((c.OutC + 2*kdim) * chunk * hw)
 		gemmBuf := tensor.GetFloats(tensor.GemmScratch())
-		cols := tensor.FromSlice(colsBuf, kdim, outH*outW)
-		dcols := tensor.FromSlice(dcolsBuf, kdim, outH*outW)
 		for ci := clo; ci < chi; ci++ {
-			a := convAcc{dw: tensor.New(c.OutC, kdim)}
+			a := convAcc{dwT: tensor.New(kdim, c.OutC)}
+			lo := ci * chunk
+			b := min(chunk, n-lo)
+			ld := b * hw // the stacked dimension
+			gmat := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
+			cols := tensor.FromSlice(buf[c.OutC*ld:][:kdim*ld], kdim, ld)
+			dcols := tensor.FromSlice(buf[(c.OutC+kdim)*ld:][:kdim*ld], kdim, ld)
+			for s := 0; s < b; s++ {
+				gs := grad.Data[(lo+s)*c.OutC*hw:][:c.OutC*hw]
+				for oc := 0; oc < c.OutC; oc++ {
+					copy(gmat.Data[oc*ld+s*hw:][:hw], gs[oc*hw:])
+				}
+				tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+			}
+			tensor.MatMulAccTSerialInto(a.dwT, cols, gmat, gemmBuf)
 			if c.useBias {
 				a.db = make([]float32, c.OutC)
-			}
-			lo := ci * convBackChunk
-			hi := lo + convBackChunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				gmat := tensor.FromSlice(grad.Data[i*sampleOut:(i+1)*sampleOut], c.OutC, outH*outW)
-				// dW += g @ colsᵀ: one accumulating GEMM per sample.
-				tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
-				tensor.MatMulTAccSerial(a.dw, gmat, cols)
-				if c.useBias {
-					for oc := 0; oc < c.OutC; oc++ {
-						var s float32
-						for _, v := range gmat.Row(oc) {
-							s += v
-						}
-						a.db[oc] += s
+				for oc := range a.db {
+					var sum float32
+					for _, v := range gmat.Row(oc) {
+						sum += v
 					}
+					a.db[oc] = sum
 				}
-				// dcols = Wᵀ @ g ; dx = col2im(dcols)
-				tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
-				tensor.Col2Im(g, dcols, dx.Data[i*sampleIn:(i+1)*sampleIn])
+			}
+			// dcols = Wᵀ·G ; dx = col2im(dcols), one column window per sample.
+			tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
+			for s := 0; s < b; s++ {
+				tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
 			}
 			accs[ci] = a
 		}
 		tensor.PutFloats(gemmBuf)
-		tensor.PutFloats(dcolsBuf)
-		tensor.PutFloats(colsBuf)
+		tensor.PutFloats(buf)
 	})
-	for _, a := range accs {
-		c.Weight.Grad.Reshape(c.OutC, kdim).AXPY(1, a.dw)
-		if c.useBias {
-			for oc, v := range a.db {
-				c.Bias.Grad.Data[oc] += v
-			}
-		}
+	// In-order merge; wtBuf is free again and holds the one transpose back to
+	// the [OutC, kdim] layout of the weights.
+	sumT := accs[0].dwT
+	for _, a := range accs[1:] {
+		sumT.AXPY(1, a.dwT)
 	}
-	return dx
-}
-
-// BackwardReference is the seed repository's Conv2D backward pass — scalar
-// per-element Dot loops for dW and the pool-dispatched GEMM for dcols — kept
-// verbatim as the correctness reference for the GEMM-ified Backward and as
-// the "before" side of the training benchmarks. It accumulates into the same
-// Weight/Bias gradients and returns the same dx (to float tolerance).
-func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
-	if c.cachedX == nil {
-		panic("nn: Conv2D.Backward without Forward(train=true)")
-	}
-	x := c.cachedX
-	n := x.Shape[0]
-	h, w := x.Shape[2], x.Shape[3]
-	g := c.geom(h, w)
-	outH, outW := g.OutH(), g.OutW()
-	sampleIn := c.InC * h * w
-	sampleOut := c.OutC * outH * outW
-	kdim := c.InC * c.KH * c.KW
-
-	dx := tensor.New(n, c.InC, h, w)
-	wmat := c.Weight.W.Reshape(c.OutC, kdim)
-	wmatT := tensor.Transpose(wmat) // [kdim, OutC]
-
-	type acc struct {
-		dw *tensor.Tensor
-		db []float32
-	}
-	type job struct{ lo, hi int }
-	var jobs []job
-	const chunk = 4
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		jobs = append(jobs, job{lo, hi})
-	}
-	workerAccs := make([]*acc, len(jobs))
-	for i := range jobs {
-		workerAccs[i] = &acc{dw: tensor.New(c.OutC, kdim), db: make([]float32, c.OutC)}
-	}
-	tensor.ParallelFor(len(jobs), func(jlo, jhi int) {
-		cols := tensor.New(kdim, outH*outW)
-		dcols := tensor.New(kdim, outH*outW)
-		for ji := jlo; ji < jhi; ji++ {
-			a := workerAccs[ji]
-			for i := jobs[ji].lo; i < jobs[ji].hi; i++ {
-				gslice := grad.Data[i*sampleOut : (i+1)*sampleOut]
-				gmat := tensor.FromSlice(gslice, c.OutC, outH*outW)
-				// dW += g @ colsᵀ
-				tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
-				for oc := 0; oc < c.OutC; oc++ {
-					grow := gmat.Row(oc)
-					dwrow := a.dw.Row(oc)
-					for kd := 0; kd < kdim; kd++ {
-						dwrow[kd] += tensor.Dot(grow, cols.Row(kd))
-					}
-					if c.useBias {
-						var s float32
-						for _, v := range grow {
-							s += v
-						}
-						a.db[oc] += s
-					}
-				}
-				// dcols = Wᵀ @ g ; dx = col2im(dcols)
-				tensor.MatMulInto(dcols, wmatT, gmat)
-				tensor.Col2Im(g, dcols, dx.Data[i*sampleIn:(i+1)*sampleIn])
-			}
-		}
-	})
-	for _, a := range workerAccs {
-		c.Weight.Grad.Reshape(c.OutC, kdim).AXPY(1, a.dw)
-		if c.useBias {
+	dw := tensor.FromSlice(wtBuf, c.OutC, kdim)
+	tensor.TransposeInto(dw, sumT)
+	c.Weight.Grad.Reshape(c.OutC, kdim).AXPY(1, dw)
+	tensor.PutFloats(wtBuf)
+	if c.useBias {
+		for _, a := range accs {
 			for oc, v := range a.db {
 				c.Bias.Grad.Data[oc] += v
 			}

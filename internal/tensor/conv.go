@@ -37,22 +37,28 @@ func (g ConvGeom) Validate() error {
 // (C*KH*KW) × (OutH*OutW), written into cols. Each column holds the receptive
 // field of one output location; out-of-bounds (padding) positions are zero.
 func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
-	outH, outW := g.OutH(), g.OutW()
-	rows := g.InC * g.KH * g.KW
-	if cols.Shape[0] != rows || cols.Shape[1] != outH*outW {
-		panic(fmt.Sprintf("tensor: Im2Col output shape %v, want [%d %d]", cols.Shape, rows, outH*outW))
+	rows, nOut := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	if cols.Shape[0] != rows || cols.Shape[1] != nOut {
+		panic(fmt.Sprintf("tensor: Im2Col output shape %v, want [%d %d]", cols.Shape, rows, nOut))
 	}
-	nOut := outH * outW
+	Im2ColWindow(g, x, cols.Data, nOut, 0)
+}
+
+// Im2ColWindow is Im2Col into a column window of a wider matrix: row r of the
+// image's column matrix is written to dst[r*ld+off : r*ld+off+OutH*OutW]. A
+// chunk of samples stacked side by side this way is one GEMM operand.
+func Im2ColWindow(g ConvGeom, x, dst []float32, ld, off int) {
+	outH, outW := g.OutH(), g.OutW()
 	for c := 0; c < g.InC; c++ {
 		chanBase := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW + kw) * nOut
+				row := ((c*g.KH+kh)*g.KW+kw)*ld + off
 				for oh := 0; oh < outH; oh++ {
 					ih := oh*g.StrideH - g.PadH + kh
 					dstBase := row + oh*outW
 					if ih < 0 || ih >= g.InH {
-						clear(cols.Data[dstBase : dstBase+outW])
+						clear(dst[dstBase : dstBase+outW])
 						continue
 					}
 					srcBase := chanBase + ih*g.InW
@@ -62,18 +68,18 @@ func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
 						owLo := max(0, g.PadW-kw)
 						owHi := min(outW, g.InW+g.PadW-kw)
 						owHi = max(owHi, owLo)
-						clear(cols.Data[dstBase : dstBase+owLo])
+						clear(dst[dstBase : dstBase+owLo])
 						s := srcBase + owLo - g.PadW + kw
-						copy(cols.Data[dstBase+owLo:dstBase+owHi], x[s:s+owHi-owLo])
-						clear(cols.Data[dstBase+owHi : dstBase+outW])
+						copy(dst[dstBase+owLo:dstBase+owHi], x[s:s+owHi-owLo])
+						clear(dst[dstBase+owHi : dstBase+outW])
 						continue
 					}
 					for ow := 0; ow < outW; ow++ {
 						iw := ow*g.StrideW - g.PadW + kw
 						if iw < 0 || iw >= g.InW {
-							cols.Data[dstBase+ow] = 0
+							dst[dstBase+ow] = 0
 						} else {
-							cols.Data[dstBase+ow] = x[srcBase+iw]
+							dst[dstBase+ow] = x[srcBase+iw]
 						}
 					}
 				}
@@ -86,13 +92,18 @@ func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
 // image gradient of C×H×W, accumulating overlapping contributions into dx.
 // dx must be pre-zeroed by the caller if accumulation from scratch is wanted.
 func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
+	Col2ImWindow(g, cols.Data, g.OutH()*g.OutW(), 0, dx)
+}
+
+// Col2ImWindow is Col2Im from a column window of a wider matrix, the layout
+// Im2ColWindow writes: row r is read at src[r*ld+off : r*ld+off+OutH*OutW].
+func Col2ImWindow(g ConvGeom, src []float32, ld, off int, dx []float32) {
 	outH, outW := g.OutH(), g.OutW()
-	nOut := outH * outW
 	for c := 0; c < g.InC; c++ {
 		chanBase := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW + kw) * nOut
+				row := ((c*g.KH+kh)*g.KW+kw)*ld + off
 				for oh := 0; oh < outH; oh++ {
 					ih := oh*g.StrideH - g.PadH + kh
 					if ih < 0 || ih >= g.InH {
@@ -100,10 +111,20 @@ func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
 					}
 					srcBase := row + oh*outW
 					dstBase := chanBase + ih*g.InW
+					if g.StrideW == 1 {
+						// The in-bounds range of Im2ColWindow, accumulated as
+						// one contiguous run (×1 is exact).
+						owLo := max(0, g.PadW-kw)
+						owHi := min(outW, g.InW+g.PadW-kw)
+						if owLo < owHi {
+							axpy1(1, src[srcBase+owLo:srcBase+owHi], dx[dstBase+owLo-g.PadW+kw:])
+						}
+						continue
+					}
 					for ow := 0; ow < outW; ow++ {
 						iw := ow*g.StrideW - g.PadW + kw
 						if iw >= 0 && iw < g.InW {
-							dx[dstBase+iw] += cols.Data[srcBase+ow]
+							dx[dstBase+iw] += src[srcBase+ow]
 						}
 					}
 				}

@@ -245,6 +245,15 @@ func gemmRangeScratch(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int) {
 	for i := r0; i < r1; i++ {
 		clear(dst[i*n+c0 : i*n+c1])
 	}
+	gemmAccRange(dst, a, b, buf, n, k, r0, r1, c0, c1, false)
+}
+
+// gemmAccRange is the blocked driver proper: it accumulates the dst tile
+// rows [r0,r1) × cols [c0,c1) over NC-column blocks and, within each,
+// KC-deep K blocks in ascending order. Whether dst starts from zero is the
+// caller's choice. With transB, b holds Bᵀ (N×K, rows contiguous along the
+// reduction) and the 16-wide panel is packed straight from its rows.
+func gemmAccRange(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int, transB bool) {
 	for jb := c0; jb < c1; jb += gemmNC {
 		je := jb + gemmNC
 		if je > c1 {
@@ -256,7 +265,9 @@ func gemmRangeScratch(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int) {
 				pe = k
 			}
 			if useGemmAsm {
-				gemmAsmPart(dst, a, b, buf, n, k, r0, r1, jb, je, pb, pe)
+				gemmAsmPart(dst, a, b, buf, n, k, r0, r1, jb, je, pb, pe, transB)
+			} else if transB {
+				gemmDotPart(dst, a, b, n, k, r0, r1, jb, je, pb, pe)
 			} else {
 				gemmGoPart(dst, a, b, n, k, r0, r1, jb, je, pb, pe)
 			}
@@ -267,12 +278,17 @@ func gemmRangeScratch(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int) {
 // gemmAsmPart computes rows [r0,r1) × cols [jb,je) of the K-block [pb,pe)
 // using the AVX2 micro-kernel over a packed panel for all full 4×16 tiles,
 // the 1×16 strip kernel for leftover rows, and the scalar kernel for the
-// ragged column tail.
-func gemmAsmPart(dst, a, b, buf []float32, n, k, r0, r1, jb, je, pb, pe int) {
+// ragged column tail (the dot kernel when b is Bᵀ, whose rows are contiguous
+// along K).
+func gemmAsmPart(dst, a, b, buf []float32, n, k, r0, r1, jb, je, pb, pe int, transB bool) {
 	kc := pe - pb
 	nFull := (je - jb) / gemmNR * gemmNR
 	if nFull > 0 {
-		packPanel16(buf, b, n, pb, pe, jb, jb+nFull)
+		if transB {
+			packPanel16T(buf, b, k, pb, pe, jb, jb+nFull)
+		} else {
+			packPanel16(buf, b, n, pb, pe, jb, jb+nFull)
+		}
 		i := r0
 		for ; i+gemmMR <= r1; i += gemmMR {
 			for js := 0; js < nFull; js += gemmNR {
@@ -293,7 +309,11 @@ func gemmAsmPart(dst, a, b, buf []float32, n, k, r0, r1, jb, je, pb, pe int) {
 		}
 	}
 	if jb+nFull < je {
-		gemmGoPart(dst, a, b, n, k, r0, r1, jb+nFull, je, pb, pe)
+		if transB {
+			gemmDotPart(dst, a, b, n, k, r0, r1, jb+nFull, je, pb, pe)
+		} else {
+			gemmGoPart(dst, a, b, n, k, r0, r1, jb+nFull, je, pb, pe)
+		}
 	}
 }
 
@@ -306,6 +326,34 @@ func packPanel16(buf, b []float32, n, pb, pe, jb, jfullEnd int) {
 		for p := pb; p < pe; p++ {
 			copy(buf[si:si+gemmNR], b[p*n+js:][:gemmNR])
 			si += gemmNR
+		}
+	}
+}
+
+// packPanel16T is packPanel16 for a transposed operand: bt is Bᵀ (N×K), so
+// strip column j at depth p is bt[(js+j)·k+p]. Each source row is read once,
+// sequentially, and scattered at stride 16 into a strip that stays in L1 —
+// the transpose happens inside the pack, never as a matrix in memory.
+func packPanel16T(buf, bt []float32, k, pb, pe, jb, jfullEnd int) {
+	kc := pe - pb
+	for js := jb; js < jfullEnd; js += gemmNR {
+		strip := buf[(js-jb)*kc:][:kc*gemmNR]
+		for j := 0; j < gemmNR; j++ {
+			for p, v := range bt[(js+j)*k+pb:][:kc] {
+				strip[p*gemmNR+j] = v
+			}
+		}
+	}
+}
+
+// gemmDotPart accumulates dst[i][j] += a[i][pb:pe] · bt[j][pb:pe] for a
+// transposed operand bt (N×K): the portable kernel of the transposed-B
+// driver, and on the asm path the ragged column tail (through dot8).
+func gemmDotPart(dst, a, bt []float32, n, k, r0, r1, jb, je, pb, pe int) {
+	for i := r0; i < r1; i++ {
+		arow := a[i*k+pb : i*k+pe]
+		for j := jb; j < je; j++ {
+			dst[i*n+j] += DotFast(arow, bt[j*k+pb:j*k+pe])
 		}
 	}
 }
@@ -461,30 +509,27 @@ func MatMulTInto(dst, a, b *Tensor) {
 	})
 }
 
-// MatMulTAccSerial accumulates dst += a(M×K) @ bᵀ (b is N×K) strictly on the
-// calling goroutine. This is the weight-gradient shape of a GEMM-ified
-// backward pass — dW += g @ colsᵀ with both operands contiguous along the
-// reduction axis — run through the same vectorized dot kernel as MatMulT, so
-// per-worker gradient accumulators stay deterministic: the accumulation order
-// over K never depends on how the batch was split.
-func MatMulTAccSerial(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTAcc shape mismatch %v @ %vᵀ", a.Shape, b.Shape))
+// MatMulAccTSerialInto accumulates dst += a(M×K) @ bᵀ (b is N×K) through the
+// blocked driver, strictly on the calling goroutine with caller-owned panel
+// scratch (length ≥ GemmScratch(), as MatMulSerialInto). This is the
+// weight-gradient product of a stacked conv backward pass, dWᵀ += cols·Gᵀ
+// with both operands contiguous along the reduction: the packed panel is
+// gathered from the rows of b, so no transpose is ever materialized, and the
+// fixed K-block schedule keeps every element's accumulation order
+// independent of how the batch was split over workers.
+func MatMulAccTSerialInto(dst, a, b *Tensor, scratch []float32) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: MatMulAccT requires rank-2 tensors")
 	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTAcc dst shape %v, want [%d %d]", dst.Shape, m, n))
+	m, k := a.Shape[0], a.Shape[1]
+	n, k2 := b.Shape[0], b.Shape[1]
+	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulAccT shape mismatch %v @ %vᵀ -> %v", a.Shape, b.Shape, dst.Shape))
 	}
-	if k == 0 {
-		return
+	if useGemmAsm && len(scratch) < gemmKC*gemmNC {
+		panic(fmt.Sprintf("tensor: MatMulAccTSerialInto scratch %d < GemmScratch %d", len(scratch), gemmKC*gemmNC))
 	}
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k:][:k]
-		drow := dst.Data[i*n:][:n]
-		for j := 0; j < n; j++ {
-			drow[j] += DotFast(arow, b.Data[j*k:][:k])
-		}
-	}
+	gemmAccRange(dst.Data, a.Data, b.Data, scratch, n, k, 0, m, 0, n, true)
 }
 
 func matMulTRange(dst, a, b []float32, n, k, r0, r1 int) {
