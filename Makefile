@@ -23,9 +23,11 @@ staticcheck:
 # planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
 # the compressed int4/ternary predict path (TestEngineZeroAllocCompressed),
 # the implicit-GEMM conv path, and the fused float and int8 extraction blocks
-# (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused);
-# all ride the same -run prefix. So must the router's fan-out hot path
-# (frame encode, partial decode, score merge; see TestRouterZeroAlloc).
+# (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused),
+# and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
+# (TestEngineZeroAllocMobileNet); all ride the same -run prefix. So must the
+# router's fan-out hot path (frame encode, partial decode, score merge; see
+# TestRouterZeroAlloc).
 alloc:
 	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
 	$(GO) test -run TestRouterZeroAlloc -count 1 ./internal/serve/

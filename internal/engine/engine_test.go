@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,22 +27,52 @@ func tinyZoo(seed int64, classes int) *cnn.Model {
 	return m.Finish()
 }
 
-// buildPipeline assembles a pipeline with bundled (nontrivial) class
-// hypervectors plus train/test splits. Bundling alone gives every class a
-// distinct hypervector without paying for the full retraining loop. D = 70
-// unless mut changes it: not divisible by 64, so the packed classifier's
-// tail-word masking is always on the line.
+// zooModel builds a registered zoo CNN with every BatchNorm made nontrivial:
+// random γ/β, and running statistics taken from one training-mode pass, so
+// the inference affine is not the near-identity of a fresh layer.
+func zooModel(t *testing.T, name string) *cnn.Model {
+	t.Helper()
+	rng := tensor.NewRNG(63)
+	m, err := cnn.Build(name, rng, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prm := range m.Full().Params() {
+		switch {
+		case strings.HasSuffix(prm.Name, ".gamma"):
+			rng.FillUniform(prm.W, 0.5, 1.5)
+		case strings.HasSuffix(prm.Name, ".beta"):
+			rng.FillUniform(prm.W, -0.5, 0.5)
+		}
+	}
+	warm := tensor.New(8, m.InShape[0], m.InShape[1], m.InShape[2])
+	rng.FillNormal(warm, 0, 1)
+	m.Full().Forward(warm, true)
+	return m
+}
+
+// buildPipeline assembles a pipeline over the tiny fixture CNN (cut 1) with
+// bundled (nontrivial) class hypervectors plus train/test splits.
 func buildPipeline(t *testing.T, mut func(*core.Config)) (*core.Pipeline, *dataset.Dataset) {
 	t.Helper()
-	cfgD := dataset.SynthConfig{Classes: 4, Train: 40, Test: 21, Size: 16, Noise: 0.2, Seed: 61}
+	return buildPipelineOn(t, tinyZoo(62, 4), 1, mut)
+}
+
+// buildPipelineOn is buildPipeline over any 4-class model and cut layer.
+// Bundling alone gives every class a distinct hypervector without paying for
+// the full retraining loop. D = 70 unless mut changes it: not divisible by
+// 64, so the packed classifier's tail-word masking is always on the line.
+func buildPipelineOn(t *testing.T, m *cnn.Model, cut int, mut func(*core.Config)) (*core.Pipeline, *dataset.Dataset) {
+	t.Helper()
+	cfgD := dataset.SynthConfig{Classes: 4, Train: 40, Test: 21, Size: m.InShape[1], Noise: 0.2, Seed: 61}
 	train, test := dataset.SynthCIFAR(cfgD)
-	cfg := core.DefaultConfig(1, 4)
+	cfg := core.DefaultConfig(cut, 4)
 	cfg.D = 70
 	cfg.FHat = 16
 	cfg.Seed = 7
 	cfg.BatchSize = 8
 	mut(&cfg)
-	p, err := core.New(tinyZoo(62, 4), cfg)
+	p, err := core.New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena) {
 		clear(acc)
 		bs := ar.Floats(n * t.k)
 		t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
-			signBlock(blk)
+			tensor.SignInPlace(blk)
 			t.float.BlockScores(bs, blk, n, w, c0)
 			for i, v := range bs {
 				acc[i] += float64(v)
@@ -275,7 +275,7 @@ func (t *tail) runPartial(x *tensor.Tensor, ps *PartialScores, rowOff int, ar *t
 	} else {
 		bc := tensor.PanelBlockCols()
 		t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
-			signBlock(blk)
+			tensor.SignInPlace(blk)
 			base := (c0/bc*ps.N + rowOff) * t.k
 			t.float.BlockScores(ps.Floats[base:base+n*t.k], blk, n, w, c0)
 		})
@@ -288,22 +288,10 @@ func (t *tail) runPartial(x *tensor.Tensor, ps *PartialScores, rowOff int, ar *t
 func (t *tail) runHVs(x *tensor.Tensor, dst []float32, ar *tensor.Arena) {
 	m := ar.Mark()
 	t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
-		signBlock(blk)
+		tensor.SignInPlace(blk)
 		for i := 0; i < n; i++ {
 			copy(dst[i*t.d+c0:i*t.d+c0+w], blk[i*w:(i+1)*w])
 		}
 	})
 	ar.Release(m)
-}
-
-// signBlock quantizes a block in place with the pipeline's sign convention
-// (sign(0) = +1, matching tensor.SignInto).
-func signBlock(b []float32) {
-	for i, v := range b {
-		if v < 0 {
-			b[i] = -1
-		} else {
-			b[i] = 1
-		}
-	}
 }

@@ -105,28 +105,47 @@ func firstImages(images *tensor.Tensor, n int) *tensor.Tensor { return imagesAt(
 // GEMM may flip a pre-sign value within an ulp of zero). The same table
 // carries the degenerate shapes: a single class, one ragged 256-column block
 // (D=65), one full block plus one column (D=257), and batches of 1 and
-// chunk+1 samples.
+// chunk+1 samples — and, on the prepacked tail, the two zoo extractors the
+// tiny fixture has no layer of: mobilenetv2 cut 4 (BatchNorm+ReLU6, 1×1
+// expansion, depthwise 3×3 at stride 1 and 2, an identity-skip residual: the
+// vector kernels) and effnetb0 cut 3 (5×5 stride-2 depthwise, SE, SiLU: the
+// paths that stay on their Go twins), each also fused against unfused.
 func TestEngineTailMatchesPipeline(t *testing.T) {
 	shapes := []struct {
 		name string
 		mut  func(*core.Config)
-		k1   bool // collapse the class memory to a single class
+		k1   bool   // collapse the class memory to a single class
+		zoo  string // extract with this zoo model cut at layer cut, not the tiny fixture
+		cut  int
 	}{
-		{"manifold", func(c *core.Config) {}, false},
-		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }, false},
-		{"direct", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }, false},
-		{"D65", func(c *core.Config) { c.D = 65 }, false},
-		{"D257", func(c *core.Config) { c.D = 257 }, false},
-		{"K1", func(c *core.Config) {}, true},
+		{name: "manifold"},
+		{name: "lsh", mut: func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
+		{name: "direct", mut: func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }},
+		{name: "D65", mut: func(c *core.Config) { c.D = 65 }},
+		{name: "D257", mut: func(c *core.Config) { c.D = 257 }},
+		{name: "K1", k1: true},
+		{name: "mobilenetv2-cut4", zoo: "mobilenetv2", cut: 4},
+		{name: "effnetb0-cut3", zoo: "effnetb0", cut: 3},
 	}
 	for _, sh := range shapes {
 		for _, tc := range tailCases() {
+			if sh.zoo != "" && tc.name != "prepacked" {
+				continue
+			}
 			for _, packed := range []bool{false, true} {
 				t.Run(sh.name+"/"+tc.name+"/"+kernelName(packed), func(t *testing.T) {
-					p, test := buildPipeline(t, tc.mut(func(c *core.Config) {
-						sh.mut(c)
+					mut := tc.mut(func(c *core.Config) {
+						if sh.mut != nil {
+							sh.mut(c)
+						}
 						c.PackedInference = packed
-					}))
+					})
+					m, cut := tinyZoo(62, 4), 1
+					if sh.zoo != "" {
+						fuseSmall(t)
+						m, cut = zooModel(t, sh.zoo), sh.cut
+					}
+					p, test := buildPipelineOn(t, m, cut, mut)
 					if tc.fold && p.Manifold == nil {
 						t.Skip("no manifold to fold")
 					}
@@ -139,6 +158,14 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 						t.Fatal(err)
 					}
 					tc.checkStages(t, e)
+					if sh.zoo != "" {
+						unfused, err := engine.Compile(p, engine.WithUnfusedExtract())
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireFusedExtract(t, e)
+						sameOutputs(t, e, unfused, test.Images)
+					}
 					wantPreds, wantHVs := reference(p, test.Images)
 					d := p.Cfg.D
 
@@ -328,6 +355,23 @@ func TestEngineZeroAlloc(t *testing.T) {
 	zeroAllocGate(t, func(e *engine.Engine, test *dataset.Dataset) int {
 		return min(e.ChunkSize(), test.Len())
 	})
+}
+
+// TestEngineZeroAllocMobileNet puts the depthwise / BatchNorm+ReLU6 /
+// residual extractor under the same gate, at chunk size and batch 1: the
+// interior row kernel, the edge closure beside it and the copy-free identity
+// skip must all stay off the heap.
+func TestEngineZeroAllocMobileNet(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		p, test := buildPipelineOn(t, zooModel(t, "mobilenetv2"), 4, func(c *core.Config) { c.PackedInference = packed })
+		e, err := engine.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{min(e.ChunkSize(), test.Len()), 1} {
+			requireZeroAlloc(t, e, firstImages(test.Images, n))
+		}
+	}
 }
 
 // TestEngineZeroAllocBatch1 is the same gate at the latency-critical shape.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 
@@ -587,8 +586,7 @@ func (r *fuseRun) runTile(pt *fusePart, s, t int) {
 
 // fuseEpilogue applies the unit's bias, BN and activation in place over the
 // conv output rows, channel by channel, with the exact per-element arithmetic
-// of the unfused layers (Conv2D bias add, BatchNorm2D.forwardInferAct,
-// ReLU/ReLU6).
+// of the unfused layers (Conv2D bias add, then bnActInPlace).
 func fuseEpilogue(u *fusedUnit, dst []float32, ldd, dstOff, convRows int) {
 	w := convRows * u.convW
 	for oc := 0; oc < u.conv.OutC; oc++ {
@@ -606,48 +604,7 @@ func fuseEpilogue(u *fusedUnit, dst []float32, ldd, dstOff, convRows int) {
 				seg[j] += bv
 			}
 		}
-		if u.bn != nil {
-			mean := u.bn.RunMean.Data[oc]
-			invStd := 1 / float32(math.Sqrt(float64(u.bn.RunVar.Data[oc]+u.bn.Eps)))
-			g, bb := u.bn.Gamma.W.Data[oc], u.bn.Beta.W.Data[oc]
-			switch u.act {
-			case actReLU:
-				for j, v := range seg {
-					y := g*(v-mean)*invStd + bb
-					if y <= 0 {
-						y = 0
-					}
-					seg[j] = y
-				}
-			case actReLU6:
-				for j, v := range seg {
-					y := g*(v-mean)*invStd + bb
-					if y <= 0 {
-						y = 0
-					} else if y >= 6 {
-						y = 6
-					}
-					seg[j] = y
-				}
-			default:
-				for j, v := range seg {
-					seg[j] = g*(v-mean)*invStd + bb
-				}
-			}
-			continue
-		}
-		switch u.act {
-		case actReLU:
-			tensor.ReLUInPlace(seg)
-		case actReLU6:
-			for j, v := range seg {
-				if v <= 0 {
-					seg[j] = 0
-				} else if v >= 6 {
-					seg[j] = 6
-				}
-			}
-		}
+		bnActInPlace(seg, u.bn, oc, u.act)
 	}
 }
 

@@ -218,10 +218,11 @@ func (d *DepthwiseConv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tens
 
 // convChannelInfer computes the same depthwise channel convolution as
 // convChannel but splits each output row into boundary and interior spans:
-// interior taps never fall outside the input, so the hot loop runs without
-// per-tap bounds tests. Accumulation order (kh-major, kw-minor, single
-// float32 accumulator) is identical to convChannel, keeping the result
-// bit-exact.
+// interior taps never fall outside the input, so they run without per-tap
+// bounds tests through tensor.Depthwise3x3Row (3×3 at stride 1, vectorized)
+// or its general twin tensor.DepthwiseRow. Per output the accumulation order
+// (kh-major, kw-minor, one float32 accumulator from +0, in-bounds taps only)
+// is convChannel's, keeping the result bit-exact.
 func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	// Interior columns [wLo, wHi): every kw tap in bounds. Degenerate inputs
@@ -268,33 +269,15 @@ func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []fl
 			}
 		}
 		edge(0, wLo)
-		if d.KW == 3 && khHi-khLo == d.KH {
-			// Fully-interior 3×3: the depthwise workhorse, unrolled.
-			for ow := wLo; ow < wHi; ow++ {
-				iw := ow*d.Stride - d.Pad
-				var s float32
-				for kh := 0; kh < d.KH; kh++ {
-					sr := src[(ihBase+kh)*g.InW+iw : (ihBase+kh)*g.InW+iw+3]
-					kr := ker[kh*3 : kh*3+3]
-					s += sr[0] * kr[0]
-					s += sr[1] * kr[1]
-					s += sr[2] * kr[2]
-				}
-				row[ow] = s
+		if wHi > wLo && khHi > khLo {
+			in := src[(ihBase+khLo)*g.InW+wLo*d.Stride-d.Pad:]
+			if d.KW == 3 && d.Stride == 1 {
+				tensor.Depthwise3x3Row(row[wLo:wHi], in, g.InW, ker[khLo*3:], khHi-khLo)
+			} else {
+				tensor.DepthwiseRow(row[wLo:wHi], in, g.InW, d.Stride, ker[khLo*d.KW:], d.KW, khHi-khLo)
 			}
 		} else {
-			for ow := wLo; ow < wHi; ow++ {
-				iw := ow*d.Stride - d.Pad
-				var s float32
-				for kh := khLo; kh < khHi; kh++ {
-					sr := src[(ihBase+kh)*g.InW+iw:]
-					kr := ker[kh*d.KW:]
-					for kw := 0; kw < d.KW; kw++ {
-						s += sr[kw] * kr[kw]
-					}
-				}
-				row[ow] = s
-			}
+			clear(row[wLo:wHi])
 		}
 		edge(wHi, outW)
 	}
@@ -366,8 +349,14 @@ func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 // ForwardInfer implements InferenceLayer.
 func (m *AvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "AvgPool2D")
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: AvgPool2D expects [N C H W], got %v", x.Shape))
+	}
 	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	outH, outW := h/m.K, w/m.K
+	if outH == 0 || outW == 0 {
+		panic(fmt.Sprintf("nn: AvgPool2D window %d larger than input %dx%d", m.K, h, w))
+	}
 	y := ar.Alloc(n, c, outH, outW)
 	inv := 1 / float32(m.K*m.K)
 	for i := 0; i < n; i++ {
@@ -393,6 +382,9 @@ func (m *AvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 // ForwardInfer implements InferenceLayer.
 func (m *GlobalAvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "GlobalAvgPool2D")
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: GlobalAvgPool2D expects [N C H W], got %v", x.Shape))
+	}
 	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	y := ar.Alloc(n, c)
 	inv := 1 / float32(h*w)
@@ -443,14 +435,7 @@ func (r *ReLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 
 // ForwardInfer implements InferenceLayer, clamping to [0, 6] in place.
 func (r *ReLU6) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	for i, v := range x.Data {
-		switch {
-		case v <= 0:
-			x.Data[i] = 0
-		case v >= 6:
-			x.Data[i] = 6
-		}
-	}
+	bnActInPlace(x.Data, nil, 0, actReLU6)
 	return x
 }
 
@@ -477,54 +462,43 @@ func (bn *BatchNorm2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.
 }
 
 // fusedAct selects the activation folded into a BatchNorm2D inference sweep.
-type fusedAct int
+type fusedAct = tensor.Act
 
 const (
-	actNone fusedAct = iota
-	actReLU
-	actReLU6
+	actNone  = tensor.ActNone
+	actReLU  = tensor.ActReLU
+	actReLU6 = tensor.ActReLU6
 )
 
+// bnActInPlace is the one BN/activation epilogue of the inference path —
+// ReLU6, BatchNorm2D (alone or with a folded activation) and the fused
+// blocks all end here: channel ch of bn (nil = no normalization) then act,
+// over one channel plane in a single sweep of tensor's branch-free kernels,
+// which keep the exact arithmetic and comparisons of the separate layers
+// (g*(v-mean)*invStd + b, v<=0, v>=6), so folding is bit-identical to
+// normalize-then-activate.
+func bnActInPlace(seg []float32, bn *BatchNorm2D, ch int, act fusedAct) {
+	switch {
+	case bn != nil:
+		invStd := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[ch]+bn.Eps)))
+		tensor.AffineActInPlace(seg, bn.Gamma.W.Data[ch], bn.RunMean.Data[ch], invStd, bn.Beta.W.Data[ch], act)
+	case act == actReLU:
+		tensor.ReLUInPlace(seg)
+	case act == actReLU6:
+		tensor.ClampReLU6InPlace(seg)
+	}
+}
+
 // forwardInferAct normalizes in place, optionally applying a fused
-// activation with the exact comparisons ReLU/ReLU6 use (v<=0 and v>=6), so
-// the fused sweep is bit-identical to normalize-then-activate.
+// activation.
 func (bn *BatchNorm2D) forwardInferAct(x *tensor.Tensor, act fusedAct) *tensor.Tensor {
 	n := batchOf(x, "BatchNorm2D")
 	if x.Rank() != 4 || x.Shape[1] != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D(%d) expects [N %d H W], got %v", bn.C, bn.C, x.Shape))
 	}
 	hw := x.Shape[2] * x.Shape[3]
-	for ch := 0; ch < bn.C; ch++ {
-		mean := bn.RunMean.Data[ch]
-		invStd := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[ch]+bn.Eps)))
-		g, b := bn.Gamma.W.Data[ch], bn.Beta.W.Data[ch]
-		for i := 0; i < n; i++ {
-			seg := x.Data[(i*bn.C+ch)*hw : (i*bn.C+ch+1)*hw]
-			switch act {
-			case actReLU:
-				for j, v := range seg {
-					y := g*(v-mean)*invStd + b
-					if y <= 0 {
-						y = 0
-					}
-					seg[j] = y
-				}
-			case actReLU6:
-				for j, v := range seg {
-					y := g*(v-mean)*invStd + b
-					if y <= 0 {
-						y = 0
-					} else if y >= 6 {
-						y = 6
-					}
-					seg[j] = y
-				}
-			default:
-				for j, v := range seg {
-					seg[j] = g*(v-mean)*invStd + b
-				}
-			}
-		}
+	for p := 0; p < n*bn.C; p++ {
+		bnActInPlace(x.Data[p*hw:(p+1)*hw], bn, p%bn.C, act)
 	}
 	return x
 }
@@ -532,10 +506,27 @@ func (bn *BatchNorm2D) forwardInferAct(x *tensor.Tensor, act fusedAct) *tensor.T
 // ForwardInfer implements InferenceLayer: identity at inference.
 func (d *Dropout) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor { return x }
 
-// ForwardInfer implements InferenceLayer. The skip is copied before the body
-// runs because inference layers may clobber x in place.
+// readsInputOnly reports whether l's ForwardInfer writes a freshly allocated
+// output and only reads its input, decided by the first leaf l runs:
+// convolutions, Linear, the pools and FusedBlock allocate; BatchNorm2D, the
+// activations, Dropout and SEBlock work in place, and anything else (Flatten
+// returns a view) is assumed to.
+func readsInputOnly(l Layer) bool {
+	switch v := l.(type) {
+	case *Sequential:
+		return len(v.Layers) > 0 && readsInputOnly(v.Layers[0])
+	case *Conv2D, *DepthwiseConv2D, *Linear, *MaxPool2D, *AvgPool2D, *GlobalAvgPool2D, *FusedBlock:
+		return true
+	}
+	return false
+}
+
+// ForwardInfer implements InferenceLayer. An identity skip is x itself when
+// the body leaves x intact (every zoo block opens with a convolution) and a
+// copy taken before the body runs when its first layer would clobber x in
+// place.
 func (r *Residual) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	var skip *tensor.Tensor
+	skip := x
 	if r.Proj != nil {
 		skip = r.Proj.(InferenceLayer).ForwardInfer(x, ar)
 		// A projection never writes in place (it changes shape), so x is
@@ -544,7 +535,7 @@ func (r *Residual) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tens
 		if skip == x {
 			panic("nn: Residual.Proj must not alias its input")
 		}
-	} else {
+	} else if !readsInputOnly(r.Body) {
 		skip = ar.Alloc(x.Shape...)
 		copy(skip.Data, x.Data)
 	}

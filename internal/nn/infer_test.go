@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"strings"
 	"testing"
 
 	"nshd/internal/tensor"
@@ -187,6 +188,15 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		{3, 3, 2, 0, 7, 7},
 		{2, 5, 2, 2, 3, 2}, // kernel wider than the row: fully guarded path
 		{1, 1, 1, 0, 4, 4},
+		// Interiors of eight and more columns: the vector row kernel, with
+		// full blocks, a ragged last block, one- and two-row windows at the
+		// vertical edges, and rows whose window misses the input entirely.
+		{4, 3, 1, 1, 12, 19},
+		{2, 3, 1, 1, 1, 33},
+		{2, 3, 1, 1, 2, 10},
+		{2, 3, 1, 3, 5, 12},
+		{2, 3, 2, 1, 9, 40},
+		{3, 5, 2, 2, 11, 25},
 	}
 	for _, tc := range cases {
 		rng := tensor.NewRNG(int64(tc.c*100 + tc.k*10 + tc.stride))
@@ -204,6 +214,69 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 				t.Fatalf("k=%d s=%d p=%d %dx%d: element %d differs: %v vs %v",
 					tc.k, tc.stride, tc.pad, tc.h, tc.w, i, got.Data[i], want.Data[i])
 			}
+		}
+	}
+}
+
+// TestAvgPoolInferRejectsBadInput: the average pools fail like MaxPool2D — a
+// named panic on a non-[N C H W] input or a window larger than the map, not a
+// bare index panic or a silently empty tensor.
+func TestAvgPoolInferRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		layer InferenceLayer
+		shape []int
+		want  string
+	}{
+		{"avgpool rank 2", NewAvgPool2D(2), []int{3, 8}, "nn: AvgPool2D expects [N C H W], got [3 8]"},
+		{"avgpool window", NewAvgPool2D(4), []int{1, 2, 3, 8}, "nn: AvgPool2D window 4 larger than input 3x8"},
+		{"globalavgpool rank 2", NewGlobalAvgPool2D(), []int{3, 8}, "nn: GlobalAvgPool2D expects [N C H W], got [3 8]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, tc.want) {
+					t.Fatalf("panic %q, want prefix %q", msg, tc.want)
+				}
+			}()
+			tc.layer.ForwardInfer(tensor.New(tc.shape...), tensor.NewArena())
+			t.Fatal("no panic")
+		})
+	}
+}
+
+// TestResidualInferSkip pins both identity-skip cases against the eval
+// Forward: a body whose first layer allocates its output adds x itself — the
+// arena peak is the body's own, no skip buffer — while a body that opens with
+// an in-place layer still gets the defensive copy, one activation larger.
+func TestResidualInferSkip(t *testing.T) {
+	rng := tensor.NewRNG(23)
+	convFirst := NewSequential("conv-first", NewConv2D(rng, 4, 4, 3, 1, 1, false), NewBatchNorm2D(4), NewReLU6())
+	inPlaceFirst := NewSequential("bn-first", NewBatchNorm2D(4), NewReLU6(), NewConv2D(rng, 4, 4, 1, 1, 0, false))
+	randomizeEval(rng, convFirst)
+	randomizeEval(rng, inPlaceFirst)
+	x := tensor.New(3, 4, 9, 9)
+	rng.FillNormal(x, 0, 2)
+	for _, tc := range []struct {
+		body *Sequential
+		copy bool
+	}{{convFirst, false}, {inPlaceFirst, true}} {
+		want := NewResidual(tc.body, nil).Forward(x, false)
+		peak := func(l InferenceLayer) (int, *tensor.Tensor) {
+			ar := tensor.NewArena()
+			in := ar.Alloc(x.Shape...)
+			copy(in.Data, x.Data)
+			y := l.ForwardInfer(in, ar)
+			return ar.PeakFloats(), y
+		}
+		bodyPeak, _ := peak(tc.body)
+		gotPeak, got := peak(NewResidual(tc.body, nil))
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s: ForwardInfer[%d]=%v, Forward(eval)=%v", tc.body.Label, i, got.Data[i], want.Data[i])
+			}
+		}
+		if extra := gotPeak - bodyPeak; (extra != 0) != tc.copy || (tc.copy && extra != x.Len()) {
+			t.Fatalf("%s: residual arena peak %d floats vs body %d, skip copied = %v", tc.body.Label, gotPeak, bodyPeak, tc.copy)
 		}
 	}
 }

@@ -1,0 +1,19 @@
+package tensor
+
+// The AVX2 halves of the kernels in elem.go, all behind useGemmAsm. The
+// in-place sweeps take n as a positive multiple of 8.
+
+//go:noescape
+func signAsm(n int, p *float32)
+
+//go:noescape
+func clampReLU6Asm(n int, p *float32)
+
+//go:noescape
+func affineActAsm(n int, p *float32, gamma, mean, invStd, beta float32, keep uint32, hi float32)
+
+// depthwise3x3RowAsm needs n ≥ 8, rows in 1..3, (rows-1)*ld+n+2 readable
+// floats at src and 3*rows at ker.
+//
+//go:noescape
+func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int)

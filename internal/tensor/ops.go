@@ -280,14 +280,8 @@ func ArgmaxRows(t *Tensor) []int {
 // Sign returns a tensor of -1/+1 elements matching sign(t); zero maps to +1
 // (the convention used by bipolar hypervectors).
 func Sign(t *Tensor) *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		if v < 0 {
-			out.Data[i] = -1
-		} else {
-			out.Data[i] = 1
-		}
-	}
+	out := t.Clone()
+	SignInPlace(out.Data)
 	return out
 }
 
@@ -297,13 +291,8 @@ func SignInto(dst, src *Tensor) {
 	if !dst.SameShape(src) {
 		panic(fmt.Sprintf("tensor: SignInto shape mismatch %v vs %v", dst.Shape, src.Shape))
 	}
-	for i, v := range src.Data {
-		if v < 0 {
-			dst.Data[i] = -1
-		} else {
-			dst.Data[i] = 1
-		}
-	}
+	copy(dst.Data, src.Data)
+	SignInPlace(dst.Data)
 }
 
 // ReLUInPlace clamps every element of x to max(v, 0) with exactly the
