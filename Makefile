@@ -25,15 +25,19 @@ staticcheck:
 # the implicit-GEMM conv path, and the fused float and int8 extraction blocks
 # (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused),
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
-# (TestEngineZeroAllocMobileNet); all ride the same -run prefix. So must the
-# router's fan-out hot path (frame encode, partial decode, score merge; see
-# TestRouterZeroAlloc).
+# (TestEngineZeroAllocMobileNet), and the float scorer's class strips at
+# K = 100 (TestEngineZeroAllocWideClassMemory); all ride the same -run
+# prefix. So must the router's fan-out hot path (frame encode, partial decode,
+# score merge; see TestRouterZeroAlloc).
 alloc:
 	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
 	$(GO) test -run TestRouterZeroAlloc -count 1 ./internal/serve/
 
+# The second pass type-checks the portable build — every _noasm stub and the
+# tests beside them — which tier-1 on amd64 never compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -46,10 +50,10 @@ test:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
-# Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward) with
-# allocation counts.
+# Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward, float
+# class scoring) with allocation counts.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/
+	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/
 
 # Regenerate the machine-readable perf report (end-to-end serving + kernels
 # + training path).

@@ -477,8 +477,8 @@ func (e *Engine) saliencyOrder(images *tensor.Tensor) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	folded := hdlearn.NewFoldedScorer(e.src.HD)
-	d, k := e.fullD, folded.K
+	folded := hdlearn.FoldedRows(e.src.HD)
+	d, k := e.fullD, folded.Shape[0]
 	sal := make([]float64, d)
 	scores := make([]float64, k)
 	for i := 0; i < hvs.Shape[0]; i++ {

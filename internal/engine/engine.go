@@ -310,7 +310,7 @@ func (e *Engine) warmup(ar *tensor.Arena, chunk int) (err error) {
 	preds := make([]int, chunk)
 	hvs := make([]float32, chunk*e.d)
 	x := e.runChunk(ar, zero, chunk)
-	e.tail.run(x, preds, ar)
+	e.tail.run(x, preds, ar, nil)
 	// Size the hypervector path too (QueryHVs); runChunk resets the arena
 	// offsets but the high-water marks accumulate across both passes.
 	x = e.runChunk(ar, zero, chunk)
@@ -398,7 +398,7 @@ func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 	}
 	if n <= e.chunk {
 		ar := e.getArena()
-		e.tail.run(e.runChunk(ar, images.Data, n), preds, ar)
+		e.tail.run(e.runChunk(ar, images.Data, n), preds, ar, nil)
 		e.putArena(ar)
 		return nil
 	}
@@ -406,7 +406,7 @@ func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 		for ci := lo; ci < hi; ci++ {
 			seg, start, end := e.chunkOf(images, ci)
 			ar := e.getArena()
-			e.tail.run(e.runChunk(ar, seg, end-start), preds[start:end], ar)
+			e.tail.run(e.runChunk(ar, seg, end-start), preds[start:end], ar, nil)
 			e.putArena(ar)
 		}
 	})

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"nshd/internal/core"
 	"nshd/internal/dataset"
 	"nshd/internal/engine"
+	"nshd/internal/hdc"
+	"nshd/internal/hdlearn"
 	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
@@ -80,6 +83,24 @@ func buildPipelineOn(t *testing.T, m *cnn.Model, cut int, mut func(*core.Config)
 	_, _, signed := p.Symbolize(feats, false)
 	p.HD.InitBundle(signed, train.Labels)
 	return p, test
+}
+
+// widenClasses replaces p's class memory with k classes — class c is bundled
+// class c mod K plus seeded noise at a third of its RMS: distinct rows, far
+// from any tie — so the 4-class fixtures reach the float scorer's 16-class
+// strips (K ≥ 16), which no trained fixture here does.
+func widenClasses(p *core.Pipeline, k int) {
+	d := p.Cfg.D
+	m := &hdlearn.Model{K: k, D: d, M: tensor.New(k, d)}
+	tensor.NewRNG(64).FillNormal(m.M, 0, 1)
+	for c := 0; c < k; c++ {
+		src, dst := p.HD.M.Row(c%p.HD.K), m.M.Row(c)
+		rms := float32(hdc.Hypervector(src).Norm() / math.Sqrt(float64(d)))
+		for j := range dst {
+			dst[j] = src[j] + rms/3*dst[j]
+		}
+	}
+	p.HD = m
 }
 
 func TestEngineEmptyAndInvalidInput(t *testing.T) {
@@ -277,5 +298,17 @@ func TestEngineStagesReported(t *testing.T) {
 	}
 	if e.ChunkSize() < 1 || e.ArenaBytes() <= 0 {
 		t.Fatalf("chunk=%d arenaBytes=%d", e.ChunkSize(), e.ArenaBytes())
+	}
+	// The timing probe splits the tail row into the GEMM and its consumer.
+	in := e.InShape()
+	times, err := e.TimeStages(tensor.New(2, in[0], in[1], in[2]), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := times[len(times)-1]
+	if len(tail.Sub) != 2 || tail.Sub[0].Name != "project" || tail.Sub[1].Name != "score" ||
+		tail.Sub[0].Seconds <= 0 || tail.Sub[1].Seconds <= 0 ||
+		math.Abs(tail.Sub[0].Seconds+tail.Sub[1].Seconds-tail.Seconds) > 1e-9 {
+		t.Fatalf("tail row %+v, want project + score sub-rows summing to it", tail)
 	}
 }

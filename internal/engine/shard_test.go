@@ -61,9 +61,12 @@ func TestShardedScoresBitExact(t *testing.T) {
 	kernels := []struct {
 		name   string
 		packed bool
+		wide   int // widen the class memory to this many classes
 	}{
-		{"packed", true},
-		{"float", false},
+		{"packed", true, 0},
+		{"float", false, 0},
+		// Two 16-class strips and a ragged class: shards slice the strips.
+		{"float-K33", false, 33},
 	}
 	for _, kn := range kernels {
 		for _, mode := range tailCases() {
@@ -71,6 +74,9 @@ func TestShardedScoresBitExact(t *testing.T) {
 				c.D = shardD
 				c.PackedInference = kn.packed
 			}))
+			if kn.wide > 0 {
+				widenClasses(p, kn.wide)
+			}
 			n := test.Images.Shape[0]
 			t.Run(mode.name+"/"+kn.name, func(t *testing.T) {
 				full, err := engine.Compile(p, mode.opts...)

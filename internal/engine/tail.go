@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"nshd/internal/core"
 	"nshd/internal/hdlearn"
@@ -197,7 +198,18 @@ func (t *tail) head(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 // pre-sign values for columns [c0, c0+w). Neither the [N, F̂] manifold
 // activation (folded mode) nor any [N, D] intermediate ever exists. consume
 // does not escape, so the closures the three callers pass stay on the stack.
-func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, consume func(blk []float32, n, w, c0 int)) {
+// A non-nil project (TimeStages only) receives the seconds spent outside
+// consume: head, GEMM and bias.
+func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, project *float64, consume func(blk []float32, n, w, c0 int)) {
+	if project != nil {
+		t0, inner, consuming := time.Now(), consume, time.Duration(0)
+		consume = func(blk []float32, n, w, c0 int) {
+			t1 := time.Now()
+			inner(blk, n, w, c0)
+			consuming += time.Since(t1)
+		}
+		defer func() { *project += (time.Since(t0) - consuming).Seconds() }()
+	}
 	v := t.head(x, ar)
 	n := v.Shape[0]
 	bc := tensor.PanelBlockCols()
@@ -223,10 +235,10 @@ func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, consume func(blk []
 // words, then scored into dots ([n, k]). Block packing writes the same words
 // as packing the full row: c0 is 256-aligned, so blocks tile the row's words
 // exactly, and the pack's sign test (v < 0) matches sign(0) = +1.
-func (t *tail) wordDots(x *tensor.Tensor, dots []int32, ar *tensor.Arena) {
+func (t *tail) wordDots(x *tensor.Tensor, dots []int32, ar *tensor.Arena, project *float64) {
 	wpr := (t.d + 63) / 64
 	q := ar.Words(x.Shape[0] * wpr)
-	t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
+	t.forBlocks(x, ar, project, func(blk []float32, n, w, c0 int) {
 		wb, ww := c0/64, (w+63)/64
 		for i := 0; i < n; i++ {
 			tensor.PackSignsInto(q[i*wpr+wb:i*wpr+wb+ww], blk[i*w:(i+1)*w])
@@ -240,19 +252,19 @@ func (t *tail) wordDots(x *tensor.Tensor, dots []int32, ar *tensor.Arena) {
 // run classifies one chunk. Both flows score through exactly the values
 // runPartial emits and MergeScores replays — int32 dots, or per-block
 // float32 scores folded into float64 in block order — so the local and
-// sharded paths agree bit for bit.
-func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena) {
+// sharded paths agree bit for bit. project is forBlocks' (nil when serving).
+func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *float64) {
 	m := ar.Mark()
 	n := x.Shape[0]
 	if t.words != nil {
 		dots := ar.Int32s(n * t.k)
-		t.wordDots(x, dots, ar)
+		t.wordDots(x, dots, ar, project)
 		hdlearn.ArgmaxScaledInto(preds, dots, t.words.Scales(), n, t.k)
 	} else {
 		acc := ar.Float64s(n * t.k)
 		clear(acc)
 		bs := ar.Floats(n * t.k)
-		t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
+		t.forBlocks(x, ar, project, func(blk []float32, n, w, c0 int) {
 			tensor.SignInPlace(blk)
 			t.float.BlockScores(bs, blk, n, w, c0)
 			for i, v := range bs {
@@ -271,10 +283,10 @@ func (t *tail) runPartial(x *tensor.Tensor, ps *PartialScores, rowOff int, ar *t
 	m := ar.Mark()
 	n := x.Shape[0]
 	if t.words != nil {
-		t.wordDots(x, ps.Ints[rowOff*t.k:(rowOff+n)*t.k], ar)
+		t.wordDots(x, ps.Ints[rowOff*t.k:(rowOff+n)*t.k], ar, nil)
 	} else {
 		bc := tensor.PanelBlockCols()
-		t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
+		t.forBlocks(x, ar, nil, func(blk []float32, n, w, c0 int) {
 			tensor.SignInPlace(blk)
 			base := (c0/bc*ps.N + rowOff) * t.k
 			t.float.BlockScores(ps.Floats[base:base+n*t.k], blk, n, w, c0)
@@ -287,7 +299,7 @@ func (t *tail) runPartial(x *tensor.Tensor, ps *PartialScores, rowOff int, ar *t
 // caller memory, one projection block at a time.
 func (t *tail) runHVs(x *tensor.Tensor, dst []float32, ar *tensor.Arena) {
 	m := ar.Mark()
-	t.forBlocks(x, ar, func(blk []float32, n, w, c0 int) {
+	t.forBlocks(x, ar, nil, func(blk []float32, n, w, c0 int) {
 		tensor.SignInPlace(blk)
 		for i := 0; i < n; i++ {
 			copy(dst[i*t.d+c0:i*t.d+c0+w], blk[i*w:(i+1)*w])

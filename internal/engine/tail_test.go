@@ -104,8 +104,9 @@ func firstImages(images *tensor.Tensor, n int) *tensor.Tensor { return imagesAt(
 // rematerialized tails, argmax-identical for the fold (its re-associated
 // GEMM may flip a pre-sign value within an ulp of zero). The same table
 // carries the degenerate shapes: a single class, one ragged 256-column block
-// (D=65), one full block plus one column (D=257), and batches of 1 and
-// chunk+1 samples — and, on the prepacked tail, the two zoo extractors the
+// (D=65), one full block plus one column (D=257), the same two under a
+// 19-class memory (strip-scored and ragged classes side by side), and batches
+// of 1 and chunk+1 samples — and, on the prepacked tail, the two zoo extractors the
 // tiny fixture has no layer of: mobilenetv2 cut 4 (BatchNorm+ReLU6, 1×1
 // expansion, depthwise 3×3 at stride 1 and 2, an identity-skip residual: the
 // vector kernels) and effnetb0 cut 3 (5×5 stride-2 depthwise, SE, SiLU: the
@@ -115,6 +116,7 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 		name string
 		mut  func(*core.Config)
 		k1   bool   // collapse the class memory to a single class
+		wide int    // widen the class memory to this many classes
 		zoo  string // extract with this zoo model cut at layer cut, not the tiny fixture
 		cut  int
 	}{
@@ -124,6 +126,10 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 		{name: "D65", mut: func(c *core.Config) { c.D = 65 }},
 		{name: "D257", mut: func(c *core.Config) { c.D = 257 }},
 		{name: "K1", k1: true},
+		// One 16-class strip plus three ragged classes (the float scorer's
+		// panel path), over a ragged block and over a full block plus a column.
+		{name: "K19-D65", mut: func(c *core.Config) { c.D = 65 }, wide: 19},
+		{name: "K19-D257", mut: func(c *core.Config) { c.D = 257 }, wide: 19},
 		{name: "mobilenetv2-cut4", zoo: "mobilenetv2", cut: 4},
 		{name: "effnetb0-cut3", zoo: "effnetb0", cut: 3},
 	}
@@ -152,6 +158,9 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 					if sh.k1 {
 						row := append([]float32(nil), p.HD.M.Row(0)...)
 						p.HD = &hdlearn.Model{K: 1, D: p.Cfg.D, M: tensor.FromSlice(row, 1, p.Cfg.D)}
+					}
+					if sh.wide > 0 {
+						widenClasses(p, sh.wide)
 					}
 					e, err := engine.Compile(p, tc.opts...)
 					if err != nil {
@@ -371,6 +380,21 @@ func TestEngineZeroAllocMobileNet(t *testing.T) {
 		for _, n := range []int{min(e.ChunkSize(), test.Len()), 1} {
 			requireZeroAlloc(t, e, firstImages(test.Images, n))
 		}
+	}
+}
+
+// TestEngineZeroAllocWideClassMemory: the float scorer's panel path (K = 100:
+// six 16-class strips and four ragged classes, two 256-column blocks) stays
+// off the heap at chunk size and at batch 1.
+func TestEngineZeroAllocWideClassMemory(t *testing.T) {
+	p, test := buildPipeline(t, func(c *core.Config) { c.D = 300; c.PackedInference = false })
+	widenClasses(p, 100)
+	e, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{min(e.ChunkSize(), test.Len()), 1} {
+		requireZeroAlloc(t, e, firstImages(test.Images, n))
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // StageTime is one stage's measured wall time for a chunk. Stages that can
 // attribute time internally (the extractor's layers and fused blocks, a
-// quantized stage's segments) report the split in Sub.
+// quantized stage's segments, the tail's project and score halves) report the
+// split in Sub.
 type StageTime struct {
 	Name    string
 	Seconds float64
@@ -99,11 +100,15 @@ func (e *Engine) TimeStages(images *tensor.Tensor, reps int) ([]StageTime, error
 			}
 			mergeMinSub(&out[i].Sub, sub, r == 0)
 		}
+		var project float64
 		t0 := time.Now()
-		e.tail.run(x, preds, ar)
+		e.tail.run(x, preds, ar, &project)
 		last := len(e.stages)
 		if d := time.Since(t0).Seconds(); r == 0 || d < out[last].Seconds {
-			out[last] = StageTime{Name: e.tail.name, Seconds: d}
+			// The fastest rep's split: the panel GEMM (with folded head and
+			// bias) vs what consumes its blocks (sign or pack, scoring, argmax).
+			out[last] = StageTime{Name: e.tail.name, Seconds: d, Sub: []StageTime{
+				{Name: "project", Seconds: project}, {Name: "score", Seconds: d - project}}}
 		}
 	}
 	return out, nil

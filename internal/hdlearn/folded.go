@@ -27,15 +27,24 @@ import (
 // float64, so the block decomposition never changes a ranking that isn't
 // already a float-level near-tie; agreement with FloatScorer's argmax is
 // pinned by TestFoldedScorerAgreesWithFloat.
+//
+// Scoring a block is one K block of the GEMM S[n, D]·M̂ᵀ[D, K], so classes
+// [0, ns), ns = tensor.PanelStripCols(K), live ONLY as that GEMM's prepacked
+// 16-class strips and the ragged classes [ns, K) — every class on the
+// portable build — ONLY as class-major rows. Which kernel scores class k
+// depends on k and the build alone, never on batch size, row position or shard.
 type FoldedScorer struct {
-	K, D int
-	mhat *tensor.Tensor // [K, D]: class rows pre-divided by √D·‖M_k‖
+	K, D   int
+	strips *tensor.ProjPanels // M̂ᵀ[:, :ns] as [D, ns] panels; nil when ns == 0
+	rows   *tensor.Tensor     // [K−ns, D]: folded rows of classes [ns, K)
 }
 
-// NewFoldedScorer snapshots m into the folded form (deep copy; later
-// training on m does not affect the scorer).
-func NewFoldedScorer(m *Model) *FoldedScorer {
-	s := &FoldedScorer{K: m.K, D: m.D, mhat: tensor.New(m.K, m.D)}
+// FoldedRows returns m's class rows with the cosine denominator folded in,
+// M̂_k = M_k/(√D·‖M_k‖), as a fresh [K, D] tensor (zero-norm classes stay
+// zero): the fold without the pack, for callers that read rows rather than
+// score with them.
+func FoldedRows(m *Model) *tensor.Tensor {
+	mhat := tensor.New(m.K, m.D)
 	sqrtD := math.Sqrt(float64(m.D))
 	for k := 0; k < m.K; k++ {
 		den := sqrtD * hdc.Hypervector(m.M.Row(k)).Norm()
@@ -43,10 +52,23 @@ func NewFoldedScorer(m *Model) *FoldedScorer {
 			continue
 		}
 		src := m.M.Row(k)
-		dst := s.mhat.Row(k)
+		dst := mhat.Row(k)
 		for j := range dst {
 			dst[j] = float32(float64(src[j]) / den)
 		}
+	}
+	return mhat
+}
+
+// NewFoldedScorer snapshots m into the folded, packed form (later training on
+// m does not affect the scorer).
+func NewFoldedScorer(m *Model) *FoldedScorer {
+	mhat := FoldedRows(m)
+	s := &FoldedScorer{K: m.K, D: m.D, rows: mhat}
+	if ns := tensor.PanelStripCols(m.K); ns > 0 {
+		s.strips = tensor.PrepackPanels(tensor.Transpose(tensor.FromSlice(mhat.Data[:ns*m.D], ns, m.D)))
+		// A copy, so the strip classes' rows do not stay resident behind it.
+		s.rows = tensor.FromSlice(append([]float32(nil), mhat.Data[ns*m.D:]...), m.K-ns, m.D)
 	}
 	return s
 }
@@ -56,8 +78,10 @@ func NewFoldedScorer(m *Model) *FoldedScorer {
 // M̂_k = M_k/(√D·‖M_k‖) — the denominator uses the whole class row — so
 // partial dot products from disjoint shards sum to exactly the full folded
 // score: ⟨h, M̂_k⟩ = Σ_s ⟨h[lo_s:hi_s], M̂_k[lo_s:hi_s]⟩. Slicing copies the
-// column range; each per-block float32 dot on a shard is bit-identical to
-// the same block's dot on the unsliced scorer.
+// column range (a 256-aligned range is a contiguous run of strips, so with
+// K ≥ 16 on the asm build lo must be a multiple of 256 and hi one too or D);
+// each per-block float32 score on a shard is bit-identical to the same
+// block's score on the unsliced scorer.
 func (s *FoldedScorer) Slice(lo, hi int) *FoldedScorer {
 	if lo < 0 || hi > s.D || lo >= hi {
 		panic(fmt.Sprintf("hdlearn: FoldedScorer.Slice [%d, %d) out of [0, %d)", lo, hi, s.D))
@@ -65,34 +89,47 @@ func (s *FoldedScorer) Slice(lo, hi int) *FoldedScorer {
 	if lo == 0 && hi == s.D {
 		return s
 	}
-	return &FoldedScorer{K: s.K, D: hi - lo, mhat: tensor.SliceCols(s.mhat, lo, hi)}
+	out := &FoldedScorer{K: s.K, D: hi - lo, rows: tensor.SliceCols(s.rows, lo, hi)}
+	if s.strips != nil {
+		out.strips = s.strips.SliceRows(lo, hi)
+	}
+	return out
 }
 
 // BlockScores writes each query row's raw float32 partial score against
 // columns [c0, c0+w) of the folded class matrix: dst[i*K + k] =
 // ⟨blk_i, M̂_k[c0:c0+w]⟩ for the n rows of blk (a compact [n, w] tile of
-// signed query columns). The engine's tail folds these per-block float32
-// values into float64 in block order; emitting them raw is what lets a
-// dimension shard ship partial scores over the wire and a reducer replay the
-// identical float64 accumulation order, bit-exact against the unsharded
-// engine.
+// signed query columns; one block of the 256-column grid). The engine's tail
+// folds these per-block float32 values into float64 in block order; emitting
+// them raw is what lets a dimension shard ship partial scores over the wire
+// and a reducer replay the identical float64 accumulation order, bit-exact
+// against the unsharded engine. Strip classes are a single FMA chain from +0,
+// column ascending, in the 4-row and the 1-row micro-kernel alike; the others
+// are DotFast.
 func (s *FoldedScorer) BlockScores(dst []float32, blk []float32, n, w, c0 int) {
 	if c0 < 0 || c0+w > s.D {
 		panic(fmt.Sprintf("hdlearn: BlockScores columns [%d,%d) outside D=%d", c0, c0+w, s.D))
 	}
+	if s.strips != nil {
+		clear(dst[:n*s.K])
+		tensor.AccumPanelsKBlock(dst, s.K, blk, w, n, s.strips, c0, c0+w, nil)
+	}
+	ns := s.K - s.rows.Shape[0]
 	for i := 0; i < n; i++ {
 		row := blk[i*w : (i+1)*w]
 		out := dst[i*s.K : (i+1)*s.K]
-		for k := 0; k < s.K; k++ {
-			out[k] = tensor.DotFast(row, s.mhat.Row(k)[c0:c0+w])
+		for k := ns; k < s.K; k++ {
+			out[k] = tensor.DotFast(row, s.rows.Row(k - ns)[c0:c0+w])
 		}
 	}
 }
 
-// ModelBytes is the folded snapshot's storage: K·D float32s.
-func (s *FoldedScorer) ModelBytes() int64 { return int64(s.K) * int64(s.D) * 4 }
-
-// Row exposes folded class row k (M̂_k, read-only): the per-dimension score
-// contributions that drive the compression pass's saliency metric and feed
-// the sub-byte row quantizers.
-func (s *FoldedScorer) Row(k int) []float32 { return s.mhat.Row(k) }
+// ModelBytes is the resident folded snapshot: the strips plus the ragged
+// rows, K·D float32s between them.
+func (s *FoldedScorer) ModelBytes() int64 {
+	b := int64(s.rows.Len()) * 4
+	if s.strips != nil {
+		b += s.strips.MemoryBytes()
+	}
+	return b
+}

@@ -12,7 +12,13 @@ import (
 // order is replayed block by block — every per-block float32 value a slice
 // emits is bit-identical to the unsliced scorer's value for that block.
 func TestFoldedScorerSliceAdditive(t *testing.T) {
-	const k, d, n = 5, 533, 9
+	for _, k := range []int{5, 17, 100} { // no strips; one strip + a ragged class; six + four
+		testFoldedScorerSliceAdditive(t, k)
+	}
+}
+
+func testFoldedScorerSliceAdditive(t *testing.T, k int) {
+	const d, n = 533, 9
 	m := NewModel(k, d)
 	tensor.NewRNG(3).FillNormal(m.M, 0, 1)
 	m.Invalidate()
@@ -44,7 +50,7 @@ func TestFoldedScorerSliceAdditive(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sharded folded score differs at %d: got %v want %v", i, got[i], want[i])
+			t.Fatalf("K=%d: sharded folded score differs at %d: got %v want %v", k, i, got[i], want[i])
 		}
 	}
 }

@@ -49,7 +49,7 @@ func NewInt4Scorer(m *Model, quantRow RowQuantizer) *SubByteScorer {
 	if m.D >= 1<<17 {
 		panic(fmt.Sprintf("hdlearn: NewInt4Scorer D=%d exceeds the int4 kernel bound 2^17", m.D))
 	}
-	folded := NewFoldedScorer(m)
+	folded := FoldedRows(m)
 	nw := (m.D + 63) / 64
 	rowBytes := nw * tensor.Int4BytesPerWord
 	s := &SubByteScorer{
@@ -77,7 +77,7 @@ func NewInt4Scorer(m *Model, quantRow RowQuantizer) *SubByteScorer {
 // NewTernaryScorer folds m's cosine denominator and quantizes each folded
 // row to {−1, 0, +1} with quantRow.
 func NewTernaryScorer(m *Model, quantRow RowQuantizer) *SubByteScorer {
-	folded := NewFoldedScorer(m)
+	folded := FoldedRows(m)
 	nw := (m.D + 63) / 64
 	s := &SubByteScorer{
 		K: m.K, D: m.D, nw: nw, name: "ternary",

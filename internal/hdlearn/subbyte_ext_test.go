@@ -40,7 +40,7 @@ func TestSubByteScorerDotsExact(t *testing.T) {
 	for _, d := range []int{256, 750, 1000} {
 		const k = 7
 		m := randModel(rng, k, d)
-		folded := hdlearn.NewFoldedScorer(m)
+		folded := hdlearn.FoldedRows(m)
 
 		i4 := hdlearn.NewInt4Scorer(m, quant.QuantizeInt4Row)
 		tern := hdlearn.NewTernaryScorer(m, quant.QuantizeTernaryRow)

@@ -26,6 +26,16 @@ import "fmt"
 // per call (the GEMM's NC blocking); block offsets must be multiples of it.
 func PanelBlockCols() int { return gemmNC }
 
+// PanelStripCols returns how many leading columns of an n-column matrix
+// PrepackPanels holds as 16-wide micro-kernel strips: ⌊n/16⌋·16 on the asm
+// build, none on the portable one.
+func PanelStripCols(n int) int {
+	if !useGemmAsm {
+		return 0
+	}
+	return n / gemmNR * gemmNR
+}
+
 // PanelScratch returns the float32 scratch length the panel kernels need:
 // one packed-strip panel plus one dense column-tail tile.
 func PanelScratch() int { return gemmKC*gemmNC + gemmKC*gemmNR }
@@ -64,7 +74,7 @@ func PrepackPanels(b *Tensor) *ProjPanels {
 		pp.dense = b.Data
 		return pp
 	}
-	n16 := n / 16 * 16
+	n16 := PanelStripCols(n)
 	pp.strips = make([]float32, k*n16)
 	nBlocks := (n + gemmNC - 1) / gemmNC
 	pp.stripBase = make([]int, nBlocks)
@@ -127,16 +137,13 @@ func (pp *ProjPanels) MemoryBytes() int64 {
 // allocations; returns w. Every element is bit-identical to the same column
 // of MatMulSerialInto against the materialized matrix.
 func MatMulPanelsBlock(dst []float32, a *Tensor, pp *ProjPanels, c0 int, scratch []float32) int {
-	m, k := checkPanelsArgs(a, pp, scratch)
+	m := checkPanelsArgs(a, pp, scratch)
 	if c0 < 0 || c0 >= pp.n || c0%gemmNC != 0 {
 		panic(fmt.Sprintf("tensor: MatMulPanelsBlock offset %d (n=%d, block %d)", c0, pp.n, gemmNC))
 	}
-	w := gemmNC
-	if c0+w > pp.n {
-		w = pp.n - c0
-	}
+	w := min(gemmNC, pp.n-c0)
 	clear(dst[:m*w])
-	pp.block(dst, w, 0, a.Data, m, k, c0, w, scratch)
+	pp.colBlock(dst, w, 0, a.Data, m, c0, w, scratch)
 	return w
 }
 
@@ -145,105 +152,132 @@ func MatMulPanelsBlock(dst []float32, a *Tensor, pp *ProjPanels, c0 int, scratch
 // zero allocations, bit-identical to MatMulSerialInto on the materialized
 // matrix.
 func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
-	m, k := checkPanelsArgs(a, pp, scratch)
+	m := checkPanelsArgs(a, pp, scratch)
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != pp.n {
 		panic(fmt.Sprintf("tensor: MatMulPanelsInto dst shape %v, want [%d %d]", dst.Shape, m, pp.n))
 	}
 	clear(dst.Data[:m*pp.n])
 	for c0 := 0; c0 < pp.n; c0 += gemmNC {
-		w := gemmNC
-		if c0+w > pp.n {
-			w = pp.n - c0
-		}
-		pp.block(dst.Data, pp.n, c0, a.Data, m, k, c0, w, scratch)
+		pp.colBlock(dst.Data, pp.n, c0, a.Data, m, c0, min(gemmNC, pp.n-c0), scratch)
 	}
 }
 
-func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m, k int) {
+// AccumPanelsKBlock adds one K block of a @ B to every column of dst:
+// dst[i*ldd+j] += Σ_p a[i*lda+p−pb]·B[p, j], p ∈ [pb, pe), for rows i ∈ [0, m).
+// a is a compact tile of that K range only, for an A operand that exists one
+// block at a time (the serving tail's signed query block against the class
+// strips); the caller walks K and owns the accumulator. [pb, pe) must be one
+// block of the K grid: pb a multiple of PanelBlockCols, pe the next one or K.
+// Same kernels and per-element order as one K step of MatMulPanelsBlock;
+// scratch is needed only by rematerializing panels.
+func AccumPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanels, pb, pe int, scratch []float32) {
+	if pb < 0 || pb%gemmKC != 0 || pe <= pb || pe > pp.k || (pe != pb+gemmKC && pe != pp.k) {
+		panic(fmt.Sprintf("tensor: AccumPanelsKBlock rows [%d, %d) are not a K block of %d (block %d)", pb, pe, pp.k, gemmKC))
+	}
+	for c0 := 0; c0 < pp.n; c0 += gemmNC {
+		pp.block(dst, ldd, c0, a, lda, m, pb, pe, c0, min(gemmNC, pp.n-c0), scratch)
+	}
+}
+
+// SliceRows returns prepacked panels of rows [lo, hi) of B, copied (the
+// portable backing stays a view). Strips are laid out per K block, so lo must
+// be a multiple of PanelBlockCols and hi one too or K.
+func (pp *ProjPanels) SliceRows(lo, hi int) *ProjPanels {
+	if pp.gen != nil || lo < 0 || lo >= hi || hi > pp.k || lo%gemmKC != 0 || (hi%gemmKC != 0 && hi != pp.k) {
+		panic(fmt.Sprintf("tensor: ProjPanels.SliceRows [%d, %d) of %d rows (block %d)", lo, hi, pp.k, gemmKC))
+	}
+	out := &ProjPanels{k: hi - lo, n: pp.n}
+	if pp.dense != nil {
+		out.dense = pp.dense[lo*pp.n : hi*pp.n]
+		return out
+	}
+	n16 := PanelStripCols(pp.n)
+	out.stripBase = make([]int, len(pp.stripBase))
+	for b, base := range pp.stripBase {
+		w16 := max(0, min(gemmNC, n16-b*gemmNC))
+		out.stripBase[b] = len(out.strips)
+		out.strips = append(out.strips, pp.strips[base+lo*w16:base+hi*w16]...)
+	}
+	out.tail = append(out.tail, pp.tail[lo*(pp.n-n16):hi*(pp.n-n16)]...)
+	return out
+}
+
+func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {
 	if a.Rank() != 2 {
 		panic("tensor: panel GEMM requires a rank-2 LHS")
 	}
-	m, k = a.Shape[0], a.Shape[1]
+	m, k := a.Shape[0], a.Shape[1]
 	if k != pp.k {
 		panic(fmt.Sprintf("tensor: panel GEMM K mismatch: a is [%d %d], panels hold K=%d", m, k, pp.k))
 	}
 	if pp.gen != nil && len(scratch) < PanelScratch() {
 		panic(fmt.Sprintf("tensor: panel GEMM scratch %d < PanelScratch %d", len(scratch), PanelScratch()))
 	}
-	return m, k
+	return m
 }
 
-// block accumulates columns [c0, c0+w) of a @ B into dst, whose element
-// (i, j) lives at dst[i*ldd + dcol + j]. dst must be pre-cleared. It mirrors
-// gemmRangeScratch's schedule for one NC block: K blocks ascending; within
-// each, the 4×16 asm micro-kernel over 16-wide strips for full 4-row groups,
-// the 1×16 strip kernel for leftover rows, and the portable kernel for the
-// ragged column tail.
-func (pp *ProjPanels) block(dst []float32, ldd, dcol int, a []float32, m, k, c0, w int, scratch []float32) {
-	if m == 0 || k == 0 {
-		return
+// colBlock accumulates columns [c0, c0+w) of a @ B over all of K, K blocks
+// ascending (gemmRangeScratch's schedule for one NC block). a is [m, K].
+func (pp *ProjPanels) colBlock(dst []float32, ldd, dcol int, a []float32, m, c0, w int, scratch []float32) {
+	for pb := 0; pb < pp.k && m > 0; pb += gemmKC {
+		pp.block(dst, ldd, dcol, a[pb:], pp.k, m, pb, min(pb+gemmKC, pp.k), c0, w, scratch)
 	}
-	w16 := 0
-	if useGemmAsm {
-		n16 := pp.n / 16 * 16
-		w16 = w
-		if c0+w16 > n16 {
-			w16 = n16 - c0
+}
+
+// block accumulates K block [pb, pe) of columns [c0, c0+w) of a @ B into
+// dst, whose element (i, j) lives at dst[i*ldd + dcol + j]; A's element
+// (i, p) lives at a[i*lda + p − pb]. The 4×16 asm micro-kernel runs over
+// 16-wide strips for full 4-row groups, the 1×16 strip kernel for leftover
+// rows, and the portable kernel for the ragged column tail.
+func (pp *ProjPanels) block(dst []float32, ldd, dcol int, a []float32, lda, m, pb, pe, c0, w int, scratch []float32) {
+	n16 := PanelStripCols(pp.n)
+	w16 := max(0, min(w, n16-c0))
+	kc := pe - pb
+	if w16 > 0 {
+		var strip []float32
+		if pp.gen != nil {
+			strip = scratch[:kc*w16]
+			pp.gen.fillStrips(strip, pb, pe, c0, c0+w16)
+		} else {
+			base := pp.stripBase[c0/gemmNC] + pb*w16
+			strip = pp.strips[base : base+kc*w16]
+		}
+		i := 0
+		for ; i+gemmMR <= m; i += gemmMR {
+			for js := 0; js < w16; js += gemmNR {
+				st := strip[js*kc:]
+				gemm4x16(kc,
+					&a[i*lda], &a[(i+1)*lda], &a[(i+2)*lda], &a[(i+3)*lda],
+					&st[0],
+					&dst[i*ldd+dcol+js], &dst[(i+1)*ldd+dcol+js], &dst[(i+2)*ldd+dcol+js], &dst[(i+3)*ldd+dcol+js])
+			}
+		}
+		// Leftover rows — all rows, at batch 1 — run the 1×16 strip
+		// kernel over the same panel, in the same per-element order as
+		// gemm4x16, instead of a scalar sweep.
+		for ; i < m; i++ {
+			gemm1x16s(kc, w16/gemmNR, &a[i*lda], &strip[0], &dst[i*ldd+dcol])
 		}
 	}
-	for pb := 0; pb < k; pb += gemmKC {
-		pe := pb + gemmKC
-		if pe > k {
-			pe = k
+	if w16 < w {
+		tw := w - w16
+		var bt []float32
+		ldb, brow0, bj := 0, -pb, 0 // a starts at K row pb; so must B's rows
+		switch {
+		case pp.gen != nil:
+			buf := scratch[gemmKC*gemmNC:]
+			if w16 == 0 {
+				buf = scratch // portable path: the strip region is unused
+			}
+			bt = buf[:kc*tw]
+			pp.gen.FillTile(bt, tw, pb, pe, c0+w16, c0+w)
+			ldb, brow0 = tw, 0
+		case pp.dense != nil:
+			bt, ldb, bj = pp.dense, pp.n, c0+w16
+		default:
+			bt, ldb, bj = pp.tail, pp.n-n16, c0+w16-n16
 		}
-		kc := pe - pb
-		if w16 > 0 {
-			var strip []float32
-			if pp.gen != nil {
-				strip = scratch[:kc*w16]
-				pp.gen.fillStrips(strip, pb, pe, c0, c0+w16)
-			} else {
-				base := pp.stripBase[c0/gemmNC] + pb*w16
-				strip = pp.strips[base : base+kc*w16]
-			}
-			i := 0
-			for ; i+gemmMR <= m; i += gemmMR {
-				for js := 0; js < w16; js += gemmNR {
-					st := strip[js*kc:]
-					gemm4x16(kc,
-						&a[i*k+pb], &a[(i+1)*k+pb], &a[(i+2)*k+pb], &a[(i+3)*k+pb],
-						&st[0],
-						&dst[i*ldd+dcol+js], &dst[(i+1)*ldd+dcol+js], &dst[(i+2)*ldd+dcol+js], &dst[(i+3)*ldd+dcol+js])
-				}
-			}
-			// Leftover rows — all rows, at batch 1 — run the 1×16 strip
-			// kernel over the same panel, in the same per-element order as
-			// gemm4x16, instead of a scalar sweep.
-			for ; i < m; i++ {
-				gemm1x16s(kc, w16/gemmNR, &a[i*k+pb], &strip[0], &dst[i*ldd+dcol])
-			}
-		}
-		if w16 < w {
-			tw := w - w16
-			var bt []float32
-			ldb, brow0, bj := 0, 0, 0
-			switch {
-			case pp.gen != nil:
-				buf := scratch[gemmKC*gemmNC:]
-				if w16 == 0 {
-					buf = scratch // portable path: the strip region is unused
-				}
-				bt = buf[:kc*tw]
-				pp.gen.FillTile(bt, tw, pb, pe, c0+w16, c0+w)
-				ldb, brow0 = tw, pb
-			case pp.dense != nil:
-				bt, ldb, bj = pp.dense, pp.n, c0+w16
-			default:
-				n16 := pp.n / 16 * 16
-				bt, ldb, bj = pp.tail, pp.n-n16, c0+w16-n16
-			}
-			goPanelPart(dst, a, bt, ldd, k, ldb, m, pb, pe, brow0, dcol+w16, bj, tw)
-		}
+		goPanelPart(dst, a, bt, ldd, lda, ldb, m, 0, kc, brow0, dcol+w16, bj, tw)
 	}
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -90,16 +91,17 @@ func TestBipolarGenBalance(t *testing.T) {
 // panelShapes are deliberately awkward: K and N off the 256 blocks, N off
 // the 16-wide strips, single rows, empty batches.
 var panelShapes = []struct{ m, k, n int }{
-	{8, 16, 70},     // tiny everything, ragged N
-	{1, 100, 3000},  // single sample, paper shapes
-	{0, 100, 256},   // empty batch
-	{5, 257, 300},   // K spans two K-blocks with remainder
-	{7, 64, 256},    // exactly one NC block
-	{3, 33, 257},    // one column past the NC block
-	{6, 512, 1000},  // multiple K blocks, ragged N
-	{4, 10, 16},     // exactly one strip
-	{9, 20, 15},     // below one strip: pure Go tail
-	{2, 300, 530},   // three NC blocks, ragged tail
+	{8, 16, 70},    // tiny everything, ragged N
+	{1, 100, 3000}, // single sample, paper shapes
+	{0, 100, 256},  // empty batch
+	{0, 300, 40},   // empty batch, two K blocks
+	{5, 257, 300},  // K spans two K-blocks with remainder
+	{7, 64, 256},   // exactly one NC block
+	{3, 33, 257},   // one column past the NC block
+	{6, 512, 1000}, // multiple K blocks, ragged N
+	{4, 10, 16},    // exactly one strip
+	{9, 20, 15},    // below one strip: pure Go tail
+	{2, 300, 530},  // three NC blocks, ragged tail
 }
 
 // TestMatMulPanelsMatchesSerial pins the bit-exactness contract: prepacked
@@ -144,6 +146,97 @@ func TestMatMulPanelsMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAccumPanelsKBlock pins the K-block entry — the product turned on its
+// side, the caller walking K with a compact A tile per block — against
+// MatMulPanelsInto, bit for bit, for both backings; pins SliceRows (a block
+// scored through a row slice of the panels equals the same block scored
+// through the whole); and, as the asm-vs-portable differential, compares the
+// two builds' walks (fused vs separately rounded multiply-adds: the O(√K·ε)
+// bound of TestMatMulMatchesNaive). The first three shapes are class-memory
+// panels: N a multiple of 16 (no ragged tail), below and above one NC block.
+func TestAccumPanelsKBlock(t *testing.T) {
+	shapes := append([]struct{ m, k, n int }{{5, 700, 96}, {65, 513, 304}, {1, 256, 16}}, panelShapes...)
+	pscratch := make([]float32, PanelScratch())
+	walks := map[bool][]*Tensor{}
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			for _, s := range shapes {
+				gen := NewBipolarGen(int64(s.m*1000+s.n), s.k, s.n)
+				b := New(s.k, s.n)
+				gen.FillInto(b)
+				a := New(s.m, s.k)
+				NewRNG(int64(s.k)).FillNormal(a, 0, 1)
+				prepack := PrepackPanels(b)
+				want := New(s.m, s.n)
+				MatMulPanelsInto(want, a, prepack, pscratch)
+				walks[asm] = append(walks[asm], want)
+
+				for name, pp := range map[string]*ProjPanels{"prepack": prepack, "remat": RematPanels(gen)} {
+					got := New(s.m, s.n)
+					for pb := 0; pb < s.k; pb += PanelBlockCols() {
+						pe := min(pb+PanelBlockCols(), s.k)
+						tile := SliceCols(a, pb, pe).Data
+						AccumPanelsKBlock(got.Data, s.n, tile, pe-pb, s.m, pp, pb, pe, pscratch)
+						if name != "prepack" {
+							continue
+						}
+						sl := prepack.SliceRows(pb, s.k)
+						if sl.MemoryBytes() != int64(s.k-pb)*int64(s.n)*4 {
+							t.Fatalf("asm=%v k=%d n=%d: rows [%d, k) slice reports %d bytes", asm, s.k, s.n, pb, sl.MemoryBytes())
+						}
+						whole, sliced := make([]float32, s.m*s.n), make([]float32, s.m*s.n)
+						AccumPanelsKBlock(whole, s.n, tile, pe-pb, s.m, prepack, pb, pe, nil)
+						AccumPanelsKBlock(sliced, s.n, tile, pe-pb, s.m, sl, 0, pe-pb, nil)
+						for i := range whole {
+							if sliced[i] != whole[i] {
+								t.Fatalf("asm=%v m=%d k=%d n=%d: K block %d through SliceRows differs at %d", asm, s.m, s.k, s.n, pb, i)
+							}
+						}
+					}
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("asm=%v %s m=%d k=%d n=%d: K-block walk differs at %d: got %v want %v",
+								asm, name, s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		})
+	}
+	for i := range walks[true] { // empty without AVX2, or off amd64
+		s := shapes[i]
+		tol := 1e-6 * (4 + math.Sqrt(float64(s.k))*4)
+		if d := maxRelDiff(walks[false][i], walks[true][i]); d > tol {
+			t.Errorf("shape %dx%dx%d: asm vs portable rel diff %g > %g", s.m, s.k, s.n, d, tol)
+		}
+	}
+}
+
+// TestAccumPanelsKBlockPanics: ranges off the K grid are refused, as is
+// slicing a generator.
+func TestAccumPanelsKBlockPanics(t *testing.T) {
+	pp := PrepackPanels(New(600, 32))
+	dst, a := make([]float32, 32), make([]float32, 256)
+	for name, f := range map[string]func(){
+		"unaligned start": func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 16, 272, nil) },
+		"short block":     func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 100, nil) },
+		"two blocks":      func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 512, nil) },
+		"past K":          func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 512, 768, nil) },
+		"slice unaligned": func() { pp.SliceRows(16, 600) },
+		"slice short":     func() { pp.SliceRows(0, 100) },
+		"slice remat":     func() { RematPanels(NewBipolarGen(1, 600, 32)).SliceRows(0, 256) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
