@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race alloc staticcheck bench perf bench-train bench-serve perf-serve bench-quant perf-quant bench-router perf-router bench-compress perf-compress bench-latency perf-latency bench-fuse perf-fuse
+.PHONY: check vet build test race alloc staticcheck fuzz bench perf bench-train bench-serve perf-serve bench-quant perf-quant bench-router perf-router bench-compress perf-compress bench-latency perf-latency bench-fuse perf-fuse
 
 # The full gate: what CI (and any PR) must keep green.
 check: vet staticcheck build test race alloc
@@ -28,10 +28,12 @@ staticcheck:
 # (TestEngineZeroAllocMobileNet), and the float scorer's class strips at
 # K = 100 (TestEngineZeroAllocWideClassMemory); all ride the same -run
 # prefix. So must the router's fan-out hot path (frame encode, partial decode,
-# score merge; see TestRouterZeroAlloc).
+# score merge; see TestRouterZeroAlloc) and the /predict JSON codec (decode of
+# an 8-image body into the pooled scratch, response encode; see
+# TestCodecZeroAlloc).
 alloc:
 	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
-	$(GO) test -run TestRouterZeroAlloc -count 1 ./internal/serve/
+	$(GO) test -run 'TestRouterZeroAlloc|TestCodecZeroAlloc' -count 1 ./internal/serve/
 
 # The second pass type-checks the portable build — every _noasm stub and the
 # tests beside them — which tier-1 on amd64 never compiles.
@@ -46,14 +48,22 @@ test:
 	$(GO) test ./...
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
-# end's hammer test lives in internal/serve).
+# end's hammer tests live in internal/serve: TestBatcherHammer, and
+# TestCodecHammer over the request scratch pool all three wire surfaces share).
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
+# Fuzz the /predict JSON decoder against encoding/json (the differential
+# oracle of TestDecodeInputsMatchesEncodingJSON) beyond the checked-in corpus
+# under internal/serve/testdata/fuzz/, which `make test` already runs.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzDecodeInputs -fuzztime 30s ./internal/serve/
+
 # Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward, float
-# class scoring) with allocation counts.
+# class scoring, /predict JSON decode against encoding/json) with allocation
+# counts.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/
+	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/ ./internal/serve/
 
 # Regenerate the machine-readable perf report (end-to-end serving + kernels
 # + training path).

@@ -5,10 +5,11 @@
 //	nshd-serve -model model.gob -addr :8080
 //	nshd-serve -demo                          # self-contained demo model
 //
-// Endpoints: POST /predict (JSON {"inputs": [[...]]} or length-prefixed
-// binary float32 frames), GET /healthz, GET /metrics. SIGHUP reloads -model
-// from disk and hot-swaps the engine with zero downtime; SIGINT/SIGTERM
-// drain gracefully.
+// Endpoints: POST /predict (JSON {"inputs": [[...]]}, parsed in one streaming
+// pass with no per-request allocation, or length-prefixed binary float32
+// frames; NaN/±Inf inputs are a 400 on both, an oversized body a 413),
+// GET /healthz, GET /metrics. SIGHUP reloads -model from disk and hot-swaps
+// the engine with zero downtime; SIGINT/SIGTERM drain gracefully.
 package main
 
 import (

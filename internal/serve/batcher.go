@@ -260,7 +260,8 @@ func (b *Batcher) Predict(ctx context.Context, sample []float32) (int, error) {
 // request rides the same micro-batching path as single samples; n must not
 // exceed MaxBatch (callers with genuinely large batches should use the
 // engine directly — it batches internally). data must not be mutated until
-// the call returns.
+// the call returns — and not after it returns ctx's error either: the flush
+// loop may still be copying from it then (see flush).
 func (b *Batcher) PredictBatch(ctx context.Context, data []float32, n int) ([]int, error) {
 	if n < 1 || n > b.opts.MaxBatch {
 		return nil, fmt.Errorf("serve: request of %d samples (want 1..%d)", n, b.opts.MaxBatch)

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"time"
 )
@@ -16,17 +13,21 @@ import (
 // single nshd-serve process offers, so callers cannot tell a sharded
 // cluster from one box:
 //
-//	POST /predict  — JSON {"inputs": [...]} or binary frame, exactly as the
-//	                 single-process /predict (see Server).
+//	POST /predict  — JSON {"inputs": [...]} or binary frame, through the
+//	                 same codec as the single-process /predict (codec.go),
+//	                 so grammar, limits, input policy and statuses are one.
 //	GET  /healthz  — JSON: routable target version plus per-slot replica
 //	                 health; 200 only while every shard slot is servable.
 //	GET  /metrics  — JSON router counters and slot states.
 type RouterServer struct {
-	r *Router
+	r     *Router
+	codec codec
 }
 
 // NewRouterServer wraps a router in its HTTP front end.
-func NewRouterServer(r *Router) *RouterServer { return &RouterServer{r: r} }
+func NewRouterServer(r *Router) *RouterServer {
+	return &RouterServer{r: r, codec: newCodec(r.sampleLen, r.maxBatch)}
+}
 
 // Handler returns the route mux.
 func (s *RouterServer) Handler() http.Handler {
@@ -38,80 +39,7 @@ func (s *RouterServer) Handler() http.Handler {
 }
 
 func (s *RouterServer) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	start := time.Now()
-	maxBody := int64(s.r.maxBatch)*int64(s.r.sampleLen)*24 + 4096
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
-		s.predictBinary(r.Context(), w, body)
-		return
-	}
-	var req predictRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	n := len(req.Inputs)
-	if n == 0 {
-		http.Error(w, "no inputs", http.StatusBadRequest)
-		return
-	}
-	data := make([]float32, 0, n*s.r.sampleLen)
-	for i, row := range req.Inputs {
-		if len(row) != s.r.sampleLen {
-			http.Error(w, fmt.Sprintf("input %d has %d floats, want %d", i, len(row), s.r.sampleLen),
-				http.StatusBadRequest)
-			return
-		}
-		data = append(data, row...)
-	}
-	preds, err := s.r.Predict(r.Context(), data, n)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(predictResponse{
-		Classes: preds,
-		Ms:      float64(time.Since(start).Microseconds()) / 1e3,
-	})
-}
-
-func (s *RouterServer) predictBinary(ctx context.Context, w http.ResponseWriter, body io.Reader) {
-	var nbuf [4]byte
-	if _, err := io.ReadFull(body, nbuf[:]); err != nil {
-		http.Error(w, "short frame header", http.StatusBadRequest)
-		return
-	}
-	n, err := frameSamples(binary.LittleEndian.Uint32(nbuf[:]), s.r.maxBatch)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw := make([]byte, n*s.r.sampleLen*4)
-	if _, err := io.ReadFull(body, raw); err != nil {
-		http.Error(w, "short frame body", http.StatusBadRequest)
-		return
-	}
-	data := make([]float32, n*s.r.sampleLen)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	preds, err := s.r.Predict(ctx, data, n)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	out := make([]byte, 4+4*len(preds))
-	binary.LittleEndian.PutUint32(out, uint32(len(preds)))
-	for i, p := range preds {
-		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(p))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(out)
+	s.codec.servePredict(r.Context(), w, r, s.r.Predict, s.fail)
 }
 
 // fail maps router errors: a shard slice being unavailable is a 503 (the

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -23,37 +21,28 @@ import (
 //	                 application/octet-stream, a length-prefixed binary
 //	                 frame: uint32 LE sample count, then count·C·H·W
 //	                 float32 LE — answered as uint32 LE count then count
-//	                 uint32 LE class indices.
+//	                 uint32 LE class indices. Both are read and written by
+//	                 the codec (codec.go: grammar, limits, input policy).
+//	POST /partial  — the sharded data plane (wire.go).
 //	GET  /healthz  — 200 "ok" while the batcher accepts work.
 //	GET  /metrics  — JSON Snapshot plus engine facts (shape, D, classes,
 //	                 chunk size, packed model bytes).
 //
-// Error mapping: malformed input 400, admission-queue overload 429 (shed,
-// don't queue), request timeout 504, draining/closed 503.
+// Error mapping: malformed or non-finite input 400, body over the size limit
+// 413, admission-queue overload 429 (shed, don't queue), request timeout 504,
+// draining/closed 503.
 type Server struct {
 	b *Batcher
 	// Timeout bounds one request's total time in the front end (queue wait +
 	// compute). Zero means no server-imposed timeout.
 	timeout time.Duration
-	// maxBody bounds a request body; sized from MaxBatch when zero.
-	maxBody int64
-	// scratch pools per-request /partial buffers (frame bytes, decoded
-	// floats, partial scores) so the sharded data plane allocates nothing
-	// per request in steady state.
-	scratch sync.Pool
+	// codec decodes and encodes /predict, and reads the /partial frame.
+	codec codec
 	// stage-timing cache for /metrics: one measured breakdown per compiled
 	// engine, so hot-swaps re-measure and steady-state polls stay free.
 	stMu    sync.Mutex
 	stEng   *engine.Engine
 	stTimes []engine.StageTime
-}
-
-// partialScratch is one pooled /partial request's working set.
-type partialScratch struct {
-	raw  []byte
-	data []float32
-	out  []byte
-	ps   engine.PartialScores
 }
 
 // NewServer wraps a batcher in the HTTP front end. timeout ≤ 0 disables the
@@ -62,9 +51,7 @@ func NewServer(b *Batcher, timeout time.Duration) *Server {
 	return &Server{
 		b:       b,
 		timeout: timeout,
-		// JSON floats are ≲ 16 bytes each; allow headroom over the largest
-		// admissible batch.
-		maxBody: int64(b.opts.MaxBatch)*int64(b.sampleLen)*24 + 4096,
+		codec:   newCodec(b.sampleLen, b.opts.MaxBatch),
 	}
 }
 
@@ -78,110 +65,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// predictRequest is the JSON request body: one row of C·H·W floats per
-// sample.
-type predictRequest struct {
-	Inputs [][]float32 `json:"inputs"`
-}
-
-// predictResponse reports one class index per input row and the server-side
-// latency of the whole request.
-type predictResponse struct {
-	Classes []int   `json:"classes"`
-	Ms      float64 `json:"ms"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
-		s.predictBinary(ctx, w, body)
-		return
-	}
-
-	var req predictRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	n := len(req.Inputs)
-	if n == 0 {
-		http.Error(w, "no inputs", http.StatusBadRequest)
-		return
-	}
-	data := make([]float32, 0, n*s.b.sampleLen)
-	for i, row := range req.Inputs {
-		if len(row) != s.b.sampleLen {
-			http.Error(w, fmt.Sprintf("input %d has %d floats, want %d", i, len(row), s.b.sampleLen),
-				http.StatusBadRequest)
-			return
-		}
-		data = append(data, row...)
-	}
-	preds, err := s.b.PredictBatch(ctx, data, n)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(predictResponse{
-		Classes: preds,
-		Ms:      float64(time.Since(start).Microseconds()) / 1e3,
-	})
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	s.codec.servePredict(ctx, w, r, s.b.PredictBatch, s.fail)
 }
 
-// predictBinary handles the length-prefixed binary frame: 4-byte LE sample
-// count, then count·sampleLen float32 LE values. The response mirrors it: a
-// 4-byte LE count followed by count uint32 LE class indices.
-func (s *Server) predictBinary(ctx context.Context, w http.ResponseWriter, body io.Reader) {
-	var nbuf [4]byte
-	if _, err := io.ReadFull(body, nbuf[:]); err != nil {
-		http.Error(w, "short frame header", http.StatusBadRequest)
-		return
+// requestContext bounds one request's total time in the front end.
+func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	if s.timeout > 0 {
+		return context.WithTimeout(r.Context(), s.timeout)
 	}
-	n, err := frameSamples(binary.LittleEndian.Uint32(nbuf[:]), s.b.opts.MaxBatch)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	raw := make([]byte, n*s.b.sampleLen*4)
-	if _, err := io.ReadFull(body, raw); err != nil {
-		http.Error(w, "short frame body", http.StatusBadRequest)
-		return
-	}
-	data := make([]float32, n*s.b.sampleLen)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	preds, err := s.b.PredictBatch(ctx, data, n)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	out := make([]byte, 4+4*len(preds))
-	binary.LittleEndian.PutUint32(out, uint32(len(preds)))
-	for i, p := range preds {
-		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(p))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(out)
+	return r.Context(), func() {}
 }
 
 // handlePartial is the sharded data plane: a length-prefixed binary frame of
 // samples in, this shard's raw partial scores out (see wire.go for the frame
-// layout). The length prefix is bounds-checked before any payload-sized
-// allocation, and all working buffers are pooled — steady state allocates
-// nothing per request.
+// layout). The frame is read by the /predict codec — same bounds check on
+// the length prefix, same input policy, same pooled scratch — so steady
+// state allocates nothing per request.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -191,48 +93,20 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "application/octet-stream only", http.StatusUnsupportedMediaType)
 		return
 	}
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	body := http.MaxBytesReader(w, r.Body, s.codec.maxBody())
+	sc := scratchPool.Get().(*reqScratch)
+	defer scratchPool.Put(sc) // PredictPartial computes on this goroutine: nothing outlives it
 	var hdr [partialReqHeaderLen]byte
-	if _, err := io.ReadFull(body, hdr[:]); err != nil {
-		http.Error(w, "short frame header", http.StatusBadRequest)
-		return
-	}
-	n, err := frameSamples(binary.LittleEndian.Uint32(hdr[:]), s.b.opts.MaxBatch)
+	n, err := s.codec.readFrame(body, sc, hdr[:])
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		decodeError(w, err)
 		return
 	}
 	version := binary.LittleEndian.Uint64(hdr[4:])
 
-	sc, _ := s.scratch.Get().(*partialScratch)
-	if sc == nil {
-		sc = &partialScratch{}
-	}
-	defer s.scratch.Put(sc)
-	need := n * s.b.sampleLen * 4
-	if cap(sc.raw) < need {
-		sc.raw = make([]byte, need)
-	}
-	raw := sc.raw[:need]
-	if _, err := io.ReadFull(body, raw); err != nil {
-		http.Error(w, "short frame body", http.StatusBadRequest)
-		return
-	}
-	if cap(sc.data) < n*s.b.sampleLen {
-		sc.data = make([]float32, n*s.b.sampleLen)
-	}
-	data := sc.data[:n*s.b.sampleLen]
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-
-	if err := s.b.PredictPartial(ctx, data, n, version, &sc.ps); err != nil {
+	if err := s.b.PredictPartial(ctx, sc.data, n, version, &sc.ps); err != nil {
 		if errors.Is(err, ErrVersionGone) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
