@@ -26,8 +26,12 @@ staticcheck:
 # (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused),
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
 # (TestEngineZeroAllocMobileNet), and the float scorer's class strips at
-# K = 100 (TestEngineZeroAllocWideClassMemory); all ride the same -run
-# prefix. So must the router's fan-out hot path (frame encode, partial decode,
+# K = 100 (TestEngineZeroAllocWideClassMemory), and for the batch split's
+# fan-out — sub-chunk parts of one chunk, even parts of three chunks and one,
+# PredictInto and PartialInto (TestEngineZeroAllocSplit; the older gates call
+# with 2 <= n <= chunk below the work floor, so they also pin that such a
+# batch does not fan out); all ride the same -run prefix. So must the
+# router's fan-out hot path (frame encode, partial decode,
 # score merge; see TestRouterZeroAlloc) and the /predict JSON codec (decode of
 # an 8-image body into the pooled scratch, response encode; see
 # TestCodecZeroAlloc).
@@ -49,7 +53,9 @@ test:
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
-# TestCodecHammer over the request scratch pool all three wire surfaces share).
+# TestCodecHammer over the request scratch pool all three wire surfaces share;
+# the engine's batch split against the fused blocks' tile fan-out is
+# TestEngineSplitConcurrentCallers in internal/engine).
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
@@ -60,10 +66,11 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeInputs -fuzztime 30s ./internal/serve/
 
 # Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward, float
-# class scoring, /predict JSON decode against encoding/json) with allocation
-# counts.
+# class scoring, /predict JSON decode against encoding/json, Engine.PredictInto
+# in images/s at the request shapes the batch split decides on) with
+# allocation counts.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/ ./internal/serve/
+	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
 
 # Regenerate the machine-readable perf report (end-to-end serving + kernels
 # + training path).

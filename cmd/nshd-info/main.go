@@ -96,6 +96,8 @@ func servingFacts(path string, packed bool, precision string, remat bool, fuse s
 	fmt.Printf("  %-22s [C H W] = %v  (%d float32/sample)\n", "input shape", in, eng.SampleLen())
 	fmt.Printf("  %-22s [%d %d %d %d]  (engine chunk %d)\n", "expected batch shape",
 		eng.ChunkSize(), in[0], in[1], in[2], eng.ChunkSize())
+	floor, minBatch := eng.SplitRule()
+	fmt.Printf("  %-22s batches of >= %d images use every core (floor %d extractor MACs a part)\n", "batch split", minBatch, floor)
 	fmt.Printf("  %-22s D=%d, %d classes\n", "hypervector space", eng.Dim(), eng.Classes())
 	fmt.Printf("  %-22s %d (HD model mutation counter)\n", "engine version", p.HD.Version())
 	fmt.Printf("  %-22s %s\n", "classifier kernel", kernel)

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nshd/internal/cnn"
@@ -10,55 +11,20 @@ import (
 	"nshd/internal/tensor"
 )
 
-// benchSetup mirrors the perf harness: mobilenetv2 prefix, paper-scale D.
-func benchSetup(b *testing.B, packed bool) (*core.Pipeline, *engine.Engine, *tensor.Tensor) {
+// benchSetup builds a bundled pipeline the way the repo benchmark's serving
+// fixtures do (zoo model at size×size, D=3000, F̂=100, chunk 32) plus its
+// compiled engine and a pool of images.
+func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *engine.Engine, *tensor.Tensor) {
 	b.Helper()
 	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
-		Classes: 10, Train: 256, Test: 8, Size: 32, Noise: 0.2, Seed: 21,
+		Classes: 10, Train: 64, Test: 8, Size: size, Noise: 0.2, Seed: 71,
 	})
-	zoo, err := cnn.Build("mobilenetv2", tensor.NewRNG(22), 10)
+	zoo, err := cnn.Build(model, tensor.NewRNG(72), 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultConfig(5, 10)
-	cfg.Seed = 23
-	cfg.PackedInference = packed
-	p, err := core.New(zoo, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	feats := p.ExtractFeatures(train.Images)
-	_, _, signed := p.Symbolize(feats, false)
-	p.HD.InitBundle(signed, train.Labels)
-	e, err := engine.Compile(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, e, train.Images
-}
-
-func BenchmarkEnginePredict(b *testing.B) {
-	_, e, imgs := benchSetup(b, false)
-	preds := make([]int, imgs.Shape[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.PredictInto(imgs, preds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnginePredictBatch1 is the single-request latency shape the
-// perf-latency harness measures: vgg16 prefix, batch 1, fused tail.
-func BenchmarkEnginePredictBatch1(b *testing.B) {
-	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
-		Classes: 10, Train: 64, Test: 8, Size: 32, Noise: 0.2, Seed: 71,
-	})
-	zoo, err := cnn.Build("vgg16", tensor.NewRNG(72), 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig(8, 10)
+	zoo.InShape = []int{3, size, size}
+	cfg := core.DefaultConfig(cut, 10)
 	cfg.Seed = 73
 	cfg.D = 3000
 	cfg.FHat = 100
@@ -73,20 +39,45 @@ func BenchmarkEnginePredictBatch1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sample := train.Images.Len() / train.Images.Shape[0]
-	img := tensor.FromSlice(train.Images.Data[:sample], 1,
-		train.Images.Shape[1], train.Images.Shape[2], train.Images.Shape[3])
-	preds := make([]int, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.PredictInto(img, preds); err != nil {
-			b.Fatal(err)
+	return p, e, train.Images
+}
+
+// BenchmarkEnginePredict is PredictInto at the request shapes the batch split
+// decides on: vgg16 cut 8 at 32×32 (6.3 M extractor MACs an image) from one
+// image, which stays on the caller, through the batcher's flush sizes; the
+// same model at 96×96, where one image is a two-tile fused block; and two
+// images of mobilenetv2 cut 1, the smallest fixture, whose parts fall under
+// the work floor. The n2 rows on either side of engine.splitMinMACs are the
+// evidence for its value (DESIGN.md, "Serving engine").
+func BenchmarkEnginePredict(b *testing.B) {
+	for _, c := range []struct {
+		model     string
+		cut, size int
+		ns        []int
+	}{
+		{"vgg16", 8, 32, []int{1, 2, 8, 16}},
+		{"vgg16", 8, 96, []int{1}},
+		{"mobilenetv2", 1, 32, []int{2}},
+	} {
+		_, e, imgs := benchSetup(b, c.model, c.cut, c.size)
+		for _, n := range c.ns {
+			b.Run(fmt.Sprintf("%s-%d-n%d", c.model, c.size, n), func(b *testing.B) {
+				batch := firstImages(imgs, n)
+				preds := make([]int, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := e.PredictInto(batch, preds); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+			})
 		}
 	}
 }
 
 func BenchmarkPipelineDirectPredict(b *testing.B) {
-	p, _, imgs := benchSetup(b, false)
+	p, _, imgs := benchSetup(b, "mobilenetv2", 5, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.PredictDirect(imgs)

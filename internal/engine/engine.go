@@ -8,9 +8,10 @@
 // classifier, sizes per-worker scratch arenas by measuring one warmup batch,
 // and from then on the steady-state forward pass — extractor → manifold/LSH →
 // projection → classifier — performs zero heap allocations and is safe for
-// concurrent use. Batches stream through in chunks so feature extraction and
-// symbolization pipeline across the worker pool instead of ever holding the
-// all-N feature tensor.
+// concurrent use. Batches stream through in parts of at most one chunk, cut
+// evenly over the worker pool (see Engine.split), so feature extraction and
+// symbolization pipeline across the workers instead of ever holding the all-N
+// feature tensor.
 //
 // This mirrors the deployment argument of the paper's Sec. VI (and DPQ-HD):
 // HD's efficiency win comes from a dedicated inference path distinct from the
@@ -20,7 +21,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"nshd/internal/core"
 	"nshd/internal/hdc"
@@ -35,11 +35,23 @@ import (
 // GEMM efficiency for bounded residency.
 const arenaBudgetBytes = 256 << 20
 
+// splitMinMACs is the work floor of the batch split: a batch is cut over the
+// workers only as far as every part keeps this many extractor MACs. A pool
+// helper starts 70–160 µs after the fan-out on the bench box, sometimes not
+// before the caller has run every part itself, so a part must be worth a few
+// hundred µs: measured split against unsplit, parts of 0.35 M MACs lose ×1.2,
+// of 1.6 M break even, of 3.2 M and up win ×0.74 or better (DESIGN.md,
+// "Serving engine"). The tail is not counted, which errs towards not
+// splitting. Var only so tests reach both sides of it on small fixtures.
+var splitMinMACs int64 = 2 << 20
+
 // Stage is one step of the compiled symbolization chain. Run consumes an
 // arena-owned activation (it may overwrite it in place) and returns the next
-// activation, allocated from the same arena. Implementations are state-free
-// and strictly serial; the engine parallelizes across chunks, never inside a
-// stage.
+// activation, allocated from the same arena. Implementations are state-free.
+// The engine's own parallelism is across the parts of a batch; a stage may
+// fan out inside its part (the fused extraction blocks do, over sample×tile
+// items) only with a parallel.Call, never with parallel.For — see
+// Engine.arenas.
 type Stage interface {
 	Name() string
 	Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
@@ -62,17 +74,23 @@ type Engine struct {
 	fullD     int     // full model dimension (== d for an unsharded engine)
 	version   uint64  // model content hash (see ModelVersion)
 	chunk     int     // max samples per worker chunk
+	minSplit  int     // samples that make splitMinMACs: the smallest part of a split
 	stages    []Stage // feature stages; the tail finishes the chain
 	tail      *tail
 	bytes     []StageBytes // resident serving weights, per Stages() entry
 
-	// Arena freelist: proto is the frozen warmup arena; clones are created
-	// lazily (first use per worker) up to maxArenas, then recycled through
-	// the channel. Steady state never touches the heap.
-	proto     *tensor.Arena
-	arenas    chan *tensor.Arena
-	created   atomic.Int32
-	maxArenas int32
+	// Worker arenas: proto is the frozen warmup arena and the first on the
+	// list; clones are made lazily, one per worker, then recycled, so steady
+	// state never touches the heap. Taking one may wait for another part to
+	// return its arena, so nothing that runs while an arena is held may
+	// depend on a queued pool task making progress. The one fan-out that runs
+	// there is a fused block's over its tiles: a parallel.Call, whose waiter
+	// claims only its own tasks and whose tasks take no arena. The batch
+	// split (forParts) is not among them: each part takes its arena inside
+	// its task, and the caller holds none while it waits.
+	proto  *tensor.Arena
+	arenas *parallel.Freelist[*tensor.Arena]
+	fans   *parallel.Freelist[*fanout]
 
 	// Precision mode and int8 coverage accounting (see int8.go).
 	precision   Precision
@@ -224,6 +242,8 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 	if o.plan != nil {
 		e.version = o.plan.mixVersion(e.version)
 	}
+	macs := max(1, p.Extractor.Stats(in).MACs)
+	e.minSplit = int(max(1, (splitMinMACs+macs-1)/macs))
 	if o.precision == Int8 {
 		if err := e.buildInt8Stages(p, &o); err != nil {
 			return nil, err
@@ -287,14 +307,8 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		chunk = next
 	}
 
-	w := parallel.Workers()
-	if w < 1 {
-		w = 1
-	}
-	e.maxArenas = int32(w)
-	e.arenas = make(chan *tensor.Arena, w)
-	e.arenas <- e.proto
-	e.created.Store(1)
+	e.arenas = parallel.NewFreelist(parallel.Workers(), e.proto.CloneEmpty, e.proto)
+	e.fans = parallel.NewFreelist(parallel.Workers(), e.newFanout)
 	return e, nil
 }
 
@@ -322,28 +336,78 @@ func (e *Engine) warmup(ar *tensor.Arena, chunk int) (err error) {
 	return nil
 }
 
-// getArena takes a worker arena from the freelist, cloning a new one only
-// while the fleet is still below maxArenas (startup); afterwards this is a
-// single allocation-free channel receive. It may wait for an arena to be
-// returned, so nothing that runs while an arena is held may depend on a
-// queued chunk task making progress — which is why the fused blocks' tile
-// fan-out (parallel.Call) never runs foreign pool tasks while it waits.
-func (e *Engine) getArena() *tensor.Arena {
-	select {
-	case ar := <-e.arenas:
-		return ar
-	default:
-	}
-	if e.created.Add(1) <= e.maxArenas {
-		return e.proto.CloneEmpty()
-	}
-	e.created.Add(-1)
-	return <-e.arenas
+// batchJob is one PredictInto, QueryHVs or PartialInto call: the batch and
+// the one output its tail fills. A struct, not a closure, so that handing it
+// to the fan-out allocates nothing.
+type batchJob struct {
+	images []float32
+	n      int
+	preds  []int          // PredictInto
+	hvs    []float32      // QueryHVs, [n, d]
+	ps     *PartialScores // PartialInto
 }
 
-func (e *Engine) putArena(ar *tensor.Arena) { e.arenas <- ar }
+// fanout is a reusable prebound parallel.Call over the parts of one job.
+type fanout struct {
+	batchJob
+	parts int
+	call  *parallel.Call
+}
 
-// runChunk copies one chunk of images into the arena (inference layers write
+func (e *Engine) newFanout() *fanout {
+	f := &fanout{}
+	f.call = parallel.NewCall(0, func(i, _ int) {
+		e.runPart(&f.batchJob, i*f.n/f.parts, (i+1)*f.n/f.parts)
+	})
+	return f
+}
+
+// split is how many parts an n-sample batch is cut into (part i is samples
+// [i·n/parts, (i+1)·n/parts), so sizes are equal to within one): as few as
+// keep every part within a chunk, rounded up to a multiple of the worker
+// count — every worker gets the same share, and a batch of 2 ≤ n ≤ chunk
+// uses all of them — as far as the work floor lets parts shrink.
+func (e *Engine) split(n int) int {
+	parts := (n + e.chunk - 1) / e.chunk
+	w := parallel.Workers()
+	return max(parts, min((parts+w-1)/w*w, n/e.minSplit))
+}
+
+// forParts runs a job part by part: on the calling goroutine when it is one
+// part, otherwise through a prebound Call from the freelist, so both ways are
+// allocation-free. The caller holds no arena while it waits.
+func (e *Engine) forParts(job batchJob) {
+	parts := e.split(job.n)
+	if parts <= 1 {
+		if job.n > 0 {
+			e.runPart(&job, 0, job.n)
+		}
+		return
+	}
+	f := e.fans.Get()
+	f.batchJob, f.parts = job, parts
+	f.call.RunN(parts)
+	f.batchJob = batchJob{}
+	e.fans.Put(f)
+}
+
+// runPart takes a worker arena, runs samples [start, end) of the job through
+// the feature stages and the tail, and returns the arena.
+func (e *Engine) runPart(j *batchJob, start, end int) {
+	ar := e.arenas.Get()
+	x := e.runChunk(ar, j.images[start*e.sampleLen:end*e.sampleLen], end-start)
+	switch {
+	case j.preds != nil:
+		e.tail.run(x, j.preds[start:end], ar, nil)
+	case j.hvs != nil:
+		e.tail.runHVs(x, j.hvs[start*e.d:end*e.d], ar)
+	default:
+		e.tail.runPartial(x, j.ps, start, ar)
+	}
+	e.arenas.Put(ar)
+}
+
+// runChunk copies one part's images into the arena (inference layers write
 // activations in place, so user memory is never touched) and runs the
 // feature stages, returning the activation the tail consumes.
 func (e *Engine) runChunk(ar *tensor.Arena, seg []float32, n int) *tensor.Tensor {
@@ -380,11 +444,11 @@ func (e *Engine) Predict(images *tensor.Tensor) ([]int, error) {
 }
 
 // PredictInto classifies a batch of images into caller-owned preds (length
-// N). A batch that fits one chunk runs entirely on the calling goroutine and
-// performs zero heap allocations in steady state (see TestEngineZeroAlloc);
-// larger batches fan chunks out across the worker pool, pipelining
-// extraction and symbolization of later chunks with classification of
-// earlier ones.
+// N). One image, or a batch too small to be worth a second core (see
+// splitMinMACs), runs entirely on the calling goroutine; any other batch is
+// cut evenly over the worker pool in parts of at most a chunk (see split).
+// Either way the call performs zero heap allocations in steady state (see
+// TestEngineZeroAlloc), and every sample's result is the one it gets alone.
 func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 	if err := e.checkImages(images); err != nil {
 		return err
@@ -393,53 +457,21 @@ func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 	if len(preds) != n {
 		return fmt.Errorf("engine: preds length %d, want %d", len(preds), n)
 	}
-	if n == 0 {
-		return nil
-	}
-	if n <= e.chunk {
-		ar := e.getArena()
-		e.tail.run(e.runChunk(ar, images.Data, n), preds, ar, nil)
-		e.putArena(ar)
-		return nil
-	}
-	parallel.For(e.numChunks(n), func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			seg, start, end := e.chunkOf(images, ci)
-			ar := e.getArena()
-			e.tail.run(e.runChunk(ar, seg, end-start), preds[start:end], ar, nil)
-			e.putArena(ar)
-		}
-	})
+	e.forParts(batchJob{images: images.Data, n: n, preds: preds})
 	return nil
-}
-
-// numChunks is the number of worker chunks an n-sample batch splits into.
-func (e *Engine) numChunks(n int) int { return (n + e.chunk - 1) / e.chunk }
-
-// chunkOf returns chunk ci of a batch: its pixels and its sample range.
-func (e *Engine) chunkOf(images *tensor.Tensor, ci int) (seg []float32, start, end int) {
-	start = ci * e.chunk
-	end = min(start+e.chunk, images.Shape[0])
-	return images.Data[start*e.sampleLen : end*e.sampleLen], start, end
 }
 
 // QueryHVs returns the signed query hypervectors ([N, D]) of a batch — the
 // symbolic representation the explainability analysis consumes — streaming
-// chunk results into the output instead of materializing all-N features.
+// each part's results into the output instead of materializing all-N
+// features.
 func (e *Engine) QueryHVs(images *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := e.checkImages(images); err != nil {
 		return nil, err
 	}
 	n := images.Shape[0]
 	out := tensor.New(n, e.d)
-	parallel.For(e.numChunks(n), func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			seg, start, end := e.chunkOf(images, ci)
-			ar := e.getArena()
-			e.tail.runHVs(e.runChunk(ar, seg, end-start), out.Data[start*e.d:end*e.d], ar)
-			e.putArena(ar)
-		}
-	})
+	e.forParts(batchJob{images: images.Data, n: n, hvs: out.Data})
 	return out, nil
 }
 
@@ -531,8 +563,15 @@ func (e *Engine) PredictChecked(images *tensor.Tensor, preds []int) (err error) 
 	return e.PredictInto(images, preds)
 }
 
-// ChunkSize reports how many samples one worker chunk carries.
+// ChunkSize reports the most samples one worker arena carries: the cap on a
+// part of a batch.
 func (e *Engine) ChunkSize() int { return e.chunk }
+
+// SplitRule reports the batch split for the operator: the work floor in
+// extractor MACs per part and the smallest batch it lets use every worker.
+func (e *Engine) SplitRule() (floorMACs int64, minBatch int) {
+	return splitMinMACs, e.minSplit * parallel.Workers()
+}
 
 // InShape reports the per-sample input shape [C, H, W] the engine was
 // compiled for.

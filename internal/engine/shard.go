@@ -6,7 +6,6 @@ import (
 
 	"nshd/internal/core"
 	"nshd/internal/hdlearn"
-	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -217,32 +216,16 @@ func (e *Engine) ResizePartials(ps *PartialScores, n int) {
 }
 
 // PartialInto computes the engine's partial scores for a batch of images
-// into ps (re-sized in place, reusing capacity). Chunking and parallelism
-// mirror PredictInto; steady state performs zero heap allocations when ps
-// capacity suffices.
+// into ps (re-sized in place, reusing capacity). The batch is cut and run as
+// PredictInto's is (forParts); steady state performs zero heap allocations
+// when ps capacity suffices.
 func (e *Engine) PartialInto(images *tensor.Tensor, ps *PartialScores) error {
 	if err := e.checkImages(images); err != nil {
 		return err
 	}
 	n := images.Shape[0]
 	e.ResizePartials(ps, n)
-	if n == 0 {
-		return nil
-	}
-	if n <= e.chunk {
-		ar := e.getArena()
-		e.tail.runPartial(e.runChunk(ar, images.Data, n), ps, 0, ar)
-		e.putArena(ar)
-		return nil
-	}
-	parallel.For(e.numChunks(n), func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			seg, start, end := e.chunkOf(images, ci)
-			ar := e.getArena()
-			e.tail.runPartial(e.runChunk(ar, seg, end-start), ps, start, ar)
-			e.putArena(ar)
-		}
-	})
+	e.forParts(batchJob{images: images.Data, n: n, ps: ps})
 	return nil
 }
 

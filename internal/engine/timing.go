@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
 
@@ -39,6 +40,11 @@ func (s int8Stage) runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageTime
 			name = "int8"
 			if len(i8.layers) == 1 {
 				name = fmt.Sprint(i8.layers[0])
+			}
+			for _, l := range i8.layers {
+				if fb, ok := l.(*nn.Int8FusedBlock); ok {
+					name += " " + fb.Grid().String()
+				}
 			}
 		}
 		*sub = append(*sub, StageTime{Name: name, Seconds: d})
@@ -80,8 +86,8 @@ func (e *Engine) TimeStages(images *tensor.Tensor, reps int) ([]StageTime, error
 	}
 	out := make([]StageTime, len(e.stages)+1)
 	preds := make([]int, n)
-	ar := e.getArena()
-	defer e.putArena(ar)
+	ar := e.arenas.Get()
+	defer e.arenas.Put(ar)
 	for r := 0; r < reps; r++ {
 		ar.Reset()
 		x := ar.Alloc(n, e.inShape[0], e.inShape[1], e.inShape[2])

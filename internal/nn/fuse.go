@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
@@ -37,9 +36,10 @@ import (
 // Tiles are independent, so serial and parallel execution are bit-equal too.
 
 // FuseTileBudgetBytes bounds the per-execution working set (tile buffers +
-// GEMM scratch) of a FusedBlock. The planner picks the largest tile height
-// whose working set fits; the default keeps a block resident in a 2 MiB L2
-// with room for the packed GEMM panels. Var, not const, for tests and tuning.
+// GEMM scratch) of a FusedBlock. The planner caps the tile height at the
+// largest whose working set fits (see planTiles); the default keeps a block
+// resident in a 2 MiB L2 with room for the packed GEMM panels. Var, not
+// const, for tests and tuning.
 var FuseTileBudgetBytes = 3 << 19
 
 // FuseMinMACs gates fusion by block size: below it the per-tile bookkeeping
@@ -48,9 +48,74 @@ var FuseTileBudgetBytes = 3 << 19
 // tests can lower it to fuse small fixtures.
 var FuseMinMACs int64 = 1 << 21
 
-// fuseTileRowsOverride, when positive, replaces the planner's tile height so
-// tests can run ragged multi-tile schedules on small fixtures.
+// fuseTileRowsOverride, when positive, replaces the budget's cap on the tile
+// height so tests can run multi-tile schedules on small fixtures.
 var fuseTileRowsOverride = 0
+
+// tileGrid cuts a block's outH output rows into tiles no taller than maxRows
+// and returns the cut points (tile t is rows [cuts[t], cuts[t+1])). A block
+// that fits one tile stays one tile: cutting it costs halo rows and a helper
+// wake-up that a batch-1 32×32 request does not earn back (DESIGN.md, "Fused
+// extraction blocks"). A block that needs more gets a tile count rounded up
+// to a multiple of workers, while every tile still has a row, and heights
+// equal to within one row: the tallest tile the budget allows plus its
+// remainder is a 75/25 split on two cores.
+func tileGrid(outH, maxRows, workers int) []int {
+	n := (outH + maxRows - 1) / maxRows
+	if even := (n + workers - 1) / workers * workers; n > 1 && even <= outH {
+		n = even
+	}
+	cuts := make([]int, n+1)
+	for t := range cuts {
+		cuts[t] = t * outH / n
+	}
+	return cuts
+}
+
+// planTiles is the tile plan of both block kinds: the tallest cap whose grid
+// has a working set within FuseTileBudgetBytes, cut for the pool's workers.
+func planTiles(outH int, workingSetBytes func(cuts []int) int) []int {
+	maxRows := outH
+	if fuseTileRowsOverride > 0 {
+		maxRows = min(fuseTileRowsOverride, outH)
+	} else {
+		for maxRows > 1 && workingSetBytes(tileGrid(outH, maxRows, 1)) > FuseTileBudgetBytes {
+			maxRows--
+		}
+	}
+	return tileGrid(outH, maxRows, parallel.Workers())
+}
+
+// FuseGrid is a fused block's tile schedule, for the operator: tiles per
+// sample, the tallest tile's output rows, the widest fan-out of an execution,
+// and the conv MACs recomputed in tile halos as a share of the block's MACs.
+type FuseGrid struct {
+	Tiles, Rows, Parts int
+	HaloShare          float64
+}
+
+func (g FuseGrid) String() string {
+	return fmt.Sprintf("[%d tiles x %d rows, %d parts, halo %.1f%%]", g.Tiles, g.Rows, g.Parts, 100*g.HaloShare)
+}
+
+// newFuseGrid reads the schedule off the planned spans; rowMACs[i] is the
+// MACs of one conv output row of unit i, convH[i] that conv's map height.
+func newFuseGrid(spans [][]unitSpan, nParts int, rowMACs []int64, convH []int) FuseGrid {
+	g := FuseGrid{Tiles: len(spans), Parts: nParts}
+	var done, need int64
+	for _, sp := range spans {
+		last := sp[len(sp)-1]
+		g.Rows = max(g.Rows, last.outHi-last.outLo)
+		for i := range sp {
+			done += int64(sp[i].convHi-sp[i].convLo) * rowMACs[i]
+		}
+	}
+	for i := range rowMACs {
+		need += int64(convH[i]) * rowMACs[i]
+	}
+	g.HaloShare = float64(done-need) / float64(need)
+	return g
+}
 
 // fusedUnit is one conv-rooted stage of a FusedBlock: a convolution plus the
 // optional BN, activation and 2-D max pool that follow it, with its geometry
@@ -91,23 +156,19 @@ type FusedBlock struct {
 	sampleIn         int
 	sampleOut        int
 
-	tileRows int
-	nTiles   int
-	nParts   int
-	spans    [][]unitSpan // [tile][unit]
-	wmats    []*tensor.Tensor
+	nTiles int
+	nParts int          // widest fan-out: an execution uses min(nParts, n·nTiles)
+	spans  [][]unitSpan // [tile][unit]
+	wmats  []*tensor.Tensor
 
 	convSize      []int // per unit, floats in the conv-output tile buffer
 	outSize       []int // per unit, floats in the pooled-output tile buffer
 	scratchFloats int
 
-	// Run freelist, mirroring the engine's arena freelist: reusable
-	// executors are parked in a channel; the blocking receive on the full
-	// path is deadlock-free because concurrent ForwardInfer executions are
-	// bounded by the same Workers() cap that bounds engine arenas.
-	runs    chan *fuseRun
-	created atomic.Int64
-	maxRuns int64
+	// Reusable executors, capped like the engine's arenas: waiting for one is
+	// deadlock-free because concurrent ForwardInfer executions are bounded by
+	// the same Workers() cap that bounds the arenas they run on.
+	runs *parallel.Freelist[*fuseRun]
 }
 
 // fusePart is one partition's tile buffers; slice headers are rebound from
@@ -119,16 +180,16 @@ type fusePart struct {
 	scratch []float32
 }
 
-// fuseRun is one reusable executor: a prebound parallel fan-out over nParts
-// partitions of the (sample, tile) item grid, plus the per-partition buffer
-// sets. Building it once at compile time keeps Run on the serving path
+// fuseRun is one reusable executor: a prebound parallel fan-out over up to
+// nParts partitions of the (sample, tile) item grid, plus the per-partition
+// buffer sets. Building it once at compile time keeps Run on the serving path
 // allocation-free.
 type fuseRun struct {
 	b     *FusedBlock
 	call  *parallel.Call
 	parts []fusePart
 	x, y  []float32
-	n     int
+	n, np int // samples and partitions of the current execution
 }
 
 // FuseInference returns s with every fusible run of inference layers replaced
@@ -284,30 +345,29 @@ func newFusedBlock(units []fusedUnit, leaves []Layer, inC, inH, inW int, flatten
 			b.scratchFloats = s
 		}
 	}
-	T := b.outH
-	if fuseTileRowsOverride > 0 {
-		T = min(fuseTileRowsOverride, b.outH)
-	} else {
-		for T > 1 && b.workingSetBytes(T) > FuseTileBudgetBytes {
-			T--
-		}
-	}
-	b.tileRows = T
-	b.convSize, b.outSize, b.spans = b.sizesForTile(T)
+	b.convSize, b.outSize, b.spans = b.sizesForTiles(planTiles(b.outH, b.workingSetBytes))
 	b.nTiles = len(b.spans)
-	b.nParts = min(parallel.Workers(), b.nTiles)
-	b.maxRuns = int64(parallel.Workers())
-	b.runs = make(chan *fuseRun, b.maxRuns)
+	b.nParts = parallel.Workers()
+	b.runs = parallel.NewFreelist(parallel.Workers(), b.newRun)
 	return b
 }
 
-// sizesForTile plans every tile for tile height T and returns the per-unit
-// buffer sizes (max over tiles) plus the per-tile spans. The last unit's
-// final stage writes the output tensor directly, so it gets a conv buffer
-// only when a pool sits between the conv and the output, and never an out
-// buffer.
-func (b *FusedBlock) sizesForTile(T int) (convSize, outSize []int, spans [][]unitSpan) {
-	n := (b.outH + T - 1) / T
+// Grid reports the planned tile schedule.
+func (b *FusedBlock) Grid() FuseGrid {
+	rowMACs, convH := make([]int64, len(b.units)), make([]int, len(b.units))
+	for i, u := range b.units {
+		rowMACs[i], convH[i] = int64(u.conv.OutC*u.convW)*int64(u.conv.InC*u.conv.KH*u.conv.KW), u.convH
+	}
+	return newFuseGrid(b.spans, b.nParts, rowMACs, convH)
+}
+
+// sizesForTiles plans every tile of a grid (see tileGrid) and returns the
+// per-unit buffer sizes (max over tiles) plus the per-tile spans. The last
+// unit's final stage writes the output tensor directly, so it gets a conv
+// buffer only when a pool sits between the conv and the output, and never an
+// out buffer.
+func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, spans [][]unitSpan) {
+	n := len(cuts) - 1
 	convSize = make([]int, len(b.units))
 	outSize = make([]int, len(b.units))
 	spans = make([][]unitSpan, n)
@@ -319,8 +379,7 @@ func (b *FusedBlock) sizesForTile(T int) (convSize, outSize []int, spans [][]uni
 		}
 	}
 	for t := 0; t < n; t++ {
-		lo := t * T
-		sp := planUnitSpans(gs, lo, min(lo+T, b.outH))
+		sp := planUnitSpans(gs, cuts[t], cuts[t+1])
 		spans[t] = sp
 		for i := range b.units {
 			u := &b.units[i]
@@ -340,9 +399,9 @@ func (b *FusedBlock) sizesForTile(T int) (convSize, outSize []int, spans [][]uni
 	return convSize, outSize, spans
 }
 
-// workingSetBytes estimates one partition's resident bytes at tile height T.
-func (b *FusedBlock) workingSetBytes(T int) int {
-	convSize, outSize, _ := b.sizesForTile(T)
+// workingSetBytes estimates one partition's resident bytes on a tile grid.
+func (b *FusedBlock) workingSetBytes(cuts []int) int {
+	convSize, outSize, _ := b.sizesForTiles(cuts)
 	floats := b.scratchFloats
 	for i := range convSize {
 		floats += convSize[i] + outSize[i]
@@ -455,21 +514,6 @@ func (b *FusedBlock) Stats(in []int) Stats {
 	return total
 }
 
-// getRun pops a reusable executor, creating one if the block has not yet
-// reached its cap (Workers(), the bound on concurrent executions).
-func (b *FusedBlock) getRun() *fuseRun {
-	select {
-	case r := <-b.runs:
-		return r
-	default:
-	}
-	if b.created.Add(1) <= b.maxRuns {
-		return b.newRun()
-	}
-	b.created.Add(-1)
-	return <-b.runs
-}
-
 // newRun builds an executor: per-partition buffer tables (headers only — the
 // backing arrays are arena-bound per call) and the parallel fan-out with its
 // kernel prebound, so Run never allocates.
@@ -505,11 +549,13 @@ func (b *FusedBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Te
 		return y
 	}
 	m := ar.Mark()
-	r := b.getRun()
-	// Bind every partition's buffers serially before dispatch: all parts are
-	// bound on every call so the arena's high-water mark is deterministic
-	// regardless of how many partitions end up with work.
-	for pi := range r.parts {
+	r := b.runs.Get()
+	// One partition per worker while there are (sample, tile) items to go
+	// round. Their buffers are bound serially before dispatch, so the arena's
+	// high-water mark depends on n alone and the engine's chunk-sized warmup
+	// sees the largest.
+	r.np = min(b.nParts, n*b.nTiles)
+	for pi := range r.parts[:r.np] {
 		pt := &r.parts[pi]
 		for i := range b.units {
 			if b.convSize[i] > 0 {
@@ -524,9 +570,9 @@ func (b *FusedBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Te
 		pt.scratch = ar.Floats(b.scratchFloats)
 	}
 	r.x, r.y, r.n = x.Data, y.Data, n
-	r.call.Run()
+	r.call.RunN(r.np)
 	r.x, r.y = nil, nil
-	b.runs <- r
+	b.runs.Put(r)
 	ar.Release(m)
 	return y
 }
@@ -538,7 +584,7 @@ func (b *FusedBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Te
 func (r *fuseRun) runPart(p int) {
 	b := r.b
 	items := r.n * b.nTiles
-	lo, hi := p*items/b.nParts, (p+1)*items/b.nParts
+	lo, hi := p*items/r.np, (p+1)*items/r.np
 	pt := &r.parts[p]
 	for it := lo; it < hi; it++ {
 		r.runTile(pt, it/b.nTiles, it%b.nTiles)

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
@@ -40,19 +39,16 @@ type Int8FusedBlock struct {
 	sampleIn         int
 	sampleOut        int
 
-	tileRows int
-	nTiles   int
-	nParts   int
-	spans    [][]unitSpan
+	nTiles int
+	nParts int // widest fan-out (see FusedBlock)
+	spans  [][]unitSpan
 
 	convSize  []int // per unit, u8 elements in the conv-output tile buffer
 	outSize   []int // per unit, u8 elements in the pooled-output tile buffer
 	colsBytes int
 	accInts   int
 
-	runs    chan *int8FuseRun
-	created atomic.Int64
-	maxRuns int64
+	runs *parallel.Freelist[*int8FuseRun]
 }
 
 // int8FusePart is one partition's buffers, arena-bound per call.
@@ -70,7 +66,7 @@ type int8FuseRun struct {
 	call  *parallel.Call
 	parts []int8FusePart
 	x, y  []uint8
-	n     int
+	n, np int
 }
 
 // FuseInt8 returns ls with every fusible run of int8 layers replaced by an
@@ -243,27 +239,26 @@ func newInt8FusedBlock(units []int8FusedUnit, inC, inH, inW int, flatten bool) *
 	}
 	b.sampleIn = inC * inH * inW
 	b.sampleOut = b.outC * b.outH * b.outW
-	T := b.outH
-	if fuseTileRowsOverride > 0 {
-		T = min(fuseTileRowsOverride, b.outH)
-	} else {
-		for T > 1 && b.workingSetBytes(T) > FuseTileBudgetBytes {
-			T--
-		}
-	}
-	b.tileRows = T
-	b.convSize, b.outSize, b.colsBytes, b.accInts, b.spans = b.sizesForTile(T)
+	b.convSize, b.outSize, b.colsBytes, b.accInts, b.spans = b.sizesForTiles(planTiles(b.outH, b.workingSetBytes))
 	b.nTiles = len(b.spans)
-	b.nParts = min(parallel.Workers(), b.nTiles)
-	b.maxRuns = int64(parallel.Workers())
-	b.runs = make(chan *int8FuseRun, b.maxRuns)
+	b.nParts = parallel.Workers()
+	b.runs = parallel.NewFreelist(parallel.Workers(), b.newRun)
 	return b
 }
 
-// sizesForTile plans every tile for tile height T; buffer sizes are maxima
-// over tiles and units (the cols and acc buffers are shared across units).
-func (b *Int8FusedBlock) sizesForTile(T int) (convSize, outSize []int, colsBytes, accInts int, spans [][]unitSpan) {
-	n := (b.outH + T - 1) / T
+// Grid reports the planned tile schedule.
+func (b *Int8FusedBlock) Grid() FuseGrid {
+	rowMACs, convH := make([]int64, len(b.units)), make([]int, len(b.units))
+	for i, u := range b.units {
+		rowMACs[i], convH[i] = int64(u.conv.OutC*u.convW)*int64(u.conv.InC*u.conv.KH*u.conv.KW), u.convH
+	}
+	return newFuseGrid(b.spans, b.nParts, rowMACs, convH)
+}
+
+// sizesForTiles plans every tile of a grid; buffer sizes are maxima over
+// tiles and units (the cols and acc buffers are shared across units).
+func (b *Int8FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, colsBytes, accInts int, spans [][]unitSpan) {
+	n := len(cuts) - 1
 	convSize = make([]int, len(b.units))
 	outSize = make([]int, len(b.units))
 	spans = make([][]unitSpan, n)
@@ -275,8 +270,7 @@ func (b *Int8FusedBlock) sizesForTile(T int) (convSize, outSize []int, colsBytes
 		}
 	}
 	for t := 0; t < n; t++ {
-		lo := t * T
-		sp := planUnitSpans(gs, lo, min(lo+T, b.outH))
+		sp := planUnitSpans(gs, cuts[t], cuts[t+1])
 		spans[t] = sp
 		for i := range b.units {
 			u := &b.units[i]
@@ -303,9 +297,9 @@ func (b *Int8FusedBlock) sizesForTile(T int) (convSize, outSize []int, colsBytes
 	return convSize, outSize, colsBytes, accInts, spans
 }
 
-// workingSetBytes estimates one partition's resident bytes at tile height T.
-func (b *Int8FusedBlock) workingSetBytes(T int) int {
-	convSize, outSize, colsBytes, accInts, _ := b.sizesForTile(T)
+// workingSetBytes estimates one partition's resident bytes on a tile grid.
+func (b *Int8FusedBlock) workingSetBytes(cuts []int) int {
+	convSize, outSize, colsBytes, accInts, _ := b.sizesForTiles(cuts)
 	bytes := colsBytes + 4*accInts + tensor.Int8GemmScratch()
 	for i := range convSize {
 		bytes += convSize[i] + outSize[i]
@@ -331,20 +325,6 @@ func (b *Int8FusedBlock) String() string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// getRun pops a reusable executor (see FusedBlock.getRun).
-func (b *Int8FusedBlock) getRun() *int8FuseRun {
-	select {
-	case r := <-b.runs:
-		return r
-	default:
-	}
-	if b.created.Add(1) <= b.maxRuns {
-		return b.newRun()
-	}
-	b.created.Add(-1)
-	return <-b.runs
 }
 
 func (b *Int8FusedBlock) newRun() *int8FuseRun {
@@ -380,8 +360,9 @@ func (b *Int8FusedBlock) ForwardInt8(x *tensor.QTensor, ar *tensor.Arena) *tenso
 		return y
 	}
 	m := ar.Mark()
-	r := b.getRun()
-	for pi := range r.parts {
+	r := b.runs.Get()
+	r.np = min(b.nParts, n*b.nTiles)
+	for pi := range r.parts[:r.np] {
 		pt := &r.parts[pi]
 		for i := range b.units {
 			if b.convSize[i] > 0 {
@@ -398,9 +379,9 @@ func (b *Int8FusedBlock) ForwardInt8(x *tensor.QTensor, ar *tensor.Arena) *tenso
 		pt.scratch = ar.Bytes(tensor.Int8GemmScratch())
 	}
 	r.x, r.y, r.n = x.Data, y.Data, n
-	r.call.Run()
+	r.call.RunN(r.np)
 	r.x, r.y = nil, nil
-	b.runs <- r
+	b.runs.Put(r)
 	ar.Release(m)
 	return y
 }
@@ -408,7 +389,7 @@ func (b *Int8FusedBlock) ForwardInt8(x *tensor.QTensor, ar *tensor.Arena) *tenso
 func (r *int8FuseRun) runPart(p int) {
 	b := r.b
 	items := r.n * b.nTiles
-	lo, hi := p*items/b.nParts, (p+1)*items/b.nParts
+	lo, hi := p*items/r.np, (p+1)*items/r.np
 	pt := &r.parts[p]
 	for it := lo; it < hi; it++ {
 		r.runTile(pt, it/b.nTiles, it%b.nTiles)

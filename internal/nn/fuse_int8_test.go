@@ -112,32 +112,72 @@ func TestInt8FusedBlockMatchesUnfused(t *testing.T) {
 		tiny := FuseInt8(layers, in[0], in[1], in[2])
 		fuseTileRowsOverride = saved
 
-		n := 1 + rng.Intn(2)
-		x := make([]uint8, n*in[0]*in[1]*in[2])
-		rng.Read(x)
-		ar := tensor.NewArena()
-		xa := ar.WrapU8(append([]uint8(nil), x...), scale, zero, n, in[0], in[1], in[2])
-		want := runInt8Chain(layers, xa, ar)
-
-		for name, chain := range map[string][]Int8Layer{"whole-map": fused, "tiny-tiles": tiny} {
-			ar2 := tensor.NewArena()
-			xb := ar2.WrapU8(append([]uint8(nil), x...), scale, zero, n, in[0], in[1], in[2])
-			got := runInt8Chain(chain, xb, ar2)
-			if !sameInts(got.Shape, want.Shape) {
-				t.Fatalf("trial %d %s: shape %v, want %v", trial, name, got.Shape, want.Shape)
-			}
-			if got.Scale != want.Scale || got.Zero != want.Zero {
-				t.Fatalf("trial %d %s: quant (%g,%d), want (%g,%d)", trial, name, got.Scale, got.Zero, want.Scale, want.Zero)
-			}
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("trial %d %s: fused[%d]=%d, unfused=%d", trial, name, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
+		runInt8BitCompare(t, rng, layers, in, scale, zero, 1+rng.Intn(2),
+			map[string][]Int8Layer{"whole-map": fused, "tiny-tiles": tiny})
 	}
 	if fusedTrials < 30 {
 		t.Fatalf("only %d of 48 random int8 chains fused; the property is under-sampled", fusedTrials)
+	}
+
+	// The planner's own multi-tile grid (see vgg96Chain), one sample and three.
+	layers, in, scale, zero := vgg96Int8Chain(rng)
+	fused := FuseInt8(layers, in[0], in[1], in[2])
+	checkVGG96Grid(t, fused[0].(*Int8FusedBlock).Grid())
+	for _, n := range []int{1, 3} {
+		runInt8BitCompare(t, rng, layers, in, scale, zero, n, map[string][]Int8Layer{"96x96 grid": fused})
+	}
+}
+
+// vgg96Int8Chain is vgg96Chain's quantized twin: the same four convs and
+// pool, quantization chained, weights random.
+func vgg96Int8Chain(rng *rand.Rand) ([]Int8Layer, []int, float32, uint8) {
+	const inScale, inZero = float32(0.05), uint8(128)
+	scale, zero := inScale, inZero
+	var layers []Int8Layer
+	for i, ch := range [][2]int{{3, 16}, {16, 16}, {16, 32}, {32, 32}} {
+		wq := make([]int8, ch[1]*ch[0]*9)
+		for j := range wq {
+			wq[j] = int8(rng.Intn(255) - 127)
+		}
+		bias, scales := make([]int32, ch[1]), make([]float32, ch[1])
+		for j := range bias {
+			bias[j], scales[j] = int32(rng.Intn(2048)-1024), 0.0005+rng.Float32()*0.001
+		}
+		q := Int8Quant{InScale: scale, InZero: zero, OutScale: 0.02 + rng.Float32()*0.1, OutZero: uint8(rng.Intn(64)), ClampHi: 255}
+		q.ClampLo = q.OutZero // folded ReLU
+		layers = append(layers, NewInt8Conv2D(ch[0], ch[1], 3, 3, 1, 1, wq, bias, scales, q))
+		scale, zero = q.OutScale, q.OutZero
+		if i == 1 {
+			layers = append(layers, &Int8MaxPool2D{K: 2})
+		}
+	}
+	return layers, []int{3, 96, 96}, inScale, inZero
+}
+
+// runInt8BitCompare runs the unfused layers and each fused chain on the same
+// random n-sample input and fails on the first differing output byte.
+func runInt8BitCompare(t *testing.T, rng *rand.Rand, layers []Int8Layer, in []int, scale float32, zero uint8, n int, chains map[string][]Int8Layer) {
+	t.Helper()
+	x := make([]uint8, n*in[0]*in[1]*in[2])
+	rng.Read(x)
+	ar := tensor.NewArena()
+	xa := ar.WrapU8(append([]uint8(nil), x...), scale, zero, n, in[0], in[1], in[2])
+	want := runInt8Chain(layers, xa, ar)
+	for name, chain := range chains {
+		ar2 := tensor.NewArena()
+		xb := ar2.WrapU8(append([]uint8(nil), x...), scale, zero, n, in[0], in[1], in[2])
+		got := runInt8Chain(chain, xb, ar2)
+		if !sameInts(got.Shape, want.Shape) {
+			t.Fatalf("%s: shape %v, want %v", name, got.Shape, want.Shape)
+		}
+		if got.Scale != want.Scale || got.Zero != want.Zero {
+			t.Fatalf("%s: quant (%g,%d), want (%g,%d)", name, got.Scale, got.Zero, want.Scale, want.Zero)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%s: fused[%d]=%d, unfused=%d", name, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
 }
 

@@ -4,8 +4,67 @@ import (
 	"math/rand"
 	"testing"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
+
+// TestTileGrid checks the planner's grid rule over every output height up to
+// 97, every cap and a range of worker counts: tiles cover [0, outH) once and
+// in order, none is taller than the cap, heights are equal to within one row,
+// a block that fits one tile stays one tile, and a block that does not gets a
+// multiple of the worker count whenever it has the rows for it.
+func TestTileGrid(t *testing.T) {
+	for outH := 1; outH <= 97; outH++ {
+		for maxRows := 1; maxRows <= outH; maxRows++ {
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				cuts := tileGrid(outH, maxRows, w)
+				n := len(cuts) - 1
+				need := (outH + maxRows - 1) / maxRows
+				even := (need + w - 1) / w * w
+				switch {
+				case n < 1 || n > outH || cuts[0] != 0 || cuts[n] != outH:
+					t.Fatalf("tileGrid(%d, %d, %d) = %v: not a cover of [0, %d) by 1..%d tiles", outH, maxRows, w, cuts, outH, outH)
+				case need == 1 && n != 1:
+					t.Fatalf("tileGrid(%d, %d, %d) = %v: a one-tile block was cut", outH, maxRows, w, cuts)
+				case need > 1 && even <= outH && n != even:
+					t.Fatalf("tileGrid(%d, %d, %d) = %v: %d tiles, want %d (a multiple of the workers)", outH, maxRows, w, cuts, n, even)
+				case need > 1 && even > outH && n != need:
+					t.Fatalf("tileGrid(%d, %d, %d) = %v: %d tiles, want the %d the cap needs", outH, maxRows, w, cuts, n, need)
+				}
+				lo, hi := outH, 0
+				for i := 0; i < n; i++ {
+					h := cuts[i+1] - cuts[i]
+					lo, hi = min(lo, h), max(hi, h)
+				}
+				if lo < 1 || hi > maxRows || hi-lo > 1 {
+					t.Fatalf("tileGrid(%d, %d, %d) = %v: heights %d..%d, cap %d", outH, maxRows, w, cuts, lo, hi, maxRows)
+				}
+			}
+		}
+	}
+}
+
+// vgg96Chain is the block the benchmark's embedded_large workload spends its
+// time in — the zoo vgg16's first four convs at 96×96 — which the default
+// budget cuts in more than one tile.
+func vgg96Chain(trng *tensor.RNG) (*Sequential, []int) {
+	return NewSequential("vgg96",
+		NewConv2D(trng, 3, 16, 3, 1, 1, true), NewReLU(),
+		NewConv2D(trng, 16, 16, 3, 1, 1, true), NewReLU(), NewMaxPool2D(2),
+		NewConv2D(trng, 16, 32, 3, 1, 1, true), NewReLU(),
+		NewConv2D(trng, 32, 32, 3, 1, 1, true), NewReLU(),
+	), []int{3, 96, 96}
+}
+
+// checkVGG96Grid pins the planned grid of the 96×96 block: its 48 output rows
+// in an even multiple-of-workers grid (2×24 on two cores, where the tallest
+// tile the budget allows would have left 36+12).
+func checkVGG96Grid(t *testing.T, g FuseGrid) {
+	t.Helper()
+	if g.Tiles < 2 || g.Tiles%parallel.Workers() != 0 || g.Rows != (48+g.Tiles-1)/g.Tiles || g.HaloShare <= 0 {
+		t.Fatalf("96x96 grid %v on %d workers: want an even multi-tile grid over 48 rows", g, parallel.Workers())
+	}
+}
 
 // randomFuseChain builds a random conv[+bn][+act][+pool] chain (optionally
 // flatten-terminated) that stays spatially valid from a random input shape,
@@ -110,7 +169,8 @@ func gateSkips(model *Sequential) bool {
 // to the layer-by-layer inference pass across randomized chains (kernel,
 // stride, pad, BN, activation, pool, flatten) and randomized overridden tile
 // heights — including single-row tiles, where every halo is taller than the
-// tile, and ragged bottom tiles.
+// tile, and grids whose tiles differ by a row — then on the grid the planner
+// itself gives the 96×96 vgg16 block.
 func TestFusedBlockMatchesUnfused(t *testing.T) {
 	lowerFuseGate(t)
 	rng := rand.New(rand.NewSource(41))
@@ -152,6 +212,14 @@ func TestFusedBlockMatchesUnfused(t *testing.T) {
 	if fusedTrials < 30 {
 		t.Fatalf("only %d of 48 random chains fused; the property is under-sampled", fusedTrials)
 	}
+
+	// The planner's own multi-tile grid, under the default budget: one sample
+	// (tiles are the only items) and three (items cross sample boundaries).
+	model, in := vgg96Chain(trng)
+	fused := FuseInference(model, in[0], in[1], in[2])
+	checkVGG96Grid(t, fused.Layers[0].(*FusedBlock).Grid())
+	runBitCompare(t, model, fused, in, 1, trng, "96x96 grid")
+	runBitCompare(t, model, fused, in, 3, trng, "96x96 grid")
 }
 
 // TestFusedBlockPartitionsBitEqual pins the partitioned executor (several

@@ -17,8 +17,10 @@ import (
 //     (Forward(train=false) clears caches, which is a data race);
 //   - it allocates exclusively from the caller's arena, so a frozen arena
 //     makes the whole pass heap-allocation-free;
-//   - it runs strictly on the calling goroutine: the engine parallelizes
-//     across batch chunks, not inside layers.
+//   - it runs on the calling goroutine: the engine parallelizes across the
+//     parts of a batch, not inside layers. The one exception is a FusedBlock,
+//     which spreads its (sample, tile) items over the pool with a
+//     parallel.Call — the only kind of fan-out allowed under an engine arena.
 //
 // Elementwise layers may overwrite x in place and return it; callers must
 // therefore pass arena-owned activations, never model weights or user input.
@@ -116,6 +118,9 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 			// Stop the clock before building the display name: Name() is a
 			// string construction the layer's compute didn't pay for.
 			d := time.Since(t0)
+			if fb, ok := step.(*FusedBlock); ok {
+				suffix = " " + fb.Grid().String()
+			}
 			record(step.Name()+suffix, d.Seconds())
 		}
 	}

@@ -95,3 +95,62 @@ func TestCallWaiterRunsOnlyItsOwnTasks(t *testing.T) {
 	close(gate)
 	<-blocked.finished // drain the seeded tasks so later tests see a clean pool
 }
+
+// TestCallRunNVariesWidth checks RunN runs exactly tasks [0, k) whatever the
+// width of the Run before it — wider, narrower, beyond the count the Call was
+// built with — since a helper left over from one Run may wake during the next.
+func TestCallRunNVariesWidth(t *testing.T) {
+	const maxK = 37
+	var hits [maxK]atomic.Int64
+	c := NewCall(4, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i].Add(1)
+		}
+	})
+	var want [maxK]int64
+	for r := 0; r < 400; r++ {
+		k := (r * 7) % (maxK + 1)
+		c.RunN(k)
+		for i := 0; i < k; i++ {
+			want[i]++
+		}
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != want[i] {
+			t.Fatalf("task %d ran %d times, want %d", i, got, want[i])
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { c.RunN(3) }); a != 0 {
+		t.Fatalf("Call.RunN allocated %.1f times per run", a)
+	}
+}
+
+// TestFreelistCapsAndRecycles checks a Freelist makes values only up to its
+// cap (seeds included), hands the seed out first, and recycles afterwards,
+// with concurrent getters blocking rather than over-allocating.
+func TestFreelistCapsAndRecycles(t *testing.T) {
+	var made atomic.Int64
+	seed := new(int)
+	f := NewFreelist(3, func() *int { made.Add(1); return new(int) }, seed)
+	if got := f.Get(); got != seed {
+		t.Fatal("first Get did not return the seeded value")
+	}
+	f.Put(seed)
+	done := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		go func() {
+			for i := 0; i < 200; i++ {
+				v := f.Get()
+				*v++ // exclusive while held: the race detector checks it
+				f.Put(v)
+			}
+			done <- struct{}{}
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		<-done
+	}
+	if got := made.Load(); got > 2 {
+		t.Fatalf("freelist capped at 3 with one seed made %d values", got)
+	}
+}

@@ -199,6 +199,9 @@ type metricsResponse struct {
 	Engine engineFacts `json:"engine"`
 }
 
+// engineFacts: SplitFloor and SplitMin are engine.SplitRule — a flush of at
+// least SplitMin images is cut over every core, SplitFloor extractor MACs or
+// more to a part.
 type engineFacts struct {
 	InShape      [3]int   `json:"in_shape"`
 	SampleLen    int      `json:"sample_floats"`
@@ -209,6 +212,8 @@ type engineFacts struct {
 	ModelVersion string   `json:"model_version"`
 	Classes      int      `json:"classes"`
 	ChunkSize    int      `json:"chunk_size"`
+	SplitFloor   int64    `json:"split_floor_macs"`
+	SplitMin     int      `json:"split_min_batch"`
 	ArenaBytes   int64    `json:"arena_bytes"`
 	ModelBytes   int64    `json:"model_bytes"`
 	Stages       []string `json:"stages"`
@@ -224,6 +229,7 @@ type engineFacts struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e := s.b.Engine()
+	floor, minBatch := e.SplitRule()
 	resp := metricsResponse{
 		Snapshot: s.b.Stats(),
 		Engine: engineFacts{
@@ -236,6 +242,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ModelVersion: fmt.Sprintf("%016x", e.ModelVersion()),
 			Classes:      e.Classes(),
 			ChunkSize:    e.ChunkSize(),
+			SplitFloor:   floor,
+			SplitMin:     minBatch,
 			ArenaBytes:   e.ArenaBytes(),
 			ModelBytes:   e.ModelBytes(),
 			Stages:       e.Stages(),
