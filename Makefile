@@ -34,8 +34,10 @@ staticcheck:
 # router's fan-out hot path (frame encode, partial decode,
 # score merge; see TestRouterZeroAlloc) and the /predict JSON codec (decode of
 # an 8-image body into the pooled scratch, response encode; see
-# TestCodecZeroAlloc).
+# TestCodecZeroAlloc). The blocked-GEMM driver has its own gate under all of
+# them, one product per B source on both builds (TestGemmDriverZeroAlloc).
 alloc:
+	$(GO) test -run TestGemmDriverZeroAlloc -count 1 ./internal/tensor/
 	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
 	$(GO) test -run 'TestRouterZeroAlloc|TestCodecZeroAlloc' -count 1 ./internal/serve/
 

@@ -49,7 +49,9 @@ func (p *Pipeline) Save(path string) error {
 
 // Load reconstructs a pipeline from a snapshot written by Save. Zoo models
 // are rebuilt by registered name; pipelines over ad-hoc models cannot be
-// loaded this way.
+// loaded this way. A snapshot is outside input — a serving process reloads
+// whatever file is on disk — so anything wrong with it is an error, never a
+// panic.
 func Load(path string) (*Pipeline, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,6 +61,28 @@ func Load(path string) (*Pipeline, error) {
 	var s snapshot
 	if err := gob.NewDecoder(f).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decode pipeline: %w", err)
+	}
+	p, err := s.restore()
+	if err != nil {
+		return nil, fmt.Errorf("core: load pipeline %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// restore rebuilds the pipeline a decoded snapshot describes. The config, the
+// nil fields and the class-matrix size are checked before anything is built
+// from them: the model constructors panic on a non-positive class count, and
+// Classes·D matching the matrix the file really carries bounds what a
+// well-formed but hostile header can make them allocate.
+func (s *snapshot) restore() (*Pipeline, error) {
+	if err := s.Cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if s.Zoo == nil {
+		return nil, fmt.Errorf("core: snapshot has no CNN weights")
+	}
+	if len(s.M)/s.Cfg.D != s.Cfg.Classes || len(s.M)%s.Cfg.D != 0 {
+		return nil, fmt.Errorf("core: class matrix has %d elems, want %d x %d", len(s.M), s.Cfg.Classes, s.Cfg.D)
 	}
 	zoo, err := cnn.Build(s.ZooName, tensor.NewRNG(0), s.Cfg.Classes)
 	if err != nil {
@@ -82,9 +106,6 @@ func Load(path string) (*Pipeline, error) {
 			}
 			copy(prm.W.Data, s.Manifold[i])
 		}
-	}
-	if len(s.M) != p.HD.M.Len() {
-		return nil, fmt.Errorf("core: class matrix has %d elems, want %d", len(s.M), p.HD.M.Len())
 	}
 	copy(p.HD.M.Data, s.M)
 	p.HD.Invalidate()

@@ -23,7 +23,7 @@ type Projection struct {
 	// Seeded marks a projection whose matrix is DEFINED by Seed through
 	// tensor.BipolarGen: any row, tile or GEMM panel of P can be
 	// regenerated on demand, bit-identical to the stored matrix, so a
-	// serving engine needs only the seed (see EncodeBatchRematInto).
+	// serving engine needs only the seed (see tensor.RematPanels).
 	Seeded bool
 	Seed   int64
 	// ColOff and FullD describe a dimension shard: this projection holds
@@ -214,23 +214,6 @@ func (pr *Projection) EncodeBatchPanelsInto(features, raw, signed *tensor.Tensor
 		panic(fmt.Sprintf("hdc: EncodeBatchPanelsInto expects [N %d], got %v", pr.F, features.Shape))
 	}
 	tensor.MatMulPanelsInto(raw, features, pp, nil)
-	tensor.SignInto(signed, raw)
-}
-
-// EncodeBatchRematInto is EncodeBatchInto with the projection matrix
-// rematerialized from the seed inside the GEMM's panel step: P is never
-// read (or needed). Results are bit-identical to EncodeBatchInto — the
-// panel kernel reproduces the serial GEMM's exact accumulation schedule.
-// Only valid on a seeded projection. scratch needs tensor.PanelScratch()
-// floats.
-func (pr *Projection) EncodeBatchRematInto(features, raw, signed *tensor.Tensor, scratch []float32) {
-	if !pr.Seeded {
-		panic("hdc: EncodeBatchRematInto on an unseeded projection")
-	}
-	if features.Rank() != 2 || features.Shape[1] != pr.F {
-		panic(fmt.Sprintf("hdc: EncodeBatchRematInto expects [N %d], got %v", pr.F, features.Shape))
-	}
-	tensor.MatMulPanelsInto(raw, features, tensor.RematPanels(pr.Gen()), scratch)
 	tensor.SignInto(signed, raw)
 }
 

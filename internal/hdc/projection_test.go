@@ -68,7 +68,8 @@ func TestEncodeBatchRematMatchesStored(t *testing.T) {
 
 		raw := tensor.New(s.n, s.d)
 		signed := tensor.New(s.n, s.d)
-		pr.EncodeBatchRematInto(features, raw, signed, make([]float32, tensor.PanelScratch()))
+		tensor.MatMulPanelsInto(raw, features, tensor.RematPanels(pr.Gen()), make([]float32, tensor.PanelScratch()))
+		tensor.SignInto(signed, raw)
 		for i := range wantRaw.Data {
 			if raw.Data[i] != wantRaw.Data[i] {
 				t.Fatalf("F=%d D=%d N=%d: remat raw differs at %d", s.f, s.d, s.n, i)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -317,5 +318,52 @@ func TestFusedBlockZeroAllocSteadyState(t *testing.T) {
 		ar.Reset()
 	}); a != 0 {
 		t.Fatalf("fused ForwardInfer allocated %.1f times per run", a)
+	}
+}
+
+// BenchmarkConvMul times tensor's two implicit-GEMM conv entry points, layer
+// by layer, at the 3×3 conv shapes of the zoo vgg16's cut-8 extractor
+// (vgg96Chain) and the benchmark's two image sizes: the whole map through
+// ConvMulSerialInto, as the unfused engine runs it, and the fused block's own
+// row tiles through ConvMulRowsInto — one tile at 32×32, the planner's grid
+// at 96×96, halo rows recomputed as the block recomputes them. GFLOP/s is
+// over StatsPerLayer's MACs for the layer, so halo work reads as lower
+// throughput, not as more work.
+func BenchmarkConvMul(b *testing.B) {
+	trng := tensor.NewRNG(43)
+	model, in := vgg96Chain(trng)
+	for _, hw := range []int{32, 96} {
+		blk := FuseInference(model, in[0], hw, hw).Layers[0].(*FusedBlock)
+		stats := model.StatsPerLayer([]int{in[0], hw, hw})
+		unit := 0
+		for li, l := range model.Layers {
+			if _, ok := l.(*Conv2D); !ok {
+				continue
+			}
+			i, u, wmat := unit, &blk.units[unit], blk.wmats[unit]
+			unit++
+			nOut := u.convH * u.convW
+			x, out := tensor.New(u.g.InC, u.g.InH, u.g.InW), tensor.New(u.conv.OutC, nOut)
+			trng.FillNormal(x, 0, 1)
+			scratch := make([]float32, max(tensor.ConvGemmScratch(), tensor.ConvTileScratch(u.conv.OutC)))
+			name := fmt.Sprintf("%dx%d/conv%d_%dto%d", hw, hw, i, u.g.InC, u.conv.OutC)
+			gflops := func(b *testing.B) {
+				b.ReportMetric(2*float64(stats[li].MACs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			}
+			b.Run("serial/"+name, func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					tensor.ConvMulSerialInto(out, wmat, u.g, x.Data, scratch)
+				}
+				gflops(b)
+			})
+			b.Run(fmt.Sprintf("rows/%s/%dtiles", name, blk.nTiles), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					for _, sp := range blk.spans {
+						tensor.ConvMulRowsInto(out.Data, nOut, sp[i].convLo*u.convW, wmat, u.g, x.Data, 0, u.g.InH, sp[i].convLo, sp[i].convHi, scratch)
+					}
+				}
+				gflops(b)
+			})
+		}
 	}
 }

@@ -4,30 +4,23 @@ import "fmt"
 
 // Implicit-GEMM convolution: dst = wmat(OutC × C·KH·KW) @ im2col(g, x)
 // without ever materializing the [C·KH·KW, OutH·OutW] column matrix. The
-// blocked GEMM already walks B in KC×NC tiles; on the asm path each tile's
-// 16-wide strips are generated from the image DIRECTLY in packed panel
-// layout — the fused im2col→pack the materialized path spends most of a
-// batch-1 conv on (write cols, read cols, write panel) collapses to a single
-// generate-into-panel write. The ragged column tail (< 16 columns) is
-// generated densely and consumed by the portable kernel, as is the whole
-// product on targets without the asm micro-kernel.
+// blocked driver (gemm_driver.go) already walks B in KC×NC tiles; the conv is
+// one more B source for it. On the asm path each tile's 16-wide strips are
+// generated from the image DIRECTLY in packed panel layout — the fused
+// im2col→pack the materialized path spends most of a batch-1 conv on (write
+// cols, read cols, write panel) collapses to a single generate-into-panel
+// write. The ragged column tail (< 16 columns) is generated densely and
+// consumed by the portable kernel, as is the whole product on targets without
+// the asm micro-kernel.
 //
-// Bit-exactness contract: generated values are copies of exactly the
-// elements Im2Col would produce, and the kernel runs gemmRangeScratch's
-// schedule (same KC/NC blocking, same micro-kernels, same row/column-tail
-// kernels in the same order), so the output is bit-identical to
+// Generated values are copies of exactly the elements Im2Col would produce
+// and the schedule is the driver's, so the output is bit-identical to
 // MatMulSerialInto(dst, wmat, im2col(g, x)). TestConvMulMatchesIm2Col pins
 // this across odd shapes, strides, and pads.
 
 // ConvGemmScratch returns the float32 scratch length ConvMulSerialInto
-// needs: a packed panel plus a dense column-tail tile on the asm path, one
-// full dense tile on the portable path.
-func ConvGemmScratch() int {
-	if useGemmAsm {
-		return gemmKC*gemmNC + gemmKC*gemmNR
-	}
-	return gemmKC * gemmNC
-}
+// needs (the driver's generate-into buffer).
+func ConvGemmScratch() int { return driverScratch(true, 0) }
 
 // ConvMulSerialInto computes dst = wmat @ im2col(g, x) for one image x
 // (length ≥ InC·InH·InW), with wmat [OutC, InC·KH·KW] and dst
@@ -46,53 +39,8 @@ func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []flo
 	if len(scratch) < ConvGemmScratch() {
 		panic(fmt.Sprintf("tensor: ConvMul scratch %d < ConvGemmScratch %d", len(scratch), ConvGemmScratch()))
 	}
-	a := wmat.Data
-	clear(dst.Data[:m*nOut])
-	for jb := 0; jb < nOut; jb += gemmNC {
-		je := jb + gemmNC
-		if je > nOut {
-			je = nOut
-		}
-		w := je - jb
-		for pb := 0; pb < kdim; pb += gemmKC {
-			pe := pb + gemmKC
-			if pe > kdim {
-				pe = kdim
-			}
-			kc := pe - pb
-			if useGemmAsm {
-				nFull := w / gemmNR * gemmNR
-				if nFull > 0 {
-					panel := scratch[:gemmKC*gemmNC]
-					convPackStrips(g, x, 0, g.InH, panel, pb, pe, jb, nFull)
-					i := 0
-					for ; i+gemmMR <= m; i += gemmMR {
-						for js := 0; js < nFull; js += gemmNR {
-							strip := panel[js*kc:]
-							gemm4x16(kc,
-								&a[i*kdim+pb], &a[(i+1)*kdim+pb], &a[(i+2)*kdim+pb], &a[(i+3)*kdim+pb],
-								&strip[0],
-								&dst.Data[i*nOut+jb+js], &dst.Data[(i+1)*nOut+jb+js],
-								&dst.Data[(i+2)*nOut+jb+js], &dst.Data[(i+3)*nOut+jb+js])
-						}
-					}
-					for ; i < m; i++ {
-						gemm1x16s(kc, nFull/gemmNR, &a[i*kdim+pb], &panel[0], &dst.Data[i*nOut+jb])
-					}
-				}
-				if nFull < w {
-					tw := w - nFull
-					tile := scratch[gemmKC*gemmNC : gemmKC*gemmNC+kc*tw]
-					im2colTile(g, x, 0, g.InH, tile, tw, pb, pe, jb+nFull, je)
-					goPanelPart(dst.Data, a, tile, nOut, kdim, tw, m, pb, pe, pb, jb+nFull, 0, tw)
-				}
-			} else {
-				tile := scratch[:kc*w]
-				im2colTile(g, x, 0, g.InH, tile, w, pb, pe, jb, je)
-				goPanelPart(dst.Data, a, tile, nOut, kdim, w, m, pb, pe, pb, jb, 0, w)
-			}
-		}
-	}
+	src := gemmB{kind: bConv, n: nOut, g: g, x: x, xRows: g.InH}
+	gemmDrive(dst.Data, nOut, wmat.Data, kdim, m, &src, 0, nOut, 0, kdim, scratch, true)
 }
 
 // convPackStrips generates im2col rows [pb, pe) × columns [jb, jb+nFull) —

@@ -11,50 +11,54 @@ import (
 // that exercise non-multiple-of-16 tile widths, KC-crossing K dims, and
 // row-tail OutC values.
 func TestConvMulMatchesIm2Col(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	geoms := []ConvGeom{
-		{InC: 1, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
-		{InC: 3, InH: 5, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
-		{InC: 4, InH: 11, InW: 6, KH: 5, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 0},
-		{InC: 5, InH: 7, InW: 13, KH: 3, KW: 5, StrideH: 3, StrideW: 2, PadH: 0, PadW: 2},
-		{InC: 7, InH: 17, InW: 17, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 1, InH: 33, InW: 33, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
-		{InC: 31, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 6, InH: 10, InW: 31, KH: 2, KW: 2, StrideH: 2, StrideW: 3, PadH: 1, PadW: 1},
-	}
-	for gi, g := range geoms {
-		if err := g.Validate(); err != nil {
-			t.Fatalf("geom %d: %v", gi, err)
-		}
-		for _, outC := range []int{1, 3, 4, 17} {
-			kdim := g.InC * g.KH * g.KW
-			nOut := g.OutH() * g.OutW()
-			x := make([]float32, g.InC*g.InH*g.InW)
-			for i := range x {
-				x[i] = rng.Float32()*2 - 1
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			rng := rand.New(rand.NewSource(53))
+			geoms := []ConvGeom{
+				{InC: 1, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+				{InC: 3, InH: 5, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+				{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+				{InC: 4, InH: 11, InW: 6, KH: 5, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 0},
+				{InC: 5, InH: 7, InW: 13, KH: 3, KW: 5, StrideH: 3, StrideW: 2, PadH: 0, PadW: 2},
+				{InC: 7, InH: 17, InW: 17, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+				{InC: 1, InH: 33, InW: 33, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+				{InC: 31, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+				{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+				{InC: 6, InH: 10, InW: 31, KH: 2, KW: 2, StrideH: 2, StrideW: 3, PadH: 1, PadW: 1},
 			}
-			wmat := New(outC, kdim)
-			for i := range wmat.Data {
-				wmat.Data[i] = rng.Float32()*2 - 1
-			}
+			for gi, g := range geoms {
+				if err := g.Validate(); err != nil {
+					t.Fatalf("geom %d: %v", gi, err)
+				}
+				for _, outC := range []int{1, 3, 4, 17} {
+					kdim := g.InC * g.KH * g.KW
+					nOut := g.OutH() * g.OutW()
+					x := make([]float32, g.InC*g.InH*g.InW)
+					for i := range x {
+						x[i] = rng.Float32()*2 - 1
+					}
+					wmat := New(outC, kdim)
+					for i := range wmat.Data {
+						wmat.Data[i] = rng.Float32()*2 - 1
+					}
 
-			cols := New(kdim, nOut)
-			Im2Col(g, x, cols)
-			want := New(outC, nOut)
-			MatMulSerialInto(want, wmat, cols, make([]float32, GemmScratch()))
+					cols := New(kdim, nOut)
+					Im2Col(g, x, cols)
+					want := New(outC, nOut)
+					MatMulSerialInto(want, wmat, cols, make([]float32, GemmScratch()))
 
-			got := New(outC, nOut)
-			ConvMulSerialInto(got, wmat, g, x, make([]float32, ConvGemmScratch()))
+					got := New(outC, nOut)
+					ConvMulSerialInto(got, wmat, g, x, make([]float32, ConvGemmScratch()))
 
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("geom %d outC %d: element %d = %v, want %v (implicit vs im2col)",
-						gi, outC, i, got.Data[i], want.Data[i])
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("geom %d outC %d: element %d = %v, want %v (implicit vs im2col)",
+								gi, outC, i, got.Data[i], want.Data[i])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

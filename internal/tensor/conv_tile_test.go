@@ -13,75 +13,79 @@ import (
 // Each tile is checked both written into a compact tile buffer and written
 // directly into the full map at its row offset.
 func TestConvMulRowsMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 60; trial++ {
-		g := ConvGeom{
-			InC:     1 + rng.Intn(5),
-			InH:     3 + rng.Intn(15),
-			InW:     3 + rng.Intn(15),
-			KH:      1 + rng.Intn(4),
-			KW:      1 + rng.Intn(4),
-			StrideH: 1 + rng.Intn(3),
-			StrideW: 1 + rng.Intn(3),
-			PadH:    rng.Intn(3),
-			PadW:    rng.Intn(3),
-		}
-		if g.Validate() != nil {
-			continue
-		}
-		outC := 1 + rng.Intn(20)
-		kdim := g.InC * g.KH * g.KW
-		outH, outW := g.OutH(), g.OutW()
-		nOut := outH * outW
-		x := make([]float32, g.InC*g.InH*g.InW)
-		for i := range x {
-			x[i] = rng.Float32()*2 - 1
-		}
-		wmat := New(outC, kdim)
-		for i := range wmat.Data {
-			wmat.Data[i] = rng.Float32()*2 - 1
-		}
-		want := New(outC, nOut)
-		ConvMulSerialInto(want, wmat, g, x, make([]float32, ConvGemmScratch()))
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			rng := rand.New(rand.NewSource(61))
+			for trial := 0; trial < 60; trial++ {
+				g := ConvGeom{
+					InC:     1 + rng.Intn(5),
+					InH:     3 + rng.Intn(15),
+					InW:     3 + rng.Intn(15),
+					KH:      1 + rng.Intn(4),
+					KW:      1 + rng.Intn(4),
+					StrideH: 1 + rng.Intn(3),
+					StrideW: 1 + rng.Intn(3),
+					PadH:    rng.Intn(3),
+					PadW:    rng.Intn(3),
+				}
+				if g.Validate() != nil {
+					continue
+				}
+				outC := 1 + rng.Intn(20)
+				kdim := g.InC * g.KH * g.KW
+				outH, outW := g.OutH(), g.OutW()
+				nOut := outH * outW
+				x := make([]float32, g.InC*g.InH*g.InW)
+				for i := range x {
+					x[i] = rng.Float32()*2 - 1
+				}
+				wmat := New(outC, kdim)
+				for i := range wmat.Data {
+					wmat.Data[i] = rng.Float32()*2 - 1
+				}
+				want := New(outC, nOut)
+				ConvMulSerialInto(want, wmat, g, x, make([]float32, ConvGemmScratch()))
 
-		scratch := make([]float32, ConvTileScratch(outC))
-		direct := New(outC, nOut)
-		for i := range direct.Data {
-			direct.Data[i] = -999
-		}
-		for or0 := 0; or0 < outH; {
-			or1 := min(or0+1+rng.Intn(outH), outH)
-			rows := or1 - or0
-			// Minimal input row window for conv rows [or0, or1).
-			inLo := min(max(0, or0*g.StrideH-g.PadH), g.InH)
-			inHi := min(g.InH, (or1-1)*g.StrideH-g.PadH+g.KH)
-			inHi = max(inHi, inLo)
-			win := make([]float32, g.InC*(inHi-inLo)*g.InW)
-			for c := 0; c < g.InC; c++ {
-				copy(win[c*(inHi-inLo)*g.InW:(c+1)*(inHi-inLo)*g.InW],
-					x[(c*g.InH+inLo)*g.InW:(c*g.InH+inHi)*g.InW])
-			}
-			// Compact tile buffer.
-			tile := make([]float32, outC*rows*outW)
-			ConvMulRowsInto(tile, rows*outW, 0, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
-			for oc := 0; oc < outC; oc++ {
-				for j := or0 * outW; j < or1*outW; j++ {
-					if got, w := tile[oc*rows*outW+j-or0*outW], want.Data[oc*nOut+j]; got != w {
-						t.Fatalf("trial %d g=%+v outC=%d tile rows [%d,%d): (%d,%d) = %v, want %v",
-							trial, g, outC, or0, or1, oc, j, got, w)
+				scratch := make([]float32, ConvTileScratch(outC))
+				direct := New(outC, nOut)
+				for i := range direct.Data {
+					direct.Data[i] = -999
+				}
+				for or0 := 0; or0 < outH; {
+					or1 := min(or0+1+rng.Intn(outH), outH)
+					rows := or1 - or0
+					// Minimal input row window for conv rows [or0, or1).
+					inLo := min(max(0, or0*g.StrideH-g.PadH), g.InH)
+					inHi := min(g.InH, (or1-1)*g.StrideH-g.PadH+g.KH)
+					inHi = max(inHi, inLo)
+					win := make([]float32, g.InC*(inHi-inLo)*g.InW)
+					for c := 0; c < g.InC; c++ {
+						copy(win[c*(inHi-inLo)*g.InW:(c+1)*(inHi-inLo)*g.InW],
+							x[(c*g.InH+inLo)*g.InW:(c*g.InH+inHi)*g.InW])
+					}
+					// Compact tile buffer.
+					tile := make([]float32, outC*rows*outW)
+					ConvMulRowsInto(tile, rows*outW, 0, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
+					for oc := 0; oc < outC; oc++ {
+						for j := or0 * outW; j < or1*outW; j++ {
+							if got, w := tile[oc*rows*outW+j-or0*outW], want.Data[oc*nOut+j]; got != w {
+								t.Fatalf("trial %d g=%+v outC=%d tile rows [%d,%d): (%d,%d) = %v, want %v",
+									trial, g, outC, or0, or1, oc, j, got, w)
+							}
+						}
+					}
+					// Direct full-map write at the tile's row offset.
+					ConvMulRowsInto(direct.Data, nOut, or0*outW, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
+					or0 = or1
+				}
+				for i := range want.Data {
+					if direct.Data[i] != want.Data[i] {
+						t.Fatalf("trial %d g=%+v outC=%d direct element %d = %v, want %v",
+							trial, g, outC, i, direct.Data[i], want.Data[i])
 					}
 				}
 			}
-			// Direct full-map write at the tile's row offset.
-			ConvMulRowsInto(direct.Data, nOut, or0*outW, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
-			or0 = or1
-		}
-		for i := range want.Data {
-			if direct.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d g=%+v outC=%d direct element %d = %v, want %v",
-					trial, g, outC, i, direct.Data[i], want.Data[i])
-			}
-		}
+		})
 	}
 }
 

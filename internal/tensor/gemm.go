@@ -22,12 +22,13 @@ import (
 //     dense path also drops the seed kernel's per-element zero test, which
 //     mispredicts on dense data).
 //
+// The loop nest itself, and the argument for why no split of a product moves
+// a bit, are in gemm_driver.go. This file holds the dense entry points.
 // Parallelism splits over both M and N (tall-skinny shapes like similarity
 // scoring keep all workers busy), with chunk sizes derived from per-row flop
-// cost rather than a flat element-count cutoff. Tile boundaries are aligned
-// to the micro-kernel (gemmMR rows, gemmNR cols), which — together with a
-// fixed K-blocking schedule — makes results bit-identical no matter how the
-// work is split: see TestMatMulSerialParallelIdentical.
+// cost rather than a flat element-count cutoff, and tile boundaries aligned
+// to the micro-kernel (gemmMR rows, gemmNR cols): see
+// TestMatMulSerialParallelIdentical.
 const (
 	gemmMR = 4   // rows of A per micro-kernel pass
 	gemmNR = 16  // columns per packed strip (one AVX micro-kernel tile)
@@ -224,193 +225,26 @@ func gemm(dst, a, b []float32, m, n, k int) {
 	})
 }
 
-// gemmRange computes the dst tile rows [r0,r1) × cols [c0,c1), overwriting it.
-// The packed-B panel comes from panelPool; callers that must not touch the
-// heap (the serving engine) use gemmRangeScratch with their own buffer.
+// gemmRange computes the dst tile rows [r0,r1) × cols [c0,c1), overwriting
+// it, through the blocked driver (gemm_driver.go) with a packed-panel buffer
+// from panelPool; callers that must not touch the heap (the serving engine)
+// use MatMulSerialInto with their own buffer. Same schedule, same bits. c0
+// must be a multiple of gemmNR, as gemmSplit's jobs are: the pooled buffer
+// has no spill room for a cut strip.
 func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int) {
 	var buf []float32
-	var bufp *[]float32
 	if useGemmAsm {
-		bufp = panelPool.Get().(*[]float32)
+		bufp := panelPool.Get().(*[]float32)
 		buf = *bufp
 		defer panelPool.Put(bufp)
 	}
-	gemmRangeScratch(dst, a, b, buf, n, k, r0, r1, c0, c1)
-}
-
-// gemmRangeScratch is gemmRange with a caller-owned packed-panel buffer
-// (length ≥ GemmScratch(); ignored on the pure-Go path). It runs the exact
-// same tile schedule as gemmRange, so results are bit-identical.
-func gemmRangeScratch(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int) {
-	for i := r0; i < r1; i++ {
-		clear(dst[i*n+c0 : i*n+c1])
-	}
-	gemmAccRange(dst, a, b, buf, n, k, r0, r1, c0, c1, false)
-}
-
-// gemmAccRange is the blocked driver proper: it accumulates the dst tile
-// rows [r0,r1) × cols [c0,c1) over NC-column blocks and, within each,
-// KC-deep K blocks in ascending order. Whether dst starts from zero is the
-// caller's choice. With transB, b holds Bᵀ (N×K, rows contiguous along the
-// reduction) and the 16-wide panel is packed straight from its rows.
-func gemmAccRange(dst, a, b, buf []float32, n, k, r0, r1, c0, c1 int, transB bool) {
-	for jb := c0; jb < c1; jb += gemmNC {
-		je := jb + gemmNC
-		if je > c1 {
-			je = c1
-		}
-		for pb := 0; pb < k; pb += gemmKC {
-			pe := pb + gemmKC
-			if pe > k {
-				pe = k
-			}
-			if useGemmAsm {
-				gemmAsmPart(dst, a, b, buf, n, k, r0, r1, jb, je, pb, pe, transB)
-			} else if transB {
-				gemmDotPart(dst, a, b, n, k, r0, r1, jb, je, pb, pe)
-			} else {
-				gemmGoPart(dst, a, b, n, k, r0, r1, jb, je, pb, pe)
-			}
-		}
-	}
-}
-
-// gemmAsmPart computes rows [r0,r1) × cols [jb,je) of the K-block [pb,pe)
-// using the AVX2 micro-kernel over a packed panel for all full 4×16 tiles,
-// the 1×16 strip kernel for leftover rows, and the scalar kernel for the
-// ragged column tail (the dot kernel when b is Bᵀ, whose rows are contiguous
-// along K).
-func gemmAsmPart(dst, a, b, buf []float32, n, k, r0, r1, jb, je, pb, pe int, transB bool) {
-	kc := pe - pb
-	nFull := (je - jb) / gemmNR * gemmNR
-	if nFull > 0 {
-		if transB {
-			packPanel16T(buf, b, k, pb, pe, jb, jb+nFull)
-		} else {
-			packPanel16(buf, b, n, pb, pe, jb, jb+nFull)
-		}
-		i := r0
-		for ; i+gemmMR <= r1; i += gemmMR {
-			for js := 0; js < nFull; js += gemmNR {
-				strip := buf[js*kc:]
-				gemm4x16(kc,
-					&a[i*k+pb], &a[(i+1)*k+pb], &a[(i+2)*k+pb], &a[(i+3)*k+pb],
-					&strip[0],
-					&dst[i*n+jb+js], &dst[(i+1)*n+jb+js], &dst[(i+2)*n+jb+js], &dst[(i+3)*n+jb+js])
-			}
-		}
-		// Leftover rows (and the whole of a skinny M < 4 product, e.g.
-		// batch-1 serving GEMMs) run through the 1×16 strip kernel over the
-		// already-packed panel instead of the scalar tail, which both reuses
-		// the pack work and keeps their accumulation order identical to rows
-		// inside a full 4-row group.
-		for ; i < r1; i++ {
-			gemm1x16s(kc, nFull/gemmNR, &a[i*k+pb], &buf[0], &dst[i*n+jb])
-		}
-	}
-	if jb+nFull < je {
-		if transB {
-			gemmDotPart(dst, a, b, n, k, r0, r1, jb+nFull, je, pb, pe)
-		} else {
-			gemmGoPart(dst, a, b, n, k, r0, r1, jb+nFull, je, pb, pe)
-		}
-	}
-}
-
-// packPanel16 copies B rows [pb,pe) × cols [jb,jfullEnd) — a whole number of
-// 16-column strips — into buf, strip-major then p-major, so the micro-kernel
-// reads the panel strictly sequentially.
-func packPanel16(buf, b []float32, n, pb, pe, jb, jfullEnd int) {
-	si := 0
-	for js := jb; js < jfullEnd; js += gemmNR {
-		for p := pb; p < pe; p++ {
-			copy(buf[si:si+gemmNR], b[p*n+js:][:gemmNR])
-			si += gemmNR
-		}
-	}
-}
-
-// packPanel16T is packPanel16 for a transposed operand: bt is Bᵀ (N×K), so
-// strip column j at depth p is bt[(js+j)·k+p]. Each source row is read once,
-// sequentially, and scattered at stride 16 into a strip that stays in L1 —
-// the transpose happens inside the pack, never as a matrix in memory.
-func packPanel16T(buf, bt []float32, k, pb, pe, jb, jfullEnd int) {
-	kc := pe - pb
-	for js := jb; js < jfullEnd; js += gemmNR {
-		strip := buf[(js-jb)*kc:][:kc*gemmNR]
-		for j := 0; j < gemmNR; j++ {
-			for p, v := range bt[(js+j)*k+pb:][:kc] {
-				strip[p*gemmNR+j] = v
-			}
-		}
-	}
-}
-
-// gemmDotPart accumulates dst[i][j] += a[i][pb:pe] · bt[j][pb:pe] for a
-// transposed operand bt (N×K): the portable kernel of the transposed-B
-// driver, and on the asm path the ragged column tail (through dot8).
-func gemmDotPart(dst, a, bt []float32, n, k, r0, r1, jb, je, pb, pe int) {
-	for i := r0; i < r1; i++ {
-		arow := a[i*k+pb : i*k+pe]
-		for j := jb; j < je; j++ {
-			dst[i*n+j] += DotFast(arow, bt[j*k+pb:j*k+pe])
-		}
-	}
-}
-
-// gemmGoPart is the portable kernel: a 4-row broadcast-AXPY over contiguous
-// B row segments. Each B element loaded once serves four output rows, and
-// the NC blocking keeps the four active output segments L1-resident.
-func gemmGoPart(dst, a, b []float32, n, k, r0, r1, jb, je, pb, pe int) {
-	i := r0
-	for ; i+gemmMR <= r1; i += gemmMR {
-		o0 := dst[i*n+jb : i*n+je]
-		o1 := dst[(i+1)*n+jb : (i+1)*n+je]
-		o2 := dst[(i+2)*n+jb : (i+2)*n+je]
-		o3 := dst[(i+3)*n+jb : (i+3)*n+je]
-		for p := pb; p < pe; p++ {
-			brow := b[p*n+jb : p*n+je]
-			axpy4(a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p], brow, o0, o1, o2, o3)
-		}
-	}
-	for ; i < r1; i++ {
-		o0 := dst[i*n+jb : i*n+je]
-		for p := pb; p < pe; p++ {
-			axpy1(a[i*k+p], b[p*n+jb:p*n+je], o0)
-		}
-	}
-}
-
-// axpy4 computes o_r += av_r * brow for four rows, reusing each loaded B
-// element four times.
-func axpy4(av0, av1, av2, av3 float32, brow, o0, o1, o2, o3 []float32) {
-	o0 = o0[:len(brow)]
-	o1 = o1[:len(brow)]
-	o2 = o2[:len(brow)]
-	o3 = o3[:len(brow)]
-	for j, bv := range brow {
-		o0[j] += av0 * bv
-		o1[j] += av1 * bv
-		o2[j] += av2 * bv
-		o3[j] += av3 * bv
-	}
-}
-
-func axpy1(av float32, brow, o0 []float32) {
-	o0 = o0[:len(brow)]
-	for j, bv := range brow {
-		o0[j] += av * bv
-	}
+	src := gemmB{kind: bDense, n: n, b: b}
+	gemmDrive(dst[r0*n+c0:], n, a[r0*k:], k, r1-r0, &src, c0, c1, 0, k, buf, true)
 }
 
 // GemmScratch returns the packed-panel buffer length (in float32 elements)
 // that MatMulSerialInto needs; zero on targets without the asm micro-kernel.
-func GemmScratch() int {
-	if useGemmAsm {
-		return gemmKC * gemmNC
-	}
-	return 0
-}
+func GemmScratch() int { return driverScratch(false, 0) }
 
 // MatMulSerialInto computes dst = a(M×K) @ b(K×N) strictly on the calling
 // goroutine with caller-owned panel scratch (length ≥ GemmScratch(); nil is
@@ -435,10 +269,11 @@ func MatMulSerialInto(dst, a, b *Tensor, scratch []float32) {
 		clear(dst.Data[:m*n])
 		return
 	}
-	if useGemmAsm && len(scratch) < gemmKC*gemmNC {
-		panic(fmt.Sprintf("tensor: MatMulSerialInto scratch %d < GemmScratch %d", len(scratch), gemmKC*gemmNC))
+	if len(scratch) < GemmScratch() {
+		panic(fmt.Sprintf("tensor: MatMulSerialInto scratch %d < GemmScratch %d", len(scratch), GemmScratch()))
 	}
-	gemmRangeScratch(dst.Data, a.Data, b.Data, scratch, n, k, 0, m, 0, n)
+	src := gemmB{kind: bDense, n: n, b: b.Data}
+	gemmDrive(dst.Data, n, a.Data, k, m, &src, 0, n, 0, k, scratch, true)
 }
 
 // MatMulTSerialInto computes dst = a(M×K) @ bᵀ (b is N×K) on the calling
@@ -526,10 +361,11 @@ func MatMulAccTSerialInto(dst, a, b *Tensor, scratch []float32) {
 	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAccT shape mismatch %v @ %vᵀ -> %v", a.Shape, b.Shape, dst.Shape))
 	}
-	if useGemmAsm && len(scratch) < gemmKC*gemmNC {
-		panic(fmt.Sprintf("tensor: MatMulAccTSerialInto scratch %d < GemmScratch %d", len(scratch), gemmKC*gemmNC))
+	if len(scratch) < GemmScratch() {
+		panic(fmt.Sprintf("tensor: MatMulAccTSerialInto scratch %d < GemmScratch %d", len(scratch), GemmScratch()))
 	}
-	gemmAccRange(dst.Data, a.Data, b.Data, scratch, n, k, 0, m, 0, n, true)
+	src := gemmB{kind: bDenseT, n: n, b: b.Data, k: k}
+	gemmDrive(dst.Data, n, a.Data, k, m, &src, 0, n, 0, k, scratch, false)
 }
 
 func matMulTRange(dst, a, b []float32, n, k, r0, r1 int) {

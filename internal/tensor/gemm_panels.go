@@ -15,12 +15,10 @@ import "fmt"
 // dimension block by block — packing sign bits or accumulating class scores
 // per block — without ever materializing the full [N, D] product.
 //
-// Bit-exactness contract: for the same underlying matrix, every element
-// produced here is bit-identical to MatMulSerialInto's output. The kernel
-// runs the same KC/NC schedule, the same asm micro-kernel over the same
-// strip layout, and Go fallback loops with the same per-element
-// accumulation order over K (p strictly ascending within each K block, K
-// blocks ascending). TestMatMulPanelsMatchesSerial pins this across shapes.
+// A ProjPanels is one B source of the blocked driver (gemm_driver.go), which
+// runs every product here: for the same underlying matrix, every element is
+// bit-identical to MatMulSerialInto's output, by the driver's schedule
+// contract. TestMatMulPanelsMatchesSerial pins this across shapes.
 
 // PanelBlockCols returns the column-block width MatMulPanelsBlock computes
 // per call (the GEMM's NC blocking); block offsets must be multiples of it.
@@ -36,9 +34,9 @@ func PanelStripCols(n int) int {
 	return n / gemmNR * gemmNR
 }
 
-// PanelScratch returns the float32 scratch length the panel kernels need:
-// one packed-strip panel plus one dense column-tail tile.
-func PanelScratch() int { return gemmKC*gemmNC + gemmKC*gemmNR }
+// PanelScratch returns the float32 scratch length rematerializing panels
+// need (the driver's generate-into buffer); prepacked panels need none.
+func PanelScratch() int { return driverScratch(true, 0) }
 
 // ProjPanels is a GEMM right-hand side in panel form. Exactly one backing is
 // active: a seeded generator (rematerializing), prepacked strips (amd64 asm
@@ -142,24 +140,21 @@ func MatMulPanelsBlock(dst []float32, a *Tensor, pp *ProjPanels, c0 int, scratch
 		panic(fmt.Sprintf("tensor: MatMulPanelsBlock offset %d (n=%d, block %d)", c0, pp.n, gemmNC))
 	}
 	w := min(gemmNC, pp.n-c0)
-	clear(dst[:m*w])
-	pp.colBlock(dst, w, 0, a.Data, m, c0, w, scratch)
+	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
+	gemmDrive(dst, w, a.Data, pp.k, m, &src, c0, c0+w, 0, pp.k, scratch, true)
 	return w
 }
 
 // MatMulPanelsInto computes the full product dst = a(M×K) @ B(K×N) with dst
-// [M, N], walking the column blocks of MatMulPanelsBlock. Strictly serial,
-// zero allocations, bit-identical to MatMulSerialInto on the materialized
-// matrix.
+// [M, N]. Strictly serial, zero allocations, bit-identical to
+// MatMulSerialInto on the materialized matrix.
 func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
 	m := checkPanelsArgs(a, pp, scratch)
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != pp.n {
 		panic(fmt.Sprintf("tensor: MatMulPanelsInto dst shape %v, want [%d %d]", dst.Shape, m, pp.n))
 	}
-	clear(dst.Data[:m*pp.n])
-	for c0 := 0; c0 < pp.n; c0 += gemmNC {
-		pp.colBlock(dst.Data, pp.n, c0, a.Data, m, c0, min(gemmNC, pp.n-c0), scratch)
-	}
+	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
+	gemmDrive(dst.Data, pp.n, a.Data, pp.k, m, &src, 0, pp.n, 0, pp.k, scratch, true)
 }
 
 // AccumPanelsKBlock adds one K block of a @ B to every column of dst:
@@ -174,9 +169,8 @@ func AccumPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *Proj
 	if pb < 0 || pb%gemmKC != 0 || pe <= pb || pe > pp.k || (pe != pb+gemmKC && pe != pp.k) {
 		panic(fmt.Sprintf("tensor: AccumPanelsKBlock rows [%d, %d) are not a K block of %d (block %d)", pb, pe, pp.k, gemmKC))
 	}
-	for c0 := 0; c0 < pp.n; c0 += gemmNC {
-		pp.block(dst, ldd, c0, a, lda, m, pb, pe, c0, min(gemmNC, pp.n-c0), scratch)
-	}
+	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
+	gemmDrive(dst, ldd, a, lda, m, &src, 0, pp.n, pb, pe, scratch, false)
 }
 
 // SliceRows returns prepacked panels of rows [lo, hi) of B, copied (the
@@ -216,91 +210,30 @@ func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {
 	return m
 }
 
-// colBlock accumulates columns [c0, c0+w) of a @ B over all of K, K blocks
-// ascending (gemmRangeScratch's schedule for one NC block). a is [m, K].
-func (pp *ProjPanels) colBlock(dst []float32, ldd, dcol int, a []float32, m, c0, w int, scratch []float32) {
-	for pb := 0; pb < pp.k && m > 0; pb += gemmKC {
-		pp.block(dst, ldd, dcol, a[pb:], pp.k, m, pb, min(pb+gemmKC, pp.k), c0, w, scratch)
+// stripsAt is the panels' half of gemmB.strips: prepacked strips are returned
+// in place — [j0, j1) lies in one NC block and [pb, pe) is one K block, the
+// unit they are stored in — and a generator's are rematerialized into buf.
+func (pp *ProjPanels) stripsAt(buf []float32, pb, pe, j0, j1 int) []float32 {
+	if pp.gen != nil {
+		pp.gen.fillStrips(buf, pb, pe, j0, j1)
+		return buf
 	}
+	jb := j0 - j0%gemmNC
+	w16 := min(gemmNC, PanelStripCols(pp.n)-jb)
+	return pp.strips[pp.stripBase[jb/gemmNC]+pb*w16+(j0-jb)*(pe-pb):]
 }
 
-// block accumulates K block [pb, pe) of columns [c0, c0+w) of a @ B into
-// dst, whose element (i, j) lives at dst[i*ldd + dcol + j]; A's element
-// (i, p) lives at a[i*lda + p − pb]. The 4×16 asm micro-kernel runs over
-// 16-wide strips for full 4-row groups, the 1×16 strip kernel for leftover
-// rows, and the portable kernel for the ragged column tail.
-func (pp *ProjPanels) block(dst []float32, ldd, dcol int, a []float32, lda, m, pb, pe, c0, w int, scratch []float32) {
+// tileAt is the panels' half of gemmB.tile, for the ragged columns (every
+// column, on the portable build): regenerated into buf, or a view of the
+// dense matrix, or of the prepacked column tail.
+func (pp *ProjPanels) tileAt(buf []float32, pb, pe, j0, j1 int) ([]float32, int) {
+	switch {
+	case pp.gen != nil:
+		pp.gen.FillTile(buf, j1-j0, pb, pe, j0, j1)
+		return buf, j1 - j0
+	case pp.dense != nil:
+		return pp.dense[pb*pp.n+j0:], pp.n
+	}
 	n16 := PanelStripCols(pp.n)
-	w16 := max(0, min(w, n16-c0))
-	kc := pe - pb
-	if w16 > 0 {
-		var strip []float32
-		if pp.gen != nil {
-			strip = scratch[:kc*w16]
-			pp.gen.fillStrips(strip, pb, pe, c0, c0+w16)
-		} else {
-			base := pp.stripBase[c0/gemmNC] + pb*w16
-			strip = pp.strips[base : base+kc*w16]
-		}
-		i := 0
-		for ; i+gemmMR <= m; i += gemmMR {
-			for js := 0; js < w16; js += gemmNR {
-				st := strip[js*kc:]
-				gemm4x16(kc,
-					&a[i*lda], &a[(i+1)*lda], &a[(i+2)*lda], &a[(i+3)*lda],
-					&st[0],
-					&dst[i*ldd+dcol+js], &dst[(i+1)*ldd+dcol+js], &dst[(i+2)*ldd+dcol+js], &dst[(i+3)*ldd+dcol+js])
-			}
-		}
-		// Leftover rows — all rows, at batch 1 — run the 1×16 strip
-		// kernel over the same panel, in the same per-element order as
-		// gemm4x16, instead of a scalar sweep.
-		for ; i < m; i++ {
-			gemm1x16s(kc, w16/gemmNR, &a[i*lda], &strip[0], &dst[i*ldd+dcol])
-		}
-	}
-	if w16 < w {
-		tw := w - w16
-		var bt []float32
-		ldb, brow0, bj := 0, -pb, 0 // a starts at K row pb; so must B's rows
-		switch {
-		case pp.gen != nil:
-			buf := scratch[gemmKC*gemmNC:]
-			if w16 == 0 {
-				buf = scratch // portable path: the strip region is unused
-			}
-			bt = buf[:kc*tw]
-			pp.gen.FillTile(bt, tw, pb, pe, c0+w16, c0+w)
-			ldb, brow0 = tw, 0
-		case pp.dense != nil:
-			bt, ldb, bj = pp.dense, pp.n, c0+w16
-		default:
-			bt, ldb, bj = pp.tail, pp.n-n16, c0+w16-n16
-		}
-		goPanelPart(dst, a, bt, ldd, lda, ldb, m, 0, kc, brow0, dcol+w16, bj, tw)
-	}
-}
-
-// goPanelPart is gemmGoPart with independent leading dimensions: it
-// accumulates dst[i*ldd + dj + j] += Σ a[i*k+p] · b[(p−brow0)*ldb + bj + j]
-// for j ∈ [0, width), rows [0, m), p ∈ [pb, pe). Same 4-row broadcast-AXPY
-// structure and per-element accumulation order as gemmGoPart.
-func goPanelPart(dst, a, b []float32, ldd, k, ldb, m, pb, pe, brow0, dj, bj, width int) {
-	i := 0
-	for ; i+gemmMR <= m; i += gemmMR {
-		o0 := dst[i*ldd+dj : i*ldd+dj+width]
-		o1 := dst[(i+1)*ldd+dj : (i+1)*ldd+dj+width]
-		o2 := dst[(i+2)*ldd+dj : (i+2)*ldd+dj+width]
-		o3 := dst[(i+3)*ldd+dj : (i+3)*ldd+dj+width]
-		for p := pb; p < pe; p++ {
-			brow := b[(p-brow0)*ldb+bj : (p-brow0)*ldb+bj+width]
-			axpy4(a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p], brow, o0, o1, o2, o3)
-		}
-	}
-	for ; i < m; i++ {
-		o0 := dst[i*ldd+dj : i*ldd+dj+width]
-		for p := pb; p < pe; p++ {
-			axpy1(a[i*k+p], b[(p-brow0)*ldb+bj:(p-brow0)*ldb+bj+width], o0)
-		}
-	}
+	return pp.tail[pb*(pp.n-n16)+j0-n16:], pp.n - n16
 }

@@ -109,43 +109,47 @@ var panelShapes = []struct{ m, k, n int }{
 // materialized matrix, element for element, for both the full-width and the
 // per-block entry points.
 func TestMatMulPanelsMatchesSerial(t *testing.T) {
-	scratch := make([]float32, GemmScratch())
-	pscratch := make([]float32, PanelScratch())
-	for _, s := range panelShapes {
-		gen := NewBipolarGen(int64(s.m*1000+s.n), s.k, s.n)
-		b := New(s.k, s.n)
-		gen.FillInto(b)
-		a := New(s.m, s.k)
-		NewRNG(int64(s.k)).FillNormal(a, 0, 1)
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			scratch := make([]float32, GemmScratch())
+			pscratch := make([]float32, PanelScratch())
+			for _, s := range panelShapes {
+				gen := NewBipolarGen(int64(s.m*1000+s.n), s.k, s.n)
+				b := New(s.k, s.n)
+				gen.FillInto(b)
+				a := New(s.m, s.k)
+				NewRNG(int64(s.k)).FillNormal(a, 0, 1)
 
-		want := New(s.m, s.n)
-		MatMulSerialInto(want, a, b, scratch)
+				want := New(s.m, s.n)
+				MatMulSerialInto(want, a, b, scratch)
 
-		for name, pp := range map[string]*ProjPanels{
-			"prepack": PrepackPanels(b),
-			"remat":   RematPanels(gen),
-		} {
-			got := New(s.m, s.n)
-			MatMulPanelsInto(got, a, pp, pscratch)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s m=%d k=%d n=%d: full product differs at %d: got %v want %v",
-						name, s.m, s.k, s.n, i, got.Data[i], want.Data[i])
-				}
-			}
-			for c0 := 0; c0 < s.n; c0 += PanelBlockCols() {
-				blk := make([]float32, s.m*PanelBlockCols())
-				w := MatMulPanelsBlock(blk, a, pp, c0, pscratch)
-				for i := 0; i < s.m; i++ {
-					for j := 0; j < w; j++ {
-						if blk[i*w+j] != want.Data[i*s.n+c0+j] {
-							t.Fatalf("%s m=%d k=%d n=%d: block c0=%d differs at (%d,%d)",
-								name, s.m, s.k, s.n, c0, i, j)
+				for name, pp := range map[string]*ProjPanels{
+					"prepack": PrepackPanels(b),
+					"remat":   RematPanels(gen),
+				} {
+					got := New(s.m, s.n)
+					MatMulPanelsInto(got, a, pp, pscratch)
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("%s m=%d k=%d n=%d: full product differs at %d: got %v want %v",
+								name, s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+						}
+					}
+					for c0 := 0; c0 < s.n; c0 += PanelBlockCols() {
+						blk := make([]float32, s.m*PanelBlockCols())
+						w := MatMulPanelsBlock(blk, a, pp, c0, pscratch)
+						for i := 0; i < s.m; i++ {
+							for j := 0; j < w; j++ {
+								if blk[i*w+j] != want.Data[i*s.n+c0+j] {
+									t.Fatalf("%s m=%d k=%d n=%d: block c0=%d differs at (%d,%d)",
+										name, s.m, s.k, s.n, c0, i, j)
+								}
+							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

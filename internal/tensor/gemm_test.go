@@ -93,18 +93,22 @@ func TestMatMulSparseMatchesNaive(t *testing.T) {
 // single serial gemmRange over the whole output (chunk-boundary bugs and
 // accumulation-order drift both fail this).
 func TestMatMulSerialParallelIdentical(t *testing.T) {
-	for _, s := range gemmShapes {
-		a := randMat(int64(s.m+s.k), s.m, s.k)
-		b := randMat(int64(s.n-s.k), s.k, s.n)
-		serial := New(s.m, s.n)
-		gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n)
-		viaAPI := MatMul(a, b)
-		for i := range serial.Data {
-			if serial.Data[i] != viaAPI.Data[i] {
-				t.Fatalf("shape %dx%dx%d: serial and parallel differ at %d: %v vs %v",
-					s.m, s.n, s.k, i, serial.Data[i], viaAPI.Data[i])
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			for _, s := range gemmShapes {
+				a := randMat(int64(s.m+s.k), s.m, s.k)
+				b := randMat(int64(s.n-s.k), s.k, s.n)
+				serial := New(s.m, s.n)
+				gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n)
+				viaAPI := MatMul(a, b)
+				for i := range serial.Data {
+					if serial.Data[i] != viaAPI.Data[i] {
+						t.Fatalf("shape %dx%dx%d: serial and parallel differ at %d: %v vs %v",
+							s.m, s.n, s.k, i, serial.Data[i], viaAPI.Data[i])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

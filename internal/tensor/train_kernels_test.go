@@ -51,18 +51,22 @@ var accTDims = struct{ m, n, k []int }{
 // block — starting from a non-zero dst, so overwriting instead of
 // accumulating fails too.
 func TestMatMulAccTMatchesNaive(t *testing.T) {
-	for _, m := range accTDims.m {
-		for _, n := range accTDims.n {
-			for _, k := range accTDims.k {
-				got, want := accTCase(m, n, k)
-				// Same bound as TestMatMulMatchesNaive: the K-sum is regrouped
-				// per gemmKC block and fused, O(√K·ε) from the linear sum.
-				tol := 1e-6 * (4 + math.Sqrt(float64(k))*4)
-				if d := maxRelDiff(want, got); d > tol {
-					t.Errorf("shape %dx%dx%d: acc-T vs naive rel diff %g > %g", m, n, k, d, tol)
+	for _, asm := range []bool{true, false} {
+		runWithAsm(asm, func() {
+			for _, m := range accTDims.m {
+				for _, n := range accTDims.n {
+					for _, k := range accTDims.k {
+						got, want := accTCase(m, n, k)
+						// Same bound as TestMatMulMatchesNaive: the K-sum is regrouped
+						// per gemmKC block and fused, O(√K·ε) from the linear sum.
+						tol := 1e-6 * (4 + math.Sqrt(float64(k))*4)
+						if d := maxRelDiff(want, got); d > tol {
+							t.Errorf("shape %dx%dx%d: acc-T vs naive rel diff %g > %g", m, n, k, d, tol)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -90,16 +94,6 @@ func TestMatMulAccTPanics(t *testing.T) {
 		mustPanic("scratch", "scratch", func() {
 			MatMulAccTSerialInto(New(3, 5), New(3, 7), New(5, 7), scratch[:GemmScratch()-1])
 		})
-	}
-}
-
-func TestMatMulAccTZeroAlloc(t *testing.T) {
-	a, b, dst := randMat(1, 17, 300), randMat(2, 43, 300), New(17, 43)
-	scratch := make([]float32, GemmScratch())
-	if allocs := testing.AllocsPerRun(20, func() {
-		MatMulAccTSerialInto(dst, a, b, scratch)
-	}); allocs != 0 {
-		t.Fatalf("MatMulAccTSerialInto allocated %.1f times per run, want 0", allocs)
 	}
 }
 
