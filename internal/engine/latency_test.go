@@ -11,10 +11,10 @@ import (
 )
 
 // TestEngineZeroAllocBatch1ImplicitConv covers the implicit-GEMM convolution
-// path under the alloc gate: a vgg16 prefix on 32×32 inputs clears the
-// convImplicitMinFloats threshold on its wide conv layers with the default
-// gate, so batch-1 inference runs tensor.ConvMulSerialInto from arena
-// scratch — and must stay allocation-free.
+// path under the alloc gate: the wide (32- and 16-column) conv layers of a
+// vgg16 prefix on 32×32 inputs read their padded window in place, so batch-1
+// inference runs tensor.ConvMulSerialInto from arena scratch — and must stay
+// allocation-free.
 func TestEngineZeroAllocBatch1ImplicitConv(t *testing.T) {
 	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
 		Classes: 4, Train: 16, Test: 4, Size: 32, Noise: 0.2, Seed: 81,

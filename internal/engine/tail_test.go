@@ -368,17 +368,21 @@ func TestEngineZeroAlloc(t *testing.T) {
 
 // TestEngineZeroAllocMobileNet puts the depthwise / BatchNorm+ReLU6 /
 // residual extractor under the same gate, at chunk size and batch 1: the
-// interior row kernel, the edge closure beside it and the copy-free identity
-// skip must all stay off the heap.
+// interior row kernel, the edge columns beside it and the copy-free identity
+// skip must all stay off the heap. Cut 1 is the 3→8 stem alone, the one zoo
+// conv small enough to have materialized Im2Col until wide stride-1 convs
+// began reading a padded window from arena scratch.
 func TestEngineZeroAllocMobileNet(t *testing.T) {
-	for _, packed := range []bool{false, true} {
-		p, test := buildPipelineOn(t, zooModel(t, "mobilenetv2"), 4, func(c *core.Config) { c.PackedInference = packed })
-		e, err := engine.Compile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{min(e.ChunkSize(), test.Len()), 1} {
-			requireZeroAlloc(t, e, firstImages(test.Images, n))
+	for _, cut := range []int{4, 1} {
+		for _, packed := range []bool{false, true} {
+			p, test := buildPipelineOn(t, zooModel(t, "mobilenetv2"), cut, func(c *core.Config) { c.PackedInference = packed })
+			e, err := engine.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{min(e.ChunkSize(), test.Len()), 1} {
+				requireZeroAlloc(t, e, firstImages(test.Images, n))
+			}
 		}
 	}
 }

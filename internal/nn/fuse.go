@@ -341,11 +341,8 @@ func newFusedBlock(units []fusedUnit, leaves []Layer, inC, inH, inW int, flatten
 	for i, u := range units {
 		kdim := u.conv.InC * u.conv.KH * u.conv.KW
 		b.wmats[i] = tensor.FromSlice(u.conv.Weight.W.Data, u.conv.OutC, kdim)
-		if s := tensor.ConvTileScratch(u.conv.OutC); s > b.scratchFloats {
-			b.scratchFloats = s
-		}
 	}
-	b.convSize, b.outSize, b.spans = b.sizesForTiles(planTiles(b.outH, b.workingSetBytes))
+	b.convSize, b.outSize, b.scratchFloats, b.spans = b.sizesForTiles(planTiles(b.outH, b.workingSetBytes))
 	b.nTiles = len(b.spans)
 	b.nParts = parallel.Workers()
 	b.runs = parallel.NewFreelist(parallel.Workers(), b.newRun)
@@ -362,11 +359,12 @@ func (b *FusedBlock) Grid() FuseGrid {
 }
 
 // sizesForTiles plans every tile of a grid (see tileGrid) and returns the
-// per-unit buffer sizes (max over tiles) plus the per-tile spans. The last
-// unit's final stage writes the output tensor directly, so it gets a conv
-// buffer only when a pool sits between the conv and the output, and never an
-// out buffer.
-func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, spans [][]unitSpan) {
+// per-unit buffer sizes and the conv scratch (max over tiles and units; it
+// grows with the tile where a conv keeps its padded input window there) plus
+// the per-tile spans. The last unit's final stage writes the output tensor
+// directly, so it gets a conv buffer only when a pool sits between the conv
+// and the output, and never an out buffer.
+func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, scratch int, spans [][]unitSpan) {
 	n := len(cuts) - 1
 	convSize = make([]int, len(b.units))
 	outSize = make([]int, len(b.units))
@@ -383,6 +381,7 @@ func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, spans [
 		spans[t] = sp
 		for i := range b.units {
 			u := &b.units[i]
+			scratch = max(scratch, tensor.ConvTileScratch(u.g, u.conv.OutC, sp[i].convHi-sp[i].convLo))
 			last := i == len(b.units)-1
 			if !last || u.pool != nil {
 				if sz := u.conv.OutC * (sp[i].convHi - sp[i].convLo) * u.convW; sz > convSize[i] {
@@ -396,13 +395,12 @@ func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, spans [
 			}
 		}
 	}
-	return convSize, outSize, spans
+	return convSize, outSize, scratch, spans
 }
 
 // workingSetBytes estimates one partition's resident bytes on a tile grid.
 func (b *FusedBlock) workingSetBytes(cuts []int) int {
-	convSize, outSize, _ := b.sizesForTiles(cuts)
-	floats := b.scratchFloats
+	convSize, outSize, floats, _ := b.sizesForTiles(cuts)
 	for i := range convSize {
 		floats += convSize[i] + outSize[i]
 	}
@@ -656,7 +654,7 @@ func fuseEpilogue(u *fusedUnit, dst []float32, ldd, dstOff, convRows int) {
 
 // fusePool max-pools conv rows [convLo, convHi) (held in src starting at
 // buffer row 0) into unit output rows [outLo, outHi), replicating
-// MaxPool2D.ForwardInfer: the 2×2 window unrolled over two sliced rows, the
+// MaxPool2D.ForwardInfer: the 2×2 window through the same row kernel, the
 // general window with first-wins strictly-greater comparisons — both visit
 // taps kh-major, kw-minor, so results are bit-identical.
 func fusePool(u *fusedUnit, sp *unitSpan, src []float32, lds, srcOff int, dst []float32, ldd, dstOff int) {
@@ -666,22 +664,7 @@ func fusePool(u *fusedUnit, sp *unitSpan, src []float32, lds, srcOff int, dst []
 		outBase := oc*ldd + dstOff - sp.outLo*ow
 		if k == 2 {
 			for oh := sp.outLo; oh < sp.outHi; oh++ {
-				r0 := src[inBase+2*oh*w : inBase+2*oh*w+w]
-				r1 := src[inBase+(2*oh+1)*w : inBase+(2*oh+1)*w+w]
-				out := dst[outBase+oh*ow : outBase+oh*ow+ow]
-				for j := range out {
-					best := r0[2*j]
-					if v := r0[2*j+1]; v > best {
-						best = v
-					}
-					if v := r1[2*j]; v > best {
-						best = v
-					}
-					if v := r1[2*j+1]; v > best {
-						best = v
-					}
-					out[j] = best
-				}
+				tensor.MaxPool2x2Row(dst[outBase+oh*ow:outBase+oh*ow+ow], src[inBase+2*oh*w:], src[inBase+(2*oh+1)*w:])
 			}
 			continue
 		}

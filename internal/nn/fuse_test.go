@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -328,10 +329,28 @@ func TestFusedBlockZeroAllocSteadyState(t *testing.T) {
 // row tiles through ConvMulRowsInto — one tile at 32×32, the planner's grid
 // at 96×96, halo rows recomputed as the block recomputes them. GFLOP/s is
 // over StatsPerLayer's MACs for the layer, so halo work reads as lower
-// throughput, not as more work.
+// throughput, not as more work. Two more groups: the mobilenetv2 / effnetb0
+// cut-1 stem (3→8 at 32×32), the smallest wide conv the zoo has, and both
+// sides of Conv2D.ForwardInfer's size gate at narrow maps either side of the
+// crossover written next to convImplicitMinFloats.
 func BenchmarkConvMul(b *testing.B) {
 	trng := tensor.NewRNG(43)
 	model, in := vgg96Chain(trng)
+	gflops := func(b *testing.B, macs int64) {
+		b.ReportMetric(2*float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+	}
+	serial := func(name string, c *Conv2D, g tensor.ConvGeom, macs int64) {
+		x, out := tensor.New(g.InC, g.InH, g.InW), tensor.New(c.OutC, g.OutH()*g.OutW())
+		trng.FillNormal(x, 0, 1)
+		wmat := tensor.FromSlice(c.Weight.W.Data, c.OutC, g.InC*g.KH*g.KW)
+		scratch := make([]float32, tensor.ConvGemmScratch(g))
+		b.Run("serial/"+name, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				tensor.ConvMulSerialInto(out, wmat, g, x.Data, scratch)
+			}
+			gflops(b, macs)
+		})
+	}
 	for _, hw := range []int{32, 96} {
 		blk := FuseInference(model, in[0], hw, hw).Layers[0].(*FusedBlock)
 		stats := model.StatsPerLayer([]int{in[0], hw, hw})
@@ -343,26 +362,47 @@ func BenchmarkConvMul(b *testing.B) {
 			i, u, wmat := unit, &blk.units[unit], blk.wmats[unit]
 			unit++
 			nOut := u.convH * u.convW
+			name := fmt.Sprintf("%dx%d/conv%d_%dto%d", hw, hw, i, u.g.InC, u.conv.OutC)
+			serial(name, u.conv, u.g, stats[li].MACs)
 			x, out := tensor.New(u.g.InC, u.g.InH, u.g.InW), tensor.New(u.conv.OutC, nOut)
 			trng.FillNormal(x, 0, 1)
-			scratch := make([]float32, max(tensor.ConvGemmScratch(), tensor.ConvTileScratch(u.conv.OutC)))
-			name := fmt.Sprintf("%dx%d/conv%d_%dto%d", hw, hw, i, u.g.InC, u.conv.OutC)
-			gflops := func(b *testing.B) {
-				b.ReportMetric(2*float64(stats[li].MACs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			}
-			b.Run("serial/"+name, func(b *testing.B) {
-				for n := 0; n < b.N; n++ {
-					tensor.ConvMulSerialInto(out, wmat, u.g, x.Data, scratch)
-				}
-				gflops(b)
-			})
+			scratch := make([]float32, tensor.ConvTileScratch(u.g, u.conv.OutC, u.convH))
 			b.Run(fmt.Sprintf("rows/%s/%dtiles", name, blk.nTiles), func(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					for _, sp := range blk.spans {
 						tensor.ConvMulRowsInto(out.Data, nOut, sp[i].convLo*u.convW, wmat, u.g, x.Data, 0, u.g.InH, sp[i].convLo, sp[i].convHi, scratch)
 					}
 				}
-				gflops(b)
+				gflops(b, stats[li].MACs)
+			})
+		}
+	}
+	stem := NewConv2D(trng, 3, 8, 3, 1, 1, false)
+	serial("32x32/stem_3to8", stem, stem.geom(32, 32), 8*32*32*27)
+
+	defer func(saved int) { convImplicitMinFloats = saved }(convImplicitMinFloats)
+	for _, s := range []struct{ c, hw int }{{64, 8}, {64, 24}, {32, 40}, {16, 72}} {
+		conv := NewConv2D(trng, s.c, s.c, 3, 1, 1, true)
+		x, ar := tensor.New(1, s.c, s.hw, s.hw), tensor.NewArena()
+		trng.FillNormal(x, 0, 1)
+		sides := []struct {
+			name string
+			gate int
+		}{{"implicit", 0}, {"im2col", math.MaxInt}}
+		for _, side := range sides { // size the arena for both
+			convImplicitMinFloats = side.gate
+			conv.ForwardInfer(x, ar)
+			ar.Reset()
+		}
+		ar.Freeze()
+		for _, side := range sides {
+			b.Run(fmt.Sprintf("gate/%dx%d/%dto%d_%dKfloats/%s", s.hw, s.hw, s.c, s.c, s.c*9*s.hw*s.hw>>10, side.name), func(b *testing.B) {
+				convImplicitMinFloats = side.gate
+				for n := 0; n < b.N; n++ {
+					conv.ForwardInfer(x, ar)
+					ar.Reset()
+				}
+				gflops(b, int64(s.c*s.c*9*s.hw*s.hw))
 			})
 		}
 	}

@@ -32,13 +32,21 @@ type InferenceLayer interface {
 	ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 }
 
-// convImplicitMinFloats gates Conv2D's implicit-GEMM inference path by the
-// size (in float32 elements) of the column matrix it avoids materializing.
-// Below it, one flat Im2Col pass over an L2-resident matrix costs less than
-// per-tile generation bookkeeping; above it, the materialized matrix spills
-// past L2 and the implicit path wins on traffic alone. Var, not const, so
-// tests can force either path on small shapes.
-var convImplicitMinFloats = 32 * 1024
+// convImplicitMinFloats arbitrates, for the convs that cannot read their
+// operand in place (tensor.ConvOffsetForm: narrow maps, OutW not a multiple
+// of 16, and strided ones), between materializing Im2Col and generating
+// packed strips tile by tile inside the GEMM, by the size in float32 elements
+// of the column matrix. Measured interleaved in one process on the 2 MiB-L2
+// benchmark machine (3×3 stride-1 convs, generate ÷ materialize time): 36 K
+// floats 1.00–1.13, 81 K 1.07–1.10, 162 K 1.06–1.09, 225 K 1.17, 324 K
+// 0.98–1.02, 450 K 0.97, 729 K 0.83, 900 K 0.84–0.92, 1 764 K 0.68 — the flat
+// pass wins until the matrix stops fitting L2 beside the weights, so the
+// crossover is 2¹⁹ floats (2 MiB); `go test -bench ConvMul/gate ./internal/nn`
+// re-measures both sides. No zoo conv is strided; the four strided stems
+// tried (6 K–330 K floats) ran generate ÷ materialize 0.82–1.00 and are not
+// given a rule of their own. Var, not const, so tests can force either path
+// on small shapes.
+var convImplicitMinFloats = 1 << 19
 
 // InferSupported reports whether every layer reachable from l implements the
 // inference contract, descending into containers.
@@ -149,13 +157,12 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	// so the GEMM reads the input segment directly. Same values, same layout,
 	// same kernel: bit-identical to the copying path.
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
-	// Large non-pointwise layers go through the implicit-GEMM path: column
-	// tiles are generated inside the blocked GEMM instead of materializing
-	// the full [kdim, OutH·OutW] matrix. Bit-identical to im2col + GEMM (see
-	// tensor.ConvMulSerialInto); the gate keeps tiny layers — where one
-	// flat im2col pass is cheaper than per-tile generation bookkeeping — on
-	// the materialized path, which also stays the testing reference.
-	implicit := !pointwise && kdim*outH*outW >= convImplicitMinFloats
+	// Everything else goes through the implicit-GEMM path when it reads the
+	// image in place (offset form: no column copy at any size) or when the
+	// column matrix is too large to be worth materializing. Bit-identical to
+	// im2col + GEMM (see tensor.ConvMulSerialInto), which stays the path of
+	// small narrow layers and the testing reference.
+	implicit := !pointwise && (tensor.ConvOffsetForm(g) || kdim*outH*outW >= convImplicitMinFloats)
 	sampleIn := c.InC * h * w
 	var cols *tensor.Tensor
 	var scratch []float32
@@ -164,7 +171,7 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 		cols = ar.Wrap(x.Data[:sampleIn], kdim, outH*outW)
 		scratch = ar.Floats(tensor.GemmScratch())
 	case implicit:
-		scratch = ar.Floats(tensor.ConvGemmScratch())
+		scratch = ar.Floats(tensor.ConvGemmScratch(g))
 	default:
 		cols = ar.Alloc(kdim, outH*outW)
 		scratch = ar.Floats(tensor.GemmScratch())
@@ -225,11 +232,15 @@ func (d *DepthwiseConv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tens
 // convChannel but splits each output row into boundary and interior spans:
 // interior taps never fall outside the input, so they run without per-tap
 // bounds tests through tensor.Depthwise3x3Row (3×3 at stride 1, vectorized)
-// or its general twin tensor.DepthwiseRow. Per output the accumulation order
-// (kh-major, kw-minor, one float32 accumulator from +0, in-bounds taps only)
-// is convChannel's, keeping the result bit-exact.
+// or its general twin tensor.DepthwiseRow. The boundary of the zoo's 3×3
+// stride-1 pad-1 layers is one column either side with two in-bounds taps a
+// kernel row, written out as such; other geometries test every tap. Per
+// output the accumulation order (kh-major, kw-minor, one float32 accumulator
+// from +0, in-bounds taps only) is convChannel's, keeping the result
+// bit-exact.
 func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []float32) {
 	outH, outW := g.OutH(), g.OutW()
+	same3x3 := d.KH == 3 && d.KW == 3 && d.Stride == 1 && d.Pad == 1 && g.InW >= 2
 	// Interior columns [wLo, wHi): every kw tap in bounds. Degenerate inputs
 	// (kernel wider than the padded row) get no interior and run fully
 	// guarded.
@@ -273,7 +284,23 @@ func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []fl
 				row[ow] = s
 			}
 		}
-		edge(0, wLo)
+		if same3x3 {
+			// Column 0 reads taps kw = 1, 2 at iw = 0, 1; the last column
+			// taps kw = 0, 1 at the last two pixels.
+			var l, r float32
+			for kh := khLo; kh < khHi; kh++ {
+				srow := src[(ihBase+kh)*g.InW:][:g.InW]
+				k := ker[kh*3:][:3]
+				l += float32(srow[0] * k[1])
+				l += float32(srow[1] * k[2])
+				r += float32(srow[g.InW-2] * k[0])
+				r += float32(srow[g.InW-1] * k[1])
+			}
+			row[0], row[outW-1] = l, r
+		} else {
+			edge(0, wLo)
+			edge(wHi, outW)
+		}
 		if wHi > wLo && khHi > khLo {
 			in := src[(ihBase+khLo)*g.InW+wLo*d.Stride-d.Pad:]
 			if d.KW == 3 && d.Stride == 1 {
@@ -284,7 +311,6 @@ func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []fl
 		} else {
 			clear(row[wLo:wHi])
 		}
-		edge(wHi, outW)
 	}
 }
 
@@ -305,27 +331,13 @@ func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 			inBase := (i*c + ch) * h * w
 			outBase := (i*c + ch) * outH * outW
 			if m.K == 2 {
-				// The common 2×2 window, unrolled over two sliced input rows.
+				// The common 2×2 window, a row kernel over two input rows.
 				// Taps are compared in the same kh-major, kw-minor,
 				// strictly-greater order as the generic loop, so ties resolve
 				// to the same element and results are bit-identical.
 				for oh := 0; oh < outH; oh++ {
-					r0 := x.Data[inBase+2*oh*w : inBase+2*oh*w+w]
-					r1 := x.Data[inBase+(2*oh+1)*w : inBase+(2*oh+1)*w+w]
-					out := y.Data[outBase+oh*outW : outBase+(oh+1)*outW]
-					for ow := range out {
-						best := r0[2*ow]
-						if v := r0[2*ow+1]; v > best {
-							best = v
-						}
-						if v := r1[2*ow]; v > best {
-							best = v
-						}
-						if v := r1[2*ow+1]; v > best {
-							best = v
-						}
-						out[ow] = best
-					}
+					tensor.MaxPool2x2Row(y.Data[outBase+oh*outW:outBase+(oh+1)*outW],
+						x.Data[inBase+2*oh*w:], x.Data[inBase+(2*oh+1)*w:])
 				}
 				continue
 			}

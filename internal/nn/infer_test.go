@@ -197,6 +197,12 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		{2, 3, 1, 3, 5, 12},
 		{2, 3, 2, 1, 9, 40},
 		{3, 5, 2, 2, 11, 25},
+		// The straight-line 3×3 edge columns at their narrowest: three
+		// columns (one interior), two (none, the edges share both pixels),
+		// and one, which has a single in-bounds tap and stays guarded.
+		{2, 3, 1, 1, 5, 3},
+		{2, 3, 1, 1, 4, 2},
+		{2, 3, 1, 1, 3, 1},
 	}
 	for _, tc := range cases {
 		rng := tensor.NewRNG(int64(tc.c*100 + tc.k*10 + tc.stride))

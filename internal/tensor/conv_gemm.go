@@ -5,27 +5,58 @@ import "fmt"
 // Implicit-GEMM convolution: dst = wmat(OutC × C·KH·KW) @ im2col(g, x)
 // without ever materializing the [C·KH·KW, OutH·OutW] column matrix. The
 // blocked driver (gemm_driver.go) already walks B in KC×NC tiles; the conv is
-// one more B source for it. On the asm path each tile's 16-wide strips are
-// generated from the image DIRECTLY in packed panel layout — the fused
-// im2col→pack the materialized path spends most of a batch-1 conv on (write
-// cols, read cols, write panel) collapses to a single generate-into-panel
-// write. The ragged column tail (< 16 columns) is generated densely and
-// consumed by the portable kernel, as is the whole product on targets without
-// the asm micro-kernel.
+// one more B source for it, and answers the driver in one of two forms.
 //
-// Generated values are copies of exactly the elements Im2Col would produce
-// and the schedule is the driver's, so the output is bit-identical to
-// MatMulSerialInto(dst, wmat, im2col(g, x)). TestConvMulMatchesIm2Col pins
-// this across odd shapes, strides, and pads.
+// Offset form (ConvOffsetForm: asm build, stride 1, OutW a multiple of 16 —
+// every conv of the VGG-shaped extractors and every 32- or 96-wide stem): a
+// 16-column strip is 16 consecutive pixels of one image row, shifted by
+// (kh, kw) for each K step, so nothing needs packing — the offset kernels
+// take a base address per strip and one offset per K step. What they need is
+// that out-of-image taps read zeros, so the rows the requested output rows
+// read are copied once per call into a zero-padded window
+// [InC, rows+KH−1, InW+2·PadW] in driver scratch (padWindow), and
+// offs[p] = (c·winH + kh)·winW + kw. The window is 1/(KH·KW) of the im2col
+// matrix the packed form writes and reads back; at OutC ≤ 32 a packed strip
+// is reused by at most 8 kernel calls and that copy never amortized.
+//
+// Packed form (every other geometry): each tile's 16-wide strips are
+// generated from the image directly in packed panel layout (convPackStrips);
+// the ragged column tail (< 16 columns) is generated densely and consumed by
+// the portable kernel, as is the whole product on targets without the asm
+// micro-kernel (im2colTile).
+//
+// Both forms feed the kernels exactly the values Im2Col would produce — image
+// elements, and zeros at padding positions that are multiplied like any other
+// value, never skipped — on the driver's one schedule, so the output is
+// bit-identical to MatMulSerialInto(dst, wmat, im2col(g, x)), non-finite
+// pixels and weights included. TestConvMulMatchesIm2Col pins this across odd
+// shapes, strides, and pads.
+
+// ConvOffsetForm reports whether convs of geometry g run in offset form —
+// the form that copies no columns, so there is no layer size below which
+// materializing Im2Col is cheaper (what nn's size gate asks).
+func ConvOffsetForm(g ConvGeom) bool {
+	return useGemmAsm && g.StrideH == 1 && g.StrideW == 1 && g.OutW()%gemmNR == 0
+}
+
+// convScratch is the scratch length of a conv computing outRows output rows
+// per call: the padded window in offset form, else the driver's generate-into
+// buffer plus a spill buffer of spillRows rows.
+func convScratch(g ConvGeom, outRows, spillRows int) int {
+	if ConvOffsetForm(g) {
+		return g.InC * (outRows + g.KH - 1) * (g.InW + 2*g.PadW)
+	}
+	return driverScratch(true, spillRows)
+}
 
 // ConvGemmScratch returns the float32 scratch length ConvMulSerialInto
-// needs (the driver's generate-into buffer).
-func ConvGemmScratch() int { return driverScratch(true, 0) }
+// needs for geometry g.
+func ConvGemmScratch(g ConvGeom) int { return convScratch(g, g.OutH(), 0) }
 
 // ConvMulSerialInto computes dst = wmat @ im2col(g, x) for one image x
 // (length ≥ InC·InH·InW), with wmat [OutC, InC·KH·KW] and dst
 // [OutC, OutH·OutW]. Strictly serial, zero heap allocations; scratch needs
-// ConvGemmScratch() floats.
+// ConvGemmScratch(g) floats.
 func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []float32) {
 	kdim := g.InC * g.KH * g.KW
 	nOut := g.OutH() * g.OutW()
@@ -36,11 +67,80 @@ func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []flo
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != nOut {
 		panic(fmt.Sprintf("tensor: ConvMul dst shape %v, want [%d %d]", dst.Shape, m, nOut))
 	}
-	if len(scratch) < ConvGemmScratch() {
-		panic(fmt.Sprintf("tensor: ConvMul scratch %d < ConvGemmScratch %d", len(scratch), ConvGemmScratch()))
+	if need := ConvGemmScratch(g); len(scratch) < need {
+		panic(fmt.Sprintf("tensor: ConvMul scratch %d < ConvGemmScratch %d", len(scratch), need))
 	}
-	src := gemmB{kind: bConv, n: nOut, g: g, x: x, xRows: g.InH}
+	src := convB(g, x, 0, g.InH, scratch, 0, g.OutH())
 	gemmDrive(dst.Data, nOut, wmat.Data, kdim, m, &src, 0, nOut, 0, kdim, scratch, true)
+}
+
+// convB describes im2col(g, x), for a product over output rows [or0, or1), as
+// a driver source: in offset form where the geometry has one, its window
+// written to scratch here, else in packed form.
+func convB(g ConvGeom, x []float32, xRow0, xRows int, scratch []float32, or0, or1 int) gemmB {
+	src := gemmB{kind: bConv, n: g.OutH() * g.OutW(), g: g, x: x, xRow0: xRow0, xRows: xRows}
+	if ConvOffsetForm(g) {
+		src.padWindow(scratch, or0, or1)
+	}
+	return src
+}
+
+// padWindow puts the source in offset form for output rows [or0, or1) by
+// copying the input rows they read into scratch as [InC, winH, InW+2·PadW],
+// zero-padded: PadW zeros either side of every row, all-zero rows above and
+// below the image. Padding decisions use the full-image geometry; rows
+// outside x's window are zeros too, as in convPackStrips.
+func (s *gemmB) padWindow(scratch []float32, or0, or1 int) {
+	g := s.g
+	hp, wp := or1-or0+g.KH-1, g.InW+2*g.PadW
+	s.win, s.winH, s.winRow0 = scratch[:g.InC*hp*wp], hp, or0
+	// Window rows [rLo, rHi) hold image rows that x has, from ih0 on.
+	top := or0 - g.PadH
+	rLo := min(max(max(0, s.xRow0)-top, 0), hp)
+	rHi := max(min(min(g.InH, s.xRow0+s.xRows)-top, hp), rLo)
+	ih0 := top + rLo - s.xRow0
+	inW, padW := g.InW, g.PadW
+	for c := 0; c < g.InC; c++ {
+		plane := s.win[c*hp*wp:][:hp*wp]
+		clear(plane[:rLo*wp])
+		clear(plane[rHi*wp:])
+		src := s.x[(c*s.xRows+ih0)*inW:]
+		for r := rLo; r < rHi; r++ {
+			row := plane[r*wp:][:wp]
+			copy(row[padW:padW+inW], src[(r-rLo)*inW:])
+			// Plain stores: the side padding is a float or two, less than a
+			// clear's call.
+			for i := 0; i < padW; i++ {
+				row[i], row[padW+inW+i] = 0, 0
+			}
+		}
+	}
+}
+
+// windowStrips describes im2col rows [pb, pe) of the strips from column j0 on
+// as addresses into the padded window: offs[p−pb] is the distance from a
+// column's (c, kh, kw) = (0, 0, 0) tap to its tap p.
+func (s *gemmB) windowStrips(offs *[gemmKC]int32, pb, pe, j0 int) bStrips {
+	g, outW := s.g, s.g.OutW()
+	wp := g.InW + 2*g.PadW
+	khw := g.KH * g.KW
+	c := pb / khw
+	r := pb % khw
+	kh := r / g.KW
+	kw := r % g.KW
+	for q := range offs[:pe-pb] {
+		offs[q] = int32((c*s.winH+kh)*wp + kw)
+		kw++
+		if kw == g.KW {
+			kw = 0
+			kh++
+			if kh == g.KH {
+				kh = 0
+				c++
+			}
+		}
+	}
+	return bStrips{x: s.win[(j0/outW-s.winRow0)*wp:], offs: offs, ow: j0 % outW, outW: outW, ldx: wp}
 }
 
 // convPackStrips generates im2col rows [pb, pe) × columns [jb, jb+nFull) —
@@ -60,13 +160,6 @@ func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []flo
 // copied out.
 func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, pb, pe, jb, nFull int) {
 	outW := g.OutW()
-	if g.StrideW == 1 && outW%gemmNR == 0 {
-		// Every strip lies inside one output row: the wide specialization
-		// hoists the per-p bounds work out of the strip loop, which roughly
-		// halves generation cost on VGG-shaped maps.
-		convPackStripsWide(g, x, xRow0, xRows, panel, pb, pe, jb, nFull)
-		return
-	}
 	kc := pe - pb
 	khw := g.KH * g.KW
 	rLo, rHi := max(0, xRow0), min(g.InH, xRow0+xRows)
@@ -146,98 +239,6 @@ func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, 
 			}
 		}
 	}
-}
-
-// packTables is convPackStripsWide's per-p precomputation: for im2col row
-// p = pb+q, rowBase[q] is the x offset of output column (0, 0)'s source
-// element (before the oh·StrideH·InW term), ihOff[q] the input-row offset
-// (ih = oh·StrideH + ihOff), and [owLo, owHi) the in-bounds ow span of p's
-// kw. Sized for one K block (kc ≤ gemmKC), so it lives on the stack.
-type packTables struct {
-	rowBase, ihOff, owLo, owHi [gemmKC]int32
-}
-
-// convPackStripsWide is convPackStrips for StrideW == 1 and outW a multiple
-// of gemmNR: every 16-column strip then falls inside a single output row.
-// Loops run strip-outer / p-inner — the opposite nesting from the general
-// path — so panel writes are sequential 64-byte rows instead of one row per
-// strided strip, and the per-p geometry collapses to four table lookups.
-// Identical output to the general path.
-func convPackStripsWide(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, pb, pe, jb, nFull int) {
-	outW := g.OutW()
-	kc := pe - pb
-	khw := g.KH * g.KW
-	rLo, rHi := max(0, xRow0), min(g.InH, xRow0+xRows)
-	var tab packTables
-	c := pb / khw
-	r := pb % khw
-	kh := r / g.KW
-	kw := r % g.KW
-	for q := 0; q < kc; q++ {
-		tab.rowBase[q] = int32((c*xRows-xRow0+kh-g.PadH)*g.InW + kw - g.PadW)
-		tab.ihOff[q] = int32(kh - g.PadH)
-		tab.owLo[q] = int32(max(0, g.PadW-kw))
-		tab.owHi[q] = int32(min(outW, g.InW+g.PadW-kw))
-		kw++
-		if kw == g.KW {
-			kw = 0
-			kh++
-			if kh == g.KH {
-				kh = 0
-				c++
-			}
-		}
-	}
-	stripLen := kc * gemmNR
-	for s := 0; s*gemmNR < nFull; s++ {
-		j0 := jb + s*gemmNR
-		oh := j0 / outW
-		ow0 := j0 - oh*outW
-		packOneStrip(panel[s*stripLen:s*stripLen+stripLen], x, &tab, kc,
-			int32(oh*g.StrideH), int32(ow0), int32(oh*g.StrideH*g.InW+ow0), int32(rLo), int32(rHi))
-	}
-}
-
-// packOneStrip fills one 16-column strip (kc rows of 16 floats, written
-// sequentially) for the output row at ihBase = oh·StrideH, columns
-// [ow0, ow0+16). Kept out of line so the hot loop gets its own register
-// allocation instead of sharing the generator's spill-heavy frame.
-//
-//go:noinline
-func packOneStrip(strip, x []float32, tab *packTables, kc int, ihBase, ow0, base, rLo, rHi int32) {
-	for q := 0; q < kc; q++ {
-		row := strip[q*gemmNR : q*gemmNR+gemmNR]
-		ih := ihBase + tab.ihOff[q]
-		if ih < rLo || ih >= rHi {
-			clear(row)
-			continue
-		}
-		l := max(tab.owLo[q], ow0)
-		h := min(tab.owHi[q], ow0+gemmNR)
-		src := int(tab.rowBase[q] + base)
-		if h-l == gemmNR {
-			// Copy via a local temporary: the compiler then emits vector
-			// register moves instead of a memmove call (it cannot prove the
-			// direct copy's operands don't overlap).
-			t := *(*[gemmNR]float32)(x[src:])
-			*(*[gemmNR]float32)(row) = t
-		} else {
-			packPartialRow(row, x, src-int(ow0), int(ow0), int(l), int(h))
-		}
-	}
-}
-
-// packPartialRow fills one 16-float strip row whose columns [ow0, ow0+16)
-// overlap the in-bounds span [lo, hi) only partially: zeros outside, copies
-// of x[src+ow] inside — the same values the general path produces.
-func packPartialRow(row []float32, x []float32, src, ow0, lo, hi int) {
-	l := min(max(lo, ow0), ow0+gemmNR)
-	h := max(min(hi, ow0+gemmNR), l)
-	clear(row[:l-ow0])
-	if h > l {
-		copy(row[l-ow0:h-ow0], x[src+l:src+h])
-	}
-	clear(row[h-ow0 : gemmNR])
 }
 
 // im2colTile generates rows [pb, pe) × columns [jb, je) of the im2col matrix

@@ -12,9 +12,11 @@ import "fmt"
 // tiled == full across random geometries, ragged tile splits, and row windows.
 
 // ConvTileScratch returns the float32 scratch length ConvMulRowsInto needs
-// for a conv with outC output channels: the driver's generate-into buffer
-// and an [outC, 16] spill buffer for strips cut by tile edges.
-func ConvTileScratch(outC int) int { return driverScratch(true, outC) }
+// for a conv of geometry g with outC output channels computing up to outRows
+// output rows per call: the padded window of those rows in offset form, else
+// the driver's generate-into buffer and an [outC, 16] spill buffer for strips
+// cut by tile edges.
+func ConvTileScratch(g ConvGeom, outC, outRows int) int { return convScratch(g, outRows, outC) }
 
 // ConvMulRowsInto computes output rows [or0, or1) of the implicit-GEMM conv
 // wmat(OutC × C·KH·KW) @ im2col(g, ·) — i.e. columns [or0·OutW, or1·OutW) of
@@ -22,8 +24,8 @@ func ConvTileScratch(outC int) int { return driverScratch(true, outC) }
 // or0·OutW]. x holds input rows [xRow0, xRow0+xRows) of each channel plane
 // (channel stride xRows·InW) and must cover every in-bounds row the
 // requested output rows read. Strictly serial, zero heap allocations;
-// scratch needs ConvTileScratch(OutC) floats. Bit-identical to the same
-// region of ConvMulSerialInto.
+// scratch needs ConvTileScratch(g, OutC, or1−or0) floats. Bit-identical to
+// the same region of ConvMulSerialInto.
 func ConvMulRowsInto(dst []float32, ldd, dstOff int, wmat *Tensor, g ConvGeom,
 	x []float32, xRow0, xRows, or0, or1 int, scratch []float32) {
 	kdim := g.InC * g.KH * g.KW
@@ -35,10 +37,10 @@ func ConvMulRowsInto(dst []float32, ldd, dstOff int, wmat *Tensor, g ConvGeom,
 	if or0 < 0 || or1 > g.OutH() || or0 > or1 {
 		panic(fmt.Sprintf("tensor: ConvMulRows rows [%d, %d) outside [0, %d)", or0, or1, g.OutH()))
 	}
-	if len(scratch) < ConvTileScratch(m) {
-		panic(fmt.Sprintf("tensor: ConvMulRows scratch %d < ConvTileScratch %d", len(scratch), ConvTileScratch(m)))
+	if need := ConvTileScratch(g, m, or1-or0); len(scratch) < need {
+		panic(fmt.Sprintf("tensor: ConvMulRows scratch %d < ConvTileScratch %d", len(scratch), need))
 	}
-	src := gemmB{kind: bConv, n: g.OutH() * outW, g: g, x: x, xRow0: xRow0, xRows: xRows}
+	src := convB(g, x, xRow0, xRows, scratch, or0, or1)
 	gemmDrive(dst[dstOff:], ldd, wmat.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, true)
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,13 +10,23 @@ import (
 // bit-identical to ConvMulSerialInto across randomized geometry (stride,
 // pad, kernel, image size, channels), randomized ragged tile splits
 // (including single-row tiles, which make the halo larger than the tile for
-// every kernel taller than the stride), and minimal input row windows.
-// Each tile is checked both written into a compact tile buffer and written
-// directly into the full map at its row offset.
+// every kernel taller than the stride), and minimal input row windows; then
+// across the offset form's wide-shape table, cut into tiles of one to two
+// rows so every shape has a window on the top edge, on the bottom edge and
+// on neither, with non-finite pixels. Each tile is checked both written into
+// a tile buffer with a padded leading dimension and written directly into
+// the full map at its row offset.
 func TestConvMulRowsMatchesSerial(t *testing.T) {
+	type convCase struct {
+		g         ConvGeom
+		outC      int
+		maxStep   int // tallest tile of the ragged split
+		nonFinite bool
+	}
 	for _, asm := range []bool{true, false} {
 		runWithAsm(asm, func() {
 			rng := rand.New(rand.NewSource(61))
+			var cases []convCase
 			for trial := 0; trial < 60; trial++ {
 				g := ConvGeom{
 					InC:     1 + rng.Intn(5),
@@ -31,7 +42,13 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 				if g.Validate() != nil {
 					continue
 				}
-				outC := 1 + rng.Intn(20)
+				cases = append(cases, convCase{g: g, outC: 1 + rng.Intn(20), maxStep: g.OutH()})
+			}
+			for gi, g := range wideConvGeoms() {
+				cases = append(cases, convCase{g: g, outC: wideConvOutCs[gi%len(wideConvOutCs)], maxStep: 2, nonFinite: true})
+			}
+			for trial, tc := range cases {
+				g, outC := tc.g, tc.outC
 				kdim := g.InC * g.KH * g.KW
 				outH, outW := g.OutH(), g.OutW()
 				nOut := outH * outW
@@ -39,20 +56,23 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 				for i := range x {
 					x[i] = rng.Float32()*2 - 1
 				}
+				if tc.nonFinite {
+					saltNonFinite(rng, x)
+				}
 				wmat := New(outC, kdim)
 				for i := range wmat.Data {
 					wmat.Data[i] = rng.Float32()*2 - 1
 				}
 				want := New(outC, nOut)
-				ConvMulSerialInto(want, wmat, g, x, make([]float32, ConvGemmScratch()))
+				ConvMulSerialInto(want, wmat, g, x, make([]float32, ConvGemmScratch(g)))
 
-				scratch := make([]float32, ConvTileScratch(outC))
+				scratch := make([]float32, ConvTileScratch(g, outC, tc.maxStep))
 				direct := New(outC, nOut)
 				for i := range direct.Data {
 					direct.Data[i] = -999
 				}
 				for or0 := 0; or0 < outH; {
-					or1 := min(or0+1+rng.Intn(outH), outH)
+					or1 := min(or0+1+rng.Intn(tc.maxStep), outH)
 					rows := or1 - or0
 					// Minimal input row window for conv rows [or0, or1).
 					inLo := min(max(0, or0*g.StrideH-g.PadH), g.InH)
@@ -63,14 +83,24 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 						copy(win[c*(inHi-inLo)*g.InW:(c+1)*(inHi-inLo)*g.InW],
 							x[(c*g.InH+inLo)*g.InW:(c*g.InH+inHi)*g.InW])
 					}
-					// Compact tile buffer.
-					tile := make([]float32, outC*rows*outW)
-					ConvMulRowsInto(tile, rows*outW, 0, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
+					// Tile buffer, rows 3 floats longer than the tile.
+					ldd := rows*outW + 3
+					tile := make([]float32, outC*ldd)
+					for i := range tile {
+						tile[i] = -999
+					}
+					ConvMulRowsInto(tile, ldd, 0, wmat, g, win, inLo, inHi-inLo, or0, or1, scratch)
 					for oc := 0; oc < outC; oc++ {
 						for j := or0 * outW; j < or1*outW; j++ {
-							if got, w := tile[oc*rows*outW+j-or0*outW], want.Data[oc*nOut+j]; got != w {
+							if got, w := tile[oc*ldd+j-or0*outW], want.Data[oc*nOut+j]; math.Float32bits(got) != math.Float32bits(w) {
 								t.Fatalf("trial %d g=%+v outC=%d tile rows [%d,%d): (%d,%d) = %v, want %v",
 									trial, g, outC, or0, or1, oc, j, got, w)
+							}
+						}
+						for j, v := range tile[oc*ldd+rows*outW : (oc+1)*ldd] {
+							if v != -999 {
+								t.Fatalf("trial %d g=%+v outC=%d tile rows [%d,%d): wrote %v %d past row %d",
+									trial, g, outC, or0, or1, v, j, oc)
 							}
 						}
 					}
@@ -79,7 +109,7 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 					or0 = or1
 				}
 				for i := range want.Data {
-					if direct.Data[i] != want.Data[i] {
+					if math.Float32bits(direct.Data[i]) != math.Float32bits(want.Data[i]) {
 						t.Fatalf("trial %d g=%+v outC=%d direct element %d = %v, want %v",
 							trial, g, outC, i, direct.Data[i], want.Data[i])
 					}

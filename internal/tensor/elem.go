@@ -183,3 +183,32 @@ func Depthwise3x3Row(dst, src []float32, ld int, ker []float32, rows int) {
 	}
 	DepthwiseRow(dst, src, ld, 1, ker, 3, rows)
 }
+
+// MaxPool2x2Row max-pools one output row of a 2×2 window at stride 2:
+// out[j] is the maximum of r0[2j], r0[2j+1], r1[2j], r1[2j+1], taken in that
+// order with `if v > best { best = v }` — MaxPool2D.Forward's comparisons, so
+// a NaN is kept only as a window's first tap and a tie (±0 included) keeps
+// the earlier tap. r0 and r1 hold at least 2·len(out) floats.
+func MaxPool2x2Row(out, r0, r1 []float32) {
+	n := len(out)
+	r0, r1 = r0[:2*n], r1[:2*n]
+	i := 0
+	if useGemmAsm {
+		if i = n / 8 * 8; i > 0 {
+			maxPool2x2Asm(i, &out[0], &r0[0], &r1[0])
+		}
+	}
+	for j := i; j < n; j++ {
+		best := r0[2*j]
+		if v := r0[2*j+1]; v > best {
+			best = v
+		}
+		if v := r1[2*j]; v > best {
+			best = v
+		}
+		if v := r1[2*j+1]; v > best {
+			best = v
+		}
+		out[j] = best
+	}
+}

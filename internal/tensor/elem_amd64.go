@@ -17,3 +17,9 @@ func affineActAsm(n int, p *float32, gamma, mean, invStd, beta float32, keep uin
 //
 //go:noescape
 func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int)
+
+// maxPool2x2Asm writes n outputs (a positive multiple of 8) from 2n floats at
+// each of r0 and r1.
+//
+//go:noescape
+func maxPool2x2Asm(n int, out, r0, r1 *float32)

@@ -168,3 +168,40 @@ dwstore:
 dwdone:
 	VZEROUPPER
 	RET
+
+// func maxPool2x2Asm(n int, out, r0, r1 *float32)
+//
+// out[j] = max of r0[2j], r0[2j+1], r1[2j], r1[2j+1] for j in [0, n), n a
+// positive multiple of 8, eight outputs an iteration. VSHUFPS splits each
+// row's 16 floats into even and odd taps (both in the same lane-scrambled
+// order, undone by one VPERMPD on the result). The running best is always
+// VMAXPS's second source, which is what the instruction returns unless the
+// first is strictly greater — `if v > best { best = v }`, so NaN and ±0
+// resolve as in Go.
+TEXT ·maxPool2x2Asm(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ out+8(FP), DI
+	MOVQ r0+16(FP), SI
+	MOVQ r1+24(FP), DX
+
+poolloop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS (DX), Y2
+	VMOVUPS 32(DX), Y3
+	VSHUFPS $0x88, Y1, Y0, Y4
+	VSHUFPS $0xDD, Y1, Y0, Y5
+	VSHUFPS $0x88, Y3, Y2, Y6
+	VSHUFPS $0xDD, Y3, Y2, Y7
+	VMAXPS  Y4, Y5, Y4
+	VMAXPS  Y4, Y6, Y4
+	VMAXPS  Y4, Y7, Y4
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNE     poolloop
+	VZEROUPPER
+	RET

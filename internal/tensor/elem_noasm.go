@@ -17,3 +17,7 @@ func affineActAsm(n int, p *float32, gamma, mean, invStd, beta float32, keep uin
 func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int) {
 	panic("tensor: depthwise3x3RowAsm requires amd64")
 }
+
+func maxPool2x2Asm(n int, out, r0, r1 *float32) {
+	panic("tensor: maxPool2x2Asm requires amd64")
+}

@@ -216,6 +216,51 @@ func TestDepthwiseRowMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestMaxPool2x2RowMatchesScalar checks the pooling row kernel against the
+// loop it replaced in MaxPool2D.ForwardInfer and the fused blocks, by bits,
+// over every remainder of the 8-wide step, unaligned rows, and inputs dense
+// in NaN (both signs), ±0 and ±Inf, where VMAXPS with its operands the other
+// way round would pick a different tap.
+func TestMaxPool2x2RowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for _, n := range elemLengths() {
+		for off := 0; off < 8; off++ {
+			r0, r1 := salted(rng, off+2*n+1)[off:], salted(rng, off+2*n+3)[off:]
+			want := make([]float32, n)
+			for j := range want {
+				best := r0[2*j]
+				for _, v := range []float32{r0[2*j+1], r1[2*j], r1[2*j+1]} {
+					if v > best {
+						best = v
+					}
+				}
+				want[j] = best
+			}
+			for _, asm := range []bool{true, false} {
+				got := make([]float32, n+1)
+				got[n] = -999
+				if !runWithAsm(asm, func() { MaxPool2x2Row(got[:n], r0, r1) }) {
+					continue
+				}
+				for j, w := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(w) {
+						t.Fatalf("asm=%v n=%d off=%d: [%d] = %08x, want %08x (taps %08x %08x %08x %08x)", asm, n, off, j,
+							math.Float32bits(got[j]), math.Float32bits(w), math.Float32bits(r0[2*j]), math.Float32bits(r0[2*j+1]),
+							math.Float32bits(r1[2*j]), math.Float32bits(r1[2*j+1]))
+					}
+				}
+				if got[n] != -999 {
+					t.Fatalf("asm=%v n=%d off=%d: wrote past the row", asm, n, off)
+				}
+			}
+		}
+	}
+	out, r := make([]float32, 48), salted(rng, 96)
+	if a := testing.AllocsPerRun(10, func() { MaxPool2x2Row(out, r, r) }); a != 0 {
+		t.Errorf("%v allocations per call, want 0", a)
+	}
+}
+
 // TestSignMatchesSignInPlace pins the allocating and copying forms on the
 // in-place kernel they now share.
 func TestSignMatchesSignInPlace(t *testing.T) {
@@ -306,6 +351,21 @@ func BenchmarkDepthwise3x3Row(b *testing.B) {
 			for oh := 0; oh < h; oh++ {
 				r0, r1 := max(oh-1, 0), min(oh+2, h)
 				Depthwise3x3Row(dst[oh*w+1:oh*w+w-1], src[r0*w:], w, ker[(r0-oh+1)*3:], r1-r0)
+			}
+		}
+	})
+}
+
+// BenchmarkMaxPool2x2Row pools one 96×96 plane, the widest the benchmark's
+// extractors pool.
+func BenchmarkMaxPool2x2Row(b *testing.B) {
+	const h, w = 96, 96
+	src, dst := salted(rand.New(rand.NewSource(83)), h*w), make([]float32, h*w/4)
+	benchAsmAndTwin(b, func(b *testing.B) {
+		b.SetBytes(4 * (h*w + h*w/4))
+		for i := 0; i < b.N; i++ {
+			for oh := 0; oh < h/2; oh++ {
+				MaxPool2x2Row(dst[oh*w/2:(oh+1)*w/2], src[2*oh*w:], src[(2*oh+1)*w:])
 			}
 		}
 	})

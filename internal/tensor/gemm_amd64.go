@@ -54,6 +54,21 @@ func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32)
 //go:noescape
 func gemm1x16s(kc, ns int, a, bp, o *float32)
 
+// gemm4x16o is gemm4x16 reading B through an offset table: K step p takes its
+// 16 values from xb[offs[p]:] instead of a packed strip. Same accumulators and
+// FMA order, so the same bits on the same values. kc must be ≥ 1 and every
+// xb[offs[p]+15] addressable.
+//
+//go:noescape
+func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32)
+
+// gemm1x16so is gemm1x16s reading B through an offset table: strip s takes K
+// step p from xb[16s+offs[p]:], i.e. the ns strips are consecutive in one
+// image row. kc and ns must be ≥ 1.
+//
+//go:noescape
+func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
+
 // dot8 returns the inner product of x[0:n] and y[0:n]; n must be a positive
 // multiple of 8.
 //

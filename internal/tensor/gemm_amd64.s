@@ -132,6 +132,124 @@ kloop:
 	VZEROUPPER
 	RET
 
+// func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32)
+//
+// gemm4x16 with the packed strip replaced by an offset table: K step p reads
+// its 16 B values at xb + 4·offs[p] instead of bp + 64·p, so a convolution
+// hands the kernel addresses into its zero-padded image window and never
+// packs a strip. Accumulators, FMA order and the add-into-output epilogue are
+// gemm4x16's, so both give every lane the same bits on the same values. One
+// negative index counts K up to zero and addresses A and offs from their
+// ends, which leaves the loop 17 uops a step against gemm4x16's 20.
+TEXT ·gemm4x16o(SB), NOSPLIT, $0-88
+	MOVQ kc+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ xb+40(FP), SI
+	MOVQ offs+48(FP), BX
+	MOVQ o0+56(FP), DI
+	MOVQ o1+64(FP), DX
+	MOVQ o2+72(FP), R12
+	MOVQ o3+80(FP), R13
+	LEAQ (R8)(CX*4), R8
+	LEAQ (R9)(CX*4), R9
+	LEAQ (R10)(CX*4), R10
+	LEAQ (R11)(CX*4), R11
+	LEAQ (BX)(CX*4), BX
+	NEGQ CX
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+kloop:
+	MOVLQSX (BX)(CX*4), AX
+	VMOVUPS (SI)(AX*4), Y8
+	VMOVUPS 32(SI)(AX*4), Y9
+	VBROADCASTSS (R8)(CX*4), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (R9)(CX*4), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (R10)(CX*4), Y10
+	VFMADD231PS Y8, Y10, Y4
+	VFMADD231PS Y9, Y10, Y5
+	VBROADCASTSS (R11)(CX*4), Y11
+	VFMADD231PS Y8, Y11, Y6
+	VFMADD231PS Y9, Y11, Y7
+	INCQ CX
+	JNE  kloop
+
+	VADDPS (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	VADDPS 32(DI), Y1, Y1
+	VMOVUPS Y1, 32(DI)
+	VADDPS (DX), Y2, Y2
+	VMOVUPS Y2, (DX)
+	VADDPS 32(DX), Y3, Y3
+	VMOVUPS Y3, 32(DX)
+	VADDPS (R12), Y4, Y4
+	VMOVUPS Y4, (R12)
+	VADDPS 32(R12), Y5, Y5
+	VMOVUPS Y5, 32(R12)
+	VADDPS (R13), Y6, Y6
+	VMOVUPS Y6, (R13)
+	VADDPS 32(R13), Y7, Y7
+	VMOVUPS Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+// func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
+//
+// gemm1x16s over an offset table: one output row across ns consecutive
+// 16-column strips of one image row, strip s reading K step p at
+// xb + 64·s + 4·offs[p]. Per element the chain is gemm4x16o's, as gemm1x16s's
+// is gemm4x16's.
+TEXT ·gemm1x16so(SB), NOSPLIT, $0-48
+	MOVQ kc+0(FP), BX
+	MOVQ ns+8(FP), DX
+	MOVQ a+16(FP), R9
+	MOVQ xb+24(FP), SI
+	MOVQ offs+32(FP), R10
+	MOVQ o+40(FP), DI
+	LEAQ (R9)(BX*4), R9
+	LEAQ (R10)(BX*4), R10
+	NEGQ BX
+
+sloop:
+	MOVQ BX, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+
+kloop:
+	MOVLQSX (R10)(CX*4), AX
+	VBROADCASTSS (R9)(CX*4), Y2
+	VMOVUPS (SI)(AX*4), Y3
+	VFMADD231PS Y3, Y2, Y0
+	VMOVUPS 32(SI)(AX*4), Y4
+	VFMADD231PS Y4, Y2, Y1
+	INCQ CX
+	JNE  kloop
+
+	VADDPS (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	VADDPS 32(DI), Y1, Y1
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNE  sloop
+	VZEROUPPER
+	RET
+
 // func dot8(n int, x, y *float32) float32
 //
 // Inner product over n elements (n a positive multiple of 8), using four

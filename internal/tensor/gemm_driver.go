@@ -33,7 +33,10 @@ package tensor
 // whatever the source generates for one (K block, column range) — packed
 // strips, or a dense tile; never both at once — and a cut strip's [m, 16]
 // spill buffer follows it. Sources that hand out their operand in place
-// (prepacked panels, a dense matrix's ragged columns) touch no scratch.
+// (prepacked panels, a dense matrix's ragged columns) touch no scratch. A
+// conv in offset form (conv_gemm.go) generates nothing per block: its scratch
+// is the zero-padded image window, written once per call, which the offset
+// kernels read in place of packed strips.
 
 // driverScratch returns the scratch length of a product under that layout.
 // The asm build generates strips for every source (prepacked panels aside,
@@ -67,6 +70,12 @@ type gemmB struct {
 	g            ConvGeom  // bConv: im2col(g, x), x holding input rows
 	x            []float32 // [xRow0, xRow0+xRows) of every channel
 	xRow0, xRows int
+
+	// bConv in offset form, set by convB: the [InC, winH, InW+2·PadW]
+	// zero-padded window whose row 0 is the first input row (padding
+	// included) that output row winRow0 reads.
+	win           []float32
+	winH, winRow0 int
 }
 
 type bKind uint8
@@ -78,22 +87,40 @@ const (
 	bConv
 )
 
-// strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1) in
-// packPanel16 layout, generated into buf or in place. [j0, j1) lies inside
-// one block of the global gemmNC column grid and [pb, pe) is one block of the
-// K grid — the units prepacked panels are stored in.
-func (s *gemmB) strips(buf []float32, pb, pe, j0, j1 int) []float32 {
+// bStrips is K rows [pb, pe) of a run of whole 16-column strips as the strip
+// kernels read them. Packed form: strip s is packed[s·16·(pe−pb):] in
+// packPanel16 layout. Offset form (offs != nil; a conv reading its padded
+// window): the run starts at column ow of an outW-wide output row, x[0] is
+// K step 0's value for column 0 of that row, K step p lies offs[p] floats
+// further on, and the next output row ldx floats further on.
+type bStrips struct {
+	packed []float32
+
+	x             []float32
+	offs          *[gemmKC]int32
+	ow, outW, ldx int
+}
+
+// strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1),
+// generated into buf, in place, or — the conv's offset form — as addresses
+// into the padded window with the K block's table written to offs. [j0, j1)
+// lies inside one block of the global gemmNC column grid and [pb, pe) is one
+// block of the K grid — the units prepacked panels are stored in.
+func (s *gemmB) strips(buf []float32, offs *[gemmKC]int32, pb, pe, j0, j1 int) bStrips {
 	switch s.kind {
 	case bDense:
 		packPanel16(buf, s.b, s.n, pb, pe, j0, j1)
 	case bDenseT:
 		packPanel16T(buf, s.b, s.k, pb, pe, j0, j1)
 	case bPanels:
-		return s.pp.stripsAt(buf, pb, pe, j0, j1)
+		return bStrips{packed: s.pp.stripsAt(buf, pb, pe, j0, j1)}
 	case bConv:
+		if s.win != nil {
+			return s.windowStrips(offs, pb, pe, j0)
+		}
 		convPackStrips(s.g, s.x, s.xRow0, s.xRows, buf, pb, pe, j0, j1-j0)
 	}
-	return buf
+	return bStrips{packed: buf}
 }
 
 // tile returns K rows [pb, pe) of columns [j0, j1) as a dense row-major tile
@@ -134,11 +161,12 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	if cm := min(c1, n16); c0 < cm {
 		head := min((c0+gemmNR-1)&^(gemmNR-1), cm)
 		body := max(cm&^(gemmNR-1), head)
+		var offs [gemmKC]int32
 		for jb := head; jb < body; {
 			je := min(jb-jb%gemmNC+gemmNC, body)
 			for pb := k0; pb < k1; pb += gemmKC {
 				pe := min(pb+gemmKC, k1)
-				gemmStripPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, pb, pe, jb, je), pe-pb, (je-jb)/gemmNR)
+				gemmStripPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, &offs, pb, pe, jb, je), pe-pb, (je-jb)/gemmNR)
 			}
 			jb = je
 		}
@@ -174,6 +202,11 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 // garbage nobody reads.
 func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	strip0, lo, hi, k0, k1 int, scratch []float32) {
+	if src.win != nil {
+		// Offset form means whole-row ranges of a map whose rows are whole
+		// strips; its scratch is the window and has no spill buffer.
+		panic("tensor: a conv in offset form cannot cut a strip")
+	}
 	spill := scratch[gemmKC*gemmNC:][:m*gemmNR]
 	clear(spill)
 	for i := 0; i < m; i++ {
@@ -181,31 +214,52 @@ func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	}
 	for pb := k0; pb < k1; pb += gemmKC {
 		pe := min(pb+gemmKC, k1)
-		gemmStripPart(spill, gemmNR, a[pb-k0:], lda, m, src.strips(scratch, pb, pe, strip0, strip0+gemmNR), pe-pb, 1)
+		gemmStripPart(spill, gemmNR, a[pb-k0:], lda, m, src.strips(scratch, nil, pb, pe, strip0, strip0+gemmNR), pe-pb, 1)
 	}
 	for i := 0; i < m; i++ {
 		copy(dst[i*ldd:i*ldd+hi-lo], spill[i*gemmNR+lo-strip0:])
 	}
 }
 
-// gemmStripPart runs one K block (kc deep) of m rows of A against ns packed
+// gemmStripPart runs one K block (kc deep) of m rows of A against a run of ns
 // strips: the 4×16 AVX2 micro-kernel over every full 4-row group, then the
 // 1×16 strip kernel over leftover rows — all rows of a skinny product such as
-// a batch-1 serving GEMM — which reuses the packed panel and accumulates in
-// the same per-element order as a row inside a group.
-func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, strips []float32, kc, ns int) {
+// a batch-1 serving GEMM — which reuses the strips and accumulates in the
+// same per-element order as a row inside a group. Packed strips go to
+// gemm4x16 / gemm1x16s, a conv's window addresses to their offset twins,
+// which differ in where B is read and in nothing that rounds.
+func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, kc, ns int) {
 	i := 0
 	for ; i+gemmMR <= m; i += gemmMR {
+		a0, a1, a2, a3 := &a[i*lda], &a[(i+1)*lda], &a[(i+2)*lda], &a[(i+3)*lda]
+		base, ow := bs.ow, bs.ow
 		for s := 0; s < ns; s++ {
 			o := dst[i*ldd+s*gemmNR:]
-			gemm4x16(kc,
-				&a[i*lda], &a[(i+1)*lda], &a[(i+2)*lda], &a[(i+3)*lda],
-				&strips[s*gemmNR*kc],
-				&o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+			if bs.offs == nil {
+				gemm4x16(kc, a0, a1, a2, a3, &bs.packed[s*gemmNR*kc], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+				continue
+			}
+			gemm4x16o(kc, a0, a1, a2, a3, &bs.x[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+			base, ow = base+gemmNR, ow+gemmNR
+			if ow == bs.outW {
+				base, ow = base+bs.ldx-bs.outW, 0
+			}
 		}
 	}
 	for ; i < m; i++ {
-		gemm1x16s(kc, ns, &a[i*lda], &strips[0], &dst[i*ldd])
+		if bs.offs == nil {
+			gemm1x16s(kc, ns, &a[i*lda], &bs.packed[0], &dst[i*ldd])
+			continue
+		}
+		// One call per output row the run touches: within a row the strips
+		// are 16 floats apart, as gemm1x16so walks them.
+		base, ow := bs.ow, bs.ow
+		for s := 0; s < ns; {
+			seg := min((bs.outW-ow)/gemmNR, ns-s)
+			gemm1x16so(kc, seg, &a[i*lda], &bs.x[base], &bs.offs[0], &dst[i*ldd+s*gemmNR])
+			s += seg
+			base, ow = base+seg*gemmNR+bs.ldx-bs.outW, 0
+		}
 	}
 }
 

@@ -13,6 +13,14 @@ func gemm1x16s(kc, ns int, a, bp, o *float32) {
 	panic("tensor: gemm1x16s requires amd64")
 }
 
+func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32) {
+	panic("tensor: gemm4x16o requires amd64")
+}
+
+func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32) {
+	panic("tensor: gemm1x16so requires amd64")
+}
+
 func dot8(n int, x, y *float32) float32 {
 	panic("tensor: dot8 requires amd64")
 }
