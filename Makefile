@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build test race alloc staticcheck fuzz bench perf bench-train bench-serve perf-serve bench-quant perf-quant bench-router perf-router bench-compress perf-compress bench-latency perf-latency bench-fuse perf-fuse
+.PHONY: check fmt vet build test race alloc staticcheck fuzz bench bench-diff
 
 # The full gate: what CI (and any PR) must keep green.
-check: vet staticcheck build test race alloc
+check: fmt vet staticcheck build test race alloc
+
+# Formatting gate: any file gofmt would rewrite fails the check.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Static analysis beyond go vet. The toolchain is not vendored and CI
 # containers install nothing, so the target degrades to a skip notice when
@@ -74,76 +78,9 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
 
-# Regenerate the machine-readable perf report (end-to-end serving + kernels
-# + training path).
-perf:
-	$(GO) run ./cmd/nshd-bench -perf BENCH_PR3.json
-
-# Re-run only the training-path benchmarks and diff them against the
-# committed BENCH_PR3.json baseline (writes the fresh rows to a scratch file).
-bench-train:
-	$(GO) run ./cmd/nshd-bench -perf-train /tmp/nshd_bench_train.json -perf-baseline BENCH_PR3.json
-
-# Re-run the serving load generator (micro-batched Batcher vs per-request
-# Engine.Predict at concurrency 1/8/64) and diff against the committed
-# BENCH_PR4.json baseline.
-bench-serve:
-	$(GO) run ./cmd/nshd-bench -perf-serve /tmp/nshd_bench_serve.json -perf-serve-baseline BENCH_PR4.json
-
-# Regenerate the committed serving baseline.
-perf-serve:
-	$(GO) run ./cmd/nshd-bench -perf-serve BENCH_PR4.json
-
-# Re-run the int8-vs-float engine benchmarks (quantized GEMM kernels,
-# per-stage and end-to-end engine timings) and diff against the committed
-# BENCH_PR5.json baseline.
-bench-quant:
-	$(GO) run ./cmd/nshd-bench -perf-quant /tmp/nshd_bench_quant.json -perf-quant-baseline BENCH_PR5.json
-
-# Regenerate the committed quantization baseline.
-perf-quant:
-	$(GO) run ./cmd/nshd-bench -perf-quant BENCH_PR5.json
-
-# Re-run the dimension-sharded router scaling benchmarks (S shard worker
-# processes behind serve.Router, each duty-cycle-capped to emulate a
-# fixed-capacity host) and diff against the committed BENCH_PR7.json
-# baseline.
-bench-router:
-	$(GO) run ./cmd/nshd-bench -perf-router /tmp/nshd_bench_router.json -perf-router-baseline BENCH_PR7.json
-
-# Regenerate the committed sharded-router baseline.
-perf-router:
-	$(GO) run ./cmd/nshd-bench -perf-router BENCH_PR7.json
-
-# Re-run the post-training compression tradeoff benchmarks (bytes / tail
-# latency / accuracy at keep ∈ {100,75,50,25}% × {int4, ternary}, the 1-point
-# auto search and its remat composition) and diff against the committed
-# BENCH_PR8.json baseline.
-bench-compress:
-	$(GO) run ./cmd/nshd-bench -perf-compress /tmp/nshd_bench_compress.json -perf-compress-baseline BENCH_PR8.json
-
-# Regenerate the committed compression baseline.
-perf-compress:
-	$(GO) run ./cmd/nshd-bench -perf-compress BENCH_PR8.json
-
-# Re-run the batch-1 serving-latency benchmarks (implicit-GEMM conv,
-# prepacked projection strips, vectorized popcount scoring; p50/p99 for the
-# prepacked and rematerialized tails × classifier kernel plus per-stage rows) and diff against the
-# committed BENCH_PR9.json baseline.
-bench-latency:
-	$(GO) run ./cmd/nshd-bench -perf-latency /tmp/nshd_bench_latency.json -perf-latency-baseline BENCH_PR9.json
-
-# Regenerate the committed batch-1 latency baseline.
-perf-latency:
-	$(GO) run ./cmd/nshd-bench -perf-latency BENCH_PR9.json
-
-# Re-run the fused-vs-unfused extraction benchmarks (cache-resident fused
-# conv→BN→ReLU→pool blocks; batch-1 e2e and extract-stage p50, float/packed/
-# int8) and diff against the committed pre-fusion BENCH_PR9.json numbers.
-bench-fuse:
-	$(GO) run ./cmd/nshd-bench -perf-fuse /tmp/nshd_bench_fuse.json -perf-fuse-baseline BENCH_PR9.json
-
-# Regenerate the committed fused-extraction baseline (diffed against the
-# PR9 pre-fusion rows so the speedup is recorded in the file).
-perf-fuse:
-	$(GO) run ./cmd/nshd-bench -perf-fuse BENCH_PR10.json -perf-fuse-baseline BENCH_PR9.json
+# Ten interleaved parent/change pairs of benchmark/run.sh per workload against
+# REV (cloned under /root/scratch), one row per end-to-end metric: medians,
+# the parent's inter-quartile range, "better in k/10", the BENCHMARK.json
+# bound. Fails only beyond a bound or on a larger failed share.
+bench-diff:
+	bash scripts/bench-diff.sh $(REV) $(WORKLOAD)

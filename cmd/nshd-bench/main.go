@@ -3,18 +3,18 @@
 //
 // Usage:
 //
-//	nshd-bench -exp table1,fig4,fig5,fig6,table2          # analytic (fast)
+//	nshd-bench -exp analytic                              # Table I, Figs. 4-6, Table II (fast)
 //	nshd-bench -exp fig7 -cache .cache                    # trained (slow first run)
 //	nshd-bench -exp all -preset full -cache .cache
 //
-// Experiments: table1 fig4 fig5 fig6 table2 fig7 fig8 fig9 fig10 fig11
-// ablation-retrain ablation-ste vanilla-claim; "analytic" and "all" expand
-// to groups.
+// The experiment ids and the groups "analytic", "trained" and "all" come from
+// one table (experimentTable); nshd-bench -h lists them.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,9 +22,113 @@ import (
 	"nshd/internal/experiments"
 )
 
+// options carries the per-figure flags to the experiment runners.
+type options struct {
+	gridModel string
+	gridLayer int
+	f10Model  string
+	f11Model  string
+	f11Layer  int
+	svgDir    string
+	out       io.Writer
+}
+
+// figure is one SVG an experiment produces beside its table.
+type figure struct{ name, svg string }
+
+// runFunc runs one experiment and returns its table and its figures.
+type runFunc func(*experiments.Session, *options) (experiments.Table, []figure, error)
+
+type experiment struct {
+	id, group string
+	run       runFunc
+}
+
+// plotted adapts a flag-free runner that returns typed rows, and the renderer
+// of its one SVG, to an experiment's run.
+func plotted[R any](name string, run func(*experiments.Session) (R, experiments.Table, error), svg func(R) string) runFunc {
+	return func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		rows, t, err := run(s)
+		if err != nil {
+			return t, nil, err
+		}
+		return t, []figure{{name, svg(rows)}}, nil
+	}
+}
+
+// experimentTable is the one ordered list of experiment ids: runOne, the
+// group expansion, the usage text and the unknown-id error all read it.
+// "analytic" experiments need no training; "trained" ones train pipelines on
+// top of the session's memoized teachers; "all" is every row, in this order.
+var experimentTable = []experiment{
+	{"table1", "analytic", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		_, t := s.Table1()
+		return t, nil, nil
+	}},
+	{"fig4", "analytic", plotted("fig4.svg", (*experiments.Session).Fig4, experiments.Fig4SVG)},
+	{"fig5", "analytic", plotted("fig5.svg", (*experiments.Session).Fig5, experiments.Fig5SVG)},
+	{"fig6", "analytic", plotted("fig6.svg", (*experiments.Session).Fig6, experiments.Fig6SVG)},
+	{"table2", "analytic", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		_, t, err := s.Table2()
+		return t, nil, err
+	}},
+	{"fig7", "trained", plotted("fig7.svg", (*experiments.Session).Fig7, experiments.Fig7SVG)},
+	{"fig8", "trained", plotted("fig8.svg", (*experiments.Session).Fig8, experiments.Fig8SVG)},
+	{"fig9", "trained", func(s *experiments.Session, o *options) (experiments.Table, []figure, error) {
+		_, t, err := s.Fig9(o.gridModel, o.gridLayer)
+		return t, nil, err
+	}},
+	{"fig10", "trained", func(s *experiments.Session, o *options) (experiments.Table, []figure, error) {
+		rows, t, err := s.Fig10(o.f10Model)
+		if err != nil {
+			return t, nil, err
+		}
+		return t, []figure{{"fig10.svg", experiments.Fig10SVG(rows)}}, nil
+	}},
+	{"fig11", "trained", func(s *experiments.Session, o *options) (experiments.Table, []figure, error) {
+		res, t, err := s.Fig11(o.f11Model, o.f11Layer)
+		if err != nil {
+			return t, nil, err
+		}
+		before, after := experiments.Fig11SVG(res)
+		return t, []figure{{"fig11a.svg", before}, {"fig11b.svg", after}}, nil
+	}},
+	{"ablation-retrain", "trained", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		_, t, err := s.AblationRetrain("effnetb0", 7)
+		return t, nil, err
+	}},
+	{"ablation-ste", "trained", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		_, t, err := s.AblationSTE("effnetb0", 7)
+		return t, nil, err
+	}},
+	{"vanilla-claim", "trained", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		t, err := s.VanillaClaim()
+		return t, nil, err
+	}},
+	{"robustness", "trained", func(s *experiments.Session, _ *options) (experiments.Table, []figure, error) {
+		_, t, err := s.Robustness("effnetb0", 7)
+		return t, nil, err
+	}},
+}
+
+// groupIDs returns the table's ids in order: those of one group, or every id
+// for "all"; nil for anything else.
+func groupIDs(group string) []string {
+	var ids []string
+	for _, e := range experimentTable {
+		if group == "all" || e.group == group {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
 func main() {
 	var (
-		expFlag   = flag.String("exp", "analytic", "comma-separated experiment ids, or 'analytic'/'trained'/'all'")
+		expFlag = flag.String("exp", "analytic", "comma-separated experiment ids or groups:\n"+
+			"analytic = "+strings.Join(groupIDs("analytic"), " ")+" (no training)\n"+
+			"trained  = "+strings.Join(groupIDs("trained"), " ")+" (every one trains)\n"+
+			"all      = analytic then trained, every id above")
 		preset    = flag.String("preset", "quick", "environment preset: quick or full")
 		cacheDir  = flag.String("cache", "", "teacher snapshot cache directory ('' disables)")
 		models    = flag.String("models", "", "override comma-separated zoo models")
@@ -41,89 +145,8 @@ func main() {
 		f11Model  = flag.String("fig11-model", "effnetb0", "model for the fig11 t-SNE")
 		f11Layer  = flag.Int("fig11-layer", 7, "cut layer for the fig11 t-SNE")
 		svgDir    = flag.String("svg", "", "also write figure SVGs into this directory")
-		perfOut   = flag.String("perf", "", "run compute-kernel microbenchmarks, write JSON to this file, and exit")
-		perfTrain = flag.String("perf-train", "", "run only the training-path benchmarks, write JSON to this file, and exit")
-		perfBase  = flag.String("perf-baseline", "", "with -perf-train: print deltas against this committed baseline JSON")
-		perfServe = flag.String("perf-serve", "", "run the serving load generator, write JSON to this file, and exit")
-		serveBase = flag.String("perf-serve-baseline", "", "with -perf-serve: print deltas against this committed baseline JSON")
-		perfQuant = flag.String("perf-quant", "", "run the int8-vs-float engine benchmarks, write JSON to this file, and exit")
-		quantBase = flag.String("perf-quant-baseline", "", "with -perf-quant: print deltas against this committed baseline JSON")
-		perfCmp   = flag.String("perf-compress", "", "run the post-training compression tradeoff benchmarks, write JSON to this file, and exit")
-		cmpBase   = flag.String("perf-compress-baseline", "", "with -perf-compress: print deltas against this committed baseline JSON")
-		perfLat   = flag.String("perf-latency", "", "run the batch-1 serving-latency benchmarks, write JSON to this file, and exit")
-		latBase   = flag.String("perf-latency-baseline", "", "with -perf-latency: embed and print deltas against this baseline JSON")
-		perfFuse  = flag.String("perf-fuse", "", "run the fused-vs-unfused extraction benchmarks, write JSON to this file, and exit")
-		fuseBase  = flag.String("perf-fuse-baseline", "", "with -perf-fuse: embed and print deltas against this baseline JSON")
-		perfRtr   = flag.String("perf-router", "", "run the sharded-router scaling benchmarks, write JSON to this file, and exit")
-		rtrBase   = flag.String("perf-router-baseline", "", "with -perf-router: print deltas against this committed baseline JSON")
-		rtrWorker = flag.String("router-worker", "", "internal: run as a perf-router shard worker (\"i/S\")")
-		rtrDuty   = flag.Float64("router-duty", 0.22, "internal: shard worker CPU duty-cycle cap")
 	)
 	flag.Parse()
-
-	if *rtrWorker != "" {
-		if err := runRouterWorker(*rtrWorker, *rtrDuty); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfRtr != "" {
-		if err := runPerfRouter(*perfRtr, *rtrBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfOut != "" {
-		if err := runPerf(*perfOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfTrain != "" {
-		if err := runPerfTrain(*perfTrain, *perfBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfServe != "" {
-		if err := runPerfServe(*perfServe, *serveBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfQuant != "" {
-		if err := runPerfQuant(*perfQuant, *quantBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfCmp != "" {
-		if err := runPerfCompress(*perfCmp, *cmpBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfLat != "" {
-		if err := runPerfLatency(*perfLat, *latBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfFuse != "" {
-		if err := runPerfFuse(*perfFuse, *fuseBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var env experiments.Env
 	switch *preset {
@@ -167,154 +190,59 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	ids := expandIDs(*expFlag)
+	o := &options{
+		gridModel: *gridModel, gridLayer: *gridLayer,
+		f10Model: *f10Model, f11Model: *f11Model, f11Layer: *f11Layer,
+		svgDir: *svgDir, out: os.Stdout,
+	}
 	s := experiments.NewSession(env)
-	for _, id := range ids {
-		if err := runOne(s, id, *gridModel, *gridLayer, *f10Model, *f11Model, *f11Layer, *svgDir); err != nil {
+	for _, id := range expandIDs(*expFlag) {
+		if err := runOne(s, id, o); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
 	}
 }
 
+// expandIDs splits a comma-separated spec, replacing each group name by its
+// ids; any other token is kept for runOne to accept or reject.
 func expandIDs(spec string) []string {
-	analytic := []string{"table1", "fig4", "fig5", "fig6", "table2"}
-	trained := []string{"fig7", "fig8", "fig9", "fig10", "fig11", "ablation-retrain", "ablation-ste"}
 	var ids []string
 	for _, tok := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(tok) {
-		case "analytic":
-			ids = append(ids, analytic...)
-		case "trained":
-			ids = append(ids, trained...)
-		case "all":
-			ids = append(ids, analytic...)
-			ids = append(ids, trained...)
-		case "":
-		default:
-			ids = append(ids, strings.TrimSpace(tok))
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		if g := groupIDs(tok); g != nil {
+			ids = append(ids, g...)
+		} else {
+			ids = append(ids, tok)
 		}
 	}
 	return ids
 }
 
-func writeSVG(dir, name, content string) error {
-	if dir == "" {
+// runOne runs the experiment with the given id, renders its table to o.out
+// and, when o.svgDir is set, writes its figures there.
+func runOne(s *experiments.Session, id string, o *options) error {
+	for _, e := range experimentTable {
+		if e.id != id {
+			continue
+		}
+		t, figs, err := e.run(s, o)
+		if err != nil {
+			return err
+		}
+		t.Render(o.out)
+		if o.svgDir == "" {
+			return nil
+		}
+		for _, f := range figs {
+			if err := os.WriteFile(filepath.Join(o.svgDir, f.name), []byte(f.svg), 0o644); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	return os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644)
-}
-
-func runOne(s *experiments.Session, id, gridModel string, gridLayer int, f10Model, f11Model string, f11Layer int, svgDir string) error {
-	switch id {
-	case "table1":
-		_, t := s.Table1()
-		t.Render(os.Stdout)
-	case "fig4":
-		rows, t, err := s.Fig4()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig4.svg", experiments.Fig4SVG(rows)); err != nil {
-			return err
-		}
-	case "fig5":
-		rows, t, err := s.Fig5()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig5.svg", experiments.Fig5SVG(rows)); err != nil {
-			return err
-		}
-	case "fig6":
-		rows, t, err := s.Fig6()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig6.svg", experiments.Fig6SVG(rows)); err != nil {
-			return err
-		}
-	case "table2":
-		_, t, err := s.Table2()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	case "fig7":
-		rows, t, err := s.Fig7()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig7.svg", experiments.Fig7SVG(rows)); err != nil {
-			return err
-		}
-	case "fig8":
-		rows, t, err := s.Fig8()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig8.svg", experiments.Fig8SVG(rows)); err != nil {
-			return err
-		}
-	case "fig9":
-		_, t, err := s.Fig9(gridModel, gridLayer)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	case "fig10":
-		rows, t, err := s.Fig10(f10Model)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		if err := writeSVG(svgDir, "fig10.svg", experiments.Fig10SVG(rows)); err != nil {
-			return err
-		}
-	case "fig11":
-		res, t, err := s.Fig11(f11Model, f11Layer)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-		before, after := experiments.Fig11SVG(res)
-		if err := writeSVG(svgDir, "fig11a.svg", before); err != nil {
-			return err
-		}
-		if err := writeSVG(svgDir, "fig11b.svg", after); err != nil {
-			return err
-		}
-	case "ablation-retrain":
-		_, t, err := s.AblationRetrain("effnetb0", 7)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	case "ablation-ste":
-		_, t, err := s.AblationSTE("effnetb0", 7)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	case "robustness":
-		_, t, err := s.Robustness("effnetb0", 7)
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	case "vanilla-claim":
-		t, err := s.VanillaClaim()
-		if err != nil {
-			return err
-		}
-		t.Render(os.Stdout)
-	default:
-		return fmt.Errorf("unknown experiment (have: table1 fig4 fig5 fig6 table2 fig7 fig8 fig9 fig10 fig11 ablation-retrain ablation-ste robustness vanilla-claim)")
-	}
-	return nil
+	return fmt.Errorf("unknown experiment (have: %s)", strings.Join(groupIDs("all"), " "))
 }

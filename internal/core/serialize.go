@@ -73,7 +73,10 @@ func Load(path string) (*Pipeline, error) {
 // nil fields and the class-matrix size are checked before anything is built
 // from them: the model constructors panic on a non-positive class count, and
 // Classes·D matching the matrix the file really carries bounds what a
-// well-formed but hostile header can make them allocate.
+// well-formed but hostile header can make them allocate. F̂ sizes New's
+// pooledF × F̂ manifold linear and D × F̂ projection, so it too must be a
+// length the file carries: Save writes that linear as its weight (pooledF·F̂
+// elements) and then its bias (F̂).
 func (s *snapshot) restore() (*Pipeline, error) {
 	if err := s.Cfg.Validate(); err != nil {
 		return nil, err
@@ -83,6 +86,15 @@ func (s *snapshot) restore() (*Pipeline, error) {
 	}
 	if len(s.M)/s.Cfg.D != s.Cfg.Classes || len(s.M)%s.Cfg.D != 0 {
 		return nil, fmt.Errorf("core: class matrix has %d elems, want %d x %d", len(s.M), s.Cfg.Classes, s.Cfg.D)
+	}
+	if s.Cfg.UseManifold {
+		if len(s.Manifold) != 2 {
+			return nil, fmt.Errorf("core: snapshot has %d manifold tensors, want weight and bias", len(s.Manifold))
+		}
+		w, b := s.Manifold[0], s.Manifold[1]
+		if len(b) != s.Cfg.FHat || len(w) == 0 || len(w)%s.Cfg.FHat != 0 {
+			return nil, fmt.Errorf("core: F̂ = %d does not fit manifold tensors of %d and %d elems", s.Cfg.FHat, len(w), len(b))
+		}
 	}
 	zoo, err := cnn.Build(s.ZooName, tensor.NewRNG(0), s.Cfg.Classes)
 	if err != nil {

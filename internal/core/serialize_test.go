@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nshd/internal/cnn"
@@ -32,7 +33,17 @@ func TestLoadHostileSnapshot(t *testing.T) {
 	if err := p.Save(good); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(good); err != nil {
+	// loadAlloc is Load plus the bytes it allocated: a hostile header must not
+	// make Load allocate far beyond what the file itself justifies.
+	loadAlloc := func(path string) (*Pipeline, uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q, err := Load(path)
+		runtime.ReadMemStats(&after)
+		return q, after.TotalAlloc - before.TotalAlloc, err
+	}
+	_, goodAlloc, err := loadAlloc(good)
+	if err != nil {
 		t.Fatalf("untouched snapshot: %v", err)
 	}
 	raw, err := os.ReadFile(good)
@@ -66,6 +77,11 @@ func TestLoadHostileSnapshot(t *testing.T) {
 			}
 		}),
 		"class matrix of another D": mutated(func(s *snapshot) { s.M = s.M[:len(s.M)-classes] }),
+		// F̂ sizes what New allocates, so it has to be checked against the
+		// tensors the file carries before New runs (1<<20 keeps the miss cheap).
+		"FHat beyond the manifold tensors": mutated(func(s *snapshot) { s.Cfg.FHat = 1 << 20 }),
+		"no manifold tensors":              mutated(func(s *snapshot) { s.Manifold = nil }),
+		"FHat not the bias length":         mutated(func(s *snapshot) { s.Cfg.FHat /= 2 }),
 	} {
 		path := filepath.Join(dir, "bad.gob")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
@@ -77,8 +93,12 @@ func TestLoadHostileSnapshot(t *testing.T) {
 					t.Errorf("%s: Load panicked: %v", name, r)
 				}
 			}()
-			if q, err := Load(path); err == nil {
+			q, alloc, err := loadAlloc(path)
+			if err == nil {
 				t.Errorf("%s: Load returned a pipeline (%v), want an error", name, q.Cfg)
+			}
+			if alloc > 4*goodAlloc {
+				t.Errorf("%s: Load allocated %d bytes, the untouched snapshot needs %d", name, alloc, goodAlloc)
 			}
 		}()
 	}

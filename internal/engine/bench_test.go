@@ -12,9 +12,9 @@ import (
 )
 
 // benchSetup builds a bundled pipeline the way the repo benchmark's serving
-// fixtures do (zoo model at size×size, D=3000, F̂=100, chunk 32) plus its
-// compiled engine and a pool of images.
-func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *engine.Engine, *tensor.Tensor) {
+// fixtures do (zoo model at size×size, D=3000, F̂=100, chunk 32) plus the
+// images it was bundled from.
+func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *tensor.Tensor) {
 	b.Helper()
 	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
 		Classes: 10, Train: 64, Test: 8, Size: size, Noise: 0.2, Seed: 71,
@@ -35,11 +35,7 @@ func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *eng
 	feats := p.ExtractFeatures(train.Images)
 	_, _, signed := p.Symbolize(feats, false)
 	p.HD.InitBundle(signed, train.Labels)
-	e, err := engine.Compile(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, e, train.Images
+	return p, train.Images
 }
 
 // BenchmarkEnginePredict is PredictInto at the request shapes the batch split
@@ -49,35 +45,62 @@ func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *eng
 // images of mobilenetv2 cut 1, the smallest fixture, whose parts fall under
 // the work floor. The n2 rows on either side of engine.splitMinMACs are the
 // evidence for its value (DESIGN.md, "Serving engine").
+//
+// The -int8, -unfused and -remat rows are the same pipeline compiled with
+// that one option, in the same process as the float row beside them, at the
+// shapes ROADMAP's int8 verdict and fused-vs-unfused trial name (32×32 n = 1
+// and 16, 96×96 n = 1): the only standing reading of those three paths.
 func BenchmarkEnginePredict(b *testing.B) {
 	for _, c := range []struct {
 		model     string
 		cut, size int
 		ns        []int
+		variantNs []int
 	}{
-		{"vgg16", 8, 32, []int{1, 2, 8, 16}},
-		{"vgg16", 8, 96, []int{1}},
-		{"mobilenetv2", 1, 32, []int{2}},
+		{"vgg16", 8, 32, []int{1, 2, 8, 16}, []int{1, 16}},
+		{"vgg16", 8, 96, []int{1}, []int{1}},
+		{"mobilenetv2", 1, 32, []int{2}, nil},
 	} {
-		_, e, imgs := benchSetup(b, c.model, c.cut, c.size)
-		for _, n := range c.ns {
-			b.Run(fmt.Sprintf("%s-%d-n%d", c.model, c.size, n), func(b *testing.B) {
-				batch := firstImages(imgs, n)
-				preds := make([]int, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := e.PredictInto(batch, preds); err != nil {
-						b.Fatal(err)
+		p, imgs := benchSetup(b, c.model, c.cut, c.size)
+		for _, v := range []struct {
+			suffix string
+			opts   []engine.Option
+		}{
+			{"", nil},
+			{"-int8", []engine.Option{engine.Int8, engine.WithCalibration(imgs)}},
+			{"-unfused", []engine.Option{engine.WithUnfusedExtract()}},
+			{"-remat", []engine.Option{engine.WithRemat()}},
+		} {
+			ns := c.variantNs
+			if v.suffix == "" {
+				ns = c.ns
+			}
+			if len(ns) == 0 {
+				continue
+			}
+			e, err := engine.Compile(p, v.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, n := range ns {
+				b.Run(fmt.Sprintf("%s-%d-n%d%s", c.model, c.size, n, v.suffix), func(b *testing.B) {
+					batch := firstImages(imgs, n)
+					preds := make([]int, n)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := e.PredictInto(batch, preds); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "images/s")
-			})
+					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+				})
+			}
 		}
 	}
 }
 
 func BenchmarkPipelineDirectPredict(b *testing.B) {
-	p, _, imgs := benchSetup(b, "mobilenetv2", 5, 32)
+	p, imgs := benchSetup(b, "mobilenetv2", 5, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.PredictDirect(imgs)

@@ -199,30 +199,6 @@ func TestRandomPackedTailMasked(t *testing.T) {
 	}
 }
 
-func TestXorBindMatchesDenseBind(t *testing.T) {
-	rng := tensor.NewRNG(14)
-	a, b := RandomBipolar(rng, 200), RandomBipolar(rng, 200)
-	want := Bind(a, b)
-	got := XorBind(PackHV(a), PackHV(b)).Unpack()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("XOR binding must equal elementwise product in sign space")
-		}
-	}
-}
-
-func TestPackedAccumulate(t *testing.T) {
-	rng := tensor.NewRNG(15)
-	h := RandomBipolar(rng, 130)
-	acc := NewHypervector(130)
-	PackedAccumulate(acc, 2.5, PackHV(h))
-	for i := range h {
-		if acc[i] != 2.5*h[i] {
-			t.Fatalf("PackedAccumulate mismatch at %d: %v vs %v", i, acc[i], 2.5*h[i])
-		}
-	}
-}
-
 func TestPackedMatrixMemory(t *testing.T) {
 	m := tensor.New(10, 128)
 	m.Fill(1)
@@ -427,37 +403,6 @@ func TestItemMemoryStableAndCleanup(t *testing.T) {
 	}
 	if im.Len() != 3 || !im.Has("banana") {
 		t.Fatal("memory bookkeeping wrong")
-	}
-}
-
-func TestLevelMemoryMonotoneDecay(t *testing.T) {
-	lm := NewLevelMemory(tensor.NewRNG(34), testD, 8, 0, 1)
-	base := lm.Level(0)
-	prev := math.Inf(1)
-	for i := 1; i < 8; i++ {
-		sim := Dot(base, lm.Level(i))
-		if sim >= prev {
-			t.Fatalf("level similarity must strictly decay: level %d sim %v >= %v", i, sim, prev)
-		}
-		prev = sim
-	}
-	// Extremes roughly orthogonal (≈half the dimensions flipped).
-	endSim := NormalizedDot(base, lm.Level(7))
-	if endSim > 0.3 {
-		t.Fatalf("extreme levels too similar: %v", endSim)
-	}
-}
-
-func TestLevelMemoryQuantize(t *testing.T) {
-	lm := NewLevelMemory(tensor.NewRNG(35), 64, 4, 0, 1)
-	cases := []struct {
-		v    float64
-		want int
-	}{{-1, 0}, {0, 0}, {0.1, 0}, {0.3, 1}, {0.6, 2}, {0.9, 3}, {1, 3}, {2, 3}}
-	for _, c := range cases {
-		if got := lm.Quantize(c.v); got != c.want {
-			t.Fatalf("Quantize(%v) = %d, want %d", c.v, got, c.want)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package hdc
 
 import (
-	"fmt"
 	"sort"
 
 	"nshd/internal/tensor"
@@ -62,71 +61,4 @@ func (im *ItemMemory) Cleanup(q Hypervector) (string, float64) {
 		}
 	}
 	return bestName, bestSim
-}
-
-// LevelMemory maps scalar values in [Lo, Hi] onto L correlated hypervectors:
-// adjacent levels share most dimensions, while the extremes are
-// quasi-orthogonal. Used by ID-level encodings and by explainability probes.
-type LevelMemory struct {
-	D, L   int
-	Lo, Hi float64
-	levels []Hypervector
-}
-
-// NewLevelMemory builds L levels over [lo, hi] by starting from a random
-// hypervector and flipping a disjoint random subset of D/(2(L-1)) positions
-// per step, so that level 0 and level L-1 differ in about half their
-// dimensions.
-func NewLevelMemory(rng *tensor.RNG, d, l int, lo, hi float64) *LevelMemory {
-	if l < 2 {
-		panic("hdc: LevelMemory needs at least 2 levels")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("hdc: LevelMemory range [%v, %v] invalid", lo, hi))
-	}
-	lm := &LevelMemory{D: d, L: l, Lo: lo, Hi: hi, levels: make([]Hypervector, l)}
-	lm.levels[0] = RandomBipolar(rng, d)
-	perm := rng.Perm(d)
-	flipPerStep := d / (2 * (l - 1))
-	if flipPerStep < 1 {
-		flipPerStep = 1
-	}
-	pos := 0
-	for i := 1; i < l; i++ {
-		h := lm.levels[i-1].Clone()
-		for j := 0; j < flipPerStep && pos < d; j++ {
-			h[perm[pos]] = -h[perm[pos]]
-			pos++
-		}
-		lm.levels[i] = h
-	}
-	return lm
-}
-
-// Level returns the hypervector of level index i.
-func (lm *LevelMemory) Level(i int) Hypervector {
-	if i < 0 || i >= lm.L {
-		panic(fmt.Sprintf("hdc: level %d out of range [0,%d)", i, lm.L))
-	}
-	return lm.levels[i]
-}
-
-// Quantize maps a scalar to its level index, clamping out-of-range values.
-func (lm *LevelMemory) Quantize(v float64) int {
-	if v <= lm.Lo {
-		return 0
-	}
-	if v >= lm.Hi {
-		return lm.L - 1
-	}
-	idx := int(float64(lm.L) * (v - lm.Lo) / (lm.Hi - lm.Lo))
-	if idx >= lm.L {
-		idx = lm.L - 1
-	}
-	return idx
-}
-
-// Encode returns the level hypervector for a scalar value.
-func (lm *LevelMemory) Encode(v float64) Hypervector {
-	return lm.levels[lm.Quantize(v)]
 }

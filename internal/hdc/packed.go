@@ -92,42 +92,6 @@ func PackedDot(a, b *PackedHV) int {
 	return a.D - 2*Hamming(a, b)
 }
 
-// XorBind returns the packed binding a ⊗ b. For bipolar vectors elementwise
-// multiplication is exactly XOR in sign-bit space.
-func XorBind(a, b *PackedHV) *PackedHV {
-	if a.D != b.D {
-		panic("hdc: XorBind dimension mismatch")
-	}
-	out := NewPackedHV(a.D)
-	for i := range out.Words {
-		out.Words[i] = a.Words[i] ^ b.Words[i]
-	}
-	return out
-}
-
-// PackedAccumulate adds the bipolar expansion of p into acc (a dense
-// accumulator), optionally scaled: acc += s·unpack(p). This is the
-// "no multiplication, only add/sub by sign bit" kernel from Sec. VI-A.
-func PackedAccumulate(acc Hypervector, s float32, p *PackedHV) {
-	if len(acc) != p.D {
-		panic("hdc: PackedAccumulate dimension mismatch")
-	}
-	for w, word := range p.Words {
-		base := w * 64
-		limit := p.D - base
-		if limit > 64 {
-			limit = 64
-		}
-		for b := 0; b < limit; b++ {
-			if word>>(b)&1 == 1 {
-				acc[base+b] -= s
-			} else {
-				acc[base+b] += s
-			}
-		}
-	}
-}
-
 // PackedMatrix is a row-major matrix of packed hypervectors, used for the
 // binary random projection P ([F rows][D bits]) and for class hypervector
 // sets in the quantized inference path.

@@ -9,12 +9,12 @@ import (
 // awkward (F, D, N) triples: dimensions off the GEMM's 256-wide blocks and
 // 16-wide strips, single samples, empty batches.
 var encodeShapes = []struct{ f, d, n int }{
-	{33, 70, 5},   // D below one strip's word, ragged
-	{100, 257, 1}, // one column past the NC block, single sample
-	{100, 256, 4}, // exactly one NC block
-	{17, 100, 0},  // empty batch
-	{257, 530, 3}, // F spans two K blocks with remainder
-	{5, 15, 2},    // D below one strip: pure Go tail
+	{33, 70, 5},    // D below one strip's word, ragged
+	{100, 257, 1},  // one column past the NC block, single sample
+	{100, 256, 4},  // exactly one NC block
+	{17, 100, 0},   // empty batch
+	{257, 530, 3},  // F spans two K blocks with remainder
+	{5, 15, 2},     // D below one strip: pure Go tail
 	{100, 3000, 1}, // paper shape, single-sample serving case
 }
 

@@ -19,9 +19,9 @@ import (
 func pow2Conv(t *testing.T, rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) (*nn.Conv2D, *nn.Int8Conv2D, nn.Int8Quant) {
 	t.Helper()
 	const (
-		sx = float32(0.5)   // input scale
-		sw = float32(0.25)  // weight scale (all channels)
-		sy = float32(4.0)   // output scale
+		sx = float32(0.5)  // input scale
+		sw = float32(0.25) // weight scale (all channels)
+		sy = float32(4.0)  // output scale
 		zx = uint8(30)
 		zy = uint8(12)
 	)

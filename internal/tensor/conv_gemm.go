@@ -117,28 +117,41 @@ func (s *gemmB) padWindow(scratch []float32, or0, or1 int) {
 	}
 }
 
+// convTap walks im2col row indices p = (c·KH + kh)·KW + kw in order: one
+// division pair at the start, a carry chain per step. Three fields passed by
+// value, so the walker stays in registers inside its callers' loops.
+type convTap struct{ c, kh, kw int }
+
+// tapAt returns the walker standing on im2col row pb of a KH × KW kernel.
+func tapAt(pb, nh, nw int) convTap {
+	r := pb % (nh * nw)
+	return convTap{c: pb / (nh * nw), kh: r / nw, kw: r % nw}
+}
+
+// next returns the walker on row p+1.
+func (t convTap) next(nh, nw int) convTap {
+	t.kw++
+	if t.kw == nw {
+		t.kw = 0
+		t.kh++
+		if t.kh == nh {
+			t.kh = 0
+			t.c++
+		}
+	}
+	return t
+}
+
 // windowStrips describes im2col rows [pb, pe) of the strips from column j0 on
 // as addresses into the padded window: offs[p−pb] is the distance from a
 // column's (c, kh, kw) = (0, 0, 0) tap to its tap p.
 func (s *gemmB) windowStrips(offs *[gemmKC]int32, pb, pe, j0 int) bStrips {
 	g, outW := s.g, s.g.OutW()
 	wp := g.InW + 2*g.PadW
-	khw := g.KH * g.KW
-	c := pb / khw
-	r := pb % khw
-	kh := r / g.KW
-	kw := r % g.KW
+	t := tapAt(pb, g.KH, g.KW)
 	for q := range offs[:pe-pb] {
-		offs[q] = int32((c*s.winH+kh)*wp + kw)
-		kw++
-		if kw == g.KW {
-			kw = 0
-			kh++
-			if kh == g.KH {
-				kh = 0
-				c++
-			}
-		}
+		offs[q] = int32((t.c*s.winH+t.kh)*wp + t.kw)
+		t = t.next(g.KH, g.KW)
 	}
 	return bStrips{x: s.win[(j0/outW-s.winRow0)*wp:], offs: offs, ow: j0 % outW, outW: outW, ldx: wp}
 }
@@ -161,7 +174,6 @@ func (s *gemmB) windowStrips(offs *[gemmKC]int32, pb, pe, j0 int) bStrips {
 func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, pb, pe, jb, nFull int) {
 	outW := g.OutW()
 	kc := pe - pb
-	khw := g.KH * g.KW
 	rLo, rHi := max(0, xRow0), min(g.InH, xRow0+xRows)
 	// Per-strip output-row segments: local column spans [segLo, segHi) that
 	// fall on output row segOh. A strip has at most 16 of them (outW = 1).
@@ -180,12 +192,9 @@ func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, 
 			lo = hi
 		}
 		strip := panel[js*kc:]
-		// (c, kh, kw) tracks p incrementally — no divisions in the p loop.
-		c := pb / khw
-		r := pb % khw
-		kh := r / g.KW
-		kw := r % g.KW
+		t := tapAt(pb, g.KH, g.KW)
 		for p := pb; p < pe; p++ {
+			c, kh, kw := t.c, t.kh, t.kw
 			chanBase := (c*xRows - xRow0) * g.InW
 			row := strip[(p-pb)*gemmNR : (p-pb)*gemmNR+gemmNR]
 			for si := 0; si < nseg; si++ {
@@ -228,15 +237,7 @@ func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, 
 					}
 				}
 			}
-			kw++
-			if kw == g.KW {
-				kw = 0
-				kh++
-				if kh == g.KH {
-					kh = 0
-					c++
-				}
-			}
+			t = t.next(g.KH, g.KW)
 		}
 	}
 }
@@ -251,13 +252,10 @@ func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, 
 // generate zeros.
 func im2colTile(g ConvGeom, x []float32, xRow0, xRows int, tile []float32, ld, pb, pe, jb, je int) {
 	outW := g.OutW()
-	khw := g.KH * g.KW
 	rLo, rHi := max(0, xRow0), min(g.InH, xRow0+xRows)
-	c := pb / khw
-	r := pb % khw
-	kh := r / g.KW
-	kw := r % g.KW
+	t := tapAt(pb, g.KH, g.KW)
 	for p := pb; p < pe; p++ {
+		c, kh, kw := t.c, t.kh, t.kw
 		chanBase := (c*xRows - xRow0) * g.InW
 		row := tile[(p-pb)*ld : (p-pb)*ld+ld]
 		for j0 := jb; j0 < je; {
@@ -302,14 +300,6 @@ func im2colTile(g ConvGeom, x []float32, xRow0, xRows int, tile []float32, ld, p
 			}
 			j0 = j1
 		}
-		kw++
-		if kw == g.KW {
-			kw = 0
-			kh++
-			if kh == g.KH {
-				kh = 0
-				c++
-			}
-		}
+		t = t.next(g.KH, g.KW)
 	}
 }
