@@ -26,8 +26,8 @@ staticcheck:
 # classifier kernels and every tail case — prepacked, rematerialized and
 # planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
 # the compressed int4/ternary predict path (TestEngineZeroAllocCompressed),
-# the implicit-GEMM conv path, and the fused float and int8 extraction blocks
-# (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract / ...Int8Fused),
+# the implicit-GEMM conv path, and the fused extraction blocks
+# (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract),
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
 # (TestEngineZeroAllocMobileNet), and the float scorer's class strips at
 # K = 100 (TestEngineZeroAllocWideClassMemory), and for the batch split's
@@ -65,11 +65,16 @@ test:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
-# Fuzz the /predict JSON decoder against encoding/json (the differential
-# oracle of TestDecodeInputsMatchesEncodingJSON) beyond the checked-in corpus
-# under internal/serve/testdata/fuzz/, which `make test` already runs.
+# Fuzz the untrusted byte surfaces of the serving tier beyond the checked-in
+# corpora under internal/serve/testdata/fuzz/, which `make test` already runs:
+# the /predict JSON decoder against encoding/json (the differential oracle of
+# TestDecodeInputsMatchesEncodingJSON), the binary request frame of /predict
+# and /partial, and the /partial response frame. One target at a time is all
+# `go test -fuzz` takes.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeInputs -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzDecodePartialResponse -fuzztime 30s ./internal/serve/
 
 # Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D backward, float
 # class scoring, /predict JSON decode against encoding/json, Engine.PredictInto

@@ -20,7 +20,6 @@ func main() {
 	classes := flag.Int("classes", 10, "class count (affects head size)")
 	pipeline := flag.String("pipeline", "", "print serving facts for a trained pipeline snapshot (nshd-train -out)")
 	packed := flag.Bool("packed", true, "with -pipeline: compile the packed popcount classifier")
-	precision := flag.String("precision", "float32", "with -pipeline: engine precision mode (float32 or int8)")
 	remat := flag.Bool("remat", false, "with -pipeline: rematerialize the projection from its seed (O(1) encoder bytes)")
 	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion: auto (fuse runs that clear the size gate) or off (layer-by-layer)")
 	compress := flag.Float64("compress", 0, "with -pipeline: run the post-training compression search with this max accuracy drop (points) and report the chosen plan")
@@ -28,7 +27,7 @@ func main() {
 	flag.Parse()
 
 	if *pipeline != "" {
-		if err := servingFacts(*pipeline, *packed, *precision, *remat, *fuse, *compress, *calib); err != nil {
+		if err := servingFacts(*pipeline, *packed, *remat, *fuse, *compress, *calib); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -55,24 +54,14 @@ func main() {
 
 // servingFacts compiles a snapshot into a frozen engine and prints what an
 // operator needs to deploy it behind nshd-serve: input/batch shape, memory
-// per replica, precision mode with quantized-layer coverage, and batcher
-// sizing derived from the compiled chunk size.
-func servingFacts(path string, packed bool, precision string, remat bool, fuse string, compress float64, calib int) error {
+// per replica, and batcher sizing derived from the compiled chunk size.
+func servingFacts(path string, packed bool, remat bool, fuse string, compress float64, calib int) error {
 	p, err := nshd.LoadPipeline(path)
 	if err != nil {
 		return err
 	}
 	p.Cfg.PackedInference = packed
 	var opts []nshd.Option
-	switch precision {
-	case "float32":
-	case "int8":
-		// No calibration images at inspection time: the synthetic batch
-		// stands in. Layer coverage and footprints are unaffected.
-		opts = append(opts, nshd.Int8)
-	default:
-		return fmt.Errorf("unknown precision %q (have: float32, int8)", precision)
-	}
 	if remat {
 		opts = append(opts, nshd.WithRemat())
 	}
@@ -117,13 +106,6 @@ func servingFacts(path string, packed bool, precision string, remat bool, fuse s
 			for _, sub := range st.Sub {
 				fmt.Printf("  %-22s %10.1fus      %s\n", "", sub.Seconds*1e6, sub.Name)
 			}
-		}
-	}
-	fmt.Printf("  %-22s %v\n", "precision", eng.Precision())
-	if covered, total := eng.Int8Coverage(); total > 0 {
-		fmt.Printf("  %-22s %d/%d quantizable layer groups in int8\n", "int8 coverage", covered, total)
-		for _, name := range eng.Int8Layers() {
-			fmt.Printf("  %-22s %s\n", "", name)
 		}
 	}
 	fmt.Printf("  %-22s MaxBatch=%d MaxDelay=1ms QueueCap=%d  (nshd-serve defaults)\n",

@@ -46,10 +46,10 @@ func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *ten
 // the work floor. The n2 rows on either side of engine.splitMinMACs are the
 // evidence for its value (DESIGN.md, "Serving engine").
 //
-// The -int8, -unfused and -remat rows are the same pipeline compiled with
-// that one option, in the same process as the float row beside them, at the
-// shapes ROADMAP's int8 verdict and fused-vs-unfused trial name (32×32 n = 1
-// and 16, 96×96 n = 1): the only standing reading of those three paths.
+// The -unfused and -remat rows are the same pipeline compiled with that one
+// option, in the same process as the float row beside them, at the shapes
+// ROADMAP's fused-vs-unfused trial names (32×32 n = 1 and 16, 96×96 n = 1):
+// the only standing reading of those two paths.
 func BenchmarkEnginePredict(b *testing.B) {
 	for _, c := range []struct {
 		model     string
@@ -67,7 +67,6 @@ func BenchmarkEnginePredict(b *testing.B) {
 			opts   []engine.Option
 		}{
 			{"", nil},
-			{"-int8", []engine.Option{engine.Int8, engine.WithCalibration(imgs)}},
 			{"-unfused", []engine.Option{engine.WithUnfusedExtract()}},
 			{"-remat", []engine.Option{engine.WithRemat()}},
 		} {

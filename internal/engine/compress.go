@@ -312,7 +312,7 @@ func (e *Engine) Compress(target CompressTarget) (*Engine, CompressReport, error
 	nb := (e.fullD + bc - 1) / bc
 
 	rank := 0
-	if !target.NoLowRank && e.precision != Int8 && e.src.Manifold != nil && e.src.Manifold.Down() == nil {
+	if !target.NoLowRank && e.src.Manifold != nil && e.src.Manifold.Down() == nil {
 		rank = e.src.Manifold.AutoRank()
 	}
 

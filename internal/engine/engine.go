@@ -92,12 +92,6 @@ type Engine struct {
 	arenas *parallel.Freelist[*tensor.Arena]
 	fans   *parallel.Freelist[*fanout]
 
-	// Precision mode and int8 coverage accounting (see int8.go).
-	precision   Precision
-	int8Covered int
-	int8Total   int
-	int8Names   []string
-
 	// src is the SOURCE pipeline the engine was compiled from (before any
 	// compression plan was applied) and opts the resolved compile options —
 	// what Engine.Compress needs to derive and compile candidate plans.
@@ -155,11 +149,8 @@ func (s lshStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 // Predictions agree with the pipeline's direct path per-sample, bit-for-bit:
 // every stage reuses the training kernels' exact accumulation order.
 //
-// Options select the numeric mode and the projection backing: Compile(p,
-// engine.Int8, engine.WithCalibration(imgs)) rebuilds the extractor/manifold
-// stages in quantized int8 arithmetic (see Precision); WithRemat keeps only
-// the projection's seed resident. With no options the engine is the exact
-// Float32 build with prepacked projection panels (see tail.go).
+// WithRemat keeps only the projection's seed resident; with no options the
+// projection is served from prepacked panels (see tail.go).
 // Compile is the single-shard special case of CompileShard: the engine
 // scores the full dimension range [0, D).
 func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
@@ -213,16 +204,13 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		return nil, fmt.Errorf("engine: zoo input shape %v, want [C H W]", in)
 	}
 
-	if o.precision == Int8 && p.Manifold != nil && p.Manifold.Down() != nil {
-		return nil, fmt.Errorf("engine: int8 precision cannot serve a factorized manifold (the quantizer rebuilds only the dense FC)")
-	}
 	// Plan the manifold fold before laying out stages: a folded tail absorbs
 	// the manifold, so it must not also compile as a stage. The fold needs
-	// the float32 FC and a dense projection operand (the folded matrix G is
-	// not seed-defined). A factorized manifold always folds: the up factor is
-	// [F̂, rank], so G = up^T·P is only [rank, D] and rank·D < rank·F̂ + F̂·D
-	// for every rank ≤ F̂ — the fold that loses on the dense FC wins there.
-	fold := o.precision == Float32 && !o.remat && p.Manifold != nil &&
+	// a dense projection operand (the folded matrix G is not seed-defined).
+	// A factorized manifold always folds: the up factor is [F̂, rank], so
+	// G = up^T·P is only [rank, D] and rank·D < rank·F̂ + F̂·D for every
+	// rank ≤ F̂ — the fold that loses on the dense FC wins there.
+	fold := !o.remat && p.Manifold != nil &&
 		(p.Manifold.Down() != nil || foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D))
 
 	if lo < 0 || hi > p.Cfg.D || lo >= hi {
@@ -235,7 +223,6 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 		lo:        lo,
 		fullD:     p.Cfg.D,
 		version:   modelVersionHash(p),
-		precision: o.precision,
 		src:       src,
 		opts:      o,
 	}
@@ -244,30 +231,24 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 	}
 	macs := max(1, p.Extractor.Stats(in).MACs)
 	e.minSplit = int(max(1, (splitMinMACs+macs-1)/macs))
-	if o.precision == Int8 {
-		if err := e.buildInt8Stages(p, &o); err != nil {
-			return nil, err
-		}
-	} else {
-		ex := p.Extractor
-		if !o.unfused {
-			// Rewrite fusible conv→BN→ReLU→pool runs into tiled fused blocks
-			// (bit-identical; see nn.FuseInference). Layers are shared, so
-			// weight accounting and later training are unaffected.
-			ex = nn.FuseInference(ex, in[0], in[1], in[2])
-		}
-		e.stages = append(e.stages, extractStage{ex})
-		switch {
-		case p.Manifold != nil && fold:
-			// The folded tail runs pool+flatten itself and multiplies by
-			// G = Wᵀ·P directly; no manifold stage.
-		case p.Manifold != nil:
-			e.stages = append(e.stages, manifoldStage{p.Manifold})
-		case p.LSH != nil:
-			e.stages = append(e.stages, flattenStage{}, newLSHStage(p.LSH))
-		default:
-			e.stages = append(e.stages, flattenStage{})
-		}
+	ex := p.Extractor
+	if !o.unfused {
+		// Rewrite fusible conv→BN→ReLU→pool runs into tiled fused blocks
+		// (bit-identical; see nn.FuseInference). Layers are shared, so
+		// weight accounting and later training are unaffected.
+		ex = nn.FuseInference(ex, in[0], in[1], in[2])
+	}
+	e.stages = append(e.stages, extractStage{ex})
+	switch {
+	case p.Manifold != nil && fold:
+		// The folded tail runs pool+flatten itself and multiplies by
+		// G = Wᵀ·P directly; no manifold stage.
+	case p.Manifold != nil:
+		e.stages = append(e.stages, manifoldStage{p.Manifold})
+	case p.LSH != nil:
+		e.stages = append(e.stages, flattenStage{}, newLSHStage(p.LSH))
+	default:
+		e.stages = append(e.stages, flattenStage{})
 	}
 	t, err := buildTail(p, &o, fold, lo, hi)
 	if err != nil {
@@ -626,19 +607,6 @@ func stageWeightBytes(st Stage) int64 {
 		// The engine-resident operand is the prepacked panel copy, not the
 		// pipeline's dense matrix.
 		return s.panels.MemoryBytes()
-	case int8Stage:
-		var total int64
-		for _, sg := range s.segs {
-			switch seg := sg.(type) {
-			case floatSeg:
-				total += paramBytes(seg.s.Params())
-			case int8Seg:
-				for _, l := range seg.layers {
-					total += int8LayerBytes(l)
-				}
-			}
-		}
-		return total
 	}
 	return 0
 }
@@ -649,20 +617,6 @@ func paramBytes(ps []*nn.Param) int64 {
 		total += int64(p.W.Len()) * 4
 	}
 	return total
-}
-
-// int8LayerBytes counts a quantized layer's canonical weights: i8 weight
-// bytes plus the int32 bias and float32 requant scale per output channel.
-func int8LayerBytes(l nn.Int8Layer) int64 {
-	switch v := l.(type) {
-	case *nn.Int8Conv2D:
-		return int64(len(v.W)) + int64(len(v.Bias32))*4 + int64(len(v.Scales))*4
-	case *nn.Int8Linear:
-		return int64(len(v.W)) + int64(len(v.Bias32))*4 + int64(len(v.Scales))*4
-	case *nn.Int8FusedBlock:
-		return v.WeightBytes()
-	}
-	return 0
 }
 
 // init hooks the engine into core: Pipeline.Predict/Accuracy/QueryHVs compile

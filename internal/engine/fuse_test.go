@@ -30,7 +30,7 @@ func requireFusedExtract(t *testing.T, e *engine.Engine) {
 		t.Fatal(err)
 	}
 	for _, sub := range times[0].Sub {
-		if strings.HasPrefix(sub.Name, "fused{") || strings.HasPrefix(sub.Name, "Int8Fused{") {
+		if strings.HasPrefix(sub.Name, "fused{") {
 			return
 		}
 	}
@@ -148,30 +148,6 @@ func TestEngineFusedExtractTimeStages(t *testing.T) {
 		}
 	}
 	requireFusedExtract(t, e)
-}
-
-// TestEngineInt8FusedExtractBitExact mirrors the float property on the
-// quantized datapath: the tiled int8 fused blocks must reproduce the
-// layer-by-layer int8 engine exactly — same predictions, same signed query
-// hypervectors, same raw scores — on both classifier kernels.
-func TestEngineInt8FusedExtractBitExact(t *testing.T) {
-	fuseSmall(t)
-	for _, packed := range []bool{false, true} {
-		t.Run(kernelName(packed), func(t *testing.T) {
-			p, train, test := buildInt8Pipeline(t, func(c *core.Config) { c.PackedInference = packed })
-			calib := engine.WithCalibration(train.Images)
-			base, err := engine.Compile(p, engine.Int8, calib, engine.WithUnfusedExtract())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fz, err := engine.Compile(p, engine.Int8, calib)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireFusedExtract(t, fz)
-			sameOutputs(t, fz, base, test.Images)
-		})
-	}
 }
 
 // TestEngineMultiChunkFusedExtract is the regression test for the hang PR 11
@@ -321,17 +297,4 @@ func TestEngineZeroAllocBatch1FusedExtract(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestEngineZeroAllocBatch1Int8Fused is the quantized twin: batch-1 inference
-// through int8 fused blocks must not touch the heap in steady state.
-func TestEngineZeroAllocBatch1Int8Fused(t *testing.T) {
-	fuseSmall(t)
-	p, train, test := buildInt8Pipeline(t, func(c *core.Config) {})
-	e, err := engine.Compile(p, engine.Int8, engine.WithCalibration(train.Images))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireFusedExtract(t, e)
-	requireZeroAlloc(t, e, firstImages(test.Images, 1))
 }

@@ -83,9 +83,6 @@ func TestEngineSplitBitExact(t *testing.T) {
 		}{
 			{"float", false, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) { return engine.Compile(p) }},
 			{"packed", true, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) { return engine.Compile(p) }},
-			{"int8", true, func(p *core.Pipeline, calib *tensor.Tensor) (*engine.Engine, error) {
-				return engine.Compile(p, engine.Int8, engine.WithCalibration(calib))
-			}},
 			{"remat", false, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) {
 				return engine.Compile(p, engine.WithRemat())
 			}},

@@ -115,7 +115,7 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tai
 		if err != nil {
 			return nil, fmt.Errorf("engine: folding tail: %w", err)
 		}
-		t.pool, _ = p.Manifold.InferLayers()
+		t.pool = p.Manifold.Pool()
 		t.bias = c[lo:hi]
 		t.inF = p.Manifold.PooledF
 		if t.down = p.Manifold.Down(); t.down != nil {

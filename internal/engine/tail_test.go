@@ -235,10 +235,9 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 }
 
 // TestEngineTailPlanning pins the planner's fold decision at its boundary
-// and its two exclusions: the fold fires at the smallest F̂ the cost
-// inequality admits and not one below, and neither a rematerialized tail
-// (the folded matrix is dense, not seed-defined) nor an int8 engine (the
-// quantizer owns the FC) ever folds, whatever the shape.
+// and its exclusion: the fold fires at the smallest F̂ the cost inequality
+// admits and not one below, and a rematerialized tail (the folded matrix is
+// dense, not seed-defined) never folds, whatever the shape.
 func TestEngineTailPlanning(t *testing.T) {
 	folds := func(e *engine.Engine) bool {
 		names := e.Stages()
@@ -253,7 +252,6 @@ func TestEngineTailPlanning(t *testing.T) {
 		{"at-threshold", foldingFHat(70), nil, true},
 		{"below-threshold", foldingFHat(70) - 1, nil, false},
 		{"remat", foldingFHat(70), []engine.Option{engine.WithRemat()}, false},
-		{"int8", foldingFHat(70), []engine.Option{engine.Int8}, false},
 	} {
 		p, _ := buildPipeline(t, func(cfg *core.Config) { cfg.FHat = c.fhat })
 		if p.Manifold.PooledF != tinyPooledF {

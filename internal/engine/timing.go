@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
 
 // StageTime is one stage's measured wall time for a chunk. Stages that can
-// attribute time internally (the extractor's layers and fused blocks, a
-// quantized stage's segments, the tail's project and score halves) report the
-// split in Sub.
+// attribute time internally (the extractor's layers and fused blocks, the
+// tail's project and score halves) report the split in Sub.
 type StageTime struct {
 	Name    string
 	Seconds float64
@@ -30,28 +28,6 @@ func (s extractStage) runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageT
 	})
 }
 
-func (s int8Stage) runTimed(x *tensor.Tensor, ar *tensor.Arena, sub *[]StageTime) *tensor.Tensor {
-	for _, sg := range s.segs {
-		t0 := time.Now()
-		x = sg.run(x, ar)
-		d := time.Since(t0).Seconds()
-		name := "float"
-		if i8, ok := sg.(int8Seg); ok {
-			name = "int8"
-			if len(i8.layers) == 1 {
-				name = fmt.Sprint(i8.layers[0])
-			}
-			for _, l := range i8.layers {
-				if fb, ok := l.(*nn.Int8FusedBlock); ok {
-					name += " " + fb.Grid().String()
-				}
-			}
-		}
-		*sub = append(*sub, StageTime{Name: name, Seconds: d})
-	}
-	return x
-}
-
 // mergeMinSub folds one rep's sub-step times into the accumulated minimum,
 // index-aligned (every rep runs the identical schedule).
 func mergeMinSub(dst *[]StageTime, sub []StageTime, first bool) {
@@ -68,8 +44,7 @@ func mergeMinSub(dst *[]StageTime, sub []StageTime, first bool) {
 
 // TimeStages runs up to one chunk of images through the stage chain reps
 // times and reports each stage's minimum wall time, with the classifier as
-// the final row — the per-stage probe the bench harness uses to compare
-// precision modes.
+// the final row — the per-stage probe behind nshd-info and /metrics.
 func (e *Engine) TimeStages(images *tensor.Tensor, reps int) ([]StageTime, error) {
 	if err := e.checkImages(images); err != nil {
 		return nil, err

@@ -101,11 +101,10 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	return l.fc.ForwardInfer(y, ar)
 }
 
-// InferLayers exposes the inference sublayers — the pool (nil when the
-// feature map is too small to pool) and the FC regressor — for compilers
-// that rebuild the learner in another numeric format (the engine's int8
-// precision mode).
-func (l *Learner) InferLayers() (pool *nn.MaxPool2D, fc *nn.Linear) { return l.pool, l.fc }
+// Pool exposes the inference max pool (nil when the feature map is too small
+// to pool) for a compiler that runs it apart from the FC: the engine's
+// folded tail pools, then multiplies by the folded matrix.
+func (l *Learner) Pool() *nn.MaxPool2D { return l.pool }
 
 // FoldProjection algebraically folds the FC regressor into a following
 // random projection P ([F̂, D]): since both maps are linear,

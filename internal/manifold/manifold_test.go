@@ -174,7 +174,7 @@ func TestFoldProjection(t *testing.T) {
 	staged := tensor.MatMul(l.Forward(x, false), p) // [3, d]
 
 	ar := tensor.NewArena()
-	pl, _ := l.InferLayers()
+	pl := l.Pool()
 	y := pl.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar)
 	flat := ar.Wrap(y.Data, 3, l.PooledF)
 	folded := tensor.MatMul(flat, g)

@@ -72,18 +72,18 @@ func tileGrid(outH, maxRows, workers int) []int {
 	return cuts
 }
 
-// planTiles is the tile plan of both block kinds: the tallest cap whose grid
-// has a working set within FuseTileBudgetBytes, cut for the pool's workers.
-func planTiles(outH int, workingSetBytes func(cuts []int) int) []int {
-	maxRows := outH
+// planTiles is the block's tile plan: the tallest cap whose grid has a
+// working set within FuseTileBudgetBytes, cut for the pool's workers.
+func (b *FusedBlock) planTiles() []int {
+	maxRows := b.outH
 	if fuseTileRowsOverride > 0 {
-		maxRows = min(fuseTileRowsOverride, outH)
+		maxRows = min(fuseTileRowsOverride, b.outH)
 	} else {
-		for maxRows > 1 && workingSetBytes(tileGrid(outH, maxRows, 1)) > FuseTileBudgetBytes {
+		for maxRows > 1 && b.workingSetBytes(tileGrid(b.outH, maxRows, 1)) > FuseTileBudgetBytes {
 			maxRows--
 		}
 	}
-	return tileGrid(outH, maxRows, parallel.Workers())
+	return tileGrid(b.outH, maxRows, parallel.Workers())
 }
 
 // FuseGrid is a fused block's tile schedule, for the operator: tiles per
@@ -96,25 +96,6 @@ type FuseGrid struct {
 
 func (g FuseGrid) String() string {
 	return fmt.Sprintf("[%d tiles x %d rows, %d parts, halo %.1f%%]", g.Tiles, g.Rows, g.Parts, 100*g.HaloShare)
-}
-
-// newFuseGrid reads the schedule off the planned spans; rowMACs[i] is the
-// MACs of one conv output row of unit i, convH[i] that conv's map height.
-func newFuseGrid(spans [][]unitSpan, nParts int, rowMACs []int64, convH []int) FuseGrid {
-	g := FuseGrid{Tiles: len(spans), Parts: nParts}
-	var done, need int64
-	for _, sp := range spans {
-		last := sp[len(sp)-1]
-		g.Rows = max(g.Rows, last.outHi-last.outLo)
-		for i := range sp {
-			done += int64(sp[i].convHi-sp[i].convLo) * rowMACs[i]
-		}
-	}
-	for i := range rowMACs {
-		need += int64(convH[i]) * rowMACs[i]
-	}
-	g.HaloShare = float64(done-need) / float64(need)
-	return g
 }
 
 // fusedUnit is one conv-rooted stage of a FusedBlock: a convolution plus the
@@ -342,20 +323,30 @@ func newFusedBlock(units []fusedUnit, leaves []Layer, inC, inH, inW int, flatten
 		kdim := u.conv.InC * u.conv.KH * u.conv.KW
 		b.wmats[i] = tensor.FromSlice(u.conv.Weight.W.Data, u.conv.OutC, kdim)
 	}
-	b.convSize, b.outSize, b.scratchFloats, b.spans = b.sizesForTiles(planTiles(b.outH, b.workingSetBytes))
+	b.convSize, b.outSize, b.scratchFloats, b.spans = b.sizesForTiles(b.planTiles())
 	b.nTiles = len(b.spans)
 	b.nParts = parallel.Workers()
 	b.runs = parallel.NewFreelist(parallel.Workers(), b.newRun)
 	return b
 }
 
-// Grid reports the planned tile schedule.
+// Grid reads the planned tile schedule off the spans.
 func (b *FusedBlock) Grid() FuseGrid {
-	rowMACs, convH := make([]int64, len(b.units)), make([]int, len(b.units))
+	g := FuseGrid{Tiles: len(b.spans), Parts: b.nParts}
+	var done, need int64
 	for i, u := range b.units {
-		rowMACs[i], convH[i] = int64(u.conv.OutC*u.convW)*int64(u.conv.InC*u.conv.KH*u.conv.KW), u.convH
+		rowMACs := int64(u.conv.OutC*u.convW) * int64(u.conv.InC*u.conv.KH*u.conv.KW)
+		for _, sp := range b.spans {
+			done += int64(sp[i].convHi-sp[i].convLo) * rowMACs
+		}
+		need += int64(u.convH) * rowMACs
 	}
-	return newFuseGrid(b.spans, b.nParts, rowMACs, convH)
+	for _, sp := range b.spans {
+		last := sp[len(sp)-1]
+		g.Rows = max(g.Rows, last.outHi-last.outLo)
+	}
+	g.HaloShare = float64(done-need) / float64(need)
+	return g
 }
 
 // sizesForTiles plans every tile of a grid (see tileGrid) and returns the
@@ -369,15 +360,8 @@ func (b *FusedBlock) sizesForTiles(cuts []int) (convSize, outSize []int, scratch
 	convSize = make([]int, len(b.units))
 	outSize = make([]int, len(b.units))
 	spans = make([][]unitSpan, n)
-	gs := make([]spanGeom, len(b.units))
-	for i := range b.units {
-		gs[i] = spanGeom{g: b.units[i].g}
-		if b.units[i].pool != nil {
-			gs[i].poolK = b.units[i].pool.K
-		}
-	}
 	for t := 0; t < n; t++ {
-		sp := planUnitSpans(gs, cuts[t], cuts[t+1])
+		sp := b.planUnitSpans(cuts[t], cuts[t+1])
 		spans[t] = sp
 		for i := range b.units {
 			u := &b.units[i]
@@ -407,27 +391,19 @@ func (b *FusedBlock) workingSetBytes(cuts []int) int {
 	return 4 * floats
 }
 
-// spanGeom is the geometry a unit contributes to the halo recurrence: its
-// conv and the window of the pool that follows it (0 = no pool). Shared by
-// the float and int8 planners.
-type spanGeom struct {
-	g     tensor.ConvGeom
-	poolK int
-}
-
 // planUnitSpans walks the chain backwards from block output rows
 // [outLo, outHi): a pool needs its conv rows [lo·K, hi·K); a conv's output
 // rows [c0, c1) read input rows [c0·S−Pad, (c1−1)·S−Pad+KH) clamped to the
 // input (the low bound can exceed InH when the padding overhangs the
 // kernel); the previous unit must produce exactly that window.
-func planUnitSpans(gs []spanGeom, outLo, outHi int) []unitSpan {
-	sp := make([]unitSpan, len(gs))
+func (b *FusedBlock) planUnitSpans(outLo, outHi int) []unitSpan {
+	sp := make([]unitSpan, len(b.units))
 	lo, hi := outLo, outHi
-	for i := len(gs) - 1; i >= 0; i-- {
-		u := gs[i]
+	for i := len(b.units) - 1; i >= 0; i-- {
+		u := &b.units[i]
 		s := unitSpan{outLo: lo, outHi: hi, convLo: lo, convHi: hi}
-		if u.poolK > 0 {
-			s.convLo, s.convHi = lo*u.poolK, hi*u.poolK
+		if u.pool != nil {
+			s.convLo, s.convHi = lo*u.pool.K, hi*u.pool.K
 		}
 		if s.convHi > s.convLo {
 			s.inLo = min(max(0, s.convLo*u.g.StrideH-u.g.PadH), u.g.InH)

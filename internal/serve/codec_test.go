@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -271,6 +274,47 @@ func BenchmarkDecodeInputs(b *testing.B) {
 			data := make([]float32, 0, n*sampleLen)
 			for _, row := range req.Inputs {
 				data = append(data, row...)
+			}
+		}
+	})
+}
+
+// BenchmarkReadFrame reads the online_single workload's body (one 3×32×32
+// image, a 12 KiB binary frame). The codec row is readFrame alone; the
+// handler-replay row is the boundary the benchmark's serve.codec_us is
+// measured at — httptest request and recorder around servePredict, as
+// benchmark/load.go's handlerOp builds them — with a predict that returns at
+// once, so the difference of the two rows is what the replay adds to the
+// codec (DESIGN.md, "Serving front end").
+func BenchmarkReadFrame(b *testing.B) {
+	const sampleLen = 3 * 32 * 32
+	c := newCodec(sampleLen, 32)
+	body := binaryFrame(1, nil, float32bits(imageLike(sampleLen)))
+	b.Run("codec", func(b *testing.B) {
+		sc := new(reqScratch)
+		rd := bytes.NewReader(body)
+		var hdr [4]byte
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			if _, err := c.readFrame(rd, sc, hdr[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("handler-replay", func(b *testing.B) {
+		preds := []int{3}
+		predict := func(context.Context, []float32, int) ([]int, error) { return preds, nil }
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/octet-stream")
+			rec := httptest.NewRecorder()
+			c.servePredict(req.Context(), rec, req, predict, nil)
+			if rec.Code != http.StatusOK {
+				b.Fatal(rec.Code)
 			}
 		}
 	})
@@ -602,6 +646,68 @@ func FuzzDecodeInputs(f *testing.F) {
 		c.window = jsonWindow
 		if full := checkDecodeAgainstJSON(t, body, c); full != small {
 			t.Fatalf("codec verdict depends on the window: accepted %v at full size", full)
+		}
+	})
+}
+
+// FuzzReadFrame holds arbitrary /partial request bodies (12-byte header: the
+// count, then the version) to readFrame's contract, worked out from the bytes:
+// a cut header, a count outside 1..maxBatch, a cut payload and a NaN or ±Inf
+// value are each refused, in that order and for that reason; anything else is
+// count·sampleLen finite floats with the body's bits (bytes after the payload
+// are not the frame's). A refused count sizes nothing, and no count sizes the
+// payload buffer beyond maxBatch·sampleLen·4 bytes.
+func FuzzReadFrame(f *testing.F) {
+	c := newCodec(3, 2)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var sc reqScratch
+		var hdr [partialReqHeaderLen]byte
+		n, err := c.readFrame(bytes.NewReader(body), &sc, hdr[:])
+		if limit := 4 * c.maxBatch * c.sampleLen; len(sc.raw) > limit {
+			t.Fatalf("payload buffer of %d bytes, limit %d", len(sc.raw), limit)
+		}
+		if err != nil && n != 0 {
+			t.Fatalf("%d samples returned with error %v", n, err)
+		}
+		if len(body) < len(hdr) {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("header of %d bytes: %v", len(body), err)
+			}
+			return
+		}
+		count := binary.LittleEndian.Uint32(body)
+		if count < 1 || count > uint32(c.maxBatch) {
+			if err == nil || cap(sc.raw) != 0 || cap(sc.data) != 0 {
+				t.Fatalf("count %d: err %v, buffers sized %d and %d", count, err, cap(sc.raw), cap(sc.data))
+			}
+			return
+		}
+		floats := int(count) * c.sampleLen
+		payload := body[len(hdr):]
+		if len(payload) < 4*floats {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("payload of %d bytes for %d floats: %v", len(payload), floats, err)
+			}
+			return
+		}
+		finite := true
+		for i := 0; i < floats; i++ {
+			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		if !finite {
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("non-finite payload: %v", err)
+			}
+			return
+		}
+		if err != nil || n != int(count) || len(sc.data) != floats {
+			t.Fatalf("well-formed frame of %d samples: n=%d, %d floats, %v", count, n, len(sc.data), err)
+		}
+		for i, v := range sc.data {
+			if math.Float32bits(v) != binary.LittleEndian.Uint32(payload[4*i:]) {
+				t.Fatalf("float %d = %x, body has %x", i, math.Float32bits(v), binary.LittleEndian.Uint32(payload[4*i:]))
+			}
 		}
 	})
 }

@@ -46,10 +46,6 @@ type Arena struct {
 	hoff  int
 	hpeak int
 
-	bytes []uint8
-	boff  int
-	bpeak int
-
 	i32s    []int32
 	i32off  int
 	i32peak int
@@ -57,34 +53,30 @@ type Arena struct {
 	f64s    []float64
 	f64off  int
 	f64peak int
-
-	qhdrs  []QTensor
-	qhoff  int
-	qhpeak int
 }
 
 // NewArena returns an empty arena in measuring mode.
 func NewArena() *Arena { return &Arena{} }
 
 // ArenaMark is a snapshot of all slab offsets, for stack-style release.
-type ArenaMark struct{ f, w, i, h, b, i32, f64, qh int }
+type ArenaMark struct{ f, w, i, h, i32, f64 int }
 
 // Mark snapshots the arena's current offsets.
 func (a *Arena) Mark() ArenaMark {
-	return ArenaMark{f: a.foff, w: a.woff, i: a.ioff, h: a.hoff, b: a.boff, i32: a.i32off, f64: a.f64off, qh: a.qhoff}
+	return ArenaMark{f: a.foff, w: a.woff, i: a.ioff, h: a.hoff, i32: a.i32off, f64: a.f64off}
 }
 
 // Release rewinds the arena to a previous Mark, freeing everything allocated
 // since. Buffers handed out after the mark must no longer be used.
 func (a *Arena) Release(m ArenaMark) {
 	a.foff, a.woff, a.ioff, a.hoff = m.f, m.w, m.i, m.h
-	a.boff, a.i32off, a.f64off, a.qhoff = m.b, m.i32, m.f64, m.qh
+	a.i32off, a.f64off = m.i32, m.f64
 }
 
 // Reset frees everything, keeping capacity. Call between batches.
 func (a *Arena) Reset() {
 	a.foff, a.woff, a.ioff, a.hoff = 0, 0, 0, 0
-	a.boff, a.i32off, a.f64off, a.qhoff = 0, 0, 0, 0
+	a.i32off, a.f64off = 0, 0
 }
 
 // Floats returns an uninitialized float32 buffer of length n.
@@ -127,29 +119,8 @@ func (a *Arena) Words(n int) []uint64 {
 	return s
 }
 
-// Bytes returns an uninitialized uint8 buffer of length n (quantized
-// activations, im2col columns, packed int8 GEMM panels).
-func (a *Arena) Bytes(n int) []uint8 {
-	if a.boff+n > len(a.bytes) {
-		if a.frozen {
-			panic(fmt.Sprintf("tensor: frozen arena byte slab exhausted (%d + %d > %d)", a.boff, n, len(a.bytes)))
-		}
-		a.boff += n
-		if a.boff > a.bpeak {
-			a.bpeak = a.boff
-		}
-		return make([]uint8, n)
-	}
-	s := a.bytes[a.boff : a.boff+n : a.boff+n]
-	a.boff += n
-	if a.boff > a.bpeak {
-		a.bpeak = a.boff
-	}
-	return s
-}
-
-// Int32s returns an uninitialized int32 buffer of length n (quantized GEMM
-// accumulators).
+// Int32s returns an uninitialized int32 buffer of length n (the word scorers'
+// integer class dots in the engine's tail).
 func (a *Arena) Int32s(n int) []int32 {
 	if a.i32off+n > len(a.i32s) {
 		if a.frozen {
@@ -262,78 +233,6 @@ func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
 	return t
 }
 
-// qheader returns a QTensor header with the given shape copied into the
-// arena's shape slab.
-func (a *Arena) qheader(shape []int) *QTensor {
-	var q *QTensor
-	if a.qhoff < len(a.qhdrs) {
-		q = &a.qhdrs[a.qhoff]
-	} else if a.frozen {
-		panic("tensor: frozen arena qheader slab exhausted")
-	} else {
-		q = &QTensor{}
-	}
-	a.qhoff++
-	if a.qhoff > a.qhpeak {
-		a.qhpeak = a.qhoff
-	}
-
-	var dst []int
-	if a.ioff+len(shape) > len(a.ints) {
-		if a.frozen {
-			panic("tensor: frozen arena shape slab exhausted")
-		}
-		a.ioff += len(shape)
-		if a.ioff > a.ipeak {
-			a.ipeak = a.ioff
-		}
-		dst = make([]int, len(shape))
-	} else {
-		dst = a.ints[a.ioff : a.ioff+len(shape) : a.ioff+len(shape)]
-		a.ioff += len(shape)
-		if a.ioff > a.ipeak {
-			a.ipeak = a.ioff
-		}
-	}
-	copy(dst, shape)
-	q.Shape = dst
-	return q
-}
-
-// AllocU8 returns an arena-backed quantized tensor of the given shape with
-// UNINITIALIZED contents: the caller must overwrite every element.
-func (a *Arena) AllocU8(scale float32, zero uint8, shape ...int) *QTensor {
-	n := 1
-	for _, s := range shape {
-		if s < 0 {
-			panic("tensor: negative dimension in arena AllocU8")
-		}
-		n *= s
-	}
-	q := a.qheader(shape)
-	q.Data = a.Bytes(n)
-	q.Scale = scale
-	q.Zero = zero
-	return q
-}
-
-// WrapU8 returns an arena-backed quantized tensor header viewing existing
-// bytes (no copy). The element count must match the shape.
-func (a *Arena) WrapU8(data []uint8, scale float32, zero uint8, shape ...int) *QTensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic("tensor: arena WrapU8 length does not match shape")
-	}
-	q := a.qheader(shape)
-	q.Data = data
-	q.Scale = scale
-	q.Zero = zero
-	return q
-}
-
 // Freeze sizes the slabs to the observed peaks and switches the arena to
 // frozen (zero-allocation) mode. The arena is Reset as a side effect.
 func (a *Arena) Freeze() {
@@ -341,10 +240,8 @@ func (a *Arena) Freeze() {
 	a.words = make([]uint64, a.wpeak)
 	a.ints = make([]int, a.ipeak)
 	a.hdrs = make([]Tensor, a.hpeak)
-	a.bytes = make([]uint8, a.bpeak)
 	a.i32s = make([]int32, a.i32peak)
 	a.f64s = make([]float64, a.f64peak)
-	a.qhdrs = make([]QTensor, a.qhpeak)
 	a.frozen = true
 	a.Reset()
 }
@@ -372,17 +269,11 @@ func (a *Arena) Grow() {
 	if a.hpeak > len(a.hdrs) {
 		a.hdrs = make([]Tensor, a.hpeak)
 	}
-	if a.bpeak > len(a.bytes) {
-		a.bytes = make([]uint8, a.bpeak)
-	}
 	if a.i32peak > len(a.i32s) {
 		a.i32s = make([]int32, a.i32peak)
 	}
 	if a.f64peak > len(a.f64s) {
 		a.f64s = make([]float64, a.f64peak)
-	}
-	if a.qhpeak > len(a.qhdrs) {
-		a.qhdrs = make([]QTensor, a.qhpeak)
 	}
 	a.Reset()
 }
@@ -400,12 +291,10 @@ func (a *Arena) CloneEmpty() *Arena {
 		words:  make([]uint64, len(a.words)),
 		ints:   make([]int, len(a.ints)),
 		hdrs:   make([]Tensor, len(a.hdrs)),
-		bytes:  make([]uint8, len(a.bytes)),
 		i32s:   make([]int32, len(a.i32s)),
 		f64s:   make([]float64, len(a.f64s)),
-		qhdrs:  make([]QTensor, len(a.qhdrs)),
 		fpeak:  a.fpeak, wpeak: a.wpeak, ipeak: a.ipeak, hpeak: a.hpeak,
-		bpeak: a.bpeak, i32peak: a.i32peak, f64peak: a.f64peak, qhpeak: a.qhpeak,
+		i32peak: a.i32peak, f64peak: a.f64peak,
 	}
 	return c
 }
@@ -414,7 +303,7 @@ func (a *Arena) CloneEmpty() *Arena {
 // chunk-size budgeting).
 func (a *Arena) FootprintBytes() int64 {
 	return int64(a.fpeak)*4 + int64(a.wpeak)*8 + int64(a.ipeak)*8 + int64(a.hpeak)*48 +
-		int64(a.bpeak) + int64(a.i32peak)*4 + int64(a.f64peak)*8 + int64(a.qhpeak)*56
+		int64(a.i32peak)*4 + int64(a.f64peak)*8
 }
 
 // PeakFloats reports the peak float32 usage observed so far (valid in both

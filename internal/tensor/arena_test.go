@@ -2,41 +2,56 @@ package tensor
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// arenaBatch emulates one batch on every slab kind: two activations (floats,
+// headers, shape ints) around transient scratch of each buffer kind that a
+// Release rewinds, then the tail's packed words, integer dots and float64
+// accumulators.
+func arenaBatch(a *Arena) {
+	a.Reset()
+	x := a.Alloc(4, 8)
+	m := a.Mark()
+	a.Floats(100)[0] = 1
+	a.Words(5)[0] = 1
+	a.Int32s(9)[0] = 1
+	a.Float64s(11)[0] = 1
+	a.Wrap(x.Data, 8, 4)
+	a.Release(m)
+	y := a.Alloc(4, 8)
+	copy(y.Data, x.Data)
+	a.Words(3)[0] = 7
+	a.Int32s(6)[0] = 7
+	a.Float64s(2)[0] = 7
+}
 
 func TestArenaMeasureFreezeReuse(t *testing.T) {
 	a := NewArena()
-	// Measuring pass: emulate a batch — two activations plus transient scratch.
-	x := a.Alloc(4, 8)
-	m := a.Mark()
-	scratch := a.Floats(100)
-	_ = scratch
-	a.Release(m)
-	y := a.Alloc(4, 8)
-	w := a.Words(3)
-	_ = x
-	_ = y
-	_ = w
+	arenaBatch(a)
 	if a.PeakFloats() != 4*8+100 {
 		t.Fatalf("peak floats = %d, want %d", a.PeakFloats(), 4*8+100)
 	}
 	a.Freeze()
 
-	// Frozen steady state must hand out slab-backed buffers with no allocation.
-	allocs := testing.AllocsPerRun(100, func() {
-		a.Reset()
-		x := a.Alloc(4, 8)
-		m := a.Mark()
-		s := a.Floats(100)
-		s[0] = 1
-		a.Release(m)
-		y := a.Alloc(4, 8)
-		copy(y.Data, x.Data)
-		w := a.Words(3)
-		w[0] = 7
-	})
-	if allocs != 0 {
-		t.Fatalf("frozen arena allocated %.1f times per run, want 0", allocs)
+	// The footprint is the six slabs' peaks times their element sizes: the
+	// transient scratch sets every buffer peak, the post-Release allocations
+	// fit under it, and two headers of rank 2 are live at once.
+	want := int64(4*8+100)*4 + 5*8 + 9*4 + 11*8 + 2*2*8 + 2*int64(unsafe.Sizeof(Tensor{}))
+	if got := a.FootprintBytes(); got != want {
+		t.Fatalf("FootprintBytes = %d, want %d", got, want)
+	}
+
+	// Frozen steady state must hand out slab-backed buffers of every kind
+	// with no allocation, on the measured arena and on a clone of it.
+	c := a.CloneEmpty()
+	if got := c.FootprintBytes(); got != want {
+		t.Fatalf("clone FootprintBytes = %d, want %d", got, want)
+	}
+	for name, ar := range map[string]*Arena{"frozen": a, "clone": c} {
+		if allocs := testing.AllocsPerRun(100, func() { arenaBatch(ar) }); allocs != 0 {
+			t.Fatalf("%s arena allocated %.1f times per run, want 0", name, allocs)
+		}
 	}
 }
 

@@ -43,60 +43,3 @@ func ConvMulRowsInto(dst []float32, ldd, dstOff int, wmat *Tensor, g ConvGeom,
 	src := convB(g, x, xRow0, xRows, scratch, or0, or1)
 	gemmDrive(dst[dstOff:], ldd, wmat.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, true)
 }
-
-// Im2ColU8Rows writes the columns of the u8 im2col matrix belonging to conv
-// output rows [or0, or1) into cols, row-major with leading dimension
-// (or1−or0)·OutW. Values are exactly the corresponding region of Im2ColU8
-// (pad at padding positions). x holds input rows [xRow0, xRow0+xRows) of
-// each channel plane with channel stride xRows·InW, as in convPackStrips.
-// The int8 GEMM is exact integer arithmetic, so any row tiling of the conv
-// built on this generator is trivially bit-exact.
-func Im2ColU8Rows(g ConvGeom, x []uint8, xRow0, xRows int, cols []uint8, or0, or1 int, pad uint8) {
-	outW := g.OutW()
-	ld := (or1 - or0) * outW
-	rows := g.InC * g.KH * g.KW
-	if len(cols) < rows*ld {
-		panic(fmt.Sprintf("tensor: Im2ColU8Rows cols %d, want %d", len(cols), rows*ld))
-	}
-	for c := 0; c < g.InC; c++ {
-		chanBase := (c*xRows - xRow0) * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW + kw) * ld
-				for oh := or0; oh < or1; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					dstBase := row + (oh-or0)*outW
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							cols[dstBase+ow] = pad
-						}
-						continue
-					}
-					srcBase := chanBase + ih*g.InW
-					if g.StrideW == 1 {
-						owLo := max(0, g.PadW-kw)
-						owHi := min(outW, g.InW+g.PadW-kw)
-						owHi = max(owHi, owLo)
-						for ow := 0; ow < owLo; ow++ {
-							cols[dstBase+ow] = pad
-						}
-						s := srcBase + owLo - g.PadW + kw
-						copy(cols[dstBase+owLo:dstBase+owHi], x[s:s+owHi-owLo])
-						for ow := owHi; ow < outW; ow++ {
-							cols[dstBase+ow] = pad
-						}
-						continue
-					}
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							cols[dstBase+ow] = pad
-						} else {
-							cols[dstBase+ow] = x[srcBase+iw]
-						}
-					}
-				}
-			}
-		}
-	}
-}

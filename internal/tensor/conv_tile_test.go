@@ -118,56 +118,3 @@ func TestConvMulRowsMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestIm2ColU8RowsMatchesFull checks the windowed u8 generator against the
-// matching region of Im2ColU8 over random geometries and row ranges.
-func TestIm2ColU8RowsMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 40; trial++ {
-		g := ConvGeom{
-			InC:     1 + rng.Intn(4),
-			InH:     3 + rng.Intn(12),
-			InW:     3 + rng.Intn(12),
-			KH:      1 + rng.Intn(4),
-			KW:      1 + rng.Intn(4),
-			StrideH: 1 + rng.Intn(3),
-			StrideW: 1 + rng.Intn(3),
-			PadH:    rng.Intn(3),
-			PadW:    rng.Intn(3),
-		}
-		if g.Validate() != nil {
-			continue
-		}
-		pad := uint8(rng.Intn(256))
-		kdim := g.InC * g.KH * g.KW
-		outH, outW := g.OutH(), g.OutW()
-		nOut := outH * outW
-		x := make([]uint8, g.InC*g.InH*g.InW)
-		rng.Read(x)
-		full := make([]uint8, kdim*nOut)
-		Im2ColU8(g, x, full, pad)
-		for or0 := 0; or0 < outH; {
-			or1 := min(or0+1+rng.Intn(outH), outH)
-			rows := or1 - or0
-			inLo := min(max(0, or0*g.StrideH-g.PadH), g.InH)
-			inHi := min(g.InH, (or1-1)*g.StrideH-g.PadH+g.KH)
-			inHi = max(inHi, inLo)
-			win := make([]uint8, g.InC*(inHi-inLo)*g.InW)
-			for c := 0; c < g.InC; c++ {
-				copy(win[c*(inHi-inLo)*g.InW:(c+1)*(inHi-inLo)*g.InW],
-					x[(c*g.InH+inLo)*g.InW:(c*g.InH+inHi)*g.InW])
-			}
-			cols := make([]uint8, kdim*rows*outW)
-			Im2ColU8Rows(g, win, inLo, inHi-inLo, cols, or0, or1, pad)
-			for p := 0; p < kdim; p++ {
-				for j := or0 * outW; j < or1*outW; j++ {
-					if got, w := cols[p*rows*outW+j-or0*outW], full[p*nOut+j]; got != w {
-						t.Fatalf("trial %d g=%+v rows [%d,%d): (%d,%d) = %d, want %d",
-							trial, g, or0, or1, p, j, got, w)
-					}
-				}
-			}
-			or0 = or1
-		}
-	}
-}

@@ -86,26 +86,9 @@ type Engine = engine.Engine
 // StreamResult is one batch's outcome on Engine.PredictStream.
 type StreamResult = engine.StreamResult
 
-// Precision selects the numeric datapath a compiled engine runs: Float32
-// (the default) or Int8 — per-channel symmetric weights, u8 activations and
-// VNNI-accelerated quantized GEMM through the extractor and manifold, with
-// per-layer float fallback. Pass it as a Compile option.
-type Precision = engine.Precision
-
-// Float32 and Int8 are the engine precision modes.
-const (
-	Float32 = engine.Float32
-	Int8    = engine.Int8
-)
-
-// Option is a Compile option: a Precision, WithCalibration, WithRemat,
-// WithUnfusedExtract or WithCompression.
+// Option is a Compile option: WithRemat, WithUnfusedExtract or
+// WithCompression.
 type Option = engine.Option
-
-// WithCalibration supplies images whose activation ranges calibrate the
-// int8 engine's quantization parameters. Strongly recommended with Int8:
-// without it a synthetic N(0,1) batch stands in, with real accuracy risk.
-func WithCalibration(images *Tensor) Option { return engine.WithCalibration(images) }
 
 // WithRemat rematerializes the projection matrix from its 8-byte seed
 // inside the serving tail's GEMM, collapsing the encoder's serving bytes from
