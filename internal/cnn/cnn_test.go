@@ -246,3 +246,37 @@ func TestPretrainCacheRoundTrip(t *testing.T) {
 		t.Fatalf("cached accuracy %v", acc2)
 	}
 }
+
+// BenchmarkTrainStep times one optimizer step of the full VGG16/4 — forward,
+// loss, backward, clip, SGD with momentum and weight decay — at the batch
+// size and settings Pretrain configures: the unit cnn.pretrain_s is made of.
+func BenchmarkTrainStep(b *testing.B) {
+	const batch = 32
+	m, err := Build("vgg16", tensor.NewRNG(1), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := m.Full()
+	x := tensor.New(batch, 3, 32, 32)
+	tensor.NewRNG(2).FillNormal(x, 0, 1)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	cfg := DefaultPretrainConfig()
+	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4)
+	step := func() {
+		model.ZeroGrad()
+		_, grad := nn.CrossEntropy(model.Forward(x, true), labels)
+		model.Backward(grad)
+		nn.ClipGradNorm(model.Params(), 5)
+		opt.Step(model.Params())
+	}
+	step() // velocities and pooled workspaces exist from here on
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
+}

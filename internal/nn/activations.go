@@ -6,10 +6,25 @@ import (
 	"nshd/internal/tensor"
 )
 
+// elemGrain is the fewest elements of an elementwise training sweep (an
+// activation, an optimizer update) worth a pool task of their own: at a few
+// bytes of traffic per element, smaller ranges lose to the dispatch.
+const elemGrain = 1 << 14
+
+// clampCopy returns clamp applied to a copy of x, range by range over the
+// pool so each range is clamped while its copy is still in cache.
+func clampCopy(x *tensor.Tensor, clamp func([]float32)) *tensor.Tensor {
+	y := tensor.New(x.Shape...)
+	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+		copy(y.Data[lo:hi], x.Data[lo:hi])
+		clamp(y.Data[lo:hi])
+	})
+	return y
+}
+
 // ReLU is max(0, x).
 type ReLU struct {
-	cachedMask  []bool
-	cachedShape []int
+	cachedY *tensor.Tensor
 }
 
 // NewReLU constructs a ReLU activation.
@@ -18,37 +33,37 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// Forward clamps negatives to zero.
+// Forward clamps negatives to zero: a copy of x through ForwardInfer's kernel,
+// so the two agree bit for bit (NaN passes through, -0 becomes +0).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
-	var mask []bool
+	y := clampCopy(x, tensor.ReLUInPlace)
+	r.cachedY = nil
 	if train {
-		mask = make([]bool, x.Len())
-		r.cachedShape = append([]int(nil), x.Shape...)
+		r.cachedY = y
 	}
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			if mask != nil {
-				mask[i] = true
-			}
-		}
-	}
-	r.cachedMask = mask
 	return y
 }
 
-// Backward zeroes gradients where the input was non-positive.
+// Backward zeroes gradients where the input was non-positive, read off the
+// cached output: y > 0 exactly where x > 0, and a NaN gets no gradient.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.cachedMask == nil {
+	if r.cachedY == nil {
 		panic("nn: ReLU.Backward without Forward(train=true)")
 	}
-	dx := tensor.New(r.cachedShape...)
-	for i, on := range r.cachedMask {
-		if on {
-			dx.Data[i] = grad.Data[i]
+	y := r.cachedY
+	dx := tensor.New(y.Shape...)
+	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
+		for i, g := range gs {
+			// A select on the gradient's bits, as in tensor/elem.go: the sign
+			// of an activation is a coin flip to the branch predictor.
+			b := math.Float32bits(g)
+			if !(ys[i] > 0) {
+				b = 0
+			}
+			dx.Data[lo+i] = math.Float32frombits(b)
 		}
-	}
+	})
 	return dx
 }
 
@@ -63,8 +78,7 @@ func (r *ReLU) Stats(in []int) Stats { return Stats{ActBytes: int64(shapeElems(i
 
 // ReLU6 is min(max(0,x),6), the clipped activation MobileNetV2 uses.
 type ReLU6 struct {
-	cachedPass  []bool
-	cachedShape []int
+	cachedY *tensor.Tensor
 }
 
 // NewReLU6 constructs a ReLU6 activation.
@@ -73,41 +87,37 @@ func NewReLU6() *ReLU6 { return &ReLU6{} }
 // Name implements Layer.
 func (r *ReLU6) Name() string { return "relu6" }
 
-// Forward clamps to [0, 6].
+// Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit.
 func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
-	var pass []bool
+	y := clampCopy(x, tensor.ClampReLU6InPlace)
+	r.cachedY = nil
 	if train {
-		pass = make([]bool, x.Len())
-		r.cachedShape = append([]int(nil), x.Shape...)
+		r.cachedY = y
 	}
-	for i, v := range x.Data {
-		switch {
-		case v <= 0:
-		case v >= 6:
-			y.Data[i] = 6
-		default:
-			y.Data[i] = v
-			if pass != nil {
-				pass[i] = true
-			}
-		}
-	}
-	r.cachedPass = pass
 	return y
 }
 
-// Backward passes gradients only in the linear region (0 < x < 6).
+// Backward passes gradients only in the linear region, read off the cached
+// output: 0 < y < 6 exactly where 0 < x < 6, and a NaN gets no gradient.
 func (r *ReLU6) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if r.cachedPass == nil {
+	if r.cachedY == nil {
 		panic("nn: ReLU6.Backward without Forward(train=true)")
 	}
-	dx := tensor.New(r.cachedShape...)
-	for i, on := range r.cachedPass {
-		if on {
-			dx.Data[i] = grad.Data[i]
+	y := r.cachedY
+	dx := tensor.New(y.Shape...)
+	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
+		for i, g := range gs {
+			b := math.Float32bits(g)
+			if !(ys[i] > 0) {
+				b = 0
+			}
+			if !(ys[i] < 6) {
+				b = 0
+			}
+			dx.Data[lo+i] = math.Float32frombits(b)
 		}
-	}
+	})
 	return dx
 }
 

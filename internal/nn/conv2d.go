@@ -13,17 +13,17 @@ import (
 var parallelFor = tensor.ParallelFor
 
 // Conv2D is a standard 2-D convolution over [N, C, H, W] inputs with weights
-// [OutC, InC, KH, KW]. Forward uses im2col + matmul; backward recomputes the
-// column matrix per sample to trade compute for memory.
+// [OutC, InC, KH, KW]. Forward and Backward both walk the batch in fixed
+// chunks of samples on the blocked GEMM driver; only the input is cached, and
+// Backward recomputes the column matrix per chunk to trade compute for memory.
 type Conv2D struct {
-	InC, OutC     int
-	KH, KW        int
-	Stride, Pad   int
-	Weight        *Param
-	Bias          *Param
-	useBias       bool
-	cachedX       *tensor.Tensor
-	cachedInShape []int
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+	Weight      *Param
+	Bias        *Param
+	useBias     bool
+	cachedX     *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution with He-normal weights.
@@ -54,7 +54,25 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 	}
 }
 
-// Forward computes the convolution for every sample in the batch in parallel.
+// Forward computes the convolution chunk by chunk of samples, one chunk per
+// pool task. What a chunk does is a function of the layer geometry alone:
+//
+//   - in offset form (tensor.ConvOffsetForm: stride 1, OutW a multiple of 16)
+//     each sample is one implicit GEMM that reads the image in place, as in
+//     ForwardInfer — no column matrix, bit-identical to im2col + GEMM;
+//   - otherwise the chunk's b samples are stacked side by side into one
+//     column matrix [kdim, b·HW], multiplied once, and un-stacked into y by
+//     row copies. b is 1 — the per-sample product, written straight into y —
+//     unless train is set and HW is not a whole number of 16-column strips:
+//     then every column of a per-sample product past the last whole strip
+//     (at HW = 4, all of them) runs the ragged-column kernel, and stacking
+//     convStackChunk(HW) samples puts all but the chunk's last < 16 columns
+//     on the strip kernels. A whole number of strips is not stacked: the
+//     per-sample panel stays L1-resident and the stacked one does not
+//     (DESIGN.md, Training engine).
+//
+// Eval mode therefore computes exactly ForwardInfer's bits; train mode moves
+// them only in stacked layers, as Backward's stacking does for gradients.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
@@ -65,47 +83,67 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	outH, outW := g.OutH(), g.OutW()
-	y := tensor.New(n, c.OutC, outH, outW)
+	hw := g.OutH() * g.OutW()
+	y := tensor.New(n, c.OutC, g.OutH(), g.OutW())
 	if train {
 		c.cachedX = x
-		c.cachedInShape = []int{c.InC, h, w}
 	} else {
 		c.cachedX = nil
 	}
-	wmat := c.Weight.W.Reshape(c.OutC, c.InC*c.KH*c.KW)
 	kdim := c.InC * c.KH * c.KW
+	wmat := c.Weight.W.Reshape(c.OutC, kdim)
 	sampleIn := c.InC * h * w
-	sampleOut := c.OutC * outH * outW
-	// Tiny batches cannot feed the pool through per-sample splitting, so let
-	// the GEMM itself parallelize over tiles; larger batches run one serial
-	// GEMM per sample on its worker. The two GEMM paths are bit-identical, so
-	// the choice (a function of n only) never changes the output.
-	serialGemm := n >= 4
-	parallelFor(n, func(lo, hi int) {
-		colsBuf := tensor.GetFloats(kdim * outH * outW)
-		gemmBuf := tensor.GetFloats(tensor.GemmScratch())
-		cols := tensor.FromSlice(colsBuf, kdim, outH*outW)
-		for i := lo; i < hi; i++ {
-			tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
-			out := tensor.FromSlice(y.Data[i*sampleOut:(i+1)*sampleOut], c.OutC, outH*outW)
-			if serialGemm {
-				tensor.MatMulSerialInto(out, wmat, cols, gemmBuf)
+	sampleOut := c.OutC * hw
+	offset := tensor.ConvOffsetForm(g)
+	chunk := 1
+	if train && !offset && tensor.PanelStripCols(hw) != hw {
+		chunk = convStackChunk(hw)
+	}
+	parallelFor((n+chunk-1)/chunk, func(clo, chi int) {
+		var buf, gemmBuf []float32
+		if offset {
+			gemmBuf = tensor.GetFloats(tensor.ConvGemmScratch(g))
+		} else {
+			// One workspace per task, carved into cols and the stacked output.
+			buf = tensor.GetFloats((kdim + c.OutC) * chunk * hw)
+			gemmBuf = tensor.GetFloats(tensor.GemmScratch())
+		}
+		for ci := clo; ci < chi; ci++ {
+			lo := ci * chunk
+			b := min(chunk, n-lo)
+			ys := y.Data[lo*sampleOut:][:b*sampleOut]
+			if offset {
+				tensor.ConvMulSerialInto(tensor.FromSlice(ys, c.OutC, hw), wmat, g, x.Data[lo*sampleIn:][:sampleIn], gemmBuf)
 			} else {
-				tensor.MatMulInto(out, wmat, cols)
+				ld := b * hw // the stacked dimension
+				cols := tensor.FromSlice(buf[:kdim*ld], kdim, ld)
+				out := ys // one sample: the product is y's layout already
+				if b > 1 {
+					out = buf[kdim*ld:][:c.OutC*ld]
+				}
+				for s := 0; s < b; s++ {
+					tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+				}
+				tensor.MatMulSerialInto(tensor.FromSlice(out, c.OutC, ld), wmat, cols, gemmBuf)
+				if b > 1 {
+					for p := 0; p < b*c.OutC; p++ {
+						s, oc := p/c.OutC, p%c.OutC
+						copy(ys[p*hw:][:hw], out[oc*ld+s*hw:])
+					}
+				}
 			}
 			if c.useBias {
-				for oc := 0; oc < c.OutC; oc++ {
-					b := c.Bias.W.Data[oc]
-					seg := out.Data[oc*outH*outW : (oc+1)*outH*outW]
-					for j := range seg {
-						seg[j] += b
+				for p := 0; p < b*c.OutC; p++ {
+					bias := c.Bias.W.Data[p%c.OutC]
+					plane := ys[p*hw:][:hw]
+					for j := range plane {
+						plane[j] += bias
 					}
 				}
 			}
 		}
 		tensor.PutFloats(gemmBuf)
-		tensor.PutFloats(colsBuf)
+		tensor.PutFloats(buf)
 	})
 	return y
 }
@@ -118,13 +156,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // bit-identical gradients.
 const convBackChunk = 4
 
-// convStackChunk is the number of samples Conv2D.Backward stacks into one
-// pair of GEMMs, and so into one private gradient accumulator, for a layer
-// with hw output positions per sample: enough that the stacked dimension
-// chunk·hw reaches one K block of the GEMM driver (256) where a small feature
-// map allows it, within [4, 16] — a batch of 32 still makes two chunks. Like
-// convBackChunk it is a function of the layer alone, never of the worker
-// count, so the same determinism contract holds.
+// convStackChunk is the number of samples Conv2D stacks into one GEMM operand
+// for a layer with hw output positions per sample — in Backward one pair of
+// GEMMs, and so one private gradient accumulator, per chunk; in train-mode
+// Forward one product per chunk where the per-sample one would have ragged
+// columns. Enough that the stacked dimension chunk·hw reaches one K block of
+// the GEMM driver (256) where a small feature map allows it, within [4, 16] —
+// a batch of 32 still makes two chunks. Like convBackChunk it is a function of
+// the layer alone, never of the worker count, so the same determinism
+// contract holds.
 func convStackChunk(hw int) int {
 	return min(max(256/hw, 4), 16)
 }

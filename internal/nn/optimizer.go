@@ -29,25 +29,33 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 		velocity: make(map[*Param]*tensor.Tensor)}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Each parameter is split over the pool; the
+// update is elementwise, so any split gives the same bits.
 func (o *SGD) Step(params []*Param) {
+	lr := float32(o.LR)
+	mu := float32(o.Momentum)
+	wd := float32(o.WeightDecay)
 	for _, p := range params {
 		v := o.velocity[p]
 		if v == nil {
 			v = tensor.New(p.W.Shape...)
 			o.velocity[p] = v
 		}
-		lr := float32(o.LR)
-		mu := float32(o.Momentum)
-		wd := float32(o.WeightDecay)
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
+		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
+			ws, gs, vs := p.W.Data[lo:hi], p.Grad.Data[lo:hi], v.Data[lo:hi]
 			if wd != 0 {
-				g += wd * p.W.Data[i]
+				for i, g := range gs {
+					g += wd * ws[i]
+					vs[i] = mu*vs[i] + g
+					ws[i] -= lr * vs[i]
+				}
+				return
 			}
-			v.Data[i] = mu*v.Data[i] + g
-			p.W.Data[i] -= lr * v.Data[i]
-		}
+			for i, g := range gs {
+				vs[i] = mu*vs[i] + g
+				ws[i] -= lr * vs[i]
+			}
+		})
 	}
 }
 
