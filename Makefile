@@ -76,12 +76,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzDecodePartialResponse -fuzztime 30s ./internal/serve/
 
-# Kernel microbenchmarks (tensor GEMMs, per-shape Conv2D forward and backward,
-# one VGG16 training step, float class scoring, /predict JSON decode against
-# encoding/json, Engine.PredictInto in images/s at the request shapes the
-# batch split decides on) with allocation counts.
+# Kernel microbenchmarks (tensor GEMMs, im2col / col2im per VGG stage shape,
+# per-shape Conv2D forward and backward, max-pool in both modes, one VGG16
+# training step, the `train` workload's HD retraining and teacher pass, float
+# class scoring, /predict JSON decode against encoding/json,
+# Engine.PredictInto in images/s at the request shapes the batch split decides
+# on) with allocation counts.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/cnn/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
+	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/cnn/ ./internal/core/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
 
 # Ten interleaved parent/change pairs of benchmark/run.sh per workload against
 # REV (cloned under /root/scratch), one row per end-to-end metric: medians,

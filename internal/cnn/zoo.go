@@ -73,20 +73,37 @@ func (m *Model) Indices() []int {
 // Index <= layer. The returned Sequential SHARES parameters with the full
 // model, so a pretrained teacher automatically yields a pretrained extractor.
 func (m *Model) Cut(layer int) (*nn.Sequential, error) {
-	var layers []nn.Layer
+	prefix, _, err := m.split(layer)
+	return prefix, err
+}
+
+// Rest returns what Cut(layer) leaves of the full network: every unit with
+// Index > layer, then the head. The two share the full model's layer objects
+// and partition them, so Rest's eval-mode Forward on Cut's output is the
+// teacher's Forward resumed from the extractor's features — the same layers
+// on the same inputs.
+func (m *Model) Rest(layer int) (*nn.Sequential, error) {
+	_, rest, err := m.split(layer)
+	return rest, err
+}
+
+func (m *Model) split(layer int) (prefix, rest *nn.Sequential, err error) {
+	var head, tail []nn.Layer
 	found := false
 	for _, u := range m.Units {
 		if u.Index <= layer {
-			layers = append(layers, u.Layers...)
-			if u.Index == layer {
-				found = true
-			}
+			head = append(head, u.Layers...)
+			found = found || u.Index == layer
+		} else {
+			tail = append(tail, u.Layers...)
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("cnn: %s has no unit with index %d (valid: %v)", m.Name, layer, m.Indices())
+		return nil, nil, fmt.Errorf("cnn: %s has no unit with index %d (valid: %v)", m.Name, layer, m.Indices())
 	}
-	return nn.NewSequential(fmt.Sprintf("%s@%d", m.Name, layer), layers...), nil
+	tail = append(tail, m.Head...)
+	return nn.NewSequential(fmt.Sprintf("%s@%d", m.Name, layer), head...),
+		nn.NewSequential(fmt.Sprintf("%s@%d:", m.Name, layer), tail...), nil
 }
 
 // FeatureDim returns the flattened feature count produced by cutting at the

@@ -150,14 +150,27 @@ func (p *Pipeline) ExtractFeatures(images *tensor.Tensor) *tensor.Tensor {
 // signed bipolar, via the manifold (when enabled) and the projection.
 // Set train to cache manifold intermediates for a following backward pass.
 func (p *Pipeline) Symbolize(feats *tensor.Tensor, train bool) (v, raw, signed *tensor.Tensor) {
+	return p.symbolizePooled(p.pooled(feats), train)
+}
+
+// pooled is the parameter-free front of Symbolize, [N, C, H, W] → [N, F]: the
+// manifold's max-pool and flatten, or just the flatten without a manifold.
+func (p *Pipeline) pooled(feats *tensor.Tensor) *tensor.Tensor {
+	if p.Manifold != nil {
+		return p.Manifold.Pooled(feats)
+	}
+	return feats.Reshape(feats.Shape[0], -1)
+}
+
+// symbolizePooled is Symbolize from pooled features.
+func (p *Pipeline) symbolizePooled(pooled *tensor.Tensor, train bool) (v, raw, signed *tensor.Tensor) {
 	switch {
 	case p.Manifold != nil:
-		v = p.Manifold.Forward(feats, train)
+		v = p.Manifold.ForwardPooled(pooled, train)
 	case p.LSH != nil:
-		flat := feats.Reshape(feats.Shape[0], -1)
-		_, v = p.LSH.EncodeBatch(flat)
+		_, v = p.LSH.EncodeBatch(pooled)
 	default:
-		v = feats.Reshape(feats.Shape[0], -1)
+		v = pooled
 	}
 	raw, signed = p.Proj.EncodeBatch(v)
 	return v, raw, signed
@@ -177,7 +190,10 @@ type TrainReport struct {
 // Train runs the NSHD training procedure on a labelled dataset:
 //
 //  1. extract features once with the frozen CNN prefix;
-//  2. compute the teacher's logits once with the frozen full CNN;
+//  2. compute the teacher's logits once by resuming the frozen full CNN from
+//     those features — the layers after the cut, then the head
+//     (cnn.Model.Rest) — which is nn.PredictLogits(Zoo.Full(), images) bit
+//     for bit without running the prefix a second time;
 //  3. initialize class hypervectors by single-pass bundling;
 //  4. for each epoch, per batch: symbolize, compute Algorithm 1's update
 //     matrix U, bundle λ·Uᵀ·H into the class hypervectors, and — when the
@@ -194,7 +210,11 @@ func (p *Pipeline) Train(train *dataset.Dataset, log io.Writer) (*TrainReport, e
 	feats := p.ExtractFeatures(train.Images)
 	var teacherLogits *tensor.Tensor
 	if p.Cfg.UseKD {
-		teacherLogits = nn.PredictLogits(p.Zoo.Full(), train.Images, p.Cfg.BatchSize)
+		rest, err := p.Zoo.Rest(p.Cfg.CutLayer)
+		if err != nil {
+			return nil, err
+		}
+		teacherLogits = nn.PredictLogits(rest, feats, p.Cfg.BatchSize)
 	}
 	return p.TrainOnFeatures(feats, train.Labels, teacherLogits, log)
 }
@@ -202,6 +222,11 @@ func (p *Pipeline) Train(train *dataset.Dataset, log io.Writer) (*TrainReport, e
 // TrainOnFeatures runs the HD retraining loop on precomputed extractor
 // features (and teacher logits when KD is enabled). Hyperparameter sweeps
 // use it to share the expensive CNN passes across dozens of retrainings.
+//
+// The features are frozen, so everything Symbolize does to them before the
+// first learned parameter — the manifold's max-pool and flatten — is done
+// once, and the initial bundle, every batch of the joint loop and the final
+// re-bundle start from that pooled [N, F] matrix.
 func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, log io.Writer) (*TrainReport, error) {
 	if feats.Shape[0] != len(labels) {
 		return nil, fmt.Errorf("core: %d feature rows but %d labels", feats.Shape[0], len(labels))
@@ -220,11 +245,12 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	}
 
 	// Initial single-pass bundle with the untrained manifold.
-	_, _, signed := p.Symbolize(feats, false)
+	pooled := p.pooled(feats)
+	_, _, signed := p.symbolizePooled(pooled, false)
 	p.HD.InitBundle(signed, labels)
 
 	n := len(labels)
-	featLen := feats.Len() / n
+	featLen := pooled.Shape[1]
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -242,7 +268,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	// Gather buffers are allocated once at the full batch size and re-sliced
 	// for the tail batch, so the joint loop performs no per-step allocations
 	// on the batching side.
-	bFeatsBuf := tensor.New(append([]int{p.Cfg.BatchSize}, p.FeatShape...)...)
+	bFeatsBuf := tensor.New(p.Cfg.BatchSize, featLen)
 	bLabelsBuf := make([]int, p.Cfg.BatchSize)
 	bTeacherBuf := tensor.New(p.Cfg.BatchSize, p.Cfg.Classes)
 
@@ -256,12 +282,12 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				end = n
 			}
 			bs := end - start
-			bFeats := tensor.FromSlice(bFeatsBuf.Data[:bs*featLen], append([]int{bs}, p.FeatShape...)...)
+			bFeats := tensor.FromSlice(bFeatsBuf.Data[:bs*featLen], bs, featLen)
 			bLabels := bLabelsBuf[:bs]
 			bTeacher := tensor.FromSlice(bTeacherBuf.Data[:bs*p.Cfg.Classes], bs, p.Cfg.Classes)
 			for bi := 0; bi < bs; bi++ {
 				src := order[start+bi]
-				copy(bFeats.Data[bi*featLen:(bi+1)*featLen], feats.Data[src*featLen:(src+1)*featLen])
+				copy(bFeats.Row(bi), pooled.Row(src))
 				bLabels[bi] = labels[src]
 				if teacherLogits != nil {
 					copy(bTeacher.Row(bi), teacherLogits.Row(src))
@@ -269,7 +295,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			}
 
 			trainMode := p.Manifold != nil
-			_, _, bSigned := p.Symbolize(bFeats, trainMode)
+			_, _, bSigned := p.symbolizePooled(bFeats, trainMode)
 
 			// Algorithm 1 update matrix (alpha=0 degrades to MASS).
 			u := p.HD.DistillUpdateBatch(bSigned, bLabels, bTeacher, alpha, temp)
@@ -318,26 +344,27 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	// Re-bundle M from the final encoder and run a short distillation-only
 	// refinement with the manifold frozen.
 	if p.Manifold != nil {
-		_, _, finalSigned := p.Symbolize(feats, false)
-		p.HD.InitBundle(finalSigned, labels)
+		_, _, signed = p.symbolizePooled(pooled, false)
+		p.HD.InitBundle(signed, labels)
 		refine := p.Cfg.Epochs/2 + 1
 		// The refinement runs on the batched trainers: one GEMM per batch of
 		// similarities and one rank-B GEMM per update, with the pipeline's
 		// configured batch size.
 		if p.Cfg.UseKD {
-			if _, err := p.HD.TrainDistillBatch(finalSigned, labels, teacherLogits, hdlearn.DistillConfig{
+			if _, err := p.HD.TrainDistillBatch(signed, labels, teacherLogits, hdlearn.DistillConfig{
 				Epochs: refine, LR: p.Cfg.LR, Alpha: p.Cfg.Alpha, Temp: p.Cfg.Temp, Shuffle: true,
 				Batch: p.Cfg.BatchSize,
 			}, p.rng); err != nil {
 				return nil, err
 			}
 		} else {
-			p.HD.TrainMASSBatch(finalSigned, labels, hdlearn.MASSConfig{
+			p.HD.TrainMASSBatch(signed, labels, hdlearn.MASSConfig{
 				Epochs: refine, LR: p.Cfg.LR, Shuffle: true, Batch: p.Cfg.BatchSize,
 			}, p.rng)
 		}
 	}
-	report.FinalTrainAccuracy = p.AccuracyOnFeatures(feats, labels)
+	// The encoder has not changed since signed was computed.
+	report.FinalTrainAccuracy = p.accuracyOnSigned(signed, labels)
 	return report, nil
 }
 
@@ -406,6 +433,12 @@ func (p *Pipeline) AccuracyOnFeatures(feats *tensor.Tensor, labels []int) float6
 		return 0
 	}
 	_, _, signed := p.Symbolize(feats, false)
+	return p.accuracyOnSigned(signed, labels)
+}
+
+// accuracyOnSigned scores signed query hypervectors with the configured
+// inference kernel.
+func (p *Pipeline) accuracyOnSigned(signed *tensor.Tensor, labels []int) float64 {
 	if p.Cfg.PackedInference {
 		return p.HD.Packed().Accuracy(signed, labels)
 	}

@@ -29,9 +29,8 @@ type Learner struct {
 	// PooledF is the flattened dimension after max pooling.
 	PooledF int
 
-	pool    *nn.MaxPool2D // nil when the input is too small to pool
-	flatten *nn.Flatten
-	fc      *nn.Linear
+	pool *nn.MaxPool2D // nil when the input is too small to pool
+	fc   *nn.Linear
 	// fcDown is the truncated-SVD down-projection of a factorized learner
 	// (see Factorize); nil on an ordinary learner. When set, inference runs
 	// fcDown then fc and the learner is frozen (Backward panics).
@@ -46,7 +45,7 @@ func New(rng *tensor.RNG, inShape []int, fhat int) (*Learner, error) {
 	if fhat < 1 {
 		return nil, fmt.Errorf("manifold: F̂ = %d must be positive", fhat)
 	}
-	l := &Learner{InShape: append([]int(nil), inShape...), FHat: fhat, flatten: nn.NewFlatten()}
+	l := &Learner{InShape: append([]int(nil), inShape...), FHat: fhat}
 	c, h, w := inShape[0], inShape[1], inShape[2]
 	ph, pw := h, w
 	if h >= 2 && w >= 2 {
@@ -67,16 +66,31 @@ func (l *Learner) CheckClasses(classes int) error {
 	return nil
 }
 
-// Forward compresses a [N, C, H, W] feature batch to [N, F̂].
+// Forward compresses a [N, C, H, W] feature batch to [N, F̂]: Pooled, then
+// ForwardPooled.
 func (l *Learner) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.ForwardPooled(l.Pooled(x), train)
+}
+
+// Pooled is the learner's parameter-free half: the 2×2 max-pool (skipped on
+// a feature map too small to pool) and the flatten, [N, C, H, W] → [N,
+// PooledF]. It depends on nothing that training changes, so a caller that
+// trains on fixed features computes it once and feeds ForwardPooled.
+func (l *Learner) Pooled(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: Forward expects [N C H W], got %v", x.Shape))
 	}
 	y := x
 	if l.pool != nil {
-		y = l.pool.Forward(y, train)
+		y = l.pool.Forward(y, false)
 	}
-	y = l.flatten.Forward(y, train)
+	return y.Reshape(x.Shape[0], l.PooledF)
+}
+
+// ForwardPooled is the learned half, [N, PooledF] → [N, F̂]. Set train to
+// cache the input for a following Backward.
+func (l *Learner) ForwardPooled(pooled *tensor.Tensor, train bool) *tensor.Tensor {
+	y := pooled
 	if l.fcDown != nil {
 		y = l.fcDown.Forward(y, false)
 	}
@@ -94,7 +108,7 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	if l.pool != nil {
 		y = l.pool.ForwardInfer(y, ar)
 	}
-	y = l.flatten.ForwardInfer(y, ar)
+	y = ar.Wrap(y.Data, y.Shape[0], l.PooledF)
 	if l.fcDown != nil {
 		y = l.fcDown.ForwardInfer(y, ar)
 	}
@@ -135,19 +149,14 @@ func (l *Learner) FoldProjection(p *tensor.Tensor) (g *tensor.Tensor, c []float3
 	return g, c, nil
 }
 
-// Backward propagates dL/d(output) ([N, F̂]) into the FC parameters,
-// returning the gradient w.r.t. the (pre-pool) feature input. Callers that
-// freeze the CNN discard the return value.
-func (l *Learner) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward accumulates dL/d(output) ([N, F̂]) into the FC parameters. It is
+// parameter-only: the learner sits on a frozen CNN, so no gradient with
+// respect to the features is computed.
+func (l *Learner) Backward(grad *tensor.Tensor) {
 	if l.fcDown != nil {
 		panic("manifold: Backward on a factorized (inference-only) learner")
 	}
-	g := l.fc.Backward(grad)
-	g = l.flatten.Backward(g)
-	if l.pool != nil {
-		g = l.pool.Backward(g)
-	}
-	return g
+	l.fc.BackwardParams(grad)
 }
 
 // Params exposes the learnable parameters (the FC weights and bias; both

@@ -196,7 +196,6 @@ func (l *Learner) Factorize(rank int) (*Learner, error) {
 		FHat:    l.FHat,
 		PooledF: l.PooledF,
 		pool:    l.pool,
-		flatten: l.flatten,
 		fc:      up,
 		fcDown:  down,
 	}, nil

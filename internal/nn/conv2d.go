@@ -169,13 +169,6 @@ func convStackChunk(hw int) int {
 	return min(max(256/hw, 4), 16)
 }
 
-// convAcc is one chunk's private gradient accumulator, merged deterministically
-// after the parallel loop.
-type convAcc struct {
-	dwT *tensor.Tensor // [kdim, OutC]
-	db  []float32
-}
-
 // Backward accumulates weight/bias gradients and returns dx. Each chunk of B
 // samples is stacked into the GEMM operands — its output gradients as
 // G [OutC, B·HW], its im2col as cols [kdim, B·HW] — so that the per-sample
@@ -205,13 +198,19 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	chunk := convStackChunk(hw)
 	numChunks := (n + chunk - 1) / chunk
-	accs := make([]convAcc, numChunks)
+	// One private gradient accumulator per chunk — dWᵀ [kdim, OutC], then db
+	// [OutC] — merged in chunk order after the parallel loop.
+	dwLen := kdim * c.OutC
+	accLen := dwLen + c.OutC
+	accBuf := tensor.GetFloats(numChunks * accLen)
 	parallelFor(numChunks, func(clo, chi int) {
 		// One workspace per task, carved into G, cols and dcols.
 		buf := tensor.GetFloats((c.OutC + 2*kdim) * chunk * hw)
 		gemmBuf := tensor.GetFloats(tensor.GemmScratch())
 		for ci := clo; ci < chi; ci++ {
-			a := convAcc{dwT: tensor.New(kdim, c.OutC)}
+			acc := accBuf[ci*accLen:][:accLen]
+			clear(acc)
+			dwT, db := tensor.FromSlice(acc[:dwLen], kdim, c.OutC), acc[dwLen:]
 			lo := ci * chunk
 			b := min(chunk, n-lo)
 			ld := b * hw // the stacked dimension
@@ -225,15 +224,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				}
 				tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
 			}
-			tensor.MatMulAccTSerialInto(a.dwT, cols, gmat, gemmBuf)
+			tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
 			if c.useBias {
-				a.db = make([]float32, c.OutC)
-				for oc := range a.db {
+				for oc := range db {
 					var sum float32
 					for _, v := range gmat.Row(oc) {
 						sum += v
 					}
-					a.db[oc] = sum
+					db[oc] = sum
 				}
 			}
 			// dcols = Wᵀ·G ; dx = col2im(dcols), one column window per sample.
@@ -241,28 +239,29 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for s := 0; s < b; s++ {
 				tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
 			}
-			accs[ci] = a
 		}
 		tensor.PutFloats(gemmBuf)
 		tensor.PutFloats(buf)
 	})
-	// In-order merge; wtBuf is free again and holds the one transpose back to
-	// the [OutC, kdim] layout of the weights.
-	sumT := accs[0].dwT
-	for _, a := range accs[1:] {
-		sumT.AXPY(1, a.dwT)
-	}
+	// Merge into chunk 0's accumulator, each element in chunk order, so the
+	// sums do not depend on how the element ranges are split over the pool.
+	// wtBuf is free again and holds the one transpose back to the [OutC, kdim]
+	// layout of the weights.
+	tensor.ParallelForGrain(dwLen, elemGrain, func(lo, hi int) {
+		for ci := 1; ci < numChunks; ci++ {
+			tensor.Accumulate(accBuf[lo:hi], accBuf[ci*accLen+lo:][:hi-lo])
+		}
+	})
 	dw := tensor.FromSlice(wtBuf, c.OutC, kdim)
-	tensor.TransposeInto(dw, sumT)
-	c.Weight.Grad.Reshape(c.OutC, kdim).AXPY(1, dw)
+	tensor.TransposeInto(dw, tensor.FromSlice(accBuf[:dwLen], kdim, c.OutC))
+	tensor.Accumulate(c.Weight.Grad.Data, dw.Data)
 	tensor.PutFloats(wtBuf)
 	if c.useBias {
-		for _, a := range accs {
-			for oc, v := range a.db {
-				c.Bias.Grad.Data[oc] += v
-			}
+		for ci := 0; ci < numChunks; ci++ {
+			tensor.Accumulate(c.Bias.Grad.Data, accBuf[ci*accLen+dwLen:][:c.OutC])
 		}
 	}
+	tensor.PutFloats(accBuf)
 	return dx
 }
 

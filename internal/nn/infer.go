@@ -326,40 +326,7 @@ func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 		panic(fmt.Sprintf("nn: MaxPool2D window %d larger than input %dx%d", m.K, h, w))
 	}
 	y := ar.Alloc(n, c, outH, outW)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			inBase := (i*c + ch) * h * w
-			outBase := (i*c + ch) * outH * outW
-			if m.K == 2 {
-				// The common 2×2 window, a row kernel over two input rows.
-				// Taps are compared in the same kh-major, kw-minor,
-				// strictly-greater order as the generic loop, so ties resolve
-				// to the same element and results are bit-identical.
-				for oh := 0; oh < outH; oh++ {
-					tensor.MaxPool2x2Row(y.Data[outBase+oh*outW:outBase+(oh+1)*outW],
-						x.Data[inBase+2*oh*w:], x.Data[inBase+(2*oh+1)*w:])
-				}
-				continue
-			}
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					best := float32(0)
-					bestAt := -1
-					for kh := 0; kh < m.K; kh++ {
-						ih := oh*m.K + kh
-						for kw := 0; kw < m.K; kw++ {
-							iw := ow*m.K + kw
-							v := x.Data[inBase+ih*w+iw]
-							if bestAt < 0 || v > best {
-								best, bestAt = v, inBase+ih*w+iw
-							}
-						}
-					}
-					y.Data[outBase+oh*outW+ow] = best
-				}
-			}
-		}
-	}
+	m.poolPlanes(y.Data, nil, x.Data, 0, n*c, h, w)
 	return y
 }
 
@@ -443,8 +410,8 @@ func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	return y
 }
 
-// ForwardInfer implements InferenceLayer, clamping in place through the
-// vectorized kernel (bit-identical to the scalar training sweep).
+// ForwardInfer implements InferenceLayer, clamping in place through
+// tensor.ReLUInPlace — the kernel ReLU.Forward runs on its copy of x.
 func (r *ReLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	tensor.ReLUInPlace(x.Data)
 	return x

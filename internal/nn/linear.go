@@ -57,11 +57,21 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward accumulates dW = gradᵀ x, db = Σ grad, and returns dx = grad W.
-// dW runs on the dense blocked GEMM (TransposeMatMulInto) with pooled
-// workspaces: unlike the retraining update matrices, softmax gradients are
-// dense, so the zero-skip scalar TransposeMatMul has nothing to skip.
+// Backward accumulates the parameter gradients (BackwardParams) and returns
+// dx = grad W.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.BackwardParams(grad)
+	// dx[N,in] = grad[N,out] @ W[out,in]
+	return tensor.MatMul(grad, l.Weight.W)
+}
+
+// BackwardParams accumulates dW = gradᵀ x and db = Σ grad and computes no
+// input gradient: all of Backward a caller needs when nothing upstream of the
+// layer learns (the manifold FC on frozen CNN features). dW runs on the dense
+// blocked GEMM (TransposeMatMulInto) with pooled workspaces: unlike the
+// retraining update matrices, softmax gradients are dense, so the zero-skip
+// scalar TransposeMatMul has nothing to skip.
+func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 	if l.cachedX == nil {
 		panic("nn: Linear.Backward without Forward(train=true)")
 	}
@@ -70,7 +80,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	scratch := tensor.GetFloats(grad.Len())
 	dw := tensor.FromSlice(dwBuf, l.Out, l.In)
 	tensor.TransposeMatMulInto(dw, grad, l.cachedX, scratch)
-	l.Weight.Grad.AXPY(1, dw)
+	tensor.Accumulate(l.Weight.Grad.Data, dwBuf)
 	tensor.PutFloats(scratch)
 	tensor.PutFloats(dwBuf)
 	if l.useBias {
@@ -82,8 +92,6 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dx[N,in] = grad[N,out] @ W[out,in]
-	return tensor.MatMul(grad, l.Weight.W)
 }
 
 // Params implements Layer.

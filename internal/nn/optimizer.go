@@ -78,11 +78,14 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. As in SGD.Step, each parameter is split over the
+// pool and the update is elementwise, so any split gives the same bits.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	b1, b2 := float32(o.Beta1), float32(o.Beta2)
+	wd := float32(o.WeightDecay)
 	for _, p := range params {
 		m := o.m[p]
 		v := o.v[p]
@@ -92,19 +95,19 @@ func (o *Adam) Step(params []*Param) {
 			o.m[p] = m
 			o.v[p] = v
 		}
-		b1, b2 := float32(o.Beta1), float32(o.Beta2)
-		wd := float32(o.WeightDecay)
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
-			if wd != 0 {
-				g += wd * p.W.Data[i]
+		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
+			ws, gs, ms, vs := p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi]
+			for i, g := range gs {
+				if wd != 0 {
+					g += wd * ws[i]
+				}
+				ms[i] = b1*ms[i] + (1-b1)*g
+				vs[i] = b2*vs[i] + (1-b2)*g*g
+				mhat := float64(ms[i]) / bc1
+				vhat := float64(vs[i]) / bc2
+				ws[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
 			}
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
-			mhat := float64(m.Data[i]) / bc1
-			vhat := float64(v.Data[i]) / bc2
-			p.W.Data[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
-		}
+		})
 	}
 }
 

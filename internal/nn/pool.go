@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"nshd/internal/tensor"
 )
@@ -22,7 +23,8 @@ func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 // Name implements Layer.
 func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", m.K, m.K) }
 
-// Forward pools each k×k window to its maximum, caching argmax indices.
+// Forward pools each k×k window to its maximum, caching argmax indices in
+// train mode. Values are the same in both modes, and ForwardInfer's.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "MaxPool2D")
 	if x.Rank() != 4 {
@@ -41,35 +43,72 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		m.cachedN = n
 	}
 	tensor.ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for ch := 0; ch < c; ch++ {
-				inBase := (i*c + ch) * h * w
-				outBase := (i*c + ch) * outH * outW
-				for oh := 0; oh < outH; oh++ {
-					for ow := 0; ow < outW; ow++ {
-						best := float32(0)
-						bestAt := -1
-						for kh := 0; kh < m.K; kh++ {
-							ih := oh*m.K + kh
-							for kw := 0; kw < m.K; kw++ {
-								iw := ow*m.K + kw
-								v := x.Data[inBase+ih*w+iw]
-								if bestAt < 0 || v > best {
-									best, bestAt = v, inBase+ih*w+iw
-								}
-							}
-						}
-						y.Data[outBase+oh*outW+ow] = best
-						if arg != nil {
-							arg[outBase+oh*outW+ow] = int32(bestAt)
-						}
-					}
-				}
-			}
-		}
+		m.poolPlanes(y.Data, arg, x.Data, lo*c, hi*c, h, w)
 	})
 	m.cachedArg = arg
 	return y
+}
+
+// poolPlanes pools channel planes [plo, phi) of x (h×w each) into y and, when
+// arg is non-nil, records per output the flat index in x of the tap that won.
+// Taps are compared kh-major, kw-minor with `if v > best`, so a NaN is kept
+// only as a window's first tap and a tie (±0 included) keeps the earlier one.
+//
+// The 2×2 window takes its values from tensor.MaxPool2x2Row, which makes
+// exactly those comparisons, and derives the winner afterwards as the first
+// tap whose bits equal the output's. That is the tap the comparison loop
+// ends on: an earlier tap with the winner's bits has the winner's value (or
+// is the same NaN), so either it was the running best when the winner came
+// — and the winner, not strictly greater, would not have replaced it — or
+// the best was already at least that large (or a first-tap NaN) and the
+// winner could not have won either.
+func (m *MaxPool2D) poolPlanes(y []float32, arg []int32, x []float32, plo, phi, h, w int) {
+	outH, outW := h/m.K, w/m.K
+	for p := plo; p < phi; p++ {
+		inBase, outBase := p*h*w, p*outH*outW
+		for oh := 0; oh < outH; oh++ {
+			out := y[outBase+oh*outW:][:outW]
+			if m.K == 2 {
+				at := inBase + 2*oh*w
+				r0, r1 := x[at:][:2*outW], x[at+w:][:2*outW]
+				tensor.MaxPool2x2Row(out, r0, r1)
+				if arg != nil {
+					for j, v := range out {
+						bits, tap := math.Float32bits(v), w+1
+						if math.Float32bits(r1[2*j]) == bits {
+							tap = w
+						}
+						if math.Float32bits(r0[2*j+1]) == bits {
+							tap = 1
+						}
+						if math.Float32bits(r0[2*j]) == bits {
+							tap = 0
+						}
+						arg[outBase+oh*outW+j] = int32(at + 2*j + tap)
+					}
+				}
+				continue
+			}
+			for ow := range out {
+				best := float32(0)
+				bestAt := -1
+				for kh := 0; kh < m.K; kh++ {
+					ih := oh*m.K + kh
+					for kw := 0; kw < m.K; kw++ {
+						iw := ow*m.K + kw
+						v := x[inBase+ih*w+iw]
+						if bestAt < 0 || v > best {
+							best, bestAt = v, inBase+ih*w+iw
+						}
+					}
+				}
+				out[ow] = best
+				if arg != nil {
+					arg[outBase+oh*outW+ow] = int32(bestAt)
+				}
+			}
+		}
+	}
 }
 
 // Backward routes each output gradient to the input position that won the max.

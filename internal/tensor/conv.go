@@ -44,43 +44,84 @@ func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
 	Im2ColWindow(g, x, cols.Data, nOut, 0)
 }
 
+// tapRange returns the half-open range of output positions along one axis at
+// which kernel tap k reads inside the image — o·stride − pad + k in [0, in) —
+// clamped to [0, out] with lo <= hi, so a tap that never lands in the image
+// (a kernel wider than the padded map) yields an empty range, not an inverted
+// one.
+func tapRange(in, out, stride, pad, k int) (lo, hi int) {
+	if pad > k {
+		lo = min((pad-k+stride-1)/stride, out)
+	}
+	if last := in - 1 + pad - k; last >= 0 {
+		hi = min(last/stride+1, out)
+	}
+	return lo, max(hi, lo)
+}
+
 // Im2ColWindow is Im2Col into a column window of a wider matrix: row r of the
 // image's column matrix is written to dst[r*ld+off : r*ld+off+OutH*OutW]. A
 // chunk of samples stacked side by side this way is one GEMM operand.
+//
+// At stride 1 every row of the column matrix is copies flanked by zeros. When
+// the output is as wide as the input (the same-padded layers) the whole row
+// is ONE copy: output position j = oh·W + ow reads channel offset
+// j + (kh−PadH)·W + (kw−PadW), a constant shift of the flattened channel, so
+// the in-image rows [ohLo, ohHi) are a single shifted copy. The copy runs
+// |kw−PadW| floats over each row boundary — pixels of the neighbouring image
+// row where the tap is in the padding — and those wrapped row ends are then
+// zeroed, with the rows outside the image. Otherwise each output row is one
+// clear / copy / clear. The extents depend on the tap alone, so the tap loops
+// are the outer ones and the channel loop repeats one pattern of lengths: on
+// a 2×2 or 4×4 map the calls cost more than the floats they move, and lengths
+// that change from row to row are mispredicted branches.
 func Im2ColWindow(g ConvGeom, x, dst []float32, ld, off int) {
 	outH, outW := g.OutH(), g.OutW()
-	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW+kw)*ld + off
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					dstBase := row + oh*outW
-					if ih < 0 || ih >= g.InH {
-						clear(dst[dstBase : dstBase+outW])
-						continue
-					}
-					srcBase := chanBase + ih*g.InW
-					if g.StrideW == 1 {
-						// iw = ow - PadW + kw is in bounds on [owLo, owHi):
-						// one bulk copy flanked by zero fills.
-						owLo := max(0, g.PadW-kw)
-						owHi := min(outW, g.InW+g.PadW-kw)
-						owHi = max(owHi, owLo)
-						clear(dst[dstBase : dstBase+owLo])
-						s := srcBase + owLo - g.PadW + kw
-						copy(dst[dstBase+owLo:dstBase+owHi], x[s:s+owHi-owLo])
-						clear(dst[dstBase+owHi : dstBase+outW])
-						continue
-					}
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw < 0 || iw >= g.InW {
-							dst[dstBase+ow] = 0
-						} else {
-							dst[dstBase+ow] = x[srcBase+iw]
+	hw, chanLen := outH*outW, g.InH*g.InW
+	flat := g.StrideW == 1 && g.StrideH == 1 && outW == g.InW
+	for kh := 0; kh < g.KH; kh++ {
+		ohLo, ohHi := tapRange(g.InH, outH, g.StrideH, g.PadH, kh)
+		for kw := 0; kw < g.KW; kw++ {
+			owLo, owHi := tapRange(g.InW, outW, g.StrideW, g.PadW, kw)
+			empty := ohLo == ohHi || owLo == owHi // the tap never reads the image
+			// The flat copy: its extent in the row, its start in the channel,
+			// and the floats it carries over each row boundary.
+			first, last := ohLo*outW+owLo, (ohHi-1)*outW+owHi
+			shift := (kh-g.PadH)*g.InW + kw - g.PadW
+			wrap := outW - owHi + owLo
+			for c := 0; c < g.InC; c++ {
+				row := dst[((c*g.KH+kh)*g.KW+kw)*ld+off:][:hw]
+				xc := x[c*chanLen:][:chanLen]
+				if empty {
+					clear(row)
+					continue
+				}
+				if flat {
+					clear(row[:first])
+					copy(row[first:last], xc[first+shift:])
+					clear(row[last:])
+					if wrap > 0 {
+						for at := ohLo*outW + owHi; at < last; at += outW {
+							for i := at; i < at+wrap; i++ {
+								row[i] = 0
+							}
 						}
+					}
+					continue
+				}
+				clear(row[:ohLo*outW])
+				clear(row[ohHi*outW:])
+				for oh := ohLo; oh < ohHi; oh++ {
+					drow := row[oh*outW:][:outW]
+					src := xc[(oh*g.StrideH-g.PadH+kh)*g.InW:][:g.InW]
+					clear(drow[:owLo])
+					clear(drow[owHi:])
+					if g.StrideW == 1 {
+						copy(drow[owLo:owHi], src[owLo-g.PadW+kw:])
+						continue
+					}
+					for ow := owLo; ow < owHi; ow++ {
+						drow[ow] = src[ow*g.StrideW-g.PadW+kw]
 					}
 				}
 			}
@@ -97,35 +138,36 @@ func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
 
 // Col2ImWindow is Col2Im from a column window of a wider matrix, the layout
 // Im2ColWindow writes: row r is read at src[r*ld+off : r*ld+off+OutH*OutW].
+// At stride 1 the in-image part of each output row is one contiguous run of
+// the image row, and all runs of one (c, kh, kw) are added by a single
+// AddRows call. The tap loops are the outer ones as in Im2ColWindow; an image
+// element still receives its taps in (kh, kw) order, and the channels share
+// nothing, so the loop order is not visible in the sums.
 func Col2ImWindow(g ConvGeom, src []float32, ld, off int, dx []float32) {
 	outH, outW := g.OutH(), g.OutW()
-	for c := 0; c < g.InC; c++ {
-		chanBase := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := ((c*g.KH+kh)*g.KW+kw)*ld + off
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.StrideH - g.PadH + kh
-					if ih < 0 || ih >= g.InH {
-						continue
-					}
-					srcBase := row + oh*outW
-					dstBase := chanBase + ih*g.InW
-					if g.StrideW == 1 {
-						// The in-bounds range of Im2ColWindow, accumulated as
-						// one contiguous run (×1 is exact).
-						owLo := max(0, g.PadW-kw)
-						owHi := min(outW, g.InW+g.PadW-kw)
-						if owLo < owHi {
-							axpy1(1, src[srcBase+owLo:srcBase+owHi], dx[dstBase+owLo-g.PadW+kw:])
-						}
-						continue
-					}
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.StrideW - g.PadW + kw
-						if iw >= 0 && iw < g.InW {
-							dx[dstBase+iw] += src[srcBase+ow]
-						}
+	hw, chanLen := outH*outW, g.InH*g.InW
+	for kh := 0; kh < g.KH; kh++ {
+		ohLo, ohHi := tapRange(g.InH, outH, g.StrideH, g.PadH, kh)
+		for kw := 0; kw < g.KW; kw++ {
+			owLo, owHi := tapRange(g.InW, outW, g.StrideW, g.PadW, kw)
+			if ohLo == ohHi || owLo == owHi {
+				continue
+			}
+			// The image element the first in-image tap reads, and the output
+			// position that reads it.
+			imgAt := (ohLo*g.StrideH-g.PadH+kh)*g.InW + owLo*g.StrideW - g.PadW + kw
+			colAt := ohLo*outW + owLo
+			for c := 0; c < g.InC; c++ {
+				row := src[((c*g.KH+kh)*g.KW+kw)*ld+off:][:hw]
+				img := dx[c*chanLen:][:chanLen]
+				if g.StrideW == 1 {
+					AddRows(img[imgAt:], g.StrideH*g.InW, row[colAt:], outW, owHi-owLo, ohHi-ohLo)
+					continue
+				}
+				for oh := ohLo; oh < ohHi; oh++ {
+					drow := img[imgAt+(oh-ohLo)*g.StrideH*g.InW:]
+					for ow := owLo; ow < owHi; ow++ {
+						drow[(ow-owLo)*g.StrideW] += row[oh*outW+ow]
 					}
 				}
 			}

@@ -212,3 +212,30 @@ func MaxPool2x2Row(out, r0, r1 []float32) {
 		out[j] = best
 	}
 }
+
+// AddRows accumulates a strided block of rows: dst[r*ldd+i] += src[r*lds+i]
+// for r < rows, i < n. It is the scatter-add of Col2ImWindow's contiguous
+// runs and, with one row, the merge of gradient accumulators. The sum is the
+// plain IEEE add of the two elements, which is also what an AXPY with α = 1
+// computes (the product 1·v is exact), on the vector path and in the twin;
+// runs under one 4-wide vector stay in Go, where the call would cost more
+// than the adds. Rows of dst must not overlap src.
+func AddRows(dst []float32, ldd int, src []float32, lds, n, rows int) {
+	if n <= 0 || rows <= 0 {
+		return
+	}
+	_, _ = dst[(rows-1)*ldd+n-1], src[(rows-1)*lds+n-1]
+	if useGemmAsm && n >= 4 {
+		addRowsAsm(rows, n, &dst[0], ldd, &src[0], lds)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d, s := dst[r*ldd:][:n], src[r*lds:][:n]
+		for i, v := range s {
+			d[i] += v
+		}
+	}
+}
+
+// Accumulate adds src into dst elementwise: AddRows over one row.
+func Accumulate(dst, src []float32) { AddRows(dst, 0, src, 0, len(src), 1) }

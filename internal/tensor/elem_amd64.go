@@ -23,3 +23,10 @@ func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int
 //
 //go:noescape
 func maxPool2x2Asm(n int, out, r0, r1 *float32)
+
+// addRowsAsm adds rows × n floats of src into dst, row r at element offsets
+// r*ldd and r*lds; rows and n are positive and every touched element is in
+// bounds.
+//
+//go:noescape
+func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int)

@@ -205,3 +205,67 @@ poolloop:
 	JNE     poolloop
 	VZEROUPPER
 	RET
+
+// func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int)
+//
+// dst[r*ldd+i] += src[r*lds+i] for r in [0, rows), i in [0, n), rows and n
+// positive: per row eight floats an iteration, then four, then one at a time.
+// dst's element is the add's first source in all three widths, as in Go's
+// `d[i] += v`.
+TEXT ·addRowsAsm(SB), NOSPLIT, $0-48
+	MOVQ rows+0(FP), R8
+	MOVQ n+8(FP), R9
+	MOVQ dst+16(FP), DI
+	MOVQ ldd+24(FP), R10
+	MOVQ src+32(FP), SI
+	MOVQ lds+40(FP), R11
+	SHLQ $2, R10
+	SHLQ $2, R11
+
+addrow:
+	MOVQ DI, AX
+	MOVQ SI, BX
+	MOVQ R9, CX
+	CMPQ CX, $8
+	JLT  add4
+
+add8:
+	VMOVUPS (AX), Y0
+	VADDPS  (BX), Y0, Y0
+	VMOVUPS Y0, (AX)
+	ADDQ    $32, AX
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     add8
+
+add4:
+	CMPQ    CX, $4
+	JLT     add1
+	VMOVUPS (AX), X0
+	VADDPS  (BX), X0, X0
+	VMOVUPS X0, (AX)
+	ADDQ    $16, AX
+	ADDQ    $16, BX
+	SUBQ    $4, CX
+
+add1:
+	TESTQ CX, CX
+	JEQ   addnext
+
+add1loop:
+	VMOVSS (AX), X0
+	VADDSS (BX), X0, X0
+	VMOVSS X0, (AX)
+	ADDQ   $4, AX
+	ADDQ   $4, BX
+	DECQ   CX
+	JNE    add1loop
+
+addnext:
+	ADDQ R10, DI
+	ADDQ R11, SI
+	DECQ R8
+	JNE  addrow
+	VZEROUPPER
+	RET

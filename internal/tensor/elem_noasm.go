@@ -21,3 +21,7 @@ func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int
 func maxPool2x2Asm(n int, out, r0, r1 *float32) {
 	panic("tensor: maxPool2x2Asm requires amd64")
 }
+
+func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int) {
+	panic("tensor: addRowsAsm requires amd64")
+}

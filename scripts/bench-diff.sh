@@ -12,6 +12,11 @@
 # when the change's median is worse than the parent's by more than the bound
 # (or a larger share of operations failed), "unresolved" when the parent's own
 # IQR is wider than the bound, "ok" otherwise; only WORSE fails the script.
+# One more row per workload, model_version, counts the pairs in which both
+# sides trained the same model to the bit (the hash of the class matrix each
+# run records in benchmark/out/result_<workload>.json): "same 10/10" is what a
+# change that claims to move no training bit must show. It is informational
+# and always "ok".
 # The clock here drifts between processes (see the verify skill), which is
 # why the pairs are interleaved and why a single pair says nothing.
 set -euo pipefail
@@ -34,9 +39,9 @@ for dir in "$parent" "$PWD"; do # -h: build, print the usage, run nothing
 	(cd "$dir" && bash benchmark/run.sh -h >/dev/null 2>&1) || true
 done
 
-# run SIDE DIR WORKLOAD SEED appends the run's result object to SIDE's file. A
-# run exits non-zero when an operation failed and still prints its result;
-# a run that printed none stops the script.
+# run SIDE DIR WORKLOAD SEED appends the run's result object to SIDE's file and
+# keeps the result file the run wrote. A run exits non-zero when an operation
+# failed and still prints its result; a run that printed none stops the script.
 run() {
 	local line
 	line=$(cd "$2" && bash benchmark/run.sh --workload "$3" --seed "$4" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
@@ -44,6 +49,7 @@ run() {
 		echo "bench-diff: $1 run of $3 (seed $4) printed no result: $line" >&2
 		exit 2
 	}
+	cp "$2/benchmark/out/result_$3.json" "$runs/$3.$1.$4.json"
 }
 
 status=0
@@ -77,8 +83,15 @@ for w in $workloads; do
 		[$w, "failed_share", share($p), share($c), 0, "-", 0,
 			(if share($c) > share($p) then "WORSE" else "ok" end)]
 		| @tsv')
-	awk -F'\t' 'NR == 1 { printf "%-15s %-15s %12s %12s %12s %7s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8; next }
-		{ printf "%-15s %-15s %12.10g %12.10g %12.4g %7s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }' <<<"$table"
+	awk -F'\t' 'NR == 1 { printf "%-15s %-15s %12s %12s %12s %10s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8; next }
+		{ printf "%-15s %-15s %12.10g %12.10g %12.4g %10s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }' <<<"$table"
+	same=0
+	for i in $(seq "$pairs"); do
+		if [ "$(jq -r .record.model_version "$runs/$w.parent.$i.json")" = "$(jq -r .record.model_version "$runs/$w.change.$i.json")" ]; then
+			same=$((same + 1))
+		fi
+	done
+	printf '%-15s %-15s %12s %12s %12s %10s %6s  %s\n' "$w" model_version - - - "same $same/$pairs" - ok
 	if grep -q 'WORSE$' <<<"$table"; then status=1; fi
 done
 echo "bench-diff: raw results in $runs" >&2
