@@ -40,9 +40,11 @@ staticcheck:
 # an 8-image body into the pooled scratch, response encode; see
 # TestCodecZeroAlloc). The blocked-GEMM driver has its own gate under all of
 # them, one product per B source on both builds (TestGemmDriverZeroAlloc).
+# Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
+# driver's and the engine's gates on the 256-bit ones.
 alloc:
-	$(GO) test -run TestGemmDriverZeroAlloc -count 1 ./internal/tensor/
-	$(GO) test -run TestEngineZeroAlloc -count 1 ./internal/engine/
+	$(GO) test -run 'TestGemmDriverZeroAlloc|TestGemmGatesAt256/GemmDriverZeroAlloc' -count 1 ./internal/tensor/
+	$(GO) test -run 'TestEngineZeroAlloc|TestEngineGatesAt256/ZeroAlloc' -count 1 ./internal/engine/
 	$(GO) test -run 'TestRouterZeroAlloc|TestCodecZeroAlloc' -count 1 ./internal/serve/
 
 # The second pass type-checks the portable build — every _noasm stub and the
@@ -76,7 +78,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzDecodePartialResponse -fuzztime 30s ./internal/serve/
 
-# Kernel microbenchmarks (tensor GEMMs, im2col / col2im per VGG stage shape,
+# Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
+# products and conv layers at both kernel widths, im2col / col2im per VGG stage shape,
 # per-shape Conv2D forward and backward, max-pool in both modes, one VGG16
 # training step, the `train` workload's HD retraining and teacher pass, float
 # class scoring, /predict JSON decode against encoding/json,

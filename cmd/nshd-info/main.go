@@ -40,6 +40,7 @@ func main() {
 		}
 		return
 	}
+	fmt.Printf("GEMM kernels on this machine: %s\n", nshd.KernelISA())
 	fmt.Printf("%-12s %8s %12s %12s %s\n", "model", "units", "params", "MACs", "paper cut layers")
 	for _, name := range nshd.ModelNames() {
 		m, err := nshd.BuildModel(name, 1, *classes)
@@ -90,6 +91,7 @@ func servingFacts(path string, packed bool, remat bool, fuse string, compress fl
 	fmt.Printf("  %-22s D=%d, %d classes\n", "hypervector space", eng.Dim(), eng.Classes())
 	fmt.Printf("  %-22s %d (HD model mutation counter)\n", "engine version", p.HD.Version())
 	fmt.Printf("  %-22s %s\n", "classifier kernel", kernel)
+	fmt.Printf("  %-22s %s\n", "GEMM kernels", nshd.KernelISA())
 	fmt.Printf("  %-22s %d bytes resident, per stage:\n", "serving weights", eng.ModelBytes())
 	for _, b := range eng.BytesBreakdown() {
 		fmt.Printf("  %-22s %12d  %s\n", "", b.Bytes, b.Name)

@@ -89,6 +89,7 @@ func main() {
 	}
 	opts := b.Options()
 	lo, hi := eng.Shard()
+	log.Printf("GEMM kernels: %s", tensor.KernelISA())
 	log.Printf("serving %v → D-slice [%d,%d) of %d, %d classes, version %016x | chunk=%d max-batch=%d max-delay=%s queue=%d | model %d bytes, arena %d bytes/worker",
 		eng.InShape(), lo, hi, eng.FullDim(), eng.Classes(), eng.ModelVersion(), eng.ChunkSize(),
 		opts.MaxBatch, opts.MaxDelay, opts.QueueCap, eng.ModelBytes(), eng.ArenaBytes())

@@ -39,10 +39,13 @@ const arenaBudgetBytes = 256 << 20
 // workers only as far as every part keeps this many extractor MACs. A pool
 // helper starts 70–160 µs after the fan-out on the bench box, sometimes not
 // before the caller has run every part itself, so a part must be worth a few
-// hundred µs: measured split against unsplit, parts of 0.35 M MACs lose ×1.2,
-// of 1.6 M break even, of 3.2 M and up win ×0.74 or better (DESIGN.md,
-// "Serving engine"). The tail is not counted, which errs towards not
-// splitting. Var only so tests reach both sides of it on small fixtures.
+// hundred µs: measured split against unsplit on the 512-bit kernels, parts of
+// 0.35 M MACs lose ×1.4, of 1.6 M ×1.3 (×1.1 on the 256-bit kernels, where a
+// part lasts half as long again), of 3.2 M win ×0.90 and of 6.3 M ×0.75 — the
+// faster kernels moved the break-even up inside (1.6 M, 3.2 M) and no row
+// across the floor (DESIGN.md, "Serving engine"). The tail is not counted,
+// which errs towards not splitting. Var only so tests reach both sides of it
+// on small fixtures.
 var splitMinMACs int64 = 2 << 20
 
 // Stage is one step of the compiled symbolization chain. Run consumes an

@@ -8,6 +8,7 @@ import (
 
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
+	"nshd/internal/tensor/tensortest"
 )
 
 // TestTileGrid checks the planner's grid rule over every output height up to
@@ -332,7 +333,8 @@ func TestFusedBlockZeroAllocSteadyState(t *testing.T) {
 // throughput, not as more work. Two more groups: the mobilenetv2 / effnetb0
 // cut-1 stem (3→8 at 32×32), the smallest wide conv the zoo has, and both
 // sides of Conv2D.ForwardInfer's size gate at narrow maps either side of the
-// crossover written next to convImplicitMinFloats.
+// crossover written next to convImplicitMinFloats. The serial and rows groups
+// print an /avx512 and an /avx2 row each, from the one process.
 func BenchmarkConvMul(b *testing.B) {
 	trng := tensor.NewRNG(43)
 	model, in := vgg96Chain(trng)
@@ -344,7 +346,7 @@ func BenchmarkConvMul(b *testing.B) {
 		trng.FillNormal(x, 0, 1)
 		wmat := tensor.FromSlice(c.Weight.W.Data, c.OutC, g.InC*g.KH*g.KW)
 		scratch := make([]float32, tensor.ConvGemmScratch(g))
-		b.Run("serial/"+name, func(b *testing.B) {
+		tensortest.BenchWidths(b, "serial/"+name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				tensor.ConvMulSerialInto(out, wmat, g, x.Data, scratch)
 			}
@@ -367,7 +369,7 @@ func BenchmarkConvMul(b *testing.B) {
 			x, out := tensor.New(u.g.InC, u.g.InH, u.g.InW), tensor.New(u.conv.OutC, nOut)
 			trng.FillNormal(x, 0, 1)
 			scratch := make([]float32, tensor.ConvTileScratch(u.g, u.conv.OutC, u.convH))
-			b.Run(fmt.Sprintf("rows/%s/%dtiles", name, blk.nTiles), func(b *testing.B) {
+			tensortest.BenchWidths(b, fmt.Sprintf("rows/%s/%dtiles", name, blk.nTiles), func(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					for _, sp := range blk.spans {
 						tensor.ConvMulRowsInto(out.Data, nOut, sp[i].convLo*u.convW, wmat, u.g, x.Data, 0, u.g.InH, sp[i].convLo, sp[i].convHi, scratch)

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"nshd/internal/tensor"
 )
 
 // latBuckets is the number of power-of-two latency histogram buckets. Bucket
@@ -112,6 +114,8 @@ func quantile(counts []int64, q float64, unitAt func(bucket int) float64) float6
 // /metrics endpoint and operator dashboards.
 type Snapshot struct {
 	UptimeSec float64 `json:"uptime_sec"`
+	// KernelISA is tensor.KernelISA: which GEMM kernels this process runs.
+	KernelISA string `json:"kernel_isa"`
 
 	Requests int64 `json:"requests"`
 	Samples  int64 `json:"samples"`
@@ -147,6 +151,7 @@ type Snapshot struct {
 func (m *Metrics) snapshot(queueDepth int) Snapshot {
 	s := Snapshot{
 		UptimeSec:      time.Since(m.start).Seconds(),
+		KernelISA:      tensor.KernelISA(),
 		Requests:       m.requests.Load(),
 		Samples:        m.samples.Load(),
 		Served:         m.served.Load(),

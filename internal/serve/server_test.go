@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nshd/internal/engine"
+	"nshd/internal/tensor"
 )
 
 // serveFixture wires a batcher + HTTP server over the tiny test engine.
@@ -393,6 +394,9 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	}
 	if m.Served < 1 || m.Batches < 1 || m.QPS <= 0 {
 		t.Fatalf("metrics show no traffic: %+v", m.Snapshot)
+	}
+	if m.KernelISA != tensor.KernelISA() || m.KernelISA == "" {
+		t.Fatalf("kernel_isa %q, want %q", m.KernelISA, tensor.KernelISA())
 	}
 	if m.Engine.D != b.Engine().Dim() || m.Engine.Classes != 4 || m.Engine.SampleLen != 3*16*16 {
 		t.Fatalf("engine facts wrong: %+v", m.Engine)

@@ -12,3 +12,16 @@ func runWithAsm(asm bool, f func()) bool {
 	f()
 	return true
 }
+
+// runWithGemm512 runs f with the 512-bit GEMM kernels forced on or off and
+// reports whether it ran: false when they are asked for on a machine without
+// usable AVX-512 state.
+func runWithGemm512(on bool, f func()) bool {
+	if on && !useGemm512 {
+		return false
+	}
+	defer func(prev bool) { useGemm512 = prev }(useGemm512)
+	useGemm512 = on
+	f()
+	return true
+}

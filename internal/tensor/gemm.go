@@ -41,10 +41,41 @@ const (
 // used by memory-bound ops like Transpose.
 const minParallelWork = 1 << 15
 
-// gemmMinParallelFlops is the flop floor per GEMM task. It is 8× the generic
-// floor because the AVX2 kernel retires ~40 gflops single-threaded, so a
-// task needs this many flops (~7 µs) to amortize one pool dispatch.
+// gemmMinParallelFlops is the flop floor per row task of the parallel products
+// (rowGrain): 8× the generic floor, ≈ 13 µs of the dot kernel behind MatMulT
+// (20 GFLOP/s at K = 3000) and ≈ 2 µs of the 512-bit strip kernels. A
+// BenchmarkForDispatch fan-out costs 3.2–3.6 µs, but what a split has to
+// outlast is a parked helper's wake-up (70–160 µs on the bench box), so the
+// grain only shapes the tasks; whether a product fans out at all is decided
+// on its whole size — by gemmMinSplitFlops for the blocked GEMM, by the row
+// count for MatMulT, which breaks even at ≈ 60 µs of serial work (32×10×3000
+// reads ×1.04 split against serial, 64×10×3000 ×0.73).
 const gemmMinParallelFlops = 1 << 18
+
+// gemmMinSplitFlops is the smallest blocked product gemm fans out over the
+// pool: ≈ 130 µs of one core at the 512-bit kernels' 130 GFLOP/s, 260 µs at
+// the 256-bit ones' 65. Below it the split loses to the serial product, since
+// each job packs its own B panel and the helper wakes late. Split against
+// serial, interleaved in one process on the 2-core bench box, 256-bit / 512-bit:
+// 64³ (0.5 Mflop, the floor this replaces) ×1.9 / ×2.2; 96³ (1.8 M) ×1.5 /
+// ×2.1; 128³ (4.2 M) ×1.1 / ×1.6; 256³ (33.6 M) ×0.77 / ×1.0; 512³ ×0.58 at
+// 512 bits. No split moves a bit, so this is a speed decision only.
+const gemmMinSplitFlops = 1 << 24
+
+// KernelISA names the instruction set the float GEMM strip kernels run on in
+// this process: "avx512f" (the 512-bit register tiles), "avx2+fma" (the
+// 256-bit ones) or "portable" (the pure-Go kernel). Decided once at start-up
+// from CPUID and XCR0; all three produce their results by the driver's one
+// schedule, and the two vector widths produce the same bits.
+func KernelISA() string {
+	switch {
+	case !useGemmAsm:
+		return "portable"
+	case useGemm512:
+		return "avx512f"
+	}
+	return "avx2+fma"
+}
 
 // panelPool recycles packed-B panel buffers across GEMM calls and workers.
 var panelPool = sync.Pool{New: func() any {
@@ -159,21 +190,20 @@ type gemmJob struct {
 // gemmSplit decomposes an M×N output into jobs for the given worker count.
 // Rows are split first (better packing reuse); when row chunks alone cannot
 // feed every worker — small M with large N, e.g. per-sample conv matmuls —
-// columns are split too. Splits are aligned to gemmMR rows and gemmNR
-// columns so every element is computed by the same micro-kernel regardless
-// of the decomposition. Pure function, unit-tested for boundary coverage.
+// columns are split too. Splits are aligned to the widest live kernel's row
+// group (gemmMR rows, twice that under useGemm512) and to gemmNR columns, so
+// a split leaves no task more leftover rows or cut strips than the whole
+// product has. Pure function, unit-tested for boundary coverage.
 func gemmSplit(m, n, k, workers int) []gemmJob {
-	rowsPer := rowGrain(n, k)
-	if rowsPer%gemmMR != 0 {
-		rowsPer += gemmMR - rowsPer%gemmMR
+	mr := gemmMR
+	if useGemm512 {
+		mr = 2 * gemmMR // the 8×32 kernels' row group
 	}
+	rowsPer := (rowGrain(n, k) + mr - 1) / mr * mr
 	rowTasks := (m + rowsPer - 1) / rowsPer
 	if rowTasks > workers*2 {
 		rowTasks = workers * 2
-		rowsPer = (m + rowTasks - 1) / rowTasks
-		if rowsPer%gemmMR != 0 {
-			rowsPer += gemmMR - rowsPer%gemmMR
-		}
+		rowsPer = ((m+rowTasks-1)/rowTasks + mr - 1) / mr * mr
 	}
 	colTasks := 1
 	if rowTasks < workers && n >= 2*gemmNR {
@@ -212,7 +242,7 @@ func gemm(dst, a, b []float32, m, n, k int) {
 		return
 	}
 	workers := parallel.Workers()
-	if workers <= 1 || 2*m*n*k < 2*gemmMinParallelFlops {
+	if workers <= 1 || 2*m*n*k < gemmMinSplitFlops {
 		gemmRange(dst, a, b, n, k, 0, m, 0, n)
 		return
 	}

@@ -1,34 +1,56 @@
 package tensor
 
-// useGemmAsm gates the AVX2+FMA assembly micro-kernels in gemm_amd64.s.
-// Detected once at startup; requires FMA, AVX2, and OS-managed YMM state
-// (OSXSAVE set and XCR0 reporting XMM+YMM enabled), so it is safe under
-// virtualization and on pre-AVX hardware, where the pure-Go kernel runs
-// instead.
-var useGemmAsm = detectAVX2FMA()
+// useGemmAsm gates the AVX2+FMA assembly micro-kernels in gemm_amd64.s and
+// useGemm512 their 512-bit twins in gemm512_amd64.s, which gemmStripPart
+// prefers where it has eight rows and two strips (or one row and four strips)
+// to hand them.
+// Detected once at startup from CPUID and XCR0, so both are safe under
+// virtualization and on older hardware, where the pure-Go kernel runs instead;
+// only tests write them (runWithAsm, runWithGemm512).
+var useGemmAsm, useGemm512 = detectKernels()
 
-func detectAVX2FMA() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return false
+func detectKernels() (avx2, avx512 bool) {
+	maxLeaf, _, _, _ := cpuidex(0, 0)
+	var ecx1, ebx7, xcr0 uint32
+	if maxLeaf >= 1 {
+		_, _, ecx1, _ = cpuidex(1, 0)
 	}
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	_, _, c1, _ := cpuidex(1, 0)
-	if c1&fmaBit == 0 || c1&osxsaveBit == 0 || c1&avxBit == 0 {
-		return false
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuidex(7, 0)
 	}
-	// XCR0 bits 1 (SSE) and 2 (AVX) must both be set by the OS.
-	xlo, _ := xgetbv0()
-	if xlo&0x6 != 0x6 {
-		return false
+	if ecx1&cpuidOSXSAVE != 0 { // XGETBV faults without it
+		xcr0, _ = xgetbv0()
 	}
-	const avx2Bit = 1 << 5
-	_, b7, _, _ := cpuidex(7, 0)
-	return b7&avx2Bit != 0
+	avx2 = hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0)
+	return avx2, avx2 && has512(maxLeaf, ebx7, xcr0)
+}
+
+const (
+	cpuidFMA     = 1 << 12 // leaf 1 ECX
+	cpuidOSXSAVE = 1 << 27
+	cpuidAVX     = 1 << 28
+	cpuidAVX2    = 1 << 5 // leaf 7 EBX
+	cpuidAVX512F = 1 << 16
+
+	xcr0YMM = 0x06 // SSE and AVX state: XMM and the upper halves of YMM
+	xcr0ZMM = 0xe0 // opmask, ZMM_Hi256, Hi16_ZMM
+)
+
+// hasAVX2FMA reports whether the 256-bit kernels may run: the CPU lists FMA,
+// AVX and AVX2 (leaf 1 ECX, leaf 7 EBX) and the OS saves YMM state (OSXSAVE,
+// XCR0 bits 1–2). xcr0 is zero where XGETBV could not be executed.
+func hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
+	const need1 = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+	return maxLeaf >= 7 && ecx1&need1 == need1 && ebx7&cpuidAVX2 != 0 && xcr0&xcr0YMM == xcr0YMM
+}
+
+// has512 reports whether the 512-bit kernels may run on top of the 256-bit
+// ones: AVX512F in leaf 7 and the OS saving opmask and both ZMM state
+// components besides YMM. A CPU that has the instructions under an OS that
+// has not enabled the state faults on the first ZMM access.
+func has512(maxLeaf, ebx7, xcr0 uint32) bool {
+	const need = xcr0YMM | xcr0ZMM
+	return maxLeaf >= 7 && ebx7&cpuidAVX512F != 0 && xcr0&need == need
 }
 
 // cpuidex executes CPUID with the given leaf and subleaf.
@@ -68,6 +90,34 @@ func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 
 //
 //go:noescape
 func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
+
+// gemm8x32 accumulates an 8×32 output tile over kc steps of K from two
+// packed strips bp0 and bp1 whose output columns are adjacent:
+// o[r·ldd:][0:32] += Σ_p a[r·lda+p] * (bp0[16p:16p+16] ‖ bp1[16p:16p+16])
+// for r < 8. One accumulator per element, p ascending, fused multiply-add:
+// the bits of four gemm4x16 calls. kc must be ≥ 1.
+//
+//go:noescape
+func gemm8x32(kc int, a *float32, lda int, bp0, bp1, o *float32, ldd int)
+
+// gemm8x32o is gemm8x32 reading B through an offset table, as gemm4x16o does,
+// from two window bases xb0 and xb1 that share it: the bits of four gemm4x16o
+// calls.
+//
+//go:noescape
+func gemm8x32o(kc int, a *float32, lda int, xb0, xb1 *float32, offs *int32, o *float32, ldd int)
+
+// gemm1x64s is gemm1x16s over 4·nq packed strips, four in flight: the bits of
+// gemm1x16s(kc, 4·nq, a, bp, o). kc and nq must be ≥ 1.
+//
+//go:noescape
+func gemm1x64s(kc, nq int, a, bp, o *float32)
+
+// gemm1x64so is gemm1x16so over 4·nq strips of one image row, four in flight:
+// the bits of gemm1x16so(kc, 4·nq, a, xb, offs, o). kc and nq must be ≥ 1.
+//
+//go:noescape
+func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32)
 
 // dot8 returns the inner product of x[0:n] and y[0:n]; n must be a positive
 // multiple of 8.

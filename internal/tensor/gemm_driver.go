@@ -221,45 +221,97 @@ func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	}
 }
 
+// next returns, in offset form, the window position of the strip after the
+// one at (base, ow): base indexes x at the strip's K step 0, ow is its column
+// in the output row. The first strip of a run is at (bs.ow, bs.ow).
+func (bs *bStrips) next(base, ow int) (int, int) {
+	if ow += gemmNR; ow == bs.outW {
+		return base + gemmNR + bs.ldx - bs.outW, 0
+	}
+	return base + gemmNR, ow
+}
+
 // gemmStripPart runs one K block (kc deep) of m rows of A against a run of ns
-// strips: the 4×16 AVX2 micro-kernel over every full 4-row group, then the
-// 1×16 strip kernel over leftover rows — all rows of a skinny product such as
-// a batch-1 serving GEMM — which reuses the strips and accumulates in the
-// same per-element order as a row inside a group. Packed strips go to
-// gemm4x16 / gemm1x16s, a conv's window addresses to their offset twins,
-// which differ in where B is read and in nothing that rounds.
+// strips: the 4-row micro-kernel over every full 4-row group, then the 1-row
+// strip kernel over leftover rows — all rows of a skinny product such as a
+// batch-1 serving GEMM — which reuses the strips and accumulates in the same
+// per-element order as a row inside a group. Packed strips go to gemm4x16 /
+// gemm1x16s, a conv's window addresses to their offset twins, which differ in
+// where B is read and in nothing that rounds. With useGemm512, rows go eight
+// at a time and strips two at a time to the 8×32 kernels first (a single
+// row's strips four at a time to the 1×64 ones), and only the rows and the
+// odd strip left over to the 256-bit kernels; each lane's chain is the same
+// in all of them, so the width moves no bit.
 func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, kc, ns int) {
 	i := 0
-	for ; i+gemmMR <= m; i += gemmMR {
-		a0, a1, a2, a3 := &a[i*lda], &a[(i+1)*lda], &a[(i+2)*lda], &a[(i+3)*lda]
-		base, ow := bs.ow, bs.ow
-		for s := 0; s < ns; s++ {
-			o := dst[i*ldd+s*gemmNR:]
-			if bs.offs == nil {
-				gemm4x16(kc, a0, a1, a2, a3, &bs.packed[s*gemmNR*kc], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
-				continue
+	if useGemm512 && ns >= 2 {
+		for ; i+2*gemmMR <= m; i += 2 * gemmMR {
+			base, ow := bs.ow, bs.ow
+			s := 0
+			for ; s+2 <= ns; s += 2 {
+				ai, o := &a[i*lda], &dst[i*ldd+s*gemmNR]
+				if bs.offs == nil {
+					gemm8x32(kc, ai, lda, &bs.packed[s*gemmNR*kc], &bs.packed[(s+1)*gemmNR*kc], o, ldd)
+					continue
+				}
+				base1, ow1 := bs.next(base, ow)
+				gemm8x32o(kc, ai, lda, &bs.x[base], &bs.x[base1], &bs.offs[0], o, ldd)
+				base, ow = bs.next(base1, ow1)
 			}
-			gemm4x16o(kc, a0, a1, a2, a3, &bs.x[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
-			base, ow = base+gemmNR, ow+gemmNR
-			if ow == bs.outW {
-				base, ow = base+bs.ldx-bs.outW, 0
+			if s < ns { // the odd strip out
+				gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, s, ns, base, ow)
+				gemmStripRows4(dst[(i+gemmMR)*ldd:], ldd, a[(i+gemmMR)*lda:], lda, bs, kc, s, ns, base, ow)
 			}
 		}
 	}
+	for ; i+gemmMR <= m; i += gemmMR {
+		gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, 0, ns, bs.ow, bs.ow)
+	}
 	for ; i < m; i++ {
+		ai, o := &a[i*lda], dst[i*ldd:]
 		if bs.offs == nil {
-			gemm1x16s(kc, ns, &a[i*lda], &bs.packed[0], &dst[i*ldd])
+			s := 0
+			if useGemm512 && ns >= 4 {
+				gemm1x64s(kc, ns/4, ai, &bs.packed[0], &o[0])
+				s = ns &^ 3
+			}
+			if s < ns {
+				gemm1x16s(kc, ns-s, ai, &bs.packed[s*gemmNR*kc], &o[s*gemmNR])
+			}
 			continue
 		}
-		// One call per output row the run touches: within a row the strips
-		// are 16 floats apart, as gemm1x16so walks them.
+		// One run per output row the strips touch: within a row they are 16
+		// floats apart, as the 1-row offset kernels walk them.
 		base, ow := bs.ow, bs.ow
 		for s := 0; s < ns; {
 			seg := min((bs.outW-ow)/gemmNR, ns-s)
-			gemm1x16so(kc, seg, &a[i*lda], &bs.x[base], &bs.offs[0], &dst[i*ldd+s*gemmNR])
+			q := 0
+			if useGemm512 && seg >= 4 {
+				gemm1x64so(kc, seg/4, ai, &bs.x[base], &bs.offs[0], &o[s*gemmNR])
+				q = seg &^ 3
+			}
+			if q < seg {
+				gemm1x16so(kc, seg-q, ai, &bs.x[base+q*gemmNR], &bs.offs[0], &o[(s+q)*gemmNR])
+			}
 			s += seg
 			base, ow = base+seg*gemmNR+bs.ldx-bs.outW, 0
 		}
+	}
+}
+
+// gemmStripRows4 runs the 256-bit 4-row kernels over strips [s0, s1) for the
+// four rows at a and dst; in offset form strip s0 is at window position
+// (base, ow).
+func gemmStripRows4(dst []float32, ldd int, a []float32, lda int, bs bStrips, kc, s0, s1, base, ow int) {
+	a0, a1, a2, a3 := &a[0], &a[lda], &a[2*lda], &a[3*lda]
+	for s := s0; s < s1; s++ {
+		o := dst[s*gemmNR:]
+		if bs.offs == nil {
+			gemm4x16(kc, a0, a1, a2, a3, &bs.packed[s*gemmNR*kc], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+			continue
+		}
+		gemm4x16o(kc, a0, a1, a2, a3, &bs.x[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+		base, ow = bs.next(base, ow)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"nshd/internal/tensor/tensortest"
 )
 
 // TestBipolarGenTileConsistency: every access path — full fill, arbitrary
@@ -289,19 +291,19 @@ func BenchmarkPanelGEMM(b *testing.B) {
 		a := New(m, k)
 		NewRNG(9).FillNormal(a, 0, 1)
 		out := New(m, n)
-		b.Run(benchName("stored", m), func(b *testing.B) {
+		tensortest.BenchWidths(b, benchName("stored", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulSerialInto(out, a, mat, scratch)
 			}
 		})
 		pp := PrepackPanels(mat)
-		b.Run(benchName("prepack", m), func(b *testing.B) {
+		tensortest.BenchWidths(b, benchName("prepack", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulPanelsInto(out, a, pp, pscratch)
 			}
 		})
 		rp := RematPanels(gen)
-		b.Run(benchName("remat", m), func(b *testing.B) {
+		tensortest.BenchWidths(b, benchName("remat", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulPanelsInto(out, a, rp, pscratch)
 			}

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"nshd/internal/tensor/tensortest"
 )
 
 func TestMain(m *testing.M) {
@@ -275,7 +277,7 @@ func BenchmarkGEMM(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 		})
-		b.Run(s.name+"/blocked", func(b *testing.B) {
+		tensortest.BenchWidths(b, s.name+"/blocked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, a, bb)
 			}

@@ -371,6 +371,12 @@ func NewRNG(seed int64) *RNG { return tensor.NewRNG(seed) }
 // NewTensor allocates a zeroed tensor.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
+// KernelISA names the instruction set the float GEMM kernels run on in this
+// process, decided once at start-up from what the CPU and the OS offer:
+// "avx512f", "avx2+fma" or "portable". All three compute the same schedule,
+// and the two vector widths the same bits.
+func KernelISA() string { return tensor.KernelISA() }
+
 // --- symbolic sequence encoding (HD fundamentals, refs [12][13]) ---
 
 // SequenceEncoder encodes symbol sequences with the classic rotate-and-bind
