@@ -31,13 +31,11 @@ staticcheck:
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
 # (TestEngineZeroAllocMobileNet), and the float scorer's class strips at
 # K = 100 (TestEngineZeroAllocWideClassMemory), and for the batch split's
-# fan-out — sub-chunk parts of one chunk, even parts of three chunks and one,
-# PredictInto and PartialInto (TestEngineZeroAllocSplit; the older gates call
-# with 2 <= n <= chunk below the work floor, so they also pin that such a
-# batch does not fan out); all ride the same -run prefix. So must the
-# router's fan-out hot path (frame encode, partial decode,
-# score merge; see TestRouterZeroAlloc) and the /predict JSON codec (decode of
-# an 8-image body into the pooled scratch, response encode; see
+# fan-out — sub-chunk parts of one chunk, even parts of three chunks and one
+# (TestEngineZeroAllocSplit; the older gates call with 2 <= n <= chunk below
+# the work floor, so they also pin that such a batch does not fan out); all
+# ride the same -run prefix. So must the /predict JSON codec (decode of an
+# 8-image body into the pooled scratch, response encode; see
 # TestCodecZeroAlloc). The blocked-GEMM driver has its own gate under all of
 # them, one product per B source on both builds (TestGemmDriverZeroAlloc).
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
@@ -45,7 +43,7 @@ staticcheck:
 alloc:
 	$(GO) test -run 'TestGemmDriverZeroAlloc|TestGemmGatesAt256/GemmDriverZeroAlloc' -count 1 ./internal/tensor/
 	$(GO) test -run 'TestEngineZeroAlloc|TestEngineGatesAt256/ZeroAlloc' -count 1 ./internal/engine/
-	$(GO) test -run 'TestRouterZeroAlloc|TestCodecZeroAlloc' -count 1 ./internal/serve/
+	$(GO) test -run TestCodecZeroAlloc -count 1 ./internal/serve/
 
 # The second pass type-checks the portable build — every _noasm stub and the
 # tests beside them — which tier-1 on amd64 never compiles.
@@ -61,22 +59,20 @@ test:
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
-# TestCodecHammer over the request scratch pool all three wire surfaces share;
+# TestCodecHammer over the request scratch pool the JSON and binary codecs share;
 # the engine's batch split against the fused blocks' tile fan-out is
 # TestEngineSplitConcurrentCallers in internal/engine).
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
-# Fuzz the untrusted byte surfaces of the serving tier beyond the checked-in
-# corpora under internal/serve/testdata/fuzz/, which `make test` already runs:
-# the /predict JSON decoder against encoding/json (the differential oracle of
-# TestDecodeInputsMatchesEncodingJSON), the binary request frame of /predict
-# and /partial, and the /partial response frame. One target at a time is all
-# `go test -fuzz` takes.
+# Fuzz the untrusted byte surfaces of the serving front end beyond the
+# checked-in corpora under internal/serve/testdata/fuzz/, which `make test`
+# already runs: the /predict JSON decoder against encoding/json (the
+# differential oracle of TestDecodeInputsMatchesEncodingJSON) and the binary
+# request frame of /predict. One target at a time is all `go test -fuzz` takes.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeInputs -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
-	$(GO) test -run xxx -fuzz FuzzDecodePartialResponse -fuzztime 30s ./internal/serve/
 
 # Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
 # products and conv layers at both kernel widths, im2col / col2im per VGG stage shape,

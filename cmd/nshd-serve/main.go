@@ -44,7 +44,6 @@ func main() {
 		maxDelay = flag.Duration("max-delay", time.Millisecond, "max queue delay before flushing a partial batch (<0 = greedy)")
 		queueCap = flag.Int("queue", 0, "admission queue capacity in requests (0 = 4×max-batch)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (0 disables)")
-		shardArg = flag.String("shard", "", "serve dimension shard i of S as \"i/S\" (e.g. 0/4); empty serves the full model")
 		pprofArg = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); disabled when empty")
 	)
 	flag.Parse()
@@ -52,10 +51,6 @@ func main() {
 
 	if (*model == "") == !*demo {
 		log.Fatal("exactly one of -model or -demo is required")
-	}
-	shard, shards, err := parseShard(*shardArg)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	compile := func() (*engine.Engine, error) {
@@ -70,9 +65,7 @@ func main() {
 			return nil, err
 		}
 		p.Cfg.PackedInference = *packed
-		// The shard arguments survive SIGHUP reloads: a rolling model swap
-		// keeps each process on its D-slice, only the weights change.
-		return engine.CompileShard(p, shard, shards)
+		return engine.Compile(p)
 	}
 
 	eng, err := compile()
@@ -88,10 +81,9 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := b.Options()
-	lo, hi := eng.Shard()
 	log.Printf("GEMM kernels: %s", tensor.KernelISA())
-	log.Printf("serving %v → D-slice [%d,%d) of %d, %d classes, version %016x | chunk=%d max-batch=%d max-delay=%s queue=%d | model %d bytes, arena %d bytes/worker",
-		eng.InShape(), lo, hi, eng.FullDim(), eng.Classes(), eng.ModelVersion(), eng.ChunkSize(),
+	log.Printf("serving %v → D=%d, %d classes, version %016x | chunk=%d max-batch=%d max-delay=%s queue=%d | model %d bytes, arena %d bytes/worker",
+		eng.InShape(), eng.Dim(), eng.Classes(), eng.ModelVersion(), eng.ChunkSize(),
 		opts.MaxBatch, opts.MaxDelay, opts.QueueCap, eng.ModelBytes(), eng.ArenaBytes())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: serve.NewServer(b, *timeout).Handler()}
@@ -140,21 +132,6 @@ func main() {
 	st := b.Stats()
 	log.Printf("served %d samples in %d batches (mean batch %.1f, p99 %.1fms)",
 		st.Served, st.Batches, st.MeanBatch, st.LatencyP99Ms)
-}
-
-// parseShard parses the -shard "i/S" argument; empty means the full model
-// (shard 0 of 1 — the identical code path, just the whole column range).
-func parseShard(s string) (shard, shards int, err error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &shards); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: want i/S, e.g. 0/4", s)
-	}
-	if shards < 1 || shard < 0 || shard >= shards {
-		return 0, 0, fmt.Errorf("-shard %q: shard index out of range", s)
-	}
-	return shard, shards, nil
 }
 
 // demoPipeline assembles a small synthetic-data pipeline with single-pass

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -59,13 +58,6 @@ func (p ScorerPrecision) String() string {
 	}
 	return "auto"
 }
-
-// ErrCompressedTiling marks compile requests that would break the exact
-// [0, FullD) tiling the sharded reduce depends on: a compressed engine's
-// pruned dimension set renumbers columns, so its partial scores cannot tile
-// with other shards' — CompileShard rejects compression plans, and Compress
-// rejects shard engines.
-var ErrCompressedTiling = errors.New("compressed engine breaks the exact [0, D) shard tiling")
 
 // CompressTarget configures Engine.Compress.
 type CompressTarget struct {
@@ -250,7 +242,7 @@ type compressCandidate struct {
 	bytes  int64
 }
 
-// Compress squeezes a compiled full-range engine per target, returning the
+// Compress squeezes a compiled engine per target, returning the
 // compressed engine and a report of what was chosen and measured. The source
 // engine is untouched and stays servable. The pass is deterministic: the same
 // engine and calibration set always produce the same compressed engine
@@ -259,9 +251,6 @@ func (e *Engine) Compress(target CompressTarget) (*Engine, CompressReport, error
 	var rep CompressReport
 	if e.src == nil {
 		return nil, rep, fmt.Errorf("engine: Compress on an engine with no source pipeline")
-	}
-	if e.lo != 0 || e.d != e.fullD {
-		return nil, rep, fmt.Errorf("engine: Compress on dimension shard [%d, %d): %w", e.lo, e.lo+e.d, ErrCompressedTiling)
 	}
 	if e.opts.plan != nil {
 		return nil, rep, fmt.Errorf("engine: Compress on an already-compressed engine")
@@ -309,7 +298,7 @@ func (e *Engine) Compress(target CompressTarget) (*Engine, CompressReport, error
 		return nil, rep, err
 	}
 	bc := tensor.PanelBlockCols()
-	nb := (e.fullD + bc - 1) / bc
+	nb := (e.d + bc - 1) / bc
 
 	rank := 0
 	if !target.NoLowRank && e.src.Manifold != nil && e.src.Manifold.Down() == nil {
@@ -329,10 +318,10 @@ func (e *Engine) Compress(target CompressTarget) (*Engine, CompressReport, error
 		}
 		keep := append([]int(nil), order[:blocks]...)
 		sort.Ints(keep)
-		plan := &CompressPlan{origD: e.fullD, keep: keep, prec: prec, rank: rank}
+		plan := &CompressPlan{origD: e.d, keep: keep, prec: prec, rank: rank}
 		o := e.opts
 		o.plan = plan
-		eng, err := compileResolved(e.src, 0, e.fullD, o)
+		eng, err := compileResolved(e.src, o)
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +398,7 @@ func (e *Engine) Compress(target CompressTarget) (*Engine, CompressReport, error
 		return nil, rep, fmt.Errorf("engine: Compress found no configuration within %.2f points on the holdout", maxDrop)
 	}
 
-	rep.OrigD = e.fullD
+	rep.OrigD = e.d
 	rep.D = best.eng.d
 	rep.KeepBlocks = append([]int(nil), best.plan.keep...)
 	rep.KeepRatio = float64(best.blocks) / float64(nb)
@@ -478,7 +467,7 @@ func (e *Engine) saliencyOrder(images *tensor.Tensor) ([]int, error) {
 		return nil, err
 	}
 	folded := hdlearn.FoldedRows(e.src.HD)
-	d, k := e.fullD, folded.Shape[0]
+	d, k := e.d, folded.Shape[0]
 	sal := make([]float64, d)
 	scores := make([]float64, k)
 	for i := 0; i < hvs.Shape[0]; i++ {

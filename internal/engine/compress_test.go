@@ -102,9 +102,7 @@ func TestCompressIdentityBitExact(t *testing.T) {
 }
 
 // TestCompressedPredictConsistent: a pruned sub-byte engine must (a) report
-// the pruned dimension, (b) mostly agree with the source ranking, (c) have
-// its Predict path bit-identical to PartialInto + MergeScores — the scaled
-// argmax is one shared code path.
+// the pruned dimension, (b) mostly agree with the source ranking.
 func TestCompressedPredictConsistent(t *testing.T) {
 	for _, prec := range []engine.ScorerPrecision{engine.PrecisionInt4, engine.PrecisionTernary, engine.PrecisionKeep} {
 		t.Run(prec.String(), func(t *testing.T) {
@@ -123,9 +121,6 @@ func TestCompressedPredictConsistent(t *testing.T) {
 			}
 			if want := 256 + 256 + 232; e.Dim() != want {
 				t.Fatalf("pruned Dim %d, want %d", e.Dim(), want)
-			}
-			if e.FullDim() != e.Dim() {
-				t.Fatalf("compressed FullDim %d, want %d (compressed engines are unsharded)", e.FullDim(), e.Dim())
 			}
 			if e.ModelVersion() == src.ModelVersion() {
 				t.Fatal("compressed engine advertises the source model version")
@@ -150,60 +145,15 @@ func TestCompressedPredictConsistent(t *testing.T) {
 			if agree*100 < len(want)*75 {
 				t.Fatalf("compressed engine agrees with source on only %d/%d samples", agree, len(want))
 			}
-
-			// Partial path: one full-range partial must merge to the same preds.
-			ps := e.NewPartials(0)
-			if err := e.PartialInto(test.Images, ps); err != nil {
-				t.Fatal(err)
-			}
-			if prec != engine.PrecisionKeep && ps.Scales == nil {
-				t.Fatal("sub-byte partials carry no scales")
-			}
-			n, k := len(got), e.Classes()
-			merged := make([]int, n)
-			scores := make([]float64, n*k)
-			if err := engine.MergeScores(merged, scores, []*engine.PartialScores{ps}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if merged[i] != got[i] {
-					t.Fatalf("sample %d: merged pred %d, engine pred %d", i, merged[i], got[i])
-				}
-			}
-			if prec != engine.PrecisionKeep {
-				bad := *ps
-				bad.Scales = ps.Scales[:k-1]
-				if err := engine.MergeScores(merged, scores, []*engine.PartialScores{&bad}); err == nil {
-					t.Fatal("expected scales-length error from MergeScores")
-				}
-			}
 		})
 	}
 }
 
-// TestCompressedTilingRejections: compression and dimension sharding are
-// mutually exclusive, with a typed error in both directions.
-func TestCompressedTilingRejections(t *testing.T) {
+// TestCompressRejectsCompressedEngine: a compressed engine is not a search
+// source; re-compressing it is an error.
+func TestCompressRejectsCompressedEngine(t *testing.T) {
 	p, test := buildBigPipeline(t, func(c *core.Config) {})
 	pruned := engine.NewCompressPlan(1000, []int{0, 2}, engine.PrecisionTernary, 0)
-
-	if _, err := engine.CompileShard(p, 0, 2, engine.WithCompression(pruned)); !errors.Is(err, engine.ErrCompressedTiling) {
-		t.Fatalf("CompileShard with a pruning plan: err=%v, want ErrCompressedTiling", err)
-	}
-	// An identity plan changes nothing, so sharding it is fine.
-	identity := engine.NewCompressPlan(1000, allBlocks(1000), engine.PrecisionKeep, 0)
-	if _, err := engine.CompileShard(p, 0, 2, engine.WithCompression(identity)); err != nil {
-		t.Fatalf("CompileShard with an identity plan: %v", err)
-	}
-
-	shard, err := engine.CompileShard(p, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := shard.Compress(engine.CompressTarget{Calib: test.Images}); !errors.Is(err, engine.ErrCompressedTiling) {
-		t.Fatalf("Compress on a shard: err=%v, want ErrCompressedTiling", err)
-	}
-
 	e, err := engine.Compile(p, engine.WithCompression(pruned))
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 
 	"nshd/internal/core"
@@ -72,9 +75,7 @@ type Stage interface {
 type Engine struct {
 	inShape   [3]int  // per-sample image shape [C, H, W]
 	sampleLen int     // C·H·W
-	d         int     // hypervector dimensions THIS engine scores (slice width)
-	lo        int     // first hypervector column of the engine's D-slice
-	fullD     int     // full model dimension (== d for an unsharded engine)
+	d         int     // hypervector dimension D
 	version   uint64  // model content hash (see ModelVersion)
 	chunk     int     // max samples per worker chunk
 	minSplit  int     // samples that make splitMinMACs: the smallest part of a split
@@ -154,50 +155,46 @@ func (s lshStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 //
 // WithRemat keeps only the projection's seed resident; with no options the
 // projection is served from prepacked panels (see tail.go).
-// Compile is the single-shard special case of CompileShard: the engine
-// scores the full dimension range [0, D).
 func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("engine: nil pipeline")
 	}
-	return compile(p, 0, p.Cfg.D, opts)
-}
-
-// compile builds the engine for hypervector columns [lo, hi) — the whole
-// model when lo==0 && hi==D. Every projection backing slices the same way:
-// the projection operand keeps columns [lo, hi), the class model keeps the
-// same columns (full-row norm fold for the float scorer), and the folded
-// bias keeps its slice. lo is PanelBlockCols-aligned by ShardBounds, preserving
-// the 256-column block grid.
-func compile(p *core.Pipeline, lo, hi int, opts []Option) (*Engine, error) {
 	var o compileOptions
 	for _, opt := range opts {
 		opt.applyOption(&o)
 	}
-	return compileResolved(p, lo, hi, o)
+	e, err := compileResolved(p, o)
+	if err == nil {
+		// Compile is the last thing the engine allocates, and it leaves the
+		// measuring arena's buffers behind as garbage. Collect now, while the
+		// model is live, so that the heap goal is set from the model: left to
+		// chance, a process that builds models one after another (a reload,
+		// the benchmark's repeated fixture builds) can have its next cycle
+		// fall where the previous model is already dead, the goal collapses
+		// to what little is live, the scavenger returns tens of MB to the OS
+		// and the next build re-faults them (measured: CHANGES.md, PR 27).
+		runtime.GC()
+	}
+	return e, err
 }
 
-// compileResolved is compile after option resolution — the entry point
+// compileResolved is Compile after option resolution — the entry point
 // Engine.Compress uses to build candidate engines from an options struct it
 // assembled itself. When a compression plan is present the pipeline compiled
 // is a DERIVED one (pruned projection/class columns, factorized manifold);
 // the engine records the source pipeline and the plan so the compressed
 // engine can report both and refuse re-compression.
-func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, error) {
+func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
 	src := p
 	if o.plan != nil && o.plan.isIdentity() {
 		o.plan = nil
 	}
 	if o.plan != nil {
-		if lo != 0 || hi != p.Cfg.D {
-			return nil, fmt.Errorf("engine: compression plan on D-slice [%d, %d) of %d: %w", lo, hi, p.Cfg.D, ErrCompressedTiling)
-		}
 		derived, err := o.plan.apply(p)
 		if err != nil {
 			return nil, err
 		}
 		p = derived
-		hi = p.Cfg.D
 	}
 	if err := nn.InferSupported(p.Extractor); err != nil {
 		return nil, fmt.Errorf("engine: extractor not servable: %w", err)
@@ -216,15 +213,13 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 	fold := !o.remat && p.Manifold != nil &&
 		(p.Manifold.Down() != nil || foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D))
 
-	if lo < 0 || hi > p.Cfg.D || lo >= hi {
-		return nil, fmt.Errorf("engine: D-slice [%d, %d) out of [0, %d)", lo, hi, p.Cfg.D)
+	if p.Cfg.D < 1 {
+		return nil, fmt.Errorf("engine: hypervector dimension D=%d", p.Cfg.D)
 	}
 	e := &Engine{
 		inShape:   [3]int{in[0], in[1], in[2]},
 		sampleLen: in[0] * in[1] * in[2],
-		d:         hi - lo,
-		lo:        lo,
-		fullD:     p.Cfg.D,
+		d:         p.Cfg.D,
 		version:   modelVersionHash(p),
 		src:       src,
 		opts:      o,
@@ -253,7 +248,7 @@ func compileResolved(p *core.Pipeline, lo, hi int, o compileOptions) (*Engine, e
 	default:
 		e.stages = append(e.stages, flattenStage{})
 	}
-	t, err := buildTail(p, &o, fold, lo, hi)
+	t, err := buildTail(p, &o, fold)
 	if err != nil {
 		return nil, err
 	}
@@ -309,26 +304,21 @@ func (e *Engine) warmup(ar *tensor.Arena, chunk int) (err error) {
 	hvs := make([]float32, chunk*e.d)
 	x := e.runChunk(ar, zero, chunk)
 	e.tail.run(x, preds, ar, nil)
-	// Size the hypervector path too (QueryHVs); runChunk resets the arena
-	// offsets but the high-water marks accumulate across both passes.
-	x = e.runChunk(ar, zero, chunk)
+	// Size the hypervector path too (QueryHVs). Each tail releases what it
+	// took and leaves x alone, so one pass through the stages serves both and
+	// the high-water marks are the larger of the two.
 	e.tail.runHVs(x, hvs, ar)
-	// And the partial-score path, so sharded serving stays allocation-free.
-	ps := e.NewPartials(chunk)
-	x = e.runChunk(ar, zero, chunk)
-	e.tail.runPartial(x, ps, 0, ar)
 	return nil
 }
 
-// batchJob is one PredictInto, QueryHVs or PartialInto call: the batch and
-// the one output its tail fills. A struct, not a closure, so that handing it
-// to the fan-out allocates nothing.
+// batchJob is one PredictInto or QueryHVs call: the batch and the one output
+// its tail fills. A struct, not a closure, so that handing it to the fan-out
+// allocates nothing.
 type batchJob struct {
 	images []float32
 	n      int
-	preds  []int          // PredictInto
-	hvs    []float32      // QueryHVs, [n, d]
-	ps     *PartialScores // PartialInto
+	preds  []int     // PredictInto
+	hvs    []float32 // QueryHVs, [n, d]
 }
 
 // fanout is a reusable prebound parallel.Call over the parts of one job.
@@ -378,15 +368,13 @@ func (e *Engine) forParts(job batchJob) {
 // runPart takes a worker arena, runs samples [start, end) of the job through
 // the feature stages and the tail, and returns the arena.
 func (e *Engine) runPart(j *batchJob, start, end int) {
+	seg := j.images[start*e.sampleLen : end*e.sampleLen] // before the arena: a short Data panics here
 	ar := e.arenas.Get()
-	x := e.runChunk(ar, j.images[start*e.sampleLen:end*e.sampleLen], end-start)
-	switch {
-	case j.preds != nil:
+	x := e.runChunk(ar, seg, end-start)
+	if j.preds != nil {
 		e.tail.run(x, j.preds[start:end], ar, nil)
-	case j.hvs != nil:
+	} else {
 		e.tail.runHVs(x, j.hvs[start*e.d:end*e.d], ar)
-	default:
-		e.tail.runPartial(x, j.ps, start, ar)
 	}
 	e.arenas.Put(ar)
 }
@@ -533,15 +521,21 @@ func (e *Engine) PredictStream(in <-chan *tensor.Tensor) <-chan StreamResult {
 	return out
 }
 
+// ErrInternal marks an error PredictChecked made out of a recovered panic: a
+// fault in the engine or its caller's tensor, never something a well-formed
+// request did wrong.
+var ErrInternal = errors.New("engine: internal error")
+
 // PredictChecked is the serving form of PredictInto: the same validation,
 // plus a recover barrier that converts any panic escaping the stage chain
 // (a malformed tensor whose Data is shorter than its shape claims, an arena
-// sizing bug) into an error. A serving front end must never crash the process
-// on one bad request; training-side callers keep the panicking fast paths.
+// sizing bug) into an error wrapping ErrInternal. A serving front end must
+// never crash the process on one bad request; training-side callers keep the
+// panicking fast paths.
 func (e *Engine) PredictChecked(images *tensor.Tensor, preds []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: predict panicked: %v", r)
+			err = fmt.Errorf("%w: predict panicked: %v", ErrInternal, r)
 		}
 	}()
 	return e.PredictInto(images, preds)
@@ -569,6 +563,47 @@ func (e *Engine) Dim() int { return e.d }
 
 // Classes reports the number of classes the compiled classifier scores.
 func (e *Engine) Classes() int { return e.tail.k }
+
+// ModelVersion is a content hash identifying the compiled model: the HD
+// class matrix, the projection (its seed, or its dense matrix when
+// unseeded), and the shape facts (D, K). Engines compiled from one trained
+// model report the same version regardless of projection backing; retraining
+// changes it. A COMPRESSED engine mixes its plan into the hash (see
+// CompressPlan.mixVersion) — it serves different predictions, so it must
+// never be mistaken for the source model.
+func (e *Engine) ModelVersion() uint64 { return e.version }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvMix(h, v uint64) uint64 {
+	for s := 0; s < 64; s += 8 {
+		h ^= (v >> uint(s)) & 0xff
+		h *= fnvPrime64
+	}
+	return h
+}
+
+func modelVersionHash(p *core.Pipeline) uint64 {
+	h := uint64(fnvOffset64)
+	h = fnvMix(h, uint64(p.Cfg.D))
+	h = fnvMix(h, uint64(p.HD.K))
+	for _, v := range p.HD.M.Data {
+		h = fnvMix(h, uint64(math.Float32bits(v)))
+	}
+	if p.Proj.Seeded {
+		h = fnvMix(h, 1)
+		h = fnvMix(h, uint64(p.Proj.Seed))
+	} else {
+		h = fnvMix(h, 2)
+		for _, v := range p.Proj.P.Data {
+			h = fnvMix(h, uint64(math.Float32bits(v)))
+		}
+	}
+	return h
+}
 
 // ModelBytes reports the engine's TRUE serving footprint: every weight the
 // compiled plan keeps resident, summed over BytesBreakdown — extractor and

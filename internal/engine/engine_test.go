@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -178,6 +179,71 @@ var errMismatch = &mismatchError{}
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent Predict disagreed with serial Predict" }
+
+// TestModelVersionTracksContent: retraining changes the version; the
+// projection backing does not.
+func TestModelVersionTracksContent(t *testing.T) {
+	p, _ := buildPipeline(t, func(c *core.Config) { c.D = 2333 })
+	a, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.Compile(p, engine.WithRemat())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ModelVersion() != b.ModelVersion() {
+		t.Fatal("the projection backing must not change the model version")
+	}
+	if a.ModelVersion() == 0 {
+		t.Fatal("version should be a content hash, got 0")
+	}
+	p.HD.M.Data[0] += 1
+	p.HD.Invalidate()
+	c, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ModelVersion() == a.ModelVersion() {
+		t.Fatal("retraining must change the model version")
+	}
+}
+
+// TestPredictCheckedInternalError: a panic escaping the stage chain — here a
+// tensor whose Data is shorter than its shape claims — comes back as an error
+// that is engine.ErrInternal and keeps the panic value; a refused shape is an
+// ordinary error; and the engine still serves afterwards.
+func TestPredictCheckedInternalError(t *testing.T) {
+	p, test := buildPipeline(t, func(c *core.Config) {})
+	e, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := test.Images.Len() / test.Len()
+	short := &tensor.Tensor{Shape: []int{2, 3, 16, 16}, Data: test.Images.Data[:sample:sample]}
+	err = e.PredictChecked(short, make([]int, 2))
+	if !errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("short Data: err = %v, want ErrInternal carrying the panic value", err)
+	}
+	if err := e.PredictChecked(tensor.New(2, 1, 16, 16), make([]int, 2)); err == nil || errors.Is(err, engine.ErrInternal) {
+		t.Fatalf("bad shape: err = %v, want a plain validation error", err)
+	}
+	for i := 0; i < 4; i++ { // more calls than there are worker arenas
+		if err := e.PredictChecked(short, make([]int, 2)); !errors.Is(err, engine.ErrInternal) {
+			t.Fatal(err)
+		}
+	}
+	preds := make([]int, test.Len())
+	if err := e.PredictChecked(test.Images, preds); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := e.Predict(test.Images)
+	for i := range want {
+		if preds[i] != want[i] {
+			t.Fatalf("sample %d: %d after the recovered panics, want %d", i, preds[i], want[i])
+		}
+	}
+}
 
 // TestEnginePredictStream checks ordering, correctness, per-batch error
 // isolation, and clean termination of the streaming path.

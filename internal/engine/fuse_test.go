@@ -37,27 +37,8 @@ func requireFusedExtract(t *testing.T, e *engine.Engine) {
 	t.Fatalf("extract stage did not fuse: %+v", times[0])
 }
 
-// samePartials fails on the first differing raw score.
-func samePartials(t *testing.T, got, want *engine.PartialScores) {
-	t.Helper()
-	if len(got.Ints) != len(want.Ints) || len(got.Floats) != len(want.Floats) {
-		t.Fatalf("partial shapes differ: ints %d/%d floats %d/%d",
-			len(got.Ints), len(want.Ints), len(got.Floats), len(want.Floats))
-	}
-	for i := range want.Ints {
-		if got.Ints[i] != want.Ints[i] {
-			t.Fatalf("raw int score %d differs: %d vs %d", i, got.Ints[i], want.Ints[i])
-		}
-	}
-	for i := range want.Floats {
-		if got.Floats[i] != want.Floats[i] {
-			t.Fatalf("raw float score %d differs: %g vs %g", i, got.Floats[i], want.Floats[i])
-		}
-	}
-}
-
-// sameOutputs requires two engines to agree bit for bit on predictions,
-// query hypervectors AND raw partial scores over a batch.
+// sameOutputs requires two engines to agree bit for bit on predictions and
+// query hypervectors over a batch.
 func sameOutputs(t *testing.T, got, want *engine.Engine, images *tensor.Tensor) {
 	t.Helper()
 	wp, err := want.Predict(images)
@@ -86,21 +67,13 @@ func sameOutputs(t *testing.T, got, want *engine.Engine, images *tensor.Tensor) 
 			t.Fatalf("query hypervector element %d differs: %g vs %g", i, gh.Data[i], wh.Data[i])
 		}
 	}
-	ws, gs := want.NewPartials(0), got.NewPartials(0)
-	if err := want.PartialInto(images, ws); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.PartialInto(images, gs); err != nil {
-		t.Fatal(err)
-	}
-	samePartials(t, gs, ws)
 }
 
 // TestEngineFusedExtractBitExact is the engine-level acceptance property for
-// the cache-resident extraction blocks: predictions, query hypervectors, AND
-// raw partial scores of the fused engine must be bit-identical to the
-// layer-by-layer (WithUnfusedExtract) engine across every tail case and both
-// classifier kernels. The extractor's tiling must be invisible end to end.
+// the cache-resident extraction blocks: predictions and query hypervectors
+// of the fused engine must be bit-identical to the layer-by-layer
+// (WithUnfusedExtract) engine across every tail case and both classifier
+// kernels. The extractor's tiling must be invisible end to end.
 func TestEngineFusedExtractBitExact(t *testing.T) {
 	fuseSmall(t)
 	for _, packed := range []bool{false, true} {
@@ -183,7 +156,6 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 		type result struct {
 			preds []int
 			hvs   *tensor.Tensor
-			ps    *engine.PartialScores
 			err   error
 		}
 		done := make(chan result, 1) // the goroutine's one send never blocks
@@ -192,10 +164,6 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 			r.preds, r.err = e.Predict(test.Images)
 			if r.err == nil {
 				r.hvs, r.err = e.QueryHVs(test.Images)
-			}
-			if r.err == nil {
-				r.ps = e.NewPartials(0)
-				r.err = e.PartialInto(test.Images, r.ps)
 			}
 			done <- r
 		}()
@@ -239,8 +207,7 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 		}
 
 		// Single-chunk reference: the same engine, one sample at a time.
-		n, k, d := test.Len(), e.Classes(), e.Dim()
-		one := e.NewPartials(0)
+		n, d := test.Len(), e.Dim()
 		for i := 0; i < n; i++ {
 			img := imagesAt(test.Images, i, i+1)
 			pr, err := e.Predict(img)
@@ -257,21 +224,6 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 			for j, v := range hv.Data {
 				if multi.hvs.Data[i*d+j] != v {
 					t.Fatalf("sample %d: multi-chunk query hypervector differs at %d", i, j)
-				}
-			}
-			if err := e.PartialInto(img, one); err != nil {
-				t.Fatal(err)
-			}
-			for c, v := range one.Ints {
-				if multi.ps.Ints[i*k+c] != v {
-					t.Fatalf("sample %d class %d: multi-chunk int score differs", i, c)
-				}
-			}
-			for b := 0; !one.Packed && b < one.Blocks(); b++ {
-				for c := 0; c < k; c++ {
-					if multi.ps.Floats[(b*n+i)*k+c] != one.Floats[b*k+c] {
-						t.Fatalf("sample %d block %d class %d: multi-chunk float score differs", i, b, c)
-					}
 				}
 			}
 		}

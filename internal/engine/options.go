@@ -39,9 +39,7 @@ func WithUnfusedExtract() Option {
 }
 
 // WithCompression compiles the pipeline under a compression plan. Identity
-// plans compile to the exact source engine; any other plan requires the full
-// [0, D) range (CompileShard returns ErrCompressedTiling — a pruned dimension
-// set cannot tile with other shards' columns).
+// plans compile to the exact source engine.
 func WithCompression(plan *CompressPlan) Option {
 	return optionFunc(func(o *compileOptions) { o.plan = plan })
 }

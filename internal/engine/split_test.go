@@ -16,7 +16,6 @@ import (
 type splitOutputs struct {
 	preds []int
 	hvs   *tensor.Tensor
-	ps    *engine.PartialScores
 }
 
 func runAll(t testing.TB, e *engine.Engine, imgs *tensor.Tensor) splitOutputs {
@@ -28,17 +27,13 @@ func runAll(t testing.TB, e *engine.Engine, imgs *tensor.Tensor) splitOutputs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := e.NewPartials(0)
-	if err := e.PartialInto(imgs, ps); err != nil {
-		t.Fatal(err)
-	}
-	return splitOutputs{preds, hvs, ps}
+	return splitOutputs{preds, hvs}
 }
 
 // matchesSingles reports the first place a batch's outputs differ from the
 // per-sample (n = 1) outputs of samples [0, n), or "".
 func (got splitOutputs) matchesSingles(e *engine.Engine, singles []splitOutputs) string {
-	n, k, d := len(got.preds), e.Classes(), e.Dim()
+	n, d := len(got.preds), e.Dim()
 	for i := 0; i < n; i++ {
 		one := singles[i]
 		if got.preds[i] != one.preds[0] {
@@ -49,26 +44,14 @@ func (got splitOutputs) matchesSingles(e *engine.Engine, singles []splitOutputs)
 				return fmt.Sprintf("sample %d: query hypervector differs at %d", i, j)
 			}
 		}
-		for c, v := range one.ps.Ints {
-			if got.ps.Ints[i*k+c] != v {
-				return fmt.Sprintf("sample %d class %d: raw int score differs", i, c)
-			}
-		}
-		for b := 0; !one.ps.Packed && b < one.ps.Blocks(); b++ {
-			for c := 0; c < k; c++ {
-				if got.ps.Floats[(b*n+i)*k+c] != one.ps.Floats[b*k+c] {
-					return fmt.Sprintf("sample %d block %d class %d: raw float score differs", i, b, c)
-				}
-			}
-		}
 	}
 	return ""
 }
 
 // TestEngineSplitBitExact pins the batch split: however a batch is cut over
 // the workers — not at all, in sub-chunk parts, in several even parts of at
-// most a chunk — predictions, query hypervectors and raw partial scores of
-// every sample equal the ones it gets alone, bit for bit, for every engine
+// most a chunk — predictions and query hypervectors of every sample equal
+// the ones it gets alone, bit for bit, for every engine
 // configuration and on both sides of the work floor (at floor 1 every batch
 // of two or more splits; at the top only batches over a chunk do, chunk by
 // chunk, as they always have).
@@ -89,9 +72,6 @@ func TestEngineSplitBitExact(t *testing.T) {
 			{"compressed", true, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) {
 				plan := engine.NewCompressPlan(1000, []int{0, 1, 3}, engine.PrecisionTernary, 0)
 				return engine.Compile(p, engine.WithCompression(plan))
-			}},
-			{"shard", false, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) {
-				return engine.CompileShard(p, 1, 3)
 			}},
 		} {
 			t.Run(fmt.Sprintf("floor=%d/%s", floor, cfg.name), func(t *testing.T) {
@@ -120,7 +100,7 @@ func TestEngineSplitBitExact(t *testing.T) {
 
 // TestEngineSplitConcurrentCallers runs the three fan-outs the split composes
 // against each other, under a watchdog (and -race in `make race`): chunk-sized
-// PredictInto and over-a-chunk PartialInto on one engine — batch splits that
+// and over-a-chunk PredictInto on one engine — batch splits that
 // compete for its arenas and prebound calls — and, on a 96×96 engine whose
 // block is cut in single-row tiles, one image (tile fan-out only) and three
 // (tile fan-outs inside the parts of a batch split). Every result must equal
@@ -157,26 +137,11 @@ func TestEngineSplitConcurrentCallers(t *testing.T) {
 		{e96, firstImages(test96.Images, 3)},
 	}
 	done := make(chan string, len(batches)) // one send per goroutine
-	for g, b := range batches {
+	for _, b := range batches {
 		want := runAll(t, b.e, b.imgs)
-		partial := g == 1
 		go func() {
 			preds := make([]int, b.imgs.Shape[0])
-			ps := b.e.NewPartials(0)
 			for it := 0; it < 8; it++ {
-				if partial {
-					if err := b.e.PartialInto(b.imgs, ps); err != nil {
-						done <- err.Error()
-						return
-					}
-					for i, v := range want.ps.Floats {
-						if ps.Floats[i] != v {
-							done <- fmt.Sprintf("PartialInto under contention: raw score %d differs", i)
-							return
-						}
-					}
-					continue
-				}
 				if err := b.e.PredictInto(b.imgs, preds); err != nil {
 					done <- err.Error()
 					return
@@ -207,7 +172,7 @@ func TestEngineSplitConcurrentCallers(t *testing.T) {
 // alloc`) to the fan-out itself: a chunk-sized batch above the work floor,
 // cut in sub-chunk parts, and a batch of three chunks and one, cut in even
 // parts of at most a chunk, both go through the prebound call and must not
-// touch the heap, for PredictInto and PartialInto alike.
+// touch the heap.
 func TestEngineZeroAllocSplit(t *testing.T) {
 	engine.SetSplitFloor(t, 1)
 	for _, packed := range []bool{false, true} {
@@ -219,14 +184,6 @@ func TestEngineZeroAllocSplit(t *testing.T) {
 		for _, n := range []int{e.ChunkSize(), 3*e.ChunkSize() + 1} {
 			imgs := firstImages(test.Images, n)
 			requireZeroAlloc(t, e, imgs)
-			ps := e.NewPartials(n)
-			if a := testing.AllocsPerRun(50, func() {
-				if err := e.PartialInto(imgs, ps); err != nil {
-					t.Fatal(err)
-				}
-			}); a != 0 {
-				t.Fatalf("PartialInto on %d samples allocated %.1f times per run in steady state", n, a)
-			}
 		}
 	}
 }

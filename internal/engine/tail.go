@@ -70,16 +70,15 @@ type wordScorer interface {
 	DotsInto(dots []int32, q []uint64)
 	// Scales returns the per-class dequantization scales the dots must be
 	// multiplied by before classes are compared, nil when the integer dots
-	// compare directly. Scaled dots are not additive across shards.
+	// compare directly.
 	Scales() []float32
 	MemoryBytes() int64
 }
 
 // tail terminates the compiled chain: feature-stage output to class
-// predictions, signed query hypervectors or raw partial scores, scratch from
-// the worker arena.
+// predictions or signed query hypervectors, scratch from the worker arena.
 type tail struct {
-	d, k, inF int // d = hypervector columns scored (the D-slice width)
+	d, k, inF int
 	// Folded head (manifold fold only): the pool that precedes the folded
 	// GEMM — max-pool is nonlinear, so the fold stops there — and, for a
 	// factorized manifold, the SVD down-projection V ([rank, PooledF]) that
@@ -100,14 +99,12 @@ type tail struct {
 	bytes []StageBytes
 }
 
-// buildTail assembles the tail for one compiled engine, restricted to
-// hypervector columns [lo, hi) — the full range for an unsharded engine.
-// Each projection backing slices the same way: prepacked panels pack only
-// the slice's columns, a remat generator regenerates only them from the
-// shared seed, and the folded matrix G = Wᵀ·P and its bias keep the slice.
-// fold is Compile's planner decision.
-func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tail, error) {
-	t := &tail{d: hi - lo, k: p.HD.K, inF: p.Proj.F}
+// buildTail assembles the tail for one compiled engine: the projection
+// operand as prepacked panels, a remat generator over the seed, or the folded
+// matrix G = Wᵀ·P with its bias; then the classifier. fold is Compile's
+// planner decision.
+func buildTail(p *core.Pipeline, o *compileOptions, fold bool) (*tail, error) {
+	t := &tail{d: p.Cfg.D, k: p.HD.K, inF: p.Proj.F}
 	projName := "project"
 	switch {
 	case fold:
@@ -116,7 +113,7 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tai
 			return nil, fmt.Errorf("engine: folding tail: %w", err)
 		}
 		t.pool = p.Manifold.Pool()
-		t.bias = c[lo:hi]
+		t.bias = c
 		t.inF = p.Manifold.PooledF
 		if t.down = p.Manifold.Down(); t.down != nil {
 			// Factorized manifold: FoldProjection folded only the up factor
@@ -124,16 +121,16 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tai
 			// the down-projection V to feed the rank-wide GEMM.
 			t.inF = t.down.Out
 		}
-		t.panels = tensor.PrepackPanels(tensor.SliceCols(g, lo, hi))
+		t.panels = tensor.PrepackPanels(g)
 		projName = "manifold*project"
 	case o.remat:
 		if !p.Proj.Seeded {
 			return nil, fmt.Errorf("engine: WithRemat requires a seeded projection")
 		}
-		t.panels = tensor.RematPanels(p.Proj.Gen().SliceCols(lo, hi))
+		t.panels = tensor.RematPanels(p.Proj.Gen())
 		projName = "project@seed"
 	default:
-		t.panels = tensor.PrepackPanels(p.Proj.Slice(lo, hi).P)
+		t.panels = tensor.PrepackPanels(p.Proj.P)
 	}
 	projBytes := t.panels.MemoryBytes() + int64(len(t.bias))*4
 	if t.down != nil {
@@ -143,15 +140,13 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tai
 	clsName, clsBytes := "classify-float", int64(0)
 	switch {
 	case o.plan != nil && o.plan.prec == PrecisionInt4:
-		// Sub-byte scoring is full-row (the integer dots need every kept
-		// dimension), which the plan's full-range requirement guarantees.
 		t.words = hdlearn.NewInt4Scorer(p.HD, quant.QuantizeInt4Row)
 	case o.plan != nil && o.plan.prec == PrecisionTernary:
 		t.words = hdlearn.NewTernaryScorer(p.HD, quant.QuantizeTernaryRow)
 	case p.Cfg.PackedInference:
-		t.words = hdlearn.PackModel(p.HD).SliceColumns(lo, hi)
+		t.words = hdlearn.PackModel(p.HD)
 	default:
-		t.float = hdlearn.NewFoldedScorer(p.HD).Slice(lo, hi)
+		t.float = hdlearn.NewFoldedScorer(p.HD)
 		clsBytes = t.float.ModelBytes()
 	}
 	if t.words != nil {
@@ -160,15 +155,6 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool, lo, hi int) (*tai
 	t.name = "fuse(" + projName + "+" + clsName + ")"
 	t.bytes = []StageBytes{{projName, projBytes}, {clsName, clsBytes}}
 	return t, nil
-}
-
-// scales returns the word scorer's per-class scales, nil for every unscaled
-// kernel (see wordScorer.Scales and MergeScores).
-func (t *tail) scales() []float32 {
-	if t.words == nil {
-		return nil
-	}
-	return t.words.Scales()
 }
 
 // head runs the folded tail's pool → flatten → down prefix (identity when
@@ -193,11 +179,11 @@ func (t *tail) head(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 }
 
 // forBlocks is the tail's one block loop: features → head → one blocked GEMM
-// over the D-slice, 256 columns at a time, each block getting the folded
+// over the D columns, 256 at a time, each block getting the folded
 // bias row (when folding) before consume sees it as a compact [n, w] tile of
 // pre-sign values for columns [c0, c0+w). Neither the [N, F̂] manifold
 // activation (folded mode) nor any [N, D] intermediate ever exists. consume
-// does not escape, so the closures the three callers pass stay on the stack.
+// does not escape, so the closures the callers pass stay on the stack.
 // A non-nil project (TimeStages only) receives the seconds spent outside
 // consume: head, GEMM and bias.
 func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, project *float64, consume func(blk []float32, n, w, c0 int)) {
@@ -249,10 +235,10 @@ func (t *tail) wordDots(x *tensor.Tensor, dots []int32, ar *tensor.Arena, projec
 	}
 }
 
-// run classifies one chunk. Both flows score through exactly the values
-// runPartial emits and MergeScores replays — int32 dots, or per-block
-// float32 scores folded into float64 in block order — so the local and
-// sharded paths agree bit for bit. project is forBlocks' (nil when serving).
+// run classifies one chunk: int32 dots, or per-block float32 scores folded
+// into float64 in block order — the order the engine-vs-PredictDirect gate
+// and every trained model's labels rest on. project is forBlocks' (nil when
+// serving).
 func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *float64) {
 	m := ar.Mark()
 	n := x.Shape[0]
@@ -272,25 +258,6 @@ func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *flo
 			}
 		})
 		hdlearn.ArgmaxInto(preds, acc, n, t.k)
-	}
-	ar.Release(m)
-}
-
-// runPartial emits the tail's raw partial scores for its D-slice into ps at
-// row offset rowOff: int32 dots per sample, or per-256-block float32 scores
-// (see PartialScores for the layout).
-func (t *tail) runPartial(x *tensor.Tensor, ps *PartialScores, rowOff int, ar *tensor.Arena) {
-	m := ar.Mark()
-	n := x.Shape[0]
-	if t.words != nil {
-		t.wordDots(x, ps.Ints[rowOff*t.k:(rowOff+n)*t.k], ar, nil)
-	} else {
-		bc := tensor.PanelBlockCols()
-		t.forBlocks(x, ar, nil, func(blk []float32, n, w, c0 int) {
-			tensor.SignInPlace(blk)
-			base := (c0/bc*ps.N + rowOff) * t.k
-			t.float.BlockScores(ps.Floats[base:base+n*t.k], blk, n, w, c0)
-		})
 	}
 	ar.Release(m)
 }

@@ -407,3 +407,72 @@ func TestEngineZeroAllocWideClassMemory(t *testing.T) {
 func TestEngineZeroAllocBatch1(t *testing.T) {
 	zeroAllocGate(t, func(*engine.Engine, *dataset.Dataset) int { return 1 })
 }
+
+// TestArgmaxTieLowestIndex pins the one tie rule — on equal scores the
+// lowest class index wins — for every scorer. The tie is exact by construction: the row of the class most
+// samples choose is copied over class 0 and over the last class, so for
+// those samples three classes score identically in every kernel (identical
+// rows fold, pack and quantize identically) and class 0 must win; the last
+// class must never be predicted at all.
+func TestArgmaxTieLowestIndex(t *testing.T) {
+	for _, sc := range []struct {
+		name   string
+		packed bool
+		prec   engine.ScorerPrecision
+	}{
+		{"float", false, engine.PrecisionKeep},
+		{"packed", true, engine.PrecisionKeep},
+		{"int4", false, engine.PrecisionInt4},
+		{"ternary", false, engine.PrecisionTernary},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			p, test := buildBigPipeline(t, func(c *core.Config) { c.PackedInference = sc.packed })
+			k, d := p.HD.K, p.Cfg.D
+
+			var opts []engine.Option
+			if sc.prec != engine.PrecisionKeep {
+				opts = append(opts, engine.WithCompression(engine.NewCompressPlan(d, allBlocks(d), sc.prec, 0)))
+			}
+			// Duplicate the class a that the same scorer chooses most often
+			// over classes 0 and k−1; every other class row, hence every
+			// other score, is untouched.
+			before, err := engine.Compile(p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig, err := before.Predict(test.Images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			votes := make([]int, k)
+			for _, c := range orig {
+				votes[c]++
+			}
+			a := 0
+			for c := range votes {
+				if votes[c] > votes[a] {
+					a = c
+				}
+			}
+			copy(p.HD.M.Row(0), p.HD.M.Row(a))
+			copy(p.HD.M.Row(k-1), p.HD.M.Row(a))
+			p.HD.Invalidate()
+			e, err := engine.Compile(p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preds, err := e.Predict(test.Images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range preds {
+				if c == k-1 {
+					t.Fatalf("sample %d: predicted class %d, a duplicate of class 0", i, c)
+				}
+				if orig[i] == a && c != 0 {
+					t.Fatalf("sample %d: classes 0, %d and %d tie; predicted %d, want 0", i, a, k-1, c)
+				}
+			}
+		})
+	}
+}

@@ -26,13 +26,6 @@ type Projection struct {
 	// serving engine needs only the seed (see tensor.RematPanels).
 	Seeded bool
 	Seed   int64
-	// ColOff and FullD describe a dimension shard: this projection holds
-	// hypervector columns [ColOff, ColOff+D) of a full [F, FullD] projection.
-	// Both are zero on an unsliced projection (FullD == 0 means "D is the
-	// full dimension"), which keeps gob-encoded models from earlier versions
-	// loading unchanged.
-	ColOff int
-	FullD  int
 	// KeepBlocks, KeepBlock and KeepFullD describe a dimension-pruned
 	// projection built by GatherBlocks: this projection's columns are the
 	// concatenation of the listed KeepBlock-wide column blocks of the
@@ -41,43 +34,6 @@ type Projection struct {
 	KeepBlocks []int
 	KeepBlock  int
 	KeepFullD  int
-}
-
-// FullDim returns the dimension of the full (unsliced) projection this one
-// was cut from — D itself when unsliced.
-func (pr *Projection) FullDim() int {
-	if pr.FullD == 0 {
-		return pr.D
-	}
-	return pr.FullD
-}
-
-// Slice returns the dimension shard holding hypervector columns [lo, hi):
-// a [F, hi−lo] projection whose matrix is exactly those columns of pr.P,
-// with the seed preserved so a seeded shard can rematerialize its own
-// columns from the shared 8 bytes (Gen returns the sliced generator).
-// Slicing a slice composes; offsets are tracked relative to the original
-// full projection.
-func (pr *Projection) Slice(lo, hi int) *Projection {
-	if pr.KeepBlocks != nil && !(lo == 0 && hi == pr.D) {
-		panic("hdc: Projection.Slice on a pruned projection")
-	}
-	if lo < 0 || hi > pr.D || lo >= hi {
-		panic(fmt.Sprintf("hdc: Projection.Slice [%d, %d) out of [0, %d)", lo, hi, pr.D))
-	}
-	if lo == 0 && hi == pr.D {
-		return pr
-	}
-	p := tensor.SliceCols(pr.P, lo, hi)
-	return &Projection{
-		F: pr.F, D: hi - lo,
-		P:      p,
-		Packed: NewPackedMatrix(p),
-		Seeded: pr.Seeded,
-		Seed:   pr.Seed,
-		ColOff: pr.ColOff + lo,
-		FullD:  pr.FullDim(),
-	}
 }
 
 // NewProjection samples a seeded random projection for F features into
@@ -106,10 +62,9 @@ func NewSeededProjection(seed int64, f, d int) *Projection {
 }
 
 // Gen returns the defining generator of a seeded projection, nil otherwise.
-// For a dimension shard the generator is the matching column slice of the
-// full matrix's generator, and for a pruned projection the matching block
-// gather, so rematerialized panels reproduce exactly this projection's
-// columns.
+// For a pruned projection it is the matching block gather of the full
+// matrix's generator, so rematerialized panels reproduce exactly this
+// projection's columns.
 func (pr *Projection) Gen() *tensor.BipolarGen {
 	if !pr.Seeded {
 		return nil
@@ -118,11 +73,7 @@ func (pr *Projection) Gen() *tensor.BipolarGen {
 		g := tensor.NewBipolarGen(pr.Seed, pr.F, pr.KeepFullD)
 		return g.GatherBlocks(pr.KeepBlocks, pr.KeepBlock)
 	}
-	g := tensor.NewBipolarGen(pr.Seed, pr.F, pr.FullDim())
-	if pr.FullD != 0 {
-		g = g.SliceCols(pr.ColOff, pr.ColOff+pr.D)
-	}
-	return g
+	return tensor.NewBipolarGen(pr.Seed, pr.F, pr.D)
 }
 
 // GatherBlocks returns the dimension-pruned projection keeping the listed
@@ -130,13 +81,11 @@ func (pr *Projection) Gen() *tensor.BipolarGen {
 // tensor.BipolarGen.GatherBlocks for the alignment contract). The dense and
 // packed forms are gathered copies; a seeded projection stays seeded, with
 // Gen() returning the gathered generator, so a pruned engine can still
-// rematerialize its surviving columns from the original seed. Pruning a
-// shard or an already-pruned projection is not supported — pruned engines
-// opt out of dimension sharding (the kept set breaks the contiguous [0, D)
-// tiling MergeScores validates).
+// rematerialize its surviving columns from the original seed. Pruning an
+// already-pruned projection is not supported.
 func (pr *Projection) GatherBlocks(keep []int, block int) *Projection {
-	if pr.FullD != 0 || pr.ColOff != 0 || pr.KeepBlocks != nil {
-		panic("hdc: Projection.GatherBlocks on a sharded or pruned projection")
+	if pr.KeepBlocks != nil {
+		panic("hdc: Projection.GatherBlocks on a pruned projection")
 	}
 	p := tensor.GatherColBlocks(pr.P, keep, block)
 	return &Projection{

@@ -1,13 +1,11 @@
 package hdlearn
 
 // The serving tie rule lives here and nowhere else: on equal scores the
-// LOWEST class index wins (strict-> comparison, ascending scan). The engine's
-// tail and the sharded reduce (engine.MergeScores) both finish through these
-// two helpers, so a single engine and a merge of its shards cannot disagree
-// on a tie.
+// LOWEST class index wins (strict-> comparison, ascending scan). Both of the
+// engine tail's data flows finish through these two helpers.
 
 // ArgmaxInto writes each row's argmax of scores ([n, k] float64, row-major)
-// into preds — the float data flow's final step, and the reduce's.
+// into preds — the float data flow's final step.
 func ArgmaxInto(preds []int, scores []float64, n, k int) {
 	for i := 0; i < n; i++ {
 		row := scores[i*k : (i+1)*k]
@@ -25,8 +23,7 @@ func ArgmaxInto(preds []int, scores []float64, n, k int) {
 // integer dots ([n, k]), the argmax of float64(scales[c])·float64(dots[c])
 // for a sub-byte scorer, or of the dots themselves when scales is nil (the
 // 1-bit popcount scorer, whose rows share one norm). The int32→float64
-// conversion is exact, so MergeScores' scale-then-ArgmaxInto reproduces the
-// scaled comparison bit for bit.
+// conversion is exact.
 func ArgmaxScaledInto(preds []int, dots []int32, scales []float32, n, k int) {
 	for i := 0; i < n; i++ {
 		row := dots[i*k : (i+1)*k]

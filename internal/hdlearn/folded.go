@@ -32,7 +32,7 @@ import (
 // [0, ns), ns = tensor.PanelStripCols(K), live ONLY as that GEMM's prepacked
 // 16-class strips and the ragged classes [ns, K) — every class on the
 // portable build — ONLY as class-major rows. Which kernel scores class k
-// depends on k and the build alone, never on batch size, row position or shard.
+// depends on k and the build alone, never on batch size or row position.
 type FoldedScorer struct {
 	K, D   int
 	strips *tensor.ProjPanels // M̂ᵀ[:, :ns] as [D, ns] panels; nil when ns == 0
@@ -73,39 +73,13 @@ func NewFoldedScorer(m *Model) *FoldedScorer {
 	return s
 }
 
-// Slice returns the dimension shard of the scorer holding columns [lo, hi)
-// of the folded class matrix. The rows keep the FULL-dimension fold
-// M̂_k = M_k/(√D·‖M_k‖) — the denominator uses the whole class row — so
-// partial dot products from disjoint shards sum to exactly the full folded
-// score: ⟨h, M̂_k⟩ = Σ_s ⟨h[lo_s:hi_s], M̂_k[lo_s:hi_s]⟩. Slicing copies the
-// column range (a 256-aligned range is a contiguous run of strips, so with
-// K ≥ 16 on the asm build lo must be a multiple of 256 and hi one too or D);
-// each per-block float32 score on a shard is bit-identical to the same
-// block's score on the unsliced scorer.
-func (s *FoldedScorer) Slice(lo, hi int) *FoldedScorer {
-	if lo < 0 || hi > s.D || lo >= hi {
-		panic(fmt.Sprintf("hdlearn: FoldedScorer.Slice [%d, %d) out of [0, %d)", lo, hi, s.D))
-	}
-	if lo == 0 && hi == s.D {
-		return s
-	}
-	out := &FoldedScorer{K: s.K, D: hi - lo, rows: tensor.SliceCols(s.rows, lo, hi)}
-	if s.strips != nil {
-		out.strips = s.strips.SliceRows(lo, hi)
-	}
-	return out
-}
-
 // BlockScores writes each query row's raw float32 partial score against
 // columns [c0, c0+w) of the folded class matrix: dst[i*K + k] =
 // ⟨blk_i, M̂_k[c0:c0+w]⟩ for the n rows of blk (a compact [n, w] tile of
 // signed query columns; one block of the 256-column grid). The engine's tail
-// folds these per-block float32 values into float64 in block order; emitting
-// them raw is what lets a dimension shard ship partial scores over the wire
-// and a reducer replay the identical float64 accumulation order, bit-exact
-// against the unsharded engine. Strip classes are a single FMA chain from +0,
-// column ascending, in the 4-row and the 1-row micro-kernel alike; the others
-// are DotFast.
+// folds these per-block float32 values into float64 in block order. Strip
+// classes are a single FMA chain from +0, column ascending, in the 4-row and
+// the 1-row micro-kernel alike; the others are DotFast.
 func (s *FoldedScorer) BlockScores(dst []float32, blk []float32, n, w, c0 int) {
 	if c0 < 0 || c0+w > s.D {
 		panic(fmt.Sprintf("hdlearn: BlockScores columns [%d,%d) outside D=%d", c0, c0+w, s.D))

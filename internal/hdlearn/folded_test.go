@@ -99,7 +99,7 @@ func randomModel(seed int64, k, d int) *Model {
 // and every row-group shape of the micro-kernels. Each score must agree with
 // a float64 dot of the folded rows, and must not depend on where its query
 // row sits: row i scored alone is bit-identical to row i inside the batch —
-// what makes batch-1, batch-64 and sharded serving agree.
+// what makes batch-1 and batch-64 serving agree.
 func TestBlockScoresMatchesNaive(t *testing.T) {
 	for _, k := range []int{1, 15, 16, 17, 32, 100, 300} {
 		for _, w := range []int{1, 16, 21, 255, 256} {
@@ -142,16 +142,13 @@ func TestBlockScoresMatchesNaive(t *testing.T) {
 
 // TestFoldedScorerModelBytes: ModelBytes is the length of what is resident
 // (strips + ragged rows), and that is K·D float32s — nothing is stored twice
-// or padded — on full and on sliced scorers.
+// or padded.
 func TestFoldedScorerModelBytes(t *testing.T) {
 	const d = 533
 	for _, k := range []int{1, 10, 16, 17, 100} {
 		s := NewFoldedScorer(randomModel(int64(k), k, d))
-		for _, rng := range [][2]int{{0, d}, {0, 256}, {256, 512}, {256, d}} {
-			want := int64(k) * int64(rng[1]-rng[0]) * 4
-			if got := s.Slice(rng[0], rng[1]).ModelBytes(); got != want {
-				t.Fatalf("K=%d columns [%d, %d): ModelBytes %d, want %d", k, rng[0], rng[1], got, want)
-			}
+		if got, want := s.ModelBytes(), int64(k)*d*4; got != want {
+			t.Fatalf("K=%d: ModelBytes %d, want %d", k, got, want)
 		}
 	}
 }

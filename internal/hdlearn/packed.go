@@ -55,44 +55,10 @@ func (pm *PackedModel) predictWords(q []uint64) int {
 	return at
 }
 
-// SliceColumns returns the dimension shard of the packed model holding
-// columns [lo, hi). lo must be a multiple of 64 (the shard planner's
-// 256-aligned boundaries always are); hi may be ragged, in which case the
-// final word's bits past the slice are masked to zero so XOR+popcount
-// scoring sees only the shard's own dimensions. Because the popcount dot is
-// a plain sum over bit positions, per-shard dots dot_s = w_s − 2·ham_s add
-// exactly: Σ_s dot_s equals the full model's D − 2·ham.
-func (pm *PackedModel) SliceColumns(lo, hi int) *PackedModel {
-	if lo < 0 || hi > pm.D || lo >= hi {
-		panic(fmt.Sprintf("hdlearn: PackedModel.SliceColumns [%d, %d) out of [0, %d)", lo, hi, pm.D))
-	}
-	if lo%64 != 0 {
-		panic(fmt.Sprintf("hdlearn: PackedModel.SliceColumns lo=%d must be 64-aligned", lo))
-	}
-	if lo == 0 && hi == pm.D {
-		return pm
-	}
-	w := hi - lo
-	wlo, wpr := lo/64, (w+63)/64
-	out := &PackedModel{K: pm.K, D: w, wpr: wpr, words: make([]uint64, pm.K*wpr)}
-	var mask uint64 = ^uint64(0)
-	if w%64 != 0 {
-		mask = (uint64(1) << uint(w%64)) - 1
-	}
-	for k := 0; k < pm.K; k++ {
-		row := out.words[k*wpr : (k+1)*wpr]
-		copy(row, pm.words[k*pm.wpr+wlo:k*pm.wpr+wlo+wpr])
-		row[wpr-1] &= mask
-	}
-	return out
-}
-
 // DotsInto writes every class's popcount dot product with one packed query
 // row (length ≥ WordsPerRow(), tail bits zero): out[k] = D − 2·ham(q, M_k).
-// These int32 partials are exactly additive across dimension shards, which
-// is what the sharded serving tier's add-reduce relies on. The engine's tail
-// packs sign bits block by block into such rows and scores them here without
-// ever holding a dense hypervector.
+// The engine's tail packs sign bits block by block into such rows and scores
+// them here without ever holding a dense hypervector.
 func (pm *PackedModel) DotsInto(out []int32, q []uint64) {
 	if len(out) < pm.K {
 		panic(fmt.Sprintf("hdlearn: DotsInto out length %d < K=%d", len(out), pm.K))

@@ -94,3 +94,23 @@ func TestPackedModelMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedDotsIntoMatchesPredict: the engine's word-scorer path (DotsInto,
+// then ArgmaxScaledInto with the packed model's nil scales) picks the class
+// predictWords picks, at a dimension with a ragged last word.
+func TestPackedDotsIntoMatchesPredict(t *testing.T) {
+	const k, d = 7, 533
+	m, queries := randPackedCase(17, k, d, 13)
+	pm := PackModel(m)
+	dots := make([]int32, k)
+	q := make([]uint64, pm.WordsPerRow())
+	for i := 0; i < queries.Shape[0]; i++ {
+		hdc.PackRowInto(q, queries.Row(i))
+		pm.DotsInto(dots, q)
+		var at [1]int
+		ArgmaxScaledInto(at[:], dots, pm.Scales(), 1, k)
+		if want := pm.predictWords(q); at[0] != want {
+			t.Fatalf("query %d: DotsInto argmax %d != packed predict %d", i, at[0], want)
+		}
+	}
+}

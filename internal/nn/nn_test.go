@@ -418,27 +418,6 @@ func TestStepDecaySchedule(t *testing.T) {
 	}
 }
 
-func TestCosineDecaySchedule(t *testing.T) {
-	sched := CosineDecay(0.1, 0.001, 10)
-	if got := sched(1); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("cosine start = %v", got)
-	}
-	if got := sched(10); got >= sched(5) {
-		t.Fatalf("cosine must decay: %v vs %v", got, sched(5))
-	}
-	if got := sched(100); got != 0.001 {
-		t.Fatalf("cosine floor = %v", got)
-	}
-	prev := sched(1)
-	for e := 2; e <= 10; e++ {
-		cur := sched(e)
-		if cur > prev {
-			t.Fatalf("cosine not monotone at %d", e)
-		}
-		prev = cur
-	}
-}
-
 func TestTrainerAppliesSchedule(t *testing.T) {
 	rng := tensor.NewRNG(30)
 	model := NewSequential("s", NewFlatten(), NewLinear(rng, 4, 2, true))

@@ -141,15 +141,3 @@ func StepDecay(base, factor float64, stepEpochs int) func(epoch int) float64 {
 		return lr
 	}
 }
-
-// CosineDecay returns a cosine-annealed schedule over totalEpochs from base
-// down to floor.
-func CosineDecay(base, floor float64, totalEpochs int) func(epoch int) float64 {
-	return func(epoch int) float64 {
-		if epoch >= totalEpochs {
-			return floor
-		}
-		progress := float64(epoch-1) / float64(totalEpochs)
-		return floor + (base-floor)*0.5*(1+math.Cos(math.Pi*progress))
-	}
-}

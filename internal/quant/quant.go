@@ -3,14 +3,12 @@
 // quantizes the given model ... the quantization has very minor impacts on
 // the prediction quality").
 //
-// Two mechanisms are provided:
-//
-//   - fake quantization: every CNN/manifold weight tensor is round-tripped
-//     through symmetric per-tensor int8, measuring the accuracy effect of
-//     deploying the float graph on an int8 MAC array;
-//   - an integer HD inference path: class hypervectors quantized to int8 and
-//     compared against bipolar queries with pure int32 arithmetic, matching
-//     the binary/integer datapath of the DPU HD unit.
+// What is provided: symmetric per-tensor int8 quantization of a weight
+// tensor (Quantize / Dequantize), and an integer HD inference path — class
+// hypervectors quantized to int8 and compared against bipolar queries with
+// pure int32 arithmetic, matching the binary/integer datapath of the DPU HD
+// unit. The int4 / ternary row quantizers of the compressed class memories
+// are in subbyte.go.
 package quant
 
 import (
@@ -18,7 +16,6 @@ import (
 	"math"
 
 	"nshd/internal/hdlearn"
-	"nshd/internal/nn"
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
@@ -74,42 +71,6 @@ func (q *Tensor8) Dequantize() *tensor.Tensor {
 // MaxAbsError returns the worst-case absolute reconstruction error bound for
 // the quantization: scale/2.
 func (q *Tensor8) MaxAbsError() float32 { return q.Scale / 2 }
-
-// FakeQuantize round-trips every parameter of a model through int8 in
-// place, returning a restore function that puts the original float weights
-// back. Batch-norm running statistics are left untouched (the DPU folds them
-// into the convolutions at full precision).
-//
-// The restore function is idempotent: only the first call writes the saved
-// weights back, so calling it again — e.g. once via defer and once
-// explicitly, a pattern that otherwise silently clobbers any training done
-// after the first restore — is a no-op.
-func FakeQuantize(model *nn.Sequential) (restore func()) {
-	return FakeQuantizeParams(model.Params())
-}
-
-// FakeQuantizeParams round-trips an explicit parameter list (e.g. the
-// manifold learner's FC weights). The restore function is idempotent; see
-// FakeQuantize.
-func FakeQuantizeParams(params []*nn.Param) (restore func()) {
-	var originals [][]float32
-	for _, p := range params {
-		originals = append(originals, append([]float32(nil), p.W.Data...))
-		q := Quantize(p.W)
-		d := q.Dequantize()
-		copy(p.W.Data, d.Data)
-	}
-	restored := false
-	return func() {
-		if restored {
-			return
-		}
-		restored = true
-		for i, p := range params {
-			copy(p.W.Data, originals[i])
-		}
-	}
-}
 
 // HDModel8 is the integer inference form of an HD classifier: row-normalized
 // class hypervectors quantized to int8, compared to bipolar queries with an

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"nshd/internal/hdlearn"
-	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
 
@@ -72,62 +71,6 @@ func TestQuantizeIdempotentProperty(t *testing.T) {
 	}
 }
 
-func TestFakeQuantizeRestores(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	model := nn.NewSequential("q",
-		nn.NewConv2D(rng, 1, 4, 3, 1, 1, true),
-		nn.NewReLU(),
-		nn.NewFlatten(),
-		nn.NewLinear(rng, 4*4*4, 3, true),
-	)
-	before := append([]float32(nil), model.Params()[0].W.Data...)
-	restore := FakeQuantize(model)
-	changed := false
-	for i, v := range model.Params()[0].W.Data {
-		if v != before[i] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("fake quantization should perturb weights (generically)")
-	}
-	restore()
-	for i, v := range model.Params()[0].W.Data {
-		if v != before[i] {
-			t.Fatal("restore must recover original weights exactly")
-		}
-	}
-}
-
-func TestFakeQuantizeOutputsStayClose(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	model := nn.NewSequential("q",
-		nn.NewConv2D(rng, 1, 4, 3, 1, 1, true),
-		nn.NewReLU(),
-		nn.NewFlatten(),
-		nn.NewLinear(rng, 4*6*6, 3, true),
-	)
-	x := tensor.New(4, 1, 6, 6)
-	tensor.NewRNG(4).FillNormal(x, 0, 1)
-	want := model.Forward(x, false)
-	restore := FakeQuantize(model)
-	got := model.Forward(x, false)
-	restore()
-	var num, den float64
-	for i := range want.Data {
-		d := float64(want.Data[i] - got.Data[i])
-		num += d * d
-		den += float64(want.Data[i]) * float64(want.Data[i])
-	}
-	if den == 0 {
-		t.Skip("degenerate output")
-	}
-	if rel := math.Sqrt(num / den); rel > 0.05 {
-		t.Fatalf("int8 weight round-trip changed outputs by %v (rel L2)", rel)
-	}
-}
-
 func TestQuantizedHDTracksFloatPredictions(t *testing.T) {
 	// Build an HD model from prototype-noise data and verify the integer
 	// path agrees with the float cosine path almost always.
@@ -181,34 +124,6 @@ func TestQuantizedHDShapeError(t *testing.T) {
 	q := QuantizeHD(m)
 	if _, err := q.PredictBatch(tensor.New(3, 32)); err == nil {
 		t.Fatal("expected shape error")
-	}
-}
-
-// TestFakeQuantizeRestoreIdempotent is the regression test for the
-// double-restore hazard: a second restore call must be a no-op, so weight
-// changes made after the first restore (e.g. continued training) survive a
-// deferred restore firing later.
-func TestFakeQuantizeRestoreIdempotent(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	model := nn.NewSequential("q",
-		nn.NewLinear(rng, 8, 4, true),
-	)
-	w := model.Params()[0].W.Data
-	restore := FakeQuantize(model)
-	restore()
-
-	// Simulate post-restore training: perturb the weights.
-	after := append([]float32(nil), w...)
-	for i := range w {
-		w[i] += float32(i) + 1
-		after[i] = w[i]
-	}
-
-	restore() // second call must NOT clobber the new weights
-	for i, v := range w {
-		if v != after[i] {
-			t.Fatalf("second restore clobbered weights: w[%d]=%v, want %v", i, v, after[i])
-		}
 	}
 }
 

@@ -91,16 +91,6 @@ type Batcher struct {
 	sampleLen int
 
 	eng atomic.Pointer[engine.Engine]
-	// prev retains the engine displaced by the last Swap. During a rolling
-	// swap of a sharded deployment the router keeps addressing the old model
-	// version until every shard advertises the new one; serving both from one
-	// process is what makes the rollout zero-downtime (see EngineFor).
-	prev atomic.Pointer[engine.Engine]
-
-	// partialSem bounds concurrent PredictPartial computations. Partial
-	// requests arrive pre-batched from the router, so they bypass the
-	// coalescing queue and instead get simple admission control here.
-	partialSem chan struct{}
 
 	mu     sync.RWMutex // guards closed against concurrent enqueues
 	closed bool
@@ -132,8 +122,6 @@ func New(e *engine.Engine, opts Options) (*Batcher, error) {
 		staging:   make([]float32, opts.MaxBatch*e.SampleLen()),
 		preds:     make([]int, opts.MaxBatch),
 		live:      make([]*request, 0, opts.MaxBatch),
-
-		partialSem: make(chan struct{}, 4),
 	}
 	b.eng.Store(e)
 	go b.loop()
@@ -152,13 +140,9 @@ func (b *Batcher) Stats() Snapshot { return b.met.snapshot(len(b.queue)) }
 // Swap atomically installs a new engine — typically one recompiled after
 // retraining — with zero downtime: the in-flight flush finishes on the old
 // engine, the next flush uses the new one. The new engine must accept the
-// same input shape and serve the same D-slice; batches never straddle two
-// engines, so predictions stay internally consistent per request.
-//
-// The displaced engine is retained (see EngineFor): partial requests pinned
-// to the old model version keep working until the next Swap, which is what
-// lets a router roll a sharded fleet one process at a time without a window
-// where some version is unservable.
+// same input shape; batches never straddle two engines, so predictions stay
+// internally consistent per request. The displaced engine is not retained:
+// once its last flush returns, its weights and worker arenas are garbage.
 func (b *Batcher) Swap(e *engine.Engine) error {
 	if e == nil {
 		return fmt.Errorf("serve: Swap with nil engine")
@@ -166,84 +150,9 @@ func (b *Batcher) Swap(e *engine.Engine) error {
 	if e.InShape() != b.inShape {
 		return fmt.Errorf("serve: Swap engine input shape %v, batcher serves %v", e.InShape(), b.inShape)
 	}
-	cur := b.eng.Load()
-	if lo, hi := e.Shard(); e.FullDim() != cur.FullDim() || func() bool { clo, chi := cur.Shard(); return lo != clo || hi != chi }() {
-		clo, chi := cur.Shard()
-		lo, hi := e.Shard()
-		return fmt.Errorf("serve: Swap engine shard [%d,%d) of %d, batcher serves [%d,%d) of %d",
-			lo, hi, e.FullDim(), clo, chi, cur.FullDim())
-	}
-	b.prev.Store(cur)
 	b.eng.Store(e)
 	b.met.swaps.Add(1)
 	return nil
-}
-
-// Versions reports the model versions this batcher can serve: the current
-// engine's and, after a Swap, the previous engine's (0 when there is none).
-func (b *Batcher) Versions() (cur, prev uint64) {
-	cur = b.eng.Load().ModelVersion()
-	if p := b.prev.Load(); p != nil {
-		prev = p.ModelVersion()
-	}
-	return cur, prev
-}
-
-// EngineFor resolves a model version to a servable engine: 0 means "whatever
-// is current"; otherwise the current engine, then the pre-Swap one, by exact
-// version match. Returns nil when the version is not servable here — the
-// caller should answer with a conflict, prompting the router to re-resolve.
-func (b *Batcher) EngineFor(version uint64) *engine.Engine {
-	cur := b.eng.Load()
-	if version == 0 || cur.ModelVersion() == version {
-		return cur
-	}
-	if p := b.prev.Load(); p != nil && p.ModelVersion() == version {
-		return p
-	}
-	return nil
-}
-
-// ErrVersionGone is returned by PredictPartial when the requested model
-// version is neither the current nor the previous engine's.
-var ErrVersionGone = errors.New("serve: requested model version not servable")
-
-// PredictPartial computes this process's shard partial scores for a
-// pre-batched request — the data-plane entry point of the sharded serving
-// tier. Unlike Predict it does not coalesce (the router already batched);
-// admission is a bounded semaphore so a slow shard applies backpressure
-// instead of stacking goroutines. version pins the model (0 = current); ps
-// is resized in place, reusing capacity, so pooled callers allocate nothing.
-func (b *Batcher) PredictPartial(ctx context.Context, data []float32, n int, version uint64, ps *engine.PartialScores) error {
-	if n < 1 || n > b.opts.MaxBatch {
-		return fmt.Errorf("serve: partial request of %d samples (want 1..%d)", n, b.opts.MaxBatch)
-	}
-	if len(data) != n*b.sampleLen {
-		return fmt.Errorf("serve: partial request data length %d, want %d samples × %d floats", len(data), n, b.sampleLen)
-	}
-	b.mu.RLock()
-	closed := b.closed
-	b.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	e := b.EngineFor(version)
-	if e == nil {
-		return fmt.Errorf("%w: %016x", ErrVersionGone, version)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case b.partialSem <- struct{}{}:
-		defer func() { <-b.partialSem }()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	imgs := tensor.FromSlice(data, n, b.inShape[0], b.inShape[1], b.inShape[2])
-	err := e.PartialChecked(imgs, ps)
-	b.met.observePartial(n, err)
-	return err
 }
 
 // Predict classifies one sample (flat [C·H·W] floats), blocking until its

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -284,9 +285,14 @@ func TestBatcherBackpressure(t *testing.T) {
 }
 
 // TestBatcherSwap: engines hot-swap atomically under load with zero downtime,
-// and post-swap answers come from the new model.
+// post-swap answers come from the new model, and the displaced engine is
+// not retained (a reload must not leave two models resident).
 func TestBatcherSwap(t *testing.T) {
 	e1, p1, test := buildEngine(t, nil)
+	// An engine holds its source pipeline; the engine itself is cyclic (its
+	// freelists call its methods), and a finalizer on a cycle never runs.
+	collected := make(chan struct{})
+	runtime.SetFinalizer(p1, func(*core.Pipeline) { close(collected) })
 	// A different seed gives a genuinely different model (different
 	// projection and class hypervectors).
 	e2, p2, _ := buildEngine(t, func(c *core.Config) { c.Seed = 99 })
@@ -368,6 +374,20 @@ func TestBatcherSwap(t *testing.T) {
 	}
 	if b.Stats().Swaps != 1 {
 		t.Fatalf("swap count %d", b.Stats().Swaps)
+	}
+
+	// The batcher held the last reference to the displaced engine.
+	e1, p1 = nil, nil
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the displaced engine is still reachable after Swap")
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,14 +11,10 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 	"unicode/utf8"
-
-	"nshd/internal/engine"
 )
 
-// The /predict codec: request decode and response encode of both client
-// surfaces (Server and RouterServer), JSON and binary, written once.
+// The /predict codec: request decode and response encode, JSON and binary.
 //
 // JSON grammar accepted: one object, JSON whitespace anywhere, exactly one
 // member whose key matches "inputs" the way encoding/json matches a struct
@@ -47,13 +42,11 @@ const (
 // a value is refused at the door on every surface.
 var ErrNonFinite = errors.New("serve: non-finite input")
 
-// reqScratch is one request's pooled working set, shared by /predict (both
-// codecs) and /partial.
+// reqScratch is one request's pooled working set, shared by both codecs.
 type reqScratch struct {
 	raw  []byte    // JSON read window, or the binary frame's payload
-	data []float32 // decoded samples, handed to the predict call as is
+	data []float32 // decoded samples, handed to the batcher as is
 	out  []byte    // encoded response
-	ps   engine.PartialScores
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
@@ -74,57 +67,6 @@ func newCodec(sampleLen, maxBatch int) codec {
 // headroom over the largest admissible batch.
 func (c codec) maxBody() int64 {
 	return int64(c.maxBatch)*int64(c.sampleLen)*24 + 4096
-}
-
-// predictFunc classifies n samples held flat in data (Batcher.PredictBatch,
-// Router.Predict).
-type predictFunc func(ctx context.Context, data []float32, n int) ([]int, error)
-
-// servePredict is POST /predict: decode the body by content type, call
-// predict, encode the labels the same way. fail maps predict's errors to
-// statuses; decode errors are mapped here.
-func (c codec) servePredict(ctx context.Context, w http.ResponseWriter, r *http.Request, predict predictFunc, fail func(http.ResponseWriter, error)) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	start := time.Now()
-	body := http.MaxBytesReader(w, r.Body, c.maxBody())
-	sc := scratchPool.Get().(*reqScratch)
-	// A batcher whose caller gave up may still be reading sc.data, so the
-	// scratch of a request whose context ended goes to the collector instead.
-	defer func() {
-		if ctx.Err() == nil {
-			scratchPool.Put(sc)
-		}
-	}()
-
-	binaryFrame := r.Header.Get("Content-Type") == "application/octet-stream"
-	var n int
-	var err error
-	if binaryFrame {
-		var hdr [4]byte
-		n, err = c.readFrame(body, sc, hdr[:])
-	} else {
-		n, err = c.decodeInputs(body, sc)
-	}
-	if err != nil {
-		decodeError(w, err)
-		return
-	}
-	preds, err := predict(ctx, sc.data, n)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if binaryFrame {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		sc.out = appendLabelFrame(sc.out[:0], preds)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		sc.out = appendPredictResponse(sc.out[:0], preds, float64(time.Since(start).Microseconds())/1e3)
-	}
-	w.Write(sc.out)
 }
 
 // decodeError answers a request whose body did not decode: 413 when it ran
@@ -165,15 +107,25 @@ func appendLabelFrame(dst []byte, preds []int) []byte {
 	return dst
 }
 
-// readFrame reads a binary request frame into sc.data: a header of len(hdr)
-// bytes that starts with the uint32 LE sample count (the rest is the
-// caller's to interpret), then count·sampleLen float32 LE values. The count
-// is bounds-checked before the payload buffer is sized from it.
-func (c codec) readFrame(body io.Reader, sc *reqScratch, hdr []byte) (int, error) {
-	if _, err := io.ReadFull(body, hdr); err != nil {
+// frameSamples bounds a frame's sample count before any payload-sized
+// allocation: the count must be positive, within the server's batch limit,
+// and small enough that n·sampleLen·4 bytes cannot overflow or balloon.
+func frameSamples(n uint32, maxBatch int) (int, error) {
+	if n < 1 || int64(n) > int64(maxBatch) {
+		return 0, fmt.Errorf("frame of %d samples (want 1..%d)", n, maxBatch)
+	}
+	return int(n), nil
+}
+
+// readFrame reads a binary request frame into sc.data: the uint32 LE sample
+// count, then count·sampleLen float32 LE values. The count is bounds-checked
+// before the payload buffer is sized from it.
+func (c codec) readFrame(body io.Reader, sc *reqScratch) (int, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(body, hdr[:]); err != nil {
 		return 0, fmt.Errorf("short frame header: %w", err)
 	}
-	n, err := frameSamples(binary.LittleEndian.Uint32(hdr), c.maxBatch)
+	n, err := frameSamples(binary.LittleEndian.Uint32(hdr[:]), c.maxBatch)
 	if err != nil {
 		return 0, err
 	}

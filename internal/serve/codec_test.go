@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -280,44 +278,22 @@ func BenchmarkDecodeInputs(b *testing.B) {
 }
 
 // BenchmarkReadFrame reads the online_single workload's body (one 3×32×32
-// image, a 12 KiB binary frame). The codec row is readFrame alone; the
-// handler-replay row is the boundary the benchmark's serve.codec_us is
-// measured at — httptest request and recorder around servePredict, as
-// benchmark/load.go's handlerOp builds them — with a predict that returns at
-// once, so the difference of the two rows is what the replay adds to the
-// codec (DESIGN.md, "Serving front end").
+// image, a 12 KiB binary frame): readFrame alone, the codec's share of the
+// benchmark's serve.codec_us (DESIGN.md, "Serving front end").
 func BenchmarkReadFrame(b *testing.B) {
 	const sampleLen = 3 * 32 * 32
 	c := newCodec(sampleLen, 32)
-	body := binaryFrame(1, nil, float32bits(imageLike(sampleLen)))
-	b.Run("codec", func(b *testing.B) {
-		sc := new(reqScratch)
-		rd := bytes.NewReader(body)
-		var hdr [4]byte
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(body)
-			if _, err := c.readFrame(rd, sc, hdr[:]); err != nil {
-				b.Fatal(err)
-			}
+	body := binaryFrame(1, float32bits(imageLike(sampleLen)))
+	sc := new(reqScratch)
+	rd := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		if _, err := c.readFrame(rd, sc); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("handler-replay", func(b *testing.B) {
-		preds := []int{3}
-		predict := func(context.Context, []float32, int) ([]int, error) { return preds, nil }
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
-			req.Header.Set("Content-Type", "application/octet-stream")
-			rec := httptest.NewRecorder()
-			c.servePredict(req.Context(), rec, req, predict, nil)
-			if rec.Code != http.StatusOK {
-				b.Fatal(rec.Code)
-			}
-		}
-	})
+	}
 }
 
 // withinCodecLimits walks a body encoding/json has accepted and reports
@@ -650,8 +626,27 @@ func FuzzDecodeInputs(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame holds arbitrary /partial request bodies (12-byte header: the
-// count, then the version) to readFrame's contract, worked out from the bytes:
+// TestFrameSamplesBounds: a frame's count is accepted exactly inside
+// 1..maxBatch, whatever the uint32 says, before anything is sized from it.
+func TestFrameSamplesBounds(t *testing.T) {
+	for _, tc := range []struct {
+		n        uint32
+		maxBatch int
+		ok       bool
+	}{
+		{0, 8, false}, {1, 8, true}, {8, 8, true}, {9, 8, false},
+		{1 << 31, 8, false}, {math.MaxUint32, 8, false}, {math.MaxUint32, math.MaxInt32, false},
+		{1, 0, false},
+	} {
+		got, err := frameSamples(tc.n, tc.maxBatch)
+		if (err == nil) != tc.ok || (tc.ok && got != int(tc.n)) || (!tc.ok && got != 0) {
+			t.Errorf("frameSamples(%d, %d) = %d, %v; want ok=%v", tc.n, tc.maxBatch, got, err, tc.ok)
+		}
+	}
+}
+
+// FuzzReadFrame holds arbitrary binary /predict request bodies (4-byte
+// header: the count) to readFrame's contract, worked out from the bytes:
 // a cut header, a count outside 1..maxBatch, a cut payload and a NaN or ±Inf
 // value are each refused, in that order and for that reason; anything else is
 // count·sampleLen finite floats with the body's bits (bytes after the payload
@@ -661,8 +656,8 @@ func FuzzReadFrame(f *testing.F) {
 	c := newCodec(3, 2)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var sc reqScratch
-		var hdr [partialReqHeaderLen]byte
-		n, err := c.readFrame(bytes.NewReader(body), &sc, hdr[:])
+		var hdr [4]byte
+		n, err := c.readFrame(bytes.NewReader(body), &sc)
 		if limit := 4 * c.maxBatch * c.sampleLen; len(sc.raw) > limit {
 			t.Fatalf("payload buffer of %d bytes, limit %d", len(sc.raw), limit)
 		}

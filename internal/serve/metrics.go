@@ -32,10 +32,6 @@ type Metrics struct {
 	batches  atomic.Int64 // engine flushes
 	swaps    atomic.Int64 // hot engine swaps
 
-	partials       atomic.Int64 // partial-score requests (sharded serving)
-	partialSamples atomic.Int64 // samples across partial requests
-	partialErrors  atomic.Int64 // partial requests failed
-
 	latency [latBuckets]atomic.Int64
 	batch   [batchBuckets]atomic.Int64
 }
@@ -75,15 +71,6 @@ func (m *Metrics) observe(lat time.Duration, samples int) {
 func (m *Metrics) observeBatch(samples int) {
 	m.batches.Add(1)
 	m.batch[batchBucket(samples)].Add(1)
-}
-
-// observePartial records one sharded partial-score request.
-func (m *Metrics) observePartial(samples int, err error) {
-	m.partials.Add(1)
-	m.partialSamples.Add(int64(samples))
-	if err != nil {
-		m.partialErrors.Add(1)
-	}
 }
 
 // quantile returns the upper bound of the histogram bucket where the
@@ -126,10 +113,6 @@ type Snapshot struct {
 	Batches  int64 `json:"batches"`
 	Swaps    int64 `json:"swaps"`
 
-	Partials       int64 `json:"partials"`
-	PartialSamples int64 `json:"partial_samples"`
-	PartialErrors  int64 `json:"partial_errors"`
-
 	// QPS is samples served per second over the batcher's whole uptime.
 	QPS float64 `json:"qps"`
 	// QueueDepth is the instantaneous admission-queue occupancy (requests).
@@ -150,20 +133,17 @@ type Snapshot struct {
 // batcher owns the queue).
 func (m *Metrics) snapshot(queueDepth int) Snapshot {
 	s := Snapshot{
-		UptimeSec:      time.Since(m.start).Seconds(),
-		KernelISA:      tensor.KernelISA(),
-		Requests:       m.requests.Load(),
-		Samples:        m.samples.Load(),
-		Served:         m.served.Load(),
-		Rejected:       m.rejected.Load(),
-		Canceled:       m.canceled.Load(),
-		Errors:         m.errors.Load(),
-		Batches:        m.batches.Load(),
-		Swaps:          m.swaps.Load(),
-		Partials:       m.partials.Load(),
-		PartialSamples: m.partialSamples.Load(),
-		PartialErrors:  m.partialErrors.Load(),
-		QueueDepth:     queueDepth,
+		UptimeSec:  time.Since(m.start).Seconds(),
+		KernelISA:  tensor.KernelISA(),
+		Requests:   m.requests.Load(),
+		Samples:    m.samples.Load(),
+		Served:     m.served.Load(),
+		Rejected:   m.rejected.Load(),
+		Canceled:   m.canceled.Load(),
+		Errors:     m.errors.Load(),
+		Batches:    m.batches.Load(),
+		Swaps:      m.swaps.Load(),
+		QueueDepth: queueDepth,
 	}
 	if s.UptimeSec > 0 {
 		s.QPS = float64(s.Served) / s.UptimeSec

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,20 +22,19 @@ import (
 //	                 float32 LE — answered as uint32 LE count then count
 //	                 uint32 LE class indices. Both are read and written by
 //	                 the codec (codec.go: grammar, limits, input policy).
-//	POST /partial  — the sharded data plane (wire.go).
 //	GET  /healthz  — 200 "ok" while the batcher accepts work.
 //	GET  /metrics  — JSON Snapshot plus engine facts (shape, D, classes,
 //	                 chunk size, packed model bytes).
 //
 // Error mapping: malformed or non-finite input 400, body over the size limit
 // 413, admission-queue overload 429 (shed, don't queue), request timeout 504,
-// draining/closed 503.
+// draining/closed 503, a recovered engine panic 500.
 type Server struct {
 	b *Batcher
 	// Timeout bounds one request's total time in the front end (queue wait +
 	// compute). Zero means no server-imposed timeout.
 	timeout time.Duration
-	// codec decodes and encodes /predict, and reads the /partial frame.
+	// codec decodes and encodes /predict.
 	codec codec
 	// stage-timing cache for /metrics: one measured breakdown per compiled
 	// engine, so hot-swaps re-measure and steady-state polls stay free.
@@ -59,74 +57,59 @@ func NewServer(b *Batcher, timeout time.Duration) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/predict", s.handlePredict)
-	mux.HandleFunc("/partial", s.handlePartial)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
 
+// handlePredict is POST /predict: decode the body by content type, hand the
+// samples to the batcher, encode the labels the same way.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	s.codec.servePredict(ctx, w, r, s.b.PredictBatch, s.fail)
-}
-
-// requestContext bounds one request's total time in the front end.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout > 0 {
-		return context.WithTimeout(r.Context(), s.timeout)
-	}
-	return r.Context(), func() {}
-}
-
-// handlePartial is the sharded data plane: a length-prefixed binary frame of
-// samples in, this shard's raw partial scores out (see wire.go for the frame
-// layout). The frame is read by the /predict codec — same bounds check on
-// the length prefix, same input policy, same pooled scratch — so steady
-// state allocates nothing per request.
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.Header.Get("Content-Type") != "application/octet-stream" {
-		http.Error(w, "application/octet-stream only", http.StatusUnsupportedMediaType)
-		return
+	start := time.Now()
+	ctx := r.Context()
+	if s.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		defer cancel()
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
 	body := http.MaxBytesReader(w, r.Body, s.codec.maxBody())
 	sc := scratchPool.Get().(*reqScratch)
-	defer scratchPool.Put(sc) // PredictPartial computes on this goroutine: nothing outlives it
-	var hdr [partialReqHeaderLen]byte
-	n, err := s.codec.readFrame(body, sc, hdr[:])
+	// A batcher whose caller gave up may still be reading sc.data, so the
+	// scratch of a request whose context ended goes to the collector instead.
+	defer func() {
+		if ctx.Err() == nil {
+			scratchPool.Put(sc)
+		}
+	}()
+
+	binaryFrame := r.Header.Get("Content-Type") == "application/octet-stream"
+	var n int
+	var err error
+	if binaryFrame {
+		n, err = s.codec.readFrame(body, sc)
+	} else {
+		n, err = s.codec.decodeInputs(body, sc)
+	}
 	if err != nil {
 		decodeError(w, err)
 		return
 	}
-	version := binary.LittleEndian.Uint64(hdr[4:])
-
-	if err := s.b.PredictPartial(ctx, sc.data, n, version, &sc.ps); err != nil {
-		if errors.Is(err, ErrVersionGone) {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
+	preds, err := s.b.PredictBatch(ctx, sc.data, n)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if sc.ps.Scales != nil {
-		// A compressed engine's sub-byte partials carry per-class scales the
-		// wire frame has no field for; such engines are full-range anyway —
-		// serve them through /predict.
-		http.Error(w, "serve: sub-byte partial scores are not wire-servable; use /predict", http.StatusNotImplemented)
-		return
+	if binaryFrame {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		sc.out = appendLabelFrame(sc.out[:0], preds)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		sc.out = appendPredictResponse(sc.out[:0], preds, float64(time.Since(start).Microseconds())/1e3)
 	}
-	served := version
-	if served == 0 {
-		served, _ = s.b.Versions()
-	}
-	sc.out = appendPartialResponse(sc.out[:0], &sc.ps, served)
-	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(sc.out)
 }
 
@@ -141,26 +124,22 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), 499) // client closed request
+	case errors.Is(err, engine.ErrInternal):
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 }
 
-// healthResponse is what a router's handshake and rollout poller consume:
-// liveness plus the facts needed to validate a shard slot — its D-slice, the
-// model version it is serving, and the pre-swap version it can still serve.
-// Versions are hex strings (uint64 does not survive JSON number precision).
+// healthResponse is liveness plus the facts a client needs to size its
+// requests. The version is a hex string (uint64 does not survive JSON number
+// precision).
 type healthResponse struct {
 	Status       string `json:"status"`
 	ModelVersion string `json:"model_version"`
-	PrevVersion  string `json:"prev_version,omitempty"`
-	ShardLo      int    `json:"shard_lo"`
-	ShardHi      int    `json:"shard_hi"`
-	FullD        int    `json:"full_d"`
 	Classes      int    `json:"classes"`
 	SampleLen    int    `json:"sample_floats"`
 	MaxBatch     int    `json:"max_batch"`
-	Packed       bool   `json:"packed"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -172,24 +151,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.b.Engine()
-	cur, prev := s.b.Versions()
-	lo, hi := e.Shard()
-	h := healthResponse{
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(healthResponse{
 		Status:       "ok",
-		ModelVersion: fmt.Sprintf("%016x", cur),
-		ShardLo:      lo,
-		ShardHi:      hi,
-		FullD:        e.FullDim(),
+		ModelVersion: fmt.Sprintf("%016x", e.ModelVersion()),
 		Classes:      e.Classes(),
 		SampleLen:    e.SampleLen(),
 		MaxBatch:     s.b.opts.MaxBatch,
-		Packed:       e.PackedKernel(),
-	}
-	if prev != 0 {
-		h.PrevVersion = fmt.Sprintf("%016x", prev)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(h)
+	})
 }
 
 // metricsResponse joins the batcher snapshot with the engine facts an
@@ -206,9 +175,6 @@ type engineFacts struct {
 	InShape      [3]int   `json:"in_shape"`
 	SampleLen    int      `json:"sample_floats"`
 	D            int      `json:"d"`
-	ShardLo      int      `json:"shard_lo"`
-	ShardHi      int      `json:"shard_hi"`
-	FullD        int      `json:"full_d"`
 	ModelVersion string   `json:"model_version"`
 	Classes      int      `json:"classes"`
 	ChunkSize    int      `json:"chunk_size"`
@@ -236,9 +202,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			InShape:      e.InShape(),
 			SampleLen:    e.SampleLen(),
 			D:            e.Dim(),
-			ShardLo:      func() int { lo, _ := e.Shard(); return lo }(),
-			ShardHi:      func() int { _, hi := e.Shard(); return hi }(),
-			FullD:        e.FullDim(),
 			ModelVersion: fmt.Sprintf("%016x", e.ModelVersion()),
 			Classes:      e.Classes(),
 			ChunkSize:    e.ChunkSize(),

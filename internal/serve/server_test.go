@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -88,22 +90,6 @@ func TestServerPredictBinary(t *testing.T) {
 	}
 }
 
-// routerFixture puts a RouterServer over a two-shard fleet of the tiny
-// engine: the second client surface of the /predict codec.
-func routerFixture(t *testing.T) (*httptest.Server, []int, func(i int) []float32) {
-	t.Helper()
-	p, test := buildShardPipeline(t, nil)
-	want := p.PredictDirect(test.Images)
-	addrs, _ := shardFleet(t, p, 2)
-	r, err := NewRouter(addrs, RouterOptions{PollInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewRouterServer(r).Handler())
-	t.Cleanup(func() { srv.Close(); r.Close() })
-	return srv, want, func(i int) []float32 { return sample(test, i) }
-}
-
 // post sends one request and returns the status and the body.
 func post(t *testing.T, url, ctype string, body []byte) (int, string) {
 	t.Helper()
@@ -119,13 +105,9 @@ func post(t *testing.T, url, ctype string, body []byte) (int, string) {
 	return resp.StatusCode, string(text)
 }
 
-// binaryFrame builds a /predict frame (or, with a version, a /partial one)
-// from float32 bit patterns.
-func binaryFrame(n int, version *uint64, bits []uint32) []byte {
+// binaryFrame builds a /predict frame from float32 bit patterns.
+func binaryFrame(n int, bits []uint32) []byte {
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(n))
-	if version != nil {
-		frame = binary.LittleEndian.AppendUint64(frame, *version)
-	}
 	for _, u := range bits {
 		frame = binary.LittleEndian.AppendUint32(frame, u)
 	}
@@ -140,10 +122,12 @@ func float32bits(data []float32) []uint32 {
 	return bits
 }
 
-// testBadRequests drives /predict of either front end (8-sample batches of
-// 3×16×16) through every refusal of the codec: the status, and the words of
-// the message that name what was wrong.
-func testBadRequests(t *testing.T, url string, row []float32) {
+// TestServerBadRequests drives /predict (8-sample batches of 3×16×16) through
+// every refusal of the codec: the status, and the words of the message that
+// name what was wrong.
+func TestServerBadRequests(t *testing.T) {
+	srv, _, _, sampleAt := serveFixture(t)
+	url, row := srv.URL, sampleAt(0)
 	const maxBatch = 8
 	one := jsonBody(row, 1, len(row))
 	rowJSON := string(one[len(`{"inputs":[`) : len(one)-len("]}")])
@@ -198,14 +182,26 @@ func testBadRequests(t *testing.T, url string, row []float32) {
 	}
 }
 
-func TestServerBadRequests(t *testing.T) {
-	srv, _, _, sampleAt := serveFixture(t)
-	testBadRequests(t, srv.URL, sampleAt(0))
-}
-
-func TestRouterServerBadRequests(t *testing.T) {
-	srv, _, sampleAt := routerFixture(t)
-	testBadRequests(t, srv.URL, sampleAt(0))
+// TestServerFailStatuses: fail maps each batcher and engine error to its
+// status. A recovered engine panic is the server's fault, not the client's.
+func TestServerFailStatuses(t *testing.T) {
+	srv := &Server{}
+	for _, tc := range []struct {
+		err    error
+		status int
+	}{
+		{ErrOverloaded, http.StatusTooManyRequests},
+		{ErrClosed, http.StatusServiceUnavailable},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: predict panicked: boom", engine.ErrInternal), http.StatusInternalServerError},
+		{errors.New("serve: request of 9 samples (want 1..8)"), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		srv.fail(rec, tc.err)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.err.Error()) {
+			t.Errorf("%v: %d %q, want %d", tc.err, rec.Code, strings.TrimSpace(rec.Body.String()), tc.status)
+		}
+	}
 }
 
 // TestBodyTooLargeBinary: a binary frame that runs past the body limit is a
@@ -214,9 +210,8 @@ func TestRouterServerBadRequests(t *testing.T) {
 func TestBodyTooLargeBinary(t *testing.T) {
 	c := newCodec(4, 2)
 	rec := httptest.NewRecorder()
-	frame := binaryFrame(2, nil, make([]uint32, 8))
-	var hdr [4]byte
-	_, err := c.readFrame(http.MaxBytesReader(rec, io.NopCloser(bytes.NewReader(frame)), 20), new(reqScratch), hdr[:])
+	frame := binaryFrame(2, make([]uint32, 8))
+	_, err := c.readFrame(http.MaxBytesReader(rec, io.NopCloser(bytes.NewReader(frame)), 20), new(reqScratch))
 	if err == nil {
 		t.Fatal("frame read past the body limit")
 	}
@@ -226,84 +221,65 @@ func TestBodyTooLargeBinary(t *testing.T) {
 	}
 }
 
-// TestNonFiniteInputs: NaN and ±Inf are refused at the door of all three
-// surfaces, on both front ends, with the sample and offset named; −0 and
-// denormals are ordinary values.
+// TestNonFiniteInputs: NaN and ±Inf are refused at the door of both codecs,
+// with the sample and offset named; −0 and denormals are ordinary values.
 func TestNonFiniteInputs(t *testing.T) {
-	srv, _, want, sampleAt := serveFixture(t)
-	rsrv, rwant, rsampleAt := routerFixture(t)
+	srv, _, _, sampleAt := serveFixture(t)
 	const at = 5 // which value of sample 1 is replaced
-	var current uint64
-	for _, fe := range []struct {
-		name, url string
-		want      []int
-		sampleAt  func(int) []float32
-		partial   bool
+	clean := append(append([]float32(nil), sampleAt(0)...), sampleAt(1)...)
+	sl := len(clean) / 2
+	for _, tc := range []struct {
+		name   string
+		bits   uint32
+		json   string // the value's JSON spelling; "" when it has none
+		finite bool
 	}{
-		{"server", srv.URL, want, sampleAt, true},
-		{"router", rsrv.URL, rwant, rsampleAt, false},
+		{"NaN", 0x7fc00000, "", false},
+		{"signalling NaN", 0x7f800001, "", false},
+		{"-NaN", 0xffc00000, "", false},
+		{"+Inf", 0x7f800000, "1e39", false},
+		{"-Inf", 0xff800000, "-3.5e38", false},
+		{"-0", 0x80000000, "-0", true},
+		{"smallest denormal", 0x00000001, "1e-45", true},
+		{"largest denormal", 0x807fffff, "-1.1754942e-38", true},
+		{"largest finite", 0x7f7fffff, "3.4028235e38", true},
 	} {
-		clean := append(append([]float32(nil), fe.sampleAt(0)...), fe.sampleAt(1)...)
-		sl := len(clean) / 2
-		for _, tc := range []struct {
-			name   string
-			bits   uint32
-			json   string // the value's JSON spelling; "" when it has none
-			finite bool
-		}{
-			{"NaN", 0x7fc00000, "", false},
-			{"signalling NaN", 0x7f800001, "", false},
-			{"-NaN", 0xffc00000, "", false},
-			{"+Inf", 0x7f800000, "1e39", false},
-			{"-Inf", 0xff800000, "-3.5e38", false},
-			{"-0", 0x80000000, "-0", true},
-			{"smallest denormal", 0x00000001, "1e-45", true},
-			{"largest denormal", 0x807fffff, "-1.1754942e-38", true},
-			{"largest finite", 0x7f7fffff, "3.4028235e38", true},
-		} {
-			bits := float32bits(clean)
-			bits[sl+at] = tc.bits
-			check := func(surface string, status int, text string) {
-				t.Helper()
-				switch {
-				case tc.finite && status != http.StatusOK:
-					t.Errorf("%s %s %s: %d %q, want 200", fe.name, surface, tc.name, status, text)
-				case !tc.finite && (status != http.StatusBadRequest || !strings.Contains(text, ErrNonFinite.Error()) ||
-					!strings.Contains(text, "1, value 5")):
-					t.Errorf("%s %s %s: %d %q, want 400 naming sample 1, value 5", fe.name, surface, tc.name, status, strings.TrimSpace(text))
-				}
-			}
-			status, text := post(t, fe.url+"/predict", "application/octet-stream", binaryFrame(2, nil, bits))
-			check("binary /predict", status, text)
-			if fe.partial {
-				status, text = post(t, fe.url+"/partial", "application/octet-stream", binaryFrame(2, &current, bits))
-				check("/partial", status, text)
-			}
-			if tc.json != "" {
-				// Spell the batch with a marker at the offset, then put the
-				// value's JSON spelling in its place.
-				marked := append([]float32(nil), clean...)
-				marked[sl+at] = 12345.678
-				body := bytes.Replace(jsonBody(marked, 2, sl), []byte("12345.678"), []byte(tc.json), 1)
-				status, text = post(t, fe.url+"/predict", "application/json", body)
-				check("JSON /predict", status, text)
+		bits := float32bits(clean)
+		bits[sl+at] = tc.bits
+		check := func(surface string, status int, text string) {
+			t.Helper()
+			switch {
+			case tc.finite && status != http.StatusOK:
+				t.Errorf("%s %s: %d %q, want 200", surface, tc.name, status, text)
+			case !tc.finite && (status != http.StatusBadRequest || !strings.Contains(text, ErrNonFinite.Error()) ||
+				!strings.Contains(text, "1, value 5")):
+				t.Errorf("%s %s: %d %q, want 400 naming sample 1, value 5", surface, tc.name, status, strings.TrimSpace(text))
 			}
 		}
-		// NaN has no JSON spelling: it is a grammar error, still a 400.
-		if status, _ := post(t, fe.url+"/predict", "application/json", []byte(`{"inputs":[[NaN]]}`)); status != http.StatusBadRequest {
-			t.Errorf("%s JSON NaN: %d, want 400", fe.name, status)
+		status, text := post(t, srv.URL+"/predict", "application/octet-stream", binaryFrame(2, bits))
+		check("binary /predict", status, text)
+		if tc.json != "" {
+			// Spell the batch with a marker at the offset, then put the
+			// value's JSON spelling in its place.
+			marked := append([]float32(nil), clean...)
+			marked[sl+at] = 12345.678
+			body := bytes.Replace(jsonBody(marked, 2, sl), []byte("12345.678"), []byte(tc.json), 1)
+			status, text = post(t, srv.URL+"/predict", "application/json", body)
+			check("JSON /predict", status, text)
 		}
+	}
+	// NaN has no JSON spelling: it is a grammar error, still a 400.
+	if status, _ := post(t, srv.URL+"/predict", "application/json", []byte(`{"inputs":[[NaN]]}`)); status != http.StatusBadRequest {
+		t.Errorf("JSON NaN: %d, want 400", status)
 	}
 }
 
-// TestCodecHammer is the race gate of the shared request scratch: JSON,
-// binary and /partial requests, good and refused, from many goroutines at
-// once, each checking it got its own samples' labels back. Some clients give
+// TestCodecHammer is the race gate of the shared request scratch: JSON and
+// binary requests, good and refused, from many goroutines at once, each checking it got its own samples' labels back. Some clients give
 // up early, which is the path that must not recycle a scratch the batcher
 // may still be reading.
 func TestCodecHammer(t *testing.T) {
-	srv, b, want, sampleAt := serveFixture(t)
-	e := b.Engine()
+	srv, _, want, sampleAt := serveFixture(t)
 	const workers, rounds = 6, 24
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -313,7 +289,7 @@ func TestCodecHammer(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				i := (w*rounds + r) % (len(want) - 1)
 				data := append(append([]float32(nil), sampleAt(i)...), sampleAt(i+1)...)
-				switch r % 4 {
+				switch r % 3 {
 				case 0:
 					status, text := post(t, srv.URL+"/predict", "application/json", jsonBody(data, 2, len(data)/2))
 					var resp jsonResponse
@@ -322,25 +298,11 @@ func TestCodecHammer(t *testing.T) {
 						t.Errorf("JSON samples %d,%d: %d %q (%v), want %v", i, i+1, status, text, err, want[i:i+2])
 					}
 				case 1:
-					status, text := post(t, srv.URL+"/predict", "application/octet-stream", binaryFrame(2, nil, float32bits(data)))
+					status, text := post(t, srv.URL+"/predict", "application/octet-stream", binaryFrame(2, float32bits(data)))
 					if wantFrame := string(appendLabelFrame(nil, want[i:i+2])); status != http.StatusOK || text != wantFrame {
 						t.Errorf("binary samples %d,%d: %d %q, want %q", i, i+1, status, text, wantFrame)
 					}
 				case 2:
-					var version uint64
-					status, text := post(t, srv.URL+"/partial", "application/octet-stream", binaryFrame(2, &version, float32bits(data)))
-					ps := &engine.PartialScores{}
-					if status != http.StatusOK {
-						t.Errorf("/partial samples %d,%d: %d %q", i, i+1, status, text)
-					} else if _, err := decodePartialResponse(ps, []byte(text), 2, e.Classes(), e.FullDim()); err != nil {
-						t.Errorf("/partial samples %d,%d: %v", i, i+1, err)
-					} else {
-						preds, scores := make([]int, 2), make([]float64, 2*e.Classes())
-						if err := engine.MergeScores(preds, scores, []*engine.PartialScores{ps}); err != nil || preds[0] != want[i] || preds[1] != want[i+1] {
-							t.Errorf("/partial samples %d,%d: labels %v (%v), want %v", i, i+1, preds, err, want[i:i+2])
-						}
-					}
-				case 3:
 					// A refusal, then clients that hang up at various points.
 					if status, _ := post(t, srv.URL+"/predict", "application/json", []byte(`{"inputs":[[1,2,3]]}`)); status != http.StatusBadRequest {
 						t.Errorf("short row: %d, want 400", status)
@@ -370,9 +332,14 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	health, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d (%v)", resp.StatusCode, err)
+	}
+	wantHealth := fmt.Sprintf(`{"status":"ok","model_version":"%016x","classes":4,"sample_floats":768,"max_batch":8}`+"\n", b.Engine().ModelVersion())
+	if string(health) != wantHealth {
+		t.Fatalf("healthz body %q, want %q", health, wantHealth)
 	}
 
 	// Serve one request so the metrics have something to show.
@@ -388,8 +355,17 @@ func TestServerHealthAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
+	metrics, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"prev_version", "shard_lo", "shard_hi", "full_d", "packed", "partials", "partial_samples", "partial_errors"} {
+		if strings.Contains(string(metrics)+string(health), `"`+gone+`":`) {
+			t.Errorf("/healthz or /metrics still reports %q", gone)
+		}
+	}
 	var m metricsResponse
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(metrics, &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Served < 1 || m.Batches < 1 || m.QPS <= 0 {
@@ -398,7 +374,8 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	if m.KernelISA != tensor.KernelISA() || m.KernelISA == "" {
 		t.Fatalf("kernel_isa %q, want %q", m.KernelISA, tensor.KernelISA())
 	}
-	if m.Engine.D != b.Engine().Dim() || m.Engine.Classes != 4 || m.Engine.SampleLen != 3*16*16 {
+	if m.Engine.D != b.Engine().Dim() || m.Engine.Classes != 4 || m.Engine.SampleLen != 3*16*16 ||
+		m.Engine.ModelVersion != fmt.Sprintf("%016x", b.Engine().ModelVersion()) {
 		t.Fatalf("engine facts wrong: %+v", m.Engine)
 	}
 	if m.Engine.MaxBatch != 8 || m.Engine.QueueCap != 64 {

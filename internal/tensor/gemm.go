@@ -109,8 +109,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // MatMulNaiveInto is the seed repository's i·p·j kernel (row-major AXPY with
 // a zero-skip branch), kept serial as the reference implementation for
 // correctness tests and before/after benchmarking. New code should call
-// MatMulInto; callers multiplying a genuinely sparse LHS can use
-// MatMulSparseInto.
+// MatMulInto.
 func MatMulNaiveInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -134,38 +133,6 @@ func MatMulNaiveInto(dst, a, b *Tensor) {
 			}
 		}
 	}
-}
-
-// MatMulSparseInto computes dst = a @ b skipping zero elements of a — the
-// sparse-aware variant of the seed kernel, parallelized over rows. Use it
-// only when a is known to be mostly zeros (e.g. masked update matrices);
-// for dense inputs the branch costs more than it saves.
-func MatMulSparseInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
-	}
-	grain := rowGrain(n, k)
-	parallel.ForGrain(m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out := dst.Data[i*n : (i+1)*n]
-			clear(out)
-			arow := a.Data[i*k : (i+1)*k]
-			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[p*n : (p+1)*n]
-				for j, bv := range brow {
-					out[j] += av * bv
-				}
-			}
-		}
-	})
 }
 
 // rowGrain returns how many rows one parallel task should cover so that each

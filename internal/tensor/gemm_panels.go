@@ -173,29 +173,6 @@ func AccumPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *Proj
 	gemmDrive(dst, ldd, a, lda, m, &src, 0, pp.n, pb, pe, scratch, false)
 }
 
-// SliceRows returns prepacked panels of rows [lo, hi) of B, copied (the
-// portable backing stays a view). Strips are laid out per K block, so lo must
-// be a multiple of PanelBlockCols and hi one too or K.
-func (pp *ProjPanels) SliceRows(lo, hi int) *ProjPanels {
-	if pp.gen != nil || lo < 0 || lo >= hi || hi > pp.k || lo%gemmKC != 0 || (hi%gemmKC != 0 && hi != pp.k) {
-		panic(fmt.Sprintf("tensor: ProjPanels.SliceRows [%d, %d) of %d rows (block %d)", lo, hi, pp.k, gemmKC))
-	}
-	out := &ProjPanels{k: hi - lo, n: pp.n}
-	if pp.dense != nil {
-		out.dense = pp.dense[lo*pp.n : hi*pp.n]
-		return out
-	}
-	n16 := PanelStripCols(pp.n)
-	out.stripBase = make([]int, len(pp.stripBase))
-	for b, base := range pp.stripBase {
-		w16 := max(0, min(gemmNC, n16-b*gemmNC))
-		out.stripBase[b] = len(out.strips)
-		out.strips = append(out.strips, pp.strips[base+lo*w16:base+hi*w16]...)
-	}
-	out.tail = append(out.tail, pp.tail[lo*(pp.n-n16):hi*(pp.n-n16)]...)
-	return out
-}
-
 func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {
 	if a.Rank() != 2 {
 		panic("tensor: panel GEMM requires a rank-2 LHS")

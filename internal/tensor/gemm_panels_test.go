@@ -157,9 +157,8 @@ func TestMatMulPanelsMatchesSerial(t *testing.T) {
 
 // TestAccumPanelsKBlock pins the K-block entry — the product turned on its
 // side, the caller walking K with a compact A tile per block — against
-// MatMulPanelsInto, bit for bit, for both backings; pins SliceRows (a block
-// scored through a row slice of the panels equals the same block scored
-// through the whole); and, as the asm-vs-portable differential, compares the
+// MatMulPanelsInto, bit for bit, for both backings; and, as the
+// asm-vs-portable differential, compares the
 // two builds' walks (fused vs separately rounded multiply-adds: the O(√K·ε)
 // bound of TestMatMulMatchesNaive). The first three shapes are class-memory
 // panels: N a multiple of 16 (no ragged tail), below and above one NC block.
@@ -184,23 +183,11 @@ func TestAccumPanelsKBlock(t *testing.T) {
 					got := New(s.m, s.n)
 					for pb := 0; pb < s.k; pb += PanelBlockCols() {
 						pe := min(pb+PanelBlockCols(), s.k)
-						tile := SliceCols(a, pb, pe).Data
+						tile := make([]float32, 0, s.m*(pe-pb))
+						for i := 0; i < s.m; i++ {
+							tile = append(tile, a.Row(i)[pb:pe]...)
+						}
 						AccumPanelsKBlock(got.Data, s.n, tile, pe-pb, s.m, pp, pb, pe, pscratch)
-						if name != "prepack" {
-							continue
-						}
-						sl := prepack.SliceRows(pb, s.k)
-						if sl.MemoryBytes() != int64(s.k-pb)*int64(s.n)*4 {
-							t.Fatalf("asm=%v k=%d n=%d: rows [%d, k) slice reports %d bytes", asm, s.k, s.n, pb, sl.MemoryBytes())
-						}
-						whole, sliced := make([]float32, s.m*s.n), make([]float32, s.m*s.n)
-						AccumPanelsKBlock(whole, s.n, tile, pe-pb, s.m, prepack, pb, pe, nil)
-						AccumPanelsKBlock(sliced, s.n, tile, pe-pb, s.m, sl, 0, pe-pb, nil)
-						for i := range whole {
-							if sliced[i] != whole[i] {
-								t.Fatalf("asm=%v m=%d k=%d n=%d: K block %d through SliceRows differs at %d", asm, s.m, s.k, s.n, pb, i)
-							}
-						}
 					}
 					for i := range want.Data {
 						if got.Data[i] != want.Data[i] {
@@ -221,8 +208,7 @@ func TestAccumPanelsKBlock(t *testing.T) {
 	}
 }
 
-// TestAccumPanelsKBlockPanics: ranges off the K grid are refused, as is
-// slicing a generator.
+// TestAccumPanelsKBlockPanics: ranges off the K grid are refused.
 func TestAccumPanelsKBlockPanics(t *testing.T) {
 	pp := PrepackPanels(New(600, 32))
 	dst, a := make([]float32, 32), make([]float32, 256)
@@ -231,9 +217,6 @@ func TestAccumPanelsKBlockPanics(t *testing.T) {
 		"short block":     func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 100, nil) },
 		"two blocks":      func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 512, nil) },
 		"past K":          func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 512, 768, nil) },
-		"slice unaligned": func() { pp.SliceRows(16, 600) },
-		"slice short":     func() { pp.SliceRows(0, 100) },
-		"slice remat":     func() { RematPanels(NewBipolarGen(1, 600, 32)).SliceRows(0, 256) },
 	} {
 		func() {
 			defer func() {

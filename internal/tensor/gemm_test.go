@@ -72,24 +72,6 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulSparseMatchesNaive(t *testing.T) {
-	a := randMat(3, 65, 120)
-	// Zero out most of a so the sparse path's skip branch is exercised.
-	for i := range a.Data {
-		if i%5 != 0 {
-			a.Data[i] = 0
-		}
-	}
-	b := randMat(4, 120, 90)
-	got := New(65, 90)
-	want := New(65, 90)
-	MatMulSparseInto(got, a, b)
-	MatMulNaiveInto(want, a, b)
-	if d := maxRelDiff(want, got); d > 2e-5 {
-		t.Errorf("sparse vs naive rel diff %g", d)
-	}
-}
-
 // TestMatMulSerialParallelIdentical asserts the chunk decomposition does not
 // change results at all: the parallel kernel must be bit-exact against a
 // single serial gemmRange over the whole output (chunk-boundary bugs and

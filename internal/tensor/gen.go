@@ -19,7 +19,6 @@ type BipolarGen struct {
 	Rows, Cols int
 	seed       uint64
 	wpr        int // 64-bit words per row of the FULL matrix: ⌈fullCols/64⌉
-	colOff     int // column offset into the full matrix (0 when unsliced)
 	// blockMap, when non-nil, gathers a pruned column subset: generated word
 	// wi is full-matrix word blockMap[wi] (see GatherBlocks). The map is
 	// word-granular, which is why pruning happens in 64-aligned blocks.
@@ -49,28 +48,6 @@ func NewBipolarGen(seed int64, rows, cols int) *BipolarGen {
 // Seed returns the defining seed.
 func (g *BipolarGen) Seed() int64 { return int64(g.seed) }
 
-// ColOff returns the slice's column offset into the full matrix (0 when the
-// generator is unsliced).
-func (g *BipolarGen) ColOff() int { return g.colOff }
-
-// SliceCols returns a generator for columns [lo, hi) of g: a [Rows, hi−lo]
-// view whose entry (r, c) is bit-identical to g's entry (r, lo+c). The slice
-// shares the parent's seed and word grid, so a shard can regenerate exactly
-// its own columns from the same 8-byte seed — the basis of dimension-sharded
-// rematerialization. Slices of slices compose.
-func (g *BipolarGen) SliceCols(lo, hi int) *BipolarGen {
-	if lo == 0 && hi == g.Cols {
-		return g
-	}
-	if g.blockMap != nil {
-		panic("tensor: BipolarGen.SliceCols on a gathered generator")
-	}
-	if lo < 0 || hi > g.Cols || lo >= hi {
-		panic("tensor: BipolarGen.SliceCols range out of bounds")
-	}
-	return &BipolarGen{Rows: g.Rows, Cols: hi - lo, seed: g.seed, wpr: g.wpr, colOff: g.colOff + lo}
-}
-
 // GatherBlocks returns a generator for the concatenation of the kept column
 // blocks of g: keep lists ascending block indices over g's [0, Cols) grid of
 // `block`-wide blocks (block a multiple of 64, so every kept block starts on
@@ -82,8 +59,8 @@ func (g *BipolarGen) SliceCols(lo, hi int) *BipolarGen {
 // keep rematerializing its surviving projection columns from the original
 // 8-byte seed plus the block list.
 func (g *BipolarGen) GatherBlocks(keep []int, block int) *BipolarGen {
-	if g.colOff != 0 || g.blockMap != nil {
-		panic("tensor: BipolarGen.GatherBlocks on a sliced or gathered generator")
+	if g.blockMap != nil {
+		panic("tensor: BipolarGen.GatherBlocks on a gathered generator")
 	}
 	if block <= 0 || block%64 != 0 {
 		panic("tensor: BipolarGen.GatherBlocks block must be a positive multiple of 64")
@@ -125,25 +102,14 @@ func (g *BipolarGen) rawWord(r, wi int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// word returns the 64-bit sign word covering slice-relative columns
-// [wi·64, wi·64+64) of row r: element (r, wi·64+b) is +1 when bit b is
-// clear, −1 when set. For an unsliced generator this is one splitmix64
-// evaluation; a slice whose offset is not word-aligned synthesizes the word
-// from the two straddled full-matrix words.
+// word returns the 64-bit sign word covering columns [wi·64, wi·64+64) of
+// row r: element (r, wi·64+b) is +1 when bit b is clear, −1 when set — one
+// splitmix64 evaluation.
 func (g *BipolarGen) word(r, wi int) uint64 {
 	if g.blockMap != nil {
-		return g.rawWord(r, g.blockMap[wi])
+		wi = g.blockMap[wi]
 	}
-	if g.colOff == 0 {
-		return g.rawWord(r, wi)
-	}
-	abs := g.colOff + wi<<6
-	aw, sh := abs>>6, uint(abs&63)
-	w := g.rawWord(r, aw) >> sh
-	if sh != 0 {
-		w |= g.rawWord(r, aw+1) << (64 - sh)
-	}
-	return w
+	return g.rawWord(r, wi)
 }
 
 // at returns element (r, c) as ±1.

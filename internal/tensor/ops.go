@@ -240,24 +240,6 @@ func SoftmaxT(dst, src []float32, temperature float64) {
 	Softmax(dst, tmp)
 }
 
-// LogSumExp returns log(sum(exp(x))) computed stably.
-func LogSumExp(x []float32) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var s float64
-	for _, v := range x {
-		s += math.Exp(float64(v - maxv))
-	}
-	return float64(maxv) + math.Log(s)
-}
-
 // ArgmaxRows returns the argmax of each row of a 2-D tensor.
 func ArgmaxRows(t *Tensor) []int {
 	if t.Rank() != 2 {

@@ -186,18 +186,6 @@ func TestSoftmaxTemperatureFlattens(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float32{0, 0})
-	if !almostEq(got, math.Log(2), 1e-9) {
-		t.Fatalf("LogSumExp = %v", got)
-	}
-	// Stability check.
-	got = LogSumExp([]float32{1e4, 1e4})
-	if !almostEq(got, 1e4+math.Log(2), 1e-3) {
-		t.Fatalf("LogSumExp large = %v", got)
-	}
-}
-
 func TestArgmaxRows(t *testing.T) {
 	x := FromSlice([]float32{1, 5, 2, 9, 3, 1}, 2, 3)
 	got := ArgmaxRows(x)

@@ -43,26 +43,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
-// SliceCols copies columns [lo, hi) of a rank-2 tensor into a new contiguous
-// [rows, hi−lo] tensor. A copy, not a view: the blocked GEMM and the packed
-// classifiers require contiguous row-major storage, so dimension shards
-// materialize their column range once at compile time.
-func SliceCols(t *Tensor, lo, hi int) *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SliceCols requires a rank-2 tensor")
-	}
-	rows, cols := t.Shape[0], t.Shape[1]
-	if lo < 0 || hi > cols || lo >= hi {
-		panic(fmt.Sprintf("tensor: SliceCols range [%d, %d) out of [0, %d)", lo, hi, cols))
-	}
-	w := hi - lo
-	out := New(rows, w)
-	for r := 0; r < rows; r++ {
-		copy(out.Data[r*w:(r+1)*w], t.Data[r*cols+lo:r*cols+hi])
-	}
-	return out
-}
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 

@@ -186,62 +186,8 @@ const (
 	PrecisionTernary = engine.PrecisionTernary
 )
 
-// WithCompression applies a compression plan at Compile time. Plans are
-// whole-engine transforms: combining a non-identity plan with CompileShard
-// tiling fails with ErrCompressedTiling.
+// WithCompression applies a compression plan at Compile time.
 func WithCompression(plan *CompressPlan) Option { return engine.WithCompression(plan) }
-
-// ErrCompressedTiling marks the compression/sharding exclusion: a pruned or
-// requantized engine no longer tiles [0, D) exactly, so it cannot shard, and
-// a shard cannot compress.
-var ErrCompressedTiling = engine.ErrCompressedTiling
-
-// --- dimension-sharded serving ---
-
-// PartialScores holds one shard's raw per-class partial scores over its
-// D-slice — the exact addends of the full dot product ⟨h, M_k⟩, int32 for
-// the packed kernel or per-block float32 for the float kernel.
-type PartialScores = engine.PartialScores
-
-// CompileShard freezes shard i of S: an engine identical to Compile's but
-// scoring only D columns [lo,hi) (256-aligned bounds from ShardBounds).
-// Merging all S shards' partials reproduces the unsharded engine's scores
-// bit for bit; CompileShard(p, 0, 1, ...) is exactly Compile.
-func CompileShard(p *Pipeline, shard, shards int, opts ...Option) (*Engine, error) {
-	return engine.CompileShard(p, shard, shards, opts...)
-}
-
-// ShardBounds returns the packed-block-aligned [lo,hi) D-slices that
-// CompileShard uses for shards 0..S-1 of dimension d.
-func ShardBounds(d, shards int) ([][2]int, error) { return engine.ShardBounds(d, shards) }
-
-// MergeScores add-reduces a complete set of shard partials (any order) into
-// final scores and argmax predictions, bit-identical to the unsharded
-// engine; it errors unless the shards tile [0,D) exactly.
-func MergeScores(preds []int, scores []float64, parts []*PartialScores) error {
-	return engine.MergeScores(preds, scores, parts)
-}
-
-// Router is the reduce tier of a sharded cluster: it fans each predict
-// batch to one replica of every shard slot over the binary /partial
-// protocol, add-reduces the partial scores, and serves the same client
-// surface as a single process. cmd/nshd-router is the standalone binary.
-type Router = serve.Router
-
-// RouterOptions tune fan-out timeouts, health/version polling, replica
-// ejection and hedging; the zero value is serviceable.
-type RouterOptions = serve.RouterOptions
-
-// ErrShardUnavailable wraps any fan-out failure: some D-slice had no
-// answering replica, so the (exact) reduce was impossible.
-var ErrShardUnavailable = serve.ErrShardUnavailable
-
-// NewRouter connects to the shard fleet (slots[i] lists the replicas of one
-// shard), verifies the slots tile the full dimension, and starts the
-// health/version poller.
-func NewRouter(slots [][]string, opts RouterOptions) (*Router, error) {
-	return serve.NewRouter(slots, opts)
-}
 
 // --- model zoo ---
 
