@@ -76,11 +76,14 @@ fuzz:
 
 # Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
 # products and conv layers at both kernel widths, im2col / col2im per VGG stage shape,
-# per-shape Conv2D forward and backward, max-pool in both modes, one VGG16
+# per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3
+# and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
+# BenchmarkPointwiseInfer), max-pool in both modes, one VGG16
 # training step, the `train` workload's HD retraining and teacher pass, float
 # class scoring, /predict JSON decode against encoding/json,
 # Engine.PredictInto in images/s at the request shapes the batch split decides
-# on) with allocation counts.
+# on and on the MobileNet fixtures — offline_tail's, and cut 14 at 64 images)
+# with allocation counts.
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/cnn/ ./internal/core/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
 

@@ -11,23 +11,38 @@ import (
 	"nshd/internal/tensor"
 )
 
-// benchSetup builds a bundled pipeline the way the repo benchmark's serving
-// fixtures do (zoo model at size×size, D=3000, F̂=100, chunk 32) plus the
-// images it was bundled from.
-func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *tensor.Tensor) {
+// benchFixture is a serving fixture: the zoo model cut and fed at size×size,
+// K classes, D, the engine chunk, and the images it is bundled from (and
+// predicts).
+type benchFixture struct {
+	model                   string
+	cut, size               int
+	classes, d, chunk, imgs int
+}
+
+// servingFixture is the repo benchmark's vgg16 serving fixture shape (K = 10,
+// D = 3000, F̂ = 100, chunk 32) for any model, cut and size.
+func servingFixture(model string, cut, size int) benchFixture {
+	return benchFixture{model: model, cut: cut, size: size, classes: 10, d: 3000, chunk: 32, imgs: 64}
+}
+
+// benchSetup builds a bundled pipeline the way the repo benchmark's fixtures
+// do (F̂ = 100, float scorer) plus the images it was bundled from.
+func benchSetup(b *testing.B, f benchFixture) (*core.Pipeline, *tensor.Tensor) {
 	b.Helper()
 	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{
-		Classes: 10, Train: 64, Test: 8, Size: size, Noise: 0.2, Seed: 71,
+		Classes: f.classes, Train: f.imgs, Test: 8, Size: f.size, Noise: 0.2, Seed: 71,
 	})
-	zoo, err := cnn.Build(model, tensor.NewRNG(72), 10)
+	zoo, err := cnn.Build(f.model, tensor.NewRNG(72), f.classes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	zoo.InShape = []int{3, size, size}
-	cfg := core.DefaultConfig(cut, 10)
+	zoo.InShape = []int{3, f.size, f.size}
+	cfg := core.DefaultConfig(f.cut, f.classes)
 	cfg.Seed = 73
-	cfg.D = 3000
+	cfg.D = f.d
 	cfg.FHat = 100
+	cfg.BatchSize = f.chunk
 	p, err := core.New(zoo, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -44,7 +59,10 @@ func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *ten
 // same model at 96×96, where one image is a two-tile fused block; and two
 // images of mobilenetv2 cut 1, the smallest fixture, whose parts fall under
 // the work floor. The n2 rows on either side of engine.splitMinMACs are the
-// evidence for its value (DESIGN.md, "Serving engine").
+// evidence for its value (DESIGN.md, "Serving engine"). The MobileNet rows
+// time the inverted-residual layers: the offline_tail workload's fixture
+// (cut 1 = stem + invres(8→4,s1,t1), K = 100, D = 10 000, chunk 64, one call
+// of 256 images) and the paper's cut 14 at 64 images.
 //
 // The -unfused and -remat rows are the same pipeline compiled with that one
 // option, in the same process as the float row beside them, at the shapes
@@ -52,16 +70,18 @@ func benchSetup(b *testing.B, model string, cut, size int) (*core.Pipeline, *ten
 // the only standing reading of those two paths.
 func BenchmarkEnginePredict(b *testing.B) {
 	for _, c := range []struct {
-		model     string
-		cut, size int
+		name      string
+		fx        benchFixture
 		ns        []int
 		variantNs []int
 	}{
-		{"vgg16", 8, 32, []int{1, 2, 8, 16}, []int{1, 16}},
-		{"vgg16", 8, 96, []int{1}, []int{1}},
-		{"mobilenetv2", 1, 32, []int{2}, nil},
+		{"vgg16-32", servingFixture("vgg16", 8, 32), []int{1, 2, 8, 16}, []int{1, 16}},
+		{"vgg16-96", servingFixture("vgg16", 8, 96), []int{1}, []int{1}},
+		{"mobilenetv2-32", servingFixture("mobilenetv2", 1, 32), []int{2}, nil},
+		{"offline_tail", benchFixture{model: "mobilenetv2", cut: 1, size: 32, classes: 100, d: 10000, chunk: 64, imgs: 256}, []int{256}, nil},
+		{"mobilenetv2@14", servingFixture("mobilenetv2", 14, 32), []int{64}, nil},
 	} {
-		p, imgs := benchSetup(b, c.model, c.cut, c.size)
+		p, imgs := benchSetup(b, c.fx)
 		for _, v := range []struct {
 			suffix string
 			opts   []engine.Option
@@ -82,7 +102,7 @@ func BenchmarkEnginePredict(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, n := range ns {
-				b.Run(fmt.Sprintf("%s-%d-n%d%s", c.model, c.size, n, v.suffix), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s-n%d%s", c.name, n, v.suffix), func(b *testing.B) {
 					batch := firstImages(imgs, n)
 					preds := make([]int, n)
 					b.ResetTimer()
@@ -99,7 +119,7 @@ func BenchmarkEnginePredict(b *testing.B) {
 }
 
 func BenchmarkPipelineDirectPredict(b *testing.B) {
-	p, imgs := benchSetup(b, "mobilenetv2", 5, 32)
+	p, imgs := benchSetup(b, servingFixture("mobilenetv2", 5, 32))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.PredictDirect(imgs)

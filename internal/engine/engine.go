@@ -359,24 +359,26 @@ func (e *Engine) forParts(job batchJob) {
 		return
 	}
 	f := e.fans.Get()
+	defer func() {
+		f.batchJob = batchJob{}
+		e.fans.Put(f)
+	}()
 	f.batchJob, f.parts = job, parts
 	f.call.RunN(parts)
-	f.batchJob = batchJob{}
-	e.fans.Put(f)
 }
 
 // runPart takes a worker arena, runs samples [start, end) of the job through
-// the feature stages and the tail, and returns the arena.
+// the feature stages and the tail, and returns the arena — also when a stage
+// panics, or every arena would be gone after as many panics as there are.
 func (e *Engine) runPart(j *batchJob, start, end int) {
-	seg := j.images[start*e.sampleLen : end*e.sampleLen] // before the arena: a short Data panics here
 	ar := e.arenas.Get()
-	x := e.runChunk(ar, seg, end-start)
+	defer e.arenas.Put(ar)
+	x := e.runChunk(ar, j.images[start*e.sampleLen:end*e.sampleLen], end-start)
 	if j.preds != nil {
 		e.tail.run(x, j.preds[start:end], ar, nil)
 	} else {
 		e.tail.runHVs(x, j.hvs[start*e.d:end*e.d], ar)
 	}
-	e.arenas.Put(ar)
 }
 
 // runChunk copies one part's images into the arena (inference layers write
@@ -399,6 +401,13 @@ func (e *Engine) checkImages(images *tensor.Tensor) error {
 	if images.Shape[1] != e.inShape[0] || images.Shape[2] != e.inShape[1] || images.Shape[3] != e.inShape[2] {
 		return fmt.Errorf("engine: image shape %v, engine compiled for [N %d %d %d]",
 			images.Shape, e.inShape[0], e.inShape[1], e.inShape[2])
+	}
+	// Checked here, before any part runs: a part reading past a short Data
+	// would read its spare capacity silently or, on a pool helper, panic
+	// where no recover of the caller's reaches.
+	if n := images.Shape[0]; len(images.Data) < n*e.sampleLen {
+		return fmt.Errorf("engine: %d images of %d floats need %d floats, Data holds %d",
+			n, e.sampleLen, n*e.sampleLen, len(images.Data))
 	}
 	return nil
 }
@@ -528,8 +537,9 @@ var ErrInternal = errors.New("engine: internal error")
 
 // PredictChecked is the serving form of PredictInto: the same validation,
 // plus a recover barrier that converts any panic escaping the stage chain
-// (a malformed tensor whose Data is shorter than its shape claims, an arena
-// sizing bug) into an error wrapping ErrInternal. A serving front end must
+// (an arena sizing bug, a kernel fault) into an error wrapping ErrInternal —
+// also one raised on a pool helper, which the batch split's fan-out carries
+// back to this goroutine. A serving front end must
 // never crash the process on one bad request; training-side callers keep the
 // panicking fast paths.
 func (e *Engine) PredictChecked(images *tensor.Tensor, preds []int) (err error) {

@@ -210,37 +210,71 @@ func TestModelVersionTracksContent(t *testing.T) {
 }
 
 // TestPredictCheckedInternalError: a panic escaping the stage chain — here a
-// tensor whose Data is shorter than its shape claims — comes back as an error
-// that is engine.ErrInternal and keeps the panic value; a refused shape is an
-// ordinary error; and the engine still serves afterwards.
+// stage that panics on every call, in a batch split into parts that run on the
+// pool's helpers too — comes back as an error that is engine.ErrInternal and
+// keeps the panic value, every time, more times than there are worker arenas
+// (so every part returned its arena); a refused shape is an ordinary error;
+// and the engine still serves afterwards.
 func TestPredictCheckedInternalError(t *testing.T) {
+	engine.SetSplitFloor(t, 1) // every batch of two or more is split
 	p, test := buildPipeline(t, func(c *core.Config) {})
 	e, err := engine.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := test.Images.Len() / test.Len()
-	short := &tensor.Tensor{Shape: []int{2, 3, 16, 16}, Data: test.Images.Data[:sample:sample]}
-	err = e.PredictChecked(short, make([]int, 2))
-	if !errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("short Data: err = %v, want ErrInternal carrying the panic value", err)
-	}
+	want, _ := e.Predict(test.Images)
 	if err := e.PredictChecked(tensor.New(2, 1, 16, 16), make([]int, 2)); err == nil || errors.Is(err, engine.ErrInternal) {
 		t.Fatalf("bad shape: err = %v, want a plain validation error", err)
 	}
-	for i := 0; i < 4; i++ { // more calls than there are worker arenas
-		if err := e.PredictChecked(short, make([]int, 2)); !errors.Is(err, engine.ErrInternal) {
-			t.Fatal(err)
+	t.Run("panicking stage", func(t *testing.T) {
+		engine.PanicInStages(t, e)
+		for i := 0; i < 5; i++ { // more calls than there are worker arenas
+			err := e.PredictChecked(test.Images, make([]int, test.Len()))
+			if !errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "stage failed") {
+				t.Fatalf("call %d: err = %v, want ErrInternal carrying the panic value", i, err)
+			}
 		}
-	}
+	})
 	preds := make([]int, test.Len())
 	if err := e.PredictChecked(test.Images, preds); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := e.Predict(test.Images)
 	for i := range want {
 		if preds[i] != want[i] {
 			t.Fatalf("sample %d: %d after the recovered panics, want %d", i, preds[i], want[i])
+		}
+	}
+}
+
+// TestEngineRejectsShortData: a batch whose Data is shorter than its shape
+// says is refused with a plain error before any part runs — through
+// PredictInto, PredictChecked and QueryHVs, with and without spare capacity
+// behind the short slice, at n = 8 split into parts that run on the pool's
+// helpers. Neither read past the slice nor a panic on a helper may happen.
+func TestEngineRejectsShortData(t *testing.T) {
+	engine.SetSplitFloor(t, 1)
+	p, test := buildPipeline(t, func(c *core.Config) {})
+	e, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := e.SampleLen()
+	for _, c := range []struct {
+		name string
+		data []float32
+	}{
+		{"capacity-trimmed", test.Images.Data[: 7*sample : 7*sample]},
+		{"spare capacity", test.Images.Data[:7*sample]},
+	} {
+		short := &tensor.Tensor{Shape: []int{8, 3, 16, 16}, Data: c.data}
+		for name, call := range map[string]func() error{
+			"PredictInto":    func() error { return e.PredictInto(short, make([]int, 8)) },
+			"PredictChecked": func() error { return e.PredictChecked(short, make([]int, 8)) },
+			"QueryHVs":       func() error { _, err := e.QueryHVs(short); return err },
+		} {
+			if err := call(); err == nil || errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "Data holds") {
+				t.Fatalf("%s, %s: err = %v, want the plain length error", c.name, name, err)
+			}
 		}
 	}
 }

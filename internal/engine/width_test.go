@@ -18,3 +18,12 @@ func TestEngineGatesAt256(t *testing.T) {
 	t.Run("ZeroAlloc", TestEngineZeroAlloc)
 	t.Run("ZeroAllocBatch1", TestEngineZeroAllocBatch1)
 }
+
+// TestEngineGatesPortable runs the engine-vs-pipeline and fused-vs-unfused
+// gates on the Go twins of every vector kernel, the code the portable build
+// serves with, which tier-1 on amd64 would otherwise never run end to end.
+func TestEngineGatesPortable(t *testing.T) {
+	tensortest.Portable(t)
+	t.Run("TailMatchesPipeline", TestEngineTailMatchesPipeline)
+	t.Run("FusedExtractBitExact", TestEngineFusedExtractBitExact)
+}

@@ -169,13 +169,25 @@ func convStackChunk(hw int) int {
 	return min(max(256/hw, 4), 16)
 }
 
-// Backward accumulates weight/bias gradients and returns dx. Each chunk of B
-// samples is stacked into the GEMM operands — its output gradients as
-// G [OutC, B·HW], its im2col as cols [kdim, B·HW] — so that the per-sample
-// output size HW, which shrinks to 4 or 1 in the deep layers, is never a
-// matrix dimension on its own: the weight gradient dWᵀ += cols·Gᵀ reduces
-// over B·HW (taken transposed so that the small operand G is the packed one)
-// and dcols = Wᵀ·G has B·HW columns, both on the blocked GEMM driver.
+// Backward accumulates weight/bias gradients and returns dx. The batch is cut
+// into chunks of convStackChunk(HW) samples, one private gradient accumulator
+// each, merged in chunk order. Within a chunk:
+//
+//   - where HW is a whole number of the GEMM driver's K blocks (the 16×16 and
+//     32×32 maps) the chunk is walked one sample at a time: the weight
+//     gradient dWᵀ += cols·Gᵀ reads G in place from grad, each sample's column
+//     matrix and dcols stay L2-resident, and the sample-by-sample sum is the
+//     stacked product's K-block sequence (tensor.GemmKBlock), so the bits are
+//     those of the stacked walk below;
+//   - otherwise the chunk's B samples are stacked into the GEMM operands — its
+//     output gradients as G [OutC, B·HW], its im2col as cols [kdim, B·HW] —
+//     so that the per-sample output size HW, which shrinks to 4 or 1 in the
+//     deep layers, is never a matrix dimension on its own: dWᵀ += cols·Gᵀ
+//     reduces over B·HW (taken transposed so that the small operand G is the
+//     packed one) and dcols = Wᵀ·G has B·HW columns.
+//
+// Both run on the blocked GEMM driver; db is one running float32 sum per
+// channel in sample order, and dx is col2im of dcols, sample by sample.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward(train=true)")
@@ -197,6 +209,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	tensor.TransposeInto(wmatT, c.Weight.W.Reshape(c.OutC, kdim))
 
 	chunk := convStackChunk(hw)
+	perSample := hw%tensor.GemmKBlock() == 0
 	numChunks := (n + chunk - 1) / chunk
 	// One private gradient accumulator per chunk — dWᵀ [kdim, OutC], then db
 	// [OutC] — merged in chunk order after the parallel loop.
@@ -204,8 +217,19 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	accLen := dwLen + c.OutC
 	accBuf := tensor.GetFloats(numChunks * accLen)
 	parallelFor(numChunks, func(clo, chi int) {
-		// One workspace per task, carved into G, cols and dcols.
-		buf := tensor.GetFloats((c.OutC + 2*kdim) * chunk * hw)
+		// One workspace per task: G, cols and dcols of a stacked chunk, or
+		// cols and dcols of one sample, whose G is a view of grad rebound per
+		// sample.
+		var buf []float32
+		var cols, dcols, gmat *tensor.Tensor
+		if perSample {
+			buf = tensor.GetFloats(2 * kdim * hw)
+			cols = tensor.FromSlice(buf[:kdim*hw], kdim, hw)
+			dcols = tensor.FromSlice(buf[kdim*hw:], kdim, hw)
+			gmat = tensor.FromSlice(grad.Data[:c.OutC*hw], c.OutC, hw)
+		} else {
+			buf = tensor.GetFloats((c.OutC + 2*kdim) * chunk * hw)
+		}
 		gemmBuf := tensor.GetFloats(tensor.GemmScratch())
 		for ci := clo; ci < chi; ci++ {
 			acc := accBuf[ci*accLen:][:accLen]
@@ -213,31 +237,25 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dwT, db := tensor.FromSlice(acc[:dwLen], kdim, c.OutC), acc[dwLen:]
 			lo := ci * chunk
 			b := min(chunk, n-lo)
-			ld := b * hw // the stacked dimension
-			gmat := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
-			cols := tensor.FromSlice(buf[c.OutC*ld:][:kdim*ld], kdim, ld)
-			dcols := tensor.FromSlice(buf[(c.OutC+kdim)*ld:][:kdim*ld], kdim, ld)
-			for s := 0; s < b; s++ {
-				gs := grad.Data[(lo+s)*c.OutC*hw:][:c.OutC*hw]
-				for oc := 0; oc < c.OutC; oc++ {
-					copy(gmat.Data[oc*ld+s*hw:][:hw], gs[oc*hw:])
-				}
-				tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+			if !perSample {
+				c.backwardStacked(g, x, grad, dx, dwT, db, wmatT, lo, b, buf, gemmBuf)
+				continue
 			}
-			tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
-			if c.useBias {
-				for oc := range db {
-					var sum float32
-					for _, v := range gmat.Row(oc) {
-						sum += v
+			for s := lo; s < lo+b; s++ {
+				gmat.Data = grad.Data[s*c.OutC*hw:][:c.OutC*hw]
+				tensor.Im2ColWindow(g, x.Data[s*sampleIn:][:sampleIn], cols.Data, hw, 0)
+				tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
+				if c.useBias {
+					for oc := range db {
+						sum := db[oc]
+						for _, v := range gmat.Row(oc) {
+							sum += v
+						}
+						db[oc] = sum
 					}
-					db[oc] = sum
 				}
-			}
-			// dcols = Wᵀ·G ; dx = col2im(dcols), one column window per sample.
-			tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
-			for s := 0; s < b; s++ {
-				tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
+				tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
+				tensor.Col2ImWindow(g, dcols.Data, hw, 0, dx.Data[s*sampleIn:][:sampleIn])
 			}
 		}
 		tensor.PutFloats(gemmBuf)
@@ -263,6 +281,41 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	tensor.PutFloats(accBuf)
 	return dx
+}
+
+// backwardStacked is one chunk of Backward — samples [lo, lo+b) — with the
+// chunk stacked into the GEMM operands, accumulating into dwT and db; buf
+// holds G, cols and dcols at (OutC + 2·kdim)·b·HW floats.
+func (c *Conv2D) backwardStacked(g tensor.ConvGeom, x, grad, dx, dwT *tensor.Tensor, db []float32, wmatT *tensor.Tensor, lo, b int, buf, gemmBuf []float32) {
+	hw := g.OutH() * g.OutW()
+	kdim := c.InC * c.KH * c.KW
+	sampleIn := c.InC * g.InH * g.InW
+	ld := b * hw // the stacked dimension
+	gmat := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
+	cols := tensor.FromSlice(buf[c.OutC*ld:][:kdim*ld], kdim, ld)
+	dcols := tensor.FromSlice(buf[(c.OutC+kdim)*ld:][:kdim*ld], kdim, ld)
+	for s := 0; s < b; s++ {
+		gs := grad.Data[(lo+s)*c.OutC*hw:][:c.OutC*hw]
+		for oc := 0; oc < c.OutC; oc++ {
+			copy(gmat.Data[oc*ld+s*hw:][:hw], gs[oc*hw:])
+		}
+		tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+	}
+	tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
+	if c.useBias {
+		for oc := range db {
+			var sum float32
+			for _, v := range gmat.Row(oc) {
+				sum += v
+			}
+			db[oc] = sum
+		}
+	}
+	// dcols = Wᵀ·G ; dx = col2im(dcols), one column window per sample.
+	tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
+	for s := 0; s < b; s++ {
+		tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
+	}
 }
 
 // Params implements Layer.
@@ -330,56 +383,42 @@ func (d *DepthwiseConv2D) geom(h, w int) tensor.ConvGeom {
 	}
 }
 
-// Forward applies each channel's filter independently.
+// Forward applies each channel's filter independently, plane by plane through
+// tensor.DepthwisePlane — the kernel ForwardInfer runs, so both modes compute
+// ForwardInfer's bits.
 func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "DepthwiseConv2D")
 	if x.Rank() != 4 || x.Shape[1] != d.C {
 		panic(fmt.Sprintf("nn: DepthwiseConv2D expects [N %d H W], got %v", d.C, x.Shape))
 	}
-	h, w := x.Shape[2], x.Shape[3]
-	g := d.geom(h, w)
-	outH, outW := g.OutH(), g.OutW()
-	y := tensor.New(n, d.C, outH, outW)
+	g := d.geom(x.Shape[2], x.Shape[3])
+	y := tensor.New(n, d.C, g.OutH(), g.OutW())
 	if train {
 		d.cachedX = x
 	} else {
 		d.cachedX = nil
 	}
-	chanIn := h * w
-	chanOut := outH * outW
 	tensor.ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for ch := 0; ch < d.C; ch++ {
-				src := x.Data[(i*d.C+ch)*chanIn : (i*d.C+ch+1)*chanIn]
-				dst := y.Data[(i*d.C+ch)*chanOut : (i*d.C+ch+1)*chanOut]
-				ker := d.Weight.W.Data[ch*d.KH*d.KW : (ch+1)*d.KH*d.KW]
-				d.convChannel(g, src, ker, dst)
-			}
-		}
+		win := tensor.GetFloats(tensor.DepthwiseWindowLen(g))
+		clear(win)
+		d.planes(g, x.Data, y.Data, lo, hi, win, nil, actNone)
+		tensor.PutFloats(win)
 	})
 	return y
 }
 
-func (d *DepthwiseConv2D) convChannel(g tensor.ConvGeom, src, ker, dst []float32) {
-	outW := g.OutW()
-	for oh := 0; oh < g.OutH(); oh++ {
-		for ow := 0; ow < outW; ow++ {
-			var s float32
-			for kh := 0; kh < d.KH; kh++ {
-				ih := oh*d.Stride - d.Pad + kh
-				if ih < 0 || ih >= g.InH {
-					continue
-				}
-				for kw := 0; kw < d.KW; kw++ {
-					iw := ow*d.Stride - d.Pad + kw
-					if iw < 0 || iw >= g.InW {
-						continue
-					}
-					s += src[ih*g.InW+iw] * ker[kh*d.KW+kw]
-				}
-			}
-			dst[oh*outW+ow] = s
-		}
+// planes convolves samples [lo, hi) of x into y, one channel plane at a time
+// through the zero-padded window win (cleared by the caller), and applies
+// channel ch of bn (nil = none) and act to each output plane as soon as it is
+// written — the BN epilogue of forwardInferSteps' peephole, per element the
+// separate layers' arithmetic (bnActInPlace).
+func (d *DepthwiseConv2D) planes(g tensor.ConvGeom, x, y []float32, lo, hi int, win []float32, bn *BatchNorm2D, act fusedAct) {
+	chanIn, chanOut, taps := g.InH*g.InW, g.OutH()*g.OutW(), d.KH*d.KW
+	for p := lo * d.C; p < hi*d.C; p++ {
+		ch := p % d.C
+		dst := y[p*chanOut:][:chanOut]
+		tensor.DepthwisePlane(g, dst, x[p*chanIn:][:chanIn], d.Weight.W.Data[ch*taps:][:taps], win)
+		bnActInPlace(dst, bn, ch, act)
 	}
 }
 

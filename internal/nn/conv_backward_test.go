@@ -22,14 +22,16 @@ func convBackwardGrads(c *Conv2D, grad *tensor.Tensor, backward func(*tensor.Ten
 	return dw, db, dx
 }
 
-// TestConv2DBackwardShapeLattice checks the stacked Backward on every output
-// size class of the chunk-size rule (HW from 1 to 1024), both strides and
-// paddings, 1×1 and 3×3 kernels, kdim = 27 (one full panel strip plus a ragged
-// one), output channels off the micro-kernel's multiples, with and without
-// bias, and batch sizes around the chunk boundary (and the empty batch). For each it requires (a)
-// dW, db, dx equal to the seed's scalar BackwardReference to float tolerance
-// and (b) bit-identical results from the worker pool and from a serial runner
-// over the same chunk list.
+// TestConv2DBackwardShapeLattice checks Backward on every output size class of
+// the chunk-size rule (HW from 1 to 1024), both strides and paddings, 1×1 and
+// 3×3 kernels, kdim = 27 (one full panel strip plus a ragged one), output
+// channels off the micro-kernel's multiples, with and without bias, and batch
+// sizes around the chunk boundary (and the empty batch). For each it requires
+// (a) dW, db, dx equal to the seed's scalar BackwardReference to float
+// tolerance, (b) bit-identical results from the worker pool and from a serial
+// runner over the same chunk list, and (c) where HW is a whole number of K
+// blocks (256, 1024) and Backward walks a chunk sample by sample,
+// bit-identical results to the stacked walk (backwardAllStacked).
 func TestConv2DBackwardShapeLattice(t *testing.T) {
 	cases := []struct {
 		inC, outC, k, stride, pad, size int
@@ -45,6 +47,9 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 		{3, 5, 3, 2, 1, 9, true, 25},
 		{3, 5, 3, 2, 1, 30, false, 225},
 		{2, 3, 1, 1, 0, 15, true, 225},
+		{3, 7, 3, 1, 1, 16, true, 256},
+		{2, 5, 1, 1, 0, 16, false, 256},
+		{3, 5, 3, 2, 1, 32, true, 256},
 		{3, 5, 3, 1, 1, 32, true, 1024},
 	}
 	serial := func(n int, kernel func(lo, hi int)) { kernel(0, n) }
@@ -70,6 +75,20 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 			dwS, dbS, dxS := convBackwardGrads(conv, grad, conv.Backward)
 			parallelFor = orig
 			dwR, dbR, dxR := convBackwardGrads(conv, grad, conv.BackwardReference)
+			if tc.hw%tensor.GemmKBlock() == 0 {
+				dwT, dbT, dxT := convBackwardGrads(conv, grad, conv.backwardAllStacked)
+				for _, cmp := range []struct {
+					what      string
+					got, want *tensor.Tensor
+				}{{"dW", dw, dwT}, {"db", db, dbT}, {"dx", dx, dxT}} {
+					if cmp.got == nil {
+						continue
+					}
+					if i := firstBitsDiffer(cmp.got.Data, cmp.want.Data); i >= 0 {
+						t.Fatalf("%s: %s[%d] per sample %v != stacked %v", name, cmp.what, i, cmp.got.Data[i], cmp.want.Data[i])
+					}
+				}
+			}
 
 			for _, cmp := range []struct {
 				what           string
@@ -122,6 +141,47 @@ func BenchmarkConv2DBackward(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
+}
+
+// firstBitsDiffer returns the first index at which x and y differ as bit
+// patterns, or -1.
+func firstBitsDiffer(x, y []float32) int {
+	for i := range x {
+		if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// backwardAllStacked is Backward with every chunk stacked (backwardStacked),
+// also where HW is a whole number of K blocks and Backward walks the chunk
+// sample by sample: the reference the per-sample walk must equal bit for bit.
+// Chunking and merge order are Backward's.
+func (c *Conv2D) backwardAllStacked(grad *tensor.Tensor) *tensor.Tensor {
+	x := c.cachedX
+	n := x.Shape[0]
+	g := c.geom(x.Shape[2], x.Shape[3])
+	hw := g.OutH() * g.OutW()
+	kdim := c.InC * c.KH * c.KW
+	dx := tensor.New(n, c.InC, x.Shape[2], x.Shape[3])
+	wmatT := tensor.Transpose(c.Weight.W.Reshape(c.OutC, kdim))
+	chunk := convStackChunk(hw)
+	dwT := tensor.New(kdim, c.OutC)
+	db := make([]float32, c.OutC)
+	gemmBuf := make([]float32, tensor.GemmScratch())
+	for lo := 0; lo < n; lo += chunk {
+		b := min(chunk, n-lo)
+		accT, accB := tensor.New(kdim, c.OutC), make([]float32, c.OutC)
+		c.backwardStacked(g, x, grad, dx, accT, accB, wmatT, lo, b, make([]float32, (c.OutC+2*kdim)*b*hw), gemmBuf)
+		tensor.Accumulate(dwT.Data, accT.Data)
+		tensor.Accumulate(db, accB)
+	}
+	tensor.Accumulate(c.Weight.Grad.Data, tensor.Transpose(dwT).Data)
+	if c.useBias {
+		tensor.Accumulate(c.Bias.Grad.Data, db)
+	}
+	return dx
 }
 
 // BackwardReference is the seed repository's Conv2D backward pass — scalar

@@ -81,14 +81,62 @@ func (s *Sequential) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Te
 
 // ForwardInferTimed is ForwardInfer with a per-step observer: record is
 // called after each executed step with its display name and wall time. A
-// step is one layer, or one fused BN+activation pair — the identical
-// schedule ForwardInfer runs, so timing never changes results.
+// step is one layer, or one peephole group (see forwardInferSteps) — the
+// identical schedule ForwardInfer runs, so timing never changes results.
 func (s *Sequential) ForwardInferTimed(x *tensor.Tensor, ar *tensor.Arena, record func(name string, seconds float64)) *tensor.Tensor {
 	return s.forwardInferSteps(x, ar, record)
 }
 
+// bnEpilogue is implemented by the convolutions that can apply a BatchNorm2D
+// over their outC output channels, and an activation after it, to each
+// output plane as they write it.
+type bnEpilogue interface {
+	outChannels() int
+	forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2D, act fusedAct) *tensor.Tensor
+}
+
+func (c *Conv2D) outChannels() int          { return c.OutC }
+func (d *DepthwiseConv2D) outChannels() int { return d.C }
+
+// bnAfter returns the convolution at ls[i] and the BatchNorm2D at ls[i+1]
+// when the one can fold the other in (same channel count), else nils; a BN
+// over another count is left to fail on its own.
+func bnAfter(ls []Layer, i int) (bnEpilogue, *BatchNorm2D) {
+	conv, ok := ls[i].(bnEpilogue)
+	if !ok || i+1 >= len(ls) {
+		return nil, nil
+	}
+	if bn, ok := ls[i+1].(*BatchNorm2D); ok && bn.C == conv.outChannels() {
+		return conv, bn
+	}
+	return nil, nil
+}
+
+// actAt returns the activation at ls[j] that a BN sweep folds in, if any, and
+// its suffix in a step name.
+func actAt(ls []Layer, j int) (fusedAct, string) {
+	if j < len(ls) {
+		switch ls[j].(type) {
+		case *ReLU6:
+			return actReLU6, "+relu6"
+		case *ReLU:
+			return actReLU, "+relu"
+		}
+	}
+	return actNone, ""
+}
+
 // forwardInferSteps is the single stepped implementation behind ForwardInfer
 // and ForwardInferTimed.
+//
+// Peephole fusion: an elementwise activation directly after a BatchNorm2D
+// folds into the normalization sweep, and a BatchNorm2D (with its
+// activation) directly after a convolution folds into the convolution, which
+// applies it to each output plane while the plane is still in L1 — so a
+// depthwise or 1×1 conv, its BN and its ReLU6 read and write the activation
+// once instead of three times. The sweeps are memory-bound; the arithmetic
+// and comparisons are applied per element exactly as the separate passes
+// would (bnActInPlace), keeping results bit-identical.
 func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, record func(string, float64)) *tensor.Tensor {
 	for i := 0; i < len(s.Layers); i++ {
 		var t0 time.Time
@@ -97,23 +145,21 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 		}
 		step := s.Layers[i]
 		suffix := ""
-		// Peephole fusion: an elementwise activation directly after a
-		// BatchNorm2D folds into the normalization sweep. Both passes are
-		// memory-bound, so fusing halves their activation traffic; the
-		// arithmetic and comparisons are applied per element exactly as the
-		// separate passes would, keeping results bit-identical.
-		if bn, ok := step.(*BatchNorm2D); ok && i+1 < len(s.Layers) {
-			switch s.Layers[i+1].(type) {
-			case *ReLU6:
-				x = bn.forwardInferAct(x, actReLU6)
+		var folded *BatchNorm2D // the BN folded into the conv at step
+		if l, ok := step.(*BatchNorm2D); ok {
+			act, name := actAt(s.Layers, i+1)
+			x = l.forwardInferAct(x, act)
+			if act != actNone {
 				i++
-				suffix = "+relu6"
-			case *ReLU:
-				x = bn.forwardInferAct(x, actReLU)
+				suffix = name
+			}
+		} else if conv, bn := bnAfter(s.Layers, i); bn != nil {
+			act, name := actAt(s.Layers, i+2)
+			x = conv.forwardInfer(x, ar, bn, act)
+			folded, suffix = bn, name
+			i++
+			if act != actNone {
 				i++
-				suffix = "+relu"
-			default:
-				x = bn.forwardInferAct(x, actNone)
 			}
 		} else {
 			il, ok := step.(InferenceLayer)
@@ -129,6 +175,9 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 			if fb, ok := step.(*FusedBlock); ok {
 				suffix = " " + fb.Grid().String()
 			}
+			if folded != nil {
+				suffix = "+" + folded.Name() + suffix
+			}
 			record(step.Name()+suffix, d.Seconds())
 		}
 	}
@@ -138,6 +187,14 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 // ForwardInfer implements InferenceLayer: per-sample im2col + serial GEMM
 // with arena scratch released before returning.
 func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+	return c.forwardInfer(x, ar, nil, actNone)
+}
+
+// forwardInfer is ForwardInfer with an epilogue on each sample's output while
+// it is in L1: the bias, then channel oc of bn (nil = none) and act — the
+// separate layers' per-element arithmetic (bnActInPlace), so the conv-led
+// triple of forwardInferSteps' peephole moves no bit.
+func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2D, act fusedAct) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N %d H W], got %v", c.InC, x.Shape))
@@ -191,14 +248,15 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 			tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
 			tensor.MatMulSerialInto(dst, wmat, cols, scratch)
 		}
-		if c.useBias {
-			for oc := 0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			plane := seg[oc*outH*outW : (oc+1)*outH*outW]
+			if c.useBias {
 				b := c.Bias.W.Data[oc]
-				plane := seg[oc*outH*outW : (oc+1)*outH*outW]
 				for j := range plane {
 					plane[j] += b
 				}
 			}
+			bnActInPlace(plane, bn, oc, act)
 		}
 	}
 	ar.Release(m)
@@ -207,111 +265,26 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 
 // ForwardInfer implements InferenceLayer.
 func (d *DepthwiseConv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
+	return d.forwardInfer(x, ar, nil, actNone)
+}
+
+// forwardInfer is ForwardInfer with channel ch of bn (nil = none) and act
+// applied to every output plane while it is in L1 (see planes): the conv-led
+// triple of forwardInferSteps' peephole. The padded window is arena scratch,
+// cleared once and shared by every plane.
+func (d *DepthwiseConv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2D, act fusedAct) *tensor.Tensor {
 	n := batchOf(x, "DepthwiseConv2D")
 	if x.Rank() != 4 || x.Shape[1] != d.C {
 		panic(fmt.Sprintf("nn: DepthwiseConv2D expects [N %d H W], got %v", d.C, x.Shape))
 	}
-	h, w := x.Shape[2], x.Shape[3]
-	g := d.geom(h, w)
-	outH, outW := g.OutH(), g.OutW()
-	y := ar.Alloc(n, d.C, outH, outW)
-	chanIn := h * w
-	chanOut := outH * outW
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < d.C; ch++ {
-			src := x.Data[(i*d.C+ch)*chanIn : (i*d.C+ch+1)*chanIn]
-			dst := y.Data[(i*d.C+ch)*chanOut : (i*d.C+ch+1)*chanOut]
-			ker := d.Weight.W.Data[ch*d.KH*d.KW : (ch+1)*d.KH*d.KW]
-			d.convChannelInfer(g, src, ker, dst)
-		}
-	}
+	g := d.geom(x.Shape[2], x.Shape[3])
+	y := ar.Alloc(n, d.C, g.OutH(), g.OutW())
+	m := ar.Mark()
+	win := ar.Floats(tensor.DepthwiseWindowLen(g))
+	clear(win)
+	d.planes(g, x.Data, y.Data, 0, n, win, bn, act)
+	ar.Release(m)
 	return y
-}
-
-// convChannelInfer computes the same depthwise channel convolution as
-// convChannel but splits each output row into boundary and interior spans:
-// interior taps never fall outside the input, so they run without per-tap
-// bounds tests through tensor.Depthwise3x3Row (3×3 at stride 1, vectorized)
-// or its general twin tensor.DepthwiseRow. The boundary of the zoo's 3×3
-// stride-1 pad-1 layers is one column either side with two in-bounds taps a
-// kernel row, written out as such; other geometries test every tap. Per
-// output the accumulation order (kh-major, kw-minor, one float32 accumulator
-// from +0, in-bounds taps only) is convChannel's, keeping the result
-// bit-exact.
-func (d *DepthwiseConv2D) convChannelInfer(g tensor.ConvGeom, src, ker, dst []float32) {
-	outH, outW := g.OutH(), g.OutW()
-	same3x3 := d.KH == 3 && d.KW == 3 && d.Stride == 1 && d.Pad == 1 && g.InW >= 2
-	// Interior columns [wLo, wHi): every kw tap in bounds. Degenerate inputs
-	// (kernel wider than the padded row) get no interior and run fully
-	// guarded.
-	wLo := (d.Pad + d.Stride - 1) / d.Stride
-	wHi := (g.InW-d.KW+d.Pad)/d.Stride + 1
-	if wHi > outW {
-		wHi = outW
-	}
-	if wLo > outW {
-		wLo = outW
-	}
-	if wHi < wLo {
-		wLo, wHi = outW, outW
-	}
-	for oh := 0; oh < outH; oh++ {
-		ihBase := oh*d.Stride - d.Pad
-		// Valid vertical tap range for this output row.
-		khLo, khHi := 0, d.KH
-		if ihBase < 0 {
-			khLo = -ihBase
-		}
-		if over := ihBase + d.KH - g.InH; over > 0 {
-			khHi = d.KH - over
-		}
-		row := dst[oh*outW : (oh+1)*outW]
-		edge := func(lo, hi int) {
-			for ow := lo; ow < hi; ow++ {
-				iwBase := ow*d.Stride - d.Pad
-				var s float32
-				for kh := khLo; kh < khHi; kh++ {
-					srow := src[(ihBase+kh)*g.InW:]
-					krow := ker[kh*d.KW:]
-					for kw := 0; kw < d.KW; kw++ {
-						iw := iwBase + kw
-						if iw < 0 || iw >= g.InW {
-							continue
-						}
-						s += srow[iw] * krow[kw]
-					}
-				}
-				row[ow] = s
-			}
-		}
-		if same3x3 {
-			// Column 0 reads taps kw = 1, 2 at iw = 0, 1; the last column
-			// taps kw = 0, 1 at the last two pixels.
-			var l, r float32
-			for kh := khLo; kh < khHi; kh++ {
-				srow := src[(ihBase+kh)*g.InW:][:g.InW]
-				k := ker[kh*3:][:3]
-				l += float32(srow[0] * k[1])
-				l += float32(srow[1] * k[2])
-				r += float32(srow[g.InW-2] * k[0])
-				r += float32(srow[g.InW-1] * k[1])
-			}
-			row[0], row[outW-1] = l, r
-		} else {
-			edge(0, wLo)
-			edge(wHi, outW)
-		}
-		if wHi > wLo && khHi > khLo {
-			in := src[(ihBase+khLo)*g.InW+wLo*d.Stride-d.Pad:]
-			if d.KW == 3 && d.Stride == 1 {
-				tensor.Depthwise3x3Row(row[wLo:wHi], in, g.InW, ker[khLo*3:], khHi-khLo)
-			} else {
-				tensor.DepthwiseRow(row[wLo:wHi], in, g.InW, d.Stride, ker[khLo*d.KW:], d.KW, khHi-khLo)
-			}
-		} else {
-			clear(row[wLo:wHi])
-		}
-	}
 }
 
 // ForwardInfer implements InferenceLayer.

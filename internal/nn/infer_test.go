@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,10 +174,10 @@ func (badLayer) Params() []*Param                                    { return ni
 func (badLayer) OutShape(in []int) []int                             { return in }
 func (badLayer) Stats(in []int) Stats                                { return Stats{} }
 
-// TestDepthwiseInferMatchesForwardGeometries drives the boundary/interior
-// split of convChannelInfer through awkward geometries: strides, pads,
-// kernels wider than the padded input (no interior columns at all), and
-// non-square inputs.
+// TestDepthwiseInferMatchesForwardGeometries drives the padded-plane kernels
+// (tensor.DepthwisePlane) through awkward geometries — strides, pads, kernels
+// wider than the padded input, 1×1 kernels, non-square inputs — and requires
+// ForwardInfer to equal both Forward and the definition (convChannel).
 func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 	cases := []struct {
 		c, k, stride, pad, h, w int
@@ -188,18 +189,16 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		{3, 3, 2, 0, 7, 7},
 		{2, 5, 2, 2, 3, 2}, // kernel wider than the row: fully guarded path
 		{1, 1, 1, 0, 4, 4},
-		// Interiors of eight and more columns: the vector row kernel, with
-		// full blocks, a ragged last block, one- and two-row windows at the
-		// vertical edges, and rows whose window misses the input entirely.
+		// Rows of eight and more outputs: whole vectors, a ragged last one,
+		// windows that reach one or two input rows, and rows whose window
+		// misses the input entirely.
 		{4, 3, 1, 1, 12, 19},
 		{2, 3, 1, 1, 1, 33},
 		{2, 3, 1, 1, 2, 10},
 		{2, 3, 1, 3, 5, 12},
 		{2, 3, 2, 1, 9, 40},
 		{3, 5, 2, 2, 11, 25},
-		// The straight-line 3×3 edge columns at their narrowest: three
-		// columns (one interior), two (none, the edges share both pixels),
-		// and one, which has a single in-bounds tap and stays guarded.
+		// 3×3 maps at their narrowest: three, two and one column.
 		{2, 3, 1, 1, 5, 3},
 		{2, 3, 1, 1, 4, 2},
 		{2, 3, 1, 1, 3, 1},
@@ -209,18 +208,10 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		d := NewDepthwiseConv2D(rng, tc.c, tc.k, tc.stride, tc.pad)
 		x := tensor.New(2, tc.c, tc.h, tc.w)
 		rng.FillNormal(x, 0, 1)
-		want := d.Forward(x, false)
-		ar := tensor.NewArena()
-		got := d.ForwardInfer(x, ar)
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("k=%d s=%d p=%d: shape %v want %v", tc.k, tc.stride, tc.pad, got.Shape, want.Shape)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("k=%d s=%d p=%d %dx%d: element %d differs: %v vs %v",
-					tc.k, tc.stride, tc.pad, tc.h, tc.w, i, got.Data[i], want.Data[i])
-			}
-		}
+		name := fmt.Sprintf("k=%d s=%d p=%d %dx%d", tc.k, tc.stride, tc.pad, tc.h, tc.w)
+		got := d.ForwardInfer(x, tensor.NewArena())
+		sameBits(t, name+" vs Forward", got, d.Forward(x, false), false)
+		sameBits(t, name+" vs convChannel", got, d.forwardReference(x), false)
 	}
 }
 

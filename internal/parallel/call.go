@@ -18,6 +18,11 @@ import "sync/atomic"
 // on that very resource, on top of the stack that holds it. After claiming,
 // Run waits only for helpers that are already executing one of its tasks.
 //
+// A task that panics does not unwind the goroutine it runs on — a pool
+// helper's panic would kill the process, beyond any recover of the caller's.
+// The first panic value is kept, every other task still runs, and Run panics
+// with that value on its caller's goroutine once all of them have finished.
+//
 // A Call is reusable but NOT reentrant: concurrent Runs of the same Call race
 // on its completion state. Callers that need concurrency hold one Call per
 // concurrent execution (the fused blocks keep them in a freelist alongside
@@ -30,7 +35,11 @@ type Call struct {
 	left   atomic.Int64  // tasks of the current Run not yet completed
 	done   chan struct{} // capacity 1: one token when left reaches zero
 	help   task          // pool task that claims and runs this call's tasks
+	fault  atomic.Pointer[taskPanic]
 }
+
+// taskPanic carries the value a task panicked with to Run's caller.
+type taskPanic struct{ v any }
 
 // NewCall builds a fan-out of n tasks; task i invokes kernel(i, i+1). The
 // kernel typically indexes a slice of per-task work descriptors rebound
@@ -47,12 +56,21 @@ func NewCall(n int, kernel func(lo, hi int)) *Call {
 // Run, whose state was published by the counter reset it observed.
 func (c *Call) work() {
 	for i := c.next.Add(1) - 1; i < 0; i = c.next.Add(1) - 1 {
-		t := c.k + int(i) // a claim that succeeded saw this Run's reset, hence its k
-		c.kernel(t, t+1)
+		c.run(c.k + int(i)) // a claim that succeeded saw this Run's reset, hence its k
 		if c.left.Add(-1) == 0 {
 			c.done <- struct{}{}
 		}
 	}
+}
+
+// run runs task t, keeping the first panic of the Run for RunN to re-raise.
+func (c *Call) run(t int) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.fault.CompareAndSwap(nil, &taskPanic{r})
+		}
+	}()
+	c.kernel(t, t+1)
 }
 
 // Run executes all n tasks the Call was built with.
@@ -62,7 +80,8 @@ func (c *Call) Run() { c.RunN(c.n) }
 // width depends on the input (a batch of two has two parts, of one none) —
 // inline when the pool has a single worker (serial and parallel execution are
 // then trivially identical) or k is 1, otherwise shared with the pool. Zero
-// heap allocations.
+// heap allocations. A task's panic reaches the caller after the other tasks
+// have run.
 func (c *Call) RunN(k int) {
 	ensurePool()
 	if nworkers <= 1 || k <= 1 {
@@ -83,4 +102,7 @@ func (c *Call) RunN(k int) {
 	}
 	c.work()
 	<-c.done
+	if f := c.fault.Swap(nil); f != nil {
+		panic(f.v)
+	}
 }

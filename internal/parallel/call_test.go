@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,5 +153,48 @@ func TestFreelistCapsAndRecycles(t *testing.T) {
 	}
 	if got := made.Load(); got > 2 {
 		t.Fatalf("freelist capped at 3 with one seed made %d values", got)
+	}
+}
+
+// TestCallPanicPropagates: a task that panics — on a pool helper or on the
+// caller — does not kill the process; RunN waits for every other task, then
+// panics on its caller's goroutine with the task's value, and the Call runs
+// cleanly afterwards (no stale completion token ends a later Run early).
+func TestCallPanicPropagates(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: tasks run inline and a panic unwinds the caller directly")
+	}
+	const k = 8
+	var ran atomic.Int64
+	bad := int64(-1)
+	var badTask atomic.Int64
+	badTask.Store(bad)
+	c := NewCall(k, func(lo, hi int) {
+		time.Sleep(100 * time.Microsecond) // keep tasks in flight on both goroutines
+		ran.Add(1)
+		if int64(lo) == badTask.Load() {
+			panic(fmt.Sprintf("task %d failed", lo))
+		}
+	})
+	for round := 0; round < 40; round++ {
+		ran.Store(0)
+		badTask.Store(int64(round % k)) // the panicking task lands on the helper and on the caller
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			c.Run()
+			return nil
+		}()
+		if want := fmt.Sprintf("task %d failed", round%k); got != want {
+			t.Fatalf("round %d: Run panicked with %v, want %q", round, got, want)
+		}
+		if n := ran.Load(); n != k {
+			t.Fatalf("round %d: Run returned after %d of %d tasks", round, n, k)
+		}
+		badTask.Store(bad)
+		ran.Store(0)
+		c.Run()
+		if n := ran.Load(); n != k {
+			t.Fatalf("round %d: the clean Run after a panic returned after %d of %d tasks", round, n, k)
+		}
 	}
 }

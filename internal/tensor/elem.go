@@ -95,21 +95,31 @@ func relu(v float32) float32 {
 // left to right as subtract, multiply, multiply, add — four IEEE roundings,
 // never a fused multiply-add — then the ReLU / ReLU6 comparisons of
 // ReLUInPlace / ClampReLU6InPlace.
+//
+// The 512-bit kernel takes sixteen floats a step where it is live, the AVX2
+// one eight, the Go twin the rest; per element all three are the same four
+// roundings and the same comparisons.
 func AffineActInPlace(x []float32, g, mean, invStd, b float32, act Act) {
 	i := 0
 	if useGemmAsm {
-		if i = len(x) / 8 * 8; i > 0 {
-			// One loop serves all three activations: `keep` ORs into the
-			// v > 0 mask (all ones disables the lower clamp) and hi is the
-			// upper clamp, +Inf where there is none (v >= +Inf selects +Inf).
-			keep, hi := uint32(0), float32(math.Inf(1))
-			switch act {
-			case ActNone:
-				keep = ^uint32(0)
-			case ActReLU6:
-				hi = 6
+		// One loop serves all three activations: `keep` ORs into the v > 0
+		// mask (all ones disables the lower clamp) and hi is the upper clamp,
+		// +Inf where there is none (v >= +Inf selects +Inf).
+		keep, hi := uint32(0), float32(math.Inf(1))
+		switch act {
+		case ActNone:
+			keep = ^uint32(0)
+		case ActReLU6:
+			hi = 6
+		}
+		if useGemm512 {
+			if i = len(x) / 16 * 16; i > 0 {
+				affineAct512Asm(i, &x[0], g, mean, invStd, b, uint16(keep), hi)
 			}
-			affineActAsm(i, &x[0], g, mean, invStd, b, keep, hi)
+		}
+		if n := (len(x) - i) / 8 * 8; n > 0 {
+			affineActAsm(n, &x[i], g, mean, invStd, b, keep, hi)
+			i += n
 		}
 	}
 	affineActGo(x[i:], g, mean, invStd, b, act)
@@ -182,6 +192,77 @@ func Depthwise3x3Row(dst, src []float32, ld int, ker []float32, rows int) {
 		return
 	}
 	DepthwiseRow(dst, src, ld, 1, ker, 3, rows)
+}
+
+// depthwiseSlack is how far past a padded window's last row the 512-bit plane
+// kernels may load (into lanes they never store): 31 floats at stride 2.
+const depthwiseSlack = 32
+
+// DepthwiseWindowLen returns the scratch length DepthwisePlane needs for
+// geometry g (InC is ignored): the zero-padded plane and the vector kernels'
+// read slack.
+func DepthwiseWindowLen(g ConvGeom) int {
+	hp, wp := depthwiseWindow(g)
+	return hp*wp + depthwiseSlack
+}
+
+// depthwiseWindow is the padded plane's extent: the image with its padding,
+// or what the last output's taps reach where a kernel is taller or wider than
+// that (ConvGeom rounds a negative span up to one output).
+func depthwiseWindow(g ConvGeom) (hp, wp int) {
+	hp = max(g.InH+2*g.PadH, (g.OutH()-1)*g.StrideH+g.KH)
+	wp = max(g.InW+2*g.PadW, (g.OutW()-1)*g.StrideW+g.KW)
+	return hp, wp
+}
+
+// DepthwisePlane computes one channel of a depthwise convolution: the
+// OutH × OutW plane dst from the InH × InW plane src and the KH × KW kernel
+// ker. It copies src into the interior of win, a zero-padded window of
+// DepthwiseWindowLen(g) floats, and convolves the window with no edge case
+// left: every output takes all KH·KW taps, from +0, kh-major and kw-minor,
+// each product rounded before the add — the 512-bit plane kernels (3×3 at
+// stride 1 and 2), the AVX2 row kernel (3×3 at stride 1) and DepthwiseRow
+// for everything else, all on that one chain.
+//
+// That is the chain of the layer's definition, which skips the taps that fall
+// in the padding; here they add 0·w. For finite w that is ±0, and the
+// accumulator is never −0 (it starts at +0 and an exact zero sum rounds to
+// +0), so adding it changes no bit. A non-finite weight makes 0·w NaN: the
+// bits are the definition's for finite weights only.
+//
+// win must be all zeros before the first call (clear it once): each call
+// writes only the interior, so the padding and slack stay zero for every
+// later plane of the same geometry.
+func DepthwisePlane(g ConvGeom, dst, src, ker, win []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	hp, wp := depthwiseWindow(g)
+	win = win[:hp*wp+depthwiseSlack]
+	src = src[:g.InH*g.InW]
+	if at := g.PadH*wp + g.PadW; useGemm512 {
+		_ = win[at+(g.InH-1)*wp+g.InW-1]
+		padRowsAsm(g.InH, g.InW, &win[at], wp, &src[0])
+	} else {
+		for r := 0; r < g.InH; r++ {
+			copy(win[at+r*wp:][:g.InW], src[r*g.InW:])
+		}
+	}
+	dst = dst[:outH*outW]
+	ker = ker[:g.KH*g.KW]
+	k3 := g.KH == 3 && g.KW == 3 && g.StrideH == g.StrideW
+	switch {
+	case useGemm512 && k3 && g.StrideW == 1:
+		depthwise3x3PlaneAsm(outH, outW, &dst[0], &win[0], wp, &ker[0])
+	case useGemm512 && k3 && g.StrideW == 2:
+		depthwise3x3S2PlaneAsm(outH, outW, &dst[0], &win[0], wp, &ker[0])
+	case k3 && g.StrideW == 1:
+		for oh := 0; oh < outH; oh++ {
+			Depthwise3x3Row(dst[oh*outW:][:outW], win[oh*wp:], wp, ker, 3)
+		}
+	default:
+		for oh := 0; oh < outH; oh++ {
+			DepthwiseRow(dst[oh*outW:][:outW], win[oh*g.StrideH*wp:], wp, g.StrideW, ker, g.KW, g.KH)
+		}
+	}
 }
 
 // MaxPool2x2Row max-pools one output row of a 2×2 window at stride 2:

@@ -18,6 +18,29 @@ func affineActAsm(n int, p *float32, gamma, mean, invStd, beta float32, keep uin
 //go:noescape
 func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int)
 
+// depthwise3x3PlaneAsm and depthwise3x3S2PlaneAsm (elem512_amd64.s, behind
+// useGemm512) write an outH × outW plane at stride 1 and 2 from a padded
+// window of row length wp that has depthwiseSlack floats after its last row;
+// outH and outW ≥ 1, 9 floats at ker.
+//
+//go:noescape
+func depthwise3x3PlaneAsm(outH, outW int, dst, win *float32, wp int, ker *float32)
+
+//go:noescape
+func depthwise3x3S2PlaneAsm(outH, outW int, dst, win *float32, wp int, ker *float32)
+
+// padRowsAsm (512-bit) copies rows × n packed floats to a row pitch of ldd;
+// rows, n ≥ 1.
+//
+//go:noescape
+func padRowsAsm(rows, n int, dst *float32, ldd int, src *float32)
+
+// affineAct512Asm is affineActAsm sixteen floats a step, n a positive
+// multiple of 16; keep is the lane mask of its all-ones keep.
+//
+//go:noescape
+func affineAct512Asm(n int, p *float32, gamma, mean, invStd, beta float32, keep uint16, hi float32)
+
 // maxPool2x2Asm writes n outputs (a positive multiple of 8) from 2n floats at
 // each of r0 and r1.
 //

@@ -18,6 +18,22 @@ func depthwise3x3RowAsm(n int, dst, src *float32, ld int, ker *float32, rows int
 	panic("tensor: depthwise3x3RowAsm requires amd64")
 }
 
+func depthwise3x3PlaneAsm(outH, outW int, dst, win *float32, wp int, ker *float32) {
+	panic("tensor: depthwise3x3PlaneAsm requires amd64")
+}
+
+func depthwise3x3S2PlaneAsm(outH, outW int, dst, win *float32, wp int, ker *float32) {
+	panic("tensor: depthwise3x3S2PlaneAsm requires amd64")
+}
+
+func padRowsAsm(rows, n int, dst *float32, ldd int, src *float32) {
+	panic("tensor: padRowsAsm requires amd64")
+}
+
+func affineAct512Asm(n int, p *float32, gamma, mean, invStd, beta float32, keep uint16, hi float32) {
+	panic("tensor: affineAct512Asm requires amd64")
+}
+
 func maxPool2x2Asm(n int, out, r0, r1 *float32) {
 	panic("tensor: maxPool2x2Asm requires amd64")
 }

@@ -45,24 +45,25 @@ func salted(rng *rand.Rand, n int) []float32 {
 }
 
 // checkElemKernel runs kernel over every length and every start offset 0…7 of
-// an unaligned backing array, once through the assembly (where the machine
-// has it) and once through the Go twin, and requires both to equal ref — the scalar loop the kernel
-// replaced — bit for bit. It also requires zero allocations per call.
+// an unaligned backing array, through the assembly at both widths (where the
+// machine has them) and through the Go twin, and requires each to equal ref —
+// the scalar loop the kernel replaced — bit for bit. It also requires zero
+// allocations per call.
 func checkElemKernel(t *testing.T, seed int64, kernel func(x []float32), ref func(v float32) float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for _, n := range elemLengths() {
 		for off := 0; off < 8; off++ {
 			in := salted(rng, off+n)[off:]
-			for _, asm := range []bool{true, false} {
+			for _, mode := range []struct{ asm, wide bool }{{true, true}, {true, false}, {false, false}} {
 				got := append([]float32(nil), in...)
-				if !runWithAsm(asm, func() { kernel(got) }) {
+				if !runWithGemm512(mode.wide, func() { runWithAsm(mode.asm, func() { kernel(got) }) }) {
 					continue
 				}
 				for i, v := range in {
 					if w := ref(v); math.Float32bits(got[i]) != math.Float32bits(w) {
-						t.Fatalf("asm=%v n=%d off=%d: [%d] = %08x, want %08x (input %08x)",
-							asm, n, off, i, math.Float32bits(got[i]), math.Float32bits(w), math.Float32bits(v))
+						t.Fatalf("asm=%v 512=%v n=%d off=%d: [%d] = %08x, want %08x (input %08x)",
+							mode.asm, mode.wide, n, off, i, math.Float32bits(got[i]), math.Float32bits(w), math.Float32bits(v))
 					}
 				}
 			}
@@ -213,6 +214,114 @@ func TestDepthwiseRowMatchesScalar(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refDepthwisePlane is the depthwise convolution's definition for one plane,
+// sharing nothing with DepthwisePlane: per output one float32 accumulator
+// from +0 over the in-image taps only, kh-major, kw-minor, each product
+// converted (so rounded) before the add.
+func refDepthwisePlane(g ConvGeom, dst, src, ker []float32) {
+	outW := g.OutW()
+	for oh := 0; oh < g.OutH(); oh++ {
+		for ow := 0; ow < outW; ow++ {
+			var s float32
+			for kh := 0; kh < g.KH; kh++ {
+				ih := oh*g.StrideH - g.PadH + kh
+				if ih < 0 || ih >= g.InH {
+					continue
+				}
+				for kw := 0; kw < g.KW; kw++ {
+					if iw := ow*g.StrideW - g.PadW + kw; iw >= 0 && iw < g.InW {
+						s += float32(src[ih*g.InW+iw] * ker[kh*g.KW+kw])
+					}
+				}
+			}
+			dst[oh*outW+ow] = s
+		}
+	}
+}
+
+// finiteSalted is salted without NaN and ±Inf: DepthwisePlane's bits are the
+// definition's for finite weights (its doc comment).
+func finiteSalted(rng *rand.Rand, n int) []float32 {
+	x := salted(rng, n)
+	for i, v := range x {
+		if v != v || math.IsInf(float64(v), 0) {
+			x[i] = float32(rng.NormFloat64())
+		}
+	}
+	return x
+}
+
+// TestDepthwisePlaneMatchesScalar runs the plane kernel at every width this
+// machine has — the 512-bit plane kernels, the AVX2 row kernel, the Go twin —
+// over degenerate and ragged maps (widths around the 8- and 16-wide steps,
+// maps narrower than the kernel), both strides, pads 0–2 and 3×3 and 5×5
+// kernels, on pixels salted with NaN, ±Inf, ±0 and subnormals, against the
+// definition. Two planes share one window, as a layer's channels do, so a
+// kernel that wrote the padding would fail the second. Bits must match,
+// except that any NaN equals any NaN (sameDepthwiseBits). No allocation.
+func TestDepthwisePlaneMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	type width struct {
+		name     string
+		asm, z16 bool
+	}
+	widths := []width{{"avx512", true, true}, {"avx2", true, false}, {"twin", false, false}}
+	ran := map[string]int{}
+	for _, k := range []int{3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, h := range []int{1, 2, 3, 5} {
+					for _, w := range []int{1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 48} {
+						g := ConvGeom{InC: 1, InH: h, InW: w, KH: k, KW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+						if g.Validate() != nil {
+							continue
+						}
+						n := g.OutH() * g.OutW()
+						srcs := [2][]float32{salted(rng, h*w), salted(rng, h*w)}
+						kers := [2][]float32{finiteSalted(rng, k*k), finiteSalted(rng, k*k)}
+						var want [2][]float32
+						for p := range want {
+							want[p] = make([]float32, n)
+							refDepthwisePlane(g, want[p], srcs[p], kers[p])
+						}
+						for _, wd := range widths {
+							win := make([]float32, DepthwiseWindowLen(g))
+							got := make([]float32, n+1)
+							ok := runWithGemm512(wd.z16, func() {
+								runWithAsm(wd.asm, func() {
+									ran[wd.name]++
+									for p := range want {
+										got[n] = -999
+										DepthwisePlane(g, got[:n], srcs[p], kers[p], win)
+										for j := range want[p] {
+											if !sameDepthwiseBits(got[j], want[p][j]) {
+												t.Fatalf("%s k=%d s=%d p=%d %dx%d plane %d: [%d] = %08x, want %08x", wd.name, k, stride, pad, h, w, p,
+													j, math.Float32bits(got[j]), math.Float32bits(want[p][j]))
+											}
+										}
+										if got[n] != -999 {
+											t.Fatalf("%s k=%d s=%d p=%d %dx%d: wrote past the plane", wd.name, k, stride, pad, h, w)
+										}
+									}
+								})
+							})
+							if !ok {
+								ran[wd.name] = 0
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("planes checked per width: %v", ran)
+	g := ConvGeom{InC: 1, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	src, ker, dst, win := salted(rng, 32*32), finiteSalted(rng, 9), make([]float32, 32*32), make([]float32, DepthwiseWindowLen(g))
+	if a := testing.AllocsPerRun(10, func() { DepthwisePlane(g, dst, src, ker, win) }); a != 0 {
+		t.Errorf("%v allocations per call, want 0", a)
 	}
 }
 

@@ -235,9 +235,38 @@ func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int) {
 		buf = *bufp
 		defer panelPool.Put(bufp)
 	}
-	src := gemmB{kind: bDense, n: n, b: b}
+	src := denseB(b, r1-r0, n)
 	gemmDrive(dst[r0*n+c0:], n, a[r0*k:], k, r1-r0, &src, c0, c1, 0, k, buf, true)
 }
+
+// denseInPlaceRows is the most output rows for which a product reads a dense
+// B in place: its strips go to the offset kernels straight from B's rows, as
+// a conv in offset form reads its window, instead of being packed first —
+// "differ in where B is read and in nothing that rounds", so the choice moves
+// no bit. A packed strip is reused by every row group of A and read
+// sequentially, while B's rows are N floats apart (at N = 1024 every K step
+// of a strip falls in one L1 set), so packing pays off only as the rows grow.
+// In place ÷ packed, MatMulSerialInto interleaved in one process on the bench
+// box, 512-bit kernels: m ≤ 8 0.08–0.53 on every N ∈ {64 … 4096} ×
+// K ∈ {8 … 256}; m = 16 0.37–0.65, m = 32 0.55–0.89 (N up to 9216, K up to
+// 576); m = 40–48 up to 1.05–1.15 at N ≥ 4096, K ≥ 256, and m = 256 up to
+// 1.43. At 256 bits m ≤ 32 reads 0.17–1.00. The 1×1 projections of the
+// mobilenet blocks (M = 4–80) sit on both sides. Var only so tests reach both.
+var denseInPlaceRows = 32
+
+// denseB describes a dense [K, n] B for a product of m output rows.
+// In place needs every K-block offset q·n to fit the kernels' int32 table.
+func denseB(b []float32, m, n int) gemmB {
+	return gemmB{kind: bDense, n: n, b: b, inPlace: m <= denseInPlaceRows && n <= 1<<23}
+}
+
+// GemmKBlock is the blocked driver's K block: a product walks its reduction in
+// blocks of this many steps from step 0, each block's sum formed on its own
+// and added to the output. So accumulating products whose reductions are
+// whole numbers of blocks one after another onto one output (the product
+// over their concatenated reductions, split at block edges) gives that
+// output the same bits.
+func GemmKBlock() int { return gemmKC }
 
 // GemmScratch returns the packed-panel buffer length (in float32 elements)
 // that MatMulSerialInto needs; zero on targets without the asm micro-kernel.
@@ -269,7 +298,7 @@ func MatMulSerialInto(dst, a, b *Tensor, scratch []float32) {
 	if len(scratch) < GemmScratch() {
 		panic(fmt.Sprintf("tensor: MatMulSerialInto scratch %d < GemmScratch %d", len(scratch), GemmScratch()))
 	}
-	src := gemmB{kind: bDense, n: n, b: b.Data}
+	src := denseB(b.Data, m, n)
 	gemmDrive(dst.Data, n, a.Data, k, m, &src, 0, n, 0, k, scratch, true)
 }
 

@@ -30,6 +30,87 @@ func TestMatMulAccTAsmMatchesGo(t *testing.T) {
 	}
 }
 
+// fma32 is a float32 fused multiply-add, x·y + z rounded once: the product is
+// exact in float64, and the sum is rounded to float64 by round-to-odd (the
+// nearest sum, moved one ulp towards the exact one where it is even and
+// inexact) so that the final rounding to float32 is the single correct one.
+func fma32(x, y, z float32) float32 {
+	p, zz := float64(x)*float64(y), float64(z)
+	s := p + zz
+	bb := s - p
+	if err := (p - (s - bb)) + (zz - bb); err != 0 && math.Float64bits(s)&1 == 0 {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), err))
+	}
+	return float32(s)
+}
+
+// dotLaneModel is dotAsm's chain spelled out in Go: dot8 keeps 4 YMM × 8
+// lanes of FMA partials over the 32-float blocks, runs the remaining 8-float
+// blocks into the first YMM, reduces lane-wise (Y0+Y1) + (Y2+Y3), then the
+// halves (lanes l and l+4), then two horizontal pair adds; the K mod 8 tail
+// is added to that sum one rounded product at a time.
+func dotLaneModel(x, y []float32) float32 {
+	var acc [4][8]float32
+	k, wide := len(x), len(x)/8*8
+	p := 0
+	for ; p+32 <= wide; p += 32 {
+		for r := range acc {
+			for l := range acc[r] {
+				acc[r][l] = fma32(x[p+8*r+l], y[p+8*r+l], acc[r][l])
+			}
+		}
+	}
+	for ; p < wide; p += 8 {
+		for l := range acc[0] {
+			acc[0][l] = fma32(x[p+l], y[p+l], acc[0][l])
+		}
+	}
+	var s float32
+	if wide > 0 {
+		var v [8]float32
+		for l := range v {
+			v[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l])
+		}
+		h := [4]float32{v[0] + v[4], v[1] + v[5], v[2] + v[6], v[3] + v[7]}
+		s = (h[0] + h[1]) + (h[2] + h[3])
+	}
+	for ; p < k; p++ {
+		s += float32(x[p] * y[p])
+	}
+	return s
+}
+
+// TestDotFastLaneOrder pins dot8's chain: DotFast and every row of MatMulT
+// (the similarity scorer's kernel) equal dotLaneModel bit for bit, on K
+// around the 8- and 32-float steps (63 and 1055 run loop8 after loop32, into
+// partials that are not zero) and at the manifold and tail widths. It is
+// why a GEMM-driver product — one FMA chain per element — cannot stand in for
+// them bit-identically (ROADMAP item 5c).
+func TestDotFastLaneOrder(t *testing.T) {
+	if !useGemmAsm {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	for _, k := range []int{0, 1, 7, 8, 31, 32, 33, 63, 100, 1024, 1031, 1055, 9216} {
+		a, b := randMat(int64(k), 3, k), randMat(int64(k)+1, 5, k)
+		for i, v := range a.Data { // magnitudes over six decades, so the order shows in the bits
+			a.Data[i] = v * float32(math.Pow(10, float64(i%7)-3))
+		}
+		got := MatMulT(a, b)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 5; j++ {
+				ai, bj := a.Data[i*k:][:k], b.Data[j*k:][:k]
+				want := dotLaneModel(ai, bj)
+				if d := DotFast(ai, bj); math.Float32bits(d) != math.Float32bits(want) {
+					t.Fatalf("k=%d (%d,%d): DotFast %v, model %v", k, i, j, d, want)
+				}
+				if g := got.Data[i*5+j]; math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("k=%d (%d,%d): MatMulT %v, model %v", k, i, j, g, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkStripKernels times the strip micro-kernels themselves at both
 // widths on L1-resident operands, one full K block a call: the register-tile
 // ceiling the driver's products are measured against.

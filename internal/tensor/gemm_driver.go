@@ -65,6 +65,10 @@ type gemmB struct {
 	b []float32 // bDense: [K, n] row-major. bDenseT: Bᵀ, [n, k] row-major
 	k int       // bDenseT: row length of b
 
+	// bDense read in place by the offset kernels (see denseB) instead of
+	// packed.
+	inPlace bool
+
 	pp *ProjPanels // bPanels
 
 	g            ConvGeom  // bConv: im2col(g, x), x holding input rows
@@ -102,13 +106,22 @@ type bStrips struct {
 }
 
 // strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1),
-// generated into buf, in place, or — the conv's offset form — as addresses
-// into the padded window with the K block's table written to offs. [j0, j1)
+// generated into buf, in place, or — the conv's offset form and an in-place
+// dense B, where offs is given — as addresses into the padded window or into
+// B with the K block's table written to offs. [j0, j1)
 // lies inside one block of the global gemmNC column grid and [pb, pe) is one
 // block of the K grid — the units prepacked panels are stored in.
 func (s *gemmB) strips(buf []float32, offs *[gemmKC]int32, pb, pe, j0, j1 int) bStrips {
 	switch s.kind {
 	case bDense:
+		if s.inPlace && offs != nil {
+			// K step p of column j is b[p·n + j]: a strip is 16 consecutive
+			// floats of one row of B and the next K step one row further on.
+			for q := range offs[:pe-pb] {
+				offs[q] = int32(q * s.n)
+			}
+			return bStrips{x: s.b[pb*s.n:], offs: offs, ow: j0, outW: s.n, ldx: s.n}
+		}
 		packPanel16(buf, s.b, s.n, pb, pe, j0, j1)
 	case bDenseT:
 		packPanel16T(buf, s.b, s.k, pb, pe, j0, j1)

@@ -140,6 +140,7 @@ func TestGemm512Matches256(t *testing.T) {
 				src  gemmB
 			}{
 				{"dense", gemmB{kind: bDense, n: n, b: b.Data}},
+				{"dense, in place", gemmB{kind: bDense, n: n, b: b.Data, inPlace: true}},
 				{"transposed", gemmB{kind: bDenseT, n: n, b: bt.Data, k: k}},
 				{"prepacked", gemmB{kind: bPanels, n: n, pp: PrepackPanels(genMat)}},
 				{"remat", gemmB{kind: bPanels, n: n, pp: RematPanels(gen)}},
@@ -197,5 +198,69 @@ func TestGemm512Matches256(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDenseInPlaceMatchesPacked is the in-place gate: a dense B read where it
+// lies through the offset kernels gives the packed product's bits, at both
+// widths, on every mix of row groups up to denseInPlaceRows, on K block edges,
+// on odd strips and a ragged tail, on a range that cuts its first and last
+// strip (those two strips are packed either way), and through the entry
+// points that choose by the row count — MatMulSerialInto, and MatMulInto's
+// split jobs. B carries NaN, ±Inf, −0 and a subnormal; products accumulate
+// onto a non-zero output.
+func TestDenseInPlaceMatchesPacked(t *testing.T) {
+	if !useGemmAsm {
+		t.Skip("the portable build has no strips to read in place")
+	}
+	rows := append(append([]int(nil), width512Rows...), 31, 32)
+	for _, wide := range []bool{false, true} {
+		runWithGemm512(wide, func() {
+			for _, k := range []int{1, 2, 255, 256, 257, 600} {
+				for _, strips := range []int{1, 2, 3, 4, 5, 17} {
+					n := strips*gemmNR + 3
+					b := randMat(int64(k+strips), k, n)
+					for i, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), f32(0x80000000), f32(1)} {
+						b.Data[(i+1)*len(b.Data)/7] = v
+					}
+					for _, m := range rows {
+						a := randMat(int64(m), m, k)
+						dst0 := randMat(int64(m+n), m, n).Data
+						scratch := make([]float32, driverScratch(true, m))
+						for _, c := range [][2]int{{0, n}, {5, strips*gemmNR - 3}} {
+							var out [2][]float32
+							for i, inPlace := range []bool{false, true} {
+								out[i] = append([]float32(nil), dst0...)
+								src := gemmB{kind: bDense, n: n, b: b.Data, inPlace: inPlace}
+								gemmDrive(out[i], n, a.Data, k, m, &src, c[0], c[1], 0, k, scratch, false)
+							}
+							if i := bitsDiffer(out[0], out[1]); i >= 0 {
+								t.Fatalf("512=%v k=%d strips=%d m=%d cols %v: element %d packed %v, in place %v",
+									wide, k, strips, m, c, i, out[0][i], out[1][i])
+							}
+						}
+					}
+				}
+			}
+			// The entry points, with the gate shut and open.
+			for _, sh := range [][3]int{{4, 8, 1024}, {32, 300, 100}, {33, 64, 64}, {17, 600, 2000}} {
+				m, k, n := sh[0], sh[1], sh[2]
+				a, b := randMat(1, m, k), randMat(2, k, n)
+				var serial, parallel [2]*Tensor
+				for i, gate := range []int{0, denseInPlaceRows} {
+					saved := denseInPlaceRows
+					denseInPlaceRows = gate
+					serial[i], parallel[i] = New(m, n), New(m, n)
+					MatMulSerialInto(serial[i], a, b, make([]float32, GemmScratch()))
+					MatMulInto(parallel[i], a, b)
+					denseInPlaceRows = saved
+				}
+				for _, p := range [][2]*Tensor{serial, parallel, {serial[0], parallel[1]}} {
+					if i := bitsDiffer(p[0].Data, p[1].Data); i >= 0 {
+						t.Fatalf("512=%v %dx%dx%d: element %d packed %v, in place %v", wide, m, k, n, i, p[0].Data[i], p[1].Data[i])
+					}
+				}
+			}
+		})
 	}
 }

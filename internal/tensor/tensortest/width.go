@@ -15,6 +15,22 @@ import (
 //go:linkname useGemm512 nshd/internal/tensor.useGemm512
 var useGemm512 bool
 
+// useGemmAsm is tensor's switch for every vector kernel, as useGemm512 is
+// for the 512-bit ones.
+//
+//go:linkname useGemmAsm nshd/internal/tensor.useGemmAsm
+var useGemmAsm bool
+
+// Portable turns every vector kernel off until tb ends, so a test runs the Go
+// twins the portable build serves with. Anything that sizes scratch from the
+// kernels (an engine's arenas, a conv's window) must be built after the call.
+func Portable(tb testing.TB) {
+	tb.Helper()
+	asm, wide := useGemmAsm, useGemm512
+	tb.Cleanup(func() { useGemmAsm, useGemm512 = asm, wide })
+	useGemmAsm, useGemm512 = false, false
+}
+
 // Gemm512 forces the 512-bit GEMM kernels on or off until the test, subtest
 // or benchmark tb ends, and skips it when they are asked for on a machine
 // without usable AVX-512 state. The width moves no bit
