@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race alloc staticcheck fuzz bench bench-diff
+.PHONY: check fmt vet build test v3 race alloc staticcheck fuzz bench bench-diff
 
 # The full gate: what CI (and any PR) must keep green.
-check: fmt vet staticcheck build test race alloc
+check: fmt vet staticcheck build test v3 race alloc
 
 # Formatting gate: any file gofmt would rewrite fails the check.
 fmt:
@@ -57,6 +57,16 @@ build:
 test:
 	$(GO) test ./...
 
+# The kernel and engine gates once more under GOAMD64=v3, a level at which the
+# Go spec lets the compiler fuse `x*y + s` into one FMA. The Go twins and
+# tails that must round each product first (dotAsm's K mod 8 tail, the dot
+# tile's, the elementwise twins) are pinned by float32 conversions. Go 1.24
+# lowers only math.FMA to VFMADD on amd64, so today this compiles the same
+# float code as the default run; it is here for a toolchain that fuses, as
+# the arm64 backend already does.
+v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/
+
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
 # TestCodecHammer over the request scratch pool the JSON and binary codecs share;
@@ -75,7 +85,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
 
 # Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
-# products and conv layers at both kernel widths, im2col / col2im per VGG stage shape,
+# products and conv layers at both kernel widths, the dot-kernel products at the
+# manifold FC / Linear / similarity shapes at both widths with the tile shapes
+# they were chosen from, the tail's float64 score fold, im2col / col2im per VGG stage shape,
 # per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3
 # and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
 # BenchmarkPointwiseInfer), max-pool in both modes, one VGG16

@@ -253,9 +253,7 @@ func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *flo
 		t.forBlocks(x, ar, project, func(blk []float32, n, w, c0 int) {
 			tensor.SignInPlace(blk)
 			t.float.BlockScores(bs, blk, n, w, c0)
-			for i, v := range bs {
-				acc[i] += float64(v)
-			}
+			tensor.AccumulateFloat64(acc, bs)
 		})
 		hdlearn.ArgmaxInto(preds, acc, n, t.k)
 	}

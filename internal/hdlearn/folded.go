@@ -79,22 +79,18 @@ func NewFoldedScorer(m *Model) *FoldedScorer {
 // signed query columns; one block of the 256-column grid). The engine's tail
 // folds these per-block float32 values into float64 in block order. Strip
 // classes are a single FMA chain from +0, column ascending, in the 4-row and
-// the 1-row micro-kernel alike; the others are DotFast.
+// the 1-row micro-kernel alike (written without clearing dst first: the
+// kernels start the block at +0); the others are DotFast, scored as one
+// [n × (K−ns)] tile.
 func (s *FoldedScorer) BlockScores(dst []float32, blk []float32, n, w, c0 int) {
 	if c0 < 0 || c0+w > s.D {
 		panic(fmt.Sprintf("hdlearn: BlockScores columns [%d,%d) outside D=%d", c0, c0+w, s.D))
 	}
 	if s.strips != nil {
-		clear(dst[:n*s.K])
-		tensor.AccumPanelsKBlock(dst, s.K, blk, w, n, s.strips, c0, c0+w, nil)
+		tensor.MatMulPanelsKBlock(dst, s.K, blk, w, n, s.strips, c0, c0+w, nil)
 	}
-	ns := s.K - s.rows.Shape[0]
-	for i := 0; i < n; i++ {
-		row := blk[i*w : (i+1)*w]
-		out := dst[i*s.K : (i+1)*s.K]
-		for k := ns; k < s.K; k++ {
-			out[k] = tensor.DotFast(row, s.rows.Row(k - ns)[c0:c0+w])
-		}
+	if ns := s.K - s.rows.Shape[0]; ns < s.K {
+		tensor.DotTile(dst[ns:], s.K, blk, w, n, s.rows.Data[c0:], s.D, s.K-ns, w)
 	}
 }
 

@@ -15,9 +15,10 @@ import "fmt"
 // that out-of-image taps read zeros, so the rows the requested output rows
 // read are copied once per call into a zero-padded window
 // [InC, rows+KH−1, InW+2·PadW] in driver scratch (padWindow), and
-// offs[p] = (c·winH + kh)·winW + kw. The window is 1/(KH·KW) of the im2col
-// matrix the packed form writes and reads back; at OutC ≤ 32 a packed strip
-// is reused by at most 8 kernel calls and that copy never amortized.
+// offs[p] = (c·winH + kh)·winW + kw in the table after it. The window is
+// 1/(KH·KW) of the im2col matrix the packed form writes and reads back; at
+// OutC ≤ 32 a packed strip is reused by at most 8 kernel calls and that copy
+// never amortized.
 //
 // Packed form (every other geometry): each tile's 16-wide strips are
 // generated from the image directly in packed panel layout (convPackStrips);
@@ -40,11 +41,12 @@ func ConvOffsetForm(g ConvGeom) bool {
 }
 
 // convScratch is the scratch length of a conv computing outRows output rows
-// per call: the padded window in offset form, else the driver's generate-into
-// buffer plus a spill buffer of spillRows rows.
+// per call: the padded window and the K block's offset table in offset form,
+// else the driver's generate-into buffer plus a spill buffer of spillRows
+// rows.
 func convScratch(g ConvGeom, outRows, spillRows int) int {
 	if ConvOffsetForm(g) {
-		return g.InC * (outRows + g.KH - 1) * (g.InW + 2*g.PadW)
+		return g.InC*(outRows+g.KH-1)*(g.InW+2*g.PadW) + gemmKC
 	}
 	return driverScratch(true, spillRows)
 }
@@ -153,7 +155,7 @@ func (s *gemmB) windowStrips(offs *[gemmKC]int32, pb, pe, j0 int) bStrips {
 		offs[q] = int32((t.c*s.winH+t.kh)*wp + t.kw)
 		t = t.next(g.KH, g.KW)
 	}
-	return bStrips{x: s.win[(j0/outW-s.winRow0)*wp:], offs: offs, ow: j0 % outW, outW: outW, ldx: wp}
+	return bStrips{b: s.win[(j0/outW-s.winRow0)*wp:], offs: offs, ow: j0 % outW, outW: outW, ldx: wp}
 }
 
 // convPackStrips generates im2col rows [pb, pe) × columns [jb, jb+nFull) —

@@ -106,8 +106,9 @@ func TestConvMulMatchesIm2Col(t *testing.T) {
 // TestConvWindowBounds computes, for every wide shape and a top, an interior
 // and a bottom row window, the furthest float the offset kernels can read —
 // the last strip's base plus the largest table offset plus the 16 floats of
-// one load — and requires it to be the last float of the scratch the size
-// functions return: never past it, and no float of slack either.
+// one load — and requires it to be the last float of the window, and the
+// scratch the size functions return to be that window and the offset table:
+// never a read past the window, and no float of slack either.
 func TestConvWindowBounds(t *testing.T) {
 	ran := runWithAsm(true, func() {
 		for gi, g := range wideConvGeoms() {
@@ -126,11 +127,11 @@ func TestConvWindowBounds(t *testing.T) {
 					pe := min(pb+gemmKC, kdim)
 					bs := src.windowStrips(&offs, pb, pe, or1*outW-gemmNR)
 					for _, o := range offs[:pe-pb] {
-						far = max(far, len(scratch)-len(bs.x)+bs.ow+int(o)+gemmNR)
+						far = max(far, len(src.win)-len(bs.b)+bs.ow+int(o)+gemmNR)
 					}
 				}
-				if far != len(scratch) {
-					t.Errorf("geom %d %+v rows [%d, %d): kernels read up to float %d of a %d-float scratch", gi, g, or0, or1, far, len(scratch))
+				if far != len(src.win) || len(scratch) != len(src.win)+gemmKC {
+					t.Errorf("geom %d %+v rows [%d, %d): kernels read up to float %d of a %d-float window, %d floats of scratch", gi, g, or0, or1, far, len(src.win), len(scratch))
 				}
 			}
 		}

@@ -320,3 +320,27 @@ func AddRows(dst []float32, ldd int, src []float32, lds, n, rows int) {
 
 // Accumulate adds src into dst elementwise: AddRows over one row.
 func Accumulate(dst, src []float32) { AddRows(dst, 0, src, 0, len(src), 1) }
+
+// AccumulateFloat64 adds src into dst elementwise in double precision:
+// dst[i] += float64(src[i]). Widening a float32 is exact and each element
+// gets one IEEE add, accumulator first, so the AVX2 kernel (eight floats a
+// step) and the Go twin that runs the remainder and every other target give
+// the same bits. It is the serving tail's per-block fold of float32 class
+// scores into their float64 totals.
+func AccumulateFloat64(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	i := 0
+	if useGemmAsm {
+		if i = len(src) / 8 * 8; i > 0 {
+			addFloat64Asm(i, &dst[0], &src[0])
+		}
+	}
+	addFloat64Go(dst[i:], src[i:])
+}
+
+func addFloat64Go(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += float64(v)
+	}
+}

@@ -53,3 +53,9 @@ func maxPool2x2Asm(n int, out, r0, r1 *float32)
 //
 //go:noescape
 func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int)
+
+// addFloat64Asm adds n floats (a positive multiple of 8) at src, widened, into
+// the n doubles at dst.
+//
+//go:noescape
+func addFloat64Asm(n int, dst *float64, src *float32)

@@ -269,3 +269,29 @@ addnext:
 	JNE  addrow
 	VZEROUPPER
 	RET
+
+// func addFloat64Asm(n int, dst *float64, src *float32)
+//
+// dst[i] += float64(src[i]) for i in [0, n), n a positive multiple of 8: four
+// floats widened by VCVTPS2PD (exact) and added to four doubles, the
+// accumulator the first operand as in the scalar `dst[i] += float64(v)`.
+TEXT ·addFloat64Asm(SB), NOSPLIT, $0-24
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ src+16(FP), SI
+
+loop:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VMOVUPD   (DI), Y2
+	VMOVUPD   32(DI), Y3
+	VADDPD    Y0, Y2, Y2
+	VADDPD    Y1, Y3, Y3
+	VMOVUPD   Y2, (DI)
+	VMOVUPD   Y3, 32(DI)
+	ADDQ      $32, SI
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+	JNE       loop
+	VZEROUPPER
+	RET

@@ -41,3 +41,7 @@ func maxPool2x2Asm(n int, out, r0, r1 *float32) {
 func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int) {
 	panic("tensor: addRowsAsm requires amd64")
 }
+
+func addFloat64Asm(n int, dst *float64, src *float32) {
+	panic("tensor: addFloat64Asm requires amd64")
+}

@@ -9,6 +9,11 @@ import (
 
 func f32(bits uint32) float32 { return math.Float32frombits(bits) }
 
+// f32NaN is the NaN x86 produces for an invalid operation (0·∞, ∞−∞): with it
+// as the only NaN an operand carries, every NaN a kernel returns has its bits
+// whichever operand an add or FMA takes its payload from.
+var f32NaN = f32(0xFFC00000)
+
 // elemSpecials are the inputs on which a vector compare, a sign-bit trick or a
 // VMAXPS would part ways with Go's scalar comparisons.
 var elemSpecials = []float32{
@@ -478,4 +483,69 @@ func BenchmarkMaxPool2x2Row(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestAccumulateFloat64MatchesGo is the fold's gate: AccumulateFloat64, with
+// the AVX2 kernel and on the Go twin, gives every element the twin's bits —
+// on every length around the 8-float step and every start offset, adding
+// elemSpecials (NaN of both signs, quiet and signalling, ±Inf, ±0,
+// subnormals) and random floats to doubles that make the sum round (±1e17)
+// or overflow into a NaN (∞ − ∞).
+func TestAccumulateFloat64MatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range elemLengths() {
+		for off := 0; off < 8; off++ {
+			src := salted(rng, off+n)[off:]
+			dst0 := make([]float64, n)
+			for i := range dst0 {
+				switch i % 5 {
+				case 0:
+					dst0[i] = rng.NormFloat64() * 1e17
+				case 1:
+					dst0[i] = math.Copysign(0, float64(i%3-1))
+				case 2:
+					dst0[i] = math.Inf(i%3 - 1)
+				default:
+					dst0[i] = rng.NormFloat64()
+				}
+			}
+			want := append([]float64(nil), dst0...)
+			addFloat64Go(want, src)
+			for _, asm := range []bool{true, false} {
+				got := append([]float64(nil), dst0...)
+				if !runWithAsm(asm, func() { AccumulateFloat64(got, src) }) {
+					continue
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("asm=%v n=%d off=%d [%d]: %v + %v = %v, twin %v", asm, n, off, i, dst0[i], src[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAccumulateFloat64 times the serving tail's per-block fold at
+// offline_tail's chunk (64 queries × 100 classes), on the AVX2 kernel and on
+// the Go twin.
+func BenchmarkAccumulateFloat64(b *testing.B) {
+	src := randMat(1, 64, 100).Data
+	dst := make([]float64, len(src))
+	for _, asm := range []bool{true, false} {
+		name := "avx2"
+		if !asm {
+			name = "go"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)) * (4 + 2*8))
+			if !runWithAsm(asm, func() {
+				for i := 0; i < b.N; i++ {
+					AccumulateFloat64(dst, src)
+				}
+			}) {
+				b.Skip("no AVX2 kernel on this machine")
+			}
+		})
+	}
 }

@@ -395,25 +395,14 @@ func MatMulAccTSerialInto(dst, a, b *Tensor, scratch []float32) {
 }
 
 func matMulTRange(dst, a, b []float32, n, k, r0, r1 int) {
-	if useGemmAsm {
-		for i := r0; i < r1; i++ {
-			arow := a[i*k:][:k]
-			for j := 0; j < n; j++ {
-				dst[i*n+j] = dotAsm(arow, b[j*k:][:k])
-			}
-		}
-		return
-	}
-	for i := r0; i < r1; i++ {
-		arow := a[i*k:][:k]
-		for j := 0; j < n; j++ {
-			dst[i*n+j] = Dot(arow, b[j*k:][:k])
-		}
-	}
+	dotTile(dst[r0*n:], n, a[r0*k:], k, r1-r0, b, k, n, k, false)
 }
 
 // dotAsm computes an inner product with the AVX2 kernel, falling back to the
-// scalar Dot below the vector width.
+// scalar Dot below the vector width. The K mod 8 tail adds one rounded
+// product at a time: the float32 conversion keeps a compiler that fuses
+// multiply-adds (the Go spec allows it; the arm64 backend does) from turning
+// it into one FMA.
 func dotAsm(x, y []float32) float32 {
 	k := len(x)
 	wide := k / 8 * 8
@@ -422,7 +411,156 @@ func dotAsm(x, y []float32) float32 {
 		s = dot8(wide, &x[0], &y[0])
 	}
 	for p := wide; p < k; p++ {
-		s += x[p] * y[p]
+		s += float32(x[p] * y[p])
 	}
 	return s
+}
+
+// DotTile writes dst[i*ldd+j] = DotFast(a[i*lda:][:k], b[j*ldb:][:k]) for
+// i < m, j < n: MatMulT over operands and an output whose rows are lda, ldb
+// and ldd floats apart (a compact query block against column ranges of class
+// rows), bit for bit.
+func DotTile(dst []float32, ldd int, a []float32, lda, m int, b []float32, ldb, n, k int) {
+	dotTile(dst, ldd, a, lda, m, b, ldb, n, k, false)
+}
+
+// dotTile is DotTile, adding to dst instead of writing it when accum is set.
+//
+// Where the 512-bit kernels are live, outputs go twelve at a time to the
+// register-tiled dot kernels: 4×3 (A rows × B rows) while four rows are left,
+// then 1×12 row by row, one output at a time only where no tile fits. Each
+// output of a tile is dot8 over the k/8·8 wide floats to the bit (the kernels
+// keep dot8's 32 lane partials and its reduction), and the K mod 8 tail is
+// then added here exactly as dotAsm adds it, so every shape and every split
+// of a product gives DotFast's bits. A tile whose columns would run past n
+// is moved back to end at n; the columns it repeats are computed again, to
+// the same bits, and not stored twice.
+func dotTile(dst []float32, ldd int, a []float32, lda, m int, b []float32, ldb, n, k int, accum bool) {
+	if m == 0 || n == 0 {
+		return
+	}
+	_, _, _ = dst[(m-1)*ldd:][:n], a[(m-1)*lda:][:k], b[(n-1)*ldb:][:k]
+	for i0 := 0; i0 < m; {
+		mr, nr := dotTileShape(m-i0, n)
+		if !useGemm512 || k < 8 || mr == 0 {
+			for i := i0; i < m; i++ {
+				arow, out := a[i*lda:][:k], dst[i*ldd:][:n]
+				for j := range out {
+					if s := DotFast(arow, b[j*ldb:][:k]); accum {
+						out[j] += s
+					} else {
+						out[j] = s
+					}
+				}
+			}
+			return
+		}
+		rows := (m - i0) / mr * mr
+		dotBand(dst[i0*ldd:], ldd, a[i0*lda:], lda, rows, b, ldb, n, k, accum, mr, nr, dotAInner(rows, n, k))
+		i0 += rows
+	}
+}
+
+// dotTileShape is the tile dotTile gives m remaining rows of an n-column
+// product, (0, 0) where none fits. The two or three rows a product of
+// M mod 4 ∈ {2, 3} rows leaves get no tile of their own: over the five
+// benchmark workloads they carry 0–0.9 % of the tiled multiply-adds (the
+// fixtures' 50-row training chunks, the 10- and 11-row HD batches, none of
+// them on a timed predict path).
+func dotTileShape(m, n int) (mr, nr int) {
+	switch {
+	case m >= 4 && n >= 3:
+		return 4, 3
+	case n >= 12:
+		return 1, 12
+	}
+	return 0, 0
+}
+
+// dotBand's loop order. With the A tiles outside (B-inner) every A row is
+// loaded once and every B row m/mr times; with the B tiles outside (A-inner)
+// the other way round. A-inner pays where B overflows the L2 (2 MiB on the
+// bench box, a Xeon with AVX-512) while A stays in it. One core, the two
+// orders interleaved call by call, medians in µs, B-inner → A-inner, every
+// pair of quartile ranges apart:
+//
+//	[32×1024]·[1024×1024]ᵀ (train's Linear)  1559 → 836
+//	[128×1024]·[1024×1024]ᵀ                   5707 → 2860
+//	[48×10000]·[100×10000]ᵀ (A 1.9 MB)        2322 → 1933
+//	[8×18432]·[100×18432]ᵀ                     734 → 544
+//	[24×18432]·[100×18432]ᵀ (A 1.8 MB)        2110 → 1883
+//	[28×18432]·[100×18432]ᵀ (A 2.1 MB)        2369 → 2477
+//	[32×18432]·[100×18432]ᵀ (A 2.4 MB)        2714 → 3169
+//	[64×10000]·[100×10000]ᵀ (A 2.6 MB)        2861 → 3175
+//	[64×1024]·[100×1024]ᵀ (B 0.4 MB)           125 → 134
+//	[32×1024]·[600×1024]ᵀ (B 2.5 MB)           676 → 450
+//
+// So A-inner is taken when B is over dotStreamFloats and A within
+// dotResidentFloats. [512×1024]·[1024×1024]ᵀ, A exactly 2 MiB, still reads
+// 21159 → 19638 and gets B-inner.
+const (
+	dotStreamFloats   = 1 << 18  // 1 MiB
+	dotResidentFloats = 15 << 15 // 1.875 MiB
+)
+
+// dotAInner reports whether dotBand walks an m-row band B tile by B tile.
+func dotAInner(m, n, k int) bool {
+	return n*k > dotStreamFloats && m*k <= dotResidentFloats
+}
+
+// dotBand runs the mr × nr tile kernel over m rows (a multiple of mr) and n
+// columns (at least nr) of dotTile's product, in the loop order aInner
+// picks. The kernel writes a tile's wide sums straight into dst; where K has
+// a tail, each of its outputs is then finished in place, and a tile moved
+// back at the column edge rewrites the columns it repeats with the same
+// bits. Accumulating, the kernel writes to a buffer and only the tile's new
+// columns are added into dst.
+func dotBand(dst []float32, ldd int, a []float32, lda, m int, b []float32, ldb, n, k int, accum bool, mr, nr int, aInner bool) {
+	wide := k &^ 7
+	rt, ct := m/mr, (n+nr-1)/nr
+	outer, inner := rt, ct
+	if aInner {
+		outer, inner = ct, rt
+	}
+	var buf [12]float32
+	for u := 0; u < outer; u++ {
+		for v := 0; v < inner; v++ {
+			ri, ci := u, v
+			if aInner {
+				ri, ci = v, u
+			}
+			i0, j0 := ri*mr, ci*nr
+			tj := min(j0, n-nr)
+			out, ldo := dst[i0*ldd+tj:], ldd
+			if accum {
+				out, ldo = buf[:], nr
+			}
+			if mr == 4 {
+				dot4x3(wide, &a[i0*lda], lda, &b[tj*ldb], ldb, &out[0], ldo)
+			} else {
+				dot1x12(wide, &a[i0*lda], lda, &b[tj*ldb], ldb, &out[0], ldo)
+			}
+			if wide == k && !accum {
+				continue
+			}
+			jFrom := tj
+			if accum {
+				jFrom = j0
+			}
+			for i := 0; i < mr; i++ {
+				arow, row := a[(i0+i)*lda:][:k], dst[(i0+i)*ldd:]
+				for j := jFrom; j < tj+nr; j++ {
+					s, brow := out[i*ldo+j-tj], b[j*ldb:][:k]
+					for p := wide; p < k; p++ {
+						s += float32(arow[p] * brow[p])
+					}
+					if accum {
+						row[j] += s
+					} else {
+						row[j] = s
+					}
+				}
+			}
+		}
+	}
 }

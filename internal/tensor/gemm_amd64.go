@@ -63,8 +63,14 @@ func xgetbv0() (eax, edx uint32)
 // o[r][0:16] += Σ_p a_r[p] * bp[16p:16p+16], with bp a packed p-major strip.
 // kc must be ≥ 1; each o_r must have at least 16 addressable elements.
 //
+// Every strip kernel below sums each lane from +0 in a register and adds the
+// sum into the output once. With zero set the output is not loaded: the sum
+// is added to +0 instead, which gives exactly the bits a cleared output would
+// have (a −0 sum becomes +0 either way), so an overwriting product's first K
+// block needs no clear pass.
+//
 //go:noescape
-func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32)
+func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32, zero bool)
 
 // gemm1x16s accumulates one output row across ns consecutive 16-wide packed
 // strips: o[16s+j] += Σ_p a[p] * bp[s·16·kc + 16p + j]. The per-element
@@ -74,7 +80,7 @@ func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32)
 // must be ≥ 1; o must have ns·16 addressable elements.
 //
 //go:noescape
-func gemm1x16s(kc, ns int, a, bp, o *float32)
+func gemm1x16s(kc, ns int, a, bp, o *float32, zero bool)
 
 // gemm4x16o is gemm4x16 reading B through an offset table: K step p takes its
 // 16 values from xb[offs[p]:] instead of a packed strip. Same accumulators and
@@ -82,14 +88,14 @@ func gemm1x16s(kc, ns int, a, bp, o *float32)
 // xb[offs[p]+15] addressable.
 //
 //go:noescape
-func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32)
+func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32, zero bool)
 
 // gemm1x16so is gemm1x16s reading B through an offset table: strip s takes K
 // step p from xb[16s+offs[p]:], i.e. the ns strips are consecutive in one
 // image row. kc and ns must be ≥ 1.
 //
 //go:noescape
-func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
+func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32, zero bool)
 
 // gemm8x32 accumulates an 8×32 output tile over kc steps of K from two
 // packed strips bp0 and bp1 whose output columns are adjacent:
@@ -98,32 +104,44 @@ func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
 // the bits of four gemm4x16 calls. kc must be ≥ 1.
 //
 //go:noescape
-func gemm8x32(kc int, a *float32, lda int, bp0, bp1, o *float32, ldd int)
+func gemm8x32(kc int, a *float32, lda int, bp0, bp1, o *float32, ldd int, zero bool)
 
 // gemm8x32o is gemm8x32 reading B through an offset table, as gemm4x16o does,
 // from two window bases xb0 and xb1 that share it: the bits of four gemm4x16o
 // calls.
 //
 //go:noescape
-func gemm8x32o(kc int, a *float32, lda int, xb0, xb1 *float32, offs *int32, o *float32, ldd int)
+func gemm8x32o(kc int, a *float32, lda int, xb0, xb1 *float32, offs *int32, o *float32, ldd int, zero bool)
 
 // gemm1x64s is gemm1x16s over 4·nq packed strips, four in flight: the bits of
-// gemm1x16s(kc, 4·nq, a, bp, o). kc and nq must be ≥ 1.
+// gemm1x16s(kc, 4·nq, a, bp, o, zero). kc and nq must be ≥ 1.
 //
 //go:noescape
-func gemm1x64s(kc, nq int, a, bp, o *float32)
+func gemm1x64s(kc, nq int, a, bp, o *float32, zero bool)
 
 // gemm1x64so is gemm1x16so over 4·nq strips of one image row, four in flight:
-// the bits of gemm1x16so(kc, 4·nq, a, xb, offs, o). kc and nq must be ≥ 1.
+// the bits of gemm1x16so(kc, 4·nq, a, xb, offs, o, zero). kc and nq must be
+// ≥ 1.
 //
 //go:noescape
-func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32)
+func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32, zero bool)
 
 // dot8 returns the inner product of x[0:n] and y[0:n]; n must be a positive
 // multiple of 8.
 //
 //go:noescape
 func dot8(n int, x, y *float32) float32
+
+// dot4x3 and dot1x12 (gemm512_amd64.s, behind useGemm512) write
+// o[i·ldo + j] = dot8(k, a + i·lda, b + j·ldb) for the mr × nr tile their
+// name gives, bit for bit; k must be a positive multiple of 8, and lda, ldb
+// and ldo are in floats.
+//
+//go:noescape
+func dot4x3(k int, a *float32, lda int, b *float32, ldb int, o *float32, ldo int)
+
+//go:noescape
+func dot1x12(k int, a *float32, lda int, b *float32, ldb int, o *float32, ldo int)
 
 // reluAsm clamps x[0:n] to max(v, 0) in place with mask semantics identical
 // to Go's `if v <= 0 { v = 0 }` (NaN passes through, -0 becomes +0). n must

@@ -1,5 +1,17 @@
 #include "textflag.h"
 
+// ADDZERO8(z) adds the zeroed register z to the eight accumulators Y0–Y7:
+// +0 + acc, the sum a cleared output would have given them.
+#define ADDZERO8(z) \
+	VADDPS z, Y0, Y0; \
+	VADDPS z, Y1, Y1; \
+	VADDPS z, Y2, Y2; \
+	VADDPS z, Y3, Y3; \
+	VADDPS z, Y4, Y4; \
+	VADDPS z, Y5, Y5; \
+	VADDPS z, Y6, Y6; \
+	VADDPS z, Y7, Y7
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -19,14 +31,15 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32)
+// func gemm4x16(kc int, a0, a1, a2, a3, bp, o0, o1, o2, o3 *float32, zero bool)
 //
 // 4x16 register-tiled micro-kernel: 8 YMM accumulators hold the output tile
 // across the whole K loop, so the only memory traffic per K step is one
 // 64-byte packed-B read plus four 4-byte A broadcasts, and each step retires
 // 8 fused multiply-adds (64 flops). Accumulators are added into the output
-// rows once at the end.
-TEXT ·gemm4x16(SB), NOSPLIT, $0-80
+// rows once at the end — to +0 from a zeroed register instead of to the
+// loaded output when zero is set, the value a cleared output would hold.
+TEXT ·gemm4x16(SB), NOSPLIT, $0-81
 	MOVQ kc+0(FP), CX
 	MOVQ a0+8(FP), R8
 	MOVQ a1+16(FP), R9
@@ -70,40 +83,52 @@ kloop:
 	DECQ CX
 	JNE  kloop
 
+	CMPB zero+80(FP), $0
+	JNE  zstart
 	VADDPS (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
 	VADDPS 32(DI), Y1, Y1
-	VMOVUPS Y1, 32(DI)
 	VADDPS (DX), Y2, Y2
-	VMOVUPS Y2, (DX)
 	VADDPS 32(DX), Y3, Y3
-	VMOVUPS Y3, 32(DX)
 	VADDPS (R12), Y4, Y4
-	VMOVUPS Y4, (R12)
 	VADDPS 32(R12), Y5, Y5
-	VMOVUPS Y5, 32(R12)
 	VADDPS (R13), Y6, Y6
-	VMOVUPS Y6, (R13)
 	VADDPS 32(R13), Y7, Y7
+	JMP  store
+
+zstart:
+	VXORPS Y8, Y8, Y8
+	ADDZERO8(Y8)
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DX)
+	VMOVUPS Y3, 32(DX)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	VMOVUPS Y6, (R13)
 	VMOVUPS Y7, 32(R13)
 	VZEROUPPER
 	RET
 
-// func gemm1x16s(kc, ns int, a, bp, o *float32)
+// func gemm1x16s(kc, ns int, a, bp, o *float32, zero bool)
 //
 // Skinny-M micro-kernel: one output row across ns consecutive 16-wide packed
 // strips. Each strip holds a 2-YMM accumulator pair across its whole K loop
 // (one broadcast + two fused multiply-adds per K step), added into the output
-// once at the end — the same single-accumulator, p-ascending order gemm4x16
-// gives each of its rows, so a leftover row computes bit-identically to the
-// rows of a full 4-row group. Strips are contiguous (strip s starts at
-// bp + s·kc·16), so SI streams straight through the panel.
-TEXT ·gemm1x16s(SB), NOSPLIT, $0-40
+// once at the end (to +0 when zero is set) — the same single-accumulator,
+// p-ascending order gemm4x16 gives each of its rows, so a leftover row
+// computes bit-identically to the rows of a full 4-row group. Strips are
+// contiguous (strip s starts at bp + s·kc·16), so SI streams straight through
+// the panel.
+TEXT ·gemm1x16s(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), BX
 	MOVQ ns+8(FP), DX
 	MOVQ a+16(FP), R9
 	MOVQ bp+24(FP), SI
 	MOVQ o+32(FP), DI
+	MOVBLZX zero+40(FP), R10
+	VXORPS Y5, Y5, Y5
 
 sloop:
 	MOVQ R9, R8
@@ -122,9 +147,18 @@ kloop:
 	DECQ CX
 	JNE  kloop
 
+	TESTQ R10, R10
+	JNE  zstart
 	VADDPS (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
 	VADDPS 32(DI), Y1, Y1
+	JMP  store
+
+zstart:
+	VADDPS Y5, Y0, Y0
+	VADDPS Y5, Y1, Y1
+
+store:
+	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ $64, DI
 	DECQ DX
@@ -132,16 +166,17 @@ kloop:
 	VZEROUPPER
 	RET
 
-// func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32)
+// func gemm4x16o(kc int, a0, a1, a2, a3, xb *float32, offs *int32, o0, o1, o2, o3 *float32, zero bool)
 //
 // gemm4x16 with the packed strip replaced by an offset table: K step p reads
 // its 16 B values at xb + 4·offs[p] instead of bp + 64·p, so a convolution
 // hands the kernel addresses into its zero-padded image window and never
-// packs a strip. Accumulators, FMA order and the add-into-output epilogue are
-// gemm4x16's, so both give every lane the same bits on the same values. One
-// negative index counts K up to zero and addresses A and offs from their
-// ends, which leaves the loop 17 uops a step against gemm4x16's 20.
-TEXT ·gemm4x16o(SB), NOSPLIT, $0-88
+// packs a strip. Accumulators, FMA order and the add-into-output (or into +0)
+// epilogue are gemm4x16's, so both give every lane the same bits on the same
+// values. One negative index counts K up to zero and addresses A and offs
+// from their ends, which leaves the loop 17 uops a step against gemm4x16's
+// 20.
+TEXT ·gemm4x16o(SB), NOSPLIT, $0-89
 	MOVQ kc+0(FP), CX
 	MOVQ a0+8(FP), R8
 	MOVQ a1+16(FP), R9
@@ -188,38 +223,49 @@ kloop:
 	INCQ CX
 	JNE  kloop
 
+	CMPB zero+88(FP), $0
+	JNE  zstart
 	VADDPS (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
 	VADDPS 32(DI), Y1, Y1
-	VMOVUPS Y1, 32(DI)
 	VADDPS (DX), Y2, Y2
-	VMOVUPS Y2, (DX)
 	VADDPS 32(DX), Y3, Y3
-	VMOVUPS Y3, 32(DX)
 	VADDPS (R12), Y4, Y4
-	VMOVUPS Y4, (R12)
 	VADDPS 32(R12), Y5, Y5
-	VMOVUPS Y5, 32(R12)
 	VADDPS (R13), Y6, Y6
-	VMOVUPS Y6, (R13)
 	VADDPS 32(R13), Y7, Y7
+	JMP  store
+
+zstart:
+	VXORPS Y8, Y8, Y8
+	ADDZERO8(Y8)
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DX)
+	VMOVUPS Y3, 32(DX)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	VMOVUPS Y6, (R13)
 	VMOVUPS Y7, 32(R13)
 	VZEROUPPER
 	RET
 
-// func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32)
+// func gemm1x16so(kc, ns int, a, xb *float32, offs *int32, o *float32, zero bool)
 //
 // gemm1x16s over an offset table: one output row across ns consecutive
 // 16-column strips of one image row, strip s reading K step p at
 // xb + 64·s + 4·offs[p]. Per element the chain is gemm4x16o's, as gemm1x16s's
 // is gemm4x16's.
-TEXT ·gemm1x16so(SB), NOSPLIT, $0-48
+TEXT ·gemm1x16so(SB), NOSPLIT, $0-49
 	MOVQ kc+0(FP), BX
 	MOVQ ns+8(FP), DX
 	MOVQ a+16(FP), R9
 	MOVQ xb+24(FP), SI
 	MOVQ offs+32(FP), R10
 	MOVQ o+40(FP), DI
+	MOVBLZX zero+48(FP), R11
+	VXORPS Y5, Y5, Y5
 	LEAQ (R9)(BX*4), R9
 	LEAQ (R10)(BX*4), R10
 	NEGQ BX
@@ -239,9 +285,18 @@ kloop:
 	INCQ CX
 	JNE  kloop
 
+	TESTQ R11, R11
+	JNE  zstart
 	VADDPS (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
 	VADDPS 32(DI), Y1, Y1
+	JMP  store
+
+zstart:
+	VADDPS Y5, Y0, Y0
+	VADDPS Y5, Y1, Y1
+
+store:
+	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ $64, SI
 	ADDQ $64, DI

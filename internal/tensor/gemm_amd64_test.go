@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -135,26 +136,26 @@ func BenchmarkStripKernels(b *testing.B) {
 	}{
 		{"4x16/ymm", 4, func() {
 			for s := 0; s < ns; s++ {
-				gemm4x16(kc, row(0), row(1), row(2), row(3), &bp[s*kc*gemmNR], &out[s*gemmNR], &out[ldd+s*gemmNR], &out[2*ldd+s*gemmNR], &out[3*ldd+s*gemmNR])
+				gemm4x16(kc, row(0), row(1), row(2), row(3), &bp[s*kc*gemmNR], &out[s*gemmNR], &out[ldd+s*gemmNR], &out[2*ldd+s*gemmNR], &out[3*ldd+s*gemmNR], false)
 			}
 		}},
 		{"8x32/zmm", 8, func() {
 			for s := 0; s < ns; s += 2 {
-				gemm8x32(kc, row(0), kc, &bp[s*kc*gemmNR], &bp[(s+1)*kc*gemmNR], &out[s*gemmNR], ldd)
+				gemm8x32(kc, row(0), kc, &bp[s*kc*gemmNR], &bp[(s+1)*kc*gemmNR], &out[s*gemmNR], ldd, false)
 			}
 		}},
 		{"4x16o/ymm", 4, func() {
 			for s := 0; s < ns; s++ {
-				gemm4x16o(kc, row(0), row(1), row(2), row(3), &bp[s*gemmNR], &offs[0], &out[s*gemmNR], &out[ldd+s*gemmNR], &out[2*ldd+s*gemmNR], &out[3*ldd+s*gemmNR])
+				gemm4x16o(kc, row(0), row(1), row(2), row(3), &bp[s*gemmNR], &offs[0], &out[s*gemmNR], &out[ldd+s*gemmNR], &out[2*ldd+s*gemmNR], &out[3*ldd+s*gemmNR], false)
 			}
 		}},
 		{"8x32o/zmm", 8, func() {
 			for s := 0; s < ns; s += 2 {
-				gemm8x32o(kc, row(0), kc, &bp[s*gemmNR], &bp[(s+1)*gemmNR], &offs[0], &out[s*gemmNR], ldd)
+				gemm8x32o(kc, row(0), kc, &bp[s*gemmNR], &bp[(s+1)*gemmNR], &offs[0], &out[s*gemmNR], ldd, false)
 			}
 		}},
-		{"1x16s/ymm", 1, func() { gemm1x16s(kc, ns, row(0), &bp[0], &out[0]) }},
-		{"1x64s/zmm", 1, func() { gemm1x64s(kc, ns/4, row(0), &bp[0], &out[0]) }},
+		{"1x16s/ymm", 1, func() { gemm1x16s(kc, ns, row(0), &bp[0], &out[0], false) }},
+		{"1x64s/zmm", 1, func() { gemm1x64s(kc, ns/4, row(0), &bp[0], &out[0], false) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -216,4 +217,163 @@ func TestKernelDetection(t *testing.T) {
 		})
 	}
 	t.Logf("this machine: %s", KernelISA())
+}
+
+// saltDot fills the rows of x with magnitudes over six decades and then a
+// NaN, ±Inf, ±0, products that are exactly −0 and subnormals at scattered
+// places, each in a few rows only so most outputs stay finite. Row 4 is
+// 1e-30 throughout, times tiny: against another saltDot's row 4 (seed + 1,
+// so −1e-30) every product rounds to −0, every lane partial is −0 and so is
+// the sum — which a lane the 8-float step touches without its mask, or a
+// reduction that adds a +0, turns into +0.
+func saltDot(seed int64, rows, k, ld int) []float32 {
+	x := randMat(seed, rows, ld).Data
+	for i := range x {
+		x[i] *= float32(math.Pow(10, float64(i%7)-3))
+	}
+	if rows > 4 {
+		tiny := float32(1e-30)
+		if seed%2 == 1 {
+			tiny = -tiny
+		}
+		for p := 0; p < k; p++ {
+			x[4*ld+p] = tiny
+		}
+	}
+	specials := []float32{f32NaN, float32(math.Inf(1)), float32(math.Inf(-1)), f32(0x80000000), 0, f32(1), f32(0x807fffff), 1e-30, -1e-30}
+	for r := 0; r < rows; r++ {
+		if k == 0 || r%3 == 2 || r == 4 {
+			continue
+		}
+		v := specials[(int(seed)+r)%len(specials)]
+		x[r*ld+(r*7919)%k] = v
+		x[r*ld+(r*104729+k/2)%k] = -v
+	}
+	return x
+}
+
+// sameFloat reports bit equality, any NaN matching any NaN: dotLaneModel's
+// round-to-odd helper may turn a NaN into Go's own.
+func sameFloat(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+}
+
+// TestDotTileMatchesLaneModel is the dot tile kernels' gate: DotTile, and the
+// accumulating dotTile under gemmDotPart, give every output dotLaneModel's
+// value and dot8's bits at both widths — on every shape M ∈ 1…9 × N ∈ 1…13
+// (each tile shape, every mix of bands, both loop orders of a band, tiles
+// moved back at the column edge, the one-output fallback), on
+// TestDotFastLaneOrder's K list, with strided operands and output, and with
+// NaN, ±Inf, ±0, exact −0 products and subnormals in the operands — and
+// DotFast's bits on the portable twin.
+func TestDotTileMatchesLaneModel(t *testing.T) {
+	if !useGemmAsm {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	const maxM, maxN = 9, 13
+	for _, k := range []int{0, 1, 7, 8, 31, 32, 33, 63, 100, 1024, 1031, 1055, 9216} {
+		lda, ldb, ldd := k+3, k+5, maxN+2
+		a, b := saltDot(int64(k), maxM, k, lda), saltDot(int64(k)+1, maxN, k, ldb)
+		var model [maxM][maxN]float32
+		for i := range model {
+			for j := range model[i] {
+				model[i][j] = dotLaneModel(a[i*lda:][:k], b[j*ldb:][:k])
+			}
+		}
+		dst0 := randMat(int64(k)+2, maxM, ldd).Data
+		for _, mode := range []struct {
+			name      string
+			asm, wide bool
+		}{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}} {
+			runWithGemm512(mode.wide, func() {
+				runWithAsm(mode.asm, func() {
+					for m := 1; m <= maxM; m++ {
+						for n := 1; n <= maxN; n++ {
+							got, acc := make([]float32, len(dst0)), append([]float32(nil), dst0...)
+							DotTile(got, ldd, a, lda, m, b, ldb, n, k)
+							gemmDotPart(acc, ldd, a, lda, m, b, ldb, k, n)
+							for i := 0; i < m; i++ {
+								for j := 0; j < n; j++ {
+									dot, g := DotFast(a[i*lda:][:k], b[j*ldb:][:k]), got[i*ldd+j]
+									if math.Float32bits(g) != math.Float32bits(dot) || mode.asm && !sameFloat(g, model[i][j]) {
+										t.Fatalf("%s k=%d %dx%d (%d,%d): DotTile %v (%#x), DotFast %v (%#x), model %v",
+											mode.name, k, m, n, i, j, g, math.Float32bits(g), dot, math.Float32bits(dot), model[i][j])
+									}
+									if g, w := acc[i*ldd+j], dst0[i*ldd+j]+dot; math.Float32bits(g) != math.Float32bits(w) {
+										t.Fatalf("%s k=%d %dx%d (%d,%d): accumulated %v, want %v", mode.name, k, m, n, i, j, g, w)
+									}
+								}
+							}
+							for i, v := range got {
+								if r, c := i/ldd, i%ldd; (r >= m || c >= n) && v != 0 {
+									t.Fatalf("%s k=%d %dx%d: wrote element (%d,%d) outside the product", mode.name, k, m, n, r, c)
+								}
+							}
+							// Both loop orders of the band dotTile hands its first
+							// tile shape, whichever dotAInner picks.
+							if mr, nr := dotTileShape(m, n); useGemm512 && k >= 8 && mr > 0 {
+								rows := m / mr * mr
+								for _, aInner := range []bool{false, true} {
+									band := make([]float32, len(dst0))
+									dotBand(band, ldd, a, lda, rows, b, ldb, n, k, false, mr, nr, aInner)
+									for i := 0; i < rows*ldd; i++ {
+										if math.Float32bits(band[i]) != math.Float32bits(got[i]) {
+											t.Fatalf("%s k=%d %dx%d aInner=%v: band element (%d,%d) %v, DotTile %v", mode.name, k, m, n, aInner, i/ldd, i%ldd, band[i], got[i])
+										}
+									}
+								}
+							}
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkDotTileShapes is the measurement behind dotTileShape and
+// dotAInner: each tile kernel in both loop orders, and dot8 one output at a
+// time, over whole bands of the shapes the dot products serve — the
+// offline_tail FC, a one-row FC, the train workload's Linear, a band whose A
+// leaves the L2 (the embedded_large fixture's FC training) and HD similarity
+// (N = 10, where every tile repeats two columns).
+func BenchmarkDotTileShapes(b *testing.B) {
+	if !useGemm512 {
+		b.Skip("no usable AVX-512 state on this machine")
+	}
+	for _, s := range []struct{ m, n, k int }{{64, 100, 1024}, {1, 100, 2048}, {32, 1024, 1024}, {32, 100, 18432}, {512, 10, 3000}} {
+		a, bt := randMat(1, s.m, s.k).Data, randMat(2, s.n, s.k).Data
+		dst := make([]float32, s.m*s.n)
+		for _, sh := range []struct {
+			mr, nr int
+			aInner bool
+		}{{0, 0, false}, {4, 3, false}, {4, 3, true}, {1, 12, false}, {1, 12, true}} {
+			if sh.mr > 0 && (s.m%sh.mr != 0 || s.n < sh.nr) || sh.aInner && s.m == sh.mr {
+				continue
+			}
+			name := fmt.Sprintf("%dx%dx%d/%dx%d", s.m, s.n, s.k, sh.mr, sh.nr)
+			switch {
+			case sh.mr == 0:
+				name = fmt.Sprintf("%dx%dx%d/dot8", s.m, s.n, s.k)
+			case sh.aInner:
+				name += "/a-inner"
+			case s.m > sh.mr:
+				name += "/b-inner"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if sh.mr > 0 {
+						dotBand(dst, s.n, a, s.k, s.m, bt, s.k, s.n, s.k, false, sh.mr, sh.nr, sh.aInner)
+						continue
+					}
+					for r := 0; r < s.m; r++ {
+						for j := 0; j < s.n; j++ {
+							dst[r*s.n+j] = dotAsm(a[r*s.k:][:s.k], bt[j*s.k:][:s.k])
+						}
+					}
+				}
+				b.ReportMetric(float64(2*s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			})
+		}
+	}
 }

@@ -11,7 +11,7 @@ package tensor
 //
 //   - K is walked in gemmKC blocks on the grid anchored at row 0, ascending;
 //     within a block p ascends. A caller that walks K itself (one block per
-//     call, AccumPanelsKBlock) must hand over blocks of that grid.
+//     call, MatMulPanelsKBlock) must hand over blocks of that grid.
 //   - The kernel is chosen on the GLOBAL column grid of B, never relative to
 //     the requested range: column j runs the 16-wide FMA strip kernels iff
 //     j < PanelStripCols(N), whatever [c0, c1) it is computed in. A range
@@ -36,7 +36,11 @@ package tensor
 // (prepacked panels, a dense matrix's ragged columns) touch no scratch. A
 // conv in offset form (conv_gemm.go) generates nothing per block: its scratch
 // is the zero-padded image window, written once per call, which the offset
-// kernels read in place of packed strips.
+// kernels read in place of packed strips, and then the gemmKC-entry table of
+// the current K block's offsets. A dense B read in place keeps that table in
+// scratch's first gemmKC floats, which its strips, read from B, leave unused.
+
+import "unsafe"
 
 // driverScratch returns the scratch length of a product under that layout.
 // The asm build generates strips for every source (prepacked panels aside,
@@ -92,18 +96,23 @@ const (
 )
 
 // bStrips is K rows [pb, pe) of a run of whole 16-column strips as the strip
-// kernels read them. Packed form: strip s is packed[s·16·(pe−pb):] in
-// packPanel16 layout. Offset form (offs != nil; a conv reading its padded
-// window): the run starts at column ow of an outW-wide output row, x[0] is
-// K step 0's value for column 0 of that row, K step p lies offs[p] floats
-// further on, and the next output row ldx floats further on.
+// kernels read them. Packed form (offs == nil): strip s is b[s·16·(pe−pb):]
+// in packPanel16 layout. Offset form (a conv reading its padded window, a
+// dense B read in place): the run starts at column ow of an outW-wide output
+// row, b[0] is K step 0's value for column 0 of that row, K step p lies
+// offs[p] floats further on, and the next output row ldx floats further on.
+// Seven words, few enough to come back from strips in registers: a larger
+// result is returned through memory that every call zeroes first.
 type bStrips struct {
-	packed []float32
-
-	x             []float32
+	b             []float32
 	offs          *[gemmKC]int32
 	ow, outW, ldx int
 }
+
+// offsetForm reports whether the source hands its strips to the offset
+// kernels — a conv's padded window, a dense B read in place — and so needs
+// gemmDrive's offset table.
+func (s *gemmB) offsetForm() bool { return s.win != nil || s.inPlace }
 
 // strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1),
 // generated into buf, in place, or — the conv's offset form and an in-place
@@ -120,20 +129,20 @@ func (s *gemmB) strips(buf []float32, offs *[gemmKC]int32, pb, pe, j0, j1 int) b
 			for q := range offs[:pe-pb] {
 				offs[q] = int32(q * s.n)
 			}
-			return bStrips{x: s.b[pb*s.n:], offs: offs, ow: j0, outW: s.n, ldx: s.n}
+			return bStrips{b: s.b[pb*s.n:], offs: offs, ow: j0, outW: s.n, ldx: s.n}
 		}
 		packPanel16(buf, s.b, s.n, pb, pe, j0, j1)
 	case bDenseT:
 		packPanel16T(buf, s.b, s.k, pb, pe, j0, j1)
 	case bPanels:
-		return bStrips{packed: s.pp.stripsAt(buf, pb, pe, j0, j1)}
+		return bStrips{b: s.pp.stripsAt(buf, pb, pe, j0, j1)}
 	case bConv:
 		if s.win != nil {
 			return s.windowStrips(offs, pb, pe, j0)
 		}
 		convPackStrips(s.g, s.x, s.xRow0, s.xRows, buf, pb, pe, j0, j1-j0)
 	}
-	return bStrips{packed: buf}
+	return bStrips{b: buf}
 }
 
 // tile returns K rows [pb, pe) of columns [j0, j1) as a dense row-major tile
@@ -153,20 +162,22 @@ func (s *gemmB) tile(buf []float32, pb, pe, j0, j1 int) ([]float32, int) {
 }
 
 // gemmDrive adds Σ_p A[i, p]·B[p, j] over p ∈ [k0, k1) to output element
-// (i, j) for rows i ∈ [0, m) and B's columns j ∈ [c0, c1), clearing those
-// elements first when overwrite is set. Element (i, j) lives at
-// dst[i*ldd + j − c0] and A's (i, p) at a[i*lda + p − k0], so a compact
-// output tile and an A operand that exists one K block at a time are both
-// just leading dimensions. k0 must be a multiple of gemmKC.
+// (i, j) for rows i ∈ [0, m) and B's columns j ∈ [c0, c1) — or, when
+// overwrite is set, writes the sum as if those elements had been cleared
+// first. Element (i, j) lives at dst[i*ldd + j − c0] and A's (i, p) at
+// a[i*lda + p − k0], so a compact output tile and an A operand that exists
+// one K block at a time are both just leading dimensions. k0 must be a
+// multiple of gemmKC.
+//
+// Overwrite clears nothing the strip kernels write: their first K block adds
+// its sums to +0 in registers instead of to the loaded output (the kernels'
+// zero flag), the bits of clear-then-accumulate. Only the ragged columns,
+// which the AXPY and dot kernels accumulate into in memory, are cleared —
+// every column, on the portable build.
 func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	c0, c1, k0, k1 int, scratch []float32, overwrite bool) {
 	if m == 0 || c0 >= c1 {
 		return
-	}
-	if overwrite {
-		for i := 0; i < m; i++ {
-			clear(dst[i*ldd : i*ldd+c1-c0])
-		}
 	}
 	// Strip columns of the range, on the global grid: a cut head strip
 	// [c0, head), whole strips [head, body), a cut tail strip [body, cm).
@@ -174,24 +185,32 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	if cm := min(c1, n16); c0 < cm {
 		head := min((c0+gemmNR-1)&^(gemmNR-1), cm)
 		body := max(cm&^(gemmNR-1), head)
-		var offs [gemmKC]int32
+		var offs *[gemmKC]int32
+		if src.offsetForm() {
+			offs = offsTable(scratch[len(src.win):])
+		}
 		for jb := head; jb < body; {
 			je := min(jb-jb%gemmNC+gemmNC, body)
 			for pb := k0; pb < k1; pb += gemmKC {
 				pe := min(pb+gemmKC, k1)
-				gemmStripPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, &offs, pb, pe, jb, je), pe-pb, (je-jb)/gemmNR)
+				gemmStripPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, offs, pb, pe, jb, je), pe-pb, (je-jb)/gemmNR, overwrite && pb == k0)
 			}
 			jb = je
 		}
 		if c0 < head {
-			gemmCutStrip(dst, ldd, a, lda, m, src, c0&^(gemmNR-1), c0, head, k0, k1, scratch)
+			gemmCutStrip(dst, ldd, a, lda, m, src, c0&^(gemmNR-1), c0, head, k0, k1, scratch, overwrite)
 		}
 		if body < cm {
-			gemmCutStrip(dst[body-c0:], ldd, a, lda, m, src, body, body, cm, k0, k1, scratch)
+			gemmCutStrip(dst[body-c0:], ldd, a, lda, m, src, body, body, cm, k0, k1, scratch, overwrite)
 		}
 	}
 	// Ragged columns: fewer than 16 on the asm build, the whole range on the
 	// portable one.
+	if r0 := max(c0, n16); overwrite && r0 < c1 {
+		for i := 0; i < m; i++ {
+			clear(dst[i*ldd+r0-c0 : i*ldd+c1-c0])
+		}
+	}
 	for jb := max(c0, n16); jb < c1; {
 		je := min(jb-jb%gemmNC+gemmNC, c1)
 		for pb := k0; pb < k1; pb += gemmKC {
@@ -207,27 +226,37 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	}
 }
 
+// offsTable is the offset kernels' K-block table, held in the first gemmKC
+// floats of scratch (both element types are four bytes and hold no
+// pointers). Nothing clears it: a K block writes every entry it reads.
+func offsTable(scratch []float32) *[gemmKC]int32 {
+	return (*[gemmKC]int32)(unsafe.Pointer((*[gemmKC]float32)(scratch)))
+}
+
 // gemmCutStrip accumulates lanes [lo, hi) of the 16-column strip at global
-// column strip0 — a strip the range's edge cuts. The whole strip runs, all of
-// K, in an [m, 16] spill buffer seeded with the owned lanes of dst (dst[0] is
-// row 0's lane lo) and copied back: exactly the kernels and K order of the
-// uncut strip, so cut and uncut agree bit for bit. The unowned lanes compute
-// garbage nobody reads.
+// column strip0 — a strip the range's edge cuts — or, with overwrite, writes
+// them as gemmDrive does. The whole strip runs, all of K, in an [m, 16] spill
+// buffer seeded with the owned lanes of dst (dst[0] is row 0's lane lo; with
+// overwrite nothing is seeded and the first K block starts at +0) and copied
+// back: exactly the kernels and K order of the uncut strip, so cut and uncut
+// agree bit for bit. The unowned lanes compute garbage nobody reads.
 func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
-	strip0, lo, hi, k0, k1 int, scratch []float32) {
+	strip0, lo, hi, k0, k1 int, scratch []float32, overwrite bool) {
 	if src.win != nil {
 		// Offset form means whole-row ranges of a map whose rows are whole
 		// strips; its scratch is the window and has no spill buffer.
 		panic("tensor: a conv in offset form cannot cut a strip")
 	}
 	spill := scratch[gemmKC*gemmNC:][:m*gemmNR]
-	clear(spill)
-	for i := 0; i < m; i++ {
-		copy(spill[i*gemmNR+lo-strip0:i*gemmNR+hi-strip0], dst[i*ldd:])
+	if !overwrite {
+		clear(spill)
+		for i := 0; i < m; i++ {
+			copy(spill[i*gemmNR+lo-strip0:i*gemmNR+hi-strip0], dst[i*ldd:])
+		}
 	}
 	for pb := k0; pb < k1; pb += gemmKC {
 		pe := min(pb+gemmKC, k1)
-		gemmStripPart(spill, gemmNR, a[pb-k0:], lda, m, src.strips(scratch, nil, pb, pe, strip0, strip0+gemmNR), pe-pb, 1)
+		gemmStripPart(spill, gemmNR, a[pb-k0:], lda, m, src.strips(scratch, nil, pb, pe, strip0, strip0+gemmNR), pe-pb, 1, overwrite && pb == k0)
 	}
 	for i := 0; i < m; i++ {
 		copy(dst[i*ldd:i*ldd+hi-lo], spill[i*gemmNR+lo-strip0:])
@@ -254,8 +283,9 @@ func (bs *bStrips) next(base, ow int) (int, int) {
 // at a time and strips two at a time to the 8×32 kernels first (a single
 // row's strips four at a time to the 1×64 ones), and only the rows and the
 // odd strip left over to the 256-bit kernels; each lane's chain is the same
-// in all of them, so the width moves no bit.
-func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, kc, ns int) {
+// in all of them, so the width moves no bit. zero is the kernels' flag: the
+// outputs are taken as +0 instead of loaded.
+func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, kc, ns int, zero bool) {
 	i := 0
 	if useGemm512 && ns >= 2 {
 		for ; i+2*gemmMR <= m; i += 2 * gemmMR {
@@ -264,32 +294,32 @@ func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, 
 			for ; s+2 <= ns; s += 2 {
 				ai, o := &a[i*lda], &dst[i*ldd+s*gemmNR]
 				if bs.offs == nil {
-					gemm8x32(kc, ai, lda, &bs.packed[s*gemmNR*kc], &bs.packed[(s+1)*gemmNR*kc], o, ldd)
+					gemm8x32(kc, ai, lda, &bs.b[s*gemmNR*kc], &bs.b[(s+1)*gemmNR*kc], o, ldd, zero)
 					continue
 				}
 				base1, ow1 := bs.next(base, ow)
-				gemm8x32o(kc, ai, lda, &bs.x[base], &bs.x[base1], &bs.offs[0], o, ldd)
+				gemm8x32o(kc, ai, lda, &bs.b[base], &bs.b[base1], &bs.offs[0], o, ldd, zero)
 				base, ow = bs.next(base1, ow1)
 			}
 			if s < ns { // the odd strip out
-				gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, s, ns, base, ow)
-				gemmStripRows4(dst[(i+gemmMR)*ldd:], ldd, a[(i+gemmMR)*lda:], lda, bs, kc, s, ns, base, ow)
+				gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, s, ns, base, ow, zero)
+				gemmStripRows4(dst[(i+gemmMR)*ldd:], ldd, a[(i+gemmMR)*lda:], lda, bs, kc, s, ns, base, ow, zero)
 			}
 		}
 	}
 	for ; i+gemmMR <= m; i += gemmMR {
-		gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, 0, ns, bs.ow, bs.ow)
+		gemmStripRows4(dst[i*ldd:], ldd, a[i*lda:], lda, bs, kc, 0, ns, bs.ow, bs.ow, zero)
 	}
 	for ; i < m; i++ {
 		ai, o := &a[i*lda], dst[i*ldd:]
 		if bs.offs == nil {
 			s := 0
 			if useGemm512 && ns >= 4 {
-				gemm1x64s(kc, ns/4, ai, &bs.packed[0], &o[0])
+				gemm1x64s(kc, ns/4, ai, &bs.b[0], &o[0], zero)
 				s = ns &^ 3
 			}
 			if s < ns {
-				gemm1x16s(kc, ns-s, ai, &bs.packed[s*gemmNR*kc], &o[s*gemmNR])
+				gemm1x16s(kc, ns-s, ai, &bs.b[s*gemmNR*kc], &o[s*gemmNR], zero)
 			}
 			continue
 		}
@@ -300,11 +330,11 @@ func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, 
 			seg := min((bs.outW-ow)/gemmNR, ns-s)
 			q := 0
 			if useGemm512 && seg >= 4 {
-				gemm1x64so(kc, seg/4, ai, &bs.x[base], &bs.offs[0], &o[s*gemmNR])
+				gemm1x64so(kc, seg/4, ai, &bs.b[base], &bs.offs[0], &o[s*gemmNR], zero)
 				q = seg &^ 3
 			}
 			if q < seg {
-				gemm1x16so(kc, seg-q, ai, &bs.x[base+q*gemmNR], &bs.offs[0], &o[(s+q)*gemmNR])
+				gemm1x16so(kc, seg-q, ai, &bs.b[base+q*gemmNR], &bs.offs[0], &o[(s+q)*gemmNR], zero)
 			}
 			s += seg
 			base, ow = base+seg*gemmNR+bs.ldx-bs.outW, 0
@@ -315,15 +345,15 @@ func gemmStripPart(dst []float32, ldd int, a []float32, lda, m int, bs bStrips, 
 // gemmStripRows4 runs the 256-bit 4-row kernels over strips [s0, s1) for the
 // four rows at a and dst; in offset form strip s0 is at window position
 // (base, ow).
-func gemmStripRows4(dst []float32, ldd int, a []float32, lda int, bs bStrips, kc, s0, s1, base, ow int) {
+func gemmStripRows4(dst []float32, ldd int, a []float32, lda int, bs bStrips, kc, s0, s1, base, ow int, zero bool) {
 	a0, a1, a2, a3 := &a[0], &a[lda], &a[2*lda], &a[3*lda]
 	for s := s0; s < s1; s++ {
 		o := dst[s*gemmNR:]
 		if bs.offs == nil {
-			gemm4x16(kc, a0, a1, a2, a3, &bs.packed[s*gemmNR*kc], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+			gemm4x16(kc, a0, a1, a2, a3, &bs.b[s*gemmNR*kc], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd], zero)
 			continue
 		}
-		gemm4x16o(kc, a0, a1, a2, a3, &bs.x[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd])
+		gemm4x16o(kc, a0, a1, a2, a3, &bs.b[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd], zero)
 		base, ow = bs.next(base, ow)
 	}
 }
@@ -375,14 +405,10 @@ func axpy1(av float32, brow, o0 []float32) {
 
 // gemmDotPart accumulates dst[i*ldd+j] += a[i*lda:][:kc] · bt[j*ldb:][:kc]
 // for a transposed operand: the portable kernel of the transposed-B product,
-// and on the asm build its ragged column tail (through dot8).
+// and on the asm build its ragged column tail (DotFast's bits, through the
+// dot tile kernels).
 func gemmDotPart(dst []float32, ldd int, a []float32, lda, m int, bt []float32, ldb, kc, w int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda : i*lda+kc]
-		for j := 0; j < w; j++ {
-			dst[i*ldd+j] += DotFast(arow, bt[j*ldb:j*ldb+kc])
-		}
-	}
+	dotTile(dst, ldd, a, lda, m, bt, ldb, w, kc, true)
 }
 
 // packPanel16 copies B rows [pb,pe) × cols [jb,jfullEnd) — a whole number of

@@ -36,7 +36,7 @@ func TestGemmDriverZeroAlloc(t *testing.T) {
 				"transposed, accum":   func() { MatMulAccTSerialInto(accDst, accA, accB, scratch) },
 				"panels, prepacked":   func() { MatMulPanelsInto(out, a, prepacked, scratch) },
 				"panels, remat":       func() { MatMulPanelsInto(out, a, remat, scratch) },
-				"panels, one K block": func() { AccumPanelsKBlock(out.Data, n, a.Data, k, 1, prepacked, 0, k, nil) },
+				"panels, one K block": func() { MatMulPanelsKBlock(out.Data, n, a.Data, k, 1, prepacked, 0, k, nil) },
 				"conv, full map":      func() { ConvMulSerialInto(convOut, wmat, g, x, scratch) },
 				"conv, cut tile":      func() { ConvMulRowsInto(convOut.Data, 12*12, 3*12, wmat, g, x, 0, 12, 3, 7, scratch) },
 				"conv, wide map":      func() { ConvMulSerialInto(wideOut, wmat, gw, xw, scratch) },
@@ -261,6 +261,157 @@ func TestDenseInPlaceMatchesPacked(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestGemmOverwriteMatchesClear is the zero-start gate: an overwriting
+// product (its strip kernels start the first K block at +0 in registers and
+// never load the output) gives exactly the bits of clearing the output and
+// accumulating into it — at both widths and on the portable build, through
+// every B source, on K block edges (1, 255, 256, 257, 600), at row counts
+// that give leftover rows alone, a 4-row group, an 8-row group and both with
+// a leftover (so through all eight strip kernels), on ranges that cut their
+// first and last strip, on single K blocks
+// past the first (MatMulPanelsKBlock's range) and on convs in offset and
+// packed form. The output starts as NaN, so a lane the product fails to write
+// shows. A carries rows of exact zeros of both signs and rows of 1e-30 that
+// meet B columns of −1e-30: every product there rounds to −0, so the lane
+// sums to −0 — which the clear turns into +0 and the zero start must too. B
+// also carries a NaN and an Inf.
+func TestGemmOverwriteMatchesClear(t *testing.T) {
+	nanFill := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = f32NaN
+		}
+		return x
+	}
+	// check runs product — m rows of w outputs from dst[off], ldd apart —
+	// onto a NaN output with overwrite, and again onto a NaN output whose
+	// product region it clears first, without; then compares the bits.
+	check := func(name string, size, off, ldd, m, w int, product func(dst []float32, overwrite bool)) {
+		t.Helper()
+		got, want := nanFill(size), nanFill(size)
+		product(got, true)
+		for i := 0; i < m; i++ {
+			clear(want[off+i*ldd : off+i*ldd+w])
+		}
+		product(want, false)
+		if i := bitsDiffer(got, want); i >= 0 {
+			t.Fatalf("%s: element %d is %v (%#x) overwritten, %v (%#x) cleared then accumulated",
+				name, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+	rowCounts := []int{1, 3, 4, 8, 12, 13}
+	underflowA := func(seed int64, m, k int) *Tensor {
+		a := randMat(seed, m, k)
+		for r := 0; r < m; r++ {
+			for p := 0; p < k; p++ {
+				switch r % 4 {
+				case 1:
+					a.Data[r*k+p] = 1e-30
+				case 2:
+					a.Data[r*k+p] = f32(uint32(p%2) << 31) // ±0
+				}
+			}
+		}
+		return a
+	}
+	underflowB := func(seed int64, k, n int) *Tensor {
+		b := randMat(seed, k, n)
+		for p := 0; p < k; p++ {
+			for j := 0; j < n; j += 5 {
+				b.Data[p*n+j] = -1e-30
+			}
+		}
+		if len(b.Data) > 8 {
+			b.Data[len(b.Data)/3+1] = float32(math.Inf(1))
+			b.Data[len(b.Data)/2+1] = f32NaN
+		}
+		return b
+	}
+	for _, mode := range []struct {
+		name      string
+		asm, wide bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}} {
+		runWithGemm512(mode.wide, func() {
+			runWithAsm(mode.asm, func() {
+				for _, k := range []int{1, 255, 256, 257, 600} {
+					for _, strips := range []int{1, 2, 3, 4, 5, 17} {
+						n := strips*gemmNR + 3
+						b := underflowB(int64(k+strips), k, n)
+						bt := Transpose(b)
+						gen := NewBipolarGen(int64(k*strips), k, n)
+						genMat := New(k, n)
+						gen.FillInto(genMat)
+						sources := []struct {
+							name string
+							src  gemmB
+						}{
+							{"dense", gemmB{kind: bDense, n: n, b: b.Data}},
+							{"dense, in place", gemmB{kind: bDense, n: n, b: b.Data, inPlace: mode.asm}},
+							{"transposed", gemmB{kind: bDenseT, n: n, b: bt.Data, k: k}},
+							{"prepacked", gemmB{kind: bPanels, n: n, pp: PrepackPanels(b)}},
+							{"remat", gemmB{kind: bPanels, n: n, pp: RematPanels(gen)}},
+						}
+						for _, m := range rowCounts {
+							a := underflowA(int64(m), m, k)
+							scratch := make([]float32, driverScratch(true, m))
+							for _, c := range [][2]int{{0, n}, {5, strips*gemmNR - 3}} {
+								c0, c1 := c[0], c[1]
+								for _, s := range sources {
+									check(fmt.Sprintf("%s: %s k=%d strips=%d m=%d cols [%d, %d)", mode.name, s.name, k, strips, m, c0, c1), m*n, 0, n, m, c1-c0,
+										func(dst []float32, overwrite bool) {
+											gemmDrive(dst, n, a.Data, k, m, &s.src, c0, c1, 0, k, scratch, overwrite)
+										})
+								}
+							}
+							// One K block past the first, its A a compact tile, as
+							// the class scorer hands its query blocks over.
+							for pb := gemmKC; pb < k; pb += gemmKC {
+								pe := min(pb+gemmKC, k)
+								tile := make([]float32, 0, m*(pe-pb))
+								for i := 0; i < m; i++ {
+									tile = append(tile, a.Data[i*k+pb:i*k+pe]...)
+								}
+								for _, s := range sources[3:] {
+									check(fmt.Sprintf("%s: %s K block [%d, %d) of %d, strips=%d m=%d", mode.name, s.name, pb, pe, k, strips, m), m*n, 0, n, m, n,
+										func(dst []float32, overwrite bool) {
+											panelsKBlock(dst, n, tile, pe-pb, m, s.src.pp, pb, pe, scratch, overwrite)
+										})
+								}
+							}
+						}
+					}
+				}
+
+				// Convs: offset form at OutW 16, 48 and 64 (pairs straddling row
+				// wraps, a leftover row's four strips), packed form at 24 — the
+				// portable build runs them all packed — over a whole map and a
+				// row tile.
+				for _, outW := range []int{16, 48, 64, 24} {
+					for _, kr := range []struct{ inC, kh, kw, pad int }{{1, 1, 1, 0}, {3, 3, 3, 1}, {29, 3, 3, 1}} {
+						outH := 3
+						g := ConvGeom{InC: kr.inC, InH: outH + kr.kh - 1 - 2*kr.pad, InW: outW + kr.kw - 1 - 2*kr.pad,
+							KH: kr.kh, KW: kr.kw, StrideH: 1, StrideW: 1, PadH: kr.pad, PadW: kr.pad}
+						kdim, nOut := g.InC*g.KH*g.KW, outH*outW
+						x := underflowB(int64(outW), 1, g.InC*g.InH*g.InW).Data
+						for _, m := range rowCounts {
+							w := underflowA(int64(m+kdim), m, kdim)
+							for _, rows := range [][2]int{{0, outH}, {1, outH - 1}} {
+								or0, or1 := rows[0], rows[1]
+								scratch := make([]float32, convScratch(g, or1-or0, m))
+								check(fmt.Sprintf("%s: conv OutW=%d kernel %+v rows [%d, %d) m=%d", mode.name, outW, kr, or0, or1, m), m*nOut, or0*outW, nOut, m, (or1-or0)*outW,
+									func(dst []float32, overwrite bool) {
+										src := convB(g, x, 0, g.InH, scratch, or0, or1)
+										gemmDrive(dst[or0*outW:], nOut, w.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, overwrite)
+									})
+							}
+						}
+					}
+				}
+			})
 		})
 	}
 }

@@ -157,20 +157,28 @@ func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
 	gemmDrive(dst.Data, pp.n, a.Data, pp.k, m, &src, 0, pp.n, 0, pp.k, scratch, true)
 }
 
-// AccumPanelsKBlock adds one K block of a @ B to every column of dst:
-// dst[i*ldd+j] += Σ_p a[i*lda+p−pb]·B[p, j], p ∈ [pb, pe), for rows i ∈ [0, m).
+// MatMulPanelsKBlock writes one K block of a @ B to every column of dst:
+// dst[i*ldd+j] = Σ_p a[i*lda+p−pb]·B[p, j], p ∈ [pb, pe), for rows i ∈ [0, m).
 // a is a compact tile of that K range only, for an A operand that exists one
 // block at a time (the serving tail's signed query block against the class
-// strips); the caller walks K and owns the accumulator. [pb, pe) must be one
-// block of the K grid: pb a multiple of PanelBlockCols, pe the next one or K.
-// Same kernels and per-element order as one K step of MatMulPanelsBlock;
-// scratch is needed only by rematerializing panels.
-func AccumPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanels, pb, pe int, scratch []float32) {
+// strips). [pb, pe) must be one block of the K grid: pb a multiple of
+// PanelBlockCols, pe the next one or K. Same kernels and per-element order
+// as one K step of MatMulPanelsBlock, and the bits of clearing dst and
+// accumulating into it, without the clear (the strip kernels start the block
+// at +0 in registers); scratch is needed only by rematerializing panels.
+func MatMulPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanels, pb, pe int, scratch []float32) {
+	panelsKBlock(dst, ldd, a, lda, m, pp, pb, pe, scratch, true)
+}
+
+// panelsKBlock is MatMulPanelsKBlock, adding the block's sums to dst instead
+// of writing them when overwrite is off: the walk a caller accumulating over
+// K runs.
+func panelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanels, pb, pe int, scratch []float32, overwrite bool) {
 	if pb < 0 || pb%gemmKC != 0 || pe <= pb || pe > pp.k || (pe != pb+gemmKC && pe != pp.k) {
-		panic(fmt.Sprintf("tensor: AccumPanelsKBlock rows [%d, %d) are not a K block of %d (block %d)", pb, pe, pp.k, gemmKC))
+		panic(fmt.Sprintf("tensor: panel K block rows [%d, %d) are not a K block of %d (block %d)", pb, pe, pp.k, gemmKC))
 	}
 	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
-	gemmDrive(dst, ldd, a, lda, m, &src, 0, pp.n, pb, pe, scratch, false)
+	gemmDrive(dst, ldd, a, lda, m, &src, 0, pp.n, pb, pe, scratch, overwrite)
 }
 
 func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {

@@ -155,13 +155,13 @@ func TestMatMulPanelsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAccumPanelsKBlock pins the K-block entry — the product turned on its
-// side, the caller walking K with a compact A tile per block — against
-// MatMulPanelsInto, bit for bit, for both backings; and, as the
-// asm-vs-portable differential, compares the
-// two builds' walks (fused vs separately rounded multiply-adds: the O(√K·ε)
-// bound of TestMatMulMatchesNaive). The first three shapes are class-memory
-// panels: N a multiple of 16 (no ragged tail), below and above one NC block.
+// TestAccumPanelsKBlock pins the accumulating K-block walk (panelsKBlock) —
+// the product turned on its side, the caller walking K with a compact A tile
+// per block — against MatMulPanelsInto, bit for bit, for both backings; and,
+// as the asm-vs-portable differential, compares the two builds' walks (fused
+// vs separately rounded multiply-adds: the O(√K·ε) bound of
+// TestMatMulMatchesNaive). The first three shapes are class-memory panels: N
+// a multiple of 16 (no ragged tail), below and above one NC block.
 func TestAccumPanelsKBlock(t *testing.T) {
 	shapes := append([]struct{ m, k, n int }{{5, 700, 96}, {65, 513, 304}, {1, 256, 16}}, panelShapes...)
 	pscratch := make([]float32, PanelScratch())
@@ -187,7 +187,7 @@ func TestAccumPanelsKBlock(t *testing.T) {
 						for i := 0; i < s.m; i++ {
 							tile = append(tile, a.Row(i)[pb:pe]...)
 						}
-						AccumPanelsKBlock(got.Data, s.n, tile, pe-pb, s.m, pp, pb, pe, pscratch)
+						panelsKBlock(got.Data, s.n, tile, pe-pb, s.m, pp, pb, pe, pscratch, false)
 					}
 					for i := range want.Data {
 						if got.Data[i] != want.Data[i] {
@@ -213,10 +213,10 @@ func TestAccumPanelsKBlockPanics(t *testing.T) {
 	pp := PrepackPanels(New(600, 32))
 	dst, a := make([]float32, 32), make([]float32, 256)
 	for name, f := range map[string]func(){
-		"unaligned start": func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 16, 272, nil) },
-		"short block":     func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 100, nil) },
-		"two blocks":      func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 0, 512, nil) },
-		"past K":          func() { AccumPanelsKBlock(dst, 32, a, 256, 1, pp, 512, 768, nil) },
+		"unaligned start": func() { panelsKBlock(dst, 32, a, 256, 1, pp, 16, 272, nil, false) },
+		"short block":     func() { panelsKBlock(dst, 32, a, 256, 1, pp, 0, 100, nil, false) },
+		"two blocks":      func() { panelsKBlock(dst, 32, a, 256, 1, pp, 0, 512, nil, false) },
+		"past K":          func() { panelsKBlock(dst, 32, a, 256, 1, pp, 512, 768, nil, false) },
 	} {
 		func() {
 			defer func() {

@@ -268,14 +268,30 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulT times the dot-kernel product on one core at the shapes it
+// serves, at both widths (the /avx2 rows are dot8 per output, the /avx512
+// rows the register-tiled dot kernels): the manifold FC of offline_tail (one
+// 64-image chunk), of embedded_large (batch 1 against 7.4 MB of weights) and
+// of online_single, the train workload's Linear, and HD similarity scoring.
 func BenchmarkMatMulT(b *testing.B) {
-	a := randMat(1, 64, 3000)
-	bt := randMat(2, 10, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulT(a, bt)
+	for _, s := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"fc_offline_tail_64x100x1024", 64, 100, 1024},
+		{"fc_embedded_large_1x100x18432", 1, 100, 18432},
+		{"fc_online_single_1x100x2048", 1, 100, 2048},
+		{"linear_train_32x1024x1024", 32, 1024, 1024},
+		{"similarity_512x10x3000", 512, 10, 3000},
+	} {
+		a, bt, dst := randMat(1, s.m, s.k), randMat(2, s.n, s.k), New(s.m, s.n)
+		tensortest.BenchWidths(b, s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTSerialInto(dst, a, bt)
+			}
+			b.ReportMetric(float64(2*s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+		})
 	}
-	b.ReportMetric(float64(2*64*10*3000*b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 }
 
 func BenchmarkTranspose(b *testing.B) {
