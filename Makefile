@@ -25,7 +25,6 @@ staticcheck:
 # steady state (AllocsPerRun == 0) at chunk size and at batch 1, for both
 # classifier kernels and every tail case — prepacked, rematerialized and
 # planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
-# the compressed int4/ternary predict path (TestEngineZeroAllocCompressed),
 # the implicit-GEMM conv path, and the fused extraction blocks
 # (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract),
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2
@@ -75,14 +74,16 @@ v3:
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
 
-# Fuzz the untrusted byte surfaces of the serving front end beyond the
-# checked-in corpora under internal/serve/testdata/fuzz/, which `make test`
-# already runs: the /predict JSON decoder against encoding/json (the
-# differential oracle of TestDecodeInputsMatchesEncodingJSON) and the binary
-# request frame of /predict. One target at a time is all `go test -fuzz` takes.
+# Fuzz the untrusted byte surfaces beyond the checked-in corpora under
+# internal/*/testdata/fuzz/, which `make test` already runs: the /predict JSON
+# decoder against encoding/json (the differential oracle of
+# TestDecodeInputsMatchesEncodingJSON), the binary request frame of /predict,
+# and the model snapshot a serving process reloads (core.Load). One target at
+# a time is all `go test -fuzz` takes.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeInputs -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 60s ./internal/core/
 
 # Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
 # products and conv layers at both kernel widths, the dot-kernel products at the

@@ -22,12 +22,10 @@ func main() {
 	packed := flag.Bool("packed", true, "with -pipeline: compile the packed popcount classifier")
 	remat := flag.Bool("remat", false, "with -pipeline: rematerialize the projection from its seed (O(1) encoder bytes)")
 	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion: auto (fuse runs that clear the size gate) or off (layer-by-layer)")
-	compress := flag.Float64("compress", 0, "with -pipeline: run the post-training compression search with this max accuracy drop (points) and report the chosen plan")
-	calib := flag.Int("calib", 128, "with -compress: synthetic calibration sample count")
 	flag.Parse()
 
 	if *pipeline != "" {
-		if err := servingFacts(*pipeline, *packed, *remat, *fuse, *compress, *calib); err != nil {
+		if err := servingFacts(*pipeline, *packed, *remat, *fuse); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -56,7 +54,7 @@ func main() {
 // servingFacts compiles a snapshot into a frozen engine and prints what an
 // operator needs to deploy it behind nshd-serve: input/batch shape, memory
 // per replica, and batcher sizing derived from the compiled chunk size.
-func servingFacts(path string, packed bool, remat bool, fuse string, compress float64, calib int) error {
+func servingFacts(path string, packed bool, remat bool, fuse string) error {
 	p, err := nshd.LoadPipeline(path)
 	if err != nil {
 		return err
@@ -112,49 +110,6 @@ func servingFacts(path string, packed bool, remat bool, fuse string, compress fl
 	}
 	fmt.Printf("  %-22s MaxBatch=%d MaxDelay=1ms QueueCap=%d  (nshd-serve defaults)\n",
 		"batcher sizing", eng.ChunkSize(), 4*eng.ChunkSize())
-	if compress > 0 {
-		return compressReport(eng, compress, calib)
-	}
-	return nil
-}
-
-// compressReport runs the post-training compression search against a
-// synthetic calibration batch (no labels, so the budget is measured as
-// prediction agreement with the uncompressed engine) and prints the chosen
-// plan with its per-stage byte ledger.
-func compressReport(eng *nshd.Engine, maxDrop float64, calib int) error {
-	if calib < 2 {
-		return fmt.Errorf("-calib must be at least 2, got %d", calib)
-	}
-	in := eng.InShape()
-	if in[0] != 3 || in[1] != in[2] {
-		return fmt.Errorf("-compress needs a square 3-channel input to synthesize calibration data, got %v", in)
-	}
-	_, cal := nshd.SynthCIFAR(nshd.SynthConfig{
-		Classes: eng.Classes(), Train: 1, Test: calib, Size: in[1], Noise: 0.25, Seed: 17,
-	})
-	ceng, rep, err := eng.Compress(nshd.CompressTarget{Calib: cal.Images, MaxAccuracyDrop: maxDrop})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\ncompression search (budget %.2f pt agreement drop, %d calibration samples)\n", maxDrop, calib)
-	fmt.Printf("  %-22s D=%d -> D=%d  (keep %d/%d blocks, ratio %.2f)\n", "dimension pruning",
-		rep.OrigD, rep.D, len(rep.KeepBlocks), (rep.OrigD+255)/256, rep.KeepRatio)
-	fmt.Printf("  %-22s blocks %v\n", "", rep.KeepBlocks)
-	fmt.Printf("  %-22s %s (rank %d)\n", "scorer precision", rep.Precision, rep.Rank)
-	fmt.Printf("  %-22s %.2f%% -> %.2f%% agreement (drop %.2f pt, holdout %d, %d candidates)\n",
-		"calibration", rep.CalibBefore, rep.CalibAfter, rep.CalibDrop, rep.Holdout, rep.Candidates)
-	fmt.Printf("  %-22s %d -> %d bytes (%.2fx smaller)\n", "serving weights",
-		rep.BytesBefore, rep.BytesAfter, float64(rep.BytesBefore)/float64(rep.BytesAfter))
-	fmt.Printf("  %-22s before:\n", "per stage")
-	for _, b := range rep.StagesBefore {
-		fmt.Printf("  %-22s %12d  %s\n", "", b.Bytes, b.Name)
-	}
-	fmt.Printf("  %-22s after:\n", "")
-	for _, b := range rep.StagesAfter {
-		fmt.Printf("  %-22s %12d  %s\n", "", b.Bytes, b.Name)
-	}
-	fmt.Printf("  %-22s %v\n", "compressed stages", ceng.Stages())
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 
 	"nshd/internal/cnn"
@@ -58,13 +59,22 @@ func Load(path string) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: load pipeline: %w", err)
 	}
 	defer f.Close()
-	var s snapshot
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+	return load(f, path)
+}
+
+// load is Load on an open snapshot stream; name labels its errors.
+func load(r io.Reader, name string) (*Pipeline, error) {
+	// gob sizes a nil map by the entry count the stream claims, before it
+	// reads a single entry, so a few hostile bytes could make it allocate
+	// gigabytes — and running out of memory is fatal, not a panic. Into a map
+	// that already exists it inserts only the entries the stream carries.
+	s := snapshot{Zoo: &nn.Snapshot{Tensors: map[string][]float32{}, Shapes: map[string][]int{}}}
+	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("core: decode pipeline: %w", err)
 	}
 	p, err := s.restore()
 	if err != nil {
-		return nil, fmt.Errorf("core: load pipeline %s: %w", path, err)
+		return nil, fmt.Errorf("core: load pipeline %s: %w", name, err)
 	}
 	return p, nil
 }
@@ -81,7 +91,7 @@ func (s *snapshot) restore() (*Pipeline, error) {
 	if err := s.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Zoo == nil {
+	if s.Zoo == nil || len(s.Zoo.Tensors) == 0 {
 		return nil, fmt.Errorf("core: snapshot has no CNN weights")
 	}
 	if len(s.M)/s.Cfg.D != s.Cfg.Classes || len(s.M)%s.Cfg.D != 0 {

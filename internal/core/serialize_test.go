@@ -9,28 +9,109 @@ import (
 	"testing"
 
 	"nshd/internal/cnn"
+	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
+
+// snapshotClasses is the class count of goodSnapshot's model.
+const snapshotClasses = 4
+
+// goodSnapshot returns the bytes of a valid snapshot: mobilenetv2, the
+// smallest registered zoo model (Load rebuilds models by registered name), cut
+// at layer 5.
+func goodSnapshot(tb testing.TB) []byte {
+	zoo, err := cnn.Build("mobilenetv2", tensor.NewRNG(42), snapshotClasses)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := testConfig(snapshotClasses)
+	cfg.CutLayer = 5
+	p, err := New(zoo, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "good.gob")
+	if err := p.Save(path); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// hostileSnapshots derives from a valid snapshot's bytes the well-formed but
+// wrong, and the cut-off, snapshots Load must refuse.
+func hostileSnapshots(tb testing.TB, raw []byte) map[string][]byte {
+	// mutated re-encodes the good snapshot after edit has damaged it.
+	mutated := func(edit func(s *snapshot)) []byte {
+		var s snapshot
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
+			tb.Fatal(err)
+		}
+		edit(&s)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return map[string][]byte{
+		"nil Zoo":          mutated(func(s *snapshot) { s.Zoo = nil }),
+		"zero classes":     mutated(func(s *snapshot) { s.Cfg.Classes = 0 }),
+		"negative classes": mutated(func(s *snapshot) { s.Cfg.Classes = -3 }),
+		"zero D":           mutated(func(s *snapshot) { s.Cfg.D = 0 }),
+		"unknown zoo name": mutated(func(s *snapshot) { s.ZooName = "resnet9000" }),
+		"truncated":        raw[:len(raw)/2],
+		"CNN tensor one element short": mutated(func(s *snapshot) {
+			for k, v := range s.Zoo.Tensors {
+				s.Zoo.Tensors[k] = v[:len(v)-1]
+				return
+			}
+		}),
+		"class matrix of another D": mutated(func(s *snapshot) { s.M = s.M[:len(s.M)-snapshotClasses] }),
+		// F̂ sizes what New allocates, so it has to be checked against the
+		// tensors the file carries before New runs (1<<20 keeps the miss cheap).
+		"FHat beyond the manifold tensors": mutated(func(s *snapshot) { s.Cfg.FHat = 1 << 20 }),
+		"no manifold tensors":              mutated(func(s *snapshot) { s.Manifold = nil }),
+		"FHat not the bias length":         mutated(func(s *snapshot) { s.Cfg.FHat /= 2 }),
+		"tensor map claims 4 Mi entries":   mapCountBomb(tb),
+	}
+}
+
+// mapCountBomb is a snapshot of a few hundred bytes whose CNN tensor map
+// claims 2²² entries and carries one. The count is written in place of four
+// bytes of the label in front of it, so no length prefix changes: gob writes
+// the label as its length and bytes, the map's field delta 1, then its count
+// — 1, one byte — and the first key.
+func mapCountBomb(tb testing.TB) []byte {
+	s := snapshot{
+		Cfg:     testConfig(snapshotClasses),
+		ZooName: "mobilenetv2",
+		Zoo:     &nn.Snapshot{Label: "padding!", Tensors: map[string][]float32{"t": nil}},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+		tb.Fatal(err)
+	}
+	from, to := "\x08padding!\x01\x01\x01t", "\x04padd\x01\xfc\x00\x40\x00\x00\x01t"
+	out := bytes.Replace(buf.Bytes(), []byte(from), []byte(to), 1)
+	if bytes.Equal(out, buf.Bytes()) {
+		tb.Fatal("gob no longer encodes the label and the tensor map as expected")
+	}
+	return out
+}
 
 // TestLoadHostileSnapshot: a snapshot is whatever file is on disk when a
 // serving process reloads, so every well-formed-but-wrong or cut-off gob must
 // come back from Load as an error — never a panic — and the untouched
 // snapshot must still load.
 func TestLoadHostileSnapshot(t *testing.T) {
-	const classes = 4
-	zoo, err := cnn.Build("mobilenetv2", tensor.NewRNG(42), classes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(classes)
-	cfg.CutLayer = 5
-	p, err := New(zoo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := goodSnapshot(t)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.gob")
-	if err := p.Save(good); err != nil {
+	if err := os.WriteFile(good, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	// loadAlloc is Load plus the bytes it allocated: a hostile header must not
@@ -46,43 +127,7 @@ func TestLoadHostileSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("untouched snapshot: %v", err)
 	}
-	raw, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// mutated re-encodes the good snapshot after edit has damaged it.
-	mutated := func(edit func(s *snapshot)) []byte {
-		var s snapshot
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
-			t.Fatal(err)
-		}
-		edit(&s)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for name, data := range map[string][]byte{
-		"nil Zoo":          mutated(func(s *snapshot) { s.Zoo = nil }),
-		"zero classes":     mutated(func(s *snapshot) { s.Cfg.Classes = 0 }),
-		"negative classes": mutated(func(s *snapshot) { s.Cfg.Classes = -3 }),
-		"zero D":           mutated(func(s *snapshot) { s.Cfg.D = 0 }),
-		"unknown zoo name": mutated(func(s *snapshot) { s.ZooName = "resnet9000" }),
-		"truncated":        raw[:len(raw)/2],
-		"CNN tensor one element short": mutated(func(s *snapshot) {
-			for k, v := range s.Zoo.Tensors {
-				s.Zoo.Tensors[k] = v[:len(v)-1]
-				return
-			}
-		}),
-		"class matrix of another D": mutated(func(s *snapshot) { s.M = s.M[:len(s.M)-classes] }),
-		// F̂ sizes what New allocates, so it has to be checked against the
-		// tensors the file carries before New runs (1<<20 keeps the miss cheap).
-		"FHat beyond the manifold tensors": mutated(func(s *snapshot) { s.Cfg.FHat = 1 << 20 }),
-		"no manifold tensors":              mutated(func(s *snapshot) { s.Manifold = nil }),
-		"FHat not the bias length":         mutated(func(s *snapshot) { s.Cfg.FHat /= 2 }),
-	} {
+	for name, data := range hostileSnapshots(t, raw) {
 		path := filepath.Join(dir, "bad.gob")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
@@ -102,4 +147,24 @@ func TestLoadHostileSnapshot(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot loader: the outcome is a
+// pipeline or an error, never a panic. The seeds are the valid snapshot and
+// TestLoadHostileSnapshot's cases, built here because a snapshot carries
+// ≈ 0.7 MB of weights, plus the small inputs checked in under
+// testdata/fuzz/FuzzLoad: header-only snapshots the fuzzer mutates cheaply,
+// and what it found.
+func FuzzLoad(f *testing.F) {
+	raw := goodSnapshot(f)
+	f.Add(raw)
+	for _, data := range hostileSnapshots(f, raw) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := load(bytes.NewReader(data), "fuzz input")
+		if (p == nil) == (err == nil) {
+			t.Fatalf("load returned a pipeline: %v, and the error %v", p != nil, err)
+		}
+	})
 }

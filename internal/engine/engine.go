@@ -95,12 +95,6 @@ type Engine struct {
 	proto  *tensor.Arena
 	arenas *parallel.Freelist[*tensor.Arena]
 	fans   *parallel.Freelist[*fanout]
-
-	// src is the SOURCE pipeline the engine was compiled from (before any
-	// compression plan was applied) and opts the resolved compile options —
-	// what Engine.Compress needs to derive and compile candidate plans.
-	src  *core.Pipeline
-	opts compileOptions
 }
 
 type extractStage struct{ ex *nn.Sequential }
@@ -163,39 +157,6 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt.applyOption(&o)
 	}
-	e, err := compileResolved(p, o)
-	if err == nil {
-		// Compile is the last thing the engine allocates, and it leaves the
-		// measuring arena's buffers behind as garbage. Collect now, while the
-		// model is live, so that the heap goal is set from the model: left to
-		// chance, a process that builds models one after another (a reload,
-		// the benchmark's repeated fixture builds) can have its next cycle
-		// fall where the previous model is already dead, the goal collapses
-		// to what little is live, the scavenger returns tens of MB to the OS
-		// and the next build re-faults them (measured: CHANGES.md, PR 27).
-		runtime.GC()
-	}
-	return e, err
-}
-
-// compileResolved is Compile after option resolution — the entry point
-// Engine.Compress uses to build candidate engines from an options struct it
-// assembled itself. When a compression plan is present the pipeline compiled
-// is a DERIVED one (pruned projection/class columns, factorized manifold);
-// the engine records the source pipeline and the plan so the compressed
-// engine can report both and refuse re-compression.
-func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
-	src := p
-	if o.plan != nil && o.plan.isIdentity() {
-		o.plan = nil
-	}
-	if o.plan != nil {
-		derived, err := o.plan.apply(p)
-		if err != nil {
-			return nil, err
-		}
-		p = derived
-	}
 	if err := nn.InferSupported(p.Extractor); err != nil {
 		return nil, fmt.Errorf("engine: extractor not servable: %w", err)
 	}
@@ -207,11 +168,8 @@ func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
 	// Plan the manifold fold before laying out stages: a folded tail absorbs
 	// the manifold, so it must not also compile as a stage. The fold needs
 	// a dense projection operand (the folded matrix G is not seed-defined).
-	// A factorized manifold always folds: the up factor is [F̂, rank], so
-	// G = up^T·P is only [rank, D] and rank·D < rank·F̂ + F̂·D for every
-	// rank ≤ F̂ — the fold that loses on the dense FC wins there.
 	fold := !o.remat && p.Manifold != nil &&
-		(p.Manifold.Down() != nil || foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D))
+		foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D)
 
 	if p.Cfg.D < 1 {
 		return nil, fmt.Errorf("engine: hypervector dimension D=%d", p.Cfg.D)
@@ -221,11 +179,6 @@ func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
 		sampleLen: in[0] * in[1] * in[2],
 		d:         p.Cfg.D,
 		version:   modelVersionHash(p),
-		src:       src,
-		opts:      o,
-	}
-	if o.plan != nil {
-		e.version = o.plan.mixVersion(e.version)
 	}
 	macs := max(1, p.Extractor.Stats(in).MACs)
 	e.minSplit = int(max(1, (splitMinMACs+macs-1)/macs))
@@ -248,7 +201,7 @@ func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
 	default:
 		e.stages = append(e.stages, flattenStage{})
 	}
-	t, err := buildTail(p, &o, fold)
+	t, err := buildTail(p, o.remat, fold)
 	if err != nil {
 		return nil, err
 	}
@@ -288,6 +241,16 @@ func compileResolved(p *core.Pipeline, o compileOptions) (*Engine, error) {
 
 	e.arenas = parallel.NewFreelist(parallel.Workers(), e.proto.CloneEmpty, e.proto)
 	e.fans = parallel.NewFreelist(parallel.Workers(), e.newFanout)
+
+	// Compile is the last thing the engine allocates, and it leaves the
+	// measuring arena's buffers behind as garbage. Collect now, while the
+	// model is live, so that the heap goal is set from the model: left to
+	// chance, a process that builds models one after another (a reload, the
+	// benchmark's repeated fixture builds) can have its next cycle fall where
+	// the previous model is already dead, the goal collapses to what little
+	// is live, the scavenger returns tens of MB to the OS and the next build
+	// re-faults them (CHANGES.md has the measurement).
+	runtime.GC()
 	return e, nil
 }
 
@@ -578,9 +541,7 @@ func (e *Engine) Classes() int { return e.tail.k }
 // class matrix, the projection (its seed, or its dense matrix when
 // unseeded), and the shape facts (D, K). Engines compiled from one trained
 // model report the same version regardless of projection backing; retraining
-// changes it. A COMPRESSED engine mixes its plan into the hash (see
-// CompressPlan.mixVersion) — it serves different predictions, so it must
-// never be mistaken for the source model.
+// changes it.
 func (e *Engine) ModelVersion() uint64 { return e.version }
 
 const (

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -77,6 +78,30 @@ func buildPipelineOn(t *testing.T, m *cnn.Model, cut int, mut func(*core.Config)
 	cfg.BatchSize = 8
 	mut(&cfg)
 	p, err := core.New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := p.ExtractFeatures(train.Images)
+	_, _, signed := p.Symbolize(feats, false)
+	p.HD.InitBundle(signed, train.Labels)
+	return p, test
+}
+
+// buildBigPipeline is buildPipeline at a dimension wide enough for several
+// tail blocks: D = 1000 spans four 256-column panel blocks, the last a ragged
+// 232 columns, so the packed classifier's tail-word masking is on the line
+// after three full blocks; 5 classes, 44 test images.
+func buildBigPipeline(t *testing.T, mut func(*core.Config)) (*core.Pipeline, *dataset.Dataset) {
+	t.Helper()
+	cfgD := dataset.SynthConfig{Classes: 5, Train: 60, Test: 44, Size: 16, Noise: 0.2, Seed: 63}
+	train, test := dataset.SynthCIFAR(cfgD)
+	cfg := core.DefaultConfig(1, 5)
+	cfg.D = 1000
+	cfg.FHat = 20
+	cfg.Seed = 9
+	cfg.BatchSize = 8
+	mut(&cfg)
+	p, err := core.New(tinyZoo(64, 5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +299,66 @@ func TestEngineRejectsShortData(t *testing.T) {
 		} {
 			if err := call(); err == nil || errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "Data holds") {
 				t.Fatalf("%s, %s: err = %v, want the plain length error", c.name, name, err)
+			}
+		}
+	}
+}
+
+// TestPredictNonFinitePixels pins what the library does with pixels it does
+// not check (DESIGN.md, "Serving engine"): NaN, ±Inf or a float32 near its
+// maximum, in one pixel of every image or in all of them, through both
+// classifier kernels and a batch split over the pool's helpers. PredictInto
+// must not panic, every label must be a class, a repeat call must give the
+// same labels, and image 0 alone must get the label it gets in the batch.
+// Which label that is, is not pinned: one such pixel can decide it.
+func TestPredictNonFinitePixels(t *testing.T) {
+	engine.SetSplitFloor(t, 1)
+	for _, packed := range []bool{false, true} {
+		p, test := buildPipeline(t, func(c *core.Config) { c.PackedInference = packed })
+		e, err := engine.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, sample, k := test.Len(), e.SampleLen(), e.Classes()
+		for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 3e38} {
+			for _, every := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%g/every=%v", kernelName(packed), v, every)
+				imgs := tensor.New(test.Images.Shape...)
+				copy(imgs.Data, test.Images.Data)
+				for i := 0; i < n; i++ {
+					img := imgs.Data[i*sample : (i+1)*sample]
+					if every {
+						for j := range img {
+							img[j] = v
+						}
+					} else {
+						img[sample/2] = v
+					}
+				}
+				predict := func(x *tensor.Tensor) []int {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: PredictInto panicked: %v", name, r)
+						}
+					}()
+					preds := make([]int, x.Shape[0])
+					if err := e.PredictInto(x, preds); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return preds
+				}
+				first, again, alone := predict(imgs), predict(imgs), predict(firstImages(imgs, 1))
+				for i, c := range first {
+					if c < 0 || c >= k {
+						t.Fatalf("%s: image %d labelled %d, outside [0, %d)", name, i, c, k)
+					}
+					if again[i] != c {
+						t.Fatalf("%s: image %d labelled %d, then %d", name, i, c, again[i])
+					}
+				}
+				if alone[0] != first[0] {
+					t.Fatalf("%s: image 0 alone labelled %d, in the batch %d", name, alone[0], first[0])
+				}
 			}
 		}
 	}

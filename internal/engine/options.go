@@ -1,7 +1,6 @@
 package engine
 
-// Option configures Compile: WithRemat, WithUnfusedExtract or
-// WithCompression.
+// Option configures Compile: WithRemat or WithUnfusedExtract.
 type Option interface{ applyOption(*compileOptions) }
 
 type compileOptions struct {
@@ -9,10 +8,6 @@ type compileOptions struct {
 	// unfused keeps the extractor layer-by-layer instead of letting
 	// nn.FuseInference tile its fusible runs.
 	unfused bool
-	// plan compresses the pipeline before compiling (see compress.go): nil,
-	// or a dimension-pruning + low-rank + sub-byte-precision plan produced by
-	// Engine.Compress or NewCompressPlan.
-	plan *CompressPlan
 }
 
 type optionFunc func(*compileOptions)
@@ -36,10 +31,4 @@ func WithRemat() Option {
 // bit-identical either way.
 func WithUnfusedExtract() Option {
 	return optionFunc(func(o *compileOptions) { o.unfused = true })
-}
-
-// WithCompression compiles the pipeline under a compression plan. Identity
-// plans compile to the exact source engine.
-func WithCompression(plan *CompressPlan) Option {
-	return optionFunc(func(o *compileOptions) { o.plan = plan })
 }

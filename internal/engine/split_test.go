@@ -62,21 +62,15 @@ func TestEngineSplitBitExact(t *testing.T) {
 		for _, cfg := range []struct {
 			name   string
 			packed bool
-			build  func(p *core.Pipeline, calib *tensor.Tensor) (*engine.Engine, error)
+			opts   []engine.Option
 		}{
-			{"float", false, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) { return engine.Compile(p) }},
-			{"packed", true, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) { return engine.Compile(p) }},
-			{"remat", false, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) {
-				return engine.Compile(p, engine.WithRemat())
-			}},
-			{"compressed", true, func(p *core.Pipeline, _ *tensor.Tensor) (*engine.Engine, error) {
-				plan := engine.NewCompressPlan(1000, []int{0, 1, 3}, engine.PrecisionTernary, 0)
-				return engine.Compile(p, engine.WithCompression(plan))
-			}},
+			{"float", false, nil},
+			{"packed", true, nil},
+			{"remat", false, []engine.Option{engine.WithRemat()}},
 		} {
 			t.Run(fmt.Sprintf("floor=%d/%s", floor, cfg.name), func(t *testing.T) {
 				p, test := buildBigPipeline(t, func(c *core.Config) { c.PackedInference = cfg.packed })
-				e, err := cfg.build(p, test.Images)
+				e, err := engine.Compile(p, cfg.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

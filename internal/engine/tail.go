@@ -7,7 +7,6 @@ import (
 	"nshd/internal/core"
 	"nshd/internal/hdlearn"
 	"nshd/internal/nn"
-	"nshd/internal/quant"
 	"nshd/internal/tensor"
 )
 
@@ -23,8 +22,8 @@ import (
 // A block leaves the GEMM into one of two data flows:
 //
 //   - sign words → int32 dots: the block's sign bits are packed into the
-//     query's words and a wordScorer (1-bit popcount, int4, ternary) turns
-//     each finished row into one integer dot per class;
+//     query's words and hdlearn.PackedModel's popcount turns each finished
+//     row into one integer dot per class;
 //   - signed float block → per-block float32 scores: the block is signed in
 //     place and hdlearn.FoldedScorer scores it against the same columns of
 //     the cosine-folded class matrix; the per-block scores fold into float64
@@ -62,38 +61,22 @@ type StageBytes struct {
 	Bytes int64
 }
 
-// wordScorer is the classifier of the sign-word data flow, satisfied by
-// hdlearn.PackedModel (1-bit popcount) and hdlearn.SubByteScorer (int4,
-// ternary): one sign-packed query row in, one int32 dot per class out.
-type wordScorer interface {
-	Name() string
-	DotsInto(dots []int32, q []uint64)
-	// Scales returns the per-class dequantization scales the dots must be
-	// multiplied by before classes are compared, nil when the integer dots
-	// compare directly.
-	Scales() []float32
-	MemoryBytes() int64
-}
-
 // tail terminates the compiled chain: feature-stage output to class
 // predictions or signed query hypervectors, scratch from the worker arena.
 type tail struct {
 	d, k, inF int
-	// Folded head (manifold fold only): the pool that precedes the folded
-	// GEMM — max-pool is nonlinear, so the fold stops there — and, for a
-	// factorized manifold, the SVD down-projection V ([rank, PooledF]) that
-	// maps pooled features to the rank space G = up^T·P ([rank, D]) consumes.
+	// pool precedes the folded GEMM (manifold fold only): max-pool is
+	// nonlinear, so the fold stops there.
 	pool *nn.MaxPool2D
-	down *nn.Linear
 	// panels is the projection operand in GEMM panel form: prepacked strips
 	// of P (or of the folded G), or a seeded generator that rematerializes
 	// them inside the kernel.
 	panels *tensor.ProjPanels
 	// bias is the folded FC bias row c = b·P; nil exactly when not folding.
 	bias []float32
-	// Exactly one data flow is compiled: words (Cfg.PackedInference or a
-	// compression plan's sub-byte scorer) or float.
-	words wordScorer
+	// Exactly one data flow is compiled: words (Cfg.PackedInference) or
+	// float.
+	words *hdlearn.PackedModel
 	float *hdlearn.FoldedScorer
 	name  string
 	bytes []StageBytes
@@ -102,8 +85,8 @@ type tail struct {
 // buildTail assembles the tail for one compiled engine: the projection
 // operand as prepacked panels, a remat generator over the seed, or the folded
 // matrix G = Wᵀ·P with its bias; then the classifier. fold is Compile's
-// planner decision.
-func buildTail(p *core.Pipeline, o *compileOptions, fold bool) (*tail, error) {
+// planner decision, remat the WithRemat option.
+func buildTail(p *core.Pipeline, remat, fold bool) (*tail, error) {
 	t := &tail{d: p.Cfg.D, k: p.HD.K, inF: p.Proj.F}
 	projName := "project"
 	switch {
@@ -115,15 +98,9 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool) (*tail, error) {
 		t.pool = p.Manifold.Pool()
 		t.bias = c
 		t.inF = p.Manifold.PooledF
-		if t.down = p.Manifold.Down(); t.down != nil {
-			// Factorized manifold: FoldProjection folded only the up factor
-			// (fc.Weight.W is [F̂, rank]), so G is [rank, D] and the head runs
-			// the down-projection V to feed the rank-wide GEMM.
-			t.inF = t.down.Out
-		}
 		t.panels = tensor.PrepackPanels(g)
 		projName = "manifold*project"
-	case o.remat:
+	case remat:
 		if !p.Proj.Seeded {
 			return nil, fmt.Errorf("engine: WithRemat requires a seeded projection")
 		}
@@ -133,32 +110,22 @@ func buildTail(p *core.Pipeline, o *compileOptions, fold bool) (*tail, error) {
 		t.panels = tensor.PrepackPanels(p.Proj.P)
 	}
 	projBytes := t.panels.MemoryBytes() + int64(len(t.bias))*4
-	if t.down != nil {
-		projBytes += paramBytes(t.down.Params())
-	}
 
 	clsName, clsBytes := "classify-float", int64(0)
-	switch {
-	case o.plan != nil && o.plan.prec == PrecisionInt4:
-		t.words = hdlearn.NewInt4Scorer(p.HD, quant.QuantizeInt4Row)
-	case o.plan != nil && o.plan.prec == PrecisionTernary:
-		t.words = hdlearn.NewTernaryScorer(p.HD, quant.QuantizeTernaryRow)
-	case p.Cfg.PackedInference:
+	if p.Cfg.PackedInference {
 		t.words = hdlearn.PackModel(p.HD)
-	default:
+		clsName, clsBytes = "classify-packed", t.words.MemoryBytes()
+	} else {
 		t.float = hdlearn.NewFoldedScorer(p.HD)
 		clsBytes = t.float.ModelBytes()
-	}
-	if t.words != nil {
-		clsName, clsBytes = "classify-"+t.words.Name(), t.words.MemoryBytes()
 	}
 	t.name = "fuse(" + projName + "+" + clsName + ")"
 	t.bytes = []StageBytes{{projName, projBytes}, {clsName, clsBytes}}
 	return t, nil
 }
 
-// head runs the folded tail's pool → flatten → down prefix (identity when
-// not folding) and validates the GEMM input width.
+// head runs the folded tail's pool → flatten prefix (identity when not
+// folding) and validates the GEMM input width.
 func (t *tail) head(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	if t.bias != nil {
 		if t.pool != nil {
@@ -167,9 +134,6 @@ func (t *tail) head(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 		if x.Rank() != 2 {
 			n := x.Shape[0]
 			x = ar.Wrap(x.Data, n, x.Len()/n)
-		}
-		if t.down != nil {
-			x = t.down.ForwardInfer(x, ar)
 		}
 	}
 	if x.Rank() != 2 || x.Shape[1] != t.inF {
@@ -245,7 +209,7 @@ func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *flo
 	if t.words != nil {
 		dots := ar.Int32s(n * t.k)
 		t.wordDots(x, dots, ar, project)
-		hdlearn.ArgmaxScaledInto(preds, dots, t.words.Scales(), n, t.k)
+		hdlearn.ArgmaxInto(preds, dots, n, t.k)
 	} else {
 		acc := ar.Float64s(n * t.k)
 		clear(acc)

@@ -26,14 +26,6 @@ type Projection struct {
 	// serving engine needs only the seed (see tensor.RematPanels).
 	Seeded bool
 	Seed   int64
-	// KeepBlocks, KeepBlock and KeepFullD describe a dimension-pruned
-	// projection built by GatherBlocks: this projection's columns are the
-	// concatenation of the listed KeepBlock-wide column blocks of the
-	// original [F, KeepFullD] matrix. KeepBlocks is nil on an unpruned
-	// projection.
-	KeepBlocks []int
-	KeepBlock  int
-	KeepFullD  int
 }
 
 // NewProjection samples a seeded random projection for F features into
@@ -62,42 +54,11 @@ func NewSeededProjection(seed int64, f, d int) *Projection {
 }
 
 // Gen returns the defining generator of a seeded projection, nil otherwise.
-// For a pruned projection it is the matching block gather of the full
-// matrix's generator, so rematerialized panels reproduce exactly this
-// projection's columns.
 func (pr *Projection) Gen() *tensor.BipolarGen {
 	if !pr.Seeded {
 		return nil
 	}
-	if pr.KeepBlocks != nil {
-		g := tensor.NewBipolarGen(pr.Seed, pr.F, pr.KeepFullD)
-		return g.GatherBlocks(pr.KeepBlocks, pr.KeepBlock)
-	}
 	return tensor.NewBipolarGen(pr.Seed, pr.F, pr.D)
-}
-
-// GatherBlocks returns the dimension-pruned projection keeping the listed
-// ascending `block`-wide column blocks of pr (see
-// tensor.BipolarGen.GatherBlocks for the alignment contract). The dense and
-// packed forms are gathered copies; a seeded projection stays seeded, with
-// Gen() returning the gathered generator, so a pruned engine can still
-// rematerialize its surviving columns from the original seed. Pruning an
-// already-pruned projection is not supported.
-func (pr *Projection) GatherBlocks(keep []int, block int) *Projection {
-	if pr.KeepBlocks != nil {
-		panic("hdc: Projection.GatherBlocks on a pruned projection")
-	}
-	p := tensor.GatherColBlocks(pr.P, keep, block)
-	return &Projection{
-		F: pr.F, D: p.Shape[1],
-		P:          p,
-		Packed:     NewPackedMatrix(p),
-		Seeded:     pr.Seeded,
-		Seed:       pr.Seed,
-		KeepBlocks: append([]int(nil), keep...),
-		KeepBlock:  block,
-		KeepFullD:  pr.D,
-	}
 }
 
 // Encode maps one feature vector to its hypervector. It returns both the

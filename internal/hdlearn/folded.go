@@ -41,8 +41,7 @@ type FoldedScorer struct {
 
 // FoldedRows returns m's class rows with the cosine denominator folded in,
 // M̂_k = M_k/(√D·‖M_k‖), as a fresh [K, D] tensor (zero-norm classes stay
-// zero): the fold without the pack, for callers that read rows rather than
-// score with them.
+// zero): the fold without the pack, the reference the scorer's tests read.
 func FoldedRows(m *Model) *tensor.Tensor {
 	mhat := tensor.New(m.K, m.D)
 	sqrtD := math.Sqrt(float64(m.D))

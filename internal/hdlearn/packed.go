@@ -127,13 +127,6 @@ func (pm *PackedModel) Class(k int) *hdc.PackedHV {
 	return p
 }
 
-// Name and Scales complete the engine's word-scorer contract (shared with
-// SubByteScorer): the 1-bit kernel is "packed", and its popcount dots compare
-// directly — every sign-quantized class row has norm √D — so it has no
-// per-class scales.
-func (pm *PackedModel) Name() string      { return "packed" }
-func (pm *PackedModel) Scales() []float32 { return nil }
-
 // MemoryBytes is the packed storage footprint: K rows of ⌈D/64⌉ words.
 func (pm *PackedModel) MemoryBytes() int64 {
 	return int64(pm.K) * int64(pm.wpr) * 8

@@ -95,9 +95,9 @@ func TestPackedModelMemory(t *testing.T) {
 	}
 }
 
-// TestPackedDotsIntoMatchesPredict: the engine's word-scorer path (DotsInto,
-// then ArgmaxScaledInto with the packed model's nil scales) picks the class
-// predictWords picks, at a dimension with a ragged last word.
+// TestPackedDotsIntoMatchesPredict: the engine's sign-word path (DotsInto,
+// then the int32 ArgmaxInto) picks the class predictWords picks, at a
+// dimension with a ragged last word.
 func TestPackedDotsIntoMatchesPredict(t *testing.T) {
 	const k, d = 7, 533
 	m, queries := randPackedCase(17, k, d, 13)
@@ -108,7 +108,7 @@ func TestPackedDotsIntoMatchesPredict(t *testing.T) {
 		hdc.PackRowInto(q, queries.Row(i))
 		pm.DotsInto(dots, q)
 		var at [1]int
-		ArgmaxScaledInto(at[:], dots, pm.Scales(), 1, k)
+		ArgmaxInto(at[:], dots, 1, k)
 		if want := pm.predictWords(q); at[0] != want {
 			t.Fatalf("query %d: DotsInto argmax %d != packed predict %d", i, at[0], want)
 		}

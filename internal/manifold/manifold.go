@@ -31,10 +31,6 @@ type Learner struct {
 
 	pool *nn.MaxPool2D // nil when the input is too small to pool
 	fc   *nn.Linear
-	// fcDown is the truncated-SVD down-projection of a factorized learner
-	// (see Factorize); nil on an ordinary learner. When set, inference runs
-	// fcDown then fc and the learner is frozen (Backward panics).
-	fcDown *nn.Linear
 }
 
 // New constructs a manifold learner for features of the given shape.
@@ -90,11 +86,7 @@ func (l *Learner) Pooled(x *tensor.Tensor) *tensor.Tensor {
 // ForwardPooled is the learned half, [N, PooledF] → [N, F̂]. Set train to
 // cache the input for a following Backward.
 func (l *Learner) ForwardPooled(pooled *tensor.Tensor, train bool) *tensor.Tensor {
-	y := pooled
-	if l.fcDown != nil {
-		y = l.fcDown.Forward(y, false)
-	}
-	return l.fc.Forward(y, train)
+	return l.fc.Forward(pooled, train)
 }
 
 // ForwardInfer is the serving-side Forward: state-free, serial, and
@@ -109,9 +101,6 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 		y = l.pool.ForwardInfer(y, ar)
 	}
 	y = ar.Wrap(y.Data, y.Shape[0], l.PooledF)
-	if l.fcDown != nil {
-		y = l.fcDown.ForwardInfer(y, ar)
-	}
 	return l.fc.ForwardInfer(y, ar)
 }
 
@@ -139,7 +128,7 @@ func (l *Learner) FoldProjection(p *tensor.Tensor) (g *tensor.Tensor, c []float3
 	if p == nil || p.Rank() != 2 || p.Shape[0] != l.FHat {
 		return nil, nil, fmt.Errorf("manifold: FoldProjection projection shape mismatch (F̂=%d)", l.FHat)
 	}
-	w := l.fc.Weight.W // [F̂, PooledF]; [F̂, rank] when factorized
+	w := l.fc.Weight.W // [F̂, PooledF]
 	g = tensor.TransposeMatMul(w, p)
 	c = make([]float32, p.Shape[1])
 	if l.fc.Bias != nil {
@@ -153,18 +142,11 @@ func (l *Learner) FoldProjection(p *tensor.Tensor) (g *tensor.Tensor, c []float3
 // parameter-only: the learner sits on a frozen CNN, so no gradient with
 // respect to the features is computed.
 func (l *Learner) Backward(grad *tensor.Tensor) {
-	if l.fcDown != nil {
-		panic("manifold: Backward on a factorized (inference-only) learner")
-	}
 	l.fc.BackwardParams(grad)
 }
 
-// Params exposes the learnable parameters (the FC weights and bias; both
-// factors of a factorized learner, for byte accounting).
+// Params exposes the learnable parameters (the FC weights and bias).
 func (l *Learner) Params() []*nn.Param {
-	if l.fcDown != nil {
-		return append(l.fcDown.Params(), l.fc.Params()...)
-	}
 	return l.fc.Params()
 }
 
@@ -179,12 +161,6 @@ func (l *Learner) ZeroGrad() {
 // convention; the FC contributes PooledF·F̂ MACs. This saving is the subject
 // of Fig. 5.
 func (l *Learner) Stats() nn.Stats {
-	if l.fcDown != nil {
-		s := l.fcDown.Stats([]int{l.PooledF})
-		s.Add(l.fc.Stats([]int{l.fcDown.Out}))
-		s.ActBytes += int64(l.PooledF) * 4
-		return s
-	}
 	s := l.fc.Stats([]int{l.PooledF})
 	s.ActBytes += int64(l.PooledF) * 4
 	return s

@@ -128,7 +128,9 @@ func LoadModel(s *Sequential, path string) error {
 		return fmt.Errorf("nn: load model: %w", err)
 	}
 	defer f.Close()
-	var snap Snapshot
+	// Existing maps, so gob does not size them by a count the file claims
+	// (see core.Load).
+	snap := Snapshot{Tensors: map[string][]float32{}, Shapes: map[string][]int{}}
 	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
 		return fmt.Errorf("nn: decode model: %w", err)
 	}

@@ -7,8 +7,7 @@
 // tensor (Quantize / Dequantize), and an integer HD inference path — class
 // hypervectors quantized to int8 and compared against bipolar queries with
 // pure int32 arithmetic, matching the binary/integer datapath of the DPU HD
-// unit. The int4 / ternary row quantizers of the compressed class memories
-// are in subbyte.go.
+// unit.
 package quant
 
 import (

@@ -1,7 +1,5 @@
 package tensor
 
-import "fmt"
-
 // Seeded bipolar generation. A BipolarGen defines a [Rows, Cols] ±1 matrix
 // purely as a function of a 64-bit seed: entry (r, c) is bit c%64 of a
 // splitmix64 counter stream evaluated at index r·⌈Cols/64⌉ + c/64. Because
@@ -18,11 +16,7 @@ import "fmt"
 type BipolarGen struct {
 	Rows, Cols int
 	seed       uint64
-	wpr        int // 64-bit words per row of the FULL matrix: ⌈fullCols/64⌉
-	// blockMap, when non-nil, gathers a pruned column subset: generated word
-	// wi is full-matrix word blockMap[wi] (see GatherBlocks). The map is
-	// word-granular, which is why pruning happens in 64-aligned blocks.
-	blockMap []int
+	wpr        int // 64-bit words per row: ⌈Cols/64⌉
 }
 
 // splitmixGamma is the Weyl-sequence increment of splitmix64.
@@ -48,68 +42,17 @@ func NewBipolarGen(seed int64, rows, cols int) *BipolarGen {
 // Seed returns the defining seed.
 func (g *BipolarGen) Seed() int64 { return int64(g.seed) }
 
-// GatherBlocks returns a generator for the concatenation of the kept column
-// blocks of g: keep lists ascending block indices over g's [0, Cols) grid of
-// `block`-wide blocks (block a multiple of 64, so every kept block starts on
-// a word boundary), and entry (r, c) of the result is bit-identical to g's
-// entry in the corresponding original column. Only the final original block
-// may be ragged, and ascending order keeps it last, so the gathered matrix's
-// one partial word is its last — exactly the invariant the panel kernels and
-// sign-packing already handle. This is what lets a dimension-pruned engine
-// keep rematerializing its surviving projection columns from the original
-// 8-byte seed plus the block list.
-func (g *BipolarGen) GatherBlocks(keep []int, block int) *BipolarGen {
-	if g.blockMap != nil {
-		panic("tensor: BipolarGen.GatherBlocks on a gathered generator")
-	}
-	if block <= 0 || block%64 != 0 {
-		panic("tensor: BipolarGen.GatherBlocks block must be a positive multiple of 64")
-	}
-	nb := (g.Cols + block - 1) / block
-	var cols int
-	var bm []int
-	prev := -1
-	for _, b := range keep {
-		if b <= prev || b >= nb {
-			panic(fmt.Sprintf("tensor: BipolarGen.GatherBlocks block %d not ascending in [0, %d)", b, nb))
-		}
-		prev = b
-		lo := b * block
-		hi := lo + block
-		if hi > g.Cols {
-			hi = g.Cols
-		}
-		cols += hi - lo
-		for w := lo >> 6; w < (hi+63)>>6; w++ {
-			bm = append(bm, w)
-		}
-	}
-	if cols == 0 {
-		panic("tensor: BipolarGen.GatherBlocks keeps no blocks")
-	}
-	return &BipolarGen{Rows: g.Rows, Cols: cols, seed: g.seed, wpr: g.wpr, blockMap: bm}
-}
-
-// rawWord is splitmix64's output function on the per-(row, word) counter of
-// the FULL matrix's word grid, so words are mutually independent and
-// individually addressable.
-func (g *BipolarGen) rawWord(r, wi int) uint64 {
+// word returns the 64-bit sign word covering columns [wi·64, wi·64+64) of
+// row r: element (r, wi·64+b) is +1 when bit b is clear, −1 when set — one
+// splitmix64 evaluation on the per-(row, word) counter, so words are
+// mutually independent and individually addressable.
+func (g *BipolarGen) word(r, wi int) uint64 {
 	x := g.seed + (uint64(r)*uint64(g.wpr)+uint64(wi)+1)*splitmixGamma
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// word returns the 64-bit sign word covering columns [wi·64, wi·64+64) of
-// row r: element (r, wi·64+b) is +1 when bit b is clear, −1 when set — one
-// splitmix64 evaluation.
-func (g *BipolarGen) word(r, wi int) uint64 {
-	if g.blockMap != nil {
-		wi = g.blockMap[wi]
-	}
-	return g.rawWord(r, wi)
 }
 
 // at returns element (r, c) as ±1.

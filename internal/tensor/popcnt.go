@@ -30,24 +30,3 @@ func XorPopcount(a, b []uint64) int {
 	}
 	return int(s)
 }
-
-// XorMaskPopcount returns Σ OnesCount64((q[w] ^ sgn[w]) & msk[w]) over
-// w < len(q) — the masked Hamming distance of the ternary scorer, counting
-// sign disagreements only on unpruned dimensions. sgn and msk may be longer
-// than q. Exact integer arithmetic on both paths.
-func XorMaskPopcount(q, sgn, msk []uint64) int {
-	n := len(q)
-	if len(sgn) < n || len(msk) < n {
-		panic(fmt.Sprintf("tensor: XorMaskPopcount length mismatch %d vs %d/%d", n, len(sgn), len(msk)))
-	}
-	w := 0
-	var s int64
-	if g := n / 4; usePopcntAsm && g > 0 && n >= popcntAsmMinWords {
-		s = xorMaskPopcntAsm(g, &q[0], &sgn[0], &msk[0])
-		w = g * 4
-	}
-	for ; w < n; w++ {
-		s += int64(bits.OnesCount64((q[w] ^ sgn[w]) & msk[w]))
-	}
-	return int(s)
-}

@@ -1,7 +1,7 @@
 package tensor
 
-// usePopcntAsm gates the AVX2 VPSHUFB-LUT popcount kernels. Unlike the GEMM
-// gate it does not require FMA — the kernels are integer-only — but it needs
+// usePopcntAsm gates the AVX2 VPSHUFB-LUT popcount kernel. Unlike the GEMM
+// gate it does not require FMA — the kernel is integer-only — but it needs
 // the same OS-managed YMM state checks.
 var usePopcntAsm = detectAVX2()
 
@@ -32,9 +32,3 @@ func detectAVX2() bool {
 //
 //go:noescape
 func xorPopcntAsm(groups int, a, b *uint64) int64
-
-// xorMaskPopcntAsm returns Σ OnesCount64((q[w]^sgn[w])&msk[w]) over 4·groups
-// words. groups must be ≥ 1.
-//
-//go:noescape
-func xorMaskPopcntAsm(groups int, q, sgn, msk *uint64) int64

@@ -1,9 +1,9 @@
 #include "textflag.h"
 
 // Vectorized XOR-popcount over uint64 words: the Hamming kernel behind
-// PackedModel scoring and the ternary scorer. Both routines use the classic
-// VPSHUFB nibble-LUT: split each byte of the combined word into two nibbles,
-// look each up in a 16-entry popcount table, add the per-byte counts, and
+// PackedModel scoring. It uses the classic VPSHUFB nibble-LUT: split each
+// byte of the combined word into two nibbles, look each up in a 16-entry
+// popcount table, add the per-byte counts, and
 // collapse 32 bytes to four qword sums with VPSADBW against zero. Per-byte
 // counts peak at 8 and VPSADBW runs every iteration, so no overflow is
 // possible at any length; the qword accumulator is exact.
@@ -59,47 +59,4 @@ gloop:
 	VZEROUPPER
 	MOVQ         X0, AX
 	MOVQ         AX, ret+24(FP)
-	RET
-
-// func xorMaskPopcntAsm(groups int, q, sgn, msk *uint64) int64
-//
-// Returns Σ OnesCount64((q[w] ^ sgn[w]) & msk[w]) over the first 4·groups
-// words — the ternary scorer's masked Hamming inner loop. groups must be ≥ 1.
-TEXT ·xorMaskPopcntAsm(SB), NOSPLIT, $0-40
-	MOVQ groups+0(FP), CX
-	MOVQ q+8(FP), SI
-	MOVQ sgn+16(FP), DI
-	MOVQ msk+24(FP), R8
-
-	VMOVDQU popcntLUT<>(SB), Y14
-	VMOVDQU popcntNib<>(SB), Y15
-	VPXOR   Y0, Y0, Y0
-	VPXOR   Y13, Y13, Y13
-
-gloop:
-	VMOVDQU (SI), Y1
-	VMOVDQU (DI), Y2
-	VPXOR   Y2, Y1, Y1
-	VPAND   (R8), Y1, Y1
-	VPAND   Y15, Y1, Y2
-	VPSHUFB Y2, Y14, Y2
-	VPSRLW  $4, Y1, Y3
-	VPAND   Y15, Y3, Y3
-	VPSHUFB Y3, Y14, Y3
-	VPADDB  Y3, Y2, Y2
-	VPSADBW Y13, Y2, Y2
-	VPADDQ  Y2, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	ADDQ    $32, R8
-	DECQ    CX
-	JNE     gloop
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSHUFD      $0x4e, X0, X1
-	VPADDQ       X1, X0, X0
-	VZEROUPPER
-	MOVQ         X0, AX
-	MOVQ         AX, ret+32(FP)
 	RET

@@ -8,7 +8,3 @@ const usePopcntAsm = false
 func xorPopcntAsm(groups int, a, b *uint64) int64 {
 	panic("tensor: xorPopcntAsm requires amd64")
 }
-
-func xorMaskPopcntAsm(groups int, q, sgn, msk *uint64) int64 {
-	panic("tensor: xorMaskPopcntAsm requires amd64")
-}

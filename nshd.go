@@ -86,8 +86,7 @@ type Engine = engine.Engine
 // StreamResult is one batch's outcome on Engine.PredictStream.
 type StreamResult = engine.StreamResult
 
-// Option is a Compile option: WithRemat, WithUnfusedExtract or
-// WithCompression.
+// Option is a Compile option: WithRemat or WithUnfusedExtract.
 type Option = engine.Option
 
 // WithRemat rematerializes the projection matrix from its 8-byte seed
@@ -152,42 +151,6 @@ func NewBatcher(e *Engine, opts BatcherOptions) (*Batcher, error) { return serve
 func NewPredictServer(b *Batcher, timeout time.Duration) *PredictServer {
 	return serve.NewServer(b, timeout)
 }
-
-// --- post-training compression ---
-
-// CompressTarget configures Engine.Compress: a calibration set (mandatory),
-// an accuracy budget, and optionally pinned keep-ratio / scorer precision.
-type CompressTarget = engine.CompressTarget
-
-// CompressReport itemizes what Compress chose: kept blocks, precision, rank,
-// per-stage bytes before/after and the measured calibration accuracy delta.
-type CompressReport = engine.CompressReport
-
-// CompressPlan is a reproducible compression recipe (kept 256-column blocks,
-// scorer precision, manifold rank) that Compile applies via WithCompression.
-type CompressPlan = engine.CompressPlan
-
-// NewCompressPlan builds a compression plan by hand; Engine.Compress derives
-// one automatically from a calibration set.
-func NewCompressPlan(origD int, keepBlocks []int, prec ScorerPrecision, rank int) *CompressPlan {
-	return engine.NewCompressPlan(origD, keepBlocks, prec, rank)
-}
-
-// ScorerPrecision selects the compressed engine's class-scoring datapath:
-// keep the source scorer, or requantize class hypervectors to packed int4 or
-// ternary words.
-type ScorerPrecision = engine.ScorerPrecision
-
-// Scorer precisions for CompressTarget / NewCompressPlan.
-const (
-	PrecisionAuto    = engine.PrecisionAuto
-	PrecisionKeep    = engine.PrecisionKeep
-	PrecisionInt4    = engine.PrecisionInt4
-	PrecisionTernary = engine.PrecisionTernary
-)
-
-// WithCompression applies a compression plan at Compile time.
-func WithCompression(plan *CompressPlan) Option { return engine.WithCompression(plan) }
 
 // --- model zoo ---
 
