@@ -23,7 +23,8 @@ staticcheck:
 
 # Allocation-regression gate: the serving engine must stay heap-free in
 # steady state (AllocsPerRun == 0) at chunk size and at batch 1, for both
-# classifier kernels and every tail case — prepacked, rematerialized and
+# classifier kernels and every tail case — sign words (again with the
+# pipeline's float projection overwritten after Compile, the "remat" rows) and
 # planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
 # the implicit-GEMM conv path, and the fused extraction blocks
 # (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract),
@@ -86,7 +87,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 60s ./internal/core/
 
 # Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
-# products and conv layers at both kernel widths, the dot-kernel products at the
+# products — prepacked strips against sign words at batch 1, 8 and 64, and at
+# batch 1 with L2 evicted between calls — and conv layers at both kernel
+# widths, the dot-kernel products at the
 # manifold FC / Linear / similarity shapes at both widths with the tile shapes
 # they were chosen from, the tail's float64 score fold, im2col / col2im per VGG stage shape,
 # per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3

@@ -20,12 +20,11 @@ func main() {
 	classes := flag.Int("classes", 10, "class count (affects head size)")
 	pipeline := flag.String("pipeline", "", "print serving facts for a trained pipeline snapshot (nshd-train -out)")
 	packed := flag.Bool("packed", true, "with -pipeline: compile the packed popcount classifier")
-	remat := flag.Bool("remat", false, "with -pipeline: rematerialize the projection from its seed (O(1) encoder bytes)")
 	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion: auto (fuse runs that clear the size gate) or off (layer-by-layer)")
 	flag.Parse()
 
 	if *pipeline != "" {
-		if err := servingFacts(*pipeline, *packed, *remat, *fuse); err != nil {
+		if err := servingFacts(*pipeline, *packed, *fuse); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -54,16 +53,13 @@ func main() {
 // servingFacts compiles a snapshot into a frozen engine and prints what an
 // operator needs to deploy it behind nshd-serve: input/batch shape, memory
 // per replica, and batcher sizing derived from the compiled chunk size.
-func servingFacts(path string, packed bool, remat bool, fuse string) error {
+func servingFacts(path string, packed bool, fuse string) error {
 	p, err := nshd.LoadPipeline(path)
 	if err != nil {
 		return err
 	}
 	p.Cfg.PackedInference = packed
 	var opts []nshd.Option
-	if remat {
-		opts = append(opts, nshd.WithRemat())
-	}
 	switch fuse {
 	case "auto":
 	case "off":

@@ -101,10 +101,9 @@ func New(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 	}
 	// Seeded projections: the matrix is a pure function of one 64-bit draw
 	// from the config's RNG stream (the same single draw Fork would make, so
-	// every downstream sampling decision is unchanged). Serving engines can
-	// then rematerialize projection panels from the seed instead of keeping
-	// the D×F matrix resident, and snapshots keep reconstructing the
-	// projection from Cfg.Seed exactly as before.
+	// every downstream sampling decision is unchanged). A model version
+	// hashes the seed instead of the D×F matrix, and snapshots keep
+	// reconstructing the projection from Cfg.Seed exactly as before.
 	p.Proj = hdc.NewSeededProjection(rng.Int63(), encF, cfg.D)
 	return p, nil
 }

@@ -64,10 +64,11 @@ func benchSetup(b *testing.B, f benchFixture) (*core.Pipeline, *tensor.Tensor) {
 // (cut 1 = stem + invres(8→4,s1,t1), K = 100, D = 10 000, chunk 64, one call
 // of 256 images) and the paper's cut 14 at 64 images.
 //
-// The -unfused and -remat rows are the same pipeline compiled with that one
-// option, in the same process as the float row beside them, at the shapes
-// ROADMAP's fused-vs-unfused trial names (32×32 n = 1 and 16, 96×96 n = 1):
-// the only standing reading of those two paths.
+// The -unfused rows are the same pipeline compiled WithUnfusedExtract, in the
+// same process as the float row beside them, at the shapes ROADMAP's
+// fused-vs-unfused trial names (32×32 n = 1 and 16, 96×96 n = 1): the only
+// standing reading of that path. Every row serves the projection from sign
+// words.
 func BenchmarkEnginePredict(b *testing.B) {
 	for _, c := range []struct {
 		name      string
@@ -88,7 +89,6 @@ func BenchmarkEnginePredict(b *testing.B) {
 		}{
 			{"", nil},
 			{"-unfused", []engine.Option{engine.WithUnfusedExtract()}},
-			{"-remat", []engine.Option{engine.WithRemat()}},
 		} {
 			ns := c.variantNs
 			if v.suffix == "" {

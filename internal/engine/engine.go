@@ -122,22 +122,42 @@ func (flattenStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 }
 
 // lshStage runs BaselineHD's LSH reduction (a binary random projection),
-// keeping only the signed output. The operand is frozen at Compile, so it is
-// prepacked once into GEMM panel form: per-call products skip the panel
-// packing pass entirely (at batch 1 that pass dominates the projection GEMM)
-// and need no panel scratch.
+// keeping only the signed output. Its ±1 operand is held as sign words, as
+// the tail's projection is, so a product needs panel scratch but no per-call
+// packing pass.
 type lshStage struct {
 	pr     *hdc.Projection
 	panels *tensor.ProjPanels
 }
 
-func newLSHStage(pr *hdc.Projection) lshStage { return lshStage{pr, pr.PrepackedPanels()} }
+func newLSHStage(pr *hdc.Projection) lshStage { return lshStage{pr, tensor.SignPanels(pr.P)} }
 
 func (s lshStage) Name() string { return "lsh" }
 func (s lshStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	out := ar.Alloc(x.Shape[0], s.pr.D)
-	s.pr.EncodeBatchPanelsInto(x, out, out, s.panels)
+	m := ar.Mark()
+	s.pr.EncodeBatchPanelsInto(x, out, out, s.panels, ar.Floats(tensor.PanelScratch()))
+	ar.Release(m)
 	return out
+}
+
+// ErrNotBipolar marks a Compile error for a projection matrix (the encoder's
+// P, or BaselineHD's LSH operand) with an entry that is not exactly +1 or −1:
+// the engine holds those as sign words, which would serve it as a different
+// matrix. core.New and core.Load build only seeded ±1 matrices.
+var ErrNotBipolar = errors.New("engine: projection entry is not ±1")
+
+// checkBipolar returns an error wrapping ErrNotBipolar naming the first entry
+// of the [F, D] matrix that is not exactly ±1 (0, −0, NaN, ±Inf, 0.5 …). One
+// test per entry: `v != 1 && v != -1` would branch on P's random signs.
+func checkBipolar(name string, m *tensor.Tensor) error {
+	for i, v := range m.Data {
+		if math.Abs(float64(v)) != 1 {
+			d := m.Shape[1]
+			return fmt.Errorf("%w: %s[%d, %d] = %v", ErrNotBipolar, name, i/d, i%d, v)
+		}
+	}
+	return nil
 }
 
 // Compile freezes a trained pipeline into an Engine. It validates that every
@@ -145,10 +165,9 @@ func (s lshStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 // float, per cfg.PackedInference), then runs one warmup chunk of zeros
 // through the stage chain on a measuring arena to size the per-worker slabs.
 // Predictions agree with the pipeline's direct path per-sample, bit-for-bit:
-// every stage reuses the training kernels' exact accumulation order.
-//
-// WithRemat keeps only the projection's seed resident; with no options the
-// projection is served from prepacked panels (see tail.go).
+// every stage reuses the training kernels' exact accumulation order. The
+// projection (and the LSH operand) must be ±1 (ErrNotBipolar): it is served
+// from sign words (see tail.go).
 func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("engine: nil pipeline")
@@ -164,12 +183,18 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("engine: zoo input shape %v, want [C H W]", in)
 	}
+	if err := checkBipolar("projection", p.Proj.P); err != nil {
+		return nil, err
+	}
+	if p.LSH != nil {
+		if err := checkBipolar("LSH projection", p.LSH.P); err != nil {
+			return nil, err
+		}
+	}
 
 	// Plan the manifold fold before laying out stages: a folded tail absorbs
-	// the manifold, so it must not also compile as a stage. The fold needs
-	// a dense projection operand (the folded matrix G is not seed-defined).
-	fold := !o.remat && p.Manifold != nil &&
-		foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D)
+	// the manifold, so it must not also compile as a stage.
+	fold := p.Manifold != nil && foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D)
 
 	if p.Cfg.D < 1 {
 		return nil, fmt.Errorf("engine: hypervector dimension D=%d", p.Cfg.D)
@@ -201,7 +226,7 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	default:
 		e.stages = append(e.stages, flattenStage{})
 	}
-	t, err := buildTail(p, o.remat, fold)
+	t, err := buildTail(p, fold)
 	if err != nil {
 		return nil, err
 	}
@@ -578,8 +603,9 @@ func modelVersionHash(p *core.Pipeline) uint64 {
 
 // ModelBytes reports the engine's TRUE serving footprint: every weight the
 // compiled plan keeps resident, summed over BytesBreakdown — extractor and
-// manifold parameters, the projection operand (prepacked panels, the folded
-// matrix, or the 8-byte seed under WithRemat) and the classifier snapshot.
+// manifold parameters, the projection operand (P's sign words, F̂·⌈D/64⌉·8
+// bytes as Pipeline.Costs counts them, or the folded float matrix) and the
+// classifier snapshot.
 func (e *Engine) ModelBytes() int64 {
 	var total int64
 	for _, b := range e.bytes {
@@ -613,7 +639,7 @@ func stageWeightBytes(st Stage) int64 {
 	case manifoldStage:
 		return paramBytes(s.ml.Params())
 	case lshStage:
-		// The engine-resident operand is the prepacked panel copy, not the
+		// The engine-resident operand is the sign-word copy, not the
 		// pipeline's dense matrix.
 		return s.panels.MemoryBytes()
 	}

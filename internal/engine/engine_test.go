@@ -205,20 +205,20 @@ type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "concurrent Predict disagreed with serial Predict" }
 
-// TestModelVersionTracksContent: retraining changes the version; the
-// projection backing does not.
+// TestModelVersionTracksContent: retraining changes the version; a compile
+// option does not.
 func TestModelVersionTracksContent(t *testing.T) {
 	p, _ := buildPipeline(t, func(c *core.Config) { c.D = 2333 })
 	a, err := engine.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.Compile(p, engine.WithRemat())
+	b, err := engine.Compile(p, engine.WithUnfusedExtract())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.ModelVersion() != b.ModelVersion() {
-		t.Fatal("the projection backing must not change the model version")
+		t.Fatal("a compile option must not change the model version")
 	}
 	if a.ModelVersion() == 0 {
 		t.Fatal("version should be a content hash, got 0")

@@ -80,13 +80,10 @@ func TestEngineFusedExtractBitExact(t *testing.T) {
 		for _, tc := range tailCases() {
 			t.Run(kernelName(packed)+"/"+tc.name, func(t *testing.T) {
 				p, test := buildPipeline(t, tc.mut(func(c *core.Config) { c.PackedInference = packed }))
-				base, err := engine.Compile(p, append([]engine.Option{engine.WithUnfusedExtract()}, tc.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fz, err := engine.Compile(p, tc.opts...)
-				if err != nil {
-					t.Fatal(err)
+				base := tc.compile(t, p, engine.WithUnfusedExtract())
+				fz := tc.compile(t, p)
+				if tc.detached {
+					detach(p)
 				}
 				requireFusedExtract(t, fz)
 				sameOutputs(t, fz, base, test.Images)
@@ -240,9 +237,9 @@ func TestEngineZeroAllocBatch1FusedExtract(t *testing.T) {
 		for _, tc := range tailCases() {
 			t.Run(kernelName(packed)+"/"+tc.name, func(t *testing.T) {
 				p, test := buildPipeline(t, tc.mut(func(c *core.Config) { c.PackedInference = packed }))
-				e, err := engine.Compile(p, tc.opts...)
-				if err != nil {
-					t.Fatal(err)
+				e := tc.compile(t, p)
+				if tc.detached {
+					detach(p)
 				}
 				requireFusedExtract(t, e)
 				requireZeroAlloc(t, e, firstImages(test.Images, 1))

@@ -60,19 +60,21 @@ func TestEngineSplitBitExact(t *testing.T) {
 	for _, floor := range []int64{1, 1 << 50} {
 		engine.SetSplitFloor(t, floor)
 		for _, cfg := range []struct {
-			name   string
-			packed bool
-			opts   []engine.Option
+			name             string
+			packed, detached bool
 		}{
-			{"float", false, nil},
-			{"packed", true, nil},
-			{"remat", false, []engine.Option{engine.WithRemat()}},
+			{"float", false, false},
+			{"packed", true, false},
+			{"remat", false, true}, // see tailCase
 		} {
 			t.Run(fmt.Sprintf("floor=%d/%s", floor, cfg.name), func(t *testing.T) {
 				p, test := buildBigPipeline(t, func(c *core.Config) { c.PackedInference = cfg.packed })
-				e, err := engine.Compile(p, cfg.opts...)
+				e, err := engine.Compile(p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if cfg.detached {
+					detach(p)
 				}
 				chunk, w := e.ChunkSize(), parallel.Workers()
 				if _, minBatch := e.SplitRule(); floor == 1 && minBatch != w {

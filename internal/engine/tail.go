@@ -15,9 +15,9 @@ import (
 // the manifold FC in front) into one blocked GEMM whose 256-column output
 // blocks are consumed — packed or scored — the moment they are computed.
 // Only one [N, 256] projection block is ever live, so the per-chunk arena
-// holds no D-wide slab, and the projection's panel packing happens at
-// Compile time (or, under rematerialization, as a seeded regeneration inside
-// the panel step — see tensor.BipolarGen).
+// holds no D-wide slab. The ±1 projection is held as sign words, one bit per
+// entry, and expanded into ±1.0 strips inside the panel step
+// (tensor.SignPanels); the folded matrix is prepacked float strips.
 //
 // A block leaves the GEMM into one of two data flows:
 //
@@ -33,9 +33,10 @@ import (
 // (core.Pipeline.ExtractFeatures → Symbolize → classify, which shares no
 // kernel with this file) and proven by the engine tests:
 //
-//   - Prepacked and rematerialized tails: query hypervectors are BIT-EXACT.
-//     tensor.MatMulPanelsBlock reproduces the serial GEMM's per-element
-//     accumulation order, sign(·) commutes with blocking, and
+//   - Unfolded tail: query hypervectors are BIT-EXACT. The sign words
+//     expand to exactly the ±1.0 entries of P, tensor.MatMulPanelsBlock
+//     reproduces the serial GEMM's per-element accumulation order, sign(·)
+//     commutes with blocking, and
 //     PackSignsInto over a 256-aligned block writes exactly the words the
 //     full-row pack writes. Predictions are identical except on an exact
 //     mathematical cosine tie (see DESIGN.md, "One tie rule").
@@ -68,9 +69,8 @@ type tail struct {
 	// pool precedes the folded GEMM (manifold fold only): max-pool is
 	// nonlinear, so the fold stops there.
 	pool *nn.MaxPool2D
-	// panels is the projection operand in GEMM panel form: prepacked strips
-	// of P (or of the folded G), or a seeded generator that rematerializes
-	// them inside the kernel.
+	// panels is the projection operand in GEMM panel form: P's sign words,
+	// or prepacked strips of the folded G.
 	panels *tensor.ProjPanels
 	// bias is the folded FC bias row c = b·P; nil exactly when not folding.
 	bias []float32
@@ -83,14 +83,12 @@ type tail struct {
 }
 
 // buildTail assembles the tail for one compiled engine: the projection
-// operand as prepacked panels, a remat generator over the seed, or the folded
-// matrix G = Wᵀ·P with its bias; then the classifier. fold is Compile's
-// planner decision, remat the WithRemat option.
-func buildTail(p *core.Pipeline, remat, fold bool) (*tail, error) {
+// operand as P's sign words, or the folded matrix G = Wᵀ·P with its bias;
+// then the classifier. fold is Compile's planner decision.
+func buildTail(p *core.Pipeline, fold bool) (*tail, error) {
 	t := &tail{d: p.Cfg.D, k: p.HD.K, inF: p.Proj.F}
 	projName := "project"
-	switch {
-	case fold:
+	if fold {
 		g, c, err := p.Manifold.FoldProjection(p.Proj.P)
 		if err != nil {
 			return nil, fmt.Errorf("engine: folding tail: %w", err)
@@ -100,14 +98,8 @@ func buildTail(p *core.Pipeline, remat, fold bool) (*tail, error) {
 		t.inF = p.Manifold.PooledF
 		t.panels = tensor.PrepackPanels(g)
 		projName = "manifold*project"
-	case remat:
-		if !p.Proj.Seeded {
-			return nil, fmt.Errorf("engine: WithRemat requires a seeded projection")
-		}
-		t.panels = tensor.RematPanels(p.Proj.Gen())
-		projName = "project@seed"
-	default:
-		t.panels = tensor.PrepackPanels(p.Proj.P)
+	} else {
+		t.panels = tensor.SignPanels(p.Proj.P)
 	}
 	projBytes := t.panels.MemoryBytes() + int64(len(t.bias))*4
 

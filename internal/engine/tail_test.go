@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,19 +24,50 @@ const tinyPooledF = 64
 // F̂ > PooledF·D/(PooledF+D) (see foldProfitable).
 func foldingFHat(d int) int { return tinyPooledF*d/(tinyPooledF+d) + 1 }
 
-// tailCase is one row of the serving-tail lattice: the two projection
-// backings, plus the fold the planner takes from the pipeline's shape alone.
+// tailCase is one row of the serving-tail lattice: the unfolded tail, whose
+// ±1 projection the engine holds as sign words ("prepacked": packed once, at
+// Compile); the same tail with the pipeline's float matrices overwritten by
+// NaN once it has compiled ("remat": every product must rematerialize its
+// ±1.0 strips from the engine's own words, so an engine that still read the
+// pipeline's P fails); and the fold the planner takes from the pipeline's
+// shape alone.
 type tailCase struct {
-	name string
-	opts []engine.Option
-	fold bool
+	name     string
+	detached bool
+	fold     bool
 }
 
 func tailCases() []tailCase {
 	return []tailCase{
-		{"prepacked", nil, false},
-		{"remat", []engine.Option{engine.WithRemat()}, false},
-		{"folded", nil, true},
+		{"prepacked", false, false},
+		{"remat", true, false},
+		{"folded", false, true},
+	}
+}
+
+// compile compiles p for the case and, for a detached case, then overwrites
+// the pipeline's projection matrices (see detach). Compute any pipeline
+// reference first.
+func (tc tailCase) compile(t *testing.T, p *core.Pipeline, opts ...engine.Option) *engine.Engine {
+	t.Helper()
+	e, err := engine.Compile(p, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.checkStages(t, e)
+	return e
+}
+
+// detach overwrites the pipeline's float projection matrices — P and the LSH
+// operand — with NaN, so an engine compiled before it is right only if it
+// never reads them.
+func detach(p *core.Pipeline) {
+	for _, pr := range []*hdc.Projection{p.Proj, p.LSH} {
+		if pr != nil {
+			for i := range pr.P.Data {
+				pr.P.Data[i] = float32(math.NaN())
+			}
+		}
 	}
 }
 
@@ -64,11 +97,8 @@ func (tc tailCase) checkStages(t *testing.T, e *engine.Engine) {
 	names := e.Stages()
 	tail := names[len(names)-1]
 	want := "fuse(project+"
-	switch {
-	case tc.fold:
+	if tc.fold {
 		want = "fuse(manifold*project+"
-	case len(tc.opts) > 0:
-		want = "fuse(project@seed+"
 	}
 	if !strings.HasPrefix(tail, want) {
 		t.Fatalf("%s tail compiled as %v, want prefix %q", tc.name, names, want)
@@ -98,15 +128,14 @@ func imagesAt(images *tensor.Tensor, lo, hi int) *tensor.Tensor {
 func firstImages(images *tensor.Tensor, n int) *tensor.Tensor { return imagesAt(images, 0, n) }
 
 // TestEngineTailMatchesPipeline is the one differential test of the serving
-// tail: every projection backing and the planner's fold × both classifier
-// kernels × every topology, checked against the pipeline reference on
-// predictions AND query hypervectors — bit-exact for the prepacked and
-// rematerialized tails, argmax-identical for the fold (its re-associated
-// GEMM may flip a pre-sign value within an ulp of zero). The same table
+// tail: every tail case × both classifier kernels × every topology, checked
+// against the pipeline reference on predictions AND query hypervectors —
+// bit-exact for the sign-word tails, argmax-identical for the fold (its
+// re-associated GEMM may flip a pre-sign value within an ulp of zero). The same table
 // carries the degenerate shapes: a single class, one ragged 256-column block
 // (D=65), one full block plus one column (D=257), the same two under a
 // 19-class memory (strip-scored and ragged classes side by side), and batches
-// of 1 and chunk+1 samples — and, on the prepacked tail, the two zoo extractors the
+// of 1 and chunk+1 samples — and, on the first case, the two zoo extractors the
 // tiny fixture has no layer of: mobilenetv2 cut 4 (BatchNorm+ReLU6, 1×1
 // expansion, depthwise 3×3 at stride 1 and 2, an identity-skip residual: the
 // vector kernels) and effnetb0 cut 3 (5×5 stride-2 depthwise, SE, SiLU: the
@@ -162,11 +191,7 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 					if sh.wide > 0 {
 						widenClasses(p, sh.wide)
 					}
-					e, err := engine.Compile(p, tc.opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tc.checkStages(t, e)
+					e := tc.compile(t, p)
 					if sh.zoo != "" {
 						unfused, err := engine.Compile(p, engine.WithUnfusedExtract())
 						if err != nil {
@@ -176,6 +201,9 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 						sameOutputs(t, e, unfused, test.Images)
 					}
 					wantPreds, wantHVs := reference(p, test.Images)
+					if tc.detached {
+						detach(p)
+					}
 					d := p.Cfg.D
 
 					for _, n := range []int{1, e.ChunkSize() + 1, test.Len()} {
@@ -234,10 +262,11 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestEngineTailPlanning pins the planner's fold decision at its boundary
-// and its exclusion: the fold fires at the smallest F̂ the cost inequality
-// admits and not one below, and a rematerialized tail (the folded matrix is
-// dense, not seed-defined) never folds, whatever the shape.
+// TestEngineTailPlanning pins the planner's fold decision at its boundary:
+// the fold fires at the smallest F̂ the cost inequality admits and not one
+// below. An unseeded projection (hand-built pipelines, legacy snapshots)
+// compiles like a seeded one, its sign words packed from the stored matrix,
+// and serves the pipeline's bits.
 func TestEngineTailPlanning(t *testing.T) {
 	folds := func(e *engine.Engine) bool {
 		names := e.Stages()
@@ -246,18 +275,16 @@ func TestEngineTailPlanning(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		fhat int
-		opts []engine.Option
 		want bool
 	}{
-		{"at-threshold", foldingFHat(70), nil, true},
-		{"below-threshold", foldingFHat(70) - 1, nil, false},
-		{"remat", foldingFHat(70), []engine.Option{engine.WithRemat()}, false},
+		{"at-threshold", foldingFHat(70), true},
+		{"below-threshold", foldingFHat(70) - 1, false},
 	} {
 		p, _ := buildPipeline(t, func(cfg *core.Config) { cfg.FHat = c.fhat })
 		if p.Manifold.PooledF != tinyPooledF {
 			t.Fatalf("tiny fixture PooledF = %d, tests assume %d", p.Manifold.PooledF, tinyPooledF)
 		}
-		e, err := engine.Compile(p, c.opts...)
+		e, err := engine.Compile(p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -266,56 +293,116 @@ func TestEngineTailPlanning(t *testing.T) {
 		}
 	}
 
-	// An unseeded projection (hand-built pipelines, legacy snapshots) cannot
-	// rematerialize, and still compiles prepacked.
-	p, _ := buildPipeline(t, func(c *core.Config) {})
+	p, test := buildPipeline(t, func(c *core.Config) {})
 	p.Proj = hdc.NewProjection(tensor.NewRNG(1), p.Proj.F, p.Proj.D)
-	if _, err := engine.Compile(p, engine.WithRemat()); err == nil {
-		t.Fatal("remat on an unseeded projection must fail Compile")
+	e, err := engine.Compile(p)
+	if err != nil {
+		t.Fatalf("unseeded pipeline must compile: %v", err)
 	}
-	if e, err := engine.Compile(p); err != nil || e == nil {
-		t.Fatalf("unseeded pipeline must still compile: %v", err)
+	wantPreds, wantHVs := reference(p, test.Images)
+	hvs, err := e.QueryHVs(test.Images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range hvs.Data {
+		if v != wantHVs.Data[i] {
+			t.Fatalf("unseeded: query hypervector element %d = %g, pipeline %g", i, v, wantHVs.Data[i])
+		}
+	}
+	got, err := e.Predict(test.Images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != wantPreds[i] {
+			t.Fatalf("unseeded: sample %d: engine=%d pipeline=%d", i, got[i], wantPreds[i])
+		}
 	}
 }
 
-// TestEngineRematFootprint: rematerializing the projection collapses the
-// encoder's serving bytes to the 8-byte seed (the prepacked operand is
-// O(F̂·D)), and ModelBytes totals its own breakdown in both.
-func TestEngineRematFootprint(t *testing.T) {
-	p, _ := buildPipeline(t, func(c *core.Config) {})
-	prepacked, err := engine.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remat, err := engine.Compile(p, engine.WithRemat())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stageBytes := func(e *engine.Engine, name string) int64 {
-		for _, b := range e.BytesBreakdown() {
-			if b.Name == name {
-				return b.Bytes
+// TestEngineSignWordFootprint pins the projection's served bytes to its
+// analytic size: on every unfolded topology and both classifier kernels the
+// project row of BytesBreakdown is Pipeline.Costs' ProjectionBytes, F̂·⌈D/64⌉·8,
+// and the LSH stage's its LSHBytes; a folded tail holds the float matrix
+// G = Wᵀ·P and its bias row, (PooledF+1)·D·4. ModelBytes totals the
+// breakdown.
+func TestEngineSignWordFootprint(t *testing.T) {
+	for _, sh := range []struct {
+		name string
+		mut  func(*core.Config)
+	}{
+		{"manifold", func(c *core.Config) {}},
+		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
+		{"direct", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }},
+		{"D257", func(c *core.Config) { c.D = 257 }},
+		{"folded", func(c *core.Config) { c.FHat = foldingFHat(c.D) }},
+	} {
+		for _, packed := range []bool{false, true} {
+			p, _ := buildPipeline(t, func(c *core.Config) { sh.mut(c); c.PackedInference = packed })
+			e, err := engine.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs := p.Costs()
+			rows := map[string]int64{}
+			var sum int64
+			for _, b := range e.BytesBreakdown() {
+				rows[b.Name] = b.Bytes
+				sum += b.Bytes
+			}
+			if sum != e.ModelBytes() || sum <= 0 {
+				t.Fatalf("%s/%s: ModelBytes %d != breakdown sum %d", sh.name, kernelName(packed), e.ModelBytes(), sum)
+			}
+			if sh.name == "folded" {
+				if got, want := rows["manifold*project"], int64(p.Manifold.PooledF+1)*int64(p.Cfg.D)*4; got != want {
+					t.Fatalf("folded/%s: manifold*project bytes %d, want %d", kernelName(packed), got, want)
+				}
+				continue
+			}
+			want := int64(p.Proj.F) * int64((p.Cfg.D+63)/64) * 8
+			if got := rows["project"]; got != costs.ProjectionBytes || got != want {
+				t.Fatalf("%s/%s: project bytes %d, Costs().ProjectionBytes %d, F̂·⌈D/64⌉·8 = %d",
+					sh.name, kernelName(packed), got, costs.ProjectionBytes, want)
+			}
+			if p.LSH != nil && rows["lsh"] != costs.LSHBytes {
+				t.Fatalf("%s/%s: lsh bytes %d, Costs().LSHBytes %d", sh.name, kernelName(packed), rows["lsh"], costs.LSHBytes)
 			}
 		}
-		return -1
 	}
-	if got := stageBytes(remat, "project@seed"); got != 8 {
-		t.Fatalf("remat projection bytes = %d, want 8 (the seed)", got)
-	}
-	if got, floor := stageBytes(prepacked, "project"), int64(p.Proj.F)*int64(p.Proj.D)*4; got < floor {
-		t.Fatalf("prepacked projection bytes = %d, want >= %d", got, floor)
-	}
-	for _, e := range []*engine.Engine{prepacked, remat} {
-		var sum int64
-		for _, b := range e.BytesBreakdown() {
-			sum += b.Bytes
+}
+
+// TestCompileRejectsNonBipolarProjection: one entry of the projection, of
+// the LSH operand, or of a projection the planner folds, that is 0, −0, 0.5,
+// NaN or +Inf makes Compile return an error wrapping ErrNotBipolar — never a
+// panic, and never an engine serving sign words of a different matrix.
+func TestCompileRejectsNonBipolarProjection(t *testing.T) {
+	for _, sh := range []struct {
+		name string
+		mut  func(*core.Config)
+		lsh  bool
+	}{
+		{"manifold", func(c *core.Config) {}, false},
+		{"folded", func(c *core.Config) { c.FHat = foldingFHat(c.D) }, false},
+		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }, true},
+	} {
+		for _, v := range []float32{0, float32(math.Copysign(0, -1)), 0.5, float32(math.NaN()), float32(math.Inf(1))} {
+			p, _ := buildPipeline(t, sh.mut)
+			m := p.Proj.P
+			if sh.lsh {
+				m = p.LSH.P
+			}
+			m.Data[len(m.Data)/2+1] = v
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s, entry %v: Compile panicked: %v", sh.name, v, r)
+					}
+				}()
+				if e, err := engine.Compile(p); !errors.Is(err, engine.ErrNotBipolar) || e != nil {
+					t.Fatalf("%s, entry %v: Compile = %v, %v; want ErrNotBipolar", sh.name, v, e, err)
+				}
+			}()
 		}
-		if sum != e.ModelBytes() || sum <= 0 {
-			t.Fatalf("ModelBytes %d != breakdown sum %d", e.ModelBytes(), sum)
-		}
-	}
-	if remat.ModelBytes() >= prepacked.ModelBytes() {
-		t.Fatalf("remat footprint %d not below prepacked %d", remat.ModelBytes(), prepacked.ModelBytes())
 	}
 }
 
@@ -326,11 +413,10 @@ func zeroAllocGate(t *testing.T, n func(e *engine.Engine, test *dataset.Dataset)
 		for _, packed := range []bool{false, true} {
 			t.Run(tc.name+"/"+kernelName(packed), func(t *testing.T) {
 				p, test := buildPipeline(t, tc.mut(func(c *core.Config) { c.PackedInference = packed }))
-				e, err := engine.Compile(p, tc.opts...)
-				if err != nil {
-					t.Fatal(err)
+				e := tc.compile(t, p)
+				if tc.detached {
+					detach(p)
 				}
-				tc.checkStages(t, e)
 				requireZeroAlloc(t, e, firstImages(test.Images, n(e, test)))
 			})
 		}
@@ -401,8 +487,8 @@ func TestEngineZeroAllocWideClassMemory(t *testing.T) {
 }
 
 // TestEngineZeroAllocBatch1 is the same gate at the latency-critical shape.
-// Batch 1 drives the skinny-M GEMM dispatch and the prepacked projection
-// strips, so a regression that makes either allocate fails here even when
+// Batch 1 drives the skinny-M GEMM dispatch and the sign-word expansion of
+// the projection strips, so a regression that makes either allocate fails here even when
 // the chunk-sized gate stays clean.
 func TestEngineZeroAllocBatch1(t *testing.T) {
 	zeroAllocGate(t, func(*engine.Engine, *dataset.Dataset) int { return 1 })

@@ -21,9 +21,8 @@ type Projection struct {
 	// Packed holds the same rows bit-packed for binary kernels.
 	Packed *PackedMatrix
 	// Seeded marks a projection whose matrix is DEFINED by Seed through
-	// tensor.BipolarGen: any row, tile or GEMM panel of P can be
-	// regenerated on demand, bit-identical to the stored matrix, so a
-	// serving engine needs only the seed (see tensor.RematPanels).
+	// tensor.BipolarGen: any row or tile of P can be regenerated on demand,
+	// bit-identical to the stored matrix.
 	Seeded bool
 	Seed   int64
 }
@@ -41,9 +40,7 @@ func NewProjection(rng *tensor.RNG, f, d int) *Projection {
 
 // NewSeededProjection constructs the projection whose matrix is the seeded
 // bipolar generator's [F, D] matrix. The dense P and packed forms are
-// materialized for the training-side kernels (decode, packed binding);
-// serving paths can instead rematerialize panels from the seed alone, which
-// collapses the encoder's model bytes from O(F·D) to the 8-byte seed.
+// materialized for the training-side kernels (decode, packed binding).
 func NewSeededProjection(seed int64, f, d int) *Projection {
 	if f <= 0 || d <= 0 {
 		panic(fmt.Sprintf("hdc: NewSeededProjection with F=%d D=%d", f, d))
@@ -51,14 +48,6 @@ func NewSeededProjection(seed int64, f, d int) *Projection {
 	p := tensor.New(f, d)
 	tensor.NewBipolarGen(seed, f, d).FillInto(p)
 	return &Projection{F: f, D: d, P: p, Packed: NewPackedMatrix(p), Seeded: true, Seed: seed}
-}
-
-// Gen returns the defining generator of a seeded projection, nil otherwise.
-func (pr *Projection) Gen() *tensor.BipolarGen {
-	if !pr.Seeded {
-		return nil
-	}
-	return tensor.NewBipolarGen(pr.Seed, pr.F, pr.D)
 }
 
 // Encode maps one feature vector to its hypervector. It returns both the
@@ -107,23 +96,15 @@ func (pr *Projection) EncodeBatchInto(features, raw, signed *tensor.Tensor, scra
 	tensor.SignInto(signed, raw)
 }
 
-// PrepackedPanels returns P converted once into the blocked GEMM's panel
-// form. Products against the result skip the per-call panel packing pass —
-// at batch 1 that pass dominates the whole projection GEMM — and need no
-// scratch. Results are bit-identical to EncodeBatchInto (the panel kernel
-// runs the serial GEMM's exact schedule).
-func (pr *Projection) PrepackedPanels() *tensor.ProjPanels {
-	return tensor.PrepackPanels(pr.P)
-}
-
-// EncodeBatchPanelsInto is EncodeBatchInto against panels prepacked from
-// this projection's P (see PrepackedPanels). Strictly serial, zero
-// allocations, zero scratch; bit-identical to EncodeBatchInto.
-func (pr *Projection) EncodeBatchPanelsInto(features, raw, signed *tensor.Tensor, pp *tensor.ProjPanels) {
+// EncodeBatchPanelsInto is EncodeBatchInto against panels of this
+// projection's P — its sign words (tensor.SignPanels), as a serving engine
+// holds them. Strictly serial, zero allocations; scratch needs
+// tensor.PanelScratch() floats. Bit-identical to EncodeBatchInto.
+func (pr *Projection) EncodeBatchPanelsInto(features, raw, signed *tensor.Tensor, pp *tensor.ProjPanels, scratch []float32) {
 	if features.Rank() != 2 || features.Shape[1] != pr.F {
 		panic(fmt.Sprintf("hdc: EncodeBatchPanelsInto expects [N %d], got %v", pr.F, features.Shape))
 	}
-	tensor.MatMulPanelsInto(raw, features, pp, nil)
+	tensor.MatMulPanelsInto(raw, features, pp, scratch)
 	tensor.SignInto(signed, raw)
 }
 
@@ -160,16 +141,6 @@ func (pr *Projection) EncodeMACs() int64 { return int64(pr.F) * int64(pr.D) }
 func (pr *Projection) MemoryBytes(packed bool) int64 {
 	if packed {
 		return pr.Packed.MemoryBytes()
-	}
-	return int64(pr.F) * int64(pr.D) * 4
-}
-
-// ServingBytes reports what a serving engine must keep resident for the
-// encoder: the 8-byte seed when rematerializing from a seeded projection,
-// the dense matrix otherwise.
-func (pr *Projection) ServingBytes(remat bool) int64 {
-	if remat && pr.Seeded {
-		return 8
 	}
 	return int64(pr.F) * int64(pr.D) * 4
 }

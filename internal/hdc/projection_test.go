@@ -53,10 +53,10 @@ func TestEncodeBatchIntoAgreesAtAwkwardShapes(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchRematMatchesStored: encoding through rematerialized panels
-// (the stored P never read) is bit-identical to the stored-matrix encode at
+// TestEncodeBatchSignPanelsMatchStored: encoding through P's sign words (the
+// float matrix never read) is bit-identical to the stored-matrix encode at
 // every awkward shape.
-func TestEncodeBatchRematMatchesStored(t *testing.T) {
+func TestEncodeBatchSignPanelsMatchStored(t *testing.T) {
 	for _, s := range encodeShapes {
 		pr := NewSeededProjection(int64(3*s.f+s.d), s.f, s.d)
 		features := tensor.New(s.n, s.f)
@@ -68,21 +68,20 @@ func TestEncodeBatchRematMatchesStored(t *testing.T) {
 
 		raw := tensor.New(s.n, s.d)
 		signed := tensor.New(s.n, s.d)
-		tensor.MatMulPanelsInto(raw, features, tensor.RematPanels(pr.Gen()), make([]float32, tensor.PanelScratch()))
-		tensor.SignInto(signed, raw)
+		pr.EncodeBatchPanelsInto(features, raw, signed, tensor.SignPanels(pr.P), make([]float32, tensor.PanelScratch()))
 		for i := range wantRaw.Data {
 			if raw.Data[i] != wantRaw.Data[i] {
-				t.Fatalf("F=%d D=%d N=%d: remat raw differs at %d", s.f, s.d, s.n, i)
+				t.Fatalf("F=%d D=%d N=%d: sign-word raw differs at %d", s.f, s.d, s.n, i)
 			}
 			if signed.Data[i] != wantSigned.Data[i] {
-				t.Fatalf("F=%d D=%d N=%d: remat signed differs at %d", s.f, s.d, s.n, i)
+				t.Fatalf("F=%d D=%d N=%d: sign-word signed differs at %d", s.f, s.d, s.n, i)
 			}
 		}
 	}
 }
 
-// TestSeededProjectionDeterminism: the seed fully defines the matrix, the
-// generator regenerates it exactly, and serving bytes collapse to the seed.
+// TestSeededProjectionDeterminism: the seed fully defines the matrix and the
+// generator regenerates it exactly.
 func TestSeededProjectionDeterminism(t *testing.T) {
 	a := NewSeededProjection(123, 40, 333)
 	b := NewSeededProjection(123, 40, 333)
@@ -92,24 +91,10 @@ func TestSeededProjectionDeterminism(t *testing.T) {
 		}
 	}
 	regen := tensor.New(40, 333)
-	a.Gen().FillInto(regen)
+	tensor.NewBipolarGen(a.Seed, 40, 333).FillInto(regen)
 	for i := range a.P.Data {
 		if regen.Data[i] != a.P.Data[i] {
 			t.Fatalf("generator disagrees with stored P at %d", i)
 		}
-	}
-	if got := a.ServingBytes(true); got != 8 {
-		t.Fatalf("seeded ServingBytes(remat) = %d, want 8", got)
-	}
-	if got := a.ServingBytes(false); got != 40*333*4 {
-		t.Fatalf("ServingBytes(stored) = %d, want %d", got, 40*333*4)
-	}
-	rng := tensor.NewRNG(9)
-	unseeded := NewProjection(rng, 10, 64)
-	if unseeded.Gen() != nil {
-		t.Fatal("unseeded projection returned a generator")
-	}
-	if got := unseeded.ServingBytes(true); got != 10*64*4 {
-		t.Fatalf("unseeded ServingBytes(remat) = %d, want dense %d", got, 10*64*4)
 	}
 }

@@ -635,3 +635,33 @@ reduce:
 	DOTSUM12(0(DI), 4(DI), 8(DI), 12(DI), 16(DI), 20(DI), 24(DI), 28(DI), 32(DI), 36(DI), 40(DI), 44(DI))
 	VZEROUPPER
 	RET
+
+// func expandSigns512Asm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int)
+//
+// One strip row a step: the row's 16 bits, shifted down from the word, are
+// the lane mask K1, and VBLENDMPS takes −1.0 where it is set and +1.0 where
+// it is clear. Rows are ldw words apart at w and ldd floats apart at dst.
+TEXT ·expandSigns512Asm(SB), NOSPLIT, $0-48
+	MOVQ rows+0(FP), R8
+	MOVQ w+8(FP), SI
+	MOVQ ldw+16(FP), R9
+	MOVQ shift+24(FP), CX
+	MOVQ dst+32(FP), DI
+	MOVQ ldd+40(FP), R10
+	MOVL $0x3f800000, AX
+	VPBROADCASTD AX, Z0
+	MOVL $0xbf800000, AX
+	VPBROADCASTD AX, Z1
+
+expand:
+	MOVQ      (SI), AX
+	SHRQ      CX, AX
+	KMOVW     AX, K1
+	VBLENDMPS Z1, Z0, K1, Z2
+	VMOVUPS   Z2, (DI)
+	LEAQ      (SI)(R9*8), SI
+	LEAQ      (DI)(R10*4), DI
+	DECQ      R8
+	JNE       expand
+	VZEROUPPER
+	RET

@@ -158,6 +158,17 @@ func reluAsm(n int, p *float32)
 //go:noescape
 func addScalarReluAsm(n int, p *float32, b float32)
 
+// expandSignsAsm and expandSigns512Asm (gemm512_amd64.s, behind useGemm512)
+// write rows strip rows of exactly ±1.0: row r, at dst + r·ldd floats, is
+// bits [shift, shift+16) of the word at w + r·ldw, −1.0 where a bit is set.
+// rows must be ≥ 1.
+//
+//go:noescape
+func expandSignsAsm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int)
+
+//go:noescape
+func expandSigns512Asm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int)
+
 // packSignsAsm writes nwords uint64 sign masks: bit i of word w is set iff
 // src[64w+i] < 0 (VCMPPS with the LT predicate, so -0/NaN pack as 0 exactly
 // like the Go comparison). nwords must be ≥ 1.

@@ -534,3 +534,46 @@ wloop:
 	JNE  wloop
 	VZEROUPPER
 	RET
+
+// func expandSignsAsm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int)
+//
+// expandSigns512Asm on 256-bit registers: the row's bits, broadcast and
+// shifted left by 31 − j in lane j (counts widened from byte immediates), put
+// bit j in the sign position, which is masked and or-ed into +1.0.
+TEXT ·expandSignsAsm(SB), NOSPLIT, $0-48
+	MOVQ rows+0(FP), R8
+	MOVQ w+8(FP), SI
+	MOVQ ldw+16(FP), R9
+	MOVQ shift+24(FP), CX
+	MOVQ dst+32(FP), DI
+	MOVQ ldd+40(FP), R10
+	MOVQ $0x18191a1b1c1d1e1f, AX
+	VMOVQ AX, X0
+	VPMOVZXBD X0, Y0
+	MOVQ $0x1011121314151617, AX
+	VMOVQ AX, X1
+	VPMOVZXBD X1, Y1
+	VPCMPEQD Y2, Y2, Y2
+	VPSRLD $25, Y2, Y3
+	VPSLLD $23, Y3, Y3
+	VPSLLD $31, Y2, Y2
+
+expand:
+	MOVQ         (SI), AX
+	SHRQ         CX, AX
+	VMOVQ        AX, X4
+	VPBROADCASTD X4, Y4
+	VPSLLVD      Y0, Y4, Y5
+	VPSLLVD      Y1, Y4, Y6
+	VPAND        Y2, Y5, Y5
+	VPAND        Y2, Y6, Y6
+	VPOR         Y3, Y5, Y5
+	VPOR         Y3, Y6, Y6
+	VMOVDQU      Y5, (DI)
+	VMOVDQU      Y6, 32(DI)
+	LEAQ         (SI)(R9*8), SI
+	LEAQ         (DI)(R10*4), DI
+	DECQ         R8
+	JNE          expand
+	VZEROUPPER
+	RET

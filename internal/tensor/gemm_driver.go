@@ -45,9 +45,9 @@ import "unsafe"
 // driverScratch returns the scratch length of a product under that layout.
 // The asm build generates strips for every source (prepacked panels aside,
 // which need none and ask for none); the portable build has no strips and
-// needs the buffer only for a source that generates its dense tiles (remat
-// panels, convs). spillRows is the output row count of a product whose range
-// may cut a strip.
+// needs the buffer only for a source that generates its dense tiles
+// (sign-word panels, convs). spillRows is the output row count of a product
+// whose range may cut a strip.
 func driverScratch(generates bool, spillRows int) int {
 	if !useGemmAsm {
 		if generates {
@@ -113,6 +113,16 @@ type bStrips struct {
 // kernels — a conv's padded window, a dense B read in place — and so needs
 // gemmDrive's offset table.
 func (s *gemmB) offsetForm() bool { return s.win != nil || s.inPlace }
+
+// runCols is how many columns of an NC block gemmDrive asks strips for at a
+// time: sign-word panels' expanded run, every other source's whole block.
+// Runs only regroup independent columns, so they move no bit.
+func (s *gemmB) runCols() int {
+	if s.kind == bPanels && s.pp.signs != nil {
+		return signRunCols
+	}
+	return gemmNC
+}
 
 // strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1),
 // generated into buf, in place, or — the conv's offset form and an in-place
@@ -189,11 +199,15 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 		if src.offsetForm() {
 			offs = offsTable(scratch[len(src.win):])
 		}
+		run := src.runCols()
 		for jb := head; jb < body; {
 			je := min(jb-jb%gemmNC+gemmNC, body)
 			for pb := k0; pb < k1; pb += gemmKC {
 				pe := min(pb+gemmKC, k1)
-				gemmStripPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, offs, pb, pe, jb, je), pe-pb, (je-jb)/gemmNR, overwrite && pb == k0)
+				for rb := jb; rb < je; rb += run {
+					re := min(rb+run, je)
+					gemmStripPart(dst[rb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, offs, pb, pe, rb, re), pe-pb, (re-rb)/gemmNR, overwrite && pb == k0)
+				}
 			}
 			jb = je
 		}

@@ -30,12 +30,12 @@ func TestGemmDriverZeroAlloc(t *testing.T) {
 	for _, asm := range []bool{true, false} {
 		runWithAsm(asm, func() {
 			scratch := make([]float32, max(GemmScratch(), PanelScratch(), ConvTileScratch(g, 5, 12), ConvGemmScratch(gw)))
-			prepacked, remat := PrepackPanels(mat), RematPanels(gen)
+			prepacked, signs := PrepackPanels(mat), SignPanels(mat)
 			for name, product := range map[string]func(){
 				"dense":               func() { MatMulSerialInto(out, a, mat, scratch) },
 				"transposed, accum":   func() { MatMulAccTSerialInto(accDst, accA, accB, scratch) },
 				"panels, prepacked":   func() { MatMulPanelsInto(out, a, prepacked, scratch) },
-				"panels, remat":       func() { MatMulPanelsInto(out, a, remat, scratch) },
+				"panels, sign words":  func() { MatMulPanelsInto(out, a, signs, scratch) },
 				"panels, one K block": func() { MatMulPanelsKBlock(out.Data, n, a.Data, k, 1, prepacked, 0, k, nil) },
 				"conv, full map":      func() { ConvMulSerialInto(convOut, wmat, g, x, scratch) },
 				"conv, cut tile":      func() { ConvMulRowsInto(convOut.Data, 12*12, 3*12, wmat, g, x, 0, 12, 3, 7, scratch) },
@@ -143,7 +143,7 @@ func TestGemm512Matches256(t *testing.T) {
 				{"dense, in place", gemmB{kind: bDense, n: n, b: b.Data, inPlace: true}},
 				{"transposed", gemmB{kind: bDenseT, n: n, b: bt.Data, k: k}},
 				{"prepacked", gemmB{kind: bPanels, n: n, pp: PrepackPanels(genMat)}},
-				{"remat", gemmB{kind: bPanels, n: n, pp: RematPanels(gen)}},
+				{"sign words", gemmB{kind: bPanels, n: n, pp: SignPanels(genMat)}},
 			}
 			for _, m := range width512Rows {
 				a := randMat(int64(m), m, k)
@@ -353,7 +353,7 @@ func TestGemmOverwriteMatchesClear(t *testing.T) {
 							{"dense, in place", gemmB{kind: bDense, n: n, b: b.Data, inPlace: mode.asm}},
 							{"transposed", gemmB{kind: bDenseT, n: n, b: bt.Data, k: k}},
 							{"prepacked", gemmB{kind: bPanels, n: n, pp: PrepackPanels(b)}},
-							{"remat", gemmB{kind: bPanels, n: n, pp: RematPanels(gen)}},
+							{"sign words", gemmB{kind: bPanels, n: n, pp: SignPanels(genMat)}},
 						}
 						for _, m := range rowCounts {
 							a := underflowA(int64(m), m, k)

@@ -63,3 +63,11 @@ func addScalarReluAsm(n int, p *float32, b float32) {
 func packSignsAsm(nwords int, src *float32, dst *uint64) {
 	panic("tensor: packSignsAsm requires amd64")
 }
+
+func expandSignsAsm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int) {
+	panic("tensor: expandSignsAsm requires amd64")
+}
+
+func expandSigns512Asm(rows int, w *uint64, ldw int, shift uint, dst *float32, ldd int) {
+	panic("tensor: expandSigns512Asm requires amd64")
+}

@@ -1,14 +1,23 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Panel-fed GEMM: the serving engine's fused-tail kernel. A ProjPanels holds
-// the right-hand matrix of a projection GEMM in the exact form the blocked
-// kernel consumes — either prepacked once at compile time (so the per-call
-// packPanel16 pass disappears; at batch 1 that pass dominates the whole
-// product) or defined by a seeded BipolarGen whose panels are rematerialized
-// into scratch inside the K-loop (so the matrix is never stored at all and
-// the kernel turns from bandwidth-bound streaming into pure compute).
+// the right-hand matrix of a projection GEMM in a form the blocked kernel
+// reads without a per-call packing pass (at batch 1 that pass dominates the
+// whole product), in one of two backings:
+//
+//   - sign words (SignPanels), for a ±1 matrix: one bit per entry, set for
+//     −1 — the convention of BipolarGen, PackSignsInto and hdc.PackedHV.
+//     Each panel step expands the strips it is about to multiply into an
+//     L1-sized run of exactly ±1.0 (expandSigns), so the strip kernels read
+//     the very values the stored matrix holds, in the same K order, and the
+//     matrix costs one bit per entry instead of 32.
+//   - prepacked float strips (PrepackPanels), for any other matrix: packed
+//     once at compile time in the strip kernels' layout.
 //
 // MatMulPanelsBlock computes one gemmNC-wide column block of a @ B into a
 // compact [m, w] tile, which is what lets the fused tail walk the D
@@ -20,13 +29,20 @@ import "fmt"
 // bit-identical to MatMulSerialInto's output, by the driver's schedule
 // contract. TestMatMulPanelsMatchesSerial pins this across shapes.
 
+// signRunCols is how many columns of sign-word panels one expansion covers
+// before the strip kernels consume them: one sign word, four strips. At
+// K = 100 a run is 25.6 KB of strips, still in L1 when the kernels read it;
+// a whole 256-column block (100 KB) is not, and measured slower at batch 1
+// (DESIGN.md, "Fused tail").
+const signRunCols = 64
+
 // PanelBlockCols returns the column-block width MatMulPanelsBlock computes
 // per call (the GEMM's NC blocking); block offsets must be multiples of it.
 func PanelBlockCols() int { return gemmNC }
 
-// PanelStripCols returns how many leading columns of an n-column matrix
-// PrepackPanels holds as 16-wide micro-kernel strips: ⌊n/16⌋·16 on the asm
-// build, none on the portable one.
+// PanelStripCols returns how many leading columns of an n-column matrix the
+// panels serve as 16-wide micro-kernel strips: ⌊n/16⌋·16 on the asm build,
+// none on the portable one.
 func PanelStripCols(n int) int {
 	if !useGemmAsm {
 		return 0
@@ -34,16 +50,21 @@ func PanelStripCols(n int) int {
 	return n / gemmNR * gemmNR
 }
 
-// PanelScratch returns the float32 scratch length rematerializing panels
-// need (the driver's generate-into buffer); prepacked panels need none.
+// PanelScratch returns the float32 scratch length sign-word panels need (the
+// expanded runs, or the portable build's dense tiles); prepacked panels need
+// none.
 func PanelScratch() int { return driverScratch(true, 0) }
 
 // ProjPanels is a GEMM right-hand side in panel form. Exactly one backing is
-// active: a seeded generator (rematerializing), prepacked strips (amd64 asm
-// path), or a dense reference (portable path).
+// active: sign words, prepacked strips (amd64 asm path), or a dense reference
+// (portable path).
 type ProjPanels struct {
 	k, n int
-	gen  *BipolarGen
+
+	// Sign-word backing: row p's bits are signs[p·wpr : (p+1)·wpr], bit j%64
+	// of word j/64 set where entry (p, j) is −1.
+	signs []uint64
+	wpr   int
 
 	// Prepacked asm backing: strips holds cols [0, n16) (n16 = ⌊n/16⌋·16)
 	// packed per (NC block, KC block) in packPanel16 layout; stripBase[b] is
@@ -55,6 +76,23 @@ type ProjPanels struct {
 
 	// Portable backing: the dense matrix itself (shared, not copied).
 	dense []float32
+}
+
+// SignPanels holds a [K, N] matrix of ±1 entries as sign words, K·⌈N/64⌉
+// uint64. Packing keeps only `v < 0`, so an entry that is not exactly +1 or
+// −1 (0, −0, NaN, 0.5) would be served as ±1: callers check first (the
+// engine's Compile does, once per operand).
+func SignPanels(b *Tensor) *ProjPanels {
+	if b.Rank() != 2 {
+		panic("tensor: SignPanels requires a rank-2 tensor")
+	}
+	k, n := b.Shape[0], b.Shape[1]
+	wpr := (n + 63) / 64
+	pp := &ProjPanels{k: k, n: n, wpr: wpr, signs: make([]uint64, k*wpr)}
+	for p := 0; p < k; p++ {
+		PackSignsInto(pp.signs[p*wpr:(p+1)*wpr], b.Data[p*n:(p+1)*n])
+	}
+	return pp
 }
 
 // PrepackPanels converts a stored [K, N] matrix into panel form. On the asm
@@ -102,27 +140,17 @@ func PrepackPanels(b *Tensor) *ProjPanels {
 	return pp
 }
 
-// RematPanels wraps a seeded generator as a GEMM right-hand side. Nothing is
-// stored: each K-block panel is regenerated into caller scratch inside the
-// product, bit-identical to prepacking the generator's materialized matrix.
-func RematPanels(gen *BipolarGen) *ProjPanels {
-	return &ProjPanels{k: gen.Rows, n: gen.Cols, gen: gen}
-}
-
 // Dims returns the panel matrix shape [K, N].
 func (pp *ProjPanels) Dims() (k, n int) { return pp.k, pp.n }
 
-// Remat reports whether the panels are generator-backed (nothing stored).
-func (pp *ProjPanels) Remat() bool { return pp.gen != nil }
-
-// MemoryBytes is the panels' resident storage: the seed alone when
-// rematerializing, the packed strips + tail on the asm path, or the shared
-// dense matrix it references on the portable path.
+// MemoryBytes is the panels' resident storage: K·⌈N/64⌉·8 for sign words,
+// the packed strips + tail on the asm path, or the shared dense matrix it
+// references on the portable path.
 func (pp *ProjPanels) MemoryBytes() int64 {
-	if pp.gen != nil {
-		return 8
-	}
-	if pp.dense != nil {
+	switch {
+	case pp.signs != nil:
+		return int64(len(pp.signs)) * 8
+	case pp.dense != nil:
 		return int64(len(pp.dense)) * 4
 	}
 	return int64(len(pp.strips)+len(pp.tail)) * 4
@@ -165,7 +193,7 @@ func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
 // PanelBlockCols, pe the next one or K. Same kernels and per-element order
 // as one K step of MatMulPanelsBlock, and the bits of clearing dst and
 // accumulating into it, without the clear (the strip kernels start the block
-// at +0 in registers); scratch is needed only by rematerializing panels.
+// at +0 in registers); scratch is needed only by sign-word panels.
 func MatMulPanelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanels, pb, pe int, scratch []float32) {
 	panelsKBlock(dst, ldd, a, lda, m, pp, pb, pe, scratch, true)
 }
@@ -189,18 +217,21 @@ func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {
 	if k != pp.k {
 		panic(fmt.Sprintf("tensor: panel GEMM K mismatch: a is [%d %d], panels hold K=%d", m, k, pp.k))
 	}
-	if pp.gen != nil && len(scratch) < PanelScratch() {
+	if pp.signs != nil && len(scratch) < PanelScratch() {
 		panic(fmt.Sprintf("tensor: panel GEMM scratch %d < PanelScratch %d", len(scratch), PanelScratch()))
 	}
 	return m
 }
 
-// stripsAt is the panels' half of gemmB.strips: prepacked strips are returned
-// in place — [j0, j1) lies in one NC block and [pb, pe) is one K block, the
-// unit they are stored in — and a generator's are rematerialized into buf.
+// stripsAt is the panels' half of gemmB.strips: sign words are expanded into
+// buf, prepacked strips returned in place — [j0, j1) lies in one NC block
+// and [pb, pe) is one K block, the unit they are stored in.
 func (pp *ProjPanels) stripsAt(buf []float32, pb, pe, j0, j1 int) []float32 {
-	if pp.gen != nil {
-		pp.gen.fillStrips(buf, pb, pe, j0, j1)
+	if pp.signs != nil {
+		kc := pe - pb
+		for js := j0; js < j1; js += gemmNR {
+			expandSigns(buf[(js-j0)*kc:], gemmNR, pp.signs[pb*pp.wpr+js>>6:], pp.wpr, kc, uint(js&63))
+		}
 		return buf
 	}
 	jb := j0 - j0%gemmNC
@@ -209,16 +240,52 @@ func (pp *ProjPanels) stripsAt(buf []float32, pb, pe, j0, j1 int) []float32 {
 }
 
 // tileAt is the panels' half of gemmB.tile, for the ragged columns (every
-// column, on the portable build): regenerated into buf, or a view of the
+// column, on the portable build): sign words expanded into buf — 16 columns
+// at a time from a strip boundary, one at a time after it — or a view of the
 // dense matrix, or of the prepacked column tail.
 func (pp *ProjPanels) tileAt(buf []float32, pb, pe, j0, j1 int) ([]float32, int) {
 	switch {
-	case pp.gen != nil:
-		pp.gen.FillTile(buf, j1-j0, pb, pe, j0, j1)
-		return buf, j1 - j0
+	case pp.signs != nil:
+		w, j := j1-j0, j0
+		for ; j%gemmNR == 0 && j+gemmNR <= j1; j += gemmNR {
+			expandSigns(buf[j-j0:], w, pp.signs[pb*pp.wpr+j>>6:], pp.wpr, pe-pb, uint(j&63))
+		}
+		for p := pb; p < pe; p++ {
+			row := buf[(p-pb)*w:]
+			for c := j; c < j1; c++ {
+				row[c-j0] = math.Float32frombits(oneBits | uint32(pp.signs[p*pp.wpr+c>>6]>>(c&63)&1)<<31)
+			}
+		}
+		return buf, w
 	case pp.dense != nil:
 		return pp.dense[pb*pp.n+j0:], pp.n
 	}
 	n16 := PanelStripCols(pp.n)
 	return pp.tail[pb*(pp.n-n16)+j0-n16:], pp.n - n16
+}
+
+// expandSigns writes rows strip rows of exactly ±1.0 (never −0): row r, at
+// dst[r·ldd:][:16], is bits [shift, shift+16) of w[r·ldw], −1.0 where a bit
+// is set. shift ≤ 48 and rows ≥ 1. The 512-bit kernel, the 256-bit one and
+// the Go twin write the same bits.
+func expandSigns(dst []float32, ldd int, w []uint64, ldw, rows int, shift uint) {
+	_, _ = dst[(rows-1)*ldd+gemmNR-1], w[(rows-1)*ldw]
+	switch {
+	case useGemm512:
+		expandSigns512Asm(rows, &w[0], ldw, shift, &dst[0], ldd)
+	case useGemmAsm:
+		expandSignsAsm(rows, &w[0], ldw, shift, &dst[0], ldd)
+	default:
+		expandSignsGo(dst, ldd, w, ldw, rows, shift)
+	}
+}
+
+func expandSignsGo(dst []float32, ldd int, w []uint64, ldw, rows int, shift uint) {
+	for r := 0; r < rows; r++ {
+		bits := uint32(w[r*ldw] >> shift)
+		o := dst[r*ldd : r*ldd+gemmNR]
+		for j := range o {
+			o[j] = math.Float32frombits(oneBits | (bits>>uint(j)&1)<<31)
+		}
+	}
 }

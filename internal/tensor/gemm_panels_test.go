@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"nshd/internal/tensor/tensortest"
 )
@@ -57,13 +58,26 @@ func TestBipolarGenTileConsistency(t *testing.T) {
 		t.Fatal("element access disagrees with full fill")
 	}
 
-	// Strip fill reproduces packPanel16 of the materialized matrix.
+	// The materialized matrix's sign words are the generator's words (up to
+	// the bits past column 133, which packing leaves clear), and their strips
+	// expand to packPanel16 of the materialized matrix.
+	sp := SignPanels(full)
+	for r := 0; r < 37; r++ {
+		for wi := 0; wi < sp.wpr; wi++ {
+			want := g.word(r, wi)
+			if wi == sp.wpr-1 {
+				want &= 1<<(133%64) - 1
+			}
+			if got := sp.signs[r*sp.wpr+wi]; got != want {
+				t.Fatalf("row %d word %d: packed %#x, generated %#x", r, wi, got, want)
+			}
+		}
+	}
 	pb, pe, jb, je := 4, 33, 16, 128
 	kc := pe - pb
 	want := make([]float32, kc*(je-jb))
 	packPanel16(want, full.Data, 133, pb, pe, jb, je)
-	got := make([]float32, kc*(je-jb))
-	g.fillStrips(got, pb, pe, jb, je)
+	got := sp.stripsAt(make([]float32, kc*(je-jb)), pb, pe, jb, je)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("strip mismatch at %d: got %v want %v", i, got[i], want[i])
@@ -107,8 +121,8 @@ var panelShapes = []struct{ m, k, n int }{
 }
 
 // TestMatMulPanelsMatchesSerial pins the bit-exactness contract: prepacked
-// and rematerialized panel products equal MatMulSerialInto on the
-// materialized matrix, element for element, for both the full-width and the
+// and sign-word panel products equal MatMulSerialInto on the materialized
+// matrix, element for element, for both the full-width and the
 // per-block entry points.
 func TestMatMulPanelsMatchesSerial(t *testing.T) {
 	for _, asm := range []bool{true, false} {
@@ -127,7 +141,7 @@ func TestMatMulPanelsMatchesSerial(t *testing.T) {
 
 				for name, pp := range map[string]*ProjPanels{
 					"prepack": PrepackPanels(b),
-					"remat":   RematPanels(gen),
+					"signs":   SignPanels(b),
 				} {
 					got := New(s.m, s.n)
 					MatMulPanelsInto(got, a, pp, pscratch)
@@ -179,7 +193,7 @@ func TestAccumPanelsKBlock(t *testing.T) {
 				MatMulPanelsInto(want, a, prepack, pscratch)
 				walks[asm] = append(walks[asm], want)
 
-				for name, pp := range map[string]*ProjPanels{"prepack": prepack, "remat": RematPanels(gen)} {
+				for name, pp := range map[string]*ProjPanels{"prepack": prepack, "signs": SignPanels(b)} {
 					got := New(s.m, s.n)
 					for pb := 0; pb < s.k; pb += PanelBlockCols() {
 						pe := min(pb+PanelBlockCols(), s.k)
@@ -229,48 +243,111 @@ func TestAccumPanelsKBlockPanics(t *testing.T) {
 	}
 }
 
-// TestPrepackPanelsAgainstRemat: packing a stored matrix and wrapping its
-// generator describe the same operator.
-func TestPrepackPanelsAgainstRemat(t *testing.T) {
-	gen := NewBipolarGen(99, 100, 530)
-	b := New(100, 530)
-	gen.FillInto(b)
-	a := New(6, 100)
-	NewRNG(5).FillNormal(a, 0, 1)
-	scratch := make([]float32, PanelScratch())
-	x := New(6, 530)
-	y := New(6, 530)
-	MatMulPanelsInto(x, a, PrepackPanels(b), scratch)
-	MatMulPanelsInto(y, a, RematPanels(gen), scratch)
-	for i := range x.Data {
-		if x.Data[i] != y.Data[i] {
-			t.Fatalf("prepack vs remat differ at %d", i)
+// TestSignPanelsMatchPrepacked: sign words and prepacked float strips of one
+// ±1 matrix are the same operand, bit for bit, at widths off every run,
+// strip and block edge, at the batch sizes of each strip kernel and across
+// K block edges.
+func TestSignPanelsMatchPrepacked(t *testing.T) {
+	for _, n := range []int{16, 65, 257, 3000, 10000} {
+		for _, k := range []int{1, 100, 257} {
+			b := New(k, n)
+			NewBipolarGen(int64(n+k), k, n).FillInto(b)
+			prepacked, signs := PrepackPanels(b), SignPanels(b)
+			scratch := make([]float32, PanelScratch())
+			for _, m := range []int{1, 3, 8, 64} {
+				a := randMat(int64(m+k), m, k)
+				x, y := New(m, n), New(m, n)
+				MatMulPanelsInto(x, a, prepacked, scratch)
+				MatMulPanelsInto(y, a, signs, scratch)
+				if i := bitsDiffer(x.Data, y.Data); i >= 0 {
+					t.Fatalf("n=%d k=%d m=%d: element %d prepacked %v, sign words %v", n, k, m, i, x.Data[i], y.Data[i])
+				}
+			}
 		}
 	}
 }
 
-// TestProjPanelsMemoryBytes: rematerialized panels cost a seed; prepacked
-// panels cost the matrix.
+// TestProjPanelsMemoryBytes: sign words cost K·⌈N/64⌉·8 bytes, the packed
+// projection's analytic size; prepacked panels cost the float matrix.
 func TestProjPanelsMemoryBytes(t *testing.T) {
-	gen := NewBipolarGen(1, 100, 3000)
-	if got := RematPanels(gen).MemoryBytes(); got != 8 {
-		t.Fatalf("remat panels report %d bytes, want 8", got)
-	}
 	b := New(100, 3000)
-	gen.FillInto(b)
+	NewBipolarGen(1, 100, 3000).FillInto(b)
+	if got := SignPanels(b).MemoryBytes(); got != 100*47*8 {
+		t.Fatalf("sign panels report %d bytes, want %d", got, 100*47*8)
+	}
 	if got := PrepackPanels(b).MemoryBytes(); got != 100*3000*4 {
 		t.Fatalf("prepacked panels report %d bytes, want %d", got, 100*3000*4)
 	}
 }
 
+// TestExpandSignStrip: every 16-bit pattern, at each of a word's four strip
+// offsets, expands to exactly ±1.0 — −1.0 where its bit is set, never −0 —
+// through the 512-bit kernel, the 256-bit one and the Go twin, over runs of
+// 1, 7, 100 and 256 rows whose words lie 1 and 47 apart, into rows 16 and 19
+// floats apart; the other 48 bits of a word are random, and nothing outside
+// a row's 16 floats is written.
+func TestExpandSignStrip(t *testing.T) {
+	const patterns = 1 << 16
+	sentinel := uint32(0x7fc00bad) // a NaN no expansion writes
+	rng := NewRNG(3)
+	for _, mode := range []struct {
+		name      string
+		asm, wide bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+		runWithGemm512(mode.wide, func() {
+			runWithAsm(mode.asm, func() {
+				for _, rows := range []int{1, 7, 100, 256} {
+					for _, ldw := range []int{1, 47} {
+						for _, ldd := range []int{gemmNR, gemmNR + 3} {
+							w := make([]uint64, (rows-1)*ldw+1)
+							dst := make([]float32, (rows-1)*ldd+gemmNR)
+							for q0 := 0; q0 < patterns; q0 += rows {
+								shift := uint(q0/rows%4) * 16
+								for r := 0; r < rows; r++ {
+									pat := uint64((q0 + r) % patterns)
+									w[r*ldw] = rng.Uint64()&^(0xffff<<shift) | pat<<shift
+								}
+								for i := range dst {
+									dst[i] = math.Float32frombits(sentinel)
+								}
+								expandSigns(dst, ldd, w, ldw, rows, shift)
+								for i, v := range dst {
+									r, j := i/ldd, i%ldd
+									want := sentinel
+									if j < gemmNR {
+										want = oneBits | uint32((q0+r)%patterns>>j&1)<<31
+									}
+									if got := math.Float32bits(v); got != want {
+										t.Fatalf("%s rows=%d ldw=%d ldd=%d shift=%d: pattern %#04x lane %d is %#x, want %#x",
+											mode.name, rows, ldw, ldd, shift, (q0+r)%patterns, j, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkPanelGEMM is the projection product at the paper's shape (F̂ = 100,
+// D = 3000) from a stored matrix, prepacked float strips and sign words, at
+// batch 1, 8 and 64, at both kernel widths. The cold rows time batch 1 with
+// L2 evicted between calls (per-call ns/call, the eviction untimed), as a
+// serving tail meets its operand after the extractor has run: warm, the
+// prepacked strips sit in L2 and the ranking reverses.
 func BenchmarkPanelGEMM(b *testing.B) {
 	const k, n = 100, 3000
-	gen := NewBipolarGen(3, k, n)
 	mat := New(k, n)
-	gen.FillInto(mat)
+	NewBipolarGen(3, k, n).FillInto(mat)
 	scratch := make([]float32, GemmScratch())
 	pscratch := make([]float32, PanelScratch())
-	for _, m := range []int{1, 64} {
+	panels := []struct {
+		name string
+		pp   *ProjPanels
+	}{{"prepack", PrepackPanels(mat)}, {"signs", SignPanels(mat)}}
+	for _, m := range []int{1, 8, 64} {
 		a := New(m, k)
 		NewRNG(9).FillNormal(a, 0, 1)
 		out := New(m, n)
@@ -279,17 +356,29 @@ func BenchmarkPanelGEMM(b *testing.B) {
 				MatMulSerialInto(out, a, mat, scratch)
 			}
 		})
-		pp := PrepackPanels(mat)
-		tensortest.BenchWidths(b, benchName("prepack", m), func(b *testing.B) {
+		for _, p := range panels {
+			tensortest.BenchWidths(b, benchName(p.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulPanelsInto(out, a, p.pp, pscratch)
+				}
+			})
+		}
+	}
+	a, out := New(1, k), New(1, n)
+	NewRNG(9).FillNormal(a, 0, 1)
+	evict := make([]byte, 8<<20) // four times this machine's L2
+	for _, p := range panels {
+		tensortest.BenchWidths(b, p.name+"/batch1-cold", func(b *testing.B) {
+			var spent time.Duration
 			for i := 0; i < b.N; i++ {
-				MatMulPanelsInto(out, a, pp, pscratch)
+				for j := 0; j < len(evict); j += 64 {
+					evict[j]++
+				}
+				t0 := time.Now()
+				MatMulPanelsInto(out, a, p.pp, pscratch)
+				spent += time.Since(t0)
 			}
-		})
-		rp := RematPanels(gen)
-		tensortest.BenchWidths(b, benchName("remat", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMulPanelsInto(out, a, rp, pscratch)
-			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/call")
 		})
 	}
 }

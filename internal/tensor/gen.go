@@ -2,17 +2,16 @@ package tensor
 
 // Seeded bipolar generation. A BipolarGen defines a [Rows, Cols] ±1 matrix
 // purely as a function of a 64-bit seed: entry (r, c) is bit c%64 of a
-// splitmix64 counter stream evaluated at index r·⌈Cols/64⌉ + c/64. Because
-// every 64-column word is an independent function of (seed, position), any
-// tile, strip or single row can be regenerated in isolation — random access,
-// not sequential replay — which is what lets the GEMM panel packer
-// rematerialize projection panels on the fly instead of streaming a stored
-// D×F matrix (the hypervector-rematerialization idea: the model "is" the
-// seed).
+// splitmix64 counter stream evaluated at index r·⌈Cols/64⌉ + c/64, set for
+// −1 — so row r's words are the sign words SignPanels packs from the
+// materialized row, up to the bits past the last column, which packing
+// leaves clear. Every 64-column word is an independent function of
+// (seed, position), so any tile or single element can be generated in
+// isolation, and a pipeline snapshot rebuilds the matrix from its seed.
 //
-// The generated matrix is a fixed public contract: FillInto, FillTile and
-// the panel kernels in gemm_panels.go all reproduce bit-identical values for
-// the same (seed, rows, cols), and TestBipolarGenTileConsistency pins it.
+// The generated matrix is a fixed public contract: FillInto and FillTile
+// reproduce bit-identical values for the same (seed, rows, cols), and
+// TestBipolarGenTileConsistency pins it.
 type BipolarGen struct {
 	Rows, Cols int
 	seed       uint64
@@ -21,18 +20,6 @@ type BipolarGen struct {
 
 // splitmixGamma is the Weyl-sequence increment of splitmix64.
 const splitmixGamma = 0x9E3779B97F4A7C15
-
-// bipolarLUT maps a sign byte to its eight ±1 float32 values (bit clear →
-// +1), so unpacking runs as two table copies per 16 elements instead of 16
-// shift-and-convert steps.
-var bipolarLUT = func() (lut [256][8]float32) {
-	for b := range lut {
-		for i := 0; i < 8; i++ {
-			lut[b][i] = 1 - 2*float32((b>>i)&1)
-		}
-	}
-	return
-}()
 
 // NewBipolarGen defines the seeded [rows, cols] ±1 matrix.
 func NewBipolarGen(seed int64, rows, cols int) *BipolarGen {
@@ -85,26 +72,6 @@ func (g *BipolarGen) FillTile(dst []float32, ld, r0, r1, c0, c1 int) {
 				w >>= 1
 			}
 			c += run
-		}
-	}
-}
-
-// fillStrips generates rows [pb,pe) × cols [jb,jfullEnd) directly in the
-// GEMM's packed-panel layout (16-wide column strips, p-major within each
-// strip — the layout packPanel16 produces from a stored matrix). jb and
-// jfullEnd must be multiples of 16, so each strip's 16 columns always sit
-// inside one 64-bit generator word.
-func (g *BipolarGen) fillStrips(buf []float32, pb, pe, jb, jfullEnd int) {
-	si := 0
-	for js := jb; js < jfullEnd; js += 16 {
-		wi := js >> 6
-		sh := uint(js & 63)
-		for p := pb; p < pe; p++ {
-			w := g.word(p, wi) >> sh
-			s := buf[si : si+16 : si+16]
-			copy(s[:8], bipolarLUT[w&0xff][:])
-			copy(s[8:], bipolarLUT[(w>>8)&0xff][:])
-			si += 16
 		}
 	}
 }

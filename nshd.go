@@ -86,13 +86,8 @@ type Engine = engine.Engine
 // StreamResult is one batch's outcome on Engine.PredictStream.
 type StreamResult = engine.StreamResult
 
-// Option is a Compile option: WithRemat or WithUnfusedExtract.
+// Option is a Compile option: WithUnfusedExtract.
 type Option = engine.Option
-
-// WithRemat rematerializes the projection matrix from its 8-byte seed
-// inside the serving tail's GEMM, collapsing the encoder's serving bytes from
-// O(F̂·D) to the seed with bit-identical output.
-func WithRemat() Option { return engine.WithRemat() }
 
 // WithUnfusedExtract disables extractor fusion, keeping the layer-by-layer
 // reference path — the baseline the fused extraction blocks (conv→BN→
