@@ -23,9 +23,10 @@ staticcheck:
 
 # Allocation-regression gate: the serving engine must stay heap-free in
 # steady state (AllocsPerRun == 0) at chunk size and at batch 1, for both
-# classifier kernels and every tail case — sign words (again with the
-# pipeline's float projection overwritten after Compile, the "remat" rows) and
-# planner-folded (TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
+# classifier kernels and every tail case — sign words, again with the
+# pipeline's float projection overwritten after Compile (the "remat" rows)
+# and with F̂ raised to the pooled width (the "folded" rows;
+# TestEngineZeroAlloc, TestEngineZeroAllocBatch1) — and for
 # the implicit-GEMM conv path, and the fused extraction blocks
 # (TestEngineZeroAllocBatch1ImplicitConv / ...FusedExtract),
 # and the depthwise / BatchNorm+ReLU6 / residual extractor of mobilenetv2

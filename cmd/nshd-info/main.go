@@ -20,11 +20,10 @@ func main() {
 	classes := flag.Int("classes", 10, "class count (affects head size)")
 	pipeline := flag.String("pipeline", "", "print serving facts for a trained pipeline snapshot (nshd-train -out)")
 	packed := flag.Bool("packed", true, "with -pipeline: compile the packed popcount classifier")
-	fuse := flag.String("fuse", "auto", "with -pipeline: extractor fusion: auto (fuse runs that clear the size gate) or off (layer-by-layer)")
 	flag.Parse()
 
 	if *pipeline != "" {
-		if err := servingFacts(*pipeline, *packed, *fuse); err != nil {
+		if err := servingFacts(*pipeline, *packed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -53,21 +52,13 @@ func main() {
 // servingFacts compiles a snapshot into a frozen engine and prints what an
 // operator needs to deploy it behind nshd-serve: input/batch shape, memory
 // per replica, and batcher sizing derived from the compiled chunk size.
-func servingFacts(path string, packed bool, fuse string) error {
+func servingFacts(path string, packed bool) error {
 	p, err := nshd.LoadPipeline(path)
 	if err != nil {
 		return err
 	}
 	p.Cfg.PackedInference = packed
-	var opts []nshd.Option
-	switch fuse {
-	case "auto":
-	case "off":
-		opts = append(opts, nshd.WithUnfusedExtract())
-	default:
-		return fmt.Errorf("unknown fuse mode %q (have: auto, off)", fuse)
-	}
-	eng, err := nshd.Compile(p, opts...)
+	eng, err := nshd.Compile(p)
 	if err != nil {
 		return err
 	}
@@ -83,7 +74,7 @@ func servingFacts(path string, packed bool, fuse string) error {
 	floor, minBatch := eng.SplitRule()
 	fmt.Printf("  %-22s batches of >= %d images use every core (floor %d extractor MACs a part)\n", "batch split", minBatch, floor)
 	fmt.Printf("  %-22s D=%d, %d classes\n", "hypervector space", eng.Dim(), eng.Classes())
-	fmt.Printf("  %-22s %d (HD model mutation counter)\n", "engine version", p.HD.Version())
+	fmt.Printf("  %-22s %016x\n", "model version", eng.ModelVersion())
 	fmt.Printf("  %-22s %s\n", "classifier kernel", kernel)
 	fmt.Printf("  %-22s %s\n", "GEMM kernels", nshd.KernelISA())
 	fmt.Printf("  %-22s %d bytes resident, per stage:\n", "serving weights", eng.ModelBytes())

@@ -192,10 +192,6 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 		}
 	}
 
-	// Plan the manifold fold before laying out stages: a folded tail absorbs
-	// the manifold, so it must not also compile as a stage.
-	fold := p.Manifold != nil && foldProfitable(p.Manifold.PooledF, p.Manifold.FHat, p.Cfg.D)
-
 	if p.Cfg.D < 1 {
 		return nil, fmt.Errorf("engine: hypervector dimension D=%d", p.Cfg.D)
 	}
@@ -216,9 +212,6 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	}
 	e.stages = append(e.stages, extractStage{ex})
 	switch {
-	case p.Manifold != nil && fold:
-		// The folded tail runs pool+flatten itself and multiplies by
-		// G = Wᵀ·P directly; no manifold stage.
 	case p.Manifold != nil:
 		e.stages = append(e.stages, manifoldStage{p.Manifold})
 	case p.LSH != nil:
@@ -226,15 +219,11 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	default:
 		e.stages = append(e.stages, flattenStage{})
 	}
-	t, err := buildTail(p, fold)
-	if err != nil {
-		return nil, err
-	}
-	e.tail = t
+	e.tail = buildTail(p)
 	for _, st := range e.stages {
 		e.bytes = append(e.bytes, StageBytes{st.Name(), stageWeightBytes(st)})
 	}
-	e.bytes = append(e.bytes, t.bytes...)
+	e.bytes = append(e.bytes, e.tail.bytes...)
 
 	// Size the chunk: start from the training batch size, shrink until the
 	// measured arena fits the budget.
@@ -604,8 +593,7 @@ func modelVersionHash(p *core.Pipeline) uint64 {
 // ModelBytes reports the engine's TRUE serving footprint: every weight the
 // compiled plan keeps resident, summed over BytesBreakdown — extractor and
 // manifold parameters, the projection operand (P's sign words, F̂·⌈D/64⌉·8
-// bytes as Pipeline.Costs counts them, or the folded float matrix) and the
-// classifier snapshot.
+// bytes as Pipeline.Costs counts them) and the classifier snapshot.
 func (e *Engine) ModelBytes() int64 {
 	var total int64
 	for _, b := range e.bytes {

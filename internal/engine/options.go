@@ -13,10 +13,11 @@ type optionFunc func(*compileOptions)
 
 func (f optionFunc) applyOption(o *compileOptions) { f(o) }
 
-// WithUnfusedExtract keeps the extractor layer-by-layer — the reference the
-// fused extraction blocks are tested and benchmarked against. The default
-// fuses every conv→BN→ReLU→pool run that clears nn.FuseMinMACs; results are
-// bit-identical either way.
+// WithUnfusedExtract keeps the extractor layer-by-layer. It is a test and
+// benchmark hook, not a serving choice: the engine tests compare the fused
+// extraction blocks against it bit for bit, and benchmark/layers.go compiles
+// its per-layer reference with it. The default fuses every conv→BN→ReLU→pool
+// run that clears nn.FuseMinMACs; results are bit-identical either way.
 func WithUnfusedExtract() Option {
 	return optionFunc(func(o *compileOptions) { o.unfused = true })
 }

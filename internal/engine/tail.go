@@ -6,18 +6,16 @@ import (
 
 	"nshd/internal/core"
 	"nshd/internal/hdlearn"
-	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
 
 // This file is the engine's serving tail: the Compile-time collapse of
-// random projection → sign → class scoring (and, when the planner folds it,
-// the manifold FC in front) into one blocked GEMM whose 256-column output
-// blocks are consumed — packed or scored — the moment they are computed.
-// Only one [N, 256] projection block is ever live, so the per-chunk arena
-// holds no D-wide slab. The ±1 projection is held as sign words, one bit per
-// entry, and expanded into ±1.0 strips inside the panel step
-// (tensor.SignPanels); the folded matrix is prepacked float strips.
+// random projection → sign → class scoring into one blocked GEMM whose
+// 256-column output blocks are consumed — packed or scored — the moment they
+// are computed. Only one [N, 256] projection block is ever live, so the
+// per-chunk arena holds no D-wide slab. The ±1 projection is held as sign
+// words, one bit per entry, and expanded into ±1.0 strips inside the panel
+// step (tensor.SignPanels).
 //
 // A block leaves the GEMM into one of two data flows:
 //
@@ -31,30 +29,13 @@ import (
 //
 // Numerical contract, stated against the pipeline reference
 // (core.Pipeline.ExtractFeatures → Symbolize → classify, which shares no
-// kernel with this file) and proven by the engine tests:
-//
-//   - Unfolded tail: query hypervectors are BIT-EXACT. The sign words
-//     expand to exactly the ±1.0 entries of P, tensor.MatMulPanelsBlock
-//     reproduces the serial GEMM's per-element accumulation order, sign(·)
-//     commutes with blocking, and
-//     PackSignsInto over a 256-aligned block writes exactly the words the
-//     full-row pack writes. Predictions are identical except on an exact
-//     mathematical cosine tie (see DESIGN.md, "One tie rule").
-//   - Folded (x(WᵀP)+bP instead of ((xWᵀ+b)P)): ARGMAX-IDENTICAL only. The
-//     re-associated product differs in final ulps, so pre-sign values near
-//     zero may flip; predictions are the contract, query hypervectors are
-//     not. Folding is therefore a cost-gated planner decision
-//     (foldProfitable), never taken when it loses.
-
-// foldProfitable is the planner's cost gate for folding the manifold FC into
-// the projection: per sample the folded tail spends PooledF·D MACs where the
-// unfolded chain spends PooledF·F̂ (FC) + F̂·D (projection). The paper's
-// shapes (F̂ ≪ PooledF, D) make the manifold a compression stage and the fold
-// a pessimization, so it only fires when the manifold widens features
-// (1/F̂ < 1/PooledF + 1/D).
-func foldProfitable(pooledF, fhat, d int) bool {
-	return int64(pooledF)*int64(d) < int64(pooledF)*int64(fhat)+int64(fhat)*int64(d)
-}
+// kernel with this file) and proven by the engine tests: query hypervectors
+// are BIT-EXACT. The sign words expand to exactly the ±1.0 entries of P,
+// tensor.MatMulPanelsBlock reproduces the serial GEMM's per-element
+// accumulation order, sign(·) commutes with blocking, and PackSignsInto over
+// a 256-aligned block writes exactly the words the full-row pack writes.
+// Predictions are identical except on an exact mathematical cosine tie (see
+// DESIGN.md, "One tie rule").
 
 // StageBytes is one component of the engine's resident serving weights.
 type StageBytes struct {
@@ -66,14 +47,8 @@ type StageBytes struct {
 // predictions or signed query hypervectors, scratch from the worker arena.
 type tail struct {
 	d, k, inF int
-	// pool precedes the folded GEMM (manifold fold only): max-pool is
-	// nonlinear, so the fold stops there.
-	pool *nn.MaxPool2D
-	// panels is the projection operand in GEMM panel form: P's sign words,
-	// or prepacked strips of the folded G.
+	// panels is the projection operand in GEMM panel form: P's sign words.
 	panels *tensor.ProjPanels
-	// bias is the folded FC bias row c = b·P; nil exactly when not folding.
-	bias []float32
 	// Exactly one data flow is compiled: words (Cfg.PackedInference) or
 	// float.
 	words *hdlearn.PackedModel
@@ -83,26 +58,9 @@ type tail struct {
 }
 
 // buildTail assembles the tail for one compiled engine: the projection
-// operand as P's sign words, or the folded matrix G = Wᵀ·P with its bias;
-// then the classifier. fold is Compile's planner decision.
-func buildTail(p *core.Pipeline, fold bool) (*tail, error) {
-	t := &tail{d: p.Cfg.D, k: p.HD.K, inF: p.Proj.F}
-	projName := "project"
-	if fold {
-		g, c, err := p.Manifold.FoldProjection(p.Proj.P)
-		if err != nil {
-			return nil, fmt.Errorf("engine: folding tail: %w", err)
-		}
-		t.pool = p.Manifold.Pool()
-		t.bias = c
-		t.inF = p.Manifold.PooledF
-		t.panels = tensor.PrepackPanels(g)
-		projName = "manifold*project"
-	} else {
-		t.panels = tensor.SignPanels(p.Proj.P)
-	}
-	projBytes := t.panels.MemoryBytes() + int64(len(t.bias))*4
-
+// operand as P's sign words, then the classifier.
+func buildTail(p *core.Pipeline) *tail {
+	t := &tail{d: p.Cfg.D, k: p.HD.K, inF: p.Proj.F, panels: tensor.SignPanels(p.Proj.P)}
 	clsName, clsBytes := "classify-float", int64(0)
 	if p.Cfg.PackedInference {
 		t.words = hdlearn.PackModel(p.HD)
@@ -111,38 +69,21 @@ func buildTail(p *core.Pipeline, fold bool) (*tail, error) {
 		t.float = hdlearn.NewFoldedScorer(p.HD)
 		clsBytes = t.float.ModelBytes()
 	}
-	t.name = "fuse(" + projName + "+" + clsName + ")"
-	t.bytes = []StageBytes{{projName, projBytes}, {clsName, clsBytes}}
-	return t, nil
+	t.name = "fuse(project+" + clsName + ")"
+	t.bytes = []StageBytes{{"project", t.panels.MemoryBytes()}, {clsName, clsBytes}}
+	return t
 }
 
-// head runs the folded tail's pool → flatten prefix (identity when not
-// folding) and validates the GEMM input width.
-func (t *tail) head(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	if t.bias != nil {
-		if t.pool != nil {
-			x = t.pool.ForwardInfer(x, ar)
-		}
-		if x.Rank() != 2 {
-			n := x.Shape[0]
-			x = ar.Wrap(x.Data, n, x.Len()/n)
-		}
-	}
+// forBlocks is the tail's one block loop: [N, F̂] features → one blocked GEMM
+// over the D columns, 256 at a time, consume seeing each block as a compact
+// [n, w] tile of pre-sign values for columns [c0, c0+w). No [N, D]
+// intermediate ever exists. consume does not escape, so the closures the
+// callers pass stay on the stack. A non-nil project (TimeStages only)
+// receives the seconds spent outside consume: the GEMM.
+func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, project *float64, consume func(blk []float32, n, w, c0 int)) {
 	if x.Rank() != 2 || x.Shape[1] != t.inF {
 		panic(fmt.Sprintf("engine: tail got %v, want [N %d]", x.Shape, t.inF))
 	}
-	return x
-}
-
-// forBlocks is the tail's one block loop: features → head → one blocked GEMM
-// over the D columns, 256 at a time, each block getting the folded
-// bias row (when folding) before consume sees it as a compact [n, w] tile of
-// pre-sign values for columns [c0, c0+w). Neither the [N, F̂] manifold
-// activation (folded mode) nor any [N, D] intermediate ever exists. consume
-// does not escape, so the closures the callers pass stay on the stack.
-// A non-nil project (TimeStages only) receives the seconds spent outside
-// consume: head, GEMM and bias.
-func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, project *float64, consume func(blk []float32, n, w, c0 int)) {
 	if project != nil {
 		t0, inner, consuming := time.Now(), consume, time.Duration(0)
 		consume = func(blk []float32, n, w, c0 int) {
@@ -152,22 +93,12 @@ func (t *tail) forBlocks(x *tensor.Tensor, ar *tensor.Arena, project *float64, c
 		}
 		defer func() { *project += (time.Since(t0) - consuming).Seconds() }()
 	}
-	v := t.head(x, ar)
-	n := v.Shape[0]
+	n := x.Shape[0]
 	bc := tensor.PanelBlockCols()
 	scratch := ar.Floats(tensor.PanelScratch())
 	blk := ar.Floats(n * bc)
 	for c0 := 0; c0 < t.d; c0 += bc {
-		w := tensor.MatMulPanelsBlock(blk, v, t.panels, c0, scratch)
-		if t.bias != nil {
-			b := t.bias[c0 : c0+w]
-			for i := 0; i < n; i++ {
-				row := blk[i*w : (i+1)*w]
-				for j := range row {
-					row[j] += b[j]
-				}
-			}
-		}
+		w := tensor.MatMulPanelsBlock(blk, x, t.panels, c0, scratch)
 		consume(blk[:n*w], n, w, c0)
 	}
 }

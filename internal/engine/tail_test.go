@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,47 +15,42 @@ import (
 	"nshd/internal/tensor"
 )
 
-// tinyPooledF is the tiny fixture's pooled feature width (tinyZoo cut 1:
-// [16, 4, 4] features, 2×2-pooled by the manifold). foldingFHat derives the
-// fold threshold from it; newFoldedFixture asserts it still holds.
-const tinyPooledF = 64
-
-// foldingFHat is the smallest F̂ at which the planner folds the manifold FC
-// into the projection on the tiny fixture: the fold pays exactly when
-// F̂ > PooledF·D/(PooledF+D) (see foldProfitable).
-func foldingFHat(d int) int { return tinyPooledF*d/(tinyPooledF+d) + 1 }
-
-// tailCase is one row of the serving-tail lattice: the unfolded tail, whose
-// ±1 projection the engine holds as sign words ("prepacked": packed once, at
-// Compile); the same tail with the pipeline's float matrices overwritten by
-// NaN once it has compiled ("remat": every product must rematerialize its
-// ±1.0 strips from the engine's own words, so an engine that still read the
-// pipeline's P fails); and the fold the planner takes from the pipeline's
-// shape alone.
+// tailCase is one row of the serving-tail lattice. Every row serves P's sign
+// words and must match the pipeline bit for bit; the names are those the rows
+// have always had, so each gate's test IDs carry over:
+//
+//   - "prepacked": the default engine;
+//   - "remat": the same engine with the pipeline's float projection matrices
+//     overwritten by NaN once it has compiled, so every product must
+//     rematerialize its ±1.0 strips from the engine's own sign words — an
+//     engine that still read the pipeline's P after Compile fails;
+//   - "folded": F̂ raised to the tiny fixture's pooled width (16·2·2 = 64),
+//     where the manifold compresses nothing and folding its FC into P would
+//     save MACs (F̂ > PooledF·D/(PooledF+D)); the engine must still compile
+//     the manifold stage and serve P's sign words there.
 type tailCase struct {
 	name     string
 	detached bool
-	fold     bool
+	fhat     int // raise F̂ to this when nonzero
 }
 
 func tailCases() []tailCase {
 	return []tailCase{
-		{"prepacked", false, false},
-		{"remat", true, false},
-		{"folded", false, true},
+		{"prepacked", false, 0},
+		{"remat", true, 0},
+		{"folded", false, 64},
 	}
 }
 
-// compile compiles p for the case and, for a detached case, then overwrites
-// the pipeline's projection matrices (see detach). Compute any pipeline
-// reference first.
+// compile compiles p for the case and checks the stages it laid out. Compute
+// any pipeline reference, then detach a detached case.
 func (tc tailCase) compile(t *testing.T, p *core.Pipeline, opts ...engine.Option) *engine.Engine {
 	t.Helper()
 	e, err := engine.Compile(p, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.checkStages(t, e)
+	checkStages(t, p, e)
 	return e
 }
 
@@ -71,13 +67,12 @@ func detach(p *core.Pipeline) {
 	}
 }
 
-// mut layers the case's shape onto a config mutator: a folded case raises F̂
-// to the smallest value the planner folds at for the (already mutated) D.
+// mut layers the case's shape onto a config mutator.
 func (tc tailCase) mut(base func(*core.Config)) func(*core.Config) {
 	return func(c *core.Config) {
 		base(c)
-		if tc.fold {
-			c.FHat = foldingFHat(c.D)
+		if tc.fhat > 0 {
+			c.FHat = tc.fhat
 		}
 	}
 }
@@ -90,23 +85,17 @@ func kernelName(packed bool) string {
 	return "float"
 }
 
-// checkStages asserts the engine compiled the tail the case names, so a
-// fixture change that silently stops folding (or starts) fails loudly.
-func (tc tailCase) checkStages(t *testing.T, e *engine.Engine) {
+// checkStages asserts the one stage layout every engine has: a manifold
+// stage exactly when the pipeline has a manifold, and the fused sign-word
+// tail last.
+func checkStages(t *testing.T, p *core.Pipeline, e *engine.Engine) {
 	t.Helper()
 	names := e.Stages()
-	tail := names[len(names)-1]
-	want := "fuse(project+"
-	if tc.fold {
-		want = "fuse(manifold*project+"
+	if !strings.HasPrefix(names[len(names)-1], "fuse(project+") {
+		t.Fatalf("tail compiled as %v, want prefix %q", names, "fuse(project+")
 	}
-	if !strings.HasPrefix(tail, want) {
-		t.Fatalf("%s tail compiled as %v, want prefix %q", tc.name, names, want)
-	}
-	for _, n := range names {
-		if tc.fold && n == "manifold" {
-			t.Fatalf("folded engine still compiles a manifold stage: %v", names)
-		}
+	if slices.Contains(names, "manifold") != (p.Manifold != nil) {
+		t.Fatalf("stages %v for a pipeline with manifold %v", names, p.Manifold != nil)
 	}
 }
 
@@ -129,13 +118,12 @@ func firstImages(images *tensor.Tensor, n int) *tensor.Tensor { return imagesAt(
 
 // TestEngineTailMatchesPipeline is the one differential test of the serving
 // tail: every tail case × both classifier kernels × every topology, checked
-// against the pipeline reference on predictions AND query hypervectors —
-// bit-exact for the sign-word tails, argmax-identical for the fold (its
-// re-associated GEMM may flip a pre-sign value within an ulp of zero). The same table
-// carries the degenerate shapes: a single class, one ragged 256-column block
-// (D=65), one full block plus one column (D=257), the same two under a
-// 19-class memory (strip-scored and ragged classes side by side), and batches
-// of 1 and chunk+1 samples — and, on the first case, the two zoo extractors the
+// against the pipeline reference on predictions and, bit for bit, on query
+// hypervectors. The same table carries the degenerate shapes: a single
+// class, one ragged 256-column block (D=65), one full block plus one column
+// (D=257), the same two under a 19-class memory (strip-scored and ragged
+// classes side by side), the float scorer's 16-class strip boundaries
+// (K = 15, 16, 17), and batches of 1 and chunk+1 samples — and, on the first case, the two zoo extractors the
 // tiny fixture has no layer of: mobilenetv2 cut 4 (BatchNorm+ReLU6, 1×1
 // expansion, depthwise 3×3 at stride 1 and 2, an identity-skip residual: the
 // vector kernels) and effnetb0 cut 3 (5×5 stride-2 depthwise, SE, SiLU: the
@@ -159,6 +147,10 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 		// panel path), over a ragged block and over a full block plus a column.
 		{name: "K19-D65", mut: func(c *core.Config) { c.D = 65 }, wide: 19},
 		{name: "K19-D257", mut: func(c *core.Config) { c.D = 257 }, wide: 19},
+		// No strip, one strip exactly, one strip and one ragged class.
+		{name: "K15", wide: 15},
+		{name: "K16", wide: 16},
+		{name: "K17", wide: 17},
 		{name: "mobilenetv2-cut4", zoo: "mobilenetv2", cut: 4},
 		{name: "effnetb0-cut3", zoo: "effnetb0", cut: 3},
 	}
@@ -181,8 +173,8 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 						m, cut = zooModel(t, sh.zoo), sh.cut
 					}
 					p, test := buildPipelineOn(t, m, cut, mut)
-					if tc.fold && p.Manifold == nil {
-						t.Skip("no manifold to fold")
+					if tc.fhat > 0 && p.Manifold == nil {
+						t.Skip("F̂ is the manifold's width; this pipeline has none")
 					}
 					if sh.k1 {
 						row := append([]float32(nil), p.HD.M.Row(0)...)
@@ -224,22 +216,6 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 						if hvs.Shape[0] != n || hvs.Shape[1] != d {
 							t.Fatalf("N=%d QueryHVs shape %v, want [%d %d]", n, hvs.Shape, n, d)
 						}
-						if tc.fold {
-							// Not bit-pinned; what IS pinned is that the
-							// engine classifies the hypervectors it reports.
-							var self []int
-							if packed {
-								self = p.HD.Packed().PredictBatch(hvs)
-							} else {
-								self = p.HD.PredictBatch(hvs)
-							}
-							for i := range got {
-								if self[i] != got[i] {
-									t.Fatalf("N=%d sample %d: folded Predict=%d but its QueryHVs classify as %d", n, i, got[i], self[i])
-								}
-							}
-							continue
-						}
 						for i, v := range hvs.Data {
 							if v != wantHVs.Data[i] {
 								t.Fatalf("N=%d: query hypervector element %d = %g, pipeline %g", n, i, v, wantHVs.Data[i])
@@ -262,37 +238,10 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestEngineTailPlanning pins the planner's fold decision at its boundary:
-// the fold fires at the smallest F̂ the cost inequality admits and not one
-// below. An unseeded projection (hand-built pipelines, legacy snapshots)
-// compiles like a seeded one, its sign words packed from the stored matrix,
-// and serves the pipeline's bits.
+// TestEngineTailPlanning: an unseeded projection (hand-built pipelines,
+// legacy snapshots) compiles like a seeded one, its sign words packed from
+// the stored matrix, and serves the pipeline's bits.
 func TestEngineTailPlanning(t *testing.T) {
-	folds := func(e *engine.Engine) bool {
-		names := e.Stages()
-		return strings.Contains(names[len(names)-1], "manifold*project")
-	}
-	for _, c := range []struct {
-		name string
-		fhat int
-		want bool
-	}{
-		{"at-threshold", foldingFHat(70), true},
-		{"below-threshold", foldingFHat(70) - 1, false},
-	} {
-		p, _ := buildPipeline(t, func(cfg *core.Config) { cfg.FHat = c.fhat })
-		if p.Manifold.PooledF != tinyPooledF {
-			t.Fatalf("tiny fixture PooledF = %d, tests assume %d", p.Manifold.PooledF, tinyPooledF)
-		}
-		e, err := engine.Compile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := folds(e); got != c.want {
-			t.Fatalf("%s (F̂=%d): folded=%v, want %v; stages %v", c.name, c.fhat, got, c.want, e.Stages())
-		}
-	}
-
 	p, test := buildPipeline(t, func(c *core.Config) {})
 	p.Proj = hdc.NewProjection(tensor.NewRNG(1), p.Proj.F, p.Proj.D)
 	e, err := engine.Compile(p)
@@ -321,11 +270,9 @@ func TestEngineTailPlanning(t *testing.T) {
 }
 
 // TestEngineSignWordFootprint pins the projection's served bytes to its
-// analytic size: on every unfolded topology and both classifier kernels the
-// project row of BytesBreakdown is Pipeline.Costs' ProjectionBytes, F̂·⌈D/64⌉·8,
-// and the LSH stage's its LSHBytes; a folded tail holds the float matrix
-// G = Wᵀ·P and its bias row, (PooledF+1)·D·4. ModelBytes totals the
-// breakdown.
+// analytic size: on every topology and both classifier kernels the project
+// row of BytesBreakdown is Pipeline.Costs' ProjectionBytes, F̂·⌈D/64⌉·8, and
+// the LSH stage's its LSHBytes. ModelBytes totals the breakdown.
 func TestEngineSignWordFootprint(t *testing.T) {
 	for _, sh := range []struct {
 		name string
@@ -335,7 +282,6 @@ func TestEngineSignWordFootprint(t *testing.T) {
 		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
 		{"direct", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }},
 		{"D257", func(c *core.Config) { c.D = 257 }},
-		{"folded", func(c *core.Config) { c.FHat = foldingFHat(c.D) }},
 	} {
 		for _, packed := range []bool{false, true} {
 			p, _ := buildPipeline(t, func(c *core.Config) { sh.mut(c); c.PackedInference = packed })
@@ -353,12 +299,6 @@ func TestEngineSignWordFootprint(t *testing.T) {
 			if sum != e.ModelBytes() || sum <= 0 {
 				t.Fatalf("%s/%s: ModelBytes %d != breakdown sum %d", sh.name, kernelName(packed), e.ModelBytes(), sum)
 			}
-			if sh.name == "folded" {
-				if got, want := rows["manifold*project"], int64(p.Manifold.PooledF+1)*int64(p.Cfg.D)*4; got != want {
-					t.Fatalf("folded/%s: manifold*project bytes %d, want %d", kernelName(packed), got, want)
-				}
-				continue
-			}
 			want := int64(p.Proj.F) * int64((p.Cfg.D+63)/64) * 8
 			if got := rows["project"]; got != costs.ProjectionBytes || got != want {
 				t.Fatalf("%s/%s: project bytes %d, Costs().ProjectionBytes %d, F̂·⌈D/64⌉·8 = %d",
@@ -371,9 +311,8 @@ func TestEngineSignWordFootprint(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsNonBipolarProjection: one entry of the projection, of
-// the LSH operand, or of a projection the planner folds, that is 0, −0, 0.5,
-// NaN or +Inf makes Compile return an error wrapping ErrNotBipolar — never a
+// TestCompileRejectsNonBipolarProjection: one entry of the projection or of
+// the LSH operand that is 0, −0, 0.5, NaN or +Inf makes Compile return an error wrapping ErrNotBipolar — never a
 // panic, and never an engine serving sign words of a different matrix.
 func TestCompileRejectsNonBipolarProjection(t *testing.T) {
 	for _, sh := range []struct {
@@ -382,7 +321,6 @@ func TestCompileRejectsNonBipolarProjection(t *testing.T) {
 		lsh  bool
 	}{
 		{"manifold", func(c *core.Config) {}, false},
-		{"folded", func(c *core.Config) { c.FHat = foldingFHat(c.D) }, false},
 		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }, true},
 	} {
 		for _, v := range []float32{0, float32(math.Copysign(0, -1)), 0.5, float32(math.NaN()), float32(math.Inf(1))} {

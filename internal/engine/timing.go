@@ -86,8 +86,8 @@ func (e *Engine) TimeStages(images *tensor.Tensor, reps int) ([]StageTime, error
 		e.tail.run(x, preds, ar, &project)
 		last := len(e.stages)
 		if d := time.Since(t0).Seconds(); r == 0 || d < out[last].Seconds {
-			// The fastest rep's split: the panel GEMM (with folded head and
-			// bias) vs what consumes its blocks (sign or pack, scoring, argmax).
+			// The fastest rep's split: the panel GEMM vs what consumes its
+			// blocks (sign or pack, scoring, argmax).
 			out[last] = StageTime{Name: e.tail.name, Seconds: d, Sub: []StageTime{
 				{Name: "project", Seconds: project}, {Name: "score", Seconds: d - project}}}
 		}

@@ -104,40 +104,6 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	return l.fc.ForwardInfer(y, ar)
 }
 
-// Pool exposes the inference max pool (nil when the feature map is too small
-// to pool) for a compiler that runs it apart from the FC: the engine's
-// folded tail pools, then multiplies by the folded matrix.
-func (l *Learner) Pool() *nn.MaxPool2D { return l.pool }
-
-// FoldProjection algebraically folds the FC regressor into a following
-// random projection P ([F̂, D]): since both maps are linear,
-//
-//	(x Wᵀ + b) P  =  x (Wᵀ P) + b P  =  x G + c,
-//
-// so a compiler can collapse manifold-FC → projection into one GEMM against
-// G = Wᵀ·P ([PooledF, D]) plus the row vector c = b·P ([D]). The pool and
-// flatten stay (max-pool is nonlinear), as does the sign AFTER the
-// projection — the fold stops exactly at the first nonlinearity. Note the
-// re-association: x(WᵀP) accumulates in a different order than (xWᵀ)P, so
-// folded outputs are numerically close but not bit-identical; downstream
-// argmax stability is the engine's documented contract for folded tails.
-func (l *Learner) FoldProjection(p *tensor.Tensor) (g *tensor.Tensor, c []float32, err error) {
-	if l == nil || l.fc == nil {
-		return nil, nil, fmt.Errorf("manifold: FoldProjection on a nil/empty manifold")
-	}
-	if p == nil || p.Rank() != 2 || p.Shape[0] != l.FHat {
-		return nil, nil, fmt.Errorf("manifold: FoldProjection projection shape mismatch (F̂=%d)", l.FHat)
-	}
-	w := l.fc.Weight.W // [F̂, PooledF]
-	g = tensor.TransposeMatMul(w, p)
-	c = make([]float32, p.Shape[1])
-	if l.fc.Bias != nil {
-		bias := tensor.FromSlice(l.fc.Bias.W.Data, 1, l.FHat)
-		tensor.MatMulInto(tensor.FromSlice(c, 1, len(c)), bias, p)
-	}
-	return g, c, nil
-}
-
 // Backward accumulates dL/d(output) ([N, F̂]) into the FC parameters. It is
 // parameter-only: the learner sits on a frozen CNN, so no gradient with
 // respect to the features is computed.

@@ -148,58 +148,3 @@ func TestForwardInferMatchesForward(t *testing.T) {
 		}
 	}
 }
-
-// TestFoldProjection: folding FC→projection into (G, c) reproduces the
-// staged (x Wᵀ + b) P product to float tolerance, and the nil/empty guards
-// return errors instead of panicking.
-func TestFoldProjection(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	l, err := New(rng, []int{4, 6, 6}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const d = 70
-	p := tensor.New(10, d)
-	tensor.NewRNG(4).FillBipolar(p)
-	g, c, err := l.FoldProjection(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Shape[0] != l.PooledF || g.Shape[1] != d || len(c) != d {
-		t.Fatalf("fold shapes G=%v c=%d, want [%d %d] and %d", g.Shape, len(c), l.PooledF, d, d)
-	}
-
-	x := tensor.New(3, 4, 6, 6)
-	tensor.NewRNG(5).FillNormal(x, 0, 1)
-	staged := tensor.MatMul(l.Forward(x, false), p) // [3, d]
-
-	ar := tensor.NewArena()
-	pl := l.Pool()
-	y := pl.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar)
-	flat := ar.Wrap(y.Data, 3, l.PooledF)
-	folded := tensor.MatMul(flat, g)
-	for i := range folded.Data {
-		folded.Data[i] += c[i%d]
-	}
-	for i := range staged.Data {
-		diff := float64(staged.Data[i] - folded.Data[i])
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := float64(staged.Data[i])
-		if scale < 0 {
-			scale = -scale
-		}
-		if diff > 1e-4*(1+scale) {
-			t.Fatalf("folded product differs at %d: staged %v folded %v", i, staged.Data[i], folded.Data[i])
-		}
-	}
-
-	var nilL *Learner
-	if _, _, err := nilL.FoldProjection(p); err == nil {
-		t.Fatal("nil learner folded without error")
-	}
-	if _, _, err := l.FoldProjection(tensor.New(11, d)); err == nil {
-		t.Fatal("shape-mismatched projection folded without error")
-	}
-}

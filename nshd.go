@@ -86,17 +86,6 @@ type Engine = engine.Engine
 // StreamResult is one batch's outcome on Engine.PredictStream.
 type StreamResult = engine.StreamResult
 
-// Option is a Compile option: WithUnfusedExtract.
-type Option = engine.Option
-
-// WithUnfusedExtract disables extractor fusion, keeping the layer-by-layer
-// reference path — the baseline the fused extraction blocks (conv→BN→
-// activation→pool chains executed per output tile so inter-layer feature maps
-// stay in cache, chosen automatically when a chain is large enough to pay
-// for the tiling bookkeeping, bit-identical either way) are benchmarked
-// against.
-func WithUnfusedExtract() Option { return engine.WithUnfusedExtract() }
-
 // StageBytes is one itemized component of an engine's resident serving
 // weights (see Engine.BytesBreakdown).
 type StageBytes = engine.StageBytes
@@ -106,8 +95,10 @@ type StageBytes = engine.StageBytes
 // (see Engine.TimeStages).
 type StageTime = engine.StageTime
 
-// Compile freezes a trained pipeline into a serving Engine.
-func Compile(p *Pipeline, opts ...Option) (*Engine, error) { return engine.Compile(p, opts...) }
+// Compile freezes a trained pipeline into a serving Engine. It takes no
+// options: the tail, the extractor's fused blocks and the batch split are all
+// decided from the pipeline's shape.
+func Compile(p *Pipeline) (*Engine, error) { return engine.Compile(p) }
 
 // Batcher is the concurrent serving front end: it coalesces single-sample
 // (or small) requests from many goroutines into engine-sized micro-batches,
