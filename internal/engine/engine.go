@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"nshd/internal/core"
 	"nshd/internal/hdc"
@@ -431,80 +430,6 @@ func (e *Engine) QueryHVs(images *tensor.Tensor) (*tensor.Tensor, error) {
 	out := tensor.New(n, e.d)
 	e.forParts(batchJob{images: images.Data, n: n, hvs: out.Data})
 	return out, nil
-}
-
-// StreamResult is one batch's outcome on the stream path.
-type StreamResult struct {
-	// Index is the batch's position in the input stream.
-	Index int
-	Preds []int
-	Err   error
-}
-
-// PredictStream serves an unbounded sequence of batches. Results are emitted
-// strictly in input order; up to a few batches are in flight at once, so
-// feature extraction of batch i+1 overlaps classification of batch i. The
-// output channel closes after the input channel closes and all in-flight
-// batches drain. A failed batch (bad shape) reports its error in the result
-// and the stream continues.
-func (e *Engine) PredictStream(in <-chan *tensor.Tensor) <-chan StreamResult {
-	workers := parallel.Workers()
-	if workers > 4 {
-		workers = 4
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type item struct {
-		idx int
-		img *tensor.Tensor
-	}
-	tagged := make(chan item)
-	go func() {
-		i := 0
-		for b := range in {
-			tagged <- item{i, b}
-			i++
-		}
-		close(tagged)
-	}()
-
-	results := make(chan StreamResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range tagged {
-				preds, err := e.Predict(it.img)
-				results <- StreamResult{Index: it.idx, Preds: preds, Err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	out := make(chan StreamResult, workers)
-	go func() {
-		pending := make(map[int]StreamResult)
-		next := 0
-		for r := range results {
-			pending[r.Index] = r
-			for {
-				v, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- v
-				next++
-			}
-		}
-		close(out)
-	}()
-	return out
 }
 
 // ErrInternal marks an error PredictChecked made out of a recovered panic: a

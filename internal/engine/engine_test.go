@@ -364,60 +364,6 @@ func TestPredictNonFinitePixels(t *testing.T) {
 	}
 }
 
-// TestEnginePredictStream checks ordering, correctness, per-batch error
-// isolation, and clean termination of the streaming path.
-func TestEnginePredictStream(t *testing.T) {
-	p, test := buildPipeline(t, func(c *core.Config) {})
-	e, err := engine.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sample := test.Images.Len() / test.Len()
-	batches := []*tensor.Tensor{
-		tensor.FromSlice(test.Images.Data[:5*sample], 5, 3, 16, 16),
-		tensor.New(0, 3, 16, 16), // empty batch
-		tensor.New(2, 1, 16, 16), // bad shape: must error, not kill the stream
-		test.Images,              // full batch, multi-chunk
-		tensor.FromSlice(test.Images.Data[:sample], 1, 3, 16, 16),
-	}
-	in := make(chan *tensor.Tensor)
-	go func() {
-		for _, b := range batches {
-			in <- b
-		}
-		close(in)
-	}()
-	var results []engine.StreamResult
-	for r := range e.PredictStream(in) {
-		results = append(results, r)
-	}
-	if len(results) != len(batches) {
-		t.Fatalf("stream produced %d results, want %d", len(results), len(batches))
-	}
-	for i, r := range results {
-		if r.Index != i {
-			t.Fatalf("result %d carries index %d: stream must preserve order", i, r.Index)
-		}
-	}
-	if results[2].Err == nil {
-		t.Fatal("bad-shape batch must report an error")
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if results[i].Err != nil {
-			t.Fatalf("batch %d failed: %v", i, results[i].Err)
-		}
-		want, _ := e.Predict(batches[i])
-		if len(results[i].Preds) != len(want) {
-			t.Fatalf("batch %d: %d preds, want %d", i, len(results[i].Preds), len(want))
-		}
-		for j := range want {
-			if results[i].Preds[j] != want[j] {
-				t.Fatalf("batch %d sample %d: stream=%d direct=%d", i, j, results[i].Preds[j], want[j])
-			}
-		}
-	}
-}
-
 // TestPipelineServesThroughEngine: with this package imported, core routes
 // Predict through a compiled engine and recompiles when the model version or
 // the inference kernel changes.

@@ -521,4 +521,10 @@ func TestEncodeBatchIntoMatchesEncodeBatch(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("EncodeBatchInto allocated %.1f times per run", a)
 	}
+
+	// Packed storage: 24 rows of ⌈70/64⌉ = 2 words, as NewPackedMatrix of P
+	// would hold them.
+	if got, want := pr.MemoryBytes(true), NewPackedMatrix(pr.P).MemoryBytes(); got != 24*2*8 || got != want {
+		t.Fatalf("packed MemoryBytes = %d, want %d (= %d)", got, 24*2*8, want)
+	}
 }

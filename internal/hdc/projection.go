@@ -18,8 +18,6 @@ type Projection struct {
 	F, D int
 	// P is the dense [F, D] bipolar matrix.
 	P *tensor.Tensor
-	// Packed holds the same rows bit-packed for binary kernels.
-	Packed *PackedMatrix
 	// Seeded marks a projection whose matrix is DEFINED by Seed through
 	// tensor.BipolarGen: any row or tile of P can be regenerated on demand,
 	// bit-identical to the stored matrix.
@@ -35,19 +33,19 @@ func NewProjection(rng *tensor.RNG, f, d int) *Projection {
 	}
 	p := tensor.New(f, d)
 	rng.FillBipolar(p)
-	return &Projection{F: f, D: d, P: p, Packed: NewPackedMatrix(p)}
+	return &Projection{F: f, D: d, P: p}
 }
 
 // NewSeededProjection constructs the projection whose matrix is the seeded
-// bipolar generator's [F, D] matrix. The dense P and packed forms are
-// materialized for the training-side kernels (decode, packed binding).
+// bipolar generator's [F, D] matrix. The dense P is materialized for the
+// training-side kernels (encode, decode).
 func NewSeededProjection(seed int64, f, d int) *Projection {
 	if f <= 0 || d <= 0 {
 		panic(fmt.Sprintf("hdc: NewSeededProjection with F=%d D=%d", f, d))
 	}
 	p := tensor.New(f, d)
 	tensor.NewBipolarGen(seed, f, d).FillInto(p)
-	return &Projection{F: f, D: d, P: p, Packed: NewPackedMatrix(p), Seeded: true, Seed: seed}
+	return &Projection{F: f, D: d, P: p, Seeded: true, Seed: seed}
 }
 
 // Encode maps one feature vector to its hypervector. It returns both the
@@ -137,10 +135,11 @@ func (pr *Projection) DecodeBatch(e *tensor.Tensor) *tensor.Tensor {
 // F·D MACs per sample.
 func (pr *Projection) EncodeMACs() int64 { return int64(pr.F) * int64(pr.D) }
 
-// MemoryBytes reports the projection's storage in the given representation.
+// MemoryBytes reports the projection's storage in the given representation:
+// packed is one bit per ±1 entry, each row padded to whole 64-bit words.
 func (pr *Projection) MemoryBytes(packed bool) int64 {
 	if packed {
-		return pr.Packed.MemoryBytes()
+		return int64(pr.F) * int64((pr.D+63)/64) * 8
 	}
 	return int64(pr.F) * int64(pr.D) * 4
 }

@@ -56,9 +56,9 @@ func (pm *PackedModel) PredictBatchInto(hvs *tensor.Tensor, preds []int, q []uin
 // scratch length PredictBatchInto requires.
 func (pm *PackedModel) WordsPerRow() int { return pm.wpr }
 
-// FloatScorer is the serving engine's float-precision classifier: an
-// immutable snapshot of a Model with class norms precomputed, scoring
-// serially with zero allocations. Its predictions match
+// FloatScorer is the full-row cosine reference that FoldedScorer is tested
+// against: an immutable snapshot of a Model with class norms precomputed,
+// scoring serially with zero allocations. Its predictions match
 // ArgmaxRows(Model.SimilarityBatch(hvs)) bit-for-bit: the same dot kernel
 // (tensor.DotFast == the MatMulT inner kernel), the same float64 cosine
 // division with den==0 → 0, and the same first-wins strict-> argmax.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -330,11 +329,9 @@ func TestFusedBlockZeroAllocSteadyState(t *testing.T) {
 // row tiles through ConvMulRowsInto — one tile at 32×32, the planner's grid
 // at 96×96, halo rows recomputed as the block recomputes them. GFLOP/s is
 // over StatsPerLayer's MACs for the layer, so halo work reads as lower
-// throughput, not as more work. Two more groups: the mobilenetv2 / effnetb0
-// cut-1 stem (3→8 at 32×32), the smallest wide conv the zoo has, and both
-// sides of Conv2D.ForwardInfer's size gate at narrow maps either side of the
-// crossover written next to convImplicitMinFloats. The serial and rows groups
-// print an /avx512 and an /avx2 row each, from the one process.
+// throughput, not as more work. One more row: the mobilenetv2 / effnetb0
+// cut-1 stem (3→8 at 32×32), the smallest wide conv the zoo has. Every row
+// prints an /avx512 and an /avx2 variant, from the one process.
 func BenchmarkConvMul(b *testing.B) {
 	trng := tensor.NewRNG(43)
 	model, in := vgg96Chain(trng)
@@ -381,31 +378,4 @@ func BenchmarkConvMul(b *testing.B) {
 	}
 	stem := NewConv2D(trng, 3, 8, 3, 1, 1, false)
 	serial("32x32/stem_3to8", stem, stem.geom(32, 32), 8*32*32*27)
-
-	defer func(saved int) { convImplicitMinFloats = saved }(convImplicitMinFloats)
-	for _, s := range []struct{ c, hw int }{{64, 8}, {64, 24}, {32, 40}, {16, 72}} {
-		conv := NewConv2D(trng, s.c, s.c, 3, 1, 1, true)
-		x, ar := tensor.New(1, s.c, s.hw, s.hw), tensor.NewArena()
-		trng.FillNormal(x, 0, 1)
-		sides := []struct {
-			name string
-			gate int
-		}{{"implicit", 0}, {"im2col", math.MaxInt}}
-		for _, side := range sides { // size the arena for both
-			convImplicitMinFloats = side.gate
-			conv.ForwardInfer(x, ar)
-			ar.Reset()
-		}
-		ar.Freeze()
-		for _, side := range sides {
-			b.Run(fmt.Sprintf("gate/%dx%d/%dto%d_%dKfloats/%s", s.hw, s.hw, s.c, s.c, s.c*9*s.hw*s.hw>>10, side.name), func(b *testing.B) {
-				convImplicitMinFloats = side.gate
-				for n := 0; n < b.N; n++ {
-					conv.ForwardInfer(x, ar)
-					ar.Reset()
-				}
-				gflops(b, int64(s.c*s.c*9*s.hw*s.hw))
-			})
-		}
-	}
 }

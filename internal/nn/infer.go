@@ -32,22 +32,6 @@ type InferenceLayer interface {
 	ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 }
 
-// convImplicitMinFloats arbitrates, for the convs that cannot read their
-// operand in place (tensor.ConvOffsetForm: narrow maps, OutW not a multiple
-// of 16, and strided ones), between materializing Im2Col and generating
-// packed strips tile by tile inside the GEMM, by the size in float32 elements
-// of the column matrix. Measured interleaved in one process on the 2 MiB-L2
-// benchmark machine (3×3 stride-1 convs, generate ÷ materialize time): 36 K
-// floats 1.00–1.13, 81 K 1.07–1.10, 162 K 1.06–1.09, 225 K 1.17, 324 K
-// 0.98–1.02, 450 K 0.97, 729 K 0.83, 900 K 0.84–0.92, 1 764 K 0.68 — the flat
-// pass wins until the matrix stops fitting L2 beside the weights, so the
-// crossover is 2¹⁹ floats (2 MiB); `go test -bench ConvMul/gate ./internal/nn`
-// re-measures both sides. No zoo conv is strided; the four strided stems
-// tried (6 K–330 K floats) ran generate ÷ materialize 0.82–1.00 and are not
-// given a rule of their own. Var, not const, so tests can force either path
-// on small shapes.
-var convImplicitMinFloats = 1 << 19
-
 // InferSupported reports whether every layer reachable from l implements the
 // inference contract, descending into containers.
 func InferSupported(l Layer) error {
@@ -184,8 +168,9 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: per-sample im2col + serial GEMM
-// with arena scratch released before returning.
+// ForwardInfer implements InferenceLayer: one serial GEMM per sample, its
+// operand generated from the image (see forwardInfer), with arena scratch
+// released before returning.
 func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return c.forwardInfer(x, ar, nil, actNone)
 }
@@ -211,42 +196,30 @@ func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2
 	wmat := ar.Wrap(c.Weight.W.Data, c.OutC, kdim)
 	// Pointwise (1×1, stride 1, no pad) convolution: im2col is the identity —
 	// the column matrix is the input sample already laid out as [InC, H*W] —
-	// so the GEMM reads the input segment directly. Same values, same layout,
-	// same kernel: bit-identical to the copying path.
+	// so the GEMM reads the input segment directly. Every other conv generates
+	// its packed strips tile by tile inside the GEMM (reading the image in
+	// place where tensor.ConvOffsetForm allows). Both are bit-identical to
+	// im2col + GEMM, the Forward path (see tensor.ConvMulSerialInto).
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
-	// Everything else goes through the implicit-GEMM path when it reads the
-	// image in place (offset form: no column copy at any size) or when the
-	// column matrix is too large to be worth materializing. Bit-identical to
-	// im2col + GEMM (see tensor.ConvMulSerialInto), which stays the path of
-	// small narrow layers and the testing reference.
-	implicit := !pointwise && (tensor.ConvOffsetForm(g) || kdim*outH*outW >= convImplicitMinFloats)
 	sampleIn := c.InC * h * w
 	var cols *tensor.Tensor
 	var scratch []float32
-	switch {
-	case pointwise:
+	if pointwise {
 		cols = ar.Wrap(x.Data[:sampleIn], kdim, outH*outW)
 		scratch = ar.Floats(tensor.GemmScratch())
-	case implicit:
+	} else {
 		scratch = ar.Floats(tensor.ConvGemmScratch(g))
-	default:
-		cols = ar.Alloc(kdim, outH*outW)
-		scratch = ar.Floats(tensor.GemmScratch())
 	}
 	sampleOut := c.OutC * outH * outW
 	dst := ar.Wrap(y.Data[:sampleOut], c.OutC, outH*outW)
 	for i := 0; i < n; i++ {
 		seg := y.Data[i*sampleOut : (i+1)*sampleOut]
 		dst.Data = seg
-		switch {
-		case pointwise:
+		if pointwise {
 			cols.Data = x.Data[i*sampleIn : (i+1)*sampleIn]
 			tensor.MatMulSerialInto(dst, wmat, cols, scratch)
-		case implicit:
+		} else {
 			tensor.ConvMulSerialInto(dst, wmat, g, x.Data[i*sampleIn:(i+1)*sampleIn], scratch)
-		default:
-			tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
-			tensor.MatMulSerialInto(dst, wmat, cols, scratch)
 		}
 		for oc := 0; oc < c.OutC; oc++ {
 			plane := seg[oc*outH*outW : (oc+1)*outH*outW]

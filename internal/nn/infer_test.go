@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nshd/internal/tensor"
+	"nshd/internal/tensor/tensortest"
 )
 
 // inferTestModel exercises every layer type that has an inference path:
@@ -55,59 +56,46 @@ func randomizeEval(rng *tensor.RNG, model *Sequential) {
 	}
 }
 
+// TestForwardInferMatchesEvalForward pins ForwardInfer bit-identical to
+// Forward(train=false): the whole test model, then lone unfused 3×3 convs at
+// widths that are no multiple of 16, where Forward multiplies a materialized
+// im2col matrix and ForwardInfer generates the same columns inside the GEMM
+// (tensor.ConvMulSerialInto) — column matrices of 36 K to 729 K floats. It
+// runs on the default kernels and again on the portable build's Go twins.
 func TestForwardInferMatchesEvalForward(t *testing.T) {
-	rng := tensor.NewRNG(42)
-	model := inferTestModel(rng)
-	randomizeEval(rng, model)
-	if err := InferSupported(model); err != nil {
-		t.Fatalf("InferSupported: %v", err)
-	}
+	for _, w := range []struct {
+		name string
+		set  func(testing.TB)
+	}{{"default", func(testing.TB) {}}, {"portable", tensortest.Portable}} {
+		t.Run(w.name, func(t *testing.T) {
+			w.set(t)
+			rng := tensor.NewRNG(42)
+			model := inferTestModel(rng)
+			randomizeEval(rng, model)
+			if err := InferSupported(model); err != nil {
+				t.Fatalf("InferSupported: %v", err)
+			}
+			x := tensor.New(5, 3, 16, 16)
+			rng.FillNormal(x, 0, 1)
+			sameBits(t, "test model", inferOnce(model, x), model.Forward(x, false), false)
 
-	x := tensor.New(5, 3, 16, 16)
-	rng.FillNormal(x, 0, 1)
-	want := model.Forward(x, false)
-
-	ar := tensor.NewArena()
-	in := ar.Alloc(x.Shape...)
-	copy(in.Data, x.Data)
-	got := model.ForwardInfer(in, ar)
-
-	if !got.SameShape(want) {
-		t.Fatalf("shape %v, want %v", got.Shape, want.Shape)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("ForwardInfer[%d]=%v, Forward(eval)=%v", i, got.Data[i], want.Data[i])
-		}
+			for _, s := range []struct{ c, hw int }{{64, 8}, {64, 24}, {32, 40}, {16, 72}} {
+				conv := NewConv2D(rng, s.c, s.c, 3, 1, 1, true)
+				rng.FillNormal(conv.Bias.W, 0, 1)
+				x := randInput(int64(s.hw), 2, s.c, s.hw, s.hw)
+				what := fmt.Sprintf("conv %dto%d @%dx%d", s.c, s.c, s.hw, s.hw)
+				sameBits(t, what, inferOnce(conv, x), conv.Forward(x, false), false)
+			}
+		})
 	}
 }
 
-// TestForwardInferImplicitConvMatches forces the implicit-GEMM conv gate
-// open on the small test model and pins the whole pass bit-identical to the
-// eval Forward path (which stays on materialized im2col).
-func TestForwardInferImplicitConvMatches(t *testing.T) {
-	saved := convImplicitMinFloats
-	convImplicitMinFloats = 0
-	defer func() { convImplicitMinFloats = saved }()
-
-	rng := tensor.NewRNG(17)
-	model := inferTestModel(rng)
-	randomizeEval(rng, model)
-
-	x := tensor.New(4, 3, 16, 16)
-	rng.FillNormal(x, 0, 1)
-	want := model.Forward(x, false)
-
+// inferOnce runs l.ForwardInfer on an arena copy of x.
+func inferOnce(l InferenceLayer, x *tensor.Tensor) *tensor.Tensor {
 	ar := tensor.NewArena()
 	in := ar.Alloc(x.Shape...)
 	copy(in.Data, x.Data)
-	got := model.ForwardInfer(in, ar)
-
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("implicit ForwardInfer[%d]=%v, Forward(eval)=%v", i, got.Data[i], want.Data[i])
-		}
-	}
+	return l.ForwardInfer(in, ar)
 }
 
 func TestForwardInferZeroAllocWhenFrozen(t *testing.T) {

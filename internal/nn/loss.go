@@ -53,58 +53,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	}
 	return float64(correct) / float64(len(labels))
 }
-
-// DistillLoss computes the Hinton-style knowledge-distillation objective for
-// NN→NN distillation: (1-α)·CE(student, labels) + α·T²·KL(teacherᵀ ∥ studentᵀ)
-// where superscript T denotes temperature-softened distributions. It returns
-// the combined loss and gradient w.r.t. the student logits. This is used when
-// pretraining compact teachers; the HD-side distillation lives in hdlearn.
-func DistillLoss(student, teacher *tensor.Tensor, labels []int, alpha, temperature float64) (float64, *tensor.Tensor) {
-	if !student.SameShape(teacher) {
-		panic(fmt.Sprintf("nn: DistillLoss shape mismatch %v vs %v", student.Shape, teacher.Shape))
-	}
-	ceLoss, ceGrad := CrossEntropy(student, labels)
-	n, k := student.Shape[0], student.Shape[1]
-	klGrad := tensor.New(n, k)
-	var klLoss float64
-	ps := make([]float32, k)
-	pt := make([]float32, k)
-	invN := 1 / float32(n)
-	for i := 0; i < n; i++ {
-		tensor.SoftmaxT(ps, student.Row(i), temperature)
-		tensor.SoftmaxT(pt, teacher.Row(i), temperature)
-		grow := klGrad.Row(i)
-		for j := 0; j < k; j++ {
-			t64, s64 := float64(pt[j]), float64(ps[j])
-			if t64 > 1e-12 {
-				klLoss += t64 * (math.Log(t64) - math.Log(math.Max(s64, 1e-12)))
-			}
-			// dKL/dz_s = (ps - pt)/T per sample; the customary T² factor
-			// restores gradient scale.
-			grow[j] = float32(temperature) * (ps[j] - pt[j]) * invN
-		}
-	}
-	klLoss /= float64(n)
-	total := (1-alpha)*ceLoss + alpha*temperature*temperature*klLoss
-	grad := tensor.New(n, k)
-	for i := range grad.Data {
-		grad.Data[i] = float32(1-alpha)*ceGrad.Data[i] + float32(alpha)*klGrad.Data[i]
-	}
-	return total, grad
-}
-
-// MSELoss returns mean squared error and its gradient for same-shape tensors.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !pred.SameShape(target) {
-		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape, target.Shape))
-	}
-	grad := tensor.New(pred.Shape...)
-	var loss float64
-	inv := 2 / float32(pred.Len())
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += float64(d) * float64(d)
-		grad.Data[i] = inv * d
-	}
-	return loss / float64(pred.Len()), grad
-}

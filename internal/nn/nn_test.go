@@ -58,71 +58,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestDistillLossInterpolates(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	student := tensor.New(4, 5)
-	teacher := tensor.New(4, 5)
-	rng.FillNormal(student, 0, 2)
-	rng.FillNormal(teacher, 0, 2)
-	labels := []int{0, 1, 2, 3}
-
-	ceOnly, gradCE := DistillLoss(student, teacher, labels, 0, 4)
-	wantCE, wantGradCE := CrossEntropy(student, labels)
-	if math.Abs(ceOnly-wantCE) > 1e-6 {
-		t.Fatalf("alpha=0 must reduce to CE: %v vs %v", ceOnly, wantCE)
-	}
-	for i := range gradCE.Data {
-		if math.Abs(float64(gradCE.Data[i]-wantGradCE.Data[i])) > 1e-6 {
-			t.Fatal("alpha=0 gradient must equal CE gradient")
-		}
-	}
-
-	// alpha=1: gradient must vanish when student == teacher.
-	_, g := DistillLoss(teacher.Clone(), teacher, labels, 1, 4)
-	for _, v := range g.Data {
-		if math.Abs(float64(v)) > 1e-5 {
-			t.Fatalf("KL gradient must vanish at student==teacher, got %v", v)
-		}
-	}
-}
-
-func TestDistillGradientFiniteDiff(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	student := tensor.New(2, 4)
-	teacher := tensor.New(2, 4)
-	rng.FillNormal(student, 0, 1)
-	rng.FillNormal(teacher, 0, 1)
-	labels := []int{1, 2}
-	alpha, temp := 0.7, 3.0
-	_, grad := DistillLoss(student, teacher, labels, alpha, temp)
-	const eps = 1e-3
-	for idx := 0; idx < student.Len(); idx++ {
-		orig := student.Data[idx]
-		student.Data[idx] = orig + eps
-		lp, _ := DistillLoss(student, teacher, labels, alpha, temp)
-		student.Data[idx] = orig - eps
-		lm, _ := DistillLoss(student, teacher, labels, alpha, temp)
-		student.Data[idx] = orig
-		want := (lp - lm) / (2 * eps)
-		got := float64(grad.Data[idx])
-		if !closeGrad(got, want, 5e-2) {
-			t.Errorf("distill grad[%d] = %.5g, finite diff %.5g", idx, got, want)
-		}
-	}
-}
-
-func TestMSELoss(t *testing.T) {
-	pred := tensor.FromSlice([]float32{1, 2}, 2)
-	target := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := MSELoss(pred, target)
-	if math.Abs(loss-2.5) > 1e-6 {
-		t.Fatalf("MSE = %v, want 2.5", loss)
-	}
-	if grad.Data[0] != 1 || grad.Data[1] != 2 {
-		t.Fatalf("MSE grad = %v", grad.Data)
-	}
-}
-
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w - c||² with SGD; w must approach c.
 	p := newParam("w", 3)

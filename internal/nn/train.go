@@ -14,10 +14,6 @@ type Trainer struct {
 	Opt       Optimizer
 	ClipNorm  float64 // 0 disables clipping
 	Log       io.Writer
-	// Teacher, when non-nil, enables NN→NN distillation with Alpha/Temp.
-	Teacher *Sequential
-	Alpha   float64
-	Temp    float64
 	// Augment, when non-nil, is applied in place to each training sample
 	// (shape is the per-sample shape) as it is copied into a batch.
 	Augment func(sample []float32, shape []int, rng *tensor.RNG)
@@ -94,14 +90,7 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 			}
 			model.ZeroGrad()
 			logits := model.Forward(bx, true)
-			var loss float64
-			var grad *tensor.Tensor
-			if t.Teacher != nil {
-				teacherLogits := t.Teacher.Forward(bx, false)
-				loss, grad = DistillLoss(logits, teacherLogits, by, t.Alpha, t.Temp)
-			} else {
-				loss, grad = CrossEntropy(logits, by)
-			}
+			loss, grad := CrossEntropy(logits, by)
 			model.Backward(grad)
 			if t.ClipNorm > 0 {
 				ClipGradNorm(model.Params(), t.ClipNorm)

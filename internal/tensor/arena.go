@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Arena is a region (bump) allocator backing the serving engine's
 // allocation-free forward pass. Activations, scratch buffers, packed-query
@@ -18,9 +21,9 @@ import "fmt"
 //     it means the warmup did not cover the steady-state shape, which is an
 //     engine sizing bug, not a runtime condition.
 //
-// Mark/Release give stack discipline for transient scratch (e.g. an im2col
-// matrix that dies with its layer) while activations allocated before the
-// mark survive. Reset recycles the whole arena between batches.
+// Mark/Release give stack discipline for transient scratch (e.g. a conv's
+// GEMM scratch that dies with its layer) while activations allocated before
+// the mark survive. Reset recycles the whole arena between batches.
 //
 // Returned buffers are NOT zeroed: every serving kernel fully overwrites its
 // output, and skipping the clear saves a memory pass per layer.
@@ -29,30 +32,62 @@ import "fmt"
 // per concurrent worker.
 type Arena struct {
 	frozen bool
+	floats slab[float32]
+	words  slab[uint64]
+	ints   slab[int] // tensor shapes
+	hdrs   slab[Tensor]
+	i32s   slab[int32]
+	f64s   slab[float64]
+}
 
-	floats []float32
-	foff   int
-	fpeak  int
+// slab is one element type's bump region: buf is the frozen or grown
+// capacity, off the next free element, peak the high-water mark of off.
+type slab[T any] struct {
+	buf       []T
+	off, peak int
+}
 
-	words []uint64
-	woff  int
-	wpeak int
+// take returns n uninitialized elements of buf and bumps the offset; a demand
+// past buf panics when frozen and is met from the heap while measuring.
+func (s *slab[T]) take(n int, frozen bool, kind string) []T {
+	end := s.off + n
+	var r []T
+	switch {
+	case end <= len(s.buf):
+		r = s.buf[s.off:end:end]
+	case frozen:
+		panic(fmt.Sprintf("tensor: frozen arena %s slab exhausted (%d + %d > %d)", kind, s.off, n, len(s.buf)))
+	default:
+		r = make([]T, n)
+	}
+	s.off = end
+	if end > s.peak { // never true when frozen: CloneEmpty reads peak unlocked
+		s.peak = end
+	}
+	return r
+}
 
-	ints  []int
-	ioff  int
-	ipeak int
+// grow reallocates buf at the peak when the peak outgrew it.
+func (s *slab[T]) grow() {
+	if s.peak > len(s.buf) {
+		s.buf = make([]T, s.peak)
+	}
+}
 
-	hdrs  []Tensor
-	hoff  int
-	hpeak int
+// fresh is an empty slab of s's capacity and peak, sharing no memory with s.
+func (s *slab[T]) fresh() slab[T] { return slab[T]{buf: make([]T, len(s.buf)), peak: s.peak} }
 
-	i32s    []int32
-	i32off  int
-	i32peak int
+// bytes is the slab's footprint at its peak.
+func (s *slab[T]) bytes() int64 { return int64(s.peak) * int64(unsafe.Sizeof(*new(T))) }
 
-	f64s    []float64
-	f64off  int
-	f64peak int
+// sizer is what Freeze, Grow, CloneEmpty and FootprintBytes ask of a slab.
+type sizer interface {
+	grow()
+	bytes() int64
+}
+
+func (a *Arena) slabs() [6]sizer {
+	return [6]sizer{&a.floats, &a.words, &a.ints, &a.hdrs, &a.i32s, &a.f64s}
 }
 
 // NewArena returns an empty arena in measuring mode.
@@ -63,139 +98,39 @@ type ArenaMark struct{ f, w, i, h, i32, f64 int }
 
 // Mark snapshots the arena's current offsets.
 func (a *Arena) Mark() ArenaMark {
-	return ArenaMark{f: a.foff, w: a.woff, i: a.ioff, h: a.hoff, i32: a.i32off, f64: a.f64off}
+	return ArenaMark{a.floats.off, a.words.off, a.ints.off, a.hdrs.off, a.i32s.off, a.f64s.off}
 }
 
 // Release rewinds the arena to a previous Mark, freeing everything allocated
 // since. Buffers handed out after the mark must no longer be used.
 func (a *Arena) Release(m ArenaMark) {
-	a.foff, a.woff, a.ioff, a.hoff = m.f, m.w, m.i, m.h
-	a.i32off, a.f64off = m.i32, m.f64
+	a.floats.off, a.words.off, a.ints.off, a.hdrs.off = m.f, m.w, m.i, m.h
+	a.i32s.off, a.f64s.off = m.i32, m.f64
 }
 
 // Reset frees everything, keeping capacity. Call between batches.
-func (a *Arena) Reset() {
-	a.foff, a.woff, a.ioff, a.hoff = 0, 0, 0, 0
-	a.i32off, a.f64off = 0, 0
-}
+func (a *Arena) Reset() { a.Release(ArenaMark{}) }
 
 // Floats returns an uninitialized float32 buffer of length n.
-func (a *Arena) Floats(n int) []float32 {
-	if a.foff+n > len(a.floats) {
-		if a.frozen {
-			panic(fmt.Sprintf("tensor: frozen arena float slab exhausted (%d + %d > %d)", a.foff, n, len(a.floats)))
-		}
-		a.foff += n
-		if a.foff > a.fpeak {
-			a.fpeak = a.foff
-		}
-		return make([]float32, n)
-	}
-	s := a.floats[a.foff : a.foff+n : a.foff+n]
-	a.foff += n
-	if a.foff > a.fpeak {
-		a.fpeak = a.foff
-	}
-	return s
-}
+func (a *Arena) Floats(n int) []float32 { return a.floats.take(n, a.frozen, "float") }
 
 // Words returns an uninitialized uint64 buffer of length n (packed queries).
-func (a *Arena) Words(n int) []uint64 {
-	if a.woff+n > len(a.words) {
-		if a.frozen {
-			panic(fmt.Sprintf("tensor: frozen arena word slab exhausted (%d + %d > %d)", a.woff, n, len(a.words)))
-		}
-		a.woff += n
-		if a.woff > a.wpeak {
-			a.wpeak = a.woff
-		}
-		return make([]uint64, n)
-	}
-	s := a.words[a.woff : a.woff+n : a.woff+n]
-	a.woff += n
-	if a.woff > a.wpeak {
-		a.wpeak = a.woff
-	}
-	return s
-}
+func (a *Arena) Words(n int) []uint64 { return a.words.take(n, a.frozen, "word") }
 
 // Int32s returns an uninitialized int32 buffer of length n (the word scorers'
 // integer class dots in the engine's tail).
-func (a *Arena) Int32s(n int) []int32 {
-	if a.i32off+n > len(a.i32s) {
-		if a.frozen {
-			panic(fmt.Sprintf("tensor: frozen arena int32 slab exhausted (%d + %d > %d)", a.i32off, n, len(a.i32s)))
-		}
-		a.i32off += n
-		if a.i32off > a.i32peak {
-			a.i32peak = a.i32off
-		}
-		return make([]int32, n)
-	}
-	s := a.i32s[a.i32off : a.i32off+n : a.i32off+n]
-	a.i32off += n
-	if a.i32off > a.i32peak {
-		a.i32peak = a.i32off
-	}
-	return s
-}
+func (a *Arena) Int32s(n int) []int32 { return a.i32s.take(n, a.frozen, "int32") }
 
 // Float64s returns an uninitialized float64 buffer of length n (blockwise
 // similarity-score accumulators in the engine's fused tail).
-func (a *Arena) Float64s(n int) []float64 {
-	if a.f64off+n > len(a.f64s) {
-		if a.frozen {
-			panic(fmt.Sprintf("tensor: frozen arena float64 slab exhausted (%d + %d > %d)", a.f64off, n, len(a.f64s)))
-		}
-		a.f64off += n
-		if a.f64off > a.f64peak {
-			a.f64peak = a.f64off
-		}
-		return make([]float64, n)
-	}
-	s := a.f64s[a.f64off : a.f64off+n : a.f64off+n]
-	a.f64off += n
-	if a.f64off > a.f64peak {
-		a.f64peak = a.f64off
-	}
-	return s
-}
+func (a *Arena) Float64s(n int) []float64 { return a.f64s.take(n, a.frozen, "float64") }
 
 // header returns a tensor header with the given shape copied into the
 // arena's shape slab.
 func (a *Arena) header(shape []int) *Tensor {
-	var t *Tensor
-	if a.hoff < len(a.hdrs) {
-		t = &a.hdrs[a.hoff]
-	} else if a.frozen {
-		panic("tensor: frozen arena header slab exhausted")
-	} else {
-		t = &Tensor{}
-	}
-	a.hoff++
-	if a.hoff > a.hpeak {
-		a.hpeak = a.hoff
-	}
-
-	var dst []int
-	if a.ioff+len(shape) > len(a.ints) {
-		if a.frozen {
-			panic("tensor: frozen arena shape slab exhausted")
-		}
-		a.ioff += len(shape)
-		if a.ioff > a.ipeak {
-			a.ipeak = a.ioff
-		}
-		dst = make([]int, len(shape))
-	} else {
-		dst = a.ints[a.ioff : a.ioff+len(shape) : a.ioff+len(shape)]
-		a.ioff += len(shape)
-		if a.ioff > a.ipeak {
-			a.ipeak = a.ioff
-		}
-	}
-	copy(dst, shape)
-	t.Shape = dst
+	t := &a.hdrs.take(1, a.frozen, "header")[0]
+	t.Shape = a.ints.take(len(shape), a.frozen, "shape")
+	copy(t.Shape, shape)
 	return t
 }
 
@@ -233,15 +168,12 @@ func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
 	return t
 }
 
-// Freeze sizes the slabs to the observed peaks and switches the arena to
-// frozen (zero-allocation) mode. The arena is Reset as a side effect.
+// Freeze sizes the slabs to the observed peaks, as Grow does, and switches the
+// arena to frozen (zero-allocation) mode. The arena is Reset as a side effect.
 func (a *Arena) Freeze() {
-	a.floats = make([]float32, a.fpeak)
-	a.words = make([]uint64, a.wpeak)
-	a.ints = make([]int, a.ipeak)
-	a.hdrs = make([]Tensor, a.hpeak)
-	a.i32s = make([]int32, a.i32peak)
-	a.f64s = make([]float64, a.f64peak)
+	if !a.frozen {
+		a.Grow()
+	}
 	a.frozen = true
 	a.Reset()
 }
@@ -257,23 +189,8 @@ func (a *Arena) Grow() {
 	if a.frozen {
 		panic("tensor: Grow of frozen arena")
 	}
-	if a.fpeak > len(a.floats) {
-		a.floats = make([]float32, a.fpeak)
-	}
-	if a.wpeak > len(a.words) {
-		a.words = make([]uint64, a.wpeak)
-	}
-	if a.ipeak > len(a.ints) {
-		a.ints = make([]int, a.ipeak)
-	}
-	if a.hpeak > len(a.hdrs) {
-		a.hdrs = make([]Tensor, a.hpeak)
-	}
-	if a.i32peak > len(a.i32s) {
-		a.i32s = make([]int32, a.i32peak)
-	}
-	if a.f64peak > len(a.f64s) {
-		a.f64s = make([]float64, a.f64peak)
+	for _, s := range a.slabs() {
+		s.grow()
 	}
 	a.Reset()
 }
@@ -285,27 +202,19 @@ func (a *Arena) CloneEmpty() *Arena {
 	if !a.frozen {
 		panic("tensor: CloneEmpty of unfrozen arena")
 	}
-	c := &Arena{
-		frozen: true,
-		floats: make([]float32, len(a.floats)),
-		words:  make([]uint64, len(a.words)),
-		ints:   make([]int, len(a.ints)),
-		hdrs:   make([]Tensor, len(a.hdrs)),
-		i32s:   make([]int32, len(a.i32s)),
-		f64s:   make([]float64, len(a.f64s)),
-		fpeak:  a.fpeak, wpeak: a.wpeak, ipeak: a.ipeak, hpeak: a.hpeak,
-		i32peak: a.i32peak, f64peak: a.f64peak,
-	}
-	return c
+	return &Arena{frozen: true, floats: a.floats.fresh(), words: a.words.fresh(), ints: a.ints.fresh(),
+		hdrs: a.hdrs.fresh(), i32s: a.i32s.fresh(), f64s: a.f64s.fresh()}
 }
 
-// FootprintBytes reports the frozen arena's slab memory (rough, for logs and
-// chunk-size budgeting).
+// FootprintBytes reports the slab memory at the observed peaks: a frozen
+// arena's size, which Compile budgets its chunk size with.
 func (a *Arena) FootprintBytes() int64 {
-	return int64(a.fpeak)*4 + int64(a.wpeak)*8 + int64(a.ipeak)*8 + int64(a.hpeak)*48 +
-		int64(a.i32peak)*4 + int64(a.f64peak)*8
+	var n int64
+	for _, s := range a.slabs() {
+		n += s.bytes()
+	}
+	return n
 }
 
-// PeakFloats reports the peak float32 usage observed so far (valid in both
-// modes); the engine uses it to budget its chunk size.
-func (a *Arena) PeakFloats() int { return a.fpeak }
+// PeakFloats reports the peak float32 usage so far, in either mode.
+func (a *Arena) PeakFloats() int { return a.floats.peak }

@@ -34,8 +34,7 @@ import "fmt"
 // shapes, strides, and pads.
 
 // ConvOffsetForm reports whether convs of geometry g run in offset form —
-// the form that copies no columns, so there is no layer size below which
-// materializing Im2Col is cheaper (what nn's size gate asks).
+// the form that copies no columns.
 func ConvOffsetForm(g ConvGeom) bool {
 	return useGemmAsm && g.StrideH == 1 && g.StrideW == 1 && g.OutW()%gemmNR == 0
 }

@@ -228,18 +228,6 @@ func Softmax(dst, src []float32) {
 	}
 }
 
-// SoftmaxT applies temperature-scaled softmax: softmax(src/T).
-func SoftmaxT(dst, src []float32, temperature float64) {
-	if temperature <= 0 {
-		panic("tensor: SoftmaxT requires positive temperature")
-	}
-	tmp := make([]float32, len(src))
-	for i, v := range src {
-		tmp[i] = float32(float64(v) / temperature)
-	}
-	Softmax(dst, tmp)
-}
-
 // ArgmaxRows returns the argmax of each row of a 2-D tensor.
 func ArgmaxRows(t *Tensor) []int {
 	if t.Rank() != 2 {

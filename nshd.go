@@ -77,14 +77,11 @@ func LoadPipeline(path string) (*Pipeline, error) { return core.Load(path) }
 // are sized once at compile time, and steady-state batches run without
 // touching the heap. Safe for concurrent use. Pipeline.Predict/Accuracy/
 // QueryHVs already serve through a cached Engine transparently; compile one
-// explicitly for a serving process, for streaming, or to pin a model version:
+// explicitly for a serving process or to pin a model version:
 //
 //	eng, _ := nshd.Compile(model)
 //	preds, _ := eng.Predict(test.Images)
 type Engine = engine.Engine
-
-// StreamResult is one batch's outcome on Engine.PredictStream.
-type StreamResult = engine.StreamResult
 
 // StageBytes is one itemized component of an engine's resident serving
 // weights (see Engine.BytesBreakdown).
