@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test v3 race alloc staticcheck fuzz bench bench-diff
+.PHONY: check fmt vet build test v3 race alloc staticcheck fuzz bench bench-diff census
 
 # The full gate: what CI (and any PR) must keep green.
 check: fmt vet staticcheck build test v3 race alloc
@@ -110,3 +110,10 @@ bench:
 # bound. Fails only beyond a bound or on a larger failed share.
 bench-diff:
 	bash scripts/bench-diff.sh $(REV) $(WORKLOAD)
+
+# Functions under internal/ that no benchmark workload runs: a coverage build
+# of ./benchmark, every BENCHMARK.json workload for 1 s at -trace 0 and 1,
+# then the 0.0 % rows of the merged profile (the portable *_noasm.go twins
+# skipped). Candidates for deletion, not verdicts; see scripts/census.sh.
+census:
+	bash scripts/census.sh

@@ -264,28 +264,19 @@ func BenchmarkSimilarityDense(b *testing.B) {
 }
 
 func BenchmarkSimilarityPacked(b *testing.B) {
-	// The binary-kernel ablation: packed XOR+popcount similarity vs the
-	// dense float path above.
-	rng := tensor.NewRNG(3)
-	classes := make([]*hdc.PackedHV, 10)
-	for i := range classes {
-		classes[i] = hdc.RandomPacked(rng, 3000)
-	}
-	queries := make([]*hdc.PackedHV, 64)
-	for i := range queries {
-		queries[i] = hdc.RandomPacked(rng, 3000)
-	}
+	// The binary-kernel ablation: the packed XOR+popcount scorer the engine
+	// serves, on the model and queries of the dense float path above.
+	rng := tensor.NewRNG(2)
+	m := hdlearn.NewModel(10, 3000)
+	rng.FillNormal(m.M, 0, 1)
+	q := tensor.New(64, 3000)
+	rng.FillBipolar(q)
+	pm := hdlearn.PackModel(m)
+	preds := make([]int, 64)
+	scratch := make([]uint64, pm.WordsPerRow())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, q := range queries {
-			best, bestK := -1<<62, 0
-			for k, c := range classes {
-				if d := hdc.PackedDot(q, c); d > best {
-					best, bestK = d, k
-				}
-			}
-			_ = bestK
-		}
+		pm.PredictBatchInto(q, preds, scratch)
 	}
 }
 

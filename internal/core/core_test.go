@@ -296,8 +296,4 @@ func TestPackedInferenceMatchesQuantizedFloat(t *testing.T) {
 	if acc := p.Accuracy(test); math.Abs(acc-float64(correct)/float64(len(got))) > 1e-9 {
 		t.Fatalf("packed Accuracy %v inconsistent with packed Predict", acc)
 	}
-	pq := p.PackedQueryHVs(test.Images)
-	if pq.Rows != test.Len() || pq.D != p.Cfg.D {
-		t.Fatalf("PackedQueryHVs shape %dx%d", pq.Rows, pq.D)
-	}
 }

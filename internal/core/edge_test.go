@@ -52,3 +52,40 @@ func TestEmptyBatchEdgeCases(t *testing.T) {
 		t.Fatalf("AccuracyOnFeatures on empty features = %v, want 0", acc)
 	}
 }
+
+// A batch of another image size used to run the extractor on the smaller map
+// and copy its shorter features into slots sized for the zoo's input, so the
+// labels came from a mix of samples and zeros. The reference path must refuse
+// such a batch, as the engine does.
+func TestWrongImageShapeRejected(t *testing.T) {
+	zoo := tinyZoo(72, 4)
+	p, err := New(zoo, testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := tensor.New(4, 3, 12, 12)
+	tensor.NewRNG(73).FillNormal(small, 0, 1)
+	const want = "core: image shape [4 3 12 12], pipeline built for [N 3 16 16]"
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"ExtractFeatures", func() { p.ExtractFeatures(small) }},
+		{"PredictDirect", func() { p.PredictDirect(small) }},
+		{"Predict", func() { p.Predict(small) }},
+		{"QueryHVs", func() { p.QueryHVs(small) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("%s: panic %v, want %q", c.name, r, want)
+				}
+			}()
+			c.call()
+		}()
+	}
+	d := &dataset.Dataset{Name: "small", Images: small, Labels: []int{0, 1, 2, 3}, Classes: 4}
+	if _, err := p.Train(d, nil); err == nil || err.Error() != want {
+		t.Fatalf("Train: error %v, want %q", err, want)
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"nshd/internal/cnn"
 	"nshd/internal/dataset"
@@ -121,9 +123,24 @@ func NewBaselineHD(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 	return New(zoo, cfg)
 }
 
+// checkImages reports an images batch that is not [N, C, H, W] of the zoo
+// model's input shape. The extractor would run on any map size and leave
+// features of the wrong length, which ExtractFeatures would then pack into
+// slots sized for the zoo's.
+func (p *Pipeline) checkImages(images *tensor.Tensor) error {
+	if images.Rank() != 1+len(p.Zoo.InShape) || !slices.Equal(images.Shape[1:], p.Zoo.InShape) {
+		return fmt.Errorf("core: image shape %v, pipeline built for [N %s]", images.Shape, strings.Trim(fmt.Sprint(p.Zoo.InShape), "[]"))
+	}
+	return nil
+}
+
 // ExtractFeatures runs the frozen extractor over images in batches,
-// returning the [N, C, H, W] feature tensor.
+// returning the [N, C, H, W] feature tensor. It panics on images not shaped
+// [N, C, H, W] as the zoo model's input.
 func (p *Pipeline) ExtractFeatures(images *tensor.Tensor) *tensor.Tensor {
+	if err := p.checkImages(images); err != nil {
+		panic(err.Error())
+	}
 	n := images.Shape[0]
 	out := tensor.New(append([]int{n}, p.FeatShape...)...)
 	if n == 0 {
@@ -205,6 +222,9 @@ func (p *Pipeline) Train(train *dataset.Dataset, log io.Writer) (*TrainReport, e
 	}
 	if train.Classes != p.Cfg.Classes {
 		return nil, fmt.Errorf("core: dataset has %d classes, pipeline %d", train.Classes, p.Cfg.Classes)
+	}
+	if err := p.checkImages(train.Images); err != nil {
+		return nil, err
 	}
 	feats := p.ExtractFeatures(train.Images)
 	var teacherLogits *tensor.Tensor
@@ -460,13 +480,6 @@ func (p *Pipeline) QueryHVs(images *tensor.Tensor) *tensor.Tensor {
 	feats := p.ExtractFeatures(images)
 	_, _, signed := p.Symbolize(feats, false)
 	return signed
-}
-
-// PackedQueryHVs returns the query hypervectors bit-packed — the form the
-// deployment targets store and ship (64 dimensions per word). Since query
-// hypervectors are already bipolar, packing loses nothing.
-func (p *Pipeline) PackedQueryHVs(images *tensor.Tensor) *hdc.PackedMatrix {
-	return hdc.NewPackedMatrix(p.QueryHVs(images))
 }
 
 func abs64(v float32) float64 {

@@ -152,65 +152,6 @@ func TestCosineBounds(t *testing.T) {
 	}
 }
 
-// --- packed representation ---
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(10)
-	for _, d := range []int{1, 63, 64, 65, 1000, testD} {
-		h := RandomBipolar(rng, d)
-		got := PackHV(h).Unpack()
-		for i := range h {
-			if got[i] != h[i] {
-				t.Fatalf("pack/unpack mismatch at d=%d i=%d", d, i)
-			}
-		}
-	}
-}
-
-func TestPackedDotMatchesDense(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	for _, d := range []int{64, 100, 1001, testD} {
-		a, b := RandomBipolar(rng, d), RandomBipolar(rng, d)
-		dense := int(Dot(a, b))
-		packed := PackedDot(PackHV(a), PackHV(b))
-		if dense != packed {
-			t.Fatalf("d=%d: packed dot %d != dense %d", d, packed, dense)
-		}
-	}
-}
-
-func TestHammingDotIdentity(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	a, b := RandomPacked(rng, 777), RandomPacked(rng, 777)
-	if got := PackedDot(a, b); got != 777-2*Hamming(a, b) {
-		t.Fatal("dot = D - 2·hamming identity violated")
-	}
-}
-
-func TestRandomPackedTailMasked(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	p := RandomPacked(rng, 70) // 6 tail bits must stay clear
-	if p.Words[1]>>(70-64) != 0 {
-		t.Fatal("tail bits beyond D must be zero")
-	}
-	q := NewPackedHV(70)
-	if h := Hamming(p, q); h > 70 {
-		t.Fatalf("hamming %d exceeds dimension 70", h)
-	}
-}
-
-func TestPackedMatrixMemory(t *testing.T) {
-	m := tensor.New(10, 128)
-	m.Fill(1)
-	pm := NewPackedMatrix(m)
-	if pm.MemoryBytes() != 10*2*8 {
-		t.Fatalf("MemoryBytes = %d", pm.MemoryBytes())
-	}
-	if pm.Row(3).Bit(5) != 1 {
-		t.Fatal("all-ones matrix packs to +1 bits")
-	}
-}
-
 // --- projection encoder ---
 
 func TestProjectionEncodeMatchesDefinition(t *testing.T) {
@@ -447,27 +388,6 @@ func TestPermuteDistributesOverBindProperty(t *testing.T) {
 	}
 }
 
-// Property: packed dot product is symmetric and bounded by ±D.
-func TestPackedDotSymmetricBoundedProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := tensor.NewRNG(seed)
-		d := 65 + int(r.Intn(200))
-		a, b := RandomPacked(r, d), RandomPacked(r, d)
-		ab, ba := PackedDot(a, b), PackedDot(b, a)
-		if ab != ba {
-			return false
-		}
-		if ab < -d || ab > d {
-			return false
-		}
-		// Parity: dot ≡ D (mod 2).
-		return (ab-d)%2 == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: bundle similarity is invariant under a common binding key —
 // δ(sign(Σhᵢ)⊗k, h₀⊗k) == δ(sign(Σhᵢ), h₀).
 func TestBundleBindInvarianceProperty(t *testing.T) {
@@ -522,9 +442,8 @@ func TestEncodeBatchIntoMatchesEncodeBatch(t *testing.T) {
 		t.Fatalf("EncodeBatchInto allocated %.1f times per run", a)
 	}
 
-	// Packed storage: 24 rows of ⌈70/64⌉ = 2 words, as NewPackedMatrix of P
-	// would hold them.
-	if got, want := pr.MemoryBytes(true), NewPackedMatrix(pr.P).MemoryBytes(); got != 24*2*8 || got != want {
-		t.Fatalf("packed MemoryBytes = %d, want %d (= %d)", got, 24*2*8, want)
+	// Packed storage: 24 rows of ⌈70/64⌉ = 2 words.
+	if got := pr.MemoryBytes(true); got != 24*2*8 {
+		t.Fatalf("packed MemoryBytes = %d, want %d", got, 24*2*8)
 	}
 }

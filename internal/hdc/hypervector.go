@@ -1,16 +1,12 @@
 // Package hdc implements the hyperdimensional-computing substrate of NSHD:
 // bipolar hypervectors, the bind/bundle/permute algebra, similarity metrics,
-// random-projection encoding and decoding, item/level memories, and a packed
-// 1-bit representation with popcount similarity that mirrors the paper's
-// binary-centric GPGPU kernels.
+// random-projection encoding and decoding, and item/level memories.
 //
-// Two representations coexist:
-//
-//   - dense hypervectors ([]float32), used wherever values accumulate
-//     (class hypervectors, bundling, pre-sign encoder output);
-//   - PackedHV (uint64 words, one bit per dimension), used for binary
-//     query/projection hypervectors where XOR+popcount replaces
-//     multiply-accumulate.
+// Hypervectors here are dense ([]float32), which serves bipolar vectors and
+// the accumulators of bundling alike. The 1-bit form the paper deploys (one
+// bit per dimension, XOR + popcount similarity) lives where it is served:
+// hdlearn.PackedModel for the class hypervectors and tensor.SignPanels for
+// the projection, both packed by tensor.PackSignsInto.
 //
 // The bipolar convention is {-1, +1} with sign(0) = +1.
 package hdc
@@ -100,16 +96,6 @@ func Bind(a, b Hypervector) Hypervector {
 		out[i] = a[i] * b[i]
 	}
 	return out
-}
-
-// BindInto computes dst = a ⊗ b without allocating.
-func BindInto(dst, a, b Hypervector) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("hdc: BindInto dimension mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] * b[i]
-	}
 }
 
 // Bundle returns the elementwise sum of hvs (⊕): the composite remains

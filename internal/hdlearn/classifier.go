@@ -182,19 +182,6 @@ func (m *Model) QueryGrad(u *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(u, m.M) // [N, D]
 }
 
-// NormalizeRows rescales each class hypervector to unit norm. Optional
-// stabilization after many retraining iterations.
-func (m *Model) NormalizeRows() {
-	m.Invalidate()
-	for k := 0; k < m.K; k++ {
-		row := hdc.Hypervector(m.M.Row(k))
-		n := row.Norm()
-		if n > 0 {
-			row.Scale(float32(1 / n))
-		}
-	}
-}
-
 // MemoryBytes reports model storage: K·D float32 values, or the packed
 // binary footprint when quantized for FPGA deployment.
 func (m *Model) MemoryBytes(packed bool) int64 {

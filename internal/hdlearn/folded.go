@@ -18,15 +18,15 @@ import (
 //
 // reduces to a plain dot product against the pre-scaled rows
 // M̂_k = M_k / (√D·‖M_k‖). A zero-norm class keeps a zero row, reproducing
-// FloatScorer's den==0 → sim=0 convention.
+// Model.SimilarityBatch's den==0 → sim=0 convention.
 //
 // Because the denominator is gone, scores can accumulate BLOCKWISE over
 // column ranges of the query — which is what lets the fused tail score a
 // gemmNC-wide projection block the moment it is computed and never
 // materialize the full [N, D] hypervector batch. Partial sums accumulate in
 // float64, so the block decomposition never changes a ranking that isn't
-// already a float-level near-tie; agreement with FloatScorer's argmax is
-// pinned by TestFoldedScorerAgreesWithFloat.
+// already a float-level near-tie; agreement with Model.PredictBatch's argmax
+// is pinned by TestFoldedScorerAgreesWithFloat.
 //
 // Scoring a block is one K block of the GEMM S[n, D]·M̂ᵀ[D, K], so classes
 // [0, ns), ns = tensor.PanelStripCols(K), live ONLY as that GEMM's prepacked

@@ -42,7 +42,7 @@ func blockwisePredict(s *FoldedScorer, queries *tensor.Tensor) []int {
 
 // TestFoldedScorerAgreesWithFloat pins the folded scorer's contract: for
 // bipolar queries the blockwise argmax the serving tail computes matches
-// FloatScorer (the full-row cosine reference) across many random models,
+// Model.PredictBatch (the full-row cosine reference) across many random models,
 // class counts and dimensions, including D off the 64/256 alignments and
 // D spanning several blocks.
 func TestFoldedScorerAgreesWithFloat(t *testing.T) {
@@ -54,8 +54,7 @@ func TestFoldedScorerAgreesWithFloat(t *testing.T) {
 		m.Invalidate()
 
 		queries := signedQueries(200+seed, 17, d)
-		want := make([]int, 17)
-		NewFloatScorer(m).PredictInto(queries, want)
+		want := m.PredictBatch(queries)
 		got := blockwisePredict(NewFoldedScorer(m), queries)
 		for i := range want {
 			if got[i] != want[i] {
@@ -74,8 +73,7 @@ func TestFoldedScorerZeroNormClass(t *testing.T) {
 	clear(m.M.Row(1))
 	m.Invalidate()
 	queries := signedQueries(2, 4, d)
-	want := make([]int, 4)
-	NewFloatScorer(m).PredictInto(queries, want)
+	want := m.PredictBatch(queries)
 	got := blockwisePredict(NewFoldedScorer(m), queries)
 	for i := range want {
 		if got[i] != want[i] {

@@ -258,21 +258,6 @@ func TestQueryGradIsUTimesM(t *testing.T) {
 	}
 }
 
-func TestNormalizeRows(t *testing.T) {
-	m := NewModel(2, 4)
-	copy(m.M.Row(0), []float32{3, 0, 0, 0})
-	copy(m.M.Row(1), []float32{0, 0, 0, 0}) // zero row must not NaN
-	m.NormalizeRows()
-	if math.Abs(hdc.Hypervector(m.M.Row(0)).Norm()-1) > 1e-6 {
-		t.Fatal("row 0 not normalized")
-	}
-	for _, v := range m.M.Row(1) {
-		if v != 0 {
-			t.Fatal("zero row must stay zero")
-		}
-	}
-}
-
 func TestModelCosts(t *testing.T) {
 	m := NewModel(10, 3000)
 	if m.InferenceMACs() != 30000 {

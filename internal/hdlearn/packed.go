@@ -3,7 +3,6 @@ package hdlearn
 import (
 	"fmt"
 
-	"nshd/internal/hdc"
 	"nshd/internal/tensor"
 )
 
@@ -27,7 +26,7 @@ func PackModel(m *Model) *PackedModel {
 	wpr := (m.D + 63) / 64
 	pm := &PackedModel{K: m.K, D: m.D, wpr: wpr, words: make([]uint64, m.K*wpr)}
 	for k := 0; k < m.K; k++ {
-		hdc.PackRowInto(pm.words[k*wpr:(k+1)*wpr], m.M.Row(k))
+		tensor.PackSignsInto(pm.words[k*wpr:(k+1)*wpr], m.M.Row(k))
 	}
 	return pm
 }
@@ -70,24 +69,6 @@ func (pm *PackedModel) DotsInto(out []int32, q []uint64) {
 	}
 }
 
-// PredictHV classifies an already-packed query hypervector.
-func (pm *PackedModel) PredictHV(q *hdc.PackedHV) int {
-	if q.D != pm.D {
-		panic(fmt.Sprintf("hdlearn: PredictHV got D=%d, model has D=%d", q.D, pm.D))
-	}
-	return pm.predictWords(q.Words)
-}
-
-// Predict packs a dense query and classifies it.
-func (pm *PackedModel) Predict(h hdc.Hypervector) int {
-	if len(h) != pm.D {
-		panic(fmt.Sprintf("hdlearn: Predict got dim %d, model has D=%d", len(h), pm.D))
-	}
-	q := make([]uint64, pm.wpr)
-	hdc.PackRowInto(q, h)
-	return pm.predictWords(q)
-}
-
 // PredictBatch classifies every row of hvs ([N, D]), packing queries on the
 // fly and scoring with popcount; rows are processed in parallel.
 func (pm *PackedModel) PredictBatch(hvs *tensor.Tensor) []int {
@@ -101,7 +82,7 @@ func (pm *PackedModel) PredictBatch(hvs *tensor.Tensor) []int {
 	tensor.ParallelForGrain(n, grain, func(lo, hi int) {
 		q := make([]uint64, pm.wpr)
 		for i := lo; i < hi; i++ {
-			hdc.PackRowInto(q, hvs.Row(i))
+			tensor.PackSignsInto(q, hvs.Row(i))
 			preds[i] = pm.predictWords(q)
 		}
 	})
@@ -118,13 +99,6 @@ func (pm *PackedModel) Accuracy(hvs *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(labels))
-}
-
-// Class returns class hypervector k in packed form (a copy).
-func (pm *PackedModel) Class(k int) *hdc.PackedHV {
-	p := hdc.NewPackedHV(pm.D)
-	copy(p.Words, pm.words[k*pm.wpr:(k+1)*pm.wpr])
-	return p
 }
 
 // MemoryBytes is the packed storage footprint: K rows of ⌈D/64⌉ words.

@@ -3,7 +3,6 @@ package hdlearn
 import (
 	"testing"
 
-	"nshd/internal/hdc"
 	"nshd/internal/tensor"
 )
 
@@ -44,16 +43,6 @@ func TestPackedPredictAgreesWithFloat(t *testing.T) {
 				t.Fatalf("K=%d D=%d: sample %d packed=%d float=%d", tc.k, tc.d, i, got[i], want[i])
 			}
 		}
-		// Single-query APIs must agree with the batch path.
-		for i := 0; i < tc.n; i++ {
-			h := hdc.Hypervector(q.Row(i))
-			if p := pm.Predict(h); p != got[i] {
-				t.Fatalf("K=%d D=%d: Predict(%d)=%d, batch=%d", tc.k, tc.d, i, p, got[i])
-			}
-			if p := pm.PredictHV(hdc.PackHV(h)); p != got[i] {
-				t.Fatalf("K=%d D=%d: PredictHV(%d)=%d, batch=%d", tc.k, tc.d, i, p, got[i])
-			}
-		}
 	}
 }
 
@@ -79,20 +68,6 @@ func TestPackedModelMemory(t *testing.T) {
 	if ratio := float64(m.MemoryBytes(false)) / float64(pm.MemoryBytes()); ratio < 30 {
 		t.Fatalf("packed model only %.1fx smaller", ratio)
 	}
-	// Class round-trips through the packed form.
-	rng := tensor.NewRNG(3)
-	rng.FillNormal(m.M, 0, 1)
-	pm = PackModel(m)
-	c := pm.Class(3).Unpack()
-	for i, v := range m.Class(3) {
-		want := float32(1)
-		if v < 0 {
-			want = -1
-		}
-		if c[i] != want {
-			t.Fatalf("Class(3)[%d] = %v, want %v", i, c[i], want)
-		}
-	}
 }
 
 // TestPackedDotsIntoMatchesPredict: the engine's sign-word path (DotsInto,
@@ -105,7 +80,7 @@ func TestPackedDotsIntoMatchesPredict(t *testing.T) {
 	dots := make([]int32, k)
 	q := make([]uint64, pm.WordsPerRow())
 	for i := 0; i < queries.Shape[0]; i++ {
-		hdc.PackRowInto(q, queries.Row(i))
+		tensor.PackSignsInto(q, queries.Row(i))
 		pm.DotsInto(dots, q)
 		var at [1]int
 		ArgmaxInto(at[:], dots, 1, k)

@@ -3,7 +3,6 @@ package hdlearn
 import (
 	"fmt"
 
-	"nshd/internal/hdc"
 	"nshd/internal/tensor"
 )
 
@@ -47,7 +46,7 @@ func (pm *PackedModel) PredictBatchInto(hvs *tensor.Tensor, preds []int, q []uin
 	}
 	q = q[:pm.wpr]
 	for i := 0; i < n; i++ {
-		hdc.PackRowInto(q, hvs.Row(i))
+		tensor.PackSignsInto(q, hvs.Row(i))
 		preds[i] = pm.predictWords(q)
 	}
 }
@@ -55,54 +54,3 @@ func (pm *PackedModel) PredictBatchInto(hvs *tensor.Tensor, preds []int, q []uin
 // WordsPerRow returns the packed row stride in uint64 words (⌈D/64⌉), the
 // scratch length PredictBatchInto requires.
 func (pm *PackedModel) WordsPerRow() int { return pm.wpr }
-
-// FloatScorer is the full-row cosine reference that FoldedScorer is tested
-// against: an immutable snapshot of a Model with class norms precomputed,
-// scoring serially with zero allocations. Its predictions match
-// ArgmaxRows(Model.SimilarityBatch(hvs)) bit-for-bit: the same dot kernel
-// (tensor.DotFast == the MatMulT inner kernel), the same float64 cosine
-// division with den==0 → 0, and the same first-wins strict-> argmax.
-type FloatScorer struct {
-	K, D  int
-	m     *tensor.Tensor // [K, D] snapshot of class hypervectors
-	norms []float64      // per-class L2 norms
-}
-
-// NewFloatScorer snapshots m (deep copy) into an immutable scorer. The copy
-// decouples the scorer from further training on m; compile a new scorer (or
-// a new engine) to pick up updated weights.
-func NewFloatScorer(m *Model) *FloatScorer {
-	s := &FloatScorer{K: m.K, D: m.D, m: m.M.Clone(), norms: make([]float64, m.K)}
-	for k := 0; k < m.K; k++ {
-		s.norms[k] = hdc.Hypervector(s.m.Row(k)).Norm()
-	}
-	return s
-}
-
-// PredictInto classifies every row of hvs ([N, D]) into preds (length N).
-func (s *FloatScorer) PredictInto(hvs *tensor.Tensor, preds []int) {
-	if hvs.Rank() != 2 || hvs.Shape[1] != s.D {
-		panic(fmt.Sprintf("hdlearn: FloatScorer expects [N %d], got %v", s.D, hvs.Shape))
-	}
-	n := hvs.Shape[0]
-	if len(preds) != n {
-		panic(fmt.Sprintf("hdlearn: FloatScorer preds length %d, want %d", len(preds), n))
-	}
-	for i := 0; i < n; i++ {
-		h := hvs.Row(i)
-		hn := hdc.Hypervector(h).Norm()
-		var best float32
-		at := 0
-		for k := 0; k < s.K; k++ {
-			dot := tensor.DotFast(h, s.m.Row(k))
-			var sim float32
-			if den := hn * s.norms[k]; den != 0 {
-				sim = float32(float64(dot) / den)
-			}
-			if k == 0 || sim > best {
-				best, at = sim, k
-			}
-		}
-		preds[i] = at
-	}
-}

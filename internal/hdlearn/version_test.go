@@ -50,7 +50,6 @@ func TestVersionBumpsOnEveryMutator(t *testing.T) {
 			}
 		}},
 		{"ApplyUpdate", func() { m.ApplyUpdate(u, hvs, 0.05) }},
-		{"NormalizeRows", func() { m.NormalizeRows() }},
 	}
 	for _, s := range steps {
 		before := m.Version()
@@ -113,57 +112,12 @@ func TestPredictBatchIntoMatchesPredictBatch(t *testing.T) {
 	}
 }
 
-func TestFloatScorerMatchesPredictBatch(t *testing.T) {
-	for _, d := range []int{64, 70, 512} {
-		m, rng := randModel(t, 100+int64(d), 7, d)
-		// Dense (non-bipolar) queries exercise the full cosine path.
-		hvs := tensor.New(50, d)
-		rng.FillNormal(hvs, 0, 1)
-		// Include an all-zero query: SimilarityBatch scores it 0 everywhere,
-		// so argmax must fall to class 0.
-		clear(hvs.Row(7))
-		s := NewFloatScorer(m)
-		want := m.PredictBatch(hvs)
-		preds := make([]int, 50)
-		s.PredictInto(hvs, preds)
-		for i := range want {
-			if preds[i] != want[i] {
-				t.Fatalf("D=%d row %d: FloatScorer=%d PredictBatch=%d", d, i, preds[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFloatScorerIsSnapshot(t *testing.T) {
-	m, rng := randModel(t, 9, 4, 70)
-	hvs := randHVs(rng, 20, 70)
-	s := NewFloatScorer(m)
-	want := make([]int, 20)
-	s.PredictInto(hvs, want)
-
-	u := tensor.New(20, 4)
-	rng.FillNormal(u, 0, 1)
-	m.ApplyUpdate(u, hvs, 10) // large update to guarantee drift
-
-	got := make([]int, 20)
-	s.PredictInto(hvs, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("FloatScorer predictions changed after model update; it must snapshot weights")
-		}
-	}
-}
-
 func TestServingScorersZeroAlloc(t *testing.T) {
 	m, rng := randModel(t, 17, 5, 70)
 	hvs := randHVs(rng, 16, 70)
-	s := NewFloatScorer(m)
 	pm := m.Packed()
 	preds := make([]int, 16)
 	q := make([]uint64, pm.WordsPerRow())
-	if a := testing.AllocsPerRun(50, func() { s.PredictInto(hvs, preds) }); a != 0 {
-		t.Fatalf("FloatScorer.PredictInto allocated %.1f times per run", a)
-	}
 	if a := testing.AllocsPerRun(50, func() { pm.PredictBatchInto(hvs, preds, q) }); a != 0 {
 		t.Fatalf("PredictBatchInto allocated %.1f times per run", a)
 	}

@@ -143,10 +143,6 @@ func TestSiLUGradients(t *testing.T) {
 	gradCheck(t, NewSiLU(), randInput(15, 3, 6), 1e-2)
 }
 
-func TestAvgPoolGradients(t *testing.T) {
-	gradCheck(t, NewAvgPool2D(2), randInput(16, 2, 2, 4, 4), 1e-2)
-}
-
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	gradCheck(t, NewGlobalAvgPool2D(), randInput(17, 2, 3, 4, 4), 1e-2)
 }

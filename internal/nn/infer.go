@@ -277,39 +277,6 @@ func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 }
 
 // ForwardInfer implements InferenceLayer.
-func (m *AvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	n := batchOf(x, "AvgPool2D")
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: AvgPool2D expects [N C H W], got %v", x.Shape))
-	}
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := h/m.K, w/m.K
-	if outH == 0 || outW == 0 {
-		panic(fmt.Sprintf("nn: AvgPool2D window %d larger than input %dx%d", m.K, h, w))
-	}
-	y := ar.Alloc(n, c, outH, outW)
-	inv := 1 / float32(m.K*m.K)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			inBase := (i*c + ch) * h * w
-			outBase := (i*c + ch) * outH * outW
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					var s float32
-					for kh := 0; kh < m.K; kh++ {
-						for kw := 0; kw < m.K; kw++ {
-							s += x.Data[inBase+(oh*m.K+kh)*w+(ow*m.K+kw)]
-						}
-					}
-					y.Data[outBase+oh*outW+ow] = s * inv
-				}
-			}
-		}
-	}
-	return y
-}
-
-// ForwardInfer implements InferenceLayer.
 func (m *GlobalAvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "GlobalAvgPool2D")
 	if x.Rank() != 4 {
@@ -433,19 +400,16 @@ func (bn *BatchNorm2D) forwardInferAct(x *tensor.Tensor, act fusedAct) *tensor.T
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: identity at inference.
-func (d *Dropout) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor { return x }
-
 // readsInputOnly reports whether l's ForwardInfer writes a freshly allocated
 // output and only reads its input, decided by the first leaf l runs:
 // convolutions, Linear, the pools and FusedBlock allocate; BatchNorm2D, the
-// activations, Dropout and SEBlock work in place, and anything else (Flatten
-// returns a view) is assumed to.
+// activations and SEBlock work in place, and anything else (Flatten returns a
+// view) is assumed to.
 func readsInputOnly(l Layer) bool {
 	switch v := l.(type) {
 	case *Sequential:
 		return len(v.Layers) > 0 && readsInputOnly(v.Layers[0])
-	case *Conv2D, *DepthwiseConv2D, *Linear, *MaxPool2D, *AvgPool2D, *GlobalAvgPool2D, *FusedBlock:
+	case *Conv2D, *DepthwiseConv2D, *Linear, *MaxPool2D, *GlobalAvgPool2D, *FusedBlock:
 		return true
 	}
 	return false

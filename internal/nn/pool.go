@@ -142,91 +142,6 @@ func (m *MaxPool2D) Stats(in []int) Stats {
 	return Stats{ActBytes: int64(shapeElems(out)) * 4}
 }
 
-// AvgPool2D is k×k average pooling with stride k.
-type AvgPool2D struct {
-	K        int
-	cachedIn []int
-	cachedN  int
-}
-
-// NewAvgPool2D constructs an average pooling layer.
-func NewAvgPool2D(k int) *AvgPool2D { return &AvgPool2D{K: k} }
-
-// Name implements Layer.
-func (m *AvgPool2D) Name() string { return fmt.Sprintf("avgpool%dx%d", m.K, m.K) }
-
-// Forward averages each k×k window.
-func (m *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := batchOf(x, "AvgPool2D")
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	outH, outW := h/m.K, w/m.K
-	y := tensor.New(n, c, outH, outW)
-	inv := 1 / float32(m.K*m.K)
-	tensor.ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for ch := 0; ch < c; ch++ {
-				inBase := (i*c + ch) * h * w
-				outBase := (i*c + ch) * outH * outW
-				for oh := 0; oh < outH; oh++ {
-					for ow := 0; ow < outW; ow++ {
-						var s float32
-						for kh := 0; kh < m.K; kh++ {
-							for kw := 0; kw < m.K; kw++ {
-								s += x.Data[inBase+(oh*m.K+kh)*w+(ow*m.K+kw)]
-							}
-						}
-						y.Data[outBase+oh*outW+ow] = s * inv
-					}
-				}
-			}
-		}
-	})
-	if train {
-		m.cachedIn = []int{c, h, w}
-		m.cachedN = n
-	}
-	return y
-}
-
-// Backward spreads each output gradient uniformly over its window.
-func (m *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
-	outH, outW := h/m.K, w/m.K
-	dx := tensor.New(m.cachedN, c, h, w)
-	inv := 1 / float32(m.K*m.K)
-	for i := 0; i < m.cachedN; i++ {
-		for ch := 0; ch < c; ch++ {
-			inBase := (i*c + ch) * h * w
-			outBase := (i*c + ch) * outH * outW
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					g := grad.Data[outBase+oh*outW+ow] * inv
-					for kh := 0; kh < m.K; kh++ {
-						for kw := 0; kw < m.K; kw++ {
-							dx.Data[inBase+(oh*m.K+kh)*w+(ow*m.K+kw)] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (m *AvgPool2D) Params() []*Param { return nil }
-
-// OutShape implements Layer.
-func (m *AvgPool2D) OutShape(in []int) []int {
-	return []int{in[0], in[1] / m.K, in[2] / m.K}
-}
-
-// Stats implements Layer.
-func (m *AvgPool2D) Stats(in []int) Stats {
-	out := m.OutShape(in)
-	return Stats{ActBytes: int64(shapeElems(out)) * 4}
-}
-
 // GlobalAvgPool2D reduces [N, C, H, W] to [N, C] by averaging each channel.
 type GlobalAvgPool2D struct {
 	cachedIn []int

@@ -180,18 +180,3 @@ func TestSignIntoMatchesSign(t *testing.T) {
 		}
 	}
 }
-
-func TestArgmaxRowsInto(t *testing.T) {
-	v := FromSlice([]float32{1, 3, 3, 0, -5, -2, -9, -2}, 2, 4)
-	out := make([]int, 2)
-	ArgmaxRowsInto(out, v)
-	want := ArgmaxRows(v)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("row %d: ArgmaxRowsInto=%d ArgmaxRows=%d", i, out[i], want[i])
-		}
-	}
-	if out[0] != 1 || out[1] != 1 {
-		t.Fatalf("tie-break/negative handling wrong: %v", out)
-	}
-}

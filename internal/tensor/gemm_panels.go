@@ -11,7 +11,7 @@ import (
 // whole product), in one of two backings:
 //
 //   - sign words (SignPanels), for a ±1 matrix: one bit per entry, set for
-//     −1 — the convention of BipolarGen, PackSignsInto and hdc.PackedHV.
+//     −1 — the convention of BipolarGen, PackSignsInto and hdlearn.PackedModel.
 //     Each panel step expands the strips it is about to multiply into an
 //     L1-sized run of exactly ±1.0 (expandSigns), so the strip kernels read
 //     the very values the stored matrix holds, in the same K order, and the
@@ -139,9 +139,6 @@ func PrepackPanels(b *Tensor) *ProjPanels {
 	}
 	return pp
 }
-
-// Dims returns the panel matrix shape [K, N].
-func (pp *ProjPanels) Dims() (k, n int) { return pp.k, pp.n }
 
 // MemoryBytes is the panels' resident storage: K·⌈N/64⌉·8 for sign words,
 // the packed strips + tail on the asm path, or the shared dense matrix it

@@ -26,9 +26,6 @@ func NewBipolarGen(seed int64, rows, cols int) *BipolarGen {
 	return &BipolarGen{Rows: rows, Cols: cols, seed: uint64(seed), wpr: (cols + 63) / 64}
 }
 
-// Seed returns the defining seed.
-func (g *BipolarGen) Seed() int64 { return int64(g.seed) }
-
 // word returns the 64-bit sign word covering columns [wi·64, wi·64+64) of
 // row r: element (r, wi·64+b) is +1 when bit b is clear, −1 when set — one
 // splitmix64 evaluation on the per-(row, word) counter, so words are

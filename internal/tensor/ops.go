@@ -308,38 +308,6 @@ func AddScalarReLUInPlace(x []float32, b float32) {
 	}
 }
 
-// ArgmaxRowsInto writes the argmax of each row of a 2-D tensor into out
-// (length = rows), with the same first-wins tie rule as ArgmaxRows.
-func ArgmaxRowsInto(out []int, t *Tensor) {
-	if t.Rank() != 2 {
-		panic("tensor: ArgmaxRows requires rank-2 tensor")
-	}
-	if len(out) != t.Shape[0] {
-		panic(fmt.Sprintf("tensor: ArgmaxRowsInto out length %d, want %d", len(out), t.Shape[0]))
-	}
-	for i := range out {
-		row := t.Row(i)
-		best, at := row[0], 0
-		for j, v := range row {
-			if v > best {
-				best, at = v, j
-			}
-		}
-		out[i] = at
-	}
-}
-
-// Clamp limits every element of t to [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
-	}
-}
-
 // ParallelFor splits [0,n) into contiguous chunks and runs kernel on each
 // via the persistent worker pool, blocking until all complete. It is the
 // exported hook the nn and hdc packages use to parallelize per-sample work;

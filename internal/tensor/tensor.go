@@ -9,7 +9,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Tensor is a dense row-major float32 tensor.
@@ -177,20 +176,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.Data))
 }
 
-// Std returns the population standard deviation of all elements.
-func (t *Tensor) Std() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	m := t.Mean()
-	s := 0.0
-	for _, v := range t.Data {
-		d := float64(v) - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(t.Data)))
-}
-
 // Max returns the maximum element and its flat index.
 func (t *Tensor) Max() (float32, int) {
 	if len(t.Data) == 0 {
@@ -219,12 +204,6 @@ func (t *Tensor) Min() (float32, int) {
 	return best, at
 }
 
-// Argmax returns the flat index of the maximum element.
-func (t *Tensor) Argmax() int {
-	_, at := t.Max()
-	return at
-}
-
 // Row returns row i of a 2-D tensor as a slice aliasing t's data.
 func (t *Tensor) Row(i int) []float32 {
 	if len(t.Shape) != 2 {
@@ -232,13 +211,4 @@ func (t *Tensor) Row(i int) []float32 {
 	}
 	w := t.Shape[1]
 	return t.Data[i*w : (i+1)*w]
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }

@@ -88,17 +88,13 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSumMeanStd(t *testing.T) {
+func TestSumMean(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 4)
 	if got := x.Sum(); got != 10 {
 		t.Fatalf("Sum = %v", got)
 	}
 	if got := x.Mean(); got != 2.5 {
 		t.Fatalf("Mean = %v", got)
-	}
-	want := math.Sqrt(1.25)
-	if got := x.Std(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Std = %v, want %v", got, want)
 	}
 }
 
@@ -109,9 +105,6 @@ func TestMaxMinArgmax(t *testing.T) {
 	}
 	if v, i := x.Min(); v != -1 || i != 1 {
 		t.Fatalf("Min = %v@%d", v, i)
-	}
-	if x.Argmax() != 2 {
-		t.Fatal("Argmax mismatch")
 	}
 }
 
@@ -136,21 +129,6 @@ func TestApplyMap(t *testing.T) {
 	x.Apply(func(v float32) float32 { return -v })
 	if x.Data[1] != 2 {
 		t.Fatal("Apply must mutate in place")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	x := FromSlice([]float32{-5, 0.5, 5}, 3)
-	x.Clamp(-1, 1)
-	if x.Data[0] != -1 || x.Data[1] != 0.5 || x.Data[2] != 1 {
-		t.Fatalf("Clamp result %v", x.Data)
-	}
-}
-
-func TestL2Norm(t *testing.T) {
-	x := FromSlice([]float32{3, 4}, 2)
-	if got := x.L2Norm(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("L2Norm = %v", got)
 	}
 }
 

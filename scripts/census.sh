@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Coverage census of the repository's benchmark: which functions under
+# nshd/internal/ no workload runs.
+#
+#	scripts/census.sh        (make census)
+#
+# Builds ./benchmark with coverage over every nshd package into a temporary
+# directory, runs each workload of BENCHMARK.json for one second untraced
+# (--trace 0) and traced (--trace 1) with GOCOVERDIR set, and prints the
+# `go tool covdata func` rows at 0.0 % under nshd/internal/, skipping the
+# portable twins (*_noasm.go) that an asm build never compiles. The runs
+# start in the temporary directory, so their benchmark/out stays out of the
+# tree. A row here is a candidate for deletion, not a verdict: code a test
+# compares other code against, or that another entry point (cmd/, examples/)
+# runs, reads 0.0 % as well.
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/cov"
+
+go build -cover -coverpkg=nshd/... -o "$tmp/nshd-benchmark" ./benchmark
+for w in $workloads; do
+	for trace in 0 1; do
+		echo "census: $w --trace $trace" >&2
+		if ! (cd "$tmp" && GOCOVERDIR="$tmp/cov" ./nshd-benchmark --workload "$w" --seconds 1 --trace "$trace") >"$tmp/run.log" 2>&1; then
+			cat "$tmp/run.log" >&2
+			exit 1
+		fi
+	done
+done
+go tool covdata func -i="$tmp/cov" |
+	awk '$NF == "0.0%" && $1 ~ /^nshd\/internal\// && $1 !~ /_noasm\.go:/'
