@@ -40,11 +40,16 @@ staticcheck:
 # TestCodecZeroAlloc). The blocked-GEMM driver has its own gate under all of
 # them, one product per B source on both builds (TestGemmDriverZeroAlloc).
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
-# driver's and the engine's gates on the 256-bit ones.
+# driver's and the engine's gates on the 256-bit ones. Training has a bound,
+# not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
+# VGG16/4 at batch 32 takes at most 5 MB of heap (TestFitStepHeap, which logs
+# the step's bytes and allocations; 42 MB when every activation, gradient and
+# workspace was fresh heap).
 alloc:
 	$(GO) test -run 'TestGemmDriverZeroAlloc|TestGemmGatesAt256/GemmDriverZeroAlloc' -count 1 ./internal/tensor/
 	$(GO) test -run 'TestEngineZeroAlloc|TestEngineGatesAt256/ZeroAlloc' -count 1 ./internal/engine/
 	$(GO) test -run TestCodecZeroAlloc -count 1 ./internal/serve/
+	$(GO) test -run TestFitStepHeap -count 1 -v ./internal/cnn/
 
 # The second pass type-checks the portable build — every _noasm stub and the
 # tests beside them — which tier-1 on amd64 never compiles.
@@ -87,7 +92,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 60s ./internal/core/
 
-# Kernel microbenchmarks (the strip micro-kernels alone and tensor GEMMs, panel
+# Kernel microbenchmarks (the strip micro-kernels alone, the ragged-column
+# kernel against its Go twin at 4, 8 and 11 columns, and tensor GEMMs, panel
 # products — prepacked strips against sign words at batch 1, 8 and 64, and at
 # batch 1 with L2 evicted between calls — and conv layers at both kernel
 # widths, the dot-kernel products at the
@@ -95,8 +101,9 @@ fuzz:
 # they were chosen from, the tail's float64 score fold, im2col / col2im per VGG stage shape,
 # per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3
 # and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
-# BenchmarkPointwiseInfer), max-pool in both modes, one VGG16
-# training step, the `train` workload's HD retraining and teacher pass, float
+# BenchmarkPointwiseInfer), max-pool in both modes, one steady-state VGG16
+# Trainer.Fit step on its arena, the `train` workload's HD retraining and
+# teacher pass, float
 # class scoring, /predict JSON decode against encoding/json,
 # Engine.PredictInto in images/s at the request shapes the batch split decides
 # on and on the MobileNet fixtures — offline_tail's, and cut 14 at 64 images)

@@ -1,6 +1,10 @@
 package cnn
 
 import (
+	"errors"
+	"math"
+	"os"
+	"runtime"
 	"testing"
 
 	"nshd/internal/dataset"
@@ -196,20 +200,7 @@ func TestPretrainCacheRoundTrip(t *testing.T) {
 	train, _ := dataset.SynthCIFAR(cfg)
 	train.Normalize()
 
-	// A small custom model keeps this test fast: reuse the zoo machinery
-	// with effnetb0's builder but trimmed input; instead, use mobilenetv2 on
-	// 16x16 by overriding InShape? Zoo models assume 32x32, so wrap a tiny
-	// ad-hoc model in the Model struct directly.
-	rng := tensor.NewRNG(22)
-	m := &Model{Name: "tinycnn", InShape: []int{3, 16, 16}, Classes: 4}
-	m.Units = append(m.Units,
-		Unit{Index: 0, Label: "conv", Layers: []nn.Layer{
-			nn.NewConv2D(rng, 3, 8, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
-		Unit{Index: 1, Label: "conv", Layers: []nn.Layer{
-			nn.NewConv2D(rng, 8, 16, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
-	)
-	m.Head = []nn.Layer{nn.NewFlatten(), nn.NewLinear(rng, 16*4*4, 4, true)}
-	m.Finish()
+	m := tinyCNN(22)
 
 	cacheDir := t.TempDir()
 	pcfg := PretrainConfig{Epochs: 12, BatchSize: 16, LR: 0.1, Momentum: 0.9, CacheDir: cacheDir}
@@ -225,16 +216,7 @@ func TestPretrainCacheRoundTrip(t *testing.T) {
 	}
 	// Second call restores from cache into a fresh model with identical
 	// topology.
-	rng2 := tensor.NewRNG(22)
-	m2 := &Model{Name: "tinycnn", InShape: []int{3, 16, 16}, Classes: 4}
-	m2.Units = append(m2.Units,
-		Unit{Index: 0, Label: "conv", Layers: []nn.Layer{
-			nn.NewConv2D(rng2, 3, 8, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
-		Unit{Index: 1, Label: "conv", Layers: []nn.Layer{
-			nn.NewConv2D(rng2, 8, 16, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
-	)
-	m2.Head = []nn.Layer{nn.NewFlatten(), nn.NewLinear(rng2, 16*4*4, 4, true)}
-	m2.Finish()
+	m2 := tinyCNN(22)
 	acc2, cached2, err := Pretrain(m2, train, pcfg, tensor.NewRNG(24))
 	if err != nil {
 		t.Fatal(err)
@@ -247,16 +229,78 @@ func TestPretrainCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainStep times one optimizer step of the full VGG16/4 — forward,
+// tinyCNN is a two-conv model on 16×16 inputs, fast enough to pretrain in a
+// test.
+func tinyCNN(seed int64) *Model {
+	rng := tensor.NewRNG(seed)
+	m := &Model{Name: "tinycnn", InShape: []int{3, 16, 16}, Classes: 4}
+	m.Units = append(m.Units,
+		Unit{Index: 0, Label: "conv", Layers: []nn.Layer{
+			nn.NewConv2D(rng, 3, 8, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
+		Unit{Index: 1, Label: "conv", Layers: []nn.Layer{
+			nn.NewConv2D(rng, 8, 16, 3, 1, 1, true), nn.NewReLU(), nn.NewMaxPool2D(2)}},
+	)
+	m.Head = []nn.Layer{nn.NewFlatten(), nn.NewLinear(rng, 16*4*4, 4, true)}
+	return m.Finish()
+}
+
+// TestPretrainRejectsDivergedTeacher: a learning rate of 1e30 drives the
+// weights to Inf and NaN. Pretrain must fail with ErrDiverged and write no
+// snapshot, and a snapshot that holds a non-finite weight must not be
+// restored as a teacher.
+func TestPretrainRejectsDivergedTeacher(t *testing.T) {
+	train, _ := dataset.SynthCIFAR(dataset.SynthConfig{Classes: 4, Train: 64, Test: 8, Size: 16, Noise: 0.2, Seed: 21})
+	dir := t.TempDir()
+	cfg := PretrainConfig{Epochs: 2, BatchSize: 16, LR: 1e30, Momentum: 0.9, CacheDir: dir}
+	m := tinyCNN(22)
+	if _, cached, err := Pretrain(m, train, cfg, tensor.NewRNG(23)); !errors.Is(err, ErrDiverged) || cached {
+		t.Fatalf("LR 1e30: err %v, cached %v; want ErrDiverged, not cached", err, cached)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("a diverged teacher was cached: %v", files)
+	}
+
+	// A snapshot with one NaN weight, where the cache looks for this model.
+	m = tinyCNN(22)
+	m.Full().Params()[0].W.Data[5] = float32(math.NaN())
+	if err := nn.SaveModel(m.Full(), cfg.cachePath(m, train)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.LR = 0.1
+	if _, cached, err := Pretrain(tinyCNN(22), train, cfg, tensor.NewRNG(23)); !errors.Is(err, ErrDiverged) || cached {
+		t.Fatalf("NaN snapshot: err %v, cached %v; want ErrDiverged, not cached", err, cached)
+	}
+}
+
+// BenchmarkTrainStep times one Trainer.Fit step of the full VGG16/4 — forward,
 // loss, backward, clip, SGD with momentum and weight decay — at the batch
 // size and settings Pretrain configures: the unit cnn.pretrain_s is made of.
+// One Fit call runs b.N + 1 one-step epochs; the timer and the allocation
+// counters start at the end of the first, which sizes the training arena, so
+// an op is a steady-state step (plus its epoch's shuffle and log line).
 func BenchmarkTrainStep(b *testing.B) {
+	first := true
+	m, x, labels, tr := stepFixture(b, b.N+1, func() {
+		if first {
+			b.ResetTimer()
+			first = false
+		}
+	})
+	b.ReportAllocs()
+	tr.Fit(m.Full(), x, labels, tensor.NewRNG(3))
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
+}
+
+// stepFixture builds VGG16/4, one batch of 32 normal images with labels
+// cycling over ten classes, and a Trainer with Pretrain's optimizer,
+// clipping and augmentation that runs the batch for the given number of
+// one-step epochs, calling onEpoch at the end of each.
+func stepFixture(tb testing.TB, epochs int, onEpoch func()) (*Model, *tensor.Tensor, []int, *nn.Trainer) {
 	const batch = 32
 	m, err := Build("vgg16", tensor.NewRNG(1), 10)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	model := m.Full()
 	x := tensor.New(batch, 3, 32, 32)
 	tensor.NewRNG(2).FillNormal(x, 0, 1)
 	labels := make([]int, batch)
@@ -264,19 +308,37 @@ func BenchmarkTrainStep(b *testing.B) {
 		labels[i] = i % 10
 	}
 	cfg := DefaultPretrainConfig()
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4)
-	step := func() {
-		model.ZeroGrad()
-		_, grad := nn.CrossEntropy(model.Forward(x, true), labels)
-		model.Backward(grad)
-		nn.ClipGradNorm(model.Params(), 5)
-		opt.Step(model.Params())
+	tr := &nn.Trainer{Epochs: epochs, BatchSize: batch, Opt: nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4),
+		ClipNorm: 5, Augment: dataset.ShiftAugment(4), Log: lineHook(onEpoch)}
+	return m, x, labels, tr
+}
+
+// lineHook is a Trainer.Log that calls itself once per line written: Fit
+// writes one line per epoch.
+type lineHook func()
+
+func (f lineHook) Write(p []byte) (int, error) {
+	f()
+	return len(p), nil
+}
+
+// TestFitStepHeap is the training step's allocation gate (make alloc): after
+// the first step has sized Fit's arena, a step of VGG16/4 at batch 32 takes
+// at most fitStepBytes of heap. Before the arena it took 42 MB: every
+// activation, gradient and workspace was fresh heap.
+func TestFitStepHeap(t *testing.T) {
+	const epochs, fitStepBytes = 4, 5 << 20
+	var bytes, allocs []uint64 // at the end of each epoch
+	m, x, labels, tr := stepFixture(t, epochs, func() {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		bytes, allocs = append(bytes, ms.TotalAlloc), append(allocs, ms.Mallocs)
+	})
+	tr.Fit(m.Full(), x, labels, tensor.NewRNG(3))
+	steps := uint64(epochs - 2) // the steps after the second, warm from the first
+	perStep, allocsPerStep := (bytes[epochs-1]-bytes[1])/steps, (allocs[epochs-1]-allocs[1])/steps
+	t.Logf("steady-state Fit step: %d B, %d allocs", perStep, allocsPerStep)
+	if perStep > fitStepBytes {
+		t.Errorf("a Fit step takes %d B of heap, more than %d", perStep, fitStepBytes)
 	}
-	step() // velocities and pooled workspaces exist from here on
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
 }

@@ -1,8 +1,10 @@
 package cnn
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -50,16 +52,38 @@ func sanitize(s string) string {
 	return string(out)
 }
 
+// ErrDiverged reports a teacher whose training loss or weights are not
+// finite: Pretrain returns it, wrapped, for a run that diverged (and caches
+// nothing) and for a cached snapshot that holds such weights.
+var ErrDiverged = errors.New("cnn: teacher diverged: non-finite loss or weights")
+
+// finite reports whether every weight of model is a finite number.
+func finite(model *nn.Sequential) bool {
+	for _, p := range model.Params() {
+		for _, v := range p.W.Data {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Pretrain trains (or restores from cache) the full CNN on the training
 // split, returning the final training accuracy. After Pretrain the model is
 // ready to serve both as the distillation teacher and, through Cut, as the
-// NSHD feature extractor.
+// NSHD feature extractor. A run whose epoch loss or final weights are not
+// finite, or a cached snapshot with non-finite weights, fails with
+// ErrDiverged; a diverged run writes no snapshot.
 func Pretrain(m *Model, train *dataset.Dataset, cfg PretrainConfig, rng *tensor.RNG) (float64, bool, error) {
 	if cfg.CacheDir != "" {
 		path := cfg.cachePath(m, train)
 		if _, err := os.Stat(path); err == nil {
 			if err := nn.LoadModel(m.Full(), path); err != nil {
 				return 0, false, fmt.Errorf("cnn: restore cached teacher: %w", err)
+			}
+			if !finite(m.Full()) {
+				return 0, false, fmt.Errorf("%w: cached snapshot %s", ErrDiverged, path)
 			}
 			acc := nn.Evaluate(m.Full(), train.Images, train.Labels, cfg.BatchSize)
 			return acc, true, nil
@@ -76,6 +100,14 @@ func Pretrain(m *Model, train *dataset.Dataset, cfg PretrainConfig, rng *tensor.
 	}
 	hist := tr.Fit(m.Full(), train.Images, train.Labels, rng)
 	acc := hist[len(hist)-1].Accuracy
+	for _, st := range hist {
+		if math.IsNaN(st.Loss) || math.IsInf(st.Loss, 0) {
+			return acc, false, fmt.Errorf("%w: epoch %d loss %v", ErrDiverged, st.Epoch, st.Loss)
+		}
+	}
+	if !finite(m.Full()) {
+		return acc, false, ErrDiverged
+	}
 	if cfg.CacheDir != "" {
 		if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
 			return acc, false, fmt.Errorf("cnn: create cache dir: %w", err)

@@ -11,10 +11,11 @@ import (
 // bytes of traffic per element, smaller ranges lose to the dispatch.
 const elemGrain = 1 << 14
 
-// clampCopy returns clamp applied to a copy of x, range by range over the
-// pool so each range is clamped while its copy is still in cache.
-func clampCopy(x *tensor.Tensor, clamp func([]float32)) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
+// clampCopy returns clamp applied to a copy of x (allocated as alloc does),
+// range by range over the pool so each range is clamped while its copy is
+// still in cache.
+func clampCopy(a *tensor.Arena, x *tensor.Tensor, clamp func([]float32)) *tensor.Tensor {
+	y := alloc(a, x.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
 		copy(y.Data[lo:hi], x.Data[lo:hi])
 		clamp(y.Data[lo:hi])
@@ -36,7 +37,11 @@ func (r *ReLU) Name() string { return "relu" }
 // Forward clamps negatives to zero: a copy of x through ForwardInfer's kernel,
 // so the two agree bit for bit (NaN passes through, -0 becomes +0).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := clampCopy(x, tensor.ReLUInPlace)
+	return r.forwardIn(nil, x, train)
+}
+
+func (r *ReLU) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := clampCopy(a, x, tensor.ReLUInPlace)
 	r.cachedY = nil
 	if train {
 		r.cachedY = y
@@ -47,11 +52,15 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward zeroes gradients where the input was non-positive, read off the
 // cached output: y > 0 exactly where x > 0, and a NaN gets no gradient.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return r.backwardIn(nil, grad)
+}
+
+func (r *ReLU) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if r.cachedY == nil {
 		panic("nn: ReLU.Backward without Forward(train=true)")
 	}
 	y := r.cachedY
-	dx := tensor.New(y.Shape...)
+	dx := alloc(a, y.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
 		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
 		for i, g := range gs {
@@ -89,7 +98,7 @@ func (r *ReLU6) Name() string { return "relu6" }
 
 // Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit.
 func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := clampCopy(x, tensor.ClampReLU6InPlace)
+	y := clampCopy(nil, x, tensor.ClampReLU6InPlace)
 	r.cachedY = nil
 	if train {
 		r.cachedY = y

@@ -74,6 +74,10 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 // Eval mode therefore computes exactly ForwardInfer's bits; train mode moves
 // them only in stacked layers, as Backward's stacking does for gradients.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forwardIn(nil, x, train)
+}
+
+func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N %d H W], got %v", c.InC, x.Shape))
@@ -84,7 +88,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(err)
 	}
 	hw := g.OutH() * g.OutW()
-	y := tensor.New(n, c.OutC, g.OutH(), g.OutW())
+	y := alloc(a, n, c.OutC, g.OutH(), g.OutW())
 	if train {
 		c.cachedX = x
 	} else {
@@ -99,15 +103,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train && !offset && tensor.PanelStripCols(hw) != hw {
 		chunk = convStackChunk(hw)
 	}
-	parallelFor((n+chunk-1)/chunk, func(clo, chi int) {
-		var buf, gemmBuf []float32
-		if offset {
-			gemmBuf = tensor.GetFloats(tensor.ConvGemmScratch(g))
-		} else {
-			// One workspace per task, carved into cols and the stacked output.
-			buf = tensor.GetFloats((kdim + c.OutC) * chunk * hw)
-			gemmBuf = tensor.GetFloats(tensor.GemmScratch())
-		}
+	// One workspace per task: the GEMM scratch (in offset form the padded
+	// window), then cols and the stacked output.
+	gemmLen, bufLen := tensor.ConvGemmScratch(g), 0
+	if !offset {
+		gemmLen, bufLen = tensor.GemmScratch(), (kdim+c.OutC)*chunk*hw
+	}
+	forTasks(a, (n+chunk-1)/chunk, gemmLen+bufLen, func(ws []float32, clo, chi int) {
+		gemmBuf, buf := ws[:gemmLen], ws[gemmLen:]
 		for ci := clo; ci < chi; ci++ {
 			lo := ci * chunk
 			b := min(chunk, n-lo)
@@ -142,8 +145,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		tensor.PutFloats(gemmBuf)
-		tensor.PutFloats(buf)
 	})
 	return y
 }
@@ -187,8 +188,13 @@ func convStackChunk(hw int) int {
 //     packed one) and dcols = Wᵀ·G has B·HW columns.
 //
 // Both run on the blocked GEMM driver; db is one running float32 sum per
-// channel in sample order, and dx is col2im of dcols, sample by sample.
+// channel in sample order, and dx is col2im of dcols, sample by sample, into
+// a sample range the chunk's task clears first.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backwardIn(nil, grad)
+}
+
+func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward(train=true)")
 	}
@@ -200,11 +206,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	sampleIn := c.InC * h * w
 	kdim := c.InC * c.KH * c.KW
 
-	dx := tensor.New(n, c.InC, h, w)
+	dx := alloc(a, n, c.InC, h, w)
 	if n == 0 {
 		return dx
 	}
-	wtBuf := tensor.GetFloats(kdim * c.OutC)
+	m := mark(a)
+	wtBuf := scratch(a, kdim*c.OutC)
 	wmatT := tensor.FromSlice(wtBuf, kdim, c.OutC)
 	tensor.TransposeInto(wmatT, c.Weight.W.Reshape(c.OutC, kdim))
 
@@ -215,28 +222,29 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// [OutC] — merged in chunk order after the parallel loop.
 	dwLen := kdim * c.OutC
 	accLen := dwLen + c.OutC
-	accBuf := tensor.GetFloats(numChunks * accLen)
-	parallelFor(numChunks, func(clo, chi int) {
-		// One workspace per task: G, cols and dcols of a stacked chunk, or
-		// cols and dcols of one sample, whose G is a view of grad rebound per
-		// sample.
-		var buf []float32
+	accBuf := scratch(a, numChunks*accLen)
+	// One workspace per task: the GEMM scratch, then G, cols and dcols of a
+	// stacked chunk, or cols and dcols of one sample, whose G is a view of
+	// grad rebound per sample.
+	gemmLen, bufLen := tensor.GemmScratch(), (c.OutC+2*kdim)*chunk*hw
+	if perSample {
+		bufLen = 2 * kdim * hw
+	}
+	forTasks(a, numChunks, gemmLen+bufLen, func(ws []float32, clo, chi int) {
+		gemmBuf, buf := ws[:gemmLen], ws[gemmLen:]
 		var cols, dcols, gmat *tensor.Tensor
 		if perSample {
-			buf = tensor.GetFloats(2 * kdim * hw)
 			cols = tensor.FromSlice(buf[:kdim*hw], kdim, hw)
-			dcols = tensor.FromSlice(buf[kdim*hw:], kdim, hw)
+			dcols = tensor.FromSlice(buf[kdim*hw:][:kdim*hw], kdim, hw)
 			gmat = tensor.FromSlice(grad.Data[:c.OutC*hw], c.OutC, hw)
-		} else {
-			buf = tensor.GetFloats((c.OutC + 2*kdim) * chunk * hw)
 		}
-		gemmBuf := tensor.GetFloats(tensor.GemmScratch())
 		for ci := clo; ci < chi; ci++ {
 			acc := accBuf[ci*accLen:][:accLen]
 			clear(acc)
 			dwT, db := tensor.FromSlice(acc[:dwLen], kdim, c.OutC), acc[dwLen:]
 			lo := ci * chunk
 			b := min(chunk, n-lo)
+			clear(dx.Data[lo*sampleIn:][:b*sampleIn])
 			if !perSample {
 				c.backwardStacked(g, x, grad, dx, dwT, db, wmatT, lo, b, buf, gemmBuf)
 				continue
@@ -258,8 +266,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				tensor.Col2ImWindow(g, dcols.Data, hw, 0, dx.Data[s*sampleIn:][:sampleIn])
 			}
 		}
-		tensor.PutFloats(gemmBuf)
-		tensor.PutFloats(buf)
 	})
 	// Merge into chunk 0's accumulator, each element in chunk order, so the
 	// sums do not depend on how the element ranges are split over the pool.
@@ -273,13 +279,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dw := tensor.FromSlice(wtBuf, c.OutC, kdim)
 	tensor.TransposeInto(dw, tensor.FromSlice(accBuf[:dwLen], kdim, c.OutC))
 	tensor.Accumulate(c.Weight.Grad.Data, dw.Data)
-	tensor.PutFloats(wtBuf)
 	if c.useBias {
 		for ci := 0; ci < numChunks; ci++ {
 			tensor.Accumulate(c.Bias.Grad.Data, accBuf[ci*accLen+dwLen:][:c.OutC])
 		}
 	}
-	tensor.PutFloats(accBuf)
+	release(a, m, wtBuf, accBuf)
 	return dx
 }
 

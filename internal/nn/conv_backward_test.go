@@ -233,7 +233,7 @@ func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
 				gslice := grad.Data[i*sampleOut : (i+1)*sampleOut]
 				gmat := tensor.FromSlice(gslice, c.OutC, outH*outW)
 				// dW += g @ colsᵀ
-				tensor.Im2Col(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols)
+				tensor.Im2ColWindow(g, x.Data[i*sampleIn:(i+1)*sampleIn], cols.Data, outH*outW, 0)
 				for oc := 0; oc < c.OutC; oc++ {
 					grow := gmat.Row(oc)
 					dwrow := a.dw.Row(oc)
@@ -250,7 +250,7 @@ func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
 				}
 				// dcols = Wᵀ @ g ; dx = col2im(dcols)
 				tensor.MatMulInto(dcols, wmatT, gmat)
-				tensor.Col2Im(g, dcols, dx.Data[i*sampleIn:(i+1)*sampleIn])
+				tensor.Col2ImWindow(g, dcols.Data, outH*outW, 0, dx.Data[i*sampleIn:(i+1)*sampleIn])
 			}
 		}
 	})

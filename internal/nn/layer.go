@@ -12,7 +12,9 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -97,6 +99,108 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return grad
 }
+
+// arenaLayer is a layer whose passes can take every buffer they need —
+// output, input gradient, backward cache, per-task workspace — from an
+// arena instead of the heap. Trainer.Fit and PredictLogits run these paths
+// on one arena, Reset per batch: after its first batch has sized the arena,
+// a training step or an eval batch reuses the same memory. The buffers are
+// not zeroed, so every kernel overwrites its output, and the two that
+// accumulate (the input gradients of Conv2D and MaxPool2D) clear each sample
+// range in the task that owns it. The exported Forward and Backward are these
+// paths with a nil arena: results fresh from the heap, which the caller owns,
+// and transients from the float pool, as before (alloc, scratch, release).
+type arenaLayer interface {
+	forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor
+	backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
+}
+
+// forwardIn is Forward with the arena layers' buffers taken from a; a layer
+// without an arena path runs its Forward.
+func (s *Sequential) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+	for _, l := range s.Layers {
+		if al, ok := l.(arenaLayer); ok {
+			x = al.forwardIn(a, x, train)
+		} else {
+			x = l.Forward(x, train)
+		}
+	}
+	return x
+}
+
+// backwardIn is Backward with the arena layers' buffers taken from a.
+func (s *Sequential) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(s.Layers) - 1; i >= 0; i-- {
+		if al, ok := s.Layers[i].(arenaLayer); ok {
+			grad = al.backwardIn(a, grad)
+		} else {
+			grad = s.Layers[i].Backward(grad)
+		}
+	}
+	return grad
+}
+
+// alloc returns a result tensor: uninitialized from a, or zeroed from the
+// heap when a is nil.
+func alloc(a *tensor.Arena, shape ...int) *tensor.Tensor {
+	if a == nil {
+		return tensor.New(slices.Clone(shape)...) // the clone, not shape, escapes
+	}
+	return a.Alloc(shape...)
+}
+
+// scratch returns n floats of undefined contents for a transient of one
+// pass: from a after the pass's mark, or from the float pool when a is nil.
+// release(a, m, bufs...) ends them: it rewinds a to the mark m, or returns
+// bufs to the pool.
+func scratch(a *tensor.Arena, n int) []float32 {
+	if a == nil {
+		return tensor.GetFloats(n)
+	}
+	return a.Floats(n)
+}
+
+func mark(a *tensor.Arena) tensor.ArenaMark {
+	if a == nil {
+		return tensor.ArenaMark{}
+	}
+	return a.Mark()
+}
+
+func release(a *tensor.Arena, m tensor.ArenaMark, bufs ...[]float32) {
+	if a != nil {
+		a.Release(m)
+		return
+	}
+	for _, b := range bufs {
+		tensor.PutFloats(b)
+	}
+}
+
+// forTasks runs body over the items [0, n) on the pool, cut into at most
+// loadBalance tasks per worker of contiguous, near-equal item ranges, and
+// hands each task its own wsLen-float scratch workspace, which ends when
+// forTasks returns. Which items share a task decides nothing but which
+// workspace they use: callers compute each item alone, so any cut gives the
+// same bits.
+func forTasks(a *tensor.Arena, n, wsLen int, body func(ws []float32, lo, hi int)) {
+	tasks := min(n, loadBalance*parallel.Workers())
+	if tasks <= 0 {
+		return
+	}
+	m := mark(a)
+	ws := scratch(a, tasks*wsLen)
+	parallelFor(tasks, func(tlo, thi int) {
+		for t := tlo; t < thi; t++ {
+			body(ws[t*wsLen:][:wsLen], t*n/tasks, (t+1)*n/tasks)
+		}
+	})
+	release(a, m, ws)
+}
+
+// loadBalance is forTasks' tasks per worker, the pool's own ratio: enough
+// that a worker slowed by another process leaves its share to the others.
+const loadBalance = 4
 
 // Params returns the parameters of all layers, in layer order.
 func (s *Sequential) Params() []*Param {

@@ -36,6 +36,10 @@ func (l *Linear) Name() string { return fmt.Sprintf("linear(%d→%d)", l.In, l.O
 
 // Forward computes the affine map for a [N, In] batch.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.forwardIn(nil, x, train)
+}
+
+func (l *Linear) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "Linear")
 	if x.Rank() != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: Linear expects [N %d], got %v", l.In, x.Shape))
@@ -45,7 +49,8 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		l.cachedX = nil
 	}
-	y := tensor.MatMulT(x, l.Weight.W) // [N, Out]
+	y := alloc(a, n, l.Out)
+	tensor.MatMulTInto(y, x, l.Weight.W)
 	if l.useBias {
 		for i := 0; i < n; i++ {
 			row := y.Row(i)
@@ -60,29 +65,40 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates the parameter gradients (BackwardParams) and returns
 // dx = grad W.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	l.BackwardParams(grad)
+	return l.backwardIn(nil, grad)
+}
+
+func (l *Linear) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+	l.backwardParamsIn(a, grad)
 	// dx[N,in] = grad[N,out] @ W[out,in]
-	return tensor.MatMul(grad, l.Weight.W)
+	dx := alloc(a, grad.Shape[0], l.In)
+	tensor.MatMulInto(dx, grad, l.Weight.W)
+	return dx
 }
 
 // BackwardParams accumulates dW = gradᵀ x and db = Σ grad and computes no
 // input gradient: all of Backward a caller needs when nothing upstream of the
 // layer learns (the manifold FC on frozen CNN features). dW runs on the dense
-// blocked GEMM (TransposeMatMulInto) with pooled workspaces: unlike the
-// retraining update matrices, softmax gradients are dense, so the zero-skip
-// scalar TransposeMatMul has nothing to skip.
+// blocked GEMM (TransposeMatMulInto): unlike the retraining update matrices,
+// softmax gradients are dense, so the zero-skip scalar TransposeMatMul has
+// nothing to skip.
 func (l *Linear) BackwardParams(grad *tensor.Tensor) {
+	l.backwardParamsIn(nil, grad)
+}
+
+// backwardParamsIn is BackwardParams with its workspaces taken as scratch
+// does.
+func (l *Linear) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
 	if l.cachedX == nil {
 		panic("nn: Linear.Backward without Forward(train=true)")
 	}
 	// dW[out,in] += gradᵀ[out,N] @ x[N,in]
-	dwBuf := tensor.GetFloats(l.Out * l.In)
-	scratch := tensor.GetFloats(grad.Len())
+	m := mark(a)
+	dwBuf, sc := scratch(a, l.Out*l.In), scratch(a, grad.Len())
 	dw := tensor.FromSlice(dwBuf, l.Out, l.In)
-	tensor.TransposeMatMulInto(dw, grad, l.cachedX, scratch)
+	tensor.TransposeMatMulInto(dw, grad, l.cachedX, sc)
 	tensor.Accumulate(l.Weight.Grad.Data, dwBuf)
-	tensor.PutFloats(scratch)
-	tensor.PutFloats(dwBuf)
+	release(a, m, sc, dwBuf)
 	if l.useBias {
 		n := grad.Shape[0]
 		for i := 0; i < n; i++ {

@@ -10,6 +10,12 @@ import (
 // CrossEntropy computes softmax cross-entropy over a [N, K] logits batch with
 // integer labels, returning the mean loss and the gradient w.r.t. logits.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	return crossEntropyIn(nil, logits, labels)
+}
+
+// crossEntropyIn is CrossEntropy with the gradient and the softmax row
+// allocated as alloc does.
+func crossEntropyIn(a *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: CrossEntropy expects [N K] logits, got %v", logits.Shape))
 	}
@@ -17,9 +23,9 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor)
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d labels for %d samples", len(labels), n))
 	}
-	grad := tensor.New(n, k)
+	grad := alloc(a, n, k)
 	var loss float64
-	probs := make([]float32, k)
+	probs := alloc(a, k).Data
 	invN := 1 / float32(n)
 	for i := 0; i < n; i++ {
 		row := logits.Row(i)

@@ -13,7 +13,7 @@ type MaxPool2D struct {
 	K int
 
 	cachedArg []int32 // flat input index chosen per output element
-	cachedIn  []int   // per-sample input shape
+	cachedIn  [3]int  // per-sample input shape
 	cachedN   int
 }
 
@@ -26,6 +26,10 @@ func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", m.K, m.K)
 // Forward pools each k×k window to its maximum, caching argmax indices in
 // train mode. Values are the same in both modes, and ForwardInfer's.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return m.forwardIn(nil, x, train)
+}
+
+func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := batchOf(x, "MaxPool2D")
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects [N C H W], got %v", x.Shape))
@@ -35,11 +39,15 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if outH == 0 || outW == 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D window %d larger than input %dx%d", m.K, h, w))
 	}
-	y := tensor.New(n, c, outH, outW)
+	y := alloc(a, n, c, outH, outW)
 	var arg []int32
 	if train {
-		arg = make([]int32, n*c*outH*outW)
-		m.cachedIn = []int{c, h, w}
+		if a != nil {
+			arg = a.Int32s(n * c * outH * outW)
+		} else {
+			arg = make([]int32, n*c*outH*outW)
+		}
+		m.cachedIn = [3]int{c, h, w}
 		m.cachedN = n
 	}
 	tensor.ParallelFor(n, func(lo, hi int) {
@@ -111,16 +119,26 @@ func (m *MaxPool2D) poolPlanes(y []float32, arg []int32, x []float32, plo, phi, 
 	}
 }
 
-// Backward routes each output gradient to the input position that won the max.
+// Backward routes each output gradient to the input position that won the
+// max, sample by sample over the pool: a sample's winners lie in its own
+// input, which its task clears first.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return m.backwardIn(nil, grad)
+}
+
+func (m *MaxPool2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if m.cachedArg == nil {
 		panic("nn: MaxPool2D.Backward without Forward(train=true)")
 	}
 	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
-	dx := tensor.New(m.cachedN, c, h, w)
-	for i, a := range m.cachedArg {
-		dx.Data[a] += grad.Data[i]
-	}
+	dx := alloc(a, m.cachedN, c, h, w)
+	sampleIn, sampleOut := c*h*w, len(m.cachedArg)/max(m.cachedN, 1)
+	tensor.ParallelFor(m.cachedN, func(lo, hi int) {
+		clear(dx.Data[lo*sampleIn : hi*sampleIn])
+		for i := lo * sampleOut; i < hi*sampleOut; i++ {
+			dx.Data[m.cachedArg[i]] += grad.Data[i]
+		}
+	})
 	return dx
 }
 

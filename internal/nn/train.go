@@ -33,10 +33,13 @@ type EpochStats struct {
 // each epoch. It returns per-epoch stats. An empty training set returns nil
 // without touching the model.
 //
-// The per-step batch tensor comes from a reusable training arena: the first
-// step runs in measuring mode, Grow sizes the slab to the observed peak, and
-// every later step bump-allocates from warm memory instead of hitting the
-// heap (tail batches are smaller and always fit).
+// Every step runs on one training arena, Reset per step: the batch, and the
+// activations, gradients, caches and workspaces of the arena layers
+// (arenaLayer). The first step runs it in measuring mode, Grow sizes the
+// slabs to the observed peak, and every later step bump-allocates from the
+// same warm memory instead of the heap (tail batches are smaller and always
+// fit). The layers' caches point into the arena when Fit returns; a Backward
+// on them without a new Forward reads a stale step.
 func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rng *tensor.RNG) []EpochStats {
 	n := images.Shape[0]
 	if len(labels) != n {
@@ -89,9 +92,9 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 				by[bi] = labels[src]
 			}
 			model.ZeroGrad()
-			logits := model.Forward(bx, true)
-			loss, grad := CrossEntropy(logits, by)
-			model.Backward(grad)
+			logits := model.forwardIn(arena, bx, true)
+			loss, grad := crossEntropyIn(arena, logits, by)
+			model.backwardIn(arena, grad)
 			if t.ClipNorm > 0 {
 				ClipGradNorm(model.Params(), t.ClipNorm)
 			}
@@ -105,8 +108,8 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 			}
 			seen += bs
 			if !grown {
-				// First step measured the peak batch footprint; size the
-				// slab once so later steps allocate nothing.
+				// First step measured the peak step footprint; size the
+				// slabs once so later steps allocate nothing.
 				arena.Grow()
 				grown = true
 			}
@@ -122,6 +125,8 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 
 // PredictLogits runs inference in eval mode over images in batches and
 // returns the [N, K] logits. An empty input returns an empty [0, K] tensor.
+// The batches run on one arena, Reset per batch, as Fit's steps do: only the
+// result is heap memory.
 func PredictLogits(model *Sequential, images *tensor.Tensor, batchSize int) *tensor.Tensor {
 	n := images.Shape[0]
 	if n == 0 {
@@ -131,20 +136,25 @@ func PredictLogits(model *Sequential, images *tensor.Tensor, batchSize int) *ten
 		batchSize = 64
 	}
 	sampleLen := images.Len() / n
+	arena := tensor.NewArena()
+	batchShape := append([]int{0}, images.Shape[1:]...)
 	var out *tensor.Tensor
 	for start := 0; start < n; start += batchSize {
 		end := start + batchSize
 		if end > n {
 			end = n
 		}
-		bs := end - start
-		batchShape := append([]int{bs}, images.Shape[1:]...)
-		bx := tensor.FromSlice(images.Data[start*sampleLen:end*sampleLen], batchShape...)
-		logits := model.Forward(bx, false)
+		arena.Reset()
+		batchShape[0] = end - start
+		bx := arena.Wrap(images.Data[start*sampleLen:end*sampleLen], batchShape...)
+		logits := model.forwardIn(arena, bx, false)
 		if out == nil {
 			out = tensor.New(n, logits.Shape[1])
 		}
 		copy(out.Data[start*logits.Shape[1]:end*logits.Shape[1]], logits.Data)
+		if start == 0 && end < n {
+			arena.Grow() // sized by the first, largest batch
+		}
 	}
 	return out
 }

@@ -33,17 +33,6 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col expands one image (C×H×W, flattened in x) into a matrix of shape
-// (C*KH*KW) × (OutH*OutW), written into cols. Each column holds the receptive
-// field of one output location; out-of-bounds (padding) positions are zero.
-func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
-	rows, nOut := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
-	if cols.Shape[0] != rows || cols.Shape[1] != nOut {
-		panic(fmt.Sprintf("tensor: Im2Col output shape %v, want [%d %d]", cols.Shape, rows, nOut))
-	}
-	Im2ColWindow(g, x, cols.Data, nOut, 0)
-}
-
 // tapRange returns the half-open range of output positions along one axis at
 // which kernel tap k reads inside the image — o·stride − pad + k in [0, in) —
 // clamped to [0, out] with lo <= hi, so a tap that never lands in the image
@@ -59,9 +48,11 @@ func tapRange(in, out, stride, pad, k int) (lo, hi int) {
 	return lo, max(hi, lo)
 }
 
-// Im2ColWindow is Im2Col into a column window of a wider matrix: row r of the
-// image's column matrix is written to dst[r*ld+off : r*ld+off+OutH*OutW]. A
-// chunk of samples stacked side by side this way is one GEMM operand.
+// Im2ColWindow expands one image (C×H×W, flattened in x) into its column
+// matrix, (C·KH·KW) × (OutH·OutW) with one receptive field per column and
+// zeros at padding, written as a column window of a wider matrix: row r goes
+// to dst[r*ld+off : r*ld+off+OutH*OutW]. A chunk of samples stacked side by
+// side this way is one GEMM operand.
 //
 // At stride 1 every row of the column matrix is copies flanked by zeros. When
 // the output is as wide as the input (the same-padded layers) the whole row
@@ -129,15 +120,9 @@ func Im2ColWindow(g ConvGeom, x, dst []float32, ld, off int) {
 	}
 }
 
-// Col2Im scatters the column matrix (as produced by Im2Col) back into an
-// image gradient of C×H×W, accumulating overlapping contributions into dx.
-// dx must be pre-zeroed by the caller if accumulation from scratch is wanted.
-func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
-	Col2ImWindow(g, cols.Data, g.OutH()*g.OutW(), 0, dx)
-}
-
-// Col2ImWindow is Col2Im from a column window of a wider matrix, the layout
-// Im2ColWindow writes: row r is read at src[r*ld+off : r*ld+off+OutH*OutW].
+// Col2ImWindow scatters a column window of a wider matrix, the layout
+// Im2ColWindow writes, back into an image gradient of C×H×W, adding each
+// tap into dx (which the caller clears first): row r is read at src[r*ld+off : r*ld+off+OutH*OutW].
 // At stride 1 the in-image part of each output row is one contiguous run of
 // the image row, and all runs of one (c, kh, kw) are added by a single
 // AddRows call. The tap loops are the outer ones as in Im2ColWindow; an image

@@ -23,12 +23,12 @@ import "fmt"
 // Packed form (every other geometry): each tile's 16-wide strips are
 // generated from the image directly in packed panel layout (convPackStrips);
 // the ragged column tail (< 16 columns) is generated densely and consumed by
-// the portable kernel, as is the whole product on targets without the asm
-// micro-kernel (im2colTile).
+// the ragged-column kernel, as is the whole product by the portable kernel on
+// targets without the asm micro-kernels (im2colTile).
 //
-// Both forms feed the kernels exactly the values Im2Col would produce — image
-// elements, and zeros at padding positions that are multiplied like any other
-// value, never skipped — on the driver's one schedule, so the output is
+// Both forms feed the kernels exactly the values of the im2col column matrix
+// — image elements, and zeros at padding positions that are multiplied like
+// any other value, never skipped — on the driver's one schedule, so the output is
 // bit-identical to MatMulSerialInto(dst, wmat, im2col(g, x)), non-finite
 // pixels and weights included. TestConvMulMatchesIm2Col pins this across odd
 // shapes, strides, and pads.
@@ -159,9 +159,9 @@ func (s *gemmB) windowStrips(offs *[gemmKC]int32, pb, pe, j0 int) bStrips {
 
 // convPackStrips generates im2col rows [pb, pe) × columns [jb, jb+nFull) —
 // a whole number of 16-column strips — straight into panel in packPanel16's
-// strip-major, p-major layout. Values match Im2Col exactly: zeros at padding
-// positions, copies of x elsewhere. This is the fused im2col→pack: the
-// column matrix underneath is never materialized.
+// strip-major, p-major layout. Values match the im2col column matrix exactly:
+// zeros at padding positions, copies of x elsewhere. This is the fused
+// im2col→pack: the column matrix underneath is never materialized.
 //
 // x may hold a row window of the image instead of the full planes: it must
 // contain input rows [xRow0, xRow0+xRows) of each channel, packed with a
@@ -246,11 +246,11 @@ func convPackStrips(g ConvGeom, x []float32, xRow0, xRows int, panel []float32, 
 // im2colTile generates rows [pb, pe) × columns [jb, je) of the im2col matrix
 // into tile (row-major, leading dimension ld = je−jb). Row p corresponds to
 // (c, kh, kw) = (p / (KH·KW), (p / KW) mod KH, p mod KW); column j to output
-// location (oh, ow) = (j / OutW, j mod OutW). Values match Im2Col exactly:
-// zeros at padding positions, copies of x elsewhere. x may hold a row window
-// of the image, exactly as in convPackStrips: rows [xRow0, xRow0+xRows) of
-// each channel with channel stride xRows·InW; rows outside the window
-// generate zeros.
+// location (oh, ow) = (j / OutW, j mod OutW). Values match the im2col column
+// matrix exactly: zeros at padding positions, copies of x elsewhere. x may
+// hold a row window of the image, exactly as in convPackStrips: rows
+// [xRow0, xRow0+xRows) of each channel with channel stride xRows·InW; rows
+// outside the window generate zeros.
 func im2colTile(g ConvGeom, x []float32, xRow0, xRows int, tile []float32, ld, pb, pe, jb, je int) {
 	outW := g.OutW()
 	rLo, rHi := max(0, xRow0), min(g.InH, xRow0+xRows)

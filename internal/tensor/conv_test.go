@@ -1,8 +1,27 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 )
+
+// Im2Col, a reference only tests use, expands one image (C×H×W, flattened in
+// x) into a matrix of shape (C*KH*KW) × (OutH*OutW), written into cols. Each column holds the receptive
+// field of one output location; out-of-bounds (padding) positions are zero.
+func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
+	rows, nOut := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	if cols.Shape[0] != rows || cols.Shape[1] != nOut {
+		panic(fmt.Sprintf("tensor: Im2Col output shape %v, want [%d %d]", cols.Shape, rows, nOut))
+	}
+	Im2ColWindow(g, x, cols.Data, nOut, 0)
+}
+
+// Col2Im, Im2Col's test-only adjoint, scatters the column matrix back into an
+// image gradient of C×H×W, accumulating overlapping contributions into dx.
+// dx must be pre-zeroed by the caller if accumulation from scratch is wanted.
+func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
+	Col2ImWindow(g, cols.Data, g.OutH()*g.OutW(), 0, dx)
+}
 
 func TestConvGeomOutputDims(t *testing.T) {
 	g := ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}

@@ -106,35 +106,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulNaiveInto is the seed repository's i·p·j kernel (row-major AXPY with
-// a zero-skip branch), kept serial as the reference implementation for
-// correctness tests and before/after benchmarking. New code should call
-// MatMulInto.
-func MatMulNaiveInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
-	}
-	for i := 0; i < m; i++ {
-		out := dst.Data[i*n : (i+1)*n]
-		clear(out)
-		arow := a.Data[i*k : (i+1)*k]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				out[j] += av * bv
-			}
-		}
-	}
-}
-
 // rowGrain returns how many rows one parallel task should cover so that each
 // task performs at least gemmMinParallelFlops flops (2·n·k per row).
 func rowGrain(n, k int) int {

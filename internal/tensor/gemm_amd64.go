@@ -126,6 +126,16 @@ func gemm1x64s(kc, nq int, a, bp, o *float32, zero bool)
 //go:noescape
 func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32, zero bool)
 
+// gemm4xw is gemmGoPart's four-row loop on vector registers, for the ragged
+// columns left of a 16-column strip: o[r·ldd + j] += Σ_p a[r·lda + p]·
+// b[p·ldb + j] for r < 4, j < w, p < kc, with 1 ≤ w < 16 and kc ≥ 1. Each
+// element keeps the twin's chain — p ascending, a rounded product b·a, then
+// product + o, never fused — so the bits are gemmGoPart's, NaN payloads
+// included (TestGemmRaggedMatchesTwin). Strides are in floats.
+//
+//go:noescape
+func gemm4xw(kc, w int, a *float32, lda int, b *float32, ldb int, o *float32, ldd int)
+
 // dot8 returns the inner product of x[0:n] and y[0:n]; n must be a positive
 // multiple of 8.
 //

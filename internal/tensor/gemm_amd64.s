@@ -577,3 +577,122 @@ expand:
 	JNE          expand
 	VZEROUPPER
 	RET
+
+// ROWACC(areg, b, p, acc) is one row's step of gemm4xw: p = b·a with b, the B
+// element, as first source, then acc = p + acc with the product first — the
+// operand order gemmGoPart compiles to (MULSS a, b; ADDSS o, b), so a lane
+// whose operands are both NaN returns the same payload as the twin.
+#define ROWACC(areg, b, p, acc) \
+	VMULPS areg, b, p; \
+	VADDPS acc, p, acc
+
+// func gemm4xw(kc, w int, a *float32, lda int, b *float32, ldb int, o *float32, ldd int)
+//
+// The ragged-column kernel: o[r·ldd + j] += Σ_p a[r·lda + p]·b[p·ldb + j] for
+// four rows r and the 1 ≤ w ≤ 15 columns j left of a 16-column strip, kc ≥ 1
+// steps of K. The output is loaded into registers once, each K step does one
+// rounded multiply and one rounded add per element in gemmGoPart's operand
+// order (never an FMA), and the sums are stored once: a register holds what
+// the twin writes back to memory after every step, so the bits are the
+// twin's, NaN payloads included. Lanes at or past w are masked on every load
+// and store; masked loads never fault, so a short last row is safe to read.
+// w ≤ 8 runs one YMM per row, wider w two.
+TEXT ·gemm4xw(SB), NOSPLIT, $0-64
+	MOVQ kc+0(FP), CX
+	MOVQ w+8(FP), AX
+	MOVQ a+16(FP), R8
+	MOVQ lda+24(FP), R12
+	MOVQ b+32(FP), SI
+	MOVQ ldb+40(FP), BX
+	MOVQ o+48(FP), DI
+	MOVQ ldd+56(FP), DX
+	SHLQ $2, R12
+	SHLQ $2, BX
+	SHLQ $2, DX
+	LEAQ (R8)(R12*1), R9  // A row 1; rows 2 and 3 are R8 and R9 plus 2·lda
+	LEAQ (DI)(DX*1), R13  // output row 1; rows 2 and 3 likewise
+
+	// Lane masks: lane j of Y8 (Y9) is all ones iff j < w (j + 8 < w).
+	VMOVQ        AX, X15
+	VPBROADCASTD X15, Y15
+	MOVQ         $0x0706050403020100, R10
+	VMOVQ        R10, X14
+	VPMOVZXBD    X14, Y14
+	VPCMPGTD     Y14, Y15, Y8
+	CMPQ         AX, $8
+	JGT          wide
+
+	VMASKMOVPS (DI), Y8, Y0
+	VMASKMOVPS (R13), Y8, Y1
+	VMASKMOVPS (DI)(DX*2), Y8, Y2
+	VMASKMOVPS (R13)(DX*2), Y8, Y3
+
+narrow:
+	VMASKMOVPS   (SI), Y8, Y10
+	VBROADCASTSS (R8), Y12
+	ROWACC(Y12, Y10, Y13, Y0)
+	VBROADCASTSS (R9), Y12
+	ROWACC(Y12, Y10, Y13, Y1)
+	VBROADCASTSS (R8)(R12*2), Y12
+	ROWACC(Y12, Y10, Y13, Y2)
+	VBROADCASTSS (R9)(R12*2), Y12
+	ROWACC(Y12, Y10, Y13, Y3)
+	ADDQ         BX, SI
+	ADDQ         $4, R8
+	ADDQ         $4, R9
+	DECQ         CX
+	JNE          narrow
+
+	VMASKMOVPS Y0, Y8, (DI)
+	VMASKMOVPS Y1, Y8, (R13)
+	VMASKMOVPS Y2, Y8, (DI)(DX*2)
+	VMASKMOVPS Y3, Y8, (R13)(DX*2)
+	VZEROUPPER
+	RET
+
+wide:
+	MOVQ      $0x0f0e0d0c0b0a0908, R10
+	VMOVQ     R10, X14
+	VPMOVZXBD X14, Y14
+	VPCMPGTD  Y14, Y15, Y9
+
+	VMOVUPS    (DI), Y0
+	VMASKMOVPS 32(DI), Y9, Y1
+	VMOVUPS    (R13), Y2
+	VMASKMOVPS 32(R13), Y9, Y3
+	VMOVUPS    (DI)(DX*2), Y4
+	VMASKMOVPS 32(DI)(DX*2), Y9, Y5
+	VMOVUPS    (R13)(DX*2), Y6
+	VMASKMOVPS 32(R13)(DX*2), Y9, Y7
+
+wloop:
+	VMOVUPS      (SI), Y10
+	VMASKMOVPS   32(SI), Y9, Y11
+	VBROADCASTSS (R8), Y12
+	ROWACC(Y12, Y10, Y13, Y0)
+	ROWACC(Y12, Y11, Y14, Y1)
+	VBROADCASTSS (R9), Y12
+	ROWACC(Y12, Y10, Y13, Y2)
+	ROWACC(Y12, Y11, Y14, Y3)
+	VBROADCASTSS (R8)(R12*2), Y12
+	ROWACC(Y12, Y10, Y13, Y4)
+	ROWACC(Y12, Y11, Y14, Y5)
+	VBROADCASTSS (R9)(R12*2), Y12
+	ROWACC(Y12, Y10, Y13, Y6)
+	ROWACC(Y12, Y11, Y14, Y7)
+	ADDQ         BX, SI
+	ADDQ         $4, R8
+	ADDQ         $4, R9
+	DECQ         CX
+	JNE          wloop
+
+	VMOVUPS    Y0, (DI)
+	VMASKMOVPS Y1, Y9, 32(DI)
+	VMOVUPS    Y2, (R13)
+	VMASKMOVPS Y3, Y9, 32(R13)
+	VMOVUPS    Y4, (DI)(DX*2)
+	VMASKMOVPS Y5, Y9, 32(DI)(DX*2)
+	VMOVUPS    Y6, (R13)(DX*2)
+	VMASKMOVPS Y7, Y9, 32(R13)(DX*2)
+	VZEROUPPER
+	RET

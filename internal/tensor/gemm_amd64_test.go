@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -373,6 +374,94 @@ func BenchmarkDotTileShapes(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(2*s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			})
+		}
+	}
+}
+
+// hostileFill returns n floats of which about a third are specials: NaNs of
+// both signs with distinct quiet and signalling payloads, ±0, ±Inf and
+// denormals, the rest ordinary values over six decades. With that density a
+// product of two NaNs and a NaN product added to a NaN sum both occur in
+// most outputs, the cases where the payload depends on operand order.
+func hostileFill(rng *rand.Rand, n int) []float32 {
+	x := make([]float32, n)
+	for i := range x {
+		switch r := rng.Intn(12); {
+		case r < 2:
+			payload := uint32(rng.Intn(1<<21)) | 1
+			sign := uint32(rng.Intn(2)) << 31
+			quiet := uint32(rng.Intn(2)) << 22
+			x[i] = f32(sign | 0x7F800000 | quiet | payload)
+		case r == 2:
+			x[i] = elemSpecials[4+rng.Intn(8)] // ±Inf, ±0, denormals
+		case r == 3:
+			x[i] = f32(uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<31) // a random denormal
+		default:
+			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+	}
+	return x
+}
+
+// TestGemmRaggedMatchesTwin is gemm4xw's gate: through gemmRaggedPart it must
+// leave every float of the output buffer — padding included — with the bits
+// gemmGoPart leaves, on every ragged width w ∈ 1…15, rows m ∈ 1…9 (whole
+// four-row groups and the twin's leftover rows), K blocks of 1, 7, 255 and
+// 256 steps, padded leading dimensions, and hostile fills in A, B and the
+// accumulated output. NaN payloads are compared too: the kernel must take
+// them from the same operand the twin's MULSS and ADDSS do.
+func TestGemmRaggedMatchesTwin(t *testing.T) {
+	if !useGemmAsm {
+		t.Skip("no AVX2 kernel on this machine")
+	}
+	rng := rand.New(rand.NewSource(36))
+	for w := 1; w < gemmNR; w++ {
+		for m := 1; m <= 9; m++ {
+			for _, kc := range []int{1, 7, gemmKC - 1, gemmKC} {
+				lda, ldb, ldd := kc+3, w+rng.Intn(5), w+1+rng.Intn(4)
+				a := hostileFill(rng, m*lda)
+				b := hostileFill(rng, (kc-1)*ldb+w)
+				want := hostileFill(rng, (m-1)*ldd+w+3)
+				got := append([]float32(nil), want...)
+				gemmGoPart(want, ldd, a, lda, m, b, ldb, kc, w)
+				gemmRaggedPart(got, ldd, a, lda, m, b, ldb, kc, w)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("w=%d m=%d kc=%d: float %d (row %d) is %#08x, twin %#08x",
+							w, m, kc, i, i/ldd, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGemmRagged times one K block of the ragged columns of a 128-row
+// product — the 2×2 convs' per-sample products of the teacher pass, where all
+// four columns are ragged — on gemm4xw and on its Go twin.
+func BenchmarkGemmRagged(b *testing.B) {
+	if !useGemmAsm {
+		b.Skip("no AVX2 kernel on this machine")
+	}
+	const m, kc = 128, gemmKC
+	for _, w := range []int{4, 8, 11} {
+		a := randMat(1, m, kc).Data
+		bm := randMat(2, kc, w).Data
+		out := make([]float32, m*w)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"asm", func() { gemmRaggedPart(out, w, a, kc, m, bm, w, kc, w) }},
+			{"twin", func() { gemmGoPart(out, w, a, kc, m, bm, w, kc, w) }},
+		} {
+			b.Run(fmt.Sprintf("w%d/%s", w, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					clear(out)
+					k.run()
+				}
+				b.ReportMetric(float64(2*m*w*kc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 			})
 		}
 	}

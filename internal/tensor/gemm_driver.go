@@ -26,8 +26,9 @@ package tensor
 // product — gemmSplit's jobs, the engine's batch parts, the fused blocks'
 // row tiles — reproduces the unsplit result exactly. The ragged columns
 // [PanelStripCols(N), N), and every column on the portable build, run the
-// 4-row broadcast-AXPY kernel over a dense tile (a transposed operand runs
-// the dot kernel instead, as it always has: training bits do not move).
+// 4-row broadcast-AXPY chain of gemmGoPart over a dense tile — on the asm
+// build through gemm4xw, its vector twin with the same bits (a transposed
+// operand runs the dot kernel instead, as it always has).
 //
 // Scratch layout, defined here and nowhere else: [0, gemmKC·gemmNC) holds
 // whatever the source generates for one (K block, column range) — packed
@@ -234,7 +235,7 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 				continue
 			}
 			tile, ldb := src.tile(scratch, pb, pe, jb, je)
-			gemmGoPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, tile, ldb, pe-pb, je-jb)
+			gemmRaggedPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, tile, ldb, pe-pb, je-jb)
 		}
 		jb = je
 	}
@@ -369,6 +370,24 @@ func gemmStripRows4(dst []float32, ldd int, a []float32, lda int, bs bStrips, kc
 		}
 		gemm4x16o(kc, a0, a1, a2, a3, &bs.b[base], &bs.offs[0], &o[0], &o[ldd], &o[2*ldd], &o[3*ldd], zero)
 		base, ow = bs.next(base, ow)
+	}
+}
+
+// gemmRaggedPart is gemmGoPart's product on the kernel the build has: where
+// the strip kernels run, the w < 16 columns right of the last whole strip go
+// four rows at a time to gemm4xw, which computes the twin's bits, and only
+// the leftover rows to the twin itself.
+func gemmRaggedPart(dst []float32, ldd int, a []float32, lda, m int, b []float32, ldb, kc, w int) {
+	i := 0
+	if useGemmAsm && w < gemmNR {
+		_ = b[(kc-1)*ldb+w-1]
+		for ; i+gemmMR <= m; i += gemmMR {
+			_, _ = a[(i+3)*lda+kc-1], dst[(i+3)*ldd+w-1]
+			gemm4xw(kc, w, &a[i*lda], lda, &b[0], ldb, &dst[i*ldd], ldd)
+		}
+	}
+	if i < m {
+		gemmGoPart(dst[i*ldd:], ldd, a[i*lda:], lda, m-i, b, ldb, kc, w)
 	}
 }
 

@@ -40,6 +40,10 @@ func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32, zero bool) 
 	panic("tensor: gemm1x64so requires amd64")
 }
 
+func gemm4xw(kc, w int, a *float32, lda int, b *float32, ldb int, o *float32, ldd int) {
+	panic("tensor: gemm4xw requires amd64")
+}
+
 func dot8(n int, x, y *float32) float32 {
 	panic("tensor: dot8 requires amd64")
 }

@@ -10,6 +10,34 @@ import (
 	"nshd/internal/tensor/tensortest"
 )
 
+// MatMulNaiveInto is the seed repository's i·p·j kernel (row-major AXPY with
+// a zero-skip branch), kept serial as the reference the GEMM tests and
+// benchmarks compare against.
+func MatMulNaiveInto(dst, a, b *Tensor) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: MatMul requires rank-2 tensors")
+	}
+	m, k := a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
+	}
+	for i := 0; i < m; i++ {
+		out := dst.Data[i*n : (i+1)*n]
+		clear(out)
+		arow := a.Data[i*k : (i+1)*k]
+		for p, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*n : (p+1)*n]
+			for j, bv := range brow {
+				out[j] += av * bv
+			}
+		}
+	}
+}
+
 func TestMain(m *testing.M) {
 	// Give the pool several workers even on 1-CPU machines so the parallel
 	// GEMM decomposition is actually exercised by these tests.
