@@ -77,9 +77,11 @@ v3:
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
 # TestCodecHammer over the request scratch pool the JSON and binary codecs share;
 # the engine's batch split against the fused blocks' tile fan-out is
-# TestEngineSplitConcurrentCallers in internal/engine).
+# TestEngineSplitConcurrentCallers in internal/engine) and the training code
+# that runs on them (the arena's training steps in internal/cnn, the HD
+# retraining loop and the joint manifold loop in internal/core).
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/engine/... ./internal/serve/...
+	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
 
 # Fuzz the untrusted byte surfaces beyond the checked-in corpora under
 # internal/*/testdata/fuzz/, which `make test` already runs: the /predict JSON

@@ -319,10 +319,12 @@ func BenchmarkMASSEpoch(b *testing.B) {
 	}
 	m := hdlearn.NewModel(10, 1000)
 	m.InitBundle(hvs, labels)
-	cfg := hdlearn.MASSConfig{Epochs: 1, LR: 0.3}
+	cfg := hdlearn.RetrainConfig{Epochs: 1, LR: 0.3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TrainMASS(hvs, labels, cfg, nil)
+		if _, err := m.Retrain(hvs, labels, nil, cfg, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -368,7 +370,7 @@ func BenchmarkPredictFloatVsPacked(b *testing.B) {
 	rng := tensor.NewRNG(11)
 	m := hdlearn.NewModel(k, d)
 	rng.FillNormal(m.M, 0, 1)
-	quantized := m.SignQuantized()
+	quantized := &hdlearn.Model{K: k, D: d, M: tensor.Sign(m.M)}
 	pm := hdlearn.PackModel(m)
 	q := tensor.New(n, d)
 	rng.FillBipolar(q)

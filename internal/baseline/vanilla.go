@@ -79,9 +79,13 @@ func (v *VanillaHD) Train(train *dataset.Dataset, log io.Writer) ([]hdlearn.Epoc
 	}
 	hvs := v.Encode(train.Images)
 	v.HD.InitBundle(hvs, train.Labels)
-	hist := v.HD.TrainMASS(hvs, train.Labels, hdlearn.MASSConfig{
-		Epochs: v.Cfg.Epochs, LR: v.Cfg.LR, Shuffle: true,
+	// Batch = 1: the per-sample MASS rule, bit for bit.
+	hist, err := v.HD.Retrain(hvs, train.Labels, nil, hdlearn.RetrainConfig{
+		Epochs: v.Cfg.Epochs, LR: v.Cfg.LR, Batch: 1,
 	}, v.rng)
+	if err != nil {
+		return nil, err
+	}
 	if log != nil {
 		for _, h := range hist {
 			fmt.Fprintf(log, "vanilla epoch %d acc=%.4f\n", h.Epoch, h.TrainAccuracy)

@@ -7,6 +7,7 @@ import (
 
 	"nshd/internal/cnn"
 	"nshd/internal/dataset"
+	"nshd/internal/hdlearn"
 	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
@@ -279,7 +280,9 @@ func TestPackedInferenceMatchesQuantizedFloat(t *testing.T) {
 	_, _, signed := p.Symbolize(feats, false)
 	p.HD.InitBundle(signed, train.Labels)
 
-	want := p.HD.SignQuantized().PredictBatch(p.QueryHVs(test.Images))
+	// The float model with every class hypervector sign-quantized.
+	quantized := &hdlearn.Model{K: p.HD.K, D: p.HD.D, M: tensor.Sign(p.HD.M)}
+	want := quantized.PredictBatch(p.QueryHVs(test.Images))
 	p.Cfg.PackedInference = true
 	got := p.Predict(test.Images)
 	for i := range want {

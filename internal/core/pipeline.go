@@ -316,12 +316,11 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			trainMode := p.Manifold != nil
 			_, _, bSigned := p.symbolizePooled(bFeats, trainMode)
 
-			// Algorithm 1 update matrix (alpha=0 degrades to MASS).
-			u := p.HD.DistillUpdateBatch(bSigned, bLabels, bTeacher, alpha, temp)
-
-			// Track batch accuracy before the update.
-			preds := tensor.ArgmaxRows(p.HD.SimilarityBatch(bSigned))
-			for i, pr := range preds {
+			// Algorithm 1 update matrix (alpha=0 degrades to MASS), and the
+			// batch accuracy before the update, from one similarity pass.
+			sims := p.HD.SimilarityBatch(bSigned)
+			u := p.HD.DistillUpdateBatch(sims, bLabels, bTeacher, alpha, temp)
+			for i, pr := range tensor.ArgmaxRows(sims) {
 				if pr == bLabels[i] {
 					correct++
 				}
@@ -365,21 +364,17 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	if p.Manifold != nil {
 		_, _, signed = p.symbolizePooled(pooled, false)
 		p.HD.InitBundle(signed, labels)
-		refine := p.Cfg.Epochs/2 + 1
-		// The refinement runs on the batched trainers: one GEMM per batch of
-		// similarities and one rank-B GEMM per update, with the pipeline's
-		// configured batch size.
+		// The refinement is Retrain at the pipeline's batch size: Algorithm 1
+		// with KD, MASS without.
+		var teacher *tensor.Tensor
 		if p.Cfg.UseKD {
-			if _, err := p.HD.TrainDistillBatch(signed, labels, teacherLogits, hdlearn.DistillConfig{
-				Epochs: refine, LR: p.Cfg.LR, Alpha: p.Cfg.Alpha, Temp: p.Cfg.Temp, Shuffle: true,
-				Batch: p.Cfg.BatchSize,
-			}, p.rng); err != nil {
-				return nil, err
-			}
-		} else {
-			p.HD.TrainMASSBatch(signed, labels, hdlearn.MASSConfig{
-				Epochs: refine, LR: p.Cfg.LR, Shuffle: true, Batch: p.Cfg.BatchSize,
-			}, p.rng)
+			teacher = teacherLogits
+		}
+		if _, err := p.HD.Retrain(signed, labels, teacher, hdlearn.RetrainConfig{
+			Epochs: p.Cfg.Epochs/2 + 1, LR: p.Cfg.LR, Alpha: p.Cfg.Alpha, Temp: p.Cfg.Temp,
+			Batch: p.Cfg.BatchSize,
+		}, p.rng); err != nil {
+			return nil, err
 		}
 	}
 	// The encoder has not changed since signed was computed.

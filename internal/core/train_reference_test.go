@@ -138,7 +138,7 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 				}
 			}
 			bSigned := symbolize(bFeats, ml != nil)
-			u := p.HD.DistillUpdateBatch(bSigned, bLabels, bTeacher, alpha, temp)
+			u := p.HD.DistillUpdateBatch(p.HD.SimilarityBatch(bSigned), bLabels, bTeacher, alpha, temp)
 			for i, pr := range tensor.ArgmaxRows(p.HD.SimilarityBatch(bSigned)) {
 				if pr == bLabels[i] {
 					correct++
@@ -169,16 +169,14 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 		finalSigned := symbolize(feats, false)
 		p.HD.InitBundle(finalSigned, labels)
 		refine := cfg.Epochs/2 + 1
+		var teacher *tensor.Tensor
 		if cfg.UseKD {
-			if _, err := p.HD.TrainDistillBatch(finalSigned, labels, teacherLogits, hdlearn.DistillConfig{
-				Epochs: refine, LR: cfg.LR, Alpha: cfg.Alpha, Temp: cfg.Temp, Shuffle: true, Batch: cfg.BatchSize,
-			}, p.TrainRNG()); err != nil {
-				panic(err)
-			}
-		} else {
-			p.HD.TrainMASSBatch(finalSigned, labels, hdlearn.MASSConfig{
-				Epochs: refine, LR: cfg.LR, Shuffle: true, Batch: cfg.BatchSize,
-			}, p.TrainRNG())
+			teacher = teacherLogits
+		}
+		if _, err := p.HD.Retrain(finalSigned, labels, teacher, hdlearn.RetrainConfig{
+			Epochs: refine, LR: cfg.LR, Alpha: cfg.Alpha, Temp: cfg.Temp, Batch: cfg.BatchSize,
+		}, p.TrainRNG()); err != nil {
+			panic(err)
 		}
 	}
 	report.FinalTrainAccuracy = p.HD.Accuracy(symbolize(feats, false), labels)

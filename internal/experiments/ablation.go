@@ -40,11 +40,13 @@ func (s *Session) AblationRetrain(model string, layer int) ([]AblationRetrainRow
 		train(m)
 		return AblationRetrainRow{Method: name, Accuracy: m.Accuracy(testHVs, s.mustLabels(10, false))}
 	}
-	mcfg := hdlearn.MASSConfig{Epochs: s.Env.HDEpochs, LR: 0.35, Shuffle: false}
+	// Both rules take the samples in order (no RNG), one at a time. Without a
+	// teacher Retrain returns no error.
+	mcfg := hdlearn.RetrainConfig{Epochs: s.Env.HDEpochs, LR: 0.35, Batch: 1}
 	rows := []AblationRetrainRow{
 		run("bundle only", func(m *hdlearn.Model) {}),
 		run("perceptron", func(m *hdlearn.Model) { m.TrainPerceptron(trainHVs, s.mustLabels(10, true), mcfg, nil) }),
-		run("MASS", func(m *hdlearn.Model) { m.TrainMASS(trainHVs, s.mustLabels(10, true), mcfg, nil) }),
+		run("MASS", func(m *hdlearn.Model) { m.Retrain(trainHVs, s.mustLabels(10, true), nil, mcfg, nil) }),
 	}
 	t := Table{
 		ID:     "ablation-retrain",

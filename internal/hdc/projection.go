@@ -48,28 +48,6 @@ func NewSeededProjection(seed int64, f, d int) *Projection {
 	return &Projection{F: f, D: d, P: p, Seeded: true, Seed: seed}
 }
 
-// Encode maps one feature vector to its hypervector. It returns both the
-// raw (pre-sign) bundle — needed by training procedures that backpropagate
-// through the encoder — and the bipolar quantization.
-func (pr *Projection) Encode(v []float32) (raw, signed Hypervector) {
-	if len(v) != pr.F {
-		panic(fmt.Sprintf("hdc: Encode got %d features, projection has F=%d", len(v), pr.F))
-	}
-	raw = NewHypervector(pr.D)
-	for f, val := range v {
-		if val == 0 {
-			continue
-		}
-		row := pr.P.Row(f)
-		for i, b := range row {
-			raw[i] += val * b
-		}
-	}
-	signed = raw.Clone()
-	signed.Sign()
-	return raw, signed
-}
-
 // EncodeBatch encodes a [N, F] feature matrix, returning raw [N, D] and
 // signed [N, D] tensors. The heavy product is parallelized across samples.
 func (pr *Projection) EncodeBatch(features *tensor.Tensor) (raw, signed *tensor.Tensor) {

@@ -1,10 +1,34 @@
 package hdc
 
 import (
+	"fmt"
 	"testing"
 
 	"nshd/internal/tensor"
 )
+
+// Encode maps one feature vector to its hypervector the way Φ_P is defined,
+// one scaled base hypervector at a time: the reference EncodeBatch's GEMM is
+// checked against. It returns both the raw (pre-sign) bundle and the bipolar
+// quantization.
+func (pr *Projection) Encode(v []float32) (raw, signed Hypervector) {
+	if len(v) != pr.F {
+		panic(fmt.Sprintf("hdc: Encode got %d features, projection has F=%d", len(v), pr.F))
+	}
+	raw = NewHypervector(pr.D)
+	for f, val := range v {
+		if val == 0 {
+			continue
+		}
+		row := pr.P.Row(f)
+		for i, b := range row {
+			raw[i] += val * b
+		}
+	}
+	signed = raw.Clone()
+	signed.Sign()
+	return raw, signed
+}
 
 // awkward (F, D, N) triples: dimensions off the GEMM's 256-wide blocks and
 // 16-wide strips, single samples, empty batches.

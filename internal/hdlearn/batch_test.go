@@ -52,33 +52,33 @@ func requireEqualHistory(t *testing.T, a, b []EpochStats) {
 	}
 }
 
-// TestTrainMASSBatchB1BitExact is the proof-backed contract test: at Batch=1
-// the batched trainer must reproduce the per-sample trainer bit for bit —
-// identical float32 model and float64-equal epoch stats, shuffling included.
+// TestTrainMASSBatchB1BitExact is the proof-backed contract test: at
+// Batch = 1, Retrain without a teacher must reproduce the per-sample MASS
+// reference bit for bit — identical float32 model and float64-equal epoch
+// stats, shuffling included.
 func TestTrainMASSBatchB1BitExact(t *testing.T) {
 	ref, hvs, labels := makeBatchFixture(3, 5, 256, 60)
 	batched := ref.Clone()
-	cfg := MASSConfig{Epochs: 3, LR: 0.07, Shuffle: true}
+	cfg := RetrainConfig{Epochs: 3, LR: 0.07, Batch: 1}
 	refHist := ref.TrainMASS(hvs, labels, cfg, tensor.NewRNG(99))
-	cfg.Batch = 1
-	batHist := batched.TrainMASSBatch(hvs, labels, cfg, tensor.NewRNG(99))
+	batHist, err := batched.Retrain(hvs, labels, nil, cfg, tensor.NewRNG(99))
+	if err != nil {
+		t.Fatal(err)
+	}
 	requireEqualHistory(t, refHist, batHist)
 	requireBitEqualModels(t, ref, batched)
 }
 
-// TestTrainDistillBatchB1BitExact: same contract for Algorithm 1.
+// TestTrainDistillBatchB1BitExact: same contract for Algorithm 1, Retrain
+// with a teacher against the per-sample TrainDistill reference.
 func TestTrainDistillBatchB1BitExact(t *testing.T) {
 	ref, hvs, labels := makeBatchFixture(5, 4, 192, 48)
 	teacher := tensor.New(48, 4)
 	tensor.NewRNG(7).FillNormal(teacher, 0, 2)
 	batched := ref.Clone()
-	cfg := DistillConfig{Epochs: 3, LR: 0.05, Alpha: 0.4, Temp: 2, Shuffle: true}
-	refHist, err := ref.TrainDistill(hvs, labels, teacher, cfg, tensor.NewRNG(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Batch = 1
-	batHist, err := batched.TrainDistillBatch(hvs, labels, teacher, cfg, tensor.NewRNG(55))
+	cfg := RetrainConfig{Epochs: 3, LR: 0.05, Alpha: 0.4, Temp: 2, Batch: 1}
+	refHist := ref.TrainDistill(hvs, labels, teacher, cfg, tensor.NewRNG(55))
+	batHist, err := batched.Retrain(hvs, labels, teacher, cfg, tensor.NewRNG(55))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,16 @@ func TestTrainDistillBatchB1BitExact(t *testing.T) {
 	requireBitEqualModels(t, ref, batched)
 }
 
-// TestTrainMASSBatchLearns checks the batched path at a realistic batch size
-// actually trains: accuracy on the separable fixture should end high, and the
-// update mass should shrink.
+// TestTrainMASSBatchLearns checks Retrain at a realistic batch size actually
+// trains: accuracy on the separable fixture should end high, and the update
+// mass should shrink.
 func TestTrainMASSBatchLearns(t *testing.T) {
 	m, hvs, labels := makeBatchFixture(11, 6, 512, 240)
-	cfg := MASSConfig{Epochs: 12, LR: 0.05, Shuffle: true, Batch: 32}
-	hist := m.TrainMASSBatch(hvs, labels, cfg, tensor.NewRNG(13))
+	cfg := RetrainConfig{Epochs: 12, LR: 0.05, Batch: 32}
+	hist, err := m.Retrain(hvs, labels, nil, cfg, tensor.NewRNG(13))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(hist) != cfg.Epochs {
 		t.Fatalf("expected %d epochs, got %d", cfg.Epochs, len(hist))
 	}
@@ -105,8 +108,8 @@ func TestTrainMASSBatchLearns(t *testing.T) {
 	}
 }
 
-// TestTrainDistillBatchLearns: the batched KD path with a well-informed
-// teacher should also converge on the fixture.
+// TestTrainDistillBatchLearns: Retrain with a well-informed teacher should
+// also converge on the fixture.
 func TestTrainDistillBatchLearns(t *testing.T) {
 	m, hvs, labels := makeBatchFixture(17, 4, 384, 160)
 	// Teacher logits: confident, correct predictions.
@@ -114,8 +117,8 @@ func TestTrainDistillBatchLearns(t *testing.T) {
 	for i, y := range labels {
 		teacher.Row(i)[y] = 6
 	}
-	cfg := DistillConfig{Epochs: 10, LR: 0.05, Alpha: 0.5, Temp: 4, Shuffle: true, Batch: 16}
-	if _, err := m.TrainDistillBatch(hvs, labels, teacher, cfg, tensor.NewRNG(19)); err != nil {
+	cfg := RetrainConfig{Epochs: 10, LR: 0.05, Alpha: 0.5, Temp: 4, Batch: 16}
+	if _, err := m.Retrain(hvs, labels, teacher, cfg, tensor.NewRNG(19)); err != nil {
 		t.Fatal(err)
 	}
 	if acc := m.Accuracy(hvs, labels); acc < 0.95 {
@@ -160,11 +163,28 @@ func TestClassNormCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestTrainMASSBatchEmptySet: the batched trainer returns nil on an empty
-// training set instead of dividing by zero.
+// TestTrainMASSBatchEmptySet: every retraining loop returns a nil history on
+// an empty training set instead of dividing by zero — Retrain with and
+// without a teacher, and TrainPerceptron.
 func TestTrainMASSBatchEmptySet(t *testing.T) {
-	m := NewModel(3, 32)
-	if hist := m.TrainMASSBatch(tensor.New(0, 32), nil, MASSConfig{Epochs: 2, LR: 0.1}, nil); hist != nil {
-		t.Fatalf("expected nil history, got %v", hist)
+	cfg := RetrainConfig{Epochs: 2, LR: 0.1, Alpha: 0.5, Temp: 2}
+	for _, c := range []struct {
+		name string
+		run  func(m *Model, hvs *tensor.Tensor) ([]EpochStats, error)
+	}{
+		{"Retrain", func(m *Model, hvs *tensor.Tensor) ([]EpochStats, error) {
+			return m.Retrain(hvs, nil, nil, cfg, tensor.NewRNG(1))
+		}},
+		{"Retrain/teacher", func(m *Model, hvs *tensor.Tensor) ([]EpochStats, error) {
+			return m.Retrain(hvs, nil, tensor.New(0, 3), cfg, tensor.NewRNG(1))
+		}},
+		{"TrainPerceptron", func(m *Model, hvs *tensor.Tensor) ([]EpochStats, error) {
+			return m.TrainPerceptron(hvs, nil, cfg, tensor.NewRNG(1)), nil
+		}},
+	} {
+		hist, err := c.run(NewModel(3, 32), tensor.New(0, 32))
+		if err != nil || hist != nil {
+			t.Errorf("%s: history %v, error %v; want nil, nil", c.name, hist, err)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (m *Model) classNorms() []float64 {
 //
 // It shares its dot kernel (tensor.DotFast), cached class norms, and cosine
 // rounding (float32 ← float64 dot / den, den==0 → 0) with SimilarityBatch, so
-// the two are bit-identical — the invariant the batched trainers' B=1
+// the two are bit-identical — the invariant Retrain's B=1
 // bit-exactness proofs rest on.
 func (m *Model) Similarity(h hdc.Hypervector) []float32 {
 	if len(h) != m.D {

@@ -3,247 +3,24 @@ package hdlearn
 import (
 	"fmt"
 
-	"nshd/internal/hdc"
 	"nshd/internal/tensor"
 )
 
-// DistillConfig configures Algorithm 1: MASS retraining whose update vector
-// blends the ground-truth one-hot target with the teacher CNN's softened
-// predictions.
-type DistillConfig struct {
-	Epochs int
-	// LR is the learning rate λ.
-	LR float64
-	// Alpha weighs the distilled update against the one-hot update
-	// (0 = pure MASS, 1 = pure distillation).
-	Alpha float64
-	// Temp is the softening temperature t applied to both the student's
-	// similarity scores and the teacher's logits.
-	Temp float64
-	// Shuffle randomizes sample order each epoch when an RNG is supplied.
-	Shuffle bool
-	// Batch is the minibatch size of TrainDistillBatch (0 → 32). TrainDistill
-	// ignores it; TrainDistillBatch with Batch=1 is bit-identical to
-	// TrainDistill.
-	Batch int
-}
-
-// Validate rejects hyperparameters Algorithm 1 cannot run with.
-func (c DistillConfig) Validate() error {
-	if c.Epochs < 1 {
-		return fmt.Errorf("hdlearn: distill epochs %d < 1", c.Epochs)
-	}
-	if c.Temp <= 0 {
-		return fmt.Errorf("hdlearn: distill temperature %v must be positive", c.Temp)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("hdlearn: distill alpha %v outside [0,1]", c.Alpha)
-	}
-	return nil
-}
-
-// TrainDistill implements Algorithm 1 (NSHD Knowledge Distillation):
-//
-//	for each training hypervector H:
-//	  similarity_values = δ(M, H)
-//	  soft_pred         = similarity_values / t
-//	  soft_labels       = softmax(teacher_pred) / t
-//	  distilled_updates = soft_labels − soft_pred
-//	  U = (1−α)·(one_hot − similarity_values) + α·distilled_updates
-//	  M = M + λ·Uᵀ·H
-//
-// teacherLogits is the [N, K] output of the full, uncut CNN on the same
-// samples. The returned history also carries the mean update mass so sweeps
-// can observe convergence.
-func (m *Model) TrainDistill(hvs *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, cfg DistillConfig, rng *tensor.RNG) ([]EpochStats, error) {
-	checkHVs(m, hvs, labels)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if teacherLogits.Rank() != 2 || teacherLogits.Shape[0] != hvs.Shape[0] || teacherLogits.Shape[1] != m.K {
-		return nil, fmt.Errorf("hdlearn: teacher logits shape %v, want [%d %d]", teacherLogits.Shape, hvs.Shape[0], m.K)
-	}
-	n := hvs.Shape[0]
-	m.Invalidate()
-
-	// Precompute the teacher's soft labels once; they do not change across
-	// epochs. This is the "optimized computation cost" integration the paper
-	// highlights: the CNN runs forward-only, a single time.
-	softLabels := tensor.New(n, m.K)
-	for i := 0; i < n; i++ {
-		tensor.Softmax(softLabels.Row(i), teacherLogits.Row(i))
-		row := softLabels.Row(i)
-		for k := range row {
-			row[k] /= float32(cfg.Temp)
-		}
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	lr := float32(cfg.LR)
-	alpha := float32(cfg.Alpha)
-	invT := float32(1 / cfg.Temp)
-	var history []EpochStats
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		if cfg.Shuffle && rng != nil {
-			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		correct := 0
-		var updateNorm float64
-		for _, idx := range order {
-			h := hdc.Hypervector(hvs.Row(idx))
-			y := labels[idx]
-			sims := m.Similarity(h)
-			if argmax32(sims) == y {
-				correct++
-			}
-			soft := softLabels.Row(idx)
-			updated := false
-			for k := 0; k < m.K; k++ {
-				// One-hot update component.
-				hard := -sims[k]
-				if k == y {
-					hard += 1
-				}
-				// Distilled update component.
-				distilled := soft[k] - sims[k]*invT
-				u := (1-alpha)*hard + alpha*distilled
-				updateNorm += abs64(u)
-				if u != 0 {
-					hdc.WeightedBundleInto(hdc.Hypervector(m.M.Row(k)), lr*u, h)
-					updated = true
-				}
-			}
-			if updated {
-				// The next sample's Similarity must see fresh class norms.
-				m.Invalidate()
-			}
-		}
-		history = append(history, EpochStats{
-			Epoch:          epoch,
-			TrainAccuracy:  float64(correct) / float64(n),
-			MeanUpdateNorm: updateNorm / float64(n),
-		})
-	}
-	return history, nil
-}
-
-// TrainDistillBatch is the GEMM-ified TrainDistill (Algorithm 1): similarity
-// scores for a minibatch come from one batched GEMM and the blended update is
-// applied as one rank-B GEMM E = (λU)ᵀ·H, M += E. With Batch=1 it is
-// bit-identical to TrainDistill — the per-element update formulas below are
-// copied from it verbatim (note `soft[k] − sims[k]·invT`, NOT
-// DistillUpdateBatch's `soft[k]·invT − …`: the soft labels here are already
-// temperature-divided, and the two roundings differ) and the λ-scaling /
-// rank-1 arguments of TrainMASSBatch apply unchanged.
-func (m *Model) TrainDistillBatch(hvs *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, cfg DistillConfig, rng *tensor.RNG) ([]EpochStats, error) {
-	checkHVs(m, hvs, labels)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if teacherLogits.Rank() != 2 || teacherLogits.Shape[0] != hvs.Shape[0] || teacherLogits.Shape[1] != m.K {
-		return nil, fmt.Errorf("hdlearn: teacher logits shape %v, want [%d %d]", teacherLogits.Shape, hvs.Shape[0], m.K)
-	}
-	n := hvs.Shape[0]
-	if n == 0 {
-		return nil, nil
-	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 32
-	}
-	if batch > n {
-		batch = n
-	}
-	m.Invalidate()
-
-	// Teacher soft labels, precomputed once exactly as in TrainDistill.
-	softLabels := tensor.New(n, m.K)
-	for i := 0; i < n; i++ {
-		tensor.Softmax(softLabels.Row(i), teacherLogits.Row(i))
-		row := softLabels.Row(i)
-		for k := range row {
-			row[k] /= float32(cfg.Temp)
-		}
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	lr := float32(cfg.LR)
-	alpha := float32(cfg.Alpha)
-	invT := float32(1 / cfg.Temp)
-
-	hb := tensor.New(batch, m.D)
-	sims := tensor.New(batch, m.K)
-	u := tensor.New(batch, m.K)
-	e := tensor.New(m.K, m.D)
-	scratch := make([]float32, batch*m.K)
-
-	var history []EpochStats
-	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
-		if cfg.Shuffle && rng != nil {
-			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		correct := 0
-		var updateNorm float64
-		for start := 0; start < n; start += batch {
-			end := start + batch
-			if end > n {
-				end = n
-			}
-			bs := end - start
-			hbB := tensor.FromSlice(hb.Data[:bs*m.D], bs, m.D)
-			simsB := tensor.FromSlice(sims.Data[:bs*m.K], bs, m.K)
-			uB := tensor.FromSlice(u.Data[:bs*m.K], bs, m.K)
-			for bi := 0; bi < bs; bi++ {
-				copy(hbB.Row(bi), hvs.Row(order[start+bi]))
-			}
-			m.SimilarityBatchInto(simsB, hbB)
-			for bi := 0; bi < bs; bi++ {
-				idx := order[start+bi]
-				y := labels[idx]
-				srow := simsB.Row(bi)
-				if argmax32(srow) == y {
-					correct++
-				}
-				soft := softLabels.Row(idx)
-				urow := uB.Row(bi)
-				for k := 0; k < m.K; k++ {
-					hard := -srow[k]
-					if k == y {
-						hard += 1
-					}
-					distilled := soft[k] - srow[k]*invT
-					uv := (1-alpha)*hard + alpha*distilled
-					updateNorm += abs64(uv)
-					urow[k] = lr * uv
-				}
-			}
-			tensor.TransposeMatMulInto(e, uB, hbB, scratch)
-			m.M.AXPY(1, e)
-			m.Invalidate()
-		}
-		history = append(history, EpochStats{
-			Epoch:          epoch,
-			TrainAccuracy:  float64(correct) / float64(n),
-			MeanUpdateNorm: updateNorm / float64(n),
-		})
-	}
-	return history, nil
-}
-
 // DistillUpdateBatch computes the update matrix U ([N, K]) of Algorithm 1
-// for a whole batch without applying it. The NSHD pipeline uses this both to
-// update M (M += λ·Uᵀ·H) and to derive the manifold learner's gradient
-// through Model.QueryGrad.
-func (m *Model) DistillUpdateBatch(hvs *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, alpha, temp float64) *tensor.Tensor {
-	checkHVs(m, hvs, labels)
-	n := hvs.Shape[0]
-	sims := m.SimilarityBatch(hvs) // [N, K]
+// for a whole batch without applying it, from the batch's similarities sims
+// ([N, K], SimilarityBatch of its hypervectors against the current M), which
+// the caller also ranks for its accuracy count. The NSHD pipeline's joint
+// loop uses U both to update M (ApplyUpdate) and to derive the manifold
+// learner's gradient through Model.QueryGrad.
+//
+// Its rounding is its own, not Retrain's: the soft labels are multiplied by
+// 1/t here (Retrain divides them by t), and λ scales Uᵀ·H inside
+// ApplyUpdate's AXPY (Retrain scales U before the GEMM).
+func (m *Model) DistillUpdateBatch(sims *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, alpha, temp float64) *tensor.Tensor {
+	n := len(labels)
+	if sims.Rank() != 2 || sims.Shape[0] != n || sims.Shape[1] != m.K {
+		panic(fmt.Sprintf("hdlearn: DistillUpdateBatch sims shape %v, want [%d %d]", sims.Shape, n, m.K))
+	}
 	u := tensor.New(n, m.K)
 	soft := make([]float32, m.K)
 	a := float32(alpha)
@@ -253,6 +30,9 @@ func (m *Model) DistillUpdateBatch(hvs *tensor.Tensor, labels []int, teacherLogi
 		srow := sims.Row(i)
 		urow := u.Row(i)
 		y := labels[i]
+		if y < 0 || y >= m.K {
+			panic(fmt.Sprintf("hdlearn: label %d out of range [0,%d)", y, m.K))
+		}
 		for k := 0; k < m.K; k++ {
 			hard := -srow[k]
 			if k == y {

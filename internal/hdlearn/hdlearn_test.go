@@ -97,7 +97,10 @@ func TestMASSImprovesHardTask(t *testing.T) {
 	m := NewModel(testK, testD)
 	m.InitBundle(hvs, labels)
 	before := m.Accuracy(hvs, labels)
-	hist := m.TrainMASS(hvs, labels, MASSConfig{Epochs: 10, LR: 0.5, Shuffle: true}, tensor.NewRNG(4))
+	hist, err := m.Retrain(hvs, labels, nil, RetrainConfig{Epochs: 10, LR: 0.5, Batch: 1}, tensor.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := m.Accuracy(hvs, labels)
 	if after < before {
 		t.Fatalf("MASS retraining degraded accuracy: %v -> %v", before, after)
@@ -116,7 +119,7 @@ func TestPerceptronRetrainWorks(t *testing.T) {
 	hvs, labels, _ := makeDataset(5, 200, 0.42)
 	m := NewModel(testK, testD)
 	m.InitBundle(hvs, labels)
-	m.TrainPerceptron(hvs, labels, MASSConfig{Epochs: 10, LR: 1, Shuffle: true}, tensor.NewRNG(6))
+	m.TrainPerceptron(hvs, labels, RetrainConfig{Epochs: 10, LR: 1}, tensor.NewRNG(6))
 	if acc := m.Accuracy(hvs, labels); acc < 0.85 {
 		t.Fatalf("perceptron retraining accuracy %v", acc)
 	}
@@ -131,8 +134,10 @@ func TestDistillAlphaZeroEqualsMASS(t *testing.T) {
 	m1.InitBundle(hvs, labels)
 	m2 := m1.Clone()
 
-	m1.TrainMASS(hvs, labels, MASSConfig{Epochs: 3, LR: 0.4}, nil)
-	if _, err := m2.TrainDistill(hvs, labels, teacher, DistillConfig{Epochs: 3, LR: 0.4, Alpha: 0, Temp: 15}, nil); err != nil {
+	if _, err := m1.Retrain(hvs, labels, nil, RetrainConfig{Epochs: 3, LR: 0.4, Batch: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.Retrain(hvs, labels, teacher, RetrainConfig{Epochs: 3, LR: 0.4, Alpha: 0, Temp: 15, Batch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range m1.M.Data {
@@ -146,20 +151,20 @@ func TestDistillValidation(t *testing.T) {
 	hvs, labels, _ := makeDataset(9, 8, 0.3)
 	teacher := tensor.New(8, testK)
 	m := NewModel(testK, testD)
-	cases := []DistillConfig{
+	cases := []RetrainConfig{
 		{Epochs: 0, LR: 0.1, Alpha: 0.5, Temp: 10},
 		{Epochs: 1, LR: 0.1, Alpha: 0.5, Temp: 0},
 		{Epochs: 1, LR: 0.1, Alpha: -0.1, Temp: 10},
 		{Epochs: 1, LR: 0.1, Alpha: 1.1, Temp: 10},
 	}
 	for i, cfg := range cases {
-		if _, err := m.TrainDistill(hvs, labels, teacher, cfg, nil); err == nil {
+		if _, err := m.Retrain(hvs, labels, teacher, cfg, nil); err == nil {
 			t.Fatalf("case %d: expected validation error for %+v", i, cfg)
 		}
 	}
 	// Wrong teacher shape.
 	bad := tensor.New(8, testK+1)
-	if _, err := m.TrainDistill(hvs, labels, bad, DistillConfig{Epochs: 1, LR: 0.1, Alpha: 0.5, Temp: 10}, nil); err == nil {
+	if _, err := m.Retrain(hvs, labels, bad, RetrainConfig{Epochs: 1, LR: 0.1, Alpha: 0.5, Temp: 10}, nil); err == nil {
 		t.Fatal("expected teacher shape error")
 	}
 }
@@ -191,8 +196,10 @@ func TestDistillRecoversTeacherKnowledge(t *testing.T) {
 	mMass.InitBundle(hvs, noisy)
 	mKD := mMass.Clone()
 
-	mMass.TrainMASS(hvs, noisy, MASSConfig{Epochs: 8, LR: 0.4, Shuffle: true}, tensor.NewRNG(12))
-	if _, err := mKD.TrainDistill(hvs, noisy, teacher, DistillConfig{Epochs: 8, LR: 0.4, Alpha: 0.9, Temp: 1, Shuffle: true}, tensor.NewRNG(12)); err != nil {
+	if _, err := mMass.Retrain(hvs, noisy, nil, RetrainConfig{Epochs: 8, LR: 0.4, Batch: 1}, tensor.NewRNG(12)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mKD.Retrain(hvs, noisy, teacher, RetrainConfig{Epochs: 8, LR: 0.4, Alpha: 0.9, Temp: 1, Batch: 1}, tensor.NewRNG(12)); err != nil {
 		t.Fatal(err)
 	}
 	accMass := mMass.Accuracy(hvs, trueLabels)
@@ -210,7 +217,7 @@ func TestDistillUpdateBatchMatchesScalarPath(t *testing.T) {
 	m.InitBundle(hvs, labels)
 
 	alpha, temp := 0.6, 12.0
-	u := m.DistillUpdateBatch(hvs, labels, teacher, alpha, temp)
+	u := m.DistillUpdateBatch(m.SimilarityBatch(hvs), labels, teacher, alpha, temp)
 	// Recompute per-sample with the definition.
 	soft := make([]float32, testK)
 	for i := 0; i < 10; i++ {
@@ -278,38 +285,6 @@ func TestCloneIndependent(t *testing.T) {
 	c.M.Data[0] = 9
 	if m.M.Data[0] != 7 {
 		t.Fatal("Clone must deep-copy M")
-	}
-}
-
-func TestTrainOnlineSinglePass(t *testing.T) {
-	hvs, labels, _ := makeDataset(20, 200, 0.4)
-	m := NewModel(testK, testD)
-	st := m.TrainOnline(hvs, labels, 1.0, tensor.NewRNG(21))
-	if st.MeanUpdateNorm <= 0 {
-		t.Fatal("online pass must apply updates")
-	}
-	acc := m.Accuracy(hvs, labels)
-	if acc < 0.85 {
-		t.Fatalf("online single-pass accuracy %v", acc)
-	}
-	// A second adaptive pass must not degrade accuracy materially.
-	m.TrainOnline(hvs, labels, 1.0, tensor.NewRNG(22))
-	if acc2 := m.Accuracy(hvs, labels); acc2 < acc-0.05 {
-		t.Fatalf("second online pass regressed: %v -> %v", acc, acc2)
-	}
-}
-
-func TestTrainOnlineVsPlainBundle(t *testing.T) {
-	// On a noisy task, adaptive bundling should match or beat plain
-	// bundling in a single pass.
-	hvs, labels, _ := makeDataset(23, 240, 0.44)
-	plain := NewModel(testK, testD)
-	plain.InitBundle(hvs, labels)
-	online := NewModel(testK, testD)
-	online.TrainOnline(hvs, labels, 1.0, tensor.NewRNG(24))
-	pa, oa := plain.Accuracy(hvs, labels), online.Accuracy(hvs, labels)
-	if oa < pa-0.05 {
-		t.Fatalf("online (%v) fell behind plain bundling (%v)", oa, pa)
 	}
 }
 

@@ -31,13 +31,6 @@ func PackModel(m *Model) *PackedModel {
 	return pm
 }
 
-// SignQuantized returns a float-precision copy of m with every class
-// hypervector sign-quantized (±1, sign(0) = +1) — the reference model whose
-// predictions PackModel reproduces exactly.
-func (m *Model) SignQuantized() *Model {
-	return &Model{K: m.K, D: m.D, M: tensor.Sign(m.M)}
-}
-
 // predictWords returns the argmax class of one packed query (ties broken
 // toward the lowest class index, matching the float path). Hamming distances
 // run through the vectorized XOR-popcount kernel; the count is an exact

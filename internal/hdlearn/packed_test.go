@@ -6,6 +6,13 @@ import (
 	"nshd/internal/tensor"
 )
 
+// SignQuantized returns a float-precision copy of m with every class
+// hypervector sign-quantized (±1, sign(0) = +1) — the reference model whose
+// predictions PackModel reproduces exactly.
+func (m *Model) SignQuantized() *Model {
+	return &Model{K: m.K, D: m.D, M: tensor.Sign(m.M)}
+}
+
 // randModel returns a real-valued model and a batch of bipolar queries.
 func randPackedCase(seed int64, k, d, n int) (*Model, *tensor.Tensor) {
 	rng := tensor.NewRNG(seed)

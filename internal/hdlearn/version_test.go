@@ -41,14 +41,17 @@ func TestVersionBumpsOnEveryMutator(t *testing.T) {
 		run  func()
 	}{
 		{"InitBundle", func() { m.InitBundle(hvs, labels) }},
-		{"TrainMASS", func() { m.TrainMASS(hvs, labels, MASSConfig{Epochs: 1, LR: 0.1}, rng) }},
-		{"TrainPerceptron", func() { m.TrainPerceptron(hvs, labels, MASSConfig{Epochs: 1, LR: 0.1}, rng) }},
-		{"TrainOnline", func() { m.TrainOnline(hvs, labels, 0.1, rng) }},
-		{"TrainDistill", func() {
-			if _, err := m.TrainDistill(hvs, labels, logits, DistillConfig{Epochs: 1, LR: 0.1, Alpha: 0.5, Temp: 2}, rng); err != nil {
+		{"Retrain", func() {
+			if _, err := m.Retrain(hvs, labels, nil, RetrainConfig{Epochs: 1, LR: 0.1}, rng); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"Retrain/teacher", func() {
+			if _, err := m.Retrain(hvs, labels, logits, RetrainConfig{Epochs: 1, LR: 0.1, Alpha: 0.5, Temp: 2}, rng); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"TrainPerceptron", func() { m.TrainPerceptron(hvs, labels, RetrainConfig{Epochs: 1, LR: 0.1}, rng) }},
 		{"ApplyUpdate", func() { m.ApplyUpdate(u, hvs, 0.05) }},
 	}
 	for _, s := range steps {

@@ -97,7 +97,9 @@ func TestQuantizedHDTracksFloatPredictions(t *testing.T) {
 	}
 	m := hdlearn.NewModel(k, d)
 	m.InitBundle(hvs, labels)
-	m.TrainMASS(hvs, labels, hdlearn.MASSConfig{Epochs: 3, LR: 0.3}, nil)
+	if _, err := m.Retrain(hvs, labels, nil, hdlearn.RetrainConfig{Epochs: 3, LR: 0.3, Batch: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	q := QuantizeHD(m)
 	gotQ, err := q.PredictBatch(hvs)

@@ -3,13 +3,16 @@ package tensor
 // useGemmAsm gates the AVX2+FMA assembly micro-kernels in gemm_amd64.s and
 // useGemm512 their 512-bit twins in gemm512_amd64.s, which gemmStripPart
 // prefers where it has eight rows and two strips (or one row and four strips)
-// to hand them.
-// Detected once at startup from CPUID and XCR0, so both are safe under
+// to hand them. usePopcntAsm gates the AVX2 VPSHUFB-LUT popcount kernel
+// (popcnt_amd64.s), which is integer-only and so needs no FMA.
+// Detected once at startup from CPUID and XCR0, so all three are safe under
 // virtualization and on older hardware, where the pure-Go kernel runs instead;
-// only tests write them (runWithAsm, runWithGemm512).
-var useGemmAsm, useGemm512 = detectKernels()
+// only tests write the first two (runWithAsm, runWithGemm512).
+var useGemmAsm, useGemm512, usePopcntAsm = detectKernels()
 
-func detectKernels() (avx2, avx512 bool) {
+// detectKernels reads CPUID leaves 1 and 7 and XCR0 once and decides every
+// kernel gate from them.
+func detectKernels() (gemm, gemm512, popcnt bool) {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	var ecx1, ebx7, xcr0 uint32
 	if maxLeaf >= 1 {
@@ -21,8 +24,8 @@ func detectKernels() (avx2, avx512 bool) {
 	if ecx1&cpuidOSXSAVE != 0 { // XGETBV faults without it
 		xcr0, _ = xgetbv0()
 	}
-	avx2 = hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0)
-	return avx2, avx2 && has512(maxLeaf, ebx7, xcr0)
+	gemm = hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0)
+	return gemm, gemm && has512(maxLeaf, ebx7, xcr0), hasAVX2(maxLeaf, ecx1, ebx7, xcr0)
 }
 
 const (
@@ -36,12 +39,18 @@ const (
 	xcr0ZMM = 0xe0 // opmask, ZMM_Hi256, Hi16_ZMM
 )
 
-// hasAVX2FMA reports whether the 256-bit kernels may run: the CPU lists FMA,
-// AVX and AVX2 (leaf 1 ECX, leaf 7 EBX) and the OS saves YMM state (OSXSAVE,
-// XCR0 bits 1–2). xcr0 is zero where XGETBV could not be executed.
-func hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
-	const need1 = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+// hasAVX2 reports whether 256-bit integer kernels may run: the CPU lists AVX
+// and AVX2 (leaf 1 ECX, leaf 7 EBX) and the OS saves YMM state (OSXSAVE, XCR0
+// bits 1–2). xcr0 is zero where XGETBV could not be executed.
+func hasAVX2(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
+	const need1 = cpuidOSXSAVE | cpuidAVX
 	return maxLeaf >= 7 && ecx1&need1 == need1 && ebx7&cpuidAVX2 != 0 && xcr0&xcr0YMM == xcr0YMM
+}
+
+// hasAVX2FMA reports whether the 256-bit float kernels may run: hasAVX2 and
+// FMA (leaf 1 ECX).
+func hasAVX2FMA(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
+	return ecx1&cpuidFMA != 0 && hasAVX2(maxLeaf, ecx1, ebx7, xcr0)
 }
 
 // has512 reports whether the 512-bit kernels may run on top of the 256-bit

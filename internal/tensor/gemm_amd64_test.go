@@ -167,10 +167,11 @@ func BenchmarkStripKernels(b *testing.B) {
 	}
 }
 
-// TestKernelDetection pins the two dispatch decisions as functions of the
+// TestKernelDetection pins the three dispatch decisions as functions of the
 // CPUID and XCR0 words alone, including the machines this box is not: a CPU
 // with AVX-512 under an OS that saves only YMM state, one without leaf 7, an
-// AVX2-only one, and one whose OS has not set OSXSAVE (XCR0 unread, zero).
+// AVX2-only one, one with AVX2 but no FMA (popcount on, GEMM off), and one
+// whose OS has not set OSXSAVE (XCR0 unread, zero).
 func TestKernelDetection(t *testing.T) {
 	const (
 		ecx1All = cpuidFMA | cpuidOSXSAVE | cpuidAVX
@@ -180,19 +181,21 @@ func TestKernelDetection(t *testing.T) {
 	for _, c := range []struct {
 		name                      string
 		maxLeaf, ecx1, ebx7, xcr0 uint32
-		avx2, avx512              bool
+		avx2, avx512, popcnt      bool
 	}{
-		{"avx-512 with OS state", 0x20, ecx1All, ebx7All, xcr0All, true, true},
-		{"avx-512, OS saves YMM only", 0x20, ecx1All, ebx7All, xcr0YMM | 1, true, false},
-		{"avx-512, OS lacks Hi16_ZMM", 0x20, ecx1All, ebx7All, xcr0All &^ 0x80, true, false},
-		{"avx-512, OS lacks opmask", 0x20, ecx1All, ebx7All, xcr0All &^ 0x20, true, false},
-		{"avx2 only", 0x16, ecx1All, cpuidAVX2, xcr0YMM | 1, true, false},
-		{"avx2 only, ZMM bits set anyway", 0x16, ecx1All, cpuidAVX2, xcr0All, true, false},
-		{"no leaf 7", 6, ecx1All, ebx7All, xcr0All, false, false},
-		{"no OSXSAVE", 0x20, ecx1All &^ cpuidOSXSAVE, ebx7All, 0, false, false},
-		{"no FMA", 0x20, ecx1All &^ cpuidFMA, ebx7All, xcr0All, false, false},
-		{"OS saves no YMM state", 0x20, ecx1All, ebx7All, 0x3, false, false},
-		{"avx-512 without avx2", 0x20, ecx1All, cpuidAVX512F, xcr0All, false, false},
+		{"avx-512 with OS state", 0x20, ecx1All, ebx7All, xcr0All, true, true, true},
+		{"avx-512, OS saves YMM only", 0x20, ecx1All, ebx7All, xcr0YMM | 1, true, false, true},
+		{"avx-512, OS lacks Hi16_ZMM", 0x20, ecx1All, ebx7All, xcr0All &^ 0x80, true, false, true},
+		{"avx-512, OS lacks opmask", 0x20, ecx1All, ebx7All, xcr0All &^ 0x20, true, false, true},
+		{"avx2 only", 0x16, ecx1All, cpuidAVX2, xcr0YMM | 1, true, false, true},
+		{"avx2 only, ZMM bits set anyway", 0x16, ecx1All, cpuidAVX2, xcr0All, true, false, true},
+		{"no leaf 7", 6, ecx1All, ebx7All, xcr0All, false, false, false},
+		{"no OSXSAVE", 0x20, ecx1All &^ cpuidOSXSAVE, ebx7All, 0, false, false, false},
+		{"no FMA", 0x20, ecx1All &^ cpuidFMA, ebx7All, xcr0All, false, false, true},
+		{"AVX2 without FMA", 0x16, ecx1All &^ cpuidFMA, cpuidAVX2, xcr0YMM | 1, false, false, true},
+		{"no AVX", 0x20, ecx1All &^ cpuidAVX, ebx7All, xcr0All, false, false, false},
+		{"OS saves no YMM state", 0x20, ecx1All, ebx7All, 0x3, false, false, false},
+		{"avx-512 without avx2", 0x20, ecx1All, cpuidAVX512F, xcr0All, false, false, false},
 	} {
 		avx2 := hasAVX2FMA(c.maxLeaf, c.ecx1, c.ebx7, c.xcr0)
 		if avx2 != c.avx2 {
@@ -202,6 +205,9 @@ func TestKernelDetection(t *testing.T) {
 		// live only where both checks pass, as detectKernels combines them.
 		if got := avx2 && has512(c.maxLeaf, c.ebx7, c.xcr0); got != c.avx512 {
 			t.Errorf("%s: 512-bit kernels live = %v, want %v", c.name, got, c.avx512)
+		}
+		if got := hasAVX2(c.maxLeaf, c.ecx1, c.ebx7, c.xcr0); got != c.popcnt {
+			t.Errorf("%s: hasAVX2 (popcount kernel) = %v, want %v", c.name, got, c.popcnt)
 		}
 	}
 	// KernelISA names whatever is live.
