@@ -63,15 +63,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The kernel and engine gates once more under GOAMD64=v3, a level at which the
-# Go spec lets the compiler fuse `x*y + s` into one FMA. The Go twins and
-# tails that must round each product first (dotAsm's K mod 8 tail, the dot
-# tile's, the elementwise twins) are pinned by float32 conversions. Go 1.24
-# lowers only math.FMA to VFMADD on amd64, so today this compiles the same
-# float code as the default run; it is here for a toolchain that fuses, as
-# the arm64 backend already does.
+# The kernel, engine and layer gates once more under GOAMD64=v3, a level at
+# which the Go spec lets the compiler fuse `x*y + s` into one FMA. The Go
+# twins and tails that must round each product first (dotAsm's K mod 8 tail,
+# the dot tile's, the elementwise twins, and gemmGoPart's AXPY — the ragged
+# kernel's twin, which the conv layers' in-place products reach for their
+# ragged rows and columns and, on the portable build, for everything) are
+# pinned by float32 conversions. Go 1.24 lowers only math.FMA to VFMADD on
+# amd64, so today this compiles the same float code as the default run; it is
+# here for a toolchain that fuses, as the arm64 backend already does.
 v3:
-	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/ ./internal/nn/
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
@@ -95,7 +97,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 60s ./internal/core/
 
 # Kernel microbenchmarks (the strip micro-kernels alone, the ragged-column
-# kernel against its Go twin at 4, 8 and 11 columns, and tensor GEMMs, panel
+# kernel against its Go twin at 4, 8 and 11 columns, the conv training
+# products read in place against the column products they replaced, and
+# tensor GEMMs, panel
 # products — prepacked strips against sign words at batch 1, 8 and 64, and at
 # batch 1 with L2 evicted between calls — and conv layers at both kernel
 # widths, the dot-kernel products at the

@@ -62,16 +62,7 @@ func (r *ReLU) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	y := r.cachedY
 	dx := alloc(a, y.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
-		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
-		for i, g := range gs {
-			// A select on the gradient's bits, as in tensor/elem.go: the sign
-			// of an activation is a coin flip to the branch predictor.
-			b := math.Float32bits(g)
-			if !(ys[i] > 0) {
-				b = 0
-			}
-			dx.Data[lo+i] = math.Float32frombits(b)
-		}
+		tensor.ReLUBackInto(dx.Data[lo:hi], grad.Data[lo:hi], y.Data[lo:hi])
 	})
 	return dx
 }

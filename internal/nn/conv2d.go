@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -13,9 +14,9 @@ import (
 var parallelFor = tensor.ParallelFor
 
 // Conv2D is a standard 2-D convolution over [N, C, H, W] inputs with weights
-// [OutC, InC, KH, KW]. Forward and Backward both walk the batch in fixed
-// chunks of samples on the blocked GEMM driver; only the input is cached, and
-// Backward recomputes the column matrix per chunk to trade compute for memory.
+// [OutC, InC, KH, KW]. Forward and Backward walk the batch in fixed groups of
+// samples on the blocked GEMM driver; only the input is cached, and Backward
+// reads it in place again through a padded window instead of a column matrix.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int
@@ -54,22 +55,24 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 	}
 }
 
-// Forward computes the convolution chunk by chunk of samples, one chunk per
-// pool task. What a chunk does is a function of the layer geometry alone:
+// Forward computes the convolution. Its bits are those of one column product
+// W·cols per chunk of samples — cols the chunk's im2col, stacked side by
+// side — and the chunk is a function of the layer geometry alone: one sample,
+// unless train is set and HW is not a whole number of 16-column strips. Then
+// every column of a per-sample product past the last whole strip (at HW = 4,
+// all of them) would run the ragged-column kernel, and stacking
+// convStackChunk(HW) samples puts all but the chunk's last < 16 columns on
+// the strip kernels (DESIGN.md, Training engine). How a chunk's product is
+// computed depends on the geometry too:
 //
 //   - in offset form (tensor.ConvOffsetForm: stride 1, OutW a multiple of 16)
 //     each sample is one implicit GEMM that reads the image in place, as in
-//     ForwardInfer — no column matrix, bit-identical to im2col + GEMM;
-//   - otherwise the chunk's b samples are stacked side by side into one
-//     column matrix [kdim, b·HW], multiplied once, and un-stacked into y by
-//     row copies. b is 1 — the per-sample product, written straight into y —
-//     unless train is set and HW is not a whole number of 16-column strips:
-//     then every column of a per-sample product past the last whole strip
-//     (at HW = 4, all of them) runs the ragged-column kernel, and stacking
-//     convStackChunk(HW) samples puts all but the chunk's last < 16 columns
-//     on the strip kernels. A whole number of strips is not stacked: the
-//     per-sample panel stays L1-resident and the stacked one does not
-//     (DESIGN.md, Training engine).
+//     ForwardInfer;
+//   - in rows form (tensor.ConvRowsForm: the other geometries, OutC a multiple
+//     of 16) the output positions of a group of chunks are the rows of one
+//     product Yᵀ = patches·Wᵀ, the patches read in place from the group's
+//     padded window and W packed once per call — the column product's bits;
+//   - otherwise the chunk's im2col is materialized and multiplied.
 //
 // Eval mode therefore computes exactly ForwardInfer's bits; train mode moves
 // them only in stacked layers, as Backward's stacking does for gradients.
@@ -103,6 +106,25 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tenso
 	if train && !offset && tensor.PanelStripCols(hw) != hw {
 		chunk = convStackChunk(hw)
 	}
+	var bias []float32
+	if c.useBias {
+		bias = c.Bias.W.Data
+	}
+	if tensor.ConvRowsForm(g, c.OutC) {
+		m := mark(a)
+		packed := scratch(a, kdim*c.OutC)
+		tensor.PackConvWeights(packed, wmat)
+		group := convRowsGroup(n, hw, chunk)
+		forTasks(a, (n+group-1)/group, tensor.ConvRowsScratch(g, c.OutC, group), func(ws []float32, glo, ghi int) {
+			for gi := glo; gi < ghi; gi++ {
+				lo := gi * group
+				b := min(group, n-lo)
+				tensor.ConvRowsSerialInto(y.Data[lo*sampleOut:][:b*sampleOut], wmat, packed, bias, g, x.Data[lo*sampleIn:][:b*sampleIn], b, chunk, ws)
+			}
+		})
+		release(a, m, packed)
+		return y
+	}
 	// One workspace per task: the GEMM scratch (in offset form the padded
 	// window), then cols and the stacked output.
 	gemmLen, bufLen := tensor.ConvGemmScratch(g), 0
@@ -135,18 +157,28 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tenso
 					}
 				}
 			}
-			if c.useBias {
+			if bias != nil {
 				for p := 0; p < b*c.OutC; p++ {
-					bias := c.Bias.W.Data[p%c.OutC]
+					bv := bias[p%c.OutC]
 					plane := ys[p*hw:][:hw]
 					for j := range plane {
-						plane[j] += bias
+						plane[j] += bv
 					}
 				}
 			}
 		}
 	})
 	return y
+}
+
+// convRowsGroup is how many samples one rows-form product covers: a whole
+// number of chunks, enough for about 256 output positions — rows enough to
+// stream the packed weights' K blocks past — but no more than an even share
+// of the batch per worker. Rows are independent chains, so the group moves
+// no bit; only the chunk does.
+func convRowsGroup(n, hw, chunk int) int {
+	roundUp := func(v int) int { return (v + chunk - 1) / chunk * chunk }
+	return max(chunk, min(roundUp((256+hw-1)/hw), roundUp((n+parallel.Workers()-1)/parallel.Workers())))
 }
 
 // convBackChunk is the fixed number of samples per gradient-accumulator
@@ -175,21 +207,20 @@ func convStackChunk(hw int) int {
 // each, merged in chunk order. Within a chunk:
 //
 //   - where HW is a whole number of the GEMM driver's K blocks (the 16×16 and
-//     32×32 maps) the chunk is walked one sample at a time: the weight
-//     gradient dWᵀ += cols·Gᵀ reads G in place from grad, each sample's column
-//     matrix and dcols stay L2-resident, and the sample-by-sample sum is the
-//     stacked product's K-block sequence (tensor.GemmKBlock), so the bits are
-//     those of the stacked walk below;
-//   - otherwise the chunk's B samples are stacked into the GEMM operands — its
-//     output gradients as G [OutC, B·HW], its im2col as cols [kdim, B·HW] —
-//     so that the per-sample output size HW, which shrinks to 4 or 1 in the
-//     deep layers, is never a matrix dimension on its own: dWᵀ += cols·Gᵀ
-//     reduces over B·HW (taken transposed so that the small operand G is the
-//     packed one) and dcols = Wᵀ·G has B·HW columns.
+//     32×32 maps) the chunk is walked one sample at a time, with G read in
+//     place from grad: the sample-by-sample sum is the stacked product's
+//     K-block sequence (tensor.GemmKBlock), so the bits are those of the
+//     stacked walk below;
+//   - otherwise the chunk's B output gradients are stacked side by side into
+//     G [OutC, B·HW], so that the per-sample output size HW, which shrinks to
+//     4 or 1 in the deep layers, is never a matrix dimension on its own.
 //
-// Both run on the blocked GEMM driver; db is one running float32 sum per
-// channel in sample order, and dx is col2im of dcols, sample by sample, into
-// a sample range the chunk's task clears first.
+// Either way dWᵀ += cols·Gᵀ reads cols in place from the samples' padded
+// window (tensor.ConvWeightGradSerialInto) and dcols = Wᵀ·G reads Wᵀ in place
+// from the weights (tensor.MatMulATSerialInto): the bits of the column
+// products, with no column matrix and no transpose. db is one float32 chain
+// per channel in sample-then-position order, and dx is col2im of dcols,
+// sample by sample, into a sample range the chunk's task clears first.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.backwardIn(nil, grad)
 }
@@ -198,22 +229,33 @@ func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward(train=true)")
 	}
+	dx := alloc(a, c.cachedX.Shape...)
+	c.backward(a, grad, dx)
+	return dx
+}
+
+// backwardParamsIn is Backward without the input gradient: dW and db, to the
+// same bits, and no dcols or col2im — all a caller needs from a model's first
+// layer, whose input does not learn (Fit).
+func (c *Conv2D) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
+	if c.cachedX == nil {
+		panic("nn: Conv2D.Backward without Forward(train=true)")
+	}
+	c.backward(a, grad, nil)
+}
+
+// backward is Backward, writing dx where it is not nil.
+func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 	x := c.cachedX
 	n := x.Shape[0]
-	h, w := x.Shape[2], x.Shape[3]
-	g := c.geom(h, w)
-	hw := g.OutH() * g.OutW()
-	sampleIn := c.InC * h * w
-	kdim := c.InC * c.KH * c.KW
-
-	dx := alloc(a, n, c.InC, h, w)
 	if n == 0 {
-		return dx
+		return
 	}
-	m := mark(a)
-	wtBuf := scratch(a, kdim*c.OutC)
-	wmatT := tensor.FromSlice(wtBuf, kdim, c.OutC)
-	tensor.TransposeInto(wmatT, c.Weight.W.Reshape(c.OutC, kdim))
+	g := c.geom(x.Shape[2], x.Shape[3])
+	hw := g.OutH() * g.OutW()
+	sampleIn := c.InC * g.InH * g.InW
+	kdim := c.InC * c.KH * c.KW
+	wmat := c.Weight.W.Reshape(c.OutC, kdim)
 
 	chunk := convStackChunk(hw)
 	perSample := hw%tensor.GemmKBlock() == 0
@@ -222,20 +264,26 @@ func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 	// [OutC] — merged in chunk order after the parallel loop.
 	dwLen := kdim * c.OutC
 	accLen := dwLen + c.OutC
+	m := mark(a)
 	accBuf := scratch(a, numChunks*accLen)
-	// One workspace per task: the GEMM scratch, then G, cols and dcols of a
-	// stacked chunk, or cols and dcols of one sample, whose G is a view of
-	// grad rebound per sample.
-	gemmLen, bufLen := tensor.GemmScratch(), (c.OutC+2*kdim)*chunk*hw
+	// One workspace per task: the products' scratch, then the stacked G and
+	// dcols of one product (B samples, or one).
+	b := chunk
 	if perSample {
-		bufLen = 2 * kdim * hw
+		b = 1
 	}
-	forTasks(a, numChunks, gemmLen+bufLen, func(ws []float32, clo, chi int) {
-		gemmBuf, buf := ws[:gemmLen], ws[gemmLen:]
-		var cols, dcols, gmat *tensor.Tensor
+	prodLen, bufLen := tensor.ConvGradScratch(g, b), 0
+	if !perSample {
+		bufLen = c.OutC * b * hw
+	}
+	if dx != nil {
+		prodLen = max(prodLen, tensor.MatMulATScratch(kdim, c.OutC))
+		bufLen += kdim * b * hw
+	}
+	forTasks(a, numChunks, prodLen+bufLen, func(ws []float32, clo, chi int) {
+		prodBuf, buf := ws[:prodLen], ws[prodLen:]
+		var gmat *tensor.Tensor
 		if perSample {
-			cols = tensor.FromSlice(buf[:kdim*hw], kdim, hw)
-			dcols = tensor.FromSlice(buf[kdim*hw:][:kdim*hw], kdim, hw)
 			gmat = tensor.FromSlice(grad.Data[:c.OutC*hw], c.OutC, hw)
 		}
 		for ci := clo; ci < chi; ci++ {
@@ -244,82 +292,111 @@ func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 			dwT, db := tensor.FromSlice(acc[:dwLen], kdim, c.OutC), acc[dwLen:]
 			lo := ci * chunk
 			b := min(chunk, n-lo)
-			clear(dx.Data[lo*sampleIn:][:b*sampleIn])
-			if !perSample {
-				c.backwardStacked(g, x, grad, dx, dwT, db, wmatT, lo, b, buf, gemmBuf)
+			if dx != nil {
+				clear(dx.Data[lo*sampleIn:][:b*sampleIn])
+			}
+			if perSample {
+				for s := lo; s < lo+b; s++ {
+					gmat.Data = grad.Data[s*c.OutC*hw:][:c.OutC*hw]
+					c.backwardProducts(g, x, gmat, dx, dwT, db, wmat, s, 1, prodBuf, buf)
+				}
 				continue
 			}
-			for s := lo; s < lo+b; s++ {
-				gmat.Data = grad.Data[s*c.OutC*hw:][:c.OutC*hw]
-				tensor.Im2ColWindow(g, x.Data[s*sampleIn:][:sampleIn], cols.Data, hw, 0)
-				tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
-				if c.useBias {
-					for oc := range db {
-						sum := db[oc]
-						for _, v := range gmat.Row(oc) {
-							sum += v
-						}
-						db[oc] = sum
-					}
+			ld := b * hw // the stacked dimension
+			gs := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
+			for s := 0; s < b; s++ {
+				src := grad.Data[(lo+s)*c.OutC*hw:]
+				for oc := 0; oc < c.OutC; oc++ {
+					copy(gs.Data[oc*ld+s*hw:][:hw], src[oc*hw:])
 				}
-				tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
-				tensor.Col2ImWindow(g, dcols.Data, hw, 0, dx.Data[s*sampleIn:][:sampleIn])
 			}
+			c.backwardProducts(g, x, gs, dx, dwT, db, wmat, lo, b, prodBuf, buf[c.OutC*ld:])
 		}
 	})
 	// Merge into chunk 0's accumulator, each element in chunk order, so the
-	// sums do not depend on how the element ranges are split over the pool.
-	// wtBuf is free again and holds the one transpose back to the [OutC, kdim]
-	// layout of the weights.
+	// sums do not depend on how the element ranges are split over the pool;
+	// then add the merged dWᵀ to the weights' gradient at its transposed
+	// place, 16 taps at a time so that both sides stay in cache.
 	tensor.ParallelForGrain(dwLen, elemGrain, func(lo, hi int) {
 		for ci := 1; ci < numChunks; ci++ {
 			tensor.Accumulate(accBuf[lo:hi], accBuf[ci*accLen+lo:][:hi-lo])
 		}
 	})
-	dw := tensor.FromSlice(wtBuf, c.OutC, kdim)
-	tensor.TransposeInto(dw, tensor.FromSlice(accBuf[:dwLen], kdim, c.OutC))
-	tensor.Accumulate(c.Weight.Grad.Data, dw.Data)
+	wg := c.Weight.Grad.Data
+	const taps = 16
+	tensor.ParallelForGrain((kdim+taps-1)/taps, max(1, elemGrain/(taps*c.OutC)), func(lo, hi int) {
+		for pb := lo * taps; pb < min(hi*taps, kdim); pb += taps {
+			block := accBuf[pb*c.OutC : min(pb+taps, kdim)*c.OutC]
+			for oc := 0; oc < c.OutC; oc++ {
+				dst := wg[oc*kdim+pb:][:len(block)/c.OutC]
+				for i := range dst {
+					dst[i] += block[i*c.OutC+oc]
+				}
+			}
+		}
+	})
 	if c.useBias {
 		for ci := 0; ci < numChunks; ci++ {
 			tensor.Accumulate(c.Bias.Grad.Data, accBuf[ci*accLen+dwLen:][:c.OutC])
 		}
 	}
-	release(a, m, wtBuf, accBuf)
-	return dx
+	release(a, m, accBuf)
 }
 
-// backwardStacked is one chunk of Backward — samples [lo, lo+b) — with the
-// chunk stacked into the GEMM operands, accumulating into dwT and db; buf
-// holds G, cols and dcols at (OutC + 2·kdim)·b·HW floats.
-func (c *Conv2D) backwardStacked(g tensor.ConvGeom, x, grad, dx, dwT *tensor.Tensor, db []float32, wmatT *tensor.Tensor, lo, b int, buf, gemmBuf []float32) {
+// backwardProducts is one product pair of Backward — samples [lo, lo+b)
+// against gmat, their output gradients [OutC, b·HW] side by side —
+// accumulating into dwT and db and, where dx is set, writing those samples'
+// dx through dcols (kdim·b·HW floats of dcolsBuf). prodBuf is the products'
+// scratch.
+func (c *Conv2D) backwardProducts(g tensor.ConvGeom, x, gmat, dx, dwT *tensor.Tensor, db []float32, wmat *tensor.Tensor, lo, b int, prodBuf, dcolsBuf []float32) {
 	hw := g.OutH() * g.OutW()
-	kdim := c.InC * c.KH * c.KW
 	sampleIn := c.InC * g.InH * g.InW
-	ld := b * hw // the stacked dimension
-	gmat := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
-	cols := tensor.FromSlice(buf[c.OutC*ld:][:kdim*ld], kdim, ld)
-	dcols := tensor.FromSlice(buf[(c.OutC+kdim)*ld:][:kdim*ld], kdim, ld)
-	for s := 0; s < b; s++ {
-		gs := grad.Data[(lo+s)*c.OutC*hw:][:c.OutC*hw]
-		for oc := 0; oc < c.OutC; oc++ {
-			copy(gmat.Data[oc*ld+s*hw:][:hw], gs[oc*hw:])
-		}
-		tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
-	}
-	tensor.MatMulAccTSerialInto(dwT, cols, gmat, gemmBuf)
+	ld := b * hw
+	tensor.ConvWeightGradSerialInto(dwT, g, x.Data[lo*sampleIn:][:b*sampleIn], b, gmat, prodBuf)
 	if c.useBias {
-		for oc := range db {
-			var sum float32
-			for _, v := range gmat.Row(oc) {
-				sum += v
-			}
-			db[oc] = sum
-		}
+		addRowSums(db, gmat.Data, ld)
 	}
-	// dcols = Wᵀ·G ; dx = col2im(dcols), one column window per sample.
-	tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
+	if dx == nil {
+		return
+	}
+	kdim := c.InC * c.KH * c.KW
+	dcols := tensor.FromSlice(dcolsBuf[:kdim*ld], kdim, ld)
+	tensor.MatMulATSerialInto(dcols, wmat, gmat, prodBuf)
 	for s := 0; s < b; s++ {
 		tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
+	}
+}
+
+// addRowSums adds the sum of row r of the [len(db), n] matrix m to db[r]:
+// one float32 chain per row, in column order, from db[r] on. Eight rows go
+// per pass, so eight chains overlap instead of each waiting on its own adds;
+// each row's chain is the one a row-at-a-time loop would run.
+func addRowSums(db, m []float32, n int) {
+	r := 0
+	for ; r+8 <= len(db); r += 8 {
+		m0, m1, m2, m3 := m[r*n:][:n], m[(r+1)*n:][:n], m[(r+2)*n:][:n], m[(r+3)*n:][:n]
+		m4, m5, m6, m7 := m[(r+4)*n:][:n], m[(r+5)*n:][:n], m[(r+6)*n:][:n], m[(r+7)*n:][:n]
+		s0, s1, s2, s3 := db[r], db[r+1], db[r+2], db[r+3]
+		s4, s5, s6, s7 := db[r+4], db[r+5], db[r+6], db[r+7]
+		for j := 0; j < n; j++ {
+			s0 += m0[j]
+			s1 += m1[j]
+			s2 += m2[j]
+			s3 += m3[j]
+			s4 += m4[j]
+			s5 += m5[j]
+			s6 += m6[j]
+			s7 += m7[j]
+		}
+		db[r], db[r+1], db[r+2], db[r+3] = s0, s1, s2, s3
+		db[r+4], db[r+5], db[r+6], db[r+7] = s4, s5, s6, s7
+	}
+	for ; r < len(db); r++ {
+		s := db[r]
+		for _, v := range m[r*n:][:n] {
+			s += v
+		}
+		db[r] = s
 	}
 }
 

@@ -25,13 +25,14 @@ func convBackwardGrads(c *Conv2D, grad *tensor.Tensor, backward func(*tensor.Ten
 // TestConv2DBackwardShapeLattice checks Backward on every output size class of
 // the chunk-size rule (HW from 1 to 1024), both strides and paddings, 1×1 and
 // 3×3 kernels, kdim = 27 (one full panel strip plus a ragged one), output
-// channels off the micro-kernel's multiples, with and without bias, and batch
-// sizes around the chunk boundary (and the empty batch). For each it requires
-// (a) dW, db, dx equal to the seed's scalar BackwardReference to float
-// tolerance, (b) bit-identical results from the worker pool and from a serial
-// runner over the same chunk list, and (c) where HW is a whole number of K
-// blocks (256, 1024) and Backward walks a chunk sample by sample,
-// bit-identical results to the stacked walk (backwardAllStacked).
+// channels off the micro-kernel's multiples and one, one and a half and two
+// strips wide (16, 24, 32), with and without bias, and batch sizes around the
+// chunk boundary (and the empty batch). For each it requires (a) dW, db, dx
+// equal to the seed's scalar BackwardReference to float tolerance, (b)
+// bit-identical results from the worker pool and from a serial runner over
+// the same chunk list, (c) bit-identical results to the column products the
+// in-place ones replaced (backwardColumns), and (d) the params-only pass
+// Fit runs on a first layer giving the same dW and db bits.
 func TestConv2DBackwardShapeLattice(t *testing.T) {
 	cases := []struct {
 		inC, outC, k, stride, pad, size int
@@ -51,6 +52,14 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 		{2, 5, 1, 1, 0, 16, false, 256},
 		{3, 5, 3, 2, 1, 32, true, 256},
 		{3, 5, 3, 1, 1, 32, true, 1024},
+		{8, 16, 3, 1, 1, 1, true, 1},
+		{16, 16, 3, 1, 1, 2, true, 4},
+		{5, 24, 3, 1, 1, 4, false, 16},
+		{8, 32, 3, 2, 1, 8, true, 16},
+		{16, 32, 3, 1, 1, 8, true, 64},
+		{3, 24, 3, 2, 1, 10, true, 25},
+		{4, 16, 3, 1, 1, 16, false, 256},
+		{3, 16, 3, 1, 1, 32, true, 1024},
 	}
 	serial := func(n int, kernel func(lo, hi int)) { kernel(0, n) }
 	for ci, tc := range cases {
@@ -75,18 +84,20 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 			dwS, dbS, dxS := convBackwardGrads(conv, grad, conv.Backward)
 			parallelFor = orig
 			dwR, dbR, dxR := convBackwardGrads(conv, grad, conv.BackwardReference)
-			if tc.hw%tensor.GemmKBlock() == 0 {
-				dwT, dbT, dxT := convBackwardGrads(conv, grad, conv.backwardAllStacked)
-				for _, cmp := range []struct {
-					what      string
-					got, want *tensor.Tensor
-				}{{"dW", dw, dwT}, {"db", db, dbT}, {"dx", dx, dxT}} {
-					if cmp.got == nil {
-						continue
-					}
-					if i := firstBitsDiffer(cmp.got.Data, cmp.want.Data); i >= 0 {
-						t.Fatalf("%s: %s[%d] per sample %v != stacked %v", name, cmp.what, i, cmp.got.Data[i], cmp.want.Data[i])
-					}
+			dwC, dbC, dxC := convBackwardGrads(conv, grad, conv.backwardColumns)
+			dwP, dbP, _ := convBackwardGrads(conv, grad, func(g *tensor.Tensor) *tensor.Tensor {
+				conv.backwardParamsIn(nil, g)
+				return nil
+			})
+			for _, cmp := range []struct {
+				what      string
+				got, want *tensor.Tensor
+			}{{"dW", dw, dwC}, {"db", db, dbC}, {"dx", dx, dxC}, {"params-only dW", dwP, dw}, {"params-only db", dbP, db}} {
+				if cmp.got == nil {
+					continue
+				}
+				if i := firstBitsDiffer(cmp.got.Data, cmp.want.Data); i >= 0 {
+					t.Fatalf("%s: %s[%d] = %v, want %v", name, cmp.what, i, cmp.got.Data[i], cmp.want.Data[i])
 				}
 			}
 
@@ -154,32 +165,57 @@ func firstBitsDiffer(x, y []float32) int {
 	return -1
 }
 
-// backwardAllStacked is Backward with every chunk stacked (backwardStacked),
-// also where HW is a whole number of K blocks and Backward walks the chunk
-// sample by sample: the reference the per-sample walk must equal bit for bit.
-// Chunking and merge order are Backward's.
-func (c *Conv2D) backwardAllStacked(grad *tensor.Tensor) *tensor.Tensor {
+// backwardColumns is Backward as the column products it replaced, the
+// reference its in-place products must equal bit for bit: every chunk
+// stacked, its im2col materialized (Im2ColWindow), dWᵀ += cols·Gᵀ on
+// MatMulAccTSerialInto, dcols = Wᵀ·G on MatMulSerialInto against the
+// transposed weights, db one chain per channel, and the chunk accumulators
+// merged in chunk order. Where Backward walks a chunk sample by sample (HW a
+// whole number of K blocks) the stacked sum is the same K-block sequence, so
+// the bits agree there too.
+func (c *Conv2D) backwardColumns(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.cachedX
 	n := x.Shape[0]
 	g := c.geom(x.Shape[2], x.Shape[3])
-	hw := g.OutH() * g.OutW()
-	kdim := c.InC * c.KH * c.KW
-	dx := tensor.New(n, c.InC, x.Shape[2], x.Shape[3])
+	hw, kdim, sampleIn := g.OutH()*g.OutW(), c.InC*c.KH*c.KW, c.InC*g.InH*g.InW
+	dx := tensor.New(x.Shape...)
 	wmatT := tensor.Transpose(c.Weight.W.Reshape(c.OutC, kdim))
 	chunk := convStackChunk(hw)
-	dwT := tensor.New(kdim, c.OutC)
-	db := make([]float32, c.OutC)
+	var dwT *tensor.Tensor
 	gemmBuf := make([]float32, tensor.GemmScratch())
 	for lo := 0; lo < n; lo += chunk {
 		b := min(chunk, n-lo)
-		accT, accB := tensor.New(kdim, c.OutC), make([]float32, c.OutC)
-		c.backwardStacked(g, x, grad, dx, accT, accB, wmatT, lo, b, make([]float32, (c.OutC+2*kdim)*b*hw), gemmBuf)
-		tensor.Accumulate(dwT.Data, accT.Data)
-		tensor.Accumulate(db, accB)
+		ld := b * hw
+		gmat, cols, dcols := tensor.New(c.OutC, ld), tensor.New(kdim, ld), tensor.New(kdim, ld)
+		for s := 0; s < b; s++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				copy(gmat.Data[oc*ld+s*hw:][:hw], grad.Data[((lo+s)*c.OutC+oc)*hw:])
+			}
+			tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+		}
+		acc := tensor.New(kdim, c.OutC)
+		tensor.MatMulAccTSerialInto(acc, cols, gmat, gemmBuf)
+		if dwT == nil {
+			dwT = acc
+		} else {
+			tensor.Accumulate(dwT.Data, acc.Data)
+		}
+		if c.useBias {
+			db := make([]float32, c.OutC)
+			for oc := range db {
+				for _, v := range gmat.Row(oc) {
+					db[oc] += v
+				}
+			}
+			tensor.Accumulate(c.Bias.Grad.Data, db)
+		}
+		tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
+		for s := 0; s < b; s++ {
+			tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
+		}
 	}
-	tensor.Accumulate(c.Weight.Grad.Data, tensor.Transpose(dwT).Data)
-	if c.useBias {
-		tensor.Accumulate(c.Bias.Grad.Data, db)
+	if dwT != nil {
+		tensor.Accumulate(c.Weight.Grad.Data, tensor.Transpose(dwT).Data)
 	}
 	return dx
 }

@@ -48,18 +48,58 @@ func convForwardScalar(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
+// forwardColumns is Forward's chunk rule as the column products of its
+// definition: each chunk's im2col materialized (Im2ColWindow), multiplied by
+// MatMulSerialInto, copied back per sample, bias added. The offset form's
+// bits equal these (tensor.TestConvMulMatchesIm2Col); the rows form must too.
+func (c *Conv2D) forwardColumns(x *tensor.Tensor, train bool) *tensor.Tensor {
+	n := x.Shape[0]
+	g := c.geom(x.Shape[2], x.Shape[3])
+	hw, kdim, sampleIn := g.OutH()*g.OutW(), c.InC*c.KH*c.KW, c.InC*g.InH*g.InW
+	y := tensor.New(n, c.OutC, g.OutH(), g.OutW())
+	chunk := 1
+	if train && !tensor.ConvOffsetForm(g) && tensor.PanelStripCols(hw) != hw {
+		chunk = convStackChunk(hw)
+	}
+	wmat := c.Weight.W.Reshape(c.OutC, kdim)
+	for lo := 0; lo < n; lo += chunk {
+		b := min(chunk, n-lo)
+		ld := b * hw
+		cols, out := tensor.New(kdim, ld), tensor.New(c.OutC, ld)
+		for s := 0; s < b; s++ {
+			tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
+		}
+		tensor.MatMulSerialInto(out, wmat, cols, make([]float32, tensor.GemmScratch()))
+		for s := 0; s < b; s++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				plane := y.Data[((lo+s)*c.OutC+oc)*hw:][:hw]
+				copy(plane, out.Data[oc*ld+s*hw:])
+				if c.useBias {
+					for j := range plane {
+						plane[j] += c.Bias.W.Data[oc]
+					}
+				}
+			}
+		}
+	}
+	return y
+}
+
 // TestConv2DForwardShapeLattice checks Forward's chunk rule on every output
-// size class (HW from 1 to 1024, ragged and whole-strip, offset form and
-// not), both strides and paddings, 1×1 and 3×3 kernels, kdim = 27, output
-// channels off the micro-kernel's multiples, with and without bias, and batch
-// sizes around the chunk boundary (and the empty batch). For each it requires
-// (a) eval-mode Forward bit-identical to ForwardInfer — the contract the
-// engine's reference rests on; (b) train mode bit-identical to eval mode
+// size class (HW from 1 to 1024, ragged and whole-strip, offset form, rows
+// form and neither), both strides and paddings, 1×1 and 3×3 kernels,
+// kdim = 27, output channels off the micro-kernel's multiples and one, one
+// and a half and two strips wide (16, 24, 32), with and without bias, and
+// batch sizes around the chunk boundary (and the empty batch). For each it
+// requires (a) eval-mode Forward bit-identical to ForwardInfer — the contract
+// the engine's reference rests on; (b) train mode bit-identical to eval mode
 // wherever the rule says a chunk is one sample (offset form, or HW a whole
 // number of strips), and everywhere on the portable build, which has one
 // kernel for every column; (c) both modes equal to the scalar definition to
-// float tolerance, which on the stacked rows is the only reference train mode
-// has; (d) bit-identical results from the worker pool and a serial runner.
+// float tolerance, which on the stacked rows is the only independent
+// reference train mode has; (d) both modes bit-identical to the column
+// products of the chunk rule (forwardColumns), whichever form computed them;
+// (e) bit-identical results from the worker pool and a serial runner.
 func TestConv2DForwardShapeLattice(t *testing.T) {
 	cases := []struct {
 		inC, outC, k, stride, pad, size int
@@ -81,6 +121,15 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 		{3, 5, 3, 2, 1, 32, true, 256},
 		{3, 5, 3, 1, 1, 32, true, 1024},
 		{3, 6, 3, 2, 1, 64, false, 1024},
+		{8, 16, 3, 1, 1, 1, true, 1},
+		{16, 16, 3, 1, 1, 2, true, 4},
+		{5, 24, 3, 1, 1, 4, false, 16},
+		{8, 32, 3, 2, 1, 8, true, 16},
+		{16, 32, 3, 1, 1, 8, true, 64},
+		{3, 24, 3, 2, 1, 10, true, 25},
+		{4, 16, 3, 1, 1, 16, false, 256},
+		{3, 32, 3, 2, 1, 32, true, 256},
+		{3, 16, 3, 1, 1, 32, true, 1024},
 	}
 	serial := func(n int, kernel func(lo, hi int)) { kernel(0, n) }
 	sameBits := func(name, what string, got, want *tensor.Tensor) {
@@ -123,6 +172,9 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 			} else if n > 1 {
 				stacked++
 			}
+
+			sameBits(name, "eval Forward vs column products", eval, conv.forwardColumns(x, false))
+			sameBits(name, "train Forward vs column products", train, conv.forwardColumns(x, true))
 
 			kdim := float64(tc.inC * tc.k * tc.k)
 			tol := math.Max(1e-4, 1e-6*(4+4*math.Sqrt(kdim)))

@@ -131,13 +131,41 @@ func (s *Sequential) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *t
 // backwardIn is Backward with the arena layers' buffers taken from a.
 func (s *Sequential) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		if al, ok := s.Layers[i].(arenaLayer); ok {
-			grad = al.backwardIn(a, grad)
-		} else {
-			grad = s.Layers[i].Backward(grad)
-		}
+		grad = layerBackwardIn(a, s.Layers[i], grad)
 	}
 	return grad
+}
+
+func layerBackwardIn(a *tensor.Arena, l Layer, grad *tensor.Tensor) *tensor.Tensor {
+	if al, ok := l.(arenaLayer); ok {
+		return al.backwardIn(a, grad)
+	}
+	return l.Backward(grad)
+}
+
+// paramsLayer is an arena layer that can run its backward pass for the
+// parameter gradients alone: Linear, and Conv2D. Fit's first layer has no
+// upstream layer to hand an input gradient to.
+type paramsLayer interface {
+	backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor)
+}
+
+// backwardParamsIn is backwardIn for a caller that discards the input
+// gradient: every layer runs as in backwardIn but the first, which computes
+// only its parameter gradients where it can (paramsLayer) — the same bits,
+// without the product whose result nobody reads.
+func (s *Sequential) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
+	for i := len(s.Layers) - 1; i >= 1; i-- {
+		grad = layerBackwardIn(a, s.Layers[i], grad)
+	}
+	if len(s.Layers) == 0 {
+		return
+	}
+	if pl, ok := s.Layers[0].(paramsLayer); ok {
+		pl.backwardParamsIn(a, grad)
+	} else {
+		layerBackwardIn(a, s.Layers[0], grad)
+	}
 }
 
 // alloc returns a result tensor: uninitialized from a, or zeroed from the

@@ -94,7 +94,7 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 			model.ZeroGrad()
 			logits := model.forwardIn(arena, bx, true)
 			loss, grad := crossEntropyIn(arena, logits, by)
-			model.backwardIn(arena, grad)
+			model.backwardParamsIn(arena, grad)
 			if t.ClipNorm > 0 {
 				ClipGradNorm(model.Params(), t.ClipNorm)
 			}

@@ -17,3 +17,21 @@ func TestFusedBlockGatesAt256(t *testing.T) {
 	t.Run("PartitionsBitEqual", TestFusedBlockPartitionsBitEqual)
 	t.Run("ZeroAllocSteadyState", TestFusedBlockZeroAllocSteadyState)
 }
+
+// TestConvLatticesAtEveryWidth runs the Conv2D shape lattices again on the
+// 256-bit kernels and on the portable Go kernels: the rows form, the in-place
+// weight gradient and dcols must equal the column products on every kernel
+// set a machine may serve with, not only the 512-bit one every other test
+// here runs on where it is live.
+func TestConvLatticesAtEveryWidth(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		set  func(testing.TB)
+	}{{"at256", tensortest.At256}, {"portable", tensortest.Portable}} {
+		t.Run(w.name, func(t *testing.T) {
+			w.set(t)
+			t.Run("Forward", TestConv2DForwardShapeLattice)
+			t.Run("Backward", TestConv2DBackwardShapeLattice)
+		})
+	}
+}

@@ -72,7 +72,7 @@ func ConvMulSerialInto(dst, wmat *Tensor, g ConvGeom, x []float32, scratch []flo
 		panic(fmt.Sprintf("tensor: ConvMul scratch %d < ConvGemmScratch %d", len(scratch), need))
 	}
 	src := convB(g, x, 0, g.InH, scratch, 0, g.OutH())
-	gemmDrive(dst.Data, nOut, wmat.Data, kdim, m, &src, 0, nOut, 0, kdim, scratch, true)
+	gemmDrive(dst.Data, nOut, gemmA{a: wmat.Data, lda: kdim}, m, &src, 0, nOut, 0, kdim, scratch, true)
 }
 
 // convB describes im2col(g, x), for a product over output rows [or0, or1), as

@@ -41,5 +41,5 @@ func ConvMulRowsInto(dst []float32, ldd, dstOff int, wmat *Tensor, g ConvGeom,
 		panic(fmt.Sprintf("tensor: ConvMulRows scratch %d < ConvTileScratch %d", len(scratch), need))
 	}
 	src := convB(g, x, xRow0, xRows, scratch, or0, or1)
-	gemmDrive(dst[dstOff:], ldd, wmat.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, true)
+	gemmDrive(dst[dstOff:], ldd, gemmA{a: wmat.Data, lda: kdim}, m, &src, or0*outW, or1*outW, 0, kdim, scratch, true)
 }

@@ -62,6 +62,43 @@ func ClampReLU6InPlace(x []float32) {
 	clampReLU6Go(x[i:])
 }
 
+// ReLUBackInto writes ReLU's input gradient read off its output: dx[i] = g[i]
+// where y[i] > 0, +0 everywhere else — a NaN y included, since NaN > 0 is
+// false. g's bits pass as they are, NaN payloads and −0 too. The 512-bit
+// kernel takes sixteen floats a step, the AVX2 one eight, the Go twin the
+// rest, all with the same comparison. dx, g and y have len(dx) elements.
+func ReLUBackInto(dx, g, y []float32) {
+	n := len(dx)
+	g, y = g[:n], y[:n]
+	i := 0
+	if useGemm512 {
+		if i = n / 16 * 16; i > 0 {
+			reluBack512Asm(i, &dx[0], &g[0], &y[0])
+		}
+	}
+	if useGemmAsm {
+		if w := (n - i) / 8 * 8; w > 0 {
+			reluBackAsm(w, &dx[i], &g[i], &y[i])
+			i += w
+		}
+	}
+	reluBackGo(dx[i:], g[i:], y[i:])
+}
+
+// reluBackGo is ReLUBackInto's twin: a select on the gradient's bits, which
+// the compiler lowers to a conditional move — the sign of an activation is a
+// coin flip to the branch predictor.
+func reluBackGo(dx, g, y []float32) {
+	g, y = g[:len(dx)], y[:len(dx)]
+	for i, v := range g {
+		b := math.Float32bits(v)
+		if !(y[i] > 0) {
+			b = 0
+		}
+		dx[i] = math.Float32frombits(b)
+	}
+}
+
 func clampReLU6Go(x []float32) {
 	for i, v := range x {
 		x[i] = clamp6(v)
@@ -237,15 +274,7 @@ func DepthwisePlane(g ConvGeom, dst, src, ker, win []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	hp, wp := depthwiseWindow(g)
 	win = win[:hp*wp+depthwiseSlack]
-	src = src[:g.InH*g.InW]
-	if at := g.PadH*wp + g.PadW; useGemm512 {
-		_ = win[at+(g.InH-1)*wp+g.InW-1]
-		padRowsAsm(g.InH, g.InW, &win[at], wp, &src[0])
-	} else {
-		for r := 0; r < g.InH; r++ {
-			copy(win[at+r*wp:][:g.InW], src[r*g.InW:])
-		}
-	}
+	padPlane(win, wp, src, g)
 	dst = dst[:outH*outW]
 	ker = ker[:g.KH*g.KW]
 	k3 := g.KH == 3 && g.KW == 3 && g.StrideH == g.StrideW
@@ -262,6 +291,22 @@ func DepthwisePlane(g ConvGeom, dst, src, ker, win []float32) {
 		for oh := 0; oh < outH; oh++ {
 			DepthwiseRow(dst[oh*outW:][:outW], win[oh*g.StrideH*wp:], wp, g.StrideW, ker, g.KW, g.KH)
 		}
+	}
+}
+
+// padPlane copies the InH × InW plane src into the interior of a padded
+// plane at win, row pitch wp, from row PadH and column PadW on; the padding
+// is the caller's to clear.
+func padPlane(win []float32, wp int, src []float32, g ConvGeom) {
+	src = src[:g.InH*g.InW]
+	at := g.PadH*wp + g.PadW
+	if useGemm512 {
+		_ = win[at+(g.InH-1)*wp+g.InW-1]
+		padRowsAsm(g.InH, g.InW, &win[at], wp, &src[0])
+		return
+	}
+	for r := 0; r < g.InH; r++ {
+		copy(win[at+r*wp:][:g.InW], src[r*g.InW:])
 	}
 }
 

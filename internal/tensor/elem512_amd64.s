@@ -293,3 +293,27 @@ affine512loop:
 	JNE     affine512loop
 	VZEROUPPER
 	RET
+
+// func reluBack512Asm(n int, dst, grad, y *float32)
+//
+// reluBackAsm sixteen floats a step (n a positive multiple of 16): the same
+// GT_OQ compare into K1, and g loaded under it with the other lanes zeroed.
+TEXT ·reluBack512Asm(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ grad+16(FP), SI
+	MOVQ y+24(FP), DX
+	VPXORD Z0, Z0, Z0
+
+reluback512:
+	VMOVUPS   (DX), Z1
+	VCMPPS    $0x1e, Z0, Z1, K1
+	VMOVUPS.Z (SI), K1, Z2
+	VMOVUPS   Z2, (DI)
+	ADDQ      $64, DX
+	ADDQ      $64, SI
+	ADDQ      $64, DI
+	SUBQ      $16, CX
+	JNE       reluback512
+	VZEROUPPER
+	RET

@@ -59,3 +59,12 @@ func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int)
 //
 //go:noescape
 func addFloat64Asm(n int, dst *float64, src *float32)
+
+// reluBackAsm and reluBack512Asm (elem512_amd64.s, behind useGemm512) write
+// ReLU's input gradient for n floats, a positive multiple of 8 and 16.
+//
+//go:noescape
+func reluBackAsm(n int, dst, grad, y *float32)
+
+//go:noescape
+func reluBack512Asm(n int, dst, grad, y *float32)

@@ -295,3 +295,29 @@ loop:
 	JNE       loop
 	VZEROUPPER
 	RET
+
+// func reluBackAsm(n int, dst, grad, y *float32)
+//
+// ReLU's input gradient, eight floats a step (n a positive multiple of 8):
+// dx = g where y > 0, else +0. The compare is GT_OQ, false for a NaN y, and
+// the AND keeps g's bits — NaN payloads and −0 included — exactly as the Go
+// twin's select does.
+TEXT ·reluBackAsm(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ grad+16(FP), SI
+	MOVQ y+24(FP), DX
+	VXORPS Y0, Y0, Y0
+
+reluback:
+	VMOVUPS (DX), Y1
+	VCMPPS  $0x1e, Y0, Y1, Y2
+	VANDPS  (SI), Y2, Y3
+	VMOVUPS Y3, (DI)
+	ADDQ    $32, DX
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNE     reluback
+	VZEROUPPER
+	RET

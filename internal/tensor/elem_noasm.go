@@ -45,3 +45,11 @@ func addRowsAsm(rows, n int, dst *float32, ldd int, src *float32, lds int) {
 func addFloat64Asm(n int, dst *float64, src *float32) {
 	panic("tensor: addFloat64Asm requires amd64")
 }
+
+func reluBackAsm(n int, dst, grad, y *float32) {
+	panic("tensor: reluBackAsm requires amd64")
+}
+
+func reluBack512Asm(n int, dst, grad, y *float32) {
+	panic("tensor: reluBack512Asm requires amd64")
+}

@@ -207,7 +207,7 @@ func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int) {
 		defer panelPool.Put(bufp)
 	}
 	src := denseB(b, r1-r0, n)
-	gemmDrive(dst[r0*n+c0:], n, a[r0*k:], k, r1-r0, &src, c0, c1, 0, k, buf, true)
+	gemmDrive(dst[r0*n+c0:], n, gemmA{a: a[r0*k:], lda: k}, r1-r0, &src, c0, c1, 0, k, buf, true)
 }
 
 // denseInPlaceRows is the most output rows for which a product reads a dense
@@ -270,7 +270,7 @@ func MatMulSerialInto(dst, a, b *Tensor, scratch []float32) {
 		panic(fmt.Sprintf("tensor: MatMulSerialInto scratch %d < GemmScratch %d", len(scratch), GemmScratch()))
 	}
 	src := denseB(b.Data, m, n)
-	gemmDrive(dst.Data, n, a.Data, k, m, &src, 0, n, 0, k, scratch, true)
+	gemmDrive(dst.Data, n, gemmA{a: a.Data, lda: k}, m, &src, 0, n, 0, k, scratch, true)
 }
 
 // MatMulTSerialInto computes dst = a(M×K) @ bᵀ (b is N×K) on the calling
@@ -362,7 +362,7 @@ func MatMulAccTSerialInto(dst, a, b *Tensor, scratch []float32) {
 		panic(fmt.Sprintf("tensor: MatMulAccTSerialInto scratch %d < GemmScratch %d", len(scratch), GemmScratch()))
 	}
 	src := gemmB{kind: bDenseT, n: n, b: b.Data, k: k}
-	gemmDrive(dst.Data, n, a.Data, k, m, &src, 0, n, 0, k, scratch, false)
+	gemmDrive(dst.Data, n, gemmA{a: a.Data, lda: k}, m, &src, 0, n, 0, k, scratch, false)
 }
 
 func matMulTRange(dst, a, b []float32, n, k, r0, r1 int) {

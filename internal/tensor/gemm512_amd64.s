@@ -255,6 +255,214 @@ store:
 	VZEROUPPER
 	RET
 
+// The A-offset kernels: the left-hand operand read in place, element (r, p)
+// of the tile at x[rowOff[r] + kOff[p]] — a conv's padded window with output
+// positions or taps as rows, a matrix read transposed — against packed B
+// strips. Row r's base x + 4·rowOff[r] is formed once; K step p adds
+// 4·kOff[p] to all eight. The per-lane chain is the packed kernels': one
+// accumulator from zero, one FMA per K step in ascending order, one add into
+// the output (or to +0 under zero).
+
+// func gemm8x32a(kc int, x *float32, rowOff, kOff *int32, bp0, bp1, o *float32, ldd int, zero bool)
+//
+// gemm8x32 with A read through rowOff[0:8] and kOff[0:kc].
+TEXT ·gemm8x32a(SB), NOSPLIT, $0-65
+	MOVQ kc+0(FP), CX
+	MOVQ x+8(FP), AX
+	MOVQ rowOff+16(FP), BX
+	MOVLQSX (BX), DI
+	LEAQ    (AX)(DI*4), DI
+	MOVLQSX 4(BX), R8
+	LEAQ    (AX)(R8*4), R8
+	MOVLQSX 8(BX), R9
+	LEAQ    (AX)(R9*4), R9
+	MOVLQSX 12(BX), R10
+	LEAQ    (AX)(R10*4), R10
+	MOVLQSX 16(BX), R11
+	LEAQ    (AX)(R11*4), R11
+	MOVLQSX 20(BX), R12
+	LEAQ    (AX)(R12*4), R12
+	MOVLQSX 24(BX), R13
+	LEAQ    (AX)(R13*4), R13
+	MOVLQSX 28(BX), R14
+	LEAQ    (AX)(R14*4), R14
+	MOVQ kOff+24(FP), DX
+	MOVQ bp0+32(FP), SI
+	MOVQ bp1+40(FP), BX
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+
+kloop:
+	MOVLQSX (DX), AX
+	VMOVUPS (SI), Z16
+	VMOVUPS (BX), Z17
+	VBROADCASTSS (DI)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z0
+	VFMADD231PS Z17, Z18, Z1
+	VBROADCASTSS (R8)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z2
+	VFMADD231PS Z17, Z19, Z3
+	VBROADCASTSS (R9)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z4
+	VFMADD231PS Z17, Z18, Z5
+	VBROADCASTSS (R10)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z6
+	VFMADD231PS Z17, Z19, Z7
+	VBROADCASTSS (R11)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z8
+	VFMADD231PS Z17, Z18, Z9
+	VBROADCASTSS (R12)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z10
+	VFMADD231PS Z17, Z19, Z11
+	VBROADCASTSS (R13)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z12
+	VFMADD231PS Z17, Z18, Z13
+	VBROADCASTSS (R14)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z14
+	VFMADD231PS Z17, Z19, Z15
+	ADDQ $64, SI
+	ADDQ $64, BX
+	ADDQ $4, DX
+	DECQ CX
+	JNE  kloop
+
+	MOVQ o+48(FP), DI
+	MOVQ ldd+56(FP), R12
+	SHLQ $2, R12
+	LEAQ (R12)(R12*2), AX
+	CMPB zero+64(FP), $0
+	JNE  zstart
+	ADD8x32
+	JMP  store
+
+zstart:
+	VPXORD Z16, Z16, Z16
+	ADDZERO16(Z16)
+
+store:
+	STORE8x32
+	VZEROUPPER
+	RET
+
+// func gemm8x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool)
+//
+// gemm8x32a over one strip: eight ZMM accumulators, row r in Z(r), for a
+// product one strip wide and the odd strip of a wider one.
+TEXT ·gemm8x16a(SB), NOSPLIT, $0-57
+	MOVQ kc+0(FP), CX
+	MOVQ x+8(FP), AX
+	MOVQ rowOff+16(FP), BX
+	MOVLQSX (BX), DI
+	LEAQ    (AX)(DI*4), DI
+	MOVLQSX 4(BX), R8
+	LEAQ    (AX)(R8*4), R8
+	MOVLQSX 8(BX), R9
+	LEAQ    (AX)(R9*4), R9
+	MOVLQSX 12(BX), R10
+	LEAQ    (AX)(R10*4), R10
+	MOVLQSX 16(BX), R11
+	LEAQ    (AX)(R11*4), R11
+	MOVLQSX 20(BX), R12
+	LEAQ    (AX)(R12*4), R12
+	MOVLQSX 24(BX), R13
+	LEAQ    (AX)(R13*4), R13
+	MOVLQSX 28(BX), R14
+	LEAQ    (AX)(R14*4), R14
+	MOVQ kOff+24(FP), DX
+	MOVQ bp+32(FP), SI
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+kloop:
+	MOVLQSX (DX), AX
+	VMOVUPS (SI), Z16
+	VBROADCASTSS (DI)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z0
+	VBROADCASTSS (R8)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z1
+	VBROADCASTSS (R9)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z2
+	VBROADCASTSS (R10)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z3
+	VBROADCASTSS (R11)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z4
+	VBROADCASTSS (R12)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z5
+	VBROADCASTSS (R13)(AX*4), Z18
+	VFMADD231PS Z16, Z18, Z6
+	VBROADCASTSS (R14)(AX*4), Z19
+	VFMADD231PS Z16, Z19, Z7
+	ADDQ $64, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNE  kloop
+
+	MOVQ o+40(FP), DI
+	MOVQ ldd+48(FP), R12
+	SHLQ $2, R12
+	LEAQ (R12)(R12*2), AX
+	CMPB zero+56(FP), $0
+	JNE  zstart
+	MOVQ   DI, DX
+	VADDPS (DX), Z0, Z0
+	VADDPS (DX)(R12*1), Z1, Z1
+	VADDPS (DX)(R12*2), Z2, Z2
+	ADDQ   AX, DX
+	VADDPS (DX), Z3, Z3
+	VADDPS (DX)(R12*1), Z4, Z4
+	VADDPS (DX)(R12*2), Z5, Z5
+	ADDQ   AX, DX
+	VADDPS (DX), Z6, Z6
+	VADDPS (DX)(R12*1), Z7, Z7
+	JMP  store
+
+zstart:
+	VPXORD Z16, Z16, Z16
+	VADDPS Z16, Z0, Z0
+	VADDPS Z16, Z1, Z1
+	VADDPS Z16, Z2, Z2
+	VADDPS Z16, Z3, Z3
+	VADDPS Z16, Z4, Z4
+	VADDPS Z16, Z5, Z5
+	VADDPS Z16, Z6, Z6
+	VADDPS Z16, Z7, Z7
+
+store:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, (DI)(R12*1)
+	VMOVUPS Z2, (DI)(R12*2)
+	ADDQ    AX, DI
+	VMOVUPS Z3, (DI)
+	VMOVUPS Z4, (DI)(R12*1)
+	VMOVUPS Z5, (DI)(R12*2)
+	ADDQ    AX, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, (DI)(R12*1)
+	VZEROUPPER
+	RET
+
 // func gemm1x64s(kc, nq int, a, bp, o *float32, zero bool)
 //
 // gemm1x16s four packed strips at a time: one ZMM accumulator per strip, as

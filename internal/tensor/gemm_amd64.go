@@ -122,6 +122,30 @@ func gemm8x32(kc int, a *float32, lda int, bp0, bp1, o *float32, ldd int, zero b
 //go:noescape
 func gemm8x32o(kc int, a *float32, lda int, xb0, xb1 *float32, offs *int32, o *float32, ldd int, zero bool)
 
+// gemm8x32a is gemm8x32 with A read in place: element (r, p) of the tile at
+// x[rowOff[r] + kOff[p]] for r < 8 — a conv's padded window with output
+// positions or taps as rows, or a matrix read transposed — against the packed
+// strips bp0 and bp1. Same accumulators, FMA order and zero flag: the bits of
+// gemm8x32 on the same values. kc ≥ 1, and every x element the tables name
+// must be addressable.
+//
+//go:noescape
+func gemm8x32a(kc int, x *float32, rowOff, kOff *int32, bp0, bp1, o *float32, ldd int, zero bool)
+
+// gemm8x16a is gemm8x32a over one packed strip: the bits of two gemm4x16a
+// calls.
+//
+//go:noescape
+func gemm8x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool)
+
+// gemm4x16a is the 256-bit A-offset kernel, gemm4x16 with A read as
+// gemm8x32a reads it and output row r at o[r·ldd:]. It loads every output row
+// before it stores one, so ldd = 0 and one row offset repeated four times
+// compute a single row.
+//
+//go:noescape
+func gemm4x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool)
+
 // gemm1x64s is gemm1x16s over 4·nq packed strips, four in flight: the bits of
 // gemm1x16s(kc, 4·nq, a, bp, o, zero). kc and nq must be ≥ 1.
 //

@@ -305,6 +305,90 @@ store:
 	VZEROUPPER
 	RET
 
+// func gemm4x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool)
+//
+// gemm4x16 with A read in place, as the 512-bit A-offset kernels read it
+// (gemm512_amd64.s): row r of the tile at x + 4·rowOff[r], K step p a further
+// 4·kOff[p] on; output row r at o + 4·r·ldd. All four rows are loaded before
+// any is stored, so ldd = 0 with one row offset repeated four times computes
+// a single row — the driver's leftover rows.
+TEXT ·gemm4x16a(SB), NOSPLIT, $0-57
+	MOVQ kc+0(FP), CX
+	MOVQ x+8(FP), AX
+	MOVQ rowOff+16(FP), BX
+	MOVLQSX (BX), DI
+	LEAQ    (AX)(DI*4), DI
+	MOVLQSX 4(BX), R8
+	LEAQ    (AX)(R8*4), R8
+	MOVLQSX 8(BX), R9
+	LEAQ    (AX)(R9*4), R9
+	MOVLQSX 12(BX), R10
+	LEAQ    (AX)(R10*4), R10
+	MOVQ kOff+24(FP), DX
+	MOVQ bp+32(FP), SI
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+kloop:
+	MOVLQSX (DX), AX
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	VBROADCASTSS (DI)(AX*4), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (R8)(AX*4), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (R9)(AX*4), Y10
+	VFMADD231PS Y8, Y10, Y4
+	VFMADD231PS Y9, Y10, Y5
+	VBROADCASTSS (R10)(AX*4), Y11
+	VFMADD231PS Y8, Y11, Y6
+	VFMADD231PS Y9, Y11, Y7
+	ADDQ $64, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNE  kloop
+
+	MOVQ o+40(FP), DI
+	MOVQ ldd+48(FP), R12
+	SHLQ $2, R12
+	LEAQ (DI)(R12*2), R13
+	CMPB zero+56(FP), $0
+	JNE  zstart
+	VADDPS (DI), Y0, Y0
+	VADDPS 32(DI), Y1, Y1
+	VADDPS (DI)(R12*1), Y2, Y2
+	VADDPS 32(DI)(R12*1), Y3, Y3
+	VADDPS (R13), Y4, Y4
+	VADDPS 32(R13), Y5, Y5
+	VADDPS (R13)(R12*1), Y6, Y6
+	VADDPS 32(R13)(R12*1), Y7, Y7
+	JMP  store
+
+zstart:
+	VXORPS Y8, Y8, Y8
+	ADDZERO8(Y8)
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R12*1)
+	VMOVUPS Y3, 32(DI)(R12*1)
+	VMOVUPS Y4, (R13)
+	VMOVUPS Y5, 32(R13)
+	VMOVUPS Y6, (R13)(R12*1)
+	VMOVUPS Y7, 32(R13)(R12*1)
+	VZEROUPPER
+	RET
+
 // func dot8(n int, x, y *float32) float32
 //
 // Inner product over n elements (n a positive multiple of 8), using four

@@ -2,9 +2,10 @@ package tensor
 
 // The float blocked-GEMM driver: the one NC → KC → micro-kernel loop nest
 // behind MatMulInto / MatMulSerialInto / MatMulAccTSerialInto (gemm.go), the
-// panel products (gemm_panels.go) and the implicit-GEMM convs (conv_gemm.go,
-// conv_tile.go). Those files only check arguments and describe their B
-// operand as a gemmB; the schedule lives here, once.
+// panel products (gemm_panels.go), the implicit-GEMM convs (conv_gemm.go,
+// conv_tile.go) and the conv training products that read their A operand in
+// place (conv_rows.go). Those files only check arguments and describe their
+// operands as a gemmA and a gemmB; the schedule lives here, once.
 //
 // Schedule, and why every entry point agrees bit for bit. An output element
 // is a chain of multiply-adds over K, and three things fix that chain:
@@ -19,7 +20,9 @@ package tensor
 //     copies out the lanes it owns; the per-lane chains are those of the
 //     uncut strip.
 //   - gemm4x16 and gemm1x16s keep one accumulator per element, so a row gets
-//     the same bits inside a 4-row group and as a leftover row.
+//     the same bits inside a 4-row group and as a leftover row; so do their
+//     twins, which differ in where A or B is read or in how many rows and
+//     strips share a call.
 //
 // Nothing else is arithmetic: NC blocking and row grouping only decide which
 // independent chains share a packed panel, so any row/column split of a
@@ -40,6 +43,8 @@ package tensor
 // kernels read in place of packed strips, and then the gemmKC-entry table of
 // the current K block's offsets. A dense B read in place keeps that table in
 // scratch's first gemmKC floats, which its strips, read from B, leave unused.
+// An A in offset form brings its tables and its source with it: the entry
+// points keep them in their own scratch after the driver's.
 
 import "unsafe"
 
@@ -95,6 +100,30 @@ const (
 	bPanels
 	bConv
 )
+
+// gemmA is the left-hand operand of one driver call. Dense: row i at
+// a[i·lda:], K step p at a[i·lda + p]. Offset form (rowOff set): element
+// (i, p) is a[rowOff[i] + kOff[p]], read in place — a conv's padded window
+// with output positions or taps as rows (conv_rows.go), or a matrix read
+// transposed (MatMulATSerialInto) — by the A-offset strip kernels, which
+// differ from the dense ones in where A is read and in nothing that rounds.
+// Its B must be packed (never the in-place dense form) and its ragged
+// columns see a dense copy of each row group (gemmRaggedA).
+type gemmA struct {
+	a            []float32
+	lda          int
+	rowOff, kOff []int32
+}
+
+// at returns the operand whose row 0 and K step 0 are row i and step p.
+func (A gemmA) at(i, p int) gemmA {
+	if A.rowOff == nil {
+		A.a = A.a[i*A.lda+p:]
+	} else {
+		A.rowOff, A.kOff = A.rowOff[i:], A.kOff[p:]
+	}
+	return A
+}
 
 // bStrips is K rows [pb, pe) of a run of whole 16-column strips as the strip
 // kernels read them. Packed form (offs == nil): strip s is b[s·16·(pe−pb):]
@@ -185,10 +214,13 @@ func (s *gemmB) tile(buf []float32, pb, pe, j0, j1 int) ([]float32, int) {
 // zero flag), the bits of clear-then-accumulate. Only the ragged columns,
 // which the AXPY and dot kernels accumulate into in memory, are cleared —
 // every column, on the portable build.
-func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
+func gemmDrive(dst []float32, ldd int, A gemmA, m int, src *gemmB,
 	c0, c1, k0, k1 int, scratch []float32, overwrite bool) {
 	if m == 0 || c0 >= c1 {
 		return
+	}
+	if A.rowOff != nil && src.offsetForm() {
+		panic("tensor: an A in offset form needs a packed B")
 	}
 	// Strip columns of the range, on the global grid: a cut head strip
 	// [c0, head), whole strips [head, body), a cut tail strip [body, cm).
@@ -207,16 +239,21 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 				pe := min(pb+gemmKC, k1)
 				for rb := jb; rb < je; rb += run {
 					re := min(rb+run, je)
-					gemmStripPart(dst[rb-c0:], ldd, a[pb-k0:], lda, m, src.strips(scratch, offs, pb, pe, rb, re), pe-pb, (re-rb)/gemmNR, overwrite && pb == k0)
+					bs, zero := src.strips(scratch, offs, pb, pe, rb, re), overwrite && pb == k0
+					if A.rowOff != nil {
+						gemmStripPartA(dst[rb-c0:], ldd, A.at(0, pb-k0), m, bs.b, pe-pb, (re-rb)/gemmNR, zero)
+					} else {
+						gemmStripPart(dst[rb-c0:], ldd, A.a[pb-k0:], A.lda, m, bs, pe-pb, (re-rb)/gemmNR, zero)
+					}
 				}
 			}
 			jb = je
 		}
 		if c0 < head {
-			gemmCutStrip(dst, ldd, a, lda, m, src, c0&^(gemmNR-1), c0, head, k0, k1, scratch, overwrite)
+			gemmCutStrip(dst, ldd, A, m, src, c0&^(gemmNR-1), c0, head, k0, k1, scratch, overwrite)
 		}
 		if body < cm {
-			gemmCutStrip(dst[body-c0:], ldd, a, lda, m, src, body, body, cm, k0, k1, scratch, overwrite)
+			gemmCutStrip(dst[body-c0:], ldd, A, m, src, body, body, cm, k0, k1, scratch, overwrite)
 		}
 	}
 	// Ragged columns: fewer than 16 on the asm build, the whole range on the
@@ -230,12 +267,20 @@ func gemmDrive(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 		je := min(jb-jb%gemmNC+gemmNC, c1)
 		for pb := k0; pb < k1; pb += gemmKC {
 			pe := min(pb+gemmKC, k1)
+			var tile []float32
+			ldb := src.k
 			if src.kind == bDenseT {
-				gemmDotPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, src.b[jb*src.k+pb:], src.k, pe-pb, je-jb)
-				continue
+				tile = src.b[jb*src.k+pb:]
+			} else {
+				tile, ldb = src.tile(scratch, pb, pe, jb, je)
 			}
-			tile, ldb := src.tile(scratch, pb, pe, jb, je)
-			gemmRaggedPart(dst[jb-c0:], ldd, a[pb-k0:], lda, m, tile, ldb, pe-pb, je-jb)
+			if A.rowOff != nil {
+				gemmRaggedA(dst[jb-c0:], ldd, A.at(0, pb-k0), m, src.kind == bDenseT, tile, ldb, pe-pb, je-jb)
+			} else if src.kind == bDenseT {
+				gemmDotPart(dst[jb-c0:], ldd, A.a[pb-k0:], A.lda, m, tile, ldb, pe-pb, je-jb)
+			} else {
+				gemmRaggedPart(dst[jb-c0:], ldd, A.a[pb-k0:], A.lda, m, tile, ldb, pe-pb, je-jb)
+			}
 		}
 		jb = je
 	}
@@ -248,6 +293,15 @@ func offsTable(scratch []float32) *[gemmKC]int32 {
 	return (*[gemmKC]int32)(unsafe.Pointer((*[gemmKC]float32)(scratch)))
 }
 
+// int32s views the first n floats of scratch as int32s, as offsTable does:
+// the A-offset tables of the products that keep them in their scratch.
+func int32s(scratch []float32, n int) []int32 {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(&scratch[:n][0])), n)
+}
+
 // gemmCutStrip accumulates lanes [lo, hi) of the 16-column strip at global
 // column strip0 — a strip the range's edge cuts — or, with overwrite, writes
 // them as gemmDrive does. The whole strip runs, all of K, in an [m, 16] spill
@@ -255,12 +309,13 @@ func offsTable(scratch []float32) *[gemmKC]int32 {
 // overwrite nothing is seeded and the first K block starts at +0) and copied
 // back: exactly the kernels and K order of the uncut strip, so cut and uncut
 // agree bit for bit. The unowned lanes compute garbage nobody reads.
-func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
+func gemmCutStrip(dst []float32, ldd int, A gemmA, m int, src *gemmB,
 	strip0, lo, hi, k0, k1 int, scratch []float32, overwrite bool) {
-	if src.win != nil {
+	if src.win != nil || A.rowOff != nil {
 		// Offset form means whole-row ranges of a map whose rows are whole
-		// strips; its scratch is the window and has no spill buffer.
-		panic("tensor: a conv in offset form cannot cut a strip")
+		// strips; its scratch is the window and has no spill buffer. An A in
+		// offset form is always asked for whole columns.
+		panic("tensor: a product in offset form cannot cut a strip")
 	}
 	spill := scratch[gemmKC*gemmNC:][:m*gemmNR]
 	if !overwrite {
@@ -271,7 +326,7 @@ func gemmCutStrip(dst []float32, ldd int, a []float32, lda, m int, src *gemmB,
 	}
 	for pb := k0; pb < k1; pb += gemmKC {
 		pe := min(pb+gemmKC, k1)
-		gemmStripPart(spill, gemmNR, a[pb-k0:], lda, m, src.strips(scratch, nil, pb, pe, strip0, strip0+gemmNR), pe-pb, 1, overwrite && pb == k0)
+		gemmStripPart(spill, gemmNR, A.a[pb-k0:], A.lda, m, src.strips(scratch, nil, pb, pe, strip0, strip0+gemmNR), pe-pb, 1, overwrite && pb == k0)
 	}
 	for i := 0; i < m; i++ {
 		copy(dst[i*ldd:i*ldd+hi-lo], spill[i*gemmNR+lo-strip0:])
@@ -373,6 +428,72 @@ func gemmStripRows4(dst []float32, ldd int, a []float32, lda int, bs bStrips, kc
 	}
 }
 
+// gemmStripPartA is gemmStripPart for an A in offset form against packed
+// strips: rows eight at a time where the 512-bit kernels are live, four at a
+// time on the 256-bit ones, and each leftover row alone (stripsA). Every row
+// is its own chains whichever kernel takes it, so the grouping moves no bit.
+func gemmStripPartA(dst []float32, ldd int, A gemmA, m int, bp []float32, kc, ns int, zero bool) {
+	x, kOff := &A.a[0], &A.kOff[0]
+	i := 0
+	if useGemm512 {
+		for ; i+2*gemmMR <= m; i += 2 * gemmMR {
+			stripsA(dst[i*ldd:], ldd, x, &A.rowOff[i], kOff, 2*gemmMR, bp, kc, ns, zero)
+		}
+	}
+	for ; i+gemmMR <= m; i += gemmMR {
+		stripsA(dst[i*ldd:], ldd, x, &A.rowOff[i], kOff, gemmMR, bp, kc, ns, zero)
+	}
+	for ; i < m; i++ {
+		r := A.rowOff[i]
+		one := [gemmMR]int32{r, r, r, r}
+		stripsA(dst[i*ldd:], 0, x, &one[0], kOff, 1, bp, kc, ns, zero)
+	}
+}
+
+// stripsA runs one row group of an A-offset product over strips [0, ns):
+// eight rows (ro the first of eight offsets) to gemm8x32a, the odd strip to
+// gemm8x16a; four rows, or one row with its offset four times and ldd = 0,
+// to gemm4x16a strip by strip.
+func stripsA(dst []float32, ldd int, x *float32, ro, kOff *int32, rows int, bp []float32, kc, ns int, zero bool) {
+	strip := func(s int) *float32 { return &bp[s*gemmNR*kc] }
+	if rows < 2*gemmMR {
+		for s := 0; s < ns; s++ {
+			gemm4x16a(kc, x, ro, kOff, strip(s), &dst[s*gemmNR], ldd, zero)
+		}
+		return
+	}
+	s := 0
+	for ; s+2 <= ns; s += 2 {
+		gemm8x32a(kc, x, ro, kOff, strip(s), strip(s+1), &dst[s*gemmNR], ldd, zero)
+	}
+	if s < ns {
+		gemm8x16a(kc, x, ro, kOff, strip(s), &dst[s*gemmNR], ldd, zero)
+	}
+}
+
+// gemmRaggedA runs the ragged columns of one K block (kc deep) for an A in
+// offset form: each group of up to four rows is copied into a dense [rows, kc]
+// tile and handed to the kernel the dense operand's columns run — the dot
+// kernel against a transposed B (dot), gemmRaggedPart otherwise. Neither
+// kernel's bits depend on how rows are grouped, so the copy moves none.
+func gemmRaggedA(dst []float32, ldd int, A gemmA, m int, dot bool, b []float32, ldb, kc, w int) {
+	var rows [gemmMR * gemmKC]float32
+	for i := 0; i < m; i += gemmMR {
+		r := min(gemmMR, m-i)
+		for q := 0; q < r; q++ {
+			row, base := rows[q*kc:][:kc], A.a[A.rowOff[i+q]:]
+			for p, off := range A.kOff[:kc] {
+				row[p] = base[off]
+			}
+		}
+		if dot {
+			gemmDotPart(dst[i*ldd:], ldd, rows[:], kc, r, b, ldb, kc, w)
+		} else {
+			gemmRaggedPart(dst[i*ldd:], ldd, rows[:], kc, r, b, ldb, kc, w)
+		}
+	}
+}
+
 // gemmRaggedPart is gemmGoPart's product on the kernel the build has: where
 // the strip kernels run, the w < 16 columns right of the last whole strip go
 // four rows at a time to gemm4xw, which computes the twin's bits, and only
@@ -415,24 +536,26 @@ func gemmGoPart(dst []float32, ldd int, a []float32, lda, m int, b []float32, ld
 }
 
 // axpy4 computes o_r += av_r * brow for four rows, reusing each loaded B
-// element four times.
+// element four times. Each product is rounded before its add — the float32
+// conversion keeps a compiler that fuses multiply-adds (the Go spec allows
+// it) from making it one FMA — which is the chain gemm4xw computes.
 func axpy4(av0, av1, av2, av3 float32, brow, o0, o1, o2, o3 []float32) {
 	o0 = o0[:len(brow)]
 	o1 = o1[:len(brow)]
 	o2 = o2[:len(brow)]
 	o3 = o3[:len(brow)]
 	for j, bv := range brow {
-		o0[j] += av0 * bv
-		o1[j] += av1 * bv
-		o2[j] += av2 * bv
-		o3[j] += av3 * bv
+		o0[j] += float32(av0 * bv)
+		o1[j] += float32(av1 * bv)
+		o2[j] += float32(av2 * bv)
+		o3[j] += float32(av3 * bv)
 	}
 }
 
 func axpy1(av float32, brow, o0 []float32) {
 	o0 = o0[:len(brow)]
 	for j, bv := range brow {
-		o0[j] += av * bv
+		o0[j] += float32(av * bv)
 	}
 }
 
@@ -458,17 +581,22 @@ func packPanel16(buf, b []float32, n, pb, pe, jb, jfullEnd int) {
 }
 
 // packPanel16T is packPanel16 for a transposed operand: bt is Bᵀ (N×K), so
-// strip column j at depth p is bt[(js+j)·k+p]. Each source row is read once,
-// sequentially, and scattered at stride 16 into a strip that stays in L1 —
-// the transpose happens inside the pack, never as a matrix in memory.
+// strip column j at depth p is bt[(js+j)·k+p]. Each strip row is gathered
+// from the 16 source rows at one depth and written whole: 16 sequential read
+// streams, one sequential write, twice the rate of reading one source row at
+// a time and scattering it at stride 16. The transpose happens inside the
+// pack, never as a matrix in memory.
 func packPanel16T(buf, bt []float32, k, pb, pe, jb, jfullEnd int) {
 	kc := pe - pb
 	for js := jb; js < jfullEnd; js += gemmNR {
 		strip := buf[(js-jb)*kc:][:kc*gemmNR]
-		for j := 0; j < gemmNR; j++ {
-			for p, v := range bt[(js+j)*k+pb:][:kc] {
-				strip[p*gemmNR+j] = v
-			}
+		src := bt[js*k+pb:]
+		for p := 0; p < kc; p++ {
+			o, s := strip[p*gemmNR:][:gemmNR], src[p:]
+			o[0], o[1], o[2], o[3] = s[0], s[k], s[2*k], s[3*k]
+			o[4], o[5], o[6], o[7] = s[4*k], s[5*k], s[6*k], s[7*k]
+			o[8], o[9], o[10], o[11] = s[8*k], s[9*k], s[10*k], s[11*k]
+			o[12], o[13], o[14], o[15] = s[12*k], s[13*k], s[14*k], s[15*k]
 		}
 	}
 }

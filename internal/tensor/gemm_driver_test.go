@@ -27,10 +27,20 @@ func TestGemmDriverZeroAlloc(t *testing.T) {
 	convOut := New(5, 12*12)
 	gw := ConvGeom{InC: 3, InH: 8, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	xw, wideOut := randMat(6, 1, 3*8*16).Data, New(5, 8*16)
+	// The in-place training products: two images of g against 16 channels.
+	w16, grad16, dwT := randMat(7, 16, 27), randMat(8, 16, 2*12*12), New(27, 16)
+	x2, dcols, rowsOut := randMat(9, 1, 2*3*12*12).Data, New(27, 2*12*12), make([]float32, 2*16*12*12)
+	packed := make([]float32, 27*16)
 	for _, asm := range []bool{true, false} {
 		runWithAsm(asm, func() {
-			scratch := make([]float32, max(GemmScratch(), PanelScratch(), ConvTileScratch(g, 5, 12), ConvGemmScratch(gw)))
+			scratch := make([]float32, max(GemmScratch(), PanelScratch(), ConvTileScratch(g, 5, 12), ConvGemmScratch(gw),
+				ConvGradScratch(g, 2), MatMulATScratch(27, 16), ConvRowsScratch(g, 16, 2)))
 			prepacked, signs := PrepackPanels(mat), SignPanels(mat)
+			rows := func() {}
+			if ConvRowsForm(g, 16) {
+				PackConvWeights(packed, w16)
+				rows = func() { ConvRowsSerialInto(rowsOut, w16, packed, nil, g, x2, 2, 2, scratch) }
+			}
 			for name, product := range map[string]func(){
 				"dense":               func() { MatMulSerialInto(out, a, mat, scratch) },
 				"transposed, accum":   func() { MatMulAccTSerialInto(accDst, accA, accB, scratch) },
@@ -41,6 +51,9 @@ func TestGemmDriverZeroAlloc(t *testing.T) {
 				"conv, cut tile":      func() { ConvMulRowsInto(convOut.Data, 12*12, 3*12, wmat, g, x, 0, 12, 3, 7, scratch) },
 				"conv, wide map":      func() { ConvMulSerialInto(wideOut, wmat, gw, xw, scratch) },
 				"conv, wide tile":     func() { ConvMulRowsInto(wideOut.Data, 8*16, 2*16, wmat, gw, xw, 0, 8, 2, 5, scratch) },
+				"conv, weight grad":   func() { ConvWeightGradSerialInto(dwT, g, x2, 2, grad16, scratch) },
+				"conv, dcols":         func() { MatMulATSerialInto(dcols, w16, grad16, scratch) },
+				"conv, rows form":     rows,
 			} {
 				if allocs := testing.AllocsPerRun(20, product); allocs != 0 {
 					t.Errorf("asm=%v %s: %.1f allocations per product, want 0", asm, name, allocs)
@@ -155,7 +168,9 @@ func TestGemm512Matches256(t *testing.T) {
 					c0, c1 := c[0], c[1]
 					for _, s := range sources {
 						both(fmt.Sprintf("%s k=%d strips=%d m=%d cols [%d, %d)", s.name, k, strips, m, c0, c1), dst0,
-							func(dst []float32) { gemmDrive(dst, n, a.Data, k, m, &s.src, c0, c1, 0, k, scratch, false) })
+							func(dst []float32) {
+								gemmDrive(dst, n, gemmA{a: a.Data, lda: k}, m, &s.src, c0, c1, 0, k, scratch, false)
+							})
 					}
 				}
 			}
@@ -192,7 +207,7 @@ func TestGemm512Matches256(t *testing.T) {
 						both(fmt.Sprintf("conv OutW=%d kernel %+v rows [%d, %d) of %d m=%d", outW, kr, or0, or1, outH, m), dst0,
 							func(dst []float32) {
 								src := convB(g, x, 0, g.InH, scratch, or0, or1)
-								gemmDrive(dst[or0*outW:], nOut, w.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, false)
+								gemmDrive(dst[or0*outW:], nOut, gemmA{a: w.Data, lda: kdim}, m, &src, or0*outW, or1*outW, 0, kdim, scratch, false)
 							})
 					}
 				}
@@ -232,7 +247,7 @@ func TestDenseInPlaceMatchesPacked(t *testing.T) {
 							for i, inPlace := range []bool{false, true} {
 								out[i] = append([]float32(nil), dst0...)
 								src := gemmB{kind: bDense, n: n, b: b.Data, inPlace: inPlace}
-								gemmDrive(out[i], n, a.Data, k, m, &src, c[0], c[1], 0, k, scratch, false)
+								gemmDrive(out[i], n, gemmA{a: a.Data, lda: k}, m, &src, c[0], c[1], 0, k, scratch, false)
 							}
 							if i := bitsDiffer(out[0], out[1]); i >= 0 {
 								t.Fatalf("512=%v k=%d strips=%d m=%d cols %v: element %d packed %v, in place %v",
@@ -363,7 +378,7 @@ func TestGemmOverwriteMatchesClear(t *testing.T) {
 								for _, s := range sources {
 									check(fmt.Sprintf("%s: %s k=%d strips=%d m=%d cols [%d, %d)", mode.name, s.name, k, strips, m, c0, c1), m*n, 0, n, m, c1-c0,
 										func(dst []float32, overwrite bool) {
-											gemmDrive(dst, n, a.Data, k, m, &s.src, c0, c1, 0, k, scratch, overwrite)
+											gemmDrive(dst, n, gemmA{a: a.Data, lda: k}, m, &s.src, c0, c1, 0, k, scratch, overwrite)
 										})
 								}
 							}
@@ -405,7 +420,7 @@ func TestGemmOverwriteMatchesClear(t *testing.T) {
 								check(fmt.Sprintf("%s: conv OutW=%d kernel %+v rows [%d, %d) m=%d", mode.name, outW, kr, or0, or1, m), m*nOut, or0*outW, nOut, m, (or1-or0)*outW,
 									func(dst []float32, overwrite bool) {
 										src := convB(g, x, 0, g.InH, scratch, or0, or1)
-										gemmDrive(dst[or0*outW:], nOut, w.Data, kdim, m, &src, or0*outW, or1*outW, 0, kdim, scratch, overwrite)
+										gemmDrive(dst[or0*outW:], nOut, gemmA{a: w.Data, lda: kdim}, m, &src, or0*outW, or1*outW, 0, kdim, scratch, overwrite)
 									})
 							}
 						}

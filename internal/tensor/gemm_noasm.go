@@ -32,6 +32,18 @@ func gemm8x32o(kc int, a *float32, lda int, xb0, xb1 *float32, offs *int32, o *f
 	panic("tensor: gemm8x32o requires amd64")
 }
 
+func gemm8x32a(kc int, x *float32, rowOff, kOff *int32, bp0, bp1, o *float32, ldd int, zero bool) {
+	panic("tensor: gemm8x32a requires amd64")
+}
+
+func gemm8x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool) {
+	panic("tensor: gemm8x16a requires amd64")
+}
+
+func gemm4x16a(kc int, x *float32, rowOff, kOff *int32, bp, o *float32, ldd int, zero bool) {
+	panic("tensor: gemm4x16a requires amd64")
+}
+
 func gemm1x64s(kc, nq int, a, bp, o *float32, zero bool) {
 	panic("tensor: gemm1x64s requires amd64")
 }

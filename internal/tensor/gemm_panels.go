@@ -67,12 +67,11 @@ type ProjPanels struct {
 	wpr   int
 
 	// Prepacked asm backing: strips holds cols [0, n16) (n16 = ⌊n/16⌋·16)
-	// packed per (NC block, KC block) in packPanel16 layout; stripBase[b] is
-	// the offset of NC block b. tail holds the ragged cols [n16, n) densely
-	// with leading dimension n−n16.
-	strips    []float32
-	stripBase []int
-	tail      []float32
+	// packed per (NC block, KC block) in packPanel16 layout, NC block jb/gemmNC
+	// from k·jb on. tail holds the ragged cols [n16, n) densely with leading
+	// dimension n−n16.
+	strips []float32
+	tail   []float32
 
 	// Portable backing: the dense matrix itself (shared, not copied).
 	dense []float32
@@ -112,23 +111,11 @@ func PrepackPanels(b *Tensor) *ProjPanels {
 	}
 	n16 := PanelStripCols(n)
 	pp.strips = make([]float32, k*n16)
-	nBlocks := (n + gemmNC - 1) / gemmNC
-	pp.stripBase = make([]int, nBlocks)
-	off := 0
 	for jb := 0; jb < n16; jb += gemmNC {
-		w16 := gemmNC
-		if jb+w16 > n16 {
-			w16 = n16 - jb
-		}
-		pp.stripBase[jb/gemmNC] = off
+		w16 := min(gemmNC, n16-jb)
 		for pb := 0; pb < k; pb += gemmKC {
-			pe := pb + gemmKC
-			if pe > k {
-				pe = k
-			}
-			packPanel16(pp.strips[off+pb*w16:], b.Data, n, pb, pe, jb, jb+w16)
+			packPanel16(pp.strips[k*jb+pb*w16:], b.Data, n, pb, min(pb+gemmKC, k), jb, jb+w16)
 		}
-		off += k * w16
 	}
 	if n16 < n {
 		tw := n - n16
@@ -166,7 +153,7 @@ func MatMulPanelsBlock(dst []float32, a *Tensor, pp *ProjPanels, c0 int, scratch
 	}
 	w := min(gemmNC, pp.n-c0)
 	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
-	gemmDrive(dst, w, a.Data, pp.k, m, &src, c0, c0+w, 0, pp.k, scratch, true)
+	gemmDrive(dst, w, gemmA{a: a.Data, lda: pp.k}, m, &src, c0, c0+w, 0, pp.k, scratch, true)
 	return w
 }
 
@@ -179,7 +166,7 @@ func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
 		panic(fmt.Sprintf("tensor: MatMulPanelsInto dst shape %v, want [%d %d]", dst.Shape, m, pp.n))
 	}
 	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
-	gemmDrive(dst.Data, pp.n, a.Data, pp.k, m, &src, 0, pp.n, 0, pp.k, scratch, true)
+	gemmDrive(dst.Data, pp.n, gemmA{a: a.Data, lda: pp.k}, m, &src, 0, pp.n, 0, pp.k, scratch, true)
 }
 
 // MatMulPanelsKBlock writes one K block of a @ B to every column of dst:
@@ -203,7 +190,7 @@ func panelsKBlock(dst []float32, ldd int, a []float32, lda, m int, pp *ProjPanel
 		panic(fmt.Sprintf("tensor: panel K block rows [%d, %d) are not a K block of %d (block %d)", pb, pe, pp.k, gemmKC))
 	}
 	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
-	gemmDrive(dst, ldd, a, lda, m, &src, 0, pp.n, pb, pe, scratch, overwrite)
+	gemmDrive(dst, ldd, gemmA{a: a, lda: lda}, m, &src, 0, pp.n, pb, pe, scratch, overwrite)
 }
 
 func checkPanelsArgs(a *Tensor, pp *ProjPanels, scratch []float32) (m int) {
@@ -233,7 +220,7 @@ func (pp *ProjPanels) stripsAt(buf []float32, pb, pe, j0, j1 int) []float32 {
 	}
 	jb := j0 - j0%gemmNC
 	w16 := min(gemmNC, PanelStripCols(pp.n)-jb)
-	return pp.strips[pp.stripBase[jb/gemmNC]+pb*w16+(j0-jb)*(pe-pb):]
+	return pp.strips[pp.k*jb+pb*w16+(j0-jb)*(pe-pb):]
 }
 
 // tileAt is the panels' half of gemmB.tile, for the ragged columns (every

@@ -82,3 +82,45 @@ func TestAddScalarReLUInPlaceMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestReLUBackIntoMatchesLoop pins ReLU's backward kernel to the select loop
+// it replaced — g's bits where y > 0, +0 elsewhere — at 512 bits, at 256 bits
+// and on the portable twin, with NaN, ±0, ±Inf and subnormals in both the
+// output y and the gradient g (a NaN y passes no gradient; a NaN or −0
+// gradient passes as it is), at every tail length around the 8- and 16-wide
+// steps.
+func TestReLUBackIntoMatchesLoop(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		math.Float32frombits(0x7fc01234), math.Float32frombits(0xffa00001),
+		float32(math.Inf(1)), float32(math.Inf(-1)), -1e-45, 1e-45}
+	atEveryWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(63))
+		draw := func() float32 {
+			if rng.Intn(3) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return rng.Float32()*2 - 1
+		}
+		for n := 0; n <= 70; n++ {
+			g, y := make([]float32, n), make([]float32, n)
+			for i := range g {
+				g[i], y[i] = draw(), draw()
+			}
+			want := make([]float32, n)
+			for i := range want {
+				if y[i] > 0 {
+					want[i] = g[i]
+				}
+			}
+			got := make([]float32, n)
+			for i := range got {
+				got[i] = 7 // every element must be written
+			}
+			ReLUBackInto(got, g, y)
+			if i := sameBitsAt(got, want); i >= 0 {
+				t.Fatalf("n=%d: dx[%d] = %x, want %x (g %x, y %v)", n, i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]), math.Float32bits(g[i]), y[i])
+			}
+		}
+	})
+}
