@@ -81,7 +81,9 @@ v3:
 # the engine's batch split against the fused blocks' tile fan-out is
 # TestEngineSplitConcurrentCallers in internal/engine) and the training code
 # that runs on them (the arena's training steps in internal/cnn, the HD
-# retraining loop and the joint manifold loop in internal/core).
+# retraining loop and the joint manifold loop in internal/core, and
+# TestPipelineEvalConcurrent there: two goroutines on one pipeline's eval
+# passes).
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
 
@@ -107,13 +109,16 @@ fuzz:
 # they were chosen from, the tail's float64 score fold, im2col / col2im per VGG stage shape,
 # per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3
 # and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
-# BenchmarkPointwiseInfer), max-pool in both modes, one steady-state VGG16
-# Trainer.Fit step on its arena, the `train` workload's HD retraining and
-# teacher pass, float
+# BenchmarkPointwiseInfer), max-pool in Forward and ForwardInfer, one
+# steady-state Trainer.Fit step on its arena per zoo model — vgg16,
+# mobilenetv2, effnetb0 (BenchmarkTrainStep) — the `train` workload's HD
+# retraining and teacher pass, Pipeline.ExtractFeatures on nn.Infer at
+# vgg16@8 (32 and 96 px), vgg16@29, mobilenetv2@14 and effnetb0@6
+# (BenchmarkExtractFeatures), float
 # class scoring, /predict JSON decode against encoding/json,
 # Engine.PredictInto in images/s at the request shapes the batch split decides
-# on and on the MobileNet fixtures — offline_tail's, and cut 14 at 64 images)
-# with allocation counts.
+# on, on the MobileNet fixtures — offline_tail's, and cut 14 at 64 images —
+# and at vgg16@29 from 1 and from 64 images) with allocation counts.
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/tensor/ ./internal/parallel/ ./internal/nn/ ./internal/cnn/ ./internal/core/ ./internal/hdlearn/ ./internal/serve/ ./internal/engine/
 

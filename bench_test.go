@@ -21,6 +21,7 @@ import (
 	"nshd/internal/experiments"
 	"nshd/internal/hdc"
 	"nshd/internal/hdlearn"
+	"nshd/internal/nn"
 	"nshd/internal/quant"
 	"nshd/internal/tensor"
 )
@@ -304,7 +305,7 @@ func BenchmarkCNNForward(b *testing.B) {
 	tensor.NewRNG(6).FillNormal(x, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		zoo.Full().Forward(x, false)
+		nn.PredictLogits(zoo.Full(), x, 0)
 	}
 	b.ReportMetric(float64(8*zoo.FullStats().MACs)/1e6, "Mmacs/op")
 }

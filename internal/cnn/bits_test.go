@@ -24,7 +24,7 @@ const (
 
 // pretrainBits runs three Pretrain steps of the workload's vgg16 (batch 32,
 // Pretrain's optimizer, clipping and augmentation) and hashes every parameter
-// bit, then hashes the eval-mode logits of 64 test images resumed from cut 8:
+// bit, then hashes the eval logits of 64 test images resumed from cut 8:
 // Rest(8) crosses the 16×16, 8×8, 4×4 and 2×2 convs and the head, the last
 // with all its columns ragged.
 func pretrainBits(t *testing.T) (params, logits uint64) {
@@ -50,7 +50,7 @@ func pretrainBits(t *testing.T) (params, logits uint64) {
 	}
 	rest, _ := m.Rest(8)
 	h.Reset()
-	hashFloats(h, nn.PredictLogits(rest, cut.Forward(test.Images, false), 32).Data)
+	hashFloats(h, nn.PredictLogits(rest, nn.Infer(cut, test.Images, 32), 32).Data)
 	return params, h.Sum64()
 }
 

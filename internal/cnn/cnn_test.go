@@ -29,7 +29,7 @@ func TestZooForwardShapes(t *testing.T) {
 	x := tensor.New(2, 3, 32, 32)
 	tensor.NewRNG(2).FillNormal(x, 0, 1)
 	for name, m := range buildAll(t) {
-		logits := m.Full().Forward(x, false)
+		logits := nn.PredictLogits(m.Full(), x, 0)
 		if logits.Rank() != 2 || logits.Shape[0] != 2 || logits.Shape[1] != 10 {
 			t.Fatalf("%s: logits shape %v", name, logits.Shape)
 		}
@@ -100,7 +100,7 @@ func TestCutForwardMatchesPrefixOfFull(t *testing.T) {
 	tensor.NewRNG(6).FillNormal(x, 0, 1)
 	// Running the cut, then the remaining units + head, must equal the full
 	// network output.
-	mid := fe.Forward(x, false)
+	mid := nn.Infer(fe, x, 0)
 	var rest []nn.Layer
 	for _, u := range m.Units {
 		if u.Index > 3 {
@@ -109,8 +109,8 @@ func TestCutForwardMatchesPrefixOfFull(t *testing.T) {
 	}
 	rest = append(rest, m.Head...)
 	tail := nn.NewSequential("tail", rest...)
-	got := tail.Forward(mid, false)
-	want := m.Full().Forward(x, false)
+	got := nn.Infer(tail, mid, 0)
+	want := nn.Infer(m.Full(), x, 0)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatal("cut+tail must reproduce the full forward pass")
@@ -274,30 +274,36 @@ func TestPretrainRejectsDivergedTeacher(t *testing.T) {
 
 // BenchmarkTrainStep times one Trainer.Fit step of the full VGG16/4 — forward,
 // loss, backward, clip, SGD with momentum and weight decay — at the batch
-// size and settings Pretrain configures: the unit cnn.pretrain_s is made of.
-// One Fit call runs b.N + 1 one-step epochs; the timer and the allocation
-// counters start at the end of the first, which sizes the training arena, so
-// an op is a steady-state step (plus its epoch's shuffle and log line).
+// size and settings Pretrain configures: the unit cnn.pretrain_s is made of,
+// one row per zoo model but EfficientNet-B7 (the `train` workload trains
+// vgg16; the paper's headline models are the other two). One Fit call runs
+// b.N + 1 one-step epochs; the timer and the allocation counters start at the
+// end of the first, which sizes the training arena, so an op is a
+// steady-state step (plus its epoch's shuffle and log line).
 func BenchmarkTrainStep(b *testing.B) {
-	first := true
-	m, x, labels, tr := stepFixture(b, b.N+1, func() {
-		if first {
-			b.ResetTimer()
-			first = false
-		}
-	})
-	b.ReportAllocs()
-	tr.Fit(m.Full(), x, labels, tensor.NewRNG(3))
-	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
+	for _, model := range []string{"vgg16", "mobilenetv2", "effnetb0"} {
+		b.Run(model, func(b *testing.B) {
+			first := true
+			m, x, labels, tr := stepFixture(b, model, b.N+1, func() {
+				if first {
+					b.ResetTimer()
+					first = false
+				}
+			})
+			b.ReportAllocs()
+			tr.Fit(m.Full(), x, labels, tensor.NewRNG(3))
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
+		})
+	}
 }
 
-// stepFixture builds VGG16/4, one batch of 32 normal images with labels
-// cycling over ten classes, and a Trainer with Pretrain's optimizer,
-// clipping and augmentation that runs the batch for the given number of
-// one-step epochs, calling onEpoch at the end of each.
-func stepFixture(tb testing.TB, epochs int, onEpoch func()) (*Model, *tensor.Tensor, []int, *nn.Trainer) {
+// stepFixture builds the zoo model (VGG16/4 for the gates), one batch of 32
+// normal images with labels cycling over ten classes, and a Trainer with
+// Pretrain's optimizer, clipping and augmentation that runs the batch for the
+// given number of one-step epochs, calling onEpoch at the end of each.
+func stepFixture(tb testing.TB, model string, epochs int, onEpoch func()) (*Model, *tensor.Tensor, []int, *nn.Trainer) {
 	const batch = 32
-	m, err := Build("vgg16", tensor.NewRNG(1), 10)
+	m, err := Build(model, tensor.NewRNG(1), 10)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -329,7 +335,7 @@ func (f lineHook) Write(p []byte) (int, error) {
 func TestFitStepHeap(t *testing.T) {
 	const epochs, fitStepBytes = 4, 5 << 20
 	var bytes, allocs []uint64 // at the end of each epoch
-	m, x, labels, tr := stepFixture(t, epochs, func() {
+	m, x, labels, tr := stepFixture(t, "vgg16", epochs, func() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		bytes, allocs = append(bytes, ms.TotalAlloc), append(allocs, ms.Mallocs)

@@ -79,9 +79,9 @@ func (m *Model) Cut(layer int) (*nn.Sequential, error) {
 
 // Rest returns what Cut(layer) leaves of the full network: every unit with
 // Index > layer, then the head. The two share the full model's layer objects
-// and partition them, so Rest's eval-mode Forward on Cut's output is the
-// teacher's Forward resumed from the extractor's features — the same layers
-// on the same inputs.
+// and partition them, so Rest's eval pass on Cut's output is the teacher's
+// resumed from the extractor's features — the same layers on the same
+// inputs.
 func (m *Model) Rest(layer int) (*nn.Sequential, error) {
 	_, rest, err := m.split(layer)
 	return rest, err

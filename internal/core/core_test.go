@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"nshd/internal/cnn"
@@ -101,7 +103,9 @@ func TestExtractFeaturesMatchesDirect(t *testing.T) {
 	images := tensor.New(5, 3, 16, 16)
 	tensor.NewRNG(4).FillNormal(images, 0, 1)
 	got := p.ExtractFeatures(images)
-	want := p.Extractor.Forward(images, false)
+	// The whole batch through the unfused layers on one arena (ForwardInfer
+	// works in place, so on a copy).
+	want := p.Extractor.ForwardInfer(images.Clone(), tensor.NewArena())
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatal("batched extraction must equal direct forward")
@@ -109,6 +113,48 @@ func TestExtractFeaturesMatchesDirect(t *testing.T) {
 	}
 	if got.Shape[1] != 16 || got.Shape[2] != 4 || got.Shape[3] != 4 {
 		t.Fatalf("feature shape %v", got.Shape)
+	}
+}
+
+// TestPipelineEvalConcurrent runs ExtractFeatures and PredictDirect on one
+// pipeline from two goroutines at once and checks every result against the
+// serial one. Under make race it pins that no eval pass writes layer state,
+// which two callers would race on.
+func TestPipelineEvalConcurrent(t *testing.T) {
+	p, err := New(tinyZoo(9, 4), testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := tensor.New(12, 3, 16, 16)
+	tensor.NewRNG(10).FillNormal(images, 0, 1)
+	labels := make([]int, 12)
+	for i := range labels {
+		labels[i] = i % 4
+	}
+	_, _, signed := p.Symbolize(p.ExtractFeatures(images), false)
+	p.HD.InitBundle(signed, labels)
+	wantFeats, wantPreds := p.ExtractFeatures(images), p.PredictDirect(images)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for _, pass := range []func() bool{
+		func() bool { return slices.Equal(p.ExtractFeatures(images).Data, wantFeats.Data) },
+		func() bool { return slices.Equal(p.PredictDirect(images), wantPreds) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				if !pass() {
+					errs <- "a concurrent eval pass differs from the serial one"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 

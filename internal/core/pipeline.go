@@ -134,32 +134,14 @@ func (p *Pipeline) checkImages(images *tensor.Tensor) error {
 	return nil
 }
 
-// ExtractFeatures runs the frozen extractor over images in batches,
-// returning the [N, C, H, W] feature tensor. It panics on images not shaped
-// [N, C, H, W] as the zoo model's input.
+// ExtractFeatures runs the frozen extractor over images on nn.Infer, in parts
+// of at most Cfg.BatchSize images, returning the [N, C, H, W] feature tensor.
+// It panics on images not shaped [N, C, H, W] as the zoo model's input.
 func (p *Pipeline) ExtractFeatures(images *tensor.Tensor) *tensor.Tensor {
 	if err := p.checkImages(images); err != nil {
 		panic(err.Error())
 	}
-	n := images.Shape[0]
-	out := tensor.New(append([]int{n}, p.FeatShape...)...)
-	if n == 0 {
-		return out
-	}
-	bs := p.Cfg.BatchSize
-	sampleLen := images.Len() / n
-	featLen := p.FeatShape[0] * p.FeatShape[1] * p.FeatShape[2]
-	for start := 0; start < n; start += bs {
-		end := start + bs
-		if end > n {
-			end = n
-		}
-		batchShape := append([]int{end - start}, images.Shape[1:]...)
-		bx := tensor.FromSlice(images.Data[start*sampleLen:end*sampleLen], batchShape...)
-		feats := p.Extractor.Forward(bx, false)
-		copy(out.Data[start*featLen:end*featLen], feats.Data)
-	}
-	return out
+	return nn.Infer(p.Extractor, images, p.Cfg.BatchSize)
 }
 
 // Symbolize maps a feature batch to query hypervectors: raw (pre-sign) and

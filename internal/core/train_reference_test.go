@@ -68,11 +68,13 @@ func newRefManifold(p *core.Pipeline) *refManifold {
 	return m
 }
 
-func (m *refManifold) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// forward is the training pass; an eval pass runs it too, whose values are
+// the same and whose caches the next training pass overwrites.
+func (m *refManifold) forward(x *tensor.Tensor) *tensor.Tensor {
 	if m.pool != nil {
-		x = m.pool.Forward(x, train)
+		x = m.pool.Forward(x)
 	}
-	return m.fc.Forward(m.flat.Forward(x, train), train)
+	return m.fc.Forward(m.flat.Forward(x))
 }
 
 func (m *refManifold) backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -89,11 +91,11 @@ func (m *refManifold) backward(grad *tensor.Tensor) *tensor.Tensor {
 // the pool on, the manifold backward computes (and drops) the input gradient,
 // Adam steps serially, and the final accuracy re-symbolizes the features.
 func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor) *core.TrainReport {
-	symbolize := func(x *tensor.Tensor, train bool) *tensor.Tensor {
+	symbolize := func(x *tensor.Tensor) *tensor.Tensor {
 		var v *tensor.Tensor
 		switch {
 		case ml != nil:
-			v = ml.forward(x, train)
+			v = ml.forward(x)
 		case p.LSH != nil:
 			_, v = p.LSH.EncodeBatch(x.Reshape(x.Shape[0], -1))
 		default:
@@ -107,7 +109,7 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 	if teacherLogits != nil {
 		report.TeacherTrainAccuracy = nn.Accuracy(teacherLogits, labels)
 	}
-	p.HD.InitBundle(symbolize(feats, false), labels)
+	p.HD.InitBundle(symbolize(feats), labels)
 
 	n := len(labels)
 	featLen := feats.Len() / n
@@ -137,7 +139,7 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 					copy(bTeacher.Row(bi), teacherLogits.Row(src))
 				}
 			}
-			bSigned := symbolize(bFeats, ml != nil)
+			bSigned := symbolize(bFeats)
 			u := p.HD.DistillUpdateBatch(p.HD.SimilarityBatch(bSigned), bLabels, bTeacher, alpha, temp)
 			for i, pr := range tensor.ArgmaxRows(p.HD.SimilarityBatch(bSigned)) {
 				if pr == bLabels[i] {
@@ -166,7 +168,7 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 		})
 	}
 	if ml != nil {
-		finalSigned := symbolize(feats, false)
+		finalSigned := symbolize(feats)
 		p.HD.InitBundle(finalSigned, labels)
 		refine := cfg.Epochs/2 + 1
 		var teacher *tensor.Tensor
@@ -179,7 +181,7 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 			panic(err)
 		}
 	}
-	report.FinalTrainAccuracy = p.HD.Accuracy(symbolize(feats, false), labels)
+	report.FinalTrainAccuracy = p.HD.Accuracy(symbolize(feats), labels)
 	return report
 }
 
@@ -317,14 +319,8 @@ func TestTeacherLogitsFromFeatures(t *testing.T) {
 			}
 			for _, bs := range []int{1, 7, 32} {
 				want := nn.PredictLogits(zoo.Full(), images, bs)
-				// The extractor in batches of bs, as Pipeline.ExtractFeatures runs it.
-				feats := tensor.New(append([]int{n}, prefix.OutShape(zoo.InShape)...)...)
-				imgLen, featLen := images.Len()/n, feats.Len()/n
-				for lo := 0; lo < n; lo += bs {
-					hi := min(lo+bs, n)
-					bx := tensor.FromSlice(images.Data[lo*imgLen:hi*imgLen], append([]int{hi - lo}, zoo.InShape...)...)
-					copy(feats.Data[lo*featLen:hi*featLen], prefix.Forward(bx, false).Data)
-				}
+				// The extractor in parts of bs, as Pipeline.ExtractFeatures runs it.
+				feats := nn.Infer(prefix, images, bs)
 				got := nn.PredictLogits(rest, feats, bs)
 				if i := sameBits(got.Data, want.Data); i >= 0 {
 					t.Fatalf("%s@%d bs=%d: logit %d = %v, full network %v", name, cut, bs, i, got.Data[i], want.Data[i])
@@ -391,6 +387,41 @@ func BenchmarkTrainOnFeatures(b *testing.B) {
 		epochs += clock.at[len(clock.at)-1].Sub(clock.at[0])
 	}
 	b.ReportMetric(epochs.Seconds()*1e3/float64(b.N*(cfg.Epochs-1)), "ms/epoch")
+}
+
+// BenchmarkExtractFeatures times Pipeline.ExtractFeatures (nn.Infer over the
+// cut's fused plan, in parts of the pipeline's batch size 32) on the zoo cuts
+// the benchmark and the paper serve: vgg16@8 on the 128 images of the
+// online_single fixture and on 32 of embedded_large's 96×96 ones, and vgg16@29,
+// mobilenetv2@14 and effnetb0@6 on 256, 256 and 128 32×32 images.
+func BenchmarkExtractFeatures(b *testing.B) {
+	for _, c := range []struct {
+		model     string
+		cut, size int
+		n         int
+	}{
+		{"vgg16", 8, 32, 128}, {"vgg16", 8, 96, 32}, {"vgg16", 29, 32, 256},
+		{"mobilenetv2", 14, 32, 256}, {"effnetb0", 6, 32, 128},
+	} {
+		zoo, err := cnn.Build(c.model, tensor.NewRNG(72), 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zoo.InShape = []int{3, c.size, c.size}
+		p, err := core.New(zoo, core.DefaultConfig(c.cut, 10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		images := tensor.New(c.n, 3, c.size, c.size)
+		tensor.NewRNG(9).FillNormal(images, 0, 1)
+		b.Run(fmt.Sprintf("%s@%d-%dpx-n%d", c.model, c.cut, c.size, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ExtractFeatures(images)
+			}
+			b.ReportMetric(float64(c.n)*float64(b.N)/b.Elapsed().Seconds(), "images/s")
+		})
+	}
 }
 
 // BenchmarkTeacherLogits times the teacher pass of Pipeline.Train both ways:

@@ -62,7 +62,9 @@ func benchSetup(b *testing.B, f benchFixture) (*core.Pipeline, *tensor.Tensor) {
 // evidence for its value (DESIGN.md, "Serving engine"). The MobileNet rows
 // time the inverted-residual layers: the offline_tail workload's fixture
 // (cut 1 = stem + invres(8→4,s1,t1), K = 100, D = 10 000, chunk 64, one call
-// of 256 images) and the paper's cut 14 at 64 images.
+// of 256 images) and the paper's cut 14 at 64 images. The vgg16@29 rows are
+// the paper's deepest VGG cut, whose 8×8 to 2×2 convs run unfused in rows
+// form, from one image and from 64.
 //
 // The -unfused rows are the same pipeline compiled WithUnfusedExtract, in the
 // same process as the float row beside them, at the shapes ROADMAP's
@@ -81,6 +83,7 @@ func BenchmarkEnginePredict(b *testing.B) {
 		{"mobilenetv2-32", servingFixture("mobilenetv2", 1, 32), []int{2}, nil},
 		{"offline_tail", benchFixture{model: "mobilenetv2", cut: 1, size: 32, classes: 100, d: 10000, chunk: 64, imgs: 256}, []int{256}, nil},
 		{"mobilenetv2@14", servingFixture("mobilenetv2", 14, 32), []int{64}, nil},
+		{"vgg16@29", servingFixture("vgg16", 29, 32), []int{1, 64}, nil},
 	} {
 		p, imgs := benchSetup(b, c.fx)
 		for _, v := range []struct {

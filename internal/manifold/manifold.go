@@ -70,28 +70,33 @@ func (l *Learner) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Pooled is the learner's parameter-free half: the 2×2 max-pool (skipped on
 // a feature map too small to pool) and the flatten, [N, C, H, W] → [N,
-// PooledF]. It depends on nothing that training changes, so a caller that
-// trains on fixed features computes it once and feeds ForwardPooled.
+// PooledF], the pool run by nn.Infer. It depends on nothing that training
+// changes, so a caller that trains on fixed features computes it once and
+// feeds ForwardPooled.
 func (l *Learner) Pooled(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: Forward expects [N C H W], got %v", x.Shape))
 	}
 	y := x
 	if l.pool != nil {
-		y = l.pool.Forward(y, false)
+		y = nn.Infer(l.pool, y, 0)
 	}
 	return y.Reshape(x.Shape[0], l.PooledF)
 }
 
 // ForwardPooled is the learned half, [N, PooledF] → [N, F̂]. Set train to
-// cache the input for a following Backward.
+// cache the input for a following Backward; otherwise the FC runs on
+// nn.Infer.
 func (l *Learner) ForwardPooled(pooled *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.fc.Forward(pooled, train)
+	if train {
+		return l.fc.Forward(pooled)
+	}
+	return nn.Infer(l.fc, pooled, 0)
 }
 
 // ForwardInfer is the serving-side Forward: state-free, serial, and
 // allocating only from the caller's arena (see nn.InferenceLayer). It
-// matches Forward(train=false) bit-for-bit.
+// matches Forward(x, false) bit-for-bit.
 func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: ForwardInfer expects [N C H W], got %v", x.Shape))

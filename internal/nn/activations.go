@@ -35,18 +35,15 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Name() string { return "relu" }
 
 // Forward clamps negatives to zero: a copy of x through ForwardInfer's kernel,
-// so the two agree bit for bit (NaN passes through, -0 becomes +0).
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return r.forwardIn(nil, x, train)
+// so the two agree bit for bit (NaN passes through, -0 becomes +0). The copy
+// is cached for Backward.
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return r.forwardIn(nil, x)
 }
 
-func (r *ReLU) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := clampCopy(a, x, tensor.ReLUInPlace)
-	r.cachedY = nil
-	if train {
-		r.cachedY = y
-	}
-	return y
+func (r *ReLU) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	r.cachedY = clampCopy(a, x, tensor.ReLUInPlace)
+	return r.cachedY
 }
 
 // Backward zeroes gradients where the input was non-positive, read off the
@@ -57,7 +54,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 func (r *ReLU) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if r.cachedY == nil {
-		panic("nn: ReLU.Backward without Forward(train=true)")
+		panic("nn: ReLU.Backward without Forward")
 	}
 	y := r.cachedY
 	dx := alloc(a, y.Shape...)
@@ -87,21 +84,18 @@ func NewReLU6() *ReLU6 { return &ReLU6{} }
 // Name implements Layer.
 func (r *ReLU6) Name() string { return "relu6" }
 
-// Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit.
-func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := clampCopy(nil, x, tensor.ClampReLU6InPlace)
-	r.cachedY = nil
-	if train {
-		r.cachedY = y
-	}
-	return y
+// Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit, and
+// caches the result for Backward.
+func (r *ReLU6) Forward(x *tensor.Tensor) *tensor.Tensor {
+	r.cachedY = clampCopy(nil, x, tensor.ClampReLU6InPlace)
+	return r.cachedY
 }
 
 // Backward passes gradients only in the linear region, read off the cached
 // output: 0 < y < 6 exactly where 0 < x < 6, and a NaN gets no gradient.
 func (r *ReLU6) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.cachedY == nil {
-		panic("nn: ReLU6.Backward without Forward(train=true)")
+		panic("nn: ReLU6.Backward without Forward")
 	}
 	y := r.cachedY
 	dx := tensor.New(y.Shape...)
@@ -145,21 +139,16 @@ func sigmoid32(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// Forward applies the logistic function.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Map(sigmoid32)
-	if train {
-		s.cachedY = y
-	} else {
-		s.cachedY = nil
-	}
-	return y
+// Forward applies the logistic function and caches the result for Backward.
+func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
+	s.cachedY = x.Map(sigmoid32)
+	return s.cachedY
 }
 
 // Backward uses dy/dx = y(1-y).
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if s.cachedY == nil {
-		panic("nn: Sigmoid.Backward without Forward(train=true)")
+		panic("nn: Sigmoid.Backward without Forward")
 	}
 	dx := tensor.New(s.cachedY.Shape...)
 	for i, y := range s.cachedY.Data {
@@ -179,7 +168,7 @@ func (s *Sigmoid) Stats(in []int) Stats { return Stats{ActBytes: int64(shapeElem
 
 // SiLU (swish) is x·sigmoid(x), the activation EfficientNet uses.
 type SiLU struct {
-	cachedX *tensor.Tensor
+	cachedX, cachedSig *tensor.Tensor
 }
 
 // NewSiLU constructs a SiLU activation.
@@ -188,24 +177,27 @@ func NewSiLU() *SiLU { return &SiLU{} }
 // Name implements Layer.
 func (s *SiLU) Name() string { return "silu" }
 
-// Forward computes x·σ(x).
-func (s *SiLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		s.cachedX = x
-	} else {
-		s.cachedX = nil
+// Forward computes x·σ(x) and caches x and σ(x) for Backward, so that each
+// element's exponential is taken once a step.
+func (s *SiLU) Forward(x *tensor.Tensor) *tensor.Tensor {
+	y, sig := tensor.New(x.Shape...), tensor.New(x.Shape...)
+	for i, v := range x.Data {
+		sg := sigmoid32(v)
+		sig.Data[i] = sg
+		y.Data[i] = v * sg
 	}
-	return x.Map(func(v float32) float32 { return v * sigmoid32(v) })
+	s.cachedX, s.cachedSig = x, sig
+	return y
 }
 
-// Backward uses d/dx[xσ(x)] = σ(x)(1 + x(1-σ(x))).
+// Backward uses d/dx[xσ(x)] = σ(x)(1 + x(1-σ(x))), with Forward's σ(x).
 func (s *SiLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if s.cachedX == nil {
-		panic("nn: SiLU.Backward without Forward(train=true)")
+		panic("nn: SiLU.Backward without Forward")
 	}
 	dx := tensor.New(s.cachedX.Shape...)
 	for i, v := range s.cachedX.Data {
-		sg := sigmoid32(v)
+		sg := s.cachedSig.Data[i]
 		dx.Data[i] = grad.Data[i] * sg * (1 + v*(1-sg))
 	}
 	return dx

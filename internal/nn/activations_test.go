@@ -28,8 +28,8 @@ func activationEdgeInput(n int) *tensor.Tensor {
 	return x
 }
 
-// TestActivationForwardMatchesInfer pins ReLU and ReLU6 Forward, in both
-// modes, bit for bit to ForwardInfer — non-finite inputs included: InferenceLayer
+// TestActivationForwardMatchesInfer pins ReLU and ReLU6 Forward bit for bit
+// to ForwardInfer — non-finite inputs included: InferenceLayer
 // promises it, and the engine-vs-pipeline gates only ever feed finite values —
 // across lengths on both sides of the vector width and of the pool's split
 // grain. Backward is pinned to the layers' defining masks (x > 0, resp.
@@ -51,20 +51,17 @@ func TestActivationForwardMatchesInfer(t *testing.T) {
 			in := ar.Alloc(n)
 			copy(in.Data, x.Data)
 			want := lc.l.ForwardInfer(in, ar)
-			for _, train := range []bool{false, true} {
-				name := fmt.Sprintf("%s n=%d train=%v", lc.name, n, train)
-				y := lc.l.Forward(x, train)
-				for i, v := range y.Data {
-					if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("%s: Forward(%v) = %v (%#x), ForwardInfer %v (%#x)", name, x.Data[i],
-							v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
-					}
-					if math.Float32bits(x.Data[i]) != math.Float32bits(xBits.Data[i]) {
-						t.Fatalf("%s: Forward wrote its input at %d", name, i)
-					}
+			name := fmt.Sprintf("%s n=%d", lc.name, n)
+			y := lc.l.Forward(x)
+			for i, v := range y.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s: Forward(%v) = %v (%#x), ForwardInfer %v (%#x)", name, x.Data[i],
+						v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+				}
+				if math.Float32bits(x.Data[i]) != math.Float32bits(xBits.Data[i]) {
+					t.Fatalf("%s: Forward wrote its input at %d", name, i)
 				}
 			}
-			// The last Forward ran in train mode.
 			grad := randInput(int64(62+n), n)
 			dx := lc.l.Backward(grad)
 			for i, v := range x.Data {

@@ -43,8 +43,10 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 // Name implements Layer.
 func (bn *BatchNorm2D) Name() string { return fmt.Sprintf("batchnorm(%d)", bn.C) }
 
-// Forward normalizes per channel.
-func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// Forward normalizes a training batch per channel with its own statistics,
+// folds them into the running statistics, and caches what Backward needs.
+// Eval passes normalize with the running statistics (ForwardInfer).
+func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "BatchNorm2D")
 	if x.Rank() != 4 || x.Shape[1] != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D(%d) expects [N %d H W], got %v", bn.C, bn.C, x.Shape))
@@ -52,25 +54,6 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h, w := x.Shape[2], x.Shape[3]
 	hw := h * w
 	y := tensor.New(x.Shape...)
-
-	if !train {
-		parallelFor(bn.C, func(clo, chi int) {
-			for ch := clo; ch < chi; ch++ {
-				mean := bn.RunMean.Data[ch]
-				invStd := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[ch]+bn.Eps)))
-				g, b := bn.Gamma.W.Data[ch], bn.Beta.W.Data[ch]
-				for i := 0; i < n; i++ {
-					base := (i*bn.C + ch) * hw
-					for j := 0; j < hw; j++ {
-						y.Data[base+j] = g*(x.Data[base+j]-mean)*invStd + b
-					}
-				}
-			}
-		})
-		bn.cachedXhat = nil
-		return y
-	}
-
 	xhat := tensor.New(x.Shape...)
 	std := make([]float32, bn.C)
 	cnt := float64(n * hw)
@@ -121,7 +104,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements the standard batch-norm gradient.
 func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if bn.cachedXhat == nil {
-		panic("nn: BatchNorm2D.Backward without Forward(train=true)")
+		panic("nn: BatchNorm2D.Backward without Forward")
 	}
 	n, hw := bn.cachedN, bn.cachedHW
 	m := float32(n * hw)

@@ -55,15 +55,13 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 	}
 }
 
-// Forward computes the convolution. Its bits are those of one column product
-// W·cols per chunk of samples — cols the chunk's im2col, stacked side by
-// side — and the chunk is a function of the layer geometry alone: one sample,
-// unless train is set and HW is not a whole number of 16-column strips. Then
-// every column of a per-sample product past the last whole strip (at HW = 4,
-// all of them) would run the ragged-column kernel, and stacking
-// convStackChunk(HW) samples puts all but the chunk's last < 16 columns on
-// the strip kernels (DESIGN.md, Training engine). How a chunk's product is
-// computed depends on the geometry too:
+// Forward computes the convolution of a training batch and caches x for
+// Backward. Its bits are those of one column product W·cols per chunk of
+// samples — cols the chunk's im2col, stacked side by side — and the chunk is
+// one sample unless HW is not a whole number of 16-column strips: then
+// convStackChunk(HW) samples put all but the chunk's last < 16 columns on the
+// strip kernels instead of the ragged-column one (DESIGN.md, Training
+// engine). How a chunk's product is computed depends on the geometry:
 //
 //   - in offset form (tensor.ConvOffsetForm: stride 1, OutW a multiple of 16)
 //     each sample is one implicit GEMM that reads the image in place, as in
@@ -74,13 +72,13 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 //     padded window and W packed once per call — the column product's bits;
 //   - otherwise the chunk's im2col is materialized and multiplied.
 //
-// Eval mode therefore computes exactly ForwardInfer's bits; train mode moves
-// them only in stacked layers, as Backward's stacking does for gradients.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.forwardIn(nil, x, train)
+// One-sample chunks give ForwardInfer's bits; stacked ones move them, as
+// Backward's stacking does for gradients.
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return c.forwardIn(nil, x)
 }
 
-func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N %d H W], got %v", c.InC, x.Shape))
@@ -92,18 +90,14 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tenso
 	}
 	hw := g.OutH() * g.OutW()
 	y := alloc(a, n, c.OutC, g.OutH(), g.OutW())
-	if train {
-		c.cachedX = x
-	} else {
-		c.cachedX = nil
-	}
+	c.cachedX = x
 	kdim := c.InC * c.KH * c.KW
 	wmat := c.Weight.W.Reshape(c.OutC, kdim)
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * hw
 	offset := tensor.ConvOffsetForm(g)
 	chunk := 1
-	if train && !offset && tensor.PanelStripCols(hw) != hw {
+	if !offset && tensor.PanelStripCols(hw) != hw {
 		chunk = convStackChunk(hw)
 	}
 	var bias []float32
@@ -171,15 +165,28 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tenso
 	return y
 }
 
-// convRowsGroup is how many samples one rows-form product covers: a whole
-// number of chunks, enough for about 256 output positions — rows enough to
-// stream the packed weights' K blocks past — but no more than an even share
-// of the batch per worker. Rows are independent chains, so the group moves
-// no bit; only the chunk does.
+// convRowsGroup is how many samples one rows-form product of Forward covers:
+// a whole number of chunks, enough for convGroupRows output positions, but no
+// more than an even share of the batch per worker. Rows are independent
+// chains, so the group moves no bit; only the chunk does.
 func convRowsGroup(n, hw, chunk int) int {
 	roundUp := func(v int) int { return (v + chunk - 1) / chunk * chunk }
-	return max(chunk, min(roundUp((256+hw-1)/hw), roundUp((n+parallel.Workers()-1)/parallel.Workers())))
+	return max(chunk, min(roundUp((convGroupRows+hw-1)/hw), roundUp((n+parallel.Workers()-1)/parallel.Workers())))
 }
+
+// convGroupRows is the output positions a rows-form product aims at: rows
+// enough to stream the packed weights' K blocks past.
+const convGroupRows = 256
+
+// convInferRows is the fewest output positions (samples · HW) of a
+// ForwardInfer call on which a conv in rows form takes that form, packing W
+// once: below them the per-sample product, which packs nothing, is faster.
+// Rows form against it on AVX-512, medians of 15 alternated calls: 128→128 at
+// 2×2 ×1.72 from one image (4 rows), ×0.90 from four (16); 128→128 at 4×4
+// ×0.86 from one, ×0.31 from 32; 64→64 at 8×8 ×0.54 from one. A pointwise
+// conv, its input its own column matrix, stays per sample (rows form
+// ×0.94–6.3 on the zoo's 1×1 shapes).
+const convInferRows = 16
 
 // convBackChunk is the fixed number of samples per gradient-accumulator
 // chunk in DepthwiseConv2D.Backward. It depends on nothing — in particular not
@@ -191,8 +198,8 @@ const convBackChunk = 4
 
 // convStackChunk is the number of samples Conv2D stacks into one GEMM operand
 // for a layer with hw output positions per sample — in Backward one pair of
-// GEMMs, and so one private gradient accumulator, per chunk; in train-mode
-// Forward one product per chunk where the per-sample one would have ragged
+// GEMMs, and so one private gradient accumulator, per chunk; in Forward one
+// product per chunk where the per-sample one would have ragged
 // columns. Enough that the stacked dimension chunk·hw reaches one K block of
 // the GEMM driver (256) where a small feature map allows it, within [4, 16] —
 // a batch of 32 still makes two chunks. Like convBackChunk it is a function of
@@ -227,7 +234,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
-		panic("nn: Conv2D.Backward without Forward(train=true)")
+		panic("nn: Conv2D.Backward without Forward")
 	}
 	dx := alloc(a, c.cachedX.Shape...)
 	c.backward(a, grad, dx)
@@ -239,7 +246,7 @@ func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 // layer, whose input does not learn (Fit).
 func (c *Conv2D) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
 	if c.cachedX == nil {
-		panic("nn: Conv2D.Backward without Forward(train=true)")
+		panic("nn: Conv2D.Backward without Forward")
 	}
 	c.backward(a, grad, nil)
 }
@@ -466,20 +473,16 @@ func (d *DepthwiseConv2D) geom(h, w int) tensor.ConvGeom {
 }
 
 // Forward applies each channel's filter independently, plane by plane through
-// tensor.DepthwisePlane — the kernel ForwardInfer runs, so both modes compute
-// ForwardInfer's bits.
-func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// tensor.DepthwisePlane — the kernel ForwardInfer runs, so it computes
+// ForwardInfer's bits — and caches x for Backward.
+func (d *DepthwiseConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "DepthwiseConv2D")
 	if x.Rank() != 4 || x.Shape[1] != d.C {
 		panic(fmt.Sprintf("nn: DepthwiseConv2D expects [N %d H W], got %v", d.C, x.Shape))
 	}
 	g := d.geom(x.Shape[2], x.Shape[3])
 	y := tensor.New(n, d.C, g.OutH(), g.OutW())
-	if train {
-		d.cachedX = x
-	} else {
-		d.cachedX = nil
-	}
+	d.cachedX = x
 	tensor.ParallelFor(n, func(lo, hi int) {
 		win := tensor.GetFloats(tensor.DepthwiseWindowLen(g))
 		clear(win)
@@ -507,7 +510,7 @@ func (d *DepthwiseConv2D) planes(g tensor.ConvGeom, x, y []float32, lo, hi int, 
 // Backward accumulates filter gradients and returns dx.
 func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.cachedX == nil {
-		panic("nn: DepthwiseConv2D.Backward without Forward(train=true)")
+		panic("nn: DepthwiseConv2D.Backward without Forward")
 	}
 	x := d.cachedX
 	n := x.Shape[0]

@@ -68,7 +68,7 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 			name := fmt.Sprintf("%dto%d_k%d_s%d_p%d_hw%d_n%d", tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.hw, n)
 			conv := NewConv2D(tensor.NewRNG(int64(41+ci)), tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.bias)
 			x := randInput(int64(42+n), n, tc.inC, tc.size, tc.size)
-			y := conv.Forward(x, true)
+			y := conv.Forward(x)
 			if got := y.Shape[2] * y.Shape[3]; got != tc.hw {
 				t.Fatalf("%s: output size %d, case says %d", name, got, tc.hw)
 			}
@@ -141,7 +141,7 @@ func BenchmarkConv2DBackward(b *testing.B) {
 		b.Run(fmt.Sprintf("%dto%d@%dx%d", s.ch, s.ch, s.size, s.size), func(b *testing.B) {
 			conv := NewConv2D(tensor.NewRNG(1), s.ch, s.ch, 3, 1, 1, true)
 			x := randInput(2, batch, s.ch, s.size, s.size)
-			y := conv.Forward(x, true)
+			y := conv.Forward(x)
 			grad := randInput(3, y.Shape...)
 			flops := 4 * float64(batch) * float64(s.ch) * float64(s.ch*9) * float64(s.size*s.size)
 			b.ReportAllocs()
@@ -227,7 +227,7 @@ func (c *Conv2D) backwardColumns(grad *tensor.Tensor) *tensor.Tensor {
 // the same dx (to float tolerance).
 func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
-		panic("nn: Conv2D.Backward without Forward(train=true)")
+		panic("nn: Conv2D.Backward without Forward")
 	}
 	x := c.cachedX
 	n := x.Shape[0]

@@ -48,17 +48,18 @@ func convForwardScalar(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// forwardColumns is Forward's chunk rule as the column products of its
-// definition: each chunk's im2col materialized (Im2ColWindow), multiplied by
-// MatMulSerialInto, copied back per sample, bias added. The offset form's
+// forwardColumns is a chunk rule as the column products of its definition:
+// each chunk's im2col materialized (Im2ColWindow), multiplied by
+// MatMulSerialInto, copied back per sample, bias added — Forward's chunks
+// with stack set, ForwardInfer's single samples without. The offset form's
 // bits equal these (tensor.TestConvMulMatchesIm2Col); the rows form must too.
-func (c *Conv2D) forwardColumns(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv2D) forwardColumns(x *tensor.Tensor, stack bool) *tensor.Tensor {
 	n := x.Shape[0]
 	g := c.geom(x.Shape[2], x.Shape[3])
 	hw, kdim, sampleIn := g.OutH()*g.OutW(), c.InC*c.KH*c.KW, c.InC*g.InH*g.InW
 	y := tensor.New(n, c.OutC, g.OutH(), g.OutW())
 	chunk := 1
-	if train && !tensor.ConvOffsetForm(g) && tensor.PanelStripCols(hw) != hw {
+	if stack && !tensor.ConvOffsetForm(g) && tensor.PanelStripCols(hw) != hw {
 		chunk = convStackChunk(hw)
 	}
 	wmat := c.Weight.W.Reshape(c.OutC, kdim)
@@ -90,16 +91,18 @@ func (c *Conv2D) forwardColumns(x *tensor.Tensor, train bool) *tensor.Tensor {
 // form and neither), both strides and paddings, 1×1 and 3×3 kernels,
 // kdim = 27, output channels off the micro-kernel's multiples and one, one
 // and a half and two strips wide (16, 24, 32), with and without bias, and
-// batch sizes around the chunk boundary (and the empty batch). For each it
-// requires (a) eval-mode Forward bit-identical to ForwardInfer — the contract
-// the engine's reference rests on; (b) train mode bit-identical to eval mode
-// wherever the rule says a chunk is one sample (offset form, or HW a whole
-// number of strips), and everywhere on the portable build, which has one
-// kernel for every column; (c) both modes equal to the scalar definition to
+// batch sizes around the chunk boundary (and the empty batch), which put
+// ForwardInfer's calls on both sides of convInferRows. For each it requires
+// (a) ForwardInfer bit-identical to the per-sample column products
+// (forwardColumns without stacking), whichever form computed it — the
+// contract every eval pass rests on; (b) Forward bit-identical to
+// ForwardInfer wherever the rule says a chunk is one sample (offset form, or
+// HW a whole number of strips), and everywhere on the portable build, which
+// has one kernel for every column; (c) both equal to the scalar definition to
 // float tolerance, which on the stacked rows is the only independent
-// reference train mode has; (d) both modes bit-identical to the column
-// products of the chunk rule (forwardColumns), whichever form computed them;
-// (e) bit-identical results from the worker pool and a serial runner.
+// reference Forward has; (d) Forward bit-identical to the column products of
+// its chunk rule; (e) bit-identical Forward results from the worker pool and a
+// serial runner.
 func TestConv2DForwardShapeLattice(t *testing.T) {
 	cases := []struct {
 		inC, outC, k, stride, pad, size int
@@ -155,45 +158,42 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 			}
 			x := randInput(int64(53+n), n, tc.inC, tc.size, tc.size)
 
-			eval := conv.Forward(x, false)
-			train := conv.Forward(x, true)
+			ar := tensor.NewArena()
+			in := ar.Alloc(x.Shape...)
+			copy(in.Data, x.Data)
+			eval := conv.ForwardInfer(in, ar)
+			train := conv.Forward(x)
 			if got := eval.Shape[2] * eval.Shape[3]; got != tc.hw {
 				t.Fatalf("%s: output size %d, case says %d", name, got, tc.hw)
 			}
 
-			ar := tensor.NewArena()
-			in := ar.Alloc(x.Shape...)
-			copy(in.Data, x.Data)
-			sameBits(name, "eval Forward vs ForwardInfer", eval, conv.ForwardInfer(in, ar))
-
 			g := conv.geom(tc.size, tc.size)
 			if tensor.ConvOffsetForm(g) || tensor.PanelStripCols(tc.hw) == tc.hw || portable {
-				sameBits(name, "train vs eval Forward", train, eval)
+				sameBits(name, "Forward vs ForwardInfer", train, eval)
 			} else if n > 1 {
 				stacked++
 			}
 
-			sameBits(name, "eval Forward vs column products", eval, conv.forwardColumns(x, false))
-			sameBits(name, "train Forward vs column products", train, conv.forwardColumns(x, true))
+			sameBits(name, "ForwardInfer vs column products", eval, conv.forwardColumns(x, false))
+			sameBits(name, "Forward vs column products", train, conv.forwardColumns(x, true))
 
 			kdim := float64(tc.inC * tc.k * tc.k)
 			tol := math.Max(1e-4, 1e-6*(4+4*math.Sqrt(kdim)))
 			want := convForwardScalar(conv, x)
 			for i, w := range want.Data {
 				if !closeGrad(float64(train.Data[i]), float64(w), tol) {
-					t.Fatalf("%s: train Forward[%d] = %v, scalar reference %v", name, i, train.Data[i], w)
+					t.Fatalf("%s: Forward[%d] = %v, scalar reference %v", name, i, train.Data[i], w)
 				}
 				if !closeGrad(float64(eval.Data[i]), float64(w), tol) {
-					t.Fatalf("%s: eval Forward[%d] = %v, scalar reference %v", name, i, eval.Data[i], w)
+					t.Fatalf("%s: ForwardInfer[%d] = %v, scalar reference %v", name, i, eval.Data[i], w)
 				}
 			}
 
 			orig := parallelFor
 			parallelFor = serial
-			evalS, trainS := conv.Forward(x, false), conv.Forward(x, true)
+			trainS := conv.Forward(x)
 			parallelFor = orig
-			sameBits(name, "eval parallel vs serial", eval, evalS)
-			sameBits(name, "train parallel vs serial", train, trainS)
+			sameBits(name, "Forward parallel vs serial", train, trainS)
 		}
 	}
 	if stacked == 0 && !portable {
@@ -201,27 +201,30 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 	}
 }
 
-// BenchmarkConv2DForward times Conv2D.Forward on the five stage shapes of
-// VGG16/4 at 32×32 input (the benchmark's `train` workload) at the pretrain
-// batch size, in both modes: the first two shapes run in offset form, 8×8
-// and 4×4 per sample in either mode, and 2×2 is stacked in train mode only.
+// BenchmarkConv2DForward times Conv2D.Forward and ForwardInfer on the five
+// stage shapes of VGG16/4 at 32×32 input (the benchmark's `train` workload)
+// at the pretrain batch size: the first two shapes run in offset form, the
+// others in rows form, and 2×2 is stacked in Forward only.
 func BenchmarkConv2DForward(b *testing.B) {
 	const batch = 32
 	for _, s := range []struct{ ch, size int }{
 		{16, 32}, {32, 16}, {64, 8}, {128, 4}, {128, 2},
 	} {
-		for _, mode := range []struct {
-			name  string
-			train bool
-		}{{"train", true}, {"eval", false}} {
-			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.ch, s.ch, s.size, s.size, mode.name), func(b *testing.B) {
+		for _, mode := range []string{"train", "infer"} {
+			b.Run(fmt.Sprintf("%dto%d@%dx%d/%s", s.ch, s.ch, s.size, s.size, mode), func(b *testing.B) {
 				conv := NewConv2D(tensor.NewRNG(1), s.ch, s.ch, 3, 1, 1, true)
 				x := randInput(2, batch, s.ch, s.size, s.size)
+				ar := tensor.NewArena()
 				flops := 2 * float64(batch) * float64(s.ch) * float64(s.ch*9) * float64(s.size*s.size)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					conv.Forward(x, mode.train)
+					if mode == "train" {
+						conv.Forward(x)
+						continue
+					}
+					ar.Reset()
+					conv.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar)
 				}
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})

@@ -48,6 +48,15 @@ var FuseTileBudgetBytes = 3 << 19
 // tests can lower it to fuse small fixtures.
 var FuseMinMACs int64 = 1 << 21
 
+// fuseMinCols is the narrowest conv output row a fused run takes: one
+// 16-column strip. A tile of a narrower map is a few short rows, on which the
+// tiled product and its halo cost more than the maps they keep in cache; the
+// layers run unfused instead, where a conv in rows form makes the whole
+// call's output positions one product (Conv2D.ForwardInfer): VGG16 cut 29
+// serves 64 images in 23–25 ms with its 8×8 → 2×2 convs unfused, 51–59 ms
+// with them fused (BenchmarkEnginePredict, DESIGN.md, "One eval path").
+const fuseMinCols = 16
+
 // fuseTileRowsOverride, when positive, replaces the budget's cap on the tile
 // height so tests can run multi-tile schedules on small fixtures.
 var fuseTileRowsOverride = 0
@@ -193,7 +202,7 @@ func FuseInference(s *Sequential, c, h, w int) *Sequential {
 			continue
 		}
 		units, runLeaves, flatten, next, outShape := scanFuseRun(leaves, i, shape)
-		if len(units) == 0 { // geometry invalid for this input: leave as is
+		if len(units) == 0 { // invalid geometry, or a map too narrow: leave as is
 			shape = leaves[i].OutShape(shape)
 			out = append(out, leaves[i])
 			i++
@@ -231,7 +240,8 @@ func flattenLayers(l Layer) []Layer {
 
 // scanFuseRun greedily scans a maximal fusible run starting at ls[i] (a
 // Conv2D): repeated conv[+bn][+act][+pool] units, then an optional trailing
-// Flatten. It returns the parsed units, the consumed leaves, whether a
+// Flatten. The run ends before the first conv whose output rows are narrower
+// than fuseMinCols. It returns the parsed units, the consumed leaves, whether a
 // flatten was absorbed, the index after the run, and the per-sample output
 // shape.
 func scanFuseRun(ls []Layer, i int, shape []int) (units []fusedUnit, leaves []Layer, flatten bool, next int, outShape []int) {
@@ -243,7 +253,7 @@ func scanFuseRun(ls []Layer, i int, shape []int) (units []fusedUnit, leaves []La
 			break
 		}
 		g := conv.geom(h, w)
-		if g.Validate() != nil {
+		if g.Validate() != nil || g.OutW() < fuseMinCols {
 			break
 		}
 		u := fusedUnit{conv: conv, g: g, convH: g.OutH(), convW: g.OutW()}
@@ -448,9 +458,9 @@ func (b *FusedBlock) Name() string {
 
 // Forward implements Layer by running the original layers; training is
 // untouched by fusion.
-func (b *FusedBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (b *FusedBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range b.leaves {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }

@@ -70,12 +70,13 @@ func checkVGG96Grid(t *testing.T, g FuseGrid) {
 
 // randomFuseChain builds a random conv[+bn][+act][+pool] chain (optionally
 // flatten-terminated) that stays spatially valid from a random input shape,
-// with randomized weights and running statistics. Returns the model and the
-// input shape.
+// with randomized weights and running statistics, and whose every conv
+// writes rows of at least fuseMinCols: one fused run. Returns the model and
+// the input shape.
 func randomFuseChain(rng *rand.Rand, trng *tensor.RNG) (*Sequential, []int) {
 	c := 1 + rng.Intn(4)
 	h := 6 + rng.Intn(12)
-	w := 6 + rng.Intn(12)
+	w := fuseMinCols + rng.Intn(24)
 	in := []int{c, h, w}
 	var layers []Layer
 	nUnits := 1 + rng.Intn(3)
@@ -86,7 +87,7 @@ func randomFuseChain(rng *rand.Rand, trng *tensor.RNG) (*Sequential, []int) {
 		outC := 1 + rng.Intn(24)
 		conv := NewConv2D(trng, c, outC, k, stride, pad, rng.Intn(2) == 0)
 		g := conv.geom(h, w)
-		if g.Validate() != nil {
+		if g.Validate() != nil || g.OutW() < fuseMinCols {
 			conv = NewConv2D(trng, c, outC, 1, 1, 0, true)
 			g = conv.geom(h, w)
 		}
@@ -106,7 +107,8 @@ func randomFuseChain(rng *rand.Rand, trng *tensor.RNG) (*Sequential, []int) {
 		case 1:
 			layers = append(layers, NewReLU6())
 		}
-		if pk := 2 + rng.Intn(2); rng.Intn(2) == 0 && h/pk > 0 && w/pk > 0 {
+		last := u == nUnits-1
+		if pk := 2 + rng.Intn(2); rng.Intn(2) == 0 && h/pk > 0 && (w/pk >= fuseMinCols || last && w/pk > 0) {
 			layers = append(layers, NewMaxPool2D(pk))
 			h, w = h/pk, w/pk
 		}
@@ -254,11 +256,11 @@ func TestFuseInferenceGate(t *testing.T) {
 	trng := tensor.NewRNG(59)
 	conv := NewConv2D(trng, 3, 4, 3, 1, 1, true)
 	model := NewSequential("tiny", conv, NewReLU(), NewMaxPool2D(2), NewFlatten())
-	if got := FuseInference(model, 3, 8, 8); got != model {
+	if got := FuseInference(model, 3, 16, 16); got != model {
 		t.Fatalf("tiny chain fused under default gate")
 	}
 	lowerFuseGate(t)
-	fused := FuseInference(model, 3, 8, 8)
+	fused := FuseInference(model, 3, 16, 16)
 	if fused == model {
 		t.Fatalf("lowered gate did not fuse")
 	}
@@ -273,14 +275,47 @@ func TestFuseInferenceGate(t *testing.T) {
 	if len(ps) != 2 || ps[0] != conv.Weight || ps[1] != conv.Bias {
 		t.Fatalf("fused block must share the original parameters")
 	}
-	wantShape := model.OutShape([]int{3, 8, 8})
-	gotShape := blk.OutShape([]int{3, 8, 8})
+	wantShape := model.OutShape([]int{3, 16, 16})
+	gotShape := blk.OutShape([]int{3, 16, 16})
 	if len(gotShape) != 1 || gotShape[0] != wantShape[0] {
 		t.Fatalf("OutShape = %v, want %v", gotShape, wantShape)
 	}
-	if blk.Stats([]int{3, 8, 8}) != model.Stats([]int{3, 8, 8}) {
+	if blk.Stats([]int{3, 16, 16}) != model.Stats([]int{3, 16, 16}) {
 		t.Fatalf("fused Stats differ from unfused")
 	}
+}
+
+// TestFuseRunEndsBeforeNarrowMaps pins the width rule: VGG16's cut-29 stack
+// at 32×32 fuses its 32- and 16-wide convs into one block and leaves every
+// conv from the 8×8 maps on, narrower than one strip, to the unfused layers
+// (even with the size gate at zero), bit for bit the unfused pass.
+func TestFuseRunEndsBeforeNarrowMaps(t *testing.T) {
+	lowerFuseGate(t)
+	trng := tensor.NewRNG(60)
+	var layers []Layer
+	c := 3
+	for _, stage := range []struct{ outC, convs int }{{16, 2}, {32, 2}, {64, 3}, {128, 3}, {128, 3}} {
+		for i := 0; i < stage.convs; i++ {
+			layers = append(layers, NewConv2D(trng, c, stage.outC, 3, 1, 1, true), NewReLU())
+			c = stage.outC
+		}
+		layers = append(layers, NewMaxPool2D(2))
+	}
+	model := NewSequential("vgg29", layers[:len(layers)-1]...)
+	fused := FuseInference(model, 3, 32, 32)
+	blk, ok := fused.Layers[0].(*FusedBlock)
+	if !ok || len(blk.units) != 4 || blk.outW != 8 {
+		t.Fatalf("first layer %s, want a 4-unit block ending in the pool to 8×8", fused.Layers[0].Name())
+	}
+	for _, l := range fused.Layers[1:] {
+		if _, ok := l.(*FusedBlock); ok {
+			t.Fatalf("%s fused a conv on a map narrower than %d", l.Name(), fuseMinCols)
+		}
+	}
+	if len(fused.Layers) != 1+len(model.Layers)-len(blk.leaves) {
+		t.Fatalf("fused model has %d layers, want the block and %d unfused", len(fused.Layers), len(model.Layers)-len(blk.leaves))
+	}
+	runBitCompare(t, model, fused, []int{3, 32, 32}, 3, trng, "vgg29")
 }
 
 // TestFusedBlockZeroAllocSteadyState pins the fused inference pass at zero
@@ -299,10 +334,13 @@ func TestFusedBlockZeroAllocSteadyState(t *testing.T) {
 	lowerFuseGate(t)
 	saved := fuseTileRowsOverride
 	fuseTileRowsOverride = 3
-	fused := FuseInference(model, 3, 16, 16)
+	fused := FuseInference(model, 3, 32, 32)
 	fuseTileRowsOverride = saved
+	if len(fused.Layers) != 1 {
+		t.Fatalf("fused model has %d layers, want one block", len(fused.Layers))
+	}
 
-	x := tensor.New(2, 3, 16, 16)
+	x := tensor.New(2, 3, 32, 32)
 	trng.FillNormal(x, 0, 1)
 	ar := tensor.NewArena()
 	for i := 0; i < 3; i++ { // grow the arena and the run freelist

@@ -7,10 +7,10 @@ import (
 	"nshd/internal/tensor"
 )
 
-// lossOf runs a forward pass in train mode and reduces the output with a
+// lossOf runs the training forward pass and reduces the output with a
 // fixed random projection so the scalar loss exercises every output element.
 func lossOf(l Layer, x *tensor.Tensor, probe []float32) float64 {
-	y := l.Forward(x, true)
+	y := l.Forward(x)
 	var s float64
 	for i, v := range y.Data {
 		s += float64(v) * float64(probe[i%len(probe)]) * float64(1+i%3)
@@ -32,7 +32,7 @@ func gradCheck(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-	y := l.Forward(x, true)
+	y := l.Forward(x)
 	gout := tensor.New(y.Shape...)
 	for i := range gout.Data {
 		gout.Data[i] = probe[i%len(probe)] * float32(1+i%3)
@@ -183,7 +183,7 @@ func TestMaxPoolBackwardRouting(t *testing.T) {
 	// subgradient routing property directly.
 	mp := NewMaxPool2D(2)
 	x := randInput(25, 1, 1, 4, 4)
-	y := mp.Forward(x, true)
+	y := mp.Forward(x)
 	g := tensor.New(y.Shape...)
 	g.Fill(1)
 	dx := mp.Backward(g)
@@ -231,7 +231,7 @@ func TestSequentialGradientsEndToEnd(t *testing.T) {
 	x := randInput(27, 2, 1, 4, 4)
 	labels := []int{0, 2}
 	model.ZeroGrad()
-	logits := model.Forward(x, true)
+	logits := model.Forward(x)
 	_, grad := CrossEntropy(logits, labels)
 	model.Backward(grad)
 
@@ -242,9 +242,9 @@ func TestSequentialGradientsEndToEnd(t *testing.T) {
 	for _, idx := range sampleIdx(conv.Weight.W.Len(), 5) {
 		orig := conv.Weight.W.Data[idx]
 		conv.Weight.W.Data[idx] = orig + eps
-		lp, _ := CrossEntropy(model.Forward(x, true), labels)
+		lp, _ := CrossEntropy(model.Forward(x), labels)
 		conv.Weight.W.Data[idx] = orig - eps
-		lm, _ := CrossEntropy(model.Forward(x, true), labels)
+		lm, _ := CrossEntropy(model.Forward(x), labels)
 		conv.Weight.W.Data[idx] = orig
 		want := (lp - lm) / (2 * eps)
 		got := float64(conv.Weight.Grad.Data[idx])

@@ -8,25 +8,26 @@ import (
 	"nshd/internal/tensor"
 )
 
-// InferenceLayer is the serving-side forward contract implemented by every
-// layer in this package. ForwardInfer differs from Forward(train=false) in
-// three ways that the serving engine depends on:
+// InferenceLayer is the package's one eval pass, implemented by every layer:
+// the serving engine runs it, and Infer runs it for PredictLogits, Evaluate,
+// core's feature extraction and the manifold's pool. Forward is the training
+// pass only. ForwardInfer
 //
-//   - it is state-free: no cached fields are read or written, so one layer
-//     instance can serve many goroutines concurrently over frozen weights
-//     (Forward(train=false) clears caches, which is a data race);
-//   - it allocates exclusively from the caller's arena, so a frozen arena
-//     makes the whole pass heap-allocation-free;
-//   - it runs on the calling goroutine: the engine parallelizes across the
-//     parts of a batch, not inside layers. The one exception is a FusedBlock,
-//     which spreads its (sample, tile) items over the pool with a
-//     parallel.Call — the only kind of fan-out allowed under an engine arena.
+//   - is state-free: it reads and writes no layer field, so one layer serves
+//     many goroutines at once over frozen weights;
+//   - allocates only from the caller's arena, so a frozen arena makes the
+//     whole pass heap-free;
+//   - runs on the calling goroutine: callers parallelize across the parts of
+//     a batch. The one exception is a FusedBlock, which spreads its (sample,
+//     tile) items over the pool with a parallel.Call — the only fan-out
+//     allowed under an arena.
 //
-// Elementwise layers may overwrite x in place and return it; callers must
-// therefore pass arena-owned activations, never model weights or user input.
-// Numerically, ForwardInfer matches Forward(train=false) bit-for-bit: it
-// reuses the same kernels in the same accumulation order (the serial GEMM
-// runs the identical tile schedule — see tensor.MatMulSerialInto).
+// Elementwise layers may overwrite x in place and return it; callers pass
+// arena-owned activations, never model weights or user input. Each sample is
+// computed alone, every element with the bits of the layer's definition on
+// the serial kernels — a conv's per-sample column product W·cols, BatchNorm's
+// affine map with the running statistics — so any cut of a batch, fused or
+// not, gives the same bits, and so does Forward where it stacks no samples.
 type InferenceLayer interface {
 	Layer
 	ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
@@ -168,8 +169,8 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: one serial GEMM per sample, its
-// operand generated from the image (see forwardInfer), with arena scratch
+// ForwardInfer implements InferenceLayer: the per-sample column product W·cols
+// on the serial GEMM, or its rows form (see forwardInfer), with arena scratch
 // released before returning.
 func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return c.forwardInfer(x, ar, nil, actNone)
@@ -179,6 +180,16 @@ func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 // it is in L1: the bias, then channel oc of bn (nil = none) and act — the
 // separate layers' per-element arithmetic (bnActInPlace), so the conv-led
 // triple of forwardInferSteps' peephole moves no bit.
+//
+// Every output element has the bits of one sample's column product W·cols,
+// computed in one of three ways. A pointwise (1×1, stride 1, no pad) conv is
+// one GEMM per sample that reads its input, which is its own column matrix,
+// in place. Any other conv in rows form (tensor.ConvRowsForm) with at least
+// convInferRows output positions in the call packs W into arena scratch once
+// and runs groups of convGroupRows positions as the rows of Yᵀ = patches·Wᵀ,
+// as Forward does with chunks of one sample. The rest are one GEMM per sample
+// that generates its packed strips tile by tile, reading the image in place
+// where tensor.ConvOffsetForm allows (tensor.ConvMulSerialInto).
 func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2D, act fusedAct) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
@@ -186,32 +197,44 @@ func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2
 	}
 	h, w := x.Shape[2], x.Shape[3]
 	g := c.geom(h, w)
-	outH, outW := g.OutH(), g.OutW()
-	y := ar.Alloc(n, c.OutC, outH, outW)
+	hw := g.OutH() * g.OutW()
+	y := ar.Alloc(n, c.OutC, g.OutH(), g.OutW())
 	if n == 0 {
 		return y
 	}
 	kdim := c.InC * c.KH * c.KW
+	sampleIn, sampleOut := c.InC*h*w, c.OutC*hw
 	m := ar.Mark()
 	wmat := ar.Wrap(c.Weight.W.Data, c.OutC, kdim)
-	// Pointwise (1×1, stride 1, no pad) convolution: im2col is the identity —
-	// the column matrix is the input sample already laid out as [InC, H*W] —
-	// so the GEMM reads the input segment directly. Every other conv generates
-	// its packed strips tile by tile inside the GEMM (reading the image in
-	// place where tensor.ConvOffsetForm allows). Both are bit-identical to
-	// im2col + GEMM, the Forward path (see tensor.ConvMulSerialInto).
+	var bias []float32
+	if c.useBias {
+		bias = c.Bias.W.Data
+	}
 	pointwise := c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
-	sampleIn := c.InC * h * w
+	if !pointwise && tensor.ConvRowsForm(g, c.OutC) && n*hw >= convInferRows {
+		packed := ar.Floats(kdim * c.OutC)
+		tensor.PackConvWeights(packed, wmat)
+		group := min(n, (convGroupRows+hw-1)/hw)
+		ws := ar.Floats(tensor.ConvRowsScratch(g, c.OutC, group))
+		for lo := 0; lo < n; lo += group {
+			b := min(group, n-lo)
+			tensor.ConvRowsSerialInto(y.Data[lo*sampleOut:][:b*sampleOut], wmat, packed, bias, g, x.Data[lo*sampleIn:][:b*sampleIn], b, 1, ws)
+			for p := lo * c.OutC; p < (lo+b)*c.OutC; p++ {
+				bnActInPlace(y.Data[p*hw:][:hw], bn, p%c.OutC, act)
+			}
+		}
+		ar.Release(m)
+		return y
+	}
 	var cols *tensor.Tensor
 	var scratch []float32
 	if pointwise {
-		cols = ar.Wrap(x.Data[:sampleIn], kdim, outH*outW)
+		cols = ar.Wrap(x.Data[:sampleIn], kdim, hw)
 		scratch = ar.Floats(tensor.GemmScratch())
 	} else {
 		scratch = ar.Floats(tensor.ConvGemmScratch(g))
 	}
-	sampleOut := c.OutC * outH * outW
-	dst := ar.Wrap(y.Data[:sampleOut], c.OutC, outH*outW)
+	dst := ar.Wrap(y.Data[:sampleOut], c.OutC, hw)
 	for i := 0; i < n; i++ {
 		seg := y.Data[i*sampleOut : (i+1)*sampleOut]
 		dst.Data = seg
@@ -222,9 +245,9 @@ func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2
 			tensor.ConvMulSerialInto(dst, wmat, g, x.Data[i*sampleIn:(i+1)*sampleIn], scratch)
 		}
 		for oc := 0; oc < c.OutC; oc++ {
-			plane := seg[oc*outH*outW : (oc+1)*outH*outW]
-			if c.useBias {
-				b := c.Bias.W.Data[oc]
+			plane := seg[oc*hw : (oc+1)*hw]
+			if bias != nil {
+				b := bias[oc]
 				for j := range plane {
 					plane[j] += b
 				}
@@ -282,19 +305,8 @@ func (m *GlobalAvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tens
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: GlobalAvgPool2D expects [N C H W], got %v", x.Shape))
 	}
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	y := ar.Alloc(n, c)
-	inv := 1 / float32(h*w)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			var s float32
-			for _, v := range plane {
-				s += v
-			}
-			y.Data[i*c+ch] = s * inv
-		}
-	}
+	y := ar.Alloc(n, x.Shape[1])
+	avgPlanes(y.Data, x.Data, x.Shape[2]*x.Shape[3])
 	return y
 }
 
@@ -312,14 +324,7 @@ func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	}
 	y := ar.Alloc(n, l.Out)
 	tensor.MatMulTSerialInto(y, x, l.Weight.W)
-	if l.useBias {
-		for i := 0; i < n; i++ {
-			row := y.Row(i)
-			for j := range row {
-				row[j] += l.Bias.W.Data[j]
-			}
-		}
-	}
+	l.addBias(y)
 	return y
 }
 
@@ -352,7 +357,7 @@ func (s *SiLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: the eval-mode affine with running
+// ForwardInfer implements InferenceLayer: the affine map with the running
 // statistics, applied in place.
 func (bn *BatchNorm2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return bn.forwardInferAct(x, actNone)
@@ -451,17 +456,7 @@ func (se *SEBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tens
 	h, w := x.Shape[2], x.Shape[3]
 	m := ar.Mark()
 	pooled := ar.Alloc(n, se.C)
-	inv := 1 / float32(h*w)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < se.C; ch++ {
-			plane := x.Data[(i*se.C+ch)*h*w : (i*se.C+ch+1)*h*w]
-			var s float32
-			for _, v := range plane {
-				s += v
-			}
-			pooled.Data[i*se.C+ch] = s * inv
-		}
-	}
+	avgPlanes(pooled.Data, x.Data, h*w)
 	z := se.FC1.ForwardInfer(pooled, ar)
 	z = se.act.ForwardInfer(z, ar)
 	z = se.FC2.ForwardInfer(z, ar)

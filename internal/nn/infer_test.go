@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,13 +56,14 @@ func randomizeEval(rng *tensor.RNG, model *Sequential) {
 	}
 }
 
-// TestForwardInferMatchesEvalForward pins ForwardInfer bit-identical to
-// Forward(train=false): the whole test model, then lone unfused 3×3 convs at
-// widths that are no multiple of 16, where Forward multiplies a materialized
+// TestForwardInferMatchesEvalReference pins ForwardInfer bit-identical to
+// evalReference: the whole test model, then lone unfused 3×3 convs at widths
+// that are no multiple of 16, where the reference multiplies a materialized
 // im2col matrix and ForwardInfer generates the same columns inside the GEMM
-// (tensor.ConvMulSerialInto) — column matrices of 36 K to 729 K floats. It
-// runs on the default kernels and again on the portable build's Go twins.
-func TestForwardInferMatchesEvalForward(t *testing.T) {
+// (tensor.ConvMulSerialInto) or reads them in place in rows form — column
+// matrices of 36 K to 729 K floats. It runs on the default kernels and again
+// on the portable build's Go twins.
+func TestForwardInferMatchesEvalReference(t *testing.T) {
 	for _, w := range []struct {
 		name string
 		set  func(testing.TB)
@@ -76,17 +78,56 @@ func TestForwardInferMatchesEvalForward(t *testing.T) {
 			}
 			x := tensor.New(5, 3, 16, 16)
 			rng.FillNormal(x, 0, 1)
-			sameBits(t, "test model", inferOnce(model, x), model.Forward(x, false), false)
+			sameBits(t, "test model", inferOnce(model, x), evalReference(model, x), false)
 
 			for _, s := range []struct{ c, hw int }{{64, 8}, {64, 24}, {32, 40}, {16, 72}} {
 				conv := NewConv2D(rng, s.c, s.c, 3, 1, 1, true)
 				rng.FillNormal(conv.Bias.W, 0, 1)
 				x := randInput(int64(s.hw), 2, s.c, s.hw, s.hw)
 				what := fmt.Sprintf("conv %dto%d @%dx%d", s.c, s.c, s.hw, s.hw)
-				sameBits(t, what, inferOnce(conv, x), conv.Forward(x, false), false)
+				sameBits(t, what, inferOnce(conv, x), conv.forwardColumns(x, false), false)
 			}
 		})
 	}
+}
+
+// evalReference is the eval pass from the layers' definitions, the reference
+// of the inference tests: a Conv2D's per-sample column products
+// (forwardColumns), a BatchNorm2D's affine map with its running statistics,
+// a Residual's two branches summed, and every other layer's training
+// Forward, whose values do not depend on the mode.
+func evalReference(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	switch v := l.(type) {
+	case *Sequential:
+		for _, sub := range v.Layers {
+			x = evalReference(sub, x)
+		}
+		return x
+	case *FusedBlock:
+		return evalReference(NewSequential("leaves", v.leaves...), x)
+	case *Residual:
+		skip := x
+		if v.Proj != nil {
+			skip = evalReference(v.Proj, x)
+		}
+		return tensor.Add(evalReference(v.Body, x), skip)
+	case *Conv2D:
+		return v.forwardColumns(x, false)
+	case *BatchNorm2D:
+		y := tensor.New(x.Shape...)
+		hw := x.Shape[2] * x.Shape[3]
+		for p := 0; p < x.Shape[0]*v.C; p++ {
+			ch := p % v.C
+			mean := v.RunMean.Data[ch]
+			invStd := 1 / float32(math.Sqrt(float64(v.RunVar.Data[ch]+v.Eps)))
+			g, b := v.Gamma.W.Data[ch], v.Beta.W.Data[ch]
+			for j := p * hw; j < (p+1)*hw; j++ {
+				y.Data[j] = g*(x.Data[j]-mean)*invStd + b
+			}
+		}
+		return y
+	}
+	return l.Forward(x)
 }
 
 // inferOnce runs l.ForwardInfer on an arena copy of x.
@@ -131,7 +172,7 @@ func TestForwardInferDoesNotMutateState(t *testing.T) {
 
 	// Train-mode forward fills caches; an inference pass must not disturb
 	// them (it may run concurrently with nothing, but must stay state-free).
-	model.Forward(x, true)
+	model.Forward(x)
 	conv := model.Layers[0].(*Conv2D)
 	if conv.cachedX == nil {
 		t.Fatal("expected training cache to be set")
@@ -154,12 +195,12 @@ func TestInferSupportedRejectsUnknownLayer(t *testing.T) {
 
 type badLayer struct{}
 
-func (badLayer) Name() string                                        { return "bad" }
-func (badLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return x }
-func (badLayer) Backward(g *tensor.Tensor) *tensor.Tensor            { return g }
-func (badLayer) Params() []*Param                                    { return nil }
-func (badLayer) OutShape(in []int) []int                             { return in }
-func (badLayer) Stats(in []int) Stats                                { return Stats{} }
+func (badLayer) Name() string                             { return "bad" }
+func (badLayer) Forward(x *tensor.Tensor) *tensor.Tensor  { return x }
+func (badLayer) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
+func (badLayer) Params() []*Param                         { return nil }
+func (badLayer) OutShape(in []int) []int                  { return in }
+func (badLayer) Stats(in []int) Stats                     { return Stats{} }
 
 // TestDepthwiseInferMatchesForwardGeometries drives the padded-plane kernels
 // (tensor.DepthwisePlane) through awkward geometries — strides, pads, kernels
@@ -197,7 +238,7 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		name := fmt.Sprintf("k=%d s=%d p=%d %dx%d", tc.k, tc.stride, tc.pad, tc.h, tc.w)
 		got := d.ForwardInfer(x, tensor.NewArena())
-		sameBits(t, name+" vs Forward", got, d.Forward(x, false), false)
+		sameBits(t, name+" vs Forward", got, d.Forward(x), false)
 		sameBits(t, name+" vs convChannel", got, d.forwardReference(x), false)
 	}
 }
@@ -225,8 +266,7 @@ func TestAvgPoolInferRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestResidualInferSkip pins both identity-skip cases against the eval
-// Forward: a body whose first layer allocates its output adds x itself — the
+// TestResidualInferSkip pins both identity-skip cases against evalReference: a body whose first layer allocates its output adds x itself — the
 // arena peak is the body's own, no skip buffer — while a body that opens with
 // an in-place layer still gets the defensive copy, one activation larger.
 func TestResidualInferSkip(t *testing.T) {
@@ -241,7 +281,7 @@ func TestResidualInferSkip(t *testing.T) {
 		body *Sequential
 		copy bool
 	}{{convFirst, false}, {inPlaceFirst, true}} {
-		want := NewResidual(tc.body, nil).Forward(x, false)
+		want := evalReference(NewResidual(tc.body, nil), x)
 		peak := func(l InferenceLayer) (int, *tensor.Tensor) {
 			ar := tensor.NewArena()
 			in := ar.Alloc(x.Shape...)
@@ -253,7 +293,7 @@ func TestResidualInferSkip(t *testing.T) {
 		gotPeak, got := peak(NewResidual(tc.body, nil))
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%s: ForwardInfer[%d]=%v, Forward(eval)=%v", tc.body.Label, i, got.Data[i], want.Data[i])
+				t.Fatalf("%s: ForwardInfer[%d]=%v, evalReference %v", tc.body.Label, i, got.Data[i], want.Data[i])
 			}
 		}
 		if extra := gotPeak - bodyPeak; (extra != 0) != tc.copy || (tc.copy && extra != x.Len()) {

@@ -4,10 +4,11 @@
 // be trained and cut without any external deep-learning framework.
 //
 // Tensors flow through layers batched: image layers take [N, C, H, W] and
-// dense layers take [N, F]. Each layer caches what its backward pass needs
-// during Forward(train=true); Backward must be called in reverse layer order
+// dense layers take [N, F]. Forward is the training pass: each layer caches
+// what its backward pass needs; Backward must be called in reverse layer order
 // with the gradient of the loss w.r.t. the layer output and returns the
-// gradient w.r.t. the layer input.
+// gradient w.r.t. the layer input. Every eval pass runs the inference plan
+// instead (ForwardInfer, batched by Infer).
 package nn
 
 import (
@@ -53,12 +54,12 @@ func (s *Stats) Add(o Stats) {
 type Layer interface {
 	// Name returns a short human-readable identifier ("conv3x3(64)").
 	Name() string
-	// Forward computes the layer output for a batch. When train is true
-	// the layer caches intermediates for Backward and uses batch
-	// statistics where applicable (BatchNorm).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Forward computes the layer output for a training batch: it caches
+	// intermediates for Backward and uses batch statistics where
+	// applicable (BatchNorm). Eval passes run ForwardInfer (see Infer).
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes dL/dout and returns dL/din, accumulating
-	// parameter gradients. Must follow a Forward(train=true) call.
+	// parameter gradients. Must follow a Forward call.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the learnable parameters (possibly empty).
 	Params() []*Param
@@ -85,44 +86,34 @@ func NewSequential(label string, layers ...Layer) *Sequential {
 func (s *Sequential) Name() string { return s.Label }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor { return s.forwardIn(nil, x) }
 
 // Backward runs all layers in reverse order.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
+func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.backwardIn(nil, grad) }
 
 // arenaLayer is a layer whose passes can take every buffer they need —
 // output, input gradient, backward cache, per-task workspace — from an
-// arena instead of the heap. Trainer.Fit and PredictLogits run these paths
-// on one arena, Reset per batch: after its first batch has sized the arena,
-// a training step or an eval batch reuses the same memory. The buffers are
+// arena instead of the heap. Trainer.Fit runs these paths on one arena,
+// Reset per step: after its first step has sized the arena, a training step
+// reuses the same memory. The buffers are
 // not zeroed, so every kernel overwrites its output, and the two that
 // accumulate (the input gradients of Conv2D and MaxPool2D) clear each sample
 // range in the task that owns it. The exported Forward and Backward are these
 // paths with a nil arena: results fresh from the heap, which the caller owns,
 // and transients from the float pool, as before (alloc, scratch, release).
 type arenaLayer interface {
-	forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor
+	forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 	backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 }
 
 // forwardIn is Forward with the arena layers' buffers taken from a; a layer
 // without an arena path runs its Forward.
-func (s *Sequential) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *Sequential) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
 		if al, ok := l.(arenaLayer); ok {
-			x = al.forwardIn(a, x, train)
+			x = al.forwardIn(a, x)
 		} else {
-			x = l.Forward(x, train)
+			x = l.Forward(x)
 		}
 	}
 	return x

@@ -34,32 +34,35 @@ func NewLinear(rng *tensor.RNG, in, out int, bias bool) *Linear {
 // Name implements Layer.
 func (l *Linear) Name() string { return fmt.Sprintf("linear(%d→%d)", l.In, l.Out) }
 
-// Forward computes the affine map for a [N, In] batch.
-func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.forwardIn(nil, x, train)
+// Forward computes the affine map for a [N, In] batch and caches x for
+// Backward.
+func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return l.forwardIn(nil, x)
 }
 
-func (l *Linear) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+func (l *Linear) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "Linear")
 	if x.Rank() != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: Linear expects [N %d], got %v", l.In, x.Shape))
 	}
-	if train {
-		l.cachedX = x
-	} else {
-		l.cachedX = nil
-	}
+	l.cachedX = x
 	y := alloc(a, n, l.Out)
 	tensor.MatMulTInto(y, x, l.Weight.W)
-	if l.useBias {
-		for i := 0; i < n; i++ {
-			row := y.Row(i)
-			for j := range row {
-				row[j] += l.Bias.W.Data[j]
-			}
+	l.addBias(y)
+	return y
+}
+
+// addBias adds the bias, if any, to every row of y.
+func (l *Linear) addBias(y *tensor.Tensor) {
+	if !l.useBias {
+		return
+	}
+	for i := 0; i < y.Shape[0]; i++ {
+		row := y.Row(i)
+		for j := range row {
+			row[j] += l.Bias.W.Data[j]
 		}
 	}
-	return y
 }
 
 // Backward accumulates the parameter gradients (BackwardParams) and returns
@@ -90,7 +93,7 @@ func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 // does.
 func (l *Linear) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
 	if l.cachedX == nil {
-		panic("nn: Linear.Backward without Forward(train=true)")
+		panic("nn: Linear.Backward without Forward")
 	}
 	// dW[out,in] += gradᵀ[out,N] @ x[N,in]
 	m := mark(a)

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nshd/internal/tensor"
@@ -124,7 +126,7 @@ func TestBatchNormTrainVsEvalStats(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	x := tensor.New(8, 2, 3, 3)
 	rng.FillNormal(x, 5, 2) // far from standard so normalization is visible
-	y := bn.Forward(x, true)
+	y := bn.Forward(x)
 	// Per-channel mean of the normalized output must be ~0, std ~1
 	// (gamma=1, beta=0 initially).
 	for ch := 0; ch < 2; ch++ {
@@ -142,17 +144,17 @@ func TestBatchNormTrainVsEvalStats(t *testing.T) {
 		mean := s / float64(cnt)
 		std := math.Sqrt(sq/float64(cnt) - mean*mean)
 		if math.Abs(mean) > 1e-4 || math.Abs(std-1) > 1e-3 {
-			t.Fatalf("train-mode BN channel %d: mean=%v std=%v", ch, mean, std)
+			t.Fatalf("training BN channel %d: mean=%v std=%v", ch, mean, std)
 		}
 	}
 	// After many training passes the running stats approximate the data
-	// distribution, so eval mode also roughly normalizes.
+	// distribution, so ForwardInfer also roughly normalizes.
 	for i := 0; i < 50; i++ {
-		bn.Forward(x, true)
+		bn.Forward(x)
 	}
-	ye := bn.Forward(x, false)
+	ye := bn.ForwardInfer(x.Clone(), tensor.NewArena())
 	if m := ye.Mean(); math.Abs(m) > 0.2 {
-		t.Fatalf("eval-mode BN mean = %v, want ~0", m)
+		t.Fatalf("inference BN mean = %v, want ~0", m)
 	}
 }
 
@@ -244,8 +246,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randInput(9, 2, 1, 4, 4)
-	y1 := m1.Forward(x, false)
-	y2 := m2.Forward(x, false)
+	y1 := PredictLogits(m1, x, 0)
+	y2 := PredictLogits(m2, x, 0)
 	for i := range y1.Data {
 		if y1.Data[i] != y2.Data[i] {
 			t.Fatalf("restored model diverges at output %d: %v vs %v", i, y1.Data[i], y2.Data[i])
@@ -335,10 +337,33 @@ func TestPredictLogitsMatchesDirectForward(t *testing.T) {
 	)
 	x := randInput(14, 10, 2, 2, 2)
 	got := PredictLogits(model, x, 3) // odd batch size exercises the tail
-	want := model.Forward(x, false)
-	for i := range want.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-6 {
-			t.Fatalf("PredictLogits differs at %d", i)
+	want := evalReference(model, x)
+	sameBits(t, "PredictLogits", got, want, false)
+}
+
+// TestPredictLogitsOutputShape: the eval pass returns a model's whole
+// per-sample output shape, not [N, K] — here [N, 5, 3, 3] from a model that
+// ends in a conv, every element equal to the eval reference — and an empty
+// batch gets the same shape with N = 0, at every part size around the
+// batch.
+func TestPredictLogitsOutputShape(t *testing.T) {
+	rng := tensor.NewRNG(15)
+	model := NewSequential("convtail",
+		NewConv2D(rng, 2, 4, 3, 1, 1, true), NewReLU(), NewMaxPool2D(2),
+		NewConv2D(rng, 4, 5, 3, 1, 1, true),
+	)
+	randomizeEval(rng, model)
+	x := randInput(16, 7, 2, 6, 6)
+	want := evalReference(model, x)
+	for _, bs := range []int{0, 1, 3, 7, 8} {
+		got := PredictLogits(model, x, bs)
+		if !slices.Equal(got.Shape, []int{7, 5, 3, 3}) {
+			t.Fatalf("batch %d: shape %v, want [7 5 3 3]", bs, got.Shape)
+		}
+		sameBits(t, fmt.Sprintf("batch %d", bs), got, want, false)
+		empty := PredictLogits(model, tensor.New(0, 2, 6, 6), bs)
+		if !slices.Equal(empty.Shape, []int{0, 5, 3, 3}) || len(empty.Data) != 0 {
+			t.Fatalf("batch %d: empty input gave shape %v, %d floats", bs, empty.Shape, len(empty.Data))
 		}
 	}
 }

@@ -23,13 +23,13 @@ func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
 // Name implements Layer.
 func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", m.K, m.K) }
 
-// Forward pools each k×k window to its maximum, caching argmax indices in
-// train mode. Values are the same in both modes, and ForwardInfer's.
-func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return m.forwardIn(nil, x, train)
+// Forward pools each k×k window to its maximum, caching argmax indices for
+// Backward. The values are ForwardInfer's.
+func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+	return m.forwardIn(nil, x)
 }
 
-func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *tensor.Tensor {
+func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "MaxPool2D")
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects [N C H W], got %v", x.Shape))
@@ -41,15 +41,13 @@ func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor, train bool) *te
 	}
 	y := alloc(a, n, c, outH, outW)
 	var arg []int32
-	if train {
-		if a != nil {
-			arg = a.Int32s(n * c * outH * outW)
-		} else {
-			arg = make([]int32, n*c*outH*outW)
-		}
-		m.cachedIn = [3]int{c, h, w}
-		m.cachedN = n
+	if a != nil {
+		arg = a.Int32s(n * c * outH * outW)
+	} else {
+		arg = make([]int32, n*c*outH*outW)
 	}
+	m.cachedIn = [3]int{c, h, w}
+	m.cachedN = n
 	tensor.ParallelFor(n, func(lo, hi int) {
 		m.poolPlanes(y.Data, arg, x.Data, lo*c, hi*c, h, w)
 	})
@@ -128,7 +126,7 @@ func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 func (m *MaxPool2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if m.cachedArg == nil {
-		panic("nn: MaxPool2D.Backward without Forward(train=true)")
+		panic("nn: MaxPool2D.Backward without Forward")
 	}
 	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
 	dx := alloc(a, m.cachedN, c, h, w)
@@ -173,26 +171,27 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 func (m *GlobalAvgPool2D) Name() string { return "globalavgpool" }
 
 // Forward averages each channel plane.
-func (m *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (m *GlobalAvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "GlobalAvgPool2D")
 	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	y := tensor.New(n, c)
-	inv := 1 / float32(h*w)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := x.Data[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			var s float32
-			for _, v := range plane {
-				s += v
-			}
-			y.Data[i*c+ch] = s * inv
-		}
-	}
-	if train {
-		m.cachedIn = []int{c, h, w}
-		m.cachedN = n
-	}
+	avgPlanes(y.Data, x.Data, h*w)
+	m.cachedIn = []int{c, h, w}
+	m.cachedN = n
 	return y
+}
+
+// avgPlanes writes the mean of each hw-float plane of x to dst, one per
+// element of dst: a float32 sum in order, times 1/hw.
+func avgPlanes(dst, x []float32, hw int) {
+	inv := 1 / float32(hw)
+	for p := range dst {
+		var s float32
+		for _, v := range x[p*hw:][:hw] {
+			s += v
+		}
+		dst[p] = s * inv
+	}
 }
 
 // Backward spreads gradients uniformly over each plane.
@@ -235,18 +234,16 @@ func NewFlatten() *Flatten { return &Flatten{} }
 func (f *Flatten) Name() string { return "flatten" }
 
 // Forward flattens all but the batch dimension.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "Flatten")
-	if train {
-		f.cachedShape = append([]int(nil), x.Shape...)
-	}
+	f.cachedShape = append([]int(nil), x.Shape...)
 	return x.Reshape(n, -1)
 }
 
 // Backward restores the cached input shape.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.cachedShape == nil {
-		panic("nn: Flatten.Backward without Forward(train=true)")
+		panic("nn: Flatten.Backward without Forward")
 	}
 	return grad.Reshape(f.cachedShape...)
 }

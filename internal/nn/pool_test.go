@@ -38,9 +38,9 @@ func maxPoolScalar(k int, x *tensor.Tensor) (*tensor.Tensor, []int32) {
 	return y, arg
 }
 
-// TestMaxPoolForwardMatchesScalar holds MaxPool2D.Forward, in both modes, and
-// ForwardInfer to the scalar loop's values bit for bit, and the train-mode
-// argmaxes to its winners, on inputs built to make the comparisons matter —
+// TestMaxPoolForwardMatchesScalar holds MaxPool2D.Forward and ForwardInfer to
+// the scalar loop's values bit for bit, and Forward's argmaxes to its
+// winners, on inputs built to make the comparisons matter —
 // NaN as a window's first tap and as a later one, +0 against −0 in either
 // order, equal maxima, ±Inf — at odd and even H and W, widths on both sides of
 // the vector kernel's eight outputs, K = 2 and K = 3; then that Backward
@@ -82,10 +82,9 @@ func TestMaxPoolForwardMatchesScalar(t *testing.T) {
 						}
 					}
 				}
-				check("eval Forward", pool.Forward(x, false))
 				ar := tensor.NewArena()
 				check("ForwardInfer", pool.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar))
-				check("train Forward", pool.Forward(x, true))
+				check("train Forward", pool.Forward(x))
 				for i, a := range pool.cachedArg {
 					if a != wantArg[i] {
 						t.Fatalf("%s: argmax[%d] = %d, scalar loop %d", name, i, a, wantArg[i])
@@ -107,19 +106,23 @@ func TestMaxPoolForwardMatchesScalar(t *testing.T) {
 }
 
 // BenchmarkMaxPoolForward times the VGG16/4 stage-1 pool (16 channels of
-// 32×32, batch 32) in both modes; train mode adds the argmax derivation.
+// 32×32, batch 32) in Forward and in ForwardInfer; Forward adds the argmax
+// derivation.
 func BenchmarkMaxPoolForward(b *testing.B) {
 	x := randInput(1, 32, 16, 32, 32)
-	for _, mode := range []struct {
-		name  string
-		train bool
-	}{{"train", true}, {"eval", false}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range []string{"train", "infer"} {
+		b.Run(mode, func(b *testing.B) {
 			pool := NewMaxPool2D(2)
+			ar := tensor.NewArena()
 			b.SetBytes(int64(4 * x.Len()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pool.Forward(x, mode.train)
+				if mode == "train" {
+					pool.Forward(x)
+					continue
+				}
+				ar.Reset()
+				pool.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar)
 			}
 		})
 	}

@@ -23,11 +23,11 @@ func NewResidual(body *Sequential, proj Layer) *Residual {
 func (r *Residual) Name() string { return fmt.Sprintf("residual(%s)", r.Body.Label) }
 
 // Forward implements Layer.
-func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := r.Body.Forward(x, train)
+func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
+	y := r.Body.Forward(x)
 	var skip *tensor.Tensor
 	if r.Proj != nil {
-		skip = r.Proj.Forward(x, train)
+		skip = r.Proj.Forward(x)
 	} else {
 		skip = x
 	}
@@ -104,17 +104,17 @@ func NewSEBlock(rng *tensor.RNG, c, reduction int) *SEBlock {
 func (se *SEBlock) Name() string { return fmt.Sprintf("se(%d/%d)", se.C, se.Reduced) }
 
 // Forward implements Layer.
-func (se *SEBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (se *SEBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "SEBlock")
 	if x.Rank() != 4 || x.Shape[1] != se.C {
 		panic(fmt.Sprintf("nn: SEBlock(%d) expects [N %d H W], got %v", se.C, se.C, x.Shape))
 	}
 	gap := NewGlobalAvgPool2D()
-	pooled := gap.Forward(x, train) // [N, C]
-	z := se.FC1.Forward(pooled, train)
-	z = se.act.Forward(z, train)
-	z = se.FC2.Forward(z, train)
-	scale := se.sig.Forward(z, train) // [N, C]
+	pooled := gap.Forward(x) // [N, C]
+	z := se.FC1.Forward(pooled)
+	z = se.act.Forward(z)
+	z = se.FC2.Forward(z)
+	scale := se.sig.Forward(z) // [N, C]
 
 	h, w := x.Shape[2], x.Shape[3]
 	y := tensor.New(x.Shape...)
@@ -127,20 +127,14 @@ func (se *SEBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	if train {
-		se.cachedX = x
-		se.cachedScale = scale
-		se.cachedGAP = gap
-	} else {
-		se.cachedX, se.cachedScale, se.cachedGAP = nil, nil, nil
-	}
+	se.cachedX, se.cachedScale, se.cachedGAP = x, scale, gap
 	return y
 }
 
 // Backward implements Layer.
 func (se *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if se.cachedX == nil {
-		panic("nn: SEBlock.Backward without Forward(train=true)")
+		panic("nn: SEBlock.Backward without Forward")
 	}
 	x, scale := se.cachedX, se.cachedScale
 	n := x.Shape[0]

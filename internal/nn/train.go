@@ -92,7 +92,7 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 				by[bi] = labels[src]
 			}
 			model.ZeroGrad()
-			logits := model.forwardIn(arena, bx, true)
+			logits := model.forwardIn(arena, bx)
 			loss, grad := crossEntropyIn(arena, logits, by)
 			model.backwardParamsIn(arena, grad)
 			if t.ClipNorm > 0 {
@@ -123,40 +123,11 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 	return history
 }
 
-// PredictLogits runs inference in eval mode over images in batches and
-// returns the [N, K] logits. An empty input returns an empty [0, K] tensor.
-// The batches run on one arena, Reset per batch, as Fit's steps do: only the
-// result is heap memory.
+// PredictLogits returns model's eval output over images, [N, OutShape...]:
+// the [N, K] logits of a classifier. It is Infer with parts of at most
+// batchSize samples (64 when batchSize <= 0).
 func PredictLogits(model *Sequential, images *tensor.Tensor, batchSize int) *tensor.Tensor {
-	n := images.Shape[0]
-	if n == 0 {
-		return tensor.New(0, shapeElems(model.OutShape(images.Shape[1:])))
-	}
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	sampleLen := images.Len() / n
-	arena := tensor.NewArena()
-	batchShape := append([]int{0}, images.Shape[1:]...)
-	var out *tensor.Tensor
-	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		arena.Reset()
-		batchShape[0] = end - start
-		bx := arena.Wrap(images.Data[start*sampleLen:end*sampleLen], batchShape...)
-		logits := model.forwardIn(arena, bx, false)
-		if out == nil {
-			out = tensor.New(n, logits.Shape[1])
-		}
-		copy(out.Data[start*logits.Shape[1]:end*logits.Shape[1]], logits.Data)
-		if start == 0 && end < n {
-			arena.Grow() // sized by the first, largest batch
-		}
-	}
-	return out
+	return Infer(model, images, batchSize)
 }
 
 // Evaluate returns classification accuracy of model on a labelled set. An

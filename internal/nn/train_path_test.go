@@ -55,7 +55,7 @@ func runTrainingSteps(seed int64) *Sequential {
 	opt := NewSGD(0.05, 0.9, 0)
 	for step := 0; step < 2; step++ {
 		model.ZeroGrad()
-		logits := model.Forward(x, true)
+		logits := model.Forward(x)
 		_, grad := CrossEntropy(logits, labels)
 		model.Backward(grad)
 		opt.Step(model.Params())

@@ -148,7 +148,7 @@ func TestConvInPlaceProductsMatchColumns(t *testing.T) {
 // BenchmarkConvTrainProducts times each in-place training product against
 // the column product it replaced, one Conv2D chunk of the VGG16/4 stage
 // shapes (32×32 one sample, 8×8 four, 4×4 and 2×2 sixteen) at both kernel
-// widths: the rows-form forward (at 2×2 the train-mode stack of 16) against
+// widths: the rows-form forward (at 2×2 Forward's stack of 16) against
 // Im2ColWindow + MatMulSerialInto per stack, the weight gradient in place
 // against Im2ColWindow + MatMulAccTSerialInto, and dcols with Wᵀ read in
 // place against a transpose and MatMulSerialInto.
