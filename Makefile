@@ -44,12 +44,17 @@ staticcheck:
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
 # VGG16/4 at batch 32 takes at most 5 MB of heap (TestFitStepHeap, which logs
 # the step's bytes and allocations; 42 MB when every activation, gradient and
-# workspace was fresh heap).
+# workspace was fresh heap). So has the HD joint loop: once its first batch
+# has sized the loop's arena, a batch of the `train` workload's retraining
+# takes at most 64 KB (TestTrainOnFeaturesHeap, which logs the batch's bytes
+# and allocations; 1.25 MB when U, the similarities, the encodes and the
+# manifold FC's buffers were fresh heap every batch).
 alloc:
 	$(GO) test -run 'TestGemmDriverZeroAlloc|TestGemmGatesAt256/GemmDriverZeroAlloc' -count 1 ./internal/tensor/
 	$(GO) test -run 'TestEngineZeroAlloc|TestEngineGatesAt256/ZeroAlloc' -count 1 ./internal/engine/
 	$(GO) test -run TestCodecZeroAlloc -count 1 ./internal/serve/
 	$(GO) test -run TestFitStepHeap -count 1 -v ./internal/cnn/
+	$(GO) test -run TestTrainOnFeaturesHeap -count 1 -v ./internal/core/
 
 # The second pass type-checks the portable build — every _noasm stub and the
 # tests beside them — which tier-1 on amd64 never compiles.
@@ -71,9 +76,11 @@ test:
 # ragged rows and columns and, on the portable build, for everything) are
 # pinned by float32 conversions. Go 1.24 lowers only math.FMA to VFMADD on
 # amd64, so today this compiles the same float code as the default run; it is
-# here for a toolchain that fuses, as the arm64 backend already does.
+# here for a toolchain that fuses, as the arm64 backend already does. The HD
+# and training pins in internal/core (TestHDTrainingBitsPinned, and the joint
+# loop against its reference) run here too.
 v3:
-	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/ ./internal/nn/
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/ ./internal/nn/ ./internal/core/
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
@@ -111,7 +118,10 @@ fuzz:
 # and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
 # BenchmarkPointwiseInfer), max-pool in Forward and ForwardInfer, one
 # steady-state Trainer.Fit step on its arena per zoo model — vgg16,
-# mobilenetv2, effnetb0 (BenchmarkTrainStep) — the `train` workload's HD
+# mobilenetv2, effnetb0 (BenchmarkTrainStep) — one optimizer step at each
+# kernel width and on the Go twins: Adam on the `train` manifold FC's
+# [100, 2048] weights, SGD on VGG16/4's parameters (BenchmarkOptimizerStep) —
+# the `train` workload's HD
 # retraining and teacher pass, Pipeline.ExtractFeatures on nn.Infer at
 # vgg16@8 (32 and 96 px), vgg16@29, mobilenetv2@14 and effnetb0@6
 # (BenchmarkExtractFeatures), float

@@ -13,24 +13,32 @@ import (
 	"nshd/internal/tensor/tensortest"
 )
 
-// The training bits of the amd64 vector kernels, recorded at 0a08d55, where
-// every training buffer was fresh heap and the ragged GEMM columns ran in Go:
-// FNV-1a 64 of every parameter bit after pretrainBits' three steps, and of
-// the teacher logits it then computes. Both widths give the same bits.
-const (
-	wantParamBits  = 0x763eb1a9b90619be
-	wantLogitsBits = 0x4c0e3fc622df0da3
-)
+// The training bits of the amd64 vector kernels: FNV-1a 64 of every parameter
+// bit after pretrainBits' three steps, and of the teacher logits it then
+// computes. Both widths give the same bits. vgg16's were recorded at 0a08d55,
+// where every training buffer was fresh heap and the ragged GEMM columns ran
+// in Go; mobilenetv2's and effnetb0's at 5812627, before the HD joint loop and
+// the optimizers moved onto vector kernels.
+var trainingPins = []struct {
+	model          string
+	cut            int
+	params, logits uint64
+}{
+	{"vgg16", 8, 0x763eb1a9b90619be, 0x4c0e3fc622df0da3},
+	{"mobilenetv2", 14, 0x4180cce9dd0e87af, 0xe5395cdeddfeeafc},
+	{"effnetb0", 6, 0xe5e6105a34882127, 0xac5d95ef101c469c},
+}
 
-// pretrainBits runs three Pretrain steps of the workload's vgg16 (batch 32,
-// Pretrain's optimizer, clipping and augmentation) and hashes every parameter
-// bit, then hashes the eval logits of 64 test images resumed from cut 8:
-// Rest(8) crosses the 16×16, 8×8, 4×4 and 2×2 convs and the head, the last
-// with all its columns ragged.
-func pretrainBits(t *testing.T) (params, logits uint64) {
+// pretrainBits runs three Pretrain steps of model (batch 32, Pretrain's
+// optimizer, clipping and augmentation) and hashes every parameter bit, then
+// hashes the eval logits of 64 test images resumed from cut. For vgg16, Rest(8)
+// crosses the 16×16, 8×8, 4×4 and 2×2 convs and the head, the last with all
+// its columns ragged; mobilenetv2 and effnetb0 add BatchNorm, depthwise,
+// ReLU6, SiLU, Sigmoid, squeeze-excitation and residual layers.
+func pretrainBits(t *testing.T, model string, cutAt int) (params, logits uint64) {
 	t.Helper()
 	train, test := dataset.SynthCIFAR(dataset.SynthConfig{Classes: 10, Train: 96, Test: 64, Size: 32, Noise: 0.3, Seed: 9})
-	m, err := Build("vgg16", tensor.NewRNG(72), 10)
+	m, err := Build(model, tensor.NewRNG(72), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +52,11 @@ func pretrainBits(t *testing.T) (params, logits uint64) {
 		hashFloats(h, p.W.Data)
 	}
 	params = h.Sum64()
-	cut, err := m.Cut(8)
+	cut, err := m.Cut(cutAt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, _ := m.Rest(8)
+	rest, _ := m.Rest(cutAt)
 	h.Reset()
 	hashFloats(h, nn.PredictLogits(rest, nn.Infer(cut, test.Images, 32), 32).Data)
 	return params, h.Sum64()
@@ -62,14 +70,17 @@ func hashFloats(h hash.Hash64, x []float32) {
 	}
 }
 
-// TestTrainingBitsPinned pins pretrainBits at 512 and at forced 256 bits. A
-// change to the training step's memory or to a GEMM kernel that moves any bit
-// — a missed clear of an accumulated gradient, a reordered sum — fails here,
-// where the per-layer tests compare two paths of the same code. The portable
-// build rounds differently (no FMA) and is not pinned.
+// TestTrainingBitsPinned pins pretrainBits at 512 and at forced 256 bits for
+// every model of trainingPins. A change to the training step's memory, to a
+// GEMM kernel or to an optimizer kernel that moves any bit — a missed clear of
+// an accumulated gradient, a reordered sum — fails here, where the per-layer
+// tests compare two paths of the same code. The portable build rounds
+// differently (no FMA) and is not pinned. The vector kernels need FMA, and so
+// does math.Exp's fast path (math/exp_asm.go), which SiLU and Sigmoid reach:
+// on a CPU without FMA the mobilenetv2 and effnetb0 bits would differ anyway.
 func TestTrainingBitsPinned(t *testing.T) {
 	if tensor.KernelISA() == "portable" {
-		t.Skip("the pinned bits are the vector kernels'; the portable twins round differently")
+		t.Skip("the pinned bits are the vector kernels' and math.Exp's FMA path; the portable twins round differently")
 	}
 	for _, w := range []struct {
 		name string
@@ -77,9 +88,13 @@ func TestTrainingBitsPinned(t *testing.T) {
 	}{{"avx512", true}, {"avx2", false}} {
 		t.Run(w.name, func(t *testing.T) {
 			tensortest.Gemm512(t, w.on)
-			params, logits := pretrainBits(t)
-			if params != wantParamBits || logits != wantLogitsBits {
-				t.Errorf("parameter bits %#016x (want %#016x), logit bits %#016x (want %#016x)", params, uint64(wantParamBits), logits, uint64(wantLogitsBits))
+			for _, pin := range trainingPins {
+				t.Run(pin.model, func(t *testing.T) {
+					params, logits := pretrainBits(t, pin.model, pin.cut)
+					if params != pin.params || logits != pin.logits {
+						t.Errorf("parameter bits %#016x (want %#016x), logit bits %#016x (want %#016x)", params, pin.params, logits, pin.logits)
+					}
+				})
 			}
 		})
 	}

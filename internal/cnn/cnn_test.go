@@ -10,6 +10,7 @@ import (
 	"nshd/internal/dataset"
 	"nshd/internal/nn"
 	"nshd/internal/tensor"
+	"nshd/internal/tensor/tensortest"
 )
 
 func buildAll(t *testing.T) map[string]*Model {
@@ -294,6 +295,49 @@ func BenchmarkTrainStep(b *testing.B) {
 			tr.Fit(m.Full(), x, labels, tensor.NewRNG(3))
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/step")
 		})
+	}
+}
+
+// BenchmarkOptimizerStep times one optimizer step on the kernels each build
+// serves with — the 512-bit and the AVX2 kernels and the portable Go twins,
+// in one process — so that its rows set each kernel's speedup over its twin:
+// Adam on the `train` workload's manifold FC (F = 2048 pooled features to
+// F̂ = 100, weights and bias), the joint loop's optimizer, and Pretrain's SGD
+// with momentum and weight decay on every VGG16/4 parameter.
+func BenchmarkOptimizerStep(b *testing.B) {
+	fc := nn.NewLinear(tensor.NewRNG(5), 2048, 100, true)
+	vgg, err := Build("vgg16", tensor.NewRNG(1), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultPretrainConfig()
+	for _, c := range []struct {
+		name   string
+		params []*nn.Param
+		opt    nn.Optimizer
+	}{
+		{"adam-manifold", fc.Params(), nn.NewAdam(0.002)},
+		{"sgd-vgg16", vgg.Full().Params(), nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4)},
+	} {
+		for i, p := range c.params {
+			tensor.NewRNG(int64(10+i)).FillNormal(p.Grad, 0, 1e-3)
+		}
+		for _, set := range []struct {
+			name  string
+			force func(testing.TB)
+		}{
+			{"avx512", func(tb testing.TB) { tensortest.Gemm512(tb, true) }},
+			{"avx2", func(tb testing.TB) { tensortest.Gemm512(tb, false) }},
+			{"portable", tensortest.Portable},
+		} {
+			b.Run(c.name+"/"+set.name, func(b *testing.B) {
+				set.force(b)
+				b.ReportAllocs()
+				for range b.N {
+					c.opt.Step(c.params)
+				}
+			})
+		}
 	}
 }
 

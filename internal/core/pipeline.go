@@ -162,16 +162,33 @@ func (p *Pipeline) pooled(feats *tensor.Tensor) *tensor.Tensor {
 
 // symbolizePooled is Symbolize from pooled features.
 func (p *Pipeline) symbolizePooled(pooled *tensor.Tensor, train bool) (v, raw, signed *tensor.Tensor) {
-	switch {
-	case p.Manifold != nil:
-		v = p.Manifold.ForwardPooled(pooled, train)
-	case p.LSH != nil:
-		_, v = p.LSH.EncodeBatch(pooled)
-	default:
-		v = pooled
-	}
+	v = p.reduce(pooled, train)
 	raw, signed = p.Proj.EncodeBatch(v)
 	return v, raw, signed
+}
+
+// reduce is Symbolize's step between pooling and projection: the manifold,
+// BaselineHD's LSH, or nothing.
+func (p *Pipeline) reduce(pooled *tensor.Tensor, train bool) *tensor.Tensor {
+	switch {
+	case p.Manifold != nil:
+		return p.Manifold.ForwardPooled(pooled, train)
+	case p.LSH != nil:
+		_, v := p.LSH.EncodeBatch(pooled)
+		return v
+	}
+	return pooled
+}
+
+// signedOnPanels is symbolizePooled(pooled, false)'s signed query
+// hypervectors, with the projection's product on P prepacked as pp and the
+// signs written over it: the same bits, in one [N, D] buffer.
+func (p *Pipeline) signedOnPanels(pooled *tensor.Tensor, pp *tensor.ProjPanels) *tensor.Tensor {
+	v := p.reduce(pooled, false)
+	signed := tensor.New(v.Shape[0], p.Cfg.D)
+	tensor.MatMulPanelsParallelInto(signed, v, pp)
+	tensor.SignInPlace(signed.Data)
+	return signed
 }
 
 // TrainReport records the outcome of Pipeline.Train.
@@ -245,9 +262,12 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 		report.TeacherTrainAccuracy = nn.Accuracy(teacherLogits, labels)
 	}
 
-	// Initial single-pass bundle with the untrained manifold.
+	// Initial single-pass bundle with the untrained manifold. Every encode
+	// of the call runs on P prepacked once (tensor.MatMulPanelsParallelInto),
+	// which gives EncodeBatch's bits.
+	projPanels := tensor.PrepackPanels(p.Proj.P)
 	pooled := p.pooled(feats)
-	_, _, signed := p.symbolizePooled(pooled, false)
+	signed := p.signedOnPanels(pooled, projPanels)
 	p.HD.InitBundle(signed, labels)
 
 	n := len(labels)
@@ -266,26 +286,41 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 		alpha, temp = p.Cfg.Alpha, p.Cfg.Temp
 	}
 
-	// Gather buffers are allocated once at the full batch size and re-sliced
-	// for the tail batch, so the joint loop performs no per-step allocations
-	// on the batching side.
-	bFeatsBuf := tensor.New(p.Cfg.BatchSize, featLen)
-	bLabelsBuf := make([]int, p.Cfg.BatchSize)
-	bTeacherBuf := tensor.New(p.Cfg.BatchSize, p.Cfg.Classes)
+	// Every workspace of the joint loop is taken once, at the full batch
+	// size, and re-sliced for the tail batch: the gathered batch, the query
+	// hypervectors, the similarities, U, dH and dV here, the manifold FC's
+	// output and weight-gradient product from an arena that the first batch
+	// sizes, and E = Uᵀ·H inside the HD model.
+	bs0, k, d := min(p.Cfg.BatchSize, n), p.Cfg.Classes, p.Cfg.D
+	bFeatsBuf := tensor.New(bs0, featLen)
+	bLabelsBuf := make([]int, bs0)
+	bTeacherBuf := tensor.New(bs0, k)
+	signedBuf := tensor.New(bs0, d)
+	simsBuf := tensor.New(bs0, k)
+	uBuf := tensor.New(bs0, k)
+	var dHBuf, dVBuf *tensor.Tensor
+	if p.Manifold != nil {
+		dHBuf, dVBuf = tensor.New(bs0, d), tensor.New(bs0, p.Cfg.FHat)
+	}
+	view := func(buf *tensor.Tensor, rows int) *tensor.Tensor {
+		return tensor.FromSlice(buf.Data[:rows*buf.Shape[1]], rows, buf.Shape[1])
+	}
+	var lshPanels *tensor.ProjPanels
+	if p.Manifold == nil && p.LSH != nil {
+		lshPanels = tensor.PrepackPanels(p.LSH.P)
+	}
+	arena := tensor.NewArena()
+	grown := false
 
 	for epoch := 1; epoch <= p.Cfg.Epochs; epoch++ {
 		p.rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		correct := 0
 		var updateMass float64
-		for start := 0; start < n; start += p.Cfg.BatchSize {
-			end := start + p.Cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			bs := end - start
-			bFeats := tensor.FromSlice(bFeatsBuf.Data[:bs*featLen], bs, featLen)
+		for start := 0; start < n; start += bs0 {
+			bs := min(bs0, n-start)
+			bFeats := view(bFeatsBuf, bs)
 			bLabels := bLabelsBuf[:bs]
-			bTeacher := tensor.FromSlice(bTeacherBuf.Data[:bs*p.Cfg.Classes], bs, p.Cfg.Classes)
+			bTeacher := view(bTeacherBuf, bs)
 			for bi := 0; bi < bs; bi++ {
 				src := order[start+bi]
 				copy(bFeats.Row(bi), pooled.Row(src))
@@ -295,15 +330,30 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				}
 			}
 
-			trainMode := p.Manifold != nil
-			_, _, bSigned := p.symbolizePooled(bFeats, trainMode)
+			// Symbolize the batch: symbolizePooled's products on the
+			// workspaces, the manifold in training mode.
+			arena.Reset()
+			v := bFeats
+			switch {
+			case p.Manifold != nil:
+				v = p.Manifold.ForwardPooledIn(arena, bFeats)
+			case lshPanels != nil:
+				v = arena.Alloc(bs, p.LSH.D)
+				tensor.MatMulPanelsParallelInto(v, bFeats, lshPanels)
+				tensor.SignInPlace(v.Data)
+			}
+			bSigned := view(signedBuf, bs)
+			tensor.MatMulPanelsParallelInto(bSigned, v, projPanels)
+			tensor.SignInPlace(bSigned.Data)
 
 			// Algorithm 1 update matrix (alpha=0 degrades to MASS), and the
 			// batch accuracy before the update, from one similarity pass.
-			sims := p.HD.SimilarityBatch(bSigned)
-			u := p.HD.DistillUpdateBatch(sims, bLabels, bTeacher, alpha, temp)
-			for i, pr := range tensor.ArgmaxRows(sims) {
-				if pr == bLabels[i] {
+			sims := view(simsBuf, bs)
+			p.HD.SimilarityBatchInto(sims, bSigned)
+			u := view(uBuf, bs)
+			p.HD.DistillUpdateBatchInto(u, sims, bLabels, bTeacher, alpha, temp)
+			for i, y := range bLabels {
+				if argmax(sims.Row(i)) == y {
 					correct++
 				}
 			}
@@ -317,17 +367,25 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				// dL/dH = −U·M. sign() is crossed with a straight-through
 				// estimator, then the HD decoder (bind with P, dot) maps the
 				// error back to the manifold output space.
-				dH := p.HD.QueryGrad(u) // [bs, D]
+				dH := view(dHBuf, bs)
+				p.HD.QueryGradInto(dH, u)
 				dH.Scale(-1)
-				dV := p.Proj.DecodeBatch(dH) // [bs, F̂]
+				dV := view(dVBuf, bs)
+				p.Proj.DecodeBatchInto(dV, dH)
 				p.Manifold.ZeroGrad()
-				p.Manifold.Backward(dV)
+				p.Manifold.BackwardIn(arena, dV)
 				opt.Step(p.Manifold.Params())
 			}
 
 			// Class hypervector update M += λ·Uᵀ·H (after the manifold
 			// gradient is computed against the pre-update M).
 			p.HD.ApplyUpdate(u, bSigned, p.Cfg.LR)
+			if !grown {
+				// The first batch measured the arena's peak; later batches
+				// reuse its slabs.
+				arena.Grow()
+				grown = true
+			}
 		}
 		st := hdlearn.EpochStats{
 			Epoch:          epoch,
@@ -344,7 +402,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	// Re-bundle M from the final encoder and run a short distillation-only
 	// refinement with the manifold frozen.
 	if p.Manifold != nil {
-		_, _, signed = p.symbolizePooled(pooled, false)
+		signed = p.signedOnPanels(pooled, projPanels)
 		p.HD.InitBundle(signed, labels)
 		// The refinement is Retrain at the pipeline's batch size: Algorithm 1
 		// with KD, MASS without.
@@ -457,6 +515,18 @@ func (p *Pipeline) QueryHVs(images *tensor.Tensor) *tensor.Tensor {
 	feats := p.ExtractFeatures(images)
 	_, _, signed := p.Symbolize(feats, false)
 	return signed
+}
+
+// argmax is the index of x's first largest element, as tensor.ArgmaxRows
+// ranks a row.
+func argmax(x []float32) int {
+	best, at := x[0], 0
+	for i, v := range x {
+		if v > best {
+			best, at = v, i
+		}
+	}
+	return at
 }
 
 func abs64(v float32) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -336,7 +337,7 @@ func TestTeacherLogitsFromFeatures(t *testing.T) {
 // trainWorkload builds the `train` benchmark workload's HD side without the
 // pretraining: vgg16 cut 8 at random weights, 512 images of 32×32, 10
 // classes, D = 3000, F̂ = 100, batch 32, 10 epochs, KD on.
-func trainWorkload(b *testing.B) (zoo *cnn.Model, cfg core.Config, images *tensor.Tensor, labels []int) {
+func trainWorkload(b testing.TB) (zoo *cnn.Model, cfg core.Config, images *tensor.Tensor, labels []int) {
 	const n, classes = 512, 10
 	zoo, err := cnn.Build("vgg16", tensor.NewRNG(72), classes)
 	if err != nil {
@@ -387,6 +388,49 @@ func BenchmarkTrainOnFeatures(b *testing.B) {
 		epochs += clock.at[len(clock.at)-1].Sub(clock.at[0])
 	}
 	b.ReportMetric(epochs.Seconds()*1e3/float64(b.N*(cfg.Epochs-1)), "ms/epoch")
+}
+
+// memClock reads the heap counters at every line TrainOnFeatures logs, one
+// per joint epoch.
+type memClock struct{ bytes, allocs []uint64 }
+
+func (c *memClock) Write(p []byte) (int, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	c.bytes, c.allocs = append(c.bytes, ms.TotalAlloc), append(c.allocs, ms.Mallocs)
+	return len(p), nil
+}
+
+// TestTrainOnFeaturesHeap is the joint loop's allocation gate (make alloc):
+// once the first batch has sized the loop's arena, a batch of the `train`
+// workload's retraining (32 samples, F = 2048, F̂ = 100, D = 3000, K = 10)
+// takes at most jointBatchBytes of heap, counted between the first and the
+// last joint epoch's log lines. Before, U, the similarities,
+// E = Uᵀ·H, dH, dV, the encodes and the manifold FC's output and weight
+// gradient were fresh heap every batch (1.25 MB at 5812627).
+func TestTrainOnFeaturesHeap(t *testing.T) {
+	const jointBatchBytes = 64 << 10
+	if raceDetector {
+		t.Skip("under the race detector the GEMMs' pooled panel buffers come back as fresh heap at random")
+	}
+	zoo, cfg, images, labels := trainWorkload(t)
+	p, err := core.New(zoo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := p.ExtractFeatures(images)
+	logits := nn.PredictLogits(zoo.Full(), images, cfg.BatchSize)
+	clock := &memClock{}
+	if _, err := p.TrainOnFeatures(feats, labels, logits, clock); err != nil {
+		t.Fatal(err)
+	}
+	last := len(clock.bytes) - 1
+	batches := uint64(last * (len(labels) + cfg.BatchSize - 1) / cfg.BatchSize)
+	perBatch, allocsPerBatch := (clock.bytes[last]-clock.bytes[0])/batches, (clock.allocs[last]-clock.allocs[0])/batches
+	t.Logf("warm joint batch: %d B, %d allocs", perBatch, allocsPerBatch)
+	if perBatch > jointBatchBytes {
+		t.Errorf("a joint batch takes %d B of heap, more than %d", perBatch, jointBatchBytes)
+	}
 }
 
 // BenchmarkExtractFeatures times Pipeline.ExtractFeatures (nn.Infer over the

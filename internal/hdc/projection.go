@@ -103,9 +103,18 @@ func (pr *Projection) DecodeBatch(e *tensor.Tensor) *tensor.Tensor {
 	if e.Rank() != 2 || e.Shape[1] != pr.D {
 		panic(fmt.Sprintf("hdc: DecodeBatch expects [K %d], got %v", pr.D, e.Shape))
 	}
-	out := tensor.MatMulT(e, pr.P) // [K, F]
-	out.Scale(1 / float32(pr.D))
+	out := tensor.New(e.Shape[0], pr.F)
+	pr.DecodeBatchInto(out, e)
 	return out
+}
+
+// DecodeBatchInto is DecodeBatch into a caller-owned [K, F] dst.
+func (pr *Projection) DecodeBatchInto(dst, e *tensor.Tensor) {
+	if e.Rank() != 2 || e.Shape[1] != pr.D {
+		panic(fmt.Sprintf("hdc: DecodeBatch expects [K %d], got %v", pr.D, e.Shape))
+	}
+	tensor.MatMulTInto(dst, e, pr.P)
+	dst.Scale(1 / float32(pr.D))
 }
 
 // EncodeMACs returns the multiply-accumulate count of one encoding under the

@@ -6,6 +6,7 @@ import (
 
 	"nshd/internal/hdc"
 	"nshd/internal/tensor"
+	"nshd/internal/tensor/tensortest"
 )
 
 // makeBatchFixture builds a K-class problem of separable clusters plus an
@@ -186,5 +187,65 @@ func TestTrainMASSBatchEmptySet(t *testing.T) {
 		if err != nil || hist != nil {
 			t.Errorf("%s: history %v, error %v; want nil, nil", c.name, hist, err)
 		}
+	}
+}
+
+// TestApplyUpdateMatchesZeroSkip requires ApplyUpdate on the blocked GEMM to
+// give the zero-skip loop's class matrix bit for bit (applyUpdateLoop), on
+// the 512-bit, the forced 256-bit and the portable kernels: bipolar H, and U
+// normal with exact +0 and −0 entries, over class counts, batches and
+// dimensions on both sides of every strip and block edge. Batch 300 is past
+// one K block and runs updateChain.
+func TestApplyUpdateMatchesZeroSkip(t *testing.T) {
+	sets := []struct {
+		name  string
+		force func(testing.TB)
+	}{
+		{"avx512", func(tb testing.TB) { tensortest.Gemm512(tb, true) }},
+		{"avx256", func(tb testing.TB) {
+			if tensor.KernelISA() == "portable" {
+				tb.Skip("no vector kernels on this machine")
+			}
+			tensortest.Gemm512(tb, false)
+		}},
+		{"portable", tensortest.Portable},
+	}
+	for _, set := range sets {
+		t.Run(set.name, func(t *testing.T) {
+			set.force(t)
+			for _, k := range []int{1, 5, 8, 10, 17} {
+				for _, n := range []int{1, 13, 32, 300} {
+					for _, d := range []int{1, 15, 16, 17, 65, 600, 3000} {
+						if n == 300 && d > 65 {
+							continue
+						}
+						seed := int64(k*100000 + n*100 + d)
+						rng := tensor.NewRNG(seed)
+						hvs := tensor.New(n, d)
+						rng.FillBipolar(hvs)
+						u := tensor.New(n, k)
+						rng.FillNormal(u, 0, 1)
+						for i := range u.Data {
+							switch i % 5 {
+							case 1:
+								u.Data[i] = 0
+							case 3:
+								u.Data[i] = float32(math.Copysign(0, -1))
+							}
+						}
+						got := &Model{K: k, D: d, M: tensor.New(k, d)}
+						rng.FillNormal(got.M, 0, 4)
+						want := &Model{K: k, D: d, M: got.M.Clone()}
+						got.ApplyUpdate(u, hvs, 0.35)
+						applyUpdateLoop(want, u, hvs, 0.35)
+						for i, v := range got.M.Data {
+							if math.Float32bits(v) != math.Float32bits(want.M.Data[i]) {
+								t.Fatalf("K=%d batch=%d D=%d: M[%d] = %v, zero-skip loop %v", k, n, d, i, v, want.M.Data[i])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

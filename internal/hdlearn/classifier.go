@@ -30,6 +30,11 @@ type Model struct {
 	norms        []float64
 	normsVersion uint64
 	normsValid   bool
+
+	// update and updateT are ApplyUpdate's workspaces, taken on first use:
+	// E = Uᵀ·H ([K, D]) and Uᵀ.
+	update  *tensor.Tensor
+	updateT []float32
 }
 
 // NewModel allocates a zeroed classifier for k classes of dimension d.
@@ -176,10 +181,17 @@ func (m *Model) Clone() *Model {
 // this through the HD decoder (Sec. V-C); it is the dual of the class update
 // M += λ Uᵀ H.
 func (m *Model) QueryGrad(u *tensor.Tensor) *tensor.Tensor {
+	dst := tensor.New(u.Shape[0], m.D)
+	m.QueryGradInto(dst, u)
+	return dst
+}
+
+// QueryGradInto is QueryGrad into a caller-owned [N, D] dst.
+func (m *Model) QueryGradInto(dst, u *tensor.Tensor) {
 	if u.Rank() != 2 || u.Shape[1] != m.K {
 		panic(fmt.Sprintf("hdlearn: QueryGrad expects [N %d], got %v", m.K, u.Shape))
 	}
-	return tensor.MatMul(u, m.M) // [N, D]
+	tensor.MatMulInto(dst, u, m.M)
 }
 
 // MemoryBytes reports model storage: K·D float32 values, or the packed

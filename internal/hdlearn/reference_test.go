@@ -86,3 +86,24 @@ func (m *Model) trainPerSample(hvs *tensor.Tensor, labels []int, teacherLogits *
 	}
 	return history
 }
+
+// applyUpdateLoop is ApplyUpdate as the zero-skip scalar loop it replaced,
+// tensor.TransposeMatMul followed by the AXPY: E starts at +0, and for each
+// sample in order and each class whose update is not ±0, E's row takes
+// u·H one rounded product at a time.
+func applyUpdateLoop(m *Model, u, hvs *tensor.Tensor, lr float64) {
+	e := tensor.New(m.K, m.D)
+	for p := 0; p < u.Shape[0]; p++ {
+		hrow := hvs.Row(p)
+		for i, uv := range u.Row(p) {
+			if uv == 0 {
+				continue
+			}
+			erow := e.Row(i)
+			for j, hv := range hrow {
+				erow[j] += float32(uv * hv)
+			}
+		}
+	}
+	m.M.AXPY(float32(lr), e)
+}

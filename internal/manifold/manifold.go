@@ -94,6 +94,13 @@ func (l *Learner) ForwardPooled(pooled *tensor.Tensor, train bool) *tensor.Tenso
 	return nn.Infer(l.fc, pooled, 0)
 }
 
+// ForwardPooledIn is ForwardPooled's training pass with the FC's output and
+// cache taken from the arena a (nn.ForwardIn), for a training loop that
+// Resets a per step; BackwardIn is Backward with its workspaces from a.
+func (l *Learner) ForwardPooledIn(a *tensor.Arena, pooled *tensor.Tensor) *tensor.Tensor {
+	return nn.ForwardIn(a, l.fc, pooled)
+}
+
 // ForwardInfer is the serving-side Forward: state-free, serial, and
 // allocating only from the caller's arena (see nn.InferenceLayer). It
 // matches Forward(x, false) bit-for-bit.
@@ -114,6 +121,12 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 // respect to the features is computed.
 func (l *Learner) Backward(grad *tensor.Tensor) {
 	l.fc.BackwardParams(grad)
+}
+
+// BackwardIn is Backward with its workspaces taken from a (see
+// ForwardPooledIn).
+func (l *Learner) BackwardIn(a *tensor.Arena, grad *tensor.Tensor) {
+	nn.BackwardParamsIn(a, l.fc, grad)
 }
 
 // Params exposes the learnable parameters (the FC weights and bias).

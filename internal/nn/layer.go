@@ -134,6 +134,27 @@ func layerBackwardIn(a *tensor.Arena, l Layer, grad *tensor.Tensor) *tensor.Tens
 	return l.Backward(grad)
 }
 
+// ForwardIn is l's training Forward with the buffers of an arena layer taken
+// from a, as Trainer.Fit runs it: for a caller that trains a layer in a loop
+// of its own on one arena, Reset per step. BackwardParamsIn is its backward
+// pass for the parameter gradients alone (all of it, for a layer without
+// that path). The results live in a until its next Reset.
+func ForwardIn(a *tensor.Arena, l Layer, x *tensor.Tensor) *tensor.Tensor {
+	if al, ok := l.(arenaLayer); ok {
+		return al.forwardIn(a, x)
+	}
+	return l.Forward(x)
+}
+
+// BackwardParamsIn: see ForwardIn.
+func BackwardParamsIn(a *tensor.Arena, l Layer, grad *tensor.Tensor) {
+	if pl, ok := l.(paramsLayer); ok {
+		pl.backwardParamsIn(a, grad)
+		return
+	}
+	layerBackwardIn(a, l, grad)
+}
+
 // paramsLayer is an arena layer that can run its backward pass for the
 // parameter gradients alone: Linear, and Conv2D. Fit's first layer has no
 // upstream layer to hand an input gradient to.

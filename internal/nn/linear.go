@@ -82,9 +82,7 @@ func (l *Linear) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 // BackwardParams accumulates dW = gradᵀ x and db = Σ grad and computes no
 // input gradient: all of Backward a caller needs when nothing upstream of the
 // layer learns (the manifold FC on frozen CNN features). dW runs on the dense
-// blocked GEMM (TransposeMatMulInto): unlike the retraining update matrices,
-// softmax gradients are dense, so the zero-skip scalar TransposeMatMul has
-// nothing to skip.
+// blocked GEMM (TransposeMatMulInto).
 func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 	l.backwardParamsIn(nil, grad)
 }

@@ -30,7 +30,8 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 }
 
 // Step implements Optimizer. Each parameter is split over the pool; the
-// update is elementwise, so any split gives the same bits.
+// update is elementwise, so any split gives the same bits. The update runs
+// on tensor.SGDStep's vector kernels.
 func (o *SGD) Step(params []*Param) {
 	lr := float32(o.LR)
 	mu := float32(o.Momentum)
@@ -42,19 +43,7 @@ func (o *SGD) Step(params []*Param) {
 			o.velocity[p] = v
 		}
 		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
-			ws, gs, vs := p.W.Data[lo:hi], p.Grad.Data[lo:hi], v.Data[lo:hi]
-			if wd != 0 {
-				for i, g := range gs {
-					g += wd * ws[i]
-					vs[i] = mu*vs[i] + g
-					ws[i] -= lr * vs[i]
-				}
-				return
-			}
-			for i, g := range gs {
-				vs[i] = mu*vs[i] + g
-				ws[i] -= lr * vs[i]
-			}
+			tensor.SGDStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], v.Data[lo:hi], lr, mu, wd)
 		})
 	}
 }
@@ -79,7 +68,8 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step implements Optimizer. As in SGD.Step, each parameter is split over the
-// pool and the update is elementwise, so any split gives the same bits.
+// pool and the update is elementwise, so any split gives the same bits. The
+// update runs on tensor.AdamStep's vector kernels.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
@@ -96,17 +86,7 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = v
 		}
 		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
-			ws, gs, ms, vs := p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi]
-			for i, g := range gs {
-				if wd != 0 {
-					g += wd * ws[i]
-				}
-				ms[i] = b1*ms[i] + (1-b1)*g
-				vs[i] = b2*vs[i] + (1-b2)*g*g
-				mhat := float64(ms[i]) / bc1
-				vhat := float64(vs[i]) / bc2
-				ws[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
-			}
+			tensor.AdamStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi], o.LR, o.Eps, bc1, bc2, b1, b2, wd)
 		})
 	}
 }

@@ -68,3 +68,13 @@ func reluBackAsm(n int, dst, grad, y *float32)
 
 //go:noescape
 func reluBack512Asm(n int, dst, grad, y *float32)
+
+// adamAsm applies AdamStep to n elements, a positive multiple of 8.
+//
+//go:noescape
+func adamAsm(n int, w, grad, m, v *float32, c *adamCoef)
+
+// sgdAsm applies SGDStep to n elements, a positive multiple of 8.
+//
+//go:noescape
+func sgdAsm(n int, w, grad, v *float32, lr, mu, wd float32)

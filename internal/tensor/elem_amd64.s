@@ -321,3 +321,119 @@ reluback:
 	JNE     reluback
 	VZEROUPPER
 	RET
+
+// func adamAsm(n int, w, grad, m, v *float32, c *adamCoef)
+//
+// AdamStep eight floats a step (n a positive multiple of 8), in the Go twin's
+// operations and operand order: the float32 moments by VMULPS then VADDPS,
+// then each half of four widened by VCVTPS2PD (exact) through VDIVPD,
+// VSQRTPD, VADDPD, VMULPD and VDIVPD, narrowed by one VCVTPD2PS and
+// subtracted from w. The weight decay runs where wd != 0 (+0 and −0 skip
+// it), as in sgdAsm.
+TEXT ·adamAsm(SB), NOSPLIT, $0-48
+	MOVQ n+0(FP), CX
+	MOVQ w+8(FP), DI
+	MOVQ grad+16(FP), SI
+	MOVQ m+24(FP), DX
+	MOVQ v+32(FP), R8
+	MOVQ c+40(FP), AX
+	VBROADCASTSS 0(AX), Y8  // b1
+	VBROADCASTSS 4(AX), Y9  // b2
+	VBROADCASTSS 8(AX), Y10 // c1
+	VBROADCASTSS 12(AX), Y11 // c2
+	VBROADCASTSS 16(AX), Y12 // wd
+	MOVL 16(AX), BX
+	ANDL $0x7fffffff, BX
+	VBROADCASTSD 24(AX), Y13 // lr
+	VBROADCASTSD 32(AX), Y14 // eps
+	VBROADCASTSD 40(AX), Y15 // bc1
+	VBROADCASTSD 48(AX), Y7  // bc2
+
+adamloop:
+	VMOVUPS (SI), Y0
+	TESTL   BX, BX
+	JZ      adamnodecay
+	VMULPS  (DI), Y12, Y1
+	VADDPS  Y1, Y0, Y0
+
+adamnodecay:
+	VMULPS  (DX), Y8, Y2
+	VMULPS  Y0, Y10, Y1
+	VADDPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DX)
+	VMULPS  Y0, Y11, Y1
+	VMULPS  Y0, Y1, Y1
+	VMULPS  (R8), Y9, Y3
+	VADDPS  Y1, Y3, Y3
+	VMOVUPS Y3, (R8)
+	VCVTPS2PD    X2, Y4
+	VEXTRACTF128 $1, Y2, X5
+	VCVTPS2PD    X5, Y5
+	VCVTPS2PD    X3, Y6
+	VEXTRACTF128 $1, Y3, X1
+	VCVTPS2PD    X1, Y1
+	VDIVPD  Y15, Y4, Y4
+	VDIVPD  Y15, Y5, Y5
+	VDIVPD  Y7, Y6, Y6
+	VDIVPD  Y7, Y1, Y1
+	VSQRTPD Y6, Y6
+	VSQRTPD Y1, Y1
+	VADDPD  Y14, Y6, Y6
+	VADDPD  Y14, Y1, Y1
+	VMULPD  Y4, Y13, Y4
+	VMULPD  Y5, Y13, Y5
+	VDIVPD  Y6, Y4, Y4
+	VDIVPD  Y1, Y5, Y5
+	VCVTPD2PSY  Y4, X4
+	VCVTPD2PSY  Y5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VMOVUPS (DI), Y0
+	VSUBPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	SUBQ    $8, CX
+	JNE     adamloop
+	VZEROUPPER
+	RET
+
+// func sgdAsm(n int, w, grad, v *float32, lr, mu, wd float32)
+//
+// SGDStep eight floats a step (n a positive multiple of 8), in the Go twin's
+// operations and operand order, each product rounded by VMULPS before its
+// VADDPS or VSUBPS. The weight decay runs where wd != 0 (+0 and −0 skip it).
+TEXT ·sgdAsm(SB), NOSPLIT, $0-44
+	MOVQ n+0(FP), CX
+	MOVQ w+8(FP), DI
+	MOVQ grad+16(FP), SI
+	MOVQ v+24(FP), DX
+	VBROADCASTSS lr+32(FP), Y8
+	VBROADCASTSS mu+36(FP), Y9
+	VBROADCASTSS wd+40(FP), Y10
+	MOVL wd+40(FP), BX
+	ANDL $0x7fffffff, BX
+
+sgdloop:
+	VMOVUPS (SI), Y0
+	TESTL   BX, BX
+	JZ      sgdnodecay
+	VMULPS  (DI), Y10, Y1
+	VADDPS  Y1, Y0, Y0
+
+sgdnodecay:
+	VMULPS  (DX), Y9, Y2
+	VADDPS  Y0, Y2, Y2
+	VMOVUPS Y2, (DX)
+	VMULPS  Y2, Y8, Y2
+	VMOVUPS (DI), Y3
+	VSUBPS  Y2, Y3, Y3
+	VMOVUPS Y3, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $8, CX
+	JNE     sgdloop
+	VZEROUPPER
+	RET

@@ -53,3 +53,11 @@ func reluBackAsm(n int, dst, grad, y *float32) {
 func reluBack512Asm(n int, dst, grad, y *float32) {
 	panic("tensor: reluBack512Asm requires amd64")
 }
+
+func adamAsm(n int, w, grad, m, v *float32, c *adamCoef) {
+	panic("tensor: adamAsm requires amd64")
+}
+
+func sgdAsm(n int, w, grad, v *float32, lr, mu, wd float32) {
+	panic("tensor: sgdAsm requires amd64")
+}

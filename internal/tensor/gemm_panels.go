@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"nshd/internal/parallel"
 )
 
 // Panel-fed GEMM: the serving engine's fused-tail kernel. A ProjPanels holds
@@ -167,6 +169,32 @@ func MatMulPanelsInto(dst, a *Tensor, pp *ProjPanels, scratch []float32) {
 	}
 	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
 	gemmDrive(dst.Data, pp.n, gemmA{a: a.Data, lda: pp.k}, m, &src, 0, pp.n, 0, pp.k, scratch, true)
+}
+
+// MatMulPanelsParallelInto is MatMulPanelsInto for prepacked panels
+// (PrepackPanels), with the PanelBlockCols-wide column blocks spread over the
+// pool once the product is worth a split (gemmMinSplitFlops, as MatMulInto):
+// the training loop's encode against a projection it prepacks once. Each
+// block is the serial driver's and prepacked panels need no scratch, so it
+// gives MatMulPanelsInto's bits and allocates nothing but the dispatch.
+func MatMulPanelsParallelInto(dst, a *Tensor, pp *ProjPanels) {
+	if pp.signs != nil {
+		panic("tensor: MatMulPanelsParallelInto takes prepacked panels, not sign words")
+	}
+	m := checkPanelsArgs(a, pp, nil)
+	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != pp.n {
+		panic(fmt.Sprintf("tensor: MatMulPanelsParallelInto dst shape %v, want [%d %d]", dst.Shape, m, pp.n))
+	}
+	blocks := (pp.n + gemmNC - 1) / gemmNC
+	if blocks < 2 || parallel.Workers() <= 1 || 2*m*pp.n*pp.k < gemmMinSplitFlops {
+		MatMulPanelsInto(dst, a, pp, nil)
+		return
+	}
+	parallel.For(blocks, func(lo, hi int) {
+		c0, c1 := lo*gemmNC, min(hi*gemmNC, pp.n)
+		src := gemmB{kind: bPanels, n: pp.n, pp: pp}
+		gemmDrive(dst.Data[c0:], pp.n, gemmA{a: a.Data, lda: pp.k}, m, &src, c0, c1, 0, pp.k, nil, true)
+	})
 }
 
 // MatMulPanelsKBlock writes one K block of a @ B to every column of dst:

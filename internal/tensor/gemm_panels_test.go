@@ -107,17 +107,19 @@ func TestBipolarGenBalance(t *testing.T) {
 // panelShapes are deliberately awkward: K and N off the 256 blocks, N off
 // the 16-wide strips, single rows, empty batches.
 var panelShapes = []struct{ m, k, n int }{
-	{8, 16, 70},    // tiny everything, ragged N
-	{1, 100, 3000}, // single sample, paper shapes
-	{0, 100, 256},  // empty batch
-	{0, 300, 40},   // empty batch, two K blocks
-	{5, 257, 300},  // K spans two K-blocks with remainder
-	{7, 64, 256},   // exactly one NC block
-	{3, 33, 257},   // one column past the NC block
-	{6, 512, 1000}, // multiple K blocks, ragged N
-	{4, 10, 16},    // exactly one strip
-	{9, 20, 15},    // below one strip: pure Go tail
-	{2, 300, 530},  // three NC blocks, ragged tail
+	{8, 16, 70},     // tiny everything, ragged N
+	{1, 100, 3000},  // single sample, paper shapes
+	{0, 100, 256},   // empty batch
+	{0, 300, 40},    // empty batch, two K blocks
+	{5, 257, 300},   // K spans two K-blocks with remainder
+	{7, 64, 256},    // exactly one NC block
+	{3, 33, 257},    // one column past the NC block
+	{6, 512, 1000},  // multiple K blocks, ragged N
+	{4, 10, 16},     // exactly one strip
+	{9, 20, 15},     // below one strip: pure Go tail
+	{2, 300, 530},   // three NC blocks, ragged tail
+	{32, 100, 3000}, // a joint training batch: MatMulPanelsParallelInto splits
+	{13, 300, 3001}, // two K blocks, split, ragged tail
 }
 
 // TestMatMulPanelsMatchesSerial pins the bit-exactness contract: prepacked
@@ -149,6 +151,15 @@ func TestMatMulPanelsMatchesSerial(t *testing.T) {
 						if got.Data[i] != want.Data[i] {
 							t.Fatalf("%s m=%d k=%d n=%d: full product differs at %d: got %v want %v",
 								name, s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+						}
+					}
+					if name == "prepack" {
+						MatMulPanelsParallelInto(got, a, pp)
+						for i := range want.Data {
+							if got.Data[i] != want.Data[i] {
+								t.Fatalf("parallel m=%d k=%d n=%d: full product differs at %d: got %v want %v",
+									s.m, s.k, s.n, i, got.Data[i], want.Data[i])
+							}
 						}
 					}
 					for c0 := 0; c0 < s.n; c0 += PanelBlockCols() {

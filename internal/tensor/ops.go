@@ -88,42 +88,12 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
-// TransposeMatMul returns aᵀ(K×M) @ b(K×N) = M×N. Used for gradient
-// accumulation (e.g. weight gradients from input and output deltas). The
-// zero-skip branch is kept deliberately: the update matrices flowing through
-// this path are genuinely sparse (correctly-classified samples contribute
-// zero rows), so the branch wins where it would lose in the dense GEMM.
-func TransposeMatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: TransposeMatMul shape mismatch %vᵀ @ %v", a.Shape, b.Shape))
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // TransposeMatMulInto computes dst = aᵀ(K×M) @ b(K×N) through the blocked
 // parallel GEMM: a is transposed into scratch (length ≥ a.Len(); a fresh
 // buffer is taken from the float pool when scratch is too short) and the
-// product runs on MatMulInto. This is the dense fast path for rank-K
-// gradient/retraining updates — one batched similarity-shaped GEMM instead of
-// the zero-skip scalar loop of TransposeMatMul, which remains the right call
-// for genuinely sparse update matrices. Deterministic: the transpose is a
-// bit-copy and the GEMM's accumulation schedule is split-invariant.
+// product runs on MatMulInto: the rank-K weight-gradient and retraining
+// updates. Deterministic: the transpose is a bit-copy and the GEMM's
+// accumulation schedule is split-invariant.
 func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: TransposeMatMul shape mismatch %vᵀ @ %v", a.Shape, b.Shape))

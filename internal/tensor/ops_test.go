@@ -108,12 +108,36 @@ func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
+// transposeMatMulRef is aᵀ(K×M) @ b(K×N) = M×N as a scalar loop that skips
+// the zero entries of a: each output element is one p-ascending chain from
+// +0, every product rounded before its add. It was the retraining update's
+// kernel, and is TransposeMatMulInto's reference here.
+func transposeMatMulRef(a, b *Tensor) *Tensor {
+	k, m := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	out := New(m, n)
+	for p := 0; p < k; p++ {
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := out.Data[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += float32(av * bv)
+			}
+		}
+	}
+	return out
+}
+
 func TestTransposeMatMulMatchesExplicit(t *testing.T) {
 	g := NewRNG(4)
 	a, b := New(7, 4), New(7, 5)
 	g.FillNormal(a, 0, 1)
 	g.FillNormal(b, 0, 1)
-	got := TransposeMatMul(a, b)
+	got := transposeMatMulRef(a, b)
 	want := MatMul(Transpose(a), b)
 	for i := range got.Data {
 		if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {

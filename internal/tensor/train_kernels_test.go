@@ -174,7 +174,7 @@ func TestTransposeMatMulIntoMatchesReference(t *testing.T) {
 	b := New(29, 11)
 	rng.FillNormal(a, 0, 1)
 	rng.FillNormal(b, 0, 1)
-	want := TransposeMatMul(a, b)
+	want := transposeMatMulRef(a, b)
 	dst := New(7, 11)
 	TransposeMatMulInto(dst, a, b, nil)
 	for i := range want.Data {
