@@ -42,13 +42,16 @@ staticcheck:
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
 # driver's and the engine's gates on the 256-bit ones. Training has a bound,
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
-# VGG16/4 at batch 32 takes at most 5 MB of heap (TestFitStepHeap, which logs
-# the step's bytes and allocations; 42 MB when every activation, gradient and
-# workspace was fresh heap). So has the HD joint loop: once its first batch
-# has sized the loop's arena, a batch of the `train` workload's retraining
-# takes at most 64 KB (TestTrainOnFeaturesHeap, which logs the batch's bytes
-# and allocations; 1.25 MB when U, the similarities, the encodes and the
-# manifold FC's buffers were fresh heap every batch).
+# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 1 740 allocations,
+# the count measured before the step's col2im, gradient merge and ZeroGrad
+# were rewritten (TestFitStepHeap, which logs the step's bytes and
+# allocations; 42 MB when every activation, gradient and workspace was fresh
+# heap). So has the HD joint loop: once its first batch has sized the loop's
+# arena, a batch of the `train` workload's retraining takes at most 64 KB
+# (TestTrainOnFeaturesHeap, which logs the batch's bytes and allocations;
+# 1.25 MB when U, the similarities, the encodes and the manifold FC's buffers
+# were fresh heap every batch). Its GEMMs take their panel buffers from the
+# arena, not from a sync.Pool, so the bound holds under the race detector too.
 alloc:
 	$(GO) test -run 'TestGemmDriverZeroAlloc|TestGemmGatesAt256/GemmDriverZeroAlloc' -count 1 ./internal/tensor/
 	$(GO) test -run 'TestEngineZeroAlloc|TestEngineGatesAt256/ZeroAlloc' -count 1 ./internal/engine/
@@ -78,9 +81,10 @@ test:
 # amd64, so today this compiles the same float code as the default run; it is
 # here for a toolchain that fuses, as the arm64 backend already does. The HD
 # and training pins in internal/core (TestHDTrainingBitsPinned, and the joint
-# loop against its reference) run here too.
+# loop against its reference) and internal/cnn (TestTrainingBitsPinned: three
+# Pretrain steps of each headline model) run here too.
 v3:
-	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/ ./internal/nn/ ./internal/core/
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/engine/ ./internal/nn/ ./internal/core/ ./internal/cnn/
 
 # Race-detect the packages with hand-rolled parallelism (the serving front
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
@@ -113,8 +117,12 @@ fuzz:
 # batch 1 with L2 evicted between calls — and conv layers at both kernel
 # widths, the dot-kernel products at the
 # manifold FC / Linear / similarity shapes at both widths with the tile shapes
-# they were chosen from, the tail's float64 score fold, im2col / col2im per VGG stage shape,
-# per-shape Conv2D forward and backward, the inverted residual's depthwise 3×3
+# they were chosen from, MatMulTInto's column split against the row split at
+# the dense head's shape (BenchmarkMatMulTSplit), the tail's float64 score
+# fold, im2col per VGG stage shape, col2im on one stacked chunk per stage
+# against the per-sample col2im it replaced, per-shape Conv2D forward and
+# backward, the weight-gradient merges of a VGG16/4 step against the two-pass
+# merge (BenchmarkMergeWeightGrad), the inverted residual's depthwise 3×3
 # and 1×1 projection with their BatchNorm folded in (BenchmarkDepthwiseInfer,
 # BenchmarkPointwiseInfer), max-pool in Forward and ForwardInfer, one
 # steady-state Trainer.Fit step on its arena per zoo model — vgg16,

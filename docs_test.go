@@ -125,7 +125,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 // finding. The caps sit just above today's sizes; ROADMAP item 7's target
 // for DESIGN.md is 60 KB, and a change that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 138_890, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_975, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -297,6 +298,13 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	bTeacherBuf := tensor.New(bs0, k)
 	signedBuf := tensor.New(bs0, d)
 	simsBuf := tensor.New(bs0, k)
+	// The query rows are SignInPlace's, exactly ±1: the float64 sum of D
+	// squares is D exactly and math.Sqrt rounds correctly, so √D is the norm
+	// hdc.Hypervector.Norm would compute for every row.
+	rowNorms := make([]float64, bs0)
+	for i := range rowNorms {
+		rowNorms[i] = math.Sqrt(float64(d))
+	}
 	uBuf := tensor.New(bs0, k)
 	var dHBuf, dVBuf *tensor.Tensor
 	if p.Manifold != nil {
@@ -349,7 +357,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			// Algorithm 1 update matrix (alpha=0 degrades to MASS), and the
 			// batch accuracy before the update, from one similarity pass.
 			sims := view(simsBuf, bs)
-			p.HD.SimilarityBatchInto(sims, bSigned)
+			p.HD.SimilarityBatchInto(sims, bSigned, rowNorms[:bs]...)
 			u := view(uBuf, bs)
 			p.HD.DistillUpdateBatchInto(u, sims, bLabels, bTeacher, alpha, temp)
 			for i, y := range bLabels {
@@ -368,7 +376,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				// estimator, then the HD decoder (bind with P, dot) maps the
 				// error back to the manifold output space.
 				dH := view(dHBuf, bs)
-				p.HD.QueryGradInto(dH, u)
+				p.HD.QueryGradInto(dH, u, arena.Floats(tensor.GemmScratch()))
 				dH.Scale(-1)
 				dV := view(dVBuf, bs)
 				p.Proj.DecodeBatchInto(dV, dH)

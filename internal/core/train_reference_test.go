@@ -410,9 +410,6 @@ func (c *memClock) Write(p []byte) (int, error) {
 // gradient were fresh heap every batch (1.25 MB at 5812627).
 func TestTrainOnFeaturesHeap(t *testing.T) {
 	const jointBatchBytes = 64 << 10
-	if raceDetector {
-		t.Skip("under the race detector the GEMMs' pooled panel buffers come back as fresh heap at random")
-	}
 	zoo, cfg, images, labels := trainWorkload(t)
 	p, err := core.New(zoo, cfg)
 	if err != nil {

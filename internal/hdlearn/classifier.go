@@ -32,7 +32,7 @@ type Model struct {
 	normsValid   bool
 
 	// update and updateT are ApplyUpdate's workspaces, taken on first use:
-	// E = Uᵀ·H ([K, D]) and Uᵀ.
+	// E = Uᵀ·H ([K, D]), and Uᵀ followed by the product's panel buffer.
 	update  *tensor.Tensor
 	updateT []float32
 }
@@ -115,8 +115,12 @@ func (m *Model) SimilarityBatch(hvs *tensor.Tensor) *tensor.Tensor {
 // SimilarityBatchInto is SimilarityBatch into a caller-owned [N, K] dst, so
 // batched retraining epochs reuse one similarity buffer: the dot products run
 // as a single GEMM (MatMulTInto) and the class norms come from the version-
-// keyed cache. Bit-identical to Similarity row by row.
-func (m *Model) SimilarityBatchInto(dst, hvs *tensor.Tensor) {
+// keyed cache. Bit-identical to Similarity row by row. A caller that knows the
+// rows' norms — hdc.Hypervector.Norm's values, N of them — passes them as
+// norms, and the scalar float64 pass over each row is skipped; without them
+// each row's norm is computed. (Variadic, so that a call without norms reads
+// as before.)
+func (m *Model) SimilarityBatchInto(dst, hvs *tensor.Tensor, norms ...float64) {
 	if hvs.Rank() != 2 || hvs.Shape[1] != m.D {
 		panic(fmt.Sprintf("hdlearn: SimilarityBatch expects [N %d], got %v", m.D, hvs.Shape))
 	}
@@ -124,13 +128,21 @@ func (m *Model) SimilarityBatchInto(dst, hvs *tensor.Tensor) {
 	if dst.Rank() != 2 || dst.Shape[0] != n || dst.Shape[1] != m.K {
 		panic(fmt.Sprintf("hdlearn: SimilarityBatchInto dst shape %v, want [%d %d]", dst.Shape, n, m.K))
 	}
+	if norms != nil && len(norms) != n {
+		panic(fmt.Sprintf("hdlearn: SimilarityBatchInto got %d row norms for %d rows", len(norms), n))
+	}
 	tensor.MatMulTInto(dst, hvs, m.M) // [N, K] dot products
-	norms := m.classNorms()
+	classNorms := m.classNorms()
 	for i := 0; i < n; i++ {
-		hn := hdc.Hypervector(hvs.Row(i)).Norm()
+		var hn float64
+		if norms != nil {
+			hn = norms[i]
+		} else {
+			hn = hdc.Hypervector(hvs.Row(i)).Norm()
+		}
 		row := dst.Row(i)
 		for k := 0; k < m.K; k++ {
-			den := hn * norms[k]
+			den := hn * classNorms[k]
 			if den == 0 {
 				row[k] = 0
 			} else {
@@ -182,16 +194,18 @@ func (m *Model) Clone() *Model {
 // M += λ Uᵀ H.
 func (m *Model) QueryGrad(u *tensor.Tensor) *tensor.Tensor {
 	dst := tensor.New(u.Shape[0], m.D)
-	m.QueryGradInto(dst, u)
+	m.QueryGradInto(dst, u, nil)
 	return dst
 }
 
-// QueryGradInto is QueryGrad into a caller-owned [N, D] dst.
-func (m *Model) QueryGradInto(dst, u *tensor.Tensor) {
+// QueryGradInto is QueryGrad into a caller-owned [N, D] dst, with the
+// product's panel buffer in scratch when it holds tensor.GemmScratch() floats
+// (tensor.MatMulScratchInto).
+func (m *Model) QueryGradInto(dst, u *tensor.Tensor, scratch []float32) {
 	if u.Rank() != 2 || u.Shape[1] != m.K {
 		panic(fmt.Sprintf("hdlearn: QueryGrad expects [N %d], got %v", m.K, u.Shape))
 	}
-	tensor.MatMulInto(dst, u, m.M)
+	tensor.MatMulScratchInto(dst, u, m.M, scratch)
 }
 
 // MemoryBytes reports model storage: K·D float32 values, or the packed

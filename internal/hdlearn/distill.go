@@ -84,8 +84,8 @@ func (m *Model) ApplyUpdate(u, hvs *tensor.Tensor, lr float64) {
 	if n > tensor.GemmKBlock() {
 		updateChain(m.update, u, hvs)
 	} else {
-		if len(m.updateT) < n*m.K {
-			m.updateT = make([]float32, tensor.GemmKBlock()*m.K)
+		if len(m.updateT) < n*m.K+tensor.GemmScratch() {
+			m.updateT = make([]float32, tensor.GemmKBlock()*m.K+tensor.GemmScratch())
 		}
 		tensor.TransposeMatMulInto(m.update, u, hvs, m.updateT)
 	}

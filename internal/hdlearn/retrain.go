@@ -122,6 +122,12 @@ func (m *Model) Retrain(hvs *tensor.Tensor, labels []int, teacherLogits *tensor.
 	u := tensor.New(batch, m.K)    // λ-scaled update matrix
 	e := tensor.New(m.K, m.D)      // bundled class-wise error E = (λU)ᵀ·H
 	scratch := make([]float32, batch*m.K)
+	// Each row's norm, computed once a call rather than once an epoch, and
+	// the batch's, gathered with its rows.
+	norms, normsB := make([]float64, n), make([]float64, batch)
+	for i := range norms {
+		norms[i] = hdc.Hypervector(hvs.Row(i)).Norm()
+	}
 
 	var history []EpochStats
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
@@ -135,8 +141,9 @@ func (m *Model) Retrain(hvs *tensor.Tensor, labels []int, teacherLogits *tensor.
 			uB := tensor.FromSlice(u.Data[:bs*m.K], bs, m.K)
 			for bi := 0; bi < bs; bi++ {
 				copy(hbB.Row(bi), hvs.Row(order[start+bi]))
+				normsB[bi] = norms[order[start+bi]]
 			}
-			m.SimilarityBatchInto(simsB, hbB)
+			m.SimilarityBatchInto(simsB, hbB, normsB[:bs]...)
 			for bi := 0; bi < bs; bi++ {
 				idx := order[start+bi]
 				y := labels[idx]

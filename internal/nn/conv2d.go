@@ -226,8 +226,10 @@ func convStackChunk(hw int) int {
 // window (tensor.ConvWeightGradSerialInto) and dcols = Wᵀ·G reads Wᵀ in place
 // from the weights (tensor.MatMulATSerialInto): the bits of the column
 // products, with no column matrix and no transpose. db is one float32 chain
-// per channel in sample-then-position order, and dx is col2im of dcols,
-// sample by sample, into a sample range the chunk's task clears first.
+// per channel in sample-then-position order, and dx is one col2im of the
+// product's dcols (tensor.Col2ImWindow over its samples) into a sample range
+// the chunk's task clears first. The chunk accumulators go into the weights'
+// gradient in one blocked pass (mergeWeightGrad).
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.backwardIn(nil, grad)
 }
@@ -320,28 +322,7 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 			c.backwardProducts(g, x, gs, dx, dwT, db, wmat, lo, b, prodBuf, buf[c.OutC*ld:])
 		}
 	})
-	// Merge into chunk 0's accumulator, each element in chunk order, so the
-	// sums do not depend on how the element ranges are split over the pool;
-	// then add the merged dWᵀ to the weights' gradient at its transposed
-	// place, 16 taps at a time so that both sides stay in cache.
-	tensor.ParallelForGrain(dwLen, elemGrain, func(lo, hi int) {
-		for ci := 1; ci < numChunks; ci++ {
-			tensor.Accumulate(accBuf[lo:hi], accBuf[ci*accLen+lo:][:hi-lo])
-		}
-	})
-	wg := c.Weight.Grad.Data
-	const taps = 16
-	tensor.ParallelForGrain((kdim+taps-1)/taps, max(1, elemGrain/(taps*c.OutC)), func(lo, hi int) {
-		for pb := lo * taps; pb < min(hi*taps, kdim); pb += taps {
-			block := accBuf[pb*c.OutC : min(pb+taps, kdim)*c.OutC]
-			for oc := 0; oc < c.OutC; oc++ {
-				dst := wg[oc*kdim+pb:][:len(block)/c.OutC]
-				for i := range dst {
-					dst[i] += block[i*c.OutC+oc]
-				}
-			}
-		}
-	})
+	mergeWeightGrad(c.Weight.Grad.Data, accBuf, numChunks, accLen, kdim, c.OutC)
 	if c.useBias {
 		for ci := 0; ci < numChunks; ci++ {
 			tensor.Accumulate(c.Bias.Grad.Data, accBuf[ci*accLen+dwLen:][:c.OutC])
@@ -349,6 +330,63 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 	}
 	release(a, m, accBuf)
 }
+
+// mergeWeightGrad adds the sum of the chunks' dWᵀ accumulators — chunk ci's
+// [kdim, outC] at acc[ci*accLen:] — to wg, the [outC, kdim] weight gradient,
+// in one pass over mergeTile×mergeTile tiles: a tile's chunk sums go into
+// chunk 0's accumulator, and the tile, still in cache, is added at its
+// transposed place. Each element is grad + (((acc₀ + acc₁) + acc₂) + …), the
+// sums of the two passes this replaced, and no split of the tiles over the
+// pool moves a bit. A task owns whole rows of 16 output channels, so tasks
+// write runs of wg 16·kdim floats long, which meet at 64-byte boundaries
+// where wg is 64-byte aligned, as the heap's large allocations are.
+func mergeWeightGrad(wg, acc []float32, chunks, accLen, kdim, outC int) {
+	rows := (outC + mergeTile - 1) / mergeTile
+	merge := func(lo, hi int) {
+		var t [mergeTile][mergeTile]float32
+		for ob := lo * mergeTile; ob < min(hi*mergeTile, outC); ob += mergeTile {
+			nc := min(mergeTile, outC-ob)
+			for pb := 0; pb < kdim; pb += mergeTile {
+				nt := min(mergeTile, kdim-pb)
+				tile := acc[pb*outC+ob:]
+				for ci := 1; ci < chunks; ci++ {
+					tensor.AddRows(tile, outC, acc[ci*accLen+pb*outC+ob:], outC, nc, nt)
+				}
+				if nt < mergeTile || nc < mergeTile {
+					for o := 0; o < nc; o++ {
+						dst := wg[(ob+o)*kdim+pb:][:nt]
+						for i := range dst {
+							dst[i] += tile[i*outC+o]
+						}
+					}
+					continue
+				}
+				// A whole tile is read into an array first: with constant
+				// bounds the transposed adds run without index checks, ×1.3–1.4
+				// over indexing the accumulator on a VGG16/4 step's merges
+				// (two-core bench box, one and two workers).
+				for i := range t {
+					t[i] = [mergeTile]float32(tile[i*outC:])
+				}
+				for o := 0; o < mergeTile; o++ {
+					dst := (*[mergeTile]float32)(wg[(ob+o)*kdim+pb:])
+					for i := range dst {
+						dst[i] += t[i][o]
+					}
+				}
+			}
+		}
+	}
+	if chunks*kdim*outC < 2*elemGrain {
+		merge(0, rows)
+		return
+	}
+	parallelFor(rows, merge)
+}
+
+// mergeTile is the edge of mergeWeightGrad's tiles: 16 taps of one output
+// channel are one 64-byte line of the weight gradient.
+const mergeTile = 16
 
 // backwardProducts is one product pair of Backward — samples [lo, lo+b)
 // against gmat, their output gradients [OutC, b·HW] side by side —
@@ -369,9 +407,7 @@ func (c *Conv2D) backwardProducts(g tensor.ConvGeom, x, gmat, dx, dwT *tensor.Te
 	kdim := c.InC * c.KH * c.KW
 	dcols := tensor.FromSlice(dcolsBuf[:kdim*ld], kdim, ld)
 	tensor.MatMulATSerialInto(dcols, wmat, gmat, prodBuf)
-	for s := 0; s < b; s++ {
-		tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
-	}
+	tensor.Col2ImWindow(g, dcols.Data, ld, b, dx.Data[lo*sampleIn:][:b*sampleIn])
 }
 
 // addRowSums adds the sum of row r of the [len(db), n] matrix m to db[r]:

@@ -210,9 +210,7 @@ func (c *Conv2D) backwardColumns(grad *tensor.Tensor) *tensor.Tensor {
 			tensor.Accumulate(c.Bias.Grad.Data, db)
 		}
 		tensor.MatMulSerialInto(dcols, wmatT, gmat, gemmBuf)
-		for s := 0; s < b; s++ {
-			tensor.Col2ImWindow(g, dcols.Data, ld, s*hw, dx.Data[(lo+s)*sampleIn:][:sampleIn])
-		}
+		tensor.Col2ImWindow(g, dcols.Data, ld, b, dx.Data[lo*sampleIn:][:b*sampleIn])
 	}
 	if dwT != nil {
 		tensor.Accumulate(c.Weight.Grad.Data, tensor.Transpose(dwT).Data)
@@ -286,7 +284,7 @@ func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
 				}
 				// dcols = Wᵀ @ g ; dx = col2im(dcols)
 				tensor.MatMulInto(dcols, wmatT, gmat)
-				tensor.Col2ImWindow(g, dcols.Data, outH*outW, 0, dx.Data[i*sampleIn:(i+1)*sampleIn])
+				tensor.Col2ImWindow(g, dcols.Data, outH*outW, 1, dx.Data[i*sampleIn:(i+1)*sampleIn])
 			}
 		}
 	})

@@ -291,11 +291,23 @@ func (s *Sequential) Slice(end int) *Sequential {
 	return &Sequential{Label: fmt.Sprintf("%s[:%d]", s.Label, end), Layers: s.Layers[:end]}
 }
 
-// ZeroGrad clears all parameter gradients.
+// ZeroGrad clears all parameter gradients on the pool, which splits their
+// concatenation, in parameter order, into element ranges.
 func (s *Sequential) ZeroGrad() {
-	for _, p := range s.Params() {
-		p.ZeroGrad()
+	ps := s.Params()
+	total := 0
+	for _, p := range ps {
+		total += len(p.Grad.Data)
 	}
+	tensor.ParallelForGrain(total, elemGrain, func(lo, hi int) {
+		for _, p := range ps {
+			g := p.Grad.Data
+			if lo < len(g) && hi > 0 {
+				clear(g[max(lo, 0):min(hi, len(g))])
+			}
+			lo, hi = lo-len(g), hi-len(g)
+		}
+	})
 }
 
 // ParamCount returns the total number of scalar learnable parameters.

@@ -75,14 +75,18 @@ func (l *Linear) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 	l.backwardParamsIn(a, grad)
 	// dx[N,in] = grad[N,out] @ W[out,in]
 	dx := alloc(a, grad.Shape[0], l.In)
-	tensor.MatMulInto(dx, grad, l.Weight.W)
+	m := mark(a)
+	sc := scratch(a, tensor.GemmScratch())
+	tensor.MatMulScratchInto(dx, grad, l.Weight.W, sc)
+	release(a, m, sc)
 	return dx
 }
 
 // BackwardParams accumulates dW = gradᵀ x and db = Σ grad and computes no
 // input gradient: all of Backward a caller needs when nothing upstream of the
 // layer learns (the manifold FC on frozen CNN features). dW runs on the dense
-// blocked GEMM (TransposeMatMulInto).
+// blocked GEMM (TransposeMatMulInto), its transpose and, below the split
+// floor, its panel buffer in the workspace.
 func (l *Linear) BackwardParams(grad *tensor.Tensor) {
 	l.backwardParamsIn(nil, grad)
 }
@@ -95,7 +99,7 @@ func (l *Linear) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
 	}
 	// dW[out,in] += gradᵀ[out,N] @ x[N,in]
 	m := mark(a)
-	dwBuf, sc := scratch(a, l.Out*l.In), scratch(a, grad.Len())
+	dwBuf, sc := scratch(a, l.Out*l.In), scratch(a, grad.Len()+tensor.GemmScratch())
 	dw := tensor.FromSlice(dwBuf, l.Out, l.In)
 	tensor.TransposeMatMulInto(dw, grad, l.cachedX, sc)
 	tensor.Accumulate(l.Weight.Grad.Data, dwBuf)

@@ -93,6 +93,13 @@ func (o *Adam) Step(params []*Param) {
 
 // ClipGradNorm rescales all gradients so their global L2 norm is at most
 // maxNorm, returning the pre-clip norm.
+//
+// The sum of squares is one float64 chain over every gradient element in
+// parameter order, on one core (2.4–3.1 ms of a VGG16/4 step at batch 32).
+// Partial sums per pool task would add the same squares in another order, and
+// float64 addition is not associative: the norm, and with it the scale and
+// every clipped gradient, would move bits. A split needs its own pinned
+// training constants.
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {

@@ -26,6 +26,8 @@ func buildTrainTestModel(seed int64) *Sequential {
 // buildDeepTrainTestModel is buildTrainTestModel on 32×32 inputs with two more
 // convs, so its Conv2D layers sit at both ends of the backward chunk-size
 // rule: HW = 1024 (4-sample chunks), HW = 16 and HW = 4 (16-sample chunks).
+// The last is wide enough (kdim 288 × 64 channels × 2 chunks) for
+// mergeWeightGrad to split its tiles over the pool.
 func buildDeepTrainTestModel(seed int64) *Sequential {
 	rng := tensor.NewRNG(seed)
 	return NewSequential("train-path-deep",
@@ -34,12 +36,12 @@ func buildDeepTrainTestModel(seed int64) *Sequential {
 		NewReLU(),
 		NewDepthwiseConv2D(rng, 4, 3, 1, 1),
 		NewMaxPool2D(8),
-		NewConv2D(rng, 4, 6, 3, 1, 1, false),
+		NewConv2D(rng, 4, 32, 3, 1, 1, false),
 		NewReLU(),
 		NewMaxPool2D(2),
-		NewConv2D(rng, 6, 5, 3, 1, 1, true),
+		NewConv2D(rng, 32, 64, 3, 1, 1, true),
 		NewFlatten(),
-		NewLinear(rng, 5*2*2, 3, true),
+		NewLinear(rng, 64*2*2, 3, true),
 	)
 }
 
@@ -86,6 +88,31 @@ func TestTrainingStepSerialParallelBitIdentical(t *testing.T) {
 			if math.Float32bits(p.W.Data[i]) != math.Float32bits(s.W.Data[i]) {
 				t.Fatalf("param %s[%d] diverges: parallel %v serial %v",
 					p.Name, i, p.W.Data[i], s.W.Data[i])
+			}
+		}
+	}
+}
+
+// TestZeroGradClearsEveryParam fills every gradient of a model whose
+// parameters add up to more than one pool task, ragged sizes among them,
+// with −1 and requires ZeroGrad to leave +0 everywhere.
+func TestZeroGradClearsEveryParam(t *testing.T) {
+	model := buildDeepTrainTestModel(5)
+	total := 0
+	for _, p := range model.Params() {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = -1
+		}
+		total += p.Grad.Len()
+	}
+	if total <= elemGrain {
+		t.Fatalf("%d gradient floats: too few to split", total)
+	}
+	model.ZeroGrad()
+	for _, p := range model.Params() {
+		for i, v := range p.Grad.Data {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s[%d] = %v after ZeroGrad", p.Name, i, v)
 			}
 		}
 	}

@@ -120,17 +120,34 @@ func Im2ColWindow(g ConvGeom, x, dst []float32, ld, off int) {
 	}
 }
 
-// Col2ImWindow scatters a column window of a wider matrix, the layout
-// Im2ColWindow writes, back into an image gradient of C×H×W, adding each
-// tap into dx (which the caller clears first): row r is read at src[r*ld+off : r*ld+off+OutH*OutW].
-// At stride 1 the in-image part of each output row is one contiguous run of
-// the image row, and all runs of one (c, kh, kw) are added by a single
-// AddRows call. The tap loops are the outer ones as in Im2ColWindow; an image
-// element still receives its taps in (kh, kw) order, and the channels share
-// nothing, so the loop order is not visible in the sums.
-func Col2ImWindow(g ConvGeom, src []float32, ld, off int, dx []float32) {
+// Col2ImWindow scatters the column windows of b samples, side by side from
+// column 0 of a wider matrix in the layout Im2ColWindow writes (sample s's
+// row r at src[r*ld+s*HW:][:HW], HW = OutH·OutW), back into their image
+// gradients, b images of C×H×W one after another in dx, adding each tap. dx
+// must hold no −0 and no signaling NaN: the caller clears it first, and no
+// sum added to it is either.
+//
+// The tap loops are the outer ones as in Im2ColWindow, so every image
+// element receives its taps in (kh, kw) order; the channels and samples
+// share nothing, so the order of the inner loops is not visible in the sums.
+// Where the output is as wide as the input at stride 1 (the same-padded
+// layers), output position j of tap (kh, kw) reads the constant shift
+// j + (kh−PadH)·W + (kw−PadW) of the flattened channel, as in Im2ColWindow's
+// flat copy: the in-image positions [first, last) of a row are one run once
+// the |kw−PadW| entries that wrap over each row boundary are set to +0 in
+// src, which this overwrites. Such a +0 adds to an in-image element of the
+// neighbouring image row, and x + (+0) is x for every x but −0 and a
+// signaling NaN, which dx never holds: a round-to-nearest sum is −0 only when
+// both terms are, and an arithmetic result is never a signaling NaN. Then one AddRows call adds a (c, kh, kw) row's run for all b samples,
+// which on the 4×4 and 2×2 maps replaces b·OutH calls on runs of one to four
+// floats. Other geometries walk each sample's rows, the in-image part of an
+// output row one AddRows run at stride 1 and one element at a time
+// otherwise.
+func Col2ImWindow(g ConvGeom, src []float32, ld, b int, dx []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	hw, chanLen := outH*outW, g.InH*g.InW
+	sampleIn := g.InC * chanLen
+	flat := g.StrideW == 1 && g.StrideH == 1 && outW == g.InW
 	for kh := 0; kh < g.KH; kh++ {
 		ohLo, ohHi := tapRange(g.InH, outH, g.StrideH, g.PadH, kh)
 		for kw := 0; kw < g.KW; kw++ {
@@ -142,17 +159,35 @@ func Col2ImWindow(g ConvGeom, src []float32, ld, off int, dx []float32) {
 			// position that reads it.
 			imgAt := (ohLo*g.StrideH-g.PadH+kh)*g.InW + owLo*g.StrideW - g.PadW + kw
 			colAt := ohLo*outW + owLo
-			for c := 0; c < g.InC; c++ {
-				row := src[((c*g.KH+kh)*g.KW+kw)*ld+off:][:hw]
-				img := dx[c*chanLen:][:chanLen]
-				if g.StrideW == 1 {
-					AddRows(img[imgAt:], g.StrideH*g.InW, row[colAt:], outW, owHi-owLo, ohHi-ohLo)
-					continue
+			if flat {
+				last := (ohHi-1)*outW + owHi
+				wrap := outW - owHi + owLo
+				for c := 0; c < g.InC; c++ {
+					row := src[((c*g.KH+kh)*g.KW+kw)*ld:]
+					for s := 0; wrap > 0 && s < b; s++ {
+						for at := s*hw + ohLo*outW + owHi; at < s*hw+last; at += outW {
+							for i := at; i < at+wrap; i++ {
+								row[i] = 0
+							}
+						}
+					}
+					AddRows(dx[c*chanLen+imgAt:], sampleIn, row[colAt:], hw, last-colAt, b)
 				}
-				for oh := ohLo; oh < ohHi; oh++ {
-					drow := img[imgAt+(oh-ohLo)*g.StrideH*g.InW:]
-					for ow := owLo; ow < owHi; ow++ {
-						drow[(ow-owLo)*g.StrideW] += row[oh*outW+ow]
+				continue
+			}
+			for s := 0; s < b; s++ {
+				for c := 0; c < g.InC; c++ {
+					row := src[((c*g.KH+kh)*g.KW+kw)*ld+s*hw:][:hw]
+					img := dx[s*sampleIn+c*chanLen:][:chanLen]
+					if g.StrideW == 1 {
+						AddRows(img[imgAt:], g.StrideH*g.InW, row[colAt:], outW, owHi-owLo, ohHi-ohLo)
+						continue
+					}
+					for oh := ohLo; oh < ohHi; oh++ {
+						drow := img[imgAt+(oh-ohLo)*g.StrideH*g.InW:]
+						for ow := owLo; ow < owHi; ow++ {
+							drow[(ow-owLo)*g.StrideW] += row[oh*outW+ow]
+						}
 					}
 				}
 			}

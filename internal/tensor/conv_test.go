@@ -18,9 +18,10 @@ func Im2Col(g ConvGeom, x []float32, cols *Tensor) {
 
 // Col2Im, Im2Col's test-only adjoint, scatters the column matrix back into an
 // image gradient of C×H×W, accumulating overlapping contributions into dx.
-// dx must be pre-zeroed by the caller if accumulation from scratch is wanted.
+// dx must be pre-zeroed by the caller if accumulation from scratch is wanted;
+// cols' entries that read padding may be overwritten (Col2ImWindow).
 func Col2Im(g ConvGeom, cols *Tensor, dx []float32) {
-	Col2ImWindow(g, cols.Data, g.OutH()*g.OutW(), 0, dx)
+	Col2ImWindow(g, cols.Data, g.OutH()*g.OutW(), 1, dx)
 }
 
 func TestConvGeomOutputDims(t *testing.T) {

@@ -98,22 +98,25 @@ func TestIm2ColWindowMatchesScalar(t *testing.T) {
 func TestCol2ImWindowMatchesScalar(t *testing.T) {
 	windowLattice(func(g ConvGeom) {
 		rows, hw, in := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), g.InC*g.InH*g.InW
-		ld, off := hw+5, 3
+		const b = 2
+		ld := b*hw + 5
 		src := edgePixels(int64(rows*ld+g.KH), rows*ld, float32(math.Inf(1-2*(in%2))))
-		got := randMat(int64(in), 1, in).Data
+		got := randMat(int64(in), 1, b*in).Data
 		want := append([]float32(nil), got...)
-		Col2ImWindow(g, src, ld, off, got)
-		for r := 0; r < rows; r++ {
-			c, kh, kw := r/(g.KH*g.KW), r/g.KW%g.KH, r%g.KW
-			for oh := 0; oh < g.OutH(); oh++ {
-				for ow := 0; ow < g.OutW(); ow++ {
-					ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
-					if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
-						want[(c*g.InH+ih)*g.InW+iw] += src[r*ld+off+oh*g.OutW()+ow]
+		for s := 0; s < b; s++ {
+			for r := 0; r < rows; r++ {
+				c, kh, kw := r/(g.KH*g.KW), r/g.KW%g.KH, r%g.KW
+				for oh := 0; oh < g.OutH(); oh++ {
+					for ow := 0; ow < g.OutW(); ow++ {
+						ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							want[s*in+(c*g.InH+ih)*g.InW+iw] += src[r*ld+s*hw+oh*g.OutW()+ow]
+						}
 					}
 				}
 			}
 		}
+		Col2ImWindow(g, src, ld, b, got)
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%+v: dx[%d] = %v (%#x), want %v (%#x)", g, i,
@@ -121,6 +124,138 @@ func TestCol2ImWindowMatchesScalar(t *testing.T) {
 			}
 		}
 	})
+}
+
+// col2imSample is the per-sample col2im Col2ImWindow replaced, kept as its
+// reference: one sample's window at column off of src, each (c, kh, kw) row's
+// in-image runs added by one AddRows call at stride 1, element by element
+// otherwise, tap loops outermost.
+func col2imSample(g ConvGeom, src []float32, ld, off int, dx []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	hw, chanLen := outH*outW, g.InH*g.InW
+	for kh := 0; kh < g.KH; kh++ {
+		ohLo, ohHi := tapRange(g.InH, outH, g.StrideH, g.PadH, kh)
+		for kw := 0; kw < g.KW; kw++ {
+			owLo, owHi := tapRange(g.InW, outW, g.StrideW, g.PadW, kw)
+			if ohLo == ohHi || owLo == owHi {
+				continue
+			}
+			imgAt := (ohLo*g.StrideH-g.PadH+kh)*g.InW + owLo*g.StrideW - g.PadW + kw
+			colAt := ohLo*outW + owLo
+			for c := 0; c < g.InC; c++ {
+				row := src[((c*g.KH+kh)*g.KW+kw)*ld+off:][:hw]
+				img := dx[c*chanLen:][:chanLen]
+				if g.StrideW == 1 {
+					AddRows(img[imgAt:], g.StrideH*g.InW, row[colAt:], outW, owHi-owLo, ohHi-ohLo)
+					continue
+				}
+				for oh := ohLo; oh < ohHi; oh++ {
+					drow := img[imgAt+(oh-ohLo)*g.StrideH*g.InW:]
+					for ow := owLo; ow < owHi; ow++ {
+						drow[(ow-owLo)*g.StrideW] += row[oh*outW+ow]
+					}
+				}
+			}
+		}
+	}
+}
+
+// hostileFloats fills n floats with uniform values salted with every class of
+// bit pattern an add must carry through: ±0, a NaN in its quiet and its
+// signaling form, an infinity, and subnormals of both signs. The NaN's sign
+// and payload and the infinity's sign vary with the seed, one of each per
+// fill: which NaN the sum of two different ones returns is the operand order,
+// and Go may compile `d += v` with either operand first (it does under -race),
+// so no sum here may meet two different NaNs or both infinities.
+func hostileFloats(seed int64, n int) []float32 {
+	x := make([]float32, n)
+	nan := uint32(seed%2)<<31 | 0x7f800000 | uint32(1+seed%0x3ffffe) // signaling
+	inf := float32(math.Inf(1 - 2*int(seed/2%2)))
+	state := uint64(seed)*0x9E3779B97F4A7C15 | 1
+	for i := range x {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		x[i] = float32(int32(state>>32)) / (1 << 30) // in [−2, 2)
+		switch (i*7 + int(seed)) % 23 {
+		case 2:
+			x[i] = 0
+		case 5:
+			x[i] = float32(math.Copysign(0, -1))
+		case 9:
+			x[i] = math.Float32frombits(nan | 0x400000) // the same NaN, quiet
+		case 11:
+			x[i] = math.Float32frombits(nan)
+		case 14:
+			x[i] = inf
+		case 19:
+			x[i] = math.Float32frombits(1 + uint32(i)%0x7fffff) // positive subnormal
+		case 21:
+			x[i] = -math.Float32frombits(uint32(i) % 0x7fffff) // negative subnormal or −0
+		}
+	}
+	return x
+}
+
+// TestCol2ImWindowMatchesPerSample is the chunk col2im against the per-sample
+// one it replaced, bit for bit, over strides 1 and 2, pads 0–2, kernels 1, 3
+// and 5 and maps 1–33 (square, and a rectangle set), kernels wider than the
+// map included, at b ∈ {1, 3, 4, 16}, on hostile column values, from a
+// cleared dx and (at odd b) from one of normal values. The windows sit in a
+// wider matrix, whose columns past the b samples a call must leave alone.
+// Dropping the zeroing of the wrapped entries on the same-size stride-1 maps
+// fails it.
+func TestCol2ImWindowMatchesPerSample(t *testing.T) {
+	var maps [][2]int
+	for s := 1; s <= 33; s++ {
+		maps = append(maps, [2]int{s, s})
+	}
+	for _, h := range []int{1, 2, 3, 5, 16, 33} {
+		for _, w := range []int{1, 2, 3, 5, 16, 33} {
+			if h != w {
+				maps = append(maps, [2]int{h, w})
+			}
+		}
+	}
+	for _, k := range []int{1, 3, 5} {
+		for pad := 0; pad <= 2; pad++ {
+			for _, stride := range []int{1, 2} {
+				for mi, hw := range maps {
+					g := ConvGeom{InC: 2, InH: hw[0], InW: hw[1], KH: k, KW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+					if g.Validate() != nil {
+						continue
+					}
+					rows, outHW, in := g.InC*k*k, g.OutH()*g.OutW(), g.InC*g.InH*g.InW
+					for _, b := range []int{1, 3, 4, 16} {
+						ld := b*outHW + 5
+						src := hostileFloats(int64(mi*131+k*17+pad*5+stride+b), rows*ld)
+						got := make([]float32, len(src))
+						for _, cleared := range []bool{true, false}[:1+b%2] {
+							want := make([]float32, b*in)
+							if !cleared {
+								want = randMat(int64(mi+b), 1, b*in).Data
+							}
+							dx := append([]float32(nil), want...)
+							for s := 0; s < b; s++ {
+								col2imSample(g, src, ld, s*outHW, want[s*in:][:in])
+							}
+							copy(got, src)
+							Col2ImWindow(g, got, ld, b, dx)
+							if i := bitsDiffer(dx, want); i >= 0 {
+								t.Fatalf("%+v b=%d cleared=%v: dx[%d] = %v (%#x), want %v (%#x)", g, b, cleared, i,
+									dx[i], math.Float32bits(dx[i]), want[i], math.Float32bits(want[i]))
+							}
+							for r := 0; r < rows; r++ {
+								if i := bitsDiffer(got[r*ld+b*outHW:(r+1)*ld], src[r*ld+b*outHW:(r+1)*ld]); i >= 0 {
+									t.Fatalf("%+v b=%d: src row %d column %d past the windows written", g, b, r, b*outHW+i)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestAddRowsMatchesScalar covers every tail of the vector kernel (n from 1
@@ -177,10 +312,39 @@ func BenchmarkIm2ColWindow(b *testing.B) {
 	benchWindow(b, func(g ConvGeom, x, cols []float32) { Im2ColWindow(g, x, cols, g.InH*g.InW, 0) })
 }
 
-// BenchmarkCol2ImWindow reports GB/s of column matrix read.
+// BenchmarkCol2ImWindow reports GB/s of column matrix read on the samples one
+// product of Conv2D.Backward covers at each VGG16/4 stage — one where HW is a
+// whole number of K blocks, else the stacked chunk, clamp(256/HW, 4, 16):
+// "chunk" is Col2ImWindow's one call, "per-sample" the per-sample col2im it
+// replaced (col2imSample), one call a sample.
 func BenchmarkCol2ImWindow(b *testing.B) {
-	benchWindow(b, func(g ConvGeom, x, cols []float32) {
-		clear(x) // keep the accumulated image finite
-		Col2ImWindow(g, cols, g.InH*g.InW, 0, x)
-	})
+	for _, g := range vggStages {
+		g.KH, g.KW, g.StrideH, g.StrideW, g.PadH, g.PadW = 3, 3, 1, 1, 1, 1
+		hw, in := g.InH*g.InW, g.InC*g.InH*g.InW
+		n := 1
+		if hw%GemmKBlock() != 0 {
+			n = min(max(256/hw, 4), 16)
+		}
+		dx := make([]float32, n*in)
+		cols := randMat(2, 1, g.InC*9*n*hw).Data
+		for _, run := range []struct {
+			name string
+			f    func()
+		}{
+			{"chunk", func() { Col2ImWindow(g, cols, n*hw, n, dx) }},
+			{"per-sample", func() {
+				for s := 0; s < n; s++ {
+					col2imSample(g, cols, n*hw, s*hw, dx[s*in:][:in])
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("c%d_%dx%d_b%d/%s", g.InC, g.InH, g.InW, n, run.name), func(b *testing.B) {
+				b.SetBytes(int64(4 * len(cols)))
+				for i := 0; i < b.N; i++ {
+					clear(dx) // keep the accumulated image finite
+					run.f()
+				}
+			})
+		}
+	}
 }

@@ -87,7 +87,15 @@ var panelPool = sync.Pool{New: func() any {
 // dst must be M×N and must not alias a or b. The result is deterministic:
 // serial and parallel execution produce bit-identical output because tile
 // decomposition never changes how any single element accumulates over K.
-func MatMulInto(dst, a, b *Tensor) {
+func MatMulInto(dst, a, b *Tensor) { MatMulScratchInto(dst, a, b, nil) }
+
+// MatMulScratchInto is MatMulInto with the packed-panel buffer of a product
+// too small to split over the pool taken from scratch, when it holds
+// GemmScratch() floats, instead of from panelPool: a training loop that runs
+// on an arena keeps its heap off the sync.Pool, whose items a GC (and the
+// race detector, at random) drops. A product that splits still packs into
+// pooled buffers, one per job. Same schedule, same bits.
+func MatMulScratchInto(dst, a, b *Tensor, scratch []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
 	}
@@ -96,7 +104,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
 	}
-	gemm(dst.Data, a.Data, b.Data, m, n, k)
+	gemm(dst.Data, a.Data, b.Data, m, n, k, scratch)
 }
 
 // MatMul returns a @ b for rank-2 tensors.
@@ -126,12 +134,17 @@ type gemmJob struct {
 }
 
 // gemmSplit decomposes an M×N output into jobs for the given worker count.
-// Rows are split first (better packing reuse); when row chunks alone cannot
-// feed every worker — small M with large N, e.g. per-sample conv matmuls —
-// columns are split too. Splits are aligned to the widest live kernel's row
-// group (gemmMR rows, twice that under useGemm512) and to gemmNR columns, so
-// a split leaves no task more leftover rows or cut strips than the whole
-// product has. Pure function, unit-tested for boundary coverage.
+// Every job of a row split reads all of B and every job of a column split all
+// of A, so rows are split first where B is no wider than the output is tall,
+// and only columns otherwise: the dense head's input gradient,
+// [32×1024]·[1024×1024], streamed its 4 MB B once per row job: on the
+// two-core bench box four row jobs took ×1.3–1.5 the serial product's time
+// where a helper was late, and two column jobs take the serial time. When row chunks alone
+// cannot feed every worker — small M with large N, e.g. per-sample conv
+// matmuls — columns are split too. Splits are aligned to the widest live
+// kernel's row group (gemmMR rows, twice that under useGemm512) and to gemmNR
+// columns, so a split leaves no task more leftover rows or cut strips than
+// the whole product has. Pure function, unit-tested for boundary coverage.
 func gemmSplit(m, n, k, workers int) []gemmJob {
 	mr := gemmMR
 	if useGemm512 {
@@ -139,6 +152,9 @@ func gemmSplit(m, n, k, workers int) []gemmJob {
 	}
 	rowsPer := (rowGrain(n, k) + mr - 1) / mr * mr
 	rowTasks := (m + rowsPer - 1) / rowsPer
+	if n > m {
+		rowsPer, rowTasks = m, 1
+	}
 	if rowTasks > workers*2 {
 		rowTasks = workers * 2
 		rowsPer = ((m+rowTasks-1)/rowTasks + mr - 1) / mr * mr
@@ -171,7 +187,9 @@ func gemmSplit(m, n, k, workers int) []gemmJob {
 	return jobs
 }
 
-func gemm(dst, a, b []float32, m, n, k int) {
+// gemm is the product of MatMulScratchInto: serial on buf below the split
+// floor, gemmSplit's jobs on the pool above it.
+func gemm(dst, a, b []float32, m, n, k int, buf []float32) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -181,27 +199,27 @@ func gemm(dst, a, b []float32, m, n, k int) {
 	}
 	workers := parallel.Workers()
 	if workers <= 1 || 2*m*n*k < gemmMinSplitFlops {
-		gemmRange(dst, a, b, n, k, 0, m, 0, n)
+		gemmRange(dst, a, b, n, k, 0, m, 0, n, buf)
 		return
 	}
 	jobs := gemmSplit(m, n, k, workers)
 	parallel.For(len(jobs), func(lo, hi int) {
 		for ji := lo; ji < hi; ji++ {
 			j := jobs[ji]
-			gemmRange(dst, a, b, n, k, j.r0, j.r1, j.c0, j.c1)
+			gemmRange(dst, a, b, n, k, j.r0, j.r1, j.c0, j.c1, nil)
 		}
 	})
 }
 
 // gemmRange computes the dst tile rows [r0,r1) × cols [c0,c1), overwriting
-// it, through the blocked driver (gemm_driver.go) with a packed-panel buffer
-// from panelPool; callers that must not touch the heap (the serving engine)
-// use MatMulSerialInto with their own buffer. Same schedule, same bits. c0
-// must be a multiple of gemmNR, as gemmSplit's jobs are: the pooled buffer
-// has no spill room for a cut strip.
-func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int) {
-	var buf []float32
-	if useGemmAsm {
+// it, through the blocked driver (gemm_driver.go) with buf as its packed-panel
+// buffer, or one from panelPool when buf is shorter than GemmScratch();
+// callers that must not touch the heap (the serving engine) use
+// MatMulSerialInto with their own buffer. Same schedule, same bits. c0 must be
+// a multiple of gemmNR, as gemmSplit's jobs are: the buffer has no spill room
+// for a cut strip.
+func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int, buf []float32) {
+	if useGemmAsm && len(buf) < GemmScratch() {
 		bufp := panelPool.Get().(*[]float32)
 		buf = *bufp
 		defer panelPool.Put(bufp)
@@ -319,7 +337,14 @@ func MatMulT(a, b *Tensor) *Tensor {
 
 // MatMulTInto computes dst = a(M×K) @ bᵀ (b is N×K) into a caller-owned dst,
 // so batched training loops can reuse one similarity buffer across steps. It
-// runs the same row-parallel dot kernel as MatMulT; results are bit-identical.
+// runs the same dot kernel as MatMulT; results are bit-identical. The pool
+// splits the rows, or, where B is over dotStreamFloats, the columns: then
+// each task streams its own share of B once instead of all of B. Row split →
+// column split, medians of 100 alternated calls on the two-core bench box:
+// [32×1024]·[1024×1024]ᵀ (train's dense head) 1408 → 1009 µs,
+// [5×100×18432] 1369 → 511, [32×100×3000] 367 → 353. An output's chain does
+// not depend on the column range it is computed in (dotTile), so neither
+// split moves a bit.
 func MatMulTInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v @ %vᵀ", a.Shape, b.Shape))
@@ -335,8 +360,17 @@ func MatMulTInto(dst, a, b *Tensor) {
 		clear(dst.Data[:m*n])
 		return
 	}
-	grain := rowGrain(n, k)
-	parallel.ForGrain(m, grain, func(lo, hi int) {
+	if n*k > dotStreamFloats {
+		// Whole groups of dotSplitCols columns, a multiple of both tile
+		// widths, so only N's own edge moves a tile back; rowGrain(m, k) is
+		// the columns whose 2·M·K flops make one task.
+		parallel.ForGrain((n+dotSplitCols-1)/dotSplitCols, (rowGrain(m, k)+dotSplitCols-1)/dotSplitCols, func(lo, hi int) {
+			c0, c1 := lo*dotSplitCols, min(hi*dotSplitCols, n)
+			dotTile(dst.Data[c0:], n, a.Data, k, m, b.Data[c0*k:], k, c1-c0, k, false)
+		})
+		return
+	}
+	parallel.ForGrain(m, rowGrain(n, k), func(lo, hi int) {
 		matMulTRange(dst.Data, a.Data, b.Data, n, k, lo, hi)
 	})
 }
@@ -473,6 +507,9 @@ const (
 	dotStreamFloats   = 1 << 18  // 1 MiB
 	dotResidentFloats = 15 << 15 // 1.875 MiB
 )
+
+// dotSplitCols is the column group MatMulTInto's column split deals out.
+const dotSplitCols = 12
 
 // dotAInner reports whether dotBand walks an m-row band B tile by B tile.
 func dotAInner(m, n, k int) bool {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor/tensortest"
 )
 
@@ -81,6 +82,7 @@ var gemmShapes = []struct{ m, n, k int }{
 	{130, 257, 300},  // K block boundary + tails in every dimension
 	{257, 63, 513},   // K > gemmKC, N tail
 	{100, 300, 1000}, // multiple K blocks
+	{32, 1024, 1024}, // the dense head's input gradient: split by columns
 }
 
 func TestMatMulMatchesNaive(t *testing.T) {
@@ -111,7 +113,7 @@ func TestMatMulSerialParallelIdentical(t *testing.T) {
 				a := randMat(int64(s.m+s.k), s.m, s.k)
 				b := randMat(int64(s.n-s.k), s.k, s.n)
 				serial := New(s.m, s.n)
-				gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n)
+				gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil)
 				viaAPI := MatMul(a, b)
 				for i := range serial.Data {
 					if serial.Data[i] != viaAPI.Data[i] {
@@ -151,14 +153,14 @@ func TestGemmSplitTilesExactly(t *testing.T) {
 			a := randMat(int64(workers+s.m), s.m, s.k)
 			b := randMat(int64(workers+s.n), s.k, s.n)
 			serial := New(s.m, s.n)
-			gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n)
+			gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil)
 			tiled := New(s.m, s.n)
 			var wg sync.WaitGroup
 			for _, j := range jobs {
 				wg.Add(1)
 				go func(j gemmJob) {
 					defer wg.Done()
-					gemmRange(tiled.Data, a.Data, b.Data, s.n, s.k, j.r0, j.r1, j.c0, j.c1)
+					gemmRange(tiled.Data, a.Data, b.Data, s.n, s.k, j.r0, j.r1, j.c0, j.c1, nil)
 				}(j)
 			}
 			wg.Wait()
@@ -209,6 +211,45 @@ func TestMatMulTSerialParallelIdentical(t *testing.T) {
 		if serial.Data[i] != got.Data[i] {
 			t.Fatalf("serial and parallel MatMulT differ at %d", i)
 		}
+	}
+}
+
+// TestMatMulTColumnSplitMatchesRowSplit runs MatMulTInto on shapes on both
+// sides of dotStreamFloats — B of 0.3–7 MB split by columns, ragged column
+// counts included, and smaller ones split by rows — against the row split's
+// one serial pass, bit for bit, at both kernel widths and on the Go twins.
+func TestMatMulTColumnSplitMatchesRowSplit(t *testing.T) {
+	for _, set := range []struct {
+		name  string
+		force func(testing.TB)
+	}{
+		{"avx512", func(tb testing.TB) { tensortest.Gemm512(tb, true) }},
+		{"avx2", func(tb testing.TB) { tensortest.Gemm512(tb, false) }},
+		{"portable", tensortest.Portable},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			set.force(t)
+			split := 0
+			for _, s := range [][3]int{
+				{32, 1024, 1024}, {5, 100, 18432}, {1, 100, 3000}, {7, 257, 1021}, {64, 263, 1003},
+				{64, 256, 1024}, {33, 37, 999}, {130, 10, 3000},
+			} {
+				m, n, k := s[0], s[1], s[2]
+				if n*k > dotStreamFloats {
+					split++
+				}
+				a, b := randMat(int64(m+n), m, k), randMat(int64(k), n, k)
+				got, want := New(m, n), New(m, n)
+				MatMulTInto(got, a, b)
+				matMulTRange(want.Data, a.Data, b.Data, n, k, 0, m)
+				if i := bitsDiffer(got.Data, want.Data); i >= 0 {
+					t.Fatalf("shape %v: [%d] = %v, row pass %v", s, i, got.Data[i], want.Data[i])
+				}
+			}
+			if split != 5 {
+				t.Fatalf("%d shapes over dotStreamFloats, want 5 of 8: pick shapes around it again", split)
+			}
+		})
 	}
 }
 
@@ -318,6 +359,34 @@ func BenchmarkMatMulT(b *testing.B) {
 				MatMulTSerialInto(dst, a, bt)
 			}
 			b.ReportMetric(float64(2*s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+		})
+	}
+}
+
+// BenchmarkMatMulTSplit times MatMulTInto on the pool against the row split
+// it runs below dotStreamFloats, at the shapes whose B is over it: the train
+// workload's dense head and a batch of five against embedded_large's manifold
+// FC.
+func BenchmarkMatMulTSplit(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"dense_head_32x1024x1024", 32, 1024, 1024},
+		{"fc_embedded_large_5x100x18432", 5, 100, 18432},
+	} {
+		a, bt, dst := randMat(1, s.m, s.k), randMat(2, s.n, s.k), New(s.m, s.n)
+		b.Run(s.name+"/columns", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTInto(dst, a, bt)
+			}
+		})
+		b.Run(s.name+"/rows", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				parallel.ForGrain(s.m, rowGrain(s.n, s.k), func(lo, hi int) {
+					matMulTRange(dst.Data, a.Data, bt.Data, s.n, s.k, lo, hi)
+				})
+			}
 		})
 	}
 }

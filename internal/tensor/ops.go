@@ -89,11 +89,12 @@ func Dot(a, b []float32) float32 {
 }
 
 // TransposeMatMulInto computes dst = aᵀ(K×M) @ b(K×N) through the blocked
-// parallel GEMM: a is transposed into scratch (length ≥ a.Len(); a fresh
-// buffer is taken from the float pool when scratch is too short) and the
-// product runs on MatMulInto: the rank-K weight-gradient and retraining
-// updates. Deterministic: the transpose is a bit-copy and the GEMM's
-// accumulation schedule is split-invariant.
+// parallel GEMM: a is transposed into scratch[:a.Len()] (a fresh buffer is
+// taken from the float pool when scratch is too short) and the product runs
+// on MatMulScratchInto with the rest of scratch, which holds its panel buffer
+// when GemmScratch() floats are left: the rank-K weight-gradient and
+// retraining updates. Deterministic: the transpose is a bit-copy and the
+// GEMM's accumulation schedule is split-invariant.
 func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: TransposeMatMul shape mismatch %vᵀ @ %v", a.Shape, b.Shape))
@@ -110,7 +111,7 @@ func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	}
 	at := FromSlice(scratch[:m*k], m, k)
 	TransposeInto(at, a)
-	MatMulInto(dst, at, b)
+	MatMulScratchInto(dst, at, b, scratch[m*k:])
 	if put {
 		PutFloats(scratch)
 	}

@@ -116,8 +116,8 @@ func col2imScalar(g ConvGeom, cols *Tensor, dx []float32) {
 
 // TestConvWindowsMatchPerSample stacks three images side by side with
 // Im2ColWindow and checks every window against Im2Col of that image alone,
-// then scatters the stacked matrix back with Col2ImWindow against the scalar
-// scatter of that window.
+// then scatters the stacked matrix back with one Col2ImWindow call against the
+// scalar scatter of each window.
 func TestConvWindowsMatchPerSample(t *testing.T) {
 	for _, g := range []ConvGeom{
 		{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -142,12 +142,19 @@ func TestConvWindowsMatchPerSample(t *testing.T) {
 					}
 				}
 			}
-			dxWin, dxOne := make([]float32, in), make([]float32, in)
-			Col2ImWindow(g, stacked.Data, b*hw, s*hw, dxWin)
+		}
+		dxWin := make([]float32, b*in)
+		Col2ImWindow(g, stacked.Clone().Data, b*hw, b, dxWin)
+		for s := 0; s < b; s++ {
+			one := New(rows, hw)
+			for r := 0; r < rows; r++ {
+				copy(one.Row(r), stacked.Data[r*b*hw+s*hw:][:hw])
+			}
+			dxOne := make([]float32, in)
 			col2imScalar(g, one, dxOne)
 			for i, v := range dxOne {
-				if math.Float32bits(dxWin[i]) != math.Float32bits(v) {
-					t.Fatalf("%+v: Col2ImWindow %d [%d] = %v, want %v", g, s, i, dxWin[i], v)
+				if math.Float32bits(dxWin[s*in+i]) != math.Float32bits(v) {
+					t.Fatalf("%+v: Col2ImWindow %d [%d] = %v, want %v", g, s, i, dxWin[s*in+i], v)
 				}
 			}
 		}
@@ -182,13 +189,16 @@ func TestTransposeMatMulIntoMatchesReference(t *testing.T) {
 			t.Fatalf("TransposeMatMulInto[%d] = %v, want %v", i, dst.Data[i], want.Data[i])
 		}
 	}
-	// Caller-owned scratch path must agree bit-for-bit with the pooled path.
-	dst2 := New(7, 11)
-	scratch := make([]float32, a.Len())
-	TransposeMatMulInto(dst2, a, b, scratch)
-	for i := range dst.Data {
-		if math.Float32bits(dst.Data[i]) != math.Float32bits(dst2.Data[i]) {
-			t.Fatalf("scratch path diverges at %d", i)
+	// Caller-owned scratch — for the transpose, and then for the product's
+	// panel too, garbage-filled — must agree bit-for-bit with the pooled path.
+	for _, n := range []int{a.Len(), a.Len() + GemmScratch()} {
+		dst2 := New(7, 11)
+		scratch := randMat(5, 1, n).Data
+		TransposeMatMulInto(dst2, a, b, scratch)
+		for i := range dst.Data {
+			if math.Float32bits(dst.Data[i]) != math.Float32bits(dst2.Data[i]) {
+				t.Fatalf("scratch of %d floats: diverges at %d", n, i)
+			}
 		}
 	}
 }
