@@ -44,9 +44,12 @@ staticcheck:
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
 # VGG16/4 at batch 32 takes at most 5 MB of heap in at most 1 740 allocations,
 # the count measured before the step's col2im, gradient merge and ZeroGrad
-# were rewritten (TestFitStepHeap, which logs the step's bytes and
-# allocations; 42 MB when every activation, gradient and workspace was fresh
-# heap). So has the HD joint loop: once its first batch has sized the loop's
+# were rewritten, and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB
+# in at most 7 600 or 8 400 (TestFitStepHeap, which logs each step's bytes
+# and allocations; 42 MB for VGG16/4 when every activation, gradient and
+# workspace was fresh heap, and 349 896 178 and 482 226 952 B for the other
+# two while nine of their layer types trained on the heap). So has the HD
+# joint loop: once its first batch has sized the loop's
 # arena, a batch of the `train` workload's retraining takes at most 64 KB
 # (TestTrainOnFeaturesHeap, which logs the batch's bytes and allocations;
 # 1.25 MB when U, the similarities, the encodes and the manifold FC's buffers

@@ -18,10 +18,13 @@ import (
 //
 //   - an internal/… or cmd/… path exists,
 //   - nshd.<Exported> is declared in nshd.go,
+//   - <pkg>.<Exported>, for a package under internal/, is declared in that
+//     package's non-test files,
 //   - a -flag written after nshd-<name> is one cmd/nshd-<name> defines,
 //   - make <target> is on the Makefile's .PHONY line.
 func TestDocsNameLiveCode(t *testing.T) {
 	facade := exportedNames(t, "nshd.go")
+	internal := internalExports(t)
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +42,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	var (
 		pathRE   = regexp.MustCompile(`\b(?:internal|cmd)/[\w./-]*\w`)
 		facadeRE = regexp.MustCompile(`\bnshd\.([A-Z]\w*)`)
+		qualRE   = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 		cmdRE    = regexp.MustCompile(`\bnshd-[a-z]+\b`)
 		flagRE   = regexp.MustCompile(`(?:^|\s)-([a-z][\w-]*)`)
 		makeRE   = regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
@@ -53,6 +57,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 		for _, m := range facadeRE.FindAllStringSubmatch(snippet, -1) {
 			if !facade[m[1]] {
 				t.Errorf("%s:%d: nshd.go does not declare `nshd.%s`", doc, line, m[1])
+			}
+		}
+		for _, m := range qualRE.FindAllStringSubmatch(snippet, -1) {
+			if names, ok := internal[m[1]]; ok && !names[m[2]] {
+				t.Errorf("%s:%d: internal/%s declares no `%s.%s`", doc, line, m[1], m[1], m[2])
 			}
 		}
 		for _, m := range makeRE.FindAllStringSubmatch(snippet, -1) {
@@ -125,7 +134,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 // finding. The caps sit just above today's sizes; ROADMAP item 7's target
 // for DESIGN.md is 60 KB, and a change that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 137_975, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_682, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +145,30 @@ func TestDocsByteBudget(t *testing.T) {
 	}
 }
 
+// internalExports maps the name of every package under internal/ to the
+// exported top-level names its non-test files declare.
+func internalExports(t *testing.T) map[string]map[string]bool {
+	pkgs := map[string]map[string]bool{}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if pkgs[f.Name.Name] == nil {
+			pkgs[f.Name.Name] = map[string]bool{}
+		}
+		addExported(pkgs[f.Name.Name], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
 // exportedNames lists the exported top-level names a Go file declares.
 func exportedNames(t *testing.T, file string) map[string]bool {
 	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
@@ -143,6 +176,12 @@ func exportedNames(t *testing.T, file string) map[string]bool {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
+	addExported(names, f)
+	return names
+}
+
+// addExported adds the exported top-level names f declares to names.
+func addExported(names map[string]bool, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -162,5 +201,4 @@ func exportedNames(t *testing.T, file string) map[string]bool {
 			}
 		}
 	}
-	return names
 }

@@ -172,8 +172,10 @@ func (p *Pipeline) symbolizePooled(pooled *tensor.Tensor, train bool) (v, raw, s
 // BaselineHD's LSH, or nothing.
 func (p *Pipeline) reduce(pooled *tensor.Tensor, train bool) *tensor.Tensor {
 	switch {
+	case p.Manifold != nil && train:
+		return p.Manifold.ForwardPooled(tensor.NewArena(), pooled)
 	case p.Manifold != nil:
-		return p.Manifold.ForwardPooled(pooled, train)
+		return p.Manifold.InferPooled(pooled)
 	case p.LSH != nil:
 		_, v := p.LSH.EncodeBatch(pooled)
 		return v
@@ -344,7 +346,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			v := bFeats
 			switch {
 			case p.Manifold != nil:
-				v = p.Manifold.ForwardPooledIn(arena, bFeats)
+				v = p.Manifold.ForwardPooled(arena, bFeats)
 			case lshPanels != nil:
 				v = arena.Alloc(bs, p.LSH.D)
 				tensor.MatMulPanelsParallelInto(v, bFeats, lshPanels)
@@ -381,7 +383,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				dV := view(dVBuf, bs)
 				p.Proj.DecodeBatchInto(dV, dH)
 				p.Manifold.ZeroGrad()
-				p.Manifold.BackwardIn(arena, dV)
+				p.Manifold.Backward(arena, dV)
 				opt.Step(p.Manifold.Params())
 			}
 

@@ -73,15 +73,15 @@ func newRefManifold(p *core.Pipeline) *refManifold {
 // the same and whose caches the next training pass overwrites.
 func (m *refManifold) forward(x *tensor.Tensor) *tensor.Tensor {
 	if m.pool != nil {
-		x = m.pool.Forward(x)
+		x = m.pool.Forward(tensor.NewArena(), x)
 	}
-	return m.fc.Forward(m.flat.Forward(x))
+	return m.fc.Forward(tensor.NewArena(), m.flat.Forward(tensor.NewArena(), x))
 }
 
 func (m *refManifold) backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := m.flat.Backward(m.fc.Backward(grad))
+	g := m.flat.Backward(tensor.NewArena(), m.fc.Backward(tensor.NewArena(), grad))
 	if m.pool != nil {
-		g = m.pool.Backward(g)
+		g = m.pool.Backward(tensor.NewArena(), g)
 	}
 	return g
 }

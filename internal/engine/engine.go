@@ -175,9 +175,6 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt.applyOption(&o)
 	}
-	if err := nn.InferSupported(p.Extractor); err != nil {
-		return nil, fmt.Errorf("engine: extractor not servable: %w", err)
-	}
 	in := p.Zoo.InShape
 	if len(in) != 3 {
 		return nil, fmt.Errorf("engine: zoo input shape %v, want [C H W]", in)

@@ -52,7 +52,7 @@ func zooModel(t *testing.T, name string) *cnn.Model {
 	}
 	warm := tensor.New(8, m.InShape[0], m.InShape[1], m.InShape[2])
 	rng.FillNormal(warm, 0, 1)
-	m.Full().Forward(warm)
+	m.Full().Forward(tensor.NewArena(), warm)
 	return m
 }
 

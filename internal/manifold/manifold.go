@@ -63,16 +63,20 @@ func (l *Learner) CheckClasses(classes int) error {
 }
 
 // Forward compresses a [N, C, H, W] feature batch to [N, F̂]: Pooled, then
-// ForwardPooled.
+// the FC — its training pass on a fresh arena when train is set, caching the
+// input for a following Backward (ForwardPooled), else InferPooled.
 func (l *Learner) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.ForwardPooled(l.Pooled(x), train)
+	if train {
+		return l.ForwardPooled(tensor.NewArena(), l.Pooled(x))
+	}
+	return l.InferPooled(l.Pooled(x))
 }
 
 // Pooled is the learner's parameter-free half: the 2×2 max-pool (skipped on
 // a feature map too small to pool) and the flatten, [N, C, H, W] → [N,
 // PooledF], the pool run by nn.Infer. It depends on nothing that training
 // changes, so a caller that trains on fixed features computes it once and
-// feeds ForwardPooled.
+// feeds ForwardPooled or InferPooled.
 func (l *Learner) Pooled(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: Forward expects [N C H W], got %v", x.Shape))
@@ -84,26 +88,22 @@ func (l *Learner) Pooled(x *tensor.Tensor) *tensor.Tensor {
 	return y.Reshape(x.Shape[0], l.PooledF)
 }
 
-// ForwardPooled is the learned half, [N, PooledF] → [N, F̂]. Set train to
-// cache the input for a following Backward; otherwise the FC runs on
-// nn.Infer.
-func (l *Learner) ForwardPooled(pooled *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		return l.fc.Forward(pooled)
-	}
+// InferPooled is the learned half's eval pass, [N, PooledF] → [N, F̂], the
+// FC run by nn.Infer.
+func (l *Learner) InferPooled(pooled *tensor.Tensor) *tensor.Tensor {
 	return nn.Infer(l.fc, pooled, 0)
 }
 
-// ForwardPooledIn is ForwardPooled's training pass with the FC's output and
-// cache taken from the arena a (nn.ForwardIn), for a training loop that
-// Resets a per step; BackwardIn is Backward with its workspaces from a.
-func (l *Learner) ForwardPooledIn(a *tensor.Arena, pooled *tensor.Tensor) *tensor.Tensor {
-	return nn.ForwardIn(a, l.fc, pooled)
+// ForwardPooled is the learned half's training pass, [N, PooledF] → [N, F̂]:
+// the FC's nn.Layer Forward, its output and input cache in the arena a, for
+// a training loop that Resets a per step. Backward is its backward pass.
+func (l *Learner) ForwardPooled(a *tensor.Arena, pooled *tensor.Tensor) *tensor.Tensor {
+	return l.fc.Forward(a, pooled)
 }
 
 // ForwardInfer is the serving-side Forward: state-free, serial, and
-// allocating only from the caller's arena (see nn.InferenceLayer). It
-// matches Forward(x, false) bit-for-bit.
+// allocating only from the caller's arena (see nn.Layer). It matches
+// Forward(x, false) bit-for-bit.
 func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: ForwardInfer expects [N C H W], got %v", x.Shape))
@@ -116,17 +116,11 @@ func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	return l.fc.ForwardInfer(y, ar)
 }
 
-// Backward accumulates dL/d(output) ([N, F̂]) into the FC parameters. It is
-// parameter-only: the learner sits on a frozen CNN, so no gradient with
-// respect to the features is computed.
-func (l *Learner) Backward(grad *tensor.Tensor) {
-	l.fc.BackwardParams(grad)
-}
-
-// BackwardIn is Backward with its workspaces taken from a (see
-// ForwardPooledIn).
-func (l *Learner) BackwardIn(a *tensor.Arena, grad *tensor.Tensor) {
-	nn.BackwardParamsIn(a, l.fc, grad)
+// Backward accumulates dL/d(output) ([N, F̂]) into the FC parameters, its
+// workspaces from a. It is parameter-only: the learner sits on a frozen CNN,
+// so no gradient with respect to the features is computed.
+func (l *Learner) Backward(a *tensor.Arena, grad *tensor.Tensor) {
+	l.fc.BackwardParams(a, grad)
 }
 
 // Params exposes the learnable parameters (the FC weights and bias).

@@ -77,7 +77,7 @@ func TestBackwardGradCheck(t *testing.T) {
 	for i := range gout.Data {
 		gout.Data[i] = float32(1 + i%4)
 	}
-	l.Backward(gout)
+	l.Backward(tensor.NewArena(), gout)
 
 	const eps = 1e-2
 	w := l.Params()[0]

@@ -11,11 +11,11 @@ import (
 // bytes of traffic per element, smaller ranges lose to the dispatch.
 const elemGrain = 1 << 14
 
-// clampCopy returns clamp applied to a copy of x (allocated as alloc does),
-// range by range over the pool so each range is clamped while its copy is
-// still in cache.
+// clampCopy returns clamp applied to a copy of x taken from a, range by
+// range over the pool so each range is clamped while its copy is still in
+// cache.
 func clampCopy(a *tensor.Arena, x *tensor.Tensor, clamp func([]float32)) *tensor.Tensor {
-	y := alloc(a, x.Shape...)
+	y := a.Alloc(x.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
 		copy(y.Data[lo:hi], x.Data[lo:hi])
 		clamp(y.Data[lo:hi])
@@ -37,27 +37,19 @@ func (r *ReLU) Name() string { return "relu" }
 // Forward clamps negatives to zero: a copy of x through ForwardInfer's kernel,
 // so the two agree bit for bit (NaN passes through, -0 becomes +0). The copy
 // is cached for Backward.
-func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return r.forwardIn(nil, x)
-}
-
-func (r *ReLU) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	r.cachedY = clampCopy(a, x, tensor.ReLUInPlace)
 	return r.cachedY
 }
 
 // Backward zeroes gradients where the input was non-positive, read off the
 // cached output: y > 0 exactly where x > 0, and a NaN gets no gradient.
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return r.backwardIn(nil, grad)
-}
-
-func (r *ReLU) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if r.cachedY == nil {
 		panic("nn: ReLU.Backward without Forward")
 	}
 	y := r.cachedY
-	dx := alloc(a, y.Shape...)
+	dx := a.Alloc(y.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
 		tensor.ReLUBackInto(dx.Data[lo:hi], grad.Data[lo:hi], y.Data[lo:hi])
 	})
@@ -86,19 +78,19 @@ func (r *ReLU6) Name() string { return "relu6" }
 
 // Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit, and
 // caches the result for Backward.
-func (r *ReLU6) Forward(x *tensor.Tensor) *tensor.Tensor {
-	r.cachedY = clampCopy(nil, x, tensor.ClampReLU6InPlace)
+func (r *ReLU6) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	r.cachedY = clampCopy(a, x, tensor.ClampReLU6InPlace)
 	return r.cachedY
 }
 
 // Backward passes gradients only in the linear region, read off the cached
 // output: 0 < y < 6 exactly where 0 < x < 6, and a NaN gets no gradient.
-func (r *ReLU6) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU6) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if r.cachedY == nil {
 		panic("nn: ReLU6.Backward without Forward")
 	}
 	y := r.cachedY
-	dx := tensor.New(y.Shape...)
+	dx := a.Alloc(y.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
 		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
 		for i, g := range gs {
@@ -140,17 +132,21 @@ func sigmoid32(v float32) float32 {
 }
 
 // Forward applies the logistic function and caches the result for Backward.
-func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	s.cachedY = x.Map(sigmoid32)
-	return s.cachedY
+func (s *Sigmoid) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	y := a.Alloc(x.Shape...)
+	for i, v := range x.Data {
+		y.Data[i] = sigmoid32(v)
+	}
+	s.cachedY = y
+	return y
 }
 
 // Backward uses dy/dx = y(1-y).
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (s *Sigmoid) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if s.cachedY == nil {
 		panic("nn: Sigmoid.Backward without Forward")
 	}
-	dx := tensor.New(s.cachedY.Shape...)
+	dx := a.Alloc(s.cachedY.Shape...)
 	for i, y := range s.cachedY.Data {
 		dx.Data[i] = grad.Data[i] * y * (1 - y)
 	}
@@ -179,8 +175,8 @@ func (s *SiLU) Name() string { return "silu" }
 
 // Forward computes x·σ(x) and caches x and σ(x) for Backward, so that each
 // element's exponential is taken once a step.
-func (s *SiLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y, sig := tensor.New(x.Shape...), tensor.New(x.Shape...)
+func (s *SiLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	y, sig := a.Alloc(x.Shape...), a.Alloc(x.Shape...)
 	for i, v := range x.Data {
 		sg := sigmoid32(v)
 		sig.Data[i] = sg
@@ -191,11 +187,11 @@ func (s *SiLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward uses d/dx[xσ(x)] = σ(x)(1 + x(1-σ(x))), with Forward's σ(x).
-func (s *SiLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (s *SiLU) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if s.cachedX == nil {
 		panic("nn: SiLU.Backward without Forward")
 	}
-	dx := tensor.New(s.cachedX.Shape...)
+	dx := a.Alloc(s.cachedX.Shape...)
 	for i, v := range s.cachedX.Data {
 		sg := s.cachedSig.Data[i]
 		dx.Data[i] = grad.Data[i] * sg * (1 + v*(1-sg))

@@ -29,7 +29,7 @@ func activationEdgeInput(n int) *tensor.Tensor {
 }
 
 // TestActivationForwardMatchesInfer pins ReLU and ReLU6 Forward bit for bit
-// to ForwardInfer — non-finite inputs included: InferenceLayer
+// to ForwardInfer — non-finite inputs included: Layer
 // promises it, and the engine-vs-pipeline gates only ever feed finite values —
 // across lengths on both sides of the vector width and of the pool's split
 // grain. Backward is pinned to the layers' defining masks (x > 0, resp.
@@ -37,7 +37,7 @@ func activationEdgeInput(n int) *tensor.Tensor {
 func TestActivationForwardMatchesInfer(t *testing.T) {
 	layers := []struct {
 		name string
-		l    InferenceLayer
+		l    Layer
 		pass func(v float32) bool
 	}{
 		{"relu", NewReLU(), func(v float32) bool { return v > 0 }},
@@ -52,7 +52,7 @@ func TestActivationForwardMatchesInfer(t *testing.T) {
 			copy(in.Data, x.Data)
 			want := lc.l.ForwardInfer(in, ar)
 			name := fmt.Sprintf("%s n=%d", lc.name, n)
-			y := lc.l.Forward(x)
+			y := lc.l.Forward(tensor.NewArena(), x)
 			for i, v := range y.Data {
 				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%s: Forward(%v) = %v (%#x), ForwardInfer %v (%#x)", name, x.Data[i],
@@ -63,7 +63,7 @@ func TestActivationForwardMatchesInfer(t *testing.T) {
 				}
 			}
 			grad := randInput(int64(62+n), n)
-			dx := lc.l.Backward(grad)
+			dx := lc.l.Backward(tensor.NewArena(), grad)
 			for i, v := range x.Data {
 				var wantBits uint32 // +0: blocked, and the NaN row
 				if lc.pass(v) {

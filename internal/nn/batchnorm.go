@@ -46,16 +46,16 @@ func (bn *BatchNorm2D) Name() string { return fmt.Sprintf("batchnorm(%d)", bn.C)
 // Forward normalizes a training batch per channel with its own statistics,
 // folds them into the running statistics, and caches what Backward needs.
 // Eval passes normalize with the running statistics (ForwardInfer).
-func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (bn *BatchNorm2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "BatchNorm2D")
 	if x.Rank() != 4 || x.Shape[1] != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D(%d) expects [N %d H W], got %v", bn.C, bn.C, x.Shape))
 	}
 	h, w := x.Shape[2], x.Shape[3]
 	hw := h * w
-	y := tensor.New(x.Shape...)
-	xhat := tensor.New(x.Shape...)
-	std := make([]float32, bn.C)
+	y := a.Alloc(x.Shape...)
+	xhat := a.Alloc(x.Shape...)
+	std := a.Floats(bn.C)
 	cnt := float64(n * hw)
 	// Channels are fully independent (disjoint reads of x, disjoint writes to
 	// y/xhat/std and the running stats), so the per-channel loop parallelizes
@@ -102,13 +102,13 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements the standard batch-norm gradient.
-func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (bn *BatchNorm2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if bn.cachedXhat == nil {
 		panic("nn: BatchNorm2D.Backward without Forward")
 	}
 	n, hw := bn.cachedN, bn.cachedHW
 	m := float32(n * hw)
-	dx := tensor.New(grad.Shape...)
+	dx := a.Alloc(grad.Shape...)
 	// Per-channel gradients are independent; see Forward for the determinism
 	// argument.
 	parallelFor(bn.C, func(clo, chi int) {

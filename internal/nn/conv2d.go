@@ -74,11 +74,7 @@ func (c *Conv2D) geom(h, w int) tensor.ConvGeom {
 //
 // One-sample chunks give ForwardInfer's bits; stacked ones move them, as
 // Backward's stacking does for gradients.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return c.forwardIn(nil, x)
-}
-
-func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "Conv2D")
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [N %d H W], got %v", c.InC, x.Shape))
@@ -89,10 +85,10 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 		panic(err)
 	}
 	hw := g.OutH() * g.OutW()
-	y := alloc(a, n, c.OutC, g.OutH(), g.OutW())
+	y := a.Alloc(n, c.OutC, g.OutH(), g.OutW())
 	c.cachedX = x
 	kdim := c.InC * c.KH * c.KW
-	wmat := c.Weight.W.Reshape(c.OutC, kdim)
+	wmat := a.Wrap(c.Weight.W.Data, c.OutC, kdim)
 	sampleIn := c.InC * h * w
 	sampleOut := c.OutC * hw
 	offset := tensor.ConvOffsetForm(g)
@@ -105,8 +101,8 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 		bias = c.Bias.W.Data
 	}
 	if tensor.ConvRowsForm(g, c.OutC) {
-		m := mark(a)
-		packed := scratch(a, kdim*c.OutC)
+		m := a.Mark()
+		packed := a.Floats(kdim * c.OutC)
 		tensor.PackConvWeights(packed, wmat)
 		group := convRowsGroup(n, hw, chunk)
 		forTasks(a, (n+group-1)/group, tensor.ConvRowsScratch(g, c.OutC, group), func(ws []float32, glo, ghi int) {
@@ -116,7 +112,7 @@ func (c *Conv2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 				tensor.ConvRowsSerialInto(y.Data[lo*sampleOut:][:b*sampleOut], wmat, packed, bias, g, x.Data[lo*sampleIn:][:b*sampleIn], b, chunk, ws)
 			}
 		})
-		release(a, m, packed)
+		a.Release(m)
 		return y
 	}
 	// One workspace per task: the GEMM scratch (in offset form the padded
@@ -230,23 +226,19 @@ func convStackChunk(hw int) int {
 // product's dcols (tensor.Col2ImWindow over its samples) into a sample range
 // the chunk's task clears first. The chunk accumulators go into the weights'
 // gradient in one blocked pass (mergeWeightGrad).
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.backwardIn(nil, grad)
-}
-
-func (c *Conv2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward")
 	}
-	dx := alloc(a, c.cachedX.Shape...)
+	dx := a.Alloc(c.cachedX.Shape...)
 	c.backward(a, grad, dx)
 	return dx
 }
 
-// backwardParamsIn is Backward without the input gradient: dW and db, to the
+// BackwardParams is Backward without the input gradient: dW and db, to the
 // same bits, and no dcols or col2im — all a caller needs from a model's first
 // layer, whose input does not learn (Fit).
-func (c *Conv2D) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
+func (c *Conv2D) BackwardParams(a *tensor.Arena, grad *tensor.Tensor) {
 	if c.cachedX == nil {
 		panic("nn: Conv2D.Backward without Forward")
 	}
@@ -264,7 +256,7 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 	hw := g.OutH() * g.OutW()
 	sampleIn := c.InC * g.InH * g.InW
 	kdim := c.InC * c.KH * c.KW
-	wmat := c.Weight.W.Reshape(c.OutC, kdim)
+	wmat := a.Wrap(c.Weight.W.Data, c.OutC, kdim)
 
 	chunk := convStackChunk(hw)
 	perSample := hw%tensor.GemmKBlock() == 0
@@ -273,8 +265,8 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 	// [OutC] — merged in chunk order after the parallel loop.
 	dwLen := kdim * c.OutC
 	accLen := dwLen + c.OutC
-	m := mark(a)
-	accBuf := scratch(a, numChunks*accLen)
+	m := a.Mark()
+	accBuf := a.Floats(numChunks * accLen)
 	// One workspace per task: the products' scratch, then the stacked G and
 	// dcols of one product (B samples, or one).
 	b := chunk
@@ -328,7 +320,7 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 			tensor.Accumulate(c.Bias.Grad.Data, accBuf[ci*accLen+dwLen:][:c.OutC])
 		}
 	}
-	release(a, m, accBuf)
+	a.Release(m)
 }
 
 // mergeWeightGrad adds the sum of the chunks' dWᵀ accumulators — chunk ci's
@@ -510,20 +502,19 @@ func (d *DepthwiseConv2D) geom(h, w int) tensor.ConvGeom {
 
 // Forward applies each channel's filter independently, plane by plane through
 // tensor.DepthwisePlane — the kernel ForwardInfer runs, so it computes
-// ForwardInfer's bits — and caches x for Backward.
-func (d *DepthwiseConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+// ForwardInfer's bits — and caches x for Backward. Each task clears its own
+// padded window.
+func (d *DepthwiseConv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "DepthwiseConv2D")
 	if x.Rank() != 4 || x.Shape[1] != d.C {
 		panic(fmt.Sprintf("nn: DepthwiseConv2D expects [N %d H W], got %v", d.C, x.Shape))
 	}
 	g := d.geom(x.Shape[2], x.Shape[3])
-	y := tensor.New(n, d.C, g.OutH(), g.OutW())
+	y := a.Alloc(n, d.C, g.OutH(), g.OutW())
 	d.cachedX = x
-	tensor.ParallelFor(n, func(lo, hi int) {
-		win := tensor.GetFloats(tensor.DepthwiseWindowLen(g))
+	forTasks(a, n, tensor.DepthwiseWindowLen(g), func(win []float32, lo, hi int) {
 		clear(win)
 		d.planes(g, x.Data, y.Data, lo, hi, win, nil, actNone)
-		tensor.PutFloats(win)
 	})
 	return y
 }
@@ -543,8 +534,11 @@ func (d *DepthwiseConv2D) planes(g tensor.ConvGeom, x, y []float32, lo, hi int, 
 	}
 }
 
-// Backward accumulates filter gradients and returns dx.
-func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward accumulates filter gradients and returns dx. The batch is cut
+// into fixed chunks of convBackChunk samples, each with a filter-gradient
+// accumulator of its own, merged in chunk order; a chunk's task clears its
+// accumulator and its samples' range of dx before accumulating into them.
+func (d *DepthwiseConv2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if d.cachedX == nil {
 		panic("nn: DepthwiseConv2D.Backward without Forward")
 	}
@@ -555,41 +549,39 @@ func (d *DepthwiseConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	outH, outW := g.OutH(), g.OutW()
 	chanIn := h * w
 	chanOut := outH * outW
-	dx := tensor.New(n, d.C, h, w)
-	// Fixed sample chunks with one accumulator each (merged in chunk order),
-	// mirroring Conv2D.Backward: deterministic under any scheduling, and one
-	// filter-gradient allocation per chunk instead of per sample.
+	dx := a.Alloc(n, d.C, h, w)
 	numChunks := (n + convBackChunk - 1) / convBackChunk
-	dwAll := make([]*tensor.Tensor, numChunks)
+	dwLen := d.C * d.KH * d.KW
+	m := a.Mark()
+	dwAll := a.Floats(numChunks * dwLen)
 	parallelFor(numChunks, func(clo, chi int) {
 		for ci := clo; ci < chi; ci++ {
-			dw := tensor.New(d.C, d.KH, d.KW)
+			dw := dwAll[ci*dwLen:][:dwLen]
+			clear(dw)
 			lo := ci * convBackChunk
-			hi := lo + convBackChunk
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+convBackChunk, n)
+			clear(dx.Data[lo*d.C*chanIn : hi*d.C*chanIn])
 			for i := lo; i < hi; i++ {
 				d.backwardSample(x, grad, dx, dw, g, i, chanIn, chanOut, h, w, outH, outW)
 			}
-			dwAll[ci] = dw
 		}
 	})
-	for _, dw := range dwAll {
-		d.Weight.Grad.AXPY(1, dw)
+	for ci := 0; ci < numChunks; ci++ {
+		tensor.Accumulate(d.Weight.Grad.Data, dwAll[ci*dwLen:][:dwLen])
 	}
+	a.Release(m)
 	return dx
 }
 
 // backwardSample accumulates one sample's filter gradient into dw and its
 // input gradient into dx.
-func (d *DepthwiseConv2D) backwardSample(x, grad, dx, dw *tensor.Tensor, g tensor.ConvGeom, i, chanIn, chanOut, h, w, outH, outW int) {
+func (d *DepthwiseConv2D) backwardSample(x, grad, dx *tensor.Tensor, dw []float32, g tensor.ConvGeom, i, chanIn, chanOut, h, w, outH, outW int) {
 	for ch := 0; ch < d.C; ch++ {
 		src := x.Data[(i*d.C+ch)*chanIn : (i*d.C+ch+1)*chanIn]
 		gch := grad.Data[(i*d.C+ch)*chanOut : (i*d.C+ch+1)*chanOut]
 		dsrc := dx.Data[(i*d.C+ch)*chanIn : (i*d.C+ch+1)*chanIn]
 		ker := d.Weight.W.Data[ch*d.KH*d.KW : (ch+1)*d.KH*d.KW]
-		dker := dw.Data[ch*d.KH*d.KW : (ch+1)*d.KH*d.KW]
+		dker := dw[ch*d.KH*d.KW : (ch+1)*d.KH*d.KW]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
 				gv := gch[oh*outW+ow]

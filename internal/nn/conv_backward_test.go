@@ -68,7 +68,7 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 			name := fmt.Sprintf("%dto%d_k%d_s%d_p%d_hw%d_n%d", tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.hw, n)
 			conv := NewConv2D(tensor.NewRNG(int64(41+ci)), tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.bias)
 			x := randInput(int64(42+n), n, tc.inC, tc.size, tc.size)
-			y := conv.Forward(x)
+			y := conv.Forward(tensor.NewArena(), x)
 			if got := y.Shape[2] * y.Shape[3]; got != tc.hw {
 				t.Fatalf("%s: output size %d, case says %d", name, got, tc.hw)
 			}
@@ -78,15 +78,16 @@ func TestConv2DBackwardShapeLattice(t *testing.T) {
 			// summation order (scalar linear vs blocked, fused) to show.
 			tol := math.Max(1e-4, 1e-6*(4+4*math.Sqrt(float64(n*tc.hw))))
 
-			dw, db, dx := convBackwardGrads(conv, grad, conv.Backward)
+			backward := func(g *tensor.Tensor) *tensor.Tensor { return conv.Backward(tensor.NewArena(), g) }
+			dw, db, dx := convBackwardGrads(conv, grad, backward)
 			orig := parallelFor
 			parallelFor = serial
-			dwS, dbS, dxS := convBackwardGrads(conv, grad, conv.Backward)
+			dwS, dbS, dxS := convBackwardGrads(conv, grad, backward)
 			parallelFor = orig
 			dwR, dbR, dxR := convBackwardGrads(conv, grad, conv.BackwardReference)
 			dwC, dbC, dxC := convBackwardGrads(conv, grad, conv.backwardColumns)
 			dwP, dbP, _ := convBackwardGrads(conv, grad, func(g *tensor.Tensor) *tensor.Tensor {
-				conv.backwardParamsIn(nil, g)
+				conv.BackwardParams(tensor.NewArena(), g)
 				return nil
 			})
 			for _, cmp := range []struct {
@@ -141,13 +142,17 @@ func BenchmarkConv2DBackward(b *testing.B) {
 		b.Run(fmt.Sprintf("%dto%d@%dx%d", s.ch, s.ch, s.size, s.size), func(b *testing.B) {
 			conv := NewConv2D(tensor.NewRNG(1), s.ch, s.ch, 3, 1, 1, true)
 			x := randInput(2, batch, s.ch, s.size, s.size)
-			y := conv.Forward(x)
+			ar := tensor.NewArena()
+			y := conv.Forward(tensor.NewArena(), x)
 			grad := randInput(3, y.Shape...)
+			conv.Backward(ar, grad)
+			ar.Grow()
 			flops := 4 * float64(batch) * float64(s.ch) * float64(s.ch*9) * float64(s.size*s.size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				conv.Backward(grad)
+				ar.Reset()
+				conv.Backward(ar, grad)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

@@ -162,7 +162,7 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 			in := ar.Alloc(x.Shape...)
 			copy(in.Data, x.Data)
 			eval := conv.ForwardInfer(in, ar)
-			train := conv.Forward(x)
+			train := conv.Forward(tensor.NewArena(), x)
 			if got := eval.Shape[2] * eval.Shape[3]; got != tc.hw {
 				t.Fatalf("%s: output size %d, case says %d", name, got, tc.hw)
 			}
@@ -191,7 +191,7 @@ func TestConv2DForwardShapeLattice(t *testing.T) {
 
 			orig := parallelFor
 			parallelFor = serial
-			trainS := conv.Forward(x)
+			trainS := conv.Forward(tensor.NewArena(), x)
 			parallelFor = orig
 			sameBits(name, "Forward parallel vs serial", train, trainS)
 		}
@@ -220,7 +220,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "train" {
-						conv.Forward(x)
+						conv.Forward(tensor.NewArena(), x)
 						continue
 					}
 					ar.Reset()

@@ -38,10 +38,10 @@ func TestConv2DKernelWiderThanMap(t *testing.T) {
 		in := ar.Alloc(x.Shape...)
 		copy(in.Data, x.Data)
 		near("ForwardInfer", conv.ForwardInfer(in, ar), want)
-		near("train Forward", conv.Forward(x), want)
+		near("train Forward", conv.Forward(tensor.NewArena(), x), want)
 
 		grad := randInput(int64(64+ci), want.Shape...)
-		dw, db, dx := convBackwardGrads(conv, grad, conv.Backward)
+		dw, db, dx := convBackwardGrads(conv, grad, func(g *tensor.Tensor) *tensor.Tensor { return conv.Backward(tensor.NewArena(), g) })
 
 		// ⟨grad, conv(x)⟩ by the scalar oracle, for a probe conv without bias.
 		probe := NewConv2D(tensor.NewRNG(1), 2, 3, tc.k, 1, tc.pad, false)

@@ -15,8 +15,8 @@ import (
 // tasks of one parallel.Call, each on a worker arena from a freelist of one
 // per worker (the first part measures it, Grow sizes it), its images copied
 // in, since inference layers write in place. Samples are computed alone, so
-// the cut moves no bit (see InferenceLayer).
-func Infer(l InferenceLayer, x *tensor.Tensor, batch int) *tensor.Tensor {
+// the cut moves no bit (see Layer).
+func Infer(l Layer, x *tensor.Tensor, batch int) *tensor.Tensor {
 	n := batchOf(x, "Infer")
 	in := x.Shape[1:]
 	out := tensor.New(append([]int{n}, l.OutShape(in)...)...)

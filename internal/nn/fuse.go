@@ -132,10 +132,9 @@ type unitSpan struct {
 }
 
 // FusedBlock executes a run of conv[+bn][+act][+pool] stages (optionally
-// ending in a flatten) tile by tile. It implements Layer by delegating to the
-// original layers — training passes are untouched — and InferenceLayer with
-// the tiled executor. A block is planned for one input size and panics on any
-// other.
+// ending in a flatten) tile by tile: ForwardInfer is the tiled executor. It
+// is inference-only — its training pair panics; train the unfused model. A
+// block is planned for one input size and panics on any other.
 type FusedBlock struct {
 	units   []fusedUnit
 	leaves  []Layer // original layers, in order, for Layer passthrough
@@ -456,18 +455,14 @@ func (b *FusedBlock) Name() string {
 	return sb.String()
 }
 
-// Forward implements Layer by running the original layers; training is
-// untouched by fusion.
-func (b *FusedBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range b.leaves {
-		x = l.Forward(x)
-	}
-	return x
+// Forward implements Layer. The fused executor is inference-only; training
+// graphs are built from the unfused model, so this is never reached.
+func (b *FusedBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	panic("nn: FusedBlock is inference-only; train the unfused model")
 }
 
-// Backward implements Layer. The fused executor is inference-only; training
-// graphs are built from the unfused model, so this is never reached.
-func (b *FusedBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer: see Forward.
+func (b *FusedBlock) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	panic("nn: FusedBlock is inference-only; train the unfused model")
 }
 
@@ -515,7 +510,7 @@ func (b *FusedBlock) newRun() *fuseRun {
 	return r
 }
 
-// ForwardInfer implements InferenceLayer: the tiled executor. Output goes to
+// ForwardInfer implements Layer: the tiled executor. Output goes to
 // the arena; tile buffers are arena scratch released before returning.
 func (b *FusedBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "FusedBlock")

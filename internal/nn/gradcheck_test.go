@@ -10,7 +10,7 @@ import (
 // lossOf runs the training forward pass and reduces the output with a
 // fixed random projection so the scalar loss exercises every output element.
 func lossOf(l Layer, x *tensor.Tensor, probe []float32) float64 {
-	y := l.Forward(x)
+	y := l.Forward(tensor.NewArena(), x)
 	var s float64
 	for i, v := range y.Data {
 		s += float64(v) * float64(probe[i%len(probe)]) * float64(1+i%3)
@@ -32,12 +32,12 @@ func gradCheck(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-	y := l.Forward(x)
+	y := l.Forward(tensor.NewArena(), x)
 	gout := tensor.New(y.Shape...)
 	for i := range gout.Data {
 		gout.Data[i] = probe[i%len(probe)] * float32(1+i%3)
 	}
-	dx := l.Backward(gout)
+	dx := l.Backward(tensor.NewArena(), gout)
 
 	const eps = 1e-2
 	// Input gradient check on a sample of positions.
@@ -183,10 +183,10 @@ func TestMaxPoolBackwardRouting(t *testing.T) {
 	// subgradient routing property directly.
 	mp := NewMaxPool2D(2)
 	x := randInput(25, 1, 1, 4, 4)
-	y := mp.Forward(x)
+	y := mp.Forward(tensor.NewArena(), x)
 	g := tensor.New(y.Shape...)
 	g.Fill(1)
-	dx := mp.Backward(g)
+	dx := mp.Backward(tensor.NewArena(), g)
 	// Each 2x2 window must route exactly one unit of gradient.
 	var total float32
 	nonzero := 0
@@ -231,9 +231,9 @@ func TestSequentialGradientsEndToEnd(t *testing.T) {
 	x := randInput(27, 2, 1, 4, 4)
 	labels := []int{0, 2}
 	model.ZeroGrad()
-	logits := model.Forward(x)
-	_, grad := CrossEntropy(logits, labels)
-	model.Backward(grad)
+	logits := model.Forward(tensor.NewArena(), x)
+	_, grad := CrossEntropy(tensor.NewArena(), logits, labels)
+	model.Backward(tensor.NewArena(), grad)
 
 	// Finite-difference a few weights of the first conv through the whole
 	// network + loss.
@@ -242,9 +242,9 @@ func TestSequentialGradientsEndToEnd(t *testing.T) {
 	for _, idx := range sampleIdx(conv.Weight.W.Len(), 5) {
 		orig := conv.Weight.W.Data[idx]
 		conv.Weight.W.Data[idx] = orig + eps
-		lp, _ := CrossEntropy(model.Forward(x), labels)
+		lp, _ := CrossEntropy(tensor.NewArena(), model.Forward(tensor.NewArena(), x), labels)
 		conv.Weight.W.Data[idx] = orig - eps
-		lm, _ := CrossEntropy(model.Forward(x), labels)
+		lm, _ := CrossEntropy(tensor.NewArena(), model.Forward(tensor.NewArena(), x), labels)
 		conv.Weight.W.Data[idx] = orig
 		want := (lp - lm) / (2 * eps)
 		got := float64(conv.Weight.Grad.Data[idx])

@@ -8,58 +8,7 @@ import (
 	"nshd/internal/tensor"
 )
 
-// InferenceLayer is the package's one eval pass, implemented by every layer:
-// the serving engine runs it, and Infer runs it for PredictLogits, Evaluate,
-// core's feature extraction and the manifold's pool. Forward is the training
-// pass only. ForwardInfer
-//
-//   - is state-free: it reads and writes no layer field, so one layer serves
-//     many goroutines at once over frozen weights;
-//   - allocates only from the caller's arena, so a frozen arena makes the
-//     whole pass heap-free;
-//   - runs on the calling goroutine: callers parallelize across the parts of
-//     a batch. The one exception is a FusedBlock, which spreads its (sample,
-//     tile) items over the pool with a parallel.Call — the only fan-out
-//     allowed under an arena.
-//
-// Elementwise layers may overwrite x in place and return it; callers pass
-// arena-owned activations, never model weights or user input. Each sample is
-// computed alone, every element with the bits of the layer's definition on
-// the serial kernels — a conv's per-sample column product W·cols, BatchNorm's
-// affine map with the running statistics — so any cut of a batch, fused or
-// not, gives the same bits, and so does Forward where it stacks no samples.
-type InferenceLayer interface {
-	Layer
-	ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
-}
-
-// InferSupported reports whether every layer reachable from l implements the
-// inference contract, descending into containers.
-func InferSupported(l Layer) error {
-	switch v := l.(type) {
-	case *Sequential:
-		for _, sub := range v.Layers {
-			if err := InferSupported(sub); err != nil {
-				return fmt.Errorf("%s: %w", v.Label, err)
-			}
-		}
-		return nil
-	case *Residual:
-		if err := InferSupported(v.Body); err != nil {
-			return err
-		}
-		if v.Proj != nil {
-			return InferSupported(v.Proj)
-		}
-		return nil
-	case InferenceLayer:
-		return nil
-	default:
-		return fmt.Errorf("nn: layer %s has no inference path", l.Name())
-	}
-}
-
-// ForwardInfer runs all layers in order through the inference contract.
+// ForwardInfer runs all layers in order through their eval passes.
 func (s *Sequential) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return s.forwardInferSteps(x, ar, nil)
 }
@@ -147,11 +96,7 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 				i++
 			}
 		} else {
-			il, ok := step.(InferenceLayer)
-			if !ok {
-				panic(fmt.Sprintf("nn: layer %s has no inference path", step.Name()))
-			}
-			x = il.ForwardInfer(x, ar)
+			x = step.ForwardInfer(x, ar)
 		}
 		if record != nil {
 			// Stop the clock before building the display name: Name() is a
@@ -169,7 +114,7 @@ func (s *Sequential) forwardInferSteps(x *tensor.Tensor, ar *tensor.Arena, recor
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: the per-sample column product W·cols
+// ForwardInfer implements Layer: the per-sample column product W·cols
 // on the serial GEMM, or its rows form (see forwardInfer), with arena scratch
 // released before returning.
 func (c *Conv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
@@ -259,7 +204,7 @@ func (c *Conv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *BatchNorm2
 	return y
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (d *DepthwiseConv2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return d.forwardInfer(x, ar, nil, actNone)
 }
@@ -283,7 +228,7 @@ func (d *DepthwiseConv2D) forwardInfer(x *tensor.Tensor, ar *tensor.Arena, bn *B
 	return y
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "MaxPool2D")
 	if x.Rank() != 4 {
@@ -299,7 +244,7 @@ func (m *MaxPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Ten
 	return y
 }
 
-// ForwardInfer implements InferenceLayer.
+// ForwardInfer implements Layer.
 func (m *GlobalAvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "GlobalAvgPool2D")
 	if x.Rank() != 4 {
@@ -310,13 +255,13 @@ func (m *GlobalAvgPool2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tens
 	return y
 }
 
-// ForwardInfer implements InferenceLayer: a reshaped view, no copy.
+// ForwardInfer implements Layer: a reshaped view, no copy.
 func (f *Flatten) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "Flatten")
 	return ar.Wrap(x.Data, n, x.Len()/n)
 }
 
-// ForwardInfer implements InferenceLayer via the serial transposed GEMM.
+// ForwardInfer implements Layer via the serial transposed GEMM.
 func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "Linear")
 	if x.Rank() != 2 || x.Shape[1] != l.In {
@@ -328,20 +273,20 @@ func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	return y
 }
 
-// ForwardInfer implements InferenceLayer, clamping in place through
+// ForwardInfer implements Layer, clamping in place through
 // tensor.ReLUInPlace — the kernel ReLU.Forward runs on its copy of x.
 func (r *ReLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	tensor.ReLUInPlace(x.Data)
 	return x
 }
 
-// ForwardInfer implements InferenceLayer, clamping to [0, 6] in place.
+// ForwardInfer implements Layer, clamping to [0, 6] in place.
 func (r *ReLU6) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	bnActInPlace(x.Data, nil, 0, actReLU6)
 	return x
 }
 
-// ForwardInfer implements InferenceLayer in place.
+// ForwardInfer implements Layer in place.
 func (s *Sigmoid) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	for i, v := range x.Data {
 		x.Data[i] = sigmoid32(v)
@@ -349,7 +294,7 @@ func (s *Sigmoid) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	return x
 }
 
-// ForwardInfer implements InferenceLayer in place.
+// ForwardInfer implements Layer in place.
 func (s *SiLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	for i, v := range x.Data {
 		x.Data[i] = v * sigmoid32(v)
@@ -357,7 +302,7 @@ func (s *SiLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return x
 }
 
-// ForwardInfer implements InferenceLayer: the affine map with the running
+// ForwardInfer implements Layer: the affine map with the running
 // statistics, applied in place.
 func (bn *BatchNorm2D) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return bn.forwardInferAct(x, actNone)
@@ -420,14 +365,14 @@ func readsInputOnly(l Layer) bool {
 	return false
 }
 
-// ForwardInfer implements InferenceLayer. An identity skip is x itself when
+// ForwardInfer implements Layer. An identity skip is x itself when
 // the body leaves x intact (every zoo block opens with a convolution) and a
 // copy taken before the body runs when its first layer would clobber x in
 // place.
 func (r *Residual) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	skip := x
 	if r.Proj != nil {
-		skip = r.Proj.(InferenceLayer).ForwardInfer(x, ar)
+		skip = r.Proj.ForwardInfer(x, ar)
 		// A projection never writes in place (it changes shape), so x is
 		// still intact for the body below. Guard against an aliasing Proj
 		// anyway: elementwise projections are not used by any zoo model.
@@ -446,7 +391,7 @@ func (r *Residual) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tens
 	return y
 }
 
-// ForwardInfer implements InferenceLayer: the attention MLP runs on arena
+// ForwardInfer implements Layer: the attention MLP runs on arena
 // scratch and the channel rescale happens in place on x.
 func (se *SEBlock) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "SEBlock")

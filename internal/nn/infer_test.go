@@ -73,9 +73,6 @@ func TestForwardInferMatchesEvalReference(t *testing.T) {
 			rng := tensor.NewRNG(42)
 			model := inferTestModel(rng)
 			randomizeEval(rng, model)
-			if err := InferSupported(model); err != nil {
-				t.Fatalf("InferSupported: %v", err)
-			}
 			x := tensor.New(5, 3, 16, 16)
 			rng.FillNormal(x, 0, 1)
 			sameBits(t, "test model", inferOnce(model, x), evalReference(model, x), false)
@@ -127,11 +124,11 @@ func evalReference(l Layer, x *tensor.Tensor) *tensor.Tensor {
 		}
 		return y
 	}
-	return l.Forward(x)
+	return l.Forward(tensor.NewArena(), x)
 }
 
 // inferOnce runs l.ForwardInfer on an arena copy of x.
-func inferOnce(l InferenceLayer, x *tensor.Tensor) *tensor.Tensor {
+func inferOnce(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	ar := tensor.NewArena()
 	in := ar.Alloc(x.Shape...)
 	copy(in.Data, x.Data)
@@ -172,7 +169,7 @@ func TestForwardInferDoesNotMutateState(t *testing.T) {
 
 	// Train-mode forward fills caches; an inference pass must not disturb
 	// them (it may run concurrently with nothing, but must stay state-free).
-	model.Forward(x)
+	model.Forward(tensor.NewArena(), x)
 	conv := model.Layers[0].(*Conv2D)
 	if conv.cachedX == nil {
 		t.Fatal("expected training cache to be set")
@@ -185,22 +182,6 @@ func TestForwardInferDoesNotMutateState(t *testing.T) {
 		t.Fatal("ForwardInfer cleared the training cache; it must be state-free")
 	}
 }
-
-func TestInferSupportedRejectsUnknownLayer(t *testing.T) {
-	model := NewSequential("bad", badLayer{})
-	if err := InferSupported(model); err == nil {
-		t.Fatal("expected error for a layer without an inference path")
-	}
-}
-
-type badLayer struct{}
-
-func (badLayer) Name() string                             { return "bad" }
-func (badLayer) Forward(x *tensor.Tensor) *tensor.Tensor  { return x }
-func (badLayer) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
-func (badLayer) Params() []*Param                         { return nil }
-func (badLayer) OutShape(in []int) []int                  { return in }
-func (badLayer) Stats(in []int) Stats                     { return Stats{} }
 
 // TestDepthwiseInferMatchesForwardGeometries drives the padded-plane kernels
 // (tensor.DepthwisePlane) through awkward geometries — strides, pads, kernels
@@ -238,7 +219,7 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 		rng.FillNormal(x, 0, 1)
 		name := fmt.Sprintf("k=%d s=%d p=%d %dx%d", tc.k, tc.stride, tc.pad, tc.h, tc.w)
 		got := d.ForwardInfer(x, tensor.NewArena())
-		sameBits(t, name+" vs Forward", got, d.Forward(x), false)
+		sameBits(t, name+" vs Forward", got, d.Forward(tensor.NewArena(), x), false)
 		sameBits(t, name+" vs convChannel", got, d.forwardReference(x), false)
 	}
 }
@@ -248,7 +229,7 @@ func TestDepthwiseInferMatchesForwardGeometries(t *testing.T) {
 func TestAvgPoolInferRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		layer InferenceLayer
+		layer Layer
 		shape []int
 		want  string
 	}{
@@ -282,7 +263,7 @@ func TestResidualInferSkip(t *testing.T) {
 		copy bool
 	}{{convFirst, false}, {inPlaceFirst, true}} {
 		want := evalReference(NewResidual(tc.body, nil), x)
-		peak := func(l InferenceLayer) (int, *tensor.Tensor) {
+		peak := func(l Layer) (int, *tensor.Tensor) {
 			ar := tensor.NewArena()
 			in := ar.Alloc(x.Shape...)
 			copy(in.Data, x.Data)

@@ -4,16 +4,12 @@
 // be trained and cut without any external deep-learning framework.
 //
 // Tensors flow through layers batched: image layers take [N, C, H, W] and
-// dense layers take [N, F]. Forward is the training pass: each layer caches
-// what its backward pass needs; Backward must be called in reverse layer order
-// with the gradient of the loss w.r.t. the layer output and returns the
-// gradient w.r.t. the layer input. Every eval pass runs the inference plan
-// instead (ForwardInfer, batched by Infer).
+// dense layers take [N, F]. Every layer keeps one contract, Layer: a training
+// pair on an arena and a state-free eval pass, ForwardInfer (see Layer).
 package nn
 
 import (
 	"fmt"
-	"slices"
 
 	"nshd/internal/parallel"
 	"nshd/internal/tensor"
@@ -50,17 +46,52 @@ func (s *Stats) Add(o Stats) {
 	s.ActBytes += o.ActBytes
 }
 
-// Layer is a differentiable network stage.
+// Layer is a differentiable network stage, and the package's one layer
+// contract: every layer, containers included, implements all of it.
+//
+// Forward and Backward are the training pair. Forward computes the output
+// of a training batch, caches what Backward needs and uses batch statistics
+// where it has them (BatchNorm2D); Backward, called in reverse layer order
+// after Forward, consumes dL/dout, accumulates the parameter gradients into
+// Param.Grad and returns dL/din. Both take every output, input gradient,
+// cache and workspace from the arena a, and the results live in a until its
+// next Reset: Trainer.Fit runs a step on one arena, Reset per step, so after
+// its first step has sized the arena a step reuses the same memory, and a
+// fresh tensor.NewArena() gives heap memory a caller owns. Arena memory is
+// not zeroed: every kernel overwrites its output, and a buffer that is
+// accumulated into is cleared first by the task that owns it — the input
+// gradients of Conv2D, DepthwiseConv2D and MaxPool2D, one sample range per
+// task, and the per-chunk filter-gradient accumulators of the two
+// convolutions.
+//
+// ForwardInfer is the eval pass. Infer runs it for PredictLogits, Evaluate,
+// core's feature extraction and the manifold's pool, and the serving engine
+// runs it on its compiled plan. It
+//
+//   - is state-free: it reads and writes no layer field, so one layer serves
+//     many goroutines at once over frozen weights;
+//   - allocates only from the caller's arena ar, so a frozen arena makes the
+//     whole pass heap-free;
+//   - runs on the calling goroutine: callers parallelize across the parts of
+//     a batch. The one exception is a FusedBlock, which spreads its (sample,
+//     tile) items over the pool with a parallel.Call — the only fan-out
+//     allowed under an arena.
+//
+// Elementwise layers may overwrite x in place and return it; callers pass
+// arena-owned activations, never model weights or user input. Each sample is
+// computed alone, every element with the bits of the layer's definition on
+// the serial kernels — a conv's per-sample column product W·cols, BatchNorm's
+// affine map with the running statistics — so any cut of a batch, fused or
+// not, gives the same bits, and so does Forward where it stacks no samples.
 type Layer interface {
 	// Name returns a short human-readable identifier ("conv3x3(64)").
 	Name() string
-	// Forward computes the layer output for a training batch: it caches
-	// intermediates for Backward and uses batch statistics where
-	// applicable (BatchNorm). Eval passes run ForwardInfer (see Infer).
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	// Backward consumes dL/dout and returns dL/din, accumulating
-	// parameter gradients. Must follow a Forward call.
-	Backward(grad *tensor.Tensor) *tensor.Tensor
+	// Forward is the training pass (see the type's comment).
+	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
+	// Backward is Forward's backward pass (see the type's comment).
+	Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
+	// ForwardInfer is the eval pass (see the type's comment).
+	ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	// Params returns the learnable parameters (possibly empty).
 	Params() []*Param
 	// OutShape maps a per-sample input shape (no batch dim) to the
@@ -86,140 +117,49 @@ func NewSequential(label string, layers ...Layer) *Sequential {
 func (s *Sequential) Name() string { return s.Label }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor { return s.forwardIn(nil, x) }
-
-// Backward runs all layers in reverse order.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.backwardIn(nil, grad) }
-
-// arenaLayer is a layer whose passes can take every buffer they need —
-// output, input gradient, backward cache, per-task workspace — from an
-// arena instead of the heap. Trainer.Fit runs these paths on one arena,
-// Reset per step: after its first step has sized the arena, a training step
-// reuses the same memory. The buffers are
-// not zeroed, so every kernel overwrites its output, and the two that
-// accumulate (the input gradients of Conv2D and MaxPool2D) clear each sample
-// range in the task that owns it. The exported Forward and Backward are these
-// paths with a nil arena: results fresh from the heap, which the caller owns,
-// and transients from the float pool, as before (alloc, scratch, release).
-type arenaLayer interface {
-	forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
-	backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
-}
-
-// forwardIn is Forward with the arena layers' buffers taken from a; a layer
-// without an arena path runs its Forward.
-func (s *Sequential) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (s *Sequential) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
-		if al, ok := l.(arenaLayer); ok {
-			x = al.forwardIn(a, x)
-		} else {
-			x = l.Forward(x)
-		}
+		x = l.Forward(a, x)
 	}
 	return x
 }
 
-// backwardIn is Backward with the arena layers' buffers taken from a.
-func (s *Sequential) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+// Backward runs all layers in reverse order.
+func (s *Sequential) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = layerBackwardIn(a, s.Layers[i], grad)
+		grad = s.Layers[i].Backward(a, grad)
 	}
 	return grad
 }
 
-func layerBackwardIn(a *tensor.Arena, l Layer, grad *tensor.Tensor) *tensor.Tensor {
-	if al, ok := l.(arenaLayer); ok {
-		return al.backwardIn(a, grad)
-	}
-	return l.Backward(grad)
-}
-
-// ForwardIn is l's training Forward with the buffers of an arena layer taken
-// from a, as Trainer.Fit runs it: for a caller that trains a layer in a loop
-// of its own on one arena, Reset per step. BackwardParamsIn is its backward
-// pass for the parameter gradients alone (all of it, for a layer without
-// that path). The results live in a until its next Reset.
-func ForwardIn(a *tensor.Arena, l Layer, x *tensor.Tensor) *tensor.Tensor {
-	if al, ok := l.(arenaLayer); ok {
-		return al.forwardIn(a, x)
-	}
-	return l.Forward(x)
-}
-
-// BackwardParamsIn: see ForwardIn.
-func BackwardParamsIn(a *tensor.Arena, l Layer, grad *tensor.Tensor) {
-	if pl, ok := l.(paramsLayer); ok {
-		pl.backwardParamsIn(a, grad)
-		return
-	}
-	layerBackwardIn(a, l, grad)
-}
-
-// paramsLayer is an arena layer that can run its backward pass for the
-// parameter gradients alone: Linear, and Conv2D. Fit's first layer has no
-// upstream layer to hand an input gradient to.
+// paramsLayer is a layer that can run its backward pass for the parameter
+// gradients alone: Linear, and Conv2D. Fit's first layer has no upstream
+// layer to hand an input gradient to.
 type paramsLayer interface {
-	backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor)
+	BackwardParams(a *tensor.Arena, grad *tensor.Tensor)
 }
 
-// backwardParamsIn is backwardIn for a caller that discards the input
-// gradient: every layer runs as in backwardIn but the first, which computes
-// only its parameter gradients where it can (paramsLayer) — the same bits,
-// without the product whose result nobody reads.
-func (s *Sequential) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
+// backwardParams is Backward for a caller that discards the input gradient:
+// every layer runs as in Backward but the first, which computes only its
+// parameter gradients where it can (paramsLayer) — the same bits, without
+// the product whose result nobody reads.
+func (s *Sequential) backwardParams(a *tensor.Arena, grad *tensor.Tensor) {
 	for i := len(s.Layers) - 1; i >= 1; i-- {
-		grad = layerBackwardIn(a, s.Layers[i], grad)
+		grad = s.Layers[i].Backward(a, grad)
 	}
 	if len(s.Layers) == 0 {
 		return
 	}
 	if pl, ok := s.Layers[0].(paramsLayer); ok {
-		pl.backwardParamsIn(a, grad)
+		pl.BackwardParams(a, grad)
 	} else {
-		layerBackwardIn(a, s.Layers[0], grad)
-	}
-}
-
-// alloc returns a result tensor: uninitialized from a, or zeroed from the
-// heap when a is nil.
-func alloc(a *tensor.Arena, shape ...int) *tensor.Tensor {
-	if a == nil {
-		return tensor.New(slices.Clone(shape)...) // the clone, not shape, escapes
-	}
-	return a.Alloc(shape...)
-}
-
-// scratch returns n floats of undefined contents for a transient of one
-// pass: from a after the pass's mark, or from the float pool when a is nil.
-// release(a, m, bufs...) ends them: it rewinds a to the mark m, or returns
-// bufs to the pool.
-func scratch(a *tensor.Arena, n int) []float32 {
-	if a == nil {
-		return tensor.GetFloats(n)
-	}
-	return a.Floats(n)
-}
-
-func mark(a *tensor.Arena) tensor.ArenaMark {
-	if a == nil {
-		return tensor.ArenaMark{}
-	}
-	return a.Mark()
-}
-
-func release(a *tensor.Arena, m tensor.ArenaMark, bufs ...[]float32) {
-	if a != nil {
-		a.Release(m)
-		return
-	}
-	for _, b := range bufs {
-		tensor.PutFloats(b)
+		s.Layers[0].Backward(a, grad)
 	}
 }
 
 // forTasks runs body over the items [0, n) on the pool, cut into at most
 // loadBalance tasks per worker of contiguous, near-equal item ranges, and
-// hands each task its own wsLen-float scratch workspace, which ends when
+// hands each task its own wsLen-float workspace from a, which ends when
 // forTasks returns. Which items share a task decides nothing but which
 // workspace they use: callers compute each item alone, so any cut gives the
 // same bits.
@@ -228,14 +168,14 @@ func forTasks(a *tensor.Arena, n, wsLen int, body func(ws []float32, lo, hi int)
 	if tasks <= 0 {
 		return
 	}
-	m := mark(a)
-	ws := scratch(a, tasks*wsLen)
+	m := a.Mark()
+	ws := a.Floats(tasks * wsLen)
 	parallelFor(tasks, func(tlo, thi int) {
 		for t := tlo; t < thi; t++ {
 			body(ws[t*wsLen:][:wsLen], t*n/tasks, (t+1)*n/tasks)
 		}
 	})
-	release(a, m, ws)
+	a.Release(m)
 }
 
 // loadBalance is forTasks' tasks per worker, the pool's own ratio: enough

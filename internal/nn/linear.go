@@ -36,17 +36,13 @@ func (l *Linear) Name() string { return fmt.Sprintf("linear(%d→%d)", l.In, l.O
 
 // Forward computes the affine map for a [N, In] batch and caches x for
 // Backward.
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return l.forwardIn(nil, x)
-}
-
-func (l *Linear) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "Linear")
 	if x.Rank() != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: Linear expects [N %d], got %v", l.In, x.Shape))
 	}
 	l.cachedX = x
-	y := alloc(a, n, l.Out)
+	y := a.Alloc(n, l.Out)
 	tensor.MatMulTInto(y, x, l.Weight.W)
 	l.addBias(y)
 	return y
@@ -67,18 +63,13 @@ func (l *Linear) addBias(y *tensor.Tensor) {
 
 // Backward accumulates the parameter gradients (BackwardParams) and returns
 // dx = grad W.
-func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return l.backwardIn(nil, grad)
-}
-
-func (l *Linear) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
-	l.backwardParamsIn(a, grad)
+func (l *Linear) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+	l.BackwardParams(a, grad)
 	// dx[N,in] = grad[N,out] @ W[out,in]
-	dx := alloc(a, grad.Shape[0], l.In)
-	m := mark(a)
-	sc := scratch(a, tensor.GemmScratch())
-	tensor.MatMulScratchInto(dx, grad, l.Weight.W, sc)
-	release(a, m, sc)
+	dx := a.Alloc(grad.Shape[0], l.In)
+	m := a.Mark()
+	tensor.MatMulScratchInto(dx, grad, l.Weight.W, a.Floats(tensor.GemmScratch()))
+	a.Release(m)
 	return dx
 }
 
@@ -86,24 +77,18 @@ func (l *Linear) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor
 // input gradient: all of Backward a caller needs when nothing upstream of the
 // layer learns (the manifold FC on frozen CNN features). dW runs on the dense
 // blocked GEMM (TransposeMatMulInto), its transpose and, below the split
-// floor, its panel buffer in the workspace.
-func (l *Linear) BackwardParams(grad *tensor.Tensor) {
-	l.backwardParamsIn(nil, grad)
-}
-
-// backwardParamsIn is BackwardParams with its workspaces taken as scratch
-// does.
-func (l *Linear) backwardParamsIn(a *tensor.Arena, grad *tensor.Tensor) {
+// floor, its panel buffer in workspaces from a.
+func (l *Linear) BackwardParams(a *tensor.Arena, grad *tensor.Tensor) {
 	if l.cachedX == nil {
 		panic("nn: Linear.Backward without Forward")
 	}
 	// dW[out,in] += gradᵀ[out,N] @ x[N,in]
-	m := mark(a)
-	dwBuf, sc := scratch(a, l.Out*l.In), scratch(a, grad.Len()+tensor.GemmScratch())
+	m := a.Mark()
+	dwBuf, sc := a.Floats(l.Out*l.In), a.Floats(grad.Len()+tensor.GemmScratch())
 	dw := tensor.FromSlice(dwBuf, l.Out, l.In)
 	tensor.TransposeMatMulInto(dw, grad, l.cachedX, sc)
 	tensor.Accumulate(l.Weight.Grad.Data, dwBuf)
-	release(a, m, sc, dwBuf)
+	a.Release(m)
 	if l.useBias {
 		n := grad.Shape[0]
 		for i := 0; i < n; i++ {

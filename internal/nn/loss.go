@@ -8,14 +8,9 @@ import (
 )
 
 // CrossEntropy computes softmax cross-entropy over a [N, K] logits batch with
-// integer labels, returning the mean loss and the gradient w.r.t. logits.
-func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	return crossEntropyIn(nil, logits, labels)
-}
-
-// crossEntropyIn is CrossEntropy with the gradient and the softmax row
-// allocated as alloc does.
-func crossEntropyIn(a *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+// integer labels, returning the mean loss and the gradient w.r.t. logits. The
+// gradient and the softmax row are taken from a.
+func CrossEntropy(a *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: CrossEntropy expects [N K] logits, got %v", logits.Shape))
 	}
@@ -23,9 +18,9 @@ func crossEntropyIn(a *tensor.Arena, logits *tensor.Tensor, labels []int) (float
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d labels for %d samples", len(labels), n))
 	}
-	grad := alloc(a, n, k)
+	grad := a.Alloc(n, k)
 	var loss float64
-	probs := alloc(a, k).Data
+	probs := a.Floats(k)
 	invN := 1 / float32(n)
 	for i := 0; i < n; i++ {
 		row := logits.Row(i)

@@ -122,7 +122,7 @@ func atEveryWidth(t *testing.T, body func(t *testing.T)) {
 // inferPoisoned runs l.ForwardInfer on a copy of x in a frozen arena whose
 // slab was filled with NaN first, as an engine's arena holds the previous
 // call's activations: scratch a layer forgets to clear shows in the result.
-func inferPoisoned(l InferenceLayer, x *tensor.Tensor) *tensor.Tensor {
+func inferPoisoned(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	ar := tensor.NewArena()
 	l.ForwardInfer(ar.Alloc(x.Shape...), ar)
 	ar.Freeze()
@@ -143,9 +143,8 @@ var mobileLatticeMaps = struct{ ws, hs []int }{
 	hs: []int{1, 2, 3, 5},
 }
 
-// TestDepthwiseMatchesDefinition: DepthwiseConv2D's ForwardInfer and both
-// modes of Forward equal convChannel on every geometry of the lattice — both
-// strides, pads 0–2, 3×3 and 5×5 kernels, one and eight channels, two
+// TestDepthwiseMatchesDefinition: DepthwiseConv2D's ForwardInfer and Forward
+// equal convChannel on every geometry of the lattice — both strides, pads 0–2, 3×3 and 5×5 kernels, one and eight channels, two
 // samples — on hostile pixels and finite weights (the plane kernel's
 // contract; tensor.DepthwisePlane).
 func TestDepthwiseMatchesDefinition(t *testing.T) {
@@ -166,7 +165,7 @@ func TestDepthwiseMatchesDefinition(t *testing.T) {
 								x := hostileInput(int64(h*100+w), 2, c, h, w)
 								want := d.forwardReference(x)
 								sameBits(t, name+" ForwardInfer", inferPoisoned(d, x), want, true)
-								sameBits(t, name+" Forward", d.Forward(x), want, true)
+								sameBits(t, name+" Forward", d.Forward(tensor.NewArena(), x), want, true)
 							}
 						}
 					}
@@ -253,7 +252,7 @@ func TestConvBNEpilogueMatchesSeparate(t *testing.T) {
 						want := ar.Alloc(x.Shape...)
 						copy(want.Data, x.Data)
 						for _, l := range layers {
-							want = l.(InferenceLayer).ForwardInfer(want, ar)
+							want = l.ForwardInfer(want, ar)
 						}
 						in := ar.Alloc(x.Shape...)
 						copy(in.Data, x.Data)

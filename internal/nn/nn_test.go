@@ -14,7 +14,7 @@ import (
 func TestCrossEntropyKnownValues(t *testing.T) {
 	// Uniform logits over K classes must give loss = ln(K).
 	logits := tensor.New(2, 4)
-	loss, grad := CrossEntropy(logits, []int{0, 3})
+	loss, grad := CrossEntropy(tensor.NewArena(), logits, []int{0, 3})
 	if math.Abs(loss-math.Log(4)) > 1e-6 {
 		t.Fatalf("uniform CE loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
@@ -36,11 +36,11 @@ func TestCrossEntropyKnownValues(t *testing.T) {
 
 func TestCrossEntropyConfidentPrediction(t *testing.T) {
 	logits := tensor.FromSlice([]float32{10, -10, -10}, 1, 3)
-	loss, _ := CrossEntropy(logits, []int{0})
+	loss, _ := CrossEntropy(tensor.NewArena(), logits, []int{0})
 	if loss > 1e-6 {
 		t.Fatalf("confident correct prediction should give ~0 loss, got %v", loss)
 	}
-	lossWrong, _ := CrossEntropy(logits, []int{1})
+	lossWrong, _ := CrossEntropy(tensor.NewArena(), logits, []int{1})
 	if lossWrong < 10 {
 		t.Fatalf("confident wrong prediction should give large loss, got %v", lossWrong)
 	}
@@ -126,7 +126,7 @@ func TestBatchNormTrainVsEvalStats(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	x := tensor.New(8, 2, 3, 3)
 	rng.FillNormal(x, 5, 2) // far from standard so normalization is visible
-	y := bn.Forward(x)
+	y := bn.Forward(tensor.NewArena(), x)
 	// Per-channel mean of the normalized output must be ~0, std ~1
 	// (gamma=1, beta=0 initially).
 	for ch := 0; ch < 2; ch++ {
@@ -150,7 +150,7 @@ func TestBatchNormTrainVsEvalStats(t *testing.T) {
 	// After many training passes the running stats approximate the data
 	// distribution, so ForwardInfer also roughly normalizes.
 	for i := 0; i < 50; i++ {
-		bn.Forward(x)
+		bn.Forward(tensor.NewArena(), x)
 	}
 	ye := bn.ForwardInfer(x.Clone(), tensor.NewArena())
 	if m := ye.Mean(); math.Abs(m) > 0.2 {

@@ -25,11 +25,7 @@ func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool%dx%d", m.K, m.K)
 
 // Forward pools each k×k window to its maximum, caching argmax indices for
 // Backward. The values are ForwardInfer's.
-func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return m.forwardIn(nil, x)
-}
-
-func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (m *MaxPool2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "MaxPool2D")
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects [N C H W], got %v", x.Shape))
@@ -39,13 +35,8 @@ func (m *MaxPool2D) forwardIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 	if outH == 0 || outW == 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D window %d larger than input %dx%d", m.K, h, w))
 	}
-	y := alloc(a, n, c, outH, outW)
-	var arg []int32
-	if a != nil {
-		arg = a.Int32s(n * c * outH * outW)
-	} else {
-		arg = make([]int32, n*c*outH*outW)
-	}
+	y := a.Alloc(n, c, outH, outW)
+	arg := a.Int32s(n * c * outH * outW)
 	m.cachedIn = [3]int{c, h, w}
 	m.cachedN = n
 	tensor.ParallelFor(n, func(lo, hi int) {
@@ -120,16 +111,12 @@ func (m *MaxPool2D) poolPlanes(y []float32, arg []int32, x []float32, plo, phi, 
 // Backward routes each output gradient to the input position that won the
 // max, sample by sample over the pool: a sample's winners lie in its own
 // input, which its task clears first.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return m.backwardIn(nil, grad)
-}
-
-func (m *MaxPool2D) backwardIn(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+func (m *MaxPool2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if m.cachedArg == nil {
 		panic("nn: MaxPool2D.Backward without Forward")
 	}
 	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
-	dx := alloc(a, m.cachedN, c, h, w)
+	dx := a.Alloc(m.cachedN, c, h, w)
 	sampleIn, sampleOut := c*h*w, len(m.cachedArg)/max(m.cachedN, 1)
 	tensor.ParallelFor(m.cachedN, func(lo, hi int) {
 		clear(dx.Data[lo*sampleIn : hi*sampleIn])
@@ -160,7 +147,7 @@ func (m *MaxPool2D) Stats(in []int) Stats {
 
 // GlobalAvgPool2D reduces [N, C, H, W] to [N, C] by averaging each channel.
 type GlobalAvgPool2D struct {
-	cachedIn []int
+	cachedIn [3]int // per-sample input shape
 	cachedN  int
 }
 
@@ -170,14 +157,12 @@ func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 // Name implements Layer.
 func (m *GlobalAvgPool2D) Name() string { return "globalavgpool" }
 
-// Forward averages each channel plane.
-func (m *GlobalAvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := batchOf(x, "GlobalAvgPool2D")
-	c, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	y := tensor.New(n, c)
-	avgPlanes(y.Data, x.Data, h*w)
-	m.cachedIn = []int{c, h, w}
-	m.cachedN = n
+// Forward averages each channel plane, as ForwardInfer does, and caches the
+// input shape for Backward.
+func (m *GlobalAvgPool2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	y := m.ForwardInfer(x, a)
+	m.cachedIn = [3]int{x.Shape[1], x.Shape[2], x.Shape[3]}
+	m.cachedN = x.Shape[0]
 	return y
 }
 
@@ -195,9 +180,12 @@ func avgPlanes(dst, x []float32, hw int) {
 }
 
 // Backward spreads gradients uniformly over each plane.
-func (m *GlobalAvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (m *GlobalAvgPool2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+	if m.cachedIn == ([3]int{}) {
+		panic("nn: GlobalAvgPool2D.Backward without Forward")
+	}
 	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
-	dx := tensor.New(m.cachedN, c, h, w)
+	dx := a.Alloc(m.cachedN, c, h, w)
 	inv := 1 / float32(h*w)
 	for i := 0; i < m.cachedN; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -233,19 +221,20 @@ func NewFlatten() *Flatten { return &Flatten{} }
 // Name implements Layer.
 func (f *Flatten) Name() string { return "flatten" }
 
-// Forward flattens all but the batch dimension.
-func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := batchOf(x, "Flatten")
-	f.cachedShape = append([]int(nil), x.Shape...)
-	return x.Reshape(n, -1)
+// Forward flattens all but the batch dimension, as ForwardInfer does (a
+// view of x, no copy), and caches the input shape for Backward.
+func (f *Flatten) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	y := f.ForwardInfer(x, a)
+	f.cachedShape = x.Shape
+	return y
 }
 
-// Backward restores the cached input shape.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward restores the cached input shape on a view of grad.
+func (f *Flatten) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if f.cachedShape == nil {
 		panic("nn: Flatten.Backward without Forward")
 	}
-	return grad.Reshape(f.cachedShape...)
+	return a.Wrap(grad.Data, f.cachedShape...)
 }
 
 // Params implements Layer.

@@ -84,7 +84,7 @@ func TestMaxPoolForwardMatchesScalar(t *testing.T) {
 				}
 				ar := tensor.NewArena()
 				check("ForwardInfer", pool.ForwardInfer(ar.Wrap(x.Data, x.Shape...), ar))
-				check("train Forward", pool.Forward(x))
+				check("train Forward", pool.Forward(tensor.NewArena(), x))
 				for i, a := range pool.cachedArg {
 					if a != wantArg[i] {
 						t.Fatalf("%s: argmax[%d] = %d, scalar loop %d", name, i, a, wantArg[i])
@@ -95,7 +95,7 @@ func TestMaxPoolForwardMatchesScalar(t *testing.T) {
 				for i, a := range wantArg {
 					wantDx.Data[a] += grad.Data[i]
 				}
-				for i, v := range pool.Backward(grad).Data {
+				for i, v := range pool.Backward(tensor.NewArena(), grad).Data {
 					if math.Float32bits(v) != math.Float32bits(wantDx.Data[i]) {
 						t.Fatalf("%s: Backward dx[%d] = %v, want %v", name, i, v, wantDx.Data[i])
 					}
@@ -118,7 +118,7 @@ func BenchmarkMaxPoolForward(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if mode == "train" {
-					pool.Forward(x)
+					pool.Forward(tensor.NewArena(), x)
 					continue
 				}
 				ar.Reset()

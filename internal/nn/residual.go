@@ -22,30 +22,33 @@ func NewResidual(body *Sequential, proj Layer) *Residual {
 // Name implements Layer.
 func (r *Residual) Name() string { return fmt.Sprintf("residual(%s)", r.Body.Label) }
 
-// Forward implements Layer.
-func (r *Residual) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := r.Body.Forward(x)
-	var skip *tensor.Tensor
+// Forward implements Layer. The sum is a new activation: the body's output
+// may be its last layer's backward cache.
+func (r *Residual) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	y := r.Body.Forward(a, x)
+	skip := x
 	if r.Proj != nil {
-		skip = r.Proj.Forward(x)
-	} else {
-		skip = x
+		skip = r.Proj.Forward(a, x)
 	}
 	if !y.SameShape(skip) {
 		panic(fmt.Sprintf("nn: residual shape mismatch body=%v skip=%v", y.Shape, skip.Shape))
 	}
-	return tensor.Add(y, skip)
+	out := a.Alloc(y.Shape...)
+	tensor.AddInto(out, y, skip)
+	return out
 }
 
 // Backward implements Layer: the gradient flows through both branches and
 // the input gradients sum.
-func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dxBody := r.Body.Backward(grad)
+func (r *Residual) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
+	dxBody := r.Body.Backward(a, grad)
+	dxSkip := grad
 	if r.Proj != nil {
-		dxSkip := r.Proj.Backward(grad)
-		return tensor.Add(dxBody, dxSkip)
+		dxSkip = r.Proj.Backward(a, grad)
 	}
-	return tensor.Add(dxBody, grad)
+	dx := a.Alloc(dxBody.Shape...)
+	tensor.AddInto(dx, dxBody, dxSkip)
+	return dx
 }
 
 // Params implements Layer.
@@ -79,10 +82,10 @@ type SEBlock struct {
 	FC1, FC2   *Linear
 	act        *SiLU
 	sig        *Sigmoid
+	gap        *GlobalAvgPool2D
 
 	cachedX     *tensor.Tensor
 	cachedScale *tensor.Tensor // [N, C]
-	cachedGAP   *GlobalAvgPool2D
 }
 
 // NewSEBlock constructs an SE block with the given reduction ratio.
@@ -97,6 +100,7 @@ func NewSEBlock(rng *tensor.RNG, c, reduction int) *SEBlock {
 		FC2: NewLinear(rng, red, c, true),
 		act: NewSiLU(),
 		sig: NewSigmoid(),
+		gap: NewGlobalAvgPool2D(),
 	}
 }
 
@@ -104,20 +108,19 @@ func NewSEBlock(rng *tensor.RNG, c, reduction int) *SEBlock {
 func (se *SEBlock) Name() string { return fmt.Sprintf("se(%d/%d)", se.C, se.Reduced) }
 
 // Forward implements Layer.
-func (se *SEBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (se *SEBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n := batchOf(x, "SEBlock")
 	if x.Rank() != 4 || x.Shape[1] != se.C {
 		panic(fmt.Sprintf("nn: SEBlock(%d) expects [N %d H W], got %v", se.C, se.C, x.Shape))
 	}
-	gap := NewGlobalAvgPool2D()
-	pooled := gap.Forward(x) // [N, C]
-	z := se.FC1.Forward(pooled)
-	z = se.act.Forward(z)
-	z = se.FC2.Forward(z)
-	scale := se.sig.Forward(z) // [N, C]
+	pooled := se.gap.Forward(a, x) // [N, C]
+	z := se.FC1.Forward(a, pooled)
+	z = se.act.Forward(a, z)
+	z = se.FC2.Forward(a, z)
+	scale := se.sig.Forward(a, z) // [N, C]
 
 	h, w := x.Shape[2], x.Shape[3]
-	y := tensor.New(x.Shape...)
+	y := a.Alloc(x.Shape...)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < se.C; ch++ {
 			s := scale.Data[i*se.C+ch]
@@ -127,12 +130,12 @@ func (se *SEBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	se.cachedX, se.cachedScale, se.cachedGAP = x, scale, gap
+	se.cachedX, se.cachedScale = x, scale
 	return y
 }
 
 // Backward implements Layer.
-func (se *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (se *SEBlock) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	if se.cachedX == nil {
 		panic("nn: SEBlock.Backward without Forward")
 	}
@@ -141,8 +144,8 @@ func (se *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	h, w := x.Shape[2], x.Shape[3]
 
 	// y = x*s: dx gets grad*s; ds gets Σ_hw grad*x.
-	dx := tensor.New(x.Shape...)
-	dScale := tensor.New(n, se.C)
+	dx := a.Alloc(x.Shape...)
+	dScale := a.Alloc(n, se.C)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < se.C; ch++ {
 			s := scale.Data[i*se.C+ch]
@@ -157,12 +160,13 @@ func (se *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// Back through the MLP to the pooled features.
-	d := se.sig.Backward(dScale)
-	d = se.FC2.Backward(d)
-	d = se.act.Backward(d)
-	d = se.FC1.Backward(d)
-	dPooled := se.cachedGAP.Backward(d)
-	return tensor.Add(dx, dPooled)
+	d := se.sig.Backward(a, dScale)
+	d = se.FC2.Backward(a, d)
+	d = se.act.Backward(a, d)
+	d = se.FC1.Backward(a, d)
+	dPooled := se.gap.Backward(a, d)
+	tensor.AddInto(dx, dx, dPooled)
+	return dx
 }
 
 // Params implements Layer.

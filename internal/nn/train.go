@@ -34,12 +34,12 @@ type EpochStats struct {
 // without touching the model.
 //
 // Every step runs on one training arena, Reset per step: the batch, and the
-// activations, gradients, caches and workspaces of the arena layers
-// (arenaLayer). The first step runs it in measuring mode, Grow sizes the
-// slabs to the observed peak, and every later step bump-allocates from the
-// same warm memory instead of the heap (tail batches are smaller and always
-// fit). The layers' caches point into the arena when Fit returns; a Backward
-// on them without a new Forward reads a stale step.
+// activations, gradients, caches and workspaces of every layer (see Layer).
+// The first step runs it in measuring mode, Grow sizes the slabs to the
+// observed peak, and every later step bump-allocates from the same warm
+// memory instead of the heap (tail batches are smaller and always fit). The
+// layers' caches point into the arena when Fit returns; a Backward on them
+// without a new Forward reads a stale step.
 func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rng *tensor.RNG) []EpochStats {
 	n := images.Shape[0]
 	if len(labels) != n {
@@ -92,9 +92,9 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 				by[bi] = labels[src]
 			}
 			model.ZeroGrad()
-			logits := model.forwardIn(arena, bx)
-			loss, grad := crossEntropyIn(arena, logits, by)
-			model.backwardParamsIn(arena, grad)
+			logits := model.Forward(arena, bx)
+			loss, grad := CrossEntropy(arena, logits, by)
+			model.backwardParams(arena, grad)
 			if t.ClipNorm > 0 {
 				ClipGradNorm(model.Params(), t.ClipNorm)
 			}

@@ -57,9 +57,9 @@ func runTrainingSteps(seed int64) *Sequential {
 	opt := NewSGD(0.05, 0.9, 0)
 	for step := 0; step < 2; step++ {
 		model.ZeroGrad()
-		logits := model.Forward(x)
-		_, grad := CrossEntropy(logits, labels)
-		model.Backward(grad)
+		logits := model.Forward(tensor.NewArena(), x)
+		_, grad := CrossEntropy(tensor.NewArena(), logits, labels)
+		model.Backward(tensor.NewArena(), grad)
 		opt.Step(model.Params())
 	}
 	return model
@@ -90,6 +90,61 @@ func TestTrainingStepSerialParallelBitIdentical(t *testing.T) {
 					p.Name, i, p.W.Data[i], s.W.Data[i])
 			}
 		}
+	}
+}
+
+// TestTrainingPassesClearPoisonedArena is the training counterpart of
+// inferPoisoned: one Forward and one Backward of a model with every layer
+// type — a Residual with an identity skip and one with a projection, an
+// SEBlock, a GlobalAvgPool2D outside it — on an arena whose float and int32
+// slabs hold NaN from a previous step must give the bits of a fresh arena's
+// zeroed memory: the output, every parameter gradient and the input
+// gradient. A buffer accumulated into without its clear shows as NaN. The
+// batch of 18 leaves ragged chunks in both convolutions' backward passes.
+func TestTrainingPassesClearPoisonedArena(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	model := NewSequential("poison",
+		NewConv2D(rng, 3, 8, 3, 1, 1, true),
+		NewBatchNorm2D(8),
+		NewReLU(),
+		NewMaxPool2D(2),
+		NewResidual(NewSequential("identity", NewDepthwiseConv2D(rng, 8, 3, 1, 1), NewBatchNorm2D(8), NewReLU6()), nil),
+		NewSEBlock(rng, 8, 4),
+		NewResidual(NewSequential("projected", NewConv2D(rng, 8, 8, 3, 2, 1, false), NewSiLU()), NewConv2D(rng, 8, 8, 1, 2, 0, false)),
+		NewGlobalAvgPool2D(),
+		NewFlatten(),
+		NewLinear(rng, 8, 10, true),
+		NewSigmoid(),
+	)
+	x, grad := randInput(62, 18, 3, 16, 16), randInput(63, 18, 10)
+	step := func(a *tensor.Arena) (y, dx *tensor.Tensor, grads []*tensor.Tensor) {
+		model.ZeroGrad()
+		in := a.Alloc(x.Shape...)
+		copy(in.Data, x.Data)
+		y = model.Forward(a, in)
+		dx = model.Backward(a, grad)
+		for _, p := range model.Params() {
+			grads = append(grads, p.Grad.Clone())
+		}
+		return y.Clone(), dx.Clone(), grads
+	}
+	wantY, wantDx, wantGrads := step(tensor.NewArena())
+
+	ar := tensor.NewArena()
+	step(ar)
+	ar.Grow()
+	for i, junk := 0, ar.Floats(ar.PeakFloats()); i < len(junk); i++ {
+		junk[i] = float32(math.NaN())
+	}
+	for i, junk := 0, ar.Int32s(ar.PeakInt32s()); i < len(junk); i++ {
+		junk[i] = int32(math.Float32bits(float32(math.NaN())))
+	}
+	ar.Reset()
+	y, dx, grads := step(ar)
+	sameBits(t, "output", y, wantY, false)
+	sameBits(t, "input gradient", dx, wantDx, false)
+	for i, p := range model.Params() {
+		sameBits(t, p.Name+" gradient", grads[i], wantGrads[i], false)
 	}
 }
 

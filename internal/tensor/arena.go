@@ -218,3 +218,6 @@ func (a *Arena) FootprintBytes() int64 {
 
 // PeakFloats reports the peak float32 usage so far, in either mode.
 func (a *Arena) PeakFloats() int { return a.floats.peak }
+
+// PeakInt32s reports the peak int32 usage so far, in either mode.
+func (a *Arena) PeakInt32s() int { return a.i32s.peak }
