@@ -242,7 +242,7 @@ func BenchmarkAblationSTE(b *testing.B) {
 
 func BenchmarkEncodeProjection(b *testing.B) {
 	rng := tensor.NewRNG(1)
-	pr := hdc.NewProjection(rng, 100, 3000)
+	pr := hdc.NewSeededProjection(1, 100, 3000)
 	feats := tensor.New(64, 100)
 	rng.FillNormal(feats, 0, 1)
 	b.ResetTimer()

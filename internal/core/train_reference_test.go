@@ -153,7 +153,8 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 			if ml != nil {
 				dH := p.HD.QueryGrad(u)
 				dH.Scale(-1)
-				dV := p.Proj.DecodeBatch(dH)
+				dV := tensor.New(dH.Shape[0], p.Proj.F)
+				p.Proj.DecodeBatchInto(dV, dH)
 				for _, prm := range ml.fc.Params() {
 					prm.ZeroGrad()
 				}

@@ -474,9 +474,8 @@ func (e *Engine) Dim() int { return e.d }
 func (e *Engine) Classes() int { return e.tail.k }
 
 // ModelVersion is a content hash identifying the compiled model: the HD
-// class matrix, the projection (its seed, or its dense matrix when
-// unseeded), and the shape facts (D, K). Engines compiled from one trained
-// model report the same version regardless of projection backing; retraining
+// class matrix, the projection's seed, and the shape facts (D, K). Engines
+// compiled from one trained model report the same version; retraining
 // changes it.
 func (e *Engine) ModelVersion() uint64 { return e.version }
 
@@ -500,16 +499,10 @@ func modelVersionHash(p *core.Pipeline) uint64 {
 	for _, v := range p.HD.M.Data {
 		h = fnvMix(h, uint64(math.Float32bits(v)))
 	}
-	if p.Proj.Seeded {
-		h = fnvMix(h, 1)
-		h = fnvMix(h, uint64(p.Proj.Seed))
-	} else {
-		h = fnvMix(h, 2)
-		for _, v := range p.Proj.P.Data {
-			h = fnvMix(h, uint64(math.Float32bits(v)))
-		}
-	}
-	return h
+	// The 1 once told a seeded projection from a hashed matrix; it stays so
+	// that every model_version keeps its value.
+	h = fnvMix(h, 1)
+	return fnvMix(h, uint64(p.Proj.Seed))
 }
 
 // ModelBytes reports the engine's TRUE serving footprint: every weight the

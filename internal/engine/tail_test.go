@@ -238,37 +238,6 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestEngineTailPlanning: an unseeded projection (hand-built pipelines,
-// legacy snapshots) compiles like a seeded one, its sign words packed from
-// the stored matrix, and serves the pipeline's bits.
-func TestEngineTailPlanning(t *testing.T) {
-	p, test := buildPipeline(t, func(c *core.Config) {})
-	p.Proj = hdc.NewProjection(tensor.NewRNG(1), p.Proj.F, p.Proj.D)
-	e, err := engine.Compile(p)
-	if err != nil {
-		t.Fatalf("unseeded pipeline must compile: %v", err)
-	}
-	wantPreds, wantHVs := reference(p, test.Images)
-	hvs, err := e.QueryHVs(test.Images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range hvs.Data {
-		if v != wantHVs.Data[i] {
-			t.Fatalf("unseeded: query hypervector element %d = %g, pipeline %g", i, v, wantHVs.Data[i])
-		}
-	}
-	got, err := e.Predict(test.Images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != wantPreds[i] {
-			t.Fatalf("unseeded: sample %d: engine=%d pipeline=%d", i, got[i], wantPreds[i])
-		}
-	}
-}
-
 // TestEngineSignWordFootprint pins the projection's served bytes to its
 // analytic size: on every topology and both classifier kernels the project
 // row of BytesBreakdown is Pipeline.Costs' ProjectionBytes, F̂·⌈D/64⌉·8, and

@@ -173,9 +173,3 @@ func Cosine(a, b Hypervector) float64 {
 	}
 	return Dot(a, b) / (na * nb)
 }
-
-// NormalizedDot returns δ(a,b)/D, the per-dimension similarity in [-1, 1]
-// for bipolar inputs. This is the scale MASS retraining operates on.
-func NormalizedDot(a, b Hypervector) float64 {
-	return Dot(a, b) / float64(len(a))
-}

@@ -38,32 +38,6 @@ func NewNonlinearEncoder(rng *tensor.RNG, f, d int, sigma float64) *NonlinearEnc
 	return &NonlinearEncoder{F: f, D: d, W: w, Phase: phase, Sigma: sigma}
 }
 
-// Encode maps one feature vector to a bipolar hypervector.
-func (ne *NonlinearEncoder) Encode(v []float32) Hypervector {
-	if len(v) != ne.F {
-		panic(fmt.Sprintf("hdc: nonlinear Encode got %d features, want %d", len(v), ne.F))
-	}
-	h := NewHypervector(ne.D)
-	for f, val := range v {
-		if val == 0 {
-			continue
-		}
-		row := ne.W.Row(f)
-		for i, w := range row {
-			h[i] += val * w
-		}
-	}
-	for i := range h {
-		c := math.Cos(float64(h[i] + ne.Phase[i]))
-		if c < 0 {
-			h[i] = -1
-		} else {
-			h[i] = 1
-		}
-	}
-	return h
-}
-
 // EncodeBatch encodes a [N, F] feature matrix into a [N, D] bipolar tensor.
 func (ne *NonlinearEncoder) EncodeBatch(features *tensor.Tensor) *tensor.Tensor {
 	if features.Rank() != 2 || features.Shape[1] != ne.F {

@@ -18,22 +18,9 @@ type Projection struct {
 	F, D int
 	// P is the dense [F, D] bipolar matrix.
 	P *tensor.Tensor
-	// Seeded marks a projection whose matrix is DEFINED by Seed through
-	// tensor.BipolarGen: any row or tile of P can be regenerated on demand,
-	// bit-identical to the stored matrix.
-	Seeded bool
-	Seed   int64
-}
-
-// NewProjection samples a seeded random projection for F features into
-// dimension D.
-func NewProjection(rng *tensor.RNG, f, d int) *Projection {
-	if f <= 0 || d <= 0 {
-		panic(fmt.Sprintf("hdc: NewProjection with F=%d D=%d", f, d))
-	}
-	p := tensor.New(f, d)
-	rng.FillBipolar(p)
-	return &Projection{F: f, D: d, P: p}
+	// Seed defines P through tensor.BipolarGen: any row or tile of P can be
+	// regenerated on demand, bit-identical to the stored matrix.
+	Seed int64
 }
 
 // NewSeededProjection constructs the projection whose matrix is the seeded
@@ -45,7 +32,7 @@ func NewSeededProjection(seed int64, f, d int) *Projection {
 	}
 	p := tensor.New(f, d)
 	tensor.NewBipolarGen(seed, f, d).FillInto(p)
-	return &Projection{F: f, D: d, P: p, Seeded: true, Seed: seed}
+	return &Projection{F: f, D: d, P: p, Seed: seed}
 }
 
 // EncodeBatch encodes a [N, F] feature matrix, returning raw [N, D] and
@@ -84,34 +71,14 @@ func (pr *Projection) EncodeBatchPanelsInto(features, raw, signed *tensor.Tensor
 	tensor.SignInto(signed, raw)
 }
 
-// Decode estimates the feature-space preimage of a hypervector: since the
-// rows of P are quasi-orthogonal with ⟨P_f, P_f⟩ = D, the least-squares
-// estimate of V from H ≈ Vᵀ P is (1/D)·P·H. This is the HD decoding used to
-// backpropagate class-hypervector errors into the manifold layer (Sec. V-C).
-// It routes through DecodeBatch on a one-row view, so single-vector decoding
-// runs the same blocked-GEMM kernel as the batch path.
-func (pr *Projection) Decode(h Hypervector) []float32 {
-	if len(h) != pr.D {
-		panic(fmt.Sprintf("hdc: Decode got dimension %d, projection has D=%d", len(h), pr.D))
-	}
-	return pr.DecodeBatch(tensor.FromSlice(h, 1, pr.D)).Data
-}
-
-// DecodeBatch decodes a [K, D] matrix of hypervectors into [K, F] feature-
-// space estimates: (1/D)·E·Pᵀ.
-func (pr *Projection) DecodeBatch(e *tensor.Tensor) *tensor.Tensor {
-	if e.Rank() != 2 || e.Shape[1] != pr.D {
-		panic(fmt.Sprintf("hdc: DecodeBatch expects [K %d], got %v", pr.D, e.Shape))
-	}
-	out := tensor.New(e.Shape[0], pr.F)
-	pr.DecodeBatchInto(out, e)
-	return out
-}
-
-// DecodeBatchInto is DecodeBatch into a caller-owned [K, F] dst.
+// DecodeBatchInto decodes a [K, D] matrix of hypervectors into [K, F]
+// feature-space estimates in dst: (1/D)·E·Pᵀ. Since the rows of P are
+// quasi-orthogonal with ⟨P_f, P_f⟩ = D, this is the least-squares estimate of
+// V from H ≈ Vᵀ P, the HD decoding that backpropagates class-hypervector
+// errors into the manifold layer (Sec. V-C).
 func (pr *Projection) DecodeBatchInto(dst, e *tensor.Tensor) {
 	if e.Rank() != 2 || e.Shape[1] != pr.D {
-		panic(fmt.Sprintf("hdc: DecodeBatch expects [K %d], got %v", pr.D, e.Shape))
+		panic(fmt.Sprintf("hdc: DecodeBatchInto expects [K %d], got %v", pr.D, e.Shape))
 	}
 	tensor.MatMulTInto(dst, e, pr.P)
 	dst.Scale(1 / float32(pr.D))

@@ -45,9 +45,6 @@ func NewModel(k, d int) *Model {
 	return &Model{K: k, D: d, M: tensor.New(k, d)}
 }
 
-// Class returns class hypervector i as a slice aliasing the model.
-func (m *Model) Class(i int) hdc.Hypervector { return hdc.Hypervector(m.M.Row(i)) }
-
 // InitBundle builds the classic single-pass HD model: each class hypervector
 // is the bundle (sum) of all training hypervectors of that class,
 // C_k = Σ H_i. hvs is [N, D]; labels are class indices.
@@ -179,12 +176,6 @@ func (m *Model) Accuracy(hvs *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(labels))
-}
-
-// Clone returns a deep copy, used by hyperparameter sweeps that retrain from
-// a common initialization.
-func (m *Model) Clone() *Model {
-	return &Model{K: m.K, D: m.D, M: m.M.Clone()}
 }
 
 // QueryGrad returns dL/dH for a batch given the update matrix U ([N, K]):

@@ -46,12 +46,12 @@ func TestInitBundleRecoverPrototypes(t *testing.T) {
 	// Each class hypervector must be far more similar to its own prototype
 	// than to any other.
 	for k := 0; k < testK; k++ {
-		own := hdc.Cosine(m.Class(k), protos[k])
+		own := hdc.Cosine(m.M.Row(k), protos[k])
 		for j := 0; j < testK; j++ {
 			if j == k {
 				continue
 			}
-			other := hdc.Cosine(m.Class(k), protos[j])
+			other := hdc.Cosine(m.M.Row(k), protos[j])
 			if own < other+0.3 {
 				t.Fatalf("class %d bundle not aligned with its prototype: own=%v other=%v", k, own, other)
 			}
@@ -305,7 +305,8 @@ func TestApplyUpdateLinearityProperty(t *testing.T) {
 		m1.ApplyUpdate(v, hvs, 0.5)
 
 		m2 := NewModel(testK, d)
-		sum := tensor.Add(u, v)
+		sum := tensor.New(u.Shape...)
+		tensor.AddInto(sum, u, v)
 		m2.ApplyUpdate(sum, hvs, 0.5)
 
 		for i := range m1.M.Data {

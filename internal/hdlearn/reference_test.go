@@ -107,3 +107,9 @@ func applyUpdateLoop(m *Model, u, hvs *tensor.Tensor, lr float64) {
 	}
 	m.M.AXPY(float32(lr), e)
 }
+
+// Clone returns a deep copy, the common starting point of two training paths
+// a test compares.
+func (m *Model) Clone() *Model {
+	return &Model{K: m.K, D: m.D, M: m.M.Clone()}
+}

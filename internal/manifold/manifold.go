@@ -143,6 +143,3 @@ func (l *Learner) Stats() nn.Stats {
 	s.ActBytes += int64(l.PooledF) * 4
 	return s
 }
-
-// OutDim returns F̂.
-func (l *Learner) OutDim() int { return l.FHat }

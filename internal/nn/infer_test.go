@@ -107,7 +107,10 @@ func evalReference(l Layer, x *tensor.Tensor) *tensor.Tensor {
 		if v.Proj != nil {
 			skip = evalReference(v.Proj, x)
 		}
-		return tensor.Add(evalReference(v.Body, x), skip)
+		body := evalReference(v.Body, x)
+		y := tensor.New(body.Shape...)
+		tensor.AddInto(y, body, skip)
+		return y
 	case *Conv2D:
 		return v.forwardColumns(x, false)
 	case *BatchNorm2D:

@@ -220,17 +220,6 @@ func (s *Sequential) StatsPerLayer(in []int) []Stats {
 	return out
 }
 
-// Slice returns a new Sequential containing layers [0, end). The layers are
-// shared, not copied: the slice views the same parameters as the original,
-// which is exactly what NSHD's cut-CNN feature extractor requires (the
-// teacher and the student share pretrained weights).
-func (s *Sequential) Slice(end int) *Sequential {
-	if end < 0 || end > len(s.Layers) {
-		panic(fmt.Sprintf("nn: Slice end %d out of range [0,%d]", end, len(s.Layers)))
-	}
-	return &Sequential{Label: fmt.Sprintf("%s[:%d]", s.Label, end), Layers: s.Layers[:end]}
-}
-
 // ZeroGrad clears all parameter gradients on the pool, which splits their
 // concatenation, in parameter order, into element ranges.
 func (s *Sequential) ZeroGrad() {
@@ -248,15 +237,6 @@ func (s *Sequential) ZeroGrad() {
 			lo, hi = lo-len(g), hi-len(g)
 		}
 	})
-}
-
-// ParamCount returns the total number of scalar learnable parameters.
-func (s *Sequential) ParamCount() int64 {
-	var n int64
-	for _, p := range s.Params() {
-		n += int64(p.W.Len())
-	}
-	return n
 }
 
 // batchOf panics unless x has at least 2 dims and returns the batch size.

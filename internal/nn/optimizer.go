@@ -48,10 +48,9 @@ func (o *SGD) Step(params []*Param) {
 	}
 }
 
-// Adam is the Adam optimizer with bias correction.
+// Adam is the Adam optimizer with bias correction and no weight decay.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
 	t int
 	m map[*Param]*tensor.Tensor
@@ -75,7 +74,6 @@ func (o *Adam) Step(params []*Param) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	b1, b2 := float32(o.Beta1), float32(o.Beta2)
-	wd := float32(o.WeightDecay)
 	for _, p := range params {
 		m := o.m[p]
 		v := o.v[p]
@@ -86,7 +84,7 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = v
 		}
 		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
-			tensor.AdamStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi], o.LR, o.Eps, bc1, bc2, b1, b2, wd)
+			tensor.AdamStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi], o.LR, o.Eps, bc1, bc2, b1, b2, 0)
 		})
 	}
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // adamStepScalar is Adam.Step as it stood before the update was split over
-// the pool — one serial loop per parameter — kept verbatim as the reference
-// for TestAdamStepMatchesScalarReference.
-func adamStepScalar(o *Adam, t int, w, grad, m, v []float32) {
+// the pool — one serial loop per parameter — kept as the reference for
+// TestAdamStepMatchesScalarReference, with the weight decay tensor.AdamStep
+// takes as an operand.
+func adamStepScalar(o *Adam, t int, wd float32, w, grad, m, v []float32) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(t))
 	b1, b2 := float32(o.Beta1), float32(o.Beta2)
-	wd := float32(o.WeightDecay)
 	for i := range w {
 		g := grad[i]
 		if wd != 0 {
@@ -31,34 +31,31 @@ func adamStepScalar(o *Adam, t int, w, grad, m, v []float32) {
 }
 
 // TestAdamStepMatchesScalarReference requires Adam.Step to reproduce the
-// serial scalar update bit for bit — with and without weight decay, for
-// parameter lengths on both sides of the split grain, over three steps so the
-// moments and both bias corrections are exercised past their first values.
+// serial scalar update bit for bit, for parameter lengths on both sides of
+// the split grain, over three steps so the moments and both bias corrections
+// are exercised past their first values.
 func TestAdamStepMatchesScalarReference(t *testing.T) {
-	for _, wd := range []float64{0, 1e-3} {
-		var params []*Param
-		var refW, refM, refV [][]float32
-		for pi, n := range []int{0, 1, 9, elemGrain - 1, elemGrain, elemGrain + 1, 3*elemGrain + 5} {
-			p := newParam(fmt.Sprintf("p%d", pi), n)
-			tensor.NewRNG(int64(71+pi)).FillNormal(p.W, 0, 1)
-			params = append(params, p)
-			refW = append(refW, append([]float32(nil), p.W.Data...))
-			refM = append(refM, make([]float32, n))
-			refV = append(refV, make([]float32, n))
+	var params []*Param
+	var refW, refM, refV [][]float32
+	for pi, n := range []int{0, 1, 9, elemGrain - 1, elemGrain, elemGrain + 1, 3*elemGrain + 5} {
+		p := newParam(fmt.Sprintf("p%d", pi), n)
+		tensor.NewRNG(int64(71+pi)).FillNormal(p.W, 0, 1)
+		params = append(params, p)
+		refW = append(refW, append([]float32(nil), p.W.Data...))
+		refM = append(refM, make([]float32, n))
+		refV = append(refV, make([]float32, n))
+	}
+	opt := NewAdam(0.002)
+	for step := 1; step <= 3; step++ {
+		for pi, p := range params {
+			tensor.NewRNG(int64(81+10*step+pi)).FillNormal(p.Grad, 0, 1)
+			adamStepScalar(opt, step, 0, refW[pi], p.Grad.Data, refM[pi], refV[pi])
 		}
-		opt := NewAdam(0.002)
-		opt.WeightDecay = wd
-		for step := 1; step <= 3; step++ {
-			for pi, p := range params {
-				tensor.NewRNG(int64(81+10*step+pi)).FillNormal(p.Grad, 0, 1)
-				adamStepScalar(opt, step, refW[pi], p.Grad.Data, refM[pi], refV[pi])
-			}
-			opt.Step(params)
-			for pi, p := range params {
-				for i, v := range p.W.Data {
-					if math.Float32bits(v) != math.Float32bits(refW[pi][i]) {
-						t.Fatalf("wd=%v step %d: %s[%d] = %v, scalar reference %v", wd, step, p.Name, i, v, refW[pi][i])
-					}
+		opt.Step(params)
+		for pi, p := range params {
+			for i, v := range p.W.Data {
+				if math.Float32bits(v) != math.Float32bits(refW[pi][i]) {
+					t.Fatalf("step %d: %s[%d] = %v, scalar reference %v", step, p.Name, i, v, refW[pi][i])
 				}
 			}
 		}
@@ -108,7 +105,8 @@ func optimizerGrad(g []float32, seed int64) {
 // kernel set: every length 0…70 (the 16- and 8-wide bodies and every tail)
 // and one long row, gradients salted by optimizerGrad, weight decay off and
 // on, and Adam at step 1 and at step 10 000, where its bias corrections are
-// 1 to within rounding. The optimizer state starts finite, so each NaN result
+// 1 to within rounding. Adam.Step has no weight decay, so the decayed Adam
+// rows call tensor.AdamStep directly. The optimizer state starts finite, so each NaN result
 // has one NaN source and one payload.
 func TestOptimizerKernelsMatchLoop(t *testing.T) {
 	lengths := make([]int, 0, 72)
@@ -138,11 +136,17 @@ func TestOptimizerKernelsMatchLoop(t *testing.T) {
 					rng.FillUniform(v, 0, 0.1)
 					refW, refM, refV := slicesClone(p.W.Data), slicesClone(m.Data), slicesClone(v.Data)
 					opt := NewAdam(0.002)
-					opt.WeightDecay = wd
 					opt.t = step - 1
 					opt.m[p], opt.v[p] = m, v
-					adamStepScalar(opt, step, refW, p.Grad.Data, refM, refV)
-					opt.Step([]*Param{p})
+					adamStepScalar(opt, step, float32(wd), refW, p.Grad.Data, refM, refV)
+					if wd == 0 {
+						opt.Step([]*Param{p})
+					} else {
+						bc1 := 1 - math.Pow(opt.Beta1, float64(step))
+						bc2 := 1 - math.Pow(opt.Beta2, float64(step))
+						tensor.AdamStep(p.W.Data, p.Grad.Data, m.Data, v.Data, opt.LR, opt.Eps, bc1, bc2,
+							float32(opt.Beta1), float32(opt.Beta2), float32(wd))
+					}
 					what := fmt.Sprintf("adam wd=%v t=%d n=%d: ", wd, step, n)
 					check(t, what+"w", p.W.Data, refW, p.Grad.Data)
 					check(t, what+"m", m.Data, refM, p.Grad.Data)

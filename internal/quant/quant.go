@@ -58,19 +58,6 @@ func Quantize(t *tensor.Tensor) *Tensor8 {
 	return q
 }
 
-// Dequantize expands the int8 tensor back to float32.
-func (q *Tensor8) Dequantize() *tensor.Tensor {
-	t := tensor.New(q.Shape...)
-	for i, v := range q.Data {
-		t.Data[i] = float32(v) * q.Scale
-	}
-	return t
-}
-
-// MaxAbsError returns the worst-case absolute reconstruction error bound for
-// the quantization: scale/2.
-func (q *Tensor8) MaxAbsError() float32 { return q.Scale / 2 }
-
 // HDModel8 is the integer inference form of an HD classifier: row-normalized
 // class hypervectors quantized to int8, compared to bipolar queries with an
 // int32 dot product. Row normalization before quantization makes the integer
@@ -153,6 +140,3 @@ func (q *HDModel8) PredictBatch(signed *tensor.Tensor) ([]int, error) {
 // minBatchWork is the per-task floor of add/sub operations below which pool
 // dispatch overhead would dominate a PredictBatch task.
 const minBatchWork = 1 << 15
-
-// MemoryBytes is the int8 model footprint.
-func (q *HDModel8) MemoryBytes() int64 { return int64(q.K) * int64(q.D) }

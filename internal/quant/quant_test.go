@@ -116,9 +116,6 @@ func TestQuantizedHDTracksFloatPredictions(t *testing.T) {
 	if float64(agree)/float64(n) < 0.97 {
 		t.Fatalf("int8 HD path agrees with float on only %d/%d", agree, n)
 	}
-	if q.MemoryBytes() != k*d {
-		t.Fatalf("MemoryBytes = %d", q.MemoryBytes())
-	}
 }
 
 func TestQuantizedHDShapeError(t *testing.T) {

@@ -325,21 +325,12 @@ func DotFast(x, y []float32) float32 {
 	return Dot(x, y)
 }
 
-// MatMulT returns a(M×K) @ bᵀ where b is N×K — the layout used for similarity
-// of a query batch against class hypervectors. Both operands are K-contiguous;
-// each output element accumulates over the full K range independently, which
-// keeps results identical for any parallel row split.
-func MatMulT(a, b *Tensor) *Tensor {
-	out := New(a.Shape[0], b.Shape[0])
-	MatMulTInto(out, a, b)
-	return out
-}
-
 // MatMulTInto computes dst = a(M×K) @ bᵀ (b is N×K) into a caller-owned dst,
-// so batched training loops can reuse one similarity buffer across steps. It
-// runs the same dot kernel as MatMulT; results are bit-identical. The pool
-// splits the rows, or, where B is over dotStreamFloats, the columns: then
-// each task streams its own share of B once instead of all of B. Row split →
+// so batched training loops can reuse one similarity buffer across steps.
+// This is the layout used for similarity of a query batch against class
+// hypervectors: both operands are K-contiguous. The pool splits the rows, or,
+// where B is over dotStreamFloats, the columns: then each task streams its
+// own share of B once instead of all of B. Row split →
 // column split, medians of 100 alternated calls on the two-core bench box:
 // [32×1024]·[1024×1024]ᵀ (train's dense head) 1408 → 1009 µs,
 // [5×100×18432] 1369 → 511, [32×100×3000] 367 → 353. An output's chain does

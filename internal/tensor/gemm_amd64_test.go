@@ -87,7 +87,7 @@ func dotLaneModel(x, y []float32) float32 {
 // around the 8- and 32-float steps (63 and 1055 run loop8 after loop32, into
 // partials that are not zero) and at the manifold and tail widths. It is
 // why a GEMM-driver product — one FMA chain per element — cannot stand in for
-// them bit-identically (ROADMAP item 5c).
+// them bit-identically (until ROADMAP's bit epoch).
 func TestDotFastLaneOrder(t *testing.T) {
 	if !useGemmAsm {
 		t.Skip("no AVX2 kernel on this machine")

@@ -39,11 +39,6 @@ func (g *BipolarGen) word(r, wi int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// at returns element (r, c) as ±1.
-func (g *BipolarGen) at(r, c int) float32 {
-	return 1 - 2*float32((g.word(r, c>>6)>>uint(c&63))&1)
-}
-
 // FillInto materializes the whole matrix into t ([Rows, Cols]).
 func (g *BipolarGen) FillInto(t *Tensor) {
 	if t.Rank() != 2 || t.Shape[0] != g.Rows || t.Shape[1] != g.Cols {

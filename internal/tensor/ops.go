@@ -16,43 +16,6 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	AddInto(out, a, b)
-	return out
-}
-
-// SubInto computes dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSame3(dst, a, b, "SubInto")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	SubInto(out, a, b)
-	return out
-}
-
-// MulInto computes dst = a * b elementwise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
-	checkSame3(dst, a, b, "MulInto")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
-// Mul returns the elementwise product a * b.
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	MulInto(out, a, b)
-	return out
-}
-
 // Scale multiplies every element of t by s in place.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {

@@ -8,17 +8,12 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestAddSubMul(t *testing.T) {
+func TestAddInto(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{4, 5, 6}, 3)
-	if got := Add(a, b).Data; got[0] != 5 || got[2] != 9 {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Mul(a, b).Data; got[1] != 10 {
-		t.Fatalf("Mul = %v", got)
+	AddInto(a, a, b)
+	if got := a.Data; got[0] != 5 || got[2] != 9 {
+		t.Fatalf("AddInto = %v", got)
 	}
 }
 
@@ -28,7 +23,7 @@ func TestAddShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Add(New(2), New(3))
+	AddInto(New(2), New(2), New(3))
 }
 
 func TestScaleAXPY(t *testing.T) {

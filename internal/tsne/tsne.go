@@ -99,15 +99,6 @@ func Embed(data *tensor.Tensor, cfg Config) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// KL returns the final Kullback-Leibler divergence between the
-// high-dimensional affinities of data and the embedding y's Student-t
-// affinities — the t-SNE objective value, useful for tests.
-func KL(data, y *tensor.Tensor, perplexity float64) float64 {
-	p := affinities(data, perplexity)
-	_, kl := gradient(p, y, 1)
-	return kl
-}
-
 // affinities computes the symmetrized, perplexity-calibrated joint
 // distribution P over point pairs.
 func affinities(data *tensor.Tensor, perplexity float64) *tensor.Tensor {

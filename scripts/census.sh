@@ -8,11 +8,12 @@
 # directory, runs each workload of BENCHMARK.json for one second untraced
 # (--trace 0) and traced (--trace 1) with GOCOVERDIR set, and prints the
 # `go tool covdata func` rows at 0.0 % under nshd/internal/, skipping the
-# portable twins (*_noasm.go) that an asm build never compiles. The runs
-# start in the temporary directory, so their benchmark/out stays out of the
-# tree. A row here is a candidate for deletion, not a verdict: code a test
-# compares other code against, or that another entry point (cmd/, examples/)
-# runs, reads 0.0 % as well.
+# portable twins (*_noasm.go) that an asm build never compiles and the test
+# helpers of tensortest. The runs start in the temporary directory, so their
+# benchmark/out stays out of the tree. TestNoTestOnlyExports already fails on
+# a function that no non-test file references, so a row here is reached by
+# some entry point (cmd/, examples/, an experiment), but not by the
+# benchmark: a candidate for a workload or for deletion, not a verdict.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
@@ -31,4 +32,4 @@ for w in $workloads; do
 	done
 done
 go tool covdata func -i="$tmp/cov" |
-	awk '$NF == "0.0%" && $1 ~ /^nshd\/internal\// && $1 !~ /_noasm\.go:/'
+	awk '$NF == "0.0%" && $1 ~ /^nshd\/internal\// && $1 !~ /_noasm\.go:/ && $1 !~ /\/tensortest\//'
