@@ -34,18 +34,20 @@ staticcheck:
 # K = 100 (TestEngineZeroAllocWideClassMemory), and for the batch split's
 # fan-out — sub-chunk parts of one chunk, even parts of three chunks and one
 # (TestEngineZeroAllocSplit; the older gates call with 2 <= n <= chunk below
-# the work floor, so they also pin that such a batch does not fan out); all
-# ride the same -run prefix. So must the /predict JSON codec (decode of an
+# the work floor, so they also pin that such a batch does not fan out), and
+# for a manifold FC over 1 MiB, whose product is split by columns on a
+# prebound Call (TestEngineZeroAllocStreamedManifold); all ride the same -run
+# prefix. So must the /predict JSON codec (decode of an
 # 8-image body into the pooled scratch, response encode; see
 # TestCodecZeroAlloc). The blocked-GEMM driver has its own gate under all of
 # them, one product per B source on both builds (TestGemmDriverZeroAlloc).
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
 # driver's and the engine's gates on the 256-bit ones. Training has a bound,
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
-# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 1 740 allocations,
-# the count measured before the step's col2im, gradient merge and ZeroGrad
-# were rewritten, and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB
-# in at most 7 600 or 8 400 (TestFitStepHeap, which logs each step's bytes
+# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 600 allocations,
+# and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB in at most
+# 2 300 or 2 500, about 10 % over their counts on two cores once Conv2D's
+# tasks held their tensor headers (TestFitStepHeap, which logs each step's bytes
 # and allocations; 42 MB for VGG16/4 when every activation, gradient and
 # workspace was fresh heap, and 349 896 178 and 482 226 952 B for the other
 # two while nine of their layer types trained on the heap). So has the HD
@@ -93,11 +95,13 @@ v3:
 # end's hammer tests live in internal/serve: TestBatcherHammer, and
 # TestCodecHammer over the request scratch pool the JSON and binary codecs share;
 # the engine's batch split against the fused blocks' tile fan-out is
-# TestEngineSplitConcurrentCallers in internal/engine) and the training code
-# that runs on them (the arena's training steps in internal/cnn, the HD
-# retraining loop and the joint manifold loop in internal/core, and
-# TestPipelineEvalConcurrent there: two goroutines on one pipeline's eval
-# passes).
+# TestEngineSplitConcurrentCallers in internal/engine, the manifold FC's
+# column split inside batch splits TestEngineStreamedManifoldConcurrentCallers
+# there, and inside nn.Infer's parts TestInferSplitsStreamedLinear in
+# internal/nn) and the training code that runs on them (the arena's training
+# steps in internal/cnn, the HD retraining loop and the joint manifold loop in
+# internal/core, and TestPipelineEvalConcurrent there: two goroutines on one
+# pipeline's eval passes).
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
 

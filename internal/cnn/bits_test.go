@@ -71,7 +71,8 @@ func hashFloats(h hash.Hash64, x []float32) {
 }
 
 // TestTrainingBitsPinned pins pretrainBits at 512 and at forced 256 bits for
-// every model of trainingPins. A change to the training step's memory, to a
+// every model of trainingPins, and trainingBitsVersion, which names cached
+// teachers, to the pins. A change to the training step's memory, to a
 // GEMM kernel or to an optimizer kernel that moves any bit — a missed clear of
 // an accumulated gradient, a reordered sum — fails here, where the per-layer
 // tests compare two paths of the same code. The portable build rounds
@@ -79,6 +80,14 @@ func hashFloats(h hash.Hash64, x []float32) {
 // does math.Exp's fast path (math/exp_asm.go), which SiLU and Sigmoid reach:
 // on a CPU without FMA the mobilenetv2 and effnetb0 bits would differ anyway.
 func TestTrainingBitsPinned(t *testing.T) {
+	h := fnv.New64a()
+	for _, pin := range trainingPins {
+		h.Write([]byte(pin.model))
+		binary.Write(h, binary.LittleEndian, [3]uint64{uint64(pin.cut), pin.params, pin.logits})
+	}
+	if h.Sum64() != trainingBitsVersion {
+		t.Fatalf("the pins hash to %#016x, trainingBitsVersion is %#016x: re-pinning changes the training bits, so it must change the version too", h.Sum64(), trainingBitsVersion)
+	}
 	if tensor.KernelISA() == "portable" {
 		t.Skip("the pinned bits are the vector kernels' and math.Exp's FMA path; the portable twins round differently")
 	}

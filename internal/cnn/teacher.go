@@ -1,6 +1,8 @@
 package cnn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,8 +24,8 @@ type PretrainConfig struct {
 	BatchSize int
 	LR        float64
 	Momentum  float64
-	// CacheDir, when non-empty, enables snapshot reuse keyed by model,
-	// dataset and schedule.
+	// CacheDir, when non-empty, enables snapshot reuse keyed by every input
+	// that fixes the teacher's bits (cachePath).
 	CacheDir string
 	Log      io.Writer
 }
@@ -33,10 +35,72 @@ func DefaultPretrainConfig() PretrainConfig {
 	return PretrainConfig{Epochs: 12, BatchSize: 32, LR: 0.05, Momentum: 0.9}
 }
 
-// cachePath derives a deterministic snapshot name for the configuration.
-func (c PretrainConfig) cachePath(m *Model, d *dataset.Dataset) string {
-	return filepath.Join(c.CacheDir,
-		fmt.Sprintf("%s_%s_%dc_%dn_%de.gob", m.Name, sanitize(d.Name), m.Classes, d.Len(), c.Epochs))
+// trainingBitsVersion names the bits the training code computes: the FNV-1a
+// 64 hash of the training pins, which TestTrainingBitsPinned checks, so a
+// change that re-pins them has to change it, and with it the name of every
+// cached teacher.
+const trainingBitsVersion uint64 = 0x0b4e98491393809d
+
+// cachePath names the snapshot of the teacher Pretrain trains from here: a
+// SHA-256 of everything that fixes its bits — the model's name and initial
+// parameters (which cover its width, classes and init seed), the training
+// images with their shape and the labels, the schedule fields Pretrain reads,
+// the state of rng, whether the kernels are the portable ones (which round
+// differently), and trainingBitsVersion. A snapshot of any other teacher, or
+// one named by the older model/dataset/epochs scheme, is never loaded.
+func (c PretrainConfig) cachePath(m *Model, d *dataset.Dataset, rng *tensor.RNG) string {
+	h := sha256.New()
+	var b []byte // bytes not yet hashed, spilled at 8 KiB
+	spill := func() {
+		if len(b) >= 8<<10 {
+			h.Write(b)
+			b = b[:0]
+		}
+	}
+	word := func(v uint64) {
+		b = binary.LittleEndian.AppendUint64(b, v)
+		spill()
+	}
+	text := func(s string) {
+		word(uint64(len(s)))
+		b = append(b, s...)
+		spill()
+	}
+	floats := func(t *tensor.Tensor) {
+		word(uint64(len(t.Shape)))
+		for _, n := range t.Shape {
+			word(uint64(n))
+		}
+		for _, v := range t.Data {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+			spill()
+		}
+	}
+	word(trainingBitsVersion)
+	if tensor.KernelISA() == "portable" {
+		word(1)
+	} else {
+		word(0)
+	}
+	text(m.Name)
+	params := m.Full().Params()
+	word(uint64(len(params)))
+	for _, p := range params {
+		text(p.Name)
+		floats(p.W)
+	}
+	floats(d.Images)
+	word(uint64(len(d.Labels)))
+	for _, l := range d.Labels {
+		word(uint64(l))
+	}
+	word(uint64(c.Epochs))
+	word(uint64(c.BatchSize))
+	word(math.Float64bits(c.LR))
+	word(math.Float64bits(c.Momentum))
+	word(rng.State())
+	h.Write(b)
+	return filepath.Join(c.CacheDir, fmt.Sprintf("teacher-%s-%x.gob", sanitize(m.Name), h.Sum(nil)[:12]))
 }
 
 func sanitize(s string) string {
@@ -76,8 +140,9 @@ func finite(model *nn.Sequential) bool {
 // finite, or a cached snapshot with non-finite weights, fails with
 // ErrDiverged; a diverged run writes no snapshot.
 func Pretrain(m *Model, train *dataset.Dataset, cfg PretrainConfig, rng *tensor.RNG) (float64, bool, error) {
+	var path string
 	if cfg.CacheDir != "" {
-		path := cfg.cachePath(m, train)
+		path = cfg.cachePath(m, train, rng)
 		if _, err := os.Stat(path); err == nil {
 			if err := nn.LoadModel(m.Full(), path); err != nil {
 				return 0, false, fmt.Errorf("cnn: restore cached teacher: %w", err)
@@ -112,7 +177,7 @@ func Pretrain(m *Model, train *dataset.Dataset, cfg PretrainConfig, rng *tensor.
 		if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {
 			return acc, false, fmt.Errorf("cnn: create cache dir: %w", err)
 		}
-		if err := nn.SaveModel(m.Full(), cfg.cachePath(m, train)); err != nil {
+		if err := nn.SaveModel(m.Full(), path); err != nil {
 			return acc, false, fmt.Errorf("cnn: cache teacher: %w", err)
 		}
 	}

@@ -183,3 +183,89 @@ func TestEngineZeroAllocSplit(t *testing.T) {
 		}
 	}
 }
+
+// streamedManifold compiles a 96×96 engine on tinyZoo cut at unit 1,
+// whose manifold FC, 128 outputs over 16×12×12 pooled features, holds more than
+// the 1 MiB of weights over which Linear.ForwardInfer splits W's columns over
+// the pool (as embedded_large's [100 × 18432] FC does).
+func streamedManifold(t *testing.T, packed bool) (*engine.Engine, *tensor.Tensor) {
+	t.Helper()
+	big := tinyZoo(62, 4)
+	big.InShape = []int{3, 96, 96}
+	p, test := buildPipelineOn(t, big, 1, func(c *core.Config) { c.FHat, c.PackedInference = 128, packed })
+	if bytes := 4 * p.Manifold.PooledF * p.Manifold.FHat; bytes <= 1<<20 {
+		t.Fatalf("manifold FC weights %d B, not over the column split's 1 MiB", bytes)
+	}
+	e, err := engine.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, test.Images
+}
+
+// TestEngineZeroAllocStreamedManifold extends the allocation gate (name
+// prefix: `make alloc`) to a manifold FC whose product is split by columns:
+// at batch 1, where the split is the only fan-out, and with the work floor at
+// 1, where it runs inside every part of a batch split, the prebound Calls must
+// keep PredictInto off the heap.
+func TestEngineZeroAllocStreamedManifold(t *testing.T) {
+	engine.SetSplitFloor(t, 1)
+	for _, packed := range []bool{false, true} {
+		t.Run(kernelName(packed), func(t *testing.T) {
+			e, imgs := streamedManifold(t, packed)
+			for _, n := range []int{1, parallel.Workers() + 1, min(e.ChunkSize(), imgs.Shape[0])} {
+				requireZeroAlloc(t, e, firstImages(imgs, n))
+			}
+		})
+	}
+}
+
+// TestEngineStreamedManifoldConcurrentCallers runs the manifold's column
+// split inside the parts of batch splits from two goroutines at once, each
+// batch more images than workers, under a watchdog (and -race in `make
+// race`): the splits compete for the engine's arenas and prebound calls and
+// for the column splits' own. Every sample's prediction must equal the one it
+// gets alone, before the contention.
+func TestEngineStreamedManifoldConcurrentCallers(t *testing.T) {
+	engine.SetSplitFloor(t, 1)
+	e, imgs := streamedManifold(t, true)
+	w := parallel.Workers()
+	n := min(2*w+1, imgs.Shape[0])
+	singles := make([]splitOutputs, n)
+	for i := range singles {
+		singles[i] = runAll(t, e, imagesAt(imgs, i, i+1))
+	}
+	if diff := runAll(t, e, firstImages(imgs, n)).matchesSingles(e, singles); diff != "" {
+		t.Fatalf("n=%d: %s", n, diff)
+	}
+	done := make(chan string, 2)
+	for _, lo := range []int{0, 1} {
+		batch := imagesAt(imgs, lo, lo+n-1)
+		go func() {
+			preds := make([]int, batch.Shape[0])
+			for it := 0; it < 8; it++ {
+				if err := e.PredictInto(batch, preds); err != nil {
+					done <- err.Error()
+					return
+				}
+				for i, v := range preds {
+					if want := singles[lo+i].preds[0]; v != want {
+						done <- fmt.Sprintf("PredictInto under contention: sample %d pred %d, alone %d", lo+i, v, want)
+						return
+					}
+				}
+			}
+			done <- ""
+		}()
+	}
+	for range 2 {
+		select {
+		case msg := <-done:
+			if msg != "" {
+				t.Fatal(msg)
+			}
+		case <-time.After(120 * time.Second):
+			t.Fatal("concurrent callers of a streamed manifold deadlocked")
+		}
+	}
+}

@@ -101,9 +101,10 @@ func (l *Learner) ForwardPooled(a *tensor.Arena, pooled *tensor.Tensor) *tensor.
 	return l.fc.Forward(a, pooled)
 }
 
-// ForwardInfer is the serving-side Forward: state-free, serial, and
-// allocating only from the caller's arena (see nn.Layer). It matches
-// Forward(x, false) bit-for-bit.
+// ForwardInfer is the serving-side Forward: state-free, serial but for an
+// FC over 1 MiB of weights, which nn.Linear splits by columns on a prebound
+// Call, and allocating only from the caller's arena (see nn.Layer). It
+// matches Forward(x, false) bit-for-bit.
 func (l *Learner) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("manifold: ForwardInfer expects [N C H W], got %v", x.Shape))

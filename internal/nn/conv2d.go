@@ -123,15 +123,16 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	}
 	forTasks(a, (n+chunk-1)/chunk, gemmLen+bufLen, func(ws []float32, clo, chi int) {
 		gemmBuf, buf := ws[:gemmLen], ws[gemmLen:]
+		var ms [2]mat
 		for ci := clo; ci < chi; ci++ {
 			lo := ci * chunk
 			b := min(chunk, n-lo)
 			ys := y.Data[lo*sampleOut:][:b*sampleOut]
 			if offset {
-				tensor.ConvMulSerialInto(tensor.FromSlice(ys, c.OutC, hw), wmat, g, x.Data[lo*sampleIn:][:sampleIn], gemmBuf)
+				tensor.ConvMulSerialInto(ms[0].bind(ys, c.OutC, hw), wmat, g, x.Data[lo*sampleIn:][:sampleIn], gemmBuf)
 			} else {
 				ld := b * hw // the stacked dimension
-				cols := tensor.FromSlice(buf[:kdim*ld], kdim, ld)
+				cols := ms[1].bind(buf, kdim, ld)
 				out := ys // one sample: the product is y's layout already
 				if b > 1 {
 					out = buf[kdim*ld:][:c.OutC*ld]
@@ -139,7 +140,7 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 				for s := 0; s < b; s++ {
 					tensor.Im2ColWindow(g, x.Data[(lo+s)*sampleIn:][:sampleIn], cols.Data, ld, s*hw)
 				}
-				tensor.MatMulSerialInto(tensor.FromSlice(out, c.OutC, ld), wmat, cols, gemmBuf)
+				tensor.MatMulSerialInto(ms[0].bind(out, c.OutC, ld), wmat, cols, gemmBuf)
 				if b > 1 {
 					for p := 0; p < b*c.OutC; p++ {
 						s, oc := p/c.OutC, p%c.OutC
@@ -283,14 +284,11 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 	}
 	forTasks(a, numChunks, prodLen+bufLen, func(ws []float32, clo, chi int) {
 		prodBuf, buf := ws[:prodLen], ws[prodLen:]
-		var gmat *tensor.Tensor
-		if perSample {
-			gmat = tensor.FromSlice(grad.Data[:c.OutC*hw], c.OutC, hw)
-		}
+		var ms [3]mat // G, dWᵀ, dcols
 		for ci := clo; ci < chi; ci++ {
 			acc := accBuf[ci*accLen:][:accLen]
 			clear(acc)
-			dwT, db := tensor.FromSlice(acc[:dwLen], kdim, c.OutC), acc[dwLen:]
+			dwT, db := ms[1].bind(acc, kdim, c.OutC), acc[dwLen:]
 			lo := ci * chunk
 			b := min(chunk, n-lo)
 			if dx != nil {
@@ -298,20 +296,20 @@ func (c *Conv2D) backward(a *tensor.Arena, grad, dx *tensor.Tensor) {
 			}
 			if perSample {
 				for s := lo; s < lo+b; s++ {
-					gmat.Data = grad.Data[s*c.OutC*hw:][:c.OutC*hw]
-					c.backwardProducts(g, x, gmat, dx, dwT, db, wmat, s, 1, prodBuf, buf)
+					gmat := ms[0].bind(grad.Data[s*c.OutC*hw:], c.OutC, hw)
+					c.backwardProducts(g, x, gmat, dx, dwT, db, wmat, s, 1, prodBuf, buf, &ms[2])
 				}
 				continue
 			}
 			ld := b * hw // the stacked dimension
-			gs := tensor.FromSlice(buf[:c.OutC*ld], c.OutC, ld)
+			gs := ms[0].bind(buf, c.OutC, ld)
 			for s := 0; s < b; s++ {
 				src := grad.Data[(lo+s)*c.OutC*hw:]
 				for oc := 0; oc < c.OutC; oc++ {
 					copy(gs.Data[oc*ld+s*hw:][:hw], src[oc*hw:])
 				}
 			}
-			c.backwardProducts(g, x, gs, dx, dwT, db, wmat, lo, b, prodBuf, buf[c.OutC*ld:])
+			c.backwardProducts(g, x, gs, dx, dwT, db, wmat, lo, b, prodBuf, buf[c.OutC*ld:], &ms[2])
 		}
 	})
 	mergeWeightGrad(c.Weight.Grad.Data, accBuf, numChunks, accLen, kdim, c.OutC)
@@ -376,6 +374,21 @@ func mergeWeightGrad(wg, acc []float32, chunks, accLen, kdim, outC int) {
 	parallelFor(rows, merge)
 }
 
+// mat is a rank-2 tensor header that a pool task rebinds item by item: where
+// tensor.FromSlice puts a header and its shape on the heap at every call, a
+// task's mats are one heap object for its whole range.
+type mat struct {
+	t     tensor.Tensor
+	shape [2]int
+}
+
+// bind points m at the rows×cols matrix at the front of data.
+func (m *mat) bind(data []float32, rows, cols int) *tensor.Tensor {
+	m.shape = [2]int{rows, cols}
+	m.t = tensor.Tensor{Shape: m.shape[:], Data: data[:rows*cols]}
+	return &m.t
+}
+
 // mergeTile is the edge of mergeWeightGrad's tiles: 16 taps of one output
 // channel are one 64-byte line of the weight gradient.
 const mergeTile = 16
@@ -383,9 +396,9 @@ const mergeTile = 16
 // backwardProducts is one product pair of Backward — samples [lo, lo+b)
 // against gmat, their output gradients [OutC, b·HW] side by side —
 // accumulating into dwT and db and, where dx is set, writing those samples'
-// dx through dcols (kdim·b·HW floats of dcolsBuf). prodBuf is the products'
-// scratch.
-func (c *Conv2D) backwardProducts(g tensor.ConvGeom, x, gmat, dx, dwT *tensor.Tensor, db []float32, wmat *tensor.Tensor, lo, b int, prodBuf, dcolsBuf []float32) {
+// dx through dcols (kdim·b·HW floats of dcolsBuf, viewed through the task's
+// header dcolsMat). prodBuf is the products' scratch.
+func (c *Conv2D) backwardProducts(g tensor.ConvGeom, x, gmat, dx, dwT *tensor.Tensor, db []float32, wmat *tensor.Tensor, lo, b int, prodBuf, dcolsBuf []float32, dcolsMat *mat) {
 	hw := g.OutH() * g.OutW()
 	sampleIn := c.InC * g.InH * g.InW
 	ld := b * hw
@@ -397,7 +410,7 @@ func (c *Conv2D) backwardProducts(g tensor.ConvGeom, x, gmat, dx, dwT *tensor.Te
 		return
 	}
 	kdim := c.InC * c.KH * c.KW
-	dcols := tensor.FromSlice(dcolsBuf[:kdim*ld], kdim, ld)
+	dcols := dcolsMat.bind(dcolsBuf, kdim, ld)
 	tensor.MatMulATSerialInto(dcols, wmat, gmat, prodBuf)
 	tensor.Col2ImWindow(g, dcols.Data, ld, b, dx.Data[lo*sampleIn:][:b*sampleIn])
 }

@@ -261,14 +261,15 @@ func (f *Flatten) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tenso
 	return ar.Wrap(x.Data, n, x.Len()/n)
 }
 
-// ForwardInfer implements Layer via the serial transposed GEMM.
+// ForwardInfer implements Layer through tensor.MatMulTInferInto: serial,
+// but split by W's columns over the pool where W is over 1 MiB.
 func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	n := batchOf(x, "Linear")
 	if x.Rank() != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: Linear expects [N %d], got %v", l.In, x.Shape))
 	}
 	y := ar.Alloc(n, l.Out)
-	tensor.MatMulTSerialInto(y, x, l.Weight.W)
+	tensor.MatMulTInferInto(y, x, l.Weight.W)
 	l.addBias(y)
 	return y
 }

@@ -5,7 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 	"nshd/internal/tensor/tensortest"
 )
@@ -138,28 +140,96 @@ func inferOnce(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	return l.ForwardInfer(in, ar)
 }
 
+// TestForwardInferZeroAllocWhenFrozen: once an arena is frozen, ForwardInfer
+// touches no heap, for every layer type of inferTestModel and for a Linear
+// whose weights are over the 1 MiB where its product is split by columns on a
+// prebound Call.
 func TestForwardInferZeroAllocWhenFrozen(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	model := inferTestModel(rng)
 	randomizeEval(rng, model)
+	for _, c := range []struct {
+		l     Layer
+		shape []int
+	}{
+		{model, []int{3, 3, 16, 16}},
+		{streamedLinear(rng), []int{3, streamedIn}},
+	} {
+		x := tensor.New(c.shape...)
+		rng.FillNormal(x, 0, 1)
 
-	x := tensor.New(3, 3, 16, 16)
-	rng.FillNormal(x, 0, 1)
-
-	ar := tensor.NewArena()
-	in := ar.Alloc(x.Shape...)
-	copy(in.Data, x.Data)
-	model.ForwardInfer(in, ar)
-	ar.Freeze()
-
-	allocs := testing.AllocsPerRun(10, func() {
-		ar.Reset()
-		in := ar.Alloc(3, 3, 16, 16)
+		ar := tensor.NewArena()
+		in := ar.Alloc(x.Shape...)
 		copy(in.Data, x.Data)
-		model.ForwardInfer(in, ar)
-	})
-	if allocs != 0 {
-		t.Fatalf("frozen ForwardInfer allocated %.1f times per run, want 0", allocs)
+		c.l.ForwardInfer(in, ar)
+		ar.Freeze()
+
+		allocs := testing.AllocsPerRun(10, func() {
+			ar.Reset()
+			in := ar.Alloc(c.shape...)
+			copy(in.Data, x.Data)
+			c.l.ForwardInfer(in, ar)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: frozen ForwardInfer allocated %.1f times per run, want 0", c.l.Name(), allocs)
+		}
+	}
+}
+
+// streamedIn is the input width of streamedLinear: embedded_large's pooled
+// features.
+const streamedIn = 18432
+
+// streamedLinear is embedded_large's manifold FC, 18432 → 100 with a random
+// bias: 7.4 MB of weights, over the 1 MiB where ForwardInfer's product is
+// split by columns.
+func streamedLinear(rng *tensor.RNG) *Linear {
+	l := NewLinear(rng, streamedIn, 100, true)
+	rng.FillNormal(l.Bias.W, 0, 1)
+	return l
+}
+
+// TestInferSplitsStreamedLinear runs nn.Infer over streamedLinear in more
+// parts than workers, so each part's column split fans out from a part that
+// holds a worker arena, from two goroutines at once under a watchdog (and
+// -race in `make race`). Every output must be its dot chain plus the bias,
+// bit for bit.
+func TestInferSplitsStreamedLinear(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	l := streamedLinear(rng)
+	n := 2*parallel.Workers() + 1
+	x := tensor.New(n, streamedIn)
+	rng.FillNormal(x, 0, 1)
+	want := make([]float32, n*l.Out)
+	for i := range n {
+		for j := range l.Out {
+			want[i*l.Out+j] = tensor.DotFast(x.Row(i), l.Weight.W.Row(j)) + l.Bias.W.Data[j]
+		}
+	}
+	done := make(chan string, 2)
+	for range 2 {
+		go func() {
+			for it := 0; it < 4; it++ {
+				got := Infer(l, x, 1)
+				for i, v := range got.Data {
+					if math.Float32bits(v) != math.Float32bits(want[i]) {
+						done <- fmt.Sprintf("output %d = %v, dot chain %v", i, v, want[i])
+						return
+					}
+				}
+			}
+			done <- ""
+		}()
+	}
+	for range 2 {
+		select {
+		case msg := <-done:
+			if msg != "" {
+				t.Fatal(msg)
+			}
+		case <-time.After(120 * time.Second):
+			t.Fatal("nn.Infer over a streamed Linear deadlocked")
+		}
 	}
 }
 

@@ -87,18 +87,7 @@ func ForGrain(n, grain int, kernel func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	ensurePool()
-	if grain < 1 {
-		grain = 1
-	}
-	if nworkers <= 1 || n <= grain {
-		kernel(0, n)
-		return
-	}
-	chunks := nworkers * loadBalanceFactor
-	if maxChunks := (n + grain - 1) / grain; chunks > maxChunks {
-		chunks = maxChunks
-	}
+	chunks := Tasks(n, grain)
 	if chunks <= 1 {
 		kernel(0, n)
 		return
@@ -137,4 +126,17 @@ func ForGrain(n, grain int, kernel func(lo, hi int)) {
 			runTask(t)
 		}
 	}
+}
+
+// Tasks is how many chunks ForGrain aims to cut n > 0 items into with a
+// floor of grain items a chunk: loadBalanceFactor per worker where the floor
+// allows, 1 (run inline) when n <= grain or the pool has a single worker. A
+// Call that deals out ranges of items sizes its Run with it.
+func Tasks(n, grain int) int {
+	ensurePool()
+	grain = max(grain, 1)
+	if nworkers <= 1 || n <= grain {
+		return 1
+	}
+	return min(nworkers*loadBalanceFactor, (n+grain-1)/grain)
 }

@@ -107,7 +107,7 @@ func TestMatMulSerialIntoMatchesParallel(t *testing.T) {
 		MatMulSerialInto(got, a, b, scratch)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("m=%d n=%d k=%d: serial[%d]=%v parallel=%v", m, n, k, i, got.Data[i], want.Data[i])
+				t.Fatalf("m=%d n=%d k=%d: infer[%d]=%v parallel=%v", m, n, k, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func TestMatMulSerialIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestMatMulTSerialIntoMatchesParallel(t *testing.T) {
+func TestMatMulTInferIntoMatchesParallel(t *testing.T) {
 	rng := NewRNG(11)
 	for _, dims := range [][3]int{{1, 1, 1}, {5, 3, 7}, {33, 10, 70}, {100, 4, 512}} {
 		m, n, k := dims[0], dims[1], dims[2]
@@ -137,10 +137,10 @@ func TestMatMulTSerialIntoMatchesParallel(t *testing.T) {
 		rng.FillNormal(b, 0, 1)
 		want := MatMulT(a, b)
 		got := New(m, n)
-		MatMulTSerialInto(got, a, b)
+		MatMulTInferInto(got, a, b)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("m=%d n=%d k=%d: serial[%d]=%v parallel=%v", m, n, k, i, got.Data[i], want.Data[i])
+				t.Fatalf("m=%d n=%d k=%d: infer[%d]=%v parallel=%v", m, n, k, i, got.Data[i], want.Data[i])
 			}
 		}
 	}

@@ -291,25 +291,21 @@ func MatMulSerialInto(dst, a, b *Tensor, scratch []float32) {
 	gemmDrive(dst.Data, n, gemmA{a: a.Data, lda: k}, m, &src, 0, n, 0, k, scratch, true)
 }
 
-// MatMulTSerialInto computes dst = a(M×K) @ bᵀ (b is N×K) on the calling
-// goroutine with zero allocations, using the same dot kernel as MatMulT so
-// results are bit-identical to the parallel path.
-func MatMulTSerialInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v @ %vᵀ", a.Shape, b.Shape))
+// MatMulTInferInto is MatMulTInto for a caller inside a pool task that holds
+// a resource queued tasks can wait on (an engine part or an nn.Infer part
+// holds a worker arena) and for zero-allocation paths: a B within
+// dotStreamFloats is multiplied on the calling goroutine, one over it split by
+// columns as MatMulTInto splits it, on a prebound Call whose waiter runs only
+// its own tasks. Zero heap allocations, MatMulTInto's bits.
+func MatMulTInferInto(dst, a, b *Tensor) {
+	m, k, n, ok := matMulTDims(dst, a, b)
+	switch {
+	case !ok:
+	case n*k > dotStreamFloats:
+		matMulTColumns(dst.Data, a.Data, b.Data, m, n, k)
+	default:
+		matMulTRange(dst.Data, a.Data, b.Data, n, k, 0, m)
 	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		clear(dst.Data[:m*n])
-		return
-	}
-	matMulTRange(dst.Data, a.Data, b.Data, n, k, 0, m)
 }
 
 // DotFast returns the inner product of x and y through the same kernel
@@ -337,33 +333,85 @@ func DotFast(x, y []float32) float32 {
 // not depend on the column range it is computed in (dotTile), so neither
 // split moves a bit.
 func MatMulTInto(dst, a, b *Tensor) {
+	m, k, n, ok := matMulTDims(dst, a, b)
+	switch {
+	case !ok:
+	case n*k > dotStreamFloats:
+		matMulTColumns(dst.Data, a.Data, b.Data, m, n, k)
+	default:
+		parallel.ForGrain(m, rowGrain(n, k), func(lo, hi int) {
+			matMulTRange(dst.Data, a.Data, b.Data, n, k, lo, hi)
+		})
+	}
+}
+
+// matMulTDims checks the operands of dst = a(M×K) @ bᵀ (b is N×K) and returns
+// M, K and N, with ok false where nothing is left to compute (an empty
+// product, or K = 0, whose dst it clears).
+func matMulTDims(dst, a, b *Tensor) (m, k, n int, ok bool) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v @ %vᵀ", a.Shape, b.Shape))
 	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	m, k, n = a.Shape[0], a.Shape[1], b.Shape[0]
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulT dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if m == 0 || n == 0 {
-		return
-	}
 	if k == 0 {
 		clear(dst.Data[:m*n])
-		return
 	}
-	if n*k > dotStreamFloats {
-		// Whole groups of dotSplitCols columns, a multiple of both tile
-		// widths, so only N's own edge moves a tile back; rowGrain(m, k) is
-		// the columns whose 2·M·K flops make one task.
-		parallel.ForGrain((n+dotSplitCols-1)/dotSplitCols, (rowGrain(m, k)+dotSplitCols-1)/dotSplitCols, func(lo, hi int) {
-			c0, c1 := lo*dotSplitCols, min(hi*dotSplitCols, n)
-			dotTile(dst.Data[c0:], n, a.Data, k, m, b.Data[c0*k:], k, c1-c0, k, false)
-		})
-		return
-	}
-	parallel.ForGrain(m, rowGrain(n, k), func(lo, hi int) {
-		matMulTRange(dst.Data, a.Data, b.Data, n, k, lo, hi)
+	return m, k, n, m > 0 && n > 0 && k > 0
+}
+
+// colSplit is one column-split product in flight: its operands, and the
+// prebound Call whose task t of tasks computes the dotSplitCols-column
+// groups [t·groups/tasks, (t+1)·groups/tasks).
+type colSplit struct {
+	dst, a, b     []float32
+	m, n, k       int
+	groups, tasks int
+	call          *parallel.Call
+}
+
+// colSplits holds a colSplit per worker; a caller that finds none waits for
+// one, which is safe because a Call's waiter never waits on the queue.
+var (
+	colSplitsOnce sync.Once
+	colSplits     *parallel.Freelist[*colSplit]
+)
+
+func newColSplit() *colSplit {
+	s := &colSplit{}
+	s.call = parallel.NewCall(0, func(t, _ int) {
+		c0 := t * s.groups / s.tasks * dotSplitCols
+		c1 := min((t+1)*s.groups/s.tasks*dotSplitCols, s.n)
+		dotTile(s.dst[c0:], s.n, s.a, s.k, s.m, s.b[c0*s.k:], s.k, c1-c0, s.k, false)
 	})
+	return s
+}
+
+// matMulTColumns computes dst = a(m×k) @ bᵀ (b is n×k) split over the pool
+// by whole groups of dotSplitCols columns, a multiple of both tile widths, so
+// only N's own edge moves a tile back. Tasks take near-equal runs of groups,
+// as many as ForGrain would cut, rowGrain(m, k) being the columns whose
+// 2·M·K flops make one task: at batch 1 on embedded_large's FC that is eight
+// tasks for nine groups, where ForGrain's whole chunks of two would make five
+// and leave the helper, which starts late, a coarser share. Allocation-free,
+// and the caller claims tasks itself, never running another call's.
+func matMulTColumns(dst, a, b []float32, m, n, k int) {
+	groups := (n + dotSplitCols - 1) / dotSplitCols
+	tasks := parallel.Tasks(groups, (rowGrain(m, k)+dotSplitCols-1)/dotSplitCols)
+	if tasks <= 1 {
+		matMulTRange(dst, a, b, n, k, 0, m)
+		return
+	}
+	colSplitsOnce.Do(func() { colSplits = parallel.NewFreelist(parallel.Workers(), newColSplit) })
+	s := colSplits.Get()
+	defer func() {
+		s.dst, s.a, s.b = nil, nil, nil
+		colSplits.Put(s)
+	}()
+	s.dst, s.a, s.b, s.m, s.n, s.k, s.groups, s.tasks = dst, a, b, m, n, k, groups, tasks
+	s.call.RunN(tasks)
 }
 
 // MatMulAccTSerialInto accumulates dst += a(M×K) @ bᵀ (b is N×K) through the
@@ -499,7 +547,7 @@ const (
 	dotResidentFloats = 15 << 15 // 1.875 MiB
 )
 
-// dotSplitCols is the column group MatMulTInto's column split deals out.
+// dotSplitCols is the column group matMulTColumns deals out.
 const dotSplitCols = 12
 
 // dotAInner reports whether dotBand walks an m-row band B tile by B tile.

@@ -214,10 +214,13 @@ func TestMatMulTSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulTColumnSplitMatchesRowSplit runs MatMulTInto on shapes on both
-// sides of dotStreamFloats — B of 0.3–7 MB split by columns, ragged column
-// counts included, and smaller ones split by rows — against the row split's
-// one serial pass, bit for bit, at both kernel widths and on the Go twins.
+// TestMatMulTColumnSplitMatchesRowSplit runs MatMulTInto and the serving
+// entry MatMulTInferInto on shapes on both sides of dotStreamFloats — B of
+// 0.3–7 MB split by columns, ragged column counts included, embedded_large's
+// manifold FC at batches 1, 4 and 16, and smaller ones split by rows or not
+// at all — against the row split's one serial pass, bit for bit, at both
+// kernel widths and on the Go twins. Over dotStreamFloats MatMulTInferInto
+// must not allocate.
 func TestMatMulTColumnSplitMatchesRowSplit(t *testing.T) {
 	for _, set := range []struct {
 		name  string
@@ -232,22 +235,30 @@ func TestMatMulTColumnSplitMatchesRowSplit(t *testing.T) {
 			split := 0
 			for _, s := range [][3]int{
 				{32, 1024, 1024}, {5, 100, 18432}, {1, 100, 3000}, {7, 257, 1021}, {64, 263, 1003},
+				{1, 100, 18432}, {4, 100, 18432}, {16, 100, 18432}, {1, 101, 18432}, {16, 108, 18432},
 				{64, 256, 1024}, {33, 37, 999}, {130, 10, 3000},
 			} {
 				m, n, k := s[0], s[1], s[2]
+				a, b := randMat(int64(m+n), m, k), randMat(int64(k), n, k)
+				want := New(m, n)
+				matMulTRange(want.Data, a.Data, b.Data, n, k, 0, m)
+				for _, entry := range []func(dst, a, b *Tensor){MatMulTInto, MatMulTInferInto} {
+					got := New(m, n)
+					entry(got, a, b)
+					if i := bitsDiffer(got.Data, want.Data); i >= 0 {
+						t.Fatalf("shape %v: [%d] = %v, row pass %v", s, i, got.Data[i], want.Data[i])
+					}
+				}
 				if n*k > dotStreamFloats {
 					split++
-				}
-				a, b := randMat(int64(m+n), m, k), randMat(int64(k), n, k)
-				got, want := New(m, n), New(m, n)
-				MatMulTInto(got, a, b)
-				matMulTRange(want.Data, a.Data, b.Data, n, k, 0, m)
-				if i := bitsDiffer(got.Data, want.Data); i >= 0 {
-					t.Fatalf("shape %v: [%d] = %v, row pass %v", s, i, got.Data[i], want.Data[i])
+					got := New(m, n)
+					if allocs := testing.AllocsPerRun(5, func() { MatMulTInferInto(got, a, b) }); allocs != 0 {
+						t.Fatalf("shape %v: MatMulTInferInto allocated %.1f times per call", s, allocs)
+					}
 				}
 			}
-			if split != 5 {
-				t.Fatalf("%d shapes over dotStreamFloats, want 5 of 8: pick shapes around it again", split)
+			if split != 10 {
+				t.Fatalf("%d shapes over dotStreamFloats, want 10 of 13: pick shapes around it again", split)
 			}
 		})
 	}
@@ -356,7 +367,7 @@ func BenchmarkMatMulT(b *testing.B) {
 		a, bt, dst := randMat(1, s.m, s.k), randMat(2, s.n, s.k), New(s.m, s.n)
 		tensortest.BenchWidths(b, s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MatMulTSerialInto(dst, a, bt)
+				matMulTRange(dst.Data, a.Data, bt.Data, s.n, s.k, 0, s.m)
 			}
 			b.ReportMetric(float64(2*s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 		})

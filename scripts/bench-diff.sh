@@ -17,6 +17,7 @@
 # run records in benchmark/out/result_<workload>.json): "same 10/10" is what a
 # change that claims to move no training bit must show. It is informational
 # and always "ok".
+# A run that leaves its benchmark process behind stops the script (exit 3).
 # The clock here drifts between processes (see the verify skill), which is
 # why the pairs are interleaved and why a single pair says nothing.
 set -euo pipefail
@@ -50,6 +51,14 @@ run() {
 		exit 2
 	}
 	cp "$2/benchmark/out/result_$3.json" "$runs/$3.$1.$4.json"
+	# Nothing a run starts may outlive it: a benchmark process still alive
+	# would share the box with every later run and time them all wrong.
+	local left
+	if left=$(pgrep -af -- "^$2/\.bench_build/nshd-benchmark( |\$)"); then
+		echo "bench-diff: $1 run of $3 (seed $4) left a process running:" >&2
+		echo "$left" >&2
+		exit 3
+	fi
 }
 
 status=0
