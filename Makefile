@@ -44,10 +44,10 @@ staticcheck:
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
 # driver's and the engine's gates on the 256-bit ones. Training has a bound,
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
-# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 600 allocations,
+# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 530 allocations,
 # and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB in at most
-# 2 300 or 2 500, about 10 % over their counts on two cores once Conv2D's
-# tasks held their tensor headers (TestFitStepHeap, which logs each step's bytes
+# 1 710 or 1 800, about 10 % over their counts on two cores once Fit built
+# its parameter list once a call (TestFitStepHeap, which logs each step's bytes
 # and allocations; 42 MB for VGG16/4 when every activation, gradient and
 # workspace was fresh heap, and 349 896 178 and 482 226 952 B for the other
 # two while nine of their layer types trained on the heap). So has the HD

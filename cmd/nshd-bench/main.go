@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"nshd"
 	"nshd/internal/experiments"
 )
 
@@ -183,6 +184,8 @@ func main() {
 	if *verbose {
 		env.Log = os.Stderr
 	}
+	env.Manifest = os.Stdout
+	fmt.Println(nshd.RunManifest("preset", *preset, "seed", env.Seed, "d", env.D))
 
 	if *svgDir != "" {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {

@@ -12,6 +12,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"time"
 
 	"nshd"
 	"nshd/internal/nn"
@@ -41,6 +42,7 @@ func main() {
 		baselineHD = flag.Bool("baseline", false, "train the BaselineHD variant instead (no manifold/KD)")
 	)
 	flag.Parse()
+	fmt.Println(nshd.RunManifest("seed", *seed, "d", *d))
 
 	var train, test *nshd.Dataset
 	var err error
@@ -81,10 +83,16 @@ func main() {
 	pcfg.CacheDir = *cache
 	pcfg.Log = os.Stderr
 	fmt.Fprintf(os.Stderr, "pretraining %s teacher...\n", *model)
+	start := time.Now()
 	trainAcc, cached, err := nshd.Pretrain(zoo, train, pcfg, nshd.NewRNG(*seed+7))
 	if err != nil {
 		log.Fatal(err)
 	}
+	source := "trained"
+	if cached {
+		source = "cached"
+	}
+	fmt.Printf("# teacher: %s/%d %s %.1f s\n", *model, train.Classes, source, time.Since(start).Seconds())
 	cnnAcc := nn.Evaluate(zoo.Full(), test.Images, test.Labels, 32)
 	fmt.Printf("teacher: train %.3f test %.3f (cached=%v)\n", trainAcc, cnnAcc, cached)
 

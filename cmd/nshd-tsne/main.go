@@ -14,6 +14,7 @@ import (
 	"os"
 	"strconv"
 
+	"nshd"
 	"nshd/internal/experiments"
 )
 
@@ -33,6 +34,8 @@ func main() {
 	if *v {
 		env.Log = os.Stderr
 	}
+	env.Manifest = os.Stdout
+	fmt.Println(nshd.RunManifest("preset", "quick", "seed", env.Seed, "d", env.D))
 	s := experiments.NewSession(env)
 	res, table, err := s.Fig11(*model, *layer)
 	if err != nil {

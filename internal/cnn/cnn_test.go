@@ -457,18 +457,19 @@ func (f lineHook) Write(p []byte) (int, error) {
 // workspace was fresh heap. MobileNetV2 and EfficientNet-B0 took 349 896 178
 // and 482 226 952 B a step (BenchmarkTrainStep) while nine of their layer
 // types trained on the heap. The allocation bounds sit about 10 % over the
-// steps' 544, 2 093 and 2 284 on two cores, measured once Conv2D's tasks held
-// their tensor headers and the dense head's column split ran on a prebound
-// Call (1 633, 7 038 and 7 781 before).
+// steps' 481, 1 555 and 1 628 on two cores, measured once Fit built its
+// parameter list once instead of three times a step (548, 2 091 and 2 277
+// before; 1 633, 7 038 and 7 781 before Conv2D's tasks held their tensor
+// headers and the dense head's column split ran on a prebound Call).
 func TestFitStepHeap(t *testing.T) {
 	const epochs = 4
 	for _, c := range []struct {
 		model         string
 		bytes, allocs uint64
 	}{
-		{"vgg16", 5 << 20, 600},
-		{"mobilenetv2", 512 << 10, 2300},
-		{"effnetb0", 512 << 10, 2500},
+		{"vgg16", 5 << 20, 530},
+		{"mobilenetv2", 512 << 10, 1710},
+		{"effnetb0", 512 << 10, 1800},
 	} {
 		t.Run(c.model, func(t *testing.T) {
 			var bytes, allocs []uint64 // at the end of each epoch

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"nshd/internal/cnn"
 	"nshd/internal/dataset"
@@ -40,6 +41,9 @@ type Env struct {
 	CacheDir string
 	// Log receives progress lines (nil silences).
 	Log io.Writer
+	// Manifest receives one line per teacher the session pretrains or
+	// restores, with its wall time (nil silences).
+	Manifest io.Writer
 }
 
 // Quick returns the CPU-budget preset used by the bench suite: the 10-class
@@ -145,9 +149,17 @@ func (s *Session) Teacher(name string, classes int) (*cnn.Model, error) {
 		Log:       s.Env.Log,
 	}
 	s.logf("teacher: pretraining %s on %d classes", name, classes)
+	start := time.Now()
 	trainAcc, cached, err := cnn.Pretrain(zoo, train, pcfg, tensor.NewRNG(s.Env.Seed+7))
 	if err != nil {
 		return nil, err
+	}
+	if s.Env.Manifest != nil {
+		source := "trained"
+		if cached {
+			source = "cached"
+		}
+		fmt.Fprintf(s.Env.Manifest, "# teacher: %s/%d %s %.1f s\n", name, classes, source, time.Since(start).Seconds())
 	}
 	testAcc := nn.Evaluate(zoo.Full(), test.Images, test.Labels, 32)
 	s.logf("teacher: %s/%d train=%.3f test=%.3f cached=%v", name, classes, trainAcc, testAcc, cached)

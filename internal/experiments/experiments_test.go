@@ -331,3 +331,25 @@ func TestRobustnessDegradesGracefully(t *testing.T) {
 		t.Fatalf("5%% bit flips collapsed accuracy: %.3f -> %.3f", clean, mild)
 	}
 }
+
+// TestTeacherManifestLines: a session writes one manifest line per teacher,
+// the first time it is asked for, saying whether it was trained or restored
+// from the cache directory.
+func TestTeacherManifestLines(t *testing.T) {
+	env := tinyEnv()
+	env.TrainN, env.TestN, env.PretrainEpochs = 32, 16, 1
+	env.CacheDir = t.TempDir()
+	for _, want := range []string{"trained", "cached"} {
+		var out bytes.Buffer
+		env.Manifest = &out
+		s := NewSession(env)
+		for range 2 {
+			if _, err := s.Teacher("vgg16", 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if line := out.String(); !strings.HasPrefix(line, "# teacher: vgg16/10 "+want+" ") || !strings.HasSuffix(line, " s\n") || strings.Count(line, "\n") != 1 {
+			t.Errorf("manifest %q, want one line for a %s vgg16/10 teacher", line, want)
+		}
+	}
+}

@@ -11,14 +11,12 @@ import (
 // bytes of traffic per element, smaller ranges lose to the dispatch.
 const elemGrain = 1 << 14
 
-// clampCopy returns clamp applied to a copy of x taken from a, range by
-// range over the pool so each range is clamped while its copy is still in
-// cache.
-func clampCopy(a *tensor.Arena, x *tensor.Tensor, clamp func([]float32)) *tensor.Tensor {
+// clampInto returns clamp of x into a fresh tensor taken from a, range by
+// range over the pool: one pass that reads x and writes the result.
+func clampInto(a *tensor.Arena, x *tensor.Tensor, clamp func(dst, src []float32)) *tensor.Tensor {
 	y := a.Alloc(x.Shape...)
 	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
-		copy(y.Data[lo:hi], x.Data[lo:hi])
-		clamp(y.Data[lo:hi])
+		clamp(y.Data[lo:hi], x.Data[lo:hi])
 	})
 	return y
 }
@@ -34,11 +32,11 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// Forward clamps negatives to zero: a copy of x through ForwardInfer's kernel,
-// so the two agree bit for bit (NaN passes through, -0 becomes +0). The copy
-// is cached for Backward.
+// Forward clamps negatives to zero into a new tensor through ForwardInfer's
+// kernel, so the two agree bit for bit (NaN passes through, -0 becomes +0).
+// The result is cached for Backward.
 func (r *ReLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	r.cachedY = clampCopy(a, x, tensor.ReLUInPlace)
+	r.cachedY = clampInto(a, x, tensor.ReLUInto)
 	return r.cachedY
 }
 
@@ -79,7 +77,7 @@ func (r *ReLU6) Name() string { return "relu6" }
 // Forward clamps to [0, 6] through ForwardInfer's kernel, bit for bit, and
 // caches the result for Backward.
 func (r *ReLU6) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	r.cachedY = clampCopy(a, x, tensor.ClampReLU6InPlace)
+	r.cachedY = clampInto(a, x, tensor.ClampReLU6Into)
 	return r.cachedY
 }
 

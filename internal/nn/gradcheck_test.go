@@ -230,7 +230,7 @@ func TestSequentialGradientsEndToEnd(t *testing.T) {
 	)
 	x := randInput(27, 2, 1, 4, 4)
 	labels := []int{0, 2}
-	model.ZeroGrad()
+	zeroGrads(model.Params())
 	logits := model.Forward(tensor.NewArena(), x)
 	_, grad := CrossEntropy(tensor.NewArena(), logits, labels)
 	model.Backward(tensor.NewArena(), grad)

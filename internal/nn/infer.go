@@ -274,10 +274,10 @@ func (l *Linear) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor
 	return y
 }
 
-// ForwardInfer implements Layer, clamping in place through
-// tensor.ReLUInPlace — the kernel ReLU.Forward runs on its copy of x.
+// ForwardInfer implements Layer, clamping in place through tensor.ReLUInto —
+// the kernel ReLU.Forward runs from x into a new tensor.
 func (r *ReLU) ForwardInfer(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
-	tensor.ReLUInPlace(x.Data)
+	tensor.ReLUInto(x.Data, x.Data)
 	return x
 }
 
@@ -331,9 +331,9 @@ func bnActInPlace(seg []float32, bn *BatchNorm2D, ch int, act fusedAct) {
 		invStd := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[ch]+bn.Eps)))
 		tensor.AffineActInPlace(seg, bn.Gamma.W.Data[ch], bn.RunMean.Data[ch], invStd, bn.Beta.W.Data[ch], act)
 	case act == actReLU:
-		tensor.ReLUInPlace(seg)
+		tensor.ReLUInto(seg, seg)
 	case act == actReLU6:
-		tensor.ClampReLU6InPlace(seg)
+		tensor.ClampReLU6Into(seg, seg)
 	}
 }
 

@@ -220,10 +220,9 @@ func (s *Sequential) StatsPerLayer(in []int) []Stats {
 	return out
 }
 
-// ZeroGrad clears all parameter gradients on the pool, which splits their
+// zeroGrads clears the gradients of ps on the pool, which splits their
 // concatenation, in parameter order, into element ranges.
-func (s *Sequential) ZeroGrad() {
-	ps := s.Params()
+func zeroGrads(ps []*Param) {
 	total := 0
 	for _, p := range ps {
 		total += len(p.Grad.Data)

@@ -62,6 +62,7 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 	grown := false
 	batchShape := append([]int{0}, images.Shape[1:]...)
 	byBuf := make([]int, batchSize)
+	params := model.Params() // once: every step clears, clips and steps the same list
 	var history []EpochStats
 	for epoch := 1; epoch <= t.Epochs; epoch++ {
 		if t.LRSchedule != nil {
@@ -91,14 +92,14 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 				}
 				by[bi] = labels[src]
 			}
-			model.ZeroGrad()
+			zeroGrads(params)
 			logits := model.Forward(arena, bx)
 			loss, grad := CrossEntropy(arena, logits, by)
 			model.backwardParams(arena, grad)
 			if t.ClipNorm > 0 {
-				ClipGradNorm(model.Params(), t.ClipNorm)
+				ClipGradNorm(params, t.ClipNorm)
 			}
-			t.Opt.Step(model.Params())
+			t.Opt.Step(params)
 			lossSum += loss * float64(bs)
 			preds := tensor.ArgmaxRows(logits)
 			for i, p := range preds {

@@ -56,7 +56,7 @@ func runTrainingSteps(seed int64) *Sequential {
 	}
 	opt := NewSGD(0.05, 0.9, 0)
 	for step := 0; step < 2; step++ {
-		model.ZeroGrad()
+		zeroGrads(model.Params())
 		logits := model.Forward(tensor.NewArena(), x)
 		_, grad := CrossEntropy(tensor.NewArena(), logits, labels)
 		model.Backward(tensor.NewArena(), grad)
@@ -118,7 +118,7 @@ func TestTrainingPassesClearPoisonedArena(t *testing.T) {
 	)
 	x, grad := randInput(62, 18, 3, 16, 16), randInput(63, 18, 10)
 	step := func(a *tensor.Arena) (y, dx *tensor.Tensor, grads []*tensor.Tensor) {
-		model.ZeroGrad()
+		zeroGrads(model.Params())
 		in := a.Alloc(x.Shape...)
 		copy(in.Data, x.Data)
 		y = model.Forward(a, in)
@@ -163,7 +163,7 @@ func TestZeroGradClearsEveryParam(t *testing.T) {
 	if total <= elemGrain {
 		t.Fatalf("%d gradient floats: too few to split", total)
 	}
-	model.ZeroGrad()
+	zeroGrads(model.Params())
 	for _, p := range model.Params() {
 		for i, v := range p.Grad.Data {
 			if math.Float32bits(v) != 0 {

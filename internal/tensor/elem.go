@@ -49,17 +49,19 @@ func signGo(x []float32) {
 	}
 }
 
-// ClampReLU6InPlace clamps x to [0, 6] with exactly the comparisons of
-// `if v <= 0 { v = 0 } else if v >= 6 { v = 6 }`: -0 becomes +0, NaN passes
-// through with its payload.
-func ClampReLU6InPlace(x []float32) {
+// ClampReLU6Into writes src clamped to [0, 6] into dst, with exactly the
+// comparisons of `if v <= 0 { v = 0 } else if v >= 6 { v = 6 }`: -0 becomes
+// +0, NaN passes through with its payload. dst has len(src) elements and is
+// src itself, or does not overlap it.
+func ClampReLU6Into(dst, src []float32) {
+	dst = dst[:len(src)]
 	i := 0
 	if useGemmAsm {
-		if i = len(x) / 8 * 8; i > 0 {
-			clampReLU6Asm(i, &x[0])
+		if i = len(src) / 8 * 8; i > 0 {
+			clampReLU6Asm(i, &dst[0], &src[0])
 		}
 	}
-	clampReLU6Go(x[i:])
+	clampReLU6Go(dst[i:], src[i:])
 }
 
 // ReLUBackInto writes ReLU's input gradient read off its output: dx[i] = g[i]
@@ -99,9 +101,10 @@ func reluBackGo(dx, g, y []float32) {
 	}
 }
 
-func clampReLU6Go(x []float32) {
-	for i, v := range x {
-		x[i] = clamp6(v)
+func clampReLU6Go(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = clamp6(v)
 	}
 }
 
@@ -131,7 +134,7 @@ func relu(v float32) float32 {
 // activation in one sweep: x[i] = act(g*(x[i]-mean)*invStd + b), evaluated
 // left to right as subtract, multiply, multiply, add — four IEEE roundings,
 // never a fused multiply-add — then the ReLU / ReLU6 comparisons of
-// ReLUInPlace / ClampReLU6InPlace.
+// ReLUInto / ClampReLU6Into.
 //
 // The 512-bit kernel takes sixteen floats a step where it is live, the AVX2
 // one eight, the Go twin the rest; per element all three are the same four

@@ -1,13 +1,13 @@
 package tensor
 
 // The AVX2 halves of the kernels in elem.go, all behind useGemmAsm. The
-// in-place sweeps take n as a positive multiple of 8.
+// sweeps take n as a positive multiple of 8.
 
 //go:noescape
 func signAsm(n int, p *float32)
 
 //go:noescape
-func clampReLU6Asm(n int, p *float32)
+func clampReLU6Asm(n int, dst, src *float32)
 
 //go:noescape
 func affineActAsm(n int, p *float32, gamma, mean, invStd, beta float32, keep uint32, hi float32)

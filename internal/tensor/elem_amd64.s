@@ -34,14 +34,15 @@ signloop:
 	VZEROUPPER
 	RET
 
-// func clampReLU6Asm(n int, p *float32)
+// func clampReLU6Asm(n int, dst, src *float32)
 //
-// In-place ReLU6 over n floats (n a positive multiple of 8). The lower clamp
-// is reluAsm's mask (v <= 0 → +0, NaN passes); the upper is a blend of 6
-// under v >= 6, false for NaN.
-TEXT ·clampReLU6Asm(SB), NOSPLIT, $0-16
+// ReLU6 of n floats at src into dst (n a positive multiple of 8; dst == src
+// is the in-place sweep). The lower clamp is reluAsm's mask (v <= 0 → +0,
+// NaN passes); the upper is a blend of 6 under v >= 6, false for NaN.
+TEXT ·clampReLU6Asm(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
-	MOVQ p+8(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ src+16(FP), SI
 	VXORPS Y0, Y0, Y0
 	BCAST(0x40C00000, X1, Y1)
 
@@ -51,8 +52,9 @@ clamploop:
 	VCMPPS    $13, Y1, Y2, Y4
 	VANDPS    Y3, Y2, Y2
 	VBLENDVPS Y4, Y1, Y2, Y2
-	VMOVUPS   Y2, (SI)
+	VMOVUPS   Y2, (DI)
 	ADDQ      $32, SI
+	ADDQ      $32, DI
 	SUBQ      $8, CX
 	JNE       clamploop
 	VZEROUPPER

@@ -6,7 +6,7 @@ func signAsm(n int, p *float32) {
 	panic("tensor: signAsm requires amd64")
 }
 
-func clampReLU6Asm(n int, p *float32) {
+func clampReLU6Asm(n int, dst, src *float32) {
 	panic("tensor: clampReLU6Asm requires amd64")
 }
 

@@ -99,8 +99,11 @@ func refReLU6(v float32) float32 {
 	return v
 }
 
-func TestClampReLU6InPlaceMatchesScalar(t *testing.T) {
-	checkElemKernel(t, 72, ClampReLU6InPlace, refReLU6)
+// TestClampReLU6IntoMatchesScalar: in place, and from a separate src.
+func TestClampReLU6IntoMatchesScalar(t *testing.T) {
+	checkElemKernel(t, 72, func(x []float32) { ClampReLU6Into(x, x) }, refReLU6)
+	src := make([]float32, 4096)
+	checkElemKernel(t, 73, func(x []float32) { ClampReLU6Into(x, src[:copy(src, x)]) }, refReLU6)
 }
 
 func TestAffineActInPlaceMatchesScalar(t *testing.T) {
@@ -436,7 +439,7 @@ func benchElem(b *testing.B, kernel func(x []float32)) {
 
 func BenchmarkSignInPlace(b *testing.B) { benchElem(b, SignInPlace) }
 
-func BenchmarkClampReLU6(b *testing.B) { benchElem(b, ClampReLU6InPlace) }
+func BenchmarkClampReLU6(b *testing.B) { benchElem(b, func(x []float32) { ClampReLU6Into(x, x) }) }
 
 func BenchmarkAffineAct(b *testing.B) {
 	for _, act := range []Act{ActNone, ActReLU, ActReLU6} {

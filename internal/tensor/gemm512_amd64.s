@@ -873,3 +873,130 @@ expand:
 	JNE       expand
 	VZEROUPPER
 	RET
+
+// SIGN16 adds ±x to one accumulator: the group's 16 bits, loaded from
+// off(SI) as the lane mask k, pick 0 − x (Z18) where a bit is set and x (Z17)
+// where it is clear, and acc is added to the pick t. The pick is the first
+// source, as the product is the FMA's, so where both are NaN the pick's
+// payload wins, as the multiplicand's does in gemm1x64s.
+#define SIGN16(off, k, t, acc) \
+	KMOVW     off(SI), k; \
+	VBLENDMPS Z18, Z17, k, t; \
+	VADDPS    acc, t, acc
+
+// func gemm1x256w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool)
+//
+// One row against 256 columns of sign words, with nothing expanded: for K
+// step p, column j takes x_p where bit j of row p's four words (w + p·ldw
+// words) is clear and 0 − x_p where it is set, one accumulator per 16
+// columns, so 16 chains run at once. x·(±1.0) is exact, so acc + (±x) is the
+// FMA by ±1.0 that gemm1x64s computes on expanded strips; 0 − x negates
+// every value but a NaN, which it keeps as the multiply does. kc must be ≥ 1.
+TEXT ·gemm1x256w(SB), NOSPLIT, $0-41
+	MOVQ    kc+0(FP), BX
+	MOVQ    a+8(FP), R9
+	MOVQ    w+16(FP), SI
+	MOVQ    ldw+24(FP), R10
+	MOVQ    o+32(FP), DI
+	MOVBLZX zero+40(FP), R12
+	SHLQ    $3, R10
+	VPXORD  Z16, Z16, Z16
+	VPXORD  Z0, Z0, Z0
+	VPXORD  Z1, Z1, Z1
+	VPXORD  Z2, Z2, Z2
+	VPXORD  Z3, Z3, Z3
+	VPXORD  Z4, Z4, Z4
+	VPXORD  Z5, Z5, Z5
+	VPXORD  Z6, Z6, Z6
+	VPXORD  Z7, Z7, Z7
+	VPXORD  Z8, Z8, Z8
+	VPXORD  Z9, Z9, Z9
+	VPXORD  Z10, Z10, Z10
+	VPXORD  Z11, Z11, Z11
+	VPXORD  Z12, Z12, Z12
+	VPXORD  Z13, Z13, Z13
+	VPXORD  Z14, Z14, Z14
+	VPXORD  Z15, Z15, Z15
+	LEAQ    (R9)(BX*4), R9
+	NEGQ    BX
+
+wloop:
+	VBROADCASTSS (R9)(BX*4), Z17
+	VSUBPS       Z17, Z16, Z18
+	SIGN16(0, K1, Z19, Z0)
+	SIGN16(2, K2, Z20, Z1)
+	SIGN16(4, K3, Z21, Z2)
+	SIGN16(6, K4, Z22, Z3)
+	SIGN16(8, K5, Z23, Z4)
+	SIGN16(10, K6, Z24, Z5)
+	SIGN16(12, K7, Z25, Z6)
+	SIGN16(14, K1, Z26, Z7)
+	SIGN16(16, K2, Z27, Z8)
+	SIGN16(18, K3, Z28, Z9)
+	SIGN16(20, K4, Z29, Z10)
+	SIGN16(22, K5, Z30, Z11)
+	SIGN16(24, K6, Z31, Z12)
+	SIGN16(26, K7, Z19, Z13)
+	SIGN16(28, K1, Z20, Z14)
+	SIGN16(30, K2, Z21, Z15)
+	ADDQ         R10, SI
+	INCQ         BX
+	JNE          wloop
+
+	TESTQ  R12, R12
+	JNE    wzero
+	VADDPS (DI), Z0, Z0
+	VADDPS 64(DI), Z1, Z1
+	VADDPS 128(DI), Z2, Z2
+	VADDPS 192(DI), Z3, Z3
+	VADDPS 256(DI), Z4, Z4
+	VADDPS 320(DI), Z5, Z5
+	VADDPS 384(DI), Z6, Z6
+	VADDPS 448(DI), Z7, Z7
+	VADDPS 512(DI), Z8, Z8
+	VADDPS 576(DI), Z9, Z9
+	VADDPS 640(DI), Z10, Z10
+	VADDPS 704(DI), Z11, Z11
+	VADDPS 768(DI), Z12, Z12
+	VADDPS 832(DI), Z13, Z13
+	VADDPS 896(DI), Z14, Z14
+	VADDPS 960(DI), Z15, Z15
+	JMP    wstore
+
+wzero:
+	VADDPS Z16, Z0, Z0
+	VADDPS Z16, Z1, Z1
+	VADDPS Z16, Z2, Z2
+	VADDPS Z16, Z3, Z3
+	VADDPS Z16, Z4, Z4
+	VADDPS Z16, Z5, Z5
+	VADDPS Z16, Z6, Z6
+	VADDPS Z16, Z7, Z7
+	VADDPS Z16, Z8, Z8
+	VADDPS Z16, Z9, Z9
+	VADDPS Z16, Z10, Z10
+	VADDPS Z16, Z11, Z11
+	VADDPS Z16, Z12, Z12
+	VADDPS Z16, Z13, Z13
+	VADDPS Z16, Z14, Z14
+	VADDPS Z16, Z15, Z15
+
+wstore:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	VMOVUPS Z8, 512(DI)
+	VMOVUPS Z9, 576(DI)
+	VMOVUPS Z10, 640(DI)
+	VMOVUPS Z11, 704(DI)
+	VMOVUPS Z12, 768(DI)
+	VMOVUPS Z13, 832(DI)
+	VMOVUPS Z14, 896(DI)
+	VMOVUPS Z15, 960(DI)
+	VZEROUPPER
+	RET

@@ -159,6 +159,22 @@ func gemm1x64s(kc, nq int, a, bp, o *float32, zero bool)
 //go:noescape
 func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32, zero bool)
 
+// gemm1x256w is one row against 16 consecutive strips of sign words read in
+// place, w the first of the four words that hold row p's 256 columns at
+// w + p·ldw: the bits of gemm1x64s(kc, 4, a, bp, o, zero) over the strips
+// expandSigns would write, with nothing expanded (gemm_panels.go,
+// signRows). kc must be ≥ 1.
+//
+//go:noescape
+func gemm1x256w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool)
+
+// gemm1x64w is gemm1x256w on 256-bit registers, over the 64 columns of one
+// word a K step: the bits of gemm1x16s(kc, 4, a, bp, o, zero) on the strips
+// expandSigns would write. kc must be ≥ 1.
+//
+//go:noescape
+func gemm1x64w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool)
+
 // gemm4xw is gemmGoPart's four-row loop on vector registers, for the ragged
 // columns left of a 16-column strip: o[r·ldd + j] += Σ_p a[r·lda + p]·
 // b[p·ldb + j] for r < 4, j < w, p < kc, with 1 ≤ w < 16 and kc ≥ 1. Each
@@ -186,12 +202,12 @@ func dot4x3(k int, a *float32, lda int, b *float32, ldb int, o *float32, ldo int
 //go:noescape
 func dot1x12(k int, a *float32, lda int, b *float32, ldb int, o *float32, ldo int)
 
-// reluAsm clamps x[0:n] to max(v, 0) in place with mask semantics identical
-// to Go's `if v <= 0 { v = 0 }` (NaN passes through, -0 becomes +0). n must
-// be a positive multiple of 8.
+// reluAsm writes dst[i] = max(src[i], 0) for i < n with mask semantics
+// identical to Go's `if v <= 0 { v = 0 }` (NaN passes through, -0 becomes
+// +0); dst == src clamps in place. n must be a positive multiple of 8.
 //
 //go:noescape
-func reluAsm(n int, p *float32)
+func reluAsm(n int, dst, src *float32)
 
 // addScalarReluAsm sets p[i] = max(p[i]+b, 0) in place for i in [0, n): the
 // conv bias add and the ReLU clamp fused into one sweep, bit-identical to

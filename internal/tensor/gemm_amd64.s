@@ -446,16 +446,18 @@ reduce:
 	MOVSS X0, ret+24(FP)
 	RET
 
-// func reluAsm(n int, p *float32)
+// func reluAsm(n int, dst, src *float32)
 //
-// In-place ReLU over n floats (n a positive multiple of 8). Uses a compare
+// ReLU of n floats at src into dst (n a positive multiple of 8; dst == src
+// is the in-place sweep). Uses a compare
 // mask rather than VMAXPS so the result is bit-identical to Go's
 // `if v <= 0 { v = 0 }` on every input: predicate 6 (NLE_US) is true for
 // v > 0 and for NaN, so NaN payloads pass through and -0 becomes +0 exactly
 // like the scalar comparison.
-TEXT ·reluAsm(SB), NOSPLIT, $0-16
+TEXT ·reluAsm(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
-	MOVQ p+8(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ src+16(FP), SI
 	VXORPS Y0, Y0, Y0
 
 	MOVQ CX, BX
@@ -466,20 +468,21 @@ loop32:
 	VMOVUPS (SI), Y1
 	VCMPPS  $6, Y0, Y1, Y2
 	VANDPS  Y2, Y1, Y1
-	VMOVUPS Y1, (SI)
+	VMOVUPS Y1, (DI)
 	VMOVUPS 32(SI), Y3
 	VCMPPS  $6, Y0, Y3, Y4
 	VANDPS  Y4, Y3, Y3
-	VMOVUPS Y3, 32(SI)
+	VMOVUPS Y3, 32(DI)
 	VMOVUPS 64(SI), Y1
 	VCMPPS  $6, Y0, Y1, Y2
 	VANDPS  Y2, Y1, Y1
-	VMOVUPS Y1, 64(SI)
+	VMOVUPS Y1, 64(DI)
 	VMOVUPS 96(SI), Y3
 	VCMPPS  $6, Y0, Y3, Y4
 	VANDPS  Y4, Y3, Y3
-	VMOVUPS Y3, 96(SI)
+	VMOVUPS Y3, 96(DI)
 	ADDQ    $128, SI
+	ADDQ    $128, DI
 	SUBQ    $32, BX
 	JNE     loop32
 
@@ -491,8 +494,9 @@ loop8:
 	VMOVUPS (SI), Y1
 	VCMPPS  $6, Y0, Y1, Y2
 	VANDPS  Y2, Y1, Y1
-	VMOVUPS Y1, (SI)
+	VMOVUPS Y1, (DI)
 	ADDQ    $32, SI
+	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNE     loop8
 
@@ -778,5 +782,91 @@ wloop:
 	VMASKMOVPS Y5, Y9, 32(DI)(DX*2)
 	VMOVUPS    Y6, (R13)(DX*2)
 	VMASKMOVPS Y7, Y9, 32(R13)(DX*2)
+	VZEROUPPER
+	RET
+
+// SIGN8 adds ±x to one accumulator of eight columns: the dword at off(SI),
+// broadcast and shifted left by 31 − j in lane j (Y0), holds the column's bit
+// in its sign, which picks 0 − x (Y14) over x (Y13) into t; acc is added to
+// the pick, the first source, as in gemm1x256w.
+#define SIGN8(off, m, t, acc) \
+	VPBROADCASTD off(SI), m; \
+	VPSLLVD      Y0, m, m; \
+	VBLENDVPS    m, Y14, Y13, t; \
+	VADDPS       acc, t, acc
+
+// func gemm1x64w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool)
+//
+// gemm1x256w on 256-bit registers: one row against the 64 columns of one
+// sign word a K step (w + p·ldw words), eight accumulators of eight columns.
+TEXT ·gemm1x64w(SB), NOSPLIT, $0-41
+	MOVQ      kc+0(FP), BX
+	MOVQ      a+8(FP), R9
+	MOVQ      w+16(FP), SI
+	MOVQ      ldw+24(FP), R10
+	MOVQ      o+32(FP), DI
+	MOVBLZX   zero+40(FP), R12
+	SHLQ      $3, R10
+	MOVQ      $0x18191a1b1c1d1e1f, AX
+	VMOVQ     AX, X0
+	VPMOVZXBD X0, Y0
+	VXORPS    Y15, Y15, Y15
+	VXORPS    Y1, Y1, Y1
+	VXORPS    Y2, Y2, Y2
+	VXORPS    Y3, Y3, Y3
+	VXORPS    Y4, Y4, Y4
+	VXORPS    Y5, Y5, Y5
+	VXORPS    Y6, Y6, Y6
+	VXORPS    Y7, Y7, Y7
+	VXORPS    Y8, Y8, Y8
+	LEAQ      (R9)(BX*4), R9
+	NEGQ      BX
+
+wloop:
+	VBROADCASTSS (R9)(BX*4), Y13
+	VSUBPS       Y13, Y15, Y14
+	SIGN8(0, Y9, Y10, Y1)
+	SIGN8(1, Y11, Y12, Y2)
+	SIGN8(2, Y9, Y10, Y3)
+	SIGN8(3, Y11, Y12, Y4)
+	SIGN8(4, Y9, Y10, Y5)
+	SIGN8(5, Y11, Y12, Y6)
+	SIGN8(6, Y9, Y10, Y7)
+	SIGN8(7, Y11, Y12, Y8)
+	ADDQ         R10, SI
+	INCQ         BX
+	JNE          wloop
+
+	TESTQ  R12, R12
+	JNE    wzero
+	VADDPS (DI), Y1, Y1
+	VADDPS 32(DI), Y2, Y2
+	VADDPS 64(DI), Y3, Y3
+	VADDPS 96(DI), Y4, Y4
+	VADDPS 128(DI), Y5, Y5
+	VADDPS 160(DI), Y6, Y6
+	VADDPS 192(DI), Y7, Y7
+	VADDPS 224(DI), Y8, Y8
+	JMP    wstore
+
+wzero:
+	VADDPS Y15, Y1, Y1
+	VADDPS Y15, Y2, Y2
+	VADDPS Y15, Y3, Y3
+	VADDPS Y15, Y4, Y4
+	VADDPS Y15, Y5, Y5
+	VADDPS Y15, Y6, Y6
+	VADDPS Y15, Y7, Y7
+	VADDPS Y15, Y8, Y8
+
+wstore:
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	VMOVUPS Y5, 128(DI)
+	VMOVUPS Y6, 160(DI)
+	VMOVUPS Y7, 192(DI)
+	VMOVUPS Y8, 224(DI)
 	VZEROUPPER
 	RET

@@ -43,8 +43,10 @@ package tensor
 // kernels read in place of packed strips, and then the gemmKC-entry table of
 // the current K block's offsets. A dense B read in place keeps that table in
 // scratch's first gemmKC floats, which its strips, read from B, leave unused.
-// An A in offset form brings its tables and its source with it: the entry
-// points keep them in their own scratch after the driver's.
+// Sign words read in place (ProjPanels.signRows) generate nothing either: a
+// short run's copied words take the first floats and its spill block follows
+// them at 8·gemmKC. An A in offset form brings its tables and its source with
+// it: the entry points keep them in their own scratch after the driver's.
 
 import "unsafe"
 
@@ -154,6 +156,14 @@ func (s *gemmB) runCols() int {
 	return gemmNC
 }
 
+// signRows reports whether gemmDrive hands the whole strips of an m-row
+// product, from column head on, to ProjPanels.signRows instead of asking for
+// strips: sign words, fewer rows than the 4-row kernels take, the vector
+// kernels live and every strip run starting on an NC block.
+func (s *gemmB) signRows(m, head int) bool {
+	return useGemmAsm && m < gemmMR && s.kind == bPanels && s.pp.signs != nil && head%gemmNC == 0
+}
+
 // strips returns K rows [pb, pe) of the whole 16-column strips [j0, j1),
 // generated into buf, in place, or — the conv's offset form and an in-place
 // dense B, where offs is given — as addresses into the padded window or into
@@ -232,11 +242,15 @@ func gemmDrive(dst []float32, ldd int, A gemmA, m int, src *gemmB,
 		if src.offsetForm() {
 			offs = offsTable(scratch[len(src.win):])
 		}
-		run := src.runCols()
+		run, words := src.runCols(), src.signRows(m, head)
 		for jb := head; jb < body; {
 			je := min(jb-jb%gemmNC+gemmNC, body)
 			for pb := k0; pb < k1; pb += gemmKC {
 				pe := min(pb+gemmKC, k1)
+				if words {
+					src.pp.signRows(dst[jb-c0:], ldd, A.a[pb-k0:], A.lda, m, pb, pe, jb, je, scratch, overwrite && pb == k0)
+					continue
+				}
 				for rb := jb; rb < je; rb += run {
 					re := min(rb+run, je)
 					bs, zero := src.strips(scratch, offs, pb, pe, rb, re), overwrite && pb == k0

@@ -52,6 +52,14 @@ func gemm1x64so(kc, nq int, a, xb *float32, offs *int32, o *float32, zero bool) 
 	panic("tensor: gemm1x64so requires amd64")
 }
 
+func gemm1x256w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool) {
+	panic("tensor: gemm1x256w requires amd64")
+}
+
+func gemm1x64w(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool) {
+	panic("tensor: gemm1x64w requires amd64")
+}
+
 func gemm4xw(kc, w int, a *float32, lda int, b *float32, ldb int, o *float32, ldd int) {
 	panic("tensor: gemm4xw requires amd64")
 }
@@ -68,7 +76,7 @@ func dot1x12(k int, a *float32, lda int, b *float32, ldb int, o *float32, ldo in
 	panic("tensor: dot1x12 requires amd64")
 }
 
-func reluAsm(n int, p *float32) {
+func reluAsm(n int, dst, src *float32) {
 	panic("tensor: reluAsm requires amd64")
 }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"nshd/internal/parallel"
 )
@@ -17,7 +18,8 @@ import (
 //     Each panel step expands the strips it is about to multiply into an
 //     L1-sized run of exactly ±1.0 (expandSigns), so the strip kernels read
 //     the very values the stored matrix holds, in the same K order, and the
-//     matrix costs one bit per entry instead of 32.
+//     matrix costs one bit per entry instead of 32. Fewer rows than a 4-row
+//     kernel takes read the words in place instead (signRows).
 //   - prepacked float strips (PrepackPanels), for any other matrix: packed
 //     once at compile time in the strip kernels' layout.
 //
@@ -33,9 +35,10 @@ import (
 
 // signRunCols is how many columns of sign-word panels one expansion covers
 // before the strip kernels consume them: one sign word, four strips. At
-// K = 100 a run is 25.6 KB of strips, still in L1 when the kernels read it;
-// a whole 256-column block (100 KB) is not, and measured slower at batch 1
-// (DESIGN.md, "Fused tail").
+// K = 100 a run is 25.6 KB of strips, still in L1 when the 8×32 kernels read
+// it; a whole 256-column block (100 KB) is not, and measured 10–20 % slower
+// at batch 8 and 64 (DESIGN.md, "Fused tail"). Fewer than four rows expand
+// nothing (signRows).
 const signRunCols = 64
 
 // PanelBlockCols returns the column-block width MatMulPanelsBlock computes
@@ -249,6 +252,59 @@ func (pp *ProjPanels) stripsAt(buf []float32, pb, pe, j0, j1 int) []float32 {
 	jb := j0 - j0%gemmNC
 	w16 := min(gemmNC, PanelStripCols(pp.n)-jb)
 	return pp.strips[pp.k*jb+pb*w16+(j0-jb)*(pe-pb):]
+}
+
+// signRows runs one K block ([pb, pe)) of m rows of a against the whole
+// strips [j0, j1) of sign-word panels, j0 on an NC block and j1 at most one
+// block further, adding ±a[i, p] per bit instead of expanding the strips:
+// gemm1x256w takes 256 columns a call, gemm1x64w (256 bits) one word's 64. A
+// row's product then costs one pass over the words, where expansion writes
+// and rereads 16 floats per strip row and only pays for itself over the rows
+// of a 4-row kernel. Each output element keeps the strip kernels' chain — +0,
+// one exact ±x per K step in ascending order, then the zero-start add — so
+// the bits are those of the expanded strips. A run short of the kernel's
+// width writes a spill whose first lanes are copied out, and reads its words
+// from a copy in scratch if the kernel would read past the row's last word.
+func (pp *ProjPanels) signRows(dst []float32, ldd int, a []float32, lda, m, pb, pe, j0, j1 int, scratch []float32, zero bool) {
+	kc, run := pe-pb, 64
+	if useGemm512 {
+		run = gemmNC
+	}
+	nw, spill := run>>6, scratch[8*gemmKC:][:run]
+	for js := j0; js < j1; js += run {
+		w, ldw, cols := pp.signs[pb*pp.wpr+js>>6:], pp.wpr, min(run, j1-js)
+		if js>>6+nw > pp.wpr {
+			buf := wordsView(scratch, nw*kc)
+			for p := range kc {
+				copy(buf[nw*p:nw*(p+1)], w[p*ldw:p*ldw+pp.wpr-js>>6])
+			}
+			w, ldw = buf, nw
+		}
+		_ = w[(kc-1)*ldw+nw-1]
+		for i := range m {
+			o := dst[i*ldd+js-j0:][:cols]
+			out := o
+			if cols < run {
+				if out = spill; !zero {
+					copy(out, o)
+				}
+			}
+			if useGemm512 {
+				gemm1x256w(kc, &a[i*lda], &w[0], ldw, &out[0], zero)
+			} else {
+				gemm1x64w(kc, &a[i*lda], &w[0], ldw, &out[0], zero)
+			}
+			if cols < run {
+				copy(o, out)
+			}
+		}
+	}
+}
+
+// wordsView views the first 2n floats of scratch as n uint64s, as int32s
+// views them as int32s: the sign words of a short run, copied.
+func wordsView(scratch []float32, n int) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&scratch[:2*n][0])), n)
 }
 
 // tileAt is the panels' half of gemmB.tile, for the ragged columns (every

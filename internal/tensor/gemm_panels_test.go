@@ -344,8 +344,11 @@ func TestExpandSignStrip(t *testing.T) {
 
 // BenchmarkPanelGEMM is the projection product at the paper's shape (F̂ = 100,
 // D = 3000) from a stored matrix, prepacked float strips and sign words, at
-// batch 1, 8 and 64, at both kernel widths. The cold rows time batch 1 with
-// L2 evicted between calls (per-call ns/call, the eviction untimed), as a
+// batch 1, 2, 3, 8 and 64, at both kernel widths. Below four rows the sign
+// words run two ways: "signs" expands them into strips for the strip kernels
+// (expandedSignsInto), "direct" is MatMulPanelsInto, which at 512 bits reads
+// them in place (signRows). The cold rows time batches 1 to 3 with L2
+// evicted between calls (per-call ns/call, the eviction untimed), as a
 // serving tail meets its operand after the extractor has run: warm, the
 // prepacked strips sit in L2 and the ranking reverses.
 func BenchmarkPanelGEMM(b *testing.B) {
@@ -354,46 +357,236 @@ func BenchmarkPanelGEMM(b *testing.B) {
 	NewBipolarGen(3, k, n).FillInto(mat)
 	scratch := make([]float32, GemmScratch())
 	pscratch := make([]float32, PanelScratch())
-	panels := []struct {
-		name string
-		pp   *ProjPanels
-	}{{"prepack", PrepackPanels(mat)}, {"signs", SignPanels(mat)}}
-	for _, m := range []int{1, 8, 64} {
+	prepack, signs := PrepackPanels(mat), SignPanels(mat)
+	evict := make([]byte, 8<<20) // four times this machine's L2
+	for _, m := range []int{1, 2, 3, 8, 64} {
 		a := New(m, k)
 		NewRNG(9).FillNormal(a, 0, 1)
 		out := New(m, n)
-		tensortest.BenchWidths(b, benchName("stored", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMulSerialInto(out, a, mat, scratch)
-			}
-		})
-		for _, p := range panels {
+		type product struct {
+			name string
+			run  func()
+		}
+		products := []product{
+			{"stored", func() { MatMulSerialInto(out, a, mat, scratch) }},
+			{"prepack", func() { MatMulPanelsInto(out, a, prepack, pscratch) }},
+			{"signs", func() { MatMulPanelsInto(out, a, signs, pscratch) }},
+		}
+		if m < gemmMR {
+			products[2].run = func() { expandedSignsInto(out.Data, a, signs, pscratch, true) }
+			products = append(products, product{"direct", func() { MatMulPanelsInto(out, a, signs, pscratch) }})
+		}
+		for _, p := range products {
 			tensortest.BenchWidths(b, benchName(p.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatMulPanelsInto(out, a, p.pp, pscratch)
+					p.run()
 				}
 			})
 		}
-	}
-	a, out := New(1, k), New(1, n)
-	NewRNG(9).FillNormal(a, 0, 1)
-	evict := make([]byte, 8<<20) // four times this machine's L2
-	for _, p := range panels {
-		tensortest.BenchWidths(b, p.name+"/batch1-cold", func(b *testing.B) {
-			var spent time.Duration
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < len(evict); j += 64 {
-					evict[j]++
-				}
-				t0 := time.Now()
-				MatMulPanelsInto(out, a, p.pp, pscratch)
-				spent += time.Since(t0)
+		for _, p := range products[1:] {
+			if m >= gemmMR || m > 1 && p.name == "prepack" {
+				continue
 			}
-			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/call")
-		})
+			tensortest.BenchWidths(b, benchName(p.name, m)+"-cold", func(b *testing.B) {
+				var spent time.Duration
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < len(evict); j += 64 {
+						evict[j]++
+					}
+					t0 := time.Now()
+					p.run()
+					spent += time.Since(t0)
+				}
+				b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/call")
+			})
+		}
 	}
 }
 
 func benchName(kind string, m int) string {
 	return fmt.Sprintf("%s/batch%d", kind, m)
+}
+
+// expandedSignsInto writes (overwrite) or adds a @ B into dst ([M, N]) for
+// sign-word panels the way the driver runs them when the words are not read in
+// place: each K block of each one-word run expanded by stripsAt and handed to
+// gemmStripPart, whatever the row count, and the ragged columns through
+// gemmDrive. It is the reference of the one-row products (signRows) and the
+// "signs" rows of BenchmarkPanelGEMM at batch 1 to 3.
+func expandedSignsInto(dst []float32, a *Tensor, pp *ProjPanels, scratch []float32, overwrite bool) {
+	m, k, n16 := a.Shape[0], pp.k, PanelStripCols(pp.n)
+	for jb := 0; jb < n16; jb += gemmNC {
+		je := min(jb+gemmNC, n16)
+		for pb := 0; pb < k; pb += gemmKC {
+			pe := min(pb+gemmKC, k)
+			for rb := jb; rb < je; rb += 64 {
+				re := min(rb+64, je)
+				bs := bStrips{b: pp.stripsAt(scratch, pb, pe, rb, re)}
+				gemmStripPart(dst[rb:], pp.n, a.Data[pb:], k, m, bs, pe-pb, (re-rb)/gemmNR, overwrite && pb == 0)
+			}
+		}
+	}
+	src := gemmB{kind: bPanels, n: pp.n, pp: pp}
+	gemmDrive(dst[n16:], pp.n, gemmA{a: a.Data, lda: k}, m, &src, n16, pp.n, 0, k, scratch, overwrite)
+}
+
+// signRowGo is the Go reference of gemm1x256w and gemm1x64w over their cols
+// columns: column j starts at +0 and adds, K step by K step, x_p where its
+// bit is clear and 0 − x_p where it is set (a NaN pick wins over a NaN sum,
+// as the multiplicand does in the FMA), and the sum is added to +0 (zero) or
+// to o[j].
+func signRowGo(cols, kc int, a []float32, w []uint64, ldw int, o []float32, zero bool) {
+	for j := range cols {
+		var acc float32
+		for p := range kc {
+			x := a[p]
+			if w[p*ldw+j>>6]>>(j&63)&1 != 0 {
+				x = 0 - x
+			}
+			if x != x {
+				acc = x + 0 // the quieted pick, sign kept, whatever acc is
+			} else {
+				acc += x
+			}
+		}
+		if zero {
+			o[j] = acc + 0
+		} else {
+			o[j] += acc
+		}
+	}
+}
+
+// signFeatures returns m rows of k features, normal draws salted with the
+// values a sign flip could get wrong. Every set has ±0 and denormals; set 1
+// adds ±Inf, so some columns meet Inf − Inf; set 2 adds NaNs of four
+// payloads, quiet and signalling, of both signs, several to a row.
+func signFeatures(seed int64, m, k, set int) *Tensor {
+	a := randMat(seed, m, k)
+	nans := []uint32{0x7fc00001, 0xffc00002, 0x7f800003, 0xff800004}
+	for i := range m {
+		row := a.Row(i)
+		for p := range row {
+			switch q := (p*7 + i*3) % 11; {
+			case q == 0:
+				row[p] = float32(math.Copysign(0, float64(1-2*(p&1))))
+			case q == 1:
+				row[p] = math.Float32frombits(uint32(p+1)) * float32(1-2*(i&1))
+			case set >= 1 && q == 2 && p%3 == 0:
+				row[p] = float32(math.Inf(1 - 2*(p&1)))
+			case set == 2 && q == 5 && (p+i)%4 != 3:
+				row[p] = math.Float32frombits(nans[(p+i)%4])
+			}
+		}
+	}
+	return a
+}
+
+// TestSignRowsMatchExpansion is the lattice of the one-row products: for 1 to
+// 3 rows, K across one and several K blocks, N below a strip, on strip and
+// block edges and past many blocks, every block offset, the three feature
+// sets, an overwriting and an accumulating start, the sign words
+// read in place give the expansion path's bits — at 512 bits and at forced
+// 256 bits, where they run, and on the portable build, which keeps
+// expanding.
+func TestSignRowsMatchExpansion(t *testing.T) {
+	for _, mode := range []struct {
+		name      string
+		asm, wide bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+		if !runWithGemm512(mode.wide, func() {
+			runWithAsm(mode.asm, func() { signRowsLattice(t, mode.name) })
+		}) {
+			t.Logf("%s: not on this machine", mode.name)
+		}
+	}
+}
+
+func signRowsLattice(t *testing.T, mode string) {
+	scratch := make([]float32, PanelScratch())
+	for _, k := range []int{1, 100, 256, 257, 2048} {
+		for _, n := range []int{1, 15, 16, 64, 184, 256, 3000} {
+			b := New(k, n)
+			NewBipolarGen(int64(k*n), k, n).FillInto(b)
+			pp := SignPanels(b)
+			for m := 1; m <= 3; m++ {
+				for set := range 3 {
+					a := signFeatures(int64(k+m), m, k, set)
+					seed := randMat(int64(n), m, n).Data
+					want, got := make([]float32, m*n), make([]float32, m*n)
+					where := fmt.Sprintf("%s m=%d k=%d n=%d features=%d", mode, m, k, n, set)
+
+					expandedSignsInto(want, a, pp, scratch, true)
+					MatMulPanelsInto(FromSlice(got, m, n), a, pp, scratch)
+					if i := bitsDiffer(got, want); i >= 0 {
+						t.Fatalf("%s: element %d is %#x, expansion %#x", where, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+					for c0 := 0; c0 < n; c0 += PanelBlockCols() {
+						w := MatMulPanelsBlock(got, a, pp, c0, scratch)
+						for i := range m {
+							if j := bitsDiffer(got[i*w:(i+1)*w], want[i*n+c0:]); j >= 0 {
+								t.Fatalf("%s: block c0=%d row %d lane %d differs", where, c0, i, j)
+							}
+						}
+					}
+
+					copy(want, seed)
+					copy(got, seed)
+					expandedSignsInto(want, a, pp, scratch, false)
+					for pb := 0; pb < k; pb += PanelBlockCols() {
+						pe := min(pb+PanelBlockCols(), k)
+						tile := make([]float32, 0, m*(pe-pb))
+						for i := range m {
+							tile = append(tile, a.Row(i)[pb:pe]...)
+						}
+						panelsKBlock(got, n, tile, pe-pb, m, pp, pb, pe, scratch, false)
+					}
+					if i := bitsDiffer(got, want); i >= 0 {
+						t.Fatalf("%s accumulating: element %d is %#x, expansion %#x", where, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSignRowKernelsMatchGo: both widths' kernels against their Go reference,
+// bit for bit, over K steps 1 to 256, word strides of a short run's copy (4)
+// and of a D = 3 000 matrix (47), both starts, the three feature sets and an
+// output seeded with Inf and NaN lanes.
+func TestSignRowKernelsMatchGo(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		cols int
+		live bool
+		run  func(kc int, a *float32, w *uint64, ldw int, o *float32, zero bool)
+	}{{"gemm1x256w", gemmNC, useGemm512, gemm1x256w}, {"gemm1x64w", 64, useGemmAsm, gemm1x64w}} {
+		if !k.live {
+			t.Logf("%s: not on this machine", k.name)
+			continue
+		}
+		rng := NewRNG(5)
+		for _, kc := range []int{1, 2, 17, 100, 256} {
+			for _, ldw := range []int{4, 47} {
+				w := make([]uint64, (kc-1)*ldw+4)
+				for i := range w {
+					w[i] = rng.Uint64()
+				}
+				for set := range 3 {
+					a := signFeatures(int64(kc*ldw), 1, kc, set).Data
+					for _, zero := range []bool{true, false} {
+						seed := randMat(int64(kc), 1, k.cols).Data
+						seed[3], seed[37] = float32(math.Inf(-1)), math.Float32frombits(0x7fc0beef)
+						got, want := append([]float32(nil), seed...), append([]float32(nil), seed...)
+						k.run(kc, &a[0], &w[0], ldw, &got[0], zero)
+						signRowGo(k.cols, kc, a, w, ldw, want, zero)
+						if i := bitsDiffer(got, want); i >= 0 {
+							t.Fatalf("%s kc=%d ldw=%d features=%d zero=%v: lane %d is %#x, reference %#x",
+								k.name, kc, ldw, set, zero, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
 }

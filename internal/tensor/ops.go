@@ -199,23 +199,27 @@ func SignInto(dst, src *Tensor) {
 	SignInPlace(dst.Data)
 }
 
-// ReLUInPlace clamps every element of x to max(v, 0) with exactly the
-// semantics of `if v <= 0 { v = 0 }`: NaN passes through, -0 becomes +0. On
-// amd64 with AVX the bulk runs in a masked vector kernel (bit-identical by
-// construction — see reluAsm); the scalar loop handles the tail and other
-// targets.
-func ReLUInPlace(x []float32) {
+// ReLUInto writes every element of src clamped to max(v, 0) into dst with
+// exactly the semantics of `if v <= 0 { v = 0 }`: NaN passes through, -0
+// becomes +0. dst has len(src) elements and is src itself (the in-place
+// clamp) or does not overlap it. On amd64 with AVX the bulk runs in a masked
+// vector kernel (bit-identical by construction — see reluAsm); the scalar
+// loop handles the tail and other targets.
+func ReLUInto(dst, src []float32) {
+	dst = dst[:len(src)]
 	i := 0
 	if useGemmAsm {
-		if wide := len(x) / 8 * 8; wide > 0 {
-			reluAsm(wide, &x[0])
+		if wide := len(src) / 8 * 8; wide > 0 {
+			reluAsm(wide, &dst[0], &src[0])
 			i = wide
 		}
 	}
-	for ; i < len(x); i++ {
-		if x[i] <= 0 {
-			x[i] = 0
+	for ; i < len(src); i++ {
+		v := src[i]
+		if v <= 0 {
+			v = 0
 		}
+		dst[i] = v
 	}
 }
 

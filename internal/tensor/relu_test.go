@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestReLUInPlaceMatchesScalar pins the vector kernel bit-identical to the
+// TestReLUIntoMatchesScalar pins the vector kernel bit-identical to the
 // scalar `if v <= 0 { v = 0 }` sweep, including NaN passthrough, -0 → +0,
-// and every tail length around the 8- and 32-wide unroll boundaries.
-func TestReLUInPlaceMatchesScalar(t *testing.T) {
+// and every tail length around the 8- and 32-wide unroll boundaries, in
+// place and into a separate dst (whose lanes past n it must not touch) with
+// src left as it was.
+func TestReLUIntoMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()),
 		float32(math.Inf(1)), float32(math.Inf(-1)), -1e-45, 1e-45}
@@ -32,12 +34,18 @@ func TestReLUInPlaceMatchesScalar(t *testing.T) {
 		}
 		got := make([]float32, n)
 		copy(got, x)
-		ReLUInPlace(got)
+		ReLUInto(got, got)
+		src, dst := append([]float32(nil), x...), make([]float32, n+1)
+		dst[n] = 7
+		ReLUInto(dst, src)
 		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("n=%d: ReLUInPlace[%d] = %x, want %x (input %v)",
-					n, i, math.Float32bits(got[i]), math.Float32bits(want[i]), x[i])
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: ReLUInto[%d] = %x in place, %x into dst, want %x (input %v)",
+					n, i, math.Float32bits(got[i]), math.Float32bits(dst[i]), math.Float32bits(want[i]), x[i])
 			}
+		}
+		if i := bitsDiffer(src, x); i >= 0 || dst[n] != 7 {
+			t.Fatalf("n=%d: ReLUInto wrote its src (%d) or past dst's n lanes", n, i)
 		}
 	}
 }

@@ -27,6 +27,9 @@
 package nshd
 
 import (
+	"fmt"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"nshd/internal/baseline"
@@ -37,6 +40,7 @@ import (
 	"nshd/internal/hdc"
 	"nshd/internal/hwsim"
 	"nshd/internal/metrics"
+	"nshd/internal/parallel"
 	"nshd/internal/serve"
 	"nshd/internal/tensor"
 	"nshd/internal/tsne"
@@ -268,6 +272,32 @@ func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 // "avx512f", "avx2+fma" or "portable". All three compute the same schedule,
 // and the two vector widths the same bits.
 func KernelISA() string { return tensor.KernelISA() }
+
+// RunManifest returns the header line a command prints before any other
+// output, so that what it prints says what produced it: the binary's VCS
+// revision and whether its tree was modified (debug.ReadBuildInfo; "unknown"
+// in a build without VCS stamps, such as go run), the command's own settings
+// as key, value pairs, the worker count and the GEMM kernels (KernelISA).
+func RunManifest(kv ...any) string {
+	rev, modified := "unknown", "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "# run: rev=%s modified=%s", rev, modified)
+	for i := 0; i+1 < len(kv); i += 2 {
+		fmt.Fprintf(&b, " %v=%v", kv[i], kv[i+1])
+	}
+	fmt.Fprintf(&b, " workers=%d kernels=%s", parallel.Workers(), tensor.KernelISA())
+	return b.String()
+}
 
 // --- symbolic sequence encoding (HD fundamentals, refs [12][13]) ---
 

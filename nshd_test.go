@@ -2,6 +2,7 @@ package nshd_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nshd"
@@ -116,5 +117,16 @@ func TestModelNamesAndLayers(t *testing.T) {
 		if len(nshd.PaperLayers(n)) == 0 {
 			t.Fatalf("%s has no paper layers", n)
 		}
+	}
+}
+
+// TestRunManifest: the header line names the revision, the caller's settings
+// in order, the worker count and the kernels, on one line.
+func TestRunManifest(t *testing.T) {
+	got := nshd.RunManifest("preset", "quick", "seed", 7, "d", 3000)
+	want := " preset=quick seed=7 d=3000 workers="
+	if !strings.HasPrefix(got, "# run: rev=") || !strings.Contains(got, " modified=") || !strings.Contains(got, want) ||
+		!strings.HasSuffix(got, " kernels="+nshd.KernelISA()) || strings.Contains(got, "\n") {
+		t.Errorf("RunManifest = %q", got)
 	}
 }
