@@ -44,10 +44,10 @@ staticcheck:
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
 # driver's and the engine's gates on the 256-bit ones. Training has a bound,
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
-# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 530 allocations,
+# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 340 allocations,
 # and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB in at most
-# 1 710 or 1 800, about 10 % over their counts on two cores once Fit built
-# its parameter list once a call (TestFitStepHeap, which logs each step's bytes
+# 1 090 or 1 340, about 10 % over their counts on two cores once parallel.For
+# ran on reused Calls (TestFitStepHeap, which logs each step's bytes
 # and allocations; 42 MB for VGG16/4 when every activation, gradient and
 # workspace was fresh heap, and 349 896 178 and 482 226 952 B for the other
 # two while nine of their layer types trained on the heap). So has the HD
@@ -101,9 +101,11 @@ v3:
 # internal/nn) and the training code that runs on them (the arena's training
 # steps in internal/cnn, the HD retraining loop and the joint manifold loop in
 # internal/core, and TestPipelineEvalConcurrent there: two goroutines on one
-# pipeline's eval passes).
+# pipeline's eval passes). The pool's own tests run ten times: whether a
+# reused Call meets a help token left from an earlier Run depends on timing.
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
+	$(GO) test -race -count=10 ./internal/parallel/...
+	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
 
 # Fuzz the untrusted byte surfaces beyond the checked-in corpora under
 # internal/*/testdata/fuzz/, which `make test` already runs: the /predict JSON

@@ -452,24 +452,25 @@ func (f lineHook) Write(p []byte) (int, error) {
 // TestFitStepHeap is the training step's allocation gate (make alloc): after
 // the first step has sized Fit's arena, a step of each zoo model at batch 32
 // takes at most its bytes of heap in at most its allocations. The counts are
-// mostly the pool's per-call dispatch state and the closures handed to it.
-// VGG16/4 took 42 MB before the arena, when every activation, gradient and
-// workspace was fresh heap. MobileNetV2 and EfficientNet-B0 took 349 896 178
-// and 482 226 952 B a step (BenchmarkTrainStep) while nine of their layer
-// types trained on the heap. The allocation bounds sit about 10 % over the
-// steps' 481, 1 555 and 1 628 on two cores, measured once Fit built its
-// parameter list once instead of three times a step (548, 2 091 and 2 277
-// before; 1 633, 7 038 and 7 781 before Conv2D's tasks held their tensor
-// headers and the dense head's column split ran on a prebound Call).
+// mostly the closures handed to parallel.For. VGG16/4 took 42 MB before the
+// arena, when every activation, gradient and workspace was fresh heap.
+// MobileNetV2 and EfficientNet-B0 took 349 896 178 and 482 226 952 B a step
+// (BenchmarkTrainStep) while nine of their layer types trained on the heap.
+// The allocation bounds sit about 10 % over the steps' 305, 990 and 1 216 on
+// two cores, measured once For ran its chunks on reused Calls instead of
+// fresh per-call state (481, 1 554 and 1 630 before; 548, 2 091 and 2 277
+// before Fit built its parameter list once a call; 1 633, 7 038 and 7 781
+// before Conv2D's tasks held their tensor headers and the dense head's
+// column split ran on a prebound Call).
 func TestFitStepHeap(t *testing.T) {
 	const epochs = 4
 	for _, c := range []struct {
 		model         string
 		bytes, allocs uint64
 	}{
-		{"vgg16", 5 << 20, 530},
-		{"mobilenetv2", 512 << 10, 1710},
-		{"effnetb0", 512 << 10, 1800},
+		{"vgg16", 5 << 20, 340},
+		{"mobilenetv2", 512 << 10, 1090},
+		{"effnetb0", 512 << 10, 1340},
 	} {
 		t.Run(c.model, func(t *testing.T) {
 			var bytes, allocs []uint64 // at the end of each epoch

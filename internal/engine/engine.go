@@ -55,7 +55,7 @@ var splitMinMACs int64 = 2 << 20
 // activation, allocated from the same arena. Implementations are state-free.
 // The engine's own parallelism is across the parts of a batch; a stage may
 // fan out inside its part (the fused extraction blocks do, over sample×tile
-// items) only with a parallel.Call, never with parallel.For — see
+// items) because every pool waiter runs only its own tasks — see
 // Engine.arenas.
 type Stage interface {
 	Name() string
@@ -86,9 +86,10 @@ type Engine struct {
 	// list; clones are made lazily, one per worker, then recycled, so steady
 	// state never touches the heap. Taking one may wait for another part to
 	// return its arena, so nothing that runs while an arena is held may
-	// depend on a queued pool task making progress. The one fan-out that runs
-	// there is a fused block's over its tiles: a parallel.Call, whose waiter
-	// claims only its own tasks and whose tasks take no arena. The batch
+	// depend on a queued pool task making progress. The fan-outs that run
+	// there (a fused block's over its tiles, the streamed FC's column split)
+	// hold to that: a pool waiter claims only its own tasks, and their tasks
+	// take no arena. The batch
 	// split (forParts) is not among them: each part takes its arena inside
 	// its task, and the caller holds none while it waits.
 	proto  *tensor.Arena

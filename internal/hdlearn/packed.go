@@ -3,6 +3,7 @@ package hdlearn
 import (
 	"fmt"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -72,7 +73,7 @@ func (pm *PackedModel) PredictBatch(hvs *tensor.Tensor) []int {
 	preds := make([]int, n)
 	// Per row: D/64·K word ops of scoring plus D packing ops.
 	grain := 1 + (1<<14)/(pm.wpr*pm.K+pm.D+1)
-	tensor.ParallelForGrain(n, grain, func(lo, hi int) {
+	parallel.For(n, grain, func(lo, hi int) {
 		q := make([]uint64, pm.wpr)
 		for i := lo; i < hi; i++ {
 			tensor.PackSignsInto(q, hvs.Row(i))

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -15,7 +16,7 @@ const elemGrain = 1 << 14
 // range over the pool: one pass that reads x and writes the result.
 func clampInto(a *tensor.Arena, x *tensor.Tensor, clamp func(dst, src []float32)) *tensor.Tensor {
 	y := a.Alloc(x.Shape...)
-	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+	parallel.For(len(y.Data), elemGrain, func(lo, hi int) {
 		clamp(y.Data[lo:hi], x.Data[lo:hi])
 	})
 	return y
@@ -48,7 +49,7 @@ func (r *ReLU) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	}
 	y := r.cachedY
 	dx := a.Alloc(y.Shape...)
-	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+	parallel.For(len(y.Data), elemGrain, func(lo, hi int) {
 		tensor.ReLUBackInto(dx.Data[lo:hi], grad.Data[lo:hi], y.Data[lo:hi])
 	})
 	return dx
@@ -89,7 +90,7 @@ func (r *ReLU6) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	}
 	y := r.cachedY
 	dx := a.Alloc(y.Shape...)
-	tensor.ParallelForGrain(len(y.Data), elemGrain, func(lo, hi int) {
+	parallel.For(len(y.Data), elemGrain, func(lo, hi int) {
 		ys, gs := y.Data[lo:hi], grad.Data[lo:hi]
 		for i, g := range gs {
 			b := math.Float32bits(g)

@@ -11,7 +11,7 @@ import (
 // layer kernels. The determinism tests swap it for a serial runner with the
 // identical chunk schedule to prove that parallel and serial backward passes
 // produce bit-identical gradients.
-var parallelFor = tensor.ParallelFor
+var parallelFor = func(n int, kernel func(lo, hi int)) { parallel.For(n, 1, kernel) }
 
 // Conv2D is a standard 2-D convolution over [N, C, H, W] inputs with weights
 // [OutC, InC, KH, KW]. Forward and Backward walk the batch in fixed groups of

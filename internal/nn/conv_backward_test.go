@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -263,7 +264,7 @@ func (c *Conv2D) BackwardReference(grad *tensor.Tensor) *tensor.Tensor {
 	for i := range jobs {
 		workerAccs[i] = &acc{dw: tensor.New(c.OutC, kdim), db: make([]float32, c.OutC)}
 	}
-	tensor.ParallelFor(len(jobs), func(jlo, jhi int) {
+	parallel.For(len(jobs), 1, func(jlo, jhi int) {
 		cols := tensor.New(kdim, outH*outW)
 		dcols := tensor.New(kdim, outH*outW)
 		for ji := jlo; ji < jhi; ji++ {

@@ -157,17 +157,17 @@ func (s *Sequential) backwardParams(a *tensor.Arena, grad *tensor.Tensor) {
 	}
 }
 
-// forTasks runs body over the items [0, n) on the pool, cut into at most
-// loadBalance tasks per worker of contiguous, near-equal item ranges, and
+// forTasks runs body over the items [0, n) on the pool, cut into
+// parallel.Tasks(n, 1) tasks of contiguous, near-equal item ranges, and
 // hands each task its own wsLen-float workspace from a, which ends when
 // forTasks returns. Which items share a task decides nothing but which
 // workspace they use: callers compute each item alone, so any cut gives the
 // same bits.
 func forTasks(a *tensor.Arena, n, wsLen int, body func(ws []float32, lo, hi int)) {
-	tasks := min(n, loadBalance*parallel.Workers())
-	if tasks <= 0 {
+	if n <= 0 {
 		return
 	}
+	tasks := parallel.Tasks(n, 1)
 	m := a.Mark()
 	ws := a.Floats(tasks * wsLen)
 	parallelFor(tasks, func(tlo, thi int) {
@@ -177,10 +177,6 @@ func forTasks(a *tensor.Arena, n, wsLen int, body func(ws []float32, lo, hi int)
 	})
 	a.Release(m)
 }
-
-// loadBalance is forTasks' tasks per worker, the pool's own ratio: enough
-// that a worker slowed by another process leaves its share to the others.
-const loadBalance = 4
 
 // Params returns the parameters of all layers, in layer order.
 func (s *Sequential) Params() []*Param {
@@ -227,7 +223,7 @@ func zeroGrads(ps []*Param) {
 	for _, p := range ps {
 		total += len(p.Grad.Data)
 	}
-	tensor.ParallelForGrain(total, elemGrain, func(lo, hi int) {
+	parallel.For(total, elemGrain, func(lo, hi int) {
 		for _, p := range ps {
 			g := p.Grad.Data
 			if lo < len(g) && hi > 0 {

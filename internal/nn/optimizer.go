@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -42,7 +43,7 @@ func (o *SGD) Step(params []*Param) {
 			v = tensor.New(p.W.Shape...)
 			o.velocity[p] = v
 		}
-		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
+		parallel.For(len(p.W.Data), elemGrain, func(lo, hi int) {
 			tensor.SGDStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], v.Data[lo:hi], lr, mu, wd)
 		})
 	}
@@ -83,7 +84,7 @@ func (o *Adam) Step(params []*Param) {
 			o.m[p] = m
 			o.v[p] = v
 		}
-		tensor.ParallelForGrain(len(p.W.Data), elemGrain, func(lo, hi int) {
+		parallel.For(len(p.W.Data), elemGrain, func(lo, hi int) {
 			tensor.AdamStep(p.W.Data[lo:hi], p.Grad.Data[lo:hi], m.Data[lo:hi], v.Data[lo:hi], o.LR, o.Eps, bc1, bc2, b1, b2, 0)
 		})
 	}

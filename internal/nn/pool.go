@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"nshd/internal/parallel"
 	"nshd/internal/tensor"
 )
 
@@ -39,7 +40,7 @@ func (m *MaxPool2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	arg := a.Int32s(n * c * outH * outW)
 	m.cachedIn = [3]int{c, h, w}
 	m.cachedN = n
-	tensor.ParallelFor(n, func(lo, hi int) {
+	parallel.For(n, 1, func(lo, hi int) {
 		m.poolPlanes(y.Data, arg, x.Data, lo*c, hi*c, h, w)
 	})
 	m.cachedArg = arg
@@ -118,7 +119,7 @@ func (m *MaxPool2D) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tenso
 	c, h, w := m.cachedIn[0], m.cachedIn[1], m.cachedIn[2]
 	dx := a.Alloc(m.cachedN, c, h, w)
 	sampleIn, sampleOut := c*h*w, len(m.cachedArg)/max(m.cachedN, 1)
-	tensor.ParallelFor(m.cachedN, func(lo, hi int) {
+	parallel.For(m.cachedN, 1, func(lo, hi int) {
 		clear(dx.Data[lo*sampleIn : hi*sampleIn])
 		for i := lo * sampleOut; i < hi*sampleOut; i++ {
 			dx.Data[m.cachedArg[i]] += grad.Data[i]

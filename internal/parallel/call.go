@@ -2,21 +2,21 @@ package parallel
 
 import "sync/atomic"
 
-// Call is a reusable fan-out of a fixed set of tasks over a prebound kernel.
-// Where ForGrain allocates a fresh callState per invocation, a Call is built
-// once (at engine compile time) and its Run method costs only channel
-// operations — no allocation — which keeps per-sample tile dispatch inside
-// the serving engine's zero-alloc envelope.
+// Call is a reusable fan-out of a fixed set of tasks over a prebound kernel,
+// and the pool's one dispatcher: For runs its chunks on a pooled Call, and
+// the serving engine builds its own once, at compile time. Run costs only
+// atomic and channel operations — no allocation — which keeps per-sample
+// tile dispatch inside the serving engine's zero-alloc envelope.
 //
 // Run blocks until every task has completed. Tasks are claimed from a
 // counter: Run offers the pool a help token per task another worker could
 // take and then claims tasks itself until none are left, so it never depends
-// on a pool worker being free, and — unlike ForGrain's waiter — it never runs
-// another call's work while it waits. That matters to callers that hold a
-// resource across Run (the serving engine's parts hold a worker arena): a
-// waiter that drained the shared queue could start a queued task that blocks
-// on that very resource, on top of the stack that holds it. After claiming,
-// Run waits only for helpers that are already executing one of its tasks.
+// on a pool worker being free, and it never runs another call's work while
+// it waits. That matters to callers that hold a resource across Run (the
+// serving engine's parts hold a worker arena): a waiter that drained the
+// shared queue could start a queued task that blocks on that very resource,
+// on top of the stack that holds it. After claiming, Run waits only for
+// helpers that are already executing one of its tasks.
 //
 // A task that panics does not unwind the goroutine it runs on — a pool
 // helper's panic would kill the process, beyond any recover of the caller's.
@@ -33,8 +33,8 @@ type Call struct {
 	kernel func(lo, hi int)
 	next   atomic.Int64  // next unclaimed task index minus k; >= 0 when none are left
 	left   atomic.Int64  // tasks of the current Run not yet completed
+	queued atomic.Int64  // this call's help tokens in the pool's queue
 	done   chan struct{} // capacity 1: one token when left reaches zero
-	help   task          // pool task that claims and runs this call's tasks
 	fault  atomic.Pointer[taskPanic]
 }
 
@@ -45,9 +45,7 @@ type taskPanic struct{ v any }
 // kernel typically indexes a slice of per-task work descriptors rebound
 // before each Run.
 func NewCall(n int, kernel func(lo, hi int)) *Call {
-	c := &Call{n: n, kernel: kernel, done: make(chan struct{}, 1)}
-	c.help = task{kernel: func(int, int) { c.work() }}
-	return c
+	return &Call{n: n, kernel: kernel, done: make(chan struct{}, 1)}
 }
 
 // work claims and runs tasks until none are left. A help token that a worker
@@ -93,11 +91,18 @@ func (c *Call) RunN(k int) {
 	c.k = k
 	c.left.Store(int64(k))
 	c.next.Store(int64(-k)) // publishes the Run: claims count up to zero
-	for i := min(k, nworkers) - 1; i > 0; i-- {
+	// A token for each task past the caller's first, up to one per worker:
+	// the caller is often no pool worker, and with the first helper alone
+	// the joint HD loop ran slower (BenchmarkTrainOnFeatures, CHANGES.md).
+	// Tokens of an earlier Run still queued count: a worker that takes one
+	// joins whichever Run is live, so a call's stale tokens never pile up.
+	for i := min(k-1, nworkers) - int(c.queued.Load()); i > 0; i-- {
+		c.queued.Add(1)
 		select {
-		case tasks <- c.help:
+		case tasks <- c:
 		default:
-			// Queue full (heavy load): the caller runs the task itself.
+			// Queue full (heavy load): the caller runs the tasks itself.
+			c.queued.Add(-1)
 		}
 	}
 	c.work()

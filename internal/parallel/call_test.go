@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,15 +40,15 @@ func TestCallZeroAlloc(t *testing.T) {
 }
 
 // TestCallNested checks Calls still complete when issued from inside pool
-// workers already running a ForGrain fan-out (help-draining must keep both
-// levels moving).
+// workers already running a For fan-out: each waiter runs its own tasks, so
+// both levels keep moving.
 func TestCallNested(t *testing.T) {
 	var total atomic.Int64
 	inner := make([]*Call, Workers()+1)
 	for i := range inner {
 		inner[i] = NewCall(4, func(lo, hi int) { total.Add(1) })
 	}
-	ForGrain(len(inner), 1, func(lo, hi int) {
+	For(len(inner), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			inner[i].Run()
 		}
@@ -57,44 +58,156 @@ func TestCallNested(t *testing.T) {
 	}
 }
 
-// TestCallWaiterRunsOnlyItsOwnTasks pins the property the serving engine
-// relies on: while Run waits it must not start foreign queued tasks, because
-// the caller may hold a resource those tasks block on. The queue is seeded
-// with more blocking tasks than the pool has workers, each waiting on a gate
-// only the test opens after Run returns; a help-draining waiter (what Run did
-// before, and what ForGrain's waiter still does) picks one up and never comes
-// back.
-func TestCallWaiterRunsOnlyItsOwnTasks(t *testing.T) {
-	if Workers() < 2 {
-		t.Skip("single worker: Run is inline")
+// seedBlocked queues Workers()+2 help tokens of a Call whose as many tasks
+// each wait on gate, and returns once every worker has taken one and blocked:
+// two tokens stay queued with tasks still unclaimed, so a waiter that drained
+// the queue would claim one and block too. Close the gate, then receive from
+// the returned Call's done to leave a clean pool.
+func seedBlocked(t *testing.T, gate chan struct{}) *Call {
+	n := Workers() + 2
+	taken := make(chan struct{}, n)
+	b := NewCall(n, func(int, int) {
+		taken <- struct{}{}
+		<-gate
+	})
+	b.k = n
+	b.left.Store(int64(n))
+	b.next.Store(int64(-n))
+	for i := 0; i < n; i++ {
+		b.queued.Add(1)
+		tasks <- b
 	}
-	gate := make(chan struct{})
-	var blocked callState
-	blocked.finished = make(chan struct{}, 1)
-	nBlock := Workers() + 2
-	blocked.remaining.Store(int64(nBlock))
-	for i := 0; i < nBlock; i++ {
-		tasks <- task{kernel: func(int, int) { <-gate }, call: &blocked}
+	for i := 0; i < Workers(); i++ {
+		select {
+		case <-taken:
+		case <-time.After(10 * time.Second):
+			close(gate)
+			t.Fatal("the pool's workers did not take the seeded tasks")
+		}
 	}
+	return b
+}
 
-	var ran atomic.Int64
-	c := NewCall(4, func(lo, hi int) { ran.Add(1) })
+// waitOrFail runs fn under a watchdog: the waiter that runs a foreign queued
+// task blocks on the gate, and the test fails instead of hanging.
+func waitOrFail(t *testing.T, gate chan struct{}, what string, fn func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		c.Run()
+		fn()
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		close(gate)
-		t.Fatal("Call.Run ran a foreign queued task while waiting and blocked on it")
+		t.Fatalf("%s ran a foreign queued task while waiting and blocked on it", what)
 	}
+}
+
+// TestCallWaiterRunsOnlyItsOwnTasks pins the property the serving engine
+// relies on: while Run waits it must not start foreign queued tasks, because
+// the caller may hold a resource those tasks block on.
+func TestCallWaiterRunsOnlyItsOwnTasks(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: Run is inline")
+	}
+	gate := make(chan struct{})
+	blocked := seedBlocked(t, gate)
+	var ran atomic.Int64
+	c := NewCall(4, func(lo, hi int) { ran.Add(1) })
+	waitOrFail(t, gate, "Call.Run", c.Run)
 	if got := ran.Load(); got != 4 {
 		t.Fatalf("Call ran %d of its 4 tasks", got)
 	}
 	close(gate)
-	<-blocked.finished // drain the seeded tasks so later tests see a clean pool
+	<-blocked.done
+}
+
+// TestCallStaleTokensStayBounded: while every worker is busy, a Call's Runs
+// finish on the caller and leave their help tokens queued. A later Run counts
+// those as its own help instead of queuing more, so one Call never holds
+// more than Workers() slots of the queue, and other fan-outs still find room
+// for theirs.
+func TestCallStaleTokensStayBounded(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: Run is inline")
+	}
+	gate := make(chan struct{})
+	blocked := seedBlocked(t, gate)
+	c := NewCall(2*Workers(), func(lo, hi int) {})
+	for r := 0; r < 10*cap(tasks); r++ {
+		c.Run()
+	}
+	// The seeded tokens the blocked workers have not taken, plus c's.
+	if got, limit := len(tasks), 2+Workers(); got > limit {
+		t.Errorf("%d help tokens queued after repeated Runs, want at most %d", got, limit)
+	}
+	close(gate)
+	<-blocked.done
+}
+
+// TestForWaiterRunsOnlyItsOwnTasks is the same property for For, which runs
+// on a pooled Call: its waiter claims only its own chunks.
+func TestForWaiterRunsOnlyItsOwnTasks(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: For is inline")
+	}
+	gate := make(chan struct{})
+	blocked := seedBlocked(t, gate)
+	const n = 64
+	var items atomic.Int64
+	waitOrFail(t, gate, "For", func() {
+		For(n, 1, func(lo, hi int) { items.Add(int64(hi - lo)) })
+	})
+	if got := items.Load(); got != n {
+		t.Fatalf("For covered %d of its %d items", got, n)
+	}
+	close(gate)
+	<-blocked.done
+}
+
+// TestForPanicOnHelperReachesCaller: every chunk of a For panics, and the
+// first waits until a second has started, so at least one panics on a pool
+// helper. The process survives, For panics on its caller with one chunk's
+// value once every chunk has run, and the pool serves the next For.
+func TestForPanicOnHelperReachesCaller(t *testing.T) {
+	if Workers() < 2 {
+		t.Skip("single worker: For is inline and a panic unwinds the caller directly")
+	}
+	const n = 8
+	for round := 0; round < 20; round++ {
+		var started, ran atomic.Int64
+		both := make(chan struct{})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			For(n, 1, func(lo, hi int) {
+				switch started.Add(1) {
+				case 1: // the second chunk starts on another goroutine
+					select {
+					case <-both:
+					case <-time.After(10 * time.Second):
+					}
+				case 2:
+					close(both)
+				}
+				ran.Add(int64(hi - lo))
+				panic(fmt.Sprintf("chunk %d failed", lo))
+			})
+			return nil
+		}()
+		if s, ok := got.(string); !ok || !strings.HasPrefix(s, "chunk ") {
+			t.Fatalf("round %d: For panicked with %v, want a chunk's value", round, got)
+		}
+		if r := ran.Load(); r != n {
+			t.Fatalf("round %d: For returned after %d of %d chunks", round, r, n)
+		}
+		var items atomic.Int64
+		For(n, 1, func(lo, hi int) { items.Add(int64(hi - lo)) })
+		if r := items.Load(); r != n {
+			t.Fatalf("round %d: the For after a panic covered %d of %d items", round, r, n)
+		}
+	}
 }
 
 // TestCallRunNVariesWidth checks RunN runs exactly tasks [0, k) whatever the

@@ -8,8 +8,9 @@ import "sync/atomic"
 // then on Get is an allocation-free channel receive that may wait for a Put.
 // Whatever runs between a Get and its Put must therefore never wait for a
 // queued pool task to make progress (such a task may itself be blocked in
-// Get): holders fan out with a Call, whose waiter runs only its own tasks,
-// never with For.
+// Get). Holders may fan out, with a Call or For, since a pool waiter runs
+// only its own tasks; For takes its Calls from a stack that never waits, not
+// from a Freelist.
 type Freelist[T any] struct {
 	free    chan T
 	created atomic.Int64

@@ -1,42 +1,26 @@
 // Package parallel provides a persistent worker pool for data-parallel
-// kernels. The seed implementation spawned fresh goroutines on every
-// MatMulInto/ParallelFor call; this pool starts GOMAXPROCS long-lived workers
-// once and dispatches chunk tasks over a channel, so the steady-state cost of
-// fanning out a kernel is a channel send instead of goroutine creation.
+// kernels. The pool starts GOMAXPROCS long-lived workers once, so the
+// steady-state cost of fanning out a kernel is a channel send instead of
+// goroutine creation.
 //
-// The pool is nesting-safe: a kernel running on a pool worker may itself call
-// For/ForGrain (e.g. conv2d parallelizes over samples and each sample's
-// matmul parallelizes over tiles). Deadlock is impossible by construction
-// because every goroutine that waits for a call to finish also *drains* the
-// task queue while waiting — a blocked waiter is always also a consumer. The
-// flip side: a For waiter may run ANY queued task on top of its own stack, so
-// a kernel that holds a resource queued tasks can block on must fan out with
-// a Call instead, whose waiter runs only its own tasks.
+// Every fan-out is a Call: For takes one from a stack of idle ones, and the
+// serving engine and the column-split products prebind theirs. The queue
+// carries only help tokens, and every waiter claims and runs only its own
+// call's tasks, then waits for helpers already executing one. No waiter ever
+// runs another call's work on top of its stack, so the pool is nesting-safe
+// (a kernel on a pool worker may call For again: conv2d over samples, each
+// sample's GEMM over tiles), and a kernel may fan out while it holds a
+// resource that other queued work blocks on.
 package parallel
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// task is one contiguous chunk of a For call.
-type task struct {
-	lo, hi int
-	kernel func(lo, hi int)
-	call   *callState
-}
-
-// callState tracks completion of one For call's tasks. finished is a
-// capacity-1 channel that receives one token when the last task completes.
-type callState struct {
-	remaining atomic.Int64
-	finished  chan struct{}
-}
 
 var (
 	initOnce sync.Once
-	tasks    chan task
+	tasks    chan *Call // help tokens: a worker that takes one joins that Call's Run
 	nworkers int
 )
 
@@ -47,24 +31,18 @@ const loadBalanceFactor = 4
 func ensurePool() {
 	initOnce.Do(func() {
 		nworkers = runtime.GOMAXPROCS(0)
-		tasks = make(chan task, 8*nworkers)
+		// Room for the tokens of nested and concurrent fan-outs; a Run that
+		// finds the queue full runs its tasks on its caller.
+		tasks = make(chan *Call, 8*nworkers)
 		for i := 0; i < nworkers; i++ {
 			go func() {
-				for t := range tasks {
-					runTask(t)
+				for c := range tasks {
+					c.queued.Add(-1)
+					c.work()
 				}
 			}()
 		}
 	})
-}
-
-// runTask runs one task and reports it to its call; a Call's help tokens
-// carry no callState (they account for their own completion, see Call.work).
-func runTask(t task) {
-	t.kernel(t.lo, t.hi)
-	if t.call != nil && t.call.remaining.Add(-1) == 0 {
-		t.call.finished <- struct{}{}
-	}
 }
 
 // Workers returns the pool size (GOMAXPROCS at first use).
@@ -73,17 +51,39 @@ func Workers() int {
 	return nworkers
 }
 
-// For splits [0,n) into contiguous chunks and runs kernel over them on the
-// pool, blocking until all chunks complete. Equivalent to ForGrain(n, 1, kernel).
-func For(n int, kernel func(lo, hi int)) {
-	ForGrain(n, 1, kernel)
+// forCall is a pooled Call that deals [0, n) out in chunks of chunk items.
+// Its task kernel is bound once, when For makes it, so a For allocates
+// nothing of its own.
+type forCall struct {
+	*Call
+	body     func(lo, hi int)
+	n, chunk int
 }
 
-// ForGrain is For with a work-size floor: no chunk is (much) smaller than
-// grain items, so callers can express "one task must be worth at least X
-// flops" as grain = X / costPerItem. When n <= grain or the pool has a single
-// worker the kernel runs inline with no dispatch overhead.
-func ForGrain(n, grain int, kernel func(lo, hi int)) {
+// forCalls is For's stack of idle Calls. It is uncapped and never waits, so
+// a For nested in another's chunk takes a Call of its own (a Freelist's Get
+// may wait), and unlike a sync.Pool it keeps every Call it is given, under
+// the race detector too, which keeps a training step's allocation count
+// steady.
+var forCalls struct {
+	sync.Mutex
+	free []*forCall
+}
+
+// chunkAt runs the t-th chunk of the current For.
+func (f *forCall) chunkAt(t, _ int) {
+	lo := t * f.chunk
+	f.body(lo, min(lo+f.chunk, f.n))
+}
+
+// For runs kernel over [0, n) cut into Tasks(n, grain) contiguous chunks of
+// ⌈n/chunks⌉ items (the last one shorter), blocking until all have run; the
+// grain is a work-size floor, so callers can express "one task must be worth
+// at least X flops" as grain = X / costPerItem. One chunk runs inline with no
+// dispatch. More run as the tasks of a pooled Call: the caller claims chunks
+// itself while helpers join, and a chunk's panic reaches the caller once the
+// other chunks have run.
+func For(n, grain int, kernel func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -92,46 +92,28 @@ func ForGrain(n, grain int, kernel func(lo, hi int)) {
 		kernel(0, n)
 		return
 	}
-	chunk := (n + chunks - 1) / chunks
-	numTasks := (n + chunk - 1) / chunk
-	st := &callState{finished: make(chan struct{}, 1)}
-	st.remaining.Store(int64(numTasks))
-	lo := 0
-	for ti := 0; ti < numTasks; ti++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		t := task{lo: lo, hi: hi, kernel: kernel, call: st}
-		if ti == numTasks-1 {
-			// The caller always participates instead of just blocking.
-			runTask(t)
-		} else {
-			select {
-			case tasks <- t:
-			default:
-				// Queue full (deep nesting or heavy load): run inline
-				// rather than block, preserving the no-deadlock invariant.
-				runTask(t)
-			}
-		}
-		lo = hi
+	var f *forCall
+	forCalls.Lock()
+	if top := len(forCalls.free) - 1; top >= 0 {
+		f, forCalls.free = forCalls.free[top], forCalls.free[:top]
 	}
-	// Help-drain: execute queued tasks (ours or other calls') while waiting.
-	for {
-		select {
-		case <-st.finished:
-			return
-		case t := <-tasks:
-			runTask(t)
-		}
+	forCalls.Unlock()
+	if f == nil {
+		f = new(forCall)
+		f.Call = NewCall(0, f.chunkAt)
 	}
+	f.body, f.n, f.chunk = kernel, n, (n+chunks-1)/chunks
+	f.RunN((n + f.chunk - 1) / f.chunk)
+	f.body = nil
+	forCalls.Lock()
+	forCalls.free = append(forCalls.free, f)
+	forCalls.Unlock()
 }
 
-// Tasks is how many chunks ForGrain aims to cut n > 0 items into with a
-// floor of grain items a chunk: loadBalanceFactor per worker where the floor
-// allows, 1 (run inline) when n <= grain or the pool has a single worker. A
-// Call that deals out ranges of items sizes its Run with it.
+// Tasks is how many chunks For aims to cut n > 0 items into with a floor of
+// grain items a chunk: loadBalanceFactor per worker where the floor allows,
+// 1 (run inline) when n <= grain or the pool has a single worker. A Call that
+// deals out ranges of items sizes its Run with it.
 func Tasks(n, grain int) int {
 	ensurePool()
 	grain = max(grain, 1)

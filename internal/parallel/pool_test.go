@@ -9,8 +9,8 @@ import (
 
 func TestMain(m *testing.M) {
 	// Force a multi-worker pool even on single-CPU machines so the dispatch,
-	// nesting, and help-drain paths are genuinely exercised (GOMAXPROCS may
-	// exceed the physical CPU count).
+	// nesting, help-token and panic paths are genuinely exercised (GOMAXPROCS
+	// may exceed the physical CPU count).
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
@@ -20,7 +20,7 @@ func TestMain(m *testing.M) {
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000, 4097} {
 		hits := make([]int32, n)
-		For(n, func(lo, hi int) {
+		For(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -33,11 +33,11 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForGrainRespectsFloor(t *testing.T) {
+func TestForRespectsGrain(t *testing.T) {
 	var minChunk atomic.Int64
 	minChunk.Store(1 << 60)
 	const n, grain = 1000, 100
-	ForGrain(n, grain, func(lo, hi int) {
+	For(n, grain, func(lo, hi int) {
 		if w := int64(hi - lo); w < minChunk.Load() {
 			minChunk.Store(w)
 		}
@@ -51,7 +51,7 @@ func TestForGrainRespectsFloor(t *testing.T) {
 
 func TestForSmallRunsInline(t *testing.T) {
 	calls := 0
-	ForGrain(10, 100, func(lo, hi int) {
+	For(10, 100, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Fatalf("expected single inline chunk [0,10), got [%d,%d)", lo, hi)
@@ -66,11 +66,11 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	// Three levels of nesting: each mid-level chunk kernel issues another
 	// For call of its own. Item counts must be exact at every level.
 	var items64, items8, calls64 atomic.Int64
-	For(32, func(lo, hi int) {
+	For(32, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			For(64, func(jlo, jhi int) {
+			For(64, 1, func(jlo, jhi int) {
 				calls64.Add(1)
-				For(8, func(klo, khi int) {
+				For(8, 1, func(klo, khi int) {
 					items8.Add(int64(khi - klo))
 				})
 				items64.Add(int64(jhi - jlo))
@@ -98,7 +98,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				n := 1 + (seed*31+r*17)%200
 				out := make([]int, n)
-				For(n, func(lo, hi int) {
+				For(n, 1, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						out[i] = i * i
 					}
@@ -119,7 +119,7 @@ func BenchmarkForDispatch(b *testing.B) {
 	var sink atomic.Int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		For(Workers()*loadBalanceFactor, func(lo, hi int) {
+		For(Workers()*loadBalanceFactor, 1, func(lo, hi int) {
 			sink.Add(int64(hi - lo))
 		})
 	}

@@ -111,7 +111,7 @@ func (q *HDModel8) PredictBatch(signed *tensor.Tensor) ([]int, error) {
 	if cost := q.K * q.D; cost > 0 && cost < minBatchWork {
 		grain = (minBatchWork + cost - 1) / cost
 	}
-	parallel.ForGrain(n, grain, func(lo, hi int) {
+	parallel.For(n, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := signed.Row(i)
 			best := int32(math.MinInt32)

@@ -203,7 +203,7 @@ func gemm(dst, a, b []float32, m, n, k int, buf []float32) {
 		return
 	}
 	jobs := gemmSplit(m, n, k, workers)
-	parallel.For(len(jobs), func(lo, hi int) {
+	parallel.For(len(jobs), 1, func(lo, hi int) {
 		for ji := lo; ji < hi; ji++ {
 			j := jobs[ji]
 			gemmRange(dst, a, b, n, k, j.r0, j.r1, j.c0, j.c1, nil)
@@ -339,7 +339,7 @@ func MatMulTInto(dst, a, b *Tensor) {
 	case n*k > dotStreamFloats:
 		matMulTColumns(dst.Data, a.Data, b.Data, m, n, k)
 	default:
-		parallel.ForGrain(m, rowGrain(n, k), func(lo, hi int) {
+		parallel.For(m, rowGrain(n, k), func(lo, hi int) {
 			matMulTRange(dst.Data, a.Data, b.Data, n, k, lo, hi)
 		})
 	}
@@ -392,9 +392,9 @@ func newColSplit() *colSplit {
 // matMulTColumns computes dst = a(m×k) @ bᵀ (b is n×k) split over the pool
 // by whole groups of dotSplitCols columns, a multiple of both tile widths, so
 // only N's own edge moves a tile back. Tasks take near-equal runs of groups,
-// as many as ForGrain would cut, rowGrain(m, k) being the columns whose
+// as many as For would cut, rowGrain(m, k) being the columns whose
 // 2·M·K flops make one task: at batch 1 on embedded_large's FC that is eight
-// tasks for nine groups, where ForGrain's whole chunks of two would make five
+// tasks for nine groups, where For's whole chunks of two would make five
 // and leave the helper, which starts late, a coarser share. Allocation-free,
 // and the caller claims tasks itself, never running another call's.
 func matMulTColumns(dst, a, b []float32, m, n, k int) {

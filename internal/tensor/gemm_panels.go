@@ -193,7 +193,7 @@ func MatMulPanelsParallelInto(dst, a *Tensor, pp *ProjPanels) {
 		MatMulPanelsInto(dst, a, pp, nil)
 		return
 	}
-	parallel.For(blocks, func(lo, hi int) {
+	parallel.For(blocks, 1, func(lo, hi int) {
 		c0, c1 := lo*gemmNC, min(hi*gemmNC, pp.n)
 		src := gemmB{kind: bPanels, n: pp.n, pp: pp}
 		gemmDrive(dst.Data[c0:], pp.n, gemmA{a: a.Data, lda: pp.k}, m, &src, c0, c1, 0, pp.k, nil, true)

@@ -283,7 +283,7 @@ func TestTransposeBlocked(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsRaceClean hammers MatMulInto / MatMulT / ParallelFor
+// TestParallelKernelsRaceClean hammers MatMulInto / MatMulT / parallel.For
 // from many goroutines at once; meaningful under -race.
 func TestParallelKernelsRaceClean(t *testing.T) {
 	var wg sync.WaitGroup
@@ -299,7 +299,7 @@ func TestParallelKernelsRaceClean(t *testing.T) {
 				MatMulInto(dst, a, b)
 				MatMulT(a, bt)
 				total := make([]float32, 128)
-				ParallelFor(128, func(lo, hi int) {
+				parallel.For(128, 1, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						total[i] = float32(i) + a.Data[i%len(a.Data)]
 					}
@@ -394,7 +394,7 @@ func BenchmarkMatMulTSplit(b *testing.B) {
 		})
 		b.Run(s.name+"/rows", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				parallel.ForGrain(s.m, rowGrain(s.n, s.k), func(lo, hi int) {
+				parallel.For(s.m, rowGrain(s.n, s.k), func(lo, hi int) {
 					matMulTRange(dst.Data, a.Data, bt.Data, s.n, s.k, lo, hi)
 				})
 			}

@@ -113,7 +113,7 @@ func TransposeInto(dst, a *Tensor) {
 	// One task must move at least minParallelWork elements to be worth
 	// dispatching.
 	grain := 1 + minParallelWork/(transposeBlock*n+1)
-	parallel.ForGrain(rowBlocks, grain, func(blo, bhi int) {
+	parallel.For(rowBlocks, grain, func(blo, bhi int) {
 		for ib := blo * transposeBlock; ib < bhi*transposeBlock && ib < m; ib += transposeBlock {
 			ie := ib + transposeBlock
 			if ie > m {
@@ -244,20 +244,4 @@ func AddScalarReLUInPlace(x []float32, b float32) {
 		}
 		x[i] = v
 	}
-}
-
-// ParallelFor splits [0,n) into contiguous chunks and runs kernel on each
-// via the persistent worker pool, blocking until all complete. It is the
-// exported hook the nn and hdc packages use to parallelize per-sample work;
-// per-item cost is assumed to be large (a whole conv sample, a record
-// encoding), so no work-size floor is applied.
-func ParallelFor(n int, kernel func(lo, hi int)) {
-	parallel.For(n, kernel)
-}
-
-// ParallelForGrain is ParallelFor with a minimum number of items per task,
-// for callers whose per-item cost is small enough that flat chunking would
-// lose to dispatch overhead.
-func ParallelForGrain(n, grain int, kernel func(lo, hi int)) {
-	parallel.ForGrain(n, grain, kernel)
 }
