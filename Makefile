@@ -44,13 +44,15 @@ staticcheck:
 # Where the 512-bit GEMM kernels are live the GatesAt256 tests repeat the
 # driver's and the engine's gates on the 256-bit ones. Training has a bound,
 # not a zero: once its first step has sized Fit's arena, a Trainer.Fit step of
-# VGG16/4 at batch 32 takes at most 5 MB of heap in at most 340 allocations,
-# and a step of MobileNetV2 or EfficientNet-B0 at most 512 KB in at most
-# 1 090 or 1 340, about 10 % over their counts on two cores once parallel.For
-# ran on reused Calls (TestFitStepHeap, which logs each step's bytes
-# and allocations; 42 MB for VGG16/4 when every activation, gradient and
-# workspace was fresh heap, and 349 896 178 and 482 226 952 B for the other
-# two while nine of their layer types trained on the heap). So has the HD
+# VGG16/4 at batch 32 takes at most 31 KB of heap in at most 245 allocations,
+# and a step of MobileNetV2 or EfficientNet-B0 at most 113 or 111 KB in at
+# most 880 or 850, about 10 % over their counts on two cores once the
+# optimizers and the clip made one fan-out a sweep and the dense head's
+# products took their panel buffers from the arena (TestFitStepHeap, which
+# logs each step's bytes and allocations; 42 MB for VGG16/4 when every
+# activation, gradient and workspace was fresh heap, and 349 896 178 and
+# 482 226 952 B for the other two while nine of their layer types trained on
+# the heap). So has the HD
 # joint loop: once its first batch has sized the loop's
 # arena, a batch of the `train` workload's retraining takes at most 64 KB
 # (TestTrainOnFeaturesHeap, which logs the batch's bytes and allocations;
@@ -137,7 +139,8 @@ fuzz:
 # steady-state Trainer.Fit step on its arena per zoo model — vgg16,
 # mobilenetv2, effnetb0 (BenchmarkTrainStep) — one optimizer step at each
 # kernel width and on the Go twins: Adam on the `train` manifold FC's
-# [100, 2048] weights, SGD on VGG16/4's parameters (BenchmarkOptimizerStep) —
+# [100, 2048] weights, SGD on VGG16/4's parameters, and ClipGradNorm's
+# certified norm over them below and above maxNorm (BenchmarkOptimizerStep) —
 # the `train` workload's HD
 # retraining and teacher pass, Pipeline.ExtractFeatures on nn.Infer at
 # vgg16@8 (32 and 96 px), vgg16@29, mobilenetv2@14 and effnetb0@6

@@ -25,10 +25,10 @@ import (
 //   - make <target> is on the Makefile's .PHONY line.
 //
 // ROADMAP renumbers its items at every re-anchor, so README.md, DESIGN.md
-// and the Go files cite them by title: "ROADMAP item" followed by a number
-// anywhere in them fails.
+// and the Go files cite them by title: "ROADMAP", "ROADMAP item" or
+// "ROADMAP items" followed by a number anywhere in them fails.
 func TestDocsNameLiveCode(t *testing.T) {
-	itemRE := regexp.MustCompile(`ROADMAP items? \d`)
+	itemRE := regexp.MustCompile(`ROADMAP (items? )?\d`)
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !(strings.HasSuffix(path, ".go") || path == "README.md" || path == "DESIGN.md") {
 			return err
@@ -160,7 +160,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 // rewritten once, down to ≤ 60 KB" is the target for DESIGN.md, and a change
 // that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 137_458, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_435, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)

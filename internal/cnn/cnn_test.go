@@ -380,7 +380,11 @@ func BenchmarkTrainStep(b *testing.B) {
 // in one process — so that its rows set each kernel's speedup over its twin:
 // Adam on the `train` workload's manifold FC (F = 2048 pooled features to
 // F̂ = 100, weights and bias), the joint loop's optimizer, and Pretrain's SGD
-// with momentum and weight decay on every VGG16/4 parameter.
+// with momentum and weight decay on every VGG16/4 parameter, one fan-out
+// over them all. The clip-vgg16 rows time Pretrain's nn.ClipGradNorm over the
+// same gradients: below maxNorm (the certified norm alone, which is what
+// every `train` step runs) and above it (the norm and the rescale; the
+// gradients are restored outside the timer between calls).
 func BenchmarkOptimizerStep(b *testing.B) {
 	fc := nn.NewLinear(tensor.NewRNG(5), 2048, 100, true)
 	vgg, err := Build("vgg16", tensor.NewRNG(1), 10)
@@ -415,6 +419,36 @@ func BenchmarkOptimizerStep(b *testing.B) {
 				}
 			})
 		}
+	}
+	params := vgg.Full().Params()
+	saved := make([][]float32, len(params))
+	var sq float64
+	for i, p := range params {
+		saved[i] = append([]float32(nil), p.Grad.Data...)
+		for _, g := range p.Grad.Data {
+			sq += float64(g) * float64(g)
+		}
+	}
+	a := tensor.NewArena()
+	nn.ClipGradNorm(a, params, math.Inf(1)) // sizes the arena's block sums
+	a.Grow()
+	for _, c := range []struct {
+		name    string
+		maxNorm float64
+	}{{"below", 2 * math.Sqrt(sq)}, {"above", math.Sqrt(sq) / 2}} {
+		b.Run("clip-vgg16/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				nn.ClipGradNorm(a, params, c.maxNorm)
+				if c.name == "above" {
+					b.StopTimer()
+					for i, p := range params {
+						copy(p.Grad.Data, saved[i])
+					}
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 
@@ -456,21 +490,25 @@ func (f lineHook) Write(p []byte) (int, error) {
 // arena, when every activation, gradient and workspace was fresh heap.
 // MobileNetV2 and EfficientNet-B0 took 349 896 178 and 482 226 952 B a step
 // (BenchmarkTrainStep) while nine of their layer types trained on the heap.
-// The allocation bounds sit about 10 % over the steps' 305, 990 and 1 216 on
-// two cores, measured once For ran its chunks on reused Calls instead of
-// fresh per-call state (481, 1 554 and 1 630 before; 548, 2 091 and 2 277
-// before Fit built its parameter list once a call; 1 633, 7 038 and 7 781
-// before Conv2D's tasks held their tensor headers and the dense head's
-// column split ran on a prebound Call).
+// Both bounds sit about 10 % over the steps' 28 536 B / 223, 104 728 B / 798
+// and 102 960 B / 773 on two cores (−race: up to 28 720 / 225, 105 296 / 805
+// and 104 416 / 790; one core: 13 872 / 135, 49 664 / 465, 49 520 / 441),
+// measured once the optimizers and the clip made one fan-out a sweep and the
+// dense head's products took their panel buffers from the arena instead of
+// the sync.Pool (159 392 B / 305, 241 056 / 988 and 246 456 / 1 216 before;
+// 481, 1 554 and 1 630 allocations before For ran its chunks on reused
+// Calls; 548, 2 091 and 2 277 before Fit built its parameter list once a
+// call; 1 633, 7 038 and 7 781 before Conv2D's tasks held their tensor
+// headers and the dense head's column split ran on a prebound Call).
 func TestFitStepHeap(t *testing.T) {
 	const epochs = 4
 	for _, c := range []struct {
 		model         string
 		bytes, allocs uint64
 	}{
-		{"vgg16", 5 << 20, 340},
-		{"mobilenetv2", 512 << 10, 1090},
-		{"effnetb0", 512 << 10, 1340},
+		{"vgg16", 31 << 10, 245},
+		{"mobilenetv2", 113 << 10, 880},
+		{"effnetb0", 111 << 10, 850},
 	} {
 		t.Run(c.model, func(t *testing.T) {
 			var bytes, allocs []uint64 // at the end of each epoch

@@ -151,19 +151,33 @@ func ShiftAugment(maxShift int) func(sample []float32, shape []int, rng *tensor.
 		if dx == 0 && dy == 0 {
 			return
 		}
-		tmp := make([]float32, h*w)
-		for ch := 0; ch < c; ch++ {
-			plane := sample[ch*h*w : (ch+1)*h*w]
-			copy(tmp, plane)
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					sy, sx := y-dy, x-dx
-					if sy < 0 || sy >= h || sx < 0 || sx >= w {
-						plane[y*w+x] = 0
-					} else {
-						plane[y*w+x] = tmp[sy*w+sx]
-					}
-				}
+		shiftPlanes(sample, c, h, w, dx, dy)
+	}
+}
+
+// shiftPlanes moves each of the c h×w planes of x by dx columns and dy rows in place:
+// pixel (y, x) takes the value at (y−dy, x−dx), or +0 where that lies
+// outside the plane. Rows move whole, by copy and clear, walked bottom-up
+// when dy > 0 so that each source row is read before it is overwritten; a row
+// that shifts within itself (dy = 0) relies on copy's overlap rule.
+func shiftPlanes(x []float32, c, h, w, dx, dy int) {
+	for ch := 0; ch < c; ch++ {
+		plane := x[ch*h*w:][:h*w]
+		for i := 0; i < h; i++ {
+			y := i
+			if dy > 0 {
+				y = h - 1 - i
+			}
+			row, sy := plane[y*w:][:w], y-dy
+			switch {
+			case sy < 0 || sy >= h || dx >= w || -dx >= w:
+				clear(row)
+			case dx >= 0:
+				copy(row[dx:], plane[sy*w:][:w-dx])
+				clear(row[:dx])
+			default:
+				copy(row[:w+dx], plane[sy*w-dx:][:w+dx])
+				clear(row[w+dx:])
 			}
 		}
 	}

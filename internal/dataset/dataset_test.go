@@ -237,3 +237,48 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("expected validation error for bad label")
 	}
 }
+
+// TestShiftPlanesMatchesPerPixel pins ShiftAugment's in-place row moves to
+// the per-pixel loop they replaced, which reads a copy of each plane: every
+// (dx, dy) in [−4, 4]², on a 3×32×32 sample and an odd 2×5×7 one (shifts as
+// wide as the plane included), bit for bit, −0 and NaN pixels among the
+// values.
+func TestShiftPlanesMatchesPerPixel(t *testing.T) {
+	shiftRef := func(x []float32, c, h, w, dx, dy int) {
+		tmp := make([]float32, h*w)
+		for ch := 0; ch < c; ch++ {
+			plane := x[ch*h*w : (ch+1)*h*w]
+			copy(tmp, plane)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					sy, sx := y-dy, x-dx
+					if sy < 0 || sy >= h || sx < 0 || sx >= w {
+						plane[y*w+x] = 0
+					} else {
+						plane[y*w+x] = tmp[sy*w+sx]
+					}
+				}
+			}
+		}
+	}
+	rng := tensor.NewRNG(9)
+	for _, s := range []struct{ c, h, w int }{{3, 32, 32}, {2, 5, 7}} {
+		src := tensor.New(s.c, s.h, s.w)
+		rng.FillNormal(src, 0, 1)
+		src.Data[1] = float32(math.Copysign(0, -1))
+		src.Data[2] = float32(math.NaN())
+		for dy := -4; dy <= 4; dy++ {
+			for dx := -4; dx <= 4; dx++ {
+				want := append([]float32(nil), src.Data...)
+				shiftRef(want, s.c, s.h, s.w, dx, dy)
+				got := append([]float32(nil), src.Data...)
+				shiftPlanes(got, s.c, s.h, s.w, dx, dy)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%dx%dx%d shift (%d, %d): element %d is %v, want %v", s.c, s.h, s.w, dx, dy, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

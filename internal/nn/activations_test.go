@@ -79,7 +79,7 @@ func TestActivationForwardMatchesInfer(t *testing.T) {
 
 // sgdStepScalar is SGD.Step as it stood before the update was split over the
 // pool — one serial loop, the weight-decay test inside it — kept verbatim as
-// the reference for TestSGDStepMatchesScalarReference.
+// the reference for TestOptimizerKernelsMatchLoop and TestSGDStepSpansParams.
 func sgdStepScalar(lr, mu, wd float32, w, grad, v []float32) {
 	for i := range w {
 		g := grad[i]

@@ -115,6 +115,16 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 		a.Release(m)
 		return y
 	}
+	// The bias as one sample's [OutC, HW] planes, added to each output
+	// sample in one pass.
+	m := a.Mark()
+	var planes []float32
+	if bias != nil {
+		planes = a.Floats(sampleOut)
+		for p := range planes {
+			planes[p] = bias[p/hw]
+		}
+	}
 	// One workspace per task: the GEMM scratch (in offset form the padded
 	// window), then cols and the stacked output.
 	gemmLen, bufLen := tensor.ConvGemmScratch(g), 0
@@ -148,17 +158,12 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 					}
 				}
 			}
-			if bias != nil {
-				for p := 0; p < b*c.OutC; p++ {
-					bv := bias[p%c.OutC]
-					plane := ys[p*hw:][:hw]
-					for j := range plane {
-						plane[j] += bv
-					}
-				}
+			if planes != nil {
+				tensor.AddRows(ys, sampleOut, planes, 0, sampleOut, b)
 			}
 		}
 	})
+	a.Release(m)
 	return y
 }
 

@@ -219,19 +219,34 @@ func (s *Sequential) StatsPerLayer(in []int) []Stats {
 // zeroGrads clears the gradients of ps on the pool, which splits their
 // concatenation, in parameter order, into element ranges.
 func zeroGrads(ps []*Param) {
-	total := 0
-	for _, p := range ps {
-		total += len(p.Grad.Data)
-	}
-	parallel.For(total, elemGrain, func(lo, hi int) {
-		for _, p := range ps {
-			g := p.Grad.Data
-			if lo < len(g) && hi > 0 {
-				clear(g[max(lo, 0):min(hi, len(g))])
-			}
-			lo, hi = lo-len(g), hi-len(g)
-		}
+	parallel.For(paramLen(ps), elemGrain, func(lo, hi int) {
+		paramSpans(ps, lo, hi, func(i, lo, hi int) { clear(ps[i].Grad.Data[lo:hi]) })
 	})
+}
+
+// paramLen is the element count of ps's concatenation.
+func paramLen(ps []*Param) int {
+	n := 0
+	for _, p := range ps {
+		n += len(p.W.Data)
+	}
+	return n
+}
+
+// paramSpans calls f(i, plo, phi) for each parameter ps[i] that the range
+// [lo, hi) of ps's concatenation covers, in order: [plo, phi) is the part of
+// it, in its own element indices.
+func paramSpans(ps []*Param, lo, hi int, f func(i, lo, hi int)) {
+	for i, p := range ps {
+		n := len(p.W.Data)
+		if hi <= 0 {
+			return
+		}
+		if lo < n {
+			f(i, max(lo, 0), min(hi, n))
+		}
+		lo, hi = lo-n, hi-n
+	}
 }
 
 // batchOf panics unless x has at least 2 dims and returns the batch size.

@@ -50,14 +50,8 @@ func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 
 // addBias adds the bias, if any, to every row of y.
 func (l *Linear) addBias(y *tensor.Tensor) {
-	if !l.useBias {
-		return
-	}
-	for i := 0; i < y.Shape[0]; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += l.Bias.W.Data[j]
-		}
+	if l.useBias {
+		tensor.AddRows(y.Data, l.Out, l.Bias.W.Data, 0, l.Out, y.Shape[0])
 	}
 }
 
@@ -68,7 +62,7 @@ func (l *Linear) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 	// dx[N,in] = grad[N,out] @ W[out,in]
 	dx := a.Alloc(grad.Shape[0], l.In)
 	m := a.Mark()
-	tensor.MatMulScratchInto(dx, grad, l.Weight.W, a.Floats(tensor.GemmScratch()))
+	tensor.MatMulScratchInto(dx, grad, l.Weight.W, a.Floats(tensor.MatMulScratch(grad.Shape[0], l.In, l.Out)))
 	a.Release(m)
 	return dx
 }
@@ -76,27 +70,20 @@ func (l *Linear) Backward(a *tensor.Arena, grad *tensor.Tensor) *tensor.Tensor {
 // BackwardParams accumulates dW = gradᵀ x and db = Σ grad and computes no
 // input gradient: all of Backward a caller needs when nothing upstream of the
 // layer learns (the manifold FC on frozen CNN features). dW runs on the dense
-// blocked GEMM (TransposeMatMulInto), its transpose and, below the split
-// floor, its panel buffer in workspaces from a.
+// blocked GEMM (tensor.TransposeMatMulAccInto) with gradᵀ, its jobs' panel
+// buffers and, for a batch over one K block, the product in workspaces from
+// a; within one K block the product is added to Weight.Grad in place. db
+// adds grad's rows in order, as a loop over them would.
 func (l *Linear) BackwardParams(a *tensor.Arena, grad *tensor.Tensor) {
 	if l.cachedX == nil {
 		panic("nn: Linear.Backward without Forward")
 	}
-	// dW[out,in] += gradᵀ[out,N] @ x[N,in]
+	n := grad.Shape[0]
 	m := a.Mark()
-	dwBuf, sc := a.Floats(l.Out*l.In), a.Floats(grad.Len()+tensor.GemmScratch())
-	dw := tensor.FromSlice(dwBuf, l.Out, l.In)
-	tensor.TransposeMatMulInto(dw, grad, l.cachedX, sc)
-	tensor.Accumulate(l.Weight.Grad.Data, dwBuf)
+	tensor.TransposeMatMulAccInto(l.Weight.Grad, grad, l.cachedX, a.Floats(tensor.TransposeMatMulAccScratch(l.Out, l.In, n)))
 	a.Release(m)
 	if l.useBias {
-		n := grad.Shape[0]
-		for i := 0; i < n; i++ {
-			row := grad.Row(i)
-			for j, v := range row {
-				l.Bias.Grad.Data[j] += v
-			}
-		}
+		tensor.AddRows(l.Bias.Grad.Data, 0, grad.Data, l.Out, l.Out, n)
 	}
 }
 

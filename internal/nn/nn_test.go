@@ -100,7 +100,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestClipGradNorm(t *testing.T) {
 	p := newParam("w", 2)
 	p.Grad.Data[0], p.Grad.Data[1] = 3, 4 // norm 5
-	norm := ClipGradNorm([]*Param{p}, 1)
+	norm := ClipGradNorm(tensor.NewArena(), []*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-6 {
 		t.Fatalf("pre-clip norm = %v", norm)
 	}
@@ -113,7 +113,7 @@ func TestClipGradNorm(t *testing.T) {
 	}
 	// Below the threshold nothing changes.
 	before := append([]float32(nil), p.Grad.Data...)
-	ClipGradNorm([]*Param{p}, 10)
+	ClipGradNorm(tensor.NewArena(), []*Param{p}, 10)
 	for i := range before {
 		if p.Grad.Data[i] != before[i] {
 			t.Fatal("clip must not rescale below threshold")

@@ -168,3 +168,153 @@ func TestOptimizerKernelsMatchLoop(t *testing.T) {
 }
 
 func slicesClone(x []float32) []float32 { return append([]float32(nil), x...) }
+
+// clipGradNormChain is ClipGradNorm as it stood before the blocked sum: one
+// serial float64 chain of the squares in parameter order. It is the reference
+// TestClipGradNormMatchesSerialChain holds the certified sum to.
+func clipGradNormChain(params []*Param, maxNorm float64) float64 {
+	var sq float64
+	for _, p := range params {
+		for _, g := range p.Grad.Data {
+			sq += float64(g) * float64(g)
+		}
+	}
+	norm := math.Sqrt(sq)
+	if norm > maxNorm && norm > 0 {
+		scale := float32(maxNorm / norm)
+		for _, p := range params {
+			p.Grad.Scale(scale)
+		}
+	}
+	return norm
+}
+
+// TestClipGradNormMatchesSerialChain requires ClipGradNorm to leave every
+// gradient with the serial chain's bits, on every kernel set: parameter
+// lists of 1 to over 2 M elements (blocks cut inside parameters), gradients
+// that are normal, spread over twenty decades, all zero (norm 0), or hold a
+// NaN, +Inf or −Inf, and maxNorm at the chain's norm (where the certificate
+// must fail and the chain run), 1 and 2 ulps either side of it, and a decade
+// either side. Where the certificate holds, the returned norm is within its
+// bound of the chain's; where it fails, it is the chain's.
+func TestClipGradNormMatchesSerialChain(t *testing.T) {
+	lists := [][]int{{1}, {15}, {16, 17}, {clipBlock - 1, 2, clipBlock + 1}, {3, 2<<20 + 5, 9}}
+	fills := []struct {
+		name string
+		fill func(g []float32, seed int64)
+	}{
+		{"normal", func(g []float32, seed int64) { tensor.NewRNG(seed).FillNormal(tensor.FromSlice(g, len(g)), 0, 1e-3) }},
+		{"wide", func(g []float32, seed int64) {
+			rng := tensor.NewRNG(seed)
+			for i := range g {
+				g[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10)))
+			}
+		}},
+		{"zero", func(g []float32, _ int64) { clear(g) }},
+		{"nan", func(g []float32, seed int64) {
+			tensor.NewRNG(seed).FillNormal(tensor.FromSlice(g, len(g)), 0, 1)
+			g[len(g)/2] = float32(math.NaN())
+		}},
+		{"+inf", func(g []float32, seed int64) {
+			tensor.NewRNG(seed).FillNormal(tensor.FromSlice(g, len(g)), 0, 1)
+			g[len(g)-1] = float32(math.Inf(1))
+		}},
+		{"-inf", func(g []float32, seed int64) {
+			tensor.NewRNG(seed).FillNormal(tensor.FromSlice(g, len(g)), 0, 1)
+			g[0] = float32(math.Inf(-1))
+		}},
+	}
+	kernelSets(t, func(t *testing.T) {
+		a := tensor.NewArena()
+		for _, sizes := range lists {
+			var want []*Param
+			total := 0
+			for _, n := range sizes {
+				want = append(want, newParam("g", n))
+				total += n
+			}
+			for _, f := range fills {
+				for i, p := range want {
+					f.fill(p.Grad.Data, int64(100*i+len(sizes)))
+				}
+				orig := cloneGrads(want)
+				r := clipGradNormChain(orig, math.Inf(1)) // the chain's norm; clips nothing
+				for _, c := range []struct {
+					name    string
+					maxNorm float64
+				}{
+					{"at", r}, {"-1ulp", math.Nextafter(r, 0)}, {"+1ulp", math.Nextafter(r, math.Inf(1))},
+					{"-2ulp", math.Nextafter(math.Nextafter(r, 0), 0)}, {"+2ulp", math.Nextafter(math.Nextafter(r, math.Inf(1)), math.Inf(1))},
+					{"below", r / 10}, {"above", r * 10},
+				} {
+					what := fmt.Sprintf("%v %s maxNorm %s", sizes, f.name, c.name)
+					ref, got := cloneGrads(orig), cloneGrads(orig)
+					p := blockedSumSquares(a, got, total)
+					certified := clipCertified(p, total, c.maxNorm)
+					finite := !math.IsNaN(p) && !math.IsInf(p, 0)
+					switch {
+					case c.name == "at" && r > 0 && certified:
+						t.Errorf("%s: certified a sum at the threshold", what)
+					case (c.name == "below" || c.name == "above") && finite && !certified:
+						t.Errorf("%s: a decade from the threshold fell back", what)
+					}
+					wantNorm := clipGradNormChain(ref, c.maxNorm)
+					norm := ClipGradNorm(a, got, c.maxNorm)
+					for pi := range ref {
+						for j, w := range ref[pi].Grad.Data {
+							if g := got[pi].Grad.Data[j]; math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("%s: param %d [%d] = %#08x, chain %#08x", what, pi, j, math.Float32bits(g), math.Float32bits(w))
+							}
+						}
+					}
+					bound := 4 * float64(total+1) * 0x1p-53 * wantNorm
+					if certified && math.Abs(norm-wantNorm) > bound || !certified && math.Float64bits(norm) != math.Float64bits(wantNorm) {
+						t.Errorf("%s: norm %v, chain %v (certified %v)", what, norm, wantNorm, certified)
+					}
+				}
+			}
+		}
+	})
+}
+
+// cloneGrads returns parameters holding copies of ps's gradients.
+func cloneGrads(ps []*Param) []*Param {
+	out := make([]*Param, len(ps))
+	for i, p := range ps {
+		out[i] = newParam(p.Name, len(p.Grad.Data))
+		copy(out[i].Grad.Data, p.Grad.Data)
+	}
+	return out
+}
+
+// TestSGDStepSpansParams requires one SGD.Step over a list of parameters,
+// whose fan-out cuts ranges across parameter edges, to give each parameter
+// the bits of its own scalar loop.
+func TestSGDStepSpansParams(t *testing.T) {
+	var params []*Param
+	var refW, refV [][]float32
+	opt := NewSGD(0.05, 0.9, 1e-4)
+	for pi, n := range []int{0, 1, 9, elemGrain - 1, elemGrain, elemGrain + 1, 3*elemGrain + 5} {
+		p := newParam("p", n)
+		rng := tensor.NewRNG(int64(pi + 1))
+		rng.FillNormal(p.W, 0, 1)
+		optimizerGrad(p.Grad.Data, int64(pi+2))
+		v := tensor.New(n)
+		rng.FillNormal(v, 0, 0.1)
+		opt.velocity[p] = v
+		params = append(params, p)
+		refW, refV = append(refW, slicesClone(p.W.Data)), append(refV, slicesClone(v.Data))
+	}
+	for pi, p := range params {
+		sgdStepScalar(0.05, 0.9, 1e-4, refW[pi], p.Grad.Data, refV[pi])
+	}
+	opt.Step(params)
+	for pi, p := range params {
+		for i := range p.W.Data {
+			if math.Float32bits(p.W.Data[i]) != math.Float32bits(refW[pi][i]) ||
+				math.Float32bits(opt.velocity[p].Data[i]) != math.Float32bits(refV[pi][i]) {
+				t.Fatalf("param %d [%d]: w %v v %v, loop %v %v", pi, i, p.W.Data[i], opt.velocity[p].Data[i], refW[pi][i], refV[pi][i])
+			}
+		}
+	}
+}

@@ -97,7 +97,7 @@ func (t *Trainer) Fit(model *Sequential, images *tensor.Tensor, labels []int, rn
 			loss, grad := CrossEntropy(arena, logits, by)
 			model.backwardParams(arena, grad)
 			if t.ClipNorm > 0 {
-				ClipGradNorm(params, t.ClipNorm)
+				ClipGradNorm(arena, params, t.ClipNorm)
 			}
 			t.Opt.Step(params)
 			lossSum += loss * float64(bs)

@@ -393,6 +393,27 @@ func addFloat64Go(dst []float64, src []float32) {
 	}
 }
 
+// SumSquares returns Σ float64(x[i])² over x. Each square is exact in
+// float64, so only the adds round; the AVX2 kernel spreads them over sixteen
+// lanes (the remainder, and every other target, is one chain), so the bits
+// depend on the build. Any order of the adds is within γ(len(x)−1)·S of the
+// exact sum S of these nonnegative terms (Higham, Accuracy and Stability of
+// Numerical Algorithms, §4.2), which is the bound nn.ClipGradNorm certifies
+// with.
+func SumSquares(x []float32) float64 {
+	var s float64
+	i := 0
+	if useGemmAsm {
+		if i = len(x) / 16 * 16; i > 0 {
+			s = sumSquaresAsm(i, &x[0])
+		}
+	}
+	for _, v := range x[i:] {
+		s += float64(v) * float64(v)
+	}
+	return s
+}
+
 // adamCoef holds one Adam step's coefficients where adamAsm (elem_amd64.s)
 // loads them: the float32 ones at byte offsets 0–16, the float64 ones from 24
 // on.

@@ -78,3 +78,9 @@ func adamAsm(n int, w, grad, m, v *float32, c *adamCoef)
 //
 //go:noescape
 func sgdAsm(n int, w, grad, v *float32, lr, mu, wd float32)
+
+// sumSquaresAsm returns the sum of the float64 squares of n floats, a
+// positive multiple of 16, in sixteen lanes.
+//
+//go:noescape
+func sumSquaresAsm(n int, x *float32) float64

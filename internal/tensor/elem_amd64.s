@@ -439,3 +439,45 @@ sgdnodecay:
 	JNE     sgdloop
 	VZEROUPPER
 	RET
+
+// func sumSquaresAsm(n int, x *float32) float64
+//
+// Σ float64(x[i])² for i in [0, n), n a positive multiple of 16: four floats
+// at a time widened by VCVTPS2PD (exact) and squared (exact in float64: 48
+// significand bits), each square added to one of sixteen double lanes, and
+// the lanes then added pairwise to one sum.
+TEXT ·sumSquaresAsm(SB), NOSPLIT, $0-24
+	MOVQ   n+0(FP), CX
+	MOVQ   x+8(FP), SI
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+sqloop:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VCVTPS2PD 32(SI), Y2
+	VCVTPS2PD 48(SI), Y3
+	VMULPD    Y0, Y0, Y0
+	VMULPD    Y1, Y1, Y1
+	VMULPD    Y2, Y2, Y2
+	VMULPD    Y3, Y3, Y3
+	VADDPD    Y0, Y4, Y4
+	VADDPD    Y1, Y5, Y5
+	VADDPD    Y2, Y6, Y6
+	VADDPD    Y3, Y7, Y7
+	ADDQ      $64, SI
+	SUBQ      $16, CX
+	JNE       sqloop
+
+	VADDPD       Y5, Y4, Y4
+	VADDPD       Y7, Y6, Y6
+	VADDPD       Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD       X5, X4, X4
+	VUNPCKHPD    X4, X4, X5
+	VADDSD       X5, X4, X4
+	VZEROUPPER
+	MOVSD        X4, ret+16(FP)
+	RET

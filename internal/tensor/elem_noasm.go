@@ -61,3 +61,7 @@ func adamAsm(n int, w, grad, m, v *float32, c *adamCoef) {
 func sgdAsm(n int, w, grad, v *float32, lr, mu, wd float32) {
 	panic("tensor: sgdAsm requires amd64")
 }
+
+func sumSquaresAsm(n int, x *float32) float64 {
+	panic("tensor: sumSquaresAsm requires amd64")
+}

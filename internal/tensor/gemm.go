@@ -89,12 +89,13 @@ var panelPool = sync.Pool{New: func() any {
 // decomposition never changes how any single element accumulates over K.
 func MatMulInto(dst, a, b *Tensor) { MatMulScratchInto(dst, a, b, nil) }
 
-// MatMulScratchInto is MatMulInto with the packed-panel buffer of a product
-// too small to split over the pool taken from scratch, when it holds
-// GemmScratch() floats, instead of from panelPool: a training loop that runs
-// on an arena keeps its heap off the sync.Pool, whose items a GC (and the
-// race detector, at random) drops. A product that splits still packs into
-// pooled buffers, one per job. Same schedule, same bits.
+// MatMulScratchInto is MatMulInto with its packed-panel buffers taken from
+// scratch instead of from panelPool: a product too small to split over the
+// pool needs GemmScratch() floats, one that splits MatMulScratch(M, N, K),
+// one buffer per job, and a shorter scratch sends the product to the pool's
+// buffers. A training loop that runs on an arena keeps its heap off the
+// sync.Pool, whose items a GC (and the race detector, at random) drops. Same
+// schedule, same bits.
 func MatMulScratchInto(dst, a, b *Tensor, scratch []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -104,7 +105,14 @@ func MatMulScratchInto(dst, a, b *Tensor, scratch []float32) {
 	if k != k2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v @ %v -> %v", a.Shape, b.Shape, dst.Shape))
 	}
-	gemm(dst.Data, a.Data, b.Data, m, n, k, scratch)
+	gemm(dst.Data, a.Data, b.Data, m, n, k, scratch, true)
+}
+
+// MatMulScratch returns the scratch length with which MatMulScratchInto takes
+// every packed-panel buffer of an M×K by K×N product from its scratch:
+// GemmScratch() for each job the product runs as.
+func MatMulScratch(m, n, k int) int {
+	return gemmJobs(m, n, k).count() * GemmScratch()
 }
 
 // MatMul returns a @ b for rank-2 tensors.
@@ -133,6 +141,36 @@ type gemmJob struct {
 	r0, r1, c0, c1 int
 }
 
+// gemmGrid is a product's decomposition into jobs: rowsPer-row by
+// colsPer-column tiles of its m×n output, row-major, the last row and column
+// of tiles cut by the output's edge. Job t is a pure function of t, so a
+// split needs no job list.
+type gemmGrid struct {
+	m, n, rowsPer, colsPer int
+}
+
+// count is the number of jobs.
+func (g gemmGrid) count() int {
+	return (g.m + g.rowsPer - 1) / g.rowsPer * ((g.n + g.colsPer - 1) / g.colsPer)
+}
+
+// job returns job t's tile.
+func (g gemmGrid) job(t int) gemmJob {
+	cols := (g.n + g.colsPer - 1) / g.colsPer
+	r0, c0 := t/cols*g.rowsPer, t%cols*g.colsPer
+	return gemmJob{r0, min(r0+g.rowsPer, g.m), c0, min(c0+g.colsPer, g.n)}
+}
+
+// gemmJobs is the decomposition gemm runs an m×n×k product as on this pool:
+// one job below the split floor, gemmSplit's above it.
+func gemmJobs(m, n, k int) gemmGrid {
+	workers := parallel.Workers()
+	if workers <= 1 || 2*m*n*k < gemmMinSplitFlops || m == 0 || n == 0 {
+		return gemmGrid{m: m, n: n, rowsPer: max(m, 1), colsPer: max(n, 1)}
+	}
+	return gemmSplit(m, n, k, workers)
+}
+
 // gemmSplit decomposes an M×N output into jobs for the given worker count.
 // Every job of a row split reads all of B and every job of a column split all
 // of A, so rows are split first where B is no wider than the output is tall,
@@ -145,7 +183,7 @@ type gemmJob struct {
 // kernel's row group (gemmMR rows, twice that under useGemm512) and to gemmNR
 // columns, so a split leaves no task more leftover rows or cut strips than
 // the whole product has. Pure function, unit-tested for boundary coverage.
-func gemmSplit(m, n, k, workers int) []gemmJob {
+func gemmSplit(m, n, k, workers int) gemmGrid {
 	mr := gemmMR
 	if useGemm512 {
 		mr = 2 * gemmMR // the 8×32 kernels' row group
@@ -170,62 +208,60 @@ func gemmSplit(m, n, k, workers int) []gemmJob {
 	if colsPer%gemmNR != 0 {
 		colsPer += gemmNR - colsPer%gemmNR
 	}
-	var jobs []gemmJob
-	for r0 := 0; r0 < m; r0 += rowsPer {
-		r1 := r0 + rowsPer
-		if r1 > m {
-			r1 = m
-		}
-		for c0 := 0; c0 < n; c0 += colsPer {
-			c1 := c0 + colsPer
-			if c1 > n {
-				c1 = n
-			}
-			jobs = append(jobs, gemmJob{r0, r1, c0, c1})
-		}
-	}
-	return jobs
+	return gemmGrid{m: m, n: n, rowsPer: rowsPer, colsPer: colsPer}
 }
 
-// gemm is the product of MatMulScratchInto: serial on buf below the split
-// floor, gemmSplit's jobs on the pool above it.
-func gemm(dst, a, b []float32, m, n, k int, buf []float32) {
+// gemm is the product of MatMulScratchInto, and with overwrite unset its
+// accumulating twin: gemmJobs' jobs, on the pool when there are several,
+// each packing into its GemmScratch() floats of buf when buf holds them all
+// and into a pooled buffer otherwise.
+func gemm(dst, a, b []float32, m, n, k int, buf []float32, overwrite bool) {
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
-		clear(dst[:m*n])
+		if overwrite {
+			clear(dst[:m*n])
+		}
 		return
 	}
-	workers := parallel.Workers()
-	if workers <= 1 || 2*m*n*k < gemmMinSplitFlops {
-		gemmRange(dst, a, b, n, k, 0, m, 0, n, buf)
+	g := gemmJobs(m, n, k)
+	jobs, gs := g.count(), GemmScratch()
+	if jobs == 1 {
+		gemmRange(dst, a, b, n, k, 0, m, 0, n, buf, overwrite)
 		return
 	}
-	jobs := gemmSplit(m, n, k, workers)
-	parallel.For(len(jobs), 1, func(lo, hi int) {
-		for ji := lo; ji < hi; ji++ {
-			j := jobs[ji]
-			gemmRange(dst, a, b, n, k, j.r0, j.r1, j.c0, j.c1, nil)
+	if len(buf) < jobs*gs {
+		buf = nil
+	}
+	parallel.For(jobs, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			j := g.job(t)
+			var jb []float32
+			if buf != nil {
+				jb = buf[t*gs:][:gs]
+			}
+			gemmRange(dst, a, b, n, k, j.r0, j.r1, j.c0, j.c1, jb, overwrite)
 		}
 	})
 }
 
 // gemmRange computes the dst tile rows [r0,r1) × cols [c0,c1), overwriting
-// it, through the blocked driver (gemm_driver.go) with buf as its packed-panel
-// buffer, or one from panelPool when buf is shorter than GemmScratch();
+// it or, with overwrite unset, adding to it (gemmDrive's two modes), through
+// the blocked driver (gemm_driver.go) with buf as its packed-panel buffer, or
+// one from panelPool when buf is shorter than GemmScratch();
 // callers that must not touch the heap (the serving engine) use
 // MatMulSerialInto with their own buffer. Same schedule, same bits. c0 must be
 // a multiple of gemmNR, as gemmSplit's jobs are: the buffer has no spill room
 // for a cut strip.
-func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int, buf []float32) {
+func gemmRange(dst, a, b []float32, n, k, r0, r1, c0, c1 int, buf []float32, overwrite bool) {
 	if useGemmAsm && len(buf) < GemmScratch() {
 		bufp := panelPool.Get().(*[]float32)
 		buf = *bufp
 		defer panelPool.Put(bufp)
 	}
 	src := denseB(b, r1-r0, n)
-	gemmDrive(dst[r0*n+c0:], n, gemmA{a: a[r0*k:], lda: k}, r1-r0, &src, c0, c1, 0, k, buf, true)
+	gemmDrive(dst[r0*n+c0:], n, gemmA{a: a[r0*k:], lda: k}, r1-r0, &src, c0, c1, 0, k, buf, overwrite)
 }
 
 // denseInPlaceRows is the most output rows for which a product reads a dense

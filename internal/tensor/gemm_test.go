@@ -113,7 +113,7 @@ func TestMatMulSerialParallelIdentical(t *testing.T) {
 				a := randMat(int64(s.m+s.k), s.m, s.k)
 				b := randMat(int64(s.n-s.k), s.k, s.n)
 				serial := New(s.m, s.n)
-				gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil)
+				gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil, true)
 				viaAPI := MatMul(a, b)
 				for i := range serial.Data {
 					if serial.Data[i] != viaAPI.Data[i] {
@@ -132,7 +132,11 @@ func TestMatMulSerialParallelIdentical(t *testing.T) {
 func TestGemmSplitTilesExactly(t *testing.T) {
 	for _, workers := range []int{2, 3, 8, 64} {
 		for _, s := range gemmShapes {
-			jobs := gemmSplit(s.m, s.n, s.k, workers)
+			grid := gemmSplit(s.m, s.n, s.k, workers)
+			jobs := make([]gemmJob, grid.count())
+			for t := range jobs {
+				jobs[t] = grid.job(t)
+			}
 			// Every output cell must belong to exactly one job.
 			covered := make([]int, s.m*s.n)
 			for _, j := range jobs {
@@ -153,14 +157,14 @@ func TestGemmSplitTilesExactly(t *testing.T) {
 			a := randMat(int64(workers+s.m), s.m, s.k)
 			b := randMat(int64(workers+s.n), s.k, s.n)
 			serial := New(s.m, s.n)
-			gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil)
+			gemmRange(serial.Data, a.Data, b.Data, s.n, s.k, 0, s.m, 0, s.n, nil, true)
 			tiled := New(s.m, s.n)
 			var wg sync.WaitGroup
 			for _, j := range jobs {
 				wg.Add(1)
 				go func(j gemmJob) {
 					defer wg.Done()
-					gemmRange(tiled.Data, a.Data, b.Data, s.n, s.k, j.r0, j.r1, j.c0, j.c1, nil)
+					gemmRange(tiled.Data, a.Data, b.Data, s.n, s.k, j.r0, j.r1, j.c0, j.c1, nil, true)
 				}(j)
 			}
 			wg.Wait()

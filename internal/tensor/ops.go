@@ -80,6 +80,59 @@ func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	}
 }
 
+// accInPlace reports whether TransposeMatMulAccInto adds a product of n
+// columns over a reduction of k straight into its output: one K block, and
+// every column on the strip kernels.
+func accInPlace(n, k int) bool {
+	return k > 0 && k <= gemmKC && n > 0 && PanelStripCols(n) == n
+}
+
+// TransposeMatMulAccScratch returns the scratch TransposeMatMulAccInto needs
+// for a [k, m] a and a [k, n] b: aᵀ, the product where it is not added in
+// place, and every job's panel buffer (MatMulScratch).
+func TransposeMatMulAccScratch(m, n, k int) int {
+	s := m*k + MatMulScratch(m, n, k)
+	if !accInPlace(n, k) {
+		s += m * n
+	}
+	return s
+}
+
+// TransposeMatMulAccInto accumulates dst += aᵀ(K×M) @ b(K×N), taking aᵀ, the
+// jobs' panel buffers and, where it needs one, the product's buffer from
+// scratch (TransposeMatMulAccScratch floats, or it panics): the weight
+// gradient of a Linear layer. Its bits are those of TransposeMatMulInto into
+// a buffer followed by Accumulate, the product added to each element of dst
+// once, but where K is one block and every column runs on the strip kernels
+// (accInPlace) the kernels add their sums to dst themselves and no product
+// buffer is written or read. A strip kernel forms each sum in registers from
+// +0 and then adds it to the loaded output with dst's element the second
+// operand, where Accumulate adds +0 + sum to it as the first; IEEE addition
+// commutes, so the two agree except where dst holds −0 and the sum is −0
+// (every product underflowed on the negative side: −0 + −0 against
+// −0 + (+0 + −0) = +0) and where both are NaN (the sum's payload is kept,
+// not dst's). A gradient cleared to +0 before its one accumulation, as Fit's
+// are, reads the same bits either way.
+func TransposeMatMulAccInto(dst, a, b *Tensor, scratch []float32) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 || a.Shape[0] != b.Shape[0] ||
+		dst.Shape[0] != a.Shape[1] || dst.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: TransposeMatMulAcc shape mismatch %vᵀ @ %v -> %v", a.Shape, b.Shape, dst.Shape))
+	}
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	if need := TransposeMatMulAccScratch(m, n, k); len(scratch) < need {
+		panic(fmt.Sprintf("tensor: TransposeMatMulAccInto scratch %d < TransposeMatMulAccScratch %d", len(scratch), need))
+	}
+	at, rest := scratch[:m*k], scratch[m*k:]
+	transpose(at, a.Data, k, m)
+	if accInPlace(n, k) {
+		gemm(dst.Data, at, b.Data, m, n, k, rest, false)
+		return
+	}
+	prod := rest[:m*n]
+	gemm(prod, at, b.Data, m, n, k, rest[m*n:], true)
+	Accumulate(dst.Data, prod)
+}
+
 // transposeBlock is the square tile edge used by Transpose. A 32×32 float32
 // tile is 4 KiB — two tiles (source + destination working set) sit easily in
 // L1, so both the row-strided reads and column-strided writes stay within
@@ -108,7 +161,12 @@ func TransposeInto(dst, a *Tensor) {
 	if dst.Shape[0] != n || dst.Shape[1] != m {
 		panic(fmt.Sprintf("tensor: TransposeInto dst shape %v, want [%d %d]", dst.Shape, n, m))
 	}
-	out := dst
+	transpose(dst.Data, a.Data, m, n)
+}
+
+// transpose writes the transpose of the m×n src into dst, TransposeInto's
+// schedule on bare slices.
+func transpose(dst, src []float32, m, n int) {
 	rowBlocks := (m + transposeBlock - 1) / transposeBlock
 	// One task must move at least minParallelWork elements to be worth
 	// dispatching.
@@ -125,9 +183,9 @@ func TransposeInto(dst, a *Tensor) {
 					je = n
 				}
 				for i := ib; i < ie; i++ {
-					src := a.Data[i*n+jb : i*n+je]
-					for jo, v := range src {
-						out.Data[(jb+jo)*m+i] = v
+					row := src[i*n+jb : i*n+je]
+					for jo, v := range row {
+						dst[(jb+jo)*m+i] = v
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -241,5 +242,100 @@ func TestArenaGrowServesFromSlabs(t *testing.T) {
 	a.Grow() // absorb the new peak
 	if got := a.Floats(1 << 16); len(got) != 1<<16 {
 		t.Fatalf("post-grow Floats length %d", len(got))
+	}
+}
+
+// TestTransposeMatMulAccMatchesTwoPass is the in-place weight gradient's
+// gate: TransposeMatMulAccInto gives dst the bits of TransposeMatMulInto into
+// a buffer followed by Accumulate, starting from a nonzero dst, at the dense
+// head's shape (M = N = 1024, split over the pool) for a batch of 1, 32, 256
+// (in place) and 257 (two K blocks: the two passes), at a ragged N (the two
+// passes) and on skinny products (M ≤ 32: B read in place), on the 512-bit,
+// the forced 256-bit and the portable kernels — where no column runs on a
+// strip kernel, so nothing is added in place. The last case starts from +0
+// with products that underflow on the negative side, the −0 sums Fit's
+// cleared gradients meet.
+func TestTransposeMatMulAccMatchesTwoPass(t *testing.T) {
+	type shape struct{ m, n, k int }
+	shapes := []shape{{1024, 1024, 1}, {1024, 1024, 32}, {1024, 1024, 256}, {1024, 1024, 257},
+		{64, 1000, 32}, {20, 64, 32}, {1, 16, 3}}
+	for _, set := range []struct {
+		name string
+		run  func(f func()) bool
+	}{
+		{"avx512", func(f func()) bool { return runWithGemm512(true, f) }},
+		{"avx2", func(f func()) bool { return runWithGemm512(false, f) }},
+		{"portable", func(f func()) bool { return runWithAsm(false, f) }},
+	} {
+		ran := set.run(func() {
+			for i, s := range append(shapes, shape{32, 256, 8}) {
+				a, b := randMat(int64(3*i+1), s.k, s.m), randMat(int64(3*i+2), s.k, s.n)
+				init := randMat(int64(3*i+3), s.m, s.n)
+				if i == len(shapes) { // the underflow case
+					a.Scale(-1e-25)
+					b.Scale(1e-25)
+					clear(init.Data)
+				}
+				want := init.Clone()
+				prod := New(s.m, s.n)
+				TransposeMatMulInto(prod, a, b, nil)
+				Accumulate(want.Data, prod.Data)
+				got := init.Clone()
+				scratch := randMat(9, 1, TransposeMatMulAccScratch(s.m, s.n, s.k)).Data // garbage in the workspace
+				TransposeMatMulAccInto(got, a, b, scratch)
+				if set.name == "portable" && accInPlace(s.n, s.k) {
+					t.Errorf("%v: the portable kernels add in place", s)
+				}
+				for j := range want.Data {
+					if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+						t.Fatalf("%s %v (in place %v): element %d is %v, want %v", set.name, s, accInPlace(s.n, s.k), j, got.Data[j], want.Data[j])
+					}
+				}
+			}
+		})
+		if !ran {
+			t.Logf("%s: no such kernels here", set.name)
+		}
+	}
+}
+
+// TestSumSquaresWithinBound checks SumSquares, on the AVX2 kernel and on the
+// Go chain, against the exact sum of squares (math/big): within
+// γ(n−1)·S on every length around the 16-float step and on a 1 M one, and
+// exact where only one square is nonzero; NaN and ±Inf propagate.
+func TestSumSquaresWithinBound(t *testing.T) {
+	rng := NewRNG(5)
+	for _, n := range append(elemLengths(), 1<<20+7) {
+		x := New(n + 1).Data[1:] // an odd start
+		for i := range x {
+			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10)))
+		}
+		exact := new(big.Float).SetPrec(2048)
+		for _, v := range x {
+			sq := new(big.Float).SetPrec(2048).SetFloat64(float64(v))
+			exact.Add(exact, sq.Mul(sq, sq))
+		}
+		s, _ := exact.Float64()
+		gamma := float64(n) * 0x1p-53 / (1 - float64(n)*0x1p-53)
+		for _, asm := range []bool{true, false} {
+			runWithAsm(asm, func() {
+				if got := SumSquares(x); math.Abs(got-s) > gamma*s {
+					t.Errorf("asm=%v n=%d: %v, exact %v, bound %v", asm, n, got, s, gamma*s)
+				}
+				if n > 0 {
+					one := make([]float32, n)
+					one[n/2] = x[0]
+					if got, want := SumSquares(one), float64(x[0])*float64(x[0]); got != want {
+						t.Errorf("asm=%v n=%d: one square reads %v, want %v", asm, n, got, want)
+					}
+					for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+						one[n-1] = v
+						if got := SumSquares(one); !math.IsNaN(got) && !math.IsInf(got, 1) {
+							t.Errorf("asm=%v n=%d: %v among the values sums to %v", asm, n, v, got)
+						}
+					}
+				}
+			})
+		}
 	}
 }
