@@ -105,8 +105,13 @@ v3:
 # internal/core, and TestPipelineEvalConcurrent there: two goroutines on one
 # pipeline's eval passes). The pool's own tests run ten times: whether a
 # reused Call meets a help token left from an earlier Run depends on timing.
+# So do the batcher's announcement bookkeeping tests (TestPendingSettlesOnEveryExit
+# and the two linger tests beside it): whether an announced request is
+# received by the flush loop before or after its handler returns depends on
+# timing too.
 race:
 	$(GO) test -race -count=10 ./internal/parallel/...
+	$(GO) test -race -count=10 -run 'TestPendingSettlesOnEveryExit|TestServerAloneFlushesAtOnce|TestDirectCallersStillLinger' ./internal/serve/
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/quant/... ./internal/hdc/... ./internal/hdlearn/... ./internal/cnn/... ./internal/core/... ./internal/engine/... ./internal/serve/...
 
 # Fuzz the untrusted byte surfaces beyond the checked-in corpora under
@@ -145,7 +150,10 @@ fuzz:
 # retraining and teacher pass, Pipeline.ExtractFeatures on nn.Infer at
 # vgg16@8 (32 and 96 px), vgg16@29, mobilenetv2@14 and effnetb0@6
 # (BenchmarkExtractFeatures), float
-# class scoring, /predict JSON decode against encoding/json,
+# class scoring, /predict JSON decode against encoding/json, an open loop of
+# 8-image JSON /predict requests with Poisson arrivals at 50 % and 90 % of the
+# saturating rate over loopback HTTP, with its mean batch and p99 as custom
+# metrics (BenchmarkServeOpenLoop),
 # Engine.PredictInto in images/s at the request shapes the batch split decides
 # on, on the MobileNet fixtures — offline_tail's, and cut 14 at 64 images —
 # and at vgg16@29 from 1 and from 64 images) with allocation counts.

@@ -41,7 +41,7 @@ func main() {
 		demo     = flag.Bool("demo", false, "serve a small self-contained demo model (no snapshot needed)")
 		packed   = flag.Bool("packed", true, "serve with the packed popcount classifier")
 		maxBatch = flag.Int("max-batch", 0, "micro-batch size threshold (0 = engine chunk size)")
-		maxDelay = flag.Duration("max-delay", time.Millisecond, "max queue delay before flushing a partial batch (<0 = greedy)")
+		maxDelay = flag.Duration("max-delay", time.Millisecond, "upper bound on the queue delay before flushing a partial batch, which flushes sooner once no /predict request is on its way (<0 = greedy)")
 		queueCap = flag.Int("queue", 0, "admission queue capacity in requests (0 = 4×max-batch)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout (0 disables)")
 		pprofArg = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); disabled when empty")

@@ -160,7 +160,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 // rewritten once, down to ≤ 60 KB" is the target for DESIGN.md, and a change
 // that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 137_435, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_433, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -1,0 +1,269 @@
+package nn_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"nshd/internal/nn"
+	"nshd/internal/tensor"
+	"nshd/internal/tensor/tensortest"
+)
+
+// This file is an independent float64 reference for DepthwiseConv2D and
+// BatchNorm2D, Forward and Backward: scalar loops straight from the
+// definitions, sharing no code with the layers or their kernels (tensor is
+// imported for its Tensor type only). Every reference value comes with a
+// magnitude T, Σ|terms| of its reduction, and the float32 layer must land
+// within γₙ·T of it, where γₙ = n·u/(1−n·u), u = 2⁻²⁴, and n bounds the
+// float32 roundings on the value's chain (Higham, "Accuracy and Stability of
+// Numerical Algorithms", §3.1). Whatever order and grouping a kernel sums
+// in, a sum of m rounded products is within γₘ₊₁·Σ|terms| of the exact one;
+// a value built from such sums carries their bounds through first order.
+// The float64 reference adds its own γₘ at 2⁻⁵³.
+
+// gamma is γₙ for unit roundoff u.
+func gamma(n int, u float64) float64 { return float64(n) * u / (1 - float64(n)*u) }
+
+const (
+	u32 = 0x1p-24
+	u64 = 0x1p-53
+)
+
+// refVal is one reference value: v the float64 result, mag the Σ|terms| its
+// error is bounded by, n the float32 roundings on its chain and m the terms
+// the float64 reference summed.
+type refVal struct {
+	v, mag float64
+	n, m   int
+}
+
+func (r refVal) bound() float64 { return (gamma(r.n, u32) + gamma(r.m+1, u64)) * r.mag }
+
+// refDepthwise is a depthwise convolution of x [N, C, H, W] with w [C, k, k]
+// at the given stride and zero padding, and its backward for the output
+// gradient dy: y[n,c,oh,ow] = Σ w[c,kh,kw]·x[n,c,oh·s−p+kh, ow·s−p+kw] over
+// the taps inside the map, dx the transpose of that map, dw[c,kh,kw] the sum
+// over samples and outputs of dy·x.
+func refDepthwise(x, w, dy *tensor.Tensor, k, stride, pad int) (y, dx, dw []refVal) {
+	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	oh, ow := (h+2*pad-k)/stride+1, (wd+2*pad-k)/stride+1
+	at := func(t *tensor.Tensor, i, ch, r, col, rows, cols int) float64 {
+		return float64(t.Data[((i*c+ch)*rows+r)*cols+col])
+	}
+	y = make([]refVal, n*c*oh*ow)
+	dx = make([]refVal, n*c*h*wd)
+	dw = make([]refVal, c*k*k)
+	add := func(r *refVal, term float64) {
+		r.v += term
+		r.mag += math.Abs(term)
+		r.m++
+	}
+	for i := 0; i < n; i++ {
+		for ch := 0; ch < c; ch++ {
+			for p := 0; p < oh; p++ {
+				for q := 0; q < ow; q++ {
+					yi := &y[((i*c+ch)*oh+p)*ow+q]
+					g := at(dy, i, ch, p, q, oh, ow)
+					for kh := 0; kh < k; kh++ {
+						for kw := 0; kw < k; kw++ {
+							r, col := p*stride-pad+kh, q*stride-pad+kw
+							if r < 0 || r >= h || col < 0 || col >= wd {
+								continue
+							}
+							wv := float64(w.Data[(ch*k+kh)*k+kw])
+							xv := at(x, i, ch, r, col, h, wd)
+							add(yi, wv*xv)
+							add(&dx[((i*c+ch)*h+r)*wd+col], g*wv)
+							add(&dw[(ch*k+kh)*k+kw], g*xv)
+						}
+					}
+				}
+			}
+		}
+	}
+	// y's float32 chain is every tap from +0, each product rounded; dx and
+	// dw round each product and add it once, dw's chunk sums once more.
+	for i := range y {
+		y[i].n = k*k + 1
+	}
+	for i := range dx {
+		dx[i].n = dx[i].m + 1
+	}
+	for i := range dw {
+		dw[i].n = dw[i].m + 2
+	}
+	return y, dx, dw
+}
+
+// refBatchNorm is training-mode batch normalization of x [N, C, H, W] per
+// channel, with batch mean μ, biased variance σ², s = √(σ²+eps) and
+// x̂ = (x−μ)/s: y = γ·x̂ + β, and its backward for dy:
+// dβ = Σdy, dγ = Σdy·x̂, dx = γ/(m·s)·(m·dy − Σdy − x̂·Σdy·x̂) over the m = N·H·W
+// values of the channel.
+//
+// The float32 layer's chains, counted in roundings: x̂ takes μ (1), x−μ (1),
+// σ² (3: the squared difference and the quotient, on the difference's own
+// rounding), σ²+eps (1), √ (1), 1/s (1) and the product (1), so x̂ is within
+// γ₉·(|x|+mean|x|)/s (mean|x| ≥ |μ| also bounds the float64 sum's error);
+// y adds γ·x̂ and +β (11). dγ sums dy·x̂ (x̂'s 9, then 1 to
+// float32, 1 into the gradient); dβ rounds once to float32 and once into the
+// gradient. dx: γ·(1/s)/m carries 1/s's 6 and two products (8); inside the
+// parentheses m·dy (1), Σdy (2), x̂·Σdy·x̂ (9 + 11 + 1) and two subtractions
+// (2), so 25 + 8 + 1 for the final product: 34.
+func refBatchNorm(x, gamma, beta, dy *tensor.Tensor, eps float32) (y, dx, dgamma, dbeta []refVal) {
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	hw, m := h*w, n*h*w
+	y, dx = make([]refVal, len(x.Data)), make([]refVal, len(x.Data))
+	dgamma, dbeta = make([]refVal, c), make([]refVal, c)
+	idx := func(i, ch, j int) int { return (i*c+ch)*hw + j }
+	for ch := 0; ch < c; ch++ {
+		var sum, sumAbs float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < hw; j++ {
+				sum += float64(x.Data[idx(i, ch, j)])
+				sumAbs += math.Abs(float64(x.Data[idx(i, ch, j)]))
+			}
+		}
+		mu := sum / float64(m)
+		var vs float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < hw; j++ {
+				d := float64(x.Data[idx(i, ch, j)]) - mu
+				vs += d * d
+			}
+		}
+		s := math.Sqrt(vs/float64(m) + float64(eps))
+		g, b := float64(gamma.Data[ch]), float64(beta.Data[ch])
+		xhat := func(k int) (v, mag float64) {
+			xv := float64(x.Data[k])
+			return (xv - mu) / s, (math.Abs(xv) + sumAbs/float64(m)) / s
+		}
+		var sDy, sDyAbs, sDyX, sDyXAbs float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < hw; j++ {
+				k := idx(i, ch, j)
+				xh, xmag := xhat(k)
+				y[k] = refVal{v: g*xh + b, mag: math.Abs(g)*xmag + math.Abs(b), n: 11, m: 2 * m}
+				d := float64(dy.Data[k])
+				sDy += d
+				sDyAbs += math.Abs(d)
+				sDyX += d * xh
+				sDyXAbs += math.Abs(d) * xmag
+			}
+		}
+		dbeta[ch] = refVal{v: sDy, mag: sDyAbs, n: 2, m: m}
+		dgamma[ch] = refVal{v: sDyX, mag: sDyXAbs, n: 11, m: 3 * m}
+		for i := 0; i < n; i++ {
+			for j := 0; j < hw; j++ {
+				k := idx(i, ch, j)
+				xh, xmag := xhat(k)
+				d := float64(dy.Data[k])
+				scale := math.Abs(g) / (float64(m) * s)
+				dx[k] = refVal{
+					v:   g / (float64(m) * s) * (float64(m)*d - sDy - xh*sDyX),
+					mag: scale * (float64(m)*math.Abs(d) + sDyAbs + xmag*sDyXAbs),
+					n:   34, m: 3 * m,
+				}
+			}
+		}
+	}
+	return y, dx, dgamma, dbeta
+}
+
+// widths runs body at every kernel width the build has: the 512-bit kernels
+// (skipped where they are not live), the 256-bit ones, and the Go twins the
+// portable build serves with.
+func widths(t *testing.T, body func(t *testing.T)) {
+	t.Run("avx512", func(t *testing.T) { tensortest.Gemm512(t, true); body(t) })
+	t.Run("avx2", func(t *testing.T) { tensortest.Gemm512(t, false); body(t) })
+	t.Run("portable", func(t *testing.T) { tensortest.Portable(t); body(t) })
+}
+
+// within reports every value of got outside its reference's bound, at most
+// five per name.
+func within(t *testing.T, name string, got []float32, ref []refVal) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d values, reference has %d", name, len(got), len(ref))
+	}
+	bad := 0
+	for i, r := range ref {
+		if err := math.Abs(float64(got[i]) - r.v); !(err <= r.bound()) {
+			if bad++; bad <= 5 {
+				t.Errorf("%s[%d] = %g, reference %g: off by %.3g, bound γ%d·%.3g = %.3g",
+					name, i, got[i], r.v, err, r.n, r.mag, r.bound())
+			}
+		}
+	}
+	if bad > 5 {
+		t.Errorf("%s: %d values out of bound in all", name, bad)
+	}
+}
+
+func randTensor(rng *rand.Rand, mean, sd float64, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data {
+		t.Data[i] = float32(mean + sd*rng.NormFloat64())
+	}
+	return t
+}
+
+// TestDepthwiseMatchesOracle: DepthwiseConv2D's Forward (y) and Backward (dx,
+// and dw accumulated into a zeroed gradient) agree with refDepthwise within
+// their bounds, for 3×3 and 5×5 filters at strides 1 and 2 over odd maps, at
+// each kernel width. Six samples span two of Backward's gradient chunks.
+func TestDepthwiseMatchesOracle(t *testing.T) {
+	widths(t, func(t *testing.T) {
+		for _, k := range []int{3, 5} {
+			for _, stride := range []int{1, 2} {
+				t.Run(fmt.Sprintf("k%d/s%d", k, stride), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(10*k + stride)))
+					const n, c, h, w = 6, 5, 9, 11
+					pad := k / 2
+					d := nn.NewDepthwiseConv2D(tensor.NewRNG(1), c, k, stride, pad)
+					copy(d.Weight.W.Data, randTensor(rng, 0, 0.5, c, k, k).Data)
+					x := randTensor(rng, 0.2, 1, n, c, h, w)
+					y := d.Forward(tensor.NewArena(), x)
+					dy := randTensor(rng, 0, 1, y.Shape...)
+					d.Weight.ZeroGrad()
+					dx := d.Backward(tensor.NewArena(), dy)
+					ry, rdx, rdw := refDepthwise(x, d.Weight.W, dy, k, stride, pad)
+					within(t, "y", y.Data, ry)
+					within(t, "dx", dx.Data, rdx)
+					within(t, "dw", d.Weight.Grad.Data, rdw)
+				})
+			}
+		}
+	})
+}
+
+// TestBatchNormMatchesOracle: BatchNorm2D's training Forward (y) and Backward
+// (dx, and dγ, dβ accumulated into zeroed gradients) agree with refBatchNorm
+// within their bounds, at each kernel width, on channels whose means sit
+// away from zero and with output gradients whose mean does too, so the
+// backward's mean term is far above its bound.
+func TestBatchNormMatchesOracle(t *testing.T) {
+	widths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		const n, c, h, w = 3, 4, 5, 7
+		bn := nn.NewBatchNorm2D(c)
+		copy(bn.Gamma.W.Data, randTensor(rng, 1, 0.5, c).Data)
+		copy(bn.Beta.W.Data, randTensor(rng, 0, 0.5, c).Data)
+		x := randTensor(rng, 0, 1, n, c, h, w)
+		for i := range x.Data {
+			x.Data[i] = x.Data[i]*float32(1+i/(h*w)%c) + float32(i/(h*w)%c) - 1.5
+		}
+		y := bn.Forward(tensor.NewArena(), x)
+		dy := randTensor(rng, 0.3, 1, y.Shape...)
+		bn.Gamma.ZeroGrad()
+		bn.Beta.ZeroGrad()
+		dx := bn.Backward(tensor.NewArena(), dy)
+		ry, rdx, rdg, rdb := refBatchNorm(x, bn.Gamma.W, bn.Beta.W, dy, bn.Eps)
+		within(t, "y", y.Data, ry)
+		within(t, "dx", dx.Data, rdx)
+		within(t, "dgamma", bn.Gamma.Grad.Data, rdg)
+		within(t, "dbeta", bn.Beta.Grad.Data, rdb)
+	})
+}

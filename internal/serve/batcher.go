@@ -10,6 +10,10 @@
 //
 //   - bounded admission queue: when the queue is full, Predict fails fast
 //     with ErrOverloaded instead of stacking unbounded latency;
+//   - lingering only for a companion that can come: Server announces each
+//     /predict request as its handler starts, and a batch made only of
+//     announced requests flushes as soon as the queue is empty and no
+//     announced request is on its way, instead of waiting out MaxDelay;
 //   - per-request contexts: a canceled or expired request is dropped at
 //     flush-assembly time without stalling the rest of its batch;
 //   - graceful drain: Close stops admissions, flushes everything queued, and
@@ -45,9 +49,15 @@ type Options struct {
 	// MaxDelay bounds how long the oldest queued request may wait before its
 	// (partial) batch is flushed. The deadline is measured from that
 	// request's enqueue time, so a queue that filled while a previous batch
-	// computed flushes immediately. 0 means greedy mode: flush as soon as
-	// the queue drains, forming batches only from requests that are already
-	// waiting. Default: 1ms.
+	// computed flushes immediately. Within it the batcher lingers only while
+	// a companion can come: Server announces each /predict request when its
+	// handler starts, before decoding, and a batch made only of announced
+	// requests flushes as soon as the queue is empty and no announced request
+	// is still on its way to the queue. Direct Predict and PredictBatch
+	// callers announce nothing, so a batch holding one of their requests
+	// lingers until the deadline. Negative means greedy mode: flush as soon
+	// as the queue drains, forming batches only from requests that are
+	// already waiting. Default (0): 1ms.
 	MaxDelay time.Duration
 	// QueueCap is the admission queue capacity in requests; admissions
 	// beyond it fail with ErrOverloaded. Default: 4×MaxBatch.
@@ -80,6 +90,8 @@ type request struct {
 	preds []int
 	enq   time.Time
 	done  chan error
+	// announced: counted in Batcher.pending until the flush loop receives it.
+	announced bool
 }
 
 // Batcher coalesces concurrent prediction requests into micro-batches for a
@@ -95,6 +107,11 @@ type Batcher struct {
 	mu     sync.RWMutex // guards closed against concurrent enqueues
 	closed bool
 	queue  chan *request
+	// pending counts announced requests the flush loop has not received:
+	// Server.handlePredict adds one at entry, and the loop takes it off on
+	// receipt, or the handler does if its request never reaches the queue.
+	// While it is 0, no announced companion is on its way.
+	pending atomic.Int64
 
 	loopDone chan struct{}
 	met      *Metrics
@@ -172,6 +189,14 @@ func (b *Batcher) Predict(ctx context.Context, sample []float32) (int, error) {
 // the call returns — and not after it returns ctx's error either: the flush
 // loop may still be copying from it then (see flush).
 func (b *Batcher) PredictBatch(ctx context.Context, data []float32, n int) ([]int, error) {
+	return b.predict(ctx, data, n, nil)
+}
+
+// predict is PredictBatch for a caller that may have announced its request
+// in pending. A non-nil queued marks the request announced and is set once
+// it is in the queue, after which the flush loop takes it off pending; until
+// then that is the caller's job.
+func (b *Batcher) predict(ctx context.Context, data []float32, n int, queued *bool) ([]int, error) {
 	if n < 1 || n > b.opts.MaxBatch {
 		return nil, fmt.Errorf("serve: request of %d samples (want 1..%d)", n, b.opts.MaxBatch)
 	}
@@ -188,6 +213,8 @@ func (b *Batcher) PredictBatch(ctx context.Context, data []float32, n int) ([]in
 		preds: make([]int, n),
 		enq:   time.Now(),
 		done:  make(chan error, 1),
+
+		announced: queued != nil,
 	}
 
 	b.mu.RLock()
@@ -198,6 +225,9 @@ func (b *Batcher) PredictBatch(ctx context.Context, data []float32, n int) ([]in
 	select {
 	case b.queue <- req:
 		b.mu.RUnlock()
+		if queued != nil {
+			*queued = true
+		}
 	default:
 		b.mu.RUnlock()
 		b.met.rejected.Add(1)
@@ -234,7 +264,11 @@ func (b *Batcher) Close() {
 // loop is the flush loop: block for one request, gather companions up to the
 // size threshold or the oldest request's delay deadline, flush, repeat. A
 // request that would overflow the size threshold is carried into the next
-// batch instead of splitting.
+// batch instead of splitting. When the queue runs dry, a batch made only of
+// announced requests flushes at once if none is still on its way (pending is
+// 0): no companion can come, so lingering would only add latency. A direct
+// caller's request in the batch keeps the linger, since its companions are
+// not announced.
 func (b *Batcher) loop() {
 	defer close(b.loopDone)
 	var carry *request
@@ -248,66 +282,79 @@ func (b *Batcher) loop() {
 			if !ok {
 				return
 			}
+			b.received(first)
 		}
 		batch := b.live[:0]
 		batch = append(batch, first)
 		total := first.n
+		allAnnounced := first.announced
+		why := &b.met.flushFull
 
 	gather:
 		for total < b.opts.MaxBatch {
+			var r *request
+			var ok bool
 			// Greedily take whatever is already waiting.
 			select {
-			case r, ok := <-b.queue:
-				if !ok {
-					break gather
-				}
-				if total+r.n > b.opts.MaxBatch {
-					carry = r
-					break gather
-				}
-				batch = append(batch, r)
-				total += r.n
-				continue
+			case r, ok = <-b.queue:
 			default:
-			}
-			// Queue momentarily empty: linger until the oldest request's
-			// deadline for late companions. In greedy mode (MaxDelay 0) or
-			// past the deadline, flush what we have.
-			wait := b.opts.MaxDelay - time.Since(first.enq)
-			if wait <= 0 {
-				break gather
-			}
-			if timer == nil {
-				timer = time.NewTimer(wait)
-			} else {
-				timer.Reset(wait)
-			}
-			select {
-			case r, ok := <-b.queue:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				if !ok {
+				// Queue momentarily empty: linger until the oldest request's
+				// deadline for late companions, unless none can come. In
+				// greedy mode (MaxDelay 0) or past the deadline, flush what
+				// we have.
+				if allAnnounced && b.pending.Load() == 0 {
+					why = &b.met.flushIdle
 					break gather
 				}
-				if total+r.n > b.opts.MaxBatch {
-					carry = r
+				wait := b.opts.MaxDelay - time.Since(first.enq)
+				if wait <= 0 {
+					why = &b.met.flushDeadline
 					break gather
 				}
-				batch = append(batch, r)
-				total += r.n
-			case <-timer.C:
+				if timer == nil {
+					timer = time.NewTimer(wait)
+				} else {
+					timer.Reset(wait)
+				}
+				select {
+				case r, ok = <-b.queue:
+					if !timer.Stop() {
+						<-timer.C
+					}
+				case <-timer.C:
+					why = &b.met.flushDeadline
+					break gather
+				}
+			}
+			if !ok {
+				why = &b.met.flushIdle // closed: nothing more can come
 				break gather
 			}
+			b.received(r)
+			if total+r.n > b.opts.MaxBatch {
+				carry = r
+				break gather
+			}
+			batch = append(batch, r)
+			total += r.n
+			allAnnounced = allAnnounced && r.announced
 		}
-		b.flush(batch)
+		b.flush(batch, why)
+	}
+}
+
+// received takes a request the loop has just received off pending.
+func (b *Batcher) received(r *request) {
+	if r.announced {
+		b.pending.Add(-1)
 	}
 }
 
 // flush assembles one staging batch from the gathered requests — dropping
 // any whose context died while queued — runs the engine, and fans results
-// back to each request's future in input order.
-func (b *Batcher) flush(batch []*request) {
+// back to each request's future in input order. why is the flush-reason
+// counter the gather ended on; it counts only flushes that reach the engine.
+func (b *Batcher) flush(batch []*request, why *atomic.Int64) {
 	live := batch[:0]
 	off := 0
 	for _, r := range batch {
@@ -329,6 +376,7 @@ func (b *Batcher) flush(batch []*request) {
 	preds := b.preds[:off]
 	err := b.eng.Load().PredictChecked(imgs, preds)
 	b.met.observeBatch(off)
+	why.Add(1)
 
 	now := time.Now()
 	off = 0

@@ -36,6 +36,13 @@ func tinyZoo(seed int64, classes int) *cnn.Model {
 // different seed to get a genuinely different model for swap tests).
 func buildEngine(t *testing.T, mut func(*core.Config)) (*engine.Engine, *core.Pipeline, *dataset.Dataset) {
 	t.Helper()
+	return buildEngineOn(t, nil, mut)
+}
+
+// buildEngineOn is buildEngine with zoo, when not nil, editing the tiny CNN
+// before the pipeline is built on it.
+func buildEngineOn(t *testing.T, zoo func(*cnn.Model), mut func(*core.Config)) (*engine.Engine, *core.Pipeline, *dataset.Dataset) {
+	t.Helper()
 	cfgD := dataset.SynthConfig{Classes: 4, Train: 48, Test: 33, Size: 16, Noise: 0.2, Seed: 61}
 	train, test := dataset.SynthCIFAR(cfgD)
 	cfg := core.DefaultConfig(1, 4)
@@ -47,7 +54,12 @@ func buildEngine(t *testing.T, mut func(*core.Config)) (*engine.Engine, *core.Pi
 	if mut != nil {
 		mut(&cfg)
 	}
-	p, err := core.New(tinyZoo(62, 4), cfg)
+	m := tinyZoo(62, 4)
+	if zoo != nil {
+		zoo(m)
+		m.Finish()
+	}
+	p, err := core.New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +71,25 @@ func buildEngine(t *testing.T, mut func(*core.Config)) (*engine.Engine, *core.Pi
 		t.Fatal(err)
 	}
 	return e, p, test
+}
+
+// loopless is New without the flush loop: requests stay in the queue until
+// the test starts b.loop itself.
+func loopless(e *engine.Engine, opts Options) *Batcher {
+	opts = opts.withDefaults(e)
+	b := &Batcher{
+		opts:      opts,
+		inShape:   e.InShape(),
+		sampleLen: e.SampleLen(),
+		queue:     make(chan *request, opts.QueueCap),
+		loopDone:  make(chan struct{}),
+		met:       newMetrics(),
+		staging:   make([]float32, opts.MaxBatch*e.SampleLen()),
+		preds:     make([]int, opts.MaxBatch),
+		live:      make([]*request, 0, opts.MaxBatch),
+	}
+	b.eng.Store(e)
+	return b
 }
 
 // sample returns test sample i as a flat float slice.
@@ -234,15 +265,7 @@ func TestBatcherCancellation(t *testing.T) {
 // full — in a live batcher the gather loop would drain it.
 func TestBatcherBackpressure(t *testing.T) {
 	e, _, test := buildEngine(t, nil)
-	b := &Batcher{
-		opts:      Options{MaxBatch: 4, MaxDelay: time.Hour, QueueCap: 2}.withDefaults(e),
-		inShape:   e.InShape(),
-		sampleLen: e.SampleLen(),
-		queue:     make(chan *request, 2),
-		loopDone:  make(chan struct{}),
-		met:       newMetrics(),
-	}
-	b.eng.Store(e)
+	b := loopless(e, Options{MaxBatch: 4, MaxDelay: time.Hour, QueueCap: 2})
 
 	// Fill the admission queue; with no flusher these stay parked. The
 	// enqueuing callers wait on short deadlines and come back with their

@@ -32,6 +32,11 @@ type Metrics struct {
 	batches  atomic.Int64 // engine flushes
 	swaps    atomic.Int64 // hot engine swaps
 
+	// Why each engine flush's gather ended; the three sum to batches.
+	flushFull     atomic.Int64 // MaxBatch reached, or the next request would overflow it
+	flushDeadline atomic.Int64 // the oldest request's MaxDelay ran out (at once in greedy mode)
+	flushIdle     atomic.Int64 // queue empty and no announced request on its way, or closed
+
 	latency [latBuckets]atomic.Int64
 	batch   [batchBuckets]atomic.Int64
 }
@@ -113,6 +118,16 @@ type Snapshot struct {
 	Batches  int64 `json:"batches"`
 	Swaps    int64 `json:"swaps"`
 
+	// Which rule ended each flush's gather; the three sum to Batches.
+	// FlushFull: the batch reached MaxBatch (or the next request would
+	// overflow it). FlushDeadline: the oldest request waited MaxDelay, which
+	// in greedy mode is at once. FlushIdle: the queue was empty and no
+	// announced request was on its way (or Close had ended admissions), so
+	// no companion could come.
+	FlushFull     int64 `json:"flush_full"`
+	FlushDeadline int64 `json:"flush_deadline"`
+	FlushIdle     int64 `json:"flush_idle"`
+
 	// QPS is samples served per second over the batcher's whole uptime.
 	QPS float64 `json:"qps"`
 	// QueueDepth is the instantaneous admission-queue occupancy (requests).
@@ -144,6 +159,10 @@ func (m *Metrics) snapshot(queueDepth int) Snapshot {
 		Batches:    m.batches.Load(),
 		Swaps:      m.swaps.Load(),
 		QueueDepth: queueDepth,
+
+		FlushFull:     m.flushFull.Load(),
+		FlushDeadline: m.flushDeadline.Load(),
+		FlushIdle:     m.flushIdle.Load(),
 	}
 	if s.UptimeSec > 0 {
 		s.QPS = float64(s.Served) / s.UptimeSec

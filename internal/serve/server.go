@@ -63,7 +63,10 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handlePredict is POST /predict: decode the body by content type, hand the
-// samples to the batcher, encode the labels the same way.
+// samples to the batcher, encode the labels the same way. The request is
+// announced to the batcher (Batcher.pending) before its body is read, so a
+// batch it could join lingers for it while it decodes; a request that never
+// reaches the queue takes its announcement back on the way out.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -78,9 +81,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, s.codec.maxBody())
 	sc := scratchPool.Get().(*reqScratch)
+	s.b.pending.Add(1)
+	queued := false
 	// A batcher whose caller gave up may still be reading sc.data, so the
 	// scratch of a request whose context ended goes to the collector instead.
 	defer func() {
+		if !queued {
+			s.b.pending.Add(-1)
+		}
 		if ctx.Err() == nil {
 			scratchPool.Put(sc)
 		}
@@ -98,7 +106,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		decodeError(w, err)
 		return
 	}
-	preds, err := s.b.PredictBatch(ctx, sc.data, n)
+	preds, err := s.b.predict(ctx, sc.data, n, &queued)
 	if err != nil {
 		s.fail(w, err)
 		return

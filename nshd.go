@@ -113,7 +113,11 @@ type Batcher = serve.Batcher
 
 // BatcherOptions tune the micro-batching policy; the zero value derives
 // everything from the engine (MaxBatch = chunk size, MaxDelay = 1ms,
-// QueueCap = 4×MaxBatch).
+// QueueCap = 4×MaxBatch). MaxDelay is an upper bound: PredictServer announces
+// each /predict request as its handler starts, and a batch made only of such
+// requests flushes as soon as the queue is empty and none is still on its
+// way. Direct Batcher callers announce nothing, so their batches linger up to
+// MaxDelay for a companion.
 type BatcherOptions = serve.Options
 
 // ServeSnapshot is one point-in-time view of a Batcher's metrics.
