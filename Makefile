@@ -167,11 +167,12 @@ bench:
 bench-diff:
 	bash scripts/bench-diff.sh $(REV) $(WORKLOAD)
 
-# Functions under internal/ that no benchmark workload runs: a coverage build
-# of ./benchmark, every BENCHMARK.json workload for 1 s at -trace 0 and 1,
-# then the 0.0 % rows of the merged profile (the portable *_noasm.go twins and
-# tensortest skipped). TestNoTestOnlyExports fails on functions only tests
-# reach, so a row is reached by some entry point but not by the benchmark;
-# see scripts/census.sh.
+# Functions under internal/ that no entry point runs: a coverage build of
+# ./benchmark, every cmd/ and every examples/ main; every BENCHMARK.json
+# workload for 1 s at -trace 0 and 1, nshd-bench -exp all at a tiny quick
+# preset, each example, nshd-train, nshd-info, nshd-tsne and one nshd-serve
+# -demo request; then the 0.0 % rows of the merged profile (the portable
+# *_noasm.go twins and tensortest skipped). About 11 minutes on two cores. A
+# row is reached by tests alone; see scripts/census.sh.
 census:
 	bash scripts/census.sh

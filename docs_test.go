@@ -160,13 +160,56 @@ func TestDocsNameLiveCode(t *testing.T) {
 // rewritten once, down to ≤ 60 KB" is the target for DESIGN.md, and a change
 // that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 137_433, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_352, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fi.Size() > limit {
 			t.Errorf("%s is %d bytes, over its %d-byte budget", doc, fi.Size(), limit)
+		}
+	}
+}
+
+// TestCodeBudget is the code's counterpart of TestDocsByteBudget: it caps
+// the lines of non-test Go outside benchmark/ and testdata/, and the lines of
+// assembly, at their sizes when it was last lowered. A change that shrinks
+// the code lowers the caps to the new sizes. A change that raises a cap names
+// in CHANGES.md the measured win that pays for the lines.
+func TestCodeBudget(t *testing.T) {
+	var goLines, asmLines int
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		counter := &asmLines
+		switch {
+		case strings.HasSuffix(path, "_test.go"):
+			return nil
+		case strings.HasSuffix(path, ".go"):
+			counter = &goLines
+		case !strings.HasSuffix(path, ".s"):
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		*counter += strings.Count(string(text), "\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what       string
+		lines, cap int
+	}{{"non-test Go", goLines, 18_388}, {"assembly", asmLines, 2_738}} {
+		if c.lines > c.cap {
+			t.Errorf("%s is %d lines, over its %d-line budget", c.what, c.lines, c.cap)
 		}
 	}
 }

@@ -48,7 +48,7 @@ type Config struct {
 	BatchSize int
 	// Seed drives the projection and shuffling.
 	Seed int64
-	// PackedInference switches Predict/Accuracy to the binary deployment
+	// PackedInference switches PredictDirect/Accuracy to the binary deployment
 	// kernel: class hypervectors are sign-quantized to one bit per dimension
 	// and scored with XOR + popcount (Sec. VI). Training is unaffected — the
 	// real-valued model is quantized at prediction time, trading a small

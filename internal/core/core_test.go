@@ -274,8 +274,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPreds := p.Predict(test.Images)
-	gotPreds := q.Predict(test.Images)
+	wantPreds := p.PredictDirect(test.Images)
+	gotPreds := q.PredictDirect(test.Images)
 	for i := range wantPreds {
 		if wantPreds[i] != gotPreds[i] {
 			t.Fatalf("prediction %d differs after reload", i)
@@ -330,7 +330,7 @@ func TestPackedInferenceMatchesQuantizedFloat(t *testing.T) {
 	quantized := &hdlearn.Model{K: p.HD.K, D: p.HD.D, M: tensor.Sign(p.HD.M)}
 	want := quantized.PredictBatch(p.QueryHVs(test.Images))
 	p.Cfg.PackedInference = true
-	got := p.Predict(test.Images)
+	got := p.PredictDirect(test.Images)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: packed=%d, quantized float=%d", i, got[i], want[i])
@@ -343,6 +343,6 @@ func TestPackedInferenceMatchesQuantizedFloat(t *testing.T) {
 		}
 	}
 	if acc := p.Accuracy(test); math.Abs(acc-float64(correct)/float64(len(got))) > 1e-9 {
-		t.Fatalf("packed Accuracy %v inconsistent with packed Predict", acc)
+		t.Fatalf("packed Accuracy %v inconsistent with packed PredictDirect", acc)
 	}
 }

@@ -29,14 +29,11 @@ func TestEmptyBatchEdgeCases(t *testing.T) {
 		}
 	}
 
-	if preds := p.Predict(empty); len(preds) != 0 {
-		t.Fatalf("Predict on empty batch returned %v", preds)
-	}
 	if preds := p.PredictDirect(empty); len(preds) != 0 {
 		t.Fatalf("PredictDirect on empty batch returned %v", preds)
 	}
-	if preds := p.Predict(nil); len(preds) != 0 {
-		t.Fatalf("Predict(nil) returned %v", preds)
+	if preds := p.PredictDirect(nil); len(preds) != 0 {
+		t.Fatalf("PredictDirect(nil) returned %v", preds)
 	}
 
 	hvs := p.QueryHVs(empty)
@@ -72,7 +69,6 @@ func TestWrongImageShapeRejected(t *testing.T) {
 	}{
 		{"ExtractFeatures", func() { p.ExtractFeatures(small) }},
 		{"PredictDirect", func() { p.PredictDirect(small) }},
-		{"Predict", func() { p.Predict(small) }},
 		{"QueryHVs", func() { p.QueryHVs(small) }},
 	} {
 		func() {

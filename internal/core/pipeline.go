@@ -43,13 +43,6 @@ type Pipeline struct {
 	HD *hdlearn.Model
 
 	rng *tensor.RNG
-
-	// Cached serving engine (see serving.go), keyed on the HD model version
-	// and the inference-kernel config.
-	srv        Predictor
-	srvVersion uint64
-	srvPacked  bool
-	srvTried   bool
 }
 
 // New assembles an NSHD pipeline over a (pretrained) zoo model.
@@ -444,27 +437,10 @@ func (p *Pipeline) classify(signed *tensor.Tensor) []int {
 	return p.HD.PredictBatch(signed)
 }
 
-// Predict classifies raw images. When a serving engine is registered (any
-// binary importing internal/engine or the public nshd package), the batch
-// runs through the compiled zero-allocation path; otherwise — or if
-// compilation fails for this model — it falls back to PredictDirect. Both
-// paths produce identical predictions per sample.
-func (p *Pipeline) Predict(images *tensor.Tensor) []int {
-	if images == nil || images.Rank() == 0 || images.Shape[0] == 0 {
-		return []int{}
-	}
-	if s := p.server(); s != nil {
-		if preds, err := s.Predict(images); err == nil {
-			return preds
-		}
-	}
-	return p.PredictDirect(images)
-}
-
 // PredictDirect classifies raw images through the training-side tensor path:
-// extract all-N features, symbolize, classify. It is the reference
-// implementation the engine is validated against, and the fallback when no
-// engine is registered.
+// extract all-N features, symbolize, classify. It is the pipeline's one
+// prediction path and the reference the serving engine (internal/engine,
+// compiled explicitly) is validated against.
 func (p *Pipeline) PredictDirect(images *tensor.Tensor) []int {
 	if images == nil || images.Rank() == 0 || images.Shape[0] == 0 {
 		return []int{}
@@ -477,7 +453,7 @@ func (p *Pipeline) PredictDirect(images *tensor.Tensor) []int {
 // Accuracy scores the pipeline on a labelled dataset. An empty dataset
 // scores 0.
 func (p *Pipeline) Accuracy(d *dataset.Dataset) float64 {
-	preds := p.Predict(d.Images)
+	preds := p.PredictDirect(d.Images)
 	if len(preds) == 0 {
 		return 0
 	}
@@ -511,16 +487,9 @@ func (p *Pipeline) accuracyOnSigned(signed *tensor.Tensor, labels []int) float64
 
 // QueryHVs returns the signed query hypervectors of a dataset — the
 // symbolic representation used by the explainability analysis (Fig. 11).
-// Served through the compiled engine when one is registered, streaming
-// chunks instead of materializing the all-N feature tensor.
 func (p *Pipeline) QueryHVs(images *tensor.Tensor) *tensor.Tensor {
 	if images == nil || images.Rank() == 0 || images.Shape[0] == 0 {
 		return tensor.New(0, p.Cfg.D)
-	}
-	if s := p.server(); s != nil {
-		if hvs, err := s.QueryHVs(images); err == nil {
-			return hvs
-		}
 	}
 	feats := p.ExtractFeatures(images)
 	_, _, signed := p.Symbolize(feats, false)
@@ -548,5 +517,5 @@ func abs64(v float32) float64 {
 
 // Confusion returns the pipeline's confusion matrix on a labelled dataset.
 func (p *Pipeline) Confusion(d *dataset.Dataset) (*metrics.Confusion, error) {
-	return metrics.NewConfusion(p.Cfg.Classes, p.Predict(d.Images), d.Labels)
+	return metrics.NewConfusion(p.Cfg.Classes, p.PredictDirect(d.Images), d.Labels)
 }

@@ -15,7 +15,9 @@
 //
 // This mirrors the deployment argument of the paper's Sec. VI (and DPQ-HD):
 // HD's efficiency win comes from a dedicated inference path distinct from the
-// training loop.
+// training loop. The two paths stay apart: core.Pipeline predicts through its
+// own direct path (PredictDirect, Accuracy, QueryHVs) and never compiles an
+// engine, and a serving process compiles one explicitly with Compile.
 package engine
 
 import (
@@ -69,8 +71,7 @@ type Stage interface {
 //
 // The Engine reflects the pipeline at Compile time. Training afterwards
 // changes weights the stages share (manifold) and leaves the classifier
-// snapshot behind — recompile after training. core.Pipeline does this
-// automatically, keyed on the HD model's version counter.
+// snapshot behind — recompile after training.
 type Engine struct {
 	inShape   [3]int  // per-sample image shape [C, H, W]
 	sampleLen int     // C·H·W
@@ -274,25 +275,17 @@ func (e *Engine) warmup(ar *tensor.Arena, chunk int) (err error) {
 		}
 	}()
 	zero := make([]float32, chunk*e.sampleLen)
-	preds := make([]int, chunk)
-	hvs := make([]float32, chunk*e.d)
-	x := e.runChunk(ar, zero, chunk)
-	e.tail.run(x, preds, ar, nil)
-	// Size the hypervector path too (QueryHVs). Each tail releases what it
-	// took and leaves x alone, so one pass through the stages serves both and
-	// the high-water marks are the larger of the two.
-	e.tail.runHVs(x, hvs, ar)
+	e.tail.run(e.runChunk(ar, zero, chunk), make([]int, chunk), ar, nil)
 	return nil
 }
 
-// batchJob is one PredictInto or QueryHVs call: the batch and the one output
-// its tail fills. A struct, not a closure, so that handing it to the fan-out
-// allocates nothing.
+// batchJob is one PredictInto call: the batch and the labels its tail fills.
+// A struct, not a closure, so that handing it to the fan-out allocates
+// nothing.
 type batchJob struct {
 	images []float32
 	n      int
-	preds  []int     // PredictInto
-	hvs    []float32 // QueryHVs, [n, d]
+	preds  []int
 }
 
 // fanout is a reusable prebound parallel.Call over the parts of one job.
@@ -348,11 +341,7 @@ func (e *Engine) runPart(j *batchJob, start, end int) {
 	ar := e.arenas.Get()
 	defer e.arenas.Put(ar)
 	x := e.runChunk(ar, j.images[start*e.sampleLen:end*e.sampleLen], end-start)
-	if j.preds != nil {
-		e.tail.run(x, j.preds[start:end], ar, nil)
-	} else {
-		e.tail.runHVs(x, j.hvs[start*e.d:end*e.d], ar)
-	}
+	e.tail.run(x, j.preds[start:end], ar, nil)
 }
 
 // runChunk copies one part's images into the arena (inference layers write
@@ -414,20 +403,6 @@ func (e *Engine) PredictInto(images *tensor.Tensor, preds []int) error {
 	}
 	e.forParts(batchJob{images: images.Data, n: n, preds: preds})
 	return nil
-}
-
-// QueryHVs returns the signed query hypervectors ([N, D]) of a batch — the
-// symbolic representation the explainability analysis consumes — streaming
-// each part's results into the output instead of materializing all-N
-// features.
-func (e *Engine) QueryHVs(images *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := e.checkImages(images); err != nil {
-		return nil, err
-	}
-	n := images.Shape[0]
-	out := tensor.New(n, e.d)
-	e.forParts(batchJob{images: images.Data, n: n, hvs: out.Data})
-	return out, nil
 }
 
 // ErrInternal marks an error PredictChecked made out of a recovered panic: a
@@ -556,14 +531,4 @@ func paramBytes(ps []*nn.Param) int64 {
 		total += int64(p.W.Len()) * 4
 	}
 	return total
-}
-
-// init hooks the engine into core: Pipeline.Predict/Accuracy/QueryHVs compile
-// and cache an Engine through this registration, keeping core free of an
-// import cycle. Any program importing this package (the public nshd surface
-// does) serves through the Engine automatically.
-func init() {
-	core.RegisterEngineCompiler(func(p *core.Pipeline) (core.Predictor, error) {
-		return Compile(p)
-	})
 }

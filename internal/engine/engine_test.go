@@ -139,7 +139,7 @@ func TestEngineEmptyAndInvalidInput(t *testing.T) {
 	if err != nil || len(preds) != 0 {
 		t.Fatalf("empty batch: preds=%v err=%v", preds, err)
 	}
-	hvs, err := e.QueryHVs(tensor.New(0, 3, 16, 16))
+	hvs, err := engine.QueryHVs(e, tensor.New(0, 3, 16, 16))
 	if err != nil || hvs.Shape[0] != 0 || hvs.Shape[1] != 70 {
 		t.Fatalf("empty QueryHVs: shape=%v err=%v", hvs.Shape, err)
 	}
@@ -273,7 +273,7 @@ func TestPredictCheckedInternalError(t *testing.T) {
 
 // TestEngineRejectsShortData: a batch whose Data is shorter than its shape
 // says is refused with a plain error before any part runs — through
-// PredictInto, PredictChecked and QueryHVs, with and without spare capacity
+// PredictInto, PredictChecked and the QueryHVs hook, with and without spare capacity
 // behind the short slice, at n = 8 split into parts that run on the pool's
 // helpers. Neither read past the slice nor a panic on a helper may happen.
 func TestEngineRejectsShortData(t *testing.T) {
@@ -295,7 +295,7 @@ func TestEngineRejectsShortData(t *testing.T) {
 		for name, call := range map[string]func() error{
 			"PredictInto":    func() error { return e.PredictInto(short, make([]int, 8)) },
 			"PredictChecked": func() error { return e.PredictChecked(short, make([]int, 8)) },
-			"QueryHVs":       func() error { _, err := e.QueryHVs(short); return err },
+			"QueryHVs":       func() error { _, err := engine.QueryHVs(e, short); return err },
 		} {
 			if err := call(); err == nil || errors.Is(err, engine.ErrInternal) || !strings.Contains(err.Error(), "Data holds") {
 				t.Fatalf("%s, %s: err = %v, want the plain length error", c.name, name, err)
@@ -360,53 +360,6 @@ func TestPredictNonFinitePixels(t *testing.T) {
 					t.Fatalf("%s: image 0 alone labelled %d, in the batch %d", name, alone[0], first[0])
 				}
 			}
-		}
-	}
-}
-
-// TestPipelineServesThroughEngine: with this package imported, core routes
-// Predict through a compiled engine and recompiles when the model version or
-// the inference kernel changes.
-func TestPipelineServesThroughEngine(t *testing.T) {
-	p, test := buildPipeline(t, func(c *core.Config) {})
-	served := p.Predict(test.Images)
-	direct := p.PredictDirect(test.Images)
-	for i := range direct {
-		if served[i] != direct[i] {
-			t.Fatalf("sample %d: served=%d direct=%d", i, served[i], direct[i])
-		}
-	}
-
-	// Mutate the class hypervectors: the cached engine is stale and must be
-	// recompiled, tracking the new weights.
-	rng := tensor.NewRNG(99)
-	u := tensor.New(test.Len(), 4)
-	rng.FillNormal(u, 0, 1)
-	hvs := p.QueryHVs(test.Images)
-	p.HD.ApplyUpdate(u, hvs, 5)
-	served2 := p.Predict(test.Images)
-	direct2 := p.PredictDirect(test.Images)
-	changed := false
-	for i := range direct2 {
-		if served2[i] != direct2[i] {
-			t.Fatalf("after update, sample %d: served=%d direct=%d", i, served2[i], direct2[i])
-		}
-		if served2[i] != served[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("large model update changed no prediction; staleness untested")
-	}
-
-	// Switch the inference kernel: the engine must recompile with the packed
-	// classifier even though the model version is unchanged.
-	p.Cfg.PackedInference = true
-	servedP := p.Predict(test.Images)
-	directP := p.PredictDirect(test.Images)
-	for i := range directP {
-		if servedP[i] != directP[i] {
-			t.Fatalf("packed, sample %d: served=%d direct=%d", i, servedP[i], directP[i])
 		}
 	}
 }

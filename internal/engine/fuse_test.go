@@ -54,11 +54,11 @@ func sameOutputs(t *testing.T, got, want *engine.Engine, images *tensor.Tensor) 
 			t.Fatalf("sample %d: pred %d vs %d", i, gp[i], wp[i])
 		}
 	}
-	wh, err := want.QueryHVs(images)
+	wh, err := engine.QueryHVs(want, images)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gh, err := got.QueryHVs(images)
+	gh, err := engine.QueryHVs(got, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 			var r result
 			r.preds, r.err = e.Predict(test.Images)
 			if r.err == nil {
-				r.hvs, r.err = e.QueryHVs(test.Images)
+				r.hvs, r.err = engine.QueryHVs(e, test.Images)
 			}
 			done <- r
 		}()
@@ -214,7 +214,7 @@ func TestEngineMultiChunkFusedExtract(t *testing.T) {
 			if pr[0] != multi.preds[i] {
 				t.Fatalf("sample %d: multi-chunk pred %d, single-chunk %d", i, multi.preds[i], pr[0])
 			}
-			hv, err := e.QueryHVs(img)
+			hv, err := engine.QueryHVs(e, img)
 			if err != nil {
 				t.Fatal(err)
 			}

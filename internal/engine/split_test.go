@@ -23,7 +23,7 @@ func runAll(t testing.TB, e *engine.Engine, imgs *tensor.Tensor) splitOutputs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hvs, err := e.QueryHVs(imgs)
+	hvs, err := engine.QueryHVs(e, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}

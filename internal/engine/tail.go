@@ -44,7 +44,7 @@ type StageBytes struct {
 }
 
 // tail terminates the compiled chain: feature-stage output to class
-// predictions or signed query hypervectors, scratch from the worker arena.
+// predictions, scratch from the worker arena.
 type tail struct {
 	d, k, inF int
 	// panels is the projection operand in GEMM panel form: P's sign words.
@@ -144,18 +144,5 @@ func (t *tail) run(x *tensor.Tensor, preds []int, ar *tensor.Arena, project *flo
 		})
 		hdlearn.ArgmaxInto(preds, acc, n, t.k)
 	}
-	ar.Release(m)
-}
-
-// runHVs writes the signed query hypervectors ([n rows of d]) straight into
-// caller memory, one projection block at a time.
-func (t *tail) runHVs(x *tensor.Tensor, dst []float32, ar *tensor.Arena) {
-	m := ar.Mark()
-	t.forBlocks(x, ar, nil, func(blk []float32, n, w, c0 int) {
-		tensor.SignInPlace(blk)
-		for i := 0; i < n; i++ {
-			copy(dst[i*t.d+c0:i*t.d+c0+w], blk[i*w:(i+1)*w])
-		}
-	})
 	ar.Release(m)
 }

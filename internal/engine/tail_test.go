@@ -209,7 +209,7 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 								t.Fatalf("N=%d sample %d: engine=%d pipeline=%d", n, i, got[i], wantPreds[i])
 							}
 						}
-						hvs, err := e.QueryHVs(imgs)
+						hvs, err := engine.QueryHVs(e, imgs)
 						if err != nil {
 							t.Fatal(err)
 						}

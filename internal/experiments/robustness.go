@@ -65,7 +65,7 @@ func (s *Session) Robustness(model string, layer int) ([]RobustnessRow, Table, e
 			}
 		}
 		nshdCorrect := 0
-		for i, pr := range p.Predict(noisy) {
+		for i, pr := range p.PredictDirect(noisy) {
 			if pr == test.Labels[i] {
 				nshdCorrect++
 			}

@@ -18,7 +18,7 @@ type Model struct {
 	// M holds the (real-valued) class hypervectors.
 	M *tensor.Tensor
 
-	// version counts mutations of M (see Version/Invalidate in version.go);
+	// version counts mutations of M (see Invalidate in version.go);
 	// packed caches the sign-quantized form built at packedVersion.
 	version       uint64
 	packed        *PackedModel

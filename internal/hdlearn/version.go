@@ -6,15 +6,11 @@ import (
 	"nshd/internal/tensor"
 )
 
-// Version returns the model's mutation counter. Every method that writes
-// class hypervectors bumps it; consumers that derive state from M (the packed
-// cache below, the serving engine's compiled snapshot) compare versions to
-// detect staleness instead of diffing K·D floats.
-func (m *Model) Version() uint64 { return m.version }
-
-// Invalidate bumps the mutation counter. All package mutators call it;
-// callers that write m.M directly (deserialization, benchmarks) must call it
-// themselves.
+// Invalidate bumps the model's mutation counter. Every method that writes
+// class hypervectors calls it; state derived from M (the packed cache below,
+// the class norms) compares counters to detect staleness instead of diffing
+// K·D floats. Callers that write m.M directly (deserialization, benchmarks)
+// must call it themselves.
 func (m *Model) Invalidate() { m.version++ }
 
 // Packed returns the sign-quantized packed form of the model, cached until

@@ -55,9 +55,9 @@ func TestVersionBumpsOnEveryMutator(t *testing.T) {
 		{"ApplyUpdate", func() { m.ApplyUpdate(u, hvs, 0.05) }},
 	}
 	for _, s := range steps {
-		before := m.Version()
+		before := m.version
 		s.run()
-		if m.Version() == before {
+		if m.version == before {
 			t.Errorf("%s did not bump the model version", s.name)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 	"nshd/internal/tensor/tensortest"
 )
 
-// This file is an independent float64 reference for DepthwiseConv2D and
-// BatchNorm2D, Forward and Backward: scalar loops straight from the
+// This file is an independent float64 reference for DepthwiseConv2D,
+// BatchNorm2D, Conv2D and Linear, Forward and Backward: scalar loops straight from the
 // definitions, sharing no code with the layers or their kernels (tensor is
 // imported for its Tensor type only). Every reference value comes with a
 // magnitude T, Σ|terms| of its reduction, and the float32 layer must land
@@ -265,5 +265,176 @@ func TestBatchNormMatchesOracle(t *testing.T) {
 		within(t, "dx", dx.Data, rdx)
 		within(t, "dgamma", bn.Gamma.Grad.Data, rdg)
 		within(t, "dbeta", bn.Beta.Grad.Data, rdb)
+	})
+}
+
+// refConv2D is a convolution of x [N, C, H, W] with w [O, C, k, k] and bias b
+// [O] at the given stride and zero padding, and its backward for dy:
+// y[n,o,p,q] = b[o] + Σ w[o,c,kh,kw]·x[n,c,p·s−pad+kh, q·s−pad+kw] over the taps
+// inside the map, dx the transpose of that map, dw[o,c,kh,kw] the sum over
+// samples and outputs of dy·x, db[o] the sum of dy over samples and outputs.
+//
+// The float32 chains: y sums its rounded products in some order (the taps
+// outside the map are exact zeros) and adds the bias, so m+2 bounds them. dx
+// is one sum over O of w·dy per tap (dcols), and the taps' sums added once
+// each (col2im): O + taps + 1. dw sums each chunk's products, adds the chunk
+// sums together and into the zeroed gradient; db does the same without the
+// products. Both stay within m+2.
+func refConv2D(x, w, b, dy *tensor.Tensor, k, stride, pad int) (y, dx, dw, db []refVal) {
+	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	o := w.Shape[0]
+	oh, ow := (h+2*pad-k)/stride+1, (wd+2*pad-k)/stride+1
+	y = make([]refVal, n*o*oh*ow)
+	dx = make([]refVal, n*c*h*wd)
+	dw = make([]refVal, o*c*k*k)
+	db = make([]refVal, o)
+	add := func(r *refVal, term float64) {
+		r.v += term
+		r.mag += math.Abs(term)
+		r.m++
+	}
+	for i := 0; i < n; i++ {
+		for oc := 0; oc < o; oc++ {
+			for p := 0; p < oh; p++ {
+				for q := 0; q < ow; q++ {
+					yi := &y[((i*o+oc)*oh+p)*ow+q]
+					add(yi, float64(b.Data[oc]))
+					g := float64(dy.Data[((i*o+oc)*oh+p)*ow+q])
+					add(&db[oc], g)
+					for ch := 0; ch < c; ch++ {
+						for kh := 0; kh < k; kh++ {
+							for kw := 0; kw < k; kw++ {
+								r, col := p*stride-pad+kh, q*stride-pad+kw
+								if r < 0 || r >= h || col < 0 || col >= wd {
+									continue
+								}
+								wi := ((oc*c+ch)*k+kh)*k + kw
+								xi := ((i*c+ch)*h+r)*wd + col
+								wv, xv := float64(w.Data[wi]), float64(x.Data[xi])
+								add(yi, wv*xv)
+								add(&dx[xi], g*wv)
+								add(&dw[wi], g*xv)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, vals := range [][]refVal{y, dw, db} {
+		for i := range vals {
+			vals[i].n = vals[i].m + 2
+		}
+	}
+	for i := range dx {
+		dx[i].n = o + dx[i].m/o + 1
+	}
+	return y, dx, dw, db
+}
+
+// refLinear is the affine map y = x·wᵀ + b of x [N, In] with w [Out, In], and
+// its backward for dy: dx = dy·w, dw = dyᵀ·x, db the column sums of dy. Each
+// value is one sum of rounded products, or of rows, with the bias added or
+// the sum added once into a zeroed gradient: m+2 bounds every chain.
+func refLinear(x, w, b, dy *tensor.Tensor) (y, dx, dw, db []refVal) {
+	n, in, out := x.Shape[0], x.Shape[1], w.Shape[0]
+	y, dx = make([]refVal, n*out), make([]refVal, n*in)
+	dw, db = make([]refVal, out*in), make([]refVal, out)
+	add := func(r *refVal, term float64) {
+		r.v += term
+		r.mag += math.Abs(term)
+		r.m++
+	}
+	for i := 0; i < n; i++ {
+		for o := 0; o < out; o++ {
+			g := float64(dy.Data[i*out+o])
+			add(&y[i*out+o], float64(b.Data[o]))
+			add(&db[o], g)
+			for j := 0; j < in; j++ {
+				wv, xv := float64(w.Data[o*in+j]), float64(x.Data[i*in+j])
+				add(&y[i*out+o], wv*xv)
+				add(&dx[i*in+j], g*wv)
+				add(&dw[o*in+j], g*xv)
+			}
+		}
+	}
+	for _, vals := range [][]refVal{y, dx, dw, db} {
+		for i := range vals {
+			vals[i].n = vals[i].m + 2
+		}
+	}
+	return y, dx, dw, db
+}
+
+// TestConv2DMatchesOracle: Conv2D's Forward (y) and Backward (dx, and dw, db
+// accumulated into zeroed gradients) agree with refConv2D within their
+// bounds, at each kernel width, on geometries that reach each of the layer's
+// forms: an im2col product over ragged HW with samples stacked (3×3 and 5×5,
+// strides 1 and 2), the rows form (OutC 16, stride 2), the offset form over
+// a 16×16 map whose gradient walks one sample at a time, and a pointwise
+// conv. Six samples make a chunk of four and a ragged one of two wherever
+// Backward stacks.
+func TestConv2DMatchesOracle(t *testing.T) {
+	cases := []struct {
+		inC, outC, k, stride, pad, h, w int
+	}{
+		{3, 5, 3, 1, 1, 7, 9},
+		{3, 5, 3, 2, 1, 9, 11},
+		{2, 6, 5, 2, 2, 11, 9},
+		{4, 16, 3, 2, 1, 9, 11},
+		{2, 4, 3, 1, 1, 16, 16},
+		{5, 7, 1, 1, 0, 5, 7},
+	}
+	widths(t, func(t *testing.T) {
+		for i, cs := range cases {
+			t.Run(fmt.Sprintf("%d→%d/k%d/s%d/%dx%d", cs.inC, cs.outC, cs.k, cs.stride, cs.h, cs.w), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(20 + i)))
+				const n = 6
+				conv := nn.NewConv2D(tensor.NewRNG(1), cs.inC, cs.outC, cs.k, cs.stride, cs.pad, true)
+				copy(conv.Weight.W.Data, randTensor(rng, 0, 0.5, conv.Weight.W.Shape...).Data)
+				copy(conv.Bias.W.Data, randTensor(rng, 0, 0.5, cs.outC).Data)
+				x := randTensor(rng, 0.2, 1, n, cs.inC, cs.h, cs.w)
+				y := conv.Forward(tensor.NewArena(), x)
+				dy := randTensor(rng, 0.1, 1, y.Shape...)
+				conv.Weight.ZeroGrad()
+				conv.Bias.ZeroGrad()
+				dx := conv.Backward(tensor.NewArena(), dy)
+				ry, rdx, rdw, rdb := refConv2D(x, conv.Weight.W, conv.Bias.W, dy, cs.k, cs.stride, cs.pad)
+				within(t, "y", y.Data, ry)
+				within(t, "dx", dx.Data, rdx)
+				within(t, "dw", conv.Weight.Grad.Data, rdw)
+				within(t, "db", conv.Bias.Grad.Data, rdb)
+			})
+		}
+	})
+}
+
+// TestLinearMatchesOracle: Linear's Forward (y) and Backward (dx, and dw, db
+// accumulated into zeroed gradients) agree with refLinear within their
+// bounds, at each kernel width: dW added in place within one K block on strip
+// columns, through a product buffer on ragged columns, and over a batch of
+// more than one K block.
+func TestLinearMatchesOracle(t *testing.T) {
+	cases := []struct{ n, in, out int }{{7, 32, 19}, {7, 37, 16}, {300, 32, 19}}
+	widths(t, func(t *testing.T) {
+		for i, cs := range cases {
+			t.Run(fmt.Sprintf("n%d/%d→%d", cs.n, cs.in, cs.out), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(40 + i)))
+				l := nn.NewLinear(tensor.NewRNG(1), cs.in, cs.out, true)
+				copy(l.Weight.W.Data, randTensor(rng, 0, 0.5, cs.out, cs.in).Data)
+				copy(l.Bias.W.Data, randTensor(rng, 0, 0.5, cs.out).Data)
+				x := randTensor(rng, 0.2, 1, cs.n, cs.in)
+				y := l.Forward(tensor.NewArena(), x)
+				dy := randTensor(rng, 0.1, 1, y.Shape...)
+				l.Weight.ZeroGrad()
+				l.Bias.ZeroGrad()
+				dx := l.Backward(tensor.NewArena(), dy)
+				ry, rdx, rdw, rdb := refLinear(x, l.Weight.W, l.Bias.W, dy)
+				within(t, "y", y.Data, ry)
+				within(t, "dx", dx.Data, rdx)
+				within(t, "dw", l.Weight.Grad.Data, rdw)
+				within(t, "db", l.Bias.Grad.Data, rdb)
+			})
+		}
 	})
 }

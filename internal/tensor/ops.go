@@ -52,11 +52,10 @@ func Dot(a, b []float32) float32 {
 }
 
 // TransposeMatMulInto computes dst = aᵀ(K×M) @ b(K×N) through the blocked
-// parallel GEMM: a is transposed into scratch[:a.Len()] (a fresh buffer is
-// taken from the float pool when scratch is too short) and the product runs
-// on MatMulScratchInto with the rest of scratch, which holds its panel buffer
-// when GemmScratch() floats are left: the rank-K weight-gradient and
-// retraining updates. Deterministic: the transpose is a bit-copy and the
+// parallel GEMM: a is transposed into scratch[:a.Len()], which must hold at
+// least K·M floats, and the product runs on MatMulScratchInto with the rest of
+// scratch, which holds its panel buffer when GemmScratch() floats are left:
+// the rank-K weight-gradient and retraining updates. Deterministic: the transpose is a bit-copy and the
 // GEMM's accumulation schedule is split-invariant.
 func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[0] != b.Shape[0] {
@@ -67,17 +66,12 @@ func TransposeMatMulInto(dst, a, b *Tensor, scratch []float32) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: TransposeMatMulInto dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	var put bool
 	if len(scratch) < k*m {
-		scratch = GetFloats(k * m)
-		put = true
+		panic(fmt.Sprintf("tensor: TransposeMatMulInto scratch %d < K·M %d", len(scratch), k*m))
 	}
 	at := FromSlice(scratch[:m*k], m, k)
 	TransposeInto(at, a)
 	MatMulScratchInto(dst, at, b, scratch[m*k:])
-	if put {
-		PutFloats(scratch)
-	}
 }
 
 // accInPlace reports whether TransposeMatMulAccInto adds a product of n

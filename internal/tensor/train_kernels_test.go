@@ -184,14 +184,14 @@ func TestTransposeMatMulIntoMatchesReference(t *testing.T) {
 	rng.FillNormal(b, 0, 1)
 	want := transposeMatMulRef(a, b)
 	dst := New(7, 11)
-	TransposeMatMulInto(dst, a, b, nil)
+	TransposeMatMulInto(dst, a, b, make([]float32, a.Len()))
 	for i := range want.Data {
 		if math.Abs(float64(dst.Data[i]-want.Data[i])) > 1e-5 {
 			t.Fatalf("TransposeMatMulInto[%d] = %v, want %v", i, dst.Data[i], want.Data[i])
 		}
 	}
-	// Caller-owned scratch — for the transpose, and then for the product's
-	// panel too, garbage-filled — must agree bit-for-bit with the pooled path.
+	// Scratch for the transpose only, then for the product's panel too, both
+	// garbage-filled, must give the same bits.
 	for _, n := range []int{a.Len(), a.Len() + GemmScratch()} {
 		dst2 := New(7, 11)
 		scratch := randMat(5, 1, n).Data
@@ -204,17 +204,17 @@ func TestTransposeMatMulIntoMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFloatPoolRecycles(t *testing.T) {
-	buf := GetFloats(1 << 12)
-	if len(buf) != 1<<12 {
-		t.Fatalf("GetFloats length %d", len(buf))
-	}
-	PutFloats(buf)
-	small := GetFloats(16)
-	if len(small) != 16 {
-		t.Fatalf("GetFloats length %d", len(small))
-	}
-	PutFloats(small)
+// TestTransposeMatMulIntoShortScratchPanics: scratch shorter than aᵀ's K·M
+// floats is a caller's sizing bug, and panics, as in ConvMulSerialInto.
+func TestTransposeMatMulIntoShortScratchPanics(t *testing.T) {
+	a, b := New(29, 7), New(29, 11)
+	defer func() {
+		const want = "tensor: TransposeMatMulInto scratch 202 < K·M 203"
+		if r := recover(); r != want {
+			t.Fatalf("recovered %v, want %q", r, want)
+		}
+	}()
+	TransposeMatMulInto(New(7, 11), a, b, make([]float32, a.Len()-1))
 }
 
 func TestArenaGrowServesFromSlabs(t *testing.T) {
@@ -278,7 +278,7 @@ func TestTransposeMatMulAccMatchesTwoPass(t *testing.T) {
 				}
 				want := init.Clone()
 				prod := New(s.m, s.n)
-				TransposeMatMulInto(prod, a, b, nil)
+				TransposeMatMulInto(prod, a, b, make([]float32, a.Len()))
 				Accumulate(want.Data, prod.Data)
 				got := init.Clone()
 				scratch := randMat(9, 1, TransposeMatMulAccScratch(s.m, s.n, s.k)).Data // garbage in the workspace

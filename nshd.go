@@ -79,9 +79,9 @@ func LoadPipeline(path string) (*Pipeline, error) { return core.Load(path) }
 // Engine is a frozen, zero-allocation inference engine compiled from a
 // trained pipeline: the classifier is snapshotted, per-worker scratch arenas
 // are sized once at compile time, and steady-state batches run without
-// touching the heap. Safe for concurrent use. Pipeline.Predict/Accuracy/
-// QueryHVs already serve through a cached Engine transparently; compile one
-// explicitly for a serving process or to pin a model version:
+// touching the heap. Safe for concurrent use. Pipeline.PredictDirect/
+// Accuracy/QueryHVs run the pipeline's direct path and never compile an
+// Engine; serving compiles one explicitly, which also pins a model version:
 //
 //	eng, _ := nshd.Compile(model)
 //	preds, _ := eng.Predict(test.Images)

@@ -68,7 +68,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := model.Predict(test.Images), back.Predict(test.Images)
+	a, b := model.PredictDirect(test.Images), back.PredictDirect(test.Images)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("reloaded pipeline diverges")
