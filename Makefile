@@ -170,8 +170,9 @@ bench-diff:
 # Functions under internal/ that no entry point runs: a coverage build of
 # ./benchmark, every cmd/ and every examples/ main; every BENCHMARK.json
 # workload for 1 s at -trace 0 and 1, nshd-bench -exp all at a tiny quick
-# preset, each example, nshd-train, nshd-info, nshd-tsne and one nshd-serve
-# -demo request; then the 0.0 % rows of the merged profile (the portable
+# preset, each example, nshd-train, nshd-info, nshd-tsne and nshd-serve on
+# the BaselineHD snapshot (a SIGHUP reload, one /predict, one GET /metrics);
+# then the 0.0 % rows of the merged profile (the portable
 # *_noasm.go twins and tensortest skipped). About 11 minutes on two cores. A
 # row is reached by tests alone; see scripts/census.sh.
 census:

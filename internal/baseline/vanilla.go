@@ -98,9 +98,3 @@ func (v *VanillaHD) Train(train *dataset.Dataset, log io.Writer) ([]hdlearn.Epoc
 func (v *VanillaHD) Accuracy(d *dataset.Dataset) float64 {
 	return v.HD.Accuracy(v.Encode(d.Images), d.Labels)
 }
-
-// InferenceMACs counts per-sample cost: the F·D non-linear projection plus
-// the K·D similarity scan.
-func (v *VanillaHD) InferenceMACs() int64 {
-	return v.Encoder.EncodeMACs() + v.HD.InferenceMACs()
-}

@@ -68,16 +68,3 @@ func TestVanillaHDDeterministicBySeed(t *testing.T) {
 		t.Fatal("same seed must reproduce the same accuracy")
 	}
 }
-
-func TestVanillaHDInferenceMACs(t *testing.T) {
-	train, _ := synthSplits(t)
-	v, err := NewVanillaHD(train, VanillaConfig{D: 512, Sigma: 1, Epochs: 1, LR: 0.1, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := int64(3 * 16 * 16)
-	want := f*512 + 4*512
-	if got := v.InferenceMACs(); got != want {
-		t.Fatalf("InferenceMACs = %d, want %d", got, want)
-	}
-}

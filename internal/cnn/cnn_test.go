@@ -46,19 +46,19 @@ func TestZooForwardShapes(t *testing.T) {
 
 func TestUnitIndexing(t *testing.T) {
 	zoo := buildAll(t)
+	maxIndex := func(m *Model) int { idx := m.Indices(); return idx[len(idx)-1] }
 	// VGG16 follows the torchvision features indexing 0..30.
-	vgg := zoo["vgg16"]
-	if vgg.MaxIndex() != 30 {
-		t.Fatalf("vgg16 max index %d, want 30", vgg.MaxIndex())
+	if got := maxIndex(zoo["vgg16"]); got != 30 {
+		t.Fatalf("vgg16 max index %d, want 30", got)
 	}
 	// MobileNetV2 has operators 0..18.
-	if zoo["mobilenetv2"].MaxIndex() != 18 {
-		t.Fatalf("mobilenetv2 max index %d, want 18", zoo["mobilenetv2"].MaxIndex())
+	if got := maxIndex(zoo["mobilenetv2"]); got != 18 {
+		t.Fatalf("mobilenetv2 max index %d, want 18", got)
 	}
 	// EfficientNets have stem + 7 stages + head = indices 0..8.
 	for _, n := range []string{"effnetb0", "effnetb7"} {
-		if zoo[n].MaxIndex() != 8 {
-			t.Fatalf("%s max index %d, want 8", n, zoo[n].MaxIndex())
+		if got := maxIndex(zoo[n]); got != 8 {
+			t.Fatalf("%s max index %d, want 8", n, got)
 		}
 	}
 	// All paper layers must exist on each model.

@@ -56,9 +56,6 @@ func (m *Model) Finish() *Model {
 // teacher and as the CNN baseline.
 func (m *Model) Full() *nn.Sequential { return m.full }
 
-// MaxIndex returns the largest unit index.
-func (m *Model) MaxIndex() int { return m.Units[len(m.Units)-1].Index }
-
 // Indices returns all unit indices in ascending order.
 func (m *Model) Indices() []int {
 	out := make([]int, len(m.Units))

@@ -22,15 +22,11 @@ type Config struct {
 	// at least Classes).
 	FHat int
 	// UseManifold toggles the manifold learner; false reproduces
-	// BaselineHD's feature handling.
+	// BaselineHD's feature handling: features are reduced with sign(W·v)
+	// over min(F, 1024) random hyperplanes before HD encoding, as in prior
+	// work [9]. The paper notes LSH "does not allow radically small bucket
+	// sizes", so the width stays large.
 	UseManifold bool
-	// LSHDim is BaselineHD's locality-sensitive-hashing width: when the
-	// manifold is disabled, features are reduced with sign(W·v) over LSHDim
-	// random hyperplanes before HD encoding, as in prior work [9]. The paper
-	// notes LSH "does not allow radically small bucket sizes", so the
-	// default keeps it large (min(F, 1024)). 0 disables the reduction
-	// entirely (direct F→D encoding).
-	LSHDim int
 	// UseKD toggles knowledge distillation (Algorithm 1); false degrades to
 	// plain MASS retraining.
 	UseKD bool

@@ -36,12 +36,6 @@ func (c CostReport) TotalMACs() int64 {
 	return c.ExtractorMACs + c.ManifoldMACs + c.LSHMACs + c.EncodeMACs + c.SimilarityMACs
 }
 
-// HDMACs is the symbolic-side cost (everything but the CNN prefix) — the
-// portion the manifold learner shrinks (Fig. 5).
-func (c CostReport) HDMACs() int64 {
-	return c.ManifoldMACs + c.LSHMACs + c.EncodeMACs + c.SimilarityMACs
-}
-
 // TotalBytes is the full model size in bytes (Table II).
 func (c CostReport) TotalBytes() int64 {
 	return c.ExtractorBytes + c.ManifoldBytes + c.LSHBytes + c.ProjectionBytes + c.ClassHVBytes

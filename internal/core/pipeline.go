@@ -12,7 +12,6 @@ import (
 	"nshd/internal/hdc"
 	"nshd/internal/hdlearn"
 	"nshd/internal/manifold"
-	"nshd/internal/metrics"
 	"nshd/internal/nn"
 	"nshd/internal/tensor"
 )
@@ -34,8 +33,8 @@ type Pipeline struct {
 	FeatShape []int
 	// Manifold is Ψ; nil when Cfg.UseManifold is false (BaselineHD).
 	Manifold *manifold.Learner
-	// LSH holds BaselineHD's random hyperplanes ([F, LSHDim] bipolar); nil
-	// unless the manifold is disabled and Cfg.LSHDim > 0.
+	// LSH holds BaselineHD's random hyperplanes ([F, min(F, lshWidth)]
+	// bipolar); nil exactly when Manifold is not.
 	LSH *hdc.Projection
 	// Proj is the binary random projection Φ_P.
 	Proj *hdc.Projection
@@ -45,7 +44,11 @@ type Pipeline struct {
 	rng *tensor.RNG
 }
 
-// New assembles an NSHD pipeline over a (pretrained) zoo model.
+// lshWidth caps BaselineHD's LSH width: min(F, lshWidth) hyperplanes.
+const lshWidth = 1024
+
+// New assembles an NSHD pipeline over a (pretrained) zoo model; with
+// Cfg.UseManifold off, the LSH reduction stands in for the manifold.
 func New(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 	if cfg.Classes == 0 {
 		cfg.Classes = zoo.Classes
@@ -74,8 +77,7 @@ func New(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 		rng:       rng,
 	}
 	encF := featShape[0] * featShape[1] * featShape[2]
-	switch {
-	case cfg.UseManifold:
+	if cfg.UseManifold {
 		ml, err := manifold.New(rng.Fork(), featShape, cfg.FHat)
 		if err != nil {
 			return nil, err
@@ -85,13 +87,10 @@ func New(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 		}
 		p.Manifold = ml
 		encF = cfg.FHat
-	case cfg.LSHDim > 0:
-		// BaselineHD's reduction [9]: sign projections onto LSHDim random
+	} else {
+		// BaselineHD's reduction [9]: sign projections onto random
 		// hyperplanes (bipolar, so the hash is add/sub only).
-		l := cfg.LSHDim
-		if l > encF {
-			l = encF
-		}
+		l := min(encF, lshWidth)
 		p.LSH = hdc.NewSeededProjection(rng.Int63(), encF, l)
 		encF = l
 	}
@@ -111,9 +110,6 @@ func New(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 func NewBaselineHD(zoo *cnn.Model, cfg Config) (*Pipeline, error) {
 	cfg.UseManifold = false
 	cfg.UseKD = false
-	if cfg.LSHDim == 0 {
-		cfg.LSHDim = 1024
-	}
 	return New(zoo, cfg)
 }
 
@@ -139,14 +135,14 @@ func (p *Pipeline) ExtractFeatures(images *tensor.Tensor) *tensor.Tensor {
 }
 
 // Symbolize maps a feature batch to query hypervectors: raw (pre-sign) and
-// signed bipolar, via the manifold (when enabled) and the projection.
+// signed bipolar, via the manifold (or BaselineHD's LSH) and the projection.
 // Set train to cache manifold intermediates for a following backward pass.
 func (p *Pipeline) Symbolize(feats *tensor.Tensor, train bool) (v, raw, signed *tensor.Tensor) {
 	return p.symbolizePooled(p.pooled(feats), train)
 }
 
 // pooled is the parameter-free front of Symbolize, [N, C, H, W] → [N, F]: the
-// manifold's max-pool and flatten, or just the flatten without a manifold.
+// manifold's max-pool and flatten, or just the flatten in front of the LSH.
 func (p *Pipeline) pooled(feats *tensor.Tensor) *tensor.Tensor {
 	if p.Manifold != nil {
 		return p.Manifold.Pooled(feats)
@@ -161,19 +157,17 @@ func (p *Pipeline) symbolizePooled(pooled *tensor.Tensor, train bool) (v, raw, s
 	return v, raw, signed
 }
 
-// reduce is Symbolize's step between pooling and projection: the manifold,
-// BaselineHD's LSH, or nothing.
+// reduce is Symbolize's step between pooling and projection: the manifold
+// or BaselineHD's LSH.
 func (p *Pipeline) reduce(pooled *tensor.Tensor, train bool) *tensor.Tensor {
 	switch {
-	case p.Manifold != nil && train:
-		return p.Manifold.ForwardPooled(tensor.NewArena(), pooled)
-	case p.Manifold != nil:
-		return p.Manifold.InferPooled(pooled)
-	case p.LSH != nil:
+	case p.Manifold == nil:
 		_, v := p.LSH.EncodeBatch(pooled)
 		return v
+	case train:
+		return p.Manifold.ForwardPooled(tensor.NewArena(), pooled)
 	}
-	return pooled
+	return p.Manifold.InferPooled(pooled)
 }
 
 // signedOnPanels is symbolizePooled(pooled, false)'s signed query
@@ -207,10 +201,11 @@ type TrainReport struct {
 //     for bit without running the prefix a second time;
 //  3. initialize class hypervectors by single-pass bundling;
 //  4. for each epoch, per batch: symbolize, compute Algorithm 1's update
-//     matrix U, bundle λ·Uᵀ·H into the class hypervectors, and — when the
-//     manifold is enabled — decode the query-side error through the HD
-//     encoder (straight-through estimator across sign) and backpropagate it
-//     into the manifold FC layer.
+//     matrix U, bundle λ·Uᵀ·H into the class hypervectors, decode the
+//     query-side error through the HD encoder (straight-through estimator
+//     across sign) and backpropagate it into the manifold FC layer — or,
+//     without the manifold, retrain on the fixed LSH encodings
+//     (TrainOnFeatures).
 func (p *Pipeline) Train(train *dataset.Dataset, log io.Writer) (*TrainReport, error) {
 	if err := train.Validate(); err != nil {
 		return nil, err
@@ -241,6 +236,11 @@ func (p *Pipeline) Train(train *dataset.Dataset, log io.Writer) (*TrainReport, e
 // first learned parameter — the manifold's max-pool and flatten — is done
 // once, and the initial bundle, every batch of the joint loop and the final
 // re-bundle start from that pooled [N, F] matrix.
+//
+// Without the manifold (BaselineHD) the encoder has nothing to learn: the
+// LSH-encoded queries are bundled once and retrained with hdlearn.Retrain at
+// Cfg.BatchSize — MASS, or Algorithm 1 with the teacher when Cfg.UseKD is
+// set — as VanillaHD trains.
 func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, log io.Writer) (*TrainReport, error) {
 	if feats.Shape[0] != len(labels) {
 		return nil, fmt.Errorf("core: %d feature rows but %d labels", feats.Shape[0], len(labels))
@@ -266,16 +266,61 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 	signed := p.signedOnPanels(pooled, projPanels)
 	p.HD.InitBundle(signed, labels)
 
+	var teacher *tensor.Tensor
+	if p.Cfg.UseKD {
+		teacher = teacherLogits
+	}
+	retrain := func(epochs int) ([]hdlearn.EpochStats, error) {
+		return p.HD.Retrain(signed, labels, teacher, hdlearn.RetrainConfig{
+			Epochs: epochs, LR: p.Cfg.LR, Alpha: p.Cfg.Alpha, Temp: p.Cfg.Temp,
+			Batch: p.Cfg.BatchSize,
+		}, p.rng)
+	}
+	if p.Manifold == nil {
+		hist, err := retrain(p.Cfg.Epochs)
+		if err != nil {
+			return nil, err
+		}
+		for _, st := range hist {
+			p.logEpoch(log, st)
+		}
+		report.Epochs = hist
+	} else {
+		report.Epochs = p.jointLoop(pooled, labels, teacherLogits, projPanels, log)
+		// Finalization: the manifold co-adapted with M during the joint
+		// loop, so the class hypervectors were accumulated against stale
+		// encodings. Re-bundle M from the final encoder and run a short
+		// refinement with the manifold frozen.
+		signed = p.signedOnPanels(pooled, projPanels)
+		p.HD.InitBundle(signed, labels)
+		if _, err := retrain(p.Cfg.Epochs/2 + 1); err != nil {
+			return nil, err
+		}
+	}
+	// The encoder has not changed since signed was computed.
+	report.FinalTrainAccuracy = p.accuracyOnSigned(signed, labels)
+	return report, nil
+}
+
+// logEpoch writes one retraining epoch's line to log, if any.
+func (p *Pipeline) logEpoch(log io.Writer, st hdlearn.EpochStats) {
+	if log != nil {
+		fmt.Fprintf(log, "hd epoch %d/%d acc=%.4f update=%.4f\n", st.Epoch, p.Cfg.Epochs, st.TrainAccuracy, st.MeanUpdateNorm)
+	}
+}
+
+// jointLoop is Algorithm 1 with the manifold in the loop: Cfg.Epochs epochs
+// over the pooled features in shuffled batches, each updating the class
+// hypervectors and, through the HD decoder, the manifold FC. It returns the
+// epochs' stats and logs each as it ends.
+func (p *Pipeline) jointLoop(pooled *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor, projPanels *tensor.ProjPanels, log io.Writer) []hdlearn.EpochStats {
 	n := len(labels)
 	featLen := pooled.Shape[1]
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	var opt nn.Optimizer
-	if p.Manifold != nil {
-		opt = nn.NewAdam(p.Cfg.ManifoldLR)
-	}
+	opt := nn.NewAdam(p.Cfg.ManifoldLR)
 
 	alpha, temp := 0.0, 1.0
 	if p.Cfg.UseKD {
@@ -301,20 +346,14 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 		rowNorms[i] = math.Sqrt(float64(d))
 	}
 	uBuf := tensor.New(bs0, k)
-	var dHBuf, dVBuf *tensor.Tensor
-	if p.Manifold != nil {
-		dHBuf, dVBuf = tensor.New(bs0, d), tensor.New(bs0, p.Cfg.FHat)
-	}
+	dHBuf, dVBuf := tensor.New(bs0, d), tensor.New(bs0, p.Cfg.FHat)
 	view := func(buf *tensor.Tensor, rows int) *tensor.Tensor {
 		return tensor.FromSlice(buf.Data[:rows*buf.Shape[1]], rows, buf.Shape[1])
-	}
-	var lshPanels *tensor.ProjPanels
-	if p.Manifold == nil && p.LSH != nil {
-		lshPanels = tensor.PrepackPanels(p.LSH.P)
 	}
 	arena := tensor.NewArena()
 	grown := false
 
+	var history []hdlearn.EpochStats
 	for epoch := 1; epoch <= p.Cfg.Epochs; epoch++ {
 		p.rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		correct := 0
@@ -336,15 +375,7 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			// Symbolize the batch: symbolizePooled's products on the
 			// workspaces, the manifold in training mode.
 			arena.Reset()
-			v := bFeats
-			switch {
-			case p.Manifold != nil:
-				v = p.Manifold.ForwardPooled(arena, bFeats)
-			case lshPanels != nil:
-				v = arena.Alloc(bs, p.LSH.D)
-				tensor.MatMulPanelsParallelInto(v, bFeats, lshPanels)
-				tensor.SignInPlace(v.Data)
-			}
+			v := p.Manifold.ForwardPooled(arena, bFeats)
 			bSigned := view(signedBuf, bs)
 			tensor.MatMulPanelsParallelInto(bSigned, v, projPanels)
 			tensor.SignInPlace(bSigned.Data)
@@ -364,21 +395,19 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 				updateMass += abs64(uv)
 			}
 
-			if p.Manifold != nil {
-				// Manifold gradient (Sec. V-C): the retraining objective
-				// ascends Σ_k U_k·δ(C_k, H); descending its negation gives
-				// dL/dH = −U·M. sign() is crossed with a straight-through
-				// estimator, then the HD decoder (bind with P, dot) maps the
-				// error back to the manifold output space.
-				dH := view(dHBuf, bs)
-				p.HD.QueryGradInto(dH, u, arena.Floats(tensor.GemmScratch()))
-				dH.Scale(-1)
-				dV := view(dVBuf, bs)
-				p.Proj.DecodeBatchInto(dV, dH)
-				p.Manifold.ZeroGrad()
-				p.Manifold.Backward(arena, dV)
-				opt.Step(p.Manifold.Params())
-			}
+			// Manifold gradient (Sec. V-C): the retraining objective ascends
+			// Σ_k U_k·δ(C_k, H); descending its negation gives dL/dH = −U·M.
+			// sign() is crossed with a straight-through estimator, then the
+			// HD decoder (bind with P, dot) maps the error back to the
+			// manifold output space.
+			dH := view(dHBuf, bs)
+			p.HD.QueryGradInto(dH, u, arena.Floats(tensor.GemmScratch()))
+			dH.Scale(-1)
+			dV := view(dVBuf, bs)
+			p.Proj.DecodeBatchInto(dV, dH)
+			p.Manifold.ZeroGrad()
+			p.Manifold.Backward(arena, dV)
+			opt.Step(p.Manifold.Params())
 
 			// Class hypervector update M += λ·Uᵀ·H (after the manifold
 			// gradient is computed against the pre-update M).
@@ -395,34 +424,10 @@ func (p *Pipeline) TrainOnFeatures(feats *tensor.Tensor, labels []int, teacherLo
 			TrainAccuracy:  float64(correct) / float64(n),
 			MeanUpdateNorm: updateMass / float64(n),
 		}
-		report.Epochs = append(report.Epochs, st)
-		if log != nil {
-			fmt.Fprintf(log, "hd epoch %d/%d acc=%.4f update=%.4f\n", epoch, p.Cfg.Epochs, st.TrainAccuracy, st.MeanUpdateNorm)
-		}
+		history = append(history, st)
+		p.logEpoch(log, st)
 	}
-	// Finalization: the manifold co-adapted with M during the joint loop,
-	// so the class hypervectors were accumulated against stale encodings.
-	// Re-bundle M from the final encoder and run a short distillation-only
-	// refinement with the manifold frozen.
-	if p.Manifold != nil {
-		signed = p.signedOnPanels(pooled, projPanels)
-		p.HD.InitBundle(signed, labels)
-		// The refinement is Retrain at the pipeline's batch size: Algorithm 1
-		// with KD, MASS without.
-		var teacher *tensor.Tensor
-		if p.Cfg.UseKD {
-			teacher = teacherLogits
-		}
-		if _, err := p.HD.Retrain(signed, labels, teacher, hdlearn.RetrainConfig{
-			Epochs: p.Cfg.Epochs/2 + 1, LR: p.Cfg.LR, Alpha: p.Cfg.Alpha, Temp: p.Cfg.Temp,
-			Batch: p.Cfg.BatchSize,
-		}, p.rng); err != nil {
-			return nil, err
-		}
-	}
-	// The encoder has not changed since signed was computed.
-	report.FinalTrainAccuracy = p.accuracyOnSigned(signed, labels)
-	return report, nil
+	return history
 }
 
 // classify routes signed query hypervectors to the configured inference
@@ -513,9 +518,4 @@ func abs64(v float32) float64 {
 		return float64(-v)
 	}
 	return float64(v)
-}
-
-// Confusion returns the pipeline's confusion matrix on a labelled dataset.
-func (p *Pipeline) Confusion(d *dataset.Dataset) (*metrics.Confusion, error) {
-	return metrics.NewConfusion(p.Cfg.Classes, p.PredictDirect(d.Images), d.Labels)
 }

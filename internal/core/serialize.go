@@ -11,11 +11,19 @@ import (
 	"nshd/internal/tensor"
 )
 
+// snapshotVersion is the format Save writes. Version 0, the field's absence,
+// is every snapshot written while a pipeline without the manifold could also
+// encode its features directly (no LSH): such a snapshot does not say which
+// it was, so Load refuses it rather than serve it through the wrong encoder.
+// NSHD snapshots of version 0 load as before.
+const snapshotVersion = 1
+
 // snapshot is the on-disk form of a trained pipeline. The projection and
 // topology are NOT stored: both are reconstructed deterministically from the
 // config seed, which keeps snapshots compact even for BaselineHD's large
 // projections.
 type snapshot struct {
+	Version  int
 	Cfg      Config
 	ZooName  string
 	Zoo      *nn.Snapshot
@@ -27,6 +35,7 @@ type snapshot struct {
 // hypervectors) to path.
 func (p *Pipeline) Save(path string) error {
 	s := snapshot{
+		Version: snapshotVersion,
 		Cfg:     p.Cfg,
 		ZooName: p.Zoo.Name,
 		Zoo:     nn.TakeSnapshot(p.Zoo.Full()),
@@ -88,6 +97,12 @@ func load(r io.Reader, name string) (*Pipeline, error) {
 // length the file carries: Save writes that linear as its weight (pooledF·F̂
 // elements) and then its bias (F̂).
 func (s *snapshot) restore() (*Pipeline, error) {
+	if s.Version < 0 || s.Version > snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot format %d, this build reads up to %d", s.Version, snapshotVersion)
+	}
+	if s.Version == 0 && !s.Cfg.UseManifold {
+		return nil, fmt.Errorf("core: BaselineHD snapshot in format 0 does not record whether it encodes through LSH; retrain it")
+	}
 	if err := s.Cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nshd/internal/cnn"
@@ -76,7 +77,11 @@ func hostileSnapshots(tb testing.TB, raw []byte) map[string][]byte {
 		"FHat beyond the manifold tensors": mutated(func(s *snapshot) { s.Cfg.FHat = 1 << 20 }),
 		"no manifold tensors":              mutated(func(s *snapshot) { s.Manifold = nil }),
 		"FHat not the bias length":         mutated(func(s *snapshot) { s.Cfg.FHat /= 2 }),
-		"tensor map claims 4 Mi entries":   mapCountBomb(tb),
+		"format from a later build":        mutated(func(s *snapshot) { s.Version = snapshotVersion + 1 }),
+		"BaselineHD in format 0": mutated(func(s *snapshot) {
+			s.Version, s.Cfg.UseManifold, s.Manifold = 0, false, nil
+		}),
+		"tensor map claims 4 Mi entries": mapCountBomb(tb),
 	}
 }
 
@@ -167,4 +172,106 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("load returned a pipeline: %v, and the error %v", p != nil, err)
 		}
 	})
+}
+
+// config0 and snapshot0 are Config and snapshot as Save wrote them before the
+// format version: LSHDim chose a pipeline without the manifold's encoder,
+// sign(W·v) over LSHDim hyperplanes or, at 0, none.
+type config0 struct {
+	CutLayer, Classes, D, FHat int
+	UseManifold                bool
+	LSHDim                     int
+	UseKD                      bool
+	Alpha, Temp                float64
+	Epochs                     int
+	LR, ManifoldLR             float64
+	BatchSize                  int
+	Seed                       int64
+	PackedInference            bool
+}
+
+type snapshot0 struct {
+	Cfg      config0
+	ZooName  string
+	Zoo      *nn.Snapshot
+	Manifold [][]float32
+	M        []float32
+}
+
+// format0 re-encodes a snapshot Save wrote in the layout of format 0, with
+// the given LSHDim.
+func format0(t *testing.T, raw []byte, lshDim int) []byte {
+	t.Helper()
+	var s snapshot
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Cfg
+	old := snapshot0{
+		Cfg: config0{
+			CutLayer: c.CutLayer, Classes: c.Classes, D: c.D, FHat: c.FHat,
+			UseManifold: c.UseManifold, LSHDim: lshDim, UseKD: c.UseKD,
+			Alpha: c.Alpha, Temp: c.Temp, Epochs: c.Epochs, LR: c.LR,
+			ManifoldLR: c.ManifoldLR, BatchSize: c.BatchSize, Seed: c.Seed,
+			PackedInference: c.PackedInference,
+		},
+		ZooName: s.ZooName, Zoo: s.Zoo, Manifold: s.Manifold, M: s.M,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadFormat0 loads snapshots in the layout written before the format
+// version: an NSHD one serves as it did, with the same labels as the
+// pipeline it came from, and a BaselineHD one — which may have encoded
+// directly (LSHDim 0) or through LSH — is refused, LSHDim set or not.
+func TestLoadFormat0(t *testing.T) {
+	zoo, err := cnn.Build("mobilenetv2", tensor.NewRNG(42), snapshotClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(snapshotClasses)
+	cfg.CutLayer = 5
+	images := tensor.New(6, 3, 32, 32)
+	tensor.NewRNG(9).FillNormal(images, 0, 1)
+	dir := t.TempDir()
+	for _, build := range []struct {
+		name string
+		new  func(*cnn.Model, Config) (*Pipeline, error)
+	}{{"NSHD", New}, {"BaselineHD", NewBaselineHD}} {
+		p, err := build.new(zoo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor.NewRNG(8).FillNormal(p.HD.M, 0, 1)
+		path := filepath.Join(dir, build.name+".gob")
+		if err := p.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lshDim := range []int{0, 1024} {
+			if err := os.WriteFile(path, format0(t, raw, lshDim), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			q, err := Load(path)
+			if build.name == "BaselineHD" {
+				if err == nil {
+					t.Errorf("format-0 BaselineHD snapshot (LSHDim %d) loaded, want an error", lshDim)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("format-0 NSHD snapshot: %v", err)
+			}
+			if got, want := q.PredictDirect(images), p.PredictDirect(images); !slices.Equal(got, want) {
+				t.Fatalf("format-0 NSHD snapshot predicts %v, the saved pipeline %v", got, want)
+			}
+		}
+	}
 }

@@ -86,21 +86,20 @@ func (m *refManifold) backward(grad *tensor.Tensor) *tensor.Tensor {
 	return g
 }
 
-// trainOnFeaturesReference is Pipeline.TrainOnFeatures as it stood at the
-// parent revision, kept as the oracle of TestTrainOnFeaturesMatchesReference:
-// every batch gathers raw [bs, C, H, W] features and symbolizes them from
-// the pool on, the manifold backward computes (and drops) the input gradient,
-// Adam steps serially, and the final accuracy re-symbolizes the features.
+// trainOnFeaturesReference is Pipeline.TrainOnFeatures written plainly, the
+// oracle of TestTrainOnFeaturesMatchesReference. With the manifold it is the
+// joint loop as an earlier revision ran it: every batch gathers raw
+// [bs, C, H, W] features and symbolizes them from the pool on, the manifold
+// backward computes (and drops) the input gradient, Adam steps serially, and
+// the final accuracy re-symbolizes the features. Without it (BaselineHD) the
+// LSH-encoded queries are bundled and retrained at the batch size.
 func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.Tensor, labels []int, teacherLogits *tensor.Tensor) *core.TrainReport {
 	symbolize := func(x *tensor.Tensor) *tensor.Tensor {
 		var v *tensor.Tensor
-		switch {
-		case ml != nil:
+		if ml != nil {
 			v = ml.forward(x)
-		case p.LSH != nil:
+		} else {
 			_, v = p.LSH.EncodeBatch(x.Reshape(x.Shape[0], -1))
-		default:
-			v = x.Reshape(x.Shape[0], -1)
 		}
 		_, signed := p.Proj.EncodeBatch(v)
 		return signed
@@ -110,7 +109,25 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 	if teacherLogits != nil {
 		report.TeacherTrainAccuracy = nn.Accuracy(teacherLogits, labels)
 	}
+	var teacher *tensor.Tensor
+	if cfg.UseKD {
+		teacher = teacherLogits
+	}
+	retrain := func(signed *tensor.Tensor, epochs int) []hdlearn.EpochStats {
+		hist, err := p.HD.Retrain(signed, labels, teacher, hdlearn.RetrainConfig{
+			Epochs: epochs, LR: cfg.LR, Alpha: cfg.Alpha, Temp: cfg.Temp, Batch: cfg.BatchSize,
+		}, p.TrainRNG())
+		if err != nil {
+			panic(err)
+		}
+		return hist
+	}
 	p.HD.InitBundle(symbolize(feats), labels)
+	if ml == nil {
+		report.Epochs = retrain(symbolize(feats), cfg.Epochs)
+		report.FinalTrainAccuracy = p.HD.Accuracy(symbolize(feats), labels)
+		return report
+	}
 
 	n := len(labels)
 	featLen := feats.Len() / n
@@ -150,17 +167,15 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 			for _, uv := range u.Data {
 				updateMass += math.Abs(float64(uv))
 			}
-			if ml != nil {
-				dH := p.HD.QueryGrad(u)
-				dH.Scale(-1)
-				dV := tensor.New(dH.Shape[0], p.Proj.F)
-				p.Proj.DecodeBatchInto(dV, dH)
-				for _, prm := range ml.fc.Params() {
-					prm.ZeroGrad()
-				}
-				ml.backward(dV)
-				opt.step(ml.fc.Params())
+			dH := p.HD.QueryGrad(u)
+			dH.Scale(-1)
+			dV := tensor.New(dH.Shape[0], p.Proj.F)
+			p.Proj.DecodeBatchInto(dV, dH)
+			for _, prm := range ml.fc.Params() {
+				prm.ZeroGrad()
 			}
+			ml.backward(dV)
+			opt.step(ml.fc.Params())
 			p.HD.ApplyUpdate(u, bSigned, cfg.LR)
 		}
 		report.Epochs = append(report.Epochs, hdlearn.EpochStats{
@@ -169,20 +184,9 @@ func trainOnFeaturesReference(p *core.Pipeline, ml *refManifold, feats *tensor.T
 			MeanUpdateNorm: updateMass / float64(n),
 		})
 	}
-	if ml != nil {
-		finalSigned := symbolize(feats)
-		p.HD.InitBundle(finalSigned, labels)
-		refine := cfg.Epochs/2 + 1
-		var teacher *tensor.Tensor
-		if cfg.UseKD {
-			teacher = teacherLogits
-		}
-		if _, err := p.HD.Retrain(finalSigned, labels, teacher, hdlearn.RetrainConfig{
-			Epochs: refine, LR: cfg.LR, Alpha: cfg.Alpha, Temp: cfg.Temp, Batch: cfg.BatchSize,
-		}, p.TrainRNG()); err != nil {
-			panic(err)
-		}
-	}
+	finalSigned := symbolize(feats)
+	p.HD.InitBundle(finalSigned, labels)
+	retrain(finalSigned, cfg.Epochs/2+1)
 	report.FinalTrainAccuracy = p.HD.Accuracy(symbolize(feats), labels)
 	return report
 }
@@ -213,24 +217,23 @@ func sameBits(a, b []float32) int {
 // TestTrainOnFeaturesMatchesReference requires the hoisted training loop —
 // features pooled once, batches gathered from the pooled matrix, a
 // parameter-only manifold backward, Adam split over the pool, the final
-// accuracy from the last symbolization — to leave every bit of the trained
-// model where the parent's loop left it: the class matrix, the manifold FC,
-// the report and the compiled engine's model version.
+// accuracy from the last symbolization — and BaselineHD's retraining on its
+// fixed LSH encodings to leave every bit of the trained model where the
+// reference leaves it: the class matrix, the manifold FC, the report and the
+// compiled engine's model version.
 func TestTrainOnFeaturesMatchesReference(t *testing.T) {
 	const classes, batch = 4, 8
-	type variant struct {
-		name     string
-		manifold bool
-		lsh      int
-	}
 	for _, size := range []int{4, 1} {
-		for _, v := range []variant{{"manifold", true, 0}, {"lsh", false, 5}, {"direct", false, 0}} {
+		for _, v := range []struct {
+			name     string
+			manifold bool
+		}{{"manifold", true}, {"lsh", false}} {
 			for _, kd := range []bool{true, false} {
 				for _, n := range []int{1, batch - 1, batch, 2*batch + 3} {
 					name := fmt.Sprintf("%dx%d/%s/kd=%v/n=%d", size, size, v.name, kd, n)
 					cfg := core.DefaultConfig(0, classes)
 					cfg.D, cfg.FHat, cfg.Epochs, cfg.BatchSize, cfg.Seed = 192, 5, 3, batch, 17
-					cfg.UseManifold, cfg.LSHDim, cfg.UseKD = v.manifold, v.lsh, kd
+					cfg.UseManifold, cfg.UseKD = v.manifold, kd
 					got, err := core.New(featZoo(size, classes), cfg)
 					if err != nil {
 						t.Fatal(err)

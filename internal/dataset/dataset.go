@@ -123,15 +123,6 @@ func (d *Dataset) ApplyNormalization(means, stds []float64) {
 	}
 }
 
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Labels {
-		counts[y]++
-	}
-	return counts
-}
-
 func tensorSampleLen(t *tensor.Tensor) int {
 	return t.Len() / t.Shape[0]
 }

@@ -112,8 +112,8 @@ func (s manifoldStage) Run(x *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	return s.ml.ForwardInfer(x, ar)
 }
 
-// flattenStage reshapes [N, C, H, W] features to [N, F] for the LSH and
-// direct-projection paths (a view, no copy).
+// flattenStage reshapes [N, C, H, W] features to [N, F] for the LSH (a view,
+// no copy).
 type flattenStage struct{}
 
 func (flattenStage) Name() string { return "flatten" }
@@ -184,7 +184,7 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 	if err := checkBipolar("projection", p.Proj.P); err != nil {
 		return nil, err
 	}
-	if p.LSH != nil {
+	if p.Manifold == nil {
 		if err := checkBipolar("LSH projection", p.LSH.P); err != nil {
 			return nil, err
 		}
@@ -208,14 +208,10 @@ func Compile(p *core.Pipeline, opts ...Option) (*Engine, error) {
 		// weight accounting and later training are unaffected.
 		ex = nn.FuseInference(ex, in[0], in[1], in[2])
 	}
-	e.stages = append(e.stages, extractStage{ex})
-	switch {
-	case p.Manifold != nil:
-		e.stages = append(e.stages, manifoldStage{p.Manifold})
-	case p.LSH != nil:
-		e.stages = append(e.stages, flattenStage{}, newLSHStage(p.LSH))
-	default:
-		e.stages = append(e.stages, flattenStage{})
+	if p.Manifold != nil {
+		e.stages = []Stage{extractStage{ex}, manifoldStage{p.Manifold}}
+	} else {
+		e.stages = []Stage{extractStage{ex}, flattenStage{}, newLSHStage(p.LSH)}
 	}
 	e.tail = buildTail(p)
 	for _, st := range e.stages {

@@ -94,8 +94,12 @@ func checkStages(t *testing.T, p *core.Pipeline, e *engine.Engine) {
 	if !strings.HasPrefix(names[len(names)-1], "fuse(project+") {
 		t.Fatalf("tail compiled as %v, want prefix %q", names, "fuse(project+")
 	}
-	if slices.Contains(names, "manifold") != (p.Manifold != nil) {
-		t.Fatalf("stages %v for a pipeline with manifold %v", names, p.Manifold != nil)
+	want := []string{"extract", "manifold"}
+	if p.Manifold == nil {
+		want = []string{"extract", "flatten", "lsh"}
+	}
+	if !slices.Equal(names[:len(names)-1], want) {
+		t.Fatalf("stages %v for a pipeline with manifold %v, want %v then the tail", names, p.Manifold != nil, want)
 	}
 }
 
@@ -138,8 +142,7 @@ func TestEngineTailMatchesPipeline(t *testing.T) {
 		cut  int
 	}{
 		{name: "manifold"},
-		{name: "lsh", mut: func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
-		{name: "direct", mut: func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }},
+		{name: "lsh", mut: func(c *core.Config) { c.UseManifold = false }},
 		{name: "D65", mut: func(c *core.Config) { c.D = 65 }},
 		{name: "D257", mut: func(c *core.Config) { c.D = 257 }},
 		{name: "K1", k1: true},
@@ -248,8 +251,7 @@ func TestEngineSignWordFootprint(t *testing.T) {
 		mut  func(*core.Config)
 	}{
 		{"manifold", func(c *core.Config) {}},
-		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }},
-		{"direct", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 0 }},
+		{"lsh", func(c *core.Config) { c.UseManifold = false }},
 		{"D257", func(c *core.Config) { c.D = 257 }},
 	} {
 		for _, packed := range []bool{false, true} {
@@ -290,7 +292,7 @@ func TestCompileRejectsNonBipolarProjection(t *testing.T) {
 		lsh  bool
 	}{
 		{"manifold", func(c *core.Config) {}, false},
-		{"lsh", func(c *core.Config) { c.UseManifold = false; c.LSHDim = 20 }, true},
+		{"lsh", func(c *core.Config) { c.UseManifold = false }, true},
 	} {
 		for _, v := range []float32{0, float32(math.Copysign(0, -1)), 0.5, float32(math.NaN()), float32(math.Inf(1))} {
 			p, _ := buildPipeline(t, sh.mut)

@@ -25,9 +25,7 @@ func (s *Session) AblationRetrain(model string, layer int) ([]AblationRetrainRow
 	}
 	train, test := s.Data(classes)
 	cfg := s.pipelineConfig(layer, classes)
-	cfg.UseManifold = false
-	cfg.UseKD = false
-	p, err := core.New(zoo, cfg)
+	p, err := core.NewBaselineHD(zoo, cfg)
 	if err != nil {
 		return nil, Table{}, err
 	}
@@ -79,11 +77,11 @@ type AblationSTERow struct {
 // the compression layer at its random initialization.
 func (s *Session) AblationSTE(model string, layer int) ([]AblationSTERow, Table, error) {
 	classes := 10
-	_, trained, err := s.trainPipeline(model, layer, classes, nil)
+	trained, err := s.trainPipeline(core.New, model, layer, classes, nil)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	_, frozen, err := s.trainPipeline(model, layer, classes, func(c *core.Config) {
+	frozen, err := s.trainPipeline(core.New, model, layer, classes, func(c *core.Config) {
 		c.ManifoldLR = 1e-12 // effectively frozen; 0 is rejected by Adam's step being a no-op anyway
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nshd/internal/baseline"
+	"nshd/internal/cnn"
 	"nshd/internal/core"
 	"nshd/internal/hwsim"
 	"nshd/internal/nn"
@@ -20,26 +21,27 @@ func (s *Session) pipelineConfig(layer, classes int) core.Config {
 	return cfg
 }
 
-// trainPipeline assembles and trains a pipeline variant over the pretrained
-// teacher, returning its test accuracy.
-func (s *Session) trainPipeline(model string, layer, classes int, mutate func(*core.Config)) (*core.Pipeline, float64, error) {
+// trainPipeline assembles a pipeline variant over the pretrained teacher
+// with build (core.New or core.NewBaselineHD), trains it and returns its
+// test accuracy.
+func (s *Session) trainPipeline(build func(*cnn.Model, core.Config) (*core.Pipeline, error), model string, layer, classes int, mutate func(*core.Config)) (float64, error) {
 	zoo, err := s.Teacher(model, classes)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	cfg := s.pipelineConfig(layer, classes)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	p, err := core.New(zoo, cfg)
+	p, err := build(zoo, cfg)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	train, test := s.Data(classes)
 	if _, err := p.Train(train, s.Env.Log); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return p, p.Accuracy(test), nil
+	return p.Accuracy(test), nil
 }
 
 // Fig7Row is one model/dataset group of the accuracy comparison.
@@ -82,15 +84,11 @@ func (s *Session) Fig7() ([]Fig7Row, Table, error) {
 
 		for _, model := range s.Env.Models {
 			layer := BestLayer(model)
-			nshd, nshdAcc, err := s.trainPipeline(model, layer, classes, nil)
+			nshdAcc, err := s.trainPipeline(core.New, model, layer, classes, nil)
 			if err != nil {
 				return nil, t, err
 			}
-			_ = nshd
-			_, baseAcc, err := s.trainPipeline(model, layer, classes, func(c *core.Config) {
-				c.UseManifold = false
-				c.UseKD = false
-			})
+			baseAcc, err := s.trainPipeline(core.NewBaselineHD, model, layer, classes, nil)
 			if err != nil {
 				return nil, t, err
 			}
@@ -155,11 +153,11 @@ func (s *Session) Fig8() ([]Fig8Row, Table, error) {
 		targets = append(targets, target{m, EnergyLayers(m)[1]})
 	}
 	for _, tg := range targets {
-		_, kdAcc, err := s.trainPipeline(tg.model, tg.layer, classes, nil)
+		kdAcc, err := s.trainPipeline(core.New, tg.model, tg.layer, classes, nil)
 		if err != nil {
 			return nil, t, err
 		}
-		_, noKD, err := s.trainPipeline(tg.model, tg.layer, classes, func(c *core.Config) {
+		noKD, err := s.trainPipeline(core.New, tg.model, tg.layer, classes, func(c *core.Config) {
 			c.UseKD = false
 		})
 		if err != nil {

@@ -38,24 +38,11 @@ func RandomBipolar(rng *tensor.RNG, d int) Hypervector {
 	return h
 }
 
-// Dim returns the dimensionality.
-func (h Hypervector) Dim() int { return len(h) }
-
 // Clone returns a copy of h.
 func (h Hypervector) Clone() Hypervector {
 	c := NewHypervector(len(h))
 	copy(c, h)
 	return c
-}
-
-// IsBipolar reports whether every component is exactly ±1.
-func (h Hypervector) IsBipolar() bool {
-	for _, v := range h {
-		if v != 1 && v != -1 {
-			return false
-		}
-	}
-	return true
 }
 
 // Sign maps h to its bipolar quantization in place (sign(0) = +1).
@@ -66,13 +53,6 @@ func (h Hypervector) Sign() {
 		} else {
 			h[i] = 1
 		}
-	}
-}
-
-// Scale multiplies every component by s.
-func (h Hypervector) Scale(s float32) {
-	for i := range h {
-		h[i] *= s
 	}
 }
 

@@ -55,7 +55,3 @@ func (ne *NonlinearEncoder) EncodeBatch(features *tensor.Tensor) *tensor.Tensor 
 	}
 	return z
 }
-
-// EncodeMACs returns per-sample encoding cost: the F·D projection product
-// (the cos/sign post-processing is not a MAC).
-func (ne *NonlinearEncoder) EncodeMACs() int64 { return int64(ne.F) * int64(ne.D) }

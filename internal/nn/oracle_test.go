@@ -6,14 +6,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"nshd/internal/hdlearn"
 	"nshd/internal/nn"
 	"nshd/internal/tensor"
 	"nshd/internal/tensor/tensortest"
 )
 
 // This file is an independent float64 reference for DepthwiseConv2D,
-// BatchNorm2D, Conv2D and Linear, Forward and Backward: scalar loops straight from the
-// definitions, sharing no code with the layers or their kernels (tensor is
+// BatchNorm2D, Conv2D and Linear, Forward and Backward, and for one batch
+// step of hdlearn.Retrain: scalar loops straight from the definitions,
+// sharing no code with the layers, the trainer or their kernels (tensor is
 // imported for its Tensor type only). Every reference value comes with a
 // magnitude T, Σ|terms| of its reduction, and the float32 layer must land
 // within γₙ·T of it, where γₙ = n·u/(1−n·u), u = 2⁻²⁴, and n bounds the
@@ -435,6 +437,139 @@ func TestLinearMatchesOracle(t *testing.T) {
 				within(t, "dw", l.Weight.Grad.Data, rdw)
 				within(t, "db", l.Bias.Grad.Data, rdb)
 			})
+		}
+	})
+}
+
+// scaled is c·r, carried by extra more float32 roundings: one for the
+// product, one more for a constant float32 rounds first; 0 for an exact
+// product (by ±1).
+func (r refVal) scaled(c float64, extra int) refVal {
+	return refVal{v: c * r.v, mag: math.Abs(c) * r.mag, n: r.n + extra, m: r.m}
+}
+
+// plus is r + o with its one float32 rounding.
+func (r refVal) plus(o refVal) refVal {
+	return refVal{v: r.v + o.v, mag: r.mag + o.mag, n: max(r.n, o.n) + 1, m: max(r.m, o.m) + 1}
+}
+
+// refRetrainStep is one batch step of hdlearn.Retrain (Algorithm 1's HD
+// half) from the class matrix mat [K, D] on bipolar queries h [B, D] with
+// labels y: the cosine similarities s = ⟨M_k, H_i⟩/(‖M_k‖·‖H_i‖), the update
+// U = one_hot(y) − s (MASS) or, with teacher logits z,
+// U = (1−α)·(one_hot(y) − s) + α·(softmax(z)/T − s/T), and M + λ·Uᵀ·H. It
+// also returns Σ|U|, Retrain's update mass.
+//
+// The float32 chains: a similarity is a D-term dot (D roundings) divided in
+// float64 and rounded once (D+1), its magnitude Σ|M_k|/(‖M_k‖·‖H_i‖). A
+// softmax value's relative error is u per rounding of exp's input z−max
+// (amplified by |z−max| ≤ span), of the float32 exp, of the sum's terms (the
+// span again), of 1/sum and of the product: 2⌈span⌉+3. A constant float32
+// rounds first (λ, α, 1/T, T) costs one more rounding; 1−α carries
+// α/(1−α)+1 of them. Each batch term of λUᵀ·H is exact (H is ±1), so the
+// B-term sum and the add to M cost B+1.
+func refRetrainStep(mat, h *tensor.Tensor, y []int, z *tensor.Tensor, lr, alpha, temp float64) (mNew []refVal, mass refVal) {
+	k, d, b := mat.Shape[0], mat.Shape[1], h.Shape[0]
+	norms := make([]float64, k)
+	for c := 0; c < k; c++ {
+		for j := 0; j < d; j++ {
+			norms[c] += float64(mat.Data[c*d+j]) * float64(mat.Data[c*d+j])
+		}
+		norms[c] = math.Sqrt(norms[c])
+	}
+	oneMinusA := int(math.Ceil(alpha/(1-alpha))) + 2
+	u := make([]refVal, b*k)
+	mass.m = b * k
+	for i := 0; i < b; i++ {
+		var soft []refVal
+		if z != nil {
+			row := z.Data[i*k : (i+1)*k]
+			zmax, span, sum := math.Inf(-1), 0.0, 0.0
+			for _, v := range row {
+				zmax = math.Max(zmax, float64(v))
+			}
+			for _, v := range row {
+				span = math.Max(span, zmax-float64(v))
+				sum += math.Exp(float64(v) - zmax)
+			}
+			for _, v := range row {
+				p := math.Exp(float64(v)-zmax) / sum
+				sm := refVal{v: p, mag: p, n: 2*int(math.Ceil(span)) + 3, m: k + 2}
+				soft = append(soft, sm.scaled(1/temp, 2))
+			}
+		}
+		for c := 0; c < k; c++ {
+			var dot, dmag float64
+			for j := 0; j < d; j++ {
+				term := float64(mat.Data[c*d+j]) * float64(h.Data[i*d+j])
+				dot += term
+				dmag += math.Abs(term)
+			}
+			den := norms[c] * math.Sqrt(float64(d))
+			s := refVal{v: dot / den, mag: dmag / den, n: d + 1, m: d + 2}
+			hot := 0.0
+			if c == y[i] {
+				hot = 1
+			}
+			hard := refVal{v: hot, mag: hot}.plus(s.scaled(-1, 0))
+			uv := hard
+			if soft != nil {
+				distilled := soft[c].plus(s.scaled(1/temp, 2).scaled(-1, 0))
+				uv = hard.scaled(1-alpha, oneMinusA).plus(distilled.scaled(alpha, 2))
+			}
+			mass = refVal{v: mass.v + math.Abs(uv.v), mag: mass.mag + uv.mag, n: max(mass.n, uv.n+1), m: mass.m}
+			u[i*k+c] = uv.scaled(lr, 2)
+		}
+	}
+	mNew = make([]refVal, k*d)
+	for c := 0; c < k; c++ {
+		for j := 0; j < d; j++ {
+			var e refVal
+			for i := 0; i < b; i++ {
+				e = e.plus(u[i*k+c].scaled(float64(h.Data[i*d+j]), 0))
+			}
+			mv := float64(mat.Data[c*d+j])
+			mNew[c*d+j] = refVal{v: mv, mag: math.Abs(mv)}.plus(e)
+		}
+	}
+	return mNew, mass
+}
+
+// TestRetrainStepMatchesOracle: one hdlearn.Retrain batch step, MASS and
+// Algorithm 1 (α = 0.7, T = 15, λ = 0.35), leaves the class matrix within
+// refRetrainStep's bounds, and its update mass too, at each kernel width:
+// over a batch inside one GEMM K block and over one of 300 queries, at a D
+// that no panel divides.
+func TestRetrainStepMatchesOracle(t *testing.T) {
+	const k, d, lr, alpha, temp = 5, 300, 0.35, 0.7, 15
+	widths(t, func(t *testing.T) {
+		for i, b := range []int{12, 300} {
+			for _, kd := range []bool{false, true} {
+				t.Run(fmt.Sprintf("b%d/kd=%v", b, kd), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(60 + i)))
+					m := hdlearn.NewModel(k, d)
+					copy(m.M.Data, randTensor(rng, 0, 1, k, d).Data)
+					h := tensor.New(b, d)
+					for j := range h.Data {
+						h.Data[j] = float32(1 - 2*rng.Intn(2))
+					}
+					labels := make([]int, b)
+					for j := range labels {
+						labels[j] = rng.Intn(k)
+					}
+					var z *tensor.Tensor
+					if kd {
+						z = randTensor(rng, 0, 2, b, k)
+					}
+					ref, mass := refRetrainStep(m.M, h, labels, z, lr, alpha, temp)
+					hist, err := m.Retrain(h, labels, z, hdlearn.RetrainConfig{Epochs: 1, LR: lr, Alpha: alpha, Temp: temp, Batch: b}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					within(t, "M", m.M.Data, ref)
+					within(t, "update mass", []float32{float32(hist[0].MeanUpdateNorm * float64(b))}, []refVal{mass})
+				})
+			}
 		}
 	})
 }

@@ -137,71 +137,13 @@ func (t *Tensor) Zero() {
 	clear(t.Data)
 }
 
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
-// Map returns a new tensor whose elements are f applied to t's.
-func (t *Tensor) Map(f func(float32) float32) *Tensor {
-	c := t.Clone()
-	c.Apply(f)
-	return c
-}
-
-// String renders small tensors fully and large ones as a summary.
+// String renders small tensors fully and large ones as their shape and
+// length.
 func (t *Tensor) String() string {
 	if len(t.Data) <= 16 {
 		return fmt.Sprintf("Tensor%v%v", t.Shape, t.Data)
 	}
-	return fmt.Sprintf("Tensor%v[%d elems, mean=%.4g]", t.Shape, len(t.Data), t.Mean())
-}
-
-// Sum returns the sum of all elements (accumulated in float64).
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Max returns the maximum element and its flat index.
-func (t *Tensor) Max() (float32, int) {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	best, at := t.Data[0], 0
-	for i, v := range t.Data {
-		if v > best {
-			best, at = v, i
-		}
-	}
-	return best, at
-}
-
-// Min returns the minimum element and its flat index.
-func (t *Tensor) Min() (float32, int) {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	best, at := t.Data[0], 0
-	for i, v := range t.Data {
-		if v < best {
-			best, at = v, i
-		}
-	}
-	return best, at
+	return fmt.Sprintf("Tensor%v[%d elems]", t.Shape, len(t.Data))
 }
 
 // Row returns row i of a 2-D tensor as a slice aliasing t's data.

@@ -88,47 +88,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSumMean(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 4)
-	if got := x.Sum(); got != 10 {
-		t.Fatalf("Sum = %v", got)
-	}
-	if got := x.Mean(); got != 2.5 {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestMaxMinArgmax(t *testing.T) {
-	x := FromSlice([]float32{3, -1, 7, 7, 0}, 5)
-	if v, i := x.Max(); v != 7 || i != 2 {
-		t.Fatalf("Max = %v@%d, want 7@2 (first occurrence)", v, i)
-	}
-	if v, i := x.Min(); v != -1 || i != 1 {
-		t.Fatalf("Min = %v@%d", v, i)
-	}
-}
-
 func TestRowAliases(t *testing.T) {
 	x := New(2, 3)
 	r := x.Row(1)
 	r[0] = 5
 	if x.At(1, 0) != 5 {
 		t.Fatal("Row must alias tensor data")
-	}
-}
-
-func TestApplyMap(t *testing.T) {
-	x := FromSlice([]float32{1, -2}, 2)
-	y := x.Map(func(v float32) float32 { return v * v })
-	if y.Data[0] != 1 || y.Data[1] != 4 {
-		t.Fatalf("Map result %v", y.Data)
-	}
-	if x.Data[1] != -2 {
-		t.Fatal("Map must not mutate receiver")
-	}
-	x.Apply(func(v float32) float32 { return -v })
-	if x.Data[1] != 2 {
-		t.Fatal("Apply must mutate in place")
 	}
 }
 
@@ -141,7 +106,13 @@ func TestReshapePreservesSumProperty(t *testing.T) {
 		}
 		x := FromSlice(append([]float32(nil), vals...), n)
 		y := x.Reshape(1, n)
-		return math.Abs(x.Sum()-y.Sum()) < 1e-6
+		sum := func(t *Tensor) (s float64) {
+			for _, v := range t.Data {
+				s += float64(v)
+			}
+			return s
+		}
+		return math.Abs(sum(x)-sum(y)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

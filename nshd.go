@@ -39,7 +39,6 @@ import (
 	"nshd/internal/engine"
 	"nshd/internal/hdc"
 	"nshd/internal/hwsim"
-	"nshd/internal/metrics"
 	"nshd/internal/parallel"
 	"nshd/internal/serve"
 	"nshd/internal/tensor"
@@ -64,11 +63,13 @@ type CostReport = core.CostReport
 // DefaultConfig mirrors the paper's setup (D=3000, F̂=100, KD enabled).
 func DefaultConfig(cutLayer, classes int) Config { return core.DefaultConfig(cutLayer, classes) }
 
-// New assembles an NSHD pipeline over a (pretrained) zoo model.
+// New assembles an NSHD pipeline over a (pretrained) zoo model; with
+// Config.UseManifold off, the features reduce through BaselineHD's LSH instead.
 func New(zoo *Model, cfg Config) (*Pipeline, error) { return core.New(zoo, cfg) }
 
-// NewBaselineHD assembles the prior-work comparison: same cut extractor, no
-// manifold layer, no knowledge distillation.
+// NewBaselineHD assembles the prior-work comparison: same cut extractor, an
+// LSH reduction to min(F, 1024) bits in place of the manifold layer, and MASS
+// retraining without knowledge distillation.
 func NewBaselineHD(zoo *Model, cfg Config) (*Pipeline, error) { return core.NewBaselineHD(zoo, cfg) }
 
 // LoadPipeline restores a pipeline saved with Pipeline.Save.
@@ -320,20 +321,4 @@ func NewSequenceEncoder(rng *RNG, d, n int) *SequenceEncoder {
 // NewSequenceClassifier wraps a sequence encoder in a bundling classifier.
 func NewSequenceClassifier(enc *SequenceEncoder) *SequenceClassifier {
 	return hdc.NewSequenceClassifier(enc)
-}
-
-// --- evaluation metrics ---
-
-// Confusion is a K×K confusion matrix with accuracy/precision/recall/F1
-// derivations; see Pipeline.Confusion.
-type Confusion = metrics.Confusion
-
-// NewConfusion builds a confusion matrix from predictions and labels.
-func NewConfusion(k int, preds, labels []int) (*Confusion, error) {
-	return metrics.NewConfusion(k, preds, labels)
-}
-
-// TopKAccuracy scores [N, K] class scores against labels at rank k.
-func TopKAccuracy(scores *Tensor, labels []int, k int) (float64, error) {
-	return metrics.TopKAccuracy(scores, labels, k)
 }

@@ -15,11 +15,12 @@
 #   - nshd-bench -exp all at the quick preset on 64 training and 32 test
 #     images, one teacher and one HD epoch, D = 512;
 #   - each examples/* main;
-#   - nshd-train at the same sizes, normal and -baseline, the first saving
-#     the snapshot that nshd-info -pipeline then reads;
+#   - nshd-train at the same sizes, normal and -baseline, each saving its
+#     snapshot: nshd-info -pipeline reads the first;
 #   - nshd-info plain and with -model;
 #   - nshd-tsne;
-#   - nshd-serve -demo answering one binary /predict request, then SIGTERM.
+#   - nshd-serve -model on the BaselineHD snapshot: one SIGHUP reload, one
+#     binary /predict request and one GET /metrics, then SIGTERM.
 #
 # It costs about 11 minutes on a two-core box: quickstart takes 150 s,
 # distillation 162 s and nshd-bench 126 s. Every run starts in the temporary
@@ -64,27 +65,38 @@ for ex in examples/*/; do
 	run "$(basename "$ex")"
 done
 run nshd-train "${tiny[@]}" -out "$tmp/pipeline.gob"
-run nshd-train "${tiny[@]}" -baseline
+run nshd-train "${tiny[@]}" -baseline -out "$tmp/baseline.gob"
 run nshd-info
 run nshd-info -model vgg16
 run nshd-info -pipeline "$tmp/pipeline.gob"
 run nshd-tsne
 
-# One /predict request against the demo model: a binary frame of one
-# all-zero 3×32×32 image (uint32 LE count, then float32 LE values).
-echo "census: nshd-serve -demo" >&2
+# Serve the BaselineHD snapshot: reload it once with SIGHUP, then one
+# /predict request — a binary frame of one all-zero 3×32×32 image (uint32 LE
+# count, then float32 LE values) — and one GET /metrics.
+echo "census: nshd-serve -model baseline.gob" >&2
 addr=127.0.0.1:18181
-(cd "$tmp" && GOCOVERDIR="$tmp/cov" exec "$tmp/bin/nshd-serve" -demo -addr "$addr") >"$tmp/serve.log" 2>&1 &
+(cd "$tmp" && GOCOVERDIR="$tmp/cov" exec "$tmp/bin/nshd-serve" -model "$tmp/baseline.gob" -addr "$addr") >"$tmp/serve.log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 120); do
 	curl -sf "http://$addr/healthz" >/dev/null && break
 	sleep 0.5
 done
-{ printf '\001\000\000\000'; head -c $((3 * 32 * 32 * 4)) /dev/zero; } >"$tmp/req.bin"
-if ! curl -sf -X POST -H 'Content-Type: application/octet-stream' --data-binary @"$tmp/req.bin" "http://$addr/predict" >/dev/null; then
+fail() {
+	echo "census: $*" >&2
 	cat "$tmp/serve.log" >&2
 	exit 1
-fi
+}
+kill -HUP "$serve_pid"
+for _ in $(seq 120); do
+	grep -q 'hot-swapped' "$tmp/serve.log" && break
+	sleep 0.5
+done
+grep -q 'hot-swapped' "$tmp/serve.log" || fail "SIGHUP did not reload the snapshot"
+{ printf '\001\000\000\000'; head -c $((3 * 32 * 32 * 4)) /dev/zero; } >"$tmp/req.bin"
+curl -sf -X POST -H 'Content-Type: application/octet-stream' --data-binary @"$tmp/req.bin" "http://$addr/predict" >/dev/null ||
+	fail "/predict failed"
+curl -sf "http://$addr/metrics" >/dev/null || fail "GET /metrics failed"
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 serve_pid=
