@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -394,5 +396,47 @@ func TestEngineStagesReported(t *testing.T) {
 		tail.Sub[0].Seconds <= 0 || tail.Sub[1].Seconds <= 0 ||
 		math.Abs(tail.Sub[0].Seconds+tail.Sub[1].Seconds-tail.Seconds) > 1e-9 {
 		t.Fatalf("tail row %+v, want project + score sub-rows summing to it", tail)
+	}
+}
+
+// TestCompileLoadedBaselineHD: a BaselineHD pipeline saved and loaded back
+// compiles to the extract, flatten, lsh chain and serves the labels of both
+// the loaded and the saved pipeline's direct path.
+func TestCompileLoadedBaselineHD(t *testing.T) {
+	zoo, err := cnn.Build("mobilenetv2", tensor.NewRNG(64), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(5, 4)
+	cfg.D = 70
+	p, err := core.NewBaselineHD(zoo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensor.NewRNG(65).FillNormal(p.HD.M, 0, 1)
+	path := filepath.Join(t.TempDir(), "baseline.gob")
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	q, err := core.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStages(t, q, e)
+	images := tensor.New(9, 3, 32, 32)
+	tensor.NewRNG(66).FillNormal(images, 0, 1)
+	got, err := e.Predict(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := q.PredictDirect(images); !slices.Equal(got, want) {
+		t.Fatalf("engine labels %v, loaded pipeline's %v", got, want)
+	}
+	if want := p.PredictDirect(images); !slices.Equal(got, want) {
+		t.Fatalf("engine labels %v, saved pipeline's %v", got, want)
 	}
 }
