@@ -173,7 +173,7 @@ bench-diff:
 # preset, each example, nshd-train, nshd-info, nshd-tsne and nshd-serve on
 # the BaselineHD snapshot (a SIGHUP reload, one /predict, one GET /metrics);
 # then the 0.0 % rows of the merged profile (the portable
-# *_noasm.go twins and tensortest skipped). About 11 minutes on two cores. A
+# *_noasm.go twins and tensortest skipped). About 13 minutes on two cores. A
 # row is reached by tests alone; see scripts/census.sh.
 census:
 	bash scripts/census.sh

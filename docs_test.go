@@ -160,7 +160,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 // rewritten once, down to ≤ 60 KB" is the target for DESIGN.md, and a change
 // that shrinks a document lowers its cap.
 func TestDocsByteBudget(t *testing.T) {
-	for doc, limit := range map[string]int64{"DESIGN.md": 137_352, "README.md": 25_000} {
+	for doc, limit := range map[string]int64{"DESIGN.md": 137_299, "README.md": 25_000} {
 		fi, err := os.Stat(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestCodeBudget(t *testing.T) {
 	for _, c := range []struct {
 		what       string
 		lines, cap int
-	}{{"non-test Go", goLines, 18_093}, {"assembly", asmLines, 2_738}} {
+	}{{"non-test Go", goLines, 18_085}, {"assembly", asmLines, 2_738}} {
 		if c.lines > c.cap {
 			t.Errorf("%s is %d lines, over its %d-line budget", c.what, c.lines, c.cap)
 		}

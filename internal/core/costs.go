@@ -51,8 +51,7 @@ func (p *Pipeline) Costs() CostReport {
 		ms := p.Manifold.Stats()
 		c.ManifoldMACs = ms.MACs
 		c.ManifoldBytes = ms.Params * 4
-	}
-	if p.LSH != nil {
+	} else {
 		c.LSHMACs = p.LSH.EncodeMACs()
 		c.LSHBytes = p.LSH.MemoryBytes(true)
 	}

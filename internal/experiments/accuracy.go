@@ -317,12 +317,12 @@ func (s *Session) Fig10(model string) ([]Fig10Row, Table, error) {
 		}
 		qAcc := float64(qCorrect) / float64(len(qPreds))
 
-		hdBytes := p.Proj.MemoryBytes(true) + p.HD.MemoryBytes(false) +
-			manifoldBytes(p)
+		c := p.Costs()
+		hdBytes := c.ManifoldBytes + c.ProjectionBytes + c.ClassHVBytes
 		row := Fig10Row{
 			Model: model, D: d,
 			Accuracy: acc, QuantAcc: qAcc,
-			FPS:     dpu.NSHDFPS(p.Costs()),
+			FPS:     dpu.NSHDFPS(c),
 			HDBytes: hdBytes,
 		}
 		rows = append(rows, row)
@@ -336,11 +336,4 @@ func (s *Session) Fig10(model string) ([]Fig10Row, Table, error) {
 		"paper: D=3000 suffices (70% parameter saving vs 10000); D=1000 loses ~1.64% accuracy on average",
 		"paper: Vitis AI int8 quantization has very minor accuracy impact")
 	return rows, t, nil
-}
-
-func manifoldBytes(p *core.Pipeline) int64 {
-	if p.Manifold == nil {
-		return 0
-	}
-	return p.Manifold.Stats().Params * 4
 }

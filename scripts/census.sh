@@ -22,7 +22,7 @@
 #   - nshd-serve -model on the BaselineHD snapshot: one SIGHUP reload, one
 #     binary /predict request and one GET /metrics, then SIGTERM.
 #
-# It costs about 11 minutes on a two-core box: quickstart takes 150 s,
+# It costs about 13 minutes on a two-core box: quickstart takes 150 s,
 # distillation 162 s and nshd-bench 126 s. Every run starts in the temporary
 # directory, so teacher caches, CSVs and benchmark/out stay out of the tree.
 # TestNoTestOnlyExports already fails on a function that no non-test file
